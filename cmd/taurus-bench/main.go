@@ -9,7 +9,7 @@
 //	taurus-bench -exp fleet          # one control plane driving 3 switches
 //	taurus-bench -exp latency        # continuous-time queueing: tails, drops, push-under-load
 //	taurus-bench -exp distfit        # distributed retrain: scaling + fault-injected drift recovery
-//	taurus-bench -exp compile        # interpreted vs compiled evaluation, measured II
+//	taurus-bench -exp compile        # compiled-tape evaluation cost, measured II
 //	taurus-bench -exp drift -json    # machine-readable rows (CI artifacts)
 //
 // Experiments: table1 table2 table3 table4 table5 table6 table7 table8
@@ -264,7 +264,7 @@ func run(exp string, packets int, seed int64, driftModel string) error {
 		emit(text)
 	}
 	if want("compile") {
-		fmt.Fprintln(os.Stderr, "measuring interpreted vs compiled evaluation...")
+		fmt.Fprintln(os.Stderr, "measuring compiled evaluation...")
 		_, text, err := experiments.CompileBench(models)
 		if err != nil {
 			return err

@@ -1,7 +1,7 @@
 // Compiled evaluation: train a small anomaly DNN, list-schedule its
 // MapReduce lowering into VLIW issue bundles, print the per-cycle schedule,
-// and race the compiled instruction tape against the interpreter — single
-// packet and batched — verifying bit-exactness along the way.
+// check the compiled instruction tape bit-for-bit against Graph.Eval (the
+// reference semantics), and time it one packet and one batch at a time.
 package main
 
 import (
@@ -52,12 +52,8 @@ func main() {
 	fmt.Printf("list schedule:       depth %d, II %d\n\n", sched.Depth, sched.II)
 
 	// 4. Emit the instruction tape and check bit-exactness against the
-	//    interpreter on a few packets.
+	//    reference semantics on a few packets.
 	prog, err := taurus.CompileProgram(program, taurus.DefaultGrid())
-	if err != nil {
-		log.Fatal(err)
-	}
-	ev, err := taurus.NewEvaluator(program)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,30 +62,25 @@ func main() {
 		for i := range codes {
 			codes[i] = int32(int8(rng.Intn(256)))
 		}
-		copy(ev.Input(0), codes)
-		ev.Eval()
+		want, err := program.Eval(codes)
+		if err != nil {
+			log.Fatal(err)
+		}
 		copy(prog.In(0), codes)
 		prog.Run()
-		if ev.Output(0)[0] != prog.Out(0)[0] {
-			log.Fatalf("divergence: interpreter %d, compiled %d",
-				ev.Output(0)[0], prog.Out(0)[0])
+		if want[0][0] != prog.Out(0)[0] {
+			log.Fatalf("divergence: Graph.Eval %d, compiled %d", want[0][0], prog.Out(0)[0])
 		}
 	}
-	fmt.Println("bit-exact: 1000 random packets, interpreter == compiled tape")
+	fmt.Println("bit-exact: 1000 random packets, Graph.Eval == compiled tape")
 
-	// 5. Race them: interpreter vs compiled vs batch-compiled.
+	// 5. Time the tape: one packet per sweep vs a full batch per sweep.
 	const rounds = 200_000
 	measure := func(f func()) float64 {
 		start := time.Now()
 		f()
 		return float64(time.Since(start).Nanoseconds()) / rounds
 	}
-	interp := measure(func() {
-		for r := 0; r < rounds; r++ {
-			copy(ev.Input(0), codes)
-			ev.Eval()
-		}
-	})
 	compiled := measure(func() {
 		for r := 0; r < rounds; r++ {
 			copy(prog.In(0), codes)
@@ -105,7 +96,6 @@ func main() {
 			prog.RunBatch(batch)
 		}
 	})
-	fmt.Printf("interpreter: %6.0f ns/packet\n", interp)
-	fmt.Printf("compiled:    %6.0f ns/packet (%.1fx)\n", compiled, interp/compiled)
-	fmt.Printf("batched(%d): %6.0f ns/packet (%.1fx)\n", batch, batched, interp/batched)
+	fmt.Printf("compiled:    %6.0f ns/packet\n", compiled)
+	fmt.Printf("batched(%d): %6.0f ns/packet (%.1fx)\n", batch, batched, compiled/batched)
 }

@@ -43,23 +43,22 @@ func main() {
 	fmt.Printf("KMeans on the grid: %d CUs, %d ns, II=%d, %.2f mm^2 (Table 5's IoT row)\n",
 		compiled.Usage.CUs, compiled.Stats.LatencyCycles, compiled.Stats.II, compiled.AreaMM2())
 
-	// Drive the compiled program with quantised features through the v1
-	// Evaluator — the same preallocated, allocation-free interpreter the
-	// device hot path runs per packet — and compare against the float
-	// classifier.
-	ev, err := taurus.NewEvaluator(program)
+	// Drive the program with quantised features through its compiled tape
+	// — the same preallocated, allocation-free engine the device hot path
+	// sweeps per batch — and compare against the float classifier.
+	tape, err := taurus.CompileProgram(program, taurus.DefaultGrid())
 	if err != nil {
 		log.Fatal(err)
 	}
 	testX, _ := gen.Samples(1000)
 	agree := 0
 	for _, x := range testX {
-		in := ev.Input(0)
+		in := tape.In(0)
 		for i, c := range inQ.QuantizeSlice(x) {
 			in[i] = int32(c)
 		}
-		ev.Eval()
-		if int(ev.Output(0)[0]) == km.Predict(x) {
+		tape.Run()
+		if int(tape.Out(0)[0]) == km.Predict(x) {
 			agree++
 		}
 	}

@@ -440,8 +440,7 @@ func (f *Fleet) RetrainNow() error {
 		return f.fail(span, err)
 	}
 	// Post-push audit, per member: any pusher exposing RecheckTape (a device
-	// or pipeline) re-verifies its installed tape against the live graph. A
-	// member on interpreter fallback passes vacuously (see Device.RecheckTape).
+	// or pipeline) re-verifies its installed tape against the live graph.
 	for _, m := range f.snapshot() {
 		if rc, ok := m.pusher.(TapeRechecker); ok {
 			if err := rc.RecheckTape(); err != nil {

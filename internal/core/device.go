@@ -5,10 +5,10 @@
 // the model output into a forwarding verdict, and out-of-band weight
 // updates from the control plane (Figure 1).
 //
-// The per-packet path (ProcessInto, ProcessBatch) is allocation-free in the
-// steady state: the PHV, the feature-code scratch and every MapReduce
-// intermediate are preallocated when the model is loaded, mirroring hardware
-// where all buffers exist before the first packet arrives.
+// The packet path (Process, ProcessBatch) is allocation-free in the steady
+// state: the PHV, the feature-code staging and every MapReduce intermediate
+// are preallocated when the model is loaded, mirroring hardware where all
+// buffers exist before the first packet arrives.
 package core
 
 import (
@@ -27,8 +27,8 @@ import (
 
 	// tapecheck both arms sched.Compile's translation-validation gate —
 	// every tape a Device installs has been statically verified against its
-	// source graph, and a rejected tape is a counted interpreter fallback —
-	// and backs RecheckTape's post-push revalidation of the serving tape.
+	// source graph, and a rejected tape is an install error — and backs
+	// RecheckTape's post-push revalidation of the serving tape.
 	"taurus/internal/sched/tapecheck"
 )
 
@@ -74,10 +74,6 @@ type Stats struct {
 	Processed, MLInferences, Bypassed int
 	Forwarded, Flagged, Dropped       int
 	ParseErrors                       int
-	// TapeFallbacks counts model installs that fell back to the interpreter
-	// because the compiled tape was refused — by the list scheduler or by
-	// tapecheck's translation validator (see Device.TapeFallbackReason).
-	TapeFallbacks int
 	// ModelBusyNs is the modelled occupancy of this device's MapReduce
 	// block: each ML packet holds an issue slot for II cycles (1 ns each at
 	// the 1 GHz fabric), each bypass packet for one PISA cycle. The busiest
@@ -94,7 +90,6 @@ func (s *Stats) Add(other Stats) {
 	s.Flagged += other.Flagged
 	s.Dropped += other.Dropped
 	s.ParseErrors += other.ParseErrors
-	s.TapeFallbacks += other.TapeFallbacks
 	s.ModelBusyNs += other.ModelBusyNs
 }
 
@@ -129,8 +124,8 @@ type Config struct {
 	// process-unique {dev=N} label; two devices sharing a registry AND an
 	// explicit label set share instruments, so their Stats() merge.
 	ObsLabels []obs.Label
-	// Tracer receives the device's control-plane events — today the
-	// tape-fallback verdict on model install (obs.DefaultTracer() when nil).
+	// Tracer receives the device's control-plane events — today the tape
+	// compile verdict of each model install (obs.DefaultTracer() when nil).
 	Tracer *obs.Tracer
 }
 
@@ -154,21 +149,10 @@ type Device struct {
 	// flowValid marks slots whose features have been accumulated.
 	flowValid *pisa.RegisterArray
 
-	model *compiler.Result
-	eval  *mr.Evaluator
-	// prog is the compiled evaluation tape for the installed model. The hot
-	// path prefers it over the interpreter; it stays nil when list scheduling
-	// fails, and eval serves every inference (the fallback contract).
-	prog *sched.Program
-	// schedII is prog's measured initiation interval (0 on fallback).
-	schedII int
-	// tapeErr records why the last install fell back to the interpreter
-	// ("" when the compiled tape is serving).
-	tapeErr   string
-	mlIdx     []int // ML staging slots for ProcessIndexed, cap = prog batch
-	inQ       fixed.Quantizer
-	modelLat  float64
-	modelII   int
+	// installed is the model being served, replaced whole by Prepared.Commit
+	// (all zero before the first install: every packet bypasses).
+	installed
+
 	phv       *pisa.PHV
 	featureID []pisa.FieldID
 	bypassID  pisa.FieldID
@@ -189,17 +173,29 @@ type Device struct {
 	tracer *obs.Tracer
 }
 
+// installed is everything a model install sets. prog is the compiled,
+// translation-validated tape of model.Graph — the device's only inference
+// engine.
+type installed struct {
+	model    *compiler.Result
+	prog     *sched.Program
+	mlIdx    []int // batch indices of the ML packets staged in prog, cap = prog batch
+	inQ      fixed.Quantizer
+	schedII  int // prog's measured initiation interval
+	modelLat float64
+	modelII  int
+}
+
 // devMetrics are the device's registry instruments, all sharing one label
 // set. The dotted names live under taurus.device.*.
 type devMetrics struct {
-	processed     *obs.Counter
-	mlInferences  *obs.Counter
-	bypassed      *obs.Counter
-	forwarded     *obs.Counter
-	flagged       *obs.Counter
-	dropped       *obs.Counter
-	parseErrors   *obs.Counter
-	tapeFallbacks *obs.Counter
+	processed    *obs.Counter
+	mlInferences *obs.Counter
+	bypassed     *obs.Counter
+	forwarded    *obs.Counter
+	flagged      *obs.Counter
+	dropped      *obs.Counter
+	parseErrors  *obs.Counter
 	// modelBusyNs accumulates the MapReduce block's modelled occupancy in
 	// integral nanoseconds (II per ML packet, one cycle per bypass).
 	modelBusyNs *obs.Counter
@@ -221,16 +217,15 @@ var devOrdinal atomic.Int64
 
 func bindDevMetrics(reg *obs.Registry, labels []obs.Label) devMetrics {
 	return devMetrics{
-		processed:     reg.Counter("taurus.device.processed", labels...),
-		mlInferences:  reg.Counter("taurus.device.ml_inferences", labels...),
-		bypassed:      reg.Counter("taurus.device.bypassed", labels...),
-		forwarded:     reg.Counter("taurus.device.forwarded", labels...),
-		flagged:       reg.Counter("taurus.device.flagged", labels...),
-		dropped:       reg.Counter("taurus.device.dropped", labels...),
-		parseErrors:   reg.Counter("taurus.device.parse_errors", labels...),
-		tapeFallbacks: reg.Counter("taurus.device.tape_fallbacks", labels...),
-		modelBusyNs:   reg.Counter("taurus.device.model_busy_ns", labels...),
-		serviceNs:     reg.Histogram("taurus.device.service_ns", labels...),
+		processed:    reg.Counter("taurus.device.processed", labels...),
+		mlInferences: reg.Counter("taurus.device.ml_inferences", labels...),
+		bypassed:     reg.Counter("taurus.device.bypassed", labels...),
+		forwarded:    reg.Counter("taurus.device.forwarded", labels...),
+		flagged:      reg.Counter("taurus.device.flagged", labels...),
+		dropped:      reg.Counter("taurus.device.dropped", labels...),
+		parseErrors:  reg.Counter("taurus.device.parse_errors", labels...),
+		modelBusyNs:  reg.Counter("taurus.device.model_busy_ns", labels...),
+		serviceNs:    reg.Histogram("taurus.device.service_ns", labels...),
 	}
 }
 
@@ -245,13 +240,13 @@ func (d *Device) flushTally() {
 	}
 	if t.mlInferences != 0 {
 		d.m.mlInferences.Add(int64(t.mlInferences))
-		d.m.serviceNs.RecordN(float64(d.serviceII()), int64(t.mlInferences))
+		d.m.serviceNs.RecordN(float64(d.schedII), int64(t.mlInferences))
 	}
 	if t.bypassed != 0 {
 		d.m.bypassed.Add(int64(t.bypassed))
 		d.m.serviceNs.RecordN(bypassCycleNs, int64(t.bypassed))
 	}
-	if busy := int64(t.mlInferences)*int64(d.serviceII()) + int64(t.bypassed); busy != 0 {
+	if busy := int64(t.mlInferences)*int64(d.schedII) + int64(t.bypassed); busy != 0 {
 		d.m.modelBusyNs.Add(busy)
 	}
 	if t.forwarded != 0 {
@@ -394,7 +389,8 @@ func (d *Device) checkModel(g *mr.Graph) error {
 // LoadModel compiles a MapReduce program onto the device's grid and
 // installs it, together with the feature quantiser the preprocessing MATs
 // use. The graph must take a single input of width NumFeatures and produce
-// a single-lane score output.
+// a single-lane score output. On error the device is untouched: the model
+// it was serving (or none) keeps serving.
 func (d *Device) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options) error {
 	if err := d.checkModel(g); err != nil {
 		return err
@@ -406,53 +402,65 @@ func (d *Device) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Optio
 	if err != nil {
 		return err
 	}
-	return d.InstallModel(res, inQ)
-}
-
-// InstallModel installs an already-compiled model, taking ownership of
-// res.Graph (weight updates mutate it in place). Callers replicating one
-// compiled design across many devices — the pipeline's shards — compile
-// once and install per device with a shard-local graph clone, instead of
-// paying for placement per shard.
-func (d *Device) InstallModel(res *compiler.Result, inQ fixed.Quantizer) error {
-	if err := d.checkModel(res.Graph); err != nil {
-		return err
-	}
-	eval, err := mr.NewEvaluator(res.Graph)
+	p, err := d.PrepareModel(res, inQ)
 	if err != nil {
 		return err
 	}
-	// Compile the hot path: list-schedule the graph on the placed grid and
-	// emit the fused tape, which sched.Compile hands through tapecheck's
-	// translation validator before returning it. A graph the scheduler
-	// refuses (e.g. a LUT model on a grid with no MUs) — or a tape the
-	// validator rejects as an unfaithful translation — falls back to the
-	// interpreter; the device still serves it, just without the compiled
-	// fast path or measured II, and the fallback is counted in Stats.
+	p.Commit()
+	return nil
+}
+
+// Prepared is a placed model that has cleared every fallible step of an
+// install on one device — shape check, list scheduling, tape emission,
+// translation validation — and only awaits Commit.
+type Prepared struct {
+	dev *Device
+	m   installed
+}
+
+// PrepareModel is the fallible half of an install: it checks res.Graph's
+// shape against the device and compiles it with sched.Compile, which plans
+// the graph on the placed grid, emits the fused tape and runs tapecheck's
+// translation validator over it. A graph the scheduler refuses (a LUT model
+// on a grid with no MUs) or a tape the validator rejects is an error — there
+// is no second engine to serve it — and either verdict is journalled on the
+// device's tracer.
+//
+// It reads only the device's immutable configuration, so it may run while
+// the device serves traffic and a failure leaves nothing to undo: callers
+// replicating one placed design across many devices (the pipeline's shards)
+// prepare a graph clone per device, then Commit them all. The Prepared owns
+// res.Graph — weight updates mutate it in place.
+func (d *Device) PrepareModel(res *compiler.Result, inQ fixed.Quantizer) (*Prepared, error) {
+	if err := d.checkModel(res.Graph); err != nil {
+		return nil, err
+	}
 	grid := d.cfg.Grid
 	if res.Placement != nil && res.Placement.Spec != (cgra.GridSpec{}) {
 		grid = res.Placement.Spec
 	}
-	d.model = res
-	d.eval = eval
-	d.prog = nil
-	d.schedII = 0
-	d.mlIdx = nil
-	d.tapeErr = ""
-	if prog, perr := sched.Compile(res.Graph, grid); perr == nil {
-		d.prog = prog
-		d.schedII = prog.Schedule().II
-		d.mlIdx = make([]int, 0, prog.MaxBatch())
-	} else {
-		d.tapeErr = perr.Error()
-		d.m.tapeFallbacks.Inc()
-		d.tracer.Emitf(0, "tape.fallback", "reason=%q", perr.Error())
+	prog, err := sched.Compile(res.Graph, grid)
+	if err != nil {
+		d.tracer.Emitf(0, "tapecheck.fail", "graph=%q err=%q", res.Graph.Name, err.Error())
+		return nil, fmt.Errorf("core: compile tape for %q: %w", res.Graph.Name, err)
 	}
-	d.inQ = inQ
-	d.modelLat = res.Stats.LatencyNs()
-	d.modelII = res.Stats.II
-	return nil
+	ii := prog.Schedule().II
+	d.tracer.Emitf(0, "tapecheck.pass", "graph=%q ii=%d", res.Graph.Name, ii)
+	return &Prepared{dev: d, m: installed{
+		model:    res,
+		prog:     prog,
+		mlIdx:    make([]int, 0, prog.MaxBatch()),
+		inQ:      inQ,
+		schedII:  ii,
+		modelLat: res.Stats.LatencyNs(),
+		modelII:  res.Stats.II,
+	}}, nil
 }
+
+// Commit switches the device to the prepared model. It cannot fail and must
+// not run concurrently with the device's packet path (the pipeline commits
+// under the shard lock, between batches).
+func (p *Prepared) Commit() { p.dev.installed = p.m }
 
 func inputWidth(g *mr.Graph) int {
 	if len(g.Inputs) == 0 {
@@ -468,21 +476,6 @@ func (d *Device) Model() *compiler.Result { return d.model }
 // zero Quantizer before LoadModel). The control plane needs it to requantise
 // retrained weights into the same input domain the preprocessing MATs use.
 func (d *Device) InputQuantizer() fixed.Quantizer { return d.inQ }
-
-// ClearModel removes the installed model; packets bypass the MapReduce block
-// again until the next install. Used to roll a device back to its pre-model
-// state when a multi-device install fails partway.
-func (d *Device) ClearModel() {
-	d.model = nil
-	d.eval = nil
-	d.prog = nil
-	d.schedII = 0
-	d.tapeErr = ""
-	d.mlIdx = nil
-	d.inQ = fixed.Quantizer{}
-	d.modelLat = 0
-	d.modelII = 0
-}
 
 // UpdateWeights swaps the constants and LUT tables of the installed model
 // for those of newGraph without re-placing the design — the out-of-band
@@ -613,54 +606,21 @@ type PacketIn struct {
 	Features []float32
 }
 
-// Process runs one packet through the full pipeline. It is a convenience
-// wrapper over ProcessInto; batch traffic should use ProcessBatch (or the
-// pipeline package) instead.
+// Process runs one packet through the full pipeline — the batch loop with a
+// batch of one. Where a batch drops a malformed frame and moves on, Process
+// also returns the packet's own error (parse failure or wrong feature width)
+// next to its Drop decision. It performs no heap allocation in the steady
+// state; batch traffic should still use ProcessBatch (or the pipeline
+// package), which amortises the tape sweep and the tally flush.
+//
+// hotpath: zero-alloc
 func (d *Device) Process(in PacketIn) (Decision, error) {
-	var dec Decision
-	err := d.ProcessInto(in, &dec)
-	return dec, err
-}
-
-// ProcessInto runs one packet through the full pipeline, writing the
-// outcome into dec. It performs no heap allocation in the steady state.
-//
-// hotpath: zero-alloc
-func (d *Device) ProcessInto(in PacketIn, dec *Decision) error {
-	err := d.processInto(in, dec)
-	d.flushTally()
-	return err
-}
-
-// processInto is ProcessInto without the instrument flush — the shared inner
-// path, so ProcessIndexed's interpreter loop flushes once per batch rather
-// than once per packet.
-//
-// hotpath: zero-alloc
-func (d *Device) processInto(in PacketIn, dec *Decision) error {
-	key, ml, err := d.admit(in, dec)
-	if err != nil {
-		return err
+	ins, out := [1]PacketIn{in}, [1]Decision{}
+	callerErr, parseErr := d.run(ins[:], out[:], nil)
+	if callerErr != nil {
+		return out[0], callerErr
 	}
-	if !ml {
-		d.finishBypass(dec)
-		return nil
-	}
-	// Hand the dense feature vector to the MapReduce block (Figure 7): the
-	// compiled tape when the schedule built, the interpreter otherwise. Both
-	// read through preallocated input buffers.
-	var score int32
-	if d.prog != nil {
-		d.stageCodes(d.prog.In(0), key)
-		d.prog.Run()
-		score = d.prog.Out(0)[0]
-	} else {
-		d.stageCodes(d.eval.Input(0), key)
-		d.eval.Eval()
-		score = d.eval.Output(0)[0]
-	}
-	d.finishML(dec, score)
-	return nil
+	return out[0], parseErr
 }
 
 // admit runs the front half of the pipeline — parse, preprocessing MAT,
@@ -763,39 +723,29 @@ func (d *Device) ProcessBatch(ins []PacketIn, out []Decision) error {
 
 // ProcessIndexed processes the packets ins[i] for each i in idx (all of ins
 // when idx is nil), writing out[i] — the shape the pipeline's shard workers
-// use, where idx is the shard's partition of a shared batch. When the
-// compiled program is installed, ML packets are staged into its batch arena
-// and swept up to MaxBatch at a time, amortising tape dispatch the way the
-// hardware amortises pipeline fill; decisions are bit-identical to the
-// per-packet path because inference neither reads nor writes flow registers.
-// Error semantics match ProcessBatch.
+// use, where idx is the shard's partition of a shared batch. Error semantics
+// match ProcessBatch.
 //
 // hotpath: zero-alloc
 func (d *Device) ProcessIndexed(ins []PacketIn, out []Decision, idx []int) error {
+	callerErr, _ := d.run(ins, out, idx)
+	return callerErr
+}
+
+// run is the device's one packet loop; every entry point is a view of it.
+// Each packet goes through the front half (admit); ML packets are staged into
+// the tape's batch arena and swept up to MaxBatch at a time, amortising tape
+// dispatch the way the hardware amortises pipeline fill. Staging cannot
+// reorder observable state: inference neither reads nor writes flow
+// registers. A packet that errors is written as a Drop; the first wrong
+// feature width (a caller bug) and the first parse failure (traffic) are
+// returned separately, because a batch reports only the former.
+//
+// hotpath: zero-alloc
+func (d *Device) run(ins []PacketIn, out []Decision, idx []int) (callerErr, parseErr error) {
 	n := len(ins)
 	if idx != nil {
 		n = len(idx)
-	}
-	var callerErr error
-	//hotpathcheck:allow — closure is built once per batch, captures only stack state, and does not escape
-	fail := func(i int, err error) {
-		if callerErr == nil && errors.Is(err, ErrBadFeatureWidth) {
-			callerErr = err
-		}
-		out[i] = Decision{Verdict: Drop}
-	}
-	if d.prog == nil {
-		for k := 0; k < n; k++ {
-			i := k
-			if idx != nil {
-				i = idx[k]
-			}
-			if err := d.processInto(ins[i], &out[i]); err != nil {
-				fail(i, err)
-			}
-		}
-		d.flushTally()
-		return callerErr
 	}
 	staged := d.mlIdx[:0]
 	for k := 0; k < n; k++ {
@@ -804,28 +754,33 @@ func (d *Device) ProcessIndexed(ins []PacketIn, out []Decision, idx []int) error
 			i = idx[k]
 		}
 		key, ml, err := d.admit(ins[i], &out[i])
-		if err != nil {
-			fail(i, err)
-			continue
-		}
-		if !ml {
+		switch {
+		case err != nil:
+			out[i] = Decision{Verdict: Drop}
+			if errors.Is(err, ErrBadFeatureWidth) {
+				if callerErr == nil {
+					callerErr = err
+				}
+			} else if parseErr == nil {
+				parseErr = err
+			}
+		case !ml:
 			d.finishBypass(&out[i])
-			continue
-		}
-		d.stageCodes(d.prog.InAt(0, len(staged)), key)
-		//hotpathcheck:allow — append stays within d.mlIdx's preallocated MaxBatch capacity (flushed when full)
-		staged = append(staged, i)
-		if len(staged) == d.prog.MaxBatch() {
-			d.flushML(staged, out)
-			staged = staged[:0]
+		default:
+			d.stageCodes(d.prog.InAt(0, len(staged)), key)
+			//hotpathcheck:allow — append stays within d.mlIdx's preallocated MaxBatch capacity (flushed when full)
+			staged = append(staged, i)
+			if len(staged) == d.prog.MaxBatch() {
+				d.flushML(staged, out)
+				staged = staged[:0]
+			}
 		}
 	}
 	if len(staged) > 0 {
 		d.flushML(staged, out)
 	}
-	d.mlIdx = staged[:0]
 	d.flushTally()
-	return callerErr
+	return callerErr, parseErr
 }
 
 // flushML sweeps the staged ML packets through the compiled tape and
@@ -846,15 +801,14 @@ func (d *Device) flushML(staged []int, out []Decision) {
 // taken mid-batch lags by at most that batch.
 func (d *Device) Stats() Stats {
 	return Stats{
-		Processed:     int(d.m.processed.Value()),
-		MLInferences:  int(d.m.mlInferences.Value()),
-		Bypassed:      int(d.m.bypassed.Value()),
-		Forwarded:     int(d.m.forwarded.Value()),
-		Flagged:       int(d.m.flagged.Value()),
-		Dropped:       int(d.m.dropped.Value()),
-		ParseErrors:   int(d.m.parseErrors.Value()),
-		TapeFallbacks: int(d.m.tapeFallbacks.Value()),
-		ModelBusyNs:   float64(d.m.modelBusyNs.Value()),
+		Processed:    int(d.m.processed.Value()),
+		MLInferences: int(d.m.mlInferences.Value()),
+		Bypassed:     int(d.m.bypassed.Value()),
+		Forwarded:    int(d.m.forwarded.Value()),
+		Flagged:      int(d.m.flagged.Value()),
+		Dropped:      int(d.m.dropped.Value()),
+		ParseErrors:  int(d.m.parseErrors.Value()),
+		ModelBusyNs:  float64(d.m.modelBusyNs.Value()),
 	}
 }
 
@@ -868,15 +822,9 @@ func (d *Device) ServiceHist() *obs.Histogram { return d.m.serviceNs }
 // path is serving, against the graph as it stands now — the control plane's
 // post-push audit that a weight update (which mutates the graph the tape
 // aliases) left the compiled path faithful. ErrNoModel before LoadModel.
-// While the interpreter fallback is serving there is no translation to audit
-// (the interpreter evaluates the graph directly), so the recheck is vacuously
-// nil — the fallback itself was journalled and counted at install time.
 func (d *Device) RecheckTape() error {
 	if d.model == nil {
 		return ErrNoModel
-	}
-	if d.prog == nil {
-		return nil
 	}
 	return tapecheck.Check(d.prog)
 }
@@ -890,32 +838,7 @@ func (d *Device) ModelLatencyNs() float64 { return d.modelLat }
 func (d *Device) ModelII() int { return d.modelII }
 
 // ScheduledII returns the list schedule's measured initiation interval for
-// the installed model, or 0 when the interpreter fallback is active.
+// the installed model (0 before LoadModel) — the II the service model
+// charges per ML packet: Stats.ModelBusyNs, pipeline.ServiceModel and the
+// netqueue simulator all derive their per-packet service time from it.
 func (d *Device) ScheduledII() int { return d.schedII }
-
-// ServiceII is the initiation interval the service model charges per ML
-// packet: the schedule-measured II when the hot path is compiled, else the
-// placed design's II. pipeline.ServiceModel and the netqueue simulator
-// derive their per-packet service times from this.
-func (d *Device) ServiceII() int { return d.serviceII() }
-
-func (d *Device) serviceII() int {
-	if d.schedII > 0 {
-		return d.schedII
-	}
-	return d.modelII
-}
-
-// CompiledProgram returns the compiled evaluation tape serving the hot path
-// (nil before LoadModel or when scheduling fell back to the interpreter).
-func (d *Device) CompiledProgram() *sched.Program { return d.prog }
-
-// TapeVerified reports whether the hot path is serving a compiled tape that
-// cleared tapecheck's translation validator. False before LoadModel and while
-// the interpreter fallback is active.
-func (d *Device) TapeVerified() bool { return d.prog != nil }
-
-// TapeFallbackReason returns why the installed model is served by the
-// interpreter instead of a compiled tape — the scheduler's or the translation
-// validator's rejection — or "" when the compiled hot path is active.
-func (d *Device) TapeFallbackReason() string { return d.tapeErr }

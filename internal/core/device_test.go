@@ -8,11 +8,12 @@ import (
 
 	"taurus/internal/compiler"
 	"taurus/internal/dataset"
+	"taurus/internal/fixed"
 	"taurus/internal/lower"
 	"taurus/internal/ml"
+	"taurus/internal/obs"
 	"taurus/internal/pisa"
 	"taurus/internal/sched"
-	"taurus/internal/sched/tapecheck"
 	"taurus/internal/tensor"
 )
 
@@ -222,7 +223,7 @@ func TestModelBusyAccounting(t *testing.T) {
 	if _, err := dev.Process(PacketIn{Data: pkt, Features: rec.Features}); err != nil {
 		t.Fatal(err)
 	}
-	want := float64(dev.ModelII())
+	want := float64(dev.ScheduledII())
 	if got := dev.Stats().ModelBusyNs; got != want {
 		t.Errorf("ML packet busy = %v ns, want II = %v", got, want)
 	}
@@ -352,50 +353,192 @@ func TestDeviceStats(t *testing.T) {
 	}
 }
 
-// TestTapeFallbackOnVerifierRejection swaps sched's compile gate for one that
-// rejects every tape and checks the device degrades exactly as documented: the
-// install succeeds on the interpreter, the fallback is counted and explained,
-// and restoring the real validator restores the compiled hot path.
-func TestTapeFallbackOnVerifierRejection(t *testing.T) {
-	sched.SetVerifier(func(p *sched.Program) error { return errors.New("synthetic tape rejection") })
-	defer sched.SetVerifier(tapecheck.Check)
+// mixedBatch builds traffic that takes every exit of the packet path: ML
+// packets carrying features, the same flows again with Features == nil, TCP
+// flows the registers have never seen, bypass-class (non-IP) frames, and
+// frames truncated inside each header.
+func mixedBatch(gen *dataset.AnomalyGenerator, n int) []PacketIn {
+	full := pisa.BuildTCPPacket(0x0a000063, 0x0a800001, 999, 443, 0x10, 64)
+	arp := make([]byte, 14)
+	arp[12], arp[13] = 0x08, 0x06
+	ins := make([]PacketIn, n)
+	for i := range ins {
+		// Each group of six owns two flows; its third packet revisits the
+		// first of them once the registers hold its features.
+		flow := func(k int) []byte {
+			return pisa.BuildTCPPacket(0x0a000001+uint32(i/6*2+k), 0x0a800001, 1000, 443, 0x10, 64)
+		}
+		switch i % 6 {
+		case 0:
+			ins[i] = PacketIn{Data: flow(0), Features: gen.Record().Features}
+		case 1:
+			ins[i] = PacketIn{Data: flow(1), Features: gen.Record().Features}
+		case 2:
+			ins[i] = PacketIn{Data: flow(0)}
+		case 3:
+			ins[i] = PacketIn{Data: pisa.BuildTCPPacket(0x0b000000+uint32(i), 0x0a800001, 7, 443, 0x10, 64)}
+		case 4:
+			ins[i] = PacketIn{Data: arp}
+		case 5:
+			ins[i] = PacketIn{Data: full[:[]int{2, 14, 30, 34, 50}[i/6%5]]}
+		}
+	}
+	return ins
+}
 
+// TestRefusedTapeIsInstallError pins the install contract: a tape the
+// verifier (or the scheduler) refuses is an error from LoadModel, never a
+// second engine — and the refused install leaves no trace on the device: the
+// model that was serving keeps serving, bit-identically.
+func TestRefusedTapeIsInstallError(t *testing.T) {
 	dev, q, gen := buildAnomalyDevice(t)
-	if dev.TapeVerified() {
-		t.Fatal("TapeVerified() = true with a rejecting verifier installed")
-	}
-	if r := dev.TapeFallbackReason(); !strings.Contains(r, "synthetic tape rejection") {
-		t.Errorf("TapeFallbackReason() = %q, want the verifier's error", r)
-	}
-	if got := dev.Stats().TapeFallbacks; got != 1 {
-		t.Errorf("Stats().TapeFallbacks = %d, want 1", got)
-	}
-	if dev.CompiledProgram() != nil || dev.ScheduledII() != 0 {
-		t.Error("rejected tape still serving the hot path")
-	}
-	// The interpreter fallback still classifies.
-	rec := gen.Record()
-	if _, err := dev.Process(PacketIn{Data: pisa.BuildTCPPacket(1, 2, 3, 4, 0, 0), Features: rec.Features}); err != nil {
+	ins := mixedBatch(gen, 96)
+	before := make([]Decision, len(ins))
+	if err := dev.ProcessBatch(ins, before); err != nil {
 		t.Fatal(err)
+	}
+	if ml := dev.Stats().MLInferences; ml < len(ins)/3 {
+		t.Fatalf("only %d of %d packets reached the model; the batch proves nothing", ml, len(ins))
+	}
+	served, ii, lat := dev.Model(), dev.ScheduledII(), dev.ModelLatencyNs()
+
+	// Same structure, different weights and quantiser: were the refused
+	// install to land anyway, the decisions below would move.
+	next, err := lower.DNN(q, "anomaly-next")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range next.Nodes {
+		for i := range n.Const {
+			n.Const[i] = -n.Const[i]
+		}
+	}
+	boom := errors.New("synthetic tape rejection")
+	prev := sched.SetVerifier(func(*sched.Program) error { return boom })
+	defer sched.SetVerifier(prev)
+
+	if err := dev.LoadModel(next.Clone(), fixed.NewQuantizer(3), compiler.Options{}); !errors.Is(err, boom) {
+		t.Fatalf("LoadModel with a rejecting verifier = %v, want the verifier's error", err)
+	}
+	if dev.Model() != served || dev.ScheduledII() != ii || dev.ModelLatencyNs() != lat || dev.InputQuantizer() != q.InputQ {
+		t.Error("refused install changed the installed model, its II, latency or quantiser")
+	}
+	if err := dev.RecheckTape(); err != nil {
+		t.Errorf("serving tape no longer verifies after a refused install: %v", err)
+	}
+	after := make([]Decision, len(ins))
+	if err := dev.ProcessBatch(ins, after); err != nil {
+		t.Fatal(err)
+	}
+	for i := range after {
+		if after[i] != before[i] {
+			t.Fatalf("packet %d decided %+v before the refused install, %+v after", i, before[i], after[i])
+		}
 	}
 
-	sched.SetVerifier(tapecheck.Check)
-	if err := dev.InstallModel(dev.Model(), q.InputQ); err != nil {
+	// A device that had no model still has none: every packet bypasses, and
+	// the refusal is journalled on the device's own tracer.
+	cfg := DefaultConfig(6)
+	cfg.Obs, cfg.Tracer = obs.NewRegistry(), obs.NewTracer(16)
+	bare, err := NewDevice(cfg)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !dev.TapeVerified() || dev.TapeFallbackReason() != "" {
-		t.Errorf("after reinstall with the real validator: TapeVerified() = %v, reason %q",
-			dev.TapeVerified(), dev.TapeFallbackReason())
+	if err := bare.LoadModel(next.Clone(), q.InputQ, compiler.Options{}); !errors.Is(err, boom) {
+		t.Fatalf("LoadModel on a bare device = %v, want the verifier's error", err)
 	}
-	if got := dev.Stats().TapeFallbacks; got != 1 {
-		t.Errorf("Stats().TapeFallbacks = %d after clean reinstall, want 1", got)
+	if bare.Model() != nil || bare.ScheduledII() != 0 || !errors.Is(bare.RecheckTape(), ErrNoModel) {
+		t.Error("refused install left a model on a bare device")
+	}
+	if err := bare.ProcessBatch(ins, after); err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range after {
+		if !d.Bypassed && d.Verdict != Drop {
+			t.Fatalf("packet %d took the ML path on a device with no model: %+v", i, d)
+		}
+	}
+	events := cfg.Tracer.Events()
+	if len(events) != 1 || events[0].Kind != "tapecheck.fail" || !strings.Contains(events[0].Detail, boom.Error()) {
+		t.Errorf("device journal after a refused install = %+v, want one tapecheck.fail naming the error", events)
+	}
+
+	// With the real validator back the same graph installs and serves.
+	sched.SetVerifier(prev)
+	if err := bare.LoadModel(next.Clone(), q.InputQ, compiler.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	if bare.Model() == nil || bare.ScheduledII() == 0 || bare.RecheckTape() != nil {
+		t.Error("clean install after a refused one did not take")
+	}
+	if ev := cfg.Tracer.Events(); ev[len(ev)-1].Kind != "tapecheck.pass" {
+		t.Errorf("clean install journalled %q, want tapecheck.pass", ev[len(ev)-1].Kind)
+	}
+}
+
+// TestHostileFramesZeroAlloc: frame bytes are attacker-controlled, so no
+// frame — truncated anywhere, non-IP, or well-formed — may make the batch
+// path allocate, and every truncated frame is dropped and counted.
+func TestHostileFramesZeroAlloc(t *testing.T) {
+	dev, _, gen := buildAnomalyDevice(t)
+	ins := mixedBatch(gen, 96)
+	out := make([]Decision, len(ins))
+	if err := dev.ProcessBatch(ins, out); err != nil { // warm up
+		t.Fatal(err)
+	}
+	base := dev.Stats().ParseErrors
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := dev.ProcessBatch(ins, out); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ProcessBatch over hostile frames allocates %.2f times per batch, want 0", allocs)
+	}
+	truncated := 0
+	for i := range ins {
+		if i%6 == 5 {
+			truncated++
+			if out[i] != (Decision{Verdict: Drop}) {
+				t.Errorf("truncated frame %d (%d bytes) decided %+v, want a bare Drop", i, len(ins[i].Data), out[i])
+			}
+		}
+	}
+	// AllocsPerRun calls the function once more than it measures.
+	if got, want := dev.Stats().ParseErrors-base, truncated*(runs+1); got != want {
+		t.Errorf("ParseErrors grew by %d over %d batches of %d truncated frames, want %d", got, runs+1, truncated, want)
+	}
+}
+
+// TestProcessZeroAlloc: the one-packet entry point is the batch loop with a
+// batch of one, and like it allocates nothing — on the ML, bypass and
+// parse-error exits alike.
+func TestProcessZeroAlloc(t *testing.T) {
+	dev, _, gen := buildAnomalyDevice(t)
+	ins := mixedBatch(gen, 12)
+	for _, in := range ins {
+		in := in
+		_, wantErr := dev.Process(in) // warm up
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := dev.Process(in); (err != nil) != (wantErr != nil) {
+				t.Fatalf("Process error changed between calls: %v then %v", wantErr, err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("Process(%d-byte frame, %d features) allocates %.2f times, want 0", len(in.Data), len(in.Features), allocs)
+		}
 	}
 }
 
 func TestDeviceParseError(t *testing.T) {
 	dev, _, _ := buildAnomalyDevice(t)
-	if _, err := dev.Process(PacketIn{Data: []byte{1, 2}}); err == nil {
-		t.Error("truncated packet should error")
+	dec, err := dev.Process(PacketIn{Data: []byte{1, 2}})
+	if !errors.Is(err, pisa.ErrShortPacket) {
+		t.Errorf("truncated packet: %v, want ErrShortPacket", err)
+	}
+	if dec != (Decision{Verdict: Drop}) {
+		t.Errorf("truncated packet decided %+v, want a bare Drop", dec)
 	}
 	if dev.Stats().ParseErrors != 1 {
 		t.Error("parse error not counted")

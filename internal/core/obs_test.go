@@ -153,8 +153,8 @@ func TestStatsIsRegistryView(t *testing.T) {
 		t.Errorf("service histogram sum = %g, ModelBusyNs = %g", got, want)
 	}
 	// The ML service time is the installed schedule's II.
-	if q := h.Quantile(0.99); dev.ServiceII() > 1 && q < float64(dev.ServiceII())/2 {
-		t.Errorf("p99 service = %g, want near II = %d", q, dev.ServiceII())
+	if q := h.Quantile(0.99); dev.ScheduledII() > 1 && q < float64(dev.ScheduledII())/2 {
+		t.Errorf("p99 service = %g, want near II = %d", q, dev.ScheduledII())
 	}
 }
 
@@ -170,9 +170,6 @@ func TestRecheckTape(t *testing.T) {
 	}
 
 	dev, _ := buildObsDevice(t, obs.NewRegistry())
-	if !dev.TapeVerified() {
-		t.Skip("interpreter fallback active; RecheckTape pass-path untestable here")
-	}
 	if err := dev.RecheckTape(); err != nil {
 		t.Fatalf("RecheckTape on a freshly verified tape: %v", err)
 	}

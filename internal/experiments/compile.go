@@ -12,20 +12,17 @@ import (
 	"taurus/internal/sched"
 )
 
-// CompileRow is one model family's interpreted-vs-compiled measurement: the
-// host-measured per-packet cost of the three evaluation strategies plus the
-// schedule the compiled tape derives its service model from.
+// CompileRow is one model family's compiled-tape measurement: the
+// host-measured per-packet cost of the tape, swept one packet and a full
+// batch at a time, plus the schedule it derives its service model from.
 type CompileRow struct {
 	Model string
 	Nodes int
-	// InterpNs, CompiledNs and BatchNs are host-measured ns per packet for
-	// Evaluator.Eval, Program.Run, and Program.RunBatch amortised over a
-	// full batch. Wall-clock diagnostics: they depend on the machine.
-	InterpNs   float64
+	// CompiledNs and BatchNs are host-measured ns per packet for Program.Run
+	// and for Program.RunBatch amortised over a full batch. Wall-clock
+	// diagnostics: they depend on the machine.
 	CompiledNs float64
 	BatchNs    float64
-	// Speedup is InterpNs/BatchNs — the factor the device hot path gains.
-	Speedup float64
 	// SchedII and SchedDepth are the list schedule's measured initiation
 	// interval and makespan; EstII is graphcheck's resource-blind estimate
 	// for comparison. Occupancy is the schedule's CU bundle fill fraction.
@@ -56,11 +53,11 @@ func timePerOp(f func()) float64 {
 	return float64(time.Since(start).Nanoseconds()) / float64(n)
 }
 
-// CompileBench compares interpreted, compiled and batch-compiled evaluation
-// on the dnn/svm/kmeans lowerings — the experiment behind `taurus-bench
-// -exp compile`. The three strategies are bit-exact (the fuzz and sched
-// tests assert it); this measures what the compilation buys and what II the
-// service model now runs on.
+// CompileBench times the compiled tape on the dnn/svm/kmeans lowerings —
+// the experiment behind `taurus-bench -exp compile`. Run and RunBatch are
+// bit-exact with Graph.Eval (the fuzz and sched tests assert it); this
+// measures what batching the sweep buys and what II the service model runs
+// on.
 func CompileBench(m *Models) ([]CompileRow, string, error) {
 	grid := cgra.DefaultGrid()
 	families := []struct {
@@ -75,10 +72,6 @@ func CompileBench(m *Models) ([]CompileRow, string, error) {
 	var rows []CompileRow
 	var cells [][]string
 	for _, fam := range families {
-		ev, err := mr.NewEvaluator(fam.g)
-		if err != nil {
-			return nil, "", err
-		}
 		p, err := sched.Compile(fam.g, grid)
 		if err != nil {
 			return nil, "", err
@@ -100,10 +93,6 @@ func CompileBench(m *Models) ([]CompileRow, string, error) {
 			}
 		}
 
-		interp := timePerOp(func() {
-			copy(ev.Input(0), codes[0])
-			ev.Eval()
-		})
 		compiled := timePerOp(func() {
 			copy(p.In(0), codes[0])
 			p.Run()
@@ -118,10 +107,8 @@ func CompileBench(m *Models) ([]CompileRow, string, error) {
 		row := CompileRow{
 			Model:      fam.name,
 			Nodes:      len(fam.g.Nodes),
-			InterpNs:   interp,
 			CompiledNs: compiled,
 			BatchNs:    batchNs,
-			Speedup:    interp / batchNs,
 			SchedII:    s.II,
 			SchedDepth: s.Depth,
 			EstII:      rep.EstII,
@@ -132,17 +119,15 @@ func CompileBench(m *Models) ([]CompileRow, string, error) {
 		cells = append(cells, []string{
 			row.Model,
 			fmt.Sprintf("%d", row.Nodes),
-			fmt.Sprintf("%.0f", row.InterpNs),
 			fmt.Sprintf("%.0f", row.CompiledNs),
 			fmt.Sprintf("%.0f", row.BatchNs),
-			fmt.Sprintf("%.1fx", row.Speedup),
 			fmt.Sprintf("%d", row.SchedII),
 			fmt.Sprintf("%d", row.EstII),
 			fmt.Sprintf("%.0f%%", 100*row.Occupancy),
 			fmt.Sprintf("%.0f", row.ModelMpps),
 		})
 	}
-	return rows, table("Compiled evaluation: interpreter vs VLIW tape (ns/packet, measured II)",
-		[]string{"Model", "Nodes", "Interp", "Compiled", "Batch", "Speedup",
+	return rows, table("Compiled evaluation: the VLIW tape (ns/packet, measured II)",
+		[]string{"Model", "Nodes", "Compiled", "Batch",
 			"Sched II", "Est II", "Occup", "Model Mpps"}, cells), nil
 }

@@ -59,9 +59,11 @@ func TestDistFitAcceptance(t *testing.T) {
 		if row.Faults && row.ReissuedTasks == 0 {
 			t.Errorf("workers=%d: fault rounds re-issued nothing", row.Workers)
 		}
-		if !row.Faults && row.ReissuedTasks != 0 {
-			t.Errorf("workers=%d: fault-free rounds re-issued %d tasks", row.Workers, row.ReissuedTasks)
-		}
+		// No assertion that fault-free rows re-issue nothing: the sweep's
+		// 150 ms task deadline is host time, and eight workers on two cores
+		// under the race detector honestly miss it. That a coordinator with
+		// no faults and no missed deadline re-issues nothing is pinned on
+		// instant fake work by distfit.TestRoundMergesInChunkOrder.
 	}
 }
 

@@ -1,14 +1,16 @@
 // Package gatecheck enforces the verify-before-push contract: every call
 // site that pushes a graph onto the data plane — UpdateWeights, LoadModel,
-// InstallModel — must be dominated by a static-verification gate, so no
-// code path can deploy a model the verifier never saw.
+// PrepareModel (the fallible half of an install; Prepared.Commit takes no
+// graph, only what PrepareModel returned) — must be dominated by a
+// static-verification gate, so no code path can deploy a model the verifier
+// never saw.
 //
 // The gates are graphcheck's entry points and their facade re-exports:
 // Verify, VerifyWith, Check, Compatible, VerifyGraph, VerifyGraphWith,
 // CheckGraph, GraphCompatible — plus the tape-side VerifyTape/CheckTape.
 // "Dominated" is approximated syntactically: a gate call must appear
 // earlier in the same enclosing function as the push call. Functions named
-// like a push entry point (UpdateWeights, LoadModel, InstallModel) are the
+// like a push entry point (UpdateWeights, LoadModel, PrepareModel) are the
 // push boundary itself, not a caller of one, and are exempt — the contract
 // binds the layers above them.
 //
@@ -32,7 +34,7 @@ import (
 var pushNames = map[string]bool{
 	"UpdateWeights": true,
 	"LoadModel":     true,
-	"InstallModel":  true,
+	"PrepareModel":  true,
 }
 
 // gateNames are the callee names that statically verify a graph (or its
@@ -54,7 +56,7 @@ var gateNames = map[string]bool{
 // Analyzer is the verify-before-push checker.
 var Analyzer = &lint.Analyzer{
 	Name: "gatecheck",
-	Doc:  "push call sites (UpdateWeights/LoadModel/InstallModel) must be dominated by a graphcheck gate",
+	Doc:  "push call sites (UpdateWeights/LoadModel/PrepareModel) must be dominated by a graphcheck gate",
 	Run:  run,
 }
 

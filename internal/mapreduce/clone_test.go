@@ -10,7 +10,7 @@ import (
 // unary, reduce, requant, scale, LUT, concat.
 func buildTestGraph(t *testing.T) *Graph {
 	t.Helper()
-	b := NewBuilder("eval-test")
+	b := NewBuilder("clone-test")
 	in := b.Input("x", 8)
 	w := b.Const("w", []int32{1, -2, 3, -4, 5, -6, 7, -8})
 	prod := b.Map(MMul, in, w)
@@ -41,77 +41,6 @@ func buildTestGraph(t *testing.T) *Graph {
 		t.Fatal(err)
 	}
 	return g
-}
-
-func TestEvaluatorMatchesGraphEval(t *testing.T) {
-	g := buildTestGraph(t)
-	ev, err := NewEvaluator(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 50; trial++ {
-		in := ev.Input(0)
-		for i := range in {
-			in[i] = int32((trial*31+i*17)%255 - 127)
-		}
-		want, err := g.Eval(append([]int32(nil), in...))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ev.Eval()
-		got := ev.Output(0)
-		if len(got) != len(want[0]) {
-			t.Fatalf("output width %d, want %d", len(got), len(want[0]))
-		}
-		for i := range got {
-			if got[i] != want[0][i] {
-				t.Fatalf("trial %d lane %d: evaluator %d != reference %d", trial, i, got[i], want[0][i])
-			}
-		}
-	}
-}
-
-func TestEvaluatorZeroAlloc(t *testing.T) {
-	g := buildTestGraph(t)
-	ev, err := NewEvaluator(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := ev.Input(0)
-	for i := range in {
-		in[i] = int32(i - 4)
-	}
-	ev.Eval() // warm up
-	if n := testing.AllocsPerRun(100, ev.Eval); n > 0 {
-		t.Errorf("Eval allocates %v times per run, want 0", n)
-	}
-}
-
-func TestEvaluatorSeesWeightUpdates(t *testing.T) {
-	g := buildTestGraph(t)
-	ev, err := NewEvaluator(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	in := ev.Input(0)
-	for i := range in {
-		in[i] = 10
-	}
-	ev.Eval()
-	before := ev.Output(0)[0]
-	// Mutate the constant in place, the way Device.UpdateWeights does.
-	for _, n := range g.Nodes {
-		if n.Kind == KConst {
-			for i := range n.Const {
-				n.Const[i] *= 5
-			}
-		}
-	}
-	ev.Eval()
-	after := ev.Output(0)[0]
-	if before == after {
-		t.Error("evaluator did not observe in-place constant update")
-	}
 }
 
 func TestGraphClone(t *testing.T) {

@@ -146,12 +146,12 @@ func fuzzInputs(g *mr.Graph, data []byte, salt int) [][]int32 {
 }
 
 // FuzzGraph checks the static-gate contract end to end: any graph
-// Graph.Validate accepts must survive Encode, Clone, evaluator
-// construction, Eval on zero inputs, and the graphcheck verifier without
-// panicking — Validate is the only shield between untrusted graph bytes
-// and the push paths. On top of that it runs the compiler differential:
-// every Validate-accepted graph must list-schedule on the default grid, and
-// sched.Program.Run/RunBatch must reproduce Graph.Eval bit-for-bit.
+// Graph.Validate accepts must survive Encode, Clone, Eval on zero inputs,
+// and the graphcheck verifier without panicking — Validate is the only
+// shield between untrusted graph bytes and the push paths. On top of that
+// it runs the compiler differential: every Validate-accepted graph must
+// list-schedule on the default grid, and sched.Program.Run/RunBatch must
+// reproduce Graph.Eval bit-for-bit.
 func FuzzGraph(f *testing.F) {
 	// Seed with a valid two-node program (input -> reduce -> output) and a
 	// few structured mutations of it, so coverage starts past Validate.
@@ -180,9 +180,6 @@ func FuzzGraph(f *testing.F) {
 		}
 		if string(mr.Encode(clone)) != string(enc) {
 			t.Fatal("clone encodes differently from the original")
-		}
-		if _, err := mr.NewEvaluator(g); err != nil {
-			t.Fatalf("NewEvaluator rejects a Validate-accepted graph: %v", err)
 		}
 		ins := make([][]int32, len(g.Inputs))
 		for i, id := range g.Inputs {

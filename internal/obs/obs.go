@@ -14,9 +14,9 @@
 //
 // Tracing. A Tracer is a bounded ring-buffer event journal for the control
 // plane: drift detections, label pooling, retrain and distfit rounds, task
-// re-issues, graphcheck/tapecheck verdicts, push fan-outs and rollbacks,
-// tape fallbacks. Events carry a span id (Begin) so one retrain's lifecycle
-// reads as a chain, and a monotonic timestamp so ordering is trustworthy.
+// re-issues, graphcheck/tapecheck verdicts, push fan-outs and rollbacks.
+// Events carry a span id (Begin) so one retrain's lifecycle reads as a
+// chain, and a monotonic timestamp so ordering is trustworthy.
 //
 // Exposition. Registry.Snapshot renders every instrument into a sorted,
 // JSON-marshalable []Metric; WritePrometheus emits Prometheus text format

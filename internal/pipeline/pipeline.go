@@ -177,10 +177,11 @@ func (p *Pipeline) shardOf(data []byte) int {
 // structure-only — the hardware analogue of flashing one bitstream to N
 // identical blocks.
 //
-// The install is all-or-nothing: every per-shard clone is built and
-// validated before any device is touched, and if an install still fails
-// partway the already-switched shards are rolled back to their previous
-// model, so the pipeline never serves traffic from a mix of models.
+// The install is all-or-nothing by construction: every shard's clone is
+// prepared first — shape-checked, compiled to a tape, translation-validated,
+// none of which touches a device — and only when all of them succeeded are
+// they committed, shard by shard, by a step that cannot fail. A refused
+// model therefore leaves every shard on the model it was serving.
 func (p *Pipeline) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options) error {
 	if opts.Grid == (cgra.GridSpec{}) {
 		opts.Grid = p.shards[0].dev.Config().Grid
@@ -194,41 +195,18 @@ func (p *Pipeline) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Opt
 	if err != nil {
 		return err
 	}
-	prepared := make([]*compiler.Result, len(p.shards))
-	for i := range p.shards {
+	prepared := make([]*core.Prepared, len(p.shards))
+	for i, s := range p.shards {
 		shardRes := *res
 		shardRes.Graph = g.Clone()
-		if _, err := mr.NewEvaluator(shardRes.Graph); err != nil {
+		if prepared[i], err = s.dev.PrepareModel(&shardRes, inQ); err != nil {
 			return err
 		}
-		prepared[i] = &shardRes
 	}
-	type prev struct {
-		res *compiler.Result
-		inQ fixed.Quantizer
-	}
-	prevs := make([]prev, 0, len(p.shards))
 	for i, s := range p.shards {
 		s.mu.Lock()
-		old := prev{s.dev.Model(), s.dev.InputQuantizer()}
-		err := s.dev.InstallModel(prepared[i], inQ)
+		prepared[i].Commit()
 		s.mu.Unlock()
-		if err != nil {
-			for j, o := range prevs {
-				sj := p.shards[j]
-				sj.mu.Lock()
-				if o.res == nil {
-					sj.dev.ClearModel()
-				} else if rbErr := sj.dev.InstallModel(o.res, o.inQ); rbErr != nil {
-					// The previous model installed once already; reinstalling
-					// it cannot fail, but never leave a shard half-set.
-					sj.dev.ClearModel()
-				}
-				sj.mu.Unlock()
-			}
-			return err
-		}
-		prevs = append(prevs, old)
 	}
 	return nil
 }
@@ -335,9 +313,8 @@ func (p *Pipeline) Process(in core.PacketIn) (core.Decision, error) {
 		return core.Decision{}, fmt.Errorf("%w: pipeline is closed", core.ErrBadConfig)
 	}
 	s := p.shards[p.shardOf(in.Data)]
-	var dec core.Decision
 	s.mu.Lock()
-	err := s.dev.ProcessInto(in, &dec)
+	dec, err := s.dev.Process(in)
 	s.mu.Unlock()
 	return dec, err
 }
@@ -395,27 +372,12 @@ func (p *Pipeline) ModelII() int {
 }
 
 // ScheduledII returns the list schedule's measured initiation interval for
-// the deployed model (0 when the shards fell back to the interpreter).
+// the deployed model (0 before LoadModel) — the II ServiceModel charges.
 func (p *Pipeline) ScheduledII() int {
 	s := p.shards[0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dev.ScheduledII()
-}
-
-// TapeVerified reports whether every shard serves inference from a compiled,
-// translation-validated tape. False means at least one shard fell back to
-// the interpreter — see TapeFallbackReason and Stats().TapeFallbacks.
-func (p *Pipeline) TapeVerified() bool {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		ok := s.dev.TapeVerified()
-		s.mu.Unlock()
-		if !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // RecheckTape re-validates the compiled tape a shard is serving against its
@@ -427,21 +389,6 @@ func (p *Pipeline) RecheckTape() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dev.RecheckTape()
-}
-
-// TapeFallbackReason returns why a shard last fell back to the interpreter
-// ("" when every shard serves the compiled tape). Shards load identical
-// clones, so the first non-empty reason speaks for all.
-func (p *Pipeline) TapeFallbackReason() string {
-	for _, s := range p.shards {
-		s.mu.Lock()
-		reason := s.dev.TapeFallbackReason()
-		s.mu.Unlock()
-		if reason != "" {
-			return reason
-		}
-	}
-	return ""
 }
 
 // ServiceModel is the per-shard service-time model of the deployed design —
@@ -477,7 +424,7 @@ func (m ServiceModel) NominalPPS() float64 {
 // ServiceModel returns the deployed model's per-shard service times (zero
 // MLServiceNs before LoadModel; shards are identical, so shard 0 speaks for
 // all). MLServiceNs is the schedule-measured II of the compiled tape
-// (core.Device.ServiceII) — the II the list scheduler packed under the
+// (core.Device.ScheduledII) — the II the list scheduler packed under the
 // grid's issue capacity, not graphcheck's depth-only estimate — so the
 // queueing simulator and MaxSustainablePPS are derived from the schedule
 // the device actually executes.
@@ -487,7 +434,7 @@ func (p *Pipeline) ServiceModel() ServiceModel {
 	defer s.mu.Unlock()
 	return ServiceModel{
 		Shards:          len(p.shards),
-		MLServiceNs:     float64(s.dev.ServiceII()),
+		MLServiceNs:     float64(s.dev.ScheduledII()),
 		BypassServiceNs: 1,
 		LatencyNs:       s.dev.ModelLatencyNs(),
 	}

@@ -13,6 +13,7 @@ import (
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/pisa"
+	"taurus/internal/sched"
 	"taurus/internal/trafficgen"
 )
 
@@ -87,20 +88,157 @@ func makeBatch(t *testing.T, n, nflows int) ([]core.PacketIn, []core.Decision) {
 	return ins, out
 }
 
-// TestPipelineTapeVerified pins the fallback-visibility contract at the
-// pipeline surface: a freshly loaded pipeline serves every shard from the
-// translation-validated tape, with no fallback reason and no counted
-// fallbacks.
-func TestPipelineTapeVerified(t *testing.T) {
+// mixedTraffic rewrites a feature-carrying TCP batch so it takes every exit
+// of the packet path: of each six packets one loses its features (served
+// from the registers once its flow is warm), one becomes a TCP flow no
+// packet ever fed, one a non-IP frame and one a truncated frame.
+func mixedTraffic(t *testing.T, n, nflows int) ([]core.PacketIn, []core.Decision) {
+	t.Helper()
+	ins, out := makeBatch(t, n, nflows)
+	arp := make([]byte, 14)
+	arp[12], arp[13] = 0x08, 0x06
+	for i := range ins {
+		switch i % 6 {
+		case 2:
+			ins[i].Features = nil
+		case 3:
+			ins[i] = core.PacketIn{Data: pisa.BuildTCPPacket(0x0b000000+uint32(i), 0x0a800001, 7, 443, 0x10, 64)}
+		case 4:
+			ins[i] = core.PacketIn{Data: arp}
+		case 5:
+			ins[i] = core.PacketIn{Data: ins[i].Data[:[]int{2, 14, 30, 34, 50}[i/6%5]]}
+		}
+	}
+	return ins, out
+}
+
+// checkConservation asserts the counter laws every batch boundary satisfies.
+func checkConservation(t *testing.T, who string, st core.Stats) {
+	t.Helper()
+	if st.Processed != st.MLInferences+st.Bypassed+st.ParseErrors {
+		t.Errorf("%s: processed %d != ml %d + bypassed %d + parse errors %d",
+			who, st.Processed, st.MLInferences, st.Bypassed, st.ParseErrors)
+	}
+	if st.Forwarded+st.Flagged+st.Dropped != st.Processed-st.ParseErrors {
+		t.Errorf("%s: forwarded %d + flagged %d + dropped %d != processed %d - parse errors %d",
+			who, st.Forwarded, st.Flagged, st.Dropped, st.Processed, st.ParseErrors)
+	}
+}
+
+// TestEntryPointsAgree: Device.Process, Device.ProcessBatch, Pipeline.Process
+// and an N-shard Pipeline.ProcessBatch are four views of one packet loop —
+// on traffic that takes every exit they give identical decisions and
+// identical counter totals, and the conservation laws hold after each.
+func TestEntryPointsAgree(t *testing.T) {
+	q, g, _, _ := trainModel(t)
+	ins, want := mixedTraffic(t, 384, 48)
+	newDevice := func() *core.Device {
+		dev, err := core.NewDevice(core.DefaultConfig(6))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := dev.LoadModel(g.Clone(), q.InputQ, compiler.Options{}); err != nil {
+			t.Fatal(err)
+		}
+		return dev
+	}
+
+	batchDev := newDevice()
+	if err := batchDev.ProcessBatch(ins, want); err != nil {
+		t.Fatal(err)
+	}
+	wantStats := batchDev.Stats()
+	checkConservation(t, "Device.ProcessBatch", wantStats)
+	if wantStats.MLInferences == 0 || wantStats.Bypassed == 0 || wantStats.ParseErrors == 0 {
+		t.Fatalf("traffic misses an exit of the packet path: %+v", wantStats)
+	}
+
+	compare := func(who string, got []core.Decision, st core.Stats) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: packet %d decided %+v, Device.ProcessBatch decided %+v", who, i, got[i], want[i])
+			}
+		}
+		if st != wantStats {
+			t.Errorf("%s: counters %+v, Device.ProcessBatch counted %+v", who, st, wantStats)
+		}
+		checkConservation(t, who, st)
+	}
+	// single drives a one-packet entry point over the batch; a truncated
+	// frame must come back as a Drop together with its parse error.
+	single := func(who string, process func(core.PacketIn) (core.Decision, error)) []core.Decision {
+		t.Helper()
+		got := make([]core.Decision, len(ins))
+		for i, in := range ins {
+			dec, err := process(in)
+			if truncated := i%6 == 5; truncated != errors.Is(err, pisa.ErrShortPacket) {
+				t.Fatalf("%s: packet %d (truncated=%v) returned %v", who, i, truncated, err)
+			}
+			got[i] = dec
+		}
+		return got
+	}
+
+	oneDev := newDevice()
+	compare("Device.Process", single("Device.Process", oneDev.Process), oneDev.Stats())
+
+	got := make([]core.Decision, len(ins))
+	batchPipe := newLoadedPipeline(t, 3)
+	if _, err := batchPipe.ProcessBatch(ins, got); err != nil {
+		t.Fatal(err)
+	}
+	compare("Pipeline.ProcessBatch", got, batchPipe.Stats())
+
+	onePipe := newLoadedPipeline(t, 3)
+	compare("Pipeline.Process", single("Pipeline.Process", onePipe.Process), onePipe.Stats())
+}
+
+// TestPipelineProcessZeroAlloc: the single-packet plane shares the batch
+// plane's allocation-free loop, on the parse-error exit too.
+func TestPipelineProcessZeroAlloc(t *testing.T) {
 	p := newLoadedPipeline(t, 3)
-	if !p.TapeVerified() {
-		t.Errorf("TapeVerified() = false after a clean LoadModel (reason %q)", p.TapeFallbackReason())
+	ins, _ := mixedTraffic(t, 12, 4)
+	for _, in := range ins {
+		in := in
+		_, _ = p.Process(in) // warm up
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = p.Process(in) }); allocs != 0 {
+			t.Errorf("Process(%d-byte frame, %d features) allocates %.2f times, want 0",
+				len(in.Data), len(in.Features), allocs)
+		}
 	}
-	if r := p.TapeFallbackReason(); r != "" {
-		t.Errorf("TapeFallbackReason() = %q, want empty", r)
+}
+
+// TestPipelineRecheckTape: a clean LoadModel leaves the pipeline serving a
+// tape that re-verifies against its graph, before and after a live weight
+// push (which mutates the graph the tape aliases); with no model there is
+// nothing to audit.
+func TestPipelineRecheckTape(t *testing.T) {
+	bare, err := New(Config{Shards: 2, Device: core.DefaultConfig(6)})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := p.Stats().TapeFallbacks; n != 0 {
-		t.Errorf("Stats().TapeFallbacks = %d, want 0", n)
+	defer bare.Close()
+	if err := bare.RecheckTape(); !errors.Is(err, core.ErrNoModel) {
+		t.Errorf("RecheckTape before LoadModel: %v, want ErrNoModel", err)
+	}
+	if ii := bare.ScheduledII(); ii != 0 {
+		t.Errorf("ScheduledII before LoadModel = %d, want 0", ii)
+	}
+
+	_, _, g2, _ := trainModel(t)
+	p := newLoadedPipeline(t, 3)
+	if err := p.RecheckTape(); err != nil {
+		t.Errorf("RecheckTape after a clean LoadModel: %v", err)
+	}
+	if ii := p.ScheduledII(); ii < 1 {
+		t.Errorf("ScheduledII after LoadModel = %d, want >= 1", ii)
+	}
+	if err := p.UpdateWeights(g2); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.RecheckTape(); err != nil {
+		t.Errorf("RecheckTape after a weight push: %v", err)
 	}
 }
 
@@ -298,6 +436,85 @@ func TestLoadModelAllOrNothing(t *testing.T) {
 	for i := range out {
 		if !out[i].Bypassed {
 			t.Fatalf("packet %d not bypassed on modelless pipeline after failed install", i)
+		}
+	}
+}
+
+// TestLoadModelRefusedMidway drives the case a shape error never reaches: the
+// install fails on a later shard (the verifier rejects the k-th tape, k > 0)
+// after earlier shards' tapes already cleared. Nothing may have been
+// committed: every shard keeps the very model it was serving — none switched,
+// none cleared — and decisions are bit-identical.
+func TestLoadModelRefusedMidway(t *testing.T) {
+	_, _, g2, _ := trainModel(t)
+	boom := errors.New("synthetic rejection of the second tape")
+	rejectSecond := func() (restore func()) {
+		compiles := 0
+		var prev func(*sched.Program) error
+		prev = sched.SetVerifier(func(prog *sched.Program) error {
+			if compiles++; compiles == 2 {
+				return boom
+			}
+			return prev(prog)
+		})
+		return func() { sched.SetVerifier(prev) }
+	}
+
+	p := newLoadedPipeline(t, 3)
+	ins, out := mixedTraffic(t, 96, 12)
+	if _, err := p.ProcessBatch(ins, out); err != nil {
+		t.Fatal(err)
+	}
+	before := append([]core.Decision(nil), out...)
+	var served []*compiler.Result
+	for _, s := range p.shards {
+		served = append(served, s.dev.Model())
+	}
+
+	restore := rejectSecond()
+	err := p.LoadModel(g2, modelQ.InputQ, compiler.Options{})
+	restore()
+	if !errors.Is(err, boom) {
+		t.Fatalf("LoadModel with the second tape rejected = %v, want the verifier's error", err)
+	}
+	for i, s := range p.shards {
+		if s.dev.Model() != served[i] {
+			t.Errorf("shard %d no longer holds the model it was serving", i)
+		}
+	}
+	if _, err := p.ProcessBatch(ins, out); err != nil {
+		t.Fatal(err)
+	}
+	for i := range out {
+		if out[i] != before[i] {
+			t.Fatalf("packet %d decision changed after the refused install: %+v -> %+v", i, before[i], out[i])
+		}
+	}
+
+	// A pipeline with no model stays modelless on every shard.
+	fresh, err := New(Config{Shards: 3, Device: core.DefaultConfig(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	restore = rejectSecond()
+	err = fresh.LoadModel(g2, modelQ.InputQ, compiler.Options{})
+	restore()
+	if !errors.Is(err, boom) {
+		t.Fatalf("LoadModel on a fresh pipeline = %v, want the verifier's error", err)
+	}
+	for i, s := range fresh.shards {
+		if s.dev.Model() != nil {
+			t.Errorf("shard %d of a modelless pipeline holds a model after a refused install", i)
+		}
+	}
+	// And the same graph installs everywhere once nothing rejects it.
+	if err := fresh.LoadModel(g2, modelQ.InputQ, compiler.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range fresh.shards {
+		if s.dev.Model() == nil {
+			t.Errorf("shard %d has no model after a clean install", i)
 		}
 	}
 }
@@ -518,8 +735,8 @@ func TestServiceModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc = pl.ServiceModel()
-	if got, want := svc.MLServiceNs, float64(pl.ModelII()); got != want {
-		t.Errorf("MLServiceNs = %v, want II %v", got, want)
+	if got, want := svc.MLServiceNs, float64(pl.ScheduledII()); got != want {
+		t.Errorf("MLServiceNs = %v, want the scheduled II %v", got, want)
 	}
 	if got, want := svc.LatencyNs, pl.ModelLatencyNs(); got != want {
 		t.Errorf("LatencyNs = %v, want %v", got, want)
@@ -527,7 +744,7 @@ func TestServiceModel(t *testing.T) {
 	if svc.BypassServiceNs != 1 {
 		t.Errorf("BypassServiceNs = %v, want 1 cycle", svc.BypassServiceNs)
 	}
-	want := 4 * 1e9 / float64(pl.ModelII())
+	want := 4 * 1e9 / float64(pl.ScheduledII())
 	if got := svc.NominalPPS(); got != want {
 		t.Errorf("NominalPPS = %v, want %v", got, want)
 	}

@@ -2,6 +2,7 @@ package pisa
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -16,6 +17,10 @@ type FieldSpec struct {
 	WidthBits int    // 8, 16 or 32
 }
 
+// ErrShortPacket is wrapped by the error Parse returns for a frame that ends
+// before the header a parse state needs.
+var ErrShortPacket = errors.New("pisa: packet too short")
+
 // ParseState is one node of the parse graph.
 type ParseState struct {
 	Name      string
@@ -26,6 +31,11 @@ type ParseState struct {
 	// (accept). An empty SelectField also accepts.
 	SelectField string
 	Transitions map[int32]string
+
+	// errShort is this state's short-packet error, built once by NewParser:
+	// frame length is attacker-controlled, so the per-packet path must not
+	// allocate to report it.
+	errShort error
 }
 
 // Parser is a compiled parse graph.
@@ -53,6 +63,7 @@ func NewParser(layout *Layout, start string, states ...*ParseState) (*Parser, er
 				return nil, fmt.Errorf("pisa: state %q field %q exceeds header length", s.Name, f.Name)
 			}
 		}
+		s.errShort = fmt.Errorf("%w for header %q (%d bytes)", ErrShortPacket, s.Name, s.HeaderLen)
 		p.states[s.Name] = s
 	}
 	if _, ok := p.states[start]; !ok {
@@ -62,7 +73,8 @@ func NewParser(layout *Layout, start string, states ...*ParseState) (*Parser, er
 }
 
 // Parse walks the packet bytes, extracting fields into phv. It returns the
-// number of header bytes consumed.
+// number of header bytes consumed; a truncated frame yields the offending
+// state's prebuilt error (errors.Is ErrShortPacket) without allocating.
 func (p *Parser) Parse(data []byte, phv *PHV) (int, error) {
 	cur := p.start
 	off := 0
@@ -72,7 +84,7 @@ func (p *Parser) Parse(data []byte, phv *PHV) (int, error) {
 		}
 		st := p.states[cur]
 		if off+st.HeaderLen > len(data) {
-			return off, fmt.Errorf("pisa: packet too short for header %q (need %d bytes at %d)", cur, st.HeaderLen, off)
+			return off, st.errShort
 		}
 		hdr := data[off : off+st.HeaderLen]
 		for _, f := range st.Fields {

@@ -1,6 +1,7 @@
 package pisa
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -93,8 +94,18 @@ func TestParserShortPacket(t *testing.T) {
 	l := stdLayout()
 	parser, _ := StandardParser(l)
 	phv := NewPHV(l)
-	if _, err := parser.Parse(make([]byte, 10), phv); err == nil {
-		t.Error("short packet should fail")
+	// Cut a TCP frame inside each header in turn: every truncation point
+	// reports the one sentinel, and none of them allocates — frame length is
+	// attacker-controlled.
+	full := BuildTCPPacket(1, 2, 3, 4, 0x10, 64)
+	for _, n := range []int{0, 10, 14, 30, 34, 50} {
+		frame := full[:n]
+		if _, err := parser.Parse(frame, phv); !errors.Is(err, ErrShortPacket) {
+			t.Errorf("frame cut to %d bytes: %v, want ErrShortPacket", n, err)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = parser.Parse(frame, phv) }); allocs != 0 {
+			t.Errorf("frame cut to %d bytes: Parse allocates %.0f times, want 0", n, allocs)
+		}
 	}
 }
 

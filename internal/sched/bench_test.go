@@ -15,10 +15,9 @@ func benchGraph(b *testing.B) *mr.Graph {
 	return modelGraphs(b)["dnn"]
 }
 
-// BenchmarkEval compares the interpreter against the compiled tape on the
-// same graph and inputs: interp is Evaluator.Eval (the previous device hot
-// path), compiled is Program.Run, batch is Program.RunBatch amortised per
-// packet. The compiled paths must report 0 allocs/op.
+// BenchmarkEval times the compiled tape on one graph and input: compiled is
+// Program.Run, batch is Program.RunBatch amortised per packet. Both must
+// report 0 allocs/op.
 func BenchmarkEval(b *testing.B) {
 	g := benchGraph(b)
 	rng := rand.New(rand.NewSource(3))
@@ -27,17 +26,6 @@ func BenchmarkEval(b *testing.B) {
 		codes[i] = int32(int8(rng.Intn(256)))
 	}
 
-	b.Run("interp", func(b *testing.B) {
-		ev, err := mr.NewEvaluator(g)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			copy(ev.Input(0), codes)
-			ev.Eval()
-		}
-	})
 	b.Run("compiled", func(b *testing.B) {
 		p, err := sched.Compile(g, cgra.DefaultGrid())
 		if err != nil {

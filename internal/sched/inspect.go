@@ -10,14 +10,14 @@ import (
 // tapecheck) re-derive what the tape computes without re-running it, plus
 // the verifier hook Compile gates on. Nothing here is used by the hot path.
 
-// verifyHook, when non-nil, must clear every Compile/CompileBatch result
-// before it is returned. Registered via SetVerifier.
+// verifyHook must clear every Compile result before it is returned; while
+// it is nil Compile refuses. Registered via SetVerifier.
 var verifyHook func(*Program) error
 
-// SetVerifier installs the tape verifier Compile and CompileBatch gate on,
-// returning the previously installed one (nil if none) so tests can swap a
-// failing verifier in and restore it. Importing internal/sched/tapecheck
-// registers the real verifier; passing nil disables the gate.
+// SetVerifier installs the tape verifier Compile gates on, returning the
+// previously installed one (nil if none) so tests can swap a failing verifier
+// in and restore it. Importing internal/sched/tapecheck registers the real
+// verifier; with nil installed Compile returns an error for every graph.
 //
 // Registration is expected at init time (or around a single test); the hook
 // is read without synchronisation on every compile.

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -8,7 +9,6 @@ import (
 	"taurus/internal/cgra"
 	"taurus/internal/fixed"
 	mr "taurus/internal/mapreduce"
-	"taurus/internal/obs"
 )
 
 // DefaultBatch is the packet capacity a Program is compiled with: RunBatch
@@ -17,8 +17,8 @@ import (
 const DefaultBatch = 16
 
 // Opcode discriminates tape instructions. Each Opcode is a specialised loop
-// with the operator and saturation inlined — the per-lane Apply switch the
-// interpreter pays is hoisted out entirely.
+// with the operator and saturation inlined — the per-lane Apply switch
+// Graph.Eval pays is hoisted out entirely.
 type Opcode uint8
 
 const (
@@ -85,10 +85,10 @@ type Instr struct {
 // preallocated structure-of-arrays arena. Run and RunBatch are bit-exact
 // with Graph.Eval and allocate nothing.
 //
-// Like Evaluator, a Program is tied to the graph it was compiled from and
-// sees in-place weight mutations (constants, LUT tables and requantisation
-// multipliers are read through the live nodes). It is not safe for
-// concurrent use; give each shard its own Program over its own clone.
+// A Program is tied to the graph it was compiled from and sees in-place
+// weight mutations (constants, LUT tables and requantisation multipliers are
+// read through the live nodes). It is not safe for concurrent use; give each
+// shard its own Program over its own clone.
 type Program struct {
 	g     *mr.Graph
 	sched *Schedule
@@ -99,52 +99,35 @@ type Program struct {
 	outs  []Operand // per declared output
 }
 
-// Compile plans g on spec and emits the instruction tape with the default
-// batch capacity. When a tape verifier is registered (SetVerifier — importing
-// internal/sched/tapecheck registers one) the tape must clear it before it is
-// returned: a miscompilation is an error here, not a wrong verdict later.
+// Compile plans g on spec, emits the instruction tape and hands it to the
+// registered tape verifier (SetVerifier — importing internal/sched/tapecheck
+// registers the real one), which it must clear before it is returned: a
+// miscompilation is an error here, not a wrong verdict later. The gate fails
+// closed — with no verifier registered Compile refuses outright rather than
+// hand out a tape nobody checked.
 func Compile(g *mr.Graph, spec cgra.GridSpec) (*Program, error) {
-	return CompileBatch(g, spec, DefaultBatch)
-}
-
-// CompileBatch compiles with an explicit batch capacity (>= 1) and runs the
-// registered tape verifier, if any. The verifier's verdict is journalled to
-// the process trace (obs.DefaultTracer) as tapecheck.pass / tapecheck.fail,
-// so a drift-recovery trace shows the translation gate alongside the push it
-// guarded.
-func CompileBatch(g *mr.Graph, spec cgra.GridSpec, batch int) (*Program, error) {
-	p, err := CompileBatchUnverified(g, spec, batch)
+	if verifyHook == nil {
+		return nil, errors.New("sched: no tape verifier registered (link internal/sched/tapecheck)")
+	}
+	p, err := CompileUnverified(g, spec)
 	if err != nil {
 		return nil, err
 	}
-	if verifyHook != nil {
-		tr := obs.DefaultTracer()
-		if err := verifyHook(p); err != nil {
-			tr.Emitf(0, "tapecheck.fail", "graph=%q err=%q", g.Name, err.Error())
-			return nil, err
-		}
-		tr.Emitf(0, "tapecheck.pass", "graph=%q ii=%d", g.Name, p.sched.II)
+	if err := verifyHook(p); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// CompileUnverified compiles with the default batch capacity, skipping the
-// registered tape verifier — the opt-out for tests that inspect or corrupt
-// tapes, and for callers that run the verifier themselves to keep the report.
+// CompileUnverified is Compile without the verifier gate — the opt-out for
+// tests that inspect or corrupt tapes, and for callers that run the verifier
+// themselves to keep the report.
 func CompileUnverified(g *mr.Graph, spec cgra.GridSpec) (*Program, error) {
-	return CompileBatchUnverified(g, spec, DefaultBatch)
-}
-
-// CompileBatchUnverified is CompileBatch without the verifier gate.
-func CompileBatchUnverified(g *mr.Graph, spec cgra.GridSpec, batch int) (*Program, error) {
-	if batch < 1 {
-		return nil, fmt.Errorf("sched: batch capacity %d", batch)
-	}
 	s, err := Plan(g, spec)
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{g: g, sched: s, batch: batch}
+	p := &Program{g: g, sched: s, batch: DefaultBatch}
 	if err := p.emit(); err != nil {
 		return nil, err
 	}

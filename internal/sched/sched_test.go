@@ -11,6 +11,7 @@ import (
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/sched"
+	_ "taurus/internal/sched/tapecheck" // arms sched.Compile's verifier gate
 	"taurus/internal/tensor"
 )
 

@@ -76,14 +76,20 @@ func (c *checker) alias() {
 				"declared input %d aliases constant storage", i)
 		}
 	}
-	// A constant-backed output must be the declared KConst itself.
+	// A constant-backed output must read the declared node's own storage:
+	// the KConst itself, or the KConst a chain of slices selects a window of
+	// (equiv() proves the window's lanes).
 	for i, id := range c.g.Outputs {
 		out := c.p.OutputOperand(i)
 		if out.Const == nil || len(out.Const) == 0 {
 			continue
 		}
+		root := c.g.Node(id)
+		for root.Kind == mr.KSlice {
+			root = c.g.Node(root.Args[0])
+		}
 		owner, ok := c.constOf[&out.Const[0]]
-		if !ok || owner != id {
+		if !ok || owner != root.ID {
 			c.finding(-1, id, SevError, CheckAlias, Interval{},
 				"declared output %d reads storage that is not its own const node", i)
 		}

@@ -42,12 +42,13 @@
 //     Plan's issue bundles are re-verified against the cgra.GridSpec CU/MU
 //     capacities and the II the scheduler claimed.
 //
-// Verify is pure and allocation-bounded; on the ~1400-node DNN it completes
-// in well under 2 ms (see BenchmarkTapeVerify). Importing this package
-// registers it as sched's compile gate: sched.Compile refuses to return a
-// program with error-severity findings (sched.CompileUnverified opts out).
-// core.Device.InstallModel additionally records a fallback to the
-// interpreter when a tape is rejected, and `taurus-compile -check` prints
+// Verify is pure and allocation-bounded: on the ~1400-node DNN it makes about
+// a thousand allocations (pinned by TestVerifyLargestDNNBudget; timed by
+// BenchmarkTapeVerify). Importing this package registers it as sched's
+// compile gate: sched.Compile refuses to return a program with
+// error-severity findings (sched.CompileUnverified opts out), so a device
+// install of a tape the validator rejects fails with that error and the
+// previously installed model keeps serving. `taurus-compile -check` prints
 // the report next to graphcheck's.
 package tapecheck
 

@@ -4,9 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
-	"time"
 
 	"taurus/internal/cgra"
 	"taurus/internal/dataset"
@@ -277,7 +277,7 @@ func TestCompileGate(t *testing.T) {
 // TestInheritedSaturationDoesNotGate: a graph that can saturate on its own
 // (graphcheck's business, on the push path) still compiles — the tape merely
 // inherits the graph's ranges, so rejecting it would make Compile refuse
-// Validate-accepted graphs the interpreter happily runs.
+// Validate-accepted graphs Graph.Eval happily runs.
 func TestInheritedSaturationDoesNotGate(t *testing.T) {
 	g := build(t, "sat", func(b *mr.Builder) {
 		x := b.Input("x", 4)
@@ -294,6 +294,26 @@ func TestInheritedSaturationDoesNotGate(t *testing.T) {
 	}
 	if err := tapecheck.Check(p); err != nil {
 		t.Fatalf("Check gates inherited saturation: %v", err)
+	}
+}
+
+// TestSlicedConstOutputVerifies: a declared output that is a window of a
+// constant (a slice of a slice of a KConst) is const-backed on the tape and
+// owned by that KConst — a faithful translation the alias audit must accept,
+// now that a refused tape is an install error rather than a slower engine.
+func TestSlicedConstOutputVerifies(t *testing.T) {
+	g := build(t, "const-window-out", func(b *mr.Builder) {
+		x := b.Input("x", 4)
+		w := b.Const("w", []int32{9, 8, 7, 6, 5, 4, 3, 2, 1, 0})
+		win := b.Slice(w, 3, 4)
+		b.Output(b.Reduce(mr.RAdd, b.Map(mr.MMul, x, win)), b.Slice(win, 1, 2))
+	})
+	p, err := sched.Compile(g, cgra.DefaultGrid())
+	if err != nil {
+		t.Fatalf("gated Compile rejects a const-window output: %v", err)
+	}
+	if got := p.Out(1); len(got) != 2 || got[0] != 5 || got[1] != 4 {
+		t.Fatalf("output 1 = %v, want w[4:6] = [5 4]", got)
 	}
 }
 
@@ -386,8 +406,24 @@ func modelGraphs(t testing.TB) map[string]*mr.Graph {
 	return out
 }
 
+// verifyCost reports what one tapecheck.Verify(p) allocates: heap objects
+// and heap bytes, the machine-independent units the verifier's budgets are
+// pinned in (its wall time is a row of the benchmark's ledger, not a test).
+func verifyCost(p *sched.Program) (allocs float64, bytes uint64) {
+	const rounds = 5
+	allocs = testing.AllocsPerRun(rounds, func() { tapecheck.Verify(p) })
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		tapecheck.Verify(p)
+	}
+	runtime.ReadMemStats(&after)
+	return allocs, (after.TotalAlloc - before.TotalAlloc) / rounds
+}
+
 // TestModelFamiliesVerifyClean: dnn, svm, kmeans and lstm tapes all clear
-// the validator, each in under the 2 ms acceptance budget.
+// the validator, each within the allocation budget of the largest family
+// (lstm: 729 allocations, 762 KB per verify when the budget was set).
 func TestModelFamiliesVerifyClean(t *testing.T) {
 	for name, g := range modelGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -402,16 +438,9 @@ func TestModelFamiliesVerifyClean(t *testing.T) {
 			for _, f := range rep.Findings {
 				t.Logf("non-fatal finding: %s", f)
 			}
-			if raceEnabled {
-				return // wall-clock budget is meaningless under the detector
-			}
-			const rounds = 5
-			start := time.Now()
-			for i := 0; i < rounds; i++ {
-				tapecheck.Verify(p)
-			}
-			if per := time.Since(start) / rounds; per > 2*time.Millisecond {
-				t.Errorf("Verify took %v, budget 2ms", per)
+			if allocs, bytes := verifyCost(p); allocs > 800 || bytes > 840_000 {
+				t.Errorf("Verify(%d instrs) allocates %.0f objects / %d bytes, budget 800 / 840000",
+					len(p.Code()), allocs, bytes)
 			}
 		})
 	}
@@ -455,25 +484,19 @@ func bigDNNGraph(tb testing.TB) *mr.Graph {
 	return g
 }
 
-// TestVerifyLargestDNNBudget pins the tentpole's acceptance number: the
-// full four-analysis pass stays under 2 ms on the ~1400-node DNN tape.
+// TestVerifyLargestDNNBudget pins the cost of the full four-analysis pass on
+// the ~1400-node DNN tape in allocations and bytes (1054 / 1.79 MB when the
+// budget was set) — a verifier that starts allocating per lane or per batch
+// slot fails here on any host, fast or slow.
 func TestVerifyLargestDNNBudget(t *testing.T) {
 	p := compile(t, bigDNNGraph(t))
 	rep := tapecheck.Verify(p) // warm-up + sanity
 	if !rep.OK() {
 		t.Fatalf("big DNN tape rejected:\n%s", rep)
 	}
-	if raceEnabled {
-		t.Skip("wall-clock budget is meaningless under the race detector")
-	}
-	const rounds = 5
-	start := time.Now()
-	for i := 0; i < rounds; i++ {
-		tapecheck.Verify(p)
-	}
-	per := time.Since(start) / rounds
-	if per > 2*time.Millisecond {
-		t.Errorf("Verify(%d instrs) took %v, budget 2ms", len(p.Code()), per)
+	if allocs, bytes := verifyCost(p); allocs > 1150 || bytes > 1_900_000 {
+		t.Errorf("Verify(%d instrs) allocates %.0f objects / %d bytes, budget 1150 / 1900000",
+			len(p.Code()), allocs, bytes)
 	}
 }
 

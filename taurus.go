@@ -134,14 +134,6 @@ type (
 // block).
 func NewProgram(name string) *Builder { return mapreduce.NewBuilder(name) }
 
-// Evaluator interprets a MapReduce program with preallocated buffers: write
-// codes into Input(i), call Eval, read Output(i). It is the allocation-free
-// reference semantics the device hot path runs per packet.
-type Evaluator = mapreduce.Evaluator
-
-// NewEvaluator validates the program and preallocates every intermediate.
-func NewEvaluator(g *Graph) (*Evaluator, error) { return mapreduce.NewEvaluator(g) }
-
 // Static verification: the pre-push graph gate (internal/graphcheck).
 // Every push path — LoadModel, UpdateWeights, Controller and Fleet retrain
 // pushes, the distfit merge accept — runs the same analyses and refuses a
@@ -200,14 +192,17 @@ func Compile(g *Graph, opts CompileOptions) (*Compiled, error) {
 	return compiler.Compile(g, opts)
 }
 
-// Scheduled evaluation (internal/sched): the compiled counterpart of the
-// Evaluator. PlanSchedule list-schedules a validated graph into VLIW-style
-// issue bundles under the grid's CU/MU capacity and reports the measured
-// depth and initiation interval (superseding GraphReport's depth-only
-// estimate); CompileProgram additionally emits the fused, allocation-free
-// instruction tape the device hot path runs, with batch-vectorised
-// RunBatch. Devices compile installed models automatically — these entry
-// points are for inspecting or benchmarking a schedule directly.
+// Scheduled evaluation (internal/sched): the one executor, derived from and
+// checked against Graph.Eval, the reference semantics. PlanSchedule
+// list-schedules a validated graph into VLIW-style issue bundles under the
+// grid's CU/MU capacity and reports the measured depth and initiation
+// interval (superseding GraphReport's depth-only estimate); CompileProgram
+// additionally emits the fused, allocation-free instruction tape the device
+// hot path runs, with batch-vectorised RunBatch. Devices compile installed
+// models automatically — a model whose tape the scheduler or the translation
+// validator refuses fails LoadModel with that error and the previous model
+// keeps serving — so these entry points are for inspecting or benchmarking
+// a schedule directly.
 type (
 	// Schedule is a resource-constrained bundle schedule of one graph;
 	// String() renders the per-cycle bundles.
@@ -668,9 +663,8 @@ type (
 	MetricLabel = obs.Label
 	// TraceJournal is the bounded ring-buffer journal of control-plane
 	// events: drift detections, retrain spans, graphcheck/tapecheck
-	// verdicts, pushes, rollbacks, tape fallbacks, distfit rounds. Events()
-	// returns the retained window oldest-first; WriteText/WriteJSON render
-	// it.
+	// verdicts, pushes, rollbacks, distfit rounds. Events() returns the
+	// retained window oldest-first; WriteText/WriteJSON render it.
 	TraceJournal = obs.Tracer
 	// TraceEvent is one journalled event: sequence number, span id (0 =
 	// unspanned), monotonic and wall-clock timestamps, kind, detail.
