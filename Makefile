@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-smoke bench-json check lint fmt
+.PHONY: build test bench bench-smoke bench-json bench-check check lint fmt
 
 build:
 	$(GO) build ./...
@@ -36,6 +36,16 @@ bench-json:
 	$(GO) run ./cmd/taurus-bench -exp latency -json > BENCH_latency.json
 	$(GO) run ./cmd/taurus-bench -exp distfit -json > BENCH_distfit.json
 	$(GO) run ./cmd/taurus-bench -exp compile -json > BENCH_compile.json
+
+# The gated benchmark (bench/, a module of its own that BENCHMARK.json points
+# the driver at) is built by nothing above, so an API change could break it
+# silently. Its tests, then two four-second runs: a run checks every decision
+# against Graph.Eval and audits the conservation laws, and exits non-zero on
+# any mismatch. Timings from runs this short mean nothing.
+bench-check:
+	cd bench && $(GO) test ./...
+	bash bench/run.sh --workload dnn-bulk --seed 1 --seconds 4 --trace 0
+	bash bench/run.sh --workload mixed-edge --seed 1 --seconds 4 --trace 0
 
 check:
 	@fmtout=$$(gofmt -l .); \

@@ -138,7 +138,6 @@ func DefaultConfig(numFeatures int) Config {
 // pipeline package shards traffic across several devices for that.
 type Device struct {
 	cfg    Config
-	layout *pisa.Layout
 	parser *pisa.Parser
 	preMAT *pisa.Table
 	post   *pisa.Table
@@ -154,15 +153,9 @@ type Device struct {
 	installed
 
 	phv       *pisa.PHV
-	featureID []pisa.FieldID
 	bypassID  pisa.FieldID
 	scoreID   pisa.FieldID
 	verdictID pisa.FieldID
-	srcID     pisa.FieldID
-	dstID     pisa.FieldID
-	sportID   pisa.FieldID
-	dportID   pisa.FieldID
-	protoID   pisa.FieldID
 
 	// m holds the registry-backed instruments Stats() reads; tally is the
 	// single-writer per-call scratch the packet path increments, folded into
@@ -291,9 +284,6 @@ func NewDevice(cfg Config) (*Device, error) {
 
 	names := pisa.StandardLayoutFields()
 	names = append(names, "meta.bypass", "meta.score", "meta.verdict")
-	for i := 0; i < cfg.NumFeatures; i++ {
-		names = append(names, fmt.Sprintf("meta.f%d", i))
-	}
 	layout := pisa.NewLayout(names...)
 	parser, err := pisa.StandardParser(layout)
 	if err != nil {
@@ -302,23 +292,16 @@ func NewDevice(cfg Config) (*Device, error) {
 
 	d := &Device{
 		cfg:       cfg,
-		layout:    layout,
 		parser:    parser,
 		phv:       pisa.NewPHV(layout),
 		flowValid: pisa.NewRegisterArray("flow_valid", cfg.FlowTableSize),
 		bypassID:  layout.ID("meta.bypass"),
 		scoreID:   layout.ID("meta.score"),
 		verdictID: layout.ID("meta.verdict"),
-		srcID:     layout.ID("ipv4.src"),
-		dstID:     layout.ID("ipv4.dst"),
-		sportID:   layout.ID("l4.sport"),
-		dportID:   layout.ID("l4.dport"),
-		protoID:   layout.ID("ipv4.proto"),
 		m:         bindDevMetrics(reg, labels),
 		tracer:    tracer,
 	}
 	for i := 0; i < cfg.NumFeatures; i++ {
-		d.featureID = append(d.featureID, layout.ID(fmt.Sprintf("meta.f%d", i)))
 		d.featureRegs = append(d.featureRegs,
 			pisa.NewRegisterArray(fmt.Sprintf("feat%d", i), cfg.FlowTableSize))
 	}
@@ -544,7 +527,10 @@ func fnv1aTuple(b *[13]byte) uint32 {
 	return h
 }
 
-// FlowKey hashes a five-tuple into the register index space.
+// FlowKey hashes a five-tuple into the register index space. It is the
+// definition of the flow hash, for callers that hold a tuple rather than a
+// frame; the packet path hashes the frame's bytes with ShardHash, which
+// agrees with it on every frame that reaches the feature registers.
 func (d *Device) FlowKey(srcIP, dstIP uint32, sport, dport uint16, proto uint8) uint32 {
 	var b [13]byte
 	b[0] = byte(srcIP >> 24)
@@ -568,6 +554,11 @@ func (d *Device) FlowKey(srcIP, dstIP uint32, sport, dport uint16, proto uint8) 
 // state is touched. For standard Ethernet+IPv4 packets it equals the
 // device's FlowKey; anything else (non-IP, truncated) returns 0 and may be
 // placed on any shard, since such packets carry no per-flow register state.
+// It is the one flow hash of the packet path: the dispatcher hands the value
+// it routed by to the shard (Routed.Key), and a device driven directly
+// computes it for the packets that reach the registers.
+//
+// hotpath: zero-alloc
 func ShardHash(data []byte) uint32 {
 	// Ethernet(14) + IPv4 header (fixed 20, matching the standard parser).
 	if len(data) < 34 || data[12] != 0x08 || data[13] != 0x00 {
@@ -587,13 +578,19 @@ func ShardHash(data []byte) uint32 {
 // registers (the role of INT and cross-packet accumulation in §3.1). In the
 // testbed the features arrive with the expanded trace (§5.2.2).
 func (d *Device) AccumulateFeatures(flowKey uint32, features []float32) error {
+	return d.accumulate(d.flowValid.Slot(flowKey), features)
+}
+
+// accumulate writes a feature vector into register slot slot of every
+// feature array (all FlowTableSize long, so one reduction serves them all).
+func (d *Device) accumulate(slot uint32, features []float32) error {
 	if len(features) != d.cfg.NumFeatures {
 		return fmt.Errorf("%w: got %d features, want %d", ErrBadFeatureWidth, len(features), d.cfg.NumFeatures)
 	}
 	for i, f := range features {
-		d.featureRegs[i].Write(flowKey, int32(d.inQ.Quantize(f)))
+		d.featureRegs[i].WriteSlot(slot, int32(d.inQ.Quantize(f)))
 	}
-	d.flowValid.Write(flowKey, 1)
+	d.flowValid.WriteSlot(slot, 1)
 	return nil
 }
 
@@ -624,54 +621,60 @@ func (d *Device) Process(in PacketIn) (Decision, error) {
 }
 
 // admit runs the front half of the pipeline — parse, preprocessing MAT,
-// feature accumulation — and reports whether the packet takes the ML path.
-func (d *Device) admit(in PacketIn, dec *Decision) (key uint32, ml bool, err error) {
+// feature accumulation — and reports whether the packet takes the ML path
+// and, if so, its flow's register slot. Only a packet the MAT sends towards
+// the registers needs its flow hash: key when the caller carried one (keyed),
+// otherwise ShardHash of the frame, reduced to a slot once for every register
+// array. On an error dec is left for the caller to fill.
+//
+// hotpath: zero-alloc
+func (d *Device) admit(in PacketIn, key uint32, keyed bool, dec *Decision) (slot uint32, ml bool, err error) {
 	d.tally.processed++
 	phv := d.phv
 	phv.Reset()
 	if _, err := d.parser.Parse(in.Data, phv); err != nil {
 		d.tally.parseErrors++
-		*dec = Decision{}
 		return 0, false, err
 	}
 
 	// Preprocessing MAT: bypass decision.
 	d.preMAT.Lookup(phv)
-	bypass := phv.Get(d.bypassID) != 0
+	*dec = Decision{Bypassed: true, LatencyNs: BaseSwitchLatencyNs}
+	if phv.Get(d.bypassID) != 0 {
+		return 0, false, nil
+	}
 
-	key = d.FlowKey(
-		uint32(phv.Get(d.srcID)), uint32(phv.Get(d.dstID)),
-		uint16(phv.Get(d.sportID)), uint16(phv.Get(d.dportID)),
-		uint8(phv.Get(d.protoID)))
-
-	if !bypass {
-		if in.Features != nil {
-			if err := d.AccumulateFeatures(key, in.Features); err != nil {
-				*dec = Decision{}
-				return 0, false, err
-			}
-		}
-		if d.model == nil || d.flowValid.Read(key) == 0 {
-			bypass = true // nothing to infer from yet
+	if !keyed {
+		key = ShardHash(in.Data)
+	}
+	slot = d.flowValid.Slot(key)
+	if in.Features != nil {
+		if err := d.accumulate(slot, in.Features); err != nil {
+			return 0, false, err
 		}
 	}
-	*dec = Decision{Bypassed: bypass, LatencyNs: BaseSwitchLatencyNs}
-	return key, !bypass, nil
+	if d.model == nil || d.flowValid.ReadSlot(slot) == 0 {
+		return 0, false, nil // nothing to infer from yet
+	}
+	dec.Bypassed = false
+	return slot, true, nil
 }
 
-// stageCodes reads the flow's accumulated feature codes into the PHV and the
-// model's input buffer.
-func (d *Device) stageCodes(codes []int32, key uint32) {
+// stageCodes reads the flow's accumulated feature codes into the model's
+// input buffer.
+//
+// hotpath: zero-alloc
+func (d *Device) stageCodes(codes []int32, slot uint32) {
 	for i := range codes {
-		c := d.featureRegs[i].Read(key)
-		d.phv.Set(d.featureID[i], c)
-		codes[i] = c
+		codes[i] = d.featureRegs[i].ReadSlot(slot)
 	}
 }
 
 // finishML charges the inference to the service model and runs the verdict
 // MAT on the score. The postprocessing MAT keys on meta.score alone, so it
 // is safe to run after other packets have cycled through the shared PHV.
+//
+// hotpath: zero-alloc
 func (d *Device) finishML(dec *Decision, score int32) {
 	dec.MLScore = score
 	d.tally.mlInferences++ // II cycles of occupancy, charged at flush
@@ -681,6 +684,10 @@ func (d *Device) finishML(dec *Decision, score int32) {
 	d.applyVerdict(dec)
 }
 
+// finishBypass charges a bypass packet's arbiter cycle and forwards it
+// through the verdict MAT.
+//
+// hotpath: zero-alloc
 func (d *Device) finishBypass(dec *Decision) {
 	d.tally.bypassed++ // one arbiter cycle of occupancy, charged at flush
 	// Bypass packets skip MapReduce entirely: no added latency (§4).
@@ -721,14 +728,22 @@ func (d *Device) ProcessBatch(ins []PacketIn, out []Decision) error {
 	return d.ProcessIndexed(ins, out, nil)
 }
 
-// ProcessIndexed processes the packets ins[i] for each i in idx (all of ins
-// when idx is nil), writing out[i] — the shape the pipeline's shard workers
-// use, where idx is the shard's partition of a shared batch. Error semantics
-// match ProcessBatch.
+// Routed names one packet of a shared batch — ins[Index] — together with the
+// flow hash (ShardHash of its bytes) the dispatcher computed to route it, so
+// the device that receives it does not hash the five-tuple a second time.
+type Routed struct {
+	Index int
+	Key   uint32
+}
+
+// ProcessIndexed processes the packets ins[r.Index] for each r in routed (all
+// of ins, hashing as needed, when routed is nil), writing out[r.Index] — the
+// shape the pipeline's shard workers use, where routed is the shard's
+// partition of a shared batch. Error semantics match ProcessBatch.
 //
 // hotpath: zero-alloc
-func (d *Device) ProcessIndexed(ins []PacketIn, out []Decision, idx []int) error {
-	callerErr, _ := d.run(ins, out, idx)
+func (d *Device) ProcessIndexed(ins []PacketIn, out []Decision, routed []Routed) error {
+	callerErr, _ := d.run(ins, out, routed)
 	return callerErr
 }
 
@@ -742,18 +757,18 @@ func (d *Device) ProcessIndexed(ins []PacketIn, out []Decision, idx []int) error
 // returned separately, because a batch reports only the former.
 //
 // hotpath: zero-alloc
-func (d *Device) run(ins []PacketIn, out []Decision, idx []int) (callerErr, parseErr error) {
+func (d *Device) run(ins []PacketIn, out []Decision, routed []Routed) (callerErr, parseErr error) {
 	n := len(ins)
-	if idx != nil {
-		n = len(idx)
+	if routed != nil {
+		n = len(routed)
 	}
 	staged := d.mlIdx[:0]
 	for k := 0; k < n; k++ {
-		i := k
-		if idx != nil {
-			i = idx[k]
+		i, key := k, uint32(0)
+		if routed != nil {
+			i, key = routed[k].Index, routed[k].Key
 		}
-		key, ml, err := d.admit(ins[i], &out[i])
+		slot, ml, err := d.admit(ins[i], key, routed != nil, &out[i])
 		switch {
 		case err != nil:
 			out[i] = Decision{Verdict: Drop}
@@ -767,7 +782,7 @@ func (d *Device) run(ins []PacketIn, out []Decision, idx []int) (callerErr, pars
 		case !ml:
 			d.finishBypass(&out[i])
 		default:
-			d.stageCodes(d.prog.InAt(0, len(staged)), key)
+			d.stageCodes(d.prog.InAt(0, len(staged)), slot)
 			//hotpathcheck:allow — append stays within d.mlIdx's preallocated MaxBatch capacity (flushed when full)
 			staged = append(staged, i)
 			if len(staged) == d.prog.MaxBatch() {

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"taurus/internal/compiler"
 	"taurus/internal/dataset"
@@ -18,7 +19,7 @@ import (
 )
 
 // buildAnomalyDevice trains the 6-12-6-3-1 DNN, lowers it and installs it.
-func buildAnomalyDevice(t *testing.T) (*Device, *ml.QuantizedDNN, *dataset.AnomalyGenerator) {
+func buildAnomalyDevice(t testing.TB) (*Device, *ml.QuantizedDNN, *dataset.AnomalyGenerator) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(200))
 	gen, err := dataset.NewAnomalyGenerator(dataset.DefaultAnomalyConfig(), rng)
@@ -196,23 +197,47 @@ func TestProcessBatchZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestShardHashMatchesFlowKey: ShardHash, which the packet path computes
+// from a frame's bytes, is FlowKey — the definition of the flow hash — of the
+// five-tuple in that frame, for every protocol class: TCP and UDP hash their
+// ports, any other IPv4 protocol hashes as port 0, and a frame that is not
+// IPv4 (or ends inside the IPv4 header) hashes to 0.
 func TestShardHashMatchesFlowKey(t *testing.T) {
 	dev, err := NewDevice(DefaultConfig(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkt := pisa.BuildTCPPacket(0x0a010203, 0x0a800001, 3456, 443, 0x10, 64)
-	want := dev.FlowKey(0x0a010203, 0x0a800001, 3456, 443, 6)
-	if got := ShardHash(pkt); got != want {
-		t.Errorf("ShardHash = %#x, FlowKey = %#x", got, want)
+	property := func(src, dst uint32, sport, dport uint16, proto uint8, class uint8) bool {
+		switch class % 3 {
+		case 0:
+			proto = 6
+		case 1:
+			proto = 17
+		}
+		pkt := pisa.BuildTCPPacket(src, dst, sport, dport, 0x10, 8)
+		pkt[23] = proto
+		want := dev.FlowKey(src, dst, 0, 0, proto)
+		if proto == 6 || proto == 17 {
+			want = dev.FlowKey(src, dst, sport, dport, proto)
+		}
+		if got := ShardHash(pkt); got != want {
+			t.Errorf("proto %d: ShardHash = %#x, FlowKey = %#x", proto, got, want)
+			return false
+		}
+		// Cut before the ports, the frame still hashes — as port 0.
+		if got, want := ShardHash(pkt[:36]), dev.FlowKey(src, dst, 0, 0, proto); got != want {
+			t.Errorf("proto %d, ports cut off: ShardHash = %#x, FlowKey = %#x", proto, got, want)
+			return false
+		}
+		if ShardHash(pkt[:33]) != 0 {
+			t.Error("frame cut inside the IPv4 header should hash to 0")
+			return false
+		}
+		pkt[13] = 0x06 // ARP
+		return ShardHash(pkt) == 0
 	}
-	if got := ShardHash([]byte{1, 2, 3}); got != 0 {
-		t.Errorf("short packet hash = %#x, want 0", got)
-	}
-	arp := make([]byte, 40)
-	arp[12], arp[13] = 0x08, 0x06
-	if got := ShardHash(arp); got != 0 {
-		t.Errorf("non-IP hash = %#x, want 0", got)
+	if err := quick.Check(property, &quick.Config{MaxCount: 2000, Rand: rand.New(rand.NewSource(7))}); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -6,9 +6,10 @@
 // Packets are routed to shards by a hash of their five-tuple, so the
 // per-flow feature registers a flow touches live entirely inside one shard
 // and never need cross-shard coherence. Batches fan out across persistent
-// worker goroutines; per-shard statistics merge on demand; out-of-band
-// weight updates (§3.3.1) reach every shard without stopping traffic —
-// each shard swaps weights between its batches.
+// worker goroutines, the caller serving one shard's share itself; per-shard
+// statistics merge on demand; out-of-band weight updates (§3.3.1) reach
+// every shard without stopping traffic — each shard swaps weights between
+// its batches.
 //
 // The steady-state batch path performs no heap allocation: partition index
 // buffers, devices, PHVs and MapReduce intermediates are all preallocated.
@@ -68,9 +69,9 @@ func (b BatchStats) ModelPacketsPerSec() float64 {
 type shard struct {
 	mu     sync.Mutex
 	dev    *core.Device
-	idx    []int   // indices into the current batch owned by this shard
-	busyNs float64 // modelled occupancy of the last batch
-	err    error   // caller error (bad feature width) from the last batch
+	routed []core.Routed // this shard's packets of the current batch, each with the hash it was routed by
+	busyNs float64       // modelled occupancy of the last batch
+	err    error         // caller error (bad feature width) from the last batch
 }
 
 type batchReq struct {
@@ -147,28 +148,33 @@ func New(cfg Config) (*Pipeline, error) {
 
 func (p *Pipeline) worker(s *shard, reqs <-chan batchReq) {
 	for r := range reqs {
-		s.mu.Lock()
-		s.err = nil
-		before := s.dev.Stats().ModelBusyNs
-		// ProcessIndexed drops malformed packets itself (parse errors count
-		// in the shard's stats) and batches ML inferences through the
-		// device's compiled program; a bad feature width is a caller bug and
-		// surfaces from ProcessBatch.
-		if err := s.dev.ProcessIndexed(r.ins, r.out, s.idx); err != nil {
-			s.err = err
-		}
-		s.busyNs = s.dev.Stats().ModelBusyNs - before
-		s.mu.Unlock()
+		s.serve(r)
 		p.wg.Done()
 	}
+}
+
+// serve runs the shard's partition of a batch through its device.
+func (s *shard) serve(r batchReq) {
+	s.mu.Lock()
+	s.err = nil
+	before := s.dev.Stats().ModelBusyNs
+	// ProcessIndexed drops malformed packets itself (parse errors count in
+	// the shard's stats) and batches ML inferences through the device's
+	// compiled program; a bad feature width is a caller bug and surfaces
+	// from ProcessBatch.
+	if err := s.dev.ProcessIndexed(r.ins, r.out, s.routed); err != nil {
+		s.err = err
+	}
+	s.busyNs = s.dev.Stats().ModelBusyNs - before
+	s.mu.Unlock()
 }
 
 // NumShards returns the shard count.
 func (p *Pipeline) NumShards() int { return len(p.shards) }
 
-// shardOf picks the owning shard for a raw packet.
-func (p *Pipeline) shardOf(data []byte) int {
-	return int(core.ShardHash(data) % uint32(len(p.shards)))
+// shardOf picks the owning shard for a flow hash (core.ShardHash).
+func (p *Pipeline) shardOf(key uint32) *shard {
+	return p.shards[key%uint32(len(p.shards))]
 }
 
 // LoadModel compiles the program once and installs the placed design on
@@ -262,25 +268,39 @@ func (p *Pipeline) ProcessBatch(ins []core.PacketIn, out []core.Decision) (Batch
 		return BatchStats{}, fmt.Errorf("%w: pipeline is closed", core.ErrBadConfig)
 	}
 
+	// The partition pass is the one place a packet's five-tuple is hashed:
+	// the key that picks the shard travels with the index, and the shard's
+	// device reduces it to a register slot instead of hashing again.
 	for _, s := range p.shards {
-		s.idx = s.idx[:0]
+		s.routed = s.routed[:0]
 	}
 	for i := range ins {
-		s := p.shards[p.shardOf(ins[i].Data)]
-		s.idx = append(s.idx, i)
+		key := core.ShardHash(ins[i].Data)
+		s := p.shardOf(key)
+		s.routed = append(s.routed, core.Routed{Index: i, Key: key})
 	}
 
-	active := 0
-	for _, s := range p.shards {
-		if len(s.idx) > 0 {
-			active++
+	// Every active shard but the last goes to its worker; the last one the
+	// caller serves itself instead of idling at the barrier. A batch that
+	// lands on one shard (always, on a 1-shard pipeline) is then a plain call.
+	// A hand-off costs two scheduler wake-ups, each cheap or not by whether a
+	// thread happens to be spinning: at 32 packets a batch that is more than
+	// the packets themselves, and it makes one run differ from the next.
+	last := -1
+	for si, s := range p.shards {
+		if len(s.routed) > 0 {
+			last = si
 		}
 	}
-	p.wg.Add(active)
-	for si, s := range p.shards {
-		if len(s.idx) > 0 {
-			p.reqs[si] <- batchReq{ins: ins, out: out}
+	req := batchReq{ins: ins, out: out}
+	for si := 0; si < last; si++ {
+		if len(p.shards[si].routed) > 0 {
+			p.wg.Add(1)
+			p.reqs[si] <- req
 		}
+	}
+	if last >= 0 {
+		p.shards[last].serve(req)
 	}
 	p.wg.Wait()
 
@@ -290,7 +310,7 @@ func (p *Pipeline) ProcessBatch(ins []core.PacketIn, out []core.Decision) (Batch
 	bs := BatchStats{Packets: len(ins)}
 	var firstErr error
 	for _, s := range p.shards {
-		if len(s.idx) == 0 {
+		if len(s.routed) == 0 {
 			continue
 		}
 		if s.err != nil && firstErr == nil {
@@ -312,7 +332,7 @@ func (p *Pipeline) Process(in core.PacketIn) (core.Decision, error) {
 	if p.closed.Load() {
 		return core.Decision{}, fmt.Errorf("%w: pipeline is closed", core.ErrBadConfig)
 	}
-	s := p.shards[p.shardOf(in.Data)]
+	s := p.shardOf(core.ShardHash(in.Data))
 	s.mu.Lock()
 	dec, err := s.dev.Process(in)
 	s.mu.Unlock()

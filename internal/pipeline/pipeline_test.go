@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"taurus/internal/compiler"
 	"taurus/internal/core"
@@ -128,7 +129,9 @@ func checkConservation(t *testing.T, who string, st core.Stats) {
 // TestEntryPointsAgree: Device.Process, Device.ProcessBatch, Pipeline.Process
 // and an N-shard Pipeline.ProcessBatch are four views of one packet loop —
 // on traffic that takes every exit they give identical decisions and
-// identical counter totals, and the conservation laws hold after each.
+// identical counter totals, the conservation laws hold after each, and they
+// address one register file: a flow lands in the same slot whichever of them
+// carried it.
 func TestEntryPointsAgree(t *testing.T) {
 	q, g, _, _ := trainModel(t)
 	ins, want := mixedTraffic(t, 384, 48)
@@ -192,6 +195,51 @@ func TestEntryPointsAgree(t *testing.T) {
 
 	onePipe := newLoadedPipeline(t, 3)
 	compare("Pipeline.Process", single("Pipeline.Process", onePipe.Process), onePipe.Stats())
+
+	// The flow hash is computed in two places — the dispatcher, which hands
+	// it to the shard with the packet, and a device driven directly, which
+	// hashes the frame itself — and both must land a flow in the same
+	// register slot: features written through one entry point are what the
+	// other reads. Were the two to disagree, the read below would find an
+	// empty slot (a bypass) or another flow's features (another score).
+	var flows []int // the feature-carrying packets, one per register write
+	for i := range ins {
+		if ins[i].Features != nil {
+			flows = append(flows, i)
+		}
+	}
+	bare := func(p *Pipeline, in core.PacketIn) core.Decision {
+		t.Helper()
+		s := p.shardOf(core.ShardHash(in.Data))
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		dec, err := s.dev.Process(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return dec
+	}
+	// Written with the carried key (batchPipe above), read with the device's own hash.
+	for _, i := range flows {
+		if dec := bare(batchPipe, core.PacketIn{Data: ins[i].Data}); dec != want[i] {
+			t.Fatalf("flow of packet %d: written through Pipeline.ProcessBatch, the shard's device reads %+v, want %+v", i, dec, want[i])
+		}
+	}
+	// Written with the device's own hash, read with the carried key.
+	revPipe := newLoadedPipeline(t, 3)
+	reads := make([]core.PacketIn, len(flows))
+	for k, i := range flows {
+		bare(revPipe, ins[i])
+		reads[k] = core.PacketIn{Data: ins[i].Data}
+	}
+	if _, err := revPipe.ProcessBatch(reads, got[:len(reads)]); err != nil {
+		t.Fatal(err)
+	}
+	for k, i := range flows {
+		if got[k] != want[i] {
+			t.Fatalf("flow of packet %d: written through its shard's device, Pipeline.ProcessBatch reads %+v, want %+v", i, got[k], want[i])
+		}
+	}
 }
 
 // TestPipelineProcessZeroAlloc: the single-packet plane shares the batch
@@ -301,6 +349,54 @@ func TestPipelineShardLocality(t *testing.T) {
 	}
 }
 
+// TestOneShardBatchNeedsNoWorker: the caller serves the last active shard of
+// a batch itself, so a batch that lands on one shard — every batch of a
+// 1-shard pipeline, a single flow on any pipeline — is a plain call and its
+// cost does not hang on how quickly the scheduler wakes a parked worker. With
+// the hand-off channels taken away such a batch must still complete (a send
+// on a nil channel would block forever); an empty batch touches no shard.
+func TestOneShardBatchNeedsNoWorker(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		p := newLoadedPipeline(t, shards)
+		ref := newLoadedPipeline(t, shards)
+		ins, out := makeBatch(t, 96, 1) // one flow
+		want := make([]core.Decision, len(ins))
+		if _, err := ref.ProcessBatch(ins, want); err != nil {
+			t.Fatal(err)
+		}
+
+		reqs := p.reqs
+		p.reqs = make([]chan batchReq, shards)
+		done := make(chan error, 1)
+		go func() {
+			if _, err := p.ProcessBatch(nil, nil); err != nil {
+				done <- err
+				return
+			}
+			_, err := p.ProcessBatch(ins, out)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%d shards: a one-shard batch waited for a worker", shards)
+		}
+		p.reqs = reqs // Close closes them
+
+		for i := range want {
+			if out[i] != want[i] {
+				t.Fatalf("%d shards: packet %d: served by the caller %+v, by the reference %+v", shards, i, out[i], want[i])
+			}
+		}
+		if got := p.Stats(); got != ref.Stats() {
+			t.Errorf("%d shards: stats %+v, reference %+v", shards, got, ref.Stats())
+		}
+	}
+}
+
 func TestPipelineDropsMalformed(t *testing.T) {
 	p := newLoadedPipeline(t, 2)
 	ins, out := makeBatch(t, 8, 4)
@@ -340,7 +436,7 @@ func TestProcessBatchStatsCompleteOnShardError(t *testing.T) {
 	// visits, so before the fix the fold stopped with ModelNs still zero.
 	idx := -1
 	for i := range ins {
-		if p.shardOf(ins[i].Data) == 0 {
+		if p.shardOf(core.ShardHash(ins[i].Data)) == p.shards[0] {
 			idx = i
 			break
 		}

@@ -65,8 +65,11 @@ type VLIWAction struct {
 }
 
 // Apply executes the action word on a PHV.
+//
+// hotpath: zero-alloc
 func (a *VLIWAction) Apply(phv *PHV) {
-	for _, op := range a.Ops {
+	for i := range a.Ops {
+		op := &a.Ops[i]
 		src := op.Imm
 		if !op.UseImm {
 			src = phv.Get(op.Src)
@@ -115,11 +118,19 @@ type Table struct {
 	Default    *VLIWAction
 
 	entries []*Entry
+	// lpm records, once, that some key is longest-prefix: Lookup then has to
+	// scan every entry for the longest match instead of stopping at the
+	// first (highest-priority) hit.
+	lpm bool
 }
 
 // NewTable builds an empty table.
 func NewTable(name string, keys []Key, maxEntries int) *Table {
-	return &Table{Name: name, Keys: keys, MaxEntries: maxEntries}
+	t := &Table{Name: name, Keys: keys, MaxEntries: maxEntries}
+	for _, k := range keys {
+		t.lpm = t.lpm || k.Kind == LPM
+	}
+	return t
 }
 
 // Len returns the number of installed entries.
@@ -151,6 +162,8 @@ func (t *Table) Clear() { t.entries = nil }
 
 // Lookup matches the PHV, applies the winning (or default) action, and
 // reports whether an installed entry hit.
+//
+// hotpath: zero-alloc
 func (t *Table) Lookup(phv *PHV) bool {
 	var best *Entry
 	bestPrefix := -1
@@ -158,7 +171,7 @@ func (t *Table) Lookup(phv *PHV) bool {
 		if !t.matches(e, phv) {
 			continue
 		}
-		if t.hasLPM() {
+		if t.lpm {
 			if e.PrefixLen > bestPrefix {
 				best, bestPrefix = e, e.PrefixLen
 			}
@@ -177,15 +190,6 @@ func (t *Table) Lookup(phv *PHV) bool {
 		best.Action.Apply(phv)
 	}
 	return true
-}
-
-func (t *Table) hasLPM() bool {
-	for _, k := range t.Keys {
-		if k.Kind == LPM {
-			return true
-		}
-	}
-	return false
 }
 
 func (t *Table) matches(e *Entry, phv *PHV) bool {
@@ -232,22 +236,30 @@ func NewRegisterArray(name string, size int) *RegisterArray {
 // Size returns the array length.
 func (r *RegisterArray) Size() int { return len(r.vals) }
 
-// Read returns the value at idx (indexes wrap like hardware hash indices).
-// The reduction stays in uint32: int(idx) overflows to a negative value for
-// idx >= 2^31 on 32-bit platforms, and a negative modulus panics.
-func (r *RegisterArray) Read(idx uint32) int32 {
-	return r.vals[idx%uint32(len(r.vals))]
-}
+// Slot reduces a hash to its register index (indexes wrap like hardware hash
+// indices). The reduction stays in uint32: int(idx) overflows to a negative
+// value for idx >= 2^31 on 32-bit platforms, and a negative modulus panics.
+// A caller that touches several same-sized arrays for one key reduces it
+// once and uses ReadSlot/WriteSlot.
+func (r *RegisterArray) Slot(idx uint32) uint32 { return idx % uint32(len(r.vals)) }
 
-// Write stores a value at idx.
-func (r *RegisterArray) Write(idx uint32, v int32) {
-	r.vals[idx%uint32(len(r.vals))] = v
-}
+// ReadSlot returns the register at slot, which must come from Slot on an
+// array of this size.
+func (r *RegisterArray) ReadSlot(slot uint32) int32 { return r.vals[slot] }
+
+// WriteSlot stores a value at slot.
+func (r *RegisterArray) WriteSlot(slot uint32, v int32) { r.vals[slot] = v }
+
+// Read returns the value at idx, wrapped into the array.
+func (r *RegisterArray) Read(idx uint32) int32 { return r.vals[r.Slot(idx)] }
+
+// Write stores a value at idx, wrapped into the array.
+func (r *RegisterArray) Write(idx uint32, v int32) { r.vals[r.Slot(idx)] = v }
 
 // Add atomically accumulates into idx and returns the new value — the
 // read-modify-write register action used for feature accumulation.
 func (r *RegisterArray) Add(idx uint32, delta int32) int32 {
-	i := idx % uint32(len(r.vals))
+	i := r.Slot(idx)
 	r.vals[i] += delta
 	return r.vals[i]
 }

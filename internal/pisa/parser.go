@@ -21,7 +21,17 @@ type FieldSpec struct {
 // before the header a parse state needs.
 var ErrShortPacket = errors.New("pisa: packet too short")
 
-// ParseState is one node of the parse graph.
+// ErrParseLoop is what Parse returns for a frame that is still selecting a
+// next state after maxParseSteps of them: the graph cycles through states
+// that consume no bytes. It is prebuilt — the frame that triggers it is
+// attacker-controlled, so reporting it must not allocate.
+var ErrParseLoop = errors.New("pisa: parse graph loop detected")
+
+// maxParseSteps bounds the states one frame may visit.
+const maxParseSteps = 64
+
+// ParseState is one node of the parse graph, as the caller describes it.
+// NewParser reads it and keeps nothing of it.
 type ParseState struct {
 	Name      string
 	HeaderLen int // bytes consumed by this header
@@ -31,27 +41,62 @@ type ParseState struct {
 	// (accept). An empty SelectField also accepts.
 	SelectField string
 	Transitions map[int32]string
+}
 
-	// errShort is this state's short-packet error, built once by NewParser:
-	// frame length is attacker-controlled, so the per-packet path must not
-	// allocate to report it.
+// Parser is a compiled parse graph: the wired form of the ParseStates it was
+// built from. Names are resolved once, in NewParser — states to pointers,
+// fields to FieldIDs, each transition map to a short key list — the way the
+// hardware parser's TCAM and extract units are configured when the program
+// is installed, so Parse does no string or map lookup per packet.
+type Parser struct {
+	start *parseNode
+}
+
+// parseNode is one resolved state.
+type parseNode struct {
+	headerLen int
+	fields    []parseField
+	// sel is the PHV field whose value picks the next state; next is empty
+	// for a state that always accepts.
+	sel  FieldID
+	next []parseEdge
+	// errShort is this state's short-packet error, built once: frame length
+	// is attacker-controlled, so the per-packet path must not allocate to
+	// report it.
 	errShort error
 }
 
-// Parser is a compiled parse graph.
-type Parser struct {
-	layout *Layout
-	states map[string]*ParseState
-	start  string
+type parseField struct {
+	id     FieldID
+	offset int
+	bytes  int // 1, 2 or 4
 }
 
-// NewParser builds a parser over the given layout, starting at start.
+type parseEdge struct {
+	key int32
+	to  *parseNode
+}
+
+// NewParser compiles the parse graph rooted at start over the given layout.
+// Everything a packet cannot change is checked and resolved here: field and
+// select names against the layout, extraction windows against the header
+// length, transition targets against the set of states.
 func NewParser(layout *Layout, start string, states ...*ParseState) (*Parser, error) {
-	p := &Parser{layout: layout, states: map[string]*ParseState{}, start: start}
+	nodes := make(map[string]*parseNode, len(states))
 	for _, s := range states {
-		if _, dup := p.states[s.Name]; dup {
+		if _, dup := nodes[s.Name]; dup {
 			return nil, fmt.Errorf("pisa: duplicate parse state %q", s.Name)
 		}
+		if s.HeaderLen < 0 {
+			return nil, fmt.Errorf("pisa: state %q has header length %d", s.Name, s.HeaderLen)
+		}
+		nodes[s.Name] = &parseNode{
+			headerLen: s.HeaderLen,
+			errShort:  fmt.Errorf("%w for header %q (%d bytes)", ErrShortPacket, s.Name, s.HeaderLen),
+		}
+	}
+	for _, s := range states {
+		n := nodes[s.Name]
 		for _, f := range s.Fields {
 			if !layout.Has(f.Name) {
 				return nil, fmt.Errorf("pisa: state %q extracts unknown field %q", s.Name, f.Name)
@@ -59,14 +104,28 @@ func NewParser(layout *Layout, start string, states ...*ParseState) (*Parser, er
 			if f.WidthBits != 8 && f.WidthBits != 16 && f.WidthBits != 32 {
 				return nil, fmt.Errorf("pisa: state %q field %q has width %d", s.Name, f.Name, f.WidthBits)
 			}
-			if f.Offset+f.WidthBits/8 > s.HeaderLen {
+			if f.Offset < 0 || f.Offset+f.WidthBits/8 > s.HeaderLen {
 				return nil, fmt.Errorf("pisa: state %q field %q exceeds header length", s.Name, f.Name)
 			}
+			n.fields = append(n.fields, parseField{id: layout.ID(f.Name), offset: f.Offset, bytes: f.WidthBits / 8})
 		}
-		s.errShort = fmt.Errorf("%w for header %q (%d bytes)", ErrShortPacket, s.Name, s.HeaderLen)
-		p.states[s.Name] = s
+		if s.SelectField == "" {
+			continue
+		}
+		if !layout.Has(s.SelectField) {
+			return nil, fmt.Errorf("pisa: state %q selects on unknown field %q", s.Name, s.SelectField)
+		}
+		n.sel = layout.ID(s.SelectField)
+		for key, name := range s.Transitions {
+			to, ok := nodes[name]
+			if !ok {
+				return nil, fmt.Errorf("pisa: state %q transitions to undefined state %q", s.Name, name)
+			}
+			n.next = append(n.next, parseEdge{key: key, to: to})
+		}
 	}
-	if _, ok := p.states[start]; !ok {
+	p := &Parser{start: nodes[start]}
+	if p.start == nil {
 		return nil, fmt.Errorf("pisa: start state %q not defined", start)
 	}
 	return p, nil
@@ -74,42 +133,48 @@ func NewParser(layout *Layout, start string, states ...*ParseState) (*Parser, er
 
 // Parse walks the packet bytes, extracting fields into phv. It returns the
 // number of header bytes consumed; a truncated frame yields the offending
-// state's prebuilt error (errors.Is ErrShortPacket) without allocating.
+// state's prebuilt error (errors.Is ErrShortPacket) and a frame that never
+// reaches an accepting state ErrParseLoop, neither allocating.
+//
+// hotpath: zero-alloc
 func (p *Parser) Parse(data []byte, phv *PHV) (int, error) {
-	cur := p.start
-	off := 0
-	for steps := 0; ; steps++ {
-		if steps > 64 {
-			return off, fmt.Errorf("pisa: parse graph loop detected at %q", cur)
-		}
-		st := p.states[cur]
-		if off+st.HeaderLen > len(data) {
+	st, off := p.start, 0
+	for steps := 0; steps <= maxParseSteps; steps++ {
+		end := off + st.headerLen
+		if end > len(data) {
 			return off, st.errShort
 		}
-		hdr := data[off : off+st.HeaderLen]
-		for _, f := range st.Fields {
+		hdr := data[off:end]
+		for i := range st.fields {
+			f := &st.fields[i]
 			var v int32
-			switch f.WidthBits {
-			case 8:
-				v = int32(hdr[f.Offset])
-			case 16:
-				v = int32(binary.BigEndian.Uint16(hdr[f.Offset:]))
-			case 32:
-				v = int32(binary.BigEndian.Uint32(hdr[f.Offset:]))
+			switch f.bytes {
+			case 1:
+				v = int32(hdr[f.offset])
+			case 2:
+				v = int32(binary.BigEndian.Uint16(hdr[f.offset:]))
+			case 4:
+				v = int32(binary.BigEndian.Uint32(hdr[f.offset:]))
 			}
-			phv.Set(p.layout.ID(f.Name), v)
+			phv.Set(f.id, v)
 		}
-		off += st.HeaderLen
-		if st.SelectField == "" {
-			return off, nil
+		off = end
+		var to *parseNode
+		if len(st.next) > 0 {
+			sel := phv.Get(st.sel)
+			for i := range st.next {
+				if st.next[i].key == sel {
+					to = st.next[i].to
+					break
+				}
+			}
 		}
-		sel := phv.Get(p.layout.ID(st.SelectField))
-		next, ok := st.Transitions[sel]
-		if !ok {
+		if to == nil {
 			return off, nil // accept
 		}
-		cur = next
+		st = to
 	}
+	return off, ErrParseLoop
 }
 
 // StandardLayoutFields lists the header fields the standard TCP/IPv4 parser
@@ -122,9 +187,16 @@ func StandardLayoutFields() []string {
 	}
 }
 
-// StandardParser builds an Ethernet -> IPv4 -> TCP/UDP parse graph over a
-// layout containing StandardLayoutFields.
+// StandardParser compiles the standard parse graph over a layout containing
+// StandardLayoutFields.
 func StandardParser(layout *Layout) (*Parser, error) {
+	start, states := StandardParseGraph()
+	return NewParser(layout, start, states...)
+}
+
+// StandardParseGraph describes the Ethernet -> IPv4 -> TCP/UDP parse graph
+// StandardParser compiles: its start state and every state.
+func StandardParseGraph() (start string, states []*ParseState) {
 	eth := &ParseState{
 		Name:        "ethernet",
 		HeaderLen:   14,
@@ -161,7 +233,7 @@ func StandardParser(layout *Layout) (*Parser, error) {
 			{Name: "l4.dport", Offset: 2, WidthBits: 16},
 		},
 	}
-	return NewParser(layout, "ethernet", eth, ipv4, tcp, udp)
+	return eth.Name, []*ParseState{eth, ipv4, tcp, udp}
 }
 
 // BuildTCPPacket serialises a minimal Ethernet+IPv4+TCP packet for the

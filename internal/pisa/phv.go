@@ -72,10 +72,8 @@ func NewPHV(l *Layout) *PHV {
 
 // Reset clears all fields for reuse (PHVs are pooled in the data plane).
 func (p *PHV) Reset() {
-	for i := range p.vals {
-		p.vals[i] = 0
-		p.valid[i] = false
-	}
+	clear(p.vals)
+	clear(p.valid)
 }
 
 // Layout returns the PHV's layout.

@@ -2,6 +2,8 @@ package pisa
 
 import (
 	"errors"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -132,13 +134,23 @@ func TestParserValidation(t *testing.T) {
 	if _, err := NewParser(l, "missing"); err == nil {
 		t.Error("missing start state should fail")
 	}
-	bad := &ParseState{Name: "s", HeaderLen: 2, Fields: []FieldSpec{{Name: "f", Offset: 1, WidthBits: 16}}}
-	if _, err := NewParser(l, "s", bad); err == nil {
-		t.Error("field exceeding header should fail")
+	// Everything Parse would otherwise trip over per packet is an error here.
+	for what, bad := range map[string]*ParseState{
+		"field exceeding header": {Name: "s", HeaderLen: 2, Fields: []FieldSpec{{Name: "f", Offset: 1, WidthBits: 16}}},
+		"negative field offset":  {Name: "s", HeaderLen: 2, Fields: []FieldSpec{{Name: "f", Offset: -1, WidthBits: 8}}},
+		"odd field width":        {Name: "s", HeaderLen: 4, Fields: []FieldSpec{{Name: "f", Offset: 0, WidthBits: 24}}},
+		"unknown field":          {Name: "s", HeaderLen: 4, Fields: []FieldSpec{{Name: "zzz", Offset: 0, WidthBits: 8}}},
+		"unknown select field":   {Name: "s", HeaderLen: 4, SelectField: "zzz"},
+		"undefined next state":   {Name: "s", HeaderLen: 4, SelectField: "f", Transitions: map[int32]string{1: "nowhere"}},
+		"negative header length": {Name: "s", HeaderLen: -1},
+	} {
+		if _, err := NewParser(l, "s", bad); err == nil {
+			t.Errorf("%s should fail", what)
+		}
 	}
-	bad2 := &ParseState{Name: "s", HeaderLen: 4, Fields: []FieldSpec{{Name: "zzz", Offset: 0, WidthBits: 8}}}
-	if _, err := NewParser(l, "s", bad2); err == nil {
-		t.Error("unknown field should fail")
+	s := &ParseState{Name: "s", HeaderLen: 1}
+	if _, err := NewParser(l, "s", s, s); err == nil {
+		t.Error("duplicate state should fail")
 	}
 }
 
@@ -154,8 +166,66 @@ func TestParserLoopDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	phv := NewPHV(l)
-	if _, err := p.Parse(make([]byte, 4), phv); err == nil {
-		t.Error("loop should be detected")
+	frame := make([]byte, 4)
+	if _, err := p.Parse(frame, phv); !errors.Is(err, ErrParseLoop) {
+		t.Errorf("loop: %v, want ErrParseLoop", err)
+	}
+	// The frame that spins the graph is attacker-controlled: reporting it
+	// must not allocate.
+	if allocs := testing.AllocsPerRun(100, func() { _, _ = p.Parse(frame, phv) }); allocs != 0 {
+		t.Errorf("loop detection allocates %.0f times, want 0", allocs)
+	}
+}
+
+// TestParsersDoNotShareState: a Parser keeps nothing of the ParseStates it
+// was compiled from, so two parsers built from one description — over layouts
+// that number the fields differently — each extract into their own layout,
+// and the description is left as the caller wrote it.
+func TestParsersDoNotShareState(t *testing.T) {
+	start, states := StandardParseGraph()
+	fields := StandardLayoutFields()
+	forward := NewLayout(fields...)
+	reversed := make([]string, len(fields))
+	for i, f := range fields {
+		reversed[len(fields)-1-i] = f
+	}
+	backward := NewLayout(reversed...)
+
+	_, before := StandardParseGraph()
+	pf, err := NewParser(forward, start, states...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pb, err := NewParser(backward, start, states...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(states, before) {
+		t.Error("NewParser modified the caller's ParseStates")
+	}
+
+	pkt := BuildTCPPacket(0x0a000001, 0x0a000002, 1234, 443, 0x12, 0)
+	for _, tc := range []struct {
+		p *Parser
+		l *Layout
+	}{{pf, forward}, {pb, backward}, {pf, forward}} {
+		phv := NewPHV(tc.l)
+		if _, err := tc.p.Parse(pkt, phv); err != nil {
+			t.Fatal(err)
+		}
+		if phv.GetName("ipv4.src") != 0x0a000001 || phv.GetName("l4.dport") != 443 || phv.GetName("tcp.flags") != 0x12 {
+			t.Errorf("parser over layout starting %q extracted src %#x dport %d flags %#x",
+				tc.l.Name(0), phv.GetName("ipv4.src"), phv.GetName("l4.dport"), phv.GetName("tcp.flags"))
+		}
+	}
+	// Truncation errors name the state of the parser that raised them.
+	_, errF := pf.Parse(pkt[:20], NewPHV(forward))
+	_, errB := pb.Parse(pkt[:40], NewPHV(backward))
+	if !errors.Is(errF, ErrShortPacket) || !strings.Contains(errF.Error(), "ipv4") {
+		t.Errorf("forward parser, frame cut in IPv4: %v", errF)
+	}
+	if !errors.Is(errB, ErrShortPacket) || !strings.Contains(errB.Error(), "tcp") {
+		t.Errorf("backward parser, frame cut in TCP: %v", errB)
 	}
 }
 
@@ -316,6 +386,17 @@ func TestRegisterArrayHighBitIndex(t *testing.T) {
 	}
 	if got := r.Add(idx, 3); got != 10 {
 		t.Errorf("Add at high-bit index = %d, want 10", got)
+	}
+	// A key reduced once addresses the same register through the slot
+	// accessors, on this array and on any other of the same size.
+	slot := r.Slot(idx)
+	if slot != 1 || r.ReadSlot(slot) != 10 {
+		t.Errorf("Slot(2^31+2) = %d holding %d, want slot 1 holding 10", slot, r.ReadSlot(slot))
+	}
+	other := NewRegisterArray("other", 3)
+	other.WriteSlot(slot, 4)
+	if got := other.Read(idx); got != 4 {
+		t.Errorf("WriteSlot(Slot(idx)) then Read(idx) = %d, want 4", got)
 	}
 }
 

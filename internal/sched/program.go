@@ -389,25 +389,44 @@ func (p *Program) emit() error {
 	return nil
 }
 
-// lanes resolves an Operand's window for batch slot j.
-func (p *Program) lanes(o Operand, j int) []int32 {
+// window is one operand (or destination) of an instruction resolved for a
+// sweep: its lanes from slot 0's first onward — in the graph node's Const
+// slice or the arena — and how far the window moves per batch slot (0 for a
+// constant: every slot reads the same lanes). Where a window lies is fixed
+// when the tape is emitted; what a Const holds is not (UpdateWeights copies
+// new weights into it in place), so a sweep resolves its windows afresh from
+// the Operands tapecheck audited and reads the contents through them. The
+// struct is kept to 32 bytes so that the compiler holds it in registers.
+type window struct {
+	lanes []int32
+	step  int
+}
+
+func (p *Program) window(o *Operand) window {
 	if o.Const != nil {
-		return o.Const[o.Off : o.Off+o.W]
+		return window{lanes: o.Const[o.Off : o.Off+o.W]}
 	}
-	base := o.Off + j*o.Stride
-	return p.vals[base : base+o.W]
+	return window{lanes: p.vals[o.Off:], step: o.Stride}
+}
+
+// slot returns the w lanes of batch slot j.
+func (w window) slot(j, width int) []int32 {
+	base := j * w.step
+	return w.lanes[base : base+width]
 }
 
 // sat32 clamps a wide intermediate to int32, identically to
-// fixed.Fix32.Saturate.
+// fixed.Fix32.Saturate: a value that survives the round trip through int32
+// is in range, which is the only case per-packet arithmetic on 8-bit codes
+// ever takes.
 func sat32(v int64) int32 {
-	if v < math.MinInt32 {
+	if r := int32(v); int64(r) == v {
+		return r
+	}
+	if v < 0 {
 		return math.MinInt32
 	}
-	if v > math.MaxInt32 {
-		return math.MaxInt32
-	}
-	return int32(v)
+	return math.MaxInt32
 }
 
 // Run evaluates batch slot 0: the per-packet hot path.
@@ -419,6 +438,10 @@ func (p *Program) Run() { p.RunBatch(1) }
 // InAt(i, j) for each slot beforehand and reads OutAt(i, j) after. It
 // allocates nothing and is bit-exact with Graph.Eval per slot.
 //
+// Each instruction resolves its windows once, then walks them slot by slot
+// through one kernel — a loop over equal-length lane slices with the operator
+// and saturation inlined.
+//
 // hotpath: zero-alloc
 func (p *Program) RunBatch(n int) {
 	if n < 1 || n > p.batch {
@@ -427,298 +450,301 @@ func (p *Program) RunBatch(n int) {
 	}
 	for ci := range p.code {
 		ins := &p.code[ci]
+		a, b := p.window(&ins.A), p.window(&ins.B)
+		out := window{lanes: p.vals[ins.Dst:], step: ins.DStride}
+		w, aw, bw := ins.W, ins.A.W, ins.B.W
 		switch ins.Op {
 		case OpAdd:
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				if ins.B.W == 1 {
-					bv := int64(p.lanes(ins.B, j)[0])
-					for i := range out {
-						out[i] = sat32(int64(a[i]) + bv)
-					}
-				} else {
-					b := p.lanes(ins.B, j)
-					for i := range out {
-						out[i] = sat32(int64(a[i]) + int64(b[i]))
-					}
-				}
+				addLanes(out.slot(j, w), a.slot(j, aw), b.slot(j, bw))
 			}
 		case OpSub:
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				if ins.B.W == 1 {
-					bv := int64(p.lanes(ins.B, j)[0])
-					for i := range out {
-						out[i] = sat32(int64(a[i]) - bv)
-					}
-				} else {
-					b := p.lanes(ins.B, j)
-					for i := range out {
-						out[i] = sat32(int64(a[i]) - int64(b[i]))
-					}
-				}
+				subLanes(out.slot(j, w), a.slot(j, aw), b.slot(j, bw))
 			}
 		case OpMul:
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				if ins.B.W == 1 {
-					bv := int64(p.lanes(ins.B, j)[0])
-					for i := range out {
-						out[i] = sat32(int64(a[i]) * bv)
-					}
-				} else {
-					b := p.lanes(ins.B, j)
-					for i := range out {
-						out[i] = sat32(int64(a[i]) * int64(b[i]))
-					}
-				}
+				mulLanes(out.slot(j, w), a.slot(j, aw), b.slot(j, bw))
 			}
 		case OpMin:
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				if ins.B.W == 1 {
-					bv := p.lanes(ins.B, j)[0]
-					for i := range out {
-						if v := a[i]; v < bv {
-							out[i] = v
-						} else {
-							out[i] = bv
-						}
-					}
-				} else {
-					b := p.lanes(ins.B, j)
-					for i := range out {
-						if v, bv := a[i], b[i]; v < bv {
-							out[i] = v
-						} else {
-							out[i] = bv
-						}
-					}
-				}
+				minLanes(out.slot(j, w), a.slot(j, aw), b.slot(j, bw))
 			}
 		case OpMax:
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				if ins.B.W == 1 {
-					bv := p.lanes(ins.B, j)[0]
-					for i := range out {
-						if v := a[i]; v > bv {
-							out[i] = v
-						} else {
-							out[i] = bv
-						}
-					}
-				} else {
-					b := p.lanes(ins.B, j)
-					for i := range out {
-						if v, bv := a[i], b[i]; v > bv {
-							out[i] = v
-						} else {
-							out[i] = bv
-						}
-					}
-				}
+				maxLanes(out.slot(j, w), a.slot(j, aw), b.slot(j, bw))
 			}
 		case OpRelu:
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				for i := range out {
-					if v := a[i]; v > 0 {
-						out[i] = v
-					} else {
-						out[i] = 0
-					}
-				}
+				reluLanes(out.slot(j, w), a.slot(j, aw))
 			}
 		case OpLeaky:
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				for i := range out {
-					if v := a[i]; v < 0 {
-						out[i] = int32((int64(v)*82 + 4096) >> 13)
-					} else {
-						out[i] = v
-					}
-				}
+				leakyLanes(out.slot(j, w), a.slot(j, aw))
 			}
 		case OpNeg:
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				for i := range out {
-					out[i] = sat32(-int64(a[i]))
-				}
+				negLanes(out.slot(j, w), a.slot(j, aw))
 			}
 		case OpAbs:
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				for i := range out {
-					if v := a[i]; v < 0 {
-						out[i] = sat32(-int64(v))
-					} else {
-						out[i] = v
-					}
-				}
+				absLanes(out.slot(j, w), a.slot(j, aw))
 			}
 		case OpSum:
 			for j := 0; j < n; j++ {
-				a := p.lanes(ins.A, j)
 				var s int64
-				for _, v := range a {
+				for _, v := range a.slot(j, aw) {
 					s += int64(v)
 				}
-				p.dstLanes(ins, j)[0] = sat32(s)
+				out.lanes[j*out.step] = sat32(s)
 			}
 		case OpRedMin, OpArgMin:
 			for j := 0; j < n; j++ {
-				a := p.lanes(ins.A, j)
-				best := 0
-				for i, v := range a {
-					if v < a[best] {
-						best = i
-					}
-				}
+				lanes := a.slot(j, aw)
+				best := argMin(lanes)
 				if ins.Op == OpArgMin {
-					p.dstLanes(ins, j)[0] = int32(best)
+					out.lanes[j*out.step] = int32(best)
 				} else {
-					p.dstLanes(ins, j)[0] = a[best]
+					out.lanes[j*out.step] = lanes[best]
 				}
 			}
 		case OpRedMax, OpArgMax:
 			for j := 0; j < n; j++ {
-				a := p.lanes(ins.A, j)
-				best := 0
-				for i, v := range a {
-					if v > a[best] {
-						best = i
-					}
-				}
+				lanes := a.slot(j, aw)
+				best := argMax(lanes)
 				if ins.Op == OpArgMax {
-					p.dstLanes(ins, j)[0] = int32(best)
+					out.lanes[j*out.step] = int32(best)
 				} else {
-					p.dstLanes(ins, j)[0] = a[best]
+					out.lanes[j*out.step] = lanes[best]
 				}
 			}
-		case OpRequant:
+		case OpRequant, OpScale:
 			m := *ins.Mult // read once per sweep; aliases the live node
-			if m.Shift >= 63 {
-				p.fill(ins, n, 0) // degenerate multiplier rounds to zero
-				continue
+			lo, hi := int32(math.MinInt32), int32(math.MaxInt32)
+			if ins.Op == OpRequant {
+				lo, hi = -128, 127
 			}
-			m0, half, sh := int64(m.M0), int64(1)<<(m.Shift-1), uint(m.Shift)
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				for i := range out {
-					v := int32((int64(a[i])*m0 + half) >> sh)
-					if v > 127 {
-						v = 127
-					} else if v < -128 {
-						v = -128
-					}
-					out[i] = v
-				}
-			}
-		case OpScale:
-			m := *ins.Mult
-			if m.Shift >= 63 {
-				p.fill(ins, n, 0)
-				continue
-			}
-			m0, half, sh := int64(m.M0), int64(1)<<(m.Shift-1), uint(m.Shift)
-			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				for i := range out {
-					out[i] = int32((int64(a[i])*m0 + half) >> sh)
-				}
+				scaleLanes(out.slot(j, w), a.slot(j, aw), m, lo, hi)
 			}
 		case OpLUT:
-			lut := ins.LUT
-			m := lut.Mult
 			for j := 0; j < n; j++ {
-				a, out := p.lanes(ins.A, j), p.dstLanes(ins, j)
-				for i := range out {
-					idx := m.Apply(a[i])
-					if idx < -mr.LUTSize/2 {
-						idx = -mr.LUTSize / 2
-					} else if idx > mr.LUTSize/2-1 {
-						idx = mr.LUTSize/2 - 1
-					}
-					out[i] = int32(lut.Table[idx+mr.LUTSize/2])
-				}
+				lutLanes(out.slot(j, w), a.slot(j, aw), ins.LUT)
 			}
 		case OpCopy:
 			for j := 0; j < n; j++ {
-				copy(p.dstLanes(ins, j), p.lanes(ins.A, j))
+				copy(out.slot(j, w), a.slot(j, aw))
 			}
 		case OpDot:
 			for j := 0; j < n; j++ {
-				a := p.lanes(ins.A, j)
-				var s int64
-				if ins.B.W == 1 {
-					bv := int64(p.lanes(ins.B, j)[0])
-					for _, v := range a {
-						s += int64(sat32(int64(v) * bv))
-					}
-				} else {
-					b := p.lanes(ins.B, j)
-					for i, v := range a {
-						s += int64(sat32(int64(v) * int64(b[i])))
-					}
-				}
-				p.dstLanes(ins, j)[0] = sat32(s)
+				out.lanes[j*out.step] = sat32(dotLanes(a.slot(j, aw), b.slot(j, bw)))
 			}
 		case OpDotAdd:
+			c := p.window(&ins.C)
 			for j := 0; j < n; j++ {
-				a := p.lanes(ins.A, j)
-				var s int64
-				if ins.B.W == 1 {
-					bv := int64(p.lanes(ins.B, j)[0])
-					for _, v := range a {
-						s += int64(sat32(int64(v) * bv))
-					}
-				} else {
-					b := p.lanes(ins.B, j)
-					for i, v := range a {
-						s += int64(sat32(int64(v) * int64(b[i])))
-					}
-				}
-				cv := int64(p.lanes(ins.C, j)[0])
-				p.dstLanes(ins, j)[0] = sat32(int64(sat32(s)) + cv)
+				dot := sat32(dotLanes(a.slot(j, aw), b.slot(j, bw)))
+				out.lanes[j*out.step] = sat32(int64(dot) + int64(c.lanes[j*c.step]))
 			}
 		case OpSqDist:
 			for j := 0; j < n; j++ {
-				a := p.lanes(ins.A, j)
-				var s int64
-				if ins.B.W == 1 {
-					bv := int64(p.lanes(ins.B, j)[0])
-					for _, v := range a {
-						d := int64(sat32(int64(v) - bv))
-						s += int64(sat32(d * d))
-					}
-				} else {
-					b := p.lanes(ins.B, j)
-					for i, v := range a {
-						d := int64(sat32(int64(v) - int64(b[i])))
-						s += int64(sat32(d * d))
-					}
-				}
-				p.dstLanes(ins, j)[0] = sat32(s)
+				out.lanes[j*out.step] = sat32(sqDistLanes(a.slot(j, aw), b.slot(j, bw)))
 			}
 		}
 	}
 }
 
-// dst resolves an instruction's output window for batch slot j.
-func (p *Program) dstLanes(ins *Instr, j int) []int32 {
-	base := ins.Dst + j*ins.DStride
-	return p.vals[base : base+ins.W]
+// The kernels below each evaluate one instruction for one batch slot. A
+// binary kernel's b is either as long as out or a single broadcast lane;
+// re-slicing a and b to len(out) up front lets the compiler drop the per-lane
+// bounds checks.
+
+func addLanes(out, a, b []int32) {
+	a = a[:len(out)]
+	if len(b) == 1 {
+		bv := int64(b[0])
+		for i := range out {
+			out[i] = sat32(int64(a[i]) + bv)
+		}
+		return
+	}
+	b = b[:len(out)]
+	for i := range out {
+		out[i] = sat32(int64(a[i]) + int64(b[i]))
+	}
 }
 
-// fill writes v across the instruction's output for slots 0..n-1.
-func (p *Program) fill(ins *Instr, n int, v int32) {
-	for j := 0; j < n; j++ {
-		out := p.dstLanes(ins, j)
+func subLanes(out, a, b []int32) {
+	a = a[:len(out)]
+	if len(b) == 1 {
+		bv := int64(b[0])
 		for i := range out {
+			out[i] = sat32(int64(a[i]) - bv)
+		}
+		return
+	}
+	b = b[:len(out)]
+	for i := range out {
+		out[i] = sat32(int64(a[i]) - int64(b[i]))
+	}
+}
+
+func mulLanes(out, a, b []int32) {
+	a = a[:len(out)]
+	if len(b) == 1 {
+		bv := int64(b[0])
+		for i := range out {
+			out[i] = sat32(int64(a[i]) * bv)
+		}
+		return
+	}
+	b = b[:len(out)]
+	for i := range out {
+		out[i] = sat32(int64(a[i]) * int64(b[i]))
+	}
+}
+
+func minLanes(out, a, b []int32) {
+	a = a[:len(out)]
+	if len(b) == 1 {
+		bv := b[0]
+		for i := range out {
+			out[i] = min(a[i], bv)
+		}
+		return
+	}
+	b = b[:len(out)]
+	for i := range out {
+		out[i] = min(a[i], b[i])
+	}
+}
+
+func maxLanes(out, a, b []int32) {
+	a = a[:len(out)]
+	if len(b) == 1 {
+		bv := b[0]
+		for i := range out {
+			out[i] = max(a[i], bv)
+		}
+		return
+	}
+	b = b[:len(out)]
+	for i := range out {
+		out[i] = max(a[i], b[i])
+	}
+}
+
+func reluLanes(out, a []int32) {
+	a = a[:len(out)]
+	for i := range out {
+		out[i] = max(a[i], 0)
+	}
+}
+
+func leakyLanes(out, a []int32) {
+	a = a[:len(out)]
+	for i := range out {
+		if v := a[i]; v < 0 {
+			out[i] = int32((int64(v)*82 + 4096) >> 13)
+		} else {
 			out[i] = v
 		}
 	}
+}
+
+func negLanes(out, a []int32) {
+	a = a[:len(out)]
+	for i := range out {
+		out[i] = sat32(-int64(a[i]))
+	}
+}
+
+func absLanes(out, a []int32) {
+	a = a[:len(out)]
+	for i := range out {
+		if v := a[i]; v < 0 {
+			out[i] = sat32(-int64(v))
+		} else {
+			out[i] = v
+		}
+	}
+}
+
+// argMin and argMax return the index of the first extreme lane.
+func argMin(a []int32) int {
+	best := 0
+	for i, v := range a {
+		if v < a[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+func argMax(a []int32) int {
+	best := 0
+	for i, v := range a {
+		if v > a[best] {
+			best = i
+		}
+	}
+	return best
+}
+
+// scaleLanes is fixed.Multiplier.Apply per lane, clamped to [lo, hi]: the
+// int8 range for a requantise, the whole of int32 (no clamp) for a scale.
+func scaleLanes(out, a []int32, m fixed.Multiplier, lo, hi int32) {
+	if m.Shift >= 63 {
+		clear(out) // degenerate multiplier rounds to zero
+		return
+	}
+	m0, half, sh := int64(m.M0), int64(1)<<(m.Shift-1), uint(m.Shift)
+	a = a[:len(out)]
+	for i := range out {
+		out[i] = min(max(int32((int64(a[i])*m0+half)>>sh), lo), hi)
+	}
+}
+
+func lutLanes(out, a []int32, lut *mr.LUT) {
+	m := lut.Mult
+	a = a[:len(out)]
+	for i := range out {
+		idx := min(max(m.Apply(a[i]), -mr.LUTSize/2), mr.LUTSize/2-1)
+		out[i] = int32(lut.Table[idx+mr.LUTSize/2])
+	}
+}
+
+// dotLanes is sum(sat32(a[i]*b[i])); the caller saturates the sum.
+func dotLanes(a, b []int32) int64 {
+	var s int64
+	if len(b) == 1 {
+		bv := int64(b[0])
+		for _, v := range a {
+			s += int64(sat32(int64(v) * bv))
+		}
+		return s
+	}
+	b = b[:len(a)]
+	for i, v := range a {
+		s += int64(sat32(int64(v) * int64(b[i])))
+	}
+	return s
+}
+
+// sqDistLanes is sum(sat32(d*d)) with d = sat32(a[i]-b[i]).
+func sqDistLanes(a, b []int32) int64 {
+	var s int64
+	if len(b) == 1 {
+		bv := int64(b[0])
+		for _, v := range a {
+			d := int64(sat32(int64(v) - bv))
+			s += int64(sat32(d * d))
+		}
+		return s
+	}
+	b = b[:len(a)]
+	for i, v := range a {
+		d := int64(sat32(int64(v) - int64(b[i])))
+		s += int64(sat32(d * d))
+	}
+	return s
 }
