@@ -386,16 +386,24 @@ func place(g *mr.Graph, pl *cgra.Placement, opts Options) error {
 		(*pool) = append((*pool)[:best], (*pool)[best+1:]...)
 		return pos, true
 	}
-	shareLeastLoaded := func(kind cgra.GroupKind) (cgra.Coord, error) {
+	// shareLeastLoaded ranges over a map, so every tie is broken explicitly —
+	// load, then distance to want (takeNearest's criterion), then row-major —
+	// and the placement is a function of the graph, not of iteration order.
+	shareLeastLoaded := func(kind cgra.GroupKind, want cgra.Coord) (cgra.Coord, error) {
 		best := cgra.Coord{Row: -1}
-		bestLoad := 1 << 30
+		bestLoad, bestD := 1<<30, 1<<30
 		for pos, load := range used {
 			if spec.IsMU(pos) != (kind == cgra.GroupMU) {
 				continue
 			}
-			if load < bestLoad {
-				best, bestLoad = pos, load
+			d := pos.Manhattan(want)
+			better := load < bestLoad ||
+				load == bestLoad && (d < bestD ||
+					d == bestD && (pos.Row < best.Row || pos.Row == best.Row && pos.Col < best.Col))
+			if !better {
+				continue
 			}
+			best, bestLoad, bestD = pos, load, d
 		}
 		if best.Row < 0 {
 			return cgra.Coord{}, fmt.Errorf("compiler: no unit available to share for %v group", kind)
@@ -453,7 +461,7 @@ func place(g *mr.Graph, pl *cgra.Placement, opts Options) error {
 			pos, ok := takeNearest(&freeMUs, want)
 			if !ok {
 				var err error
-				pos, err = shareLeastLoaded(cgra.GroupMU)
+				pos, err = shareLeastLoaded(cgra.GroupMU, want)
 				if err != nil {
 					return err
 				}
@@ -465,7 +473,7 @@ func place(g *mr.Graph, pl *cgra.Placement, opts Options) error {
 			pos, ok := takeNearest(&freeCUs, want)
 			if !ok {
 				var err error
-				pos, err = shareLeastLoaded(cgra.GroupCU)
+				pos, err = shareLeastLoaded(cgra.GroupCU, want)
 				if err != nil {
 					return err
 				}

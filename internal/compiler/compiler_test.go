@@ -10,6 +10,7 @@ import (
 	"taurus/internal/lower"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
+	"taurus/internal/tensor"
 )
 
 // compileMicro compiles a named microbenchmark at width 16.
@@ -318,5 +319,63 @@ func TestPrecisionScalesArea(t *testing.T) {
 	ratio := r16.AreaMM2() / r8.AreaMM2()
 	if ratio < 1.4 || ratio > 2.2 {
 		t.Errorf("fix16/fix8 area ratio = %v, want ~2 (Table 4)", ratio)
+	}
+}
+
+// TestPlacementDeterministic: placement is a function of the graph. Both
+// designs oversubscribe the grid, so groups share units — the path that once
+// picked among equally loaded units in map-iteration order and gave one graph
+// a different latency and II per compile.
+func TestPlacementDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	X := make([]tensor.Vec, 64)
+	for i := range X {
+		X[i] = make(tensor.Vec, 8)
+		for j := range X[i] {
+			X[i][j] = rng.Float32()
+		}
+	}
+	q, err := ml.Quantize(ml.NewDNN([]int{8, 64, 32, 1}, ml.ReLU, ml.Sigmoid, rng), X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide, err := lower.DNN(q, "wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lstm, err := lower.LSTMStep(ml.NewLSTM(4, 32, 5, rng), fixed.NewQuantizer(1.0), "lstm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []*mr.Graph{wide, lstm} {
+		first, err := Compile(g, Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", g.Name, err)
+		}
+		shared := map[cgra.Coord]bool{}
+		sharing := false
+		for _, grp := range first.Placement.Groups {
+			if grp.Kind == cgra.GroupCU {
+				sharing = sharing || shared[grp.Pos]
+				shared[grp.Pos] = true
+			}
+		}
+		if !sharing {
+			t.Fatalf("%s: no CU is shared; the test no longer reaches the tie-break", g.Name)
+		}
+		for run := 1; run < 20; run++ {
+			res, err := Compile(g, Options{})
+			if err != nil {
+				t.Fatalf("%s: %v", g.Name, err)
+			}
+			if res.Stats != first.Stats {
+				t.Fatalf("%s: compile %d stats %+v, first compile %+v", g.Name, run, res.Stats, first.Stats)
+			}
+			for i, grp := range res.Placement.Groups {
+				if want := first.Placement.Groups[i].Pos; grp.Pos != want {
+					t.Fatalf("%s: compile %d placed group %d at %v, first compile at %v", g.Name, run, i, grp.Pos, want)
+				}
+			}
+		}
 	}
 }

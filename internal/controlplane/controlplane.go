@@ -19,29 +19,16 @@
 // handoff of a freshly lowered graph, after which the trainer may keep
 // mutating its own state freely.
 //
-// The controller has two driving modes. Synchronous: the traffic driver
-// calls Observe after each batch and, when it returns true (drift), calls
-// RetrainNow — fully deterministic, used by the drift experiment. Background:
-// Start launches a worker goroutine that retrains whenever drift is observed
-// (and, optionally, on a fixed RetrainInterval) while the caller keeps
-// pushing batches — the live deployment shape, exercised under -race.
-//
-// The two modes meet at the kick channel: every drift detection fills a
-// one-slot buffer the background worker drains, so signals coalesce instead
-// of queueing. Because Observe fills the buffer in both modes, a completed
-// retrain drains any kick still pending — it was answered by that retrain,
-// and leaving it buffered would fire a spurious retrain the moment Start
-// (or a Close → Start restart) brings a worker up.
-//
-// Fleet scales the same loop out to N switches: one trainer, one shared
+// There is one control loop, Fleet (fleet.go): one trainer, one shared
 // model, a drift detector per registered member, label pooling across the
-// drifted members and an atomic fan-out push — see fleet.go.
+// drifted members and an atomic fan-out push, driven synchronously or by a
+// background worker. Whether it serves one switch or many is a deployment
+// count: Controller is a Fleet with exactly one member.
 package controlplane
 
 import (
 	"fmt"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -49,7 +36,6 @@ import (
 	"taurus/internal/dataset"
 	"taurus/internal/distfit"
 	"taurus/internal/fixed"
-	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/model"
 	"taurus/internal/obs"
@@ -155,16 +141,17 @@ type Config struct {
 	// RetrainInterval, when positive, retrains periodically in background
 	// mode even without a drift signal (0 = drift-triggered only).
 	RetrainInterval time.Duration
-	// SourceDeadline, when positive, bounds how long a Fleet retrain waits
-	// on any one member's LabelSource: a member whose source has not
-	// returned after the deadline is skipped for that retrain (its
-	// MemberStats.SourceTimeouts increments) and its share of the pool is
-	// re-drawn from the members that answered, so one stalled source cannot
-	// stall or starve the shared loop. Records a skipped call returns later
-	// are discarded, and while it is still running the member stays skipped
-	// — a LabelSource is never invoked concurrently with itself. 0 (the
-	// default) waits indefinitely. Fleet pooling only — a single-switch
-	// Controller has one source and nothing to fall back on.
+	// SourceDeadline, when positive, bounds how long a retrain waits on any
+	// one member's LabelSource: a member whose source has not returned after
+	// the deadline is skipped for that retrain (its MemberStats.SourceTimeouts
+	// increments) and its share of the pool is re-drawn from the members that
+	// answered, so one stalled source cannot stall or starve the shared loop.
+	// When every source stalls — a Controller's only one, say — the retrain
+	// fails after the deadline (Err reports it, the drift latch is cleared)
+	// instead of blocking. Records a skipped call returns later are
+	// discarded, and while it is still running the member stays skipped — a
+	// LabelSource is never invoked concurrently with itself. 0 (the default)
+	// waits indefinitely.
 	SourceDeadline time.Duration
 	// DistFit, when set, routes every retrain's Fit through a
 	// coordinator/worker distributed fit (internal/distfit): the collected
@@ -177,19 +164,19 @@ type Config struct {
 	// store (defaulted once, at construction) survives that cycle, so an
 	// interrupted round resumes rather than restarts.
 	DistFit *distfit.Config
-	// OnPush, when set, is invoked after every successful weight push —
-	// RetrainNow's and the Fleet's fan-out alike. It is the hook that turns
-	// control-plane pushes into events elsewhere (the continuous-time
-	// queueing simulator stalls its shards through it). Called from the
-	// retrain path with no controller locks held; it must not call back
-	// into the controller.
+	// OnPush, when set, is invoked after every successful weight push (once
+	// per fan-out, not per member). It is the hook that turns control-plane
+	// pushes into events elsewhere (the continuous-time queueing simulator
+	// stalls its shards through it). Called from the retrain path with no
+	// controller locks held; it must not call back into the controller.
 	OnPush func()
 	// Obs is the metrics registry the control plane's counters register in
 	// (obs.Default() when nil).
 	Obs *obs.Registry
 	// ObsLabels identify this control plane's instruments. When nil a
-	// Controller takes a process-unique {ctl=N}; a Fleet takes {fleet=N} and
-	// tags each member's detector {fleet=N, member=<name>}.
+	// Controller takes a process-unique {ctl=N} and a Fleet {fleet=N}; each
+	// member's detector counters add {member=<name>} (a Controller's one
+	// member is "member-0").
 	ObsLabels []obs.Label
 	// Tracer receives the control-plane trace: drift detections, retrain
 	// spans, graphcheck/tapecheck verdicts, label pooling, push fan-out and
@@ -289,45 +276,12 @@ type Stats struct {
 // ctlOrdinal numbers controllers built without explicit ObsLabels.
 var ctlOrdinal atomic.Int64
 
-// Controller is the closed-loop control plane over one data plane.
+// Controller is the closed-loop control plane over one data plane: a Fleet
+// with exactly one member. Detection, pooling, the retrain cycle, the push
+// gate and the background worker are the fleet's; the controller only drops
+// the member argument and folds the fleet's aggregates into Stats.
 type Controller struct {
-	cfg    Config
-	pusher Pusher
-	inQ    fixed.Quantizer
-	source LabelSource
-
-	// mu guards the drift detector and the retrain counters — everything
-	// Observe touches, kept separate from training so a background retrain
-	// never stalls the traffic driver's Observe calls.
-	mu          sync.Mutex
-	det         detector
-	retrainsC   *obs.Counter // taurus.ctl.retrains — completed cycles
-	tracer      *obs.Tracer
-	lastRecords int
-	lastErr     error
-
-	// trainMu serialises retrains; the model belongs to the retrain path
-	// exclusively. lastGraph is the most recently pushed lowering — the
-	// structural baseline every later push must stay compatible with.
-	trainMu   sync.Mutex
-	model     model.Deployable
-	lastGraph *mr.Graph
-
-	// Distributed fit (Config.DistFit). The coordinator's lifecycle runs
-	// under trainMu; the pointer itself is additionally guarded by mu so
-	// DistFit() can read it without blocking on a retrain. reissuedBase
-	// carries the re-issue count across coordinator respawns.
-	pf           model.PartialFitter
-	dfCfg        distfit.Config
-	coord        *distfit.Coordinator
-	lastWorkers  int
-	reissuedBase int
-
-	// Background mode.
-	runMu sync.Mutex
-	kick  chan struct{}
-	done  chan struct{}
-	wg    sync.WaitGroup
+	f *Fleet
 }
 
 // New builds a controller that pushes to pusher, retraining m (the
@@ -337,101 +291,29 @@ type Controller struct {
 // requantises against that pinned input domain, since the data plane's
 // preprocessing MATs keep using it across pushes.
 func New(pusher Pusher, m model.Deployable, inQ fixed.Quantizer, source LabelSource, cfg Config) (*Controller, error) {
+	// Checked before NewFleet so a refused construction never spawns (and
+	// strands) a distfit worker pool.
 	if pusher == nil {
 		return nil, fmt.Errorf("controlplane: nil pusher")
-	}
-	if m == nil {
-		return nil, fmt.Errorf("controlplane: nil model")
 	}
 	if source == nil {
 		return nil, fmt.Errorf("controlplane: nil label source")
 	}
-	if inQ.Scale <= 0 {
-		return nil, fmt.Errorf("controlplane: input quantiser has scale %v; pass the quantiser the model was loaded with", inQ.Scale)
+	if cfg.ObsLabels == nil {
+		cfg.ObsLabels = []obs.Label{obs.L("ctl", strconv.FormatInt(ctlOrdinal.Add(1)-1, 10))}
 	}
-	cfg.applyDefaults()
-	reg := cfg.Obs
-	if reg == nil {
-		reg = obs.Default()
-	}
-	labels := cfg.ObsLabels
-	if labels == nil {
-		labels = []obs.Label{obs.L("ctl", strconv.FormatInt(ctlOrdinal.Add(1)-1, 10))}
-	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.DefaultTracer()
-	}
-	c := &Controller{
-		cfg:       cfg,
-		pusher:    pusher,
-		inQ:       inQ,
-		source:    source,
-		model:     m,
-		retrainsC: reg.Counter("taurus.ctl.retrains", labels...),
-		tracer:    tracer,
-		kick:      make(chan struct{}, 1),
-	}
-	c.det.cfg = &c.cfg
-	c.det.bind(reg, labels)
-	if cfg.DistFit != nil {
-		pf, ok := m.(model.PartialFitter)
-		if !ok {
-			return nil, fmt.Errorf("controlplane: DistFit is set but model %q does not implement model.PartialFitter", m.Name())
-		}
-		c.pf = pf
-		c.dfCfg = *cfg.DistFit
-		if c.dfCfg.Tracer == nil {
-			// Distributed rounds journal beside the retrain spans that ran them.
-			c.dfCfg.Tracer = tracer
-		}
-		if c.dfCfg.Store == nil {
-			// Pin the checkpoint store now so it survives coordinator
-			// respawns across Close — that persistence is what lets an
-			// interrupted round resume.
-			c.dfCfg.Store = distfit.NewMemStore()
-		}
-		coord, err := distfit.New(pf, c.dfCfg)
-		if err != nil {
-			return nil, err
-		}
-		c.coord = coord
-	}
-	return c, nil
-}
-
-// DistFit returns the live distributed-fit coordinator, or nil when
-// Config.DistFit is unset or the coordinator is between lifetimes (after
-// Close, before the next retrain respawns it). The handle is how a fault
-// injector reaches the worker pool (KillWorker/AddWorker).
-func (c *Controller) DistFit() *distfit.Coordinator {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.coord
-}
-
-// coordinator returns the coordinator to route this retrain through (nil =
-// plain in-process Fit), respawning it if Close tore it down. Runs under
-// trainMu.
-func (c *Controller) coordinator() (*distfit.Coordinator, error) {
-	if c.pf == nil {
-		return nil, nil
-	}
-	c.mu.Lock()
-	coord := c.coord
-	c.mu.Unlock()
-	if coord != nil {
-		return coord, nil
-	}
-	coord, err := distfit.New(c.pf, c.dfCfg)
+	f, err := NewFleet(m, inQ, cfg)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	c.coord = coord
-	c.mu.Unlock()
-	return coord, nil
+	if _, err := f.Register("", pusher, source); err != nil {
+		return nil, err
+	}
+	return &Controller{f: f}, nil
 }
+
+// DistFit returns the live distributed-fit coordinator; see Fleet.DistFit.
+func (c *Controller) DistFit() *distfit.Coordinator { return c.f.DistFit() }
 
 // Observe feeds a batch of data-plane decisions into the drift detector —
 // the sampled mirror of §3.3.1's decision telemetry. It samples one in
@@ -439,102 +321,11 @@ func (c *Controller) coordinator() (*distfit.Coordinator, error) {
 // compared against the reference profile. It returns true when this call
 // completed a window that newly crossed a drift threshold; in background
 // mode that also schedules a retrain. Safe for concurrent use.
-func (c *Controller) Observe(decs []core.Decision) bool {
-	c.mu.Lock()
-	newDrift := c.det.observe(decs)
-	flagRate, meanScore := c.det.lastFlagRate, c.det.lastMeanScore
-	c.mu.Unlock()
-	if newDrift {
-		c.tracer.Emitf(0, "drift.detected", "flag_rate=%.3f mean_score=%.1f", flagRate, meanScore)
-		select {
-		case c.kick <- struct{}{}:
-		default: // a retrain is already pending; coalesce
-		}
-	}
-	return newDrift
-}
+func (c *Controller) Observe(decs []core.Decision) bool { return c.f.Observe(0, decs) }
 
-// RetrainNow synchronously runs one control-loop cycle: collect fresh
-// labelled records (a fixed RetrainRecords draw, or the adaptive collection
-// when AdaptiveRetrain is set), Fit the model on them, Lower against the
-// pinned input domain, and push to the data plane. On success the drift
-// detector's reference is re-armed so the post-push distribution becomes
-// the new normal, and any drift kick still pending from before the push is
-// drained — it answered this retrain, and must not fire a spurious one when
-// a background worker (re)starts. Concurrent calls serialise.
-func (c *Controller) RetrainNow() error {
-	c.trainMu.Lock()
-	defer c.trainMu.Unlock()
-
-	span := c.tracer.Begin()
-	c.tracer.Emitf(span, "retrain.start", "model=%q", c.model.Name())
-	coord, err := c.coordinator()
-	if err != nil {
-		return c.fail(span, err)
-	}
-	n, err := fitOnFresh(c.model, c.source, &c.cfg, coord)
-	if err != nil {
-		return c.fail(span, err)
-	}
-	c.tracer.Emitf(span, "retrain.fit", "records=%d", n)
-	g, err := c.model.Lower(c.inQ)
-	if err != nil {
-		return c.fail(span, err)
-	}
-	// Static gate before the data plane sees the graph: a lowering whose
-	// fixed-point ranges can saturate, or that changed structure since the
-	// last push, is refused here — the push never starts, so no rollback
-	// machinery is ever needed for it.
-	if err := graphcheck.Check(g); err != nil {
-		c.tracer.Emitf(span, "graphcheck.fail", "err=%q", err.Error())
-		return c.fail(span, err)
-	}
-	if c.lastGraph != nil {
-		if err := graphcheck.Compatible(c.lastGraph, g); err != nil {
-			c.tracer.Emitf(span, "graphcheck.fail", "err=%q", err.Error())
-			return c.fail(span, err)
-		}
-	}
-	c.tracer.Emitf(span, "graphcheck.pass", "graph=%q", g.Name)
-	if err := c.pusher.UpdateWeights(g); err != nil {
-		return c.fail(span, err)
-	}
-	// Post-push audit: the push mutated the graph the serving tape aliases;
-	// prove the compiled path is still a faithful translation before
-	// declaring the cycle done.
-	if rc, ok := c.pusher.(TapeRechecker); ok {
-		if err := rc.RecheckTape(); err != nil {
-			c.tracer.Emitf(span, "tapecheck.fail", "post-push recheck: err=%q", err.Error())
-			return c.fail(span, err)
-		}
-		c.tracer.Emit(span, "tapecheck.pass", "post-push recheck")
-	}
-	c.lastGraph = g
-	if c.cfg.OnPush != nil {
-		c.cfg.OnPush()
-	}
-	c.tracer.Emitf(span, "push.done", "records=%d", n)
-
-	c.mu.Lock()
-	c.retrainsC.Inc()
-	c.lastRecords = n
-	if coord != nil {
-		c.lastWorkers = coord.Stats().LiveWorkers
-	}
-	c.det.rearm()
-	c.lastErr = nil
-	c.mu.Unlock()
-	// Drain the stale kick: Observe fills the buffered channel even in
-	// synchronous mode, so without the drain a later Start() would
-	// immediately re-answer drift this push already resolved. New drift
-	// cannot be declared before the re-armed reference completes, so a
-	// genuine kick cannot race into this window.
-	select {
-	case <-c.kick:
-	default:
-	}
-	return nil
-}
+// RetrainNow synchronously runs one control-loop cycle — collect, Fit, Lower,
+// verify, push, re-arm; see Fleet.RetrainNow. Concurrent calls serialise.
+func (c *Controller) RetrainNow() error { return c.f.RetrainNow() }
 
 // fitOnFresh collects labelled records from pull and (re)fits m on them —
 // through the distfit coordinator when one is given (Config.DistFit),
@@ -605,135 +396,35 @@ func scoresOf(m model.Deployable, recs []dataset.Record) []float64 {
 	return out
 }
 
-func (c *Controller) fail(span int64, err error) error {
-	c.tracer.Emitf(span, "retrain.fail", "err=%q", err.Error())
-	c.mu.Lock()
-	c.lastErr = err
-	// Re-arm the drift latch: left set, the detector would never signal
-	// again and a single failed retrain would end drift-driven retraining
-	// for good. Clearing it lets the still-shifted distribution re-trigger
-	// on the next out-of-band windows.
-	c.det.clearLatch()
-	c.mu.Unlock()
-	return err
-}
-
 // Start launches the background retrain worker: it retrains whenever
 // Observe detects drift, and on every RetrainInterval when one is
 // configured. Calling Start twice is a no-op.
-func (c *Controller) Start() {
-	c.runMu.Lock()
-	defer c.runMu.Unlock()
-	if c.done != nil {
-		return
-	}
-	c.done = make(chan struct{})
-	c.wg.Add(1)
-	go c.run(c.done)
-}
-
-func (c *Controller) run(done <-chan struct{}) {
-	defer c.wg.Done()
-	var tick <-chan time.Time
-	if c.cfg.RetrainInterval > 0 {
-		t := time.NewTicker(c.cfg.RetrainInterval)
-		defer t.Stop()
-		tick = t.C
-	}
-	for {
-		select {
-		case <-done:
-			return
-		case <-c.kick:
-		case <-tick:
-		}
-		// Errors are retained in Err(); the loop keeps serving future drift
-		// signals — one failed push must not end the control plane.
-		_ = c.RetrainNow()
-	}
-}
+func (c *Controller) Start() { c.f.Start() }
 
 // Close stops the background worker (if started), waits for any retrain in
 // flight to finish, and releases the distfit worker pool when Config.DistFit
-// is set. The controller remains usable synchronously: the next retrain
-// respawns the coordinator, and its checkpoint store carries across, so an
-// interrupted distributed round resumes rather than restarts.
-func (c *Controller) Close() {
-	// Signal the background worker first, then abort any in-flight
-	// distributed Fit (its ErrClosed unblocks a retrain stuck waiting on
-	// workers), then join the worker — this order cannot deadlock on a
-	// wedged round.
-	c.runMu.Lock()
-	done := c.done
-	c.done = nil
-	c.runMu.Unlock()
-	if done != nil {
-		close(done)
-	}
-	c.mu.Lock()
-	coord := c.coord
-	c.mu.Unlock()
-	if coord != nil {
-		coord.Close()
-	}
-	if done != nil {
-		c.wg.Wait()
-	}
-	// Quiesce the retrain path and retire the coordinator — including one a
-	// racing synchronous retrain respawned after the abort above.
-	c.trainMu.Lock()
-	defer c.trainMu.Unlock()
-	c.mu.Lock()
-	cur := c.coord
-	c.coord = nil
-	c.mu.Unlock()
-	if cur != nil {
-		cur.Close()
-	}
-	base := 0
-	if cur != nil {
-		base += cur.Stats().ReissuedTasks
-	}
-	if coord != nil && coord != cur {
-		base += coord.Stats().ReissuedTasks
-	}
-	if base > 0 {
-		c.mu.Lock()
-		c.reissuedBase += base
-		c.mu.Unlock()
-	}
-}
+// is set. The controller remains usable synchronously; see Fleet.Close.
+func (c *Controller) Close() { c.f.Close() }
 
-// Stats returns a snapshot of the controller's counters.
+// Stats returns a snapshot of the controller's counters: the one member's
+// detector view plus the fleet-wide retrain aggregates.
 func (c *Controller) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	st := c.det.stats()
-	st.Retrains = int(c.retrainsC.Value())
-	st.LastRetrainRecords = c.lastRecords
-	st.LastRetrainWorkers = c.lastWorkers
-	st.ReissuedTasks = c.reissuedBase
-	if c.coord != nil {
-		st.ReissuedTasks += c.coord.Stats().ReissuedTasks
-	}
+	fs := c.f.Stats()
+	st := fs.Members[0].Stats
+	st.Retrains = fs.Retrains
+	st.LastRetrainRecords = fs.LastPoolSize
+	st.LastRetrainWorkers = fs.LastRetrainWorkers
+	st.ReissuedTasks = fs.ReissuedTasks
 	return st
 }
 
 // Err returns the error of the most recent failed retrain, or nil if the
 // last retrain succeeded (or none ran).
-func (c *Controller) Err() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastErr
-}
+func (c *Controller) Err() error { return c.f.Err() }
 
 // Drifted reports whether drift has been detected and not yet answered by a
 // retrain.
-func (c *Controller) Drifted() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.det.drifted
-}
+func (c *Controller) Drifted() bool { return c.f.Drifted() }
 
 func abs(v float64) float64 {
 	if v < 0 {

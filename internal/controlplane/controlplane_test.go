@@ -1,7 +1,10 @@
 package controlplane
 
 import (
+	"bytes"
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +17,7 @@ import (
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/model"
+	"taurus/internal/obs"
 	"taurus/internal/pipeline"
 	"taurus/internal/tensor"
 	"taurus/internal/trafficgen"
@@ -208,7 +212,7 @@ func TestControllerBackgroundRetrainUnderTraffic(t *testing.T) {
 // still-shifted distribution so a later retrain can succeed.
 func TestControllerFailedRetrainRearms(t *testing.T) {
 	f := newLoopFixture(t, 1, 5)
-	failures := 1
+	failures := 2 // outlasts the pool's one top-up re-request within a retrain
 	flaky := func(n int) []dataset.Record {
 		if failures > 0 {
 			failures--
@@ -262,6 +266,191 @@ func TestControllerFailedRetrainRearms(t *testing.T) {
 	}
 	if err := ctrl.Err(); err != nil {
 		t.Errorf("Err() still reports a failure after a successful retrain: %v", err)
+	}
+}
+
+// TestControllerSourceDeadline: a controller's label source is held to
+// Config.SourceDeadline like any fleet member's. While the source is stalled
+// a retrain fails after the deadline instead of blocking — error retained,
+// drift latch cleared so the detector can re-signal — the stalled call is
+// never run concurrently with itself, and once it returns retraining resumes.
+func TestControllerSourceDeadline(t *testing.T) {
+	var mu sync.Mutex
+	inside, maxInside := 0, 0
+	release := make(chan struct{})
+	stalled := func(n int) []dataset.Record {
+		mu.Lock()
+		inside++
+		if inside > maxInside {
+			maxInside = inside
+		}
+		mu.Unlock()
+		<-release
+		mu.Lock()
+		inside--
+		mu.Unlock()
+		return make([]dataset.Record, n)
+	}
+	cfg := DefaultConfig()
+	cfg.SampleEvery = 1
+	cfg.Window = 256
+	cfg.SourceDeadline = 20 * time.Millisecond
+	ctrl, err := New(nopPusher{}, stubModel{}, fixed.NewQuantizer(1), stalled, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for w := 0; w < 2; w++ {
+		ctrl.Observe(scoreDecisions(normalScores(rng, 256, 64, 4)))
+	}
+	for w := 0; w < 4 && !ctrl.Drifted(); w++ {
+		ctrl.Observe(scoreDecisions(normalScores(rng, 256, 160, 4)))
+	}
+	if !ctrl.Drifted() {
+		t.Fatal("drift never detected; test needs retuning")
+	}
+
+	// Two retrains inside the outage: the first waits out the deadline, the
+	// second finds the abandoned call still running and must not start another.
+	for i := 0; i < 2; i++ {
+		if err := ctrl.RetrainNow(); err == nil {
+			t.Fatalf("retrain %d succeeded with the label source stalled", i)
+		}
+	}
+	if ctrl.Err() == nil {
+		t.Error("Err() lost the timed-out retrain")
+	}
+	if ctrl.Drifted() {
+		t.Error("timed-out retrain left the drift flag latched")
+	}
+	if got := ctrl.Stats().Retrains; got != 0 {
+		t.Errorf("retrains = %d during the outage, want 0", got)
+	}
+
+	// The outage ends; the abandoned call drains in its own goroutine, so the
+	// first attempts may still find it in flight.
+	close(release)
+	deadline := time.Now().Add(5 * time.Second)
+	for ctrl.RetrainNow() != nil && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if err := ctrl.Err(); err != nil {
+		t.Fatalf("retrain still failing after the source recovered: %v", err)
+	}
+	if got := ctrl.Stats().Retrains; got != 1 {
+		t.Errorf("retrains = %d after recovery, want 1", got)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if maxInside != 1 {
+		t.Errorf("label source ran %d times concurrently, want at most 1", maxInside)
+	}
+}
+
+// encodingPusher forwards to a pipeline, keeping the wire encoding of every
+// graph pushed through it.
+type encodingPusher struct {
+	*pipeline.Pipeline
+	pushed [][]byte
+}
+
+func (p *encodingPusher) UpdateWeights(g *mr.Graph) error {
+	p.pushed = append(p.pushed, mr.Encode(g))
+	return p.Pipeline.UpdateWeights(g)
+}
+
+// TestControllerIsOneMemberFleet: the controller is a view of the fleet loop,
+// not a second loop. The same seeded world driven through New and through
+// NewFleet + Register pushes byte-identical graphs, reports the same numbers
+// and journals the same events.
+func TestControllerIsOneMemberFleet(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Window = 256
+	cfg.RetrainRecords = 1000
+	cfg.Obs = obs.NewRegistry()
+
+	// drive runs the drift episode; observe and retrain are the only calls
+	// that differ between the two surfaces.
+	drive := func(f *loopFixture, observe func([]core.Decision) bool, retrain func() error) {
+		for r := 0; r < 10; r++ {
+			if r == 3 {
+				f.stream.SetPhase(1)
+			}
+			ins, out, _ := f.stream.NextBatch(1024)
+			if _, err := f.pipe.ProcessBatch(ins, out); err != nil {
+				t.Fatal(err)
+			}
+			if observe(out) {
+				if err := retrain(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// An operator retrain on top of the drift-driven ones, so the second
+		// push also exercises the Compatible gate against the first.
+		if err := retrain(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kinds := func(tr *obs.Tracer) []string {
+		var out []string
+		for _, e := range tr.Events() {
+			out = append(out, fmt.Sprintf("%d:%s", e.Span, e.Kind))
+		}
+		return out
+	}
+
+	cf := newLoopFixture(t, 2, 5)
+	cPush := &encodingPusher{Pipeline: cf.pipe}
+	cCfg := cfg
+	cCfg.Tracer = obs.NewTracer(256)
+	ctrl, err := New(cPush, cf.dep, cf.inQ, cf.stream.Labelled, cCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(cf, ctrl.Observe, ctrl.RetrainNow)
+
+	ff := newLoopFixture(t, 2, 5)
+	fPush := &encodingPusher{Pipeline: ff.pipe}
+	fCfg := cfg
+	fCfg.Tracer = obs.NewTracer(256)
+	fleet, err := NewFleet(ff.dep, ff.inQ, fCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := fleet.Register("", fPush, ff.stream.Labelled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drive(ff, func(d []core.Decision) bool { return fleet.Observe(id, d) }, fleet.RetrainNow)
+
+	if len(cPush.pushed) < 2 {
+		t.Fatalf("controller pushed %d graphs, want the drift retrain and the operator retrain", len(cPush.pushed))
+	}
+	if len(cPush.pushed) != len(fPush.pushed) {
+		t.Fatalf("controller pushed %d graphs, one-member fleet %d", len(cPush.pushed), len(fPush.pushed))
+	}
+	for i := range cPush.pushed {
+		if !bytes.Equal(cPush.pushed[i], fPush.pushed[i]) {
+			t.Errorf("push %d: controller and one-member fleet graphs differ", i)
+		}
+	}
+
+	fs := fleet.Stats()
+	want := fs.Members[0].Stats
+	want.Retrains = fs.Retrains
+	want.LastRetrainRecords = fs.LastPoolSize
+	want.LastRetrainWorkers = fs.LastRetrainWorkers
+	want.ReissuedTasks = fs.ReissuedTasks
+	if got := ctrl.Stats(); got != want {
+		t.Errorf("controller stats %+v, want member 0 plus the fleet aggregates %+v", got, want)
+	}
+	if want.Drifts == 0 || want.Retrains != len(fPush.pushed) || want.LastRetrainRecords != cfg.RetrainRecords {
+		t.Errorf("stats carry no signal: %+v over %d pushes", want, len(fPush.pushed))
+	}
+
+	if got, want := kinds(cCfg.Tracer), kinds(fCfg.Tracer); !slices.Equal(got, want) {
+		t.Errorf("trace differs:\ncontroller %v\nfleet      %v", got, want)
 	}
 }
 
@@ -635,8 +824,8 @@ func TestPSIDetectsVarianceWidening(t *testing.T) {
 		t.Errorf("mean-shift detector unexpectedly fired (mean %.1f vs ref %.1f) — widening is no longer mean-preserving, retune the test",
 			st.LastMeanScore, st.RefMeanScore)
 	}
-	if psiCtrl.Stats().LastPSI <= psiCtrl.cfg.PSIThreshold {
-		t.Errorf("post-widening PSI %.3f not above threshold %.3f", psiCtrl.Stats().LastPSI, psiCtrl.cfg.PSIThreshold)
+	if psiCtrl.Stats().LastPSI <= psiCtrl.f.cfg.PSIThreshold {
+		t.Errorf("post-widening PSI %.3f not above threshold %.3f", psiCtrl.Stats().LastPSI, psiCtrl.f.cfg.PSIThreshold)
 	}
 }
 

@@ -5,12 +5,11 @@ import (
 	"taurus/internal/obs"
 )
 
-// detector is the drift-detection state machine shared by the single-switch
-// Controller and every Fleet member: it samples data-plane decisions into
-// observation windows, maintains the reference profile, evaluates the
-// configured statistic when a window completes, and latches a drift verdict
-// until the next re-arm. It holds no lock of its own — the owning Controller
-// or Fleet serialises access.
+// detector is the drift-detection state machine of one Fleet member: it
+// samples data-plane decisions into observation windows, maintains the
+// reference profile, evaluates the configured statistic when a window
+// completes, and latches a drift verdict until the next re-arm. It holds no
+// lock of its own — the owning fleetMember serialises access.
 type detector struct {
 	cfg *Config
 
@@ -44,8 +43,8 @@ type detector struct {
 	lastKS        float64
 }
 
-// bind registers the detector's cumulative counters. Every owner (Controller
-// construction, Fleet registration) binds before the first observe.
+// bind registers the detector's cumulative counters; Fleet.Register binds
+// before the first observe.
 func (d *detector) bind(reg *obs.Registry, labels []obs.Label) {
 	d.sampled = reg.Counter("taurus.ctl.sampled", labels...)
 	d.windows = reg.Counter("taurus.ctl.windows", labels...)

@@ -17,8 +17,8 @@ import (
 	"taurus/internal/obs"
 )
 
-// fleetOrdinal numbers fleets for default telemetry labels ({fleet=N}),
-// the fleet-scope twin of ctlOrdinal. Member detectors add {member=<name>}.
+// fleetOrdinal numbers fleets for default telemetry labels ({fleet=N}).
+// Member detectors add {member=<name>}.
 var fleetOrdinal atomic.Int64
 
 // Fleet is one control plane driving N switches: the §3.3.1 split scaled
@@ -39,11 +39,23 @@ var fleetOrdinal atomic.Int64
 // there leaves the deployment-time weights only on the members not yet
 // touched, and the error names the members that already diverged.)
 //
-// Like the single-switch Controller, the fleet runs synchronously —
-// per-member Observe calls plus RetrainNow when one returns true — or in
-// the background via Start/Close, where drift on any member kicks the
-// shared retrain worker. The kick channel coalesces: simultaneous drift on
-// several members still triggers one retrain, which answers all of them.
+// The loop has two driving modes. Synchronous: the traffic driver calls
+// Observe after each batch and, when it returns true (drift), calls
+// RetrainNow — fully deterministic, used by the drift experiment. Background:
+// Start launches a worker goroutine that retrains whenever drift is observed
+// on any member (and, optionally, on a fixed RetrainInterval) while the
+// callers keep pushing batches — the live deployment shape, exercised under
+// -race.
+//
+// The two modes meet at the kick channel: every drift detection fills a
+// one-slot buffer the background worker drains, so signals coalesce —
+// simultaneous drift on several members still triggers one retrain, which
+// answers all of them. Because Observe fills the buffer in both modes, a
+// completed retrain drains any kick still pending — it was answered by that
+// retrain, and leaving it buffered would fire a spurious retrain the moment
+// Start (or a Close → Start restart) brings a worker up.
+//
+// Controller (controlplane.go) is this loop with exactly one member.
 type Fleet struct {
 	cfg Config
 	inQ fixed.Quantizer
@@ -72,7 +84,10 @@ type Fleet struct {
 	trainMu sync.Mutex
 	model   model.Deployable
 
-	// Distributed fit (Config.DistFit); see the Controller's twin fields.
+	// Distributed fit (Config.DistFit). The coordinator's lifecycle runs
+	// under trainMu; the pointer itself is additionally guarded by mu so
+	// DistFit() can read it without blocking on a retrain. reissuedBase
+	// carries the re-issue count across coordinator respawns.
 	pf           model.PartialFitter
 	dfCfg        distfit.Config
 	coord        *distfit.Coordinator
@@ -137,9 +152,9 @@ func (f *Fleet) snapshot() []*fleetMember {
 type MemberStats struct {
 	// Name is the member's registration name.
 	Name string
-	// Stats is the member's drift-detector view — the same fields a
-	// single-switch controller reports, except Retrains and
-	// LastRetrainRecords, which live fleet-wide in FleetStats.
+	// Stats is the member's drift-detector view; the retrain fields
+	// (Retrains, LastRetrainRecords, LastRetrainWorkers, ReissuedTasks) live
+	// fleet-wide in FleetStats and stay zero here.
 	Stats
 	// Drifted reports whether the member has drift detected and not yet
 	// answered by a fleet retrain.
@@ -476,8 +491,11 @@ func (f *Fleet) RetrainNow() error {
 		f.lastWorkers = coord.Stats().LiveWorkers
 	}
 	f.mu.Unlock()
-	// Drain the stale kick, exactly as the single-switch controller does:
-	// this retrain answered every pending drift signal.
+	// Drain the stale kick: Observe fills the buffered channel even in
+	// synchronous mode, so without the drain a later Start() would
+	// immediately re-answer drift this push already resolved. New drift
+	// cannot be declared before the re-armed references complete, so a
+	// genuine kick cannot race into this window.
 	select {
 	case <-f.kick:
 	default:
@@ -495,37 +513,30 @@ func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
 	if len(members) == 0 {
 		return nil, nil, nil, fmt.Errorf("controlplane: fleet has no members")
 	}
+	// Every member is weighed — a member with no sampled traffic still counts
+	// for 1 — and the drifted ones form the pool; with no drift at all (a
+	// periodic or operator retrain) every member contributes.
+	all := make([]float64, len(members))
+	drifted := make([]bool, len(members))
+	anyDrift := false
+	for i, m := range members {
+		m.mu.Lock()
+		drifted[i] = m.det.drifted
+		all[i] = float64(m.det.sampled.Value()) - float64(m.sampledAtRetrain)
+		m.mu.Unlock()
+		if all[i] <= 0 {
+			all[i] = 1
+		}
+		anyDrift = anyDrift || drifted[i]
+	}
 	var pool []*fleetMember
 	var weights []float64
 	var total float64
-	for _, m := range members {
-		m.mu.Lock()
-		drifted := m.det.drifted
-		w := float64(m.det.sampled.Value()) - float64(m.sampledAtRetrain)
-		m.mu.Unlock()
-		if drifted {
-			if w <= 0 {
-				w = 1 // a drifted member with no sampled traffic still contributes
-			}
+	for i, m := range members {
+		if drifted[i] || !anyDrift {
 			pool = append(pool, m)
-			weights = append(weights, w)
-			total += w
-		}
-	}
-	if len(pool) == 0 {
-		// No drift (periodic or operator retrain): every member contributes.
-		pool = members
-		weights = make([]float64, len(pool))
-		total = 0
-		for i, m := range pool {
-			m.mu.Lock()
-			w := float64(m.det.sampled.Value()) - float64(m.sampledAtRetrain)
-			m.mu.Unlock()
-			if w <= 0 {
-				w = 1
-			}
-			weights[i] = w
-			total += w
+			weights = append(weights, all[i])
+			total += all[i]
 		}
 	}
 	for i := range weights {
@@ -724,10 +735,10 @@ func (f *Fleet) run(done <-chan struct{}) {
 // checkpoint store carries across, so an interrupted distributed round
 // resumes rather than restarts.
 func (f *Fleet) Close() {
-	// Same teardown order as the single-switch Controller: signal the
-	// background worker, abort any in-flight distributed Fit (its ErrClosed
-	// unblocks a retrain stuck waiting on workers), then join the worker —
-	// this order cannot deadlock on a wedged round.
+	// Signal the background worker first, then abort any in-flight
+	// distributed Fit (its ErrClosed unblocks a retrain stuck waiting on
+	// workers), then join the worker — this order cannot deadlock on a
+	// wedged round.
 	f.runMu.Lock()
 	done := f.done
 	f.done = nil
@@ -752,21 +763,17 @@ func (f *Fleet) Close() {
 	cur := f.coord
 	f.coord = nil
 	f.mu.Unlock()
-	if cur != nil {
-		cur.Close()
-	}
 	base := 0
 	if cur != nil {
+		cur.Close()
 		base += cur.Stats().ReissuedTasks
 	}
 	if coord != nil && coord != cur {
 		base += coord.Stats().ReissuedTasks
 	}
-	if base > 0 {
-		f.mu.Lock()
-		f.reissuedBase += base
-		f.mu.Unlock()
-	}
+	f.mu.Lock()
+	f.reissuedBase += base
+	f.mu.Unlock()
 }
 
 // Stats returns a snapshot of the fleet's aggregate and per-member

@@ -63,8 +63,8 @@ func TestKSDetectsVarianceWidening(t *testing.T) {
 	if meanFired {
 		t.Error("mean-shift detector unexpectedly fired — widening is no longer mean-preserving, retune the test")
 	}
-	if got := ksCtrl.Stats().LastKS; got <= ksCtrl.cfg.KSThreshold {
-		t.Errorf("post-widening KS %.3f not above threshold %.3f", got, ksCtrl.cfg.KSThreshold)
+	if got := ksCtrl.Stats().LastKS; got <= ksCtrl.f.cfg.KSThreshold {
+		t.Errorf("post-widening KS %.3f not above threshold %.3f", got, ksCtrl.f.cfg.KSThreshold)
 	}
 }
 

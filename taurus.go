@@ -532,12 +532,13 @@ func WithRetrainInterval(d time.Duration) ControllerOption {
 	return func(o *controllerOptions) { o.cp.RetrainInterval = d }
 }
 
-// WithSourceDeadline bounds how long a Fleet retrain waits on any one
-// member's label source: a member whose source has not returned after d is
-// skipped for that retrain (its FleetMemberStats.SourceTimeouts increments)
-// and its pool share is re-drawn from the members that answered, so one
-// stalled source cannot stall or starve the shared loop. Default: wait
-// indefinitely. Fleet pooling only.
+// WithSourceDeadline bounds how long a retrain waits on any one member's
+// label source: a member whose source has not returned after d is skipped
+// for that retrain (its FleetMemberStats.SourceTimeouts increments) and its
+// pool share is re-drawn from the members that answered, so one stalled
+// source cannot stall or starve the shared loop. A Controller has one
+// source: if it stalls, the retrain fails after d (Err reports it, the
+// detector may re-signal) instead of blocking. Default: wait indefinitely.
 func WithSourceDeadline(d time.Duration) ControllerOption {
 	return func(o *controllerOptions) { o.cp.SourceDeadline = d }
 }
