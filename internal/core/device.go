@@ -189,6 +189,12 @@ type devMetrics struct {
 	flagged      *obs.Counter
 	dropped      *obs.Counter
 	parseErrors  *obs.Counter
+	// sweeps counts tape sweeps (ml_inferences / sweeps is the mean batch
+	// fill); fallbacks counts the (weight row, slot pair) cells of those
+	// sweeps whose operands failed the matvec packing guard and were
+	// evaluated product by product (sched.Program.Fallbacks).
+	sweeps    *obs.Counter
+	fallbacks *obs.Counter
 	// modelBusyNs accumulates the MapReduce block's modelled occupancy in
 	// integral nanoseconds (II per ML packet, one cycle per bypass).
 	modelBusyNs *obs.Counter
@@ -203,6 +209,7 @@ type devTally struct {
 	processed, mlInferences, bypassed int
 	forwarded, flagged, dropped       int
 	parseErrors                       int
+	sweeps, fallbacks                 int
 }
 
 // devOrdinal numbers devices built without explicit ObsLabels.
@@ -217,6 +224,8 @@ func bindDevMetrics(reg *obs.Registry, labels []obs.Label) devMetrics {
 		flagged:      reg.Counter("taurus.device.flagged", labels...),
 		dropped:      reg.Counter("taurus.device.dropped", labels...),
 		parseErrors:  reg.Counter("taurus.device.parse_errors", labels...),
+		sweeps:       reg.Counter("taurus.device.sweeps", labels...),
+		fallbacks:    reg.Counter("taurus.device.tape_fallbacks", labels...),
 		modelBusyNs:  reg.Counter("taurus.device.model_busy_ns", labels...),
 		serviceNs:    reg.Histogram("taurus.device.service_ns", labels...),
 	}
@@ -253,6 +262,12 @@ func (d *Device) flushTally() {
 	}
 	if t.parseErrors != 0 {
 		d.m.parseErrors.Add(int64(t.parseErrors))
+	}
+	if t.sweeps != 0 {
+		d.m.sweeps.Add(int64(t.sweeps))
+	}
+	if t.fallbacks != 0 {
+		d.m.fallbacks.Add(int64(t.fallbacks))
 	}
 	*t = devTally{}
 }
@@ -611,9 +626,24 @@ type PacketIn struct {
 // package), which amortises the tape sweep and the tally flush.
 //
 // hotpath: zero-alloc
-func (d *Device) Process(in PacketIn) (Decision, error) {
+func (d *Device) Process(in PacketIn) (Decision, error) { return d.process1(in, nil) }
+
+// ProcessKeyed is Process for a caller that already hashed the frame to route
+// it (key = ShardHash(in.Data)): the device reuses the key instead of hashing
+// the five-tuple a second time, as ProcessIndexed does for a batch.
+//
+// hotpath: zero-alloc
+func (d *Device) ProcessKeyed(in PacketIn, key uint32) (Decision, error) {
+	routed := [1]Routed{{Key: key}}
+	return d.process1(in, routed[:])
+}
+
+// process1 is the batch loop over one packet, returning its own error.
+//
+// hotpath: zero-alloc
+func (d *Device) process1(in PacketIn, routed []Routed) (Decision, error) {
 	ins, out := [1]PacketIn{in}, [1]Decision{}
-	callerErr, parseErr := d.run(ins[:], out[:], nil)
+	callerErr, parseErr := d.run(ins[:], out[:], routed)
 	if callerErr != nil {
 		return out[0], callerErr
 	}
@@ -803,7 +833,10 @@ func (d *Device) run(ins []PacketIn, out []Decision, routed []Routed) (callerErr
 //
 // hotpath: zero-alloc
 func (d *Device) flushML(staged []int, out []Decision) {
+	before := d.prog.Fallbacks()
 	d.prog.RunBatch(len(staged))
+	d.tally.sweeps++
+	d.tally.fallbacks += d.prog.Fallbacks() - before
 	for j, i := range staged {
 		d.finishML(&out[i], d.prog.OutAt(0, j)[0])
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"taurus/internal/compiler"
 	"taurus/internal/dataset"
 	"taurus/internal/lower"
+	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/obs"
 	"taurus/internal/pisa"
@@ -172,5 +174,67 @@ func TestRecheckTape(t *testing.T) {
 	dev, _ := buildObsDevice(t, obs.NewRegistry())
 	if err := dev.RecheckTape(); err != nil {
 		t.Fatalf("RecheckTape on a freshly verified tape: %v", err)
+	}
+}
+
+// TestSweepCounters pins the two tape counters to what the device did: one
+// taurus.device.sweeps per RunBatch (so ml_inferences / sweeps is the mean
+// fill), and taurus.device.tape_fallbacks equal to the program's own count of
+// matvec cells that left the packed path — zero on the trained model, and
+// data rather than a silent slowdown once weights that fail the guard are
+// pushed in place. Counting costs no allocation.
+func TestSweepCounters(t *testing.T) {
+	reg := obs.NewRegistry()
+	dev, gen := buildObsDevice(t, reg)
+	recs := gen.Records(100)
+	ins := make([]PacketIn, len(recs))
+	out := make([]Decision, len(recs))
+	for i, r := range recs {
+		ins[i] = PacketIn{
+			Data:     pisa.BuildTCPPacket(uint32(i), 2, uint16(3+i), 4, 0x10, 64),
+			Features: r.Features,
+		}
+	}
+	counter := func(name string) int {
+		for _, m := range reg.Snapshot() {
+			if m.Name == name {
+				return int(m.Value)
+			}
+		}
+		t.Fatalf("registry missing %s", name)
+		return 0
+	}
+
+	if err := dev.ProcessBatch(ins, out); err != nil {
+		t.Fatal(err)
+	}
+	batch := dev.prog.MaxBatch()
+	if got, want := counter("taurus.device.sweeps"), (len(ins)+batch-1)/batch; got != want {
+		t.Errorf("sweeps = %d after %d ML packets at batch %d, want %d", got, len(ins), batch, want)
+	}
+	if got := counter("taurus.device.ml_inferences"); got != len(ins) {
+		t.Errorf("ml_inferences = %d, want %d", got, len(ins))
+	}
+	if got := counter("taurus.device.tape_fallbacks"); got != 0 || dev.prog.Fallbacks() != 0 {
+		t.Errorf("tape_fallbacks = %d (program says %d) on int8 weights and codes, want 0", got, dev.prog.Fallbacks())
+	}
+
+	// Saturating first-layer weights, copied in place with no notification.
+	for _, n := range dev.prog.Graph().Nodes {
+		if n.Kind == mr.KConst && n.Width == 6 {
+			for i := range n.Const {
+				n.Const[i] = math.MaxInt32
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() { _ = dev.ProcessBatch(ins, out) }); allocs != 0 {
+		t.Errorf("ProcessBatch allocates %.1f times per call while counting fallbacks, want 0", allocs)
+	}
+	got, want := counter("taurus.device.tape_fallbacks"), dev.prog.Fallbacks()
+	if got != want || got == 0 {
+		t.Errorf("tape_fallbacks = %d, program counted %d: want equal and non-zero", got, want)
+	}
+	if (dev.tally != devTally{}) {
+		t.Errorf("tally not flushed: %+v", dev.tally)
 	}
 }

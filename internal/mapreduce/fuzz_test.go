@@ -127,6 +127,30 @@ var fuzzSeedSVM = []byte{
 	0, 4, // one output: n4
 }
 
+// fuzzSeedLayer decodes to a two-neuron dense layer: two constant rows dotted
+// with one input, gathered by a concat, through a ReLU — the shape the
+// compiled tape fuses into one OpMatVec.
+var fuzzSeedLayer = []byte{
+	8,       // 9 nodes
+	0, 4, 0, // n0 input w4
+	1, 4, 0, // n1 const row w4
+	8, 2, 0, 0, 0, 8, 254, 255, 255, 255, 8, 3, 0, 0, 0, 8, 1, 0, 0, 0, 4,
+	2, 4, 2, 2, 1, 2, // n2 map mul (n1, n0)
+	4, 1, 1, 3, 0, // n3 reduce add (n2)
+	1, 4, 0, // n4 const row w4
+	8, 5, 0, 0, 0, 8, 1, 0, 0, 0, 8, 255, 255, 255, 255, 8, 2, 0, 0, 0, 4,
+	2, 4, 2, 5, 1, 2, // n5 map mul (n4, n0)
+	4, 1, 1, 6, 0, // n6 reduce add (n5)
+	5, 2, 2, 4, 7, // n7 concat (n3, n6)
+	3, 2, 1, 8, 0, // n8 relu (n7)
+	0, 8, // one output: n8
+}
+
+// fuzzSeeds are the model-shaped corpus seeds, by name.
+var fuzzSeeds = map[string][]byte{
+	"dnn": fuzzSeedDNN, "kmeans": fuzzSeedKMeans, "svm": fuzzSeedSVM, "layer": fuzzSeedLayer,
+}
+
 // fuzzInputs derives deterministic, magnitude-diverse input vectors from the
 // fuzz data so the differential check exercises saturation paths, not just
 // zeros. salt varies the vectors per batch slot.
@@ -161,9 +185,9 @@ func FuzzGraph(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0x10, 0x80, 0x7f})
 	// Model-family shapes (miniature dnn/svm/kmeans kernels) so the corpus
 	// starts inside the fusion patterns the compiled tape special-cases.
-	f.Add(fuzzSeedDNN)
-	f.Add(fuzzSeedKMeans)
-	f.Add(fuzzSeedSVM)
+	for _, seed := range fuzzSeeds {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := graphFromBytes(data)
@@ -270,18 +294,27 @@ func schedDifferential(t *testing.T, g *mr.Graph, data []byte) {
 	diffProgram(t, g, p, data, refs, "")
 }
 
+// mutationKinds is the number of corruption classes mutateTape knows.
+const mutationKinds = 8
+
 // mutateTape applies one hand-corruption class to instruction k of the tape:
 // swapped operands, shifted destination or source slots, a flipped opcode, a
-// narrowed lane width, or a skewed bias/weight window — the miscompilation
-// shapes tapecheck's analyses exist to catch. Returns false when the tape has
-// nothing to mutate.
+// narrowed lane width, a skewed bias/weight window, or — on a matvec — two
+// rows exchanged, a row duplicated over its neighbour, or one row or bias
+// window moved a lane: the miscompilation shapes tapecheck's analyses exist
+// to catch. Returns false when the tape has nothing to mutate.
 func mutateTape(p *sched.Program, kind, k int) bool {
 	code := p.Code()
 	if len(code) == 0 {
 		return false
 	}
 	ins := &code[k%len(code)]
-	switch kind % 6 {
+	// Which row operand a matvec class touches also comes from k.
+	row := 0
+	if len(ins.Rows) > 0 {
+		row = k / len(code) % len(ins.Rows)
+	}
+	switch kind % mutationKinds {
 	case 0: // swapped operands (neutral only for commutative ops)
 		ins.A, ins.B = ins.B, ins.A
 	case 1: // off-by-one destination slot
@@ -319,6 +352,22 @@ func mutateTape(p *sched.Program, kind, k int) bool {
 		} else {
 			ins.Dst++
 		}
+	case 6: // matvec rows (or biases) exchanged, or one copied over the next
+		if len(ins.Rows) == 0 {
+			ins.DStride++
+			break
+		}
+		if next := (row + 1) % len(ins.Rows); k%2 == 0 {
+			ins.Rows[row], ins.Rows[next] = ins.Rows[next], ins.Rows[row]
+		} else {
+			ins.Rows[next] = ins.Rows[row]
+		}
+	case 7: // matvec row or bias window one lane off
+		if len(ins.Rows) > 0 {
+			ins.Rows[row].Off++
+		} else {
+			ins.DStride++
+		}
 	}
 	return true
 }
@@ -329,8 +378,8 @@ func mutateTape(p *sched.Program, kind, k int) bool {
 // operand swap, a shift into an equivalent slot) — the mutant still matches
 // the interpreter bit-for-bit. A lying verifier loses either way.
 func FuzzTapeMutation(f *testing.F) {
-	for _, seed := range [][]byte{fuzzSeedDNN, fuzzSeedKMeans, fuzzSeedSVM} {
-		for kind := byte(0); kind < 6; kind++ {
+	for _, seed := range fuzzSeeds {
+		for kind := byte(0); kind < mutationKinds; kind++ {
 			f.Add(append([]byte{kind, 0}, seed...))
 		}
 	}
@@ -369,9 +418,7 @@ func FuzzTapeMutation(f *testing.F) {
 func TestTapeMutationSeeds(t *testing.T) {
 	classes := map[tapecheck.Analysis]int{}
 	rejected := 0
-	for name, seed := range map[string][]byte{
-		"dnn": fuzzSeedDNN, "kmeans": fuzzSeedKMeans, "svm": fuzzSeedSVM,
-	} {
+	for name, seed := range fuzzSeeds {
 		g := graphFromBytes(seed)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s seed invalid: %v", name, err)
@@ -381,8 +428,10 @@ func TestTapeMutationSeeds(t *testing.T) {
 			t.Fatalf("%s seed does not evaluate", name)
 		}
 		code, _ := sched.CompileUnverified(g, cgra.DefaultGrid())
-		for kind := 0; kind < 6; kind++ {
-			for k := 0; k < len(code.Code()); k++ {
+		// k runs past the tape length so that the matvec classes reach
+		// every row and bias operand, not only the first.
+		for kind := 0; kind < mutationKinds; kind++ {
+			for k := 0; k < 4*len(code.Code()); k++ {
 				p, err := sched.CompileUnverified(g, cgra.DefaultGrid())
 				if err != nil {
 					t.Fatalf("%s seed does not compile: %v", name, err)
@@ -417,13 +466,19 @@ func TestTapeMutationSeeds(t *testing.T) {
 // Validate-accepted graph (otherwise the fuzzer silently skips them and the
 // corpus quietly rots) and survive the compiler differential.
 func TestFuzzSeeds(t *testing.T) {
-	for name, seed := range map[string][]byte{
-		"dnn": fuzzSeedDNN, "kmeans": fuzzSeedKMeans, "svm": fuzzSeedSVM,
-	} {
+	for name, seed := range fuzzSeeds {
 		g := graphFromBytes(seed)
 		if err := g.Validate(); err != nil {
 			t.Fatalf("%s seed decodes to an invalid graph: %v", name, err)
 		}
 		schedDifferential(t, g, seed)
+	}
+	// The layer seed is in the corpus for the matvec it compiles to.
+	p, err := sched.Compile(graphFromBytes(fuzzSeedLayer), cgra.DefaultGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := p.Code(); len(code) != 2 || code[0].Op != sched.OpMatVec {
+		t.Fatalf("layer seed compiles to %d instructions starting with %v, want a matvec and a relu", len(code), code[0].Op)
 	}
 }

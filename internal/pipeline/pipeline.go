@@ -332,9 +332,10 @@ func (p *Pipeline) Process(in core.PacketIn) (core.Decision, error) {
 	if p.closed.Load() {
 		return core.Decision{}, fmt.Errorf("%w: pipeline is closed", core.ErrBadConfig)
 	}
-	s := p.shardOf(core.ShardHash(in.Data))
+	key := core.ShardHash(in.Data)
+	s := p.shardOf(key)
 	s.mu.Lock()
-	dec, err := s.dev.Process(in)
+	dec, err := s.dev.ProcessKeyed(in, key)
 	s.mu.Unlock()
 	return dec, err
 }

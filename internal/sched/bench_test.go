@@ -1,12 +1,16 @@
 package sched_test
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"taurus/internal/cgra"
+	"taurus/internal/lower"
 	mr "taurus/internal/mapreduce"
+	"taurus/internal/ml"
 	"taurus/internal/sched"
+	"taurus/internal/tensor"
 )
 
 // benchGraph picks the DNN lowering: the dense dot-product chains are the
@@ -15,17 +19,61 @@ func benchGraph(b *testing.B) *mr.Graph {
 	return modelGraphs(b)["dnn"]
 }
 
+// wideGraph lowers an untrained 8-64-32-1 DNN, the benchmark's wide model:
+// 2592 multiply-accumulates per packet against the small model's 165, so
+// per-instruction set-up no longer hides what a multiply costs.
+func wideGraph(b *testing.B) (g *mr.Graph, macs int) {
+	rng := rand.New(rand.NewSource(5))
+	sizes := []int{8, 64, 32, 1}
+	X := make([]tensor.Vec, 64)
+	for i := range X {
+		X[i] = make(tensor.Vec, sizes[0])
+		for k := range X[i] {
+			X[i][k] = float32(rng.NormFloat64())
+		}
+	}
+	q, err := ml.Quantize(ml.NewDNN(sizes, ml.ReLU, ml.Sigmoid, rng), X)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if g, err = lower.DNN(q, "wide"); err != nil {
+		b.Fatal(err)
+	}
+	for i := 1; i < len(sizes); i++ {
+		macs += sizes[i-1] * sizes[i]
+	}
+	return g, macs
+}
+
 // BenchmarkEval times the compiled tape on one graph and input: compiled is
-// Program.Run, batch is Program.RunBatch amortised per packet. Both must
-// report 0 allocs/op.
+// Program.Run, batch is Program.RunBatch amortised per packet, and the wide
+// cases report what a multiply-accumulate of the 8-64-32-1 model costs at
+// batch fills 1 and 16. All must report 0 allocs/op.
 func BenchmarkEval(b *testing.B) {
 	g := benchGraph(b)
 	rng := rand.New(rand.NewSource(3))
-	codes := make([]int32, g.Node(g.Inputs[0]).Width)
+	codes := make([]int32, 8)
 	for i := range codes {
 		codes[i] = int32(int8(rng.Intn(256)))
 	}
 
+	// sweep times RunBatch(fill) per packet over slots filled with codes and
+	// returns how many packets it swept (b.N rounded up to whole sweeps).
+	sweep := func(b *testing.B, g *mr.Graph, fill int) (packets int) {
+		p, err := sched.Compile(g, cgra.DefaultGrid())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for j := 0; j < fill; j++ {
+			copy(p.InAt(0, j), codes)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for ; packets < b.N; packets += fill {
+			p.RunBatch(fill)
+		}
+		return packets
+	}
 	b.Run("compiled", func(b *testing.B) {
 		p, err := sched.Compile(g, cgra.DefaultGrid())
 		if err != nil {
@@ -37,18 +85,13 @@ func BenchmarkEval(b *testing.B) {
 			p.Run()
 		}
 	})
-	b.Run("batch", func(b *testing.B) {
-		p, err := sched.Compile(g, cgra.DefaultGrid())
-		if err != nil {
-			b.Fatal(err)
-		}
-		batch := p.MaxBatch()
-		for j := 0; j < batch; j++ {
-			copy(p.InAt(0, j), codes)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i += batch {
-			p.RunBatch(batch)
-		}
-	})
+	b.Run("batch", func(b *testing.B) { sweep(b, g, sched.DefaultBatch) })
+
+	wide, macs := wideGraph(b)
+	for _, fill := range []int{1, sched.DefaultBatch} {
+		b.Run(fmt.Sprintf("wide/fill%d", fill), func(b *testing.B) {
+			packets := sweep(b, wide, fill)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(packets*macs), "ns/MAC")
+		})
+	}
 }

@@ -97,6 +97,8 @@ func (op Opcode) String() string {
 		return "dotadd"
 	case OpSqDist:
 		return "sqdist"
+	case OpMatVec:
+		return "matvec"
 	default:
 		return "op?"
 	}

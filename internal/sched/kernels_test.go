@@ -8,7 +8,9 @@ import (
 
 	"taurus/internal/cgra"
 	"taurus/internal/fixed"
+	"taurus/internal/lower"
 	mr "taurus/internal/mapreduce"
+	"taurus/internal/ml"
 	"taurus/internal/sched"
 )
 
@@ -233,9 +235,355 @@ func TestKernelShapeMatrix(t *testing.T) {
 			sweepAgainstEval(t, g, p, rng, fill, "after a weight push")
 		}
 	}
-	for op := sched.OpAdd; op <= sched.OpSqDist; op++ {
+	t.Run("matvec", func(t *testing.T) { matVecCells(t, rng, emitted) })
+	for op := sched.OpAdd; op <= sched.OpMatVec; op++ {
 		if !emitted[op] {
 			t.Errorf("no graph of the matrix compiled to opcode %v", op)
 		}
 	}
+}
+
+// denseGraph builds one dense layer the way the lowerings do: a (bias-)dot
+// of each constant weight row with one input, gathered by a concat — the
+// shape emit fuses into a single OpMatVec.
+func denseGraph(t *testing.T, name string, weights [][]int32, biases []int32) *mr.Graph {
+	t.Helper()
+	b := mr.NewBuilder(name)
+	x := b.Input("x", len(weights[0]))
+	neurons := make([]mr.Value, len(weights))
+	for r, w := range weights {
+		neurons[r] = b.DotProduct(b.Const(fmt.Sprintf("w%d", r), w), x)
+		if biases != nil {
+			neurons[r] = b.Map(mr.MAdd, neurons[r], b.Scalar(fmt.Sprintf("b%d", r), biases[r]))
+		}
+	}
+	b.Output(b.Concat(neurons...))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return g
+}
+
+// compileDense compiles a denseGraph and insists the layer came out as the
+// tape's only instruction, an OpMatVec.
+func compileDense(t *testing.T, g *mr.Graph) *sched.Program {
+	t.Helper()
+	p, err := sched.Compile(g, cgra.DefaultGrid())
+	if err != nil {
+		t.Fatalf("Compile(%s): %v", g.Name, err)
+	}
+	if code := p.Code(); len(code) != 1 || code[0].Op != sched.OpMatVec {
+		t.Fatalf("%s: dense layer compiled to %d instructions, want one matvec", g.Name, len(code))
+	}
+	return p
+}
+
+func int8Lanes(rng *rand.Rand, n int) []int32 {
+	v := make([]int32, n)
+	for i := range v {
+		v[i] = int32(int8(rng.Intn(256)))
+	}
+	return v
+}
+
+func magnitude(v int32) int64 {
+	if v < 0 {
+		return -int64(v)
+	}
+	return int64(v)
+}
+
+// exactCells is the packing guard worked out by the test: how many (weight
+// row, slot pair) cells of one sweep must leave the packed path because the
+// row's sum|w| times the OR of the pair's input magnitudes exceeds MaxInt32.
+// A sweep of one slot has no pairs.
+func exactCells(g *mr.Graph, slots [][]int32) int {
+	if len(slots) < 2 {
+		return 0
+	}
+	cells := 0
+	for q := 0; q < len(slots); q += 2 {
+		var m int64
+		for _, slot := range slots[q:min(q+2, len(slots))] {
+			for _, v := range slot {
+				m |= magnitude(v)
+			}
+		}
+		for _, n := range g.Nodes {
+			if n.Kind != mr.KConst || n.Width != len(slots[0]) || n.Name[0] != 'w' {
+				continue
+			}
+			var s int64
+			for _, w := range n.Const {
+				s += magnitude(w)
+			}
+			if s != 0 && m != 0 && (s > math.MaxInt32 || m > math.MaxInt32 || s*m > math.MaxInt32) {
+				cells++
+			}
+		}
+	}
+	return cells
+}
+
+// sweepDense runs one sweep over the given slots, holds every lane to
+// Graph.Eval and the program's fallback count to wantExact more than before.
+func sweepDense(t *testing.T, g *mr.Graph, p *sched.Program, slots [][]int32, wantExact int, tag string) {
+	t.Helper()
+	for j, slot := range slots {
+		copy(p.InAt(0, j), slot)
+	}
+	before := p.Fallbacks()
+	p.RunBatch(len(slots))
+	if got := p.Fallbacks() - before; got != wantExact {
+		t.Fatalf("%s %s fill %d: %d cells took the exact path, want %d", g.Name, tag, len(slots), got, wantExact)
+	}
+	for j, slot := range slots {
+		want, err := g.Eval(slot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := p.OutAt(0, j)
+		for k := range want[0] {
+			if got[k] != want[0][k] {
+				t.Fatalf("%s %s fill %d slot %d row %d: tape gives %d, Eval gives %d (input %v)",
+					g.Name, tag, len(slots), j, k, got[k], want[0][k], slot)
+			}
+		}
+	}
+}
+
+// matVecCells are OpMatVec's rows of the matrix: layer shapes from one row
+// of one lane to 64 x 64, with and without biases, at fills that leave an odd
+// slot, on int8 codes and on lanes up to the int32 extremes, against int8
+// weights, saturating weights pushed in place, and int8 weights pushed back.
+// Every cell is bit-exact and takes the exact path exactly when the guard,
+// worked out independently, says so.
+func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
+	draw := func(lanes func(*rand.Rand, int) []int32, n, width int) [][]int32 {
+		out := make([][]int32, n)
+		for i := range out {
+			out[i] = lanes(rng, width)
+		}
+		return out
+	}
+	packed, exact := 0, 0
+	for _, rows := range []int{1, 2, 3, 64} {
+		for _, width := range []int{1, 7, 64} {
+			for _, biased := range []bool{false, true} {
+				var biases []int32
+				if biased {
+					biases = drawLanes(rng, rows)
+				}
+				g := denseGraph(t, fmt.Sprintf("matvec/r%d-w%d-bias-%v", rows, width, biased), draw(int8Lanes, rows, width), biases)
+				p := compileDense(t, g)
+				emitted[sched.OpMatVec] = true
+				push := func(lanes func(*rand.Rand, int) []int32) {
+					for _, n := range g.Nodes {
+						if n.Kind == mr.KConst && n.Name[0] == 'w' {
+							copy(n.Const, lanes(rng, len(n.Const)))
+						}
+					}
+				}
+				for _, fill := range []int{1, 2, 15, 16} {
+					codes, edges := draw(int8Lanes, fill, width), draw(drawLanes, fill, width)
+					// int8 weights on int8 codes always pack: 64 * 128 * 255 < 1<<31.
+					sweepDense(t, g, p, codes, 0, "int8 weights, int8 codes")
+					sweepDense(t, g, p, edges, exactCells(g, edges), "int8 weights, edge lanes")
+					push(drawLanes)
+					for _, slots := range [][][]int32{codes, edges} {
+						want := exactCells(g, slots)
+						sweepDense(t, g, p, slots, want, "after a saturating weight push")
+						exact += want
+						packed += rows*((fill+1)/2) - want
+					}
+					push(int8Lanes)
+					sweepDense(t, g, p, codes, 0, "int8 weights pushed back")
+				}
+			}
+		}
+	}
+	if packed == 0 || exact == 0 {
+		t.Errorf("saturating weights drove %d cells down the packed path and %d down the exact one: the matrix must reach both", packed, exact)
+	}
+
+	// One slot of a pair in range, its partner saturating: the whole pair
+	// leaves the packed path for every row, the other pairs stay on it.
+	g := denseGraph(t, "matvec/mixed-pair", draw(int8Lanes, 3, 7), []int32{5, -5, math.MaxInt32})
+	for _, n := range g.Nodes {
+		if n.Kind == mr.KConst && n.Width == 7 {
+			n.Const[0] |= 1 // no all-zero row: every row's guard depends on the inputs
+		}
+	}
+	p := compileDense(t, g)
+	slots := draw(int8Lanes, 6, 7)
+	slots[3] = []int32{1, math.MaxInt32, math.MinInt32, -1, 0, 7, 46341}
+	sweepDense(t, g, p, slots, 3, "mixed pair")
+
+	// The guard's boundary, S*M against MaxInt32 (a prime, so the product
+	// meets it only as 1 * MaxInt32).
+	for _, tc := range []struct {
+		name    string
+		weights []int32
+		a, b    []int32 // the two slots of the pair
+		exact   int
+	}{
+		{"S=1,M=MaxInt32", []int32{1, 0}, []int32{math.MaxInt32, 0}, []int32{0, 5}, 0},
+		{"S=1,M=MaxInt32+1", []int32{1, 0}, []int32{math.MinInt32, 0}, []int32{0, 5}, 1},
+		{"S=-1,M=MaxInt32", []int32{0, -1}, []int32{9, math.MaxInt32}, []int32{-9, -math.MaxInt32}, 0},
+		{"S=MaxInt32,M=1", []int32{math.MaxInt32, 0}, []int32{1, 0}, []int32{-1, 1}, 0},
+		{"S=MaxInt32,M=2", []int32{math.MaxInt32, 0}, []int32{0, 0}, []int32{-2, 0}, 1},
+		{"S=MaxInt32+1,M=1", []int32{math.MinInt32, 0}, []int32{1, 0}, []int32{-1, 0}, 1},
+		{"S=MaxInt32+1,M=1,split", []int32{math.MaxInt32, 1}, []int32{1, 1}, []int32{1, 1}, 1},
+		{"S>MaxInt32,M=0", []int32{math.MinInt32, math.MinInt32}, []int32{0, 0}, []int32{0, 0}, 0},
+		{"S=0,M>MaxInt32", []int32{0, 0}, []int32{math.MinInt32, math.MaxInt32}, []int32{math.MinInt32, 1}, 0},
+	} {
+		// A second, all-ones row shares the sweep: its guard is decided on
+		// its own sum, whatever the row under test does.
+		g := denseGraph(t, "matvec/boundary/"+tc.name, [][]int32{tc.weights, {1, 1}}, []int32{math.MaxInt32, math.MinInt32})
+		p := compileDense(t, g)
+		pair := [][]int32{tc.a, tc.b}
+		ones := exactCells(denseGraph(t, "ones", [][]int32{{1, 1}}, nil), pair)
+		sweepDense(t, g, p, pair, tc.exact+ones, "boundary")
+	}
+}
+
+// TestMatVecEmit pins when emit may fuse a concat of neurons into one
+// OpMatVec — every argument a sunk (bias-)dot of a constant row with the
+// same arena-backed input at full width — and that where it does, the
+// per-neuron instructions are gone rather than kept beside it.
+func TestMatVecEmit(t *testing.T) {
+	count := func(g *mr.Graph) (matvecs, dots int) {
+		t.Helper()
+		p, err := sched.Compile(g, cgra.DefaultGrid())
+		if err != nil {
+			t.Fatalf("Compile(%s): %v", g.Name, err)
+		}
+		type span struct{ lo, hi int }
+		var layers []span
+		for _, ins := range p.Code() {
+			if ins.Op == sched.OpMatVec {
+				matvecs++
+				layers = append(layers, span{ins.Dst, ins.Dst + ins.W})
+			}
+		}
+		for _, ins := range p.Code() {
+			if ins.Op != sched.OpDot && ins.Op != sched.OpDotAdd {
+				continue
+			}
+			dots++
+			for _, l := range layers {
+				if ins.Dst >= l.lo && ins.Dst < l.hi {
+					t.Errorf("%s: a %v writes lane %d of the window [%d,%d) a matvec fills", g.Name, ins.Op, ins.Dst, l.lo, l.hi)
+				}
+			}
+		}
+		return matvecs, dots
+	}
+	build := func(name string, f func(b *mr.Builder) mr.Value) *mr.Graph {
+		t.Helper()
+		b := mr.NewBuilder(name)
+		b.Output(f(b))
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return g
+	}
+	row := func(b *mr.Builder, r, width int) mr.Value {
+		w := make([]int32, width)
+		for i := range w {
+			w[i] = int32(r*7 + i - 3)
+		}
+		return b.Const(fmt.Sprintf("w%d", r), w)
+	}
+
+	for _, g := range []*mr.Graph{
+		build("broadcast-input", func(b *mr.Builder) mr.Value {
+			x := b.Input("x", 1)
+			return b.Concat(b.DotProduct(row(b, 0, 7), x), b.DotProduct(row(b, 1, 7), x))
+		}),
+		build("constant-input", func(b *mr.Builder) mr.Value {
+			x, c := b.Input("x", 7), row(b, 9, 7)
+			return b.Concat(b.DotProduct(row(b, 0, 7), c), b.DotProduct(row(b, 1, 7), c), b.Reduce(mr.RAdd, x))
+		}),
+		build("arena-weights", func(b *mr.Builder) mr.Value {
+			x, y := b.Input("x", 7), b.Input("y", 7)
+			return b.Concat(b.DotProduct(y, x), b.DotProduct(y, x))
+		}),
+		build("mixed-row-widths", func(b *mr.Builder) mr.Value {
+			x := b.Input("x", 7)
+			return b.Concat(b.DotProduct(row(b, 0, 7), x), b.DotProduct(row(b, 1, 3), b.Slice(x, 0, 3)))
+		}),
+		build("dots-and-a-non-dot", func(b *mr.Builder) mr.Value {
+			x := b.Input("x", 7)
+			return b.Concat(b.DotProduct(row(b, 0, 7), x), b.Reduce(mr.RMax, x), b.DotProduct(row(b, 1, 7), x))
+		}),
+		build("some-rows-biased", func(b *mr.Builder) mr.Value {
+			x := b.Input("x", 7)
+			return b.Concat(b.DotProduct(row(b, 0, 7), x), b.Map(mr.MAdd, b.DotProduct(row(b, 1, 7), x), b.Scalar("b1", 4)))
+		}),
+		build("arena-bias", func(b *mr.Builder) mr.Value {
+			x, y := b.Input("x", 7), b.Input("y", 1)
+			return b.Concat(b.Map(mr.MAdd, b.DotProduct(row(b, 0, 7), x), y), b.Map(mr.MAdd, b.DotProduct(row(b, 1, 7), x), y))
+		}),
+		build("row-used-twice", func(b *mr.Builder) mr.Value {
+			x := b.Input("x", 7)
+			d := b.DotProduct(row(b, 0, 7), x)
+			return b.Concat(d, b.DotProduct(row(b, 1, 7), x), d)
+		}),
+		build("conv1d-windows", func(b *mr.Builder) mr.Value {
+			x, k := b.Input("x", 9), row(b, 0, 3)
+			outs := make([]mr.Value, 7)
+			for o := range outs {
+				outs[o] = b.DotProduct(k, b.Slice(x, o, 3))
+			}
+			return b.Concat(outs...)
+		}),
+	} {
+		if matvecs, _ := count(g); matvecs != 0 {
+			t.Errorf("%s: emitted %d matvecs, want none", g.Name, matvecs)
+		}
+	}
+
+	// Where the pattern holds: weights on either side of the multiply, a
+	// sliced input shared by every row, and the dense layers of the models.
+	for _, tc := range []struct {
+		g             *mr.Graph
+		matvecs, dots int
+	}{
+		{build("input-times-weights", func(b *mr.Builder) mr.Value {
+			x := b.Input("x", 7)
+			return b.Concat(b.DotProduct(x, row(b, 0, 7)), b.DotProduct(row(b, 1, 7), x))
+		}), 1, 0},
+		{build("shared-window", func(b *mr.Builder) mr.Value {
+			win := b.Slice(b.Input("x", 9), 2, 3)
+			return b.Concat(b.DotProduct(row(b, 0, 3), win), b.DotProduct(row(b, 1, 3), win))
+		}), 1, 0},
+		// 6-12-6-3-1: three layers, and the lone output neuron no concat gathers.
+		{modelGraphs(t)["dnn"], 3, 1},
+		// The four gate layers and the output layer of an LSTM step.
+		{lstmGraph(t), 5, 0},
+	} {
+		matvecs, dots := count(tc.g)
+		if matvecs != tc.matvecs || dots != tc.dots {
+			t.Errorf("%s: emitted %d matvecs and %d per-neuron dots, want %d and %d", tc.g.Name, matvecs, dots, tc.matvecs, tc.dots)
+		}
+	}
+	// KMeans distances are sqdist chains and the SVM's one dot stands alone:
+	// neither holds the pattern.
+	for _, name := range []string{"kmeans", "svm"} {
+		if matvecs, _ := count(modelGraphs(t)[name]); matvecs != 0 {
+			t.Errorf("%s: emitted %d matvecs, want none", name, matvecs)
+		}
+	}
+}
+
+func lstmGraph(t *testing.T) *mr.Graph {
+	t.Helper()
+	g, err := lower.LSTMStep(ml.NewLSTM(4, 32, 5, rand.New(rand.NewSource(7))), fixed.NewQuantizer(1), "lstm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }

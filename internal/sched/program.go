@@ -50,14 +50,21 @@ const (
 	// OpSqDist fuses KMap(MSub) -> KMap(MMul, d, d) -> KReduce(RAdd): the
 	// squared-distance chain of the KMeans lowering.
 	OpSqDist
+	// OpMatVec is a dense layer: W (bias-)dots of constant weight rows with
+	// one arena-backed input, written to W adjacent lanes — every argument of
+	// a concat when each is a sunk OpDot/OpDotAdd of that shape, which it
+	// replaces. Lane r is sat32(sat32(sum(sat32(Rows[r][i]*a[i]))) + bias r),
+	// exactly what the W instructions it stands for compute (see matVec).
+	OpMatVec
 )
 
 // Operand locates one argument's lanes. Constants alias the graph node's
-// Const slice (window Off..Off+W) so in-place weight pushes stay visible;
-// everything else lives in the program's batch-major arena at Off + j*Stride
-// for packet j. The fields are exported for static inspection
-// (internal/sched/tapecheck audits every operand against the graph's
-// storage); runtime code treats them as immutable after emit.
+// Const slice (window Off..Off+W) so in-place weight pushes stay visible —
+// the weight rows and biases of an OpMatVec included; everything else lives
+// in the program's batch-major arena at Off + j*Stride for packet j. The
+// fields are exported for static inspection (internal/sched/tapecheck audits
+// every operand against the graph's storage); runtime code treats them as
+// immutable after emit.
 type Operand struct {
 	Const  []int32 // non-nil: constant lanes Const[Off:Off+W], same every packet
 	Off    int
@@ -68,7 +75,10 @@ type Operand struct {
 // Instr is one tape entry. Dst/DStride address the output window in the
 // arena (DStride is the producing node's full width; for concat pieces the
 // copy width W is narrower). Mult and LUT alias the graph node's payloads so
-// UpdateWeights pushes take effect without recompiling. Exported for static
+// UpdateWeights pushes take effect without recompiling. An OpMatVec writes W
+// lanes, one per weight row: A is its input and Rows holds the W constant
+// rows (each A.W lanes), followed — when the layer has biases — by the W
+// constant bias scalars, so len(Rows) is W or 2*W. Exported for static
 // inspection and for fault-injection in verifier tests (Program.Code).
 type Instr struct {
 	Op      Opcode
@@ -76,6 +86,7 @@ type Instr struct {
 	DStride int
 	W       int
 	A, B, C Operand
+	Rows    []Operand
 	Mult    *fixed.Multiplier
 	LUT     *mr.LUT
 }
@@ -97,6 +108,14 @@ type Program struct {
 	batch int
 	ins   []Operand // per declared input
 	outs  []Operand // per declared output
+
+	// OpMatVec scratch, shared by every matvec of the tape and overwritten by
+	// each: the input lanes of slots 2q and 2q+1 packed into one int64 per
+	// lane (pack, pair-major), the magnitude bound of pair q's inputs (mag)
+	// and the absolute weight sum of row r (wsum). fallbacks counts the
+	// (row, slot pair) cells whose guard failed.
+	pack, mag, wsum []int64
+	fallbacks       int
 }
 
 // Compile plans g on spec, emits the instruction tape and hands it to the
@@ -167,11 +186,12 @@ func (p *Program) OutAt(i, j int) []int32 {
 	return p.vals[base : base+o.W]
 }
 
-// emit lays out the arena and linearises the schedule into the tape. Three
+// emit lays out the arena and linearises the schedule into the tape. Four
 // peephole passes cut the instruction count before emission: dot/sqdist
 // chains fuse into their reductions, a neuron's scalar bias add folds into
-// its dot product, and values consumed only by a concat are produced
-// directly into the concat's window (copy elimination).
+// its dot product, values consumed only by a concat are produced directly
+// into the concat's window (copy elimination), and a concat that gathers
+// nothing but the neurons of one dense layer becomes a single OpMatVec.
 func (p *Program) emit() error {
 	g, s := p.g, p.sched
 
@@ -298,6 +318,90 @@ func (p *Program) emit() error {
 		return o
 	}
 
+	// Layer fusion: a concat whose every argument is a (bias-)dot sunk into
+	// it, each of one constant weight row with the same arena-backed input at
+	// full width (and constant biases on all rows or none), is one OpMatVec
+	// issued where the concat is. A broadcast or constant input, rows over
+	// different windows (Conv1D) or a single non-dot argument leave the
+	// per-neuron instructions alone.
+	//
+	// neuron decomposes a concat argument into its dot's multiply node and
+	// its bias (-1: none); m is nil when the argument is not a (bias-)dot.
+	neuron := func(id mr.NodeID) (m *mr.Node, bias mr.NodeID) {
+		n := g.Node(id)
+		bias = -1
+		if r := biasDot[id]; r >= 0 {
+			if bias = n.Args[0]; bias == r {
+				bias = n.Args[1]
+			}
+			n = g.Node(r)
+		}
+		if n.Kind != mr.KReduce || n.Reduce != mr.RAdd {
+			return nil, -1
+		}
+		m = g.Node(n.Args[0])
+		if !fused[m.ID] || (m.Args[0] == m.Args[1] && fused[m.Args[0]]) {
+			return nil, -1 // plain sum or sqdist chain: not a dot
+		}
+		return m, bias
+	}
+	type layer struct {
+		in   Operand
+		rows []Operand // weight rows, then biases if any
+	}
+	layers := make(map[mr.NodeID]layer)
+	maxRows, maxWidth := 0, 0
+	for _, n := range g.Nodes {
+		if n.Kind != mr.KConcat {
+			continue
+		}
+		rows, biases, input := len(n.Args), 0, mr.NodeID(-1)
+		var in Operand
+		var ops []Operand
+		for r, a := range n.Args {
+			m, bias := neuron(a)
+			if m == nil || sink[a].target != n.ID {
+				ops = nil
+				break
+			}
+			w, x := m.Args[0], m.Args[1]
+			if resolve(w).Const == nil {
+				w, x = x, w
+			}
+			wo, xo := resolve(w), resolve(x)
+			if wo.Const == nil || xo.Const != nil || xo.W != wo.W || (r > 0 && x != input) {
+				ops = nil
+				break
+			}
+			if ops == nil {
+				ops = make([]Operand, 2*rows)
+			}
+			input, in, ops[r] = x, xo, wo
+			if bias >= 0 {
+				bo := resolve(bias)
+				if bo.Const == nil {
+					ops = nil
+					break
+				}
+				ops[rows+biases] = bo
+				biases++
+			}
+		}
+		if ops == nil || (biases != 0 && biases != rows) {
+			continue
+		}
+		layers[n.ID] = layer{in: in, rows: ops[:rows+biases]}
+		for _, a := range n.Args {
+			fused[a] = true // the OpMatVec computes it
+		}
+		maxRows, maxWidth = max(maxRows, rows), max(maxWidth, in.W)
+	}
+	if pairs := (p.batch + 1) / 2; maxRows > 0 {
+		scratch := make([]int64, pairs*maxWidth+pairs+maxRows)
+		p.pack, scratch = scratch[:pairs*maxWidth], scratch[pairs*maxWidth:]
+		p.mag, p.wsum = scratch[:pairs], scratch[pairs:]
+	}
+
 	// Linearise bundle by bundle (ties broken by node ID, which is
 	// topological): the tape executes the schedule in issue order.
 	order := make([]mr.NodeID, 0, len(g.Nodes))
@@ -353,6 +457,10 @@ func (p *Program) emit() error {
 				ins.A = resolve(n.Args[0])
 			}
 		case mr.KConcat:
+			if l, ok := layers[id]; ok {
+				ins.Op, ins.A, ins.Rows = OpMatVec, l.in, l.rows
+				break
+			}
 			at := 0
 			for _, a := range n.Args {
 				src := resolve(a)
@@ -395,8 +503,10 @@ func (p *Program) emit() error {
 // constant: every slot reads the same lanes). Where a window lies is fixed
 // when the tape is emitted; what a Const holds is not (UpdateWeights copies
 // new weights into it in place), so a sweep resolves its windows afresh from
-// the Operands tapecheck audited and reads the contents through them. The
-// struct is kept to 32 bytes so that the compiler holds it in registers.
+// the Operands tapecheck audited and reads the contents through them (an
+// OpMatVec's rows and biases, constants all, are sliced per sweep the same way
+// by Instr.row and Instr.bias). The struct is kept to 32 bytes so that the
+// compiler holds it in registers.
 type window struct {
 	lanes []int32
 	step  int
@@ -440,7 +550,7 @@ func (p *Program) Run() { p.RunBatch(1) }
 //
 // Each instruction resolves its windows once, then walks them slot by slot
 // through one kernel — a loop over equal-length lane slices with the operator
-// and saturation inlined.
+// and saturation inlined; an OpMatVec walks them two slots at a time (matVec).
 //
 // hotpath: zero-alloc
 func (p *Program) RunBatch(n int) {
@@ -549,8 +659,169 @@ func (p *Program) RunBatch(n int) {
 			for j := 0; j < n; j++ {
 				out.lanes[j*out.step] = sat32(sqDistLanes(a.slot(j, aw), b.slot(j, bw)))
 			}
+		case OpMatVec:
+			p.matVec(ins, a, out, n)
 		}
 	}
+}
+
+// Fallbacks returns how many (weight row, slot pair) cells of OpMatVec sweeps
+// have been evaluated product by product because their operands failed the
+// packing guard, since the program was compiled. A lone RunBatch(1) slot
+// always runs that way and is not counted.
+func (p *Program) Fallbacks() int { return p.fallbacks }
+
+// matVec evaluates one OpMatVec for batch slots 0..n-1: lane r of slot j is
+// sat32(sat32(sum_i sat32(w_r[i]*x_j[i])) + bias_r).
+//
+// Two slots share each multiply. The lanes of slots 2q and 2q+1 are packed
+// into one int64, X[i] = x_2q[i] + x_2q+1[i]<<32 (an odd last slot packs
+// against zero), so acc = sum_i X[i]*w[i] is dot_2q + dot_2q+1<<32 and the
+// halves come back as lo = int32(acc), hi = (acc-lo)>>32. That is exact iff
+// no product and no partial sum of either slot leaves int32, which the
+// kernel establishes from the operands it is about to multiply: the pack
+// pass ORs the input magnitudes of a pair into M >= max|x|, one pass over the
+// live weights gives S = sum|w| per row, and S*M <= MaxInt32 bounds every
+// product and partial sum, making every sat32 of the reference the identity
+// and keeping the low half from carrying into the high one. A (row, pair)
+// that fails the guard — and a lone slot, which has no partner and for which
+// the weight pass would cost as much as the dot — takes dotLanes, the
+// per-product-saturating kernel of OpDot. Nothing is assumed about what the
+// weights or inputs hold, so an in-place weight push needs no notification.
+//
+// hotpath: zero-alloc
+func (p *Program) matVec(ins *Instr, x, out window, n int) {
+	rows, width := ins.W, ins.A.W
+	if n == 1 {
+		xs := x.slot(0, width)
+		for r := 0; r < rows; r++ {
+			out.lanes[r] = sat32(int64(sat32(dotLanes(ins.row(r), xs))) + ins.bias(r))
+		}
+		return
+	}
+
+	pairs := (n + 1) / 2
+	for q := 0; q < pairs; q++ {
+		packed := p.pack[q*width : (q+1)*width]
+		lo := x.slot(2*q, width)[:len(packed)]
+		var m int64
+		if 2*q+1 < n {
+			hi := x.slot(2*q+1, width)[:len(packed)]
+			for i := range packed {
+				a, b := int64(lo[i]), int64(hi[i])
+				packed[i] = a + b<<32
+				m |= abs64(a) | abs64(b)
+			}
+		} else {
+			for i := range packed {
+				a := int64(lo[i])
+				packed[i] = a
+				m |= abs64(a)
+			}
+		}
+		p.mag[q] = m
+	}
+	for r := 0; r < rows; r++ {
+		var s int64
+		for _, w := range ins.row(r) {
+			s += abs64(int64(w))
+		}
+		// Clamped so that s*m cannot overflow (m < 1<<32); a clamped sum
+		// still fails the guard against every non-zero m.
+		p.wsum[r] = min(s, math.MaxInt32+1)
+	}
+
+	// Two rows per pass, so each packed lane is loaded once for four dots.
+	r := 0
+	for ; r+1 < rows; r += 2 {
+		w0, w1 := ins.row(r), ins.row(r+1)
+		w1 = w1[:len(w0)]
+		s0, s1, b0, b1 := p.wsum[r], p.wsum[r+1], ins.bias(r), ins.bias(r+1)
+		for q := 0; q < pairs; q++ {
+			if m := p.mag[q]; s0*m > math.MaxInt32 || s1*m > math.MaxInt32 {
+				p.matVecCell(x, out, n, r, q, w0, b0)
+				p.matVecCell(x, out, n, r+1, q, w1, b1)
+				continue
+			}
+			acc0, acc1 := packedDot2(p.pack[q*width:(q+1)*width], w0, w1)
+			putPair(out, n, r, q, acc0, b0)
+			putPair(out, n, r+1, q, acc1, b1)
+		}
+	}
+	if r < rows {
+		w, b := ins.row(r), ins.bias(r)
+		for q := 0; q < pairs; q++ {
+			p.matVecCell(x, out, n, r, q, w, b)
+		}
+	}
+}
+
+// matVecCell evaluates row r (weights w, bias b) for slot pair q alone:
+// packed when the guard holds, otherwise slot by slot through dotLanes.
+//
+// hotpath: zero-alloc
+func (p *Program) matVecCell(x, out window, n, r, q int, w []int32, b int64) {
+	width := len(w)
+	if p.wsum[r]*p.mag[q] <= math.MaxInt32 {
+		var acc int64
+		packed := p.pack[q*width:][:len(w)]
+		for i, wv := range w {
+			acc += packed[i] * int64(wv)
+		}
+		putPair(out, n, r, q, acc, b)
+		return
+	}
+	p.fallbacks++
+	acc := int64(sat32(dotLanes(w, x.slot(2*q, width))))
+	if 2*q+1 < n {
+		acc += int64(sat32(dotLanes(w, x.slot(2*q+1, width)))) << 32
+	}
+	putPair(out, n, r, q, acc, b)
+}
+
+// packedDot2 is the packed dot of x with each of two rows. It stays out of
+// line: inlined into matVec its accumulators spill to the stack, and the
+// 8-64-32-1 sweep runs a third slower.
+//
+//go:noinline
+func packedDot2(x []int64, w0, w1 []int32) (acc0, acc1 int64) {
+	w0, w1 = w0[:len(x)], w1[:len(x)]
+	for i, xv := range x {
+		acc0 += xv * int64(w0[i])
+		acc1 += xv * int64(w1[i])
+	}
+	return acc0, acc1
+}
+
+// putPair splits acc = lo + hi<<32 into the dots of slots 2q and 2q+1 and
+// stores each, plus the bias b, in lane r.
+func putPair(out window, n, r, q int, acc, b int64) {
+	lo := int32(acc)
+	out.lanes[2*q*out.step+r] = sat32(int64(lo) + b)
+	if 2*q+1 < n {
+		out.lanes[(2*q+1)*out.step+r] = sat32((acc-int64(lo))>>32 + b)
+	}
+}
+
+// row returns the live weights of an OpMatVec's row r.
+func (ins *Instr) row(r int) []int32 {
+	o := &ins.Rows[r]
+	return o.Const[o.Off : o.Off+o.W]
+}
+
+// bias returns the live bias of an OpMatVec's row r, 0 when it has none.
+func (ins *Instr) bias(r int) int64 {
+	if len(ins.Rows) == ins.W {
+		return 0
+	}
+	o := &ins.Rows[ins.W+r]
+	return int64(o.Const[o.Off])
+}
+
+// abs64 is |v| for v > MinInt64.
+func abs64(v int64) int64 {
+	s := v >> 63
+	return (v ^ s) - s
 }
 
 // The kernels below each evaluate one instruction for one batch slot. A

@@ -1,6 +1,8 @@
 package tapecheck
 
 import (
+	"fmt"
+
 	"taurus/internal/fixed"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/sched"
@@ -45,9 +47,21 @@ func (c *checker) alias() {
 
 	for pc := range c.code {
 		ins := &c.code[pc]
-		c.auditOperand(pc, "a", ins.A)
-		c.auditOperand(pc, "b", ins.B)
-		c.auditOperand(pc, "c", ins.C)
+		for i, o := range [...]sched.Operand{ins.A, ins.B, ins.C} {
+			if node, fault := c.operandFault(o); fault != "" {
+				c.finding(pc, node, SevError, CheckAlias, Interval{}, "operand %c %s", 'a'+i, fault)
+			}
+		}
+		for r, o := range ins.Rows {
+			// The matvec kernel reads its rows and biases through Const alone.
+			node, fault := c.operandFault(o)
+			if o.Const == nil {
+				fault = "is not constant-backed"
+			}
+			if fault != "" {
+				c.finding(pc, node, SevError, CheckAlias, Interval{}, "row operand %d %s", r, fault)
+			}
+		}
 		switch ins.Op {
 		case sched.OpRequant, sched.OpScale:
 			if ins.Mult == nil {
@@ -96,29 +110,25 @@ func (c *checker) alias() {
 	}
 }
 
-// auditOperand checks one constant-backed operand's storage identity.
-// Arena-backed operands (Const == nil) are bounds()'s business; unused
-// operands are zero values and skipped the same way.
-func (c *checker) auditOperand(pc int, which string, o sched.Operand) {
+// operandFault checks one constant-backed operand's storage identity,
+// returning what is wrong with it ("" when nothing is) and the const node it
+// aliases, if any. Arena-backed operands (Const == nil) are bounds()'s
+// business; unused operands are zero values and pass the same way.
+func (c *checker) operandFault(o sched.Operand) (node mr.NodeID, fault string) {
 	if o.Const == nil {
-		return
+		return -1, ""
 	}
 	if len(o.Const) == 0 {
-		c.finding(pc, -1, SevError, CheckAlias, Interval{},
-			"operand %s aliases an empty constant slice", which)
-		return
+		return -1, "aliases an empty constant slice"
 	}
 	id, ok := c.constOf[&o.Const[0]]
 	if !ok {
-		c.finding(pc, -1, SevError, CheckAlias, Interval{},
-			"operand %s aliases storage outside every graph const node: weight pushes would never reach it", which)
-		return
+		return -1, "aliases storage outside every graph const node: weight pushes would never reach it"
 	}
 	if o.Off < 0 || o.W < 0 || o.Off+o.W > len(o.Const) {
-		c.finding(pc, id, SevError, CheckAlias, Interval{},
-			"operand %s window [%d,%d) overruns const node %d's %d lanes",
-			which, o.Off, o.Off+o.W, id, len(o.Const))
+		return id, fmt.Sprintf("window [%d,%d) overruns const node %d's %d lanes", o.Off, o.Off+o.W, id, len(o.Const))
 	}
+	return id, ""
 }
 
 // constNode resolves a constant-backed operand to its graph node, or -1.

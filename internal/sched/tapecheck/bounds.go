@@ -16,6 +16,7 @@ const (
 	classReduce                // reads a[0:A.W]; writes lane 0
 	classDot                   // reads a[0:A.W], b likewise (or broadcast); writes lane 0
 	classDotAdd                // classDot plus c[0]
+	classMatVec                // reads a[0:A.W] and W constant rows (plus W constant biases); writes W lanes
 	classBad
 )
 
@@ -32,9 +33,18 @@ func classOf(op sched.Opcode) opClass {
 		return classDot
 	case sched.OpDotAdd:
 		return classDotAdd
+	case sched.OpMatVec:
+		return classMatVec
 	default:
 		return classBad
 	}
+}
+
+// matVecBiased reports whether an OpMatVec's Rows holds a bias per row after
+// its W weight rows; ok is false when it holds neither W nor 2*W operands,
+// which no analysis can address.
+func matVecBiased(ins *sched.Instr) (biased, ok bool) {
+	return len(ins.Rows) == 2*ins.W, len(ins.Rows) == ins.W || len(ins.Rows) == 2*ins.W
 }
 
 // bounds is the arena/liveness analysis. It proves the structure-of-arrays
@@ -120,6 +130,29 @@ func (c *checker) bounds() {
 				c.finding(pc, -1, SevError, CheckBounds, Interval{},
 					"bias operand c is empty")
 			}
+		case classMatVec:
+			// The kernel reads A.W lanes of the input per slot and of every
+			// row, and lane 0 of every bias; a constant or narrower input
+			// (a broadcast lane) is not something it can address.
+			if ins.A.Const != nil || ins.A.W < 1 {
+				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+					"matvec input is constant-backed or empty (%d lanes)", ins.A.W)
+			}
+			if _, ok := matVecBiased(ins); !ok {
+				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+					"matvec writes %d lanes from %d row operands, want %d (rows) or %d (rows and biases)",
+					ins.W, len(ins.Rows), ins.W, 2*ins.W)
+				continue
+			}
+			for r, o := range ins.Rows {
+				if want := ins.A.W; r < ins.W && o.W != want {
+					c.finding(pc, -1, SevError, CheckBounds, Interval{},
+						"row %d is %d lanes, input is %d", r, o.W, want)
+				} else if r >= ins.W && o.W != 1 {
+					c.finding(pc, -1, SevError, CheckBounds, Interval{},
+						"bias %d is %d lanes, want 1", r-ins.W, o.W)
+				}
+			}
 		}
 
 		// Reads, in RunBatch order.
@@ -146,6 +179,8 @@ func (c *checker) bounds() {
 			if cls == classDotAdd {
 				c.checkRead(pc, ins.C, 1, &undefOnce, &skewOnce)
 			}
+		case classMatVec:
+			c.checkRead(pc, ins.A, ins.A.W, &undefOnce, &skewOnce)
 		}
 
 		// Writes: W lanes for element ops, lane 0 for reductions.

@@ -15,9 +15,9 @@ import (
 // cell holds, with fused instructions expanded into their documented
 // RunBatch meaning — a dot is sum(mul(aᵢ,bᵢ)), a dot+bias wraps that sum in
 // one more saturating add, a squared distance is sum(mul(d,d)) over
-// d = sub(aᵢ,bᵢ). Hash-consing makes equivalence a single integer compare
-// per output lane, and because the expressions are interned structurally the
-// check is exact: no instruction-order or copy-elimination freedom is lost,
+// d = sub(aᵢ,bᵢ), a matvec is one dot(+bias) per weight row, lane by lane.
+// Hash-consing makes equivalence a single integer compare per output lane,
+// and because the expressions are interned structurally the check is exact: no instruction-order or copy-elimination freedom is lost,
 // while only bit-exact-commutative operators (saturating add, mul, min, max)
 // are canonicalised by kid order. Weight leaves are keyed by storage
 // identity (the graph slot behind the pointer, via alias()), not by value,
@@ -512,6 +512,26 @@ func (c *checker) equiv() {
 				e = it.binary(eAdd, e, read(ins.C, cW, 0))
 			}
 			write(0, e)
+		case sched.OpMatVec:
+			// Row by row, the dot+bias an OpDotAdd would have been.
+			biased, ok := matVecBiased(ins)
+			if !ok {
+				break // bounds() reported; the lanes stay undefined
+			}
+			for r := 0; r < ins.W; r++ {
+				row := ins.Rows[r]
+				rowW := wlanes(row)
+				scratch = scratch[:0]
+				for l := 0; l < ins.A.W; l++ {
+					scratch = append(scratch, it.binary(eMul, read(row, rowW, l), read(ins.A, aW, l)))
+				}
+				e := it.intern(eSum, 0, 0, scratch)
+				if biased {
+					bias := ins.Rows[ins.W+r]
+					e = it.binary(eAdd, e, read(bias, wlanes(bias), 0))
+				}
+				write(r, e)
+			}
 		case sched.OpSqDist:
 			scratch = scratch[:0]
 			for l := 0; l < ins.A.W; l++ {

@@ -1,6 +1,9 @@
 package tapecheck
 
 import (
+	"math"
+	"math/bits"
+
 	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/sched"
@@ -71,6 +74,8 @@ func (c *checker) ranges(opts Options) {
 		}
 		return iv
 	}
+
+	var input []Interval // a matvec's input lanes, read once for all its rows
 
 	for pc := range c.code {
 		ins := &c.code[pc]
@@ -189,6 +194,56 @@ func (c *checker) ranges(opts Options) {
 				out = sat(0, "fused bias-add lane", graphcheck.MapTransfer(mr.MAdd, out, read(ins.C, 0)))
 			}
 			write(0, out)
+		case sched.OpMatVec:
+			biased, ok := matVecBiased(ins)
+			if !ok {
+				break // bounds() reports
+			}
+			// Every lane is the dot+bias of one row, with the same
+			// obligations an OpDotAdd carries. On top, the packing guard the
+			// kernel evaluates per sweep — sum|w| * M <= MaxInt32, M the OR of
+			// the input magnitudes — is checked against the seeded intervals
+			// and the weights as they stand: where it cannot hold, the layer
+			// will run product by product, which is worth saying at install.
+			var m uint64
+			// Sized once for a window that fits the arena; a corrupt width
+			// (bounds() reports it) just grows by append.
+			if n := min(ins.A.W, c.arena); cap(input) < n {
+				input = make([]Interval, 0, n)
+			}
+			input = input[:0]
+			for l := 0; l < ins.A.W; l++ {
+				iv := read(ins.A, l)
+				input = append(input, iv)
+				m = max(m, magnitude(iv.Lo), magnitude(iv.Hi))
+			}
+			m = 1<<bits.Len64(m) - 1 // an OR of values <= m
+			slowRow, slowSum := -1, uint64(0)
+			for r := 0; r < ins.W; r++ {
+				row := ins.Rows[r]
+				var acc Interval
+				var sum uint64
+				for l, x := range input {
+					w := read(row, l)
+					p := sat(l, "fused dot term", graphcheck.MapTransfer(mr.MMul, w, x))
+					acc.Lo += p.Lo
+					acc.Hi += p.Hi
+					sum += magnitude(w.Hi)
+				}
+				out := sat(r, "fused dot accumulator lane", acc)
+				if biased {
+					out = sat(r, "fused bias-add lane", graphcheck.MapTransfer(mr.MAdd, out, read(ins.Rows[ins.W+r], 0)))
+				}
+				write(r, out)
+				if sum > slowSum && (sum > math.MaxInt32 || sum*m > math.MaxInt32) {
+					slowRow, slowSum = r, sum
+				}
+			}
+			if slowRow >= 0 {
+				c.finding(pc, -1, SevInfo, CheckRange, Interval{Lo: -int64(m), Hi: int64(m)},
+					"row %d cannot be shown to pack two slots per multiply: sum|w| = %d times input magnitude bound %d exceeds %d, so slot pairs that fail the guard at runtime are swept product by product (counted in tape_fallbacks)",
+					slowRow, slowSum, m, math.MaxInt32)
+			}
 		case sched.OpSqDist:
 			var acc Interval
 			for l := 0; l < ins.A.W; l++ {
@@ -200,4 +255,12 @@ func (c *checker) ranges(opts Options) {
 			write(0, sat(0, "fused distance accumulator lane", acc))
 		}
 	}
+}
+
+// magnitude is |v| as an unsigned value (MinInt64 included).
+func magnitude(v int64) uint64 {
+	if v < 0 {
+		return -uint64(v)
+	}
+	return uint64(v)
 }

@@ -13,8 +13,9 @@
 //     symbolically, per output lane, as a hash-consed expression over the
 //     graph's inputs and weight slots — fused forms included (a dot is
 //     sum(sat32(a·b)), a dot+bias is sat32(sat32(dot)+c), a squared
-//     distance is sum(sat32(sat32(a−b)²)), concat sinks write producer
-//     results straight into the concatenation's window). The expression at
+//     distance is sum(sat32(sat32(a−b)²)), a matvec is the dot+bias of each
+//     of its rows, lane by lane, concat sinks write producer results
+//     straight into the concatenation's window). The expression at
 //     each declared output cell must match, structurally and bit-exactly,
 //     the expression the graph defines for that output lane. A mismatch is
 //     reported at the instruction that produced the first diverging
@@ -24,11 +25,15 @@
 //     (graphcheck.MapTransfer et al.) is rerun over the tape's arena cells,
 //     including fusion-introduced temporaries that have no graph node (the
 //     per-term products of a fused dot, the pre-bias accumulator of a
-//     dot+add), proving no compiled intermediate can silently saturate the
-//     Fix32 datapath where the graph could not.
+//     dot+add or of a matvec row), proving no compiled intermediate can
+//     silently saturate the Fix32 datapath where the graph could not. A
+//     matvec whose packing guard (sum|w| times the input magnitude bound
+//     within int32) cannot be shown from those intervals draws an
+//     informational finding: it will take the slower exact path at runtime.
 //
-//  3. Aliasing audit: every constant-backed operand must alias exactly one
-//     graph KConst's storage (window in range), every multiplier pointer
+//  3. Aliasing audit: every constant-backed operand — a matvec's rows and
+//     biases among them, which must be constant-backed — must alias exactly
+//     one graph KConst's storage (window in range), every multiplier pointer
 //     exactly one KRequant/KScale node's payload, every table pointer
 //     exactly one KLUT's table — so a live UpdateWeights, which mutates
 //     those payloads in place, changes exactly the weights it means to and

@@ -51,7 +51,9 @@ func mustMult(t testing.TB, f float64) fixed.Multiplier {
 // zooGraph compiles to a tape exercising every instruction family the
 // verifier special-cases: a materialised add (multi-consumer), a sub, a
 // plain dot, a const-window dot (through a slice), a bias-folded dot+add,
-// requant, scale, LUT, relu, and a concat with one genuine copy.
+// requant, scale, LUT, relu, a concat with one genuine copy, and a dense
+// layer (three bias-dots gathered by a concat: one matvec) whose second row
+// and whose biases are windows of larger constants.
 func zooGraph(t testing.TB) *mr.Graph {
 	mult := mustMult(t, 0.03)
 	lut := &mr.LUT{Mult: mustMult(t, 1.0/64)}
@@ -69,10 +71,21 @@ func zooGraph(t testing.TB) *mr.Graph {
 		neuron := b.Map(mr.MAdd,
 			b.Reduce(mr.RAdd, b.Map(mr.MMul, x, b.Const("nw", []int32{1, 2, 3, 4, 5, 6, 7, 8}))),
 			b.Scalar("bias", 9)) // OpDotAdd
+		rows := []mr.Value{
+			b.Const("l0", []int32{1, -1, 2, -2, 3, -3, 4, -4}),
+			b.Slice(b.Const("l1", []int32{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}), 1, 8),
+			b.Const("l2", []int32{5, 5, 5, 5, -5, -5, -5, -5}),
+		}
+		lb := b.Const("lb", []int32{10, 20, 30, 40})
+		layer := make([]mr.Value, len(rows))
+		for r, w := range rows {
+			layer[r] = b.Map(mr.MAdd, b.DotProduct(w, x), b.Slice(lb, r, 1))
+		}
 		b.Output(
 			b.Concat(b.Requant(sum, mult), b.Scale(sum, mult), b.ApplyLUT(sum, lut),
 				b.Unary(mr.UReLU, sum), x), // trailing input forces one OpCopy
-			diff, dotSelf, dotW, neuron)
+			diff, dotSelf, dotW, neuron,
+			b.Concat(layer...)) // OpMatVec
 	})
 }
 
@@ -161,6 +174,48 @@ func TestMutationKill(t *testing.T) {
 			ins := &p.Code()[findPC(t, p, sched.OpLUT)]
 			clone := *ins.LUT
 			ins.LUT = &clone
+		}},
+		// The dense layer: rows 0..2 then biases 0..2 in Rows.
+		{"matvec-rows-swapped", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			rows := p.Code()[findPC(t, p, sched.OpMatVec)].Rows
+			rows[0], rows[2] = rows[2], rows[0]
+		}},
+		{"matvec-row-dropped", tapecheck.CheckBounds, false, func(t *testing.T, p *sched.Program) {
+			// Row 2 and its bias removed: the layer's last lane is never computed.
+			ins := &p.Code()[findPC(t, p, sched.OpMatVec)]
+			ins.Rows = []sched.Operand{ins.Rows[0], ins.Rows[1], ins.Rows[3], ins.Rows[4]}
+			ins.W = 2
+		}},
+		{"matvec-row-duplicated", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			rows := p.Code()[findPC(t, p, sched.OpMatVec)].Rows
+			rows[2] = rows[0]
+		}},
+		{"matvec-row-one-lane-off", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			// Row 1 is l1[1:9]; l1[2:10] is still inside the constant, so
+			// only the symbolic check can see it.
+			p.Code()[findPC(t, p, sched.OpMatVec)].Rows[1].Off++
+		}},
+		{"matvec-bias-skewed", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			// Bias 0 reads its neighbour's scalar, lb[1].
+			p.Code()[findPC(t, p, sched.OpMatVec)].Rows[3].Off++
+		}},
+		{"matvec-wrong-dstride", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			p.Code()[findPC(t, p, sched.OpMatVec)].DStride--
+		}},
+		{"matvec-wrong-dst", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			p.Code()[findPC(t, p, sched.OpMatVec)].Dst--
+		}},
+		{"matvec-input-narrowed-to-broadcast", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			p.Code()[findPC(t, p, sched.OpMatVec)].A.W = 1
+		}},
+		{"matvec-row-aliases-other-const", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			// nw is another 8-lane constant: in range, live, and the wrong weights.
+			ins := &p.Code()[findPC(t, p, sched.OpMatVec)]
+			ins.Rows[0].Const = p.Code()[findPC(t, p, sched.OpDotAdd)].B.Const
+		}},
+		{"matvec-row-detached", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
+			row := &p.Code()[findPC(t, p, sched.OpMatVec)].Rows[2]
+			row.Const = append([]int32(nil), row.Const...)
 		}},
 		{"schedule-claims-low-ii", tapecheck.CheckPlan, false, func(t *testing.T, p *sched.Program) {
 			p.Schedule().II = 0
@@ -317,6 +372,46 @@ func TestSlicedConstOutputVerifies(t *testing.T) {
 	}
 }
 
+// TestMatVecGuardFinding: a dense layer whose weights and seeded input range
+// cannot satisfy the packing guard (sum|w| * input magnitude <= MaxInt32) is
+// still a faithful tape — the kernel falls back per slot pair at runtime —
+// but the report says so at install time, once per matvec, as information.
+func TestMatVecGuardFinding(t *testing.T) {
+	layer := func(weight int32) *mr.Graph {
+		return build(t, "layer", func(b *mr.Builder) {
+			x := b.Input("x", 8)
+			w := []int32{weight, weight, weight, weight, weight, weight, weight, weight}
+			b.Output(b.Concat(b.DotProduct(b.Const("w0", w), x), b.DotProduct(b.Const("w1", w), x)))
+		})
+	}
+	infos := func(g *mr.Graph) (n int) {
+		p, err := sched.Compile(g, cgra.DefaultGrid()) // through the gate: information does not reject
+		if err != nil {
+			t.Fatalf("Compile: %v", err)
+		}
+		pc := findPC(t, p, sched.OpMatVec)
+		rep := tapecheck.Verify(p)
+		if !rep.OK() {
+			t.Fatalf("rejected:\n%s", rep)
+		}
+		for _, f := range rep.Findings {
+			if f.Severity != tapecheck.SevInfo || f.Check != tapecheck.CheckRange || f.PC != pc {
+				t.Fatalf("unexpected finding: %s", f)
+			}
+			n++
+		}
+		return n
+	}
+	// Inputs are int8 codes, whose magnitudes OR to at most 255:
+	// 8 * 2^20 * 255 < 2^31 <= 8 * (2^20+2^16) * 255.
+	if n := infos(layer(1 << 20)); n != 0 {
+		t.Errorf("%d findings on a layer whose guard is provable, want none", n)
+	}
+	if n := infos(layer(1<<20 + 1<<16)); n != 1 {
+		t.Errorf("%d findings on a layer whose guard is not provable, want one", n)
+	}
+}
+
 // TestInputRangeOption mirrors graphcheck's Options.InputRange: widening the
 // declared input domain must surface saturation the int8 default hides.
 func TestInputRangeOption(t *testing.T) {
@@ -437,6 +532,9 @@ func TestModelFamiliesVerifyClean(t *testing.T) {
 			}
 			for _, f := range rep.Findings {
 				t.Logf("non-fatal finding: %s", f)
+				if f.Op == sched.OpMatVec.String() {
+					t.Errorf("a shipped lowering cannot be shown to stay on the packed matvec path: %s", f)
+				}
 			}
 			if allocs, bytes := verifyCost(p); allocs > 800 || bytes > 840_000 {
 				t.Errorf("Verify(%d instrs) allocates %.0f objects / %d bytes, budget 800 / 840000",
