@@ -54,9 +54,9 @@ check:
 	fi
 	$(GO) vet ./...
 
-# Repo-local vet passes: the taurus-lint multichecker runs clonecheck
-# (clone-before-push), hotpathcheck (zero-alloc hot paths) and gatecheck
-# (verify-before-push) over the production tree (see internal/lint).
+# Repo-local vet passes: the taurus-lint multichecker runs hotpathcheck
+# (zero-alloc hot paths), gatecheck (verify-before-push) and obsnames (metric
+# names) over the production tree (see internal/lint).
 lint: check
 	$(GO) run ./cmd/taurus-lint .
 

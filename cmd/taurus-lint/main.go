@@ -2,11 +2,9 @@
 // over one or more directory trees and prints every diagnostic. Exit status
 // 1 when any diagnostic is reported, 2 on a driver error.
 //
-// The suite holds four analyzers, selectable with flags (all on by
+// The suite holds three analyzers, selectable with flags (all on by
 // default):
 //
-//	clonecheck    graphs pushed to UpdateWeights/LoadModel must be owned by
-//	              the pushing function (clone-before-push)
 //	hotpathcheck  functions annotated `//hotpath: zero-alloc` must stay free
 //	              of allocating constructs
 //	gatecheck     push call sites must be dominated by a graphcheck gate
@@ -15,7 +13,7 @@
 //
 // Usage:
 //
-//	taurus-lint [-clonecheck=false] [-hotpathcheck=false] [-gatecheck=false] [-obsnames=false] [dir ...]   (default ".")
+//	taurus-lint [-hotpathcheck=false] [-gatecheck=false] [-obsnames=false] [dir ...]   (default ".")
 package main
 
 import (
@@ -24,7 +22,6 @@ import (
 	"os"
 
 	"taurus/internal/lint"
-	"taurus/internal/lint/clonecheck"
 	"taurus/internal/lint/gatecheck"
 	"taurus/internal/lint/hotpathcheck"
 	"taurus/internal/lint/obsnames"
@@ -33,7 +30,7 @@ import (
 func main() {
 	// obsnames is constructed per run: its kind census spans every file the
 	// run sees, so the instance must not outlive the invocation.
-	all := []*lint.Analyzer{clonecheck.Analyzer, hotpathcheck.Analyzer, gatecheck.Analyzer, obsnames.New()}
+	all := []*lint.Analyzer{hotpathcheck.Analyzer, gatecheck.Analyzer, obsnames.New()}
 	enabled := map[string]*bool{}
 	for _, a := range all {
 		enabled[a.Name] = flag.Bool(a.Name, true, a.Doc)

@@ -14,10 +14,10 @@
 //
 // The ownership split mirrors a MapReduce coordinator and its workers: the
 // controller is the single writer of the float model and the only caller of
-// UpdateWeights, the pipeline's shards own their graph clones and never see
-// the trainer's copy, and the two sides meet only at the push — a read-only
-// handoff of a freshly lowered graph, after which the trainer may keep
-// mutating its own state freely.
+// UpdateWeights, the data plane keeps nothing of a graph it is handed — it
+// copies the weights into an image of its own — and the two sides meet only
+// at the push: a read-only handoff of a freshly lowered graph, after which the
+// trainer may keep mutating its own state freely.
 //
 // There is one control loop, Fleet (fleet.go): one trainer, one shared
 // model, a drift detector per registered member, label pooling across the
@@ -43,10 +43,11 @@ import (
 
 // TapeRechecker is the optional audit surface of a Pusher: after a
 // successful weight push, the control plane re-runs tapecheck's translation
-// validator on the tape the data plane is serving — the pushed weights
-// mutated the graph the tape aliases, and RecheckTape proves the compiled
-// path is still a faithful translation. *pipeline.Pipeline and *core.Device
-// both implement it.
+// validator on the tape the data plane is serving and the weight image the
+// push built for it, and RecheckTape proves the compiled path is still a
+// faithful translation within the datapath's ranges. A failed audit rolls
+// the push back like a refused one. *pipeline.Pipeline and *core.Device both
+// implement it.
 type TapeRechecker interface {
 	RecheckTape() error
 }

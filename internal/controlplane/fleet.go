@@ -324,7 +324,6 @@ func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	g := f.lastGraph
 	f.mu.Unlock()
 	if g != nil {
-		//clonecheck:owned — catch-up push of the fleet's immutable last graph; members copy weights out
 		//gatecheck:verified — f.lastGraph passed graphcheck.Check/Compatible in the retrain that installed it
 		if err := p.UpdateWeights(g); err != nil {
 			f.mu.Lock()
@@ -453,17 +452,6 @@ func (f *Fleet) RetrainNow() error {
 	f.tracer.Emitf(span, "graphcheck.pass", "graph=%q", g.Name)
 	if err := f.push(span, g); err != nil {
 		return f.fail(span, err)
-	}
-	// Post-push audit, per member: any pusher exposing RecheckTape (a device
-	// or pipeline) re-verifies its installed tape against the live graph.
-	for _, m := range f.snapshot() {
-		if rc, ok := m.pusher.(TapeRechecker); ok {
-			if err := rc.RecheckTape(); err != nil {
-				f.tracer.Emitf(span, "tapecheck.fail", "member=%q post-push recheck: err=%q", m.name, err.Error())
-				return f.fail(span, fmt.Errorf("controlplane: post-push tape recheck on fleet member %q: %w", m.name, err))
-			}
-			f.tracer.Emitf(span, "tapecheck.pass", "member=%q post-push recheck", m.name)
-		}
 	}
 	if f.cfg.OnPush != nil {
 		f.cfg.OnPush()
@@ -638,40 +626,54 @@ func (f *Fleet) pullFrom(m *fleetMember, want int) ([]dataset.Record, bool) {
 	}
 }
 
-// push applies g to every member; on a member's failure the members already
-// updated are rolled back to the previously pushed graph so the fleet never
-// serves a mix of models. Before the first successful push there is nothing
-// to roll back to — the error then names the members left serving the new
-// graph so the operator knows the fleet diverged.
+// push applies g to every member, then has every member that can (a device
+// or pipeline: TapeRechecker) re-verify the tape it serves against the new
+// weights. On a member's failure — a refused push or a failed audit — the
+// members already updated are rolled back to the previously pushed graph, so
+// the fleet never serves a mix of models and what the members serve agrees
+// with lastGraph. Before the first successful push there is nothing to roll
+// back to — the error then names the members left serving the new graph so the
+// operator knows the fleet diverged.
 func (f *Fleet) push(span int64, g *mr.Graph) error {
 	members := f.snapshot()
 	f.mu.Lock()
 	prev := f.lastGraph
 	f.mu.Unlock()
-	for i, m := range members {
-		//clonecheck:owned — fan-out of the retrain's freshly lowered graph; pushers copy weights out
-		//gatecheck:verified — the caller (retrain) passed g through graphcheck.Check/Compatible before push()
-		if err := m.pusher.UpdateWeights(g); err != nil {
-			f.tracer.Emitf(span, "push.rollback", "member=%q rolled_back=%d err=%q", m.name, i, err.Error())
-			if prev == nil {
-				if i > 0 {
-					names := make([]string, i)
-					for j, r := range members[:i] {
-						names[j] = r.name
-					}
-					return fmt.Errorf("controlplane: push to fleet member %q failed with no prior fleet push to roll back to; members %v already serve the new model: %w",
-						m.name, names, err)
-				}
-				return fmt.Errorf("controlplane: push to fleet member %q: %w", m.name, err)
+	// rollback undoes the push on the first n members after what failed on m.
+	rollback := func(n int, what string, m *fleetMember, err error) error {
+		f.tracer.Emitf(span, "push.rollback", "member=%q rolled_back=%d err=%q", m.name, n, err.Error())
+		if prev == nil && n > 0 {
+			names := make([]string, n)
+			for j, r := range members[:n] {
+				names[j] = r.name
 			}
-			for _, r := range members[:i] {
+			return fmt.Errorf("controlplane: %s %q failed with no prior fleet push to roll back to; members %v already serve the new model: %w",
+				what, m.name, names, err)
+		}
+		if prev != nil {
+			for _, r := range members[:n] {
 				// prev installed on r once already; structural rejection
 				// cannot recur, and a deeper device failure would leave
 				// the original error the one worth surfacing.
 				//gatecheck:verified — rollback to the previously pushed graph, verified by its own push
-				_ = r.pusher.UpdateWeights(prev) //clonecheck:owned — rollback to the immutable previous push
+				_ = r.pusher.UpdateWeights(prev)
 			}
-			return fmt.Errorf("controlplane: push to fleet member %q: %w", m.name, err)
+		}
+		return fmt.Errorf("controlplane: %s %q: %w", what, m.name, err)
+	}
+	for i, m := range members {
+		//gatecheck:verified — the caller (retrain) passed g through graphcheck.Check/Compatible before push()
+		if err := m.pusher.UpdateWeights(g); err != nil {
+			return rollback(i, "push to fleet member", m, err)
+		}
+	}
+	for _, m := range members {
+		if rc, ok := m.pusher.(TapeRechecker); ok {
+			if err := rc.RecheckTape(); err != nil {
+				f.tracer.Emitf(span, "tapecheck.fail", "member=%q post-push recheck: err=%q", m.name, err.Error())
+				return rollback(len(members), "post-push tape recheck on fleet member", m, err)
+			}
+			f.tracer.Emitf(span, "tapecheck.pass", "member=%q post-push recheck", m.name)
 		}
 	}
 	return nil

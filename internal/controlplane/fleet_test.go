@@ -3,6 +3,7 @@ package controlplane
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/model"
+	"taurus/internal/obs"
 	"taurus/internal/pipeline"
 	"taurus/internal/trafficgen"
 )
@@ -364,6 +366,91 @@ func TestFleetPushFailureRollsBack(t *testing.T) {
 	}
 	if st := fl.Stats(); st.Retrains != 2 {
 		t.Errorf("retrains = %d, want 2", st.Retrains)
+	}
+}
+
+// auditedPusher is a recordPusher whose post-push audit fails after its
+// failRecheck-th push (1-based; 0 = never).
+type auditedPusher struct {
+	recordPusher
+	failRecheck int
+}
+
+func (p *auditedPusher) RecheckTape() error {
+	if n := len(p.pushed()); n == p.failRecheck {
+		return errors.New("injected recheck failure")
+	}
+	return nil
+}
+
+// TestFleetRecheckFailureRollsBack: a member whose post-push tape audit fails
+// must not leave the rejected weights serving anywhere — every member is
+// rolled back to the previous push exactly as after a refused UpdateWeights,
+// what the members serve agrees with the fleet's record of it, the error
+// names the member, and the next retrain runs again.
+func TestFleetRecheckFailureRollsBack(t *testing.T) {
+	tracer := obs.NewTracer(256)
+	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Tracer: tracer, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := &auditedPusher{}
+	picky := &auditedPusher{failRecheck: 2} // audits the first push clean, fails the second
+	for name, p := range map[string]*auditedPusher{"good": good, "picky": picky} {
+		if _, err := fl.Register(name, p, labelSrc); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fl.RetrainNow(); err != nil {
+		t.Fatalf("first retrain failed: %v", err)
+	}
+	g1 := good.pushed()[0]
+
+	err = fl.RetrainNow()
+	if err == nil || !strings.Contains(err.Error(), `"picky"`) || !strings.Contains(err.Error(), "recheck") {
+		t.Fatalf("second retrain = %v, want the recheck failure naming member picky", err)
+	}
+	for name, p := range map[string]*auditedPusher{"good": good, "picky": picky} {
+		got := p.pushed()
+		if len(got) != 3 || got[2] != g1 {
+			t.Errorf("member %s saw %d pushes and does not end on the first push's graph: the rejected weights keep serving", name, len(got))
+		}
+	}
+	rolledBack := false
+	for _, e := range tracer.Events() {
+		if e.Kind == "push.rollback" && strings.Contains(e.Detail, `member="picky"`) && strings.Contains(e.Detail, "rolled_back=2") {
+			rolledBack = true
+		}
+	}
+	if !rolledBack {
+		t.Error("no push.rollback event names member picky and both members")
+	}
+	if st := fl.Stats(); st.Retrains != 1 {
+		t.Errorf("failed cycle counted as a retrain (retrains = %d)", st.Retrains)
+	}
+
+	// The loop is not over: the next retrain pushes again and converges.
+	if err := fl.RetrainNow(); err != nil {
+		t.Fatalf("retrain after the rollback failed: %v", err)
+	}
+	if g, p := good.pushed(), picky.pushed(); g[len(g)-1] != p[len(p)-1] || g[len(g)-1] == g1 {
+		t.Error("members did not converge on a fresh graph after the retry")
+	}
+	if st := fl.Stats(); st.Retrains != 2 {
+		t.Errorf("retrains = %d, want 2", st.Retrains)
+	}
+
+	// Before the first fleet push there is nothing to roll back to: the error
+	// says which members already serve the new model.
+	first, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Register("only", &auditedPusher{failRecheck: 1}, labelSrc); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.RetrainNow(); err == nil || !strings.Contains(err.Error(), "already serve the new model") {
+		t.Errorf("recheck failure on the first fleet push = %v, want the members-already-serve error", err)
 	}
 }
 

@@ -24,12 +24,6 @@ import (
 	"taurus/internal/obs"
 	"taurus/internal/pisa"
 	"taurus/internal/sched"
-
-	// tapecheck both arms sched.Compile's translation-validation gate —
-	// every tape a Device installs has been statically verified against its
-	// source graph, and a rejected tape is an install error — and backs
-	// RecheckTape's post-push revalidation of the serving tape.
-	"taurus/internal/sched/tapecheck"
 )
 
 // Verdict is the postprocessing decision for a packet (§3.2: drop, flag, or
@@ -134,6 +128,21 @@ func DefaultConfig(numFeatures int) Config {
 	return Config{FlowTableSize: 4096, NumFeatures: numFeatures, Threshold: 64, DropOnAnomaly: false}
 }
 
+// grid and tracer resolve the configuration's defaults.
+func (c Config) grid() cgra.GridSpec {
+	if c.Grid == (cgra.GridSpec{}) {
+		return cgra.DefaultGrid()
+	}
+	return c.Grid
+}
+
+func (c Config) tracer() *obs.Tracer {
+	if c.Tracer == nil {
+		return obs.DefaultTracer()
+	}
+	return c.Tracer
+}
+
 // Device is a Taurus switch. A Device is not safe for concurrent use; the
 // pipeline package shards traffic across several devices for that.
 type Device struct {
@@ -148,9 +157,15 @@ type Device struct {
 	// flowValid marks slots whose features have been accumulated.
 	flowValid *pisa.RegisterArray
 
-	// installed is the model being served, replaced whole by Prepared.Commit
-	// (all zero before the first install: every packet bypasses).
-	installed
+	// model is the model being served (nil before the first install: every
+	// packet bypasses) and prog its tape bound to the model's current image
+	// and this device's arena. A bare device publishes its own model in
+	// LoadModel / UpdateWeights; a pipeline's shard is handed the model of
+	// each batch (ProcessIndexed). mlIdx holds the batch indices of the ML
+	// packets staged in prog, cap = the tape's batch.
+	model *Model
+	prog  sched.Program
+	mlIdx []int
 
 	phv       *pisa.PHV
 	bypassID  pisa.FieldID
@@ -161,22 +176,8 @@ type Device struct {
 	// single-writer per-call scratch the packet path increments, folded into
 	// m once per Process* call so the hot path pays a handful of atomic ops
 	// per batch instead of several per packet.
-	m      devMetrics
-	tally  devTally
-	tracer *obs.Tracer
-}
-
-// installed is everything a model install sets. prog is the compiled,
-// translation-validated tape of model.Graph — the device's only inference
-// engine.
-type installed struct {
-	model    *compiler.Result
-	prog     *sched.Program
-	mlIdx    []int // batch indices of the ML packets staged in prog, cap = prog batch
-	inQ      fixed.Quantizer
-	schedII  int // prog's measured initiation interval
-	modelLat float64
-	modelII  int
+	m     devMetrics
+	tally devTally
 }
 
 // devMetrics are the device's registry instruments, all sharing one label
@@ -202,6 +203,9 @@ type devMetrics struct {
 	// inference records its II, every bypass its single cycle, so
 	// serviceNs.Count == ml+bypass and serviceNs.Sum == modelBusyNs.
 	serviceNs *obs.Histogram
+	// modelEpoch is the epoch of the model that served the device's last
+	// Process* call (0 while it has none).
+	modelEpoch *obs.Gauge
 }
 
 // devTally mirrors the counters as plain ints for the packet path.
@@ -228,6 +232,7 @@ func bindDevMetrics(reg *obs.Registry, labels []obs.Label) devMetrics {
 		fallbacks:    reg.Counter("taurus.device.tape_fallbacks", labels...),
 		modelBusyNs:  reg.Counter("taurus.device.model_busy_ns", labels...),
 		serviceNs:    reg.Histogram("taurus.device.service_ns", labels...),
+		modelEpoch:   reg.Gauge("taurus.device.model_epoch", labels...),
 	}
 }
 
@@ -236,19 +241,19 @@ func bindDevMetrics(reg *obs.Registry, labels []obs.Label) devMetrics {
 //
 // hotpath: zero-alloc
 func (d *Device) flushTally() {
-	t := &d.tally
+	t, ii := &d.tally, d.model.ScheduledII()
 	if t.processed != 0 {
 		d.m.processed.Add(int64(t.processed))
 	}
 	if t.mlInferences != 0 {
 		d.m.mlInferences.Add(int64(t.mlInferences))
-		d.m.serviceNs.RecordN(float64(d.schedII), int64(t.mlInferences))
+		d.m.serviceNs.RecordN(float64(ii), int64(t.mlInferences))
 	}
 	if t.bypassed != 0 {
 		d.m.bypassed.Add(int64(t.bypassed))
 		d.m.serviceNs.RecordN(bypassCycleNs, int64(t.bypassed))
 	}
-	if busy := int64(t.mlInferences)*int64(d.schedII) + int64(t.bypassed); busy != 0 {
+	if busy := int64(t.mlInferences)*int64(ii) + int64(t.bypassed); busy != 0 {
 		d.m.modelBusyNs.Add(busy)
 	}
 	if t.forwarded != 0 {
@@ -269,6 +274,7 @@ func (d *Device) flushTally() {
 	if t.fallbacks != 0 {
 		d.m.fallbacks.Add(int64(t.fallbacks))
 	}
+	d.m.modelEpoch.Set(int64(d.model.Epoch()))
 	*t = devTally{}
 }
 
@@ -281,9 +287,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	if cfg.FlowTableSize <= 0 {
 		cfg.FlowTableSize = 4096
 	}
-	if cfg.Grid == (cgra.GridSpec{}) {
-		cfg.Grid = cgra.DefaultGrid()
-	}
+	cfg.Grid = cfg.grid()
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.Default()
@@ -292,10 +296,7 @@ func NewDevice(cfg Config) (*Device, error) {
 	if labels == nil {
 		labels = []obs.Label{obs.L("dev", strconv.FormatInt(devOrdinal.Add(1)-1, 10))}
 	}
-	tracer := cfg.Tracer
-	if tracer == nil {
-		tracer = obs.DefaultTracer()
-	}
+	cfg.Tracer = cfg.tracer()
 
 	names := pisa.StandardLayoutFields()
 	names = append(names, "meta.bypass", "meta.score", "meta.verdict")
@@ -314,7 +315,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		scoreID:   layout.ID("meta.score"),
 		verdictID: layout.ID("meta.verdict"),
 		m:         bindDevMetrics(reg, labels),
-		tracer:    tracer,
+		mlIdx:     make([]int, 0, sched.DefaultBatch),
 	}
 	for i := 0; i < cfg.NumFeatures; i++ {
 		d.featureRegs = append(d.featureRegs,
@@ -372,11 +373,11 @@ func NewDevice(cfg Config) (*Device, error) {
 // Config returns the device configuration.
 func (d *Device) Config() Config { return d.cfg }
 
-// checkModel validates a program's shape against the device.
-func (d *Device) checkModel(g *mr.Graph) error {
-	if len(g.Inputs) != 1 || g.Node(g.Inputs[0]).Width != d.cfg.NumFeatures {
+// checkModel validates a program's shape against the device configuration.
+func (c Config) checkModel(g *mr.Graph) error {
+	if len(g.Inputs) != 1 || g.Node(g.Inputs[0]).Width != c.NumFeatures {
 		return fmt.Errorf("%w: model wants %d inputs of width %d, device has %d features",
-			ErrBadFeatureWidth, len(g.Inputs), inputWidth(g), d.cfg.NumFeatures)
+			ErrBadFeatureWidth, len(g.Inputs), inputWidth(g), c.NumFeatures)
 	}
 	if len(g.Outputs) != 1 || g.Node(g.Outputs[0]).Width != 1 {
 		return fmt.Errorf("%w: model must produce one single-lane output", ErrStructureMismatch)
@@ -387,78 +388,23 @@ func (d *Device) checkModel(g *mr.Graph) error {
 // LoadModel compiles a MapReduce program onto the device's grid and
 // installs it, together with the feature quantiser the preprocessing MATs
 // use. The graph must take a single input of width NumFeatures and produce
-// a single-lane score output. On error the device is untouched: the model
-// it was serving (or none) keeps serving.
+// a single-lane score output; it is copied, not kept. On error the device is
+// untouched: the model it was serving (or none) keeps serving.
 func (d *Device) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options) error {
-	if err := d.checkModel(g); err != nil {
-		return err
-	}
-	if opts.Grid == (cgra.GridSpec{}) {
-		opts.Grid = d.cfg.Grid
-	}
-	res, err := compiler.Compile(g, opts)
+	m, err := Install(d.cfg, d.model, g, inQ, opts, 1)
 	if err != nil {
 		return err
 	}
-	p, err := d.PrepareModel(res, inQ)
-	if err != nil {
-		return err
-	}
-	p.Commit()
+	d.serve(m, 0)
 	return nil
 }
 
-// Prepared is a placed model that has cleared every fallible step of an
-// install on one device — shape check, list scheduling, tape emission,
-// translation validation — and only awaits Commit.
-type Prepared struct {
-	dev *Device
-	m   installed
+// serve makes m the model the packet path runs, in m's arena for shard.
+func (d *Device) serve(m *Model, shard int) {
+	if d.model = m; m != nil {
+		d.prog = sched.Bind(m.tape, m.image, m.arenas[shard])
+	}
 }
-
-// PrepareModel is the fallible half of an install: it checks res.Graph's
-// shape against the device and compiles it with sched.Compile, which plans
-// the graph on the placed grid, emits the fused tape and runs tapecheck's
-// translation validator over it. A graph the scheduler refuses (a LUT model
-// on a grid with no MUs) or a tape the validator rejects is an error — there
-// is no second engine to serve it — and either verdict is journalled on the
-// device's tracer.
-//
-// It reads only the device's immutable configuration, so it may run while
-// the device serves traffic and a failure leaves nothing to undo: callers
-// replicating one placed design across many devices (the pipeline's shards)
-// prepare a graph clone per device, then Commit them all. The Prepared owns
-// res.Graph — weight updates mutate it in place.
-func (d *Device) PrepareModel(res *compiler.Result, inQ fixed.Quantizer) (*Prepared, error) {
-	if err := d.checkModel(res.Graph); err != nil {
-		return nil, err
-	}
-	grid := d.cfg.Grid
-	if res.Placement != nil && res.Placement.Spec != (cgra.GridSpec{}) {
-		grid = res.Placement.Spec
-	}
-	prog, err := sched.Compile(res.Graph, grid)
-	if err != nil {
-		d.tracer.Emitf(0, "tapecheck.fail", "graph=%q err=%q", res.Graph.Name, err.Error())
-		return nil, fmt.Errorf("core: compile tape for %q: %w", res.Graph.Name, err)
-	}
-	ii := prog.Schedule().II
-	d.tracer.Emitf(0, "tapecheck.pass", "graph=%q ii=%d", res.Graph.Name, ii)
-	return &Prepared{dev: d, m: installed{
-		model:    res,
-		prog:     prog,
-		mlIdx:    make([]int, 0, prog.MaxBatch()),
-		inQ:      inQ,
-		schedII:  ii,
-		modelLat: res.Stats.LatencyNs(),
-		modelII:  res.Stats.II,
-	}}, nil
-}
-
-// Commit switches the device to the prepared model. It cannot fail and must
-// not run concurrently with the device's packet path (the pipeline commits
-// under the shard lock, between batches).
-func (p *Prepared) Commit() { p.dev.installed = p.m }
 
 func inputWidth(g *mr.Graph) int {
 	if len(g.Inputs) == 0 {
@@ -467,55 +413,20 @@ func inputWidth(g *mr.Graph) int {
 	return g.Node(g.Inputs[0]).Width
 }
 
-// Model returns the installed compiled model (nil before LoadModel).
-func (d *Device) Model() *compiler.Result { return d.model }
-
 // InputQuantizer returns the feature quantiser installed with the model (the
-// zero Quantizer before LoadModel). The control plane needs it to requantise
-// retrained weights into the same input domain the preprocessing MATs use.
-func (d *Device) InputQuantizer() fixed.Quantizer { return d.inQ }
+// zero Quantizer before LoadModel).
+func (d *Device) InputQuantizer() fixed.Quantizer { return d.model.InputQuantizer() }
 
-// UpdateWeights swaps the constants and LUT tables of the installed model
-// for those of newGraph without re-placing the design — the out-of-band
-// weight update of §3.3.1/Figure 1. The new graph must be structurally
-// identical (same node kinds, widths and wiring); it is only read, so one
-// graph can be pushed to many devices concurrently.
+// UpdateWeights swaps the constants, multipliers and LUT tables of the
+// installed model for those of newGraph without re-placing the design (see
+// Model.WithWeights). The new graph is only read, so one graph can be pushed to many
+// devices concurrently, and a refused push leaves the served weights alone.
 func (d *Device) UpdateWeights(newGraph *mr.Graph) error {
-	if d.model == nil {
-		return ErrNoModel
+	m, err := d.model.WithWeights(newGraph)
+	if err != nil {
+		return err
 	}
-	old := d.model.Graph
-	if len(old.Nodes) != len(newGraph.Nodes) {
-		return fmt.Errorf("%w: node count %d vs %d", ErrStructureMismatch, len(newGraph.Nodes), len(old.Nodes))
-	}
-	for i, n := range newGraph.Nodes {
-		o := old.Nodes[i]
-		if n.Kind != o.Kind || n.Width != o.Width || len(n.Args) != len(o.Args) {
-			return fmt.Errorf("%w: node %d differs", ErrStructureMismatch, i)
-		}
-		for j := range n.Args {
-			if n.Args[j] != o.Args[j] {
-				return fmt.Errorf("%w: node %d rewired", ErrStructureMismatch, i)
-			}
-		}
-	}
-	for i, n := range newGraph.Nodes {
-		o := old.Nodes[i]
-		switch n.Kind {
-		case mr.KConst:
-			copy(o.Const, n.Const)
-		case mr.KLUT:
-			// Explicit content copy into the shard-owned LUT object. Table
-			// is a value array today, so plain assignment would copy too;
-			// the copy form keeps the "newGraph is only read" contract —
-			// a trainer may mutate its graph right after the push — from
-			// silently breaking if Table ever becomes a slice.
-			o.LUT.Mult = n.LUT.Mult
-			copy(o.LUT.Table[:], n.LUT.Table[:])
-		case mr.KRequant, mr.KScale:
-			o.Mult = n.Mult
-		}
-	}
+	d.serve(m, 0)
 	return nil
 }
 
@@ -602,8 +513,9 @@ func (d *Device) accumulate(slot uint32, features []float32) error {
 	if len(features) != d.cfg.NumFeatures {
 		return fmt.Errorf("%w: got %d features, want %d", ErrBadFeatureWidth, len(features), d.cfg.NumFeatures)
 	}
+	inQ := d.model.InputQuantizer()
 	for i, f := range features {
-		d.featureRegs[i].WriteSlot(slot, int32(d.inQ.Quantize(f)))
+		d.featureRegs[i].WriteSlot(slot, int32(inQ.Quantize(f)))
 	}
 	d.flowValid.WriteSlot(slot, 1)
 	return nil
@@ -628,12 +540,14 @@ type PacketIn struct {
 // hotpath: zero-alloc
 func (d *Device) Process(in PacketIn) (Decision, error) { return d.process1(in, nil) }
 
-// ProcessKeyed is Process for a caller that already hashed the frame to route
-// it (key = ShardHash(in.Data)): the device reuses the key instead of hashing
-// the five-tuple a second time, as ProcessIndexed does for a batch.
+// ProcessKeyed is Process on a pipeline's shard, for a caller that already
+// hashed the frame to route it (key = ShardHash(in.Data)): the device serves
+// the packet from m, in m's arena for shard, and reuses the key instead of
+// hashing the five-tuple a second time, as ProcessIndexed does for a batch.
 //
 // hotpath: zero-alloc
-func (d *Device) ProcessKeyed(in PacketIn, key uint32) (Decision, error) {
+func (d *Device) ProcessKeyed(m *Model, shard int, in PacketIn, key uint32) (Decision, error) {
+	d.serve(m, shard)
 	routed := [1]Routed{{Key: key}}
 	return d.process1(in, routed[:])
 }
@@ -710,7 +624,7 @@ func (d *Device) finishML(dec *Decision, score int32) {
 	d.tally.mlInferences++ // II cycles of occupancy, charged at flush
 	// Threshold shift happens in the MAT action domain: score-threshold.
 	d.phv.Set(d.scoreID, score-d.cfg.Threshold)
-	dec.LatencyNs += d.modelLat
+	dec.LatencyNs += d.model.latNs
 	d.applyVerdict(dec)
 }
 
@@ -755,7 +669,8 @@ func (d *Device) ProcessBatch(ins []PacketIn, out []Decision) error {
 		//hotpathcheck:allow — caller-bug error path, taken at most once per batch, never per packet
 		return fmt.Errorf("%w: out has %d slots for %d packets", ErrBadConfig, len(out), len(ins))
 	}
-	return d.ProcessIndexed(ins, out, nil)
+	callerErr, _ := d.run(ins, out, nil)
+	return callerErr
 }
 
 // Routed names one packet of a shared batch — ins[Index] — together with the
@@ -768,11 +683,14 @@ type Routed struct {
 
 // ProcessIndexed processes the packets ins[r.Index] for each r in routed (all
 // of ins, hashing as needed, when routed is nil), writing out[r.Index] — the
-// shape the pipeline's shard workers use, where routed is the shard's
-// partition of a shared batch. Error semantics match ProcessBatch.
+// shape the pipeline's shard workers use, where
+// routed is the shard's partition of a shared batch and m the model the
+// pipeline had published when it dispatched the batch (nil: none yet), served
+// in m's arena for shard. Error semantics match ProcessBatch.
 //
 // hotpath: zero-alloc
-func (d *Device) ProcessIndexed(ins []PacketIn, out []Decision, routed []Routed) error {
+func (d *Device) ProcessIndexed(m *Model, shard int, ins []PacketIn, out []Decision, routed []Routed) error {
+	d.serve(m, shard)
 	callerErr, _ := d.run(ins, out, routed)
 	return callerErr
 }
@@ -866,27 +784,18 @@ func (d *Device) Stats() Stats {
 // taurus.device.service_ns with the device's labels.
 func (d *Device) ServiceHist() *obs.Histogram { return d.m.serviceNs }
 
-// RecheckTape re-runs tapecheck's translation validator on the tape the hot
-// path is serving, against the graph as it stands now — the control plane's
-// post-push audit that a weight update (which mutates the graph the tape
-// aliases) left the compiled path faithful. ErrNoModel before LoadModel.
-func (d *Device) RecheckTape() error {
-	if d.model == nil {
-		return ErrNoModel
-	}
-	return tapecheck.Check(d.prog)
-}
+// RecheckTape re-verifies the tape and weights the device is serving (see
+// Model.Recheck). ErrNoModel before LoadModel.
+func (d *Device) RecheckTape() error { return d.model.Recheck() }
 
 // ModelLatencyNs returns the compiled model's pipeline latency (0 before
 // LoadModel).
-func (d *Device) ModelLatencyNs() float64 { return d.modelLat }
+func (d *Device) ModelLatencyNs() float64 { return d.model.LatencyNs() }
 
 // ModelII returns the placed design's initiation interval from the CGRA
 // timing model.
-func (d *Device) ModelII() int { return d.modelII }
+func (d *Device) ModelII() int { return d.model.II() }
 
 // ScheduledII returns the list schedule's measured initiation interval for
-// the installed model (0 before LoadModel) — the II the service model
-// charges per ML packet: Stats.ModelBusyNs, pipeline.ServiceModel and the
-// netqueue simulator all derive their per-packet service time from it.
-func (d *Device) ScheduledII() int { return d.schedII }
+// the installed model (0 before LoadModel; see Model.ScheduledII).
+func (d *Device) ScheduledII() int { return d.model.ScheduledII() }

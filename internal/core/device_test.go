@@ -10,7 +10,9 @@ import (
 	"taurus/internal/compiler"
 	"taurus/internal/dataset"
 	"taurus/internal/fixed"
+	"taurus/internal/graphcheck"
 	"taurus/internal/lower"
+	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/obs"
 	"taurus/internal/pisa"
@@ -84,7 +86,7 @@ func TestSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.LoadModel(wide, dev.inQ, compiler.Options{}); !errors.Is(err, ErrBadFeatureWidth) {
+	if err := dev.LoadModel(wide, dev.InputQuantizer(), compiler.Options{}); !errors.Is(err, ErrBadFeatureWidth) {
 		t.Errorf("wide model: %v, want ErrBadFeatureWidth", err)
 	}
 	if err := dev.AccumulateFeatures(0, make([]float32, 3)); !errors.Is(err, ErrBadFeatureWidth) {
@@ -106,6 +108,65 @@ func TestUpdateWeightsStructureSentinel(t *testing.T) {
 	}
 	if err := dev.UpdateWeights(gs); !errors.Is(err, ErrStructureMismatch) {
 		t.Errorf("structural change: %v, want ErrStructureMismatch", err)
+	}
+}
+
+// TestUpdateWeightsOneGate: a bare device refuses exactly what the pipeline's
+// push gate refuses — the structural check lives once, in the image build — so
+// a same-shape graph that is not a weight-only variant of the installed one
+// is an error under both sentinels and leaves the served weights alone.
+func TestUpdateWeightsOneGate(t *testing.T) {
+	b := mr.NewBuilder("gate")
+	x := b.Input("x", 6)
+	w := b.Const("w", []int32{1, 2, 3, 4, 5, 6, 7, 8})
+	sum := b.Map(mr.MAdd, x, b.Slice(w, 0, 6))
+	b.Reduce(mr.RMax, sum) // a second single-lane node the output list could name
+	b.Output(b.Reduce(mr.RAdd, sum))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultConfig(6)
+	cfg.Obs = obs.NewRegistry()
+	dev, err := NewDevice(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dev.LoadModel(g, fixed.NewQuantizer(1), compiler.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	served := dev.model
+	for name, mutate := range map[string]func(v *mr.Graph){
+		"map operator flipped": func(v *mr.Graph) {
+			for _, n := range v.Nodes {
+				if n.Kind == mr.KMap && n.Map == mr.MAdd {
+					n.Map = mr.MSub
+				}
+			}
+		},
+		"slice start moved": func(v *mr.Graph) {
+			for _, n := range v.Nodes {
+				if n.Kind == mr.KSlice {
+					n.Start = 2
+				}
+			}
+		},
+		// A device serves one output, so its list cannot be permuted; the
+		// same nodes and wiring with another node declared is the case.
+		"output list changed": func(v *mr.Graph) { v.Outputs[0]-- },
+	} {
+		v := g.Clone()
+		mutate(v)
+		err := dev.UpdateWeights(v)
+		if !errors.Is(err, ErrStructureMismatch) || !errors.Is(err, graphcheck.ErrIncompatible) {
+			t.Errorf("%s: UpdateWeights = %v, want ErrStructureMismatch and graphcheck.ErrIncompatible", name, err)
+		}
+		if dev.model != served {
+			t.Errorf("%s: a refused push replaced the served model", name)
+		}
+	}
+	if err := dev.UpdateWeights(g); err != nil {
+		t.Errorf("a weight-only variant is refused: %v", err)
 	}
 }
 
@@ -425,7 +486,7 @@ func TestRefusedTapeIsInstallError(t *testing.T) {
 	if ml := dev.Stats().MLInferences; ml < len(ins)/3 {
 		t.Fatalf("only %d of %d packets reached the model; the batch proves nothing", ml, len(ins))
 	}
-	served, ii, lat := dev.Model(), dev.ScheduledII(), dev.ModelLatencyNs()
+	served, ii, lat := dev.model, dev.ScheduledII(), dev.ModelLatencyNs()
 
 	// Same structure, different weights and quantiser: were the refused
 	// install to land anyway, the decisions below would move.
@@ -442,10 +503,10 @@ func TestRefusedTapeIsInstallError(t *testing.T) {
 	prev := sched.SetVerifier(func(*sched.Program) error { return boom })
 	defer sched.SetVerifier(prev)
 
-	if err := dev.LoadModel(next.Clone(), fixed.NewQuantizer(3), compiler.Options{}); !errors.Is(err, boom) {
+	if err := dev.LoadModel(next, fixed.NewQuantizer(3), compiler.Options{}); !errors.Is(err, boom) {
 		t.Fatalf("LoadModel with a rejecting verifier = %v, want the verifier's error", err)
 	}
-	if dev.Model() != served || dev.ScheduledII() != ii || dev.ModelLatencyNs() != lat || dev.InputQuantizer() != q.InputQ {
+	if dev.model != served || dev.ScheduledII() != ii || dev.ModelLatencyNs() != lat || dev.InputQuantizer() != q.InputQ {
 		t.Error("refused install changed the installed model, its II, latency or quantiser")
 	}
 	if err := dev.RecheckTape(); err != nil {
@@ -469,10 +530,10 @@ func TestRefusedTapeIsInstallError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bare.LoadModel(next.Clone(), q.InputQ, compiler.Options{}); !errors.Is(err, boom) {
+	if err := bare.LoadModel(next, q.InputQ, compiler.Options{}); !errors.Is(err, boom) {
 		t.Fatalf("LoadModel on a bare device = %v, want the verifier's error", err)
 	}
-	if bare.Model() != nil || bare.ScheduledII() != 0 || !errors.Is(bare.RecheckTape(), ErrNoModel) {
+	if bare.model != nil || bare.ScheduledII() != 0 || !errors.Is(bare.RecheckTape(), ErrNoModel) {
 		t.Error("refused install left a model on a bare device")
 	}
 	if err := bare.ProcessBatch(ins, after); err != nil {
@@ -490,14 +551,14 @@ func TestRefusedTapeIsInstallError(t *testing.T) {
 
 	// With the real validator back the same graph installs and serves.
 	sched.SetVerifier(prev)
-	if err := bare.LoadModel(next.Clone(), q.InputQ, compiler.Options{}); err != nil {
+	if err := bare.LoadModel(next, q.InputQ, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if bare.Model() == nil || bare.ScheduledII() == 0 || bare.RecheckTape() != nil {
+	if bare.model == nil || bare.ScheduledII() == 0 || bare.RecheckTape() != nil {
 		t.Error("clean install after a refused one did not take")
 	}
-	if ev := cfg.Tracer.Events(); ev[len(ev)-1].Kind != "tapecheck.pass" {
-		t.Errorf("clean install journalled %q, want tapecheck.pass", ev[len(ev)-1].Kind)
+	if ev := cfg.Tracer.Events(); len(ev) != 3 || ev[1].Kind != "tapecheck.pass" || ev[2].Kind != "model.publish" {
+		t.Errorf("clean install journalled %+v after the refusal, want tapecheck.pass then model.publish", ev[1:])
 	}
 }
 
@@ -580,7 +641,7 @@ func TestLoadModelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.LoadModel(g, dev.inQ, compiler.Options{}); err == nil {
+	if err := dev.LoadModel(g, dev.InputQuantizer(), compiler.Options{}); err == nil {
 		t.Error("width-16 model on 6-feature device should fail")
 	}
 }
@@ -633,45 +694,10 @@ func TestUpdateWeights(t *testing.T) {
 	}
 }
 
-// TestUpdateWeightsIsolatesTrainerGraph pins the §3.3.1 push contract: the
-// pushed graph is only read, so a trainer that keeps mutating its own graph
-// after UpdateWeights returns must not change what the device computes.
-func TestUpdateWeightsIsolatesTrainerGraph(t *testing.T) {
-	dev, _, gen := buildAnomalyDevice(t)
-
-	rng := rand.New(rand.NewSource(77))
-	X, y := dataset.Split(gen.Records(400))
-	n2 := ml.NewDNN([]int{6, 12, 6, 3, 1}, ml.ReLU, ml.Sigmoid, rng)
-	ml.NewTrainer(n2, ml.SGDConfig{LearningRate: 0.05, Momentum: 0.9, BatchSize: 32, Epochs: 5}, rng).Fit(X, y)
-	q2, err := ml.Quantize(n2, X[:100])
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := lower.DNN(q2, "trainer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.UpdateWeights(g2); err != nil {
-		t.Fatal(err)
-	}
-
-	recs := gen.Records(32)
-	pkt := pisa.BuildTCPPacket(77, 2, 3, 4, 0, 0)
-	score := func(r dataset.Record) int32 {
-		t.Helper()
-		dec, err := dev.Process(PacketIn{Data: pkt, Features: r.Features})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dec.MLScore
-	}
-	want := make([]int32, len(recs))
-	for i, r := range recs {
-		want[i] = score(r)
-	}
-
-	// The trainer keeps going: clobber every weight payload of its graph.
-	for _, n := range g2.Nodes {
+// clobber overwrites every weight payload of g: what a trainer that keeps
+// going does to its own graph.
+func clobber(g *mr.Graph) {
+	for _, n := range g.Nodes {
 		for i := range n.Const {
 			n.Const[i] = 99
 		}
@@ -683,11 +709,110 @@ func TestUpdateWeightsIsolatesTrainerGraph(t *testing.T) {
 		}
 		n.Mult.M0, n.Mult.Shift = 1<<30, 1
 	}
+}
 
-	for i, r := range recs {
-		if got := score(r); got != want[i] {
-			t.Fatalf("record %d: score changed from %d to %d after trainer mutated its graph", i, want[i], got)
+// TestUpdateWeightsIsolatesTrainerGraph pins the install and §3.3.1 push
+// contract: a graph handed to LoadModel or UpdateWeights is copied, not kept,
+// so a trainer that keeps mutating it after the call returns changes neither
+// what the device computes, nor what RecheckTape verifies, nor what a further
+// push builds on.
+func TestUpdateWeightsIsolatesTrainerGraph(t *testing.T) {
+	_, q, gen := buildAnomalyDevice(t)
+	rng := rand.New(rand.NewSource(77))
+	X, y := dataset.Split(gen.Records(400))
+	retrained := func(name string) *mr.Graph {
+		t.Helper()
+		n2 := ml.NewDNN([]int{6, 12, 6, 3, 1}, ml.ReLU, ml.Sigmoid, rng)
+		ml.NewTrainer(n2, ml.SGDConfig{LearningRate: 0.05, Momentum: 0.9, BatchSize: 32, Epochs: 5}, rng).Fit(X, y)
+		q2, err := ml.Quantize(n2, X[:100])
+		if err != nil {
+			t.Fatal(err)
 		}
+		g2, err := lower.DNN(q2, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g2
+	}
+	recs := gen.Records(32)
+	pkt := pisa.BuildTCPPacket(77, 2, 3, 4, 0, 0)
+
+	for _, tc := range []struct {
+		name string
+		// hand gives the device a graph through the entry point under test
+		// and returns it for the trainer to clobber.
+		hand func(dev *Device) *mr.Graph
+	}{
+		{"graph handed to LoadModel", func(dev *Device) *mr.Graph {
+			g := retrained("installed")
+			if err := dev.LoadModel(g, q.InputQ, compiler.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}},
+		{"graph handed to UpdateWeights", func(dev *Device) *mr.Graph {
+			if err := dev.LoadModel(retrained("installed"), q.InputQ, compiler.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			g := retrained("trainer")
+			if err := dev.UpdateWeights(g); err != nil {
+				t.Fatal(err)
+			}
+			return g
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(6)
+			cfg.Obs = obs.NewRegistry()
+			dev, err := NewDevice(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scores := func(dev *Device) []int32 {
+				t.Helper()
+				out := make([]int32, len(recs))
+				for i, r := range recs {
+					dec, err := dev.Process(PacketIn{Data: pkt, Features: r.Features})
+					if err != nil {
+						t.Fatal(err)
+					}
+					out[i] = dec.MLScore
+				}
+				return out
+			}
+			trainer := tc.hand(dev)
+			want := scores(dev)
+
+			clobber(trainer)
+
+			for i, got := range scores(dev) {
+				if got != want[i] {
+					t.Fatalf("record %d: score changed from %d to %d after the trainer mutated its graph", i, want[i], got)
+				}
+			}
+			if err := dev.RecheckTape(); err != nil {
+				t.Errorf("RecheckTape after the trainer mutated its graph: %v", err)
+			}
+			// A further push lands on the device's own structure, not on the
+			// clobbered graph, and serves exactly the pushed weights.
+			next := retrained("next")
+			if err := dev.UpdateWeights(next); err != nil {
+				t.Fatalf("further UpdateWeights: %v", err)
+			}
+			ref, err := NewDevice(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.LoadModel(next, q.InputQ, compiler.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			got := scores(dev)
+			for i, w := range scores(ref) {
+				if got[i] != w {
+					t.Fatalf("record %d: score %d after a further push, a fresh install of the same graph gives %d", i, got[i], w)
+				}
+			}
+		})
 	}
 }
 

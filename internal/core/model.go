@@ -1,0 +1,150 @@
+package core
+
+import (
+	"fmt"
+
+	"taurus/internal/cgra"
+	"taurus/internal/compiler"
+	"taurus/internal/fixed"
+	mr "taurus/internal/mapreduce"
+	"taurus/internal/obs"
+	"taurus/internal/sched"
+
+	// tapecheck both arms sched.Compile's translation-validation gate —
+	// every tape an install builds has been statically verified against its
+	// source graph, and a rejected tape is an install error — and backs
+	// Recheck's post-push revalidation of the serving tape.
+	"taurus/internal/sched/tapecheck"
+)
+
+// Model is one installed model, complete and immutable: the compiled tape
+// (planned, emitted and verified once, whatever the shard count, and holding
+// the install's one structural copy of the graph), one image of the weights,
+// an arena per shard for the tape to run in, and the placed design's timing.
+// Its owner — a Pipeline, or a bare Device — publishes it by pointer: an
+// install builds a whole new Model, a weight push one that shares everything
+// but the image, and a packet is served by whichever Model its batch was
+// handed, never by parts of two. The epoch counts publishes on one owner, 1
+// for its first install.
+//
+// A Model keeps nothing of the graphs it was built from: Install clones the
+// structure it retains, images copy weights out, so callers may reuse or
+// mutate a graph once LoadModel / UpdateWeights has returned.
+type Model struct {
+	epoch  uint64
+	tape   *sched.Tape
+	image  *sched.Image
+	arenas []*sched.Arena
+	inQ    fixed.Quantizer
+	tracer *obs.Tracer
+
+	// The placed design's initiation interval and pipeline latency (CGRA
+	// timing model) and the tape's scheduled II.
+	ii, schedII int
+	latNs       float64
+}
+
+// noModel is what the accessors of a nil *Model — nothing installed — read.
+var noModel Model
+
+func (m *Model) orNone() *Model {
+	if m == nil {
+		return &noModel
+	}
+	return m
+}
+
+// Install builds the model that follows prev (nil for a first install) on an
+// owner configured by cfg: g is shape-checked, placed on the grid
+// (compiler.Compile), compiled once to a tape that must clear tapecheck, and
+// given an arena per shard. A graph the scheduler refuses (a LUT model on a
+// grid with no MUs) or a tape the validator rejects is an error — there is no
+// second engine to serve it — and either verdict is journalled on cfg's
+// tracer. Nothing is published here: on error the caller keeps serving prev.
+func Install(cfg Config, prev *Model, g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options, shards int) (*Model, error) {
+	if err := cfg.checkModel(g); err != nil {
+		return nil, err
+	}
+	if opts.Grid == (cgra.GridSpec{}) {
+		opts.Grid = cfg.grid()
+	}
+	res, err := compiler.Compile(g.Clone(), opts)
+	if err != nil {
+		return nil, err
+	}
+	grid := opts.Grid
+	if res.Placement != nil && res.Placement.Spec != (cgra.GridSpec{}) {
+		grid = res.Placement.Spec
+	}
+	m := &Model{
+		epoch: prev.Epoch() + 1, inQ: inQ, tracer: cfg.tracer(),
+		ii: res.Stats.II, latNs: res.Stats.LatencyNs(),
+	}
+	prog, err := sched.Compile(res.Graph, grid)
+	if err != nil {
+		m.tracer.Emitf(0, "tapecheck.fail", "graph=%q epoch=%d err=%q", g.Name, m.epoch, err.Error())
+		return nil, fmt.Errorf("core: compile tape for %q: %w", g.Name, err)
+	}
+	m.tape, m.image, m.schedII = prog.Tape(), prog.Image(), prog.Schedule().II
+	m.arenas = make([]*sched.Arena, shards)
+	m.arenas[0] = prog.Arena()
+	for i := 1; i < shards; i++ {
+		m.arenas[i] = m.tape.NewArena()
+	}
+	m.tracer.Emitf(0, "tapecheck.pass", "graph=%q epoch=%d ii=%d", g.Name, m.epoch, m.schedII)
+	m.tracer.Emitf(0, "model.publish", "epoch=%d kind=install graph=%q", m.epoch, g.Name)
+	return m, nil
+}
+
+// WithWeights builds the model that serves g's weights on m's tape — the
+// out-of-band weight update of §3.3.1/Figure 1: one image copied out of g
+// (which is only read), everything else shared with m. g must be a weight-only variant of
+// the installed graph; the image build decides that, and its refusal
+// satisfies errors.Is for ErrStructureMismatch and graphcheck.ErrIncompatible.
+// A nil m is ErrNoModel.
+func (m *Model) WithWeights(g *mr.Graph) (*Model, error) {
+	if m == nil {
+		return nil, ErrNoModel
+	}
+	img, err := m.tape.NewImage(g)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrStructureMismatch, err)
+	}
+	next := *m
+	next.epoch, next.image = m.epoch+1, img
+	m.tracer.Emitf(0, "model.publish", "epoch=%d kind=push graph=%q", next.epoch, g.Name)
+	return &next, nil
+}
+
+// Recheck re-runs tapecheck's translation validator over the tape and the
+// image being served — the control plane's post-push audit that the weights a
+// push installed sit where the compiled code reads them and keep it inside
+// the datapath's ranges. ErrNoModel on a nil m.
+func (m *Model) Recheck() error {
+	if m == nil {
+		return ErrNoModel
+	}
+	prog := sched.Bind(m.tape, m.image, nil)
+	return tapecheck.Check(&prog)
+}
+
+// Epoch is the model's publish count on its owner (0: nothing installed).
+func (m *Model) Epoch() uint64 { return m.orNone().epoch }
+
+// InputQuantizer returns the feature quantiser installed with the model (the
+// zero Quantizer for none). The control plane needs it to requantise
+// retrained weights into the same input domain the preprocessing MATs use.
+func (m *Model) InputQuantizer() fixed.Quantizer { return m.orNone().inQ }
+
+// LatencyNs returns the placed design's pipeline latency.
+func (m *Model) LatencyNs() float64 { return m.orNone().latNs }
+
+// II returns the placed design's initiation interval from the CGRA timing
+// model.
+func (m *Model) II() int { return m.orNone().ii }
+
+// ScheduledII returns the list schedule's measured initiation interval — the
+// II the service model charges per ML packet: Stats.ModelBusyNs,
+// pipeline.ServiceModel and the netqueue simulator all derive their
+// per-packet service time from it.
+func (m *Model) ScheduledII() int { return m.orNone().schedII }

@@ -182,7 +182,7 @@ func TestRecheckTape(t *testing.T) {
 // fill), and taurus.device.tape_fallbacks equal to the program's own count of
 // matvec cells that left the packed path — zero on the trained model, and
 // data rather than a silent slowdown once weights that fail the guard are
-// pushed in place. Counting costs no allocation.
+// pushed. Counting costs no allocation.
 func TestSweepCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	dev, gen := buildObsDevice(t, reg)
@@ -219,13 +219,17 @@ func TestSweepCounters(t *testing.T) {
 		t.Errorf("tape_fallbacks = %d (program says %d) on int8 weights and codes, want 0", got, dev.prog.Fallbacks())
 	}
 
-	// Saturating first-layer weights, copied in place with no notification.
-	for _, n := range dev.prog.Graph().Nodes {
+	// Saturating first-layer weights, pushed between two sweeps.
+	saturating := dev.prog.Source()
+	for _, n := range saturating.Nodes {
 		if n.Kind == mr.KConst && n.Width == 6 {
 			for i := range n.Const {
 				n.Const[i] = math.MaxInt32
 			}
 		}
+	}
+	if err := dev.UpdateWeights(saturating); err != nil {
+		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { _ = dev.ProcessBatch(ins, out) }); allocs != 0 {
 		t.Errorf("ProcessBatch allocates %.1f times per call while counting fallbacks, want 0", allocs)

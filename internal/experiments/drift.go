@@ -149,7 +149,7 @@ func (s *driftSpec) train(stream *trafficgen.DriftingStream, seed int64) (model.
 }
 
 // newPipe builds a pipeline for spec's device shape and installs the graph
-// (each pipeline's shards clone it, so one deployment serves both the
+// (an install copies what it keeps, so one deployment graph serves both the
 // frozen and the loop pipeline).
 func (s *driftSpec) newPipe(g *mr.Graph, inQ fixed.Quantizer, shards int) (*pipeline.Pipeline, error) {
 	devCfg := core.DefaultConfig(s.features)
@@ -158,7 +158,6 @@ func (s *driftSpec) newPipe(g *mr.Graph, inQ fixed.Quantizer, shards int) (*pipe
 	if err != nil {
 		return nil, err
 	}
-	//clonecheck:owned — LoadModel clones per shard; g is the experiment's frozen deployment graph
 	//gatecheck:verified — Pipeline.LoadModel runs graphcheck on the graph before installing
 	if err := pl.LoadModel(g, inQ, compiler.Options{}); err != nil {
 		pl.Close()

@@ -1,8 +1,8 @@
 // Package gatecheck enforces the verify-before-push contract: every call
-// site that pushes a graph onto the data plane — UpdateWeights, LoadModel,
-// PrepareModel (the fallible half of an install; Prepared.Commit takes no
-// graph, only what PrepareModel returned) — must be dominated by a
-// static-verification gate, so no code path can deploy a model the verifier
+// site that pushes a graph onto the data plane — UpdateWeights, LoadModel, and
+// the two model builders under them, core.Install and Model.WithWeights (what
+// they return is published by a pointer store that takes no graph) — must be
+// dominated by a static-verification gate, so no code path can deploy a model the verifier
 // never saw.
 //
 // The gates are graphcheck's entry points and their facade re-exports:
@@ -10,7 +10,7 @@
 // CheckGraph, GraphCompatible — plus the tape-side VerifyTape/CheckTape.
 // "Dominated" is approximated syntactically: a gate call must appear
 // earlier in the same enclosing function as the push call. Functions named
-// like a push entry point (UpdateWeights, LoadModel, PrepareModel) are the
+// like a push entry point (UpdateWeights, LoadModel, Install, WithWeights) are the
 // push boundary itself, not a caller of one, and are exempt — the contract
 // binds the layers above them.
 //
@@ -34,7 +34,8 @@ import (
 var pushNames = map[string]bool{
 	"UpdateWeights": true,
 	"LoadModel":     true,
-	"PrepareModel":  true,
+	"Install":       true,
+	"WithWeights":   true,
 }
 
 // gateNames are the callee names that statically verify a graph (or its
@@ -56,7 +57,7 @@ var gateNames = map[string]bool{
 // Analyzer is the verify-before-push checker.
 var Analyzer = &lint.Analyzer{
 	Name: "gatecheck",
-	Doc:  "push call sites (UpdateWeights/LoadModel/PrepareModel) must be dominated by a graphcheck gate",
+	Doc:  "push call sites (UpdateWeights/LoadModel/Install/WithWeights) must be dominated by a graphcheck gate",
 	Run:  run,
 }
 

@@ -9,8 +9,6 @@
 // The suite (run by `make lint` and cmd/taurus-lint) enforces the repo's
 // cross-cutting contracts that go vet cannot see:
 //
-//   - clonecheck: a graph pushed to UpdateWeights/LoadModel must be owned by
-//     the pushing function (clone-before-push, see internal/lint/clonecheck).
 //   - hotpathcheck: functions annotated `//hotpath: zero-alloc` must stay
 //     free of allocating constructs (see internal/lint/hotpathcheck).
 //   - gatecheck: every push call site must be dominated by a graphcheck

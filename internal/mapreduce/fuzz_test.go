@@ -295,13 +295,16 @@ func schedDifferential(t *testing.T, g *mr.Graph, data []byte) {
 }
 
 // mutationKinds is the number of corruption classes mutateTape knows.
-const mutationKinds = 8
+const mutationKinds = 10
 
 // mutateTape applies one hand-corruption class to instruction k of the tape:
-// swapped operands, shifted destination or source slots, a flipped opcode, a
-// narrowed lane width, a skewed bias/weight window, or — on a matvec — two
-// rows exchanged, a row duplicated over its neighbour, or one row or bias
-// window moved a lane: the miscompilation shapes tapecheck's analyses exist
+// swapped operands, shifted destination or source slots (a constant source
+// moves within the weight image, into a neighbouring node's lanes or past the
+// last), a flipped opcode, a narrowed lane width, a skewed bias/weight window,
+// on a matvec two rows exchanged, a row duplicated over its neighbour, or one
+// row or bias window moved a lane, a multiplier/table index naming the next
+// payload of the image (or none), or two weight-owning nodes laid out over
+// the same image slot: the miscompilation shapes tapecheck's analyses exist
 // to catch. Returns false when the tape has nothing to mutate.
 func mutateTape(p *sched.Program, kind, k int) bool {
 	code := p.Code()
@@ -368,8 +371,40 @@ func mutateTape(p *sched.Program, kind, k int) bool {
 		} else {
 			ins.DStride++
 		}
+	case 8: // payload index one off: the next node's multiplier or table, or none
+		switch ins.Op {
+		case sched.OpRequant, sched.OpScale, sched.OpLUT:
+			ins.Slot++
+		default:
+			ins.Dst++
+		}
+	case 9: // the k-th weight-owning node laid out over the next one's slot
+		layout := p.Tape().Layout()
+		var owners []int
+		for id, at := range layout {
+			if at >= 0 {
+				owners = append(owners, id)
+			}
+		}
+		if len(owners) < 2 {
+			ins.Dst++
+			break
+		}
+		layout[owners[k%len(owners)]] = layout[owners[(k+1)%len(owners)]]
 	}
 	return true
+}
+
+// reimage rebuilds a certified mutant's weight image through its (possibly
+// mutated) layout, so a layout the verifier wrongly passed shows up as wrong
+// weights in the differential.
+func reimage(t *testing.T, p *sched.Program, g *mr.Graph) {
+	t.Helper()
+	img, err := p.Tape().NewImage(g)
+	if err != nil {
+		t.Fatalf("image of the tape's own graph: %v", err)
+	}
+	p.SetImage(img)
 }
 
 // FuzzTapeMutation fuzzes the verifier's soundness: corrupt one instruction
@@ -406,6 +441,7 @@ func FuzzTapeMutation(f *testing.F) {
 		if !tapecheck.Verify(p).OK() {
 			return // caught — the expected outcome for a harmful mutation
 		}
+		reimage(t, p, g)
 		diffProgram(t, g, p, data, refs, "certified mutant: ")
 	})
 }
@@ -439,6 +475,7 @@ func TestTapeMutationSeeds(t *testing.T) {
 				mutateTape(p, kind, k)
 				rep := tapecheck.Verify(p)
 				if rep.OK() {
+					reimage(t, p, g)
 					diffProgram(t, g, p, seed, refs,
 						name+" certified mutant kind "+string(rune('0'+kind))+": ")
 					continue

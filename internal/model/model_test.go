@@ -167,7 +167,7 @@ func TestReferenceMatchesGraph(t *testing.T) {
 				t.Fatal(err)
 			}
 			if g2 == g1 {
-				t.Fatal("Lower returned the same graph twice (clone-before-push violated)")
+				t.Fatal("Lower returned the same graph twice (fresh-graph contract violated)")
 			}
 			sameStructure(t, g1, g2)
 			check(g2, c.more)

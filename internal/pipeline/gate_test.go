@@ -56,11 +56,8 @@ func TestLoadModelRejectsSaturatingGraph(t *testing.T) {
 	if !strings.Contains(err.Error(), "node") {
 		t.Errorf("rejection does not name the offending node: %v", err)
 	}
-	for i, st := range p.ShardStats() {
-		_ = st
-		if p.shards[i].dev.Model() != nil {
-			t.Fatalf("shard %d has a model installed after a rejected LoadModel", i)
-		}
+	if p.model.Load() != nil {
+		t.Fatal("a model is installed after a rejected LoadModel")
 	}
 }
 

@@ -1,0 +1,177 @@
+package pipeline
+
+import (
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"taurus/internal/compiler"
+	"taurus/internal/core"
+	"taurus/internal/lower"
+	mr "taurus/internal/mapreduce"
+	"taurus/internal/ml"
+	"taurus/internal/obs"
+	"taurus/internal/tensor"
+)
+
+// constantScore returns g with the output activation table flattened to
+// score: a model of g's structure that scores every packet alike.
+func constantScore(t *testing.T, g *mr.Graph, score int8) *mr.Graph {
+	t.Helper()
+	v := g.Clone()
+	out := v.Node(v.Outputs[0])
+	if out.Kind != mr.KLUT {
+		t.Fatalf("model output is a %v node, want the sigmoid's LUT", out.Kind)
+	}
+	for i := range out.LUT.Table {
+		out.LUT.Table[i] = score
+	}
+	return v
+}
+
+// TestBatchServesOneModel pins the publish contract under concurrent installs
+// and pushes: every packet of a batch — whichever shard it lands on — is
+// served by one published model, and a single packet by some published model.
+// The control plane alternates two weight sets whose scores differ on every
+// ML packet (with a full LoadModel of a third thrown in) while traffic runs;
+// a batch that straddled a publish would mix scores.
+func TestBatchServesOneModel(t *testing.T) {
+	q, g, _, _ := trainModel(t)
+	const scoreA, scoreB, scoreC = 100, -100, 50 // threshold 64: A flags, B and C forward
+	gA, gB, gC := constantScore(t, g, scoreA), constantScore(t, g, scoreB), constantScore(t, g, scoreC)
+
+	p, err := New(Config{Shards: 4, Device: core.DefaultConfig(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.LoadModel(gA, q.InputQ, compiler.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ins, out := makeBatch(t, 256, 64)
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() { close(stop); wg.Wait() }() // also when a check below gives up early
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			var err error
+			switch {
+			case i%16 == 15:
+				err = p.LoadModel(gC, q.InputQ, compiler.Options{})
+			case i%2 == 0:
+				err = p.UpdateWeights(gB)
+			default:
+				err = p.UpdateWeights(gA)
+			}
+			if err != nil {
+				t.Errorf("publish %d: %v", i, err)
+				return
+			}
+		}
+	}()
+
+	seen := map[int32]int{}
+	for round := 0; round < 300; round++ {
+		if _, err := p.ProcessBatch(ins, out); err != nil {
+			t.Fatal(err)
+		}
+		for i := range out {
+			if out[i] != out[0] {
+				t.Fatalf("round %d: packet %d decided %+v, packet 0 %+v: the batch was served by two models", round, i, out[i], out[0])
+			}
+		}
+		seen[out[0].MLScore]++
+		dec, err := p.Process(ins[round%len(ins)])
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[dec.MLScore]++
+	}
+
+	for score := range seen {
+		if score != scoreA && score != scoreB && score != scoreC {
+			t.Errorf("score %d was served; no published model gives it", score)
+		}
+	}
+	for i, st := range p.ShardStats() {
+		if st.MLInferences == 0 {
+			t.Errorf("shard %d served no ML packet: the batch does not span every shard", i)
+		}
+	}
+	if want := p.model.Load().Epoch(); want < 3 {
+		t.Errorf("only %d publishes raced the traffic", want)
+	}
+}
+
+// untrainedDNN lowers a randomly initialised DNN of the given layer widths.
+func untrainedDNN(t *testing.T, sizes []int) (*mr.Graph, *ml.QuantizedDNN) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(len(sizes) + sizes[1])))
+	X := make([]tensor.Vec, 64)
+	for i := range X {
+		X[i] = make(tensor.Vec, sizes[0])
+		for j := range X[i] {
+			X[i][j] = rng.Float32()*2 - 1
+		}
+	}
+	q, err := ml.Quantize(ml.NewDNN(sizes, ml.ReLU, ml.Sigmoid, rng), X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := lower.DNN(q, "dnn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g, q
+}
+
+// TestInstallCostFlatInShards: an install compiles and verifies once whatever
+// the shard count, so a 4-shard LoadModel allocates little more than a
+// 1-shard one (the three extra arenas) and journals exactly one tapecheck
+// verdict.
+func TestInstallCostFlatInShards(t *testing.T) {
+	for _, sizes := range [][]int{{6, 12, 6, 3, 1}, {8, 64, 32, 1}} {
+		g, q := untrainedDNN(t, sizes)
+		install := func(shards int) (allocated uint64, passes int) {
+			t.Helper()
+			cfg := core.DefaultConfig(sizes[0])
+			cfg.Obs, cfg.Tracer = obs.NewRegistry(), obs.NewTracer(64)
+			p, err := New(Config{Shards: shards, Device: cfg})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := p.LoadModel(g, q.InputQ, compiler.Options{}); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			for _, e := range cfg.Tracer.Events() {
+				if e.Kind == "tapecheck.pass" {
+					passes++
+				}
+			}
+			return after.TotalAlloc - before.TotalAlloc, passes
+		}
+		install(1) // warm-up: one-time initialisation is not an install's cost
+		one, _ := install(1)
+		four, passes := install(4)
+		if passes != 1 {
+			t.Errorf("%v: a 4-shard LoadModel journalled %d tapecheck.pass events, want exactly 1", sizes, passes)
+		}
+		if float64(four) > 1.2*float64(one) {
+			t.Errorf("%v: a 4-shard LoadModel allocates %d bytes, a 1-shard one %d: want at most 1.2x", sizes, four, one)
+		}
+		t.Logf("%v: LoadModel allocates %d bytes on 1 shard, %d on 4 (%.2fx)", sizes, one, four, float64(four)/float64(one))
+	}
+}

@@ -7,9 +7,11 @@
 // per-flow feature registers a flow touches live entirely inside one shard
 // and never need cross-shard coherence. Batches fan out across persistent
 // worker goroutines, the caller serving one shard's share itself; per-shard
-// statistics merge on demand; out-of-band weight updates (§3.3.1) reach
-// every shard without stopping traffic — each shard swaps weights between
-// its batches.
+// statistics merge on demand. The pipeline, not the shard, owns the model: one
+// immutable core.Model — tape, weight image, an arena per shard — published
+// through one pointer, which an install or an out-of-band weight update
+// (§3.3.1) replaces without stopping traffic and a batch loads once, so every
+// packet of a batch is served by the same model on every shard.
 //
 // The steady-state batch path performs no heap allocation: partition index
 // buffers, devices, PHVs and MapReduce intermediates are all preallocated.
@@ -69,23 +71,31 @@ func (b BatchStats) ModelPacketsPerSec() float64 {
 type shard struct {
 	mu     sync.Mutex
 	dev    *core.Device
+	index  int           // which of a model's arenas is this shard's
 	routed []core.Routed // this shard's packets of the current batch, each with the hash it was routed by
 	busyNs float64       // modelled occupancy of the last batch
 	err    error         // caller error (bad feature width) from the last batch
 }
 
 type batchReq struct {
-	ins []core.PacketIn
-	out []core.Decision
+	model *core.Model // what the pipeline had published when the batch was dispatched
+	ins   []core.PacketIn
+	out   []core.Decision
 }
 
 // Pipeline fans packet batches out across device shards. All methods are
 // safe for concurrent use; batches are dispatched one at a time (each
-// fanned out across every shard), and weight updates interleave with
-// traffic at shard granularity.
+// fanned out across every shard), and installs and weight updates interleave
+// with traffic at batch granularity.
 type Pipeline struct {
+	cfg    core.Config // the shards' device configuration
 	shards []*shard
 	reqs   []chan batchReq
+
+	// model is the published model (nil before the first install); publishMu
+	// serialises the installs and pushes that replace it.
+	model     atomic.Pointer[core.Model]
+	publishMu sync.Mutex
 
 	// Registry instruments for the batch plane (one label set per pipeline).
 	batches      *obs.Counter
@@ -137,9 +147,12 @@ func New(cfg Config) (*Pipeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		p.shards[i] = &shard{dev: dev}
+		p.shards[i] = &shard{dev: dev, index: i}
 		p.reqs[i] = make(chan batchReq, 1)
 	}
+	// The devices resolved the configuration's defaults (grid, tracer); every
+	// model the pipeline builds is built against the same resolved values.
+	p.cfg = p.shards[0].dev.Config()
 	for i := range p.shards {
 		go p.worker(p.shards[i], p.reqs[i])
 	}
@@ -162,7 +175,7 @@ func (s *shard) serve(r batchReq) {
 	// the shard's stats) and batches ML inferences through the device's
 	// compiled program; a bad feature width is a caller bug and surfaces
 	// from ProcessBatch.
-	if err := s.dev.ProcessIndexed(r.ins, r.out, s.routed); err != nil {
+	if err := s.dev.ProcessIndexed(r.model, s.index, r.ins, r.out, s.routed); err != nil {
 		s.err = err
 	}
 	s.busyNs = s.dev.Stats().ModelBusyNs - before
@@ -177,78 +190,59 @@ func (p *Pipeline) shardOf(key uint32) *shard {
 	return p.shards[key%uint32(len(p.shards))]
 }
 
-// LoadModel compiles the program once and installs the placed design on
-// every shard. Each shard owns a deep copy of the graph (so later weight
-// updates stay shard-local) but shares the placement and timing, which are
-// structure-only — the hardware analogue of flashing one bitstream to N
-// identical blocks.
+// LoadModel compiles the program once — placement, tape, translation
+// validation — and publishes it to every shard at once: the hardware analogue
+// of flashing one bitstream to N identical blocks. The shards share the code
+// and the weight image and own only an arena each; g is copied, not kept.
 //
-// The install is all-or-nothing by construction: every shard's clone is
-// prepared first — shape-checked, compiled to a tape, translation-validated,
-// none of which touches a device — and only when all of them succeeded are
-// they committed, shard by shard, by a step that cannot fail. A refused
-// model therefore leaves every shard on the model it was serving.
+// A refused model (the static gate, the compiler, the tape verifier) is an
+// error before anything is published, so every shard keeps the model it was
+// serving; an accepted one serves from the next batch on, never part of one.
 func (p *Pipeline) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options) error {
 	if opts.Grid == (cgra.GridSpec{}) {
-		opts.Grid = p.shards[0].dev.Config().Grid
+		opts.Grid = p.cfg.Grid
 	}
 	// Static gate: refuse a graph whose fixed-point ranges can silently
 	// saturate or that cannot fit the grid, before the compiler ever sees it.
 	if rep := graphcheck.VerifyWith(g, graphcheck.Options{Grid: opts.Grid}); !rep.OK() {
 		return rep.Err()
 	}
-	res, err := compiler.Compile(g.Clone(), opts)
+	p.publishMu.Lock()
+	defer p.publishMu.Unlock()
+	m, err := core.Install(p.cfg, p.model.Load(), g, inQ, opts, len(p.shards))
 	if err != nil {
 		return err
 	}
-	prepared := make([]*core.Prepared, len(p.shards))
-	for i, s := range p.shards {
-		shardRes := *res
-		shardRes.Graph = g.Clone()
-		if prepared[i], err = s.dev.PrepareModel(&shardRes, inQ); err != nil {
-			return err
-		}
-	}
-	for i, s := range p.shards {
-		s.mu.Lock()
-		prepared[i].Commit()
-		s.mu.Unlock()
-	}
+	p.model.Store(m)
 	return nil
 }
 
 // UpdateWeights pushes new weights to every shard without re-placement or
-// stopping traffic: each shard applies the update between its batches. The
-// graph is only read and may be shared across concurrent updates.
+// stopping traffic: one image is copied out of the graph — which is only read
+// and may be shared across concurrent updates — and published; batches
+// dispatched after that are served from it, batches in flight finish on the
+// weights they started with.
 //
-// Before any shard is touched, the graph passes the static gate: it must
-// verify (no feasible saturation, fits the grid) and be structurally
-// compatible with the installed model — a weight-only update — so a bad
-// push is refused outright instead of relying on per-shard rollback.
+// Before anything is built, the graph passes the static gate: it must verify
+// (no feasible saturation, fits the grid) and be structurally compatible with
+// the installed model — a weight-only update — so a bad push is refused
+// outright and the previous weights keep serving.
 func (p *Pipeline) UpdateWeights(newGraph *mr.Graph) error {
-	s0 := p.shards[0]
-	s0.mu.Lock()
-	installed := s0.dev.Model()
-	grid := s0.dev.Config().Grid
-	s0.mu.Unlock()
-	if installed != nil {
-		// No model installed means the device itself reports ErrNoModel;
-		// the static gate only guards pushes that could actually land.
-		if rep := graphcheck.VerifyWith(newGraph, graphcheck.Options{Grid: grid}); !rep.OK() {
+	p.publishMu.Lock()
+	defer p.publishMu.Unlock()
+	m := p.model.Load()
+	if m != nil {
+		// No model installed means the push itself reports ErrNoModel; the
+		// static gate only guards pushes that could actually land.
+		if rep := graphcheck.VerifyWith(newGraph, graphcheck.Options{Grid: p.cfg.Grid}); !rep.OK() {
 			return rep.Err()
 		}
-		if err := graphcheck.Compatible(installed.Graph, newGraph); err != nil {
-			return err
-		}
 	}
-	for _, s := range p.shards {
-		s.mu.Lock()
-		err := s.dev.UpdateWeights(newGraph) //clonecheck:owned — device copies weights out; graph is only read
-		s.mu.Unlock()
-		if err != nil {
-			return err
-		}
+	next, err := m.WithWeights(newGraph)
+	if err != nil {
+		return err
 	}
+	p.model.Store(next)
 	return nil
 }
 
@@ -292,7 +286,7 @@ func (p *Pipeline) ProcessBatch(ins []core.PacketIn, out []core.Decision) (Batch
 			last = si
 		}
 	}
-	req := batchReq{ins: ins, out: out}
+	req := batchReq{model: p.model.Load(), ins: ins, out: out}
 	for si := 0; si < last; si++ {
 		if len(p.shards[si].routed) > 0 {
 			p.wg.Add(1)
@@ -335,7 +329,7 @@ func (p *Pipeline) Process(in core.PacketIn) (core.Decision, error) {
 	key := core.ShardHash(in.Data)
 	s := p.shardOf(key)
 	s.mu.Lock()
-	dec, err := s.dev.ProcessKeyed(in, key)
+	dec, err := s.dev.ProcessKeyed(p.model.Load(), s.index, in, key)
 	s.mu.Unlock()
 	return dec, err
 }
@@ -363,54 +357,27 @@ func (p *Pipeline) ShardStats() []core.Stats {
 	return out
 }
 
-// InputQuantizer returns the feature quantiser the shards were loaded with
-// (the zero Quantizer before LoadModel; shards are identical, so shard 0
-// speaks for all). The control plane pins retrained weights to this input
-// domain.
-func (p *Pipeline) InputQuantizer() fixed.Quantizer {
-	s := p.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dev.InputQuantizer()
-}
+// InputQuantizer returns the feature quantiser of the published model (the
+// zero Quantizer before LoadModel). The control plane pins retrained weights
+// to this input domain.
+func (p *Pipeline) InputQuantizer() fixed.Quantizer { return p.model.Load().InputQuantizer() }
 
-// ModelLatencyNs returns the per-packet model latency (shards are
-// identical, so shard 0 speaks for all; 0 before LoadModel).
-func (p *Pipeline) ModelLatencyNs() float64 {
-	s := p.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dev.ModelLatencyNs()
-}
+// ModelLatencyNs returns the per-packet model latency (0 before LoadModel).
+func (p *Pipeline) ModelLatencyNs() float64 { return p.model.Load().LatencyNs() }
 
 // ModelII returns the placed design's initiation interval from the CGRA
 // timing model.
-func (p *Pipeline) ModelII() int {
-	s := p.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dev.ModelII()
-}
+func (p *Pipeline) ModelII() int { return p.model.Load().II() }
 
 // ScheduledII returns the list schedule's measured initiation interval for
 // the deployed model (0 before LoadModel) — the II ServiceModel charges.
-func (p *Pipeline) ScheduledII() int {
-	s := p.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dev.ScheduledII()
-}
+func (p *Pipeline) ScheduledII() int { return p.model.Load().ScheduledII() }
 
-// RecheckTape re-validates the compiled tape a shard is serving against its
-// graph as it stands now — the control plane's post-push audit that a weight
-// update left the translation faithful. Shards install identical clones and
-// weight pushes are all-or-nothing, so shard 0 speaks for all.
-func (p *Pipeline) RecheckTape() error {
-	s := p.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dev.RecheckTape()
-}
+// RecheckTape re-validates the published model's tape against the weights it
+// is serving — the control plane's post-push audit that a weight update left
+// the translation faithful. One tape and one image serve every shard, so one
+// check speaks for all.
+func (p *Pipeline) RecheckTape() error { return p.model.Load().Recheck() }
 
 // ServiceModel is the per-shard service-time model of the deployed design —
 // the hook the continuous-time queueing simulator (internal/netqueue) runs
@@ -443,21 +410,18 @@ func (m ServiceModel) NominalPPS() float64 {
 }
 
 // ServiceModel returns the deployed model's per-shard service times (zero
-// MLServiceNs before LoadModel; shards are identical, so shard 0 speaks for
-// all). MLServiceNs is the schedule-measured II of the compiled tape
-// (core.Device.ScheduledII) — the II the list scheduler packed under the
-// grid's issue capacity, not graphcheck's depth-only estimate — so the
-// queueing simulator and MaxSustainablePPS are derived from the schedule
-// the device actually executes.
+// MLServiceNs before LoadModel). MLServiceNs is the schedule-measured II of
+// the compiled tape (core.Model.ScheduledII) — the II the list scheduler
+// packed under the grid's issue capacity, not graphcheck's depth-only
+// estimate — so the queueing simulator and MaxSustainablePPS are derived from
+// the schedule the device actually executes.
 func (p *Pipeline) ServiceModel() ServiceModel {
-	s := p.shards[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	m := p.model.Load()
 	return ServiceModel{
 		Shards:          len(p.shards),
-		MLServiceNs:     float64(s.dev.ScheduledII()),
+		MLServiceNs:     float64(m.ScheduledII()),
 		BypassServiceNs: 1,
-		LatencyNs:       s.dev.ModelLatencyNs(),
+		LatencyNs:       m.LatencyNs(),
 	}
 }
 

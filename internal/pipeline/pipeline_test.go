@@ -140,7 +140,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dev.LoadModel(g.Clone(), q.InputQ, compiler.Options{}); err != nil {
+		if err := dev.LoadModel(g, q.InputQ, compiler.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		return dev
@@ -213,11 +213,12 @@ func TestEntryPointsAgree(t *testing.T) {
 		s := p.shardOf(core.ShardHash(in.Data))
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		dec, err := s.dev.Process(in)
-		if err != nil {
+		// No routed keys: the device hashes the frame itself.
+		var dec [1]core.Decision
+		if err := s.dev.ProcessIndexed(p.model.Load(), s.index, []core.PacketIn{in}, dec[:], nil); err != nil {
 			t.Fatal(err)
 		}
-		return dec
+		return dec[0]
 	}
 	// Written with the carried key (batchPipe above), read with the device's own hash.
 	for _, i := range flows {
@@ -302,7 +303,7 @@ func TestPipelineMatchesSingleDevice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.LoadModel(g.Clone(), q.InputQ, compiler.Options{}); err != nil {
+	if err := dev.LoadModel(g, q.InputQ, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range ins {
@@ -473,7 +474,7 @@ func TestPipelineUpdateWeightsLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.LoadModel(g.Clone(), q.InputQ, compiler.Options{}); err != nil {
+	if err := dev.LoadModel(g, q.InputQ, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if err := dev.UpdateWeights(g2); err != nil {
@@ -537,22 +538,15 @@ func TestLoadModelAllOrNothing(t *testing.T) {
 }
 
 // TestLoadModelRefusedMidway drives the case a shape error never reaches: the
-// install fails on a later shard (the verifier rejects the k-th tape, k > 0)
-// after earlier shards' tapes already cleared. Nothing may have been
-// committed: every shard keeps the very model it was serving — none switched,
-// none cleared — and decisions are bit-identical.
+// install clears the static gate and the placer and is refused at the last
+// fallible step, by the tape verifier. Nothing may have been published: the
+// pipeline keeps the very model it was serving — not switched, not cleared —
+// and decisions are bit-identical.
 func TestLoadModelRefusedMidway(t *testing.T) {
 	_, _, g2, _ := trainModel(t)
-	boom := errors.New("synthetic rejection of the second tape")
-	rejectSecond := func() (restore func()) {
-		compiles := 0
-		var prev func(*sched.Program) error
-		prev = sched.SetVerifier(func(prog *sched.Program) error {
-			if compiles++; compiles == 2 {
-				return boom
-			}
-			return prev(prog)
-		})
+	boom := errors.New("synthetic rejection of the tape")
+	rejectTape := func() (restore func()) {
+		prev := sched.SetVerifier(func(*sched.Program) error { return boom })
 		return func() { sched.SetVerifier(prev) }
 	}
 
@@ -562,21 +556,16 @@ func TestLoadModelRefusedMidway(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := append([]core.Decision(nil), out...)
-	var served []*compiler.Result
-	for _, s := range p.shards {
-		served = append(served, s.dev.Model())
-	}
+	served := p.model.Load()
 
-	restore := rejectSecond()
+	restore := rejectTape()
 	err := p.LoadModel(g2, modelQ.InputQ, compiler.Options{})
 	restore()
 	if !errors.Is(err, boom) {
-		t.Fatalf("LoadModel with the second tape rejected = %v, want the verifier's error", err)
+		t.Fatalf("LoadModel with the tape rejected = %v, want the verifier's error", err)
 	}
-	for i, s := range p.shards {
-		if s.dev.Model() != served[i] {
-			t.Errorf("shard %d no longer holds the model it was serving", i)
-		}
+	if p.model.Load() != served {
+		t.Error("the pipeline no longer holds the model it was serving")
 	}
 	if _, err := p.ProcessBatch(ins, out); err != nil {
 		t.Fatal(err)
@@ -587,70 +576,102 @@ func TestLoadModelRefusedMidway(t *testing.T) {
 		}
 	}
 
-	// A pipeline with no model stays modelless on every shard.
+	// A pipeline with no model stays modelless.
 	fresh, err := New(Config{Shards: 3, Device: core.DefaultConfig(6)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	restore = rejectSecond()
+	restore = rejectTape()
 	err = fresh.LoadModel(g2, modelQ.InputQ, compiler.Options{})
 	restore()
 	if !errors.Is(err, boom) {
 		t.Fatalf("LoadModel on a fresh pipeline = %v, want the verifier's error", err)
 	}
-	for i, s := range fresh.shards {
-		if s.dev.Model() != nil {
-			t.Errorf("shard %d of a modelless pipeline holds a model after a refused install", i)
-		}
+	if fresh.model.Load() != nil {
+		t.Error("a modelless pipeline holds a model after a refused install")
 	}
-	// And the same graph installs everywhere once nothing rejects it.
+	// And the same graph installs once nothing rejects it.
 	if err := fresh.LoadModel(g2, modelQ.InputQ, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	for i, s := range fresh.shards {
-		if s.dev.Model() == nil {
-			t.Errorf("shard %d has no model after a clean install", i)
-		}
+	if fresh.model.Load() == nil {
+		t.Error("no model after a clean install")
 	}
 }
 
-// TestPipelineUpdateWeightsIsolatesTrainer pins the push contract at shard
-// granularity: after UpdateWeights returns, the trainer mutating its own
-// graph must not change any shard's outputs.
+// TestPipelineUpdateWeightsIsolatesTrainer pins the install and push contract
+// at pipeline granularity: once LoadModel or UpdateWeights has returned, the
+// caller mutating the graph it handed over changes no shard's outputs, nor
+// what RecheckTape verifies, nor what a further push builds on.
 func TestPipelineUpdateWeightsIsolatesTrainer(t *testing.T) {
-	_, _, g2, _ := trainModel(t)
-	p := newLoadedPipeline(t, 3)
-	trainer := g2.Clone() // private copy this test may clobber
-	if err := p.UpdateWeights(trainer); err != nil {
-		t.Fatal(err)
-	}
-	ins, out := makeBatch(t, 96, 12)
-	if _, err := p.ProcessBatch(ins, out); err != nil {
-		t.Fatal(err)
-	}
-	want := append([]core.Decision(nil), out...)
-
-	for _, n := range trainer.Nodes {
-		for i := range n.Const {
-			n.Const[i] = 99
-		}
-		if n.LUT != nil {
-			for i := range n.LUT.Table {
-				n.LUT.Table[i] = -128
+	q, g, g2, _ := trainModel(t)
+	for _, tc := range []struct {
+		name string
+		hand func(p *Pipeline, trainer *mr.Graph) error
+	}{
+		{"graph handed to LoadModel", func(p *Pipeline, trainer *mr.Graph) error {
+			return p.LoadModel(trainer, q.InputQ, compiler.Options{})
+		}},
+		{"graph handed to UpdateWeights", func(p *Pipeline, trainer *mr.Graph) error {
+			return p.UpdateWeights(trainer)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newLoadedPipeline(t, 3)
+			trainer := g2.Clone() // private copy this test may clobber
+			if err := tc.hand(p, trainer); err != nil {
+				t.Fatal(err)
 			}
-			n.LUT.Mult.M0, n.LUT.Mult.Shift = 1<<30, 1
-		}
-		n.Mult.M0, n.Mult.Shift = 1<<30, 1
-	}
+			ins, out := makeBatch(t, 96, 12)
+			if _, err := p.ProcessBatch(ins, out); err != nil {
+				t.Fatal(err)
+			}
+			want := append([]core.Decision(nil), out...)
 
-	if _, err := p.ProcessBatch(ins, out); err != nil {
-		t.Fatal(err)
-	}
-	for i := range out {
-		if out[i] != want[i] {
-			t.Fatalf("packet %d decision changed after trainer mutated its graph: %+v -> %+v", i, want[i], out[i])
-		}
+			for _, n := range trainer.Nodes {
+				for i := range n.Const {
+					n.Const[i] = 99
+				}
+				if n.LUT != nil {
+					for i := range n.LUT.Table {
+						n.LUT.Table[i] = -128
+					}
+					n.LUT.Mult.M0, n.LUT.Mult.Shift = 1<<30, 1
+				}
+				n.Mult.M0, n.Mult.Shift = 1<<30, 1
+			}
+
+			if _, err := p.ProcessBatch(ins, out); err != nil {
+				t.Fatal(err)
+			}
+			for i := range out {
+				if out[i] != want[i] {
+					t.Fatalf("packet %d decision changed after trainer mutated its graph: %+v -> %+v", i, want[i], out[i])
+				}
+			}
+			if err := p.RecheckTape(); err != nil {
+				t.Errorf("RecheckTape after the trainer mutated its graph: %v", err)
+			}
+			// A further push is judged against the pipeline's own structure
+			// and serves exactly the pushed weights.
+			if err := p.UpdateWeights(g); err != nil {
+				t.Fatalf("further UpdateWeights: %v", err)
+			}
+			ref := newLoadedPipeline(t, 3) // serves g
+			refOut := make([]core.Decision, len(ins))
+			if _, err := ref.ProcessBatch(ins, refOut); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.ProcessBatch(ins, out); err != nil {
+				t.Fatal(err)
+			}
+			for i := range out {
+				if out[i] != refOut[i] {
+					t.Fatalf("packet %d after a further push: %+v, a fresh install of the same graph gives %+v", i, out[i], refOut[i])
+				}
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"taurus/internal/cgra"
+	"taurus/internal/fixed"
 	mr "taurus/internal/mapreduce"
 )
 
@@ -27,22 +28,52 @@ func SetVerifier(f func(*Program) error) (prev func(*Program) error) {
 	return prev
 }
 
-// Code returns the live instruction tape. The slice aliases the program's
-// own storage: static analyses read it in place, and verifier tests mutate
+// Code returns the live instruction tape. The slice aliases the tape's own
+// storage: static analyses read it in place, and verifier tests mutate
 // entries to inject the miscompilations tapecheck must catch. Runtime
 // callers must treat it as read-only.
-func (p *Program) Code() []Instr { return p.code }
+func (p *Program) Code() []Instr { return p.tape.code }
 
 // ArenaSize returns the length of the batch-major value arena, in lanes
 // (int32 cells). Every non-constant Operand window must resolve inside it.
-func (p *Program) ArenaSize() int { return len(p.vals) }
+func (p *Program) ArenaSize() int { return p.tape.arena }
 
 // InputOperand returns the arena window of the i-th declared graph input.
-func (p *Program) InputOperand(i int) Operand { return p.ins[i] }
+func (p *Program) InputOperand(i int) Operand { return p.tape.ins[i] }
 
 // OutputOperand returns the window of the i-th declared graph output
 // (arena-backed, or constant-backed when the output is a KConst).
-func (p *Program) OutputOperand(i int) Operand { return p.outs[i] }
+func (p *Program) OutputOperand(i int) Operand { return p.tape.outs[i] }
+
+// Layout returns the tape's live node → image slot table (see Tape.layout),
+// for the same readers and under the same terms as Code.
+func (t *Tape) Layout() []int { return t.layout }
+
+// Lanes, Mults and LUTs return the image's storage for static inspection; an
+// image is immutable once built, so callers only read them.
+func (img *Image) Lanes() []int32            { return img.lanes }
+func (img *Image) Mults() []fixed.Multiplier { return img.mults }
+func (img *Image) LUTs() []mr.LUT            { return img.luts }
+
+// Source returns a fresh graph holding what the program evaluates now: the
+// tape's structure carrying the image's weights. It allocates a whole graph —
+// for audits off the packet path that need the served model as a graph.
+func (p *Program) Source() *mr.Graph {
+	g := p.tape.g.Clone()
+	for i, n := range g.Nodes {
+		at := p.tape.layout[i]
+		switch n.Kind {
+		case mr.KConst:
+			copy(n.Const, p.img.lanes[at:at+n.Width])
+		case mr.KRequant, mr.KScale:
+			n.Mult = p.img.mults[at]
+		case mr.KLUT:
+			lut := p.img.luts[at]
+			n.LUT = &lut
+		}
+	}
+	return g
+}
 
 // NodeCost exposes the scheduler's per-node cost model: how many issue slots
 // the node claims, its result latency, and whether it issues on a memory

@@ -14,9 +14,9 @@ import (
 	"taurus/internal/sched"
 )
 
-// operandKind says where a kernel's argument lives: in a graph node's Const
-// slice (read in place, the same lanes every batch slot) or in the tape's
-// arena (a window that moves by a stride per slot).
+// operandKind says where a kernel's argument lives: in the weight image (a
+// graph node's Const lanes, the same every batch slot) or in the tape's arena
+// (a window that moves by a stride per slot).
 type operandKind int
 
 const (
@@ -97,9 +97,19 @@ func sweepAgainstEval(t *testing.T, g *mr.Graph, p *sched.Program, rng *rand.Ran
 	}
 }
 
+// reimage is the weight push between two sweeps: p is rebound to a fresh image
+// of g's weights as they stand, the way Device.UpdateWeights does it.
+func reimage(t *testing.T, p *sched.Program, g *mr.Graph) {
+	t.Helper()
+	img, err := p.Tape().NewImage(g)
+	if err != nil {
+		t.Fatalf("%s: image of the pushed graph: %v", g.Name, err)
+	}
+	p.SetImage(img)
+}
+
 // pushWeights overwrites everything a weight update may change — constants,
-// multipliers, LUT contents — in place on the graph the tape aliases, the way
-// Device.UpdateWeights does.
+// multipliers, LUT contents — on the graph, which a reimage then pushes.
 func pushWeights(t *testing.T, g *mr.Graph, rng *rand.Rand) {
 	t.Helper()
 	mult, err := fixed.NewMultiplier(0.81)
@@ -126,8 +136,8 @@ func pushWeights(t *testing.T, g *mr.Graph, rng *rand.Rand) {
 // argument position, the second argument full-width or a broadcast lane, at
 // batch fills of 1, 15 and 16, on inputs that saturate. Each cell is
 // bit-exact with Graph.Eval, before and after a weight push between two
-// sweeps: a kernel may hoist where its operands live out of the slot loop,
-// never what they hold.
+// sweeps: a kernel may hoist where its operands lie out of the slot loop,
+// never which image they lie in.
 func TestKernelShapeMatrix(t *testing.T) {
 	mult, err := fixed.NewMultiplier(0.37)
 	if err != nil {
@@ -232,6 +242,7 @@ func TestKernelShapeMatrix(t *testing.T) {
 		for _, fill := range []int{1, 15, 16} {
 			sweepAgainstEval(t, g, p, rng, fill, "as compiled")
 			pushWeights(t, g, rng)
+			reimage(t, p, g)
 			sweepAgainstEval(t, g, p, rng, fill, "after a weight push")
 		}
 	}
@@ -356,7 +367,7 @@ func sweepDense(t *testing.T, g *mr.Graph, p *sched.Program, slots [][]int32, wa
 // matVecCells are OpMatVec's rows of the matrix: layer shapes from one row
 // of one lane to 64 x 64, with and without biases, at fills that leave an odd
 // slot, on int8 codes and on lanes up to the int32 extremes, against int8
-// weights, saturating weights pushed in place, and int8 weights pushed back.
+// weights, saturating weights pushed between sweeps, and int8 weights pushed back.
 // Every cell is bit-exact and takes the exact path exactly when the guard,
 // worked out independently, says so.
 func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
@@ -384,6 +395,7 @@ func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 							copy(n.Const, lanes(rng, len(n.Const)))
 						}
 					}
+					reimage(t, p, g)
 				}
 				for _, fill := range []int{1, 2, 15, 16} {
 					codes, edges := draw(int8Lanes, fill, width), draw(drawLanes, fill, width)

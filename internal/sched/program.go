@@ -8,6 +8,7 @@ import (
 
 	"taurus/internal/cgra"
 	"taurus/internal/fixed"
+	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 )
 
@@ -58,15 +59,16 @@ const (
 	OpMatVec
 )
 
-// Operand locates one argument's lanes. Constants alias the graph node's
-// Const slice (window Off..Off+W) so in-place weight pushes stay visible —
-// the weight rows and biases of an OpMatVec included; everything else lives
-// in the program's batch-major arena at Off + j*Stride for packet j. The
-// fields are exported for static inspection (internal/sched/tapecheck audits
-// every operand against the graph's storage); runtime code treats them as
-// immutable after emit.
+// Operand locates one argument's lanes. A constant's lanes sit in the model's
+// weight image at Off..Off+W, the same for every packet — the weight rows and
+// biases of an OpMatVec included; everything else lives in the batch-major
+// arena at Off + j*Stride for packet j. An operand holds offsets, never
+// storage, so one tape serves every shard's arena and every image pushed
+// after it was compiled. The fields are exported for static inspection
+// (internal/sched/tapecheck audits every operand against the tape's layout);
+// runtime code treats them as immutable after emit.
 type Operand struct {
-	Const  []int32 // non-nil: constant lanes Const[Off:Off+W], same every packet
+	Const  bool // lanes image[Off:Off+W], same every packet
 	Off    int
 	Stride int
 	W      int
@@ -74,12 +76,13 @@ type Operand struct {
 
 // Instr is one tape entry. Dst/DStride address the output window in the
 // arena (DStride is the producing node's full width; for concat pieces the
-// copy width W is narrower). Mult and LUT alias the graph node's payloads so
-// UpdateWeights pushes take effect without recompiling. An OpMatVec writes W
-// lanes, one per weight row: A is its input and Rows holds the W constant
-// rows (each A.W lanes), followed — when the layer has biases — by the W
-// constant bias scalars, so len(Rows) is W or 2*W. Exported for static
-// inspection and for fault-injection in verifier tests (Program.Code).
+// copy width W is narrower). Slot names the instruction's payload in the
+// weight image: the multiplier of an OpRequant/OpScale, the table of an OpLUT
+// (unused by every other opcode). An OpMatVec writes W lanes, one per weight
+// row: A is its input and Rows holds the W constant rows (each A.W lanes),
+// followed — when the layer has biases — by the W constant bias scalars, so
+// len(Rows) is W or 2*W. Exported for static inspection and for
+// fault-injection in verifier tests (Program.Code).
 type Instr struct {
 	Op      Opcode
 	Dst     int
@@ -87,27 +90,50 @@ type Instr struct {
 	W       int
 	A, B, C Operand
 	Rows    []Operand
-	Mult    *fixed.Multiplier
-	LUT     *mr.LUT
+	Slot    int
 }
 
-// Program is a compiled evaluation tape over a validated graph: the
-// schedule's bundles linearised into straight-line instructions over a
-// preallocated structure-of-arrays arena. Run and RunBatch are bit-exact
-// with Graph.Eval and allocate nothing.
-//
-// A Program is tied to the graph it was compiled from and sees in-place
-// weight mutations (constants, LUT tables and requantisation multipliers are
-// read through the live nodes). It is not safe for concurrent use; give each
-// shard its own Program over its own clone.
-type Program struct {
-	g     *mr.Graph
+// Tape is the immutable code of a compiled model: the schedule's bundles
+// linearised into straight-line instructions, the layout of the batch-major
+// arena they run over, and the layout of the weight image they read. It holds
+// no weights and no per-packet state, so one Tape — planned, emitted and
+// verified once — is shared by every shard and survives every weight push.
+type Tape struct {
+	g     *mr.Graph // structure only: the weights it held at compile time go stale
 	sched *Schedule
 	code  []Instr
-	vals  []int32
 	batch int
+	arena int       // arena size in lanes
 	ins   []Operand // per declared input
 	outs  []Operand // per declared output
+
+	// layout[id] is where node id's weights sit in an Image: the first lane of
+	// a KConst (Width lanes), the multiplier index of a KRequant/KScale, the
+	// table index of a KLUT, -1 for a node that owns none. lanes, mults and
+	// luts are the image's dimensions.
+	layout             []int
+	lanes, mults, luts int
+
+	// OpMatVec scratch dimensions of an Arena: packed lanes and weight sums.
+	packLanes, maxRows int
+}
+
+// Image is one immutable set of a model's weights — every constant lane,
+// requant/scale multiplier and LUT, copied out of a graph into storage of its
+// own and addressed through the Tape's layout. A weight push builds a new
+// Image and publishes it by pointer; nothing ever writes one in place, so a
+// sweep that resolved its windows from an image reads one model throughout.
+type Image struct {
+	lanes []int32
+	mults []fixed.Multiplier
+	luts  []mr.LUT
+}
+
+// Arena is the mutable state one shard sweeps in: the structure-of-arrays
+// value arena and the OpMatVec scratch, all preallocated. It is not safe for
+// concurrent use; every shard owns one.
+type Arena struct {
+	vals []int32
 
 	// OpMatVec scratch, shared by every matvec of the tape and overwritten by
 	// each: the input lanes of slots 2q and 2q+1 packed into one int64 per
@@ -118,12 +144,23 @@ type Program struct {
 	fallbacks       int
 }
 
+// Program binds a Tape to the Image it reads and the Arena it runs in: a
+// compiled evaluation tape over a validated graph. Run and RunBatch are
+// bit-exact with Graph.Eval on the image's weights and allocate nothing. A
+// Program is as safe for concurrent use as its Arena: not at all.
+type Program struct {
+	tape  *Tape
+	img   *Image
+	arena *Arena
+}
+
 // Compile plans g on spec, emits the instruction tape and hands it to the
 // registered tape verifier (SetVerifier — importing internal/sched/tapecheck
 // registers the real one), which it must clear before it is returned: a
 // miscompilation is an error here, not a wrong verdict later. The gate fails
 // closed — with no verifier registered Compile refuses outright rather than
-// hand out a tape nobody checked.
+// hand out a tape nobody checked. The program is bound to an image of g's
+// weights and an arena of its own; g is kept for its structure only.
 func Compile(g *mr.Graph, spec cgra.GridSpec) (*Program, error) {
 	if verifyHook == nil {
 		return nil, errors.New("sched: no tape verifier registered (link internal/sched/tapecheck)")
@@ -146,21 +183,77 @@ func CompileUnverified(g *mr.Graph, spec cgra.GridSpec) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Program{g: g, sched: s, batch: DefaultBatch}
-	if err := p.emit(); err != nil {
+	t, err := emit(g, s)
+	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &Program{tape: t, img: t.image(g), arena: t.NewArena()}, nil
 }
 
-// Schedule returns the bundle schedule the tape was linearised from.
-func (p *Program) Schedule() *Schedule { return p.sched }
+// Bind returns the program that runs t over img in a.
+func Bind(t *Tape, img *Image, a *Arena) Program { return Program{tape: t, img: img, arena: a} }
 
-// Graph returns the graph this program evaluates.
-func (p *Program) Graph() *mr.Graph { return p.g }
+// NewImage copies the weights of g — a weight-only variant of the graph the
+// tape was compiled from, which graphcheck.Compatible decides — into a fresh
+// Image. g is only read and nothing of it is kept.
+func (t *Tape) NewImage(g *mr.Graph) (*Image, error) {
+	if err := graphcheck.Compatible(t.g, g); err != nil {
+		return nil, err
+	}
+	return t.image(g), nil
+}
+
+func (t *Tape) image(g *mr.Graph) *Image {
+	img := &Image{
+		lanes: make([]int32, t.lanes),
+		mults: make([]fixed.Multiplier, t.mults),
+		luts:  make([]mr.LUT, t.luts),
+	}
+	for i, n := range g.Nodes {
+		at := t.layout[i]
+		switch n.Kind {
+		case mr.KConst:
+			copy(img.lanes[at:at+n.Width], n.Const)
+		case mr.KRequant, mr.KScale:
+			img.mults[at] = n.Mult
+		case mr.KLUT:
+			img.luts[at] = *n.LUT
+		}
+	}
+	return img
+}
+
+// NewArena allocates the state one shard needs to run the tape.
+func (t *Tape) NewArena() *Arena {
+	pairs := (t.batch + 1) / 2
+	a := &Arena{vals: make([]int32, t.arena)}
+	if t.maxRows > 0 {
+		scratch := make([]int64, t.packLanes+pairs+t.maxRows)
+		a.pack, scratch = scratch[:t.packLanes], scratch[t.packLanes:]
+		a.mag, a.wsum = scratch[:pairs], scratch[pairs:]
+	}
+	return a
+}
+
+// Tape, Image and Arena return the three parts the program binds.
+func (p *Program) Tape() *Tape   { return p.tape }
+func (p *Program) Image() *Image { return p.img }
+func (p *Program) Arena() *Arena { return p.arena }
+
+// SetImage switches the program to another image of the same tape — a weight
+// push, as seen by one arena's owner between two sweeps.
+func (p *Program) SetImage(img *Image) { p.img = img }
+
+// Schedule returns the bundle schedule the tape was linearised from.
+func (p *Program) Schedule() *Schedule { return p.tape.sched }
+
+// Graph returns the graph the tape was compiled from. It is the program's
+// structure; the weights the program evaluates are the image's, which a push
+// replaces without touching this graph.
+func (p *Program) Graph() *mr.Graph { return p.tape.g }
 
 // MaxBatch returns the batch capacity RunBatch accepts.
-func (p *Program) MaxBatch() int { return p.batch }
+func (p *Program) MaxBatch() int { return p.tape.batch }
 
 // In returns packet 0's buffer for the i-th declared input (the single-
 // packet Run path); the caller writes feature codes into it.
@@ -168,9 +261,9 @@ func (p *Program) In(i int) []int32 { return p.InAt(i, 0) }
 
 // InAt returns batch slot j's buffer for the i-th declared input.
 func (p *Program) InAt(i, j int) []int32 {
-	o := p.ins[i]
+	o := p.tape.ins[i]
 	base := o.Off + j*o.Stride
-	return p.vals[base : base+o.W]
+	return p.arena.vals[base : base+o.W]
 }
 
 // Out returns packet 0's i-th declared output after Run.
@@ -178,12 +271,12 @@ func (p *Program) Out(i int) []int32 { return p.OutAt(i, 0) }
 
 // OutAt returns batch slot j's i-th declared output after RunBatch.
 func (p *Program) OutAt(i, j int) []int32 {
-	o := p.outs[i]
-	if o.Const != nil {
-		return o.Const[o.Off : o.Off+o.W]
+	o := p.tape.outs[i]
+	if o.Const {
+		return p.img.lanes[o.Off : o.Off+o.W]
 	}
 	base := o.Off + j*o.Stride
-	return p.vals[base : base+o.W]
+	return p.arena.vals[base : base+o.W]
 }
 
 // emit lays out the arena and linearises the schedule into the tape. Four
@@ -192,8 +285,8 @@ func (p *Program) OutAt(i, j int) []int32 {
 // its dot product, values consumed only by a concat are produced directly
 // into the concat's window (copy elimination), and a concat that gathers
 // nothing but the neurons of one dense layer becomes a single OpMatVec.
-func (p *Program) emit() error {
-	g, s := p.g, p.sched
+func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
+	t := &Tape{g: g, sched: s, batch: DefaultBatch, layout: make([]int, len(g.Nodes))}
 
 	// Consumer counts decide fusion legality: a node folded into a fused
 	// instruction must have exactly the fusing consumer and must not be a
@@ -279,26 +372,36 @@ func (p *Program) emit() error {
 		}
 	}
 
-	// Arena layout: one batch-major block per value-producing node that is
-	// neither fused away nor sunk. Consts live in the graph; slices and
-	// sunk values resolve into another node's window.
+	// Arena and image layout: one batch-major arena block per value-producing
+	// node that is neither fused away nor sunk; one image slot per node that
+	// owns weights (a const's lanes, a requant/scale's multiplier, a LUT's
+	// table). Slices and sunk values resolve into another node's window.
 	loc := make([]Operand, len(g.Nodes))
 	resolved := make([]bool, len(g.Nodes))
-	off := 0
 	for _, n := range g.Nodes {
+		t.layout[n.ID] = -1
+		switch n.Kind {
+		case mr.KRequant, mr.KScale:
+			t.layout[n.ID] = t.mults
+			t.mults++
+		case mr.KLUT:
+			t.layout[n.ID] = t.luts
+			t.luts++
+		}
 		switch {
 		case n.Kind == mr.KConst:
-			loc[n.ID] = Operand{Const: n.Const, W: n.Width}
+			t.layout[n.ID] = t.lanes
+			loc[n.ID] = Operand{Const: true, Off: t.lanes, W: n.Width}
 			resolved[n.ID] = true
+			t.lanes += n.Width
 		case n.Kind == mr.KSlice, fused[n.ID], sink[n.ID].target >= 0:
 			// resolved lazily below
 		default:
-			loc[n.ID] = Operand{Off: off, Stride: n.Width, W: n.Width}
+			loc[n.ID] = Operand{Off: t.arena, Stride: n.Width, W: n.Width}
 			resolved[n.ID] = true
-			off += p.batch * n.Width
+			t.arena += t.batch * n.Width
 		}
 	}
-	p.vals = make([]int32, off)
 	var resolve func(id mr.NodeID) Operand
 	resolve = func(id mr.NodeID) Operand {
 		if resolved[id] {
@@ -365,11 +468,11 @@ func (p *Program) emit() error {
 				break
 			}
 			w, x := m.Args[0], m.Args[1]
-			if resolve(w).Const == nil {
+			if !resolve(w).Const {
 				w, x = x, w
 			}
 			wo, xo := resolve(w), resolve(x)
-			if wo.Const == nil || xo.Const != nil || xo.W != wo.W || (r > 0 && x != input) {
+			if !wo.Const || xo.Const || xo.W != wo.W || (r > 0 && x != input) {
 				ops = nil
 				break
 			}
@@ -379,7 +482,7 @@ func (p *Program) emit() error {
 			input, in, ops[r] = x, xo, wo
 			if bias >= 0 {
 				bo := resolve(bias)
-				if bo.Const == nil {
+				if !bo.Const {
 					ops = nil
 					break
 				}
@@ -396,11 +499,7 @@ func (p *Program) emit() error {
 		}
 		maxRows, maxWidth = max(maxRows, rows), max(maxWidth, in.W)
 	}
-	if pairs := (p.batch + 1) / 2; maxRows > 0 {
-		scratch := make([]int64, pairs*maxWidth+pairs+maxRows)
-		p.pack, scratch = scratch[:pairs*maxWidth], scratch[pairs*maxWidth:]
-		p.mag, p.wsum = scratch[:pairs], scratch[pairs:]
-	}
+	t.packLanes, t.maxRows = (t.batch+1)/2*maxWidth, maxRows
 
 	// Linearise bundle by bundle (ties broken by node ID, which is
 	// topological): the tape executes the schedule in issue order.
@@ -468,42 +567,42 @@ func (p *Program) emit() error {
 					at += src.W
 					continue // produced in place, no copy
 				}
-				p.code = append(p.code, Instr{
+				t.code = append(t.code, Instr{
 					Op: OpCopy, Dst: d.Off + at, DStride: d.Stride, W: src.W, A: src,
 				})
 				at += src.W
 			}
 			continue
 		case mr.KRequant:
-			ins.Op, ins.A, ins.Mult = OpRequant, resolve(n.Args[0]), &n.Mult
+			ins.Op, ins.A, ins.Slot = OpRequant, resolve(n.Args[0]), t.layout[id]
 		case mr.KScale:
-			ins.Op, ins.A, ins.Mult = OpScale, resolve(n.Args[0]), &n.Mult
+			ins.Op, ins.A, ins.Slot = OpScale, resolve(n.Args[0]), t.layout[id]
 		case mr.KLUT:
-			ins.Op, ins.A, ins.LUT = OpLUT, resolve(n.Args[0]), n.LUT
+			ins.Op, ins.A, ins.Slot = OpLUT, resolve(n.Args[0]), t.layout[id]
 		default:
-			return fmt.Errorf("sched: node %d has unknown kind %v", id, n.Kind)
+			return nil, fmt.Errorf("sched: node %d has unknown kind %v", id, n.Kind)
 		}
-		p.code = append(p.code, ins)
+		t.code = append(t.code, ins)
 	}
 
-	p.ins = make([]Operand, len(g.Inputs))
+	t.ins = make([]Operand, len(g.Inputs))
 	for i, id := range g.Inputs {
-		p.ins[i] = resolve(id)
+		t.ins[i] = resolve(id)
 	}
-	p.outs = make([]Operand, len(g.Outputs))
+	t.outs = make([]Operand, len(g.Outputs))
 	for i, id := range g.Outputs {
-		p.outs[i] = resolve(id)
+		t.outs[i] = resolve(id)
 	}
-	return nil
+	return t, nil
 }
 
 // window is one operand (or destination) of an instruction resolved for a
-// sweep: its lanes from slot 0's first onward — in the graph node's Const
-// slice or the arena — and how far the window moves per batch slot (0 for a
-// constant: every slot reads the same lanes). Where a window lies is fixed
-// when the tape is emitted; what a Const holds is not (UpdateWeights copies
-// new weights into it in place), so a sweep resolves its windows afresh from
-// the Operands tapecheck audited and reads the contents through them (an
+// sweep: its lanes from slot 0's first onward — in the weight image or the
+// arena — and how far the window moves per batch slot (0 for a constant:
+// every slot reads the same lanes). Where a window lies is fixed when the tape
+// is emitted; which image and arena it lies in is not (a push swaps the image,
+// every shard has its own arena), so a sweep resolves its windows afresh from
+// the Operands tapecheck audited — once per instruction, never per lane (an
 // OpMatVec's rows and biases, constants all, are sliced per sweep the same way
 // by Instr.row and Instr.bias). The struct is kept to 32 bytes so that the
 // compiler holds it in registers.
@@ -512,11 +611,12 @@ type window struct {
 	step  int
 }
 
-func (p *Program) window(o *Operand) window {
-	if o.Const != nil {
-		return window{lanes: o.Const[o.Off : o.Off+o.W]}
+// resolve places o in the image's lanes img or the arena vals.
+func (o *Operand) resolve(img, vals []int32) window {
+	if o.Const {
+		return window{lanes: img[o.Off : o.Off+o.W]}
 	}
-	return window{lanes: p.vals[o.Off:], step: o.Stride}
+	return window{lanes: vals[o.Off:], step: o.Stride}
 }
 
 // slot returns the w lanes of batch slot j.
@@ -554,14 +654,15 @@ func (p *Program) Run() { p.RunBatch(1) }
 //
 // hotpath: zero-alloc
 func (p *Program) RunBatch(n int) {
-	if n < 1 || n > p.batch {
+	code, img, vals := p.tape.code, p.img.lanes, p.arena.vals
+	if n < 1 || n > p.tape.batch {
 		//hotpathcheck:allow — misuse guard; panics before the sweep, never taken on the steady path
-		panic(fmt.Sprintf("sched: RunBatch(%d) outside capacity %d", n, p.batch))
+		panic(fmt.Sprintf("sched: RunBatch(%d) outside capacity %d", n, p.tape.batch))
 	}
-	for ci := range p.code {
-		ins := &p.code[ci]
-		a, b := p.window(&ins.A), p.window(&ins.B)
-		out := window{lanes: p.vals[ins.Dst:], step: ins.DStride}
+	for ci := range code {
+		ins := &code[ci]
+		a, b := ins.A.resolve(img, vals), ins.B.resolve(img, vals)
+		out := window{lanes: vals[ins.Dst:], step: ins.DStride}
 		w, aw, bw := ins.W, ins.A.W, ins.B.W
 		switch ins.Op {
 		case OpAdd:
@@ -629,7 +730,7 @@ func (p *Program) RunBatch(n int) {
 				}
 			}
 		case OpRequant, OpScale:
-			m := *ins.Mult // read once per sweep; aliases the live node
+			m := p.img.mults[ins.Slot]
 			lo, hi := int32(math.MinInt32), int32(math.MaxInt32)
 			if ins.Op == OpRequant {
 				lo, hi = -128, 127
@@ -639,7 +740,7 @@ func (p *Program) RunBatch(n int) {
 			}
 		case OpLUT:
 			for j := 0; j < n; j++ {
-				lutLanes(out.slot(j, w), a.slot(j, aw), ins.LUT)
+				lutLanes(out.slot(j, w), a.slot(j, aw), &p.img.luts[ins.Slot])
 			}
 		case OpCopy:
 			for j := 0; j < n; j++ {
@@ -650,7 +751,7 @@ func (p *Program) RunBatch(n int) {
 				out.lanes[j*out.step] = sat32(dotLanes(a.slot(j, aw), b.slot(j, bw)))
 			}
 		case OpDotAdd:
-			c := p.window(&ins.C)
+			c := ins.C.resolve(img, vals)
 			for j := 0; j < n; j++ {
 				dot := sat32(dotLanes(a.slot(j, aw), b.slot(j, bw)))
 				out.lanes[j*out.step] = sat32(int64(dot) + int64(c.lanes[j*c.step]))
@@ -660,16 +761,16 @@ func (p *Program) RunBatch(n int) {
 				out.lanes[j*out.step] = sat32(sqDistLanes(a.slot(j, aw), b.slot(j, bw)))
 			}
 		case OpMatVec:
-			p.matVec(ins, a, out, n)
+			p.arena.matVec(ins, p.img, a, out, n)
 		}
 	}
 }
 
 // Fallbacks returns how many (weight row, slot pair) cells of OpMatVec sweeps
 // have been evaluated product by product because their operands failed the
-// packing guard, since the program was compiled. A lone RunBatch(1) slot
-// always runs that way and is not counted.
-func (p *Program) Fallbacks() int { return p.fallbacks }
+// packing guard, in the program's arena since it was allocated. A lone
+// RunBatch(1) slot always runs that way and is not counted.
+func (p *Program) Fallbacks() int { return p.arena.fallbacks }
 
 // matVec evaluates one OpMatVec for batch slots 0..n-1: lane r of slot j is
 // sat32(sat32(sum_i sat32(w_r[i]*x_j[i])) + bias_r).
@@ -687,15 +788,15 @@ func (p *Program) Fallbacks() int { return p.fallbacks }
 // that fails the guard — and a lone slot, which has no partner and for which
 // the weight pass would cost as much as the dot — takes dotLanes, the
 // per-product-saturating kernel of OpDot. Nothing is assumed about what the
-// weights or inputs hold, so an in-place weight push needs no notification.
+// weights or inputs hold, so a new image needs no notification.
 //
 // hotpath: zero-alloc
-func (p *Program) matVec(ins *Instr, x, out window, n int) {
+func (p *Arena) matVec(ins *Instr, img *Image, x, out window, n int) {
 	rows, width := ins.W, ins.A.W
 	if n == 1 {
 		xs := x.slot(0, width)
 		for r := 0; r < rows; r++ {
-			out.lanes[r] = sat32(int64(sat32(dotLanes(ins.row(r), xs))) + ins.bias(r))
+			out.lanes[r] = sat32(int64(sat32(dotLanes(ins.row(img, r), xs))) + ins.bias(img, r))
 		}
 		return
 	}
@@ -723,7 +824,7 @@ func (p *Program) matVec(ins *Instr, x, out window, n int) {
 	}
 	for r := 0; r < rows; r++ {
 		var s int64
-		for _, w := range ins.row(r) {
+		for _, w := range ins.row(img, r) {
 			s += abs64(int64(w))
 		}
 		// Clamped so that s*m cannot overflow (m < 1<<32); a clamped sum
@@ -734,9 +835,9 @@ func (p *Program) matVec(ins *Instr, x, out window, n int) {
 	// Two rows per pass, so each packed lane is loaded once for four dots.
 	r := 0
 	for ; r+1 < rows; r += 2 {
-		w0, w1 := ins.row(r), ins.row(r+1)
+		w0, w1 := ins.row(img, r), ins.row(img, r+1)
 		w1 = w1[:len(w0)]
-		s0, s1, b0, b1 := p.wsum[r], p.wsum[r+1], ins.bias(r), ins.bias(r+1)
+		s0, s1, b0, b1 := p.wsum[r], p.wsum[r+1], ins.bias(img, r), ins.bias(img, r+1)
 		for q := 0; q < pairs; q++ {
 			if m := p.mag[q]; s0*m > math.MaxInt32 || s1*m > math.MaxInt32 {
 				p.matVecCell(x, out, n, r, q, w0, b0)
@@ -749,7 +850,7 @@ func (p *Program) matVec(ins *Instr, x, out window, n int) {
 		}
 	}
 	if r < rows {
-		w, b := ins.row(r), ins.bias(r)
+		w, b := ins.row(img, r), ins.bias(img, r)
 		for q := 0; q < pairs; q++ {
 			p.matVecCell(x, out, n, r, q, w, b)
 		}
@@ -760,7 +861,7 @@ func (p *Program) matVec(ins *Instr, x, out window, n int) {
 // packed when the guard holds, otherwise slot by slot through dotLanes.
 //
 // hotpath: zero-alloc
-func (p *Program) matVecCell(x, out window, n, r, q int, w []int32, b int64) {
+func (p *Arena) matVecCell(x, out window, n, r, q int, w []int32, b int64) {
 	width := len(w)
 	if p.wsum[r]*p.mag[q] <= math.MaxInt32 {
 		var acc int64
@@ -803,19 +904,18 @@ func putPair(out window, n, r, q int, acc, b int64) {
 	}
 }
 
-// row returns the live weights of an OpMatVec's row r.
-func (ins *Instr) row(r int) []int32 {
+// row returns the weights of an OpMatVec's row r in img.
+func (ins *Instr) row(img *Image, r int) []int32 {
 	o := &ins.Rows[r]
-	return o.Const[o.Off : o.Off+o.W]
+	return img.lanes[o.Off : o.Off+o.W]
 }
 
-// bias returns the live bias of an OpMatVec's row r, 0 when it has none.
-func (ins *Instr) bias(r int) int64 {
+// bias returns the bias of an OpMatVec's row r in img, 0 when it has none.
+func (ins *Instr) bias(img *Image, r int) int64 {
 	if len(ins.Rows) == ins.W {
 		return 0
 	}
-	o := &ins.Rows[ins.W+r]
-	return int64(o.Const[o.Off])
+	return int64(img.lanes[ins.Rows[ins.W+r].Off])
 }
 
 // abs64 is |v| for v > MinInt64.

@@ -1,7 +1,8 @@
 // Package sched compiles a validated MapReduce graph for software execution
 // at hardware-like cost: a VLIW-style list schedule over the CGRA's issue
-// resources, and a flat instruction tape (Program) that replaces
-// Graph.Eval's per-node switch dispatch with fused straight-line loops.
+// resources, and a flat instruction tape (Program: an immutable Tape bound to
+// a weight Image and a per-shard Arena) that replaces Graph.Eval's per-node
+// switch dispatch with fused straight-line loops.
 //
 // The schedule is the measured counterpart of graphcheck's depth-only
 // estimate (Report.CriticalPathCycles / Report.EstII): graphcheck bounds the

@@ -282,9 +282,10 @@ func TestEdgeGraphs(t *testing.T) {
 	}
 }
 
-// TestWeightUpdateVisible proves the tape reads weights through the live
-// graph nodes: an in-place UpdateWeights-style mutation must change the
-// compiled program's output without recompiling.
+// TestWeightUpdateVisible proves the tape reads its weights from the image it
+// is bound to: an image of the updated graph, swapped in the way
+// UpdateWeights does, must change the compiled program's output without
+// recompiling.
 func TestWeightUpdateVisible(t *testing.T) {
 	mult, err := fixed.NewMultiplier(0.5)
 	if err != nil {
@@ -327,8 +328,8 @@ func TestWeightUpdateVisible(t *testing.T) {
 	check("before update")
 
 	before := append([]int32(nil), p.Out(0)...)
-	// The UpdateWeights contract: copy consts and LUT contents, assign
-	// multipliers, all in place on the installed graph.
+	// The UpdateWeights contract: consts, LUT contents and multipliers are
+	// copied out of the pushed graph into a new image.
 	for _, n := range g.Nodes {
 		switch n.Kind {
 		case mr.KConst:
@@ -342,6 +343,11 @@ func TestWeightUpdateVisible(t *testing.T) {
 			}
 		}
 	}
+	img, err := p.Tape().NewImage(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetImage(img)
 	check("after update")
 	same := true
 	for k, v := range p.Out(0) {

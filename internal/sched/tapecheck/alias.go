@@ -2,47 +2,61 @@ package tapecheck
 
 import (
 	"fmt"
+	"sort"
 
-	"taurus/internal/fixed"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/sched"
 )
 
-// alias is the weight-aliasing audit. A Program reads mutable graph storage
-// through three kinds of pointer: constant operands alias a KConst's Const
-// slice, requant/scale instructions alias a node's Multiplier, LUT
-// instructions alias a node's table. UpdateWeights mutates those payloads in
-// place while the tape keeps serving — so the tape is only sound under live
-// pushes if every such pointer resolves to exactly one graph slot, its
-// window stays inside that slot, and no two graph slots share storage.
-// Anything else — a fresh slice baked in at compile time, a re-sliced
-// window, a multiplier borrowed from a different node — would silently
-// detach the tape from (or cross-wire it to) future pushes.
+// constSlot is one KConst's lanes in the weight image: [at, at+Width).
+type constSlot struct {
+	at   int
+	node mr.NodeID
+}
+
+// alias is the weight-addressing audit. A tape holds no weight storage: a
+// constant operand is an offset into whichever Image the program is bound
+// to, a requant/scale/LUT instruction an index into the image's payloads, and
+// the tape's layout says where an image build puts each graph node's weights.
+// A push builds a new image through that layout and swaps it in — so the tape
+// reads exactly the weights a push means to set only if the layout gives
+// every weight-owning node a slot of its own (dense, in node order, filling
+// the image exactly), every constant operand's window lies inside one const
+// node's slot, and every payload index names a slot the image has. Anything
+// else — two nodes laid out over the same lanes, a window straddling two
+// constants or running past the image, an index naming no payload — would
+// read another node's weights, or none.
 func (c *checker) alias() {
-	c.constOf = make(map[*int32]mr.NodeID)
-	c.multOf = make(map[*fixed.Multiplier]mr.NodeID)
-	c.lutOf = make(map[*mr.LUT]mr.NodeID)
-	for i := range c.g.Nodes {
-		n := c.g.Nodes[i]
+	lanes, mults, luts := 0, 0, 0
+	for _, n := range c.g.Nodes {
+		at := c.layout[n.ID]
 		switch n.Kind {
 		case mr.KConst:
-			if len(n.Const) == 0 {
-				continue // Validate rejects this; guarded for robustness
-			}
-			base := &n.Const[0]
-			if prev, dup := c.constOf[base]; dup {
+			if at != lanes {
 				c.finding(-1, n.ID, SevError, CheckAlias, Interval{},
-					"const nodes %d and %d share backing storage: a weight push to one mutates both", prev, n.ID)
-				continue
+					"const node %d is laid out at image lanes [%d,%d), want [%d,%d): it shares lanes with, or leaves a gap beside, another node's weights",
+					n.ID, at, at+n.Width, lanes, lanes+n.Width)
+			} else {
+				c.consts = append(c.consts, constSlot{at: at, node: n.ID})
 			}
-			c.constOf[base] = n.ID
+			lanes += n.Width
 		case mr.KRequant, mr.KScale:
-			c.multOf[&n.Mult] = n.ID
-		case mr.KLUT:
-			if n.LUT != nil {
-				c.lutOf[n.LUT] = n.ID
+			if at != mults {
+				c.finding(-1, n.ID, SevError, CheckAlias, Interval{},
+					"%s node %d is laid out at multiplier %d, want %d", n.Kind, n.ID, at, mults)
 			}
+			mults++
+		case mr.KLUT:
+			if at != luts {
+				c.finding(-1, n.ID, SevError, CheckAlias, Interval{},
+					"lut node %d is laid out at table %d, want %d", n.ID, at, luts)
+			}
+			luts++
 		}
+	}
+	if l, m, t := len(c.img.Lanes()), len(c.img.Mults()), len(c.img.LUTs()); l != lanes || m != mults || t != luts {
+		c.finding(-1, -1, SevError, CheckAlias, Interval{},
+			"image holds %d lanes, %d multipliers, %d tables; the graph's weights need %d, %d, %d", l, m, t, lanes, mults, luts)
 	}
 
 	for pc := range c.code {
@@ -53,9 +67,9 @@ func (c *checker) alias() {
 			}
 		}
 		for r, o := range ins.Rows {
-			// The matvec kernel reads its rows and biases through Const alone.
+			// The matvec kernel reads its rows and biases from the image alone.
 			node, fault := c.operandFault(o)
-			if o.Const == nil {
+			if !o.Const {
 				fault = "is not constant-backed"
 			}
 			if fault != "" {
@@ -64,83 +78,90 @@ func (c *checker) alias() {
 		}
 		switch ins.Op {
 		case sched.OpRequant, sched.OpScale:
-			if ins.Mult == nil {
+			if !c.hasMult(ins) {
 				c.finding(pc, -1, SevError, CheckAlias, Interval{},
-					"%s instruction has no multiplier", ins.Op)
-			} else if _, ok := c.multOf[ins.Mult]; !ok {
-				c.finding(pc, -1, SevError, CheckAlias, Interval{},
-					"multiplier does not alias any graph requant/scale node: weight pushes would never reach it")
+					"multiplier index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.Mults()))
 			}
 		case sched.OpLUT:
-			if ins.LUT == nil {
+			if !c.hasLUT(ins) {
 				c.finding(pc, -1, SevError, CheckAlias, Interval{},
-					"lut instruction has no table")
-			} else if _, ok := c.lutOf[ins.LUT]; !ok {
-				c.finding(pc, -1, SevError, CheckAlias, Interval{},
-					"table does not alias any graph lut node: weight pushes would never reach it")
+					"table index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.LUTs()))
 			}
 		}
 	}
 
 	// Declared inputs are caller-filled arena windows; a constant-backed
-	// input would make the device write weight storage every packet.
+	// input would have the device stage packets into the weight image.
 	for i := range c.g.Inputs {
-		if in := c.p.InputOperand(i); in.Const != nil {
+		if c.p.InputOperand(i).Const {
 			c.finding(-1, c.g.Inputs[i], SevError, CheckAlias, Interval{},
-				"declared input %d aliases constant storage", i)
+				"declared input %d addresses the weight image", i)
 		}
 	}
-	// A constant-backed output must read the declared node's own storage:
-	// the KConst itself, or the KConst a chain of slices selects a window of
+	// A constant-backed output must read the declared node's own slot: the
+	// KConst itself, or the KConst a chain of slices selects a window of
 	// (equiv() proves the window's lanes).
 	for i, id := range c.g.Outputs {
 		out := c.p.OutputOperand(i)
-		if out.Const == nil || len(out.Const) == 0 {
+		if !out.Const {
 			continue
 		}
 		root := c.g.Node(id)
 		for root.Kind == mr.KSlice {
 			root = c.g.Node(root.Args[0])
 		}
-		owner, ok := c.constOf[&out.Const[0]]
-		if !ok || owner != root.ID {
+		if owner, _ := c.constNode(out); owner != root.ID {
 			c.finding(-1, id, SevError, CheckAlias, Interval{},
-				"declared output %d reads storage that is not its own const node", i)
+				"declared output %d reads image lanes that are not its own const node's", i)
 		}
 	}
 }
 
-// operandFault checks one constant-backed operand's storage identity,
-// returning what is wrong with it ("" when nothing is) and the const node it
-// aliases, if any. Arena-backed operands (Const == nil) are bounds()'s
-// business; unused operands are zero values and pass the same way.
+// hasMult and hasLUT report whether a requant/scale or LUT instruction's Slot
+// names a payload of the image.
+func (c *checker) hasMult(ins *sched.Instr) bool {
+	return ins.Slot >= 0 && ins.Slot < len(c.img.Mults())
+}
+
+func (c *checker) hasLUT(ins *sched.Instr) bool {
+	return ins.Slot >= 0 && ins.Slot < len(c.img.LUTs())
+}
+
+// operandFault checks that one constant-backed operand's window lies inside
+// one const node's slot of the layout, returning what is wrong with it (""
+// when nothing is) and the node whose slot it starts in, if any.
+// Arena-backed operands are bounds()'s business; unused operands are zero
+// values and pass the same way.
 func (c *checker) operandFault(o sched.Operand) (node mr.NodeID, fault string) {
-	if o.Const == nil {
+	if !o.Const {
 		return -1, ""
 	}
-	if len(o.Const) == 0 {
-		return -1, "aliases an empty constant slice"
+	id, at := c.constNode(o)
+	if id < 0 {
+		return -1, fmt.Sprintf("reads image lanes [%d,%d), which start in no const node's slot: no weight push would reach them", o.Off, o.Off+o.W)
 	}
-	id, ok := c.constOf[&o.Const[0]]
-	if !ok {
-		return -1, "aliases storage outside every graph const node: weight pushes would never reach it"
-	}
-	if o.Off < 0 || o.W < 0 || o.Off+o.W > len(o.Const) {
-		return id, fmt.Sprintf("window [%d,%d) overruns const node %d's %d lanes", o.Off, o.Off+o.W, id, len(o.Const))
+	if w := c.g.Node(id).Width; o.W < 0 || o.Off+o.W > at+w {
+		return id, fmt.Sprintf("window [%d,%d) overruns const node %d's slot [%d,%d)", o.Off, o.Off+o.W, id, at, at+w)
 	}
 	return id, ""
 }
 
-// constNode resolves a constant-backed operand to its graph node, or -1.
-// equiv() keys weight leaves by this identity so two expressions are equal
-// exactly when they read the same mutable slot — equivalence that survives
-// live weight pushes.
-func (c *checker) constNode(o sched.Operand) mr.NodeID {
-	if o.Const == nil || len(o.Const) == 0 {
-		return -1
+// constNode resolves a constant-backed operand to the const node whose slot
+// its first lane lies in and that slot's first lane, or -1. equiv() keys
+// weight leaves by (node, lane within the slot), so two expressions are equal
+// exactly when they read the same weights of every image the layout builds —
+// equivalence that survives weight pushes.
+func (c *checker) constNode(o sched.Operand) (mr.NodeID, int) {
+	if !o.Const {
+		return -1, 0
 	}
-	if id, ok := c.constOf[&o.Const[0]]; ok {
-		return id
+	i := sort.Search(len(c.consts), func(i int) bool { return c.consts[i].at > o.Off }) - 1
+	if i < 0 {
+		return -1, 0
 	}
-	return -1
+	s := c.consts[i]
+	if o.Off >= s.at+c.g.Node(s.node).Width {
+		return -1, 0
+	}
+	return s.node, s.at
 }

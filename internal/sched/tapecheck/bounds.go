@@ -65,7 +65,7 @@ func (c *checker) bounds() {
 	// Input staging defines the declared input windows before the tape runs.
 	for i := range c.g.Inputs {
 		o := c.p.InputOperand(i)
-		if o.Const != nil {
+		if o.Const {
 			continue // alias() flags this
 		}
 		if w := c.g.Node(c.g.Inputs[i]).Width; o.W != w {
@@ -134,7 +134,7 @@ func (c *checker) bounds() {
 			// The kernel reads A.W lanes of the input per slot and of every
 			// row, and lane 0 of every bias; a constant or narrower input
 			// (a broadcast lane) is not something it can address.
-			if ins.A.Const != nil || ins.A.W < 1 {
+			if ins.A.Const || ins.A.W < 1 {
 				c.finding(pc, -1, SevError, CheckBounds, Interval{},
 					"matvec input is constant-backed or empty (%d lanes)", ins.A.W)
 			}
@@ -215,7 +215,7 @@ func (c *checker) bounds() {
 	// Every declared output must be fully computed in every batch slot.
 	for i, id := range c.g.Outputs {
 		o := c.p.OutputOperand(i)
-		if o.Const != nil {
+		if o.Const {
 			continue // alias() audits constant-backed outputs
 		}
 		if w := c.g.Node(id).Width; o.W != w {
@@ -264,7 +264,7 @@ func (c *checker) checkWindow(pc int, node mr.NodeID, what string, o sched.Opera
 // checkRead proves `lanes` lanes of one operand are defined before this
 // instruction and read the same producer in every batch slot.
 func (c *checker) checkRead(pc int, o sched.Operand, lanes int, undefOnce, skewOnce *bool) {
-	if o.Const != nil || lanes < 1 {
+	if o.Const || lanes < 1 {
 		return
 	}
 	if !c.checkWindow(pc, -1, "operand", o, lanes) {

@@ -19,9 +19,9 @@ import (
 // Hash-consing makes equivalence a single integer compare per output lane,
 // and because the expressions are interned structurally the check is exact: no instruction-order or copy-elimination freedom is lost,
 // while only bit-exact-commutative operators (saturating add, mul, min, max)
-// are canonicalised by kid order. Weight leaves are keyed by storage
-// identity (the graph slot behind the pointer, via alias()), not by value,
-// so a program stays equivalent across live UpdateWeights pushes.
+// are canonicalised by kid order. Weight leaves are keyed by layout slot (the
+// graph node whose slot of the image an offset lies in, via alias()), not by
+// value, so a program stays equivalent across weight pushes.
 type exprID = int32
 
 const (
@@ -42,9 +42,9 @@ const (
 	eRMax
 	eArgMin
 	eArgMax
-	eRequant // x = payload slot (graph node owning the multiplier)
+	eRequant // x = payload slot (the multiplier's index in the image)
 	eScale
-	eLUT // x = payload slot (graph node owning the table)
+	eLUT // x = payload slot (the table's index in the image)
 )
 
 var exprName = [...]string{
@@ -300,11 +300,11 @@ func (it *interner) render(id exprID, depth int) string {
 	}
 }
 
-// payloadSlot resolves a multiplier or table pointer to the graph slot that
-// owns it, or a pc-unique sentinel when it aliases none (alias() reported).
-func payloadSlot(id mr.NodeID, ok bool, pc int) int32 {
+// payloadSlot is a multiplier or table index as an expression key, or a
+// pc-unique sentinel when the index names no payload (alias() reported).
+func payloadSlot(slot int, ok bool, pc int) int32 {
 	if ok {
-		return int32(id)
+		return int32(slot)
 	}
 	return int32(-1000 - pc)
 }
@@ -388,16 +388,14 @@ func (c *checker) equiv() {
 			if n.Kind == mr.KScale {
 				kind = eScale
 			}
-			slot, ok := c.multOf[&n.Mult]
 			a := arg(0)
 			for l := range lanes {
-				lanes[l] = it.intern(kind, payloadSlot(slot, ok, -1), 0, []exprID{pick(a, l)})
+				lanes[l] = it.intern(kind, int32(c.layout[i]), 0, []exprID{pick(a, l)})
 			}
 		case mr.KLUT:
-			slot, ok := c.lutOf[n.LUT]
 			a := arg(0)
 			for l := range lanes {
-				lanes[l] = it.intern(eLUT, payloadSlot(slot, ok, -1), 0, []exprID{pick(a, l)})
+				lanes[l] = it.intern(eLUT, int32(c.layout[i]), 0, []exprID{pick(a, l)})
 			}
 		}
 		glanes[i] = lanes
@@ -410,7 +408,7 @@ func (c *checker) equiv() {
 	}
 	for i := range c.g.Inputs {
 		o := c.p.InputOperand(i)
-		if o.Const != nil || o.Off < 0 || o.Off+o.W > c.arena {
+		if o.Const || o.Off < 0 || o.Off+o.W > c.arena {
 			continue
 		}
 		in := glanes[c.g.Inputs[i]]
@@ -419,16 +417,14 @@ func (c *checker) equiv() {
 		}
 	}
 
-	// wlanes resolves a constant-backed operand to the graph-side lane array
-	// of the const node its storage aliases (nil when it aliases none, in
-	// which case every read is undef — alias() already reported it). Hoisting
-	// the resolution per operand keeps the map lookup out of per-lane loops.
+	// wlanes resolves a constant-backed operand to the graph-side lanes of
+	// the const node whose slot it lies in, from the operand's first lane on
+	// (nil when it lies in none, in which case every read is undef — alias()
+	// already reported it). Hoisting the resolution per operand keeps the
+	// search out of per-lane loops.
 	wlanes := func(o sched.Operand) []exprID {
-		if o.Const == nil {
-			return nil
-		}
-		if id := c.constNode(o); id >= 0 {
-			return glanes[id]
+		if id, at := c.constNode(o); id >= 0 {
+			return glanes[id][o.Off-at:]
 		}
 		return nil
 	}
@@ -438,9 +434,9 @@ func (c *checker) equiv() {
 		it.pc = int32(pc)
 		aW, bW, cW := wlanes(ins.A), wlanes(ins.B), wlanes(ins.C)
 		read := func(o sched.Operand, w []exprID, l int) exprID {
-			if o.Const != nil {
-				if idx := o.Off + l; idx >= 0 && idx < len(w) {
-					return w[idx]
+			if o.Const {
+				if l < len(w) {
+					return w[l]
 				}
 				return it.undefAt(pc, l)
 			}
@@ -486,16 +482,16 @@ func (c *checker) equiv() {
 			if ins.Op == sched.OpScale {
 				kind = eScale
 			}
-			slot, ok := c.multOf[ins.Mult]
+			slot := payloadSlot(ins.Slot, c.hasMult(ins), pc)
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
-				write(l, it.intern(kind, payloadSlot(slot, ok && ins.Mult != nil, pc), 0, []exprID{read(ins.A, aW, l)}))
+				write(l, it.intern(kind, slot, 0, []exprID{read(ins.A, aW, l)}))
 			}
 		case sched.OpLUT:
-			slot, ok := c.lutOf[ins.LUT]
+			slot := payloadSlot(ins.Slot, c.hasLUT(ins), pc)
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
-				write(l, it.intern(eLUT, payloadSlot(slot, ok && ins.LUT != nil, pc), 0, []exprID{read(ins.A, aW, l)}))
+				write(l, it.intern(eLUT, slot, 0, []exprID{read(ins.A, aW, l)}))
 			}
 		case sched.OpCopy:
 			w := min(ins.W, ins.A.W)
@@ -551,13 +547,13 @@ func (c *checker) equiv() {
 		o := c.p.OutputOperand(i)
 		for l := 0; l < len(want) && l < o.W; l++ {
 			var got exprID = -1
-			if o.Const != nil {
+			if o.Const {
 				// Resolve through the graph-side lane table, exactly like a
 				// tape-side const read: leaves are minted with fresh() and
 				// never live in the intern table, so re-interning here would
 				// create a distinct leaf and a false mismatch.
-				if cid := c.constNode(o); cid >= 0 && o.Off+l < len(glanes[cid]) {
-					got = glanes[cid][o.Off+l]
+				if w := wlanes(o); l < len(w) {
+					got = w[l]
 				}
 			} else if idx := o.Off + l; idx >= 0 && idx < c.arena {
 				got = cells[idx]
@@ -570,7 +566,7 @@ func (c *checker) equiv() {
 			}
 			dw, dg := it.diverge(want[l], got)
 			pc := int(it.nodes[dg].pc)
-			if pc < 0 && o.Const == nil {
+			if pc < 0 && !o.Const {
 				if idx := o.Off + l; idx >= 0 && idx < len(c.writer) && c.writer[idx] >= 0 {
 					pc = int(c.writer[idx]) // diverging expr predates the tape: blame the cell's writer
 				}

@@ -29,7 +29,7 @@ func (c *checker) ranges(opts Options) {
 
 	for i := range c.g.Inputs {
 		o := c.p.InputOperand(i)
-		if o.Const != nil || o.Off < 0 || o.Off+o.W > c.arena {
+		if o.Const || o.Off < 0 || o.Off+o.W > c.arena {
 			continue // alias/bounds findings cover these
 		}
 		seed := graphcheck.Int8Range()
@@ -45,10 +45,11 @@ func (c *checker) ranges(opts Options) {
 	}
 
 	fix32 := graphcheck.Fix32Range()
+	weights := c.img.Lanes()
 	read := func(o sched.Operand, l int) Interval {
-		if o.Const != nil {
-			if idx := o.Off + l; idx >= 0 && idx < len(o.Const) {
-				return graphcheck.Point(int64(o.Const[idx]))
+		if o.Const {
+			if idx := o.Off + l; idx >= 0 && idx < len(weights) {
+				return graphcheck.Point(int64(weights[idx]))
 			}
 			return fix32
 		}
@@ -57,22 +58,21 @@ func (c *checker) ranges(opts Options) {
 		}
 		return fix32 // undefined or out of range: bounds() reports, stay sound
 	}
-	var lutFull map[*mr.LUT]Interval
-	lutRange := func(l *mr.LUT, idx Interval) Interval {
-		full := idx.Lo == -mr.LUTSize/2 && idx.Hi == mr.LUTSize/2-1
-		if full {
-			if lutFull == nil {
-				lutFull = make(map[*mr.LUT]Interval, 4)
-			}
-			if iv, ok := lutFull[l]; ok {
-				return iv
-			}
+	// A table's range over its whole index domain, by table index: wide
+	// layers ask for it once per lane.
+	var lutFull []Interval
+	lutRange := func(slot int, idx Interval) Interval {
+		l := &c.img.LUTs()[slot]
+		if idx.Lo != -mr.LUTSize/2 || idx.Hi != mr.LUTSize/2-1 {
+			return graphcheck.LUTRange(l, idx)
 		}
-		iv := graphcheck.LUTRange(l, idx)
-		if full {
-			lutFull[l] = iv
+		if lutFull == nil {
+			lutFull = make([]Interval, len(c.img.LUTs()))
 		}
-		return iv
+		if lutFull[slot] == (Interval{}) {
+			lutFull[slot] = graphcheck.LUTRange(l, idx)
+		}
+		return lutFull[slot]
 	}
 
 	var input []Interval // a matvec's input lanes, read once for all its rows
@@ -135,12 +135,12 @@ func (c *checker) ranges(opts Options) {
 			}
 			write(0, graphcheck.ReduceTransfer(rop, lanes))
 		case sched.OpRequant:
-			if ins.Mult == nil {
+			if !c.hasMult(ins) {
 				break
 			}
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
-				out, raw, clipped := graphcheck.Requant8Transfer(*ins.Mult, read(ins.A, l))
+				out, raw, clipped := graphcheck.Requant8Transfer(c.img.Mults()[ins.Slot], read(ins.A, l))
 				if clipped && !reported {
 					reported = true
 					c.finding(pc, -1, SevError, CheckRange, raw,
@@ -150,12 +150,12 @@ func (c *checker) ranges(opts Options) {
 				write(l, out)
 			}
 		case sched.OpScale:
-			if ins.Mult == nil {
+			if !c.hasMult(ins) {
 				break
 			}
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
-				out, raw, wraps := graphcheck.ScaleTransfer(*ins.Mult, read(ins.A, l))
+				out, raw, wraps := graphcheck.ScaleTransfer(c.img.Mults()[ins.Slot], read(ins.A, l))
 				if wraps && !reported {
 					reported = true
 					c.finding(pc, -1, SevError, CheckRange, raw,
@@ -164,18 +164,18 @@ func (c *checker) ranges(opts Options) {
 				write(l, out)
 			}
 		case sched.OpLUT:
-			if ins.LUT == nil {
+			if !c.hasLUT(ins) {
 				break
 			}
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
-				idx, raw, allOutside := graphcheck.LUTIndex(ins.LUT, read(ins.A, l))
+				idx, raw, allOutside := graphcheck.LUTIndex(&c.img.LUTs()[ins.Slot], read(ins.A, l))
 				if allOutside && !reported {
 					reported = true
 					c.finding(pc, -1, SevWarning, CheckRange, raw,
 						"lane %d index interval %s lies entirely outside the table domain", l, raw)
 				}
-				write(l, lutRange(ins.LUT, idx))
+				write(l, lutRange(ins.Slot, idx))
 			}
 		case sched.OpCopy:
 			w := min(ins.W, ins.A.W)

@@ -31,13 +31,13 @@
 //     within int32) cannot be shown from those intervals draws an
 //     informational finding: it will take the slower exact path at runtime.
 //
-//  3. Aliasing audit: every constant-backed operand — a matvec's rows and
-//     biases among them, which must be constant-backed — must alias exactly
-//     one graph KConst's storage (window in range), every multiplier pointer
-//     exactly one KRequant/KScale node's payload, every table pointer
-//     exactly one KLUT's table — so a live UpdateWeights, which mutates
-//     those payloads in place, changes exactly the weights it means to and
-//     the tape observes the push coherently.
+//  3. Weight-addressing audit: the tape's layout must give every
+//     weight-owning graph node a slot of its own in the weight image; every
+//     constant-backed operand — a matvec's rows and biases among them, which
+//     must be constant-backed — must lie inside exactly one KConst's slot,
+//     every multiplier or table index must name a payload the image holds —
+//     so an image built from a pushed graph puts exactly the weights the
+//     push means to set where the tape reads them.
 //
 //  4. Arena and schedule bounds: every operand and destination window of
 //     the structure-of-arrays arena stays in bounds across all batch slots,
@@ -62,7 +62,6 @@ import (
 	"fmt"
 	"strings"
 
-	"taurus/internal/fixed"
 	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/sched"
@@ -94,7 +93,7 @@ const (
 	CheckEquiv Analysis = "equiv"
 	// CheckRange findings come from the interval-soundness analysis.
 	CheckRange Analysis = "range"
-	// CheckAlias findings come from the weight-aliasing audit.
+	// CheckAlias findings come from the weight-addressing audit.
 	CheckAlias Analysis = "alias"
 	// CheckBounds findings come from the arena bounds/liveness analysis.
 	CheckBounds Analysis = "bounds"
@@ -143,6 +142,9 @@ type Report struct {
 	Instrs int
 	Arena  int
 	Batch  int
+	// Lanes, Mults and LUTs are the weight image's dimensions: constant
+	// lanes, requant/scale multipliers and lookup tables.
+	Lanes, Mults, LUTs int
 	// Findings holds every diagnostic in tape order.
 	Findings []Finding
 }
@@ -175,8 +177,8 @@ func (r *Report) String() string {
 	if !r.OK() {
 		status = "REJECTED"
 	}
-	fmt.Fprintf(&b, "tapecheck: %q — %s (%d instrs, arena %d lanes, batch %d)\n",
-		r.Graph, status, r.Instrs, r.Arena, r.Batch)
+	fmt.Fprintf(&b, "tapecheck: %q — %s (%d instrs, arena %d lanes, batch %d; image %d lanes, %d multipliers, %d tables)\n",
+		r.Graph, status, r.Instrs, r.Arena, r.Batch, r.Lanes, r.Mults, r.LUTs)
 	if len(r.Findings) == 0 {
 		fmt.Fprintf(&b, "  findings:  none (equiv, range, alias, bounds, plan all clean)\n")
 		return b.String()
@@ -209,7 +211,9 @@ func Verify(p *sched.Program) *Report { return VerifyWith(p, Options{}) }
 // graphcheck: the tape's interval analysis exists to prove the compiled
 // intermediates cannot saturate where the graph could not, and a tape that
 // merely inherits the graph's own saturation is still a faithful translation
-// — rejecting the graph is graphcheck's job, on the push path.
+// — rejecting the graph is graphcheck's job, on the push path. "The source
+// graph" is the compiled structure carrying the weights of the image the
+// program is bound to, whichever push they came from.
 func Check(p *sched.Program) error {
 	r := Verify(p)
 	var rangeErr *Finding
@@ -225,7 +229,7 @@ func Check(p *sched.Program) error {
 			rangeErr = f
 		}
 	}
-	if rangeErr != nil && graphcheck.Verify(p.Graph()).OK() {
+	if rangeErr != nil && graphcheck.Verify(p.Source()).OK() {
 		return fmt.Errorf("%w: graph %q: %s", ErrBadTape, r.Graph, rangeErr)
 	}
 	return nil
@@ -239,13 +243,17 @@ func init() {
 
 // VerifyWith runs every analysis on p against the given options.
 func VerifyWith(p *sched.Program, opts Options) *Report {
-	if p == nil {
+	if p == nil || p.Tape() == nil || p.Image() == nil {
 		return &Report{Graph: "<nil>", Findings: []Finding{{
-			PC: -1, Node: -1, Severity: SevError, Check: CheckBounds, Msg: "program is nil",
+			PC: -1, Node: -1, Severity: SevError, Check: CheckBounds, Msg: "program is nil or binds no tape and image",
 		}}}
 	}
 	g := p.Graph()
-	r := &Report{Instrs: len(p.Code()), Arena: p.ArenaSize(), Batch: p.MaxBatch()}
+	img := p.Image()
+	r := &Report{
+		Instrs: len(p.Code()), Arena: p.ArenaSize(), Batch: p.MaxBatch(),
+		Lanes: len(img.Lanes()), Mults: len(img.Mults()), LUTs: len(img.LUTs()),
+	}
 	if g == nil {
 		r.Graph = "<nil>"
 		r.Findings = append(r.Findings, Finding{
@@ -263,11 +271,18 @@ func VerifyWith(p *sched.Program, opts Options) *Report {
 	}
 	c := &checker{
 		p: p, g: g, r: r,
-		code:  p.Code(),
-		batch: p.MaxBatch(),
-		arena: p.ArenaSize(),
+		code:   p.Code(),
+		batch:  p.MaxBatch(),
+		arena:  p.ArenaSize(),
+		img:    img,
+		layout: p.Tape().Layout(),
 	}
-	c.alias()  // storage identity first: equiv resolves const leaves through it
+	if len(c.layout) != len(g.Nodes) {
+		c.finding(-1, -1, SevError, CheckAlias, Interval{},
+			"weight layout covers %d nodes, graph has %d", len(c.layout), len(g.Nodes))
+		return r
+	}
+	c.alias()  // weight slots first: equiv resolves const leaves through them
 	c.bounds() // widths, windows, liveness, slot uniformity
 	c.plan()   // schedule capacity/precedence re-verification
 	c.ranges(opts)
@@ -284,11 +299,12 @@ type checker struct {
 	batch int
 	arena int
 
-	// Storage identity, built by alias(): the unique graph slot behind each
-	// aliased payload.
-	constOf map[*int32]mr.NodeID
-	multOf  map[*fixed.Multiplier]mr.NodeID
-	lutOf   map[*mr.LUT]mr.NodeID
+	// The weights the program reads: the image it is bound to, the tape's
+	// node → image slot layout, and — built by alias() — the const nodes whose
+	// slot the layout places soundly, in lane order.
+	img    *sched.Image
+	layout []int
+	consts []constSlot
 
 	// writer[cell] is the pc that defines each arena cell (slot-expanded),
 	// -2 for input-seeded cells, -1 for never-written. Built by bounds().

@@ -100,9 +100,21 @@ func findPC(t *testing.T, p *sched.Program, op sched.Opcode) int {
 	return -1
 }
 
+// constID returns the id of the zoo's const node of the given name.
+func constID(t *testing.T, p *sched.Program, name string) mr.NodeID {
+	t.Helper()
+	for _, n := range p.Graph().Nodes {
+		if n.Kind == mr.KConst && n.Name == name {
+			return n.ID
+		}
+	}
+	t.Fatalf("graph has no const %q", name)
+	return -1
+}
+
 // TestMutationKill hand-seeds distinct miscompilations into legitimately
-// compiled tapes — fusion bugs, operand swaps, alias violations, arena
-// corruption, schedule lies — and demands each is rejected with a finding
+// compiled tapes — fusion bugs, operand swaps, weight-addressing violations,
+// arena corruption, schedule lies — and demands each is rejected with a finding
 // from the right analysis, anchored to the offending instruction.
 func TestMutationKill(t *testing.T) {
 	cases := []struct {
@@ -130,7 +142,7 @@ func TestMutationKill(t *testing.T) {
 			// symbolic check can see it.
 			for pc := range p.Code() {
 				ins := &p.Code()[pc]
-				if ins.Op == sched.OpDot && ins.B.Const != nil {
+				if ins.Op == sched.OpDot && ins.B.Const {
 					ins.B.Off--
 					return
 				}
@@ -154,26 +166,24 @@ func TestMutationKill(t *testing.T) {
 			p.Code()[findPC(t, p, sched.OpAdd)].W--
 		}},
 		{"alias-detached-weights", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
-			// A compile-time snapshot of the weights: bit-identical today,
-			// invisible to every future UpdateWeights push.
+			// A window past the image's last lane: weights no push can set.
 			for pc := range p.Code() {
 				ins := &p.Code()[pc]
-				if ins.Op == sched.OpDot && ins.B.Const != nil {
-					ins.B.Const = append([]int32(nil), ins.B.Const...)
+				if ins.Op == sched.OpDot && ins.B.Const {
+					ins.B.Off = len(p.Image().Lanes())
 					return
 				}
 			}
 			t.Fatal("no const-window dot on the tape")
 		}},
-		{"alias-detached-multiplier", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
-			ins := &p.Code()[findPC(t, p, sched.OpRequant)]
-			clone := *ins.Mult
-			ins.Mult = &clone
+		{"alias-detached-multiplier", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			// The requant reads the scale node's multiplier: an index the
+			// image holds, and another node's slot.
+			p.Code()[findPC(t, p, sched.OpRequant)].Slot = p.Code()[findPC(t, p, sched.OpScale)].Slot
 		}},
 		{"alias-detached-lut", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
-			ins := &p.Code()[findPC(t, p, sched.OpLUT)]
-			clone := *ins.LUT
-			ins.LUT = &clone
+			// A table index naming none of the image's tables.
+			p.Code()[findPC(t, p, sched.OpLUT)].Slot = len(p.Image().LUTs())
 		}},
 		// The dense layer: rows 0..2 then biases 0..2 in Rows.
 		{"matvec-rows-swapped", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
@@ -209,13 +219,16 @@ func TestMutationKill(t *testing.T) {
 			p.Code()[findPC(t, p, sched.OpMatVec)].A.W = 1
 		}},
 		{"matvec-row-aliases-other-const", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
-			// nw is another 8-lane constant: in range, live, and the wrong weights.
+			// nw is another 8-lane constant: in range, pushed like any other,
+			// and the wrong weights.
 			ins := &p.Code()[findPC(t, p, sched.OpMatVec)]
-			ins.Rows[0].Const = p.Code()[findPC(t, p, sched.OpDotAdd)].B.Const
+			ins.Rows[0].Off = p.Code()[findPC(t, p, sched.OpDotAdd)].B.Off
 		}},
 		{"matvec-row-detached", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
-			row := &p.Code()[findPC(t, p, sched.OpMatVec)].Rows[2]
-			row.Const = append([]int32(nil), row.Const...)
+			// Two const nodes laid out over the same lanes: an image build
+			// writes l2's weights over l0's, and row 2 reads lanes no node owns.
+			layout := p.Tape().Layout()
+			layout[constID(t, p, "l2")] = layout[constID(t, p, "l0")]
 		}},
 		{"schedule-claims-low-ii", tapecheck.CheckPlan, false, func(t *testing.T, p *sched.Program) {
 			p.Schedule().II = 0
@@ -353,8 +366,8 @@ func TestInheritedSaturationDoesNotGate(t *testing.T) {
 }
 
 // TestSlicedConstOutputVerifies: a declared output that is a window of a
-// constant (a slice of a slice of a KConst) is const-backed on the tape and
-// owned by that KConst — a faithful translation the alias audit must accept,
+// constant (a slice of a slice of a KConst) is const-backed on the tape, inside
+// that KConst's slot of the image — a faithful translation the audit must accept,
 // now that a refused tape is an install error rather than a slower engine.
 func TestSlicedConstOutputVerifies(t *testing.T) {
 	g := build(t, "const-window-out", func(b *mr.Builder) {

@@ -2,6 +2,7 @@ package taurus
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -13,8 +14,9 @@ import (
 // examples/observe CI gate: one drift-recovery run must journal the complete
 // chain — drift.detected, retrain.start, retrain.fit, graphcheck.pass,
 // tapecheck.pass, push.done — with monotonic timestamps inside the retrain
-// span, and the per-shard service-time histograms exposed over Prometheus
-// must agree with pipeline.Stats() totals.
+// span, the per-shard service-time histograms exposed over Prometheus must
+// agree with pipeline.Stats() totals, and after a push every shard's
+// model_epoch gauge reads the epoch the pipeline last published.
 //
 // The pipeline binds to a private registry (WithMetrics) so the metric
 // assertions are isolated from the rest of the test binary; the controller
@@ -89,8 +91,53 @@ func TestObservabilityIntegration(t *testing.T) {
 		t.Fatal("drift never triggered a retrain; the workload calibration has regressed")
 	}
 
+	// One more batch, so that every shard has served from the last push.
+	ins, _, _ := stream.NextBatch(batchSize)
+	if _, err := pl.ProcessBatch(ins, out); err != nil {
+		t.Fatal(err)
+	}
+
 	auditRecoveryChain(t, baseSeq)
 	auditRegistryAgreement(t, reg, pl, shards)
+	auditModelEpoch(t, reg, baseSeq, 1+ctrl.Stats().Retrains, shards)
+}
+
+// auditModelEpoch asserts which model serves is answerable from obs alone:
+// the install and every retrain's push were journalled as model.publish with
+// consecutive epochs, and every shard's taurus.device.model_epoch gauge reads
+// the last one.
+func auditModelEpoch(t *testing.T, reg *MetricsRegistry, baseSeq int64, published, shards int) {
+	t.Helper()
+	n := 0
+	for _, ev := range Tracer().Events() {
+		if ev.Seq <= baseSeq || ev.Kind != "model.publish" {
+			continue
+		}
+		n++
+		kind := "push"
+		if n == 1 {
+			kind = "install"
+		}
+		if want := fmt.Sprintf("epoch=%d kind=%s ", n, kind); !strings.HasPrefix(ev.Detail, want) {
+			t.Errorf("model.publish #%d journalled %q, want it to start %q", n, ev.Detail, want)
+		}
+	}
+	if n != published {
+		t.Errorf("trace holds %d model.publish events, want %d (one install, one per retrain)", n, published)
+	}
+	gauges := 0
+	for _, m := range reg.Snapshot() {
+		if m.Name != "taurus.device.model_epoch" {
+			continue
+		}
+		gauges++
+		if m.Value != int64(published) {
+			t.Errorf("model_epoch%v = %d, the pipeline last published epoch %d", m.Labels, m.Value, published)
+		}
+	}
+	if gauges != shards {
+		t.Errorf("registry holds %d model_epoch gauges, want one per shard (%d)", gauges, shards)
+	}
 }
 
 // auditRecoveryChain asserts the default trace journal holds the full

@@ -228,7 +228,7 @@ func CompileProgram(g *Graph, spec GridSpec) (*CompiledProgram, error) {
 type (
 	// TapeReport is the validator's full result: semantic equivalence of
 	// every output lane against the source graph, interval soundness of each
-	// tape cell, the weight-aliasing audit and the arena/schedule bounds.
+	// tape cell, the weight-addressing audit and the arena/schedule bounds.
 	TapeReport = tapecheck.Report
 	// TapeFinding is one diagnostic, anchored to the offending instruction.
 	TapeFinding = tapecheck.Finding
