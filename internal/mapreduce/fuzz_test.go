@@ -1,6 +1,7 @@
 package mapreduce_test
 
 import (
+	"slices"
 	"testing"
 
 	"taurus/internal/cgra"
@@ -146,9 +147,19 @@ var fuzzSeedLayer = []byte{
 	0, 8, // one output: n8
 }
 
+// fuzzSeedSharedAct is fuzzSeedLayer with a requant behind the ReLU and the
+// ReLU declared an output beside it: the activation has two readers, so it
+// rides on the matvec and the requant must stay an instruction of its own.
+var fuzzSeedSharedAct = append(append([]byte{9}, // 10 nodes
+	fuzzSeedLayer[1:len(fuzzSeedLayer)-2]...), // n0..n8 as above
+	6, 2, 1, 9, 64, 1, 0, 0, 8, // n9 requant (n8), M0=320 shift=8
+	1, 8, 9, // two outputs: n8, n9
+)
+
 // fuzzSeeds are the model-shaped corpus seeds, by name.
 var fuzzSeeds = map[string][]byte{
-	"dnn": fuzzSeedDNN, "kmeans": fuzzSeedKMeans, "svm": fuzzSeedSVM, "layer": fuzzSeedLayer,
+	"dnn": fuzzSeedDNN, "kmeans": fuzzSeedKMeans, "svm": fuzzSeedSVM,
+	"layer": fuzzSeedLayer, "shared-act": fuzzSeedSharedAct,
 }
 
 // fuzzInputs derives deterministic, magnitude-diverse input vectors from the
@@ -295,7 +306,7 @@ func schedDifferential(t *testing.T, g *mr.Graph, data []byte) {
 }
 
 // mutationKinds is the number of corruption classes mutateTape knows.
-const mutationKinds = 10
+const mutationKinds = 14
 
 // mutateTape applies one hand-corruption class to instruction k of the tape:
 // swapped operands, shifted destination or source slots (a constant source
@@ -303,9 +314,12 @@ const mutationKinds = 10
 // last), a flipped opcode, a narrowed lane width, a skewed bias/weight window,
 // on a matvec two rows exchanged, a row duplicated over its neighbour, or one
 // row or bias window moved a lane, a multiplier/table index naming the next
-// payload of the image (or none), or two weight-owning nodes laid out over
-// the same image slot: the miscompilation shapes tapecheck's analyses exist
-// to catch. Returns false when the tape has nothing to mutate.
+// payload of the image (or none), two weight-owning nodes laid out over
+// the same image slot, or on a matvec half of the epilogue dropped, its
+// activation flipped (or invented), its multiplier index moved to a
+// neighbour's, or its row sums read from one row along: the miscompilation
+// shapes tapecheck's analyses exist to catch. Returns false when the tape has
+// nothing to mutate.
 func mutateTape(p *sched.Program, kind, k int) bool {
 	code := p.Code()
 	if len(code) == 0 {
@@ -391,6 +405,36 @@ func mutateTape(p *sched.Program, kind, k int) bool {
 			break
 		}
 		layout[owners[k%len(owners)]] = layout[owners[(k+1)%len(owners)]]
+	case 10: // matvec epilogue dropped: the activation, or the rescale
+		switch {
+		case ins.Op != sched.OpMatVec || (ins.Act == sched.OpNone && ins.Quant == sched.OpNone):
+			ins.Dst++
+		case ins.Quant == sched.OpNone || (ins.Act != sched.OpNone && k/len(code)%2 == 0):
+			ins.Act = sched.OpNone
+		default:
+			ins.Quant = sched.OpNone
+		}
+	case 11: // matvec epilogue activation flipped, or one invented
+		switch {
+		case ins.Op != sched.OpMatVec:
+			ins.Dst++
+		case ins.Act == sched.OpRelu:
+			ins.Act = sched.OpNeg
+		default:
+			ins.Act = sched.OpRelu
+		}
+	case 12: // matvec epilogue multiplier index one off, either way
+		if ins.Op != sched.OpMatVec || ins.Quant == sched.OpNone {
+			ins.Dst++
+			break
+		}
+		ins.Slot += 1 - 2*(k/len(code)%2)
+	case 13: // matvec row sums read from a neighbouring row's index on
+		if ins.Op != sched.OpMatVec {
+			ins.Dst++
+			break
+		}
+		ins.Sum += 1 - 2*(k/len(code)%2)
 	}
 	return true
 }
@@ -510,12 +554,26 @@ func TestFuzzSeeds(t *testing.T) {
 		}
 		schedDifferential(t, g, seed)
 	}
-	// The layer seed is in the corpus for the matvec it compiles to.
-	p, err := sched.Compile(graphFromBytes(fuzzSeedLayer), cgra.DefaultGrid())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if code := p.Code(); len(code) != 2 || code[0].Op != sched.OpMatVec {
-		t.Fatalf("layer seed compiles to %d instructions starting with %v, want a matvec and a relu", len(code), code[0].Op)
+	// The layer seeds are in the corpus for the tapes they compile to: one
+	// matvec carrying the ReLU, and — the ReLU having a second reader — the
+	// same followed by the requant it could not take.
+	for _, tc := range []struct {
+		seed []byte
+		want []string
+	}{
+		{fuzzSeedLayer, []string{"matvec+relu"}},
+		{fuzzSeedSharedAct, []string{"matvec+relu", "requant"}},
+	} {
+		p, err := sched.Compile(graphFromBytes(tc.seed), cgra.DefaultGrid())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for i := range p.Code() {
+			got = append(got, p.Code()[i].Mnemonic())
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("layer seed compiles to %v, want %v", got, tc.want)
+		}
 	}
 }

@@ -48,7 +48,8 @@ func wideGraph(b *testing.B) (g *mr.Graph, macs int) {
 // BenchmarkEval times the compiled tape on one graph and input: compiled is
 // Program.Run, batch is Program.RunBatch amortised per packet, and the wide
 // cases report what a multiply-accumulate of the 8-64-32-1 model costs at
-// batch fills 1 and 16. All must report 0 allocs/op.
+// batch fills 1, 4, 8 and 16 — a partial sweep pays per-instruction set-up
+// over fewer packets, and nothing else. All must report 0 allocs/op.
 func BenchmarkEval(b *testing.B) {
 	g := benchGraph(b)
 	rng := rand.New(rand.NewSource(3))
@@ -88,7 +89,7 @@ func BenchmarkEval(b *testing.B) {
 	b.Run("batch", func(b *testing.B) { sweep(b, g, sched.DefaultBatch) })
 
 	wide, macs := wideGraph(b)
-	for _, fill := range []int{1, sched.DefaultBatch} {
+	for _, fill := range []int{1, 4, 8, sched.DefaultBatch} {
 		b.Run(fmt.Sprintf("wide/fill%d", fill), func(b *testing.B) {
 			packets := sweep(b, wide, fill)
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(packets*macs), "ns/MAC")

@@ -49,11 +49,13 @@ func (p *Program) OutputOperand(i int) Operand { return p.tape.outs[i] }
 // for the same readers and under the same terms as Code.
 func (t *Tape) Layout() []int { return t.layout }
 
-// Lanes, Mults and LUTs return the image's storage for static inspection; an
-// image is immutable once built, so callers only read them.
+// Lanes, Mults, LUTs and Sums return the image's storage for static
+// inspection; an image is immutable once built, so callers only read them
+// (verifier tests excepted, which forge a sum the way they forge an Instr).
 func (img *Image) Lanes() []int32            { return img.lanes }
 func (img *Image) Mults() []fixed.Multiplier { return img.mults }
 func (img *Image) LUTs() []mr.LUT            { return img.luts }
+func (img *Image) Sums() []int64             { return img.sums }
 
 // Source returns a fresh graph holding what the program evaluates now: the
 // tape's structure carrying the image's weights. It allocates a whole graph —
@@ -83,9 +85,26 @@ func NodeCost(g *mr.Graph, n *mr.Node, spec cgra.GridSpec) (issues, lat int, onM
 	return nodeCost(g, n, spec)
 }
 
+// Mnemonic names the instruction for findings and reports: its opcode, and
+// for an OpMatVec the epilogue it carries, as in "matvec+relu+requant".
+func (ins *Instr) Mnemonic() string {
+	s := ins.Op.String()
+	if ins.Op != OpMatVec {
+		return s
+	}
+	for _, op := range [...]Opcode{ins.Act, ins.Quant} {
+		if op != OpNone {
+			s += "+" + op.String()
+		}
+	}
+	return s
+}
+
 // String names the opcode, mnemonic-style, for findings and reports.
 func (op Opcode) String() string {
 	switch op {
+	case OpNone:
+		return "none"
 	case OpAdd:
 		return "add"
 	case OpSub:

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"taurus/internal/cgra"
@@ -254,10 +255,23 @@ func TestKernelShapeMatrix(t *testing.T) {
 	}
 }
 
+// epilogue is what a dense layer's concat feeds before anything else reads
+// it: an activation (OpNone or a unary), then a rescale (OpNone, OpRequant or
+// OpScale by mult).
+type epilogue struct {
+	act, quant sched.Opcode
+	mult       fixed.Multiplier
+}
+
+var unaryOf = map[sched.Opcode]mr.UnaryOp{
+	sched.OpRelu: mr.UReLU, sched.OpLeaky: mr.ULeakyReLU, sched.OpNeg: mr.UNeg, sched.OpAbs: mr.UAbs,
+}
+
 // denseGraph builds one dense layer the way the lowerings do: a (bias-)dot
-// of each constant weight row with one input, gathered by a concat — the
-// shape emit fuses into a single OpMatVec.
-func denseGraph(t *testing.T, name string, weights [][]int32, biases []int32) *mr.Graph {
+// of each constant weight row with one input, gathered by a concat, through
+// the layer's activation and requantisation — the shape emit fuses into a
+// single OpMatVec.
+func denseGraph(t *testing.T, name string, weights [][]int32, biases []int32, ep epilogue) *mr.Graph {
 	t.Helper()
 	b := mr.NewBuilder(name)
 	x := b.Input("x", len(weights[0]))
@@ -268,7 +282,17 @@ func denseGraph(t *testing.T, name string, weights [][]int32, biases []int32) *m
 			neurons[r] = b.Map(mr.MAdd, neurons[r], b.Scalar(fmt.Sprintf("b%d", r), biases[r]))
 		}
 	}
-	b.Output(b.Concat(neurons...))
+	z := b.Concat(neurons...)
+	if ep.act != sched.OpNone {
+		z = b.Unary(unaryOf[ep.act], z)
+	}
+	switch ep.quant {
+	case sched.OpRequant:
+		z = b.Requant(z, ep.mult)
+	case sched.OpScale:
+		z = b.Scale(z, ep.mult)
+	}
+	b.Output(z)
 	g, err := b.Build()
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
@@ -277,15 +301,17 @@ func denseGraph(t *testing.T, name string, weights [][]int32, biases []int32) *m
 }
 
 // compileDense compiles a denseGraph and insists the layer came out as the
-// tape's only instruction, an OpMatVec.
-func compileDense(t *testing.T, g *mr.Graph) *sched.Program {
+// tape's only instruction, an OpMatVec carrying the epilogue.
+func compileDense(t *testing.T, g *mr.Graph, ep epilogue) *sched.Program {
 	t.Helper()
 	p, err := sched.Compile(g, cgra.DefaultGrid())
 	if err != nil {
 		t.Fatalf("Compile(%s): %v", g.Name, err)
 	}
-	if code := p.Code(); len(code) != 1 || code[0].Op != sched.OpMatVec {
-		t.Fatalf("%s: dense layer compiled to %d instructions, want one matvec", g.Name, len(code))
+	code := p.Code()
+	if len(code) != 1 || code[0].Op != sched.OpMatVec || code[0].Act != ep.act || code[0].Quant != ep.quant {
+		t.Fatalf("%s: dense layer compiled to %d instructions starting with %s, want one matvec with epilogue %v, %v",
+			g.Name, len(code), code[0].Mnemonic(), ep.act, ep.quant)
 	}
 	return p
 }
@@ -365,11 +391,14 @@ func sweepDense(t *testing.T, g *mr.Graph, p *sched.Program, slots [][]int32, wa
 }
 
 // matVecCells are OpMatVec's rows of the matrix: layer shapes from one row
-// of one lane to 64 x 64, with and without biases, at fills that leave an odd
-// slot, on int8 codes and on lanes up to the int32 extremes, against int8
-// weights, saturating weights pushed between sweeps, and int8 weights pushed back.
-// Every cell is bit-exact and takes the exact path exactly when the guard,
-// worked out independently, says so.
+// of one lane to 64 x 64, with and without biases, and every epilogue — no
+// activation or each unary, then no rescale, a requant, a scale or a
+// multiplier that shifts everything out — at fills of odd and even slot and
+// pair counts (so the 2 x 2 block and both its tails run), on int8 codes and
+// on lanes up to the int32 extremes, against int8 weights, saturating weights
+// pushed between sweeps, and int8 weights pushed back. Every cell is
+// bit-exact and takes the exact path exactly when the guard, worked out
+// independently, says so.
 func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 	draw := func(lanes func(*rand.Rand, int) []int32, n, width int) [][]int32 {
 		out := make([][]int32, n)
@@ -379,39 +408,59 @@ func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 		return out
 	}
 	packed, exact := 0, 0
+	layer := func(rows, width int, biased bool, ep epilogue) {
+		var biases []int32
+		if biased {
+			biases = drawLanes(rng, rows)
+		}
+		name := fmt.Sprintf("matvec/r%d-w%d-bias-%v/%v-%v-shift%d", rows, width, biased, ep.act, ep.quant, ep.mult.Shift)
+		g := denseGraph(t, name, draw(int8Lanes, rows, width), biases, ep)
+		p := compileDense(t, g, ep)
+		push := func(lanes func(*rand.Rand, int) []int32) {
+			for _, n := range g.Nodes {
+				if n.Kind == mr.KConst && n.Name[0] == 'w' {
+					copy(n.Const, lanes(rng, len(n.Const)))
+				}
+			}
+			reimage(t, p, g)
+		}
+		for _, fill := range []int{1, 2, 3, 4, 5, 15, 16} {
+			codes, edges := draw(int8Lanes, fill, width), draw(drawLanes, fill, width)
+			// int8 weights on int8 codes always pack: 64 * 128 * 255 < 1<<31.
+			sweepDense(t, g, p, codes, 0, "int8 weights, int8 codes")
+			sweepDense(t, g, p, edges, exactCells(g, edges), "int8 weights, edge lanes")
+			push(drawLanes)
+			for _, slots := range [][][]int32{codes, edges} {
+				want := exactCells(g, slots)
+				sweepDense(t, g, p, slots, want, "after a saturating weight push")
+				exact += want
+				packed += rows*((fill+1)/2) - want
+			}
+			push(int8Lanes)
+			sweepDense(t, g, p, codes, 0, "int8 weights pushed back")
+		}
+	}
 	for _, rows := range []int{1, 2, 3, 64} {
 		for _, width := range []int{1, 7, 64} {
 			for _, biased := range []bool{false, true} {
-				var biases []int32
-				if biased {
-					biases = drawLanes(rng, rows)
-				}
-				g := denseGraph(t, fmt.Sprintf("matvec/r%d-w%d-bias-%v", rows, width, biased), draw(int8Lanes, rows, width), biases)
-				p := compileDense(t, g)
-				emitted[sched.OpMatVec] = true
-				push := func(lanes func(*rand.Rand, int) []int32) {
-					for _, n := range g.Nodes {
-						if n.Kind == mr.KConst && n.Name[0] == 'w' {
-							copy(n.Const, lanes(rng, len(n.Const)))
-						}
-					}
-					reimage(t, p, g)
-				}
-				for _, fill := range []int{1, 2, 15, 16} {
-					codes, edges := draw(int8Lanes, fill, width), draw(drawLanes, fill, width)
-					// int8 weights on int8 codes always pack: 64 * 128 * 255 < 1<<31.
-					sweepDense(t, g, p, codes, 0, "int8 weights, int8 codes")
-					sweepDense(t, g, p, edges, exactCells(g, edges), "int8 weights, edge lanes")
-					push(drawLanes)
-					for _, slots := range [][][]int32{codes, edges} {
-						want := exactCells(g, slots)
-						sweepDense(t, g, p, slots, want, "after a saturating weight push")
-						exact += want
-						packed += rows*((fill+1)/2) - want
-					}
-					push(int8Lanes)
-					sweepDense(t, g, p, codes, 0, "int8 weights pushed back")
-				}
+				layer(rows, width, biased, epilogue{})
+			}
+		}
+	}
+	emitted[sched.OpMatVec] = true
+	mult, err := fixed.NewMultiplier(0.37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, act := range []sched.Opcode{sched.OpNone, sched.OpRelu, sched.OpLeaky, sched.OpNeg, sched.OpAbs} {
+		for _, q := range []epilogue{
+			{}, {quant: sched.OpRequant, mult: mult}, {quant: sched.OpScale, mult: mult},
+			{quant: sched.OpRequant, mult: fixed.Multiplier{M0: 1 << 30, Shift: 63}},
+			{quant: sched.OpScale, mult: fixed.Multiplier{M0: 1 << 30, Shift: 64}},
+		} {
+			q.act = act
+			for _, rows := range []int{1, 2, 5} {
+				layer(rows, 7, rows != 2, q)
 			}
 		}
 	}
@@ -421,13 +470,13 @@ func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 
 	// One slot of a pair in range, its partner saturating: the whole pair
 	// leaves the packed path for every row, the other pairs stay on it.
-	g := denseGraph(t, "matvec/mixed-pair", draw(int8Lanes, 3, 7), []int32{5, -5, math.MaxInt32})
+	g := denseGraph(t, "matvec/mixed-pair", draw(int8Lanes, 3, 7), []int32{5, -5, math.MaxInt32}, epilogue{})
 	for _, n := range g.Nodes {
 		if n.Kind == mr.KConst && n.Width == 7 {
 			n.Const[0] |= 1 // no all-zero row: every row's guard depends on the inputs
 		}
 	}
-	p := compileDense(t, g)
+	p := compileDense(t, g, epilogue{})
 	slots := draw(int8Lanes, 6, 7)
 	slots[3] = []int32{1, math.MaxInt32, math.MinInt32, -1, 0, 7, 46341}
 	sweepDense(t, g, p, slots, 3, "mixed pair")
@@ -452,10 +501,10 @@ func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 	} {
 		// A second, all-ones row shares the sweep: its guard is decided on
 		// its own sum, whatever the row under test does.
-		g := denseGraph(t, "matvec/boundary/"+tc.name, [][]int32{tc.weights, {1, 1}}, []int32{math.MaxInt32, math.MinInt32})
-		p := compileDense(t, g)
+		g := denseGraph(t, "matvec/boundary/"+tc.name, [][]int32{tc.weights, {1, 1}}, []int32{math.MaxInt32, math.MinInt32}, epilogue{})
+		p := compileDense(t, g, epilogue{})
 		pair := [][]int32{tc.a, tc.b}
-		ones := exactCells(denseGraph(t, "ones", [][]int32{{1, 1}}, nil), pair)
+		ones := exactCells(denseGraph(t, "ones", [][]int32{{1, 1}}, nil, epilogue{}), pair)
 		sweepDense(t, g, p, pair, tc.exact+ones, "boundary")
 	}
 }
@@ -588,6 +637,183 @@ func TestMatVecEmit(t *testing.T) {
 		if matvecs, _ := count(modelGraphs(t)[name]); matvecs != 0 {
 			t.Errorf("%s: emitted %d matvecs, want none", name, matvecs)
 		}
+	}
+
+	// 6-12-6-3-1 whole: each hidden layer is one instruction.
+	dnn, err := sched.Compile(modelGraphs(t)["dnn"], cgra.DefaultGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	hidden := "matvec+relu+requant"
+	if got, want := mnemonics(dnn), []string{hidden, hidden, hidden, "dotadd", "lut"}; !slices.Equal(got, want) {
+		t.Errorf("dnn: tape is %v, want %v", got, want)
+	}
+
+	// The epilogue: a unary the layer alone feeds, then a requant or scale
+	// that one (or the layer) alone feeds, ride on the matvec; a second
+	// reader or a declared output ends the chain at the node that has it,
+	// and nothing else is taken. Each tape is listed whole, in issue order.
+	mult, err := fixed.NewMultiplier(0.37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dense := func(b *mr.Builder, x mr.Value, first int) mr.Value {
+		return b.Concat(b.DotProduct(row(b, first, 7), x), b.DotProduct(row(b, first+1, 7), x))
+	}
+	for _, tc := range []struct {
+		name  string
+		f     func(b *mr.Builder, x mr.Value) []mr.Value // the declared outputs
+		want  []string
+		lanes int // of arena per packet: the 7 of x, and those of every node left standing
+	}{
+		{"requant-on-a-declared-output", func(b *mr.Builder, x mr.Value) []mr.Value {
+			return []mr.Value{b.Requant(b.Unary(mr.UReLU, dense(b, x, 0)), mult)}
+		}, []string{"matvec+relu+requant"}, 9},
+		{"linear-layer", func(b *mr.Builder, x mr.Value) []mr.Value {
+			return []mr.Value{b.Requant(dense(b, x, 0), mult)}
+		}, []string{"matvec+requant"}, 9},
+		{"abs-then-scale", func(b *mr.Builder, x mr.Value) []mr.Value {
+			return []mr.Value{b.Scale(b.Unary(mr.UAbs, dense(b, x, 0)), mult)}
+		}, []string{"matvec+abs+scale"}, 9},
+		{"stacked-layers", func(b *mr.Builder, x mr.Value) []mr.Value {
+			h := b.Requant(b.Unary(mr.ULeakyReLU, dense(b, x, 0)), mult)
+			return []mr.Value{b.Unary(mr.UNeg, b.Concat(b.DotProduct(row(b, 2, 2), h), b.DotProduct(row(b, 3, 2), h)))}
+		}, []string{"matvec+leaky+requant", "matvec+neg"}, 11},
+		{"activation-sunk-into-another-concat", func(b *mr.Builder, x mr.Value) []mr.Value {
+			return []mr.Value{b.Concat(b.Unary(mr.UReLU, dense(b, x, 0)), b.Unary(mr.UReLU, dense(b, x, 2)))}
+		}, []string{"matvec+relu", "matvec+relu"}, 11},
+		{"shared-activation", func(b *mr.Builder, x mr.Value) []mr.Value {
+			a := b.Unary(mr.UReLU, dense(b, x, 0))
+			return []mr.Value{b.Requant(a, mult), b.Reduce(mr.RMax, a)}
+		}, []string{"matvec+relu", "requant", "redmax"}, 12},
+		{"activation-is-a-declared-output", func(b *mr.Builder, x mr.Value) []mr.Value {
+			a := b.Unary(mr.UReLU, dense(b, x, 0))
+			return []mr.Value{a, b.Requant(a, mult)}
+		}, []string{"matvec+relu", "requant"}, 11},
+		{"layer-is-a-declared-output", func(b *mr.Builder, x mr.Value) []mr.Value {
+			l := dense(b, x, 0)
+			return []mr.Value{l, b.Requant(b.Unary(mr.UReLU, l), mult)}
+		}, []string{"matvec", "relu", "requant"}, 13},
+		{"rescale-before-activation", func(b *mr.Builder, x mr.Value) []mr.Value {
+			return []mr.Value{b.Unary(mr.UReLU, b.Requant(dense(b, x, 0), mult))}
+		}, []string{"matvec+requant", "relu"}, 11},
+		{"two-activations", func(b *mr.Builder, x mr.Value) []mr.Value {
+			return []mr.Value{b.Unary(mr.UNeg, b.Unary(mr.UReLU, dense(b, x, 0)))}
+		}, []string{"matvec+relu", "neg"}, 11},
+		{"table-activation", func(b *mr.Builder, x mr.Value) []mr.Value {
+			return []mr.Value{b.ApplyLUT(dense(b, x, 0), &mr.LUT{Mult: mult})}
+		}, []string{"matvec", "lut"}, 11},
+	} {
+		b := mr.NewBuilder(tc.name)
+		b.Output(tc.f(b, b.Input("x", 7))...)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		p, err := sched.Compile(g, cgra.DefaultGrid())
+		if err != nil {
+			t.Fatalf("Compile(%s): %v", tc.name, err)
+		}
+		if got := mnemonics(p); !slices.Equal(got, tc.want) {
+			t.Errorf("%s: tape is %v, want %v", tc.name, got, tc.want)
+		}
+		// A node fused away holds no arena block.
+		if got := p.ArenaSize() / p.MaxBatch(); got != tc.lanes {
+			t.Errorf("%s: the arena holds %d lanes a packet, want %d", tc.name, got, tc.lanes)
+		}
+	}
+}
+
+// mnemonics lists a tape's instructions in issue order.
+func mnemonics(p *sched.Program) []string {
+	var m []string
+	for pc := range p.Code() {
+		m = append(m, p.Code()[pc].Mnemonic())
+	}
+	return m
+}
+
+// TestImageSums: whatever the graph and whatever was pushed, an image's row
+// sums are those of its own lanes — sums[ins.Sum+r] is min(sum|w|, 1<<31) over
+// the lanes row r of matvec ins reads, every row of every matvec has one, and
+// there are no others — on the image an install builds and on the image of a
+// push.
+func TestImageSums(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	mult, err := fixed.NewMultiplier(0.37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(name string, p *sched.Program) (rows int) {
+		t.Helper()
+		lanes, sums := p.Image().Lanes(), p.Image().Sums()
+		for _, ins := range p.Code() {
+			if ins.Op != sched.OpMatVec {
+				continue
+			}
+			if ins.Sum != rows {
+				t.Fatalf("%s: a matvec's sums start at %d, the rows before it end at %d", name, ins.Sum, rows)
+			}
+			for r := 0; r < ins.W; r++ {
+				var want int64
+				for _, w := range lanes[ins.Rows[r].Off : ins.Rows[r].Off+ins.Rows[r].W] {
+					want += magnitude(w)
+				}
+				if want = min(want, math.MaxInt32+1); sums[ins.Sum+r] != want {
+					t.Fatalf("%s: row %d of the matvec at sum %d holds %d, its lanes sum to %d", name, r, ins.Sum, sums[ins.Sum+r], want)
+				}
+			}
+			rows += ins.W
+		}
+		if len(sums) != rows {
+			t.Fatalf("%s: the image holds %d sums, the tape's matvecs have %d rows", name, len(sums), rows)
+		}
+		return rows
+	}
+	total := 0
+	for i := 0; i < 60; i++ {
+		// A stack of dense layers of random shape, weights drawn from int8
+		// codes or from the saturating edge values, some rows windows of a
+		// wider constant, some layers biased, some carrying an epilogue.
+		name := fmt.Sprintf("stack%d", i)
+		b := mr.NewBuilder(name)
+		x := b.Input("x", 1+rng.Intn(9))
+		for l := 0; l < 1+rng.Intn(3); l++ {
+			lanes := []func(*rand.Rand, int) []int32{int8Lanes, drawLanes}[rng.Intn(2)]
+			biased := rng.Intn(2) == 0
+			neurons := make([]mr.Value, 1+rng.Intn(6))
+			for r := range neurons {
+				pad := rng.Intn(3)
+				w := b.Slice(b.Const(fmt.Sprintf("w%d_%d", l, r), lanes(rng, x.Width()+pad)), pad, x.Width())
+				neurons[r] = b.DotProduct(w, x)
+				if biased {
+					neurons[r] = b.Map(mr.MAdd, neurons[r], b.Scalar(fmt.Sprintf("b%d_%d", l, r), int32(rng.Intn(512)-256)))
+				}
+			}
+			x = b.Concat(neurons...)
+			if rng.Intn(2) == 0 {
+				x = b.Unary(mr.UnaryOp(rng.Intn(4)), x)
+			}
+			if rng.Intn(2) == 0 {
+				x = b.Requant(x, mult)
+			}
+		}
+		b.Output(x)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		p, err := sched.Compile(g, cgra.DefaultGrid())
+		if err != nil {
+			t.Fatalf("Compile(%s): %v", name, err)
+		}
+		total += check(name+" as installed", p)
+		pushWeights(t, g, rng)
+		reimage(t, p, g)
+		check(name+" after a push", p)
+	}
+	if total == 0 {
+		t.Fatal("no random stack compiled to a matvec")
 	}
 }
 

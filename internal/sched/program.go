@@ -23,7 +23,10 @@ const DefaultBatch = 16
 type Opcode uint8
 
 const (
-	OpAdd Opcode = iota
+	// OpNone is no instruction: the zero Opcode, and the absent half of an
+	// OpMatVec's epilogue.
+	OpNone Opcode = iota
+	OpAdd
 	OpSub
 	OpMul
 	OpMin
@@ -55,7 +58,9 @@ const (
 	// one arena-backed input, written to W adjacent lanes — every argument of
 	// a concat when each is a sunk OpDot/OpDotAdd of that shape, which it
 	// replaces. Lane r is sat32(sat32(sum(sat32(Rows[r][i]*a[i]))) + bias r),
-	// exactly what the W instructions it stands for compute (see matVec).
+	// exactly what the W instructions it stands for compute (see matVec),
+	// then through the layer's epilogue when it carries one: the activation
+	// Act and the rescale Quant the concat fed, which it replaces too.
 	OpMatVec
 )
 
@@ -81,8 +86,11 @@ type Operand struct {
 // (unused by every other opcode). An OpMatVec writes W lanes, one per weight
 // row: A is its input and Rows holds the W constant rows (each A.W lanes),
 // followed — when the layer has biases — by the W constant bias scalars, so
-// len(Rows) is W or 2*W. Exported for static inspection and for
-// fault-injection in verifier tests (Program.Code).
+// len(Rows) is W or 2*W; Sum is where row 0's weight sum sits in the image
+// (row r's at Sum+r, see Image). Its epilogue is Act — OpRelu, OpLeaky, OpNeg,
+// OpAbs or OpNone — then Quant — OpRequant or OpScale by the multiplier at
+// Slot, or OpNone — applied to every lane after the bias. Exported for static
+// inspection and for fault-injection in verifier tests (Program.Code).
 type Instr struct {
 	Op      Opcode
 	Dst     int
@@ -91,6 +99,10 @@ type Instr struct {
 	A, B, C Operand
 	Rows    []Operand
 	Slot    int
+
+	// OpMatVec only.
+	Act, Quant Opcode
+	Sum        int
 }
 
 // Tape is the immutable code of a compiled model: the schedule's bundles
@@ -109,24 +121,28 @@ type Tape struct {
 
 	// layout[id] is where node id's weights sit in an Image: the first lane of
 	// a KConst (Width lanes), the multiplier index of a KRequant/KScale, the
-	// table index of a KLUT, -1 for a node that owns none. lanes, mults and
-	// luts are the image's dimensions.
-	layout             []int
-	lanes, mults, luts int
+	// table index of a KLUT, -1 for a node that owns none. lanes, mults, luts
+	// and sums (one per OpMatVec row) are the image's dimensions.
+	layout                   []int
+	lanes, mults, luts, sums int
 
-	// OpMatVec scratch dimensions of an Arena: packed lanes and weight sums.
-	packLanes, maxRows int
+	// packLanes is the OpMatVec scratch of an Arena, in packed lanes.
+	packLanes int
 }
 
 // Image is one immutable set of a model's weights — every constant lane,
 // requant/scale multiplier and LUT, copied out of a graph into storage of its
-// own and addressed through the Tape's layout. A weight push builds a new
-// Image and publishes it by pointer; nothing ever writes one in place, so a
-// sweep that resolved its windows from an image reads one model throughout.
+// own and addressed through the Tape's layout — and what the tape's kernels
+// need that only the weights decide: sums[ins.Sum+r] is min(sum|w|, 1<<31)
+// over row r of OpMatVec ins, the weight half of its packing guard. A weight
+// push builds a new Image and publishes it by pointer; nothing ever writes one
+// in place, so a sweep that resolved its windows from an image reads one model
+// throughout.
 type Image struct {
 	lanes []int32
 	mults []fixed.Multiplier
 	luts  []mr.LUT
+	sums  []int64
 }
 
 // Arena is the mutable state one shard sweeps in: the structure-of-arrays
@@ -137,11 +153,10 @@ type Arena struct {
 
 	// OpMatVec scratch, shared by every matvec of the tape and overwritten by
 	// each: the input lanes of slots 2q and 2q+1 packed into one int64 per
-	// lane (pack, pair-major), the magnitude bound of pair q's inputs (mag)
-	// and the absolute weight sum of row r (wsum). fallbacks counts the
-	// (row, slot pair) cells whose guard failed.
-	pack, mag, wsum []int64
-	fallbacks       int
+	// lane (pack, pair-major) and the magnitude bound of pair q's inputs
+	// (mag). fallbacks counts the (row, slot pair) cells whose guard failed.
+	pack, mag []int64
+	fallbacks int
 }
 
 // Program binds a Tape to the Image it reads and the Arena it runs in: a
@@ -208,6 +223,7 @@ func (t *Tape) image(g *mr.Graph) *Image {
 		lanes: make([]int32, t.lanes),
 		mults: make([]fixed.Multiplier, t.mults),
 		luts:  make([]mr.LUT, t.luts),
+		sums:  make([]int64, t.sums),
 	}
 	for i, n := range g.Nodes {
 		at := t.layout[i]
@@ -220,17 +236,30 @@ func (t *Tape) image(g *mr.Graph) *Image {
 			img.luts[at] = *n.LUT
 		}
 	}
+	for ci := range t.code {
+		ins := &t.code[ci]
+		if ins.Op != OpMatVec {
+			continue
+		}
+		for r := 0; r < ins.W; r++ {
+			var s int64
+			for _, w := range ins.row(img, r) {
+				s += abs64(int64(w))
+			}
+			// Clamped so that s*m cannot overflow (m < 1<<32); a clamped sum
+			// still fails the guard against every non-zero m.
+			img.sums[ins.Sum+r] = min(s, math.MaxInt32+1)
+		}
+	}
 	return img
 }
 
 // NewArena allocates the state one shard needs to run the tape.
 func (t *Tape) NewArena() *Arena {
-	pairs := (t.batch + 1) / 2
 	a := &Arena{vals: make([]int32, t.arena)}
-	if t.maxRows > 0 {
-		scratch := make([]int64, t.packLanes+pairs+t.maxRows)
-		a.pack, scratch = scratch[:t.packLanes], scratch[t.packLanes:]
-		a.mag, a.wsum = scratch[:pairs], scratch[pairs:]
+	if t.packLanes > 0 {
+		scratch := make([]int64, t.packLanes+(t.batch+1)/2)
+		a.pack, a.mag = scratch[:t.packLanes], scratch[t.packLanes:]
 	}
 	return a
 }
@@ -279,12 +308,13 @@ func (p *Program) OutAt(i, j int) []int32 {
 	return p.arena.vals[base : base+o.W]
 }
 
-// emit lays out the arena and linearises the schedule into the tape. Four
+// emit lays out the arena and linearises the schedule into the tape. Five
 // peephole passes cut the instruction count before emission: dot/sqdist
 // chains fuse into their reductions, a neuron's scalar bias add folds into
 // its dot product, values consumed only by a concat are produced directly
-// into the concat's window (copy elimination), and a concat that gathers
-// nothing but the neurons of one dense layer becomes a single OpMatVec.
+// into the concat's window (copy elimination), a concat that gathers nothing
+// but the neurons of one dense layer becomes a single OpMatVec, and the
+// activation and rescale that concat alone feeds become its epilogue.
 func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 	t := &Tape{g: g, sched: s, batch: DefaultBatch, layout: make([]int, len(g.Nodes))}
 
@@ -299,6 +329,19 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 	}
 	for _, o := range g.Outputs {
 		uses[o]++
+	}
+	// consumer[id] is the one node that reads a value used exactly once, -1
+	// for a value read more than once or only as a declared output.
+	consumer := make([]mr.NodeID, len(g.Nodes))
+	for i := range consumer {
+		consumer[i] = -1
+	}
+	for _, n := range g.Nodes {
+		for _, a := range n.Args {
+			if uses[a] == 1 {
+				consumer[a] = n.ID
+			}
+		}
 	}
 	fused := make([]bool, len(g.Nodes))
 	for _, n := range g.Nodes {
@@ -372,6 +415,111 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 		}
 	}
 
+	// Layer fusion: a concat whose every argument is a (bias-)dot sunk into
+	// it, each of one constant weight row with the same arena-backed input at
+	// full width (and constant biases on all rows or none), is one OpMatVec.
+	// A broadcast or constant input, rows over different windows (Conv1D) or
+	// a single non-dot argument leave the per-neuron instructions alone.
+	//
+	// The layer's epilogue rides on the same instruction: when the concat's
+	// only reader is a unary, and when that one's (or the concat's) only
+	// reader is a requant or scale, the OpMatVec is issued where the last node
+	// of that chain is and writes that node's window; the nodes before it
+	// are fused away and get no arena block. A second reader, or a declared
+	// output, ends the chain at the node that has it.
+	//
+	// constant reports whether a node's lanes sit in the weight image: a
+	// const, or a slice of one.
+	constant := func(id mr.NodeID) bool {
+		n := g.Node(id)
+		for n.Kind == mr.KSlice {
+			n = g.Node(n.Args[0])
+		}
+		return n.Kind == mr.KConst
+	}
+	// neuron decomposes a concat argument into its dot's multiply node and
+	// its bias (-1: none); m is nil when the argument is not a (bias-)dot.
+	neuron := func(id mr.NodeID) (m *mr.Node, bias mr.NodeID) {
+		n := g.Node(id)
+		bias = -1
+		if r := biasDot[id]; r >= 0 {
+			if bias = n.Args[0]; bias == r {
+				bias = n.Args[1]
+			}
+			n = g.Node(r)
+		}
+		if n.Kind != mr.KReduce || n.Reduce != mr.RAdd {
+			return nil, -1
+		}
+		m = g.Node(n.Args[0])
+		if !fused[m.ID] || (m.Args[0] == m.Args[1] && fused[m.Args[0]]) {
+			return nil, -1 // plain sum or sqdist chain: not a dot
+		}
+		return m, bias
+	}
+	type layer struct {
+		input      mr.NodeID
+		rows       []mr.NodeID // weight rows, then biases if any
+		act, quant Opcode
+	}
+	layers := make(map[mr.NodeID]layer) // by the node the OpMatVec is issued at
+	maxWidth := 0
+	for _, n := range g.Nodes {
+		if n.Kind != mr.KConcat {
+			continue
+		}
+		rows, biases, input := len(n.Args), 0, mr.NodeID(-1)
+		var ops []mr.NodeID
+		for r, a := range n.Args {
+			m, bias := neuron(a)
+			if m == nil || sink[a].target != n.ID {
+				ops = nil
+				break
+			}
+			w, x := m.Args[0], m.Args[1]
+			if !constant(w) {
+				w, x = x, w
+			}
+			if !constant(w) || constant(x) || g.Node(x).Width != g.Node(w).Width || (r > 0 && x != input) {
+				ops = nil
+				break
+			}
+			if ops == nil {
+				ops = make([]mr.NodeID, 2*rows)
+			}
+			input, ops[r] = x, w
+			if bias >= 0 {
+				if !constant(bias) {
+					ops = nil
+					break
+				}
+				ops[rows+biases] = bias
+				biases++
+			}
+		}
+		if ops == nil || (biases != 0 && biases != rows) {
+			continue
+		}
+		for _, a := range n.Args {
+			fused[a] = true // the OpMatVec computes it
+		}
+		l, last := layer{input: input, rows: ops[:rows+biases]}, n.ID
+		if u := consumer[last]; u >= 0 && g.Node(u).Kind == mr.KUnary {
+			l.act = unaryOps[g.Node(u).Unary]
+			fused[last], last = true, u
+		}
+		if q := consumer[last]; q >= 0 && (g.Node(q).Kind == mr.KRequant || g.Node(q).Kind == mr.KScale) {
+			l.quant = OpRequant
+			if g.Node(q).Kind == mr.KScale {
+				l.quant = OpScale
+			}
+			fused[last], last = true, q
+		}
+		layers[last] = l
+		maxWidth = max(maxWidth, g.Node(input).Width)
+	}
+	t.packLanes = (t.batch + 1) / 2 * maxWidth
+
 	// Arena and image layout: one batch-major arena block per value-producing
 	// node that is neither fused away nor sunk; one image slot per node that
 	// owns weights (a const's lanes, a requant/scale's multiplier, a LUT's
@@ -421,86 +569,6 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 		return o
 	}
 
-	// Layer fusion: a concat whose every argument is a (bias-)dot sunk into
-	// it, each of one constant weight row with the same arena-backed input at
-	// full width (and constant biases on all rows or none), is one OpMatVec
-	// issued where the concat is. A broadcast or constant input, rows over
-	// different windows (Conv1D) or a single non-dot argument leave the
-	// per-neuron instructions alone.
-	//
-	// neuron decomposes a concat argument into its dot's multiply node and
-	// its bias (-1: none); m is nil when the argument is not a (bias-)dot.
-	neuron := func(id mr.NodeID) (m *mr.Node, bias mr.NodeID) {
-		n := g.Node(id)
-		bias = -1
-		if r := biasDot[id]; r >= 0 {
-			if bias = n.Args[0]; bias == r {
-				bias = n.Args[1]
-			}
-			n = g.Node(r)
-		}
-		if n.Kind != mr.KReduce || n.Reduce != mr.RAdd {
-			return nil, -1
-		}
-		m = g.Node(n.Args[0])
-		if !fused[m.ID] || (m.Args[0] == m.Args[1] && fused[m.Args[0]]) {
-			return nil, -1 // plain sum or sqdist chain: not a dot
-		}
-		return m, bias
-	}
-	type layer struct {
-		in   Operand
-		rows []Operand // weight rows, then biases if any
-	}
-	layers := make(map[mr.NodeID]layer)
-	maxRows, maxWidth := 0, 0
-	for _, n := range g.Nodes {
-		if n.Kind != mr.KConcat {
-			continue
-		}
-		rows, biases, input := len(n.Args), 0, mr.NodeID(-1)
-		var in Operand
-		var ops []Operand
-		for r, a := range n.Args {
-			m, bias := neuron(a)
-			if m == nil || sink[a].target != n.ID {
-				ops = nil
-				break
-			}
-			w, x := m.Args[0], m.Args[1]
-			if !resolve(w).Const {
-				w, x = x, w
-			}
-			wo, xo := resolve(w), resolve(x)
-			if !wo.Const || xo.Const || xo.W != wo.W || (r > 0 && x != input) {
-				ops = nil
-				break
-			}
-			if ops == nil {
-				ops = make([]Operand, 2*rows)
-			}
-			input, in, ops[r] = x, xo, wo
-			if bias >= 0 {
-				bo := resolve(bias)
-				if !bo.Const {
-					ops = nil
-					break
-				}
-				ops[rows+biases] = bo
-				biases++
-			}
-		}
-		if ops == nil || (biases != 0 && biases != rows) {
-			continue
-		}
-		layers[n.ID] = layer{in: in, rows: ops[:rows+biases]}
-		for _, a := range n.Args {
-			fused[a] = true // the OpMatVec computes it
-		}
-		maxRows, maxWidth = max(maxRows, rows), max(maxWidth, in.W)
-	}
-	t.packLanes, t.maxRows = (t.batch+1)/2*maxWidth, maxRows
-
 	// Linearise bundle by bundle (ties broken by node ID, which is
 	// topological): the tape executes the schedule in issue order.
 	order := make([]mr.NodeID, 0, len(g.Nodes))
@@ -526,6 +594,19 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 		}
 		d := resolve(id)
 		ins := Instr{Dst: d.Off, DStride: d.Stride, W: n.Width}
+		if l, ok := layers[id]; ok {
+			ins.Op, ins.A, ins.Act, ins.Quant, ins.Sum = OpMatVec, resolve(l.input), l.act, l.quant, t.sums
+			ins.Rows = make([]Operand, len(l.rows))
+			for i, r := range l.rows {
+				ins.Rows[i] = resolve(r)
+			}
+			if l.quant != OpNone {
+				ins.Slot = t.layout[id]
+			}
+			t.sums += ins.W
+			t.code = append(t.code, ins)
+			continue
+		}
 		switch n.Kind {
 		case mr.KMap:
 			if r := biasDot[id]; r >= 0 {
@@ -541,8 +622,7 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 			ins.Op = [...]Opcode{OpAdd, OpSub, OpMul, OpMin, OpMax}[n.Map]
 			ins.A, ins.B = resolve(n.Args[0]), resolve(n.Args[1])
 		case mr.KUnary:
-			ins.Op = [...]Opcode{OpRelu, OpLeaky, OpNeg, OpAbs}[n.Unary]
-			ins.A = resolve(n.Args[0])
+			ins.Op, ins.A = unaryOps[n.Unary], resolve(n.Args[0])
 		case mr.KReduce:
 			m := g.Node(n.Args[0])
 			switch {
@@ -556,10 +636,6 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 				ins.A = resolve(n.Args[0])
 			}
 		case mr.KConcat:
-			if l, ok := layers[id]; ok {
-				ins.Op, ins.A, ins.Rows = OpMatVec, l.in, l.rows
-				break
-			}
 			at := 0
 			for _, a := range n.Args {
 				src := resolve(a)
@@ -595,6 +671,9 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 	}
 	return t, nil
 }
+
+// unaryOps is the opcode of each mr.UnaryOp.
+var unaryOps = [...]Opcode{mr.UReLU: OpRelu, mr.ULeakyReLU: OpLeaky, mr.UNeg: OpNeg, mr.UAbs: OpAbs}
 
 // window is one operand (or destination) of an instruction resolved for a
 // sweep: its lanes from slot 0's first onward — in the weight image or the
@@ -731,10 +810,7 @@ func (p *Program) RunBatch(n int) {
 			}
 		case OpRequant, OpScale:
 			m := p.img.mults[ins.Slot]
-			lo, hi := int32(math.MinInt32), int32(math.MaxInt32)
-			if ins.Op == OpRequant {
-				lo, hi = -128, 127
-			}
+			lo, hi := clampOf(ins.Op)
 			for j := 0; j < n; j++ {
 				scaleLanes(out.slot(j, w), a.slot(j, aw), m, lo, hi)
 			}
@@ -773,22 +849,23 @@ func (p *Program) RunBatch(n int) {
 func (p *Program) Fallbacks() int { return p.arena.fallbacks }
 
 // matVec evaluates one OpMatVec for batch slots 0..n-1: lane r of slot j is
-// sat32(sat32(sum_i sat32(w_r[i]*x_j[i])) + bias_r).
+// sat32(sat32(sum_i sat32(w_r[i]*x_j[i])) + bias_r), then through the
+// instruction's epilogue.
 //
 // Two slots share each multiply. The lanes of slots 2q and 2q+1 are packed
 // into one int64, X[i] = x_2q[i] + x_2q+1[i]<<32 (an odd last slot packs
 // against zero), so acc = sum_i X[i]*w[i] is dot_2q + dot_2q+1<<32 and the
 // halves come back as lo = int32(acc), hi = (acc-lo)>>32. That is exact iff
 // no product and no partial sum of either slot leaves int32, which the
-// kernel establishes from the operands it is about to multiply: the pack
-// pass ORs the input magnitudes of a pair into M >= max|x|, one pass over the
-// live weights gives S = sum|w| per row, and S*M <= MaxInt32 bounds every
+// kernel establishes for the operands it is about to multiply: the pack pass
+// ORs the input magnitudes of a pair into M >= max|x|, the image holds
+// S = sum|w| per row of its own lanes, and S*M <= MaxInt32 bounds every
 // product and partial sum, making every sat32 of the reference the identity
 // and keeping the low half from carrying into the high one. A (row, pair)
-// that fails the guard — and a lone slot, which has no partner and for which
-// the weight pass would cost as much as the dot — takes dotLanes, the
-// per-product-saturating kernel of OpDot. Nothing is assumed about what the
-// weights or inputs hold, so a new image needs no notification.
+// that fails the guard — and a lone slot, which has no partner — takes
+// dotLanes, the per-product-saturating kernel of OpDot. Nothing is assumed
+// about what the inputs hold, and S is as new as the weights it was summed
+// from, so a new image needs no notification.
 //
 // hotpath: zero-alloc
 func (p *Arena) matVec(ins *Instr, img *Image, x, out window, n int) {
@@ -798,6 +875,7 @@ func (p *Arena) matVec(ins *Instr, img *Image, x, out window, n int) {
 		for r := 0; r < rows; r++ {
 			out.lanes[r] = sat32(int64(sat32(dotLanes(ins.row(img, r), xs))) + ins.bias(img, r))
 		}
+		ins.epilogue(img, out, 1)
 		return
 	}
 
@@ -822,48 +900,66 @@ func (p *Arena) matVec(ins *Instr, img *Image, x, out window, n int) {
 		}
 		p.mag[q] = m
 	}
-	for r := 0; r < rows; r++ {
-		var s int64
-		for _, w := range ins.row(img, r) {
-			s += abs64(int64(w))
-		}
-		// Clamped so that s*m cannot overflow (m < 1<<32); a clamped sum
-		// still fails the guard against every non-zero m.
-		p.wsum[r] = min(s, math.MaxInt32+1)
-	}
 
-	// Two rows per pass, so each packed lane is loaded once for four dots.
+	// Two rows by two pairs per pass, so each packed lane and each weight is
+	// loaded once for four multiplies (eight dots); an odd pair and an odd row
+	// run the narrower forms. A block whose joint guard fails is retried
+	// pair by pair, and a pair cell by cell, so only a cell that fails its
+	// own guard leaves the packed path.
+	sums := img.sums[ins.Sum : ins.Sum+rows]
 	r := 0
 	for ; r+1 < rows; r += 2 {
 		w0, w1 := ins.row(img, r), ins.row(img, r+1)
 		w1 = w1[:len(w0)]
-		s0, s1, b0, b1 := p.wsum[r], p.wsum[r+1], ins.bias(img, r), ins.bias(img, r+1)
-		for q := 0; q < pairs; q++ {
-			if m := p.mag[q]; s0*m > math.MaxInt32 || s1*m > math.MaxInt32 {
-				p.matVecCell(x, out, n, r, q, w0, b0)
-				p.matVecCell(x, out, n, r+1, q, w1, b1)
+		s0, s1, b0, b1 := sums[r], sums[r+1], ins.bias(img, r), ins.bias(img, r+1)
+		q := 0
+		for ; q+1 < pairs; q += 2 {
+			if max(s0, s1)*(p.mag[q]|p.mag[q+1]) > math.MaxInt32 {
+				p.matVecPair(x, out, n, r, q, w0, w1, s0, s1, b0, b1)
+				p.matVecPair(x, out, n, r, q+1, w0, w1, s0, s1, b0, b1)
 				continue
 			}
-			acc0, acc1 := packedDot2(p.pack[q*width:(q+1)*width], w0, w1)
-			putPair(out, n, r, q, acc0, b0)
-			putPair(out, n, r+1, q, acc1, b1)
+			a00, a01, a10, a11 := packedDot2x2(p.pack[q*width:(q+2)*width], w0, w1)
+			putPair(out, n, r, q, a00, b0)
+			putPair(out, n, r, q+1, a01, b0)
+			putPair(out, n, r+1, q, a10, b1)
+			putPair(out, n, r+1, q+1, a11, b1)
+		}
+		if q < pairs {
+			p.matVecPair(x, out, n, r, q, w0, w1, s0, s1, b0, b1)
 		}
 	}
 	if r < rows {
-		w, b := ins.row(img, r), ins.bias(img, r)
+		w, s, b := ins.row(img, r), sums[r], ins.bias(img, r)
 		for q := 0; q < pairs; q++ {
-			p.matVecCell(x, out, n, r, q, w, b)
+			p.matVecCell(x, out, n, r, q, w, s, b)
 		}
 	}
+	ins.epilogue(img, out, n)
 }
 
-// matVecCell evaluates row r (weights w, bias b) for slot pair q alone:
-// packed when the guard holds, otherwise slot by slot through dotLanes.
+// matVecPair evaluates rows r and r+1 (weights w0 and w1 of equal length,
+// sums s0 and s1, biases b0 and b1) for slot pair q alone.
 //
 // hotpath: zero-alloc
-func (p *Arena) matVecCell(x, out window, n, r, q int, w []int32, b int64) {
+func (p *Arena) matVecPair(x, out window, n, r, q int, w0, w1 []int32, s0, s1, b0, b1 int64) {
+	if m := p.mag[q]; s0*m > math.MaxInt32 || s1*m > math.MaxInt32 {
+		p.matVecCell(x, out, n, r, q, w0, s0, b0)
+		p.matVecCell(x, out, n, r+1, q, w1, s1, b1)
+		return
+	}
+	acc0, acc1 := packedDot2(p.pack[q*len(w0):(q+1)*len(w0)], w0, w1)
+	putPair(out, n, r, q, acc0, b0)
+	putPair(out, n, r+1, q, acc1, b1)
+}
+
+// matVecCell evaluates row r (weights w, sum s, bias b) for slot pair q
+// alone: packed when the guard holds, otherwise slot by slot through dotLanes.
+//
+// hotpath: zero-alloc
+func (p *Arena) matVecCell(x, out window, n, r, q int, w []int32, s, b int64) {
 	width := len(w)
-	if p.wsum[r]*p.mag[q] <= math.MaxInt32 {
+	if s*p.mag[q] <= math.MaxInt32 {
 		var acc int64
 		packed := p.pack[q*width:][:len(w)]
 		for i, wv := range w {
@@ -880,6 +976,27 @@ func (p *Arena) matVecCell(x, out window, n, r, q int, w []int32, b int64) {
 	putPair(out, n, r, q, acc, b)
 }
 
+// packedDot2x2 is the packed dot of each of two adjacent slot pairs — x holds
+// the packed lanes of one, then of the other — with each of two rows; a01 is
+// row 0 with the second pair. It stays out of line, as packedDot2 does:
+// inlined into matVec the accumulators spill to the stack.
+//
+//go:noinline
+func packedDot2x2(x []int64, w0, w1 []int32) (a00, a01, a10, a11 int64) {
+	x0, x1 := x[:len(w0)], x[len(w0):]
+	x1, w1 = x1[:len(x0)], w1[:len(x0)]
+	for i, xv0 := range x0 {
+		xv1 := x1[i]
+		wv := int64(w0[i])
+		a00 += xv0 * wv
+		a01 += xv1 * wv
+		wv = int64(w1[i])
+		a10 += xv0 * wv
+		a11 += xv1 * wv
+	}
+	return a00, a01, a10, a11
+}
+
 // packedDot2 is the packed dot of x with each of two rows. It stays out of
 // line: inlined into matVec its accumulators spill to the stack, and the
 // 8-64-32-1 sweep runs a third slower.
@@ -892,6 +1009,43 @@ func packedDot2(x []int64, w0, w1 []int32) (acc0, acc1 int64) {
 		acc1 += xv * int64(w1[i])
 	}
 	return acc0, acc1
+}
+
+// epilogue applies an OpMatVec's activation and rescale, in place, to the W
+// finished lanes of slots 0..n-1: what the OpRelu and OpRequant it replaces
+// would have done to the same int32 lanes, one window over.
+//
+// hotpath: zero-alloc
+func (ins *Instr) epilogue(img *Image, out window, n int) {
+	if ins.Act == OpNone && ins.Quant == OpNone {
+		return
+	}
+	var m fixed.Multiplier
+	if ins.Quant != OpNone {
+		m = img.mults[ins.Slot]
+	}
+	lo, hi := clampOf(ins.Quant)
+	for j := 0; j < n; j++ {
+		lanes := out.slot(j, ins.W)
+		if ins.Act == OpRelu && ins.Quant != OpNone {
+			// Every hidden layer of the DNN lowering: one pass, not two.
+			reluScaleLanes(lanes, m, lo, hi)
+			continue
+		}
+		switch ins.Act {
+		case OpRelu:
+			reluLanes(lanes, lanes)
+		case OpLeaky:
+			leakyLanes(lanes, lanes)
+		case OpNeg:
+			negLanes(lanes, lanes)
+		case OpAbs:
+			absLanes(lanes, lanes)
+		}
+		if ins.Quant != OpNone {
+			scaleLanes(lanes, lanes, m, lo, hi)
+		}
+	}
 }
 
 // putPair splits acc = lo + hi<<32 into the dots of slots 2q and 2q+1 and
@@ -1061,8 +1215,16 @@ func argMax(a []int32) int {
 	return best
 }
 
-// scaleLanes is fixed.Multiplier.Apply per lane, clamped to [lo, hi]: the
-// int8 range for a requantise, the whole of int32 (no clamp) for a scale.
+// clampOf is the range a rescale clamps to: int8 for a requantise, the whole
+// of int32 (no clamp) for a scale.
+func clampOf(op Opcode) (lo, hi int32) {
+	if op == OpRequant {
+		return -128, 127
+	}
+	return math.MinInt32, math.MaxInt32
+}
+
+// scaleLanes is fixed.Multiplier.Apply per lane, clamped to [lo, hi].
 func scaleLanes(out, a []int32, m fixed.Multiplier, lo, hi int32) {
 	if m.Shift >= 63 {
 		clear(out) // degenerate multiplier rounds to zero
@@ -1072,6 +1234,18 @@ func scaleLanes(out, a []int32, m fixed.Multiplier, lo, hi int32) {
 	a = a[:len(out)]
 	for i := range out {
 		out[i] = min(max(int32((int64(a[i])*m0+half)>>sh), lo), hi)
+	}
+}
+
+// reluScaleLanes is scaleLanes of reluLanes, in place and in one pass.
+func reluScaleLanes(v []int32, m fixed.Multiplier, lo, hi int32) {
+	if m.Shift >= 63 {
+		clear(v)
+		return
+	}
+	m0, half, sh := int64(m.M0), int64(1)<<(m.Shift-1), uint(m.Shift)
+	for i, x := range v {
+		v[i] = min(max(int32((int64(max(x, 0))*m0+half)>>sh), lo), hi)
 	}
 }
 

@@ -76,13 +76,13 @@ func (c *checker) alias() {
 				c.finding(pc, node, SevError, CheckAlias, Interval{}, "row operand %d %s", r, fault)
 			}
 		}
-		switch ins.Op {
-		case sched.OpRequant, sched.OpScale:
+		switch {
+		case ins.Op == sched.OpRequant, ins.Op == sched.OpScale, ins.Op == sched.OpMatVec && ins.Quant != sched.OpNone:
 			if !c.hasMult(ins) {
 				c.finding(pc, -1, SevError, CheckAlias, Interval{},
 					"multiplier index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.Mults()))
 			}
-		case sched.OpLUT:
+		case ins.Op == sched.OpLUT:
 			if !c.hasLUT(ins) {
 				c.finding(pc, -1, SevError, CheckAlias, Interval{},
 					"table index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.LUTs()))
@@ -117,8 +117,9 @@ func (c *checker) alias() {
 	}
 }
 
-// hasMult and hasLUT report whether a requant/scale or LUT instruction's Slot
-// names a payload of the image.
+// hasMult and hasLUT report whether the Slot of a requant, a scale or a
+// rescaling matvec epilogue, or of a LUT instruction, names a payload of the
+// image.
 func (c *checker) hasMult(ins *sched.Instr) bool {
 	return ins.Slot >= 0 && ins.Slot < len(c.img.Mults())
 }

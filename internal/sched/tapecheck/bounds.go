@@ -16,7 +16,7 @@ const (
 	classReduce                // reads a[0:A.W]; writes lane 0
 	classDot                   // reads a[0:A.W], b likewise (or broadcast); writes lane 0
 	classDotAdd                // classDot plus c[0]
-	classMatVec                // reads a[0:A.W] and W constant rows (plus W constant biases); writes W lanes
+	classMatVec                // reads a[0:A.W], W constant rows (plus W constant biases) and W row sums; writes W lanes
 	classBad
 )
 
@@ -143,6 +143,24 @@ func (c *checker) bounds() {
 					"matvec writes %d lanes from %d row operands, want %d (rows) or %d (rows and biases)",
 					ins.W, len(ins.Rows), ins.W, 2*ins.W)
 				continue
+			}
+			// The epilogue is a switch on two opcodes in the kernel; one it
+			// does not know would pass the lanes through untouched.
+			switch ins.Act {
+			case sched.OpNone, sched.OpRelu, sched.OpLeaky, sched.OpNeg, sched.OpAbs:
+			default:
+				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+					"matvec epilogue activation is %v (opcode %d), want a unary or none", ins.Act, int(ins.Act))
+			}
+			switch ins.Quant {
+			case sched.OpNone, sched.OpRequant, sched.OpScale:
+			default:
+				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+					"matvec epilogue rescale is %v (opcode %d), want requant, scale or none", ins.Quant, int(ins.Quant))
+			}
+			if n := len(c.img.Sums()); ins.Sum < 0 || ins.Sum+ins.W > n {
+				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+					"matvec reads row sums [%d,%d) of the image's %d", ins.Sum, ins.Sum+ins.W, n)
 			}
 			for r, o := range ins.Rows {
 				if want := ins.A.W; r < ins.W && o.W != want {

@@ -15,7 +15,8 @@ import (
 // cell holds, with fused instructions expanded into their documented
 // RunBatch meaning — a dot is sum(mul(aᵢ,bᵢ)), a dot+bias wraps that sum in
 // one more saturating add, a squared distance is sum(mul(d,d)) over
-// d = sub(aᵢ,bᵢ), a matvec is one dot(+bias) per weight row, lane by lane.
+// d = sub(aᵢ,bᵢ), a matvec is one dot(+bias) per weight row, lane by lane,
+// inside the unary and the requant/scale of its epilogue.
 // Hash-consing makes equivalence a single integer compare per output lane,
 // and because the expressions are interned structurally the check is exact: no instruction-order or copy-elimination freedom is lost,
 // while only bit-exact-commutative operators (saturating add, mul, min, max)
@@ -300,6 +301,26 @@ func (it *interner) render(id exprID, depth int) string {
 	}
 }
 
+// unaryExpr and rescaleExpr are the expression kinds of the opcodes an
+// activation or a rescale — an instruction's own, or a matvec epilogue's — may
+// be, eUndef for any other.
+func unaryExpr(op sched.Opcode) uint8 {
+	if op < sched.OpRelu || op > sched.OpAbs {
+		return eUndef
+	}
+	return [...]uint8{eRelu, eLeaky, eNeg, eAbs}[op-sched.OpRelu]
+}
+
+func rescaleExpr(op sched.Opcode) uint8 {
+	switch op {
+	case sched.OpRequant:
+		return eRequant
+	case sched.OpScale:
+		return eScale
+	}
+	return eUndef
+}
+
 // payloadSlot is a multiplier or table index as an expression key, or a
 // pc-unique sentinel when the index names no payload (alias() reported).
 func payloadSlot(slot int, ok bool, pc int) int32 {
@@ -465,7 +486,7 @@ func (c *checker) equiv() {
 				write(l, it.binary(kind, read(ins.A, aW, l), bLane(l)))
 			}
 		case sched.OpRelu, sched.OpLeaky, sched.OpNeg, sched.OpAbs:
-			kind := [...]uint8{eRelu, eLeaky, eNeg, eAbs}[ins.Op-sched.OpRelu]
+			kind := unaryExpr(ins.Op)
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
 				write(l, it.intern(kind, 0, 0, []exprID{read(ins.A, aW, l)}))
@@ -478,10 +499,7 @@ func (c *checker) equiv() {
 			}
 			write(0, it.intern(kind, 0, 0, scratch))
 		case sched.OpRequant, sched.OpScale:
-			kind := eRequant
-			if ins.Op == sched.OpScale {
-				kind = eScale
-			}
+			kind := rescaleExpr(ins.Op)
 			slot := payloadSlot(ins.Slot, c.hasMult(ins), pc)
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
@@ -509,11 +527,17 @@ func (c *checker) equiv() {
 			}
 			write(0, e)
 		case sched.OpMatVec:
-			// Row by row, the dot+bias an OpDotAdd would have been.
+			// Row by row, the dot+bias an OpDotAdd would have been, then what
+			// the OpRelu and the OpRequant the epilogue stands for would have
+			// made of that lane. An epilogue opcode that is neither (bounds()
+			// reported it) leaves the lane undefined.
 			biased, ok := matVecBiased(ins)
 			if !ok {
 				break // bounds() reported; the lanes stay undefined
 			}
+			act, rescale := unaryExpr(ins.Act), rescaleExpr(ins.Quant)
+			unknown := (ins.Act != sched.OpNone && act == eUndef) || (ins.Quant != sched.OpNone && rescale == eUndef)
+			slot := payloadSlot(ins.Slot, c.hasMult(ins), pc)
 			for r := 0; r < ins.W; r++ {
 				row := ins.Rows[r]
 				rowW := wlanes(row)
@@ -525,6 +549,15 @@ func (c *checker) equiv() {
 				if biased {
 					bias := ins.Rows[ins.W+r]
 					e = it.binary(eAdd, e, read(bias, wlanes(bias), 0))
+				}
+				if ins.Act != sched.OpNone {
+					e = it.intern(act, 0, 0, []exprID{e})
+				}
+				if ins.Quant != sched.OpNone {
+					e = it.intern(rescale, slot, 0, []exprID{e})
+				}
+				if unknown {
+					e = it.undefAt(pc, ins.Dst+r)
 				}
 				write(r, e)
 			}

@@ -15,7 +15,8 @@ import (
 // prove it of the *compiled* dataflow, whose fused instructions materialise
 // intermediates that have no graph node (each sat32-clamped term of a dot,
 // the pre-bias accumulator of a dot+add, the difference and square of a
-// fused squared-distance). Severities mirror graphcheck exactly: silent
+// fused squared-distance, a matvec's lanes between its bias add, activation
+// and rescale). Severities mirror graphcheck exactly: silent
 // Fix32 saturation and an int32 scale wrap are errors, designed clipping
 // (requant's int8 clamp, a LUT's index clamp) merely tightens the interval,
 // and a fully clipped requant lane or out-of-domain LUT is diagnosed the
@@ -102,6 +103,33 @@ func (c *checker) ranges(opts Options) {
 			}
 			return out
 		}
+		// unary and rescale are the transfer of lane l through an activation
+		// or a requant/scale, with the findings it carries: the same for an
+		// instruction of its own and for a matvec's epilogue.
+		unary := func(op sched.Opcode, l int, in Interval) Interval {
+			uop := [...]mr.UnaryOp{mr.UReLU, mr.ULeakyReLU, mr.UNeg, mr.UAbs}[op-sched.OpRelu]
+			return sat(l, "lane", graphcheck.UnaryTransfer(uop, in))
+		}
+		rescale := func(op sched.Opcode, l int, in Interval) Interval {
+			mult := c.img.Mults()[ins.Slot]
+			if op == sched.OpRequant {
+				out, raw, clipped := graphcheck.Requant8Transfer(mult, in)
+				if clipped && !reported {
+					reported = true
+					c.finding(pc, -1, SevError, CheckRange, raw,
+						"lane %d always clips to int8: feasible interval %s lies outside %s (multiplier miscalibrated)",
+						l, raw, graphcheck.Int8Range())
+				}
+				return out
+			}
+			out, raw, wraps := graphcheck.ScaleTransfer(mult, in)
+			if wraps && !reported {
+				reported = true
+				c.finding(pc, -1, SevError, CheckRange, raw,
+					"lane %d wraps int32: scale result interval %s exceeds %s", l, raw, fix32)
+			}
+			return out
+		}
 
 		switch ins.Op {
 		case sched.OpAdd, sched.OpSub, sched.OpMul, sched.OpMin, sched.OpMax:
@@ -111,10 +139,9 @@ func (c *checker) ranges(opts Options) {
 				write(l, sat(l, "lane", graphcheck.MapTransfer(mop, read(ins.A, l), bLane(l))))
 			}
 		case sched.OpRelu, sched.OpLeaky, sched.OpNeg, sched.OpAbs:
-			uop := [...]mr.UnaryOp{mr.UReLU, mr.ULeakyReLU, mr.UNeg, mr.UAbs}[ins.Op-sched.OpRelu]
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
-				write(l, sat(l, "lane", graphcheck.UnaryTransfer(uop, read(ins.A, l))))
+				write(l, unary(ins.Op, l, read(ins.A, l)))
 			}
 		case sched.OpSum:
 			var acc Interval
@@ -134,34 +161,13 @@ func (c *checker) ranges(opts Options) {
 				lanes[l] = read(ins.A, l)
 			}
 			write(0, graphcheck.ReduceTransfer(rop, lanes))
-		case sched.OpRequant:
+		case sched.OpRequant, sched.OpScale:
 			if !c.hasMult(ins) {
 				break
 			}
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
-				out, raw, clipped := graphcheck.Requant8Transfer(c.img.Mults()[ins.Slot], read(ins.A, l))
-				if clipped && !reported {
-					reported = true
-					c.finding(pc, -1, SevError, CheckRange, raw,
-						"lane %d always clips to int8: feasible interval %s lies outside %s (multiplier miscalibrated)",
-						l, raw, graphcheck.Int8Range())
-				}
-				write(l, out)
-			}
-		case sched.OpScale:
-			if !c.hasMult(ins) {
-				break
-			}
-			w := min(ins.W, ins.A.W)
-			for l := 0; l < w; l++ {
-				out, raw, wraps := graphcheck.ScaleTransfer(c.img.Mults()[ins.Slot], read(ins.A, l))
-				if wraps && !reported {
-					reported = true
-					c.finding(pc, -1, SevError, CheckRange, raw,
-						"lane %d wraps int32: scale result interval %s exceeds %s", l, raw, fix32)
-				}
-				write(l, out)
+				write(l, rescale(ins.Op, l, read(ins.A, l)))
 			}
 		case sched.OpLUT:
 			if !c.hasLUT(ins) {
@@ -243,6 +249,23 @@ func (c *checker) ranges(opts Options) {
 				c.finding(pc, -1, SevInfo, CheckRange, Interval{Lo: -int64(m), Hi: int64(m)},
 					"row %d cannot be shown to pack two slots per multiply: sum|w| = %d times input magnitude bound %d exceeds %d, so slot pairs that fail the guard at runtime are swept product by product (counted in tape_fallbacks)",
 					slowRow, slowSum, m, math.MaxInt32)
+			}
+			// The epilogue, in place over the finished lanes as the kernel
+			// runs it, each stage with the one finding the instruction it
+			// replaces would have drawn. A stage bounds() or alias() refused
+			// is skipped.
+			dst := sched.Operand{Off: ins.Dst, W: ins.W}
+			if unaryExpr(ins.Act) != eUndef {
+				reported = false
+				for r := 0; r < ins.W; r++ {
+					write(r, unary(ins.Act, r, read(dst, r)))
+				}
+			}
+			if rescaleExpr(ins.Quant) != eUndef && c.hasMult(ins) {
+				reported = false
+				for r := 0; r < ins.W; r++ {
+					write(r, rescale(ins.Quant, r, read(dst, r)))
+				}
 			}
 		case sched.OpSqDist:
 			var acc Interval

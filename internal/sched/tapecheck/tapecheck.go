@@ -7,14 +7,15 @@
 // becomes a named finding at compile time, not a wrong verdict in
 // production.
 //
-// One pass over the tape performs four analyses:
+// One pass over the tape performs five analyses:
 //
 //  1. Semantic equivalence: every instruction's effect is re-derived
 //     symbolically, per output lane, as a hash-consed expression over the
 //     graph's inputs and weight slots — fused forms included (a dot is
 //     sum(sat32(a·b)), a dot+bias is sat32(sat32(dot)+c), a squared
 //     distance is sum(sat32(sat32(a−b)²)), a matvec is the dot+bias of each
-//     of its rows, lane by lane, concat sinks write producer results
+//     of its rows, lane by lane, wrapped in the activation and the rescale
+//     its epilogue names, concat sinks write producer results
 //     straight into the concatenation's window). The expression at
 //     each declared output cell must match, structurally and bit-exactly,
 //     the expression the graph defines for that output lane. A mismatch is
@@ -25,7 +26,8 @@
 //     (graphcheck.MapTransfer et al.) is rerun over the tape's arena cells,
 //     including fusion-introduced temporaries that have no graph node (the
 //     per-term products of a fused dot, the pre-bias accumulator of a
-//     dot+add or of a matvec row), proving no compiled intermediate can
+//     dot+add or of a matvec row, the lanes between a matvec's bias add,
+//     activation and rescale), proving no compiled intermediate can
 //     silently saturate the Fix32 datapath where the graph could not. A
 //     matvec whose packing guard (sum|w| times the input magnitude bound
 //     within int32) cannot be shown from those intervals draws an
@@ -35,11 +37,17 @@
 //     weight-owning graph node a slot of its own in the weight image; every
 //     constant-backed operand — a matvec's rows and biases among them, which
 //     must be constant-backed — must lie inside exactly one KConst's slot,
-//     every multiplier or table index must name a payload the image holds —
-//     so an image built from a pushed graph puts exactly the weights the
-//     push means to set where the tape reads them.
+//     every multiplier or table index — a matvec epilogue's included — must
+//     name a payload the image holds — so an image built from a pushed graph
+//     puts exactly the weights the push means to set where the tape reads them.
 //
-//  4. Arena and schedule bounds: every operand and destination window of
+//  4. Row-sum audit: the weight half of a matvec's packing guard is read
+//     from the image, not computed by the kernel, so it is re-derived here:
+//     every matvec row owns one sum index, dense in tape order, and the
+//     image's value there is min(sum|w|, 1<<31) of the lanes the row reads.
+//     An understated sum would license packed arithmetic that overflows.
+//
+//  5. Arena and schedule bounds: every operand and destination window of
 //     the structure-of-arrays arena stays in bounds across all batch slots,
 //     no cell is read before it is written or written by two instructions,
 //     every lane reads the same producer in every batch slot (so a
@@ -95,6 +103,8 @@ const (
 	CheckRange Analysis = "range"
 	// CheckAlias findings come from the weight-addressing audit.
 	CheckAlias Analysis = "alias"
+	// CheckSums findings come from the matvec row-sum audit.
+	CheckSums Analysis = "sums"
 	// CheckBounds findings come from the arena bounds/liveness analysis.
 	CheckBounds Analysis = "bounds"
 	// CheckPlan findings come from the schedule re-verification.
@@ -107,7 +117,8 @@ const (
 type Finding struct {
 	// PC is the offending instruction's index in Program.Code, or -1.
 	PC int
-	// Op is the instruction's mnemonic ("" for program-level findings).
+	// Op is the instruction's mnemonic, a matvec's with its epilogue
+	// ("matvec+relu+requant"); "" for program-level findings.
 	Op string
 	// Node is the graph node the finding is attributable to, or -1.
 	Node mr.NodeID
@@ -142,9 +153,11 @@ type Report struct {
 	Instrs int
 	Arena  int
 	Batch  int
-	// Lanes, Mults and LUTs are the weight image's dimensions: constant
-	// lanes, requant/scale multipliers and lookup tables.
-	Lanes, Mults, LUTs int
+	// Lanes, Mults, LUTs and Sums are the weight image's dimensions: constant
+	// lanes, requant/scale multipliers, lookup tables and matvec row sums.
+	Lanes, Mults, LUTs, Sums int
+	// Tape holds every instruction's mnemonic in tape order.
+	Tape []string
 	// Findings holds every diagnostic in tape order.
 	Findings []Finding
 }
@@ -177,10 +190,24 @@ func (r *Report) String() string {
 	if !r.OK() {
 		status = "REJECTED"
 	}
-	fmt.Fprintf(&b, "tapecheck: %q — %s (%d instrs, arena %d lanes, batch %d; image %d lanes, %d multipliers, %d tables)\n",
-		r.Graph, status, r.Instrs, r.Arena, r.Batch, r.Lanes, r.Mults, r.LUTs)
+	fmt.Fprintf(&b, "tapecheck: %q — %s (%d instrs, arena %d lanes, batch %d; image %d lanes, %d multipliers, %d tables, %d row sums)\n",
+		r.Graph, status, r.Instrs, r.Arena, r.Batch, r.Lanes, r.Mults, r.LUTs, r.Sums)
+	b.WriteString("  tape:     ")
+	for i := 0; i < len(r.Tape); {
+		run := 1
+		for i+run < len(r.Tape) && r.Tape[i+run] == r.Tape[i] {
+			run++
+		}
+		if run > 1 {
+			fmt.Fprintf(&b, " %d×%s", run, r.Tape[i])
+		} else {
+			fmt.Fprintf(&b, " %s", r.Tape[i])
+		}
+		i += run
+	}
+	b.WriteString("\n")
 	if len(r.Findings) == 0 {
-		fmt.Fprintf(&b, "  findings:  none (equiv, range, alias, bounds, plan all clean)\n")
+		fmt.Fprintf(&b, "  findings:  none (equiv, range, alias, sums, bounds, plan all clean)\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "  findings:\n")
@@ -206,7 +233,7 @@ func Verify(p *sched.Program) *Report { return VerifyWith(p, Options{}) }
 // translation, an error (wrapping ErrBadTape) otherwise. sched.Compile calls
 // this on every compiled tape once tapecheck is linked in.
 //
-// Translation-class findings (equiv, alias, bounds, plan) always gate. A
+// Translation-class findings (equiv, alias, sums, bounds, plan) always gate. A
 // range finding gates only when the source graph itself verifies clean under
 // graphcheck: the tape's interval analysis exists to prove the compiled
 // intermediates cannot saturate where the graph could not, and a tape that
@@ -252,7 +279,11 @@ func VerifyWith(p *sched.Program, opts Options) *Report {
 	img := p.Image()
 	r := &Report{
 		Instrs: len(p.Code()), Arena: p.ArenaSize(), Batch: p.MaxBatch(),
-		Lanes: len(img.Lanes()), Mults: len(img.Mults()), LUTs: len(img.LUTs()),
+		Lanes: len(img.Lanes()), Mults: len(img.Mults()), LUTs: len(img.LUTs()), Sums: len(img.Sums()),
+	}
+	r.Tape = make([]string, len(p.Code()))
+	for pc := range p.Code() {
+		r.Tape[pc] = p.Code()[pc].Mnemonic()
 	}
 	if g == nil {
 		r.Graph = "<nil>"
@@ -283,6 +314,7 @@ func VerifyWith(p *sched.Program, opts Options) *Report {
 		return r
 	}
 	c.alias()  // weight slots first: equiv resolves const leaves through them
+	c.sums()   // the guard's weight half, re-derived from the image's lanes
 	c.bounds() // widths, windows, liveness, slot uniformity
 	c.plan()   // schedule capacity/precedence re-verification
 	c.ranges(opts)
@@ -315,7 +347,7 @@ type checker struct {
 func (c *checker) finding(pc int, node mr.NodeID, sev Severity, check Analysis, rng Interval, format string, args ...any) {
 	op := ""
 	if pc >= 0 && pc < len(c.code) {
-		op = c.code[pc].Op.String()
+		op = c.code[pc].Mnemonic()
 	}
 	c.r.Findings = append(c.r.Findings, Finding{
 		PC: pc, Op: op, Node: node, Severity: sev, Check: check,

@@ -51,9 +51,10 @@ func mustMult(t testing.TB, f float64) fixed.Multiplier {
 // zooGraph compiles to a tape exercising every instruction family the
 // verifier special-cases: a materialised add (multi-consumer), a sub, a
 // plain dot, a const-window dot (through a slice), a bias-folded dot+add,
-// requant, scale, LUT, relu, a concat with one genuine copy, and a dense
+// requant, scale, LUT, relu, a concat with one genuine copy, a dense
 // layer (three bias-dots gathered by a concat: one matvec) whose second row
-// and whose biases are windows of larger constants.
+// and whose biases are windows of larger constants, and a second layer of two
+// rows that carries its ReLU and requant as an epilogue.
 func zooGraph(t testing.TB) *mr.Graph {
 	mult := mustMult(t, 0.03)
 	lut := &mr.LUT{Mult: mustMult(t, 1.0/64)}
@@ -81,11 +82,15 @@ func zooGraph(t testing.TB) *mr.Graph {
 		for r, w := range rows {
 			layer[r] = b.Map(mr.MAdd, b.DotProduct(w, x), b.Slice(lb, r, 1))
 		}
+		hidden := b.Concat(
+			b.DotProduct(b.Const("h0", []int32{3, 1, -4, 1, -5, 9, -2, 6}), x),
+			b.DotProduct(b.Const("h1", []int32{2, -7, 1, 8, -2, 8, 1, -8}), x))
 		b.Output(
 			b.Concat(b.Requant(sum, mult), b.Scale(sum, mult), b.ApplyLUT(sum, lut),
 				b.Unary(mr.UReLU, sum), x), // trailing input forces one OpCopy
 			diff, dotSelf, dotW, neuron,
-			b.Concat(layer...)) // OpMatVec
+			b.Concat(layer...), // OpMatVec
+			b.Requant(b.Unary(mr.UReLU, hidden), mustMult(t, 0.11))) // OpMatVec with an epilogue
 	})
 }
 
@@ -98,6 +103,20 @@ func findPC(t *testing.T, p *sched.Program, op sched.Opcode) int {
 	}
 	t.Fatalf("tape has no %s instruction", op)
 	return -1
+}
+
+// findLayer returns the zoo's matvec that carries an epilogue, or the one
+// that does not.
+func findLayer(t *testing.T, p *sched.Program, epilogue bool) *sched.Instr {
+	t.Helper()
+	for pc := range p.Code() {
+		ins := &p.Code()[pc]
+		if ins.Op == sched.OpMatVec && (ins.Act != sched.OpNone) == epilogue {
+			return ins
+		}
+	}
+	t.Fatalf("tape has no matvec with epilogue = %v", epilogue)
+	return nil
 }
 
 // constID returns the id of the zoo's const node of the given name.
@@ -187,41 +206,41 @@ func TestMutationKill(t *testing.T) {
 		}},
 		// The dense layer: rows 0..2 then biases 0..2 in Rows.
 		{"matvec-rows-swapped", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
-			rows := p.Code()[findPC(t, p, sched.OpMatVec)].Rows
+			rows := findLayer(t, p, false).Rows
 			rows[0], rows[2] = rows[2], rows[0]
 		}},
 		{"matvec-row-dropped", tapecheck.CheckBounds, false, func(t *testing.T, p *sched.Program) {
 			// Row 2 and its bias removed: the layer's last lane is never computed.
-			ins := &p.Code()[findPC(t, p, sched.OpMatVec)]
+			ins := findLayer(t, p, false)
 			ins.Rows = []sched.Operand{ins.Rows[0], ins.Rows[1], ins.Rows[3], ins.Rows[4]}
 			ins.W = 2
 		}},
 		{"matvec-row-duplicated", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
-			rows := p.Code()[findPC(t, p, sched.OpMatVec)].Rows
+			rows := findLayer(t, p, false).Rows
 			rows[2] = rows[0]
 		}},
 		{"matvec-row-one-lane-off", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			// Row 1 is l1[1:9]; l1[2:10] is still inside the constant, so
 			// only the symbolic check can see it.
-			p.Code()[findPC(t, p, sched.OpMatVec)].Rows[1].Off++
+			findLayer(t, p, false).Rows[1].Off++
 		}},
 		{"matvec-bias-skewed", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			// Bias 0 reads its neighbour's scalar, lb[1].
-			p.Code()[findPC(t, p, sched.OpMatVec)].Rows[3].Off++
+			findLayer(t, p, false).Rows[3].Off++
 		}},
 		{"matvec-wrong-dstride", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
-			p.Code()[findPC(t, p, sched.OpMatVec)].DStride--
+			findLayer(t, p, false).DStride--
 		}},
 		{"matvec-wrong-dst", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
-			p.Code()[findPC(t, p, sched.OpMatVec)].Dst--
+			findLayer(t, p, false).Dst--
 		}},
 		{"matvec-input-narrowed-to-broadcast", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
-			p.Code()[findPC(t, p, sched.OpMatVec)].A.W = 1
+			findLayer(t, p, false).A.W = 1
 		}},
 		{"matvec-row-aliases-other-const", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			// nw is another 8-lane constant: in range, pushed like any other,
 			// and the wrong weights.
-			ins := &p.Code()[findPC(t, p, sched.OpMatVec)]
+			ins := findLayer(t, p, false)
 			ins.Rows[0].Off = p.Code()[findPC(t, p, sched.OpDotAdd)].B.Off
 		}},
 		{"matvec-row-detached", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
@@ -229,6 +248,43 @@ func TestMutationKill(t *testing.T) {
 			// writes l2's weights over l0's, and row 2 reads lanes no node owns.
 			layout := p.Tape().Layout()
 			layout[constID(t, p, "l2")] = layout[constID(t, p, "l0")]
+		}},
+		// The second layer's epilogue: relu, then a requant by its own multiplier.
+		{"matvec-epilogue-dropped", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			findLayer(t, p, true).Quant = sched.OpNone
+		}},
+		{"matvec-epilogue-wrong-activation", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			findLayer(t, p, true).Act = sched.OpAbs
+		}},
+		{"matvec-epilogue-wrong-multiplier", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			// The standalone requant's multiplier: in the image, another node's.
+			findLayer(t, p, true).Slot = p.Code()[findPC(t, p, sched.OpRequant)].Slot
+		}},
+		{"matvec-epilogue-slot-out-of-range", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
+			findLayer(t, p, true).Slot = len(p.Image().Mults())
+		}},
+		{"matvec-epilogue-bad-opcode", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			findLayer(t, p, true).Act = sched.OpRequant
+		}},
+		// Row sums: the image's, at the index the instruction names.
+		{"matvec-sum-index-out-of-range", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			findLayer(t, p, true).Sum = len(p.Image().Sums()) - 1
+		}},
+		{"matvec-sum-understated", tapecheck.CheckSums, true, func(t *testing.T, p *sched.Program) {
+			// One less than the weights add up to: a guard that passes a
+			// product it should not.
+			p.Image().Sums()[findLayer(t, p, false).Sum+1]--
+		}},
+		{"matvec-sum-of-other-row", tapecheck.CheckSums, true, func(t *testing.T, p *sched.Program) {
+			// In range, and every row reads its neighbour's sum — or the
+			// other layer's.
+			for pc := range p.Code() {
+				if ins := &p.Code()[pc]; ins.Op == sched.OpMatVec && ins.Sum == 0 {
+					ins.Sum++
+					return
+				}
+			}
+			t.Fatal("no matvec owns row sum 0")
 		}},
 		{"schedule-claims-low-ii", tapecheck.CheckPlan, false, func(t *testing.T, p *sched.Program) {
 			p.Schedule().II = 0
@@ -545,7 +601,7 @@ func TestModelFamiliesVerifyClean(t *testing.T) {
 			}
 			for _, f := range rep.Findings {
 				t.Logf("non-fatal finding: %s", f)
-				if f.Op == sched.OpMatVec.String() {
+				if strings.HasPrefix(f.Op, sched.OpMatVec.String()) {
 					t.Errorf("a shipped lowering cannot be shown to stay on the packed matvec path: %s", f)
 				}
 			}
