@@ -3,16 +3,14 @@
 // units used, latency, initiation interval, area and power.
 //
 // With -check it instead runs both static verifiers and prints their full
-// reports, exiting non-zero if either rejects: the graph verifier
-// (internal/graphcheck) — value ranges, resource census, dead nodes, II
-// estimate — and the tape verifier (internal/sched/tapecheck), which
+// reports, exiting non-zero if either rejects or the graph does not schedule:
+// the graph verifier (internal/graphcheck) — value ranges, resource census,
+// dead nodes — and the tape verifier (internal/sched/tapecheck), which
 // translation-validates the compiled instruction tape against the graph
-// (semantic equivalence, interval soundness, weight aliasing, arena and
-// schedule bounds). The graph verifier's depth-only CriticalPathCycles/EstII
-// are printed next to the list scheduler's measured depth and II
-// (internal/sched), with a warning when the estimate turns out optimistic
-// about resource contention. -json renders both reports as one JSON document
-// instead of text.
+// (semantic equivalence, weight aliasing, row sums, arena and schedule
+// bounds) and is the gate sched.Compile installs through. The list schedule's
+// depth and II (internal/sched) follow. -json renders both reports as one
+// JSON document instead of text.
 //
 // Usage:
 //
@@ -23,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"taurus/internal/cgra"
@@ -73,7 +72,7 @@ func run(model string, maxCUs int, seed int64, check, asJSON bool) error {
 	}
 
 	if check {
-		return runCheck(g, asJSON)
+		return runCheck(os.Stdout, g, asJSON)
 	}
 
 	res, err := compiler.Compile(g, compiler.Options{MaxCUs: maxCUs})
@@ -111,20 +110,19 @@ func run(model string, maxCUs int, seed int64, check, asJSON bool) error {
 	return nil
 }
 
-// runCheck runs both static verifiers and prints their reports; the process
-// exits non-zero when either rejects.
-func runCheck(g *mr.Graph, asJSON bool) error {
+// runCheck runs both static verifiers and prints their reports; its error is
+// -check's exit status (see checkErr).
+func runCheck(w io.Writer, g *mr.Graph, asJSON bool) error {
 	rep := graphcheck.Verify(g)
 
 	// Compile the tape unverified so a rejected translation still yields the
 	// full tapecheck report rather than a bare compile error.
 	var trep *tapecheck.Report
-	var tapeErr string
-	if prog, err := sched.CompileUnverified(g, cgra.DefaultGrid()); err == nil {
+	prog, tapeErr := sched.CompileUnverified(g, cgra.DefaultGrid())
+	if tapeErr == nil {
 		trep = tapecheck.Verify(prog)
-	} else {
-		tapeErr = err.Error()
 	}
+	verdict := checkErr(rep, trep, tapeErr)
 
 	if asJSON {
 		out := struct {
@@ -133,46 +131,44 @@ func runCheck(g *mr.Graph, asJSON bool) error {
 			// TapeError is set when the list scheduler refused the graph and
 			// no tape exists to verify.
 			TapeError string `json:"tape_error,omitempty"`
-		}{rep, trep, tapeErr}
-		enc := json.NewEncoder(os.Stdout)
+		}{Graph: rep, Tape: trep}
+		if tapeErr != nil {
+			out.TapeError = tapeErr.Error()
+		}
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
 			return err
 		}
-	} else {
-		fmt.Print(rep)
-		fmt.Println()
-		switch {
-		case trep != nil:
-			fmt.Print(trep)
-		default:
-			fmt.Printf("tapecheck: skipped — graph does not schedule: %s\n", tapeErr)
-		}
+		return verdict
 	}
-	if !rep.OK() || (trep != nil && !trep.OK()) {
-		os.Exit(1)
+
+	fmt.Fprintln(w, rep)
+	if tapeErr != nil {
+		fmt.Fprintf(w, "tapecheck: skipped — graph does not schedule: %s\n", tapeErr)
+		return verdict
 	}
-	if !asJSON {
-		// Measured schedule next to the static estimate: the verifier's
-		// CriticalPathCycles/EstII are resource-blind, the list schedule is
-		// packed under the grid's issue capacity.
-		s, err := sched.Plan(g, cgra.DefaultGrid())
-		if err != nil {
-			return fmt.Errorf("graph verifies but does not schedule: %w", err)
-		}
-		fmt.Printf("\nscheduled (list schedule on %dx%d grid):\n", s.Spec.Rows, s.Spec.Cols)
-		fmt.Printf("  depth:     %d cycles (graphcheck estimate %d)\n", s.Depth, rep.CriticalPathCycles)
-		fmt.Printf("  II:        %d (graphcheck estimate %d)\n", s.II, rep.EstII)
-		fmt.Printf("  bundles:   %d CU issues, peak width %d, occupancy %.0f%%\n",
-			s.CUIssues, s.MaxBundle, 100*s.Occupancy())
-		if rep.EstII < s.II {
-			fmt.Printf("  WARNING: estimate is optimistic: EstII %d < scheduled II %d (resource contention)\n",
-				rep.EstII, s.II)
-		}
-		if rep.CriticalPathCycles < s.Depth {
-			fmt.Printf("  WARNING: estimate is optimistic: critical path %d < scheduled depth %d\n",
-				rep.CriticalPathCycles, s.Depth)
-		}
+	s := prog.Schedule()
+	fmt.Fprint(w, trep)
+	fmt.Fprintf(w, "\nscheduled (list schedule on %dx%d grid):\n", s.Spec.Rows, s.Spec.Cols)
+	fmt.Fprintf(w, "  depth:     %d cycles\n", s.Depth)
+	fmt.Fprintf(w, "  II:        %d\n", s.II)
+	fmt.Fprintf(w, "  bundles:   %d CU issues, peak width %d, occupancy %.0f%%\n",
+		s.CUIssues, s.MaxBundle, 100*s.Occupancy())
+	return verdict
+}
+
+// checkErr is -check's exit decision, the same with and without -json: the
+// graph must verify, schedule, and translate faithfully — exactly the graphs
+// the push gate (graphcheck.Check) and the install gate (sched.Compile)
+// accept. trep is nil when tapeErr is not.
+func checkErr(rep *graphcheck.Report, trep *tapecheck.Report, tapeErr error) error {
+	switch {
+	case !rep.OK():
+		return rep.Err()
+	case tapeErr != nil:
+		return fmt.Errorf("graph verifies but does not schedule: %w", tapeErr)
+	default:
+		return trep.Err()
 	}
-	return nil
 }

@@ -43,15 +43,9 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println(sched)
+	fmt.Println()
 
-	// 3. Compare against the static estimate: graphcheck bounds the path
-	//    ignoring contention, the schedule measures it.
-	rep := taurus.VerifyGraph(program)
-	fmt.Printf("\ngraphcheck estimate: critical path %d, EstII %d\n",
-		rep.CriticalPathCycles, rep.EstII)
-	fmt.Printf("list schedule:       depth %d, II %d\n\n", sched.Depth, sched.II)
-
-	// 4. Emit the instruction tape and check bit-exactness against the
+	// 3. Emit the instruction tape and check bit-exactness against the
 	//    reference semantics on a few packets.
 	prog, err := taurus.CompileProgram(program, taurus.DefaultGrid())
 	if err != nil {
@@ -74,7 +68,7 @@ func main() {
 	}
 	fmt.Println("bit-exact: 1000 random packets, Graph.Eval == compiled tape")
 
-	// 5. Time the tape: one packet per sweep vs a full batch per sweep.
+	// 4. Time the tape: one packet per sweep vs a full batch per sweep.
 	const rounds = 200_000
 	measure := func(f func()) float64 {
 		start := time.Now()

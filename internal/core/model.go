@@ -118,8 +118,10 @@ func (m *Model) WithWeights(g *mr.Graph) (*Model, error) {
 
 // Recheck re-runs tapecheck's translation validator over the tape and the
 // image being served — the control plane's post-push audit that the weights a
-// push installed sit where the compiled code reads them and keep it inside
-// the datapath's ranges. ErrNoModel on a nil m.
+// push installed sit where the compiled code reads them (layout, row sums,
+// equivalence). Whether those weights can saturate a lane is graphcheck's
+// verdict on the pushed graph, which every push path runs before this.
+// ErrNoModel on a nil m.
 func (m *Model) Recheck() error {
 	if m == nil {
 		return ErrNoModel

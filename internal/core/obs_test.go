@@ -220,7 +220,7 @@ func TestSweepCounters(t *testing.T) {
 	}
 
 	// Saturating first-layer weights, pushed between two sweeps.
-	saturating := dev.prog.Source()
+	saturating := dev.prog.Graph().Clone() // the loaded graph: nothing was pushed yet
 	for _, n := range saturating.Nodes {
 		if n.Kind == mr.KConst && n.Width == 6 {
 			for i := range n.Const {

@@ -24,11 +24,9 @@ type CompileRow struct {
 	CompiledNs float64
 	BatchNs    float64
 	// SchedII and SchedDepth are the list schedule's measured initiation
-	// interval and makespan; EstII is graphcheck's resource-blind estimate
-	// for comparison. Occupancy is the schedule's CU bundle fill fraction.
+	// interval and makespan; Occupancy is its CU bundle fill fraction.
 	SchedII    int
 	SchedDepth int
-	EstII      int
 	Occupancy  float64
 	// ModelMpps is the modelled single-block throughput at the measured II
 	// (one packet per II cycles at 1 GHz).
@@ -76,9 +74,8 @@ func CompileBench(m *Models) ([]CompileRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		rep := graphcheck.Verify(fam.g)
-		if !rep.OK() {
-			return nil, "", rep.Err()
+		if err := graphcheck.Check(fam.g); err != nil {
+			return nil, "", err
 		}
 
 		// One deterministic feature vector per batch slot, int8 codes like
@@ -111,7 +108,6 @@ func CompileBench(m *Models) ([]CompileRow, string, error) {
 			BatchNs:    batchNs,
 			SchedII:    s.II,
 			SchedDepth: s.Depth,
-			EstII:      rep.EstII,
 			Occupancy:  s.Occupancy(),
 			ModelMpps:  hwmodel.ThroughputPPS(s.II) / 1e6,
 		}
@@ -122,12 +118,11 @@ func CompileBench(m *Models) ([]CompileRow, string, error) {
 			fmt.Sprintf("%.0f", row.CompiledNs),
 			fmt.Sprintf("%.0f", row.BatchNs),
 			fmt.Sprintf("%d", row.SchedII),
-			fmt.Sprintf("%d", row.EstII),
 			fmt.Sprintf("%.0f%%", 100*row.Occupancy),
 			fmt.Sprintf("%.0f", row.ModelMpps),
 		})
 	}
 	return rows, table("Compiled evaluation: the VLIW tape (ns/packet, measured II)",
 		[]string{"Model", "Nodes", "Compiled", "Batch",
-			"Sched II", "Est II", "Occup", "Model Mpps"}, cells), nil
+			"Sched II", "Occup", "Model Mpps"}, cells), nil
 }

@@ -24,11 +24,10 @@
 //     (placement would fail); CU oversubscription is a warning (placement
 //     shares units and inflates the initiation interval).
 //
-//  3. Dead-node and critical-path analysis: nodes unreachable from any
-//     output are reported (a lowering that builds work the datapath never
-//     uses is almost certainly buggy), and a depth-based critical-path /
-//     initiation-interval estimate is computed — the static half of the
-//     ROADMAP "scheduled evaluation" item.
+//  3. Dead-node analysis: nodes unreachable from any output are reported
+//     (a lowering that builds work the datapath never uses is almost
+//     certainly buggy). Depth and initiation interval are not estimated
+//     here: the list schedule (internal/sched) is the one answer.
 //
 //  4. Structural stability: Compatible(old, new) proves a push is
 //     weight-only — same kinds, widths, edges and operators, only
@@ -192,19 +191,6 @@ type Report struct {
 
 	// DeadNodes lists nodes unreachable from every output.
 	DeadNodes []mr.NodeID
-
-	// CriticalPathCycles is the depth of the longest compute path, in CU
-	// pipeline cycles (interconnect excluded). EstII is the initiation-
-	// interval estimate: unit-sharing pressure times the widest node's
-	// lane iterations. Both are resource-blind static estimates, superseded
-	// by the list scheduler (internal/sched): sched.Plan packs the same
-	// graph under the grid's issue capacity and reports the depth and II
-	// the schedule actually sustains (Schedule.Depth, Schedule.II), which
-	// the device's service model consumes. Compare the two with
-	// `taurus-compile -check` — an EstII below the scheduled II means the
-	// estimate was optimistic about resource contention.
-	CriticalPathCycles int
-	EstII              int
 }
 
 // OK reports whether the graph passed (no error-severity findings).
@@ -244,8 +230,6 @@ func (r *Report) String() string {
 	}
 	fmt.Fprintf(&b, "  resources: %d weight bytes + %d LUTs -> %d/%d MUs; %d/%d CU slots\n",
 		r.WeightBytes, r.LUTCount, r.MUsNeeded, r.MUsAvail, r.CUSlots, r.CUCapacity)
-	fmt.Fprintf(&b, "  schedule:  critical path %d cycles, estimated II %d\n",
-		r.CriticalPathCycles, r.EstII)
 	if len(r.DeadNodes) > 0 {
 		fmt.Fprintf(&b, "  dead:      %d unreachable node(s) %v\n", len(r.DeadNodes), r.DeadNodes)
 	}
@@ -308,7 +292,6 @@ func VerifyWith(g *mr.Graph, opts Options) *Report {
 	v.walk()
 	v.census()
 	v.reachability()
-	v.schedule()
 	return r
 }
 
@@ -335,14 +318,7 @@ func (v *verifier) seedInputs(opts Options) {
 		seed := Interval{int8Lo, int8Hi}
 		if opts.InputRange != nil {
 			if iv, ok := opts.InputRange(i, n.Name); ok {
-				seed = iv
-				// The seed must describe runtime values, which are int32.
-				if seed.Lo < fix32.Lo {
-					seed.Lo = fix32.Lo
-				}
-				if seed.Hi > fix32.Hi {
-					seed.Hi = fix32.Hi
-				}
+				seed, _ = clampFix32(iv) // the seed describes runtime values, which are int32
 			}
 		}
 		lanes := make([]Interval, n.Width)
@@ -359,19 +335,14 @@ func (v *verifier) seedInputs(opts Options) {
 // value-corrupting overflow: report it once per node, at the first lane
 // that can overflow, with the widest feasible interval as the witness.
 func (v *verifier) sat32(n *mr.Node, lane int, iv Interval, reported *bool) Interval {
-	if (iv.Lo < fix32.Lo || iv.Hi > fix32.Hi) && !*reported {
+	out, clipped := clampFix32(iv)
+	if clipped && !*reported {
 		*reported = true
 		v.finding(n, SevError, CheckRange, iv,
 			"lane %d may silently saturate fix32: feasible interval %s exceeds [%d, %d]",
 			lane, iv, fix32.Lo, fix32.Hi)
 	}
-	if iv.Lo < fix32.Lo {
-		iv.Lo = fix32.Lo
-	}
-	if iv.Hi > fix32.Hi {
-		iv.Hi = fix32.Hi
-	}
-	return iv
+	return out
 }
 
 // walk propagates lane intervals through every node in topological order
@@ -426,7 +397,7 @@ func (v *verifier) transferMap(n *mr.Node) {
 		if len(b) > 1 {
 			bv = b[i]
 		}
-		lanes[i] = v.sat32(n, i, MapTransfer(n.Map, a[i], bv), &reported)
+		lanes[i] = v.sat32(n, i, mapTransfer(n.Map, a[i], bv), &reported)
 	}
 	v.lanes[n.ID] = lanes
 }
@@ -445,14 +416,14 @@ func (v *verifier) transferUnary(n *mr.Node) {
 	lanes := make([]Interval, n.Width)
 	reported := false
 	for i, av := range a {
-		lanes[i] = v.sat32(n, i, UnaryTransfer(n.Unary, av), &reported)
+		lanes[i] = v.sat32(n, i, unaryTransfer(n.Unary, av), &reported)
 	}
 	v.lanes[n.ID] = lanes
 }
 
 func (v *verifier) transferReduce(n *mr.Node) {
 	a := v.lanes[n.Args[0]]
-	iv := ReduceTransfer(n.Reduce, a)
+	iv := reduceTransfer(n.Reduce, a)
 	if n.Reduce == mr.RAdd {
 		reported := false
 		iv = v.sat32(n, 0, iv, &reported)
@@ -484,7 +455,7 @@ func (v *verifier) transferRequant(n *mr.Node) {
 		// lane whose every feasible value clips is a constant, which no
 		// calibrated requant produces: the multiplier is wrong. A fully
 		// clipped lane still propagates its pinned value.
-		out, raw, clipped := Requant8Transfer(n.Mult, av)
+		out, raw, clipped := requant8Transfer(n.Mult, av)
 		if clipped && !reported {
 			reported = true
 			v.finding(n, SevError, CheckRange, raw,
@@ -505,7 +476,7 @@ func (v *verifier) transferScale(n *mr.Node) {
 		// truncates its result to int32 — a feasible value outside the
 		// range does not clip, it wraps. Always an error; the wrapped
 		// value can land anywhere, so the lane widens to the full range.
-		out, raw, wraps := ScaleTransfer(n.Mult, av)
+		out, raw, wraps := scaleTransfer(n.Mult, av)
 		if wraps && !reported {
 			reported = true
 			v.finding(n, SevError, CheckRange, raw,
@@ -523,7 +494,7 @@ func (v *verifier) transferLUT(n *mr.Node) {
 	reported := false
 	const idxLo, idxHi = -mr.LUTSize / 2, mr.LUTSize/2 - 1
 	for i, av := range a {
-		idx, raw, allOutside := LUTIndex(n.LUT, av)
+		idx, raw, allOutside := lutIndex(n.LUT, av)
 		if allOutside && !reported {
 			// Every feasible index clamps to the same table end: the LUT
 			// input never lands in the table's domain. Degenerate, but the
@@ -539,7 +510,7 @@ func (v *verifier) transferLUT(n *mr.Node) {
 	v.lanes[n.ID] = lanes
 }
 
-// lutRange memoises LUTRange's full-domain case per distinct table.
+// lutRange memoises tableRange's full-domain case per distinct table.
 func (v *verifier) lutRange(l *mr.LUT, idx Interval) Interval {
 	full := idx.Lo == -mr.LUTSize/2 && idx.Hi == mr.LUTSize/2-1
 	if full {
@@ -550,7 +521,7 @@ func (v *verifier) lutRange(l *mr.LUT, idx Interval) Interval {
 			return iv
 		}
 	}
-	iv := LUTRange(l, idx)
+	iv := tableRange(l, idx)
 	if full {
 		v.lutFull[l] = iv
 	}
@@ -587,8 +558,8 @@ func (v *verifier) census() {
 	if r.CUSlots > r.CUCapacity {
 		r.Findings = append(r.Findings, Finding{
 			Node: -1, Severity: SevWarning, Check: CheckResource,
-			Msg: fmt.Sprintf("compute oversubscribed: %d slots on %d (CUs will be shared, II inflated ~%dx)",
-				r.CUSlots, r.CUCapacity, (r.CUSlots+r.CUCapacity-1)/r.CUCapacity),
+			Msg: fmt.Sprintf("compute oversubscribed: %d slots on %d (CUs will be shared; the list schedule's II says by how much)",
+				r.CUSlots, r.CUCapacity),
 		})
 	}
 }
@@ -641,56 +612,6 @@ func (v *verifier) reachability() {
 		}
 		v.finding(n, SevWarning, CheckDead, Interval{}, "%s", msg)
 	}
-}
-
-// schedule computes the depth-based critical path and II estimate.
-func (v *verifier) schedule() {
-	g, r := v.g, v.r
-	depth := make([]int, len(g.Nodes))
-	maxIter := 1
-	for _, n := range g.Nodes {
-		d := 0
-		for _, a := range n.Args {
-			if depth[a] > d {
-				d = depth[a]
-			}
-		}
-		cost := nodeSlots(g, n, v.spec.Lanes)
-		if n.Kind == mr.KLUT {
-			cost = cgra.MUAccessCycles
-		}
-		depth[n.ID] = d + cost
-		if w := chainWidth(g, n); w > 0 {
-			if it := (w + v.spec.Lanes - 1) / v.spec.Lanes; it > maxIter {
-				maxIter = it
-			}
-		}
-	}
-	for _, o := range g.Outputs {
-		if depth[o] > r.CriticalPathCycles {
-			r.CriticalPathCycles = depth[o]
-		}
-	}
-	share := 1
-	if r.CUCapacity > 0 && r.CUSlots > r.CUCapacity {
-		share = (r.CUSlots + r.CUCapacity - 1) / r.CUCapacity
-	}
-	r.EstII = share * maxIter
-}
-
-// chainWidth is a node's lane demand (its argument's width for reductions).
-func chainWidth(g *mr.Graph, n *mr.Node) int {
-	switch n.Kind {
-	case mr.KInput, mr.KConst, mr.KConcat, mr.KSlice:
-		return 0
-	}
-	w := n.Width
-	if n.Kind == mr.KReduce {
-		if aw := g.Node(n.Args[0]).Width; aw > w {
-			w = aw
-		}
-	}
-	return w
 }
 
 // Compatible reports whether new is a weight-only replacement for old: the

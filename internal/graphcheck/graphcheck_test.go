@@ -66,9 +66,6 @@ func TestDNNLoweringVerifiesClean(t *testing.T) {
 	if rep.WeightBytes == 0 || rep.LUTCount == 0 {
 		t.Errorf("census missed DNN storage: %+v", rep)
 	}
-	if rep.CriticalPathCycles <= 0 || rep.EstII <= 0 {
-		t.Errorf("schedule estimate missing: path=%d II=%d", rep.CriticalPathCycles, rep.EstII)
-	}
 }
 
 func TestSVMLoweringVerifiesClean(t *testing.T) {
@@ -430,9 +427,6 @@ func TestComputeOversubscriptionWarns(t *testing.T) {
 	if !found {
 		t.Errorf("no oversubscription warning: %v", rep.Findings)
 	}
-	if rep.EstII <= 1 {
-		t.Errorf("EstII = %d, want > 1 under CU sharing", rep.EstII)
-	}
 }
 
 // cgraSmall is a tiny grid (3 CUs, 1 MU) so resource limits are cheap to hit.
@@ -523,7 +517,7 @@ func TestReportString(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := graphcheck.Verify(g).String()
-	for _, want := range []string{"pretty", "OK", "resources:", "schedule:"} {
+	for _, want := range []string{"pretty", "OK", "resources:", "findings:"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report %q missing %q", s, want)
 		}

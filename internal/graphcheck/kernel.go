@@ -1,14 +1,9 @@
 // The interval transfer kernel: the per-lane [lo, hi] semantics of every
-// datapath operation, exported so other static analyses can rerun the exact
-// same abstract interpretation graphcheck uses. internal/sched/tapecheck
-// replays these transfer functions over compiled instruction tapes —
-// including fusion-introduced temporaries that have no graph node — to prove
-// a compiled program cannot saturate the Fix32 datapath anywhere the source
-// graph could not.
+// datapath operation, kept apart from the walk that drives it.
 //
 // Every transfer returns the *raw* feasible interval of the mathematical
-// result; it is the caller's job to apply the datapath's clamping discipline
-// (ClampFix32 for the silently saturating map/unary/reduce ops, ClampInt8
+// result; it is the walk's job to apply the datapath's clamping discipline
+// (clampFix32 for the silently saturating map/unary/reduce ops, the int8 clamp
 // for a requant, the index clamp for a LUT) and to decide which clamps are
 // findings. That split is deliberate: the raw interval is the overflow
 // witness a finding reports.
@@ -19,23 +14,9 @@ import (
 	mr "taurus/internal/mapreduce"
 )
 
-// Fix32Range is the legal runtime range of a lane value, [Fix32.Min,
-// Fix32.Max] as an Interval.
-func Fix32Range() Interval { return fix32 }
-
-// Int8Range is the quantised code range [-128, 127] every graph input and
-// requant output lives in.
-func Int8Range() Interval { return Interval{int8Lo, int8Hi} }
-
-// Point returns the singleton interval {v}.
-func Point(v int64) Interval { return point(v) }
-
-// Union returns the smallest interval covering both.
-func (iv Interval) Union(o Interval) Interval { return iv.union(o) }
-
-// ClampFix32 clamps iv to the Fix32 range and reports whether any feasible
+// clampFix32 clamps iv to the Fix32 range and reports whether any feasible
 // value lay outside it — i.e. whether the saturating datapath could clip.
-func ClampFix32(iv Interval) (Interval, bool) {
+func clampFix32(iv Interval) (Interval, bool) {
 	clipped := iv.Lo < fix32.Lo || iv.Hi > fix32.Hi
 	if iv.Lo < fix32.Lo {
 		iv.Lo = fix32.Lo
@@ -46,10 +27,10 @@ func ClampFix32(iv Interval) (Interval, bool) {
 	return iv, clipped
 }
 
-// MapTransfer returns the raw interval of `a op b` for one lane pair. The
+// mapTransfer returns the raw interval of `a op b` for one lane pair. The
 // result is unclamped: map ops run through Fix32.Saturate at runtime, so a
-// result outside Fix32Range witnesses silent saturation.
-func MapTransfer(op mr.MapOp, a, b Interval) Interval {
+// result outside the Fix32 range witnesses silent saturation.
+func mapTransfer(op mr.MapOp, a, b Interval) Interval {
 	switch op {
 	case mr.MAdd:
 		return Interval{a.Lo + b.Lo, a.Hi + b.Hi}
@@ -71,9 +52,9 @@ func MapTransfer(op mr.MapOp, a, b Interval) Interval {
 	return fix32
 }
 
-// UnaryTransfer returns the raw interval of `op a` for one lane. Endpoint
+// unaryTransfer returns the raw interval of `op a` for one lane. Endpoint
 // evaluation is exact: every unary op is monotone (Abs by cases).
-func UnaryTransfer(op mr.UnaryOp, a Interval) Interval {
+func unaryTransfer(op mr.UnaryOp, a Interval) Interval {
 	switch op {
 	case mr.UReLU:
 		return Interval{max64(0, a.Lo), max64(0, a.Hi)}
@@ -94,25 +75,19 @@ func UnaryTransfer(op mr.UnaryOp, a Interval) Interval {
 	return fix32
 }
 
-// SumTransfer returns the raw interval of the int64 lane sum an RAdd (or a
-// fused dot product's accumulator) computes before its single final
-// saturation. Summands are runtime int32 lanes, so the 64-bit sum is exact.
-func SumTransfer(lanes []Interval) Interval {
-	var iv Interval
-	for _, av := range lanes {
-		iv.Lo += av.Lo
-		iv.Hi += av.Hi
-	}
-	return iv
-}
-
-// ReduceTransfer returns the raw interval of `op lanes`. RAdd is unclamped
-// (see SumTransfer); the min/max folds cannot leave the lanes' hull; the
-// argmin/argmax result is an index.
-func ReduceTransfer(op mr.ReduceOp, lanes []Interval) Interval {
+// reduceTransfer returns the raw interval of `op lanes`. RAdd is the int64
+// lane sum before its single final saturation, unclamped (summands are runtime
+// int32 lanes, so the 64-bit sum is exact); the min/max folds cannot leave the
+// lanes' hull; the argmin/argmax result is an index.
+func reduceTransfer(op mr.ReduceOp, lanes []Interval) Interval {
 	switch op {
 	case mr.RAdd:
-		return SumTransfer(lanes)
+		var iv Interval
+		for _, av := range lanes {
+			iv.Lo += av.Lo
+			iv.Hi += av.Hi
+		}
+		return iv
 	case mr.RMin:
 		iv := lanes[0]
 		for _, av := range lanes[1:] {
@@ -131,21 +106,21 @@ func ReduceTransfer(op mr.ReduceOp, lanes []Interval) Interval {
 	return fix32
 }
 
-// MultTransfer returns the raw interval of m.Apply over acc — the rounded
+// multTransfer returns the raw interval of m.Apply over acc — the rounded
 // shift-multiply both KRequant and KScale run. Monotone nondecreasing in acc
 // (M0 is non-negative), so endpoint evaluation is exact. The caller's acc
 // must describe runtime int32 values so the 64-bit product cannot overflow.
-func MultTransfer(m fixed.Multiplier, acc Interval) Interval {
+func multTransfer(m fixed.Multiplier, acc Interval) Interval {
 	return Interval{applyMult(m, acc.Lo), applyMult(m, acc.Hi)}
 }
 
-// Requant8Transfer runs a KRequant's semantics: MultTransfer then the int8
+// requant8Transfer runs a KRequant's semantics: multTransfer then the int8
 // clamp of ApplySat8. It returns the clamped output interval (a fully
 // clipped lane pins to the boundary it clips against), the raw pre-clamp
 // interval as the diagnostic witness, and whether *every* feasible value
 // clips — a degenerate, miscalibrated multiplier.
-func Requant8Transfer(m fixed.Multiplier, acc Interval) (out, raw Interval, fullyClipped bool) {
-	raw = MultTransfer(m, acc)
+func requant8Transfer(m fixed.Multiplier, acc Interval) (out, raw Interval, fullyClipped bool) {
+	raw = multTransfer(m, acc)
 	out = raw
 	fullyClipped = out.Lo > int8Hi || out.Hi < int8Lo
 	if out.Lo < int8Lo {
@@ -164,13 +139,13 @@ func Requant8Transfer(m fixed.Multiplier, acc Interval) (out, raw Interval, full
 	return out, raw, fullyClipped
 }
 
-// ScaleTransfer runs a KScale's semantics: MultTransfer with int32
+// scaleTransfer runs a KScale's semantics: multTransfer with int32
 // truncation. Unlike the saturating datapath a feasible value outside
-// Fix32Range does not clip, it wraps — always corruption. On wrap the
+// the Fix32 range does not clip, it wraps — always corruption. On wrap the
 // output widens to the full Fix32 range (the wrapped value can land
 // anywhere); raw is the pre-truncation witness.
-func ScaleTransfer(m fixed.Multiplier, acc Interval) (out, raw Interval, wraps bool) {
-	raw = MultTransfer(m, acc)
+func scaleTransfer(m fixed.Multiplier, acc Interval) (out, raw Interval, wraps bool) {
+	raw = multTransfer(m, acc)
 	out = raw
 	if out.Lo < fix32.Lo || out.Hi > fix32.Hi {
 		return fix32, raw, true
@@ -178,13 +153,13 @@ func ScaleTransfer(m fixed.Multiplier, acc Interval) (out, raw Interval, wraps b
 	return out, raw, false
 }
 
-// LUTIndex runs a KLUT's index computation: the table multiplier followed by
+// lutIndex runs a KLUT's index computation: the table multiplier followed by
 // the index clamp into [-LUTSize/2, LUTSize/2-1]. A fully clamped index pins
 // to the boundary it clips against; allOutside reports that *no* feasible
 // index lands inside the table domain (the raw interval is the witness).
-func LUTIndex(l *mr.LUT, acc Interval) (idx, raw Interval, allOutside bool) {
+func lutIndex(l *mr.LUT, acc Interval) (idx, raw Interval, allOutside bool) {
 	const idxLo, idxHi = -mr.LUTSize / 2, mr.LUTSize/2 - 1
-	raw = MultTransfer(l.Mult, acc)
+	raw = multTransfer(l.Mult, acc)
 	idx = raw
 	allOutside = idx.Lo > idxHi || idx.Hi < idxLo
 	if idx.Lo < idxLo {
@@ -203,10 +178,10 @@ func LUTIndex(l *mr.LUT, acc Interval) (idx, raw Interval, allOutside bool) {
 	return idx, raw, allOutside
 }
 
-// LUTRange returns the min/max table value over the feasible index window.
+// tableRange returns the min/max table value over the feasible index window.
 // Callers doing many lookups against the same table should memoise the
 // full-domain case (the verifier does; see lutRange).
-func LUTRange(l *mr.LUT, idx Interval) Interval {
+func tableRange(l *mr.LUT, idx Interval) Interval {
 	iv := point(int64(l.Table[idx.Lo+mr.LUTSize/2]))
 	for i := idx.Lo + 1; i <= idx.Hi; i++ {
 		iv = iv.union(point(int64(l.Table[i+mr.LUTSize/2])))

@@ -40,7 +40,7 @@ var pushNames = map[string]bool{
 
 // gateNames are the callee names that statically verify a graph (or its
 // compiled tape) — graphcheck/tapecheck entry points and the taurus facade's
-// re-exports.
+// re-exports. VerifyWith is graphcheck's alone: tapecheck takes no options.
 var gateNames = map[string]bool{
 	"Verify":          true,
 	"VerifyWith":      true,

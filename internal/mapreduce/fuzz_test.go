@@ -156,10 +156,27 @@ var fuzzSeedSharedAct = append(append([]byte{9}, // 10 nodes
 	1, 8, 9, // two outputs: n8, n9
 )
 
+// fuzzSeedDeadDot decodes to a dot product no declared output reads, beside a
+// ReLU one does. Flipped to a squared distance the dead lane saturates
+// ((x−3145776)² leaves int32) where the dot cannot — the one shape an interval
+// analysis of the tape would refuse and the equivalence analysis certifies,
+// rightly: no output can tell (TestTapeMutationSeeds pins it).
+var fuzzSeedDeadDot = []byte{
+	4,       // 5 nodes
+	0, 4, 0, // n0 input w4
+	1, 4, 0, // n1 const w4: 12336, -53200, 48, 3145776
+	8, 48, 48, 0, 0, 8, 48, 48, 255, 255, 8, 48, 0, 0, 0, 8, 48, 0, 48, 0, 4,
+	2, 4, 2, 1, 2, 2, // n2 map mul (n0, n1)
+	4, 1, 1, 3, 0, // n3 reduce add (n2): dead
+	3, 4, 1, 1, 0, // n4 relu (n0)
+	0, 4, // one output: n4
+}
+
 // fuzzSeeds are the model-shaped corpus seeds, by name.
 var fuzzSeeds = map[string][]byte{
 	"dnn": fuzzSeedDNN, "kmeans": fuzzSeedKMeans, "svm": fuzzSeedSVM,
 	"layer": fuzzSeedLayer, "shared-act": fuzzSeedSharedAct,
+	"dead-dot": fuzzSeedDeadDot,
 }
 
 // fuzzInputs derives deterministic, magnitude-diverse input vectors from the
@@ -295,12 +312,10 @@ func schedDifferential(t *testing.T, g *mr.Graph, data []byte) {
 		t.Fatalf("sched.Compile rejects a Validate-accepted graph: %v", err)
 	}
 	// Compile's gate already ran; pin the stronger invariant behind it: a
-	// faithful compile carries no translation-class findings at all. (Range
-	// findings may legitimately be inherited from a saturating source graph.)
+	// faithful compile carries no findings at all, whatever the graph's own
+	// ranges (saturation a tape inherits is graphcheck's to name).
 	for _, fd := range tapecheck.Verify(p).Findings {
-		if fd.Check != tapecheck.CheckRange {
-			t.Fatalf("tapecheck %s finding on a faithfully compiled graph: %s", fd.Check, fd)
-		}
+		t.Fatalf("tapecheck %s finding on a faithfully compiled graph: %s", fd.Check, fd)
 	}
 	diffProgram(t, g, p, data, refs, "")
 }
@@ -535,6 +550,22 @@ func TestTapeMutationSeeds(t *testing.T) {
 	}
 	if rejected == 0 {
 		t.Fatal("no mutant was rejected: the mutation corpus is inert")
+	}
+
+	// The dead lane: a dot no declared output reads, flipped to a squared
+	// distance that saturates, must be among the mutants the loop above
+	// certified (and so diffed against Graph.Eval) — nothing observable changed.
+	p, err := sched.CompileUnverified(graphFromBytes(fuzzSeedDeadDot), cgra.DefaultGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := slices.IndexFunc(p.Code(), func(ins sched.Instr) bool { return ins.Op == sched.OpDot })
+	if pc < 0 {
+		t.Fatal("dead-dot seed compiles to no dot")
+	}
+	mutateTape(p, 3, pc)
+	if rep := tapecheck.Verify(p); p.Code()[pc].Op != sched.OpSqDist || !rep.OK() {
+		t.Fatalf("dead dot flipped to %s is not certified:\n%s", p.Code()[pc].Op, rep)
 	}
 	for _, want := range []tapecheck.Analysis{tapecheck.CheckEquiv, tapecheck.CheckBounds} {
 		if classes[want] == 0 {

@@ -13,7 +13,7 @@
 // plus the block's fill latency on the way out). The II in that model is
 // the list schedule's measured initiation interval (internal/sched, via
 // core.Device.ScheduledII), so simulated latency and loss are derived from
-// the schedule the device actually executes, not a depth-only estimate. Control-plane weight
+// the schedule the device actually executes. Control-plane weight
 // pushes become simulated events too: Push stalls every shard's service for
 // PushStallNs — the out-of-band weight-write window — so the drift
 // collapse-and-recover story can be asked with queueing: does a retrain

@@ -412,9 +412,8 @@ func (m ServiceModel) NominalPPS() float64 {
 // ServiceModel returns the deployed model's per-shard service times (zero
 // MLServiceNs before LoadModel). MLServiceNs is the schedule-measured II of
 // the compiled tape (core.Model.ScheduledII) — the II the list scheduler
-// packed under the grid's issue capacity, not graphcheck's depth-only
-// estimate — so the queueing simulator and MaxSustainablePPS are derived from
-// the schedule the device actually executes.
+// packed under the grid's issue capacity — so the queueing simulator and
+// MaxSustainablePPS are derived from the schedule the device actually executes.
 func (p *Pipeline) ServiceModel() ServiceModel {
 	m := p.model.Load()
 	return ServiceModel{

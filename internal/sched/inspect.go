@@ -57,26 +57,6 @@ func (img *Image) Mults() []fixed.Multiplier { return img.mults }
 func (img *Image) LUTs() []mr.LUT            { return img.luts }
 func (img *Image) Sums() []int64             { return img.sums }
 
-// Source returns a fresh graph holding what the program evaluates now: the
-// tape's structure carrying the image's weights. It allocates a whole graph —
-// for audits off the packet path that need the served model as a graph.
-func (p *Program) Source() *mr.Graph {
-	g := p.tape.g.Clone()
-	for i, n := range g.Nodes {
-		at := p.tape.layout[i]
-		switch n.Kind {
-		case mr.KConst:
-			copy(n.Const, p.img.lanes[at:at+n.Width])
-		case mr.KRequant, mr.KScale:
-			n.Mult = p.img.mults[at]
-		case mr.KLUT:
-			lut := p.img.luts[at]
-			n.LUT = &lut
-		}
-	}
-	return g
-}
-
 // NodeCost exposes the scheduler's per-node cost model: how many issue slots
 // the node claims, its result latency, and whether it issues on a memory
 // unit rather than a compute unit. tapecheck re-runs it to prove a schedule's

@@ -4,14 +4,12 @@
 // a weight Image and a per-shard Arena) that replaces Graph.Eval's per-node
 // switch dispatch with fused straight-line loops.
 //
-// The schedule is the measured counterpart of graphcheck's depth-only
-// estimate (Report.CriticalPathCycles / Report.EstII): graphcheck bounds the
-// critical path ignoring resource contention, while Plan packs every compute
-// node into per-cycle issue bundles under the grid's CU/MU capacity and
-// reports the initiation interval the packed schedule actually sustains.
-// Device, pipeline.ServiceModel and the netqueue simulator consume this II —
-// the service-time model is re-derived from the real schedule, not the
-// estimate.
+// The schedule is the tree's one answer to "what are depth and II": Plan
+// packs every compute node into per-cycle issue bundles under the grid's
+// CU/MU capacity and reports the initiation interval the packed schedule
+// actually sustains. Device, pipeline.ServiceModel and the netqueue simulator
+// consume this II; the only other number is the placed II/latency
+// internal/compiler reports for the paper's tables.
 package sched
 
 import (
@@ -42,8 +40,7 @@ type Schedule struct {
 	Start, Done []int
 
 	// Depth is the schedule makespan in cycles: the completion cycle of the
-	// last node. Compare with graphcheck's CriticalPathCycles, which bounds
-	// the same quantity without resource constraints.
+	// last node.
 	Depth int
 
 	// II is the measured initiation interval: the steady-state cycles
@@ -72,8 +69,7 @@ func log2Ceil(n int) int {
 	return b
 }
 
-// chainWidth is a node's lane demand (its argument's width for reductions),
-// mirroring graphcheck's accounting.
+// chainWidth is a node's lane demand (its argument's width for reductions).
 func chainWidth(g *mr.Graph, n *mr.Node) int {
 	switch n.Kind {
 	case mr.KInput, mr.KConst, mr.KConcat, mr.KSlice:
@@ -92,8 +88,7 @@ func chainWidth(g *mr.Graph, n *mr.Node) int {
 // unit. issues is the number of consecutive cycles the node holds one unit
 // (lane chunks issue back-to-back); lat is the cycle count until the value
 // reaches consumers. Free nodes (wires, storage, and KScale, which fuses
-// into its consumer's pipeline for free) return (0, 0), matching
-// graphcheck's depth costs.
+// into its consumer's pipeline for free) return (0, 0).
 func nodeCost(g *mr.Graph, n *mr.Node, spec cgra.GridSpec) (issues, lat int, onMU bool) {
 	switch n.Kind {
 	case mr.KMap, mr.KUnary, mr.KRequant:

@@ -33,7 +33,7 @@ func (c *checker) alias() {
 		switch n.Kind {
 		case mr.KConst:
 			if at != lanes {
-				c.finding(-1, n.ID, SevError, CheckAlias, Interval{},
+				c.finding(-1, n.ID, SevError, CheckAlias,
 					"const node %d is laid out at image lanes [%d,%d), want [%d,%d): it shares lanes with, or leaves a gap beside, another node's weights",
 					n.ID, at, at+n.Width, lanes, lanes+n.Width)
 			} else {
@@ -42,20 +42,20 @@ func (c *checker) alias() {
 			lanes += n.Width
 		case mr.KRequant, mr.KScale:
 			if at != mults {
-				c.finding(-1, n.ID, SevError, CheckAlias, Interval{},
+				c.finding(-1, n.ID, SevError, CheckAlias,
 					"%s node %d is laid out at multiplier %d, want %d", n.Kind, n.ID, at, mults)
 			}
 			mults++
 		case mr.KLUT:
 			if at != luts {
-				c.finding(-1, n.ID, SevError, CheckAlias, Interval{},
+				c.finding(-1, n.ID, SevError, CheckAlias,
 					"lut node %d is laid out at table %d, want %d", n.ID, at, luts)
 			}
 			luts++
 		}
 	}
 	if l, m, t := len(c.img.Lanes()), len(c.img.Mults()), len(c.img.LUTs()); l != lanes || m != mults || t != luts {
-		c.finding(-1, -1, SevError, CheckAlias, Interval{},
+		c.finding(-1, -1, SevError, CheckAlias,
 			"image holds %d lanes, %d multipliers, %d tables; the graph's weights need %d, %d, %d", l, m, t, lanes, mults, luts)
 	}
 
@@ -63,7 +63,7 @@ func (c *checker) alias() {
 		ins := &c.code[pc]
 		for i, o := range [...]sched.Operand{ins.A, ins.B, ins.C} {
 			if node, fault := c.operandFault(o); fault != "" {
-				c.finding(pc, node, SevError, CheckAlias, Interval{}, "operand %c %s", 'a'+i, fault)
+				c.finding(pc, node, SevError, CheckAlias, "operand %c %s", 'a'+i, fault)
 			}
 		}
 		for r, o := range ins.Rows {
@@ -73,18 +73,18 @@ func (c *checker) alias() {
 				fault = "is not constant-backed"
 			}
 			if fault != "" {
-				c.finding(pc, node, SevError, CheckAlias, Interval{}, "row operand %d %s", r, fault)
+				c.finding(pc, node, SevError, CheckAlias, "row operand %d %s", r, fault)
 			}
 		}
 		switch {
 		case ins.Op == sched.OpRequant, ins.Op == sched.OpScale, ins.Op == sched.OpMatVec && ins.Quant != sched.OpNone:
 			if !c.hasMult(ins) {
-				c.finding(pc, -1, SevError, CheckAlias, Interval{},
+				c.finding(pc, -1, SevError, CheckAlias,
 					"multiplier index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.Mults()))
 			}
 		case ins.Op == sched.OpLUT:
 			if !c.hasLUT(ins) {
-				c.finding(pc, -1, SevError, CheckAlias, Interval{},
+				c.finding(pc, -1, SevError, CheckAlias,
 					"table index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.LUTs()))
 			}
 		}
@@ -94,7 +94,7 @@ func (c *checker) alias() {
 	// input would have the device stage packets into the weight image.
 	for i := range c.g.Inputs {
 		if c.p.InputOperand(i).Const {
-			c.finding(-1, c.g.Inputs[i], SevError, CheckAlias, Interval{},
+			c.finding(-1, c.g.Inputs[i], SevError, CheckAlias,
 				"declared input %d addresses the weight image", i)
 		}
 	}
@@ -111,7 +111,7 @@ func (c *checker) alias() {
 			root = c.g.Node(root.Args[0])
 		}
 		if owner, _ := c.constNode(out); owner != root.ID {
-			c.finding(-1, id, SevError, CheckAlias, Interval{},
+			c.finding(-1, id, SevError, CheckAlias,
 				"declared output %d reads image lanes that are not its own const node's", i)
 		}
 	}

@@ -69,7 +69,7 @@ func (c *checker) bounds() {
 			continue // alias() flags this
 		}
 		if w := c.g.Node(c.g.Inputs[i]).Width; o.W != w {
-			c.finding(-1, c.g.Inputs[i], SevError, CheckBounds, Interval{},
+			c.finding(-1, c.g.Inputs[i], SevError, CheckBounds,
 				"declared input %d window is %d lanes, node is %d wide", i, o.W, w)
 		}
 		if !c.checkWindow(-1, c.g.Inputs[i], "input", o, o.W) {
@@ -87,11 +87,11 @@ func (c *checker) bounds() {
 		ins := &c.code[pc]
 		cls := classOf(ins.Op)
 		if cls == classBad {
-			c.finding(pc, -1, SevError, CheckBounds, Interval{}, "unknown opcode %d", int(ins.Op))
+			c.finding(pc, -1, SevError, CheckBounds, "unknown opcode %d", int(ins.Op))
 			continue
 		}
 		if ins.W < 1 {
-			c.finding(pc, -1, SevError, CheckBounds, Interval{}, "instruction width %d", ins.W)
+			c.finding(pc, -1, SevError, CheckBounds, "instruction width %d", ins.W)
 			continue
 		}
 
@@ -101,33 +101,33 @@ func (c *checker) bounds() {
 		switch cls {
 		case classBinary:
 			if ins.A.W != ins.W {
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"operand a is %d lanes, instruction writes %d", ins.A.W, ins.W)
 			}
 			if ins.B.W != 1 && ins.B.W != ins.W {
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"operand b is %d lanes, want 1 (broadcast) or %d", ins.B.W, ins.W)
 			}
 		case classUnary:
 			if ins.A.W != ins.W {
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"operand a is %d lanes, instruction writes %d", ins.A.W, ins.W)
 			}
 		case classReduce, classDot, classDotAdd:
 			if ins.W != 1 {
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"reduction writes %d lanes, want 1", ins.W)
 			}
 			if ins.A.W < 1 {
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"reduction over %d lanes", ins.A.W)
 			}
 			if cls != classReduce && ins.B.W != 1 && ins.B.W != ins.A.W {
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"operand b is %d lanes, want 1 (broadcast) or %d", ins.B.W, ins.A.W)
 			}
 			if cls == classDotAdd && ins.C.W < 1 {
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"bias operand c is empty")
 			}
 		case classMatVec:
@@ -135,11 +135,11 @@ func (c *checker) bounds() {
 			// row, and lane 0 of every bias; a constant or narrower input
 			// (a broadcast lane) is not something it can address.
 			if ins.A.Const || ins.A.W < 1 {
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"matvec input is constant-backed or empty (%d lanes)", ins.A.W)
 			}
 			if _, ok := matVecBiased(ins); !ok {
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"matvec writes %d lanes from %d row operands, want %d (rows) or %d (rows and biases)",
 					ins.W, len(ins.Rows), ins.W, 2*ins.W)
 				continue
@@ -149,25 +149,25 @@ func (c *checker) bounds() {
 			switch ins.Act {
 			case sched.OpNone, sched.OpRelu, sched.OpLeaky, sched.OpNeg, sched.OpAbs:
 			default:
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"matvec epilogue activation is %v (opcode %d), want a unary or none", ins.Act, int(ins.Act))
 			}
 			switch ins.Quant {
 			case sched.OpNone, sched.OpRequant, sched.OpScale:
 			default:
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"matvec epilogue rescale is %v (opcode %d), want requant, scale or none", ins.Quant, int(ins.Quant))
 			}
 			if n := len(c.img.Sums()); ins.Sum < 0 || ins.Sum+ins.W > n {
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"matvec reads row sums [%d,%d) of the image's %d", ins.Sum, ins.Sum+ins.W, n)
 			}
 			for r, o := range ins.Rows {
 				if want := ins.A.W; r < ins.W && o.W != want {
-					c.finding(pc, -1, SevError, CheckBounds, Interval{},
+					c.finding(pc, -1, SevError, CheckBounds,
 						"row %d is %d lanes, input is %d", r, o.W, want)
 				} else if r >= ins.W && o.W != 1 {
-					c.finding(pc, -1, SevError, CheckBounds, Interval{},
+					c.finding(pc, -1, SevError, CheckBounds,
 						"bias %d is %d lanes, want 1", r-ins.W, o.W)
 				}
 			}
@@ -218,11 +218,11 @@ func (c *checker) bounds() {
 				switch {
 				case c.writer[idx] >= 0 && !clobberOnce:
 					clobberOnce = true
-					c.finding(pc, -1, SevError, CheckBounds, Interval{},
+					c.finding(pc, -1, SevError, CheckBounds,
 						"writes arena cell %d already written by pc %d (clobber)", idx, c.writer[idx])
 				case c.writer[idx] <= -2 && !clobberOnce:
 					clobberOnce = true
-					c.finding(pc, -1, SevError, CheckBounds, Interval{},
+					c.finding(pc, -1, SevError, CheckBounds,
 						"writes arena cell %d inside a caller-staged input window", idx)
 				}
 				c.writer[idx] = int32(pc)
@@ -237,7 +237,7 @@ func (c *checker) bounds() {
 			continue // alias() audits constant-backed outputs
 		}
 		if w := c.g.Node(id).Width; o.W != w {
-			c.finding(-1, id, SevError, CheckBounds, Interval{},
+			c.finding(-1, id, SevError, CheckBounds,
 				"declared output %d window is %d lanes, node is %d wide", i, o.W, w)
 		}
 		if !c.checkWindow(-1, id, "output", o, o.W) {
@@ -249,7 +249,7 @@ func (c *checker) bounds() {
 			for l := 0; l < o.W; l++ {
 				if c.writer[base+l] == -1 {
 					reported = true
-					c.finding(-1, id, SevError, CheckBounds, Interval{},
+					c.finding(-1, id, SevError, CheckBounds,
 						"declared output %d lane %d is never computed (arena cell %d)", i, l, base+l)
 					break
 				}
@@ -266,12 +266,12 @@ func (c *checker) checkWindow(pc int, node mr.NodeID, what string, o sched.Opera
 		return false // width findings already reported by the caller
 	}
 	if o.Off < 0 || o.Stride < o.W || o.W < lanes {
-		c.finding(pc, node, SevError, CheckBounds, Interval{},
+		c.finding(pc, node, SevError, CheckBounds,
 			"%s window malformed: off %d, stride %d, width %d", what, o.Off, o.Stride, o.W)
 		return false
 	}
 	if end := o.Off + (c.batch-1)*o.Stride + lanes; end > c.arena {
-		c.finding(pc, node, SevError, CheckBounds, Interval{},
+		c.finding(pc, node, SevError, CheckBounds,
 			"%s window [%d,%d) overruns the %d-lane arena at batch %d",
 			what, o.Off, end, c.arena, c.batch)
 		return false
@@ -293,7 +293,7 @@ func (c *checker) checkRead(pc int, o sched.Operand, lanes int, undefOnce, skewO
 		if w0 == -1 {
 			if !*undefOnce {
 				*undefOnce = true
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"reads arena cell %d before any instruction writes it", o.Off+l)
 			}
 			continue
@@ -324,7 +324,7 @@ func (c *checker) checkRead(pc int, o sched.Operand, lanes int, undefOnce, skewO
 		for j := 1; j < c.batch; j++ {
 			if c.writer[o.Off+j*o.Stride+l] != w0 {
 				*skewOnce = true
-				c.finding(pc, -1, SevError, CheckBounds, Interval{},
+				c.finding(pc, -1, SevError, CheckBounds,
 					"batch slot %d of operand lane %d reads a different producer than slot 0 (stride skew)", j, l)
 				break
 			}

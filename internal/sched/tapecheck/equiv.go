@@ -604,7 +604,7 @@ func (c *checker) equiv() {
 					pc = int(c.writer[idx]) // diverging expr predates the tape: blame the cell's writer
 				}
 			}
-			c.finding(pc, id, SevError, CheckEquiv, Interval{},
+			c.finding(pc, id, SevError, CheckEquiv,
 				"output %d lane %d computes %s, graph defines %s (diverges at %s vs %s)",
 				i, l, it.render(got, 3), it.render(want[l], 3),
 				it.render(dg, 2), it.render(dw, 2))

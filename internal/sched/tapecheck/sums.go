@@ -27,7 +27,7 @@ func (c *checker) sums() {
 			continue
 		}
 		if ins.Sum != next {
-			c.finding(pc, -1, SevError, CheckSums, Interval{},
+			c.finding(pc, -1, SevError, CheckSums,
 				"row sums are indexed from %d, want %d: they would share an index with, or leave a gap beside, another matvec's", ins.Sum, next)
 		}
 		next += max(ins.W, 0)
@@ -45,14 +45,22 @@ func (c *checker) sums() {
 			}
 			want = min(want, math.MaxInt32+1)
 			if got := sums[ins.Sum+r]; got != want {
-				c.finding(pc, -1, SevError, CheckSums, Interval{},
+				c.finding(pc, -1, SevError, CheckSums,
 					"row %d: the image's sum|w| is %d, its lanes [%d,%d) sum to %d", r, got, row.Off, row.Off+row.W, want)
 				break
 			}
 		}
 	}
 	if next != len(sums) {
-		c.finding(-1, -1, SevError, CheckSums, Interval{},
+		c.finding(-1, -1, SevError, CheckSums,
 			"image holds %d row sums, the tape's matvecs have %d rows", len(sums), next)
 	}
+}
+
+// magnitude is |v| as an unsigned value (MinInt64 included).
+func magnitude(v int64) uint64 {
+	if v < 0 {
+		return -uint64(v)
+	}
+	return uint64(v)
 }

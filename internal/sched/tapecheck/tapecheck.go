@@ -7,7 +7,8 @@
 // becomes a named finding at compile time, not a wrong verdict in
 // production.
 //
-// One pass over the tape performs five analyses:
+// One pass over the tape performs four analyses of the instructions and one of
+// the schedule they were linearised from:
 //
 //  1. Semantic equivalence: every instruction's effect is re-derived
 //     symbolically, per output lane, as a hash-consed expression over the
@@ -22,18 +23,7 @@
 //     reported at the instruction that produced the first diverging
 //     subexpression.
 //
-//  2. Interval soundness: graphcheck's exported transfer kernel
-//     (graphcheck.MapTransfer et al.) is rerun over the tape's arena cells,
-//     including fusion-introduced temporaries that have no graph node (the
-//     per-term products of a fused dot, the pre-bias accumulator of a
-//     dot+add or of a matvec row, the lanes between a matvec's bias add,
-//     activation and rescale), proving no compiled intermediate can
-//     silently saturate the Fix32 datapath where the graph could not. A
-//     matvec whose packing guard (sum|w| times the input magnitude bound
-//     within int32) cannot be shown from those intervals draws an
-//     informational finding: it will take the slower exact path at runtime.
-//
-//  3. Weight-addressing audit: the tape's layout must give every
+//  2. Weight-addressing audit: the tape's layout must give every
 //     weight-owning graph node a slot of its own in the weight image; every
 //     constant-backed operand — a matvec's rows and biases among them, which
 //     must be constant-backed — must lie inside exactly one KConst's slot,
@@ -41,19 +31,25 @@
 //     name a payload the image holds — so an image built from a pushed graph
 //     puts exactly the weights the push means to set where the tape reads them.
 //
-//  4. Row-sum audit: the weight half of a matvec's packing guard is read
+//  3. Row-sum audit: the weight half of a matvec's packing guard is read
 //     from the image, not computed by the kernel, so it is re-derived here:
 //     every matvec row owns one sum index, dense in tape order, and the
 //     image's value there is min(sum|w|, 1<<31) of the lanes the row reads.
 //     An understated sum would license packed arithmetic that overflows.
 //
-//  5. Arena and schedule bounds: every operand and destination window of
-//     the structure-of-arrays arena stays in bounds across all batch slots,
-//     no cell is read before it is written or written by two instructions,
-//     every lane reads the same producer in every batch slot (so a
-//     corrupted stride cannot read a neighbouring packet's data), and the
-//     Plan's issue bundles are re-verified against the cgra.GridSpec CU/MU
-//     capacities and the II the scheduler claimed.
+//  4. Arena bounds: every operand and destination window of the
+//     structure-of-arrays arena stays in bounds across all batch slots, no
+//     cell is read before it is written or written by two instructions, and
+//     every lane reads the same producer in every batch slot (so a corrupted
+//     stride cannot read a neighbouring packet's data).
+//
+//  5. Plan: the schedule's issue bundles are re-verified against the
+//     cgra.GridSpec CU/MU capacities and the II the scheduler claimed.
+//
+// There is no interval analysis here. Equivalence proves every declared output
+// lane is, sat32 for sat32, the graph's own expression, so whether a lane can
+// saturate Fix32 is a question about the graph: graphcheck answers it, once, on
+// every install and push path — a tape that merely inherits it is faithful.
 //
 // Verify is pure and allocation-bounded: on the ~1400-node DNN it makes about
 // a thousand allocations (pinned by TestVerifyLargestDNNBudget; timed by
@@ -62,7 +58,7 @@
 // error-severity findings (sched.CompileUnverified opts out), so a device
 // install of a tape the validator rejects fails with that error and the
 // previously installed model keeps serving. `taurus-compile -check` prints
-// the report next to graphcheck's.
+// the report next to graphcheck's, and fails exactly when the gate would.
 package tapecheck
 
 import (
@@ -90,17 +86,12 @@ const (
 	SevError   = graphcheck.SevError
 )
 
-// Interval is graphcheck's inclusive integer range.
-type Interval = graphcheck.Interval
-
 // Analysis names the check a finding came from.
 type Analysis string
 
 const (
 	// CheckEquiv findings come from the symbolic-equivalence analysis.
 	CheckEquiv Analysis = "equiv"
-	// CheckRange findings come from the interval-soundness analysis.
-	CheckRange Analysis = "range"
 	// CheckAlias findings come from the weight-addressing audit.
 	CheckAlias Analysis = "alias"
 	// CheckSums findings come from the matvec row-sum audit.
@@ -128,8 +119,6 @@ type Finding struct {
 	Check Analysis
 	// Msg is the human-readable diagnostic.
 	Msg string
-	// Range is the witness interval, when the range analysis produced it.
-	Range Interval
 }
 
 // String formats the finding.
@@ -207,7 +196,7 @@ func (r *Report) String() string {
 	}
 	b.WriteString("\n")
 	if len(r.Findings) == 0 {
-		fmt.Fprintf(&b, "  findings:  none (equiv, range, alias, sums, bounds, plan all clean)\n")
+		fmt.Fprintf(&b, "  findings:  none (equiv, alias, sums, bounds, plan all clean)\n")
 		return b.String()
 	}
 	fmt.Fprintf(&b, "  findings:\n")
@@ -217,50 +206,10 @@ func (r *Report) String() string {
 	return b.String()
 }
 
-// Options parameterises verification.
-type Options struct {
-	// InputRange, when set, overrides the seed interval of declared input i
-	// (by position in the graph's Inputs), exactly as
-	// graphcheck.Options.InputRange does. Return ok=false to keep the
-	// default int8 code range.
-	InputRange func(i int, name string) (Interval, bool)
-}
-
-// Verify runs every analysis on p with default options.
-func Verify(p *sched.Program) *Report { return VerifyWith(p, Options{}) }
-
-// Check is the gate form of Verify: nil when the tape is a faithful, safe
-// translation, an error (wrapping ErrBadTape) otherwise. sched.Compile calls
-// this on every compiled tape once tapecheck is linked in.
-//
-// Translation-class findings (equiv, alias, sums, bounds, plan) always gate. A
-// range finding gates only when the source graph itself verifies clean under
-// graphcheck: the tape's interval analysis exists to prove the compiled
-// intermediates cannot saturate where the graph could not, and a tape that
-// merely inherits the graph's own saturation is still a faithful translation
-// — rejecting the graph is graphcheck's job, on the push path. "The source
-// graph" is the compiled structure carrying the weights of the image the
-// program is bound to, whichever push they came from.
-func Check(p *sched.Program) error {
-	r := Verify(p)
-	var rangeErr *Finding
-	for i := range r.Findings {
-		f := &r.Findings[i]
-		if f.Severity != SevError {
-			continue
-		}
-		if f.Check != CheckRange {
-			return fmt.Errorf("%w: graph %q: %s", ErrBadTape, r.Graph, f)
-		}
-		if rangeErr == nil {
-			rangeErr = f
-		}
-	}
-	if rangeErr != nil && graphcheck.Verify(p.Source()).OK() {
-		return fmt.Errorf("%w: graph %q: %s", ErrBadTape, r.Graph, rangeErr)
-	}
-	return nil
-}
+// Check is the gate form of Verify: nil when the tape is a faithful
+// translation, the first error finding (wrapping ErrBadTape) otherwise.
+// sched.Compile calls this on every compiled tape once tapecheck is linked in.
+func Check(p *sched.Program) error { return Verify(p).Err() }
 
 func init() {
 	// Register as sched's compile-time gate: any binary that links tapecheck
@@ -268,8 +217,8 @@ func init() {
 	sched.SetVerifier(Check)
 }
 
-// VerifyWith runs every analysis on p against the given options.
-func VerifyWith(p *sched.Program, opts Options) *Report {
+// Verify runs every analysis on p.
+func Verify(p *sched.Program) *Report {
 	if p == nil || p.Tape() == nil || p.Image() == nil {
 		return &Report{Graph: "<nil>", Findings: []Finding{{
 			PC: -1, Node: -1, Severity: SevError, Check: CheckBounds, Msg: "program is nil or binds no tape and image",
@@ -309,7 +258,7 @@ func VerifyWith(p *sched.Program, opts Options) *Report {
 		layout: p.Tape().Layout(),
 	}
 	if len(c.layout) != len(g.Nodes) {
-		c.finding(-1, -1, SevError, CheckAlias, Interval{},
+		c.finding(-1, -1, SevError, CheckAlias,
 			"weight layout covers %d nodes, graph has %d", len(c.layout), len(g.Nodes))
 		return r
 	}
@@ -317,7 +266,6 @@ func VerifyWith(p *sched.Program, opts Options) *Report {
 	c.sums()   // the guard's weight half, re-derived from the image's lanes
 	c.bounds() // widths, windows, liveness, slot uniformity
 	c.plan()   // schedule capacity/precedence re-verification
-	c.ranges(opts)
 	c.equiv()
 	return r
 }
@@ -344,13 +292,13 @@ type checker struct {
 }
 
 // finding appends one diagnostic for instruction pc (or -1).
-func (c *checker) finding(pc int, node mr.NodeID, sev Severity, check Analysis, rng Interval, format string, args ...any) {
+func (c *checker) finding(pc int, node mr.NodeID, sev Severity, check Analysis, format string, args ...any) {
 	op := ""
 	if pc >= 0 && pc < len(c.code) {
 		op = c.code[pc].Mnemonic()
 	}
 	c.r.Findings = append(c.r.Findings, Finding{
 		PC: pc, Op: op, Node: node, Severity: sev, Check: check,
-		Msg: fmt.Sprintf(format, args...), Range: rng,
+		Msg: fmt.Sprintf(format, args...),
 	})
 }

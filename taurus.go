@@ -140,9 +140,8 @@ func NewProgram(name string) *Builder { return mapreduce.NewBuilder(name) }
 // graph that fails them; VerifyGraph exposes the full report directly.
 type (
 	// GraphReport is the verifier's full result: per-node findings, the
-	// resource census against the grid, dead-node diagnostics and the
-	// depth-based initiation-interval estimate. OK() is the gate; String()
-	// renders the report taurus-compile -check prints.
+	// resource census against the grid and dead-node diagnostics. OK() is the
+	// gate; String() renders the report taurus-compile -check prints.
 	GraphReport = graphcheck.Report
 	// GraphFinding is one diagnostic, anchored to the offending node.
 	GraphFinding = graphcheck.Finding
@@ -162,8 +161,8 @@ var (
 
 // Graph verification entry points.
 var (
-	// VerifyGraph runs value-range, resource, dead-node and schedule
-	// analysis on g against the default grid and returns the full report.
+	// VerifyGraph runs value-range, resource and dead-node analysis on g
+	// against the default grid and returns the full report.
 	VerifyGraph = graphcheck.Verify
 	// VerifyGraphWith is VerifyGraph against explicit options (target grid,
 	// input ranges).
@@ -196,7 +195,7 @@ func Compile(g *Graph, opts CompileOptions) (*Compiled, error) {
 // checked against Graph.Eval, the reference semantics. PlanSchedule
 // list-schedules a validated graph into VLIW-style issue bundles under the
 // grid's CU/MU capacity and reports the measured depth and initiation
-// interval (superseding GraphReport's depth-only estimate); CompileProgram
+// interval — the only depth and II the static tools print; CompileProgram
 // additionally emits the fused, allocation-free instruction tape the device
 // hot path runs, with batch-vectorised RunBatch. Devices compile installed
 // models automatically — a model whose tape the scheduler or the translation
@@ -227,8 +226,9 @@ func CompileProgram(g *Graph, spec GridSpec) (*CompiledProgram, error) {
 // compiled elsewhere can re-verify it.
 type (
 	// TapeReport is the validator's full result: semantic equivalence of
-	// every output lane against the source graph, interval soundness of each
-	// tape cell, the weight-addressing audit and the arena/schedule bounds.
+	// every output lane against the source graph, the weight-addressing and
+	// row-sum audits and the arena/schedule bounds. Value ranges are
+	// GraphReport's: a lane the tape proves equal to the graph's inherits them.
 	TapeReport = tapecheck.Report
 	// TapeFinding is one diagnostic, anchored to the offending instruction.
 	TapeFinding = tapecheck.Finding
