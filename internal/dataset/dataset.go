@@ -201,8 +201,13 @@ func (g *AnomalyGenerator) Record() Record {
 
 // RecordOfClass draws a record conditioned on a specific class.
 func (g *AnomalyGenerator) RecordOfClass(class Class) Record {
-	feats := make(tensor.Vec, g.cfg.NumFeatures)
-	for f := 0; f < g.cfg.NumFeatures; f++ {
+	return g.recordInto(make(tensor.Vec, g.cfg.NumFeatures), class)
+}
+
+// recordInto draws the features of a record of the given class into feats
+// (NumFeatures long).
+func (g *AnomalyGenerator) recordInto(feats tensor.Vec, class Class) Record {
+	for f := range feats {
 		m := g.models[class][f]
 		raw := math.Exp(m.mu + m.sigma*g.rng.NormFloat64())
 		v := math.Log1p(raw) // log-compression (feature engineering, §3.1)
@@ -214,11 +219,16 @@ func (g *AnomalyGenerator) RecordOfClass(class Class) Record {
 	return Record{Features: feats, Class: class}
 }
 
-// Records draws n labelled records.
+// Records draws n labelled records — the ones n Record calls would return,
+// from the same rng draws in the same order. Their feature vectors are carved
+// out of one backing array, each limited to its own capacity, so appending to
+// one cannot reach its neighbour.
 func (g *AnomalyGenerator) Records(n int) []Record {
 	out := make([]Record, n)
+	w := g.cfg.NumFeatures
+	buf := make(tensor.Vec, n*w)
 	for i := range out {
-		out[i] = g.Record()
+		out[i] = g.recordInto(buf[i*w:(i+1)*w:(i+1)*w], g.sampleClass())
 	}
 	return out
 }

@@ -44,6 +44,38 @@ func TestAnomalyFractionRespected(t *testing.T) {
 	}
 }
 
+// Records(n) is n Record calls on one backing array: the same rng draws in
+// the same order, and no record can grow into its neighbour.
+func TestRecordsEqualsSingleDraws(t *testing.T) {
+	const n = 300
+	for seed := int64(1); seed <= 3; seed++ {
+		bulk, _ := NewAnomalyGenerator(DefaultAnomalyConfig(), rand.New(rand.NewSource(seed)))
+		single, _ := NewAnomalyGenerator(DefaultAnomalyConfig(), rand.New(rand.NewSource(seed)))
+		recs := bulk.Records(n)
+		for i, r := range recs {
+			want := single.Record()
+			if r.Class != want.Class || len(r.Features) != len(want.Features) {
+				t.Fatalf("seed %d record %d: class %v width %d, single draw %v width %d",
+					seed, i, r.Class, len(r.Features), want.Class, len(want.Features))
+			}
+			for f := range want.Features {
+				if math.Float32bits(r.Features[f]) != math.Float32bits(want.Features[f]) {
+					t.Fatalf("seed %d record %d feature %d = %v, single draw %v",
+						seed, i, f, r.Features[f], want.Features[f])
+				}
+			}
+		}
+		if a, b := bulk.Record(), single.Record(); a.Class != b.Class || a.Features[0] != b.Features[0] {
+			t.Fatalf("seed %d: generators diverged after %d records", seed, n)
+		}
+		next := recs[1].Features[0]
+		grown := append(recs[0].Features, 99)
+		if recs[1].Features[0] != next || &grown[0] == &recs[0].Features[0] {
+			t.Fatalf("seed %d: appending to record 0 wrote into record 1's storage", seed)
+		}
+	}
+}
+
 func TestFeatureRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, _ := NewAnomalyGenerator(DefaultAnomalyConfig(), rng)

@@ -98,10 +98,51 @@ func (a Activation) Derivative(x float32) float32 {
 // ApplyVec applies the activation element-wise, returning a new slice.
 func (a Activation) ApplyVec(xs []float32) []float32 {
 	out := make([]float32, len(xs))
-	for i, x := range xs {
-		out[i] = a.Apply(x)
-	}
+	a.applyTo(out, xs)
 	return out
+}
+
+// applyTo writes a(xs[i]) to dst[i]; dst may be xs. The ReLU loop is Apply's
+// ReLU case with the switch taken once per vector instead of once per lane.
+//
+// hotpath: zero-alloc
+func (a Activation) applyTo(dst, xs []float32) {
+	dst = dst[:len(xs)]
+	if a == ReLU {
+		for i, x := range xs {
+			if x > 0 {
+				dst[i] = x
+			} else {
+				dst[i] = 0
+			}
+		}
+		return
+	}
+	for i, x := range xs {
+		dst[i] = a.Apply(x)
+	}
+}
+
+// mulDerivative scales v[i] by da/dx at the pre-activation pre[i]. ReLU keeps
+// the multiply by its 0-or-1 derivative, so the products are the ones
+// v[i]*a.Derivative(pre[i]) yields.
+//
+// hotpath: zero-alloc
+func (a Activation) mulDerivative(v, pre []float32) {
+	pre = pre[:len(v)]
+	if a == ReLU {
+		for i, x := range pre {
+			var d float32
+			if x > 0 {
+				d = 1
+			}
+			v[i] *= d
+		}
+		return
+	}
+	for i, x := range pre {
+		v[i] *= a.Derivative(x)
+	}
 }
 
 // ---------------------------------------------------------------------------

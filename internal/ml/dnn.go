@@ -88,28 +88,52 @@ func (n *DNN) Clone() *DNN {
 
 // Forward runs float inference, returning the output activations.
 func (n *DNN) Forward(x tensor.Vec) tensor.Vec {
-	cur := x
-	for _, l := range n.Layers {
-		z := tensor.MatVec(l.W, cur)
-		tensor.AddInPlace(z, l.B)
-		cur = l.Act.ApplyVec(z)
-	}
-	return cur
+	act := n.layerVecs()
+	return n.forwardInto(x, act, act)
 }
 
-// forwardTrace runs inference keeping every layer's pre- and post-activation
-// values for backpropagation. pre[i] and post[i] belong to layer i; post[-1]
-// is conceptually the input (returned separately for clarity).
-func (n *DNN) forwardTrace(x tensor.Vec) (pre, post []tensor.Vec) {
-	cur := x
+// layerVecs returns one zero vector per layer, as wide as the layer's
+// output, all carved out of one backing array.
+func (n *DNN) layerVecs() []tensor.Vec {
+	total := 0
 	for _, l := range n.Layers {
-		z := tensor.MatVec(l.W, cur)
-		tensor.AddInPlace(z, l.B)
-		pre = append(pre, z)
-		cur = l.Act.ApplyVec(z)
-		post = append(post, cur)
+		total += l.Out()
 	}
-	return pre, post
+	buf := make(tensor.Vec, total)
+	vecs := make([]tensor.Vec, len(n.Layers))
+	for i, l := range n.Layers {
+		vecs[i], buf = buf[:l.Out():l.Out()], buf[l.Out():]
+	}
+	return vecs
+}
+
+// forwardInto is the one float forward pass — inference, the trainer's
+// trace and quantisation's range calibration all run it. Layer i's
+// pre-activations W·in + b go to pre[i] and its activations to post[i], each
+// already as wide as the layer; a caller with no use for the pre-activations
+// passes the same vectors for both. It returns post[last].
+//
+// hotpath: zero-alloc
+func (n *DNN) forwardInto(x tensor.Vec, pre, post []tensor.Vec) tensor.Vec {
+	cur := x
+	for i, l := range n.Layers {
+		if len(cur) != l.W.Cols {
+			panic("ml: DNN layer input width mismatch")
+		}
+		z, b := pre[i], l.B
+		rows := l.W.Data // rows[:len(cur)] is the next row of W
+		for r := range z {
+			var s float32
+			for c, w := range rows[:len(cur)] {
+				s += w * cur[c]
+			}
+			z[r] = s + b[r]
+			rows = rows[len(cur):]
+		}
+		l.Act.applyTo(post[i], z)
+		cur = post[i]
+	}
+	return cur
 }
 
 // PredictClass returns the argmax output index for multi-class networks, or
@@ -141,6 +165,10 @@ func DefaultSGD() SGDConfig {
 // Trainer performs minibatch SGD with momentum on a DNN. Loss is softmax
 // cross-entropy for multi-output networks and binary cross-entropy for
 // single-sigmoid-output networks.
+//
+// Every buffer a sample or a minibatch needs is sized from the layer shapes
+// in NewTrainer and reused, so a warm epoch allocates nothing; a Trainer is
+// therefore not safe for concurrent use.
 type Trainer struct {
 	Net *DNN
 	Cfg SGDConfig
@@ -148,15 +176,30 @@ type Trainer struct {
 
 	velW []tensor.Mat
 	velB []tensor.Vec
+
+	// The workspace. pre, post and delta hold one sample's forward trace and
+	// back-propagated dLoss/dPre per layer; gradW and gradB accumulate one
+	// minibatch; probs is the softmax of the output layer; perm is the
+	// epoch's visiting order.
+	pre, post, delta []tensor.Vec
+	gradW            []tensor.Mat
+	gradB            []tensor.Vec
+	probs            tensor.Vec
+	perm             []int
 }
 
 // NewTrainer wires a trainer to net.
 func NewTrainer(net *DNN, cfg SGDConfig, rng *rand.Rand) *Trainer {
-	t := &Trainer{Net: net, Cfg: cfg, rng: rng}
+	t := &Trainer{
+		Net: net, Cfg: cfg, rng: rng,
+		velB: net.layerVecs(), gradB: net.layerVecs(),
+		pre: net.layerVecs(), post: net.layerVecs(), delta: net.layerVecs(),
+	}
 	for _, l := range net.Layers {
 		t.velW = append(t.velW, tensor.NewMat(l.W.Rows, l.W.Cols))
-		t.velB = append(t.velB, make(tensor.Vec, len(l.B)))
+		t.gradW = append(t.gradW, tensor.NewMat(l.W.Rows, l.W.Cols))
 	}
+	t.probs = make(tensor.Vec, len(t.post[len(t.post)-1]))
 	return t
 }
 
@@ -176,7 +219,7 @@ func (t *Trainer) Fit(X []tensor.Vec, y []int) float64 {
 // FitEpoch performs one shuffled epoch of minibatch SGD and returns the mean
 // per-sample loss.
 func (t *Trainer) FitEpoch(X []tensor.Vec, y []int) float64 {
-	idx := t.rng.Perm(len(X))
+	idx := t.shuffle(len(X))
 	var totalLoss float64
 	bs := t.Cfg.BatchSize
 	if bs <= 0 {
@@ -196,46 +239,70 @@ func (t *Trainer) FitEpoch(X []tensor.Vec, y []int) float64 {
 	return totalLoss / float64(len(X))
 }
 
+// shuffle fills the trainer's permutation buffer with a random order of
+// [0, n) by the loop rand.Perm runs — the same Intn draws in the same order,
+// so the rng stream and the order are the ones t.rng.Perm(n) would give —
+// and grows the buffer only when n does.
+func (t *Trainer) shuffle(n int) []int {
+	if cap(t.perm) < n {
+		t.perm = make([]int, n)
+	}
+	m := t.perm[:n]
+	for i := range m {
+		j := t.rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	return m
+}
+
 // step accumulates gradients over one minibatch and applies a momentum
 // update; it returns the summed loss.
+//
+// hotpath: zero-alloc
 func (t *Trainer) step(X []tensor.Vec, y []int, batch []int) float64 {
-	net := t.Net
-	gradW := make([]tensor.Mat, len(net.Layers))
-	gradB := make([]tensor.Vec, len(net.Layers))
-	for i, l := range net.Layers {
-		gradW[i] = tensor.NewMat(l.W.Rows, l.W.Cols)
-		gradB[i] = make(tensor.Vec, len(l.B))
+	for i := range t.gradW {
+		clear(t.gradW[i].Data)
+		clear(t.gradB[i])
 	}
 
 	var loss float64
 	for _, s := range batch {
-		loss += t.backprop(X[s], y[s], gradW, gradB)
+		loss += t.backprop(X[s], y[s])
 	}
 
+	mom := t.Cfg.Momentum
 	scale := t.Cfg.LearningRate / float32(len(batch))
-	for i, l := range net.Layers {
-		for j := range l.W.Data {
-			t.velW[i].Data[j] = t.Cfg.Momentum*t.velW[i].Data[j] - scale*gradW[i].Data[j]
-			l.W.Data[j] += t.velW[i].Data[j]
-		}
-		for j := range l.B {
-			t.velB[i][j] = t.Cfg.Momentum*t.velB[i][j] - scale*gradB[i][j]
-			l.B[j] += t.velB[i][j]
-		}
+	for i, l := range t.Net.Layers {
+		momentumUpdate(l.W.Data, t.velW[i].Data, t.gradW[i].Data, mom, scale)
+		momentumUpdate(l.B, t.velB[i], t.gradB[i], mom, scale)
 	}
 	return loss
 }
 
-// backprop adds one sample's gradients into gradW/gradB and returns its loss.
-func (t *Trainer) backprop(x tensor.Vec, label int, gradW []tensor.Mat, gradB []tensor.Vec) float64 {
+// momentumUpdate applies vel = mom*vel - scale*grad; w += vel lane by lane.
+//
+// hotpath: zero-alloc
+func momentumUpdate(w, vel, grad []float32, mom, scale float32) {
+	vel, grad = vel[:len(w)], grad[:len(w)]
+	for j := range w {
+		vel[j] = mom*vel[j] - scale*grad[j]
+		w[j] += vel[j]
+	}
+}
+
+// backprop adds one sample's gradients into t.gradW/t.gradB and returns its
+// loss.
+//
+// hotpath: zero-alloc
+func (t *Trainer) backprop(x tensor.Vec, label int) float64 {
 	net := t.Net
-	pre, post := net.forwardTrace(x)
+	out := net.forwardInto(x, t.pre, t.post)
 	L := len(net.Layers)
 	outLayer := net.Layers[L-1]
-	out := post[L-1]
 
 	// delta at the output layer: dLoss/dPre.
-	delta := make(tensor.Vec, len(out))
+	delta := t.delta[L-1]
 	var loss float64
 	switch {
 	case len(out) == 1 && outLayer.Act == Sigmoid:
@@ -254,7 +321,8 @@ func (t *Trainer) backprop(x tensor.Vec, label int, gradW []tensor.Mat, gradB []
 	case outLayer.Act == Linear || outLayer.Act == Sigmoid || len(out) > 1:
 		// Softmax cross-entropy over the (pre-activation) outputs. We apply
 		// softmax to the *post*-activation values; for Linear they coincide.
-		probs := tensor.Softmax(out)
+		probs := t.probs
+		tensor.SoftmaxInto(probs, out)
 		p := clampProb(probs[label])
 		loss = -math.Log(float64(p))
 		for i := range delta {
@@ -264,7 +332,7 @@ func (t *Trainer) backprop(x tensor.Vec, label int, gradW []tensor.Mat, gradB []
 			}
 			// Chain through the output activation derivative too (identity
 			// for Linear).
-			delta[i] = (probs[i] - target) * outLayer.Act.Derivative(pre[L-1][i])
+			delta[i] = (probs[i] - target) * outLayer.Act.Derivative(t.pre[L-1][i])
 		}
 	default:
 		panic("ml: unsupported output configuration")
@@ -273,30 +341,34 @@ func (t *Trainer) backprop(x tensor.Vec, label int, gradW []tensor.Mat, gradB []
 	// Walk layers backwards.
 	for li := L - 1; li >= 0; li-- {
 		layer := net.Layers[li]
-		var input tensor.Vec
-		if li == 0 {
-			input = x
-		} else {
-			input = post[li-1]
+		input := x
+		if li > 0 {
+			input = t.post[li-1]
 		}
-		for r := 0; r < layer.W.Rows; r++ {
-			d := delta[r]
-			gradB[li][r] += d
-			row := gradW[li].Row(r)
-			for c := range input {
-				row[c] += d * input[c]
+		delta := t.delta[li]
+		gradB := t.gradB[li]
+		rows := t.gradW[li].Data // rows[:len(input)] is the next row of gradW
+		for r, d := range delta {
+			gradB[r] += d
+			row := rows[:len(input)]
+			for c, in := range input {
+				row[c] += d * in
 			}
+			rows = rows[len(input):]
 		}
 		if li > 0 {
-			nextDelta := make(tensor.Vec, layer.W.Cols)
-			for c := 0; c < layer.W.Cols; c++ {
-				var s float32
-				for r := 0; r < layer.W.Rows; r++ {
-					s += layer.W.At(r, c) * delta[r]
+			// Wᵀ·delta by rows of the row-major W: next[c] still sums
+			// r = 0, 1, 2, … into a zero, the order a column walk adds in.
+			next := t.delta[li-1]
+			clear(next)
+			rows := layer.W.Data
+			for _, d := range delta {
+				for c, w := range rows[:len(next)] {
+					next[c] += w * d
 				}
-				nextDelta[c] = s * net.Layers[li-1].Act.Derivative(pre[li-1][c])
+				rows = rows[len(next):]
 			}
-			delta = nextDelta
+			net.Layers[li-1].Act.mulDerivative(next, t.pre[li-1])
 		}
 	}
 	return loss

@@ -114,16 +114,14 @@ func quantize(n *DNN, calib []tensor.Vec, pinnedInQ *fixed.Quantizer) (*Quantize
 	// Observe the dynamic range of every layer boundary over the
 	// calibration set.
 	inMax := make([]float32, len(n.Layers)+1) // inMax[i] = absmax input to layer i
+	act := n.layerVecs()
 	for _, x := range calib {
-		cur := x
-		if m := tensor.AbsMax(cur); m > inMax[0] {
+		if m := tensor.AbsMax(x); m > inMax[0] {
 			inMax[0] = m
 		}
-		for i, l := range n.Layers {
-			z := tensor.MatVec(l.W, cur)
-			tensor.AddInPlace(z, l.B)
-			cur = l.Act.ApplyVec(z)
-			if m := tensor.AbsMax(cur); m > inMax[i+1] {
+		n.forwardInto(x, act, act)
+		for i, a := range act {
+			if m := tensor.AbsMax(a); m > inMax[i+1] {
 				inMax[i+1] = m
 			}
 		}

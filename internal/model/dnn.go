@@ -60,7 +60,12 @@ type DNN struct {
 	net     *ml.DNN
 	trainer *ml.Trainer
 
-	calib   []tensor.Vec     // inputs of the last Fit, for range calibration
+	// calib is the range-calibration set: copies of the last Fit's (or
+	// Merge's) first CalibSamples inputs. Fit's copies live in calibBuf,
+	// which it reuses, so nothing here aliases a caller's record buffers.
+	calib    []tensor.Vec
+	calibBuf []float32
+
 	lastQ   *ml.QuantizedDNN // quantised twin of the last Lower
 	version int
 }
@@ -101,12 +106,35 @@ func (d *DNN) Fit(recs []dataset.Record) error {
 	for e := 0; e < d.cfg.Epochs; e++ {
 		d.trainer.FitEpoch(X, y)
 	}
-	n := len(X)
-	if n > d.cfg.CalibSamples {
-		n = d.cfg.CalibSamples
-	}
-	d.calib = X[:n]
+	d.calib, d.calibBuf = copyCalib(d.calib, d.calibBuf, X, d.cfg.CalibSamples)
 	return nil
+}
+
+// copyCalib copies the first limit vectors of X into buf, grown only when it
+// is too small, and returns them as capacity-limited views of it in calib.
+// Both arguments are overwritten from the start: views handed out by an
+// earlier call on the same buf are dead.
+func copyCalib(calib []tensor.Vec, buf []float32, X []tensor.Vec, limit int) ([]tensor.Vec, []float32) {
+	if len(X) > limit {
+		X = X[:limit]
+	}
+	total := 0
+	for _, x := range X {
+		total += len(x)
+	}
+	if cap(buf) < total {
+		buf = make([]float32, 0, total)
+	}
+	if cap(calib) < len(X) {
+		calib = make([]tensor.Vec, 0, len(X))
+	}
+	calib, buf = calib[:0], buf[:0]
+	for _, x := range X {
+		start := len(buf)
+		buf = append(buf, x...)
+		calib = append(calib, buf[start:len(buf):len(buf)])
+	}
+	return calib, buf
 }
 
 // dnnPartial is one chunk's federated update: the record-weighted weight
@@ -157,11 +185,7 @@ func (d *DNN) PartialFit(chunk []dataset.Record) (Partial, error) {
 		p.dW = append(p.dW, dW)
 		p.dB = append(p.dB, dB)
 	}
-	n := len(X)
-	if n > d.cfg.CalibSamples {
-		n = d.cfg.CalibSamples
-	}
-	p.calib = X[:n]
+	p.calib, _ = copyCalib(nil, nil, X, d.cfg.CalibSamples)
 	return p, nil
 }
 

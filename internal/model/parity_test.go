@@ -177,3 +177,51 @@ func TestRetrainPushParity(t *testing.T) {
 		})
 	}
 }
+
+// TestRetrainNowAllocationLedger pins what one retrain round — 512 labelled
+// records, Fit, Lower, verify, push to four shards — costs the heap. Nothing
+// in it is per sample any more: what is left is the graph the round builds
+// and the checks on it.
+func TestRetrainNowAllocationLedger(t *testing.T) {
+	gen, err := dataset.NewAnomalyGenerator(dataset.DefaultAnomalyConfig(), rand.New(rand.NewSource(31)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	net := ml.NewDNN([]int{6, 12, 6, 3, 1}, ml.ReLU, ml.Sigmoid, rand.New(rand.NewSource(32)))
+	dep, err := model.NewDNN(net, model.DNNConfig{Epochs: 8, Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := gen.Records(2000)
+	inQ := model.InputQuantizerFor(recs)
+	if err := dep.Fit(recs); err != nil {
+		t.Fatal(err)
+	}
+	g, err := dep.Lower(inQ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := pipeline.New(pipeline.Config{Shards: 4, Device: core.DefaultConfig(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	if err := pl.LoadModel(g, inQ, compiler.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := controlplane.DefaultConfig()
+	cfg.RetrainRecords = 512
+	ctrl, err := controlplane.New(pl, dep, inQ, gen.Records, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	retrain := func() {
+		if err := ctrl.RetrainNow(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	retrain()
+	if allocs := testing.AllocsPerRun(3, retrain); allocs > 4000 {
+		t.Errorf("RetrainNow (512 records, 4 shards): %v mallocs, want <= 4000", allocs)
+	}
+}

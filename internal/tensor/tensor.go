@@ -154,8 +154,18 @@ func SqDist(a, b Vec) float32 {
 // Softmax returns the softmax of v (numerically stabilised).
 func Softmax(v Vec) Vec {
 	out := make(Vec, len(v))
+	SoftmaxInto(out, v)
+	return out
+}
+
+// SoftmaxInto writes the softmax of v into out (same length) without
+// allocating.
+func SoftmaxInto(out, v Vec) {
+	if len(out) != len(v) {
+		panic("tensor: softmax length mismatch")
+	}
 	if len(v) == 0 {
-		return out
+		return
 	}
 	m := v[0]
 	for _, x := range v[1:] {
@@ -172,7 +182,6 @@ func Softmax(v Vec) Vec {
 	for i := range out {
 		out[i] = float32(float64(out[i]) / sum)
 	}
-	return out
 }
 
 // ArgMax returns the index of the largest element (first on ties), or -1 for
