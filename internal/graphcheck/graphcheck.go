@@ -2,7 +2,8 @@
 // they reach hardware — the pre-push gate of the control plane. Where
 // Graph.Validate checks shape (widths, topology, payloads), graphcheck
 // proves semantic and physical properties by abstract interpretation and a
-// resource census, in one topological walk that runs in milliseconds:
+// resource census, in one topological walk over a pooled workspace that runs
+// in tens of microseconds and allocates only its Report:
 //
 //  1. Value-range analysis: every lane of every node carries an integer
 //     interval, seeded from the pinned quantiser domain of each input
@@ -47,6 +48,7 @@ import (
 	"fmt"
 	"math/bits"
 	"strings"
+	"sync"
 
 	"taurus/internal/cgra"
 	"taurus/internal/fixed"
@@ -86,13 +88,7 @@ func (iv Interval) Contains(v int64) bool { return iv.Lo <= v && v <= iv.Hi }
 
 // union returns the smallest interval covering both.
 func (iv Interval) union(o Interval) Interval {
-	if o.Lo < iv.Lo {
-		iv.Lo = o.Lo
-	}
-	if o.Hi > iv.Hi {
-		iv.Hi = o.Hi
-	}
-	return iv
+	return Interval{min(iv.Lo, o.Lo), max(iv.Hi, o.Hi)}
 }
 
 // Severity ranks a finding.
@@ -287,7 +283,9 @@ func VerifyWith(g *mr.Graph, opts Options) *Report {
 		spec = cgra.DefaultGrid()
 	}
 
-	v := &verifier{g: g, r: r, spec: spec, lanes: make([][]Interval, len(g.Nodes))}
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
+	v := &verifier{g: g, r: r, spec: spec, ws: ws, lanes: ws.carve(g)}
 	v.seedInputs(opts)
 	v.walk()
 	v.census()
@@ -295,13 +293,57 @@ func VerifyWith(g *mr.Graph, opts Options) *Report {
 	return r
 }
 
+// workspace is one verify's scratch: every node's lanes carved out of one
+// backing array, and the reachability worklist. Workspaces are pooled, so a
+// verify allocates only its Report; nothing the Report holds may point into
+// one.
+type workspace struct {
+	buf   []Interval   // the lanes of every non-slice node, back to back
+	lanes [][]Interval // per node: its carve of buf, or a view for a slice
+	live  []bool
+	stack []mr.NodeID
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// carve lays out g's lanes: Σ width over the non-slice nodes (a reduce's one
+// lane is its width), each node its own window in topological order, a
+// slice a view of its argument's window. Nothing is cleared: the walk
+// writes every lane of a window before any node reads it.
+func (ws *workspace) carve(g *mr.Graph) [][]Interval {
+	need := 0
+	for _, n := range g.Nodes {
+		if n.Kind != mr.KSlice {
+			need += n.Width
+		}
+	}
+	if cap(ws.buf) < need {
+		ws.buf = make([]Interval, need)
+	}
+	if cap(ws.lanes) < len(g.Nodes) {
+		ws.lanes = make([][]Interval, len(g.Nodes))
+	}
+	buf, lanes := ws.buf[:need], ws.lanes[:len(g.Nodes)]
+	for _, n := range g.Nodes {
+		if n.Kind == mr.KSlice {
+			lanes[n.ID] = lanes[n.Args[0]][n.Start : n.Start+n.Width]
+			continue
+		}
+		lanes[n.ID], buf = buf[:n.Width:n.Width], buf[n.Width:]
+	}
+	return lanes
+}
+
 // verifier carries the walk state.
 type verifier struct {
 	g     *mr.Graph
 	r     *Report
 	spec  cgra.GridSpec
-	lanes [][]Interval // per node, per lane
-	// lutFull memoises whole-table min/max per distinct table.
+	ws    *workspace
+	lanes [][]Interval // per node, per lane: ws's carve
+	// lutFull memoises whole-table min/max per distinct table. It lives for
+	// one call: tables are mutable across pushes, so a pointer seen by an
+	// earlier verify may hold different contents now.
 	lutFull map[*mr.LUT]Interval
 }
 
@@ -312,94 +354,105 @@ func (v *verifier) finding(n *mr.Node, sev Severity, check Analysis, rng Interva
 	})
 }
 
+// seedInputs fills every input's lanes with the int8 code range, then a
+// declared input's InputRange override (an undeclared input, which Eval
+// cannot bind, keeps the default).
 func (v *verifier) seedInputs(opts Options) {
+	for _, n := range v.g.Nodes {
+		if n.Kind == mr.KInput {
+			fillLanes(v.lanes[n.ID], Interval{int8Lo, int8Hi})
+		}
+	}
+	if opts.InputRange == nil {
+		return
+	}
 	for i, id := range v.g.Inputs {
-		n := v.g.Node(id)
-		seed := Interval{int8Lo, int8Hi}
-		if opts.InputRange != nil {
-			if iv, ok := opts.InputRange(i, n.Name); ok {
-				seed, _ = clampFix32(iv) // the seed describes runtime values, which are int32
-			}
+		if iv, ok := opts.InputRange(i, v.g.Node(id).Name); ok {
+			seed, _ := clampFix32(iv) // the seed describes runtime values, which are int32
+			fillLanes(v.lanes[id], seed)
 		}
-		lanes := make([]Interval, n.Width)
-		for l := range lanes {
-			lanes[l] = seed
-		}
-		v.lanes[id] = lanes
 	}
 }
 
-// sat32 checks a transfer result against the Fix32 range. The datapath
-// saturates these silently (MapOp/UnaryOp/ReduceOp all clip through
-// Fix32.Saturate), so any feasible value outside the range is a
-// value-corrupting overflow: report it once per node, at the first lane
-// that can overflow, with the widest feasible interval as the witness.
-func (v *verifier) sat32(n *mr.Node, lane int, iv Interval, reported *bool) Interval {
-	out, clipped := clampFix32(iv)
-	if clipped && !*reported {
-		*reported = true
-		v.finding(n, SevError, CheckRange, iv,
-			"lane %d may silently saturate fix32: feasible interval %s exceeds [%d, %d]",
-			lane, iv, fix32.Lo, fix32.Hi)
+// saturate applies the Fix32 clip of the silently saturating datapath
+// (MapOp/UnaryOp/ReduceOp all clip through Fix32.Saturate) to a node's raw
+// lanes, given their hull, and returns the clipped hull. Any feasible value
+// outside the range is a value-corrupting overflow: it is reported once per
+// node, at the first lane that can overflow, with that lane's raw interval
+// as the witness. A hull inside the range — every clean graph — costs one
+// compare.
+func (v *verifier) saturate(n *mr.Node, lanes []Interval, hull Interval) Interval {
+	if hull.Lo >= fix32.Lo && hull.Hi <= fix32.Hi {
+		return hull
 	}
-	return out
+	reported := false
+	for i, iv := range lanes {
+		out, clipped := clampFix32(iv)
+		if clipped && !reported {
+			reported = true
+			v.finding(n, SevError, CheckRange, iv,
+				"lane %d may silently saturate fix32: feasible interval %s exceeds [%d, %d]",
+				i, iv, fix32.Lo, fix32.Hi)
+		}
+		lanes[i] = out
+	}
+	hull, _ = clampFix32(hull)
+	return hull
 }
 
 // walk propagates lane intervals through every node in topological order
-// (Validate guarantees args precede uses) and records the per-node union.
+// (Validate guarantees args precede uses) and records the per-node union,
+// which each transfer folds as it writes its lanes.
 func (v *verifier) walk() {
-	v.r.Ranges = make([]Interval, len(v.g.Nodes))
+	r := v.r
+	r.Ranges = make([]Interval, len(v.g.Nodes))
 	for _, n := range v.g.Nodes {
+		out := v.lanes[n.ID]
+		var hull Interval
 		switch n.Kind {
-		case mr.KInput:
-			// seeded
+		case mr.KInput, mr.KSlice: // seeded, or a view
+			hull = hullOf(out)
 		case mr.KConst:
-			lanes := make([]Interval, n.Width)
+			hull = emptyHull
 			for i, c := range n.Const {
-				lanes[i] = point(int64(c))
+				out[i] = point(int64(c))
+				hull = hull.union(out[i])
 			}
-			v.lanes[n.ID] = lanes
 		case mr.KMap:
-			v.transferMap(n)
+			hull = v.saturate(n, out, mapLanes(n.Map, out, v.lanes[n.Args[0]], v.lanes[n.Args[1]]))
 		case mr.KUnary:
-			v.transferUnary(n)
+			hull = v.saturate(n, out, unaryLanes(n.Unary, out, v.lanes[n.Args[0]]))
 		case mr.KReduce:
-			v.transferReduce(n)
-		case mr.KConcat:
-			lanes := make([]Interval, 0, n.Width)
-			for _, a := range n.Args {
-				lanes = append(lanes, v.lanes[a]...)
+			out[0] = reduceTransfer(n.Reduce, v.lanes[n.Args[0]])
+			hull = out[0]
+			if n.Reduce == mr.RAdd {
+				hull = v.saturate(n, out, hull)
 			}
-			v.lanes[n.ID] = lanes
-		case mr.KSlice:
-			v.lanes[n.ID] = v.lanes[n.Args[0]][n.Start : n.Start+n.Width]
+		case mr.KConcat:
+			hull = emptyHull
+			at := 0
+			for _, a := range n.Args {
+				at += copy(out[at:], v.lanes[a])
+				hull = hull.union(r.Ranges[a])
+			}
 		case mr.KRequant:
-			v.transferRequant(n)
+			hull = v.transferRequant(n, out)
 		case mr.KScale:
-			v.transferScale(n)
+			hull = v.transferScale(n, out)
 		case mr.KLUT:
-			v.transferLUT(n)
+			hull = v.transferLUT(n, out)
 		}
-		union := v.lanes[n.ID][0]
-		for _, iv := range v.lanes[n.ID][1:] {
-			union = union.union(iv)
-		}
-		v.r.Ranges[n.ID] = union
+		r.Ranges[n.ID] = hull
 	}
 }
 
-func (v *verifier) transferMap(n *mr.Node) {
-	a, b := v.lanes[n.Args[0]], v.lanes[n.Args[1]]
-	lanes := make([]Interval, n.Width)
-	reported := false
-	for i := range lanes {
-		bv := b[0]
-		if len(b) > 1 {
-			bv = b[i]
-		}
-		lanes[i] = v.sat32(n, i, mapTransfer(n.Map, a[i], bv), &reported)
+// hullOf returns the union of lanes.
+func hullOf(lanes []Interval) Interval {
+	hull := emptyHull
+	for _, iv := range lanes {
+		hull = hull.union(iv)
 	}
-	v.lanes[n.ID] = lanes
+	return hull
 }
 
 // leaky mirrors ULeakyReLU's negative-side integer arithmetic; it is
@@ -409,26 +462,6 @@ func leaky(x int64) int64 {
 		return (x*82 + 4096) >> 13
 	}
 	return x
-}
-
-func (v *verifier) transferUnary(n *mr.Node) {
-	a := v.lanes[n.Args[0]]
-	lanes := make([]Interval, n.Width)
-	reported := false
-	for i, av := range a {
-		lanes[i] = v.sat32(n, i, unaryTransfer(n.Unary, av), &reported)
-	}
-	v.lanes[n.ID] = lanes
-}
-
-func (v *verifier) transferReduce(n *mr.Node) {
-	a := v.lanes[n.Args[0]]
-	iv := reduceTransfer(n.Reduce, a)
-	if n.Reduce == mr.RAdd {
-		reported := false
-		iv = v.sat32(n, 0, iv, &reported)
-	}
-	v.lanes[n.ID] = []Interval{iv}
 }
 
 // applyMult mirrors fixed.Multiplier.Apply in 64-bit arithmetic: monotone
@@ -446,54 +479,53 @@ func applyMult(m fixed.Multiplier, acc int64) int64 {
 	return prod >> sh
 }
 
-func (v *verifier) transferRequant(n *mr.Node) {
-	a := v.lanes[n.Args[0]]
-	lanes := make([]Interval, n.Width)
+func (v *verifier) transferRequant(n *mr.Node, out []Interval) Interval {
+	hull := emptyHull
 	reported := false
-	for i, av := range a {
+	for i, av := range v.lanes[n.Args[0]] {
 		// ApplySat8's clamp is the programming model, not corruption — but a
 		// lane whose every feasible value clips is a constant, which no
 		// calibrated requant produces: the multiplier is wrong. A fully
 		// clipped lane still propagates its pinned value.
-		out, raw, clipped := requant8Transfer(n.Mult, av)
+		iv, raw, clipped := requant8Transfer(n.Mult, av)
 		if clipped && !reported {
 			reported = true
 			v.finding(n, SevError, CheckRange, raw,
 				"lane %d always clips to int8: feasible interval %s lies outside [%d, %d] (multiplier %.3g miscalibrated)",
 				i, raw, int8Lo, int8Hi, n.Mult.Float())
 		}
-		lanes[i] = out
+		out[i] = iv
+		hull = hull.union(iv)
 	}
-	v.lanes[n.ID] = lanes
+	return hull
 }
 
-func (v *verifier) transferScale(n *mr.Node) {
-	a := v.lanes[n.Args[0]]
-	lanes := make([]Interval, n.Width)
+func (v *verifier) transferScale(n *mr.Node, out []Interval) Interval {
+	hull := emptyHull
 	reported := false
-	for i, av := range a {
+	for i, av := range v.lanes[n.Args[0]] {
 		// Unlike the saturating map/reduce datapath, Multiplier.Apply
 		// truncates its result to int32 — a feasible value outside the
 		// range does not clip, it wraps. Always an error; the wrapped
 		// value can land anywhere, so the lane widens to the full range.
-		out, raw, wraps := scaleTransfer(n.Mult, av)
+		iv, raw, wraps := scaleTransfer(n.Mult, av)
 		if wraps && !reported {
 			reported = true
 			v.finding(n, SevError, CheckRange, raw,
 				"lane %d wraps int32: scale result interval %s exceeds [%d, %d] (multiplier %.3g)",
 				i, raw, fix32.Lo, fix32.Hi, n.Mult.Float())
 		}
-		lanes[i] = out
+		out[i] = iv
+		hull = hull.union(iv)
 	}
-	v.lanes[n.ID] = lanes
+	return hull
 }
 
-func (v *verifier) transferLUT(n *mr.Node) {
-	a := v.lanes[n.Args[0]]
-	lanes := make([]Interval, n.Width)
+func (v *verifier) transferLUT(n *mr.Node, out []Interval) Interval {
+	hull := emptyHull
 	reported := false
 	const idxLo, idxHi = -mr.LUTSize / 2, mr.LUTSize/2 - 1
-	for i, av := range a {
+	for i, av := range v.lanes[n.Args[0]] {
 		idx, raw, allOutside := lutIndex(n.LUT, av)
 		if allOutside && !reported {
 			// Every feasible index clamps to the same table end: the LUT
@@ -505,9 +537,10 @@ func (v *verifier) transferLUT(n *mr.Node) {
 				"lane %d index interval %s lies entirely outside the table domain [%d, %d]",
 				i, raw, idxLo, idxHi)
 		}
-		lanes[i] = v.lutRange(n.LUT, idx)
+		out[i] = v.lutRange(n.LUT, idx)
+		hull = hull.union(out[i])
 	}
-	v.lanes[n.ID] = lanes
+	return hull
 }
 
 // lutRange memoises tableRange's full-domain case per distinct table.
@@ -582,9 +615,13 @@ func nodeSlots(g *mr.Graph, n *mr.Node, lanes int) int {
 
 // reachability flags nodes no output depends on.
 func (v *verifier) reachability() {
-	g, r := v.g, v.r
-	live := make([]bool, len(g.Nodes))
-	stack := make([]mr.NodeID, 0, len(g.Nodes))
+	g, r, ws := v.g, v.r, v.ws
+	if cap(ws.live) < len(g.Nodes) {
+		ws.live = make([]bool, len(g.Nodes))
+	}
+	live := ws.live[:len(g.Nodes)]
+	clear(live)
+	stack := ws.stack[:0]
 	for _, o := range g.Outputs {
 		if !live[o] {
 			live[o] = true
@@ -601,6 +638,7 @@ func (v *verifier) reachability() {
 			}
 		}
 	}
+	ws.stack = stack
 	for _, n := range g.Nodes {
 		if live[n.ID] {
 			continue
@@ -692,18 +730,4 @@ func log2Ceil(n int) int {
 		return 1
 	}
 	return bits.Len(uint(n - 1))
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -14,6 +14,7 @@ import (
 	"taurus/internal/lower"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
+	"taurus/internal/tensor"
 )
 
 // mustMult builds a multiplier or fails the test.
@@ -45,6 +46,21 @@ func assertClean(t *testing.T, g *mr.Graph) *graphcheck.Report {
 // no dead nodes — the acceptance bar for wiring graphcheck into the push
 // paths.
 func TestDNNLoweringVerifiesClean(t *testing.T) {
+	rep := assertClean(t, dnnGraph(t))
+	if rep.WeightBytes == 0 || rep.LUTCount == 0 {
+		t.Errorf("census missed DNN storage: %+v", rep)
+	}
+}
+
+func TestSVMLoweringVerifiesClean(t *testing.T) { assertClean(t, svmGraph(t)) }
+
+func TestKMeansLoweringVerifiesClean(t *testing.T) { assertClean(t, kmeansGraph(t)) }
+
+func TestLSTMLoweringVerifiesClean(t *testing.T) { assertClean(t, lstmGraph(t)) }
+
+// dnnGraph lowers the anomaly DNN (6-12-6-3-1), trained briefly.
+func dnnGraph(t testing.TB) *mr.Graph {
+	t.Helper()
 	rng := rand.New(rand.NewSource(100))
 	gen, err := dataset.NewAnomalyGenerator(dataset.DefaultAnomalyConfig(), rng)
 	if err != nil {
@@ -62,13 +78,34 @@ func TestDNNLoweringVerifiesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := assertClean(t, g)
-	if rep.WeightBytes == 0 || rep.LUTCount == 0 {
-		t.Errorf("census missed DNN storage: %+v", rep)
-	}
+	return g
 }
 
-func TestSVMLoweringVerifiesClean(t *testing.T) {
+// untrainedDNN lowers a freshly initialised DNN of the given layer sizes,
+// quantised against uniform inputs in [-1, 1).
+func untrainedDNN(t testing.TB, sizes []int) *mr.Graph {
+	t.Helper()
+	rng := rand.New(rand.NewSource(104))
+	X := make([]tensor.Vec, 64)
+	for i := range X {
+		X[i] = make(tensor.Vec, sizes[0])
+		for j := range X[i] {
+			X[i][j] = rng.Float32()*2 - 1
+		}
+	}
+	q, err := ml.Quantize(ml.NewDNN(sizes, ml.ReLU, ml.Sigmoid, rng), X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := lower.DNN(q, fmt.Sprint("dnn", sizes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func svmGraph(t testing.TB) *mr.Graph {
+	t.Helper()
 	rng := rand.New(rand.NewSource(102))
 	gen, err := dataset.NewAnomalyGenerator(dataset.AnomalyConfig{
 		NumFeatures: 8, AnomalyFraction: 0.4, Separation: 1.4,
@@ -89,10 +126,11 @@ func TestSVMLoweringVerifiesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertClean(t, g)
+	return g
 }
 
-func TestKMeansLoweringVerifiesClean(t *testing.T) {
+func kmeansGraph(t testing.TB) *mr.Graph {
+	t.Helper()
 	rng := rand.New(rand.NewSource(101))
 	gen, err := dataset.NewIoTGenerator(dataset.KMeansIoTConfig(), rng)
 	if err != nil {
@@ -111,17 +149,18 @@ func TestKMeansLoweringVerifiesClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertClean(t, g)
+	return g
 }
 
-func TestLSTMLoweringVerifiesClean(t *testing.T) {
+func lstmGraph(t testing.TB) *mr.Graph {
+	t.Helper()
 	rng := rand.New(rand.NewSource(103))
 	l := ml.NewLSTM(4, 32, 5, rng)
 	g, err := lower.LSTMStep(l, fixed.NewQuantizer(1), "indigo-lstm")
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertClean(t, g)
+	return g
 }
 
 // narrowOpts seeds every input with [-n, n] so brute-force enumeration
@@ -280,29 +319,77 @@ func TestReduceTransferBruteForce(t *testing.T) {
 	}
 }
 
-// TestOverflowGraphRejected: a chain whose worst case exceeds the Fix32
-// accumulator must be rejected, naming the offending node.
-func TestOverflowGraphRejected(t *testing.T) {
+// overflowGraph is a chain whose worst case exceeds the Fix32 accumulator;
+// sq is the squaring map that saturates.
+func overflowGraph(t testing.TB) (g *mr.Graph, sq mr.NodeID) {
 	b := mr.NewBuilder("overflow")
 	x := b.Input("x", 4)
 	big := b.Const("big", []int32{1 << 20, 1 << 20, 1 << 20, 1 << 20})
 	wide := b.Map(mr.MMul, x, big) // |wide| <= 2^27, fine
-	sq := b.Map(mr.MMul, wide, wide)
-	b.Output(b.Reduce(mr.RAdd, sq))
+	sqv := b.Map(mr.MMul, wide, wide)
+	b.Output(b.Reduce(mr.RAdd, sqv))
+	return mustBuild(t, b), sqv.ID()
+}
+
+// scaleWrapGraph ends in a KScale whose int32 result can wrap.
+func scaleWrapGraph(t testing.TB) (g *mr.Graph, sc mr.NodeID) {
+	b := mr.NewBuilder("scale-wrap")
+	x := b.Input("x", 1)
+	c := b.Scalar("c", 1<<23)
+	wide := b.Map(mr.MMul, x, c)         // up to 2^30, fits
+	scv := b.Scale(wide, mustMult(t, 4)) // up to 2^32: wraps
+	b.Output(scv)
+	return mustBuild(t, b), scv.ID()
+}
+
+// requantClipsGraph ends in a requant whose every feasible value clips.
+func requantClipsGraph(t testing.TB) *mr.Graph {
+	b := mr.NewBuilder("requant-pinned")
+	x := b.Input("x", 1)
+	shifted := b.Map(mr.MAdd, x, b.Scalar("bias", 10000))
+	b.Output(b.Requant(shifted, mustMult(t, 1.0)))
+	return mustBuild(t, b)
+}
+
+// lutOutsideGraph feeds a LUT an index that always lands past the table's
+// top end (lane 1) beside one that lands inside it (lane 0).
+func lutOutsideGraph(t testing.TB) (g *mr.Graph, lut mr.NodeID) {
+	var table mr.LUT
+	table.Mult = mustMult(t, 1.0)
+	for i := range table.Table {
+		table.Table[i] = int8(i - mr.LUTSize/2)
+	}
+	b := mr.NewBuilder("lut-outside")
+	x := b.Input("x", 2)
+	shifted := b.Map(mr.MAdd, x, b.Const("bias", []int32{0, 10000}))
+	lu := b.ApplyLUT(shifted, &table)
+	b.Output(lu)
+	return mustBuild(t, b), lu.ID()
+}
+
+func mustBuild(t testing.TB, b *mr.Builder) *mr.Graph {
+	t.Helper()
 	g, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
+	return g
+}
+
+// TestOverflowGraphRejected: a chain whose worst case exceeds the Fix32
+// accumulator must be rejected, naming the offending node.
+func TestOverflowGraphRejected(t *testing.T) {
+	g, sq := overflowGraph(t)
 	rep := graphcheck.Verify(g)
 	if rep.OK() {
 		t.Fatalf("overflow graph accepted:\n%s", rep)
 	}
-	err = rep.Err()
+	err := rep.Err()
 	if !errors.Is(err, graphcheck.ErrBadGraph) {
 		t.Fatalf("Err() = %v, want ErrBadGraph", err)
 	}
-	if !strings.Contains(err.Error(), fmt.Sprintf("node %d", sq.ID())) {
-		t.Errorf("error %q does not name node %d (the squaring map)", err, sq.ID())
+	if !strings.Contains(err.Error(), fmt.Sprintf("node %d", sq)) {
+		t.Errorf("error %q does not name node %d (the squaring map)", err, sq)
 	}
 	if !strings.Contains(err.Error(), "saturate") {
 		t.Errorf("error %q does not explain the saturation", err)
@@ -312,44 +399,44 @@ func TestOverflowGraphRejected(t *testing.T) {
 // TestScaleWrapRejected: KScale's multiplier truncates to int32 instead of
 // saturating; a result that can exceed the range is flagged as a wrap.
 func TestScaleWrapRejected(t *testing.T) {
-	b := mr.NewBuilder("scale-wrap")
-	x := b.Input("x", 1)
-	c := b.Scalar("c", 1<<23)
-	wide := b.Map(mr.MMul, x, c)        // up to 2^30, fits
-	sc := b.Scale(wide, mustMult(t, 4)) // up to 2^32: wraps
-	b.Output(sc)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
+	g, sc := scaleWrapGraph(t)
 	rep := graphcheck.Verify(g)
 	if rep.OK() {
 		t.Fatalf("wrapping scale accepted:\n%s", rep)
 	}
-	if err := rep.Err(); !strings.Contains(err.Error(), fmt.Sprintf("node %d", sc.ID())) ||
+	if err := rep.Err(); !strings.Contains(err.Error(), fmt.Sprintf("node %d", sc)) ||
 		!strings.Contains(err.Error(), "wraps") {
-		t.Errorf("error %q does not name the wrapping scale node %d", err, sc.ID())
+		t.Errorf("error %q does not name the wrapping scale node %d", err, sc)
 	}
 }
 
 // TestRequantAlwaysClipsRejected: a requant whose every feasible value
 // clips produces a constant lane — a miscalibrated multiplier.
 func TestRequantAlwaysClipsRejected(t *testing.T) {
-	b := mr.NewBuilder("requant-pinned")
-	x := b.Input("x", 1)
-	shifted := b.Map(mr.MAdd, x, b.Scalar("bias", 10000))
-	rq := b.Requant(shifted, mustMult(t, 1.0))
-	b.Output(rq)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := graphcheck.Verify(g)
+	rep := graphcheck.Verify(requantClipsGraph(t))
 	if rep.OK() {
 		t.Fatalf("always-clipping requant accepted:\n%s", rep)
 	}
 	if err := rep.Err(); !strings.Contains(err.Error(), "clips") {
 		t.Errorf("error %q does not explain the clip", err)
+	}
+}
+
+// TestLUTOutsideDomainWarns: a LUT lane whose every feasible index clamps to
+// a table end is degenerate but warned, not rejected — named at that lane.
+func TestLUTOutsideDomainWarns(t *testing.T) {
+	g, lu := lutOutsideGraph(t)
+	rep := graphcheck.Verify(g)
+	if !rep.OK() {
+		t.Fatalf("out-of-domain LUT must warn, not reject:\n%s", rep)
+	}
+	if len(rep.Findings) != 1 {
+		t.Fatalf("findings = %v, want the one LUT warning", rep.Findings)
+	}
+	f := rep.Findings[0]
+	if f.Node != lu || f.Severity != graphcheck.SevWarning || f.Check != graphcheck.CheckRange ||
+		!strings.Contains(f.Msg, "lane 1 ") || !strings.Contains(f.Msg, "outside the table domain") {
+		t.Errorf("finding %s is not the lane-1 out-of-domain warning on node %d", f, lu)
 	}
 }
 

@@ -1,5 +1,7 @@
-// The interval transfer kernel: the per-lane [lo, hi] semantics of every
-// datapath operation, kept apart from the walk that drives it.
+// The interval transfer kernel: the [lo, hi] semantics of every datapath
+// operation, kept apart from the walk that drives it — a lane at a time, or
+// for the map and unary ops a node's lanes at once, the op dispatched once
+// per node.
 //
 // Every transfer returns the *raw* feasible interval of the mathematical
 // result; it is the walk's job to apply the datapath's clamping discipline
@@ -10,6 +12,8 @@
 package graphcheck
 
 import (
+	"math"
+
 	"taurus/internal/fixed"
 	mr "taurus/internal/mapreduce"
 )
@@ -27,52 +31,126 @@ func clampFix32(iv Interval) (Interval, bool) {
 	return iv, clipped
 }
 
-// mapTransfer returns the raw interval of `a op b` for one lane pair. The
-// result is unclamped: map ops run through Fix32.Saturate at runtime, so a
-// result outside the Fix32 range witnesses silent saturation.
-func mapTransfer(op mr.MapOp, a, b Interval) Interval {
+// emptyHull is the hull of no lanes: the identity of Interval.union, so a
+// lane loop can fold its node's Ranges entry as it goes.
+var emptyHull = Interval{math.MaxInt64, math.MinInt64}
+
+// mapLanes writes the raw interval of `a[i] op b[i]` to out[i] — b broadcast
+// when it has one lane — and returns the hull of what it wrote. The results
+// are unclamped: map ops run through Fix32.Saturate at runtime, so a result
+// outside the Fix32 range witnesses silent saturation. The op is dispatched
+// once per node, not per lane.
+func mapLanes(op mr.MapOp, out, a, b []Interval) Interval {
+	out = out[:len(a)]
+	bs := 1 // b's lane stride: 0 broadcasts its one lane
+	if len(b) == 1 {
+		bs = 0
+	}
+	hull := emptyHull
 	switch op {
 	case mr.MAdd:
-		return Interval{a.Lo + b.Lo, a.Hi + b.Hi}
-	case mr.MSub:
-		return Interval{a.Lo - b.Hi, a.Hi - b.Lo}
-	case mr.MMul:
-		// Endpoint products bound a monotone-by-parts bilinear map.
-		p := [4]int64{a.Lo * b.Lo, a.Lo * b.Hi, a.Hi * b.Lo, a.Hi * b.Hi}
-		iv := point(p[0])
-		for _, x := range p[1:] {
-			iv = iv.union(point(x))
+		for i, x := range a {
+			y := b[i*bs]
+			out[i] = Interval{x.Lo + y.Lo, x.Hi + y.Hi}
+			hull = hull.union(out[i])
 		}
-		return iv
+	case mr.MSub:
+		for i, x := range a {
+			y := b[i*bs]
+			out[i] = Interval{x.Lo - y.Hi, x.Hi - y.Lo}
+			hull = hull.union(out[i])
+		}
+	case mr.MMul:
+		for i, x := range a {
+			y := b[i*bs]
+			switch {
+			case x.Lo == x.Hi: // a constant weight: one product per bound
+				out[i] = mulPoint(y, x.Lo)
+			case y.Lo == y.Hi:
+				out[i] = mulPoint(x, y.Lo)
+			default:
+				out[i] = mulHull(x, y)
+			}
+			hull = hull.union(out[i])
+		}
 	case mr.MMin:
-		return Interval{min64(a.Lo, b.Lo), min64(a.Hi, b.Hi)}
+		for i, x := range a {
+			y := b[i*bs]
+			out[i] = Interval{min(x.Lo, y.Lo), min(x.Hi, y.Hi)}
+			hull = hull.union(out[i])
+		}
 	case mr.MMax:
-		return Interval{max64(a.Lo, b.Lo), max64(a.Hi, b.Hi)}
+		for i, x := range a {
+			y := b[i*bs]
+			out[i] = Interval{max(x.Lo, y.Lo), max(x.Hi, y.Hi)}
+			hull = hull.union(out[i])
+		}
+	default:
+		return fillLanes(out, fix32)
 	}
-	return fix32
+	return hull
 }
 
-// unaryTransfer returns the raw interval of `op a` for one lane. Endpoint
-// evaluation is exact: every unary op is monotone (Abs by cases).
-func unaryTransfer(op mr.UnaryOp, a Interval) Interval {
+// mulPoint returns x·c for a point c: one product per bound, their order
+// the sign of c's (picked without a branch — weight signs are random).
+func mulPoint(x Interval, c int64) Interval {
+	p, q := x.Lo*c, x.Hi*c
+	return Interval{min(p, q), max(p, q)}
+}
+
+// mulHull returns the hull of the four endpoint products, which bound a
+// monotone-by-parts bilinear map.
+func mulHull(a, b Interval) Interval {
+	p0, p1, p2, p3 := a.Lo*b.Lo, a.Lo*b.Hi, a.Hi*b.Lo, a.Hi*b.Hi
+	return Interval{min(p0, p1, p2, p3), max(p0, p1, p2, p3)}
+}
+
+// unaryLanes writes the raw interval of `op a[i]` to out[i] and returns the
+// hull of what it wrote. Endpoint evaluation is exact: every unary op is
+// monotone (Abs by cases).
+func unaryLanes(op mr.UnaryOp, out, a []Interval) Interval {
+	out = out[:len(a)]
+	hull := emptyHull
 	switch op {
 	case mr.UReLU:
-		return Interval{max64(0, a.Lo), max64(0, a.Hi)}
-	case mr.ULeakyReLU:
-		return Interval{leaky(a.Lo), leaky(a.Hi)}
-	case mr.UNeg:
-		return Interval{-a.Hi, -a.Lo}
-	case mr.UAbs:
-		switch {
-		case a.Lo >= 0:
-			return a
-		case a.Hi <= 0:
-			return Interval{-a.Hi, -a.Lo}
-		default:
-			return Interval{0, max64(a.Hi, -a.Lo)}
+		for i, x := range a {
+			out[i] = Interval{max(0, x.Lo), max(0, x.Hi)}
+			hull = hull.union(out[i])
 		}
+	case mr.ULeakyReLU:
+		for i, x := range a {
+			out[i] = Interval{leaky(x.Lo), leaky(x.Hi)}
+			hull = hull.union(out[i])
+		}
+	case mr.UNeg:
+		for i, x := range a {
+			out[i] = Interval{-x.Hi, -x.Lo}
+			hull = hull.union(out[i])
+		}
+	case mr.UAbs:
+		for i, x := range a {
+			switch {
+			case x.Lo >= 0:
+				out[i] = x
+			case x.Hi <= 0:
+				out[i] = Interval{-x.Hi, -x.Lo}
+			default:
+				out[i] = Interval{0, max(x.Hi, -x.Lo)}
+			}
+			hull = hull.union(out[i])
+		}
+	default:
+		return fillLanes(out, fix32)
 	}
-	return fix32
+	return hull
+}
+
+// fillLanes sets every lane to iv and returns iv, their hull.
+func fillLanes(out []Interval, iv Interval) Interval {
+	for i := range out {
+		out[i] = iv
+	}
+	return iv
 }
 
 // reduceTransfer returns the raw interval of `op lanes`. RAdd is the int64
@@ -91,13 +169,13 @@ func reduceTransfer(op mr.ReduceOp, lanes []Interval) Interval {
 	case mr.RMin:
 		iv := lanes[0]
 		for _, av := range lanes[1:] {
-			iv = Interval{min64(iv.Lo, av.Lo), min64(iv.Hi, av.Hi)}
+			iv = Interval{min(iv.Lo, av.Lo), min(iv.Hi, av.Hi)}
 		}
 		return iv
 	case mr.RMax:
 		iv := lanes[0]
 		for _, av := range lanes[1:] {
-			iv = Interval{max64(iv.Lo, av.Lo), max64(iv.Hi, av.Hi)}
+			iv = Interval{max(iv.Lo, av.Lo), max(iv.Hi, av.Hi)}
 		}
 		return iv
 	case mr.RArgMin, mr.RArgMax:
