@@ -80,9 +80,11 @@ func parseSeeds() [][]byte {
 }
 
 // FuzzParse feeds arbitrary frame bytes — the one attacker-controlled input
-// of the hot path — to the compiled parser and to a device. The parser must
-// agree with a reference walk of the same parse graph on the PHV it fills,
-// the bytes it consumes and the class of error it reports. The device must
+// of the hot path — to three parsers of the standard graph and to a device.
+// The straight-line StandardParser and the graph walk NewParser builds must
+// agree with a reference walk of the description on the PHV they fill, the
+// bytes they consume and the class of error they report, and with each other
+// on the error itself: the same state's error, word for word. The device must
 // not panic or allocate, must drop and count a frame the parser refuses, and
 // must treat the frame as its headers say: a TCP/IPv4 frame carrying features
 // is inferred on (and the same frame without features reads them back), any
@@ -93,30 +95,47 @@ func FuzzParse(f *testing.F) {
 	}
 	start, states := pisa.StandardParseGraph()
 	layout := pisa.NewLayout(pisa.StandardLayoutFields()...)
-	parser, err := pisa.NewParser(layout, start, states...)
+	std, err := pisa.StandardParser(layout)
 	if err != nil {
 		f.Fatal(err)
 	}
-	got, want := pisa.NewPHV(layout), pisa.NewPHV(layout)
+	walk, err := pisa.NewParser(layout, start, states...)
+	if err != nil {
+		f.Fatal(err)
+	}
+	parsers := []struct {
+		name string
+		p    *pisa.Parser
+		phv  *pisa.PHV
+	}{{"StandardParser", std, pisa.NewPHV(layout)}, {"NewParser", walk, pisa.NewPHV(layout)}}
+	want := pisa.NewPHV(layout)
 	dev, _, gen := buildAnomalyDevice(f)
 	features := gen.Record().Features
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got.Reset()
 		want.Reset()
-		n, err := parser.Parse(data, got)
 		wantN, wantErr := referenceParse(start, states, data, want)
-		if n != wantN {
-			t.Errorf("consumed %d bytes, reference consumed %d", n, wantN)
-		}
-		if (err == nil) != (wantErr == nil) || !errors.Is(err, wantErr) {
-			t.Errorf("Parse error %v, reference %v", err, wantErr)
-		}
-		for id := pisa.FieldID(0); int(id) < layout.Len(); id++ {
-			if got.Get(id) != want.Get(id) || got.Valid(id) != want.Valid(id) {
-				t.Errorf("field %s = %d (valid %v), reference %d (valid %v)",
-					layout.Name(id), got.Get(id), got.Valid(id), want.Get(id), want.Valid(id))
+		var errs [2]error
+		for i, tc := range parsers {
+			got := tc.phv
+			got.Reset()
+			n, err := tc.p.Parse(data, got)
+			errs[i] = err
+			if n != wantN {
+				t.Errorf("%s consumed %d bytes, reference consumed %d", tc.name, n, wantN)
 			}
+			if (err == nil) != (wantErr == nil) || !errors.Is(err, wantErr) {
+				t.Errorf("%s error %v, reference %v", tc.name, err, wantErr)
+			}
+			for id := pisa.FieldID(0); int(id) < layout.Len(); id++ {
+				if got.Get(id) != want.Get(id) || got.Valid(id) != want.Valid(id) {
+					t.Errorf("%s: field %s = %d (valid %v), reference %d (valid %v)",
+						tc.name, layout.Name(id), got.Get(id), got.Valid(id), want.Get(id), want.Valid(id))
+				}
+			}
+		}
+		if (errs[0] == nil) != (errs[1] == nil) || (errs[0] != nil && errs[0].Error() != errs[1].Error()) {
+			t.Errorf("StandardParser error %v, NewParser error %v", errs[0], errs[1])
 		}
 
 		ins := [2]PacketIn{{Data: data, Features: features}, {Data: data}}

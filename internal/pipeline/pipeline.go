@@ -30,6 +30,7 @@ import (
 	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/obs"
+	"taurus/internal/pisa"
 )
 
 // DefaultShards is used when Config.Shards is zero.
@@ -88,9 +89,10 @@ type batchReq struct {
 // fanned out across every shard), and installs and weight updates interleave
 // with traffic at batch granularity.
 type Pipeline struct {
-	cfg    core.Config // the shards' device configuration
-	shards []*shard
-	reqs   []chan batchReq
+	cfg      core.Config // the shards' device configuration
+	shards   []*shard
+	shardMod pisa.FastMod // reduces a flow hash modulo len(shards)
+	reqs     []chan batchReq
 
 	// model is the published model (nil before the first install); publishMu
 	// serialises the installs and pushes that replace it.
@@ -130,6 +132,7 @@ func New(cfg Config) (*Pipeline, error) {
 	}
 	p := &Pipeline{
 		shards:       make([]*shard, cfg.Shards),
+		shardMod:     pisa.NewFastMod(uint32(cfg.Shards)),
 		reqs:         make([]chan batchReq, cfg.Shards),
 		batches:      reg.Counter("taurus.pipeline.batches", pipeLabels...),
 		batchPackets: reg.Histogram("taurus.pipeline.batch_packets", pipeLabels...),
@@ -185,9 +188,10 @@ func (s *shard) serve(r batchReq) {
 // NumShards returns the shard count.
 func (p *Pipeline) NumShards() int { return len(p.shards) }
 
-// shardOf picks the owning shard for a flow hash (core.ShardHash).
+// shardOf picks the owning shard for a flow hash (core.ShardHash): shard
+// key % shards, reduced without a divide.
 func (p *Pipeline) shardOf(key uint32) *shard {
-	return p.shards[key%uint32(len(p.shards))]
+	return p.shards[p.shardMod.Mod(key)]
 }
 
 // LoadModel compiles the program once — placement, tape, translation

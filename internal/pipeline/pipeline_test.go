@@ -350,6 +350,29 @@ func TestPipelineShardLocality(t *testing.T) {
 	}
 }
 
+// TestShardOfIsKeyModShards: shard placement is key % shards, reduced without
+// a divide; every flow hash, the high-bit ones included, keeps the shard the
+// remainder gives it.
+func TestShardOfIsKeyModShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, shards := range []int{1, 2, 3, 4, 5, 7, 8} {
+		p, err := New(Config{Shards: shards, Device: core.DefaultConfig(6)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys := []uint32{0, 1, uint32(shards), 1<<31 - 1, 1 << 31, 1<<32 - 1}
+		for range 5000 {
+			keys = append(keys, rng.Uint32())
+		}
+		for _, key := range keys {
+			if got, want := p.shardOf(key), p.shards[key%uint32(shards)]; got != want {
+				t.Fatalf("%d shards: key %#x on shard %d, want %d", shards, key, got.index, want.index)
+			}
+		}
+		p.Close()
+	}
+}
+
 // TestOneShardBatchNeedsNoWorker: the caller serves the last active shard of
 // a batch itself, so a batch that lands on one shard — every batch of a
 // 1-shard pipeline, a single flow on any pipeline — is a plain call and its

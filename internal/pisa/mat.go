@@ -70,6 +70,10 @@ type VLIWAction struct {
 func (a *VLIWAction) Apply(phv *PHV) {
 	for i := range a.Ops {
 		op := &a.Ops[i]
+		if op.Op == OpSet && op.UseImm {
+			phv.Set(op.Dst, op.Imm) // an immediate store reads nothing
+			continue
+		}
 		src := op.Imm
 		if !op.UseImm {
 			src = phv.Get(op.Src)
@@ -110,114 +114,123 @@ type Entry struct {
 	Action    *VLIWAction
 }
 
-// Table is a match-action table.
+// Table is a match-action table. Insert compiles each entry into a masked
+// row, the way a TCAM holds it: every key, whatever its kind, becomes one
+// (mask, want) pair, and the rows are kept in match order. Lookup is then one
+// loop with no per-kind dispatch: the first row where every key satisfies
+// phv[field] & mask == want wins.
 type Table struct {
 	Name       string
 	Keys       []Key
 	MaxEntries int
 	Default    *VLIWAction
 
-	entries []*Entry
-	// lpm records, once, that some key is longest-prefix: Lookup then has to
-	// scan every entry for the longest match instead of stopping at the
-	// first (highest-priority) hit.
-	lpm bool
+	rows []row
+}
+
+// row is one installed entry, compiled. It holds copies of the entry's
+// values and masks, so editing the Entry after Insert changes nothing.
+type row struct {
+	keys   []maskedKey
+	action *VLIWAction
+	// prefix (the entry's PrefixLen in a table with an LPM key, else 0) and
+	// priority order the rows: longest prefix first, then highest priority,
+	// then insertion order.
+	prefix, priority int
+}
+
+// maskedKey is one key of a row: it matches when phv[field] & mask == want.
+// The mask is all ones for Exact, the entry's mask for Ternary and the
+// prefix mask for LPM; want is the entry's value under the mask.
+type maskedKey struct {
+	field      FieldID
+	mask, want int32
 }
 
 // NewTable builds an empty table.
 func NewTable(name string, keys []Key, maxEntries int) *Table {
-	t := &Table{Name: name, Keys: keys, MaxEntries: maxEntries}
-	for _, k := range keys {
-		t.lpm = t.lpm || k.Kind == LPM
-	}
-	return t
+	return &Table{Name: name, Keys: keys, MaxEntries: maxEntries}
 }
 
 // Len returns the number of installed entries.
-func (t *Table) Len() int { return len(t.entries) }
+func (t *Table) Len() int { return len(t.rows) }
 
-// Insert installs a rule; it fails when the table is full or the entry is
-// malformed. Entries are kept sorted by descending priority.
+// Insert compiles a rule into the table. It fails when the table is full or
+// the entry is one the table cannot honour: a value count other than the key
+// count, a ternary key without masks, an LPM prefix length outside [0, 32], a
+// second LPM key (an entry has one PrefixLen), or an action longer than
+// MaxVLIWOps. Rows are kept in match order: in a table with an LPM key, by
+// descending prefix length first, so the first hit is the longest prefix;
+// then by descending priority, ties in insertion order.
 func (t *Table) Insert(e *Entry) error {
-	if t.MaxEntries > 0 && len(t.entries) >= t.MaxEntries {
+	if t.MaxEntries > 0 && len(t.rows) >= t.MaxEntries {
 		return fmt.Errorf("pisa: table %q full (%d entries)", t.Name, t.MaxEntries)
 	}
 	if len(e.Values) != len(t.Keys) {
 		return fmt.Errorf("pisa: table %q entry has %d values for %d keys", t.Name, len(e.Values), len(t.Keys))
 	}
-	for i, k := range t.Keys {
-		if k.Kind == Ternary && (e.Masks == nil || len(e.Masks) != len(t.Keys)) {
-			return fmt.Errorf("pisa: table %q ternary key %d needs masks", t.Name, i)
-		}
+	if e.Action != nil && len(e.Action.Ops) > MaxVLIWOps {
+		return fmt.Errorf("pisa: table %q entry action %q has %d ops, over the %d-op VLIW budget",
+			t.Name, e.Action.Name, len(e.Action.Ops), MaxVLIWOps)
 	}
-	t.entries = append(t.entries, e)
-	sort.SliceStable(t.entries, func(i, j int) bool {
-		return t.entries[i].Priority > t.entries[j].Priority
+	r := row{keys: make([]maskedKey, len(t.Keys)), action: e.Action, priority: e.Priority}
+	lpm := false
+	for i, k := range t.Keys {
+		mask := int32(-1)
+		switch k.Kind {
+		case Ternary:
+			if len(e.Masks) != len(t.Keys) {
+				return fmt.Errorf("pisa: table %q ternary key %d needs masks", t.Name, i)
+			}
+			mask = e.Masks[i]
+		case LPM:
+			if lpm {
+				return fmt.Errorf("pisa: table %q has a second LPM key (key %d); an entry has one prefix length", t.Name, i)
+			}
+			if e.PrefixLen < 0 || e.PrefixLen > 32 {
+				return fmt.Errorf("pisa: table %q entry prefix length %d outside [0, 32]", t.Name, e.PrefixLen)
+			}
+			lpm, r.prefix = true, e.PrefixLen
+			mask = int32(-1) << (32 - e.PrefixLen) // a shift by 32 is 0: /0 matches all
+		}
+		r.keys[i] = maskedKey{field: k.Field, mask: mask, want: e.Values[i] & mask}
+	}
+	t.rows = append(t.rows, r)
+	sort.SliceStable(t.rows, func(i, j int) bool {
+		a, b := &t.rows[i], &t.rows[j]
+		if a.prefix != b.prefix {
+			return a.prefix > b.prefix
+		}
+		return a.priority > b.priority
 	})
 	return nil
 }
 
 // Clear removes all entries.
-func (t *Table) Clear() { t.entries = nil }
+func (t *Table) Clear() { t.rows = nil }
 
 // Lookup matches the PHV, applies the winning (or default) action, and
 // reports whether an installed entry hit.
 //
 // hotpath: zero-alloc
 func (t *Table) Lookup(phv *PHV) bool {
-	var best *Entry
-	bestPrefix := -1
-	for _, e := range t.entries {
-		if !t.matches(e, phv) {
-			continue
-		}
-		if t.lpm {
-			if e.PrefixLen > bestPrefix {
-				best, bestPrefix = e, e.PrefixLen
-			}
-			continue
-		}
-		best = e
-		break // sorted by priority
-	}
-	if best == nil {
-		if t.Default != nil {
-			t.Default.Apply(phv)
-		}
-		return false
-	}
-	if best.Action != nil {
-		best.Action.Apply(phv)
-	}
-	return true
-}
-
-func (t *Table) matches(e *Entry, phv *PHV) bool {
-	for i, k := range t.Keys {
-		v := phv.Get(k.Field)
-		switch k.Kind {
-		case Exact:
-			if v != e.Values[i] {
-				return false
-			}
-		case Ternary:
-			if v&e.Masks[i] != e.Values[i]&e.Masks[i] {
-				return false
-			}
-		case LPM:
-			if e.PrefixLen < 0 || e.PrefixLen > 32 {
-				return false
-			}
-			var mask int32
-			if e.PrefixLen > 0 {
-				mask = int32(int64(-1) << uint(32-e.PrefixLen))
-			}
-			if v&mask != e.Values[i]&mask {
-				return false
+rows:
+	for i := range t.rows {
+		r := &t.rows[i]
+		for _, k := range r.keys {
+			if phv.Get(k.field)&k.mask != k.want {
+				continue rows
 			}
 		}
+		if r.action != nil {
+			r.action.Apply(phv)
+		}
+		return true
 	}
-	return true
+	if t.Default != nil {
+		t.Default.Apply(phv)
+	}
+	return false
 }
 
 // RegisterArray is a stateful data-plane memory (§3.1: "stateful elements
@@ -226,22 +239,23 @@ func (t *Table) matches(e *Entry, phv *PHV) bool {
 type RegisterArray struct {
 	Name string
 	vals []int32
+	mod  FastMod // reduces an index modulo len(vals)
 }
 
 // NewRegisterArray allocates size registers.
 func NewRegisterArray(name string, size int) *RegisterArray {
-	return &RegisterArray{Name: name, vals: make([]int32, size)}
+	return &RegisterArray{Name: name, vals: make([]int32, size), mod: NewFastMod(uint32(size))}
 }
 
 // Size returns the array length.
 func (r *RegisterArray) Size() int { return len(r.vals) }
 
-// Slot reduces a hash to its register index (indexes wrap like hardware hash
-// indices). The reduction stays in uint32: int(idx) overflows to a negative
-// value for idx >= 2^31 on 32-bit platforms, and a negative modulus panics.
-// A caller that touches several same-sized arrays for one key reduces it
-// once and uses ReadSlot/WriteSlot.
-func (r *RegisterArray) Slot(idx uint32) uint32 { return idx % uint32(len(r.vals)) }
+// Slot reduces a hash to its register index, idx % Size() (indexes wrap like
+// hardware hash indices), by multiplication: no divide per packet. The
+// reduction stays in uint32, so an idx >= 2^31 cannot go negative on a 32-bit
+// platform. A caller that touches several same-sized arrays for one key
+// reduces it once and uses ReadSlot/WriteSlot.
+func (r *RegisterArray) Slot(idx uint32) uint32 { return r.mod.Mod(idx) }
 
 // ReadSlot returns the register at slot, which must come from Slot on an
 // array of this size.

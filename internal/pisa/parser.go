@@ -50,6 +50,9 @@ type ParseState struct {
 // is installed, so Parse does no string or map lookup per packet.
 type Parser struct {
 	start *parseNode
+	// std, set by StandardParser, is the standard graph bound to straight-line
+	// code; Parse runs it instead of walking the nodes.
+	std *stdParser
 }
 
 // parseNode is one resolved state.
@@ -80,15 +83,22 @@ type parseEdge struct {
 // NewParser compiles the parse graph rooted at start over the given layout.
 // Everything a packet cannot change is checked and resolved here: field and
 // select names against the layout, extraction windows against the header
-// length, transition targets against the set of states.
+// length, transition targets against the set of states. Parse then walks the
+// resolved graph; it is the engine for any graph.
 func NewParser(layout *Layout, start string, states ...*ParseState) (*Parser, error) {
+	p, _, err := compileGraph(layout, start, states)
+	return p, err
+}
+
+// compileGraph is NewParser, also returning the resolved nodes by state name.
+func compileGraph(layout *Layout, start string, states []*ParseState) (*Parser, map[string]*parseNode, error) {
 	nodes := make(map[string]*parseNode, len(states))
 	for _, s := range states {
 		if _, dup := nodes[s.Name]; dup {
-			return nil, fmt.Errorf("pisa: duplicate parse state %q", s.Name)
+			return nil, nil, fmt.Errorf("pisa: duplicate parse state %q", s.Name)
 		}
 		if s.HeaderLen < 0 {
-			return nil, fmt.Errorf("pisa: state %q has header length %d", s.Name, s.HeaderLen)
+			return nil, nil, fmt.Errorf("pisa: state %q has header length %d", s.Name, s.HeaderLen)
 		}
 		nodes[s.Name] = &parseNode{
 			headerLen: s.HeaderLen,
@@ -99,13 +109,13 @@ func NewParser(layout *Layout, start string, states ...*ParseState) (*Parser, er
 		n := nodes[s.Name]
 		for _, f := range s.Fields {
 			if !layout.Has(f.Name) {
-				return nil, fmt.Errorf("pisa: state %q extracts unknown field %q", s.Name, f.Name)
+				return nil, nil, fmt.Errorf("pisa: state %q extracts unknown field %q", s.Name, f.Name)
 			}
 			if f.WidthBits != 8 && f.WidthBits != 16 && f.WidthBits != 32 {
-				return nil, fmt.Errorf("pisa: state %q field %q has width %d", s.Name, f.Name, f.WidthBits)
+				return nil, nil, fmt.Errorf("pisa: state %q field %q has width %d", s.Name, f.Name, f.WidthBits)
 			}
 			if f.Offset < 0 || f.Offset+f.WidthBits/8 > s.HeaderLen {
-				return nil, fmt.Errorf("pisa: state %q field %q exceeds header length", s.Name, f.Name)
+				return nil, nil, fmt.Errorf("pisa: state %q field %q exceeds header length", s.Name, f.Name)
 			}
 			n.fields = append(n.fields, parseField{id: layout.ID(f.Name), offset: f.Offset, bytes: f.WidthBits / 8})
 		}
@@ -113,31 +123,41 @@ func NewParser(layout *Layout, start string, states ...*ParseState) (*Parser, er
 			continue
 		}
 		if !layout.Has(s.SelectField) {
-			return nil, fmt.Errorf("pisa: state %q selects on unknown field %q", s.Name, s.SelectField)
+			return nil, nil, fmt.Errorf("pisa: state %q selects on unknown field %q", s.Name, s.SelectField)
 		}
 		n.sel = layout.ID(s.SelectField)
 		for key, name := range s.Transitions {
 			to, ok := nodes[name]
 			if !ok {
-				return nil, fmt.Errorf("pisa: state %q transitions to undefined state %q", s.Name, name)
+				return nil, nil, fmt.Errorf("pisa: state %q transitions to undefined state %q", s.Name, name)
 			}
 			n.next = append(n.next, parseEdge{key: key, to: to})
 		}
 	}
 	p := &Parser{start: nodes[start]}
 	if p.start == nil {
-		return nil, fmt.Errorf("pisa: start state %q not defined", start)
+		return nil, nil, fmt.Errorf("pisa: start state %q not defined", start)
 	}
-	return p, nil
+	return p, nodes, nil
 }
 
-// Parse walks the packet bytes, extracting fields into phv. It returns the
-// number of header bytes consumed; a truncated frame yields the offending
-// state's prebuilt error (errors.Is ErrShortPacket) and a frame that never
-// reaches an accepting state ErrParseLoop, neither allocating.
+// Parse extracts the packet's header fields into phv. It returns the number
+// of header bytes consumed; a truncated frame yields the offending state's
+// prebuilt error (errors.Is ErrShortPacket) and a frame that never reaches an
+// accepting state ErrParseLoop, neither allocating.
 //
 // hotpath: zero-alloc
 func (p *Parser) Parse(data []byte, phv *PHV) (int, error) {
+	if p.std != nil {
+		return p.std.parse(data, phv)
+	}
+	return p.walk(data, phv)
+}
+
+// walk interprets the resolved graph one state at a time.
+//
+// hotpath: zero-alloc
+func (p *Parser) walk(data []byte, phv *PHV) (int, error) {
 	st, off := p.start, 0
 	for steps := 0; steps <= maxParseSteps; steps++ {
 		end := off + st.headerLen
@@ -188,10 +208,91 @@ func StandardLayoutFields() []string {
 }
 
 // StandardParser compiles the standard parse graph over a layout containing
-// StandardLayoutFields.
+// StandardLayoutFields, and binds it to straight-line code: one length check
+// per header, fixed-offset loads into the resolved FieldIDs, one compare on
+// eth.type and one switch on ipv4.proto. A truncated frame gets the prebuilt
+// error of the state it ended in, the same value the resolved graph holds.
 func StandardParser(layout *Layout) (*Parser, error) {
 	start, states := StandardParseGraph()
-	return NewParser(layout, start, states...)
+	p, nodes, err := compileGraph(layout, start, states)
+	if err != nil {
+		return nil, err
+	}
+	p.std = &stdParser{
+		ethType:  layout.ID("eth.type"),
+		ipLen:    layout.ID("ipv4.len"),
+		ipProto:  layout.ID("ipv4.proto"),
+		ipSrc:    layout.ID("ipv4.src"),
+		ipDst:    layout.ID("ipv4.dst"),
+		sport:    layout.ID("l4.sport"),
+		dport:    layout.ID("l4.dport"),
+		tcpFlags: layout.ID("tcp.flags"),
+		errEth:   nodes["ethernet"].errShort,
+		errIPv4:  nodes["ipv4"].errShort,
+		errTCP:   nodes["tcp"].errShort,
+		errUDP:   nodes["udp"].errShort,
+	}
+	return p, nil
+}
+
+// Header lengths of the standard parse graph.
+const (
+	ethHeaderLen  = 14
+	ipv4HeaderLen = 20
+	tcpHeaderLen  = 20
+	udpHeaderLen  = 8
+)
+
+// stdParser is the standard parse graph resolved to its fields and errors.
+type stdParser struct {
+	ethType, ipLen, ipProto, ipSrc, ipDst, sport, dport, tcpFlags FieldID
+	errEth, errIPv4, errTCP, errUDP                               error
+}
+
+// parse is StandardParseGraph as straight-line code. It writes the same
+// fields, consumes the same bytes and returns the same error as walk on that
+// graph (FuzzParse holds it to both).
+//
+// hotpath: zero-alloc
+func (s *stdParser) parse(data []byte, phv *PHV) (int, error) {
+	const l4 = ethHeaderLen + ipv4HeaderLen
+	if len(data) < ethHeaderLen {
+		return 0, s.errEth
+	}
+	ethType := int32(binary.BigEndian.Uint16(data[12:14]))
+	phv.Set(s.ethType, ethType)
+	if ethType != 0x0800 {
+		return ethHeaderLen, nil
+	}
+	if len(data) < l4 {
+		return ethHeaderLen, s.errIPv4
+	}
+	ip := data[ethHeaderLen:l4]
+	proto := int32(ip[9])
+	phv.Set(s.ipLen, int32(binary.BigEndian.Uint16(ip[2:4])))
+	phv.Set(s.ipProto, proto)
+	phv.Set(s.ipSrc, int32(binary.BigEndian.Uint32(ip[12:16])))
+	phv.Set(s.ipDst, int32(binary.BigEndian.Uint32(ip[16:20])))
+	switch proto {
+	case 6:
+		if len(data) < l4+tcpHeaderLen {
+			return l4, s.errTCP
+		}
+		tcp := data[l4 : l4+tcpHeaderLen]
+		phv.Set(s.sport, int32(binary.BigEndian.Uint16(tcp[0:2])))
+		phv.Set(s.dport, int32(binary.BigEndian.Uint16(tcp[2:4])))
+		phv.Set(s.tcpFlags, int32(tcp[13]))
+		return l4 + tcpHeaderLen, nil
+	case 17:
+		if len(data) < l4+udpHeaderLen {
+			return l4, s.errUDP
+		}
+		udp := data[l4 : l4+udpHeaderLen]
+		phv.Set(s.sport, int32(binary.BigEndian.Uint16(udp[0:2])))
+		phv.Set(s.dport, int32(binary.BigEndian.Uint16(udp[2:4])))
+		return l4 + udpHeaderLen, nil
+	}
+	return l4, nil
 }
 
 // StandardParseGraph describes the Ethernet -> IPv4 -> TCP/UDP parse graph
@@ -199,14 +300,14 @@ func StandardParser(layout *Layout) (*Parser, error) {
 func StandardParseGraph() (start string, states []*ParseState) {
 	eth := &ParseState{
 		Name:        "ethernet",
-		HeaderLen:   14,
+		HeaderLen:   ethHeaderLen,
 		Fields:      []FieldSpec{{Name: "eth.type", Offset: 12, WidthBits: 16}},
 		SelectField: "eth.type",
 		Transitions: map[int32]string{0x0800: "ipv4"},
 	}
 	ipv4 := &ParseState{
 		Name:      "ipv4",
-		HeaderLen: 20,
+		HeaderLen: ipv4HeaderLen,
 		Fields: []FieldSpec{
 			{Name: "ipv4.len", Offset: 2, WidthBits: 16},
 			{Name: "ipv4.proto", Offset: 9, WidthBits: 8},
@@ -218,7 +319,7 @@ func StandardParseGraph() (start string, states []*ParseState) {
 	}
 	tcp := &ParseState{
 		Name:      "tcp",
-		HeaderLen: 20,
+		HeaderLen: tcpHeaderLen,
 		Fields: []FieldSpec{
 			{Name: "l4.sport", Offset: 0, WidthBits: 16},
 			{Name: "l4.dport", Offset: 2, WidthBits: 16},
@@ -227,7 +328,7 @@ func StandardParseGraph() (start string, states []*ParseState) {
 	}
 	udp := &ParseState{
 		Name:      "udp",
-		HeaderLen: 8,
+		HeaderLen: udpHeaderLen,
 		Fields: []FieldSpec{
 			{Name: "l4.sport", Offset: 0, WidthBits: 16},
 			{Name: "l4.dport", Offset: 2, WidthBits: 16},

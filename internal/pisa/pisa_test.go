@@ -2,6 +2,8 @@ package pisa
 
 import (
 	"errors"
+	"math"
+	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
@@ -345,6 +347,124 @@ func TestTableCapacity(t *testing.T) {
 	}
 	if err := tab.Insert(&Entry{Values: []int32{1, 2}}); err == nil {
 		t.Error("wrong key arity should fail")
+	}
+}
+
+// TestTableInsertRejectsUnhonourable: an entry the table could never match as
+// written is an error at Insert, not a rule that silently never hits.
+func TestTableInsertRejectsUnhonourable(t *testing.T) {
+	l := NewLayout("a", "b", "out")
+	a, b := l.ID("a"), l.ID("b")
+	rib := NewTable("rib", []Key{{Field: a, Kind: LPM}}, 0)
+	for _, plen := range []int{-1, 33} {
+		if err := rib.Insert(&Entry{Values: []int32{0x0a000000}, PrefixLen: plen}); err == nil {
+			t.Errorf("LPM prefix length %d accepted", plen)
+		}
+	}
+	for _, plen := range []int{0, 32} {
+		if err := rib.Insert(&Entry{Values: []int32{0x0a000000}, PrefixLen: plen}); err != nil {
+			t.Errorf("LPM prefix length %d: %v", plen, err)
+		}
+	}
+	twoLPM := NewTable("two", []Key{{Field: a, Kind: LPM}, {Field: b, Kind: LPM}}, 0)
+	if err := twoLPM.Insert(&Entry{Values: []int32{1, 2}, PrefixLen: 8}); err == nil {
+		t.Error("entry for a table with two LPM keys accepted: both would share one PrefixLen")
+	}
+	long := &VLIWAction{Name: "long", Ops: make([]ActionOp, MaxVLIWOps+1)}
+	exact := NewTable("acl", []Key{{Field: a, Kind: Exact}}, 0)
+	if err := exact.Insert(&Entry{Values: []int32{1}, Action: long}); err == nil {
+		t.Errorf("%d-op action accepted over the %d-op budget", len(long.Ops), MaxVLIWOps)
+	}
+	long.Ops = long.Ops[:MaxVLIWOps]
+	if err := exact.Insert(&Entry{Values: []int32{1}, Action: long}); err != nil {
+		t.Errorf("%d-op action: %v", len(long.Ops), err)
+	}
+	if rib.Len() != 2 || twoLPM.Len() != 0 || exact.Len() != 1 {
+		t.Errorf("rejected entries were installed: Len %d, %d, %d; want 2, 0, 1", rib.Len(), twoLPM.Len(), exact.Len())
+	}
+}
+
+// TestTableCopiesEntry: Insert compiles the entry; editing the caller's Entry
+// afterwards does not change what a lookup matches or does.
+func TestTableCopiesEntry(t *testing.T) {
+	l := NewLayout("f", "out")
+	f, out := l.ID("f"), l.ID("out")
+	tab := NewTable("t", []Key{{Field: f, Kind: Ternary}}, 0)
+	e := &Entry{
+		Values: []int32{0xAB}, Masks: []int32{0xFF},
+		Action: &VLIWAction{Ops: []ActionOp{{Op: OpSet, Dst: out, Imm: 7, UseImm: true}}},
+	}
+	if err := tab.Insert(e); err != nil {
+		t.Fatal(err)
+	}
+	e.Values[0], e.Masks[0], e.Priority = 0xCD, 0, 99
+	e.Action = nil
+	p := NewPHV(l)
+	p.Set(f, 0x1AB)
+	if !tab.Lookup(p) || p.Get(out) != 7 {
+		t.Errorf("0x1AB after editing the entry: out = %d, want the inserted rule's 7", p.Get(out))
+	}
+	p.Reset()
+	p.Set(f, 0x1CD)
+	if tab.Lookup(p) {
+		t.Error("0x1CD hit: the edited values reached the table")
+	}
+}
+
+// TestFastModMatchesRemainder: the multiply-only reduction equals x % d for
+// divisors at the edges of the uint32 range and around powers of two, on
+// boundary and random x.
+func TestFastModMatchesRemainder(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, d := range []uint32{1, 2, 3, 4, 7, 4095, 4096, 4097, 1 << 31, math.MaxUint32} {
+		m := NewFastMod(d)
+		xs := []uint32{0, 1, d - 1, d, d + 1, 2*d - 1, 2 * d, math.MaxUint32 - 1, math.MaxUint32, 1<<31 - 1, 1 << 31}
+		for range 20000 {
+			xs = append(xs, rng.Uint32())
+		}
+		for _, x := range xs {
+			if got := m.Mod(x); got != x%d {
+				t.Fatalf("FastMod(%d).Mod(%d) = %d, want %d", d, x, got, x%d)
+			}
+		}
+	}
+	if got := NewFastMod(0).Mod(12345); got != 0 {
+		t.Errorf("FastMod(0).Mod = %d, want 0", got)
+	}
+}
+
+// TestStandardParserMatchesWalk: on every prefix of a TCP, a UDP, an ICMP and
+// an ARP frame, the straight-line standard parser and the graph walk of the
+// same Parser consume the same bytes, fill the same PHV and return the very
+// same error value.
+func TestStandardParserMatchesWalk(t *testing.T) {
+	l := stdLayout()
+	p, err := StandardParser(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withProto := func(proto byte, n int) []byte {
+		pkt := BuildTCPPacket(0x0a000001, 0x0a800001, 1234, 443, 0x10, 0)[:n]
+		pkt[23] = proto
+		return pkt
+	}
+	arp := make([]byte, 42)
+	arp[12], arp[13] = 0x08, 0x06
+	frames := [][]byte{BuildTCPPacket(0x0a000001, 0x0a800001, 1234, 443, 0x12, 8), withProto(17, 42), withProto(1, 42), arp}
+	got, want := NewPHV(l), NewPHV(l)
+	for _, frame := range frames {
+		for n := 0; n <= len(frame); n++ {
+			got.Reset()
+			want.Reset()
+			gotN, gotErr := p.Parse(frame[:n], got)
+			wantN, wantErr := p.walk(frame[:n], want)
+			if gotN != wantN || gotErr != wantErr {
+				t.Errorf("frame %x cut to %d: straight-line (%d, %v), walk (%d, %v)", frame[12:14], n, gotN, gotErr, wantN, wantErr)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("frame %x cut to %d: PHV %v, walk %v", frame[12:14], n, got.vals, want.vals)
+			}
+		}
 	}
 }
 
