@@ -113,6 +113,12 @@ func (n *DNN) layerVecs() []tensor.Vec {
 // already as wide as the layer; a caller with no use for the pre-activations
 // passes the same vectors for both. It returns post[last].
 //
+// Rows go four to a pass over the input, each summing c = 0, 1, 2, … into
+// its own accumulator: every z[r] is the serial chain a one-row loop adds,
+// but four chains are in flight at once instead of one. The bias goes on in
+// a pass of its own, z[r] += b[r] as tensor.AddInPlace adds it, which keeps
+// the four-row loop within the registers it has.
+//
 // hotpath: zero-alloc
 func (n *DNN) forwardInto(x tensor.Vec, pre, post []tensor.Vec) tensor.Vec {
 	cur := x
@@ -120,15 +126,32 @@ func (n *DNN) forwardInto(x tensor.Vec, pre, post []tensor.Vec) tensor.Vec {
 		if len(cur) != l.W.Cols {
 			panic("ml: DNN layer input width mismatch")
 		}
-		z, b := pre[i], l.B
-		rows := l.W.Data // rows[:len(cur)] is the next row of W
-		for r := range z {
+		z := pre[i]
+		k := len(cur)
+		rows := l.W.Data // rows[:k] is the next row of W
+		r := 0
+		for ; r+4 <= len(z); r += 4 {
+			w0, w1, w2, w3 := rows[:k], rows[k:][:k], rows[2*k:][:k], rows[3*k:][:k]
+			var s0, s1, s2, s3 float32
+			for c, v := range cur {
+				s0 += w0[c] * v
+				s1 += w1[c] * v
+				s2 += w2[c] * v
+				s3 += w3[c] * v
+			}
+			z[r], z[r+1], z[r+2], z[r+3] = s0, s1, s2, s3
+			rows = rows[4*k:]
+		}
+		for ; r < len(z); r++ {
 			var s float32
-			for c, w := range rows[:len(cur)] {
+			for c, w := range rows[:k] {
 				s += w * cur[c]
 			}
-			z[r] = s + b[r]
-			rows = rows[len(cur):]
+			z[r] = s
+			rows = rows[k:]
+		}
+		for r, b := range l.B[:len(z)] {
+			z[r] += b
 		}
 		l.Act.applyTo(post[i], z)
 		cur = post[i]
@@ -180,12 +203,15 @@ type Trainer struct {
 	// The workspace. pre, post and delta hold one sample's forward trace and
 	// back-propagated dLoss/dPre per layer; gradW and gradB accumulate one
 	// minibatch; probs is the softmax of the output layer; perm is the
-	// epoch's visiting order.
+	// epoch's visiting order; finiteW[i] says whether layer i's weights were
+	// all finite when the minibatch began; live lists the rows a layer's
+	// Wᵀ·delta walks.
 	pre, post, delta []tensor.Vec
 	gradW            []tensor.Mat
 	gradB            []tensor.Vec
 	probs            tensor.Vec
-	perm             []int
+	perm, live       []int
+	finiteW          []bool
 }
 
 // NewTrainer wires a trainer to net.
@@ -194,12 +220,16 @@ func NewTrainer(net *DNN, cfg SGDConfig, rng *rand.Rand) *Trainer {
 		Net: net, Cfg: cfg, rng: rng,
 		velB: net.layerVecs(), gradB: net.layerVecs(),
 		pre: net.layerVecs(), post: net.layerVecs(), delta: net.layerVecs(),
+		finiteW: make([]bool, len(net.Layers)),
 	}
+	widest := 0
 	for _, l := range net.Layers {
 		t.velW = append(t.velW, tensor.NewMat(l.W.Rows, l.W.Cols))
 		t.gradW = append(t.gradW, tensor.NewMat(l.W.Rows, l.W.Cols))
+		widest = max(widest, l.Out())
 	}
 	t.probs = make(tensor.Vec, len(t.post[len(t.post)-1]))
+	t.live = make([]int, widest)
 	return t
 }
 
@@ -261,9 +291,10 @@ func (t *Trainer) shuffle(n int) []int {
 //
 // hotpath: zero-alloc
 func (t *Trainer) step(X []tensor.Vec, y []int, batch []int) float64 {
-	for i := range t.gradW {
+	for i, l := range t.Net.Layers {
 		clear(t.gradW[i].Data)
 		clear(t.gradB[i])
+		t.finiteW[i] = allFinite(l.W.Data)
 	}
 
 	var loss float64
@@ -338,7 +369,12 @@ func (t *Trainer) backprop(x tensor.Vec, label int) float64 {
 		panic("ml: unsupported output configuration")
 	}
 
-	// Walk layers backwards.
+	// Walk layers backwards. A row whose delta is ±0 (every dead ReLU unit's)
+	// is skipped in both walks: its products are ±0 when the other factor is
+	// finite, and adding ±0 changes no sum here — each starts at +0, and
+	// under round-to-nearest a sum that starts at +0 can never become −0.
+	// Where an input or a weight is NaN or ±Inf, 0·it is NaN, so that walk
+	// stays dense.
 	for li := L - 1; li >= 0; li-- {
 		layer := net.Layers[li]
 		input := x
@@ -347,31 +383,69 @@ func (t *Trainer) backprop(x tensor.Vec, label int) float64 {
 		}
 		delta := t.delta[li]
 		gradB := t.gradB[li]
+		sparse := allFinite(input)
 		rows := t.gradW[li].Data // rows[:len(input)] is the next row of gradW
 		for r, d := range delta {
 			gradB[r] += d
-			row := rows[:len(input)]
-			for c, in := range input {
-				row[c] += d * in
+			if d != 0 || !sparse {
+				row := rows[:len(input)]
+				for c, in := range input {
+					row[c] += d * in
+				}
 			}
 			rows = rows[len(input):]
 		}
 		if li > 0 {
-			// Wᵀ·delta by rows of the row-major W: next[c] still sums
-			// r = 0, 1, 2, … into a zero, the order a column walk adds in.
-			next := t.delta[li-1]
-			clear(next)
-			rows := layer.W.Data
-			for _, d := range delta {
-				for c, w := range rows[:len(next)] {
-					next[c] += w * d
+			// Wᵀ·delta over the live rows, four columns at a time: next[c]
+			// sums r = 0, 1, 2, … into a zero, the order a column walk adds
+			// in, and four sums stay in registers across the rows instead of
+			// every product loading and storing next[c].
+			live := t.live[:len(delta)]
+			n := 0
+			for r, d := range delta {
+				if d != 0 || !t.finiteW[li] {
+					live[n] = r
+					n++
 				}
-				rows = rows[len(next):]
+			}
+			live = live[:n]
+			next, W := t.delta[li-1], layer.W.Data
+			cols := len(next)
+			c := 0
+			for ; c+4 <= cols; c += 4 {
+				var s0, s1, s2, s3 float32
+				for _, r := range live {
+					w, d := W[r*cols+c:][:4], delta[r]
+					s0 += w[0] * d
+					s1 += w[1] * d
+					s2 += w[2] * d
+					s3 += w[3] * d
+				}
+				next[c], next[c+1], next[c+2], next[c+3] = s0, s1, s2, s3
+			}
+			for ; c < cols; c++ {
+				var s float32
+				for _, r := range live {
+					s += W[r*cols+c] * delta[r]
+				}
+				next[c] = s
 			}
 			net.Layers[li-1].Act.mulDerivative(next, t.pre[li-1])
 		}
 	}
 	return loss
+}
+
+// allFinite reports whether no lane of v is NaN or ±Inf.
+//
+// hotpath: zero-alloc
+func allFinite(v []float32) bool {
+	for _, x := range v {
+		if math.Float32bits(x)&0x7f800000 == 0x7f800000 {
+			return false
+		}
+	}
+	return true
 }
 
 func clampProb(p float32) float32 {

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -400,6 +401,207 @@ func TestTrainerMatchesAllocatingOracle(t *testing.T) {
 			})
 		}
 	}
+}
+
+// Value classes of a fitArgs feature; any byte from featOrdinary up (mod 16)
+// is an ordinary value in [-3, 3).
+const (
+	featZero byte = iota
+	featNegZero
+	featSubnormal
+	featNaN
+	featInf
+	featNegInf
+	featHuge
+	featOrdinary
+)
+
+func featureValue(class byte, rng *rand.Rand) float32 {
+	switch class {
+	case featZero:
+		return 0
+	case featNegZero:
+		return float32(math.Copysign(0, -1))
+	case featSubnormal:
+		return math.Float32frombits(0x00012345)
+	case featNaN:
+		return float32(math.NaN())
+	case featInf:
+		return float32(math.Inf(1))
+	case featNegInf:
+		return float32(math.Inf(-1))
+	case featHuge:
+		return 3e38
+	}
+	return rng.Float32()*6 - 3
+}
+
+// featAt is a feature list that is ordinary up to index i, which has class c.
+func featAt(i int, c byte) []byte {
+	f := bytes.Repeat([]byte{featOrdinary}, i+1)
+	f[i] = c
+	return f
+}
+
+const fitSamples, fitEpochs = 32, 3
+
+// fitArgs is one trainer-versus-oracle run in the form FuzzFitOracle takes.
+// Bytes out of range wrap, and each field's in-range values map to
+// themselves:
+//   - dims: layer widths, input first — 1–16 inputs, 1–3 hidden layers of
+//     1–40 units, 1–3 outputs (padded with 1s to three widths);
+//   - hidden, out: activations; a single output is Sigmoid unless out is
+//     Linear, the two single-output losses backprop has;
+//   - batch: 1–40; lr: its magnitude, at most 1e30;
+//   - kill: every hidden bias starts at -3, so most ReLUs never fire;
+//   - seed: weights, labels, ordinary features and both shuffles;
+//   - feats[i]: the value class of feature i of the fitSamples samples
+//     laid end to end; ordinary past its end.
+type fitArgs struct {
+	dims        []byte
+	hidden, out uint8
+	batch       uint8
+	lr          float32
+	kill        bool
+	seed        int64
+	feats       []byte
+}
+
+// sameFloats is sameBits with one allowance: a NaN matches any NaN. Which
+// NaN an operation on two NaNs returns is left open by IEEE 754; amd64
+// returns the first operand's, and which operand is first is the register
+// allocator's choice. It differs between the trainer's loops and the
+// oracle's, and between plain and instrumented (fuzzing) builds of either,
+// so NaN sign and payload are not part of the contract. Everything else is:
+// ±0, ±Inf and every finite value, and where NaN is.
+func sameFloats(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for j := range want {
+		g, w := got[j], want[j]
+		if math.Float32bits(g) != math.Float32bits(w) && (g == g || w == w) {
+			t.Fatalf("%s[%d] = %x (%v), oracle %x (%v)", what, j,
+				math.Float32bits(g), g, math.Float32bits(w), w)
+		}
+	}
+}
+
+// check trains one network with the Trainer and a clone with the oracle
+// for fitEpochs epochs over the same samples, and requires every weight,
+// bias, velocity and loss to match (sameFloats) after every epoch, and the
+// two rng streams to agree on the next draw.
+func (a fitArgs) check(t *testing.T) {
+	dims := append([]byte(nil), a.dims...)
+	for len(dims) < 3 {
+		dims = append(dims, 1)
+	}
+	if len(dims) > 5 {
+		dims = dims[:5]
+	}
+	last := len(dims) - 1
+	sizes := make([]int, len(dims))
+	sizes[0] = 1 + (int(dims[0])+15)%16
+	for i := 1; i < last; i++ {
+		sizes[i] = 1 + (int(dims[i])+39)%40
+	}
+	sizes[last] = 1 + (int(dims[last])+2)%3
+
+	hidden, out := Activation(a.hidden%5), Activation(a.out%5)
+	classes := sizes[last]
+	if classes == 1 && out != Linear {
+		out, classes = Sigmoid, 2
+	}
+	lr := float32(math.Abs(float64(a.lr)))
+	if !(lr <= 1e30) {
+		lr = 1e30
+	}
+	cfg := SGDConfig{LearningRate: lr, Momentum: 0.9, BatchSize: 1 + (int(a.batch)+39)%40}
+
+	rng := rand.New(rand.NewSource(a.seed))
+	net := NewDNN(sizes, hidden, out, rng)
+	if a.kill {
+		for _, l := range net.Layers[:last-1] {
+			for j := range l.B {
+				l.B[j] = -3
+			}
+		}
+	}
+	X, y := make([]tensor.Vec, fitSamples), make([]int, fitSamples)
+	feats := a.feats
+	for s := range X {
+		X[s] = make(tensor.Vec, sizes[0])
+		for f := range X[s] {
+			class := featOrdinary
+			if len(feats) > 0 {
+				class, feats = feats[0]%16, feats[1:]
+			}
+			X[s][f] = featureValue(class, rng)
+		}
+		y[s] = rng.Intn(classes)
+	}
+
+	ref := net.Clone()
+	trRng, refRng := rand.New(rand.NewSource(a.seed+1)), rand.New(rand.NewSource(a.seed+1))
+	tr := NewTrainer(net, cfg, trRng)
+	or := newOracleTrainer(ref, cfg, refRng)
+	for e := 0; e < fitEpochs; e++ {
+		loss, refLoss := tr.FitEpoch(X, y), or.FitEpoch(X, y)
+		if math.Float64bits(loss) != math.Float64bits(refLoss) && (loss == loss || refLoss == refLoss) {
+			t.Fatalf("%v epoch %d: loss %v, oracle %v", sizes, e, loss, refLoss)
+		}
+		for i, l := range net.Layers {
+			what := fmt.Sprintf("%v epoch %d layer %d ", sizes, e, i)
+			sameFloats(t, what+"W", l.W.Data, ref.Layers[i].W.Data)
+			sameFloats(t, what+"B", l.B, ref.Layers[i].B)
+			sameFloats(t, what+"velW", tr.velW[i].Data, or.velW[i].Data)
+			sameFloats(t, what+"velB", tr.velB[i], or.velB[i])
+		}
+	}
+	if a, b := trRng.Int63(), refRng.Int63(); a != b {
+		t.Fatalf("rng streams diverged: next draw %d, oracle %d", a, b)
+	}
+}
+
+// hostileFits are inputs on which skipping a zero-delta row is exact only
+// behind the finiteness guard: where an input or a weight is NaN or ±Inf,
+// 0 times it is NaN, so the oracle's weights go NaN where a bare skip's stay
+// finite. Each fails a trainer that skips without the guard; all but
+// nan-feature fail one that drops either half of it. They seed
+// FuzzFitOracle.
+var hostileFits = []struct {
+	name string
+	args fitArgs
+}{
+	// 0·NaN in layer 0's gradient: the weights on the feature go NaN.
+	{"nan-feature", fitArgs{dims: []byte{6, 12, 6, 3, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 0.05, seed: 41, feats: featAt(20, featNaN)}},
+	// +Inf pre-activations pass a ReLU; below a dead row, 0·Inf is NaN in
+	// gradW, and in Wᵀ·delta once a weight has gone Inf.
+	{"inf-feature", fitArgs{dims: []byte{6, 12, 6, 3, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 0.05, seed: 1, feats: featAt(20, featInf)}},
+	// A finite feature whose products overflow to ±Inf.
+	{"huge-feature", fitArgs{dims: []byte{6, 12, 6, 3, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 0.05, seed: 7, feats: featAt(20, featHuge)}},
+	// The first steps overflow the weights.
+	{"divergent-lr", fitArgs{dims: []byte{6, 12, 6, 3, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 1e30, seed: 2}},
+	// Nearly every hidden delta is ±0, so nearly every row is skipped; one
+	// Inf feature makes some of those skips need the guard.
+	{"almost-all-dead", fitArgs{dims: []byte{6, 12, 6, 3, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 0.05, kill: true, seed: 1, feats: featAt(20, featInf)}},
+}
+
+func TestTrainerMatchesOracleOnHostileInputs(t *testing.T) {
+	for _, c := range hostileFits {
+		t.Run(c.name, c.args.check)
+	}
+}
+
+// FuzzFitOracle holds the Trainer to the oracle over random shapes,
+// activation pairs, batch sizes, learning rates up to 1e30, dead networks
+// and features drawn from {±0, subnormal, NaN, ±Inf, 3e38, ordinary}.
+func FuzzFitOracle(f *testing.F) {
+	for _, c := range hostileFits {
+		a := c.args
+		f.Add(a.dims, a.hidden, a.out, a.batch, a.lr, a.kill, a.seed, a.feats)
+	}
+	f.Fuzz(func(t *testing.T, dims []byte, hidden, out, batch uint8, lr float32, kill bool, seed int64, feats []byte) {
+		fitArgs{dims, hidden, out, batch, lr, kill, seed, feats}.check(t)
+	})
 }
 
 // Forward is the oracle's forward pass too, and hands back storage the

@@ -192,19 +192,27 @@ func (d *DNN) PartialFit(chunk []dataset.Record) (Partial, error) {
 // Merge applies the record-weighted average of the partials' deltas to the
 // shared network — the FedAvg aggregation — and rebuilds the calibration
 // sample from the partials in the given (chunk-index) order. Every partial
-// must have been computed against the network's current weights.
+// must have been computed against the network's current weights; one of
+// another shape is refused before anything is written.
 func (d *DNN) Merge(parts []Partial) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("model: DNN Merge needs partials")
 	}
 	var total float32
-	for _, raw := range parts {
+	for i, raw := range parts {
 		p, ok := raw.(*dnnPartial)
 		if !ok {
 			return fmt.Errorf("model: DNN Merge got foreign partial %T", raw)
 		}
 		if len(p.dW) != len(d.net.Layers) {
-			return fmt.Errorf("model: DNN Merge partial has %d layers, model has %d", len(p.dW), len(d.net.Layers))
+			return fmt.Errorf("model: DNN Merge partial %d has %d layers, model has %d", i, len(p.dW), len(d.net.Layers))
+		}
+		for li, l := range d.net.Layers {
+			dW := p.dW[li]
+			if dW.Rows != l.W.Rows || dW.Cols != l.W.Cols || len(p.dB[li]) != len(l.B) {
+				return fmt.Errorf("model: DNN Merge partial %d layer %d is %dx%d, model's is %dx%d",
+					i, li, dW.Rows, dW.Cols, l.W.Rows, l.W.Cols)
+			}
 		}
 		total += float32(p.records)
 	}

@@ -100,6 +100,38 @@ func TestDNNFitAllocationLedger(t *testing.T) {
 	}
 }
 
+// BenchmarkFit times one warm Fit of a retrain round's size — 512 records,
+// 4 epochs — on the gated benchmark's two shapes, each first trained on
+// 1024 records the way the benchmark's set-up trains it.
+func BenchmarkFit(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		sizes []int
+	}{
+		{"anomaly-6-12-6-3-1", []int{6, 12, 6, 3, 1}},
+		{"wide-8-64-32-1", []int{8, 64, 32, 1}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			net := ml.NewDNN(bc.sizes, ml.ReLU, ml.Sigmoid, rand.New(rand.NewSource(3)))
+			d, err := NewDNN(net, DNNConfig{Epochs: 4})
+			if err != nil {
+				b.Fatal(err)
+			}
+			pool := anomalyRecords(b, 10, bc.sizes[0], 1024+512)
+			if err := d.Fit(pool[:1024]); err != nil {
+				b.Fatal(err)
+			}
+			recs := pool[1024:]
+			b.ReportAllocs()
+			for b.Loop() {
+				if err := d.Fit(recs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // TestDNNLowerAllocationsIgnoreCalibrationSize: Lower's allocations are the
 // quantised twin and the graph it builds; calibrating on twice the samples
 // runs the same in-place forward pass twice as often and allocates the same.

@@ -193,7 +193,9 @@ func (k *KMeans) PartialFit(chunk []dataset.Record) (Partial, error) {
 // Merge totals the per-class sums in the given (chunk-index) order and
 // moves each centroid to its class mean. A class with no records across the
 // whole pool keeps its previous centroid; with no previous model every
-// class must be populated.
+// class must be populated. Partials must agree with each other and with the
+// current centroids on K and the feature width; otherwise Merge refuses
+// before anything is written.
 func (k *KMeans) Merge(parts []Partial) error {
 	if len(parts) == 0 {
 		return fmt.Errorf("model: KMeans Merge needs partials")
@@ -203,12 +205,10 @@ func (k *KMeans) Merge(parts []Partial) error {
 		return fmt.Errorf("model: KMeans Merge got foreign partial %T", parts[0])
 	}
 	dim := first.dim
-	sums := make([][]float64, k.cfg.K)
-	counts := make([]int, k.cfg.K)
-	for c := range sums {
-		sums[c] = make([]float64, dim)
+	if k.km != nil && dim != k.NumFeatures() {
+		return fmt.Errorf("model: KMeans Merge feature width %d, centroids have %d", dim, k.NumFeatures())
 	}
-	for _, raw := range parts {
+	for i, raw := range parts {
 		p, ok := raw.(*kmeansPartial)
 		if !ok {
 			return fmt.Errorf("model: KMeans Merge got foreign partial %T", raw)
@@ -216,6 +216,17 @@ func (k *KMeans) Merge(parts []Partial) error {
 		if p.dim != dim {
 			return fmt.Errorf("model: KMeans Merge feature width %d != %d", p.dim, dim)
 		}
+		if len(p.sums) != k.cfg.K {
+			return fmt.Errorf("model: KMeans Merge partial %d has K=%d, model has K=%d", i, len(p.sums), k.cfg.K)
+		}
+	}
+	sums := make([][]float64, k.cfg.K)
+	counts := make([]int, k.cfg.K)
+	for c := range sums {
+		sums[c] = make([]float64, dim)
+	}
+	for _, raw := range parts {
+		p := raw.(*kmeansPartial)
 		for c := range sums {
 			for j := range sums[c] {
 				sums[c][j] += p.sums[c][j]

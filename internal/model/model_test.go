@@ -12,7 +12,7 @@ import (
 )
 
 // anomalyRecords draws labelled anomaly records with the given feature width.
-func anomalyRecords(t *testing.T, seed int64, features, n int) []dataset.Record {
+func anomalyRecords(t testing.TB, seed int64, features, n int) []dataset.Record {
 	t.Helper()
 	gen, err := dataset.NewAnomalyGenerator(dataset.AnomalyConfig{
 		NumFeatures: features, AnomalyFraction: 0.4, Separation: 1.2,

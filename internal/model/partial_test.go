@@ -9,6 +9,7 @@ import (
 	"taurus/internal/dataset"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
+	"taurus/internal/tensor"
 )
 
 // partialFitters builds each PartialFitter warm (one cold Fit done) over its
@@ -152,6 +153,98 @@ func TestMergeMatchesChunkedReference(t *testing.T) {
 			}
 			if !bytes.Equal(merge(a[i].m), merge(b[i].m)) {
 				t.Fatal("identical models + identical ordered partials merged to different graphs")
+			}
+		})
+	}
+}
+
+// TestDNNMergeRefusesPartialOfAnotherShape: a partial a network of another
+// shape computed is refused with an error, and the model is left exactly as
+// it was — even where its first layers match and a layer-by-layer merge
+// would have written them before reaching the mismatch.
+func TestDNNMergeRefusesPartialOfAnotherShape(t *testing.T) {
+	recs := anomalyRecords(t, 80, 6, 600)
+	warm := func(sizes []int) *DNN {
+		d, err := NewDNN(ml.NewDNN(sizes, ml.ReLU, ml.Sigmoid, rand.New(rand.NewSource(5))), DNNConfig{Epochs: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Fit(recs[:300]); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	for _, c := range []struct {
+		name         string
+		model, other []int
+	}{
+		{"hidden-width", []int{6, 8, 1}, []int{6, 4, 1}},
+		{"second-layer", []int{6, 8, 4, 1}, []int{6, 8, 2, 1}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, other := warm(c.model), warm(c.other)
+			own, err := d.PartialFit(recs[300:450])
+			if err != nil {
+				t.Fatal(err)
+			}
+			foreign, err := other.PartialFit(recs[450:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			net, calib := d.net.Clone(), d.calib
+			if err := d.Merge([]Partial{own, foreign}); err == nil {
+				t.Fatalf("Merge took a %v partial into a %v model", c.other, c.model)
+			}
+			if !reflect.DeepEqual(d.net, net) || !reflect.DeepEqual(d.calib, calib) {
+				t.Fatal("a refused Merge changed the model")
+			}
+		})
+	}
+}
+
+// TestKMeansMergeRefusesPartialOfAnotherShape: a partial of another K, or
+// of another feature width than the current centroids, is refused with an
+// error, and the centroids are left as they were.
+func TestKMeansMergeRefusesPartialOfAnotherShape(t *testing.T) {
+	pool := iotRecords(t, 81, 1200)
+	warm := func(k int) *KMeans {
+		km, err := NewKMeans(KMeansConfig{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := km.Fit(pool[:600]); err != nil {
+			t.Fatal(err)
+		}
+		return km
+	}
+	k5, k3 := warm(5), warm(3)
+	otherK, err := k3.PartialFit(pool[600:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k5.NumFeatures() == 8 {
+		t.Fatal("the IoT records are as wide as the anomaly records")
+	}
+	otherWidth, err := k5.PartialFit(anomalyRecords(t, 82, 8, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name string
+		p    Partial
+	}{{"k3-into-k5", otherK}, {"other-width", otherWidth}} {
+		p := c.p
+		t.Run(c.name, func(t *testing.T) {
+			before := k5.km
+			centroids := make([]tensor.Vec, len(before.Centroids))
+			for i, c := range before.Centroids {
+				centroids[i] = c.Clone()
+			}
+			if err := k5.Merge([]Partial{p}); err == nil {
+				t.Fatal("Merge took a partial of another shape")
+			}
+			if k5.km != before || !reflect.DeepEqual(k5.km.Centroids, centroids) {
+				t.Fatal("a refused Merge changed the centroids")
 			}
 		})
 	}

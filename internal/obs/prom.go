@@ -131,14 +131,10 @@ func parseSample(line string) error {
 	}
 	rest := line[i:]
 	if strings.HasPrefix(rest, "{") {
-		end := strings.Index(rest, "}")
-		if end < 0 {
-			return fmt.Errorf("unterminated label set")
-		}
-		if err := parseLabelSet(rest[1:end]); err != nil {
+		var err error
+		if rest, err = parseLabelSet(rest[1:]); err != nil {
 			return err
 		}
-		rest = rest[end+1:]
 	}
 	rest = strings.TrimSpace(rest)
 	if rest == "" {
@@ -154,45 +150,48 @@ func parseSample(line string) error {
 	return nil
 }
 
-func parseLabelSet(s string) error {
-	for len(s) > 0 {
-		eq := strings.Index(s, "=")
+// parseLabelSet validates `key="value",...}`, a label set after its `{`, and
+// returns what follows the closing brace. A value is scanned honouring
+// escapes, so a `}`, `,` or `=` inside the quotes is part of it.
+func parseLabelSet(s string) (string, error) {
+	for {
+		if s == "" {
+			return "", fmt.Errorf("unterminated label set")
+		}
+		if s[0] == '}' {
+			return s[1:], nil
+		}
+		eq := strings.IndexByte(s, '=')
 		if eq <= 0 {
-			return fmt.Errorf("bad label pair %q", s)
+			return "", fmt.Errorf("bad label pair %q", s)
 		}
 		key := s[:eq]
 		for j := 0; j < len(key); j++ {
 			if !isNameChar(key[j], j == 0) {
-				return fmt.Errorf("bad label name %q", key)
+				return "", fmt.Errorf("bad label name %q", key)
 			}
 		}
 		s = s[eq+1:]
 		if len(s) == 0 || s[0] != '"' {
-			return fmt.Errorf("label %q value not quoted", key)
+			return "", fmt.Errorf("label %q value not quoted", key)
 		}
-		// Scan the quoted value honouring escapes.
 		j := 1
-		for j < len(s) {
+		for j < len(s) && s[j] != '"' {
 			if s[j] == '\\' {
-				j += 2
-				continue
-			}
-			if s[j] == '"' {
-				break
+				j++
 			}
 			j++
 		}
 		if j >= len(s) {
-			return fmt.Errorf("label %q value unterminated", key)
+			return "", fmt.Errorf("label %q value unterminated", key)
 		}
 		s = s[j+1:]
 		if strings.HasPrefix(s, ",") {
 			s = s[1:]
-		} else if len(s) > 0 {
-			return fmt.Errorf("trailing garbage after label %q", key)
+		} else if s != "" && s[0] != '}' {
+			return "", fmt.Errorf("trailing garbage after label %q", key)
 		}
 	}
-	return nil
 }
 
 func isNameChar(c byte, first bool) bool {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -74,6 +75,62 @@ func TestParsePrometheusRejectsGarbage(t *testing.T) {
 			t.Errorf("ParsePrometheus rejected %q: %v", ok, err)
 		}
 	}
+}
+
+// promRoundTrip registers one of each instrument under label values the
+// caller chose — as Fleet.Register puts a member's name into a member=""
+// label — writes the exposition and requires it to parse back with one
+// sample per counter or gauge and six per histogram.
+func promRoundTrip(t *testing.T, member, shard string) {
+	t.Helper()
+	r := NewRegistry()
+	r.Counter("taurus.fleet.pushes", L("member", member)).Add(1)
+	r.Gauge("taurus.fleet.epoch", L("member", member), L("shard", shard)).Set(7)
+	r.Histogram("taurus.device.service_ns", L("shard", shard)).Record(42)
+	snap := r.Snapshot()
+	want := 0
+	for _, m := range snap {
+		if m.Kind == KindHistogram {
+			want += 6
+		} else {
+			want++
+		}
+	}
+	var sb strings.Builder
+	if err := WritePrometheus(&sb, snap); err != nil {
+		t.Fatal(err)
+	}
+	n, err := ParsePrometheus(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatalf("own exposition does not parse: %v\n%s", err, sb.String())
+	}
+	if n != want {
+		t.Fatalf("parsed %d samples, want %d:\n%s", n, want, sb.String())
+	}
+}
+
+// A label value may hold anything: the parser must not end the label set at
+// a brace, comma or equals sign inside the quotes, nor at an escaped quote,
+// backslash or newline.
+func TestPrometheusRoundTripHostileLabelValues(t *testing.T) {
+	for _, v := range []string{
+		"rack}3", "a,b", "k=v", `say "hi"`, `back\slash`, "two\nlines",
+		`}",x="`, `\`, `\"}`, "",
+	} {
+		promRoundTrip(t, v, v+"}")
+	}
+}
+
+// FuzzPrometheus: the validator never panics on arbitrary bytes, and an
+// exposition this package wrote parses back whole, whatever the label values.
+func FuzzPrometheus(f *testing.F) {
+	f.Add([]byte("m{a=\"b\"} 1\n"), "rack}3", `a\"b`)
+	f.Add([]byte("m{a=\"}\",b=\"\\\\\"} 2 1712345678\n# TYPE m counter\n"), "two\nlines", "k=v,")
+	f.Add([]byte("m{a=\"x\\"), "", `\`)
+	f.Fuzz(func(t *testing.T, raw []byte, member, shard string) {
+		ParsePrometheus(bytes.NewReader(raw))
+		promRoundTrip(t, member, shard)
+	})
 }
 
 func TestPromEscape(t *testing.T) {
