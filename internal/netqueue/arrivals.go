@@ -36,6 +36,9 @@ type Poisson struct {
 // NewPoisson builds a Poisson arrival process at pps packets/sec over
 // nflows flows.
 func NewPoisson(pps float64, nflows int, seed int64) (*Poisson, error) {
+	if err := checkFinite(param{"Poisson rate", pps}); err != nil {
+		return nil, err
+	}
 	if pps <= 0 {
 		return nil, fmt.Errorf("netqueue: Poisson rate must be positive, got %v pps", pps)
 	}
@@ -88,6 +91,14 @@ type OnOff struct {
 // NewOnOff builds the bursty process. The long-run average rate is
 // Rate() = (MeanOn·Peak + MeanOff·Base) / (MeanOn + MeanOff).
 func NewOnOff(cfg OnOffConfig) (*OnOff, error) {
+	if err := checkFinite(
+		param{"OnOffConfig.PeakPPS", cfg.PeakPPS},
+		param{"OnOffConfig.BasePPS", cfg.BasePPS},
+		param{"OnOffConfig.MeanOnNs", cfg.MeanOnNs},
+		param{"OnOffConfig.MeanOffNs", cfg.MeanOffNs},
+	); err != nil {
+		return nil, err
+	}
 	if cfg.PeakPPS <= 0 {
 		return nil, fmt.Errorf("netqueue: on/off peak rate must be positive, got %v pps", cfg.PeakPPS)
 	}
@@ -181,6 +192,9 @@ type Replay struct {
 func NewReplay(stream *trafficgen.DriftingStream, pps float64, batch int, seed int64) (*Replay, error) {
 	if stream == nil {
 		return nil, fmt.Errorf("netqueue: nil stream")
+	}
+	if err := checkFinite(param{"replay rate", pps}); err != nil {
+		return nil, err
 	}
 	if pps <= 0 {
 		return nil, fmt.Errorf("netqueue: replay rate must be positive, got %v pps", pps)

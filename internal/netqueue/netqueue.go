@@ -19,18 +19,25 @@
 // collapse-and-recover story can be asked with queueing: does a retrain
 // push under 80% load cause a latency spike, or drops?
 //
-// The event loop allocates nothing in the steady state: the event queue is
-// a slice-backed binary heap whose size is bounded by shards+1 (one pending
-// arrival plus one in-flight service completion per shard), per-shard FIFO
-// rings are preallocated at queue capacity, and latency percentiles come
-// from a fixed-size log-linear histogram.
+// Events are ordered by (time, sequence number), one counter numbering
+// arrivals and departures alike. The event queue is one pending arrival
+// plus a binary heap of departures: a shard has at most one service in
+// flight, so the heap holds at most one entry per shard, and the arrival is
+// served as soon as no departure precedes it. The shard is the flow hash
+// reduced with pisa.FastMod, as in the pipeline; per-shard FIFO rings are
+// preallocated at queue capacity and wrap by compare-and-subtract; latencies
+// go into the obs histogram's buckets kept as a plain single-writer array,
+// so percentiles are the obs.Histogram's without its atomics. The event
+// loop allocates nothing in the steady state.
 package netqueue
 
 import (
 	"fmt"
+	"math"
 
 	"taurus/internal/obs"
 	"taurus/internal/pipeline"
+	"taurus/internal/pisa"
 )
 
 // Packet is one simulated arrival.
@@ -86,80 +93,105 @@ const DefaultQueueCap = 512
 // weight push (10µs).
 const DefaultPushStallNs = 10_000
 
-type eventKind uint8
-
-const (
-	evArrival eventKind = iota
-	evDeparture
-)
-
-type event struct {
-	at    float64
-	seq   uint64 // tie-break so equal-time events pop deterministically
-	kind  eventKind
-	shard int32
-	pkt   Packet
+// param is one named float parameter, so a validation error can say which
+// field was wrong.
+type param struct {
+	name string
+	v    float64
 }
 
-// eventHeap is a slice-backed binary min-heap ordered by (at, seq). Its
-// size is bounded by one pending arrival plus one in-flight departure per
-// shard, so pushes never grow the preallocated backing array in steady
-// state.
-type eventHeap struct {
-	ev []event
-}
-
-func (h *eventHeap) less(i, j int) bool {
-	if h.ev[i].at != h.ev[j].at {
-		return h.ev[i].at < h.ev[j].at
+// checkFinite returns an error naming the first parameter that is NaN or
+// ±Inf. NaN fails every ordered comparison, so a range check such as
+// `pps <= 0` alone lets it through.
+func checkFinite(params ...param) error {
+	for _, p := range params {
+		if math.IsNaN(p.v) || math.IsInf(p.v, 0) {
+			return fmt.Errorf("netqueue: %s must be finite, got %v", p.name, p.v)
+		}
 	}
-	return h.ev[i].seq < h.ev[j].seq
+	return nil
 }
 
-func (h *eventHeap) push(e event) {
-	h.ev = append(h.ev, e)
-	i := len(h.ev) - 1
+// stamp is an event's place in the one event order: time, then sequence
+// number.
+type stamp struct {
+	at  float64
+	seq uint64 // tie-break so equal-time events are served deterministically
+}
+
+func (a stamp) before(b stamp) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// departure is one in-flight service completion.
+type departure struct {
+	stamp
+	shard int
+}
+
+// departureHeap is a binary min-heap of departures ordered by stamp. Its
+// backing array has one slot per shard — a shard has at most one service in
+// flight — so it never grows.
+type departureHeap struct {
+	ev []departure
+	n  int
+}
+
+// push adds d.
+//
+// hotpath: zero-alloc
+func (h *departureHeap) push(d departure) {
+	i := h.n
+	h.n++
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !h.less(i, parent) {
+		if !d.before(h.ev[parent].stamp) {
 			break
 		}
-		h.ev[i], h.ev[parent] = h.ev[parent], h.ev[i]
+		h.ev[i] = h.ev[parent]
 		i = parent
 	}
+	h.ev[i] = d
 }
 
-func (h *eventHeap) pop() event {
-	top := h.ev[0]
-	last := len(h.ev) - 1
-	h.ev[0] = h.ev[last]
-	h.ev = h.ev[:last]
+// pop removes the earliest departure.
+//
+// hotpath: zero-alloc
+func (h *departureHeap) pop() {
+	h.n--
+	if h.n > 0 {
+		h.replaceTop(h.ev[h.n])
+	}
+}
+
+// replaceTop removes the earliest departure and adds d in one sift from the
+// root.
+//
+// hotpath: zero-alloc
+func (h *departureHeap) replaceTop(d departure) {
+	ev := h.ev[:h.n]
 	i := 0
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < last && h.less(l, smallest) {
-			smallest = l
-		}
-		if r < last && h.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
+		c := 2*i + 1
+		if c >= len(ev) {
 			break
 		}
-		h.ev[i], h.ev[smallest] = h.ev[smallest], h.ev[i]
-		i = smallest
+		if r := c + 1; r < len(ev) && ev[r].before(ev[c].stamp) {
+			c = r
+		}
+		if !ev[c].before(d.stamp) {
+			break
+		}
+		ev[i] = ev[c]
+		i = c
 	}
-	return top
+	ev[i] = d
 }
-
-func (h *eventHeap) empty() bool { return len(h.ev) == 0 }
 
 // qpkt is one queued (or in-service) packet's bookkeeping.
 type qpkt struct {
-	arrival   float64
-	svc       float64
-	anomalous bool
+	arrival float64
+	svc     float64
 }
 
 // shardQ is one shard's FIFO waiting room plus its server state.
@@ -180,14 +212,22 @@ type shardQ struct {
 	lastT    float64
 }
 
+// enqueue appends p; the caller has checked the ring is not full.
 func (q *shardQ) enqueue(p qpkt) {
-	q.buf[(q.head+q.n)%len(q.buf)] = p
+	i := q.head + q.n
+	if i >= len(q.buf) {
+		i -= len(q.buf)
+	}
+	q.buf[i] = p
 	q.n++
 }
 
 func (q *shardQ) dequeue() qpkt {
 	p := q.buf[q.head]
-	q.head = (q.head + 1) % len(q.buf)
+	q.head++
+	if q.head == len(q.buf) {
+		q.head = 0
+	}
 	q.n--
 	return p
 }
@@ -208,14 +248,14 @@ type Simulator struct {
 
 	now      float64
 	arrClock float64 // the arrival process's own timeline
-	seq      uint64
-	heap     eventHeap
+	seq      uint64  // numbers arrivals and departures in one sequence
+	deps     departureHeap
 	shards   []shardQ
+	shardOf  pisa.FastMod
 
-	arrivalPending bool
-
-	// Interval metrics (reset by ResetStats).
-	hist       obs.Histogram
+	// Interval metrics (reset by ResetStats). hist holds the transit-time
+	// counts in obs.Histogram's buckets; they sum to served.
+	hist       [obs.NumHistBuckets]int64
 	statsStart float64
 	arrived    int
 	served     int
@@ -233,6 +273,14 @@ func New(cfg Config, arr ArrivalProcess) (*Simulator, error) {
 	}
 	if cfg.Service.Shards <= 0 {
 		return nil, fmt.Errorf("netqueue: service model needs a positive shard count, got %d", cfg.Service.Shards)
+	}
+	if err := checkFinite(
+		param{"Service.MLServiceNs", cfg.Service.MLServiceNs},
+		param{"Service.BypassServiceNs", cfg.Service.BypassServiceNs},
+		param{"Service.LatencyNs", cfg.Service.LatencyNs},
+		param{"PushStallNs", cfg.PushStallNs},
+	); err != nil {
+		return nil, err
 	}
 	if cfg.Service.MLServiceNs <= 0 {
 		return nil, fmt.Errorf("netqueue: service model has ML service time %v ns; deploy a model (LoadModel) before simulating", cfg.Service.MLServiceNs)
@@ -253,14 +301,15 @@ func New(cfg Config, arr ArrivalProcess) (*Simulator, error) {
 		return nil, fmt.Errorf("netqueue: negative push stall %v", cfg.PushStallNs)
 	}
 	s := &Simulator{
-		cfg:    cfg,
-		arr:    arr,
-		shards: make([]shardQ, cfg.Service.Shards),
+		cfg:     cfg,
+		arr:     arr,
+		shards:  make([]shardQ, cfg.Service.Shards),
+		shardOf: pisa.NewFastMod(uint32(cfg.Service.Shards)),
 	}
 	for i := range s.shards {
 		s.shards[i].buf = make([]qpkt, cfg.QueueCap)
 	}
-	s.heap.ev = make([]event, 0, cfg.Service.Shards+2)
+	s.deps.ev = make([]departure, cfg.Service.Shards)
 	return s, nil
 }
 
@@ -285,58 +334,58 @@ func (s *Simulator) Push() {
 // RunPackets feeds the next n arrivals through the event loop, interleaving
 // service completions in time order. Queue state carries over between
 // calls, so consecutive runs form one continuous timeline.
+//
+// hotpath: zero-alloc
 func (s *Simulator) RunPackets(n int) {
 	for i := 0; i < n; i++ {
-		if !s.arrivalPending {
-			gap, pkt := s.arr.Next()
-			if gap < 0 {
-				gap = 0
-			}
-			s.arrClock += gap
-			s.seq++
-			s.heap.push(event{at: s.arrClock, seq: s.seq, kind: evArrival, pkt: pkt})
-			s.arrivalPending = true
+		gap, pkt := s.arr.Next()
+		if gap < 0 {
+			gap = 0
 		}
-		for s.arrivalPending {
-			s.step()
-		}
+		s.arrClock += gap
+		s.seq++
+		s.step(stamp{at: s.arrClock, seq: s.seq}, pkt)
 	}
 }
 
 // Drain processes every remaining service completion without admitting new
 // arrivals — the end-of-run flush so queued packets' latencies are
 // recorded.
+//
+// hotpath: zero-alloc
 func (s *Simulator) Drain() {
-	for !s.heap.empty() {
-		s.step()
+	for s.deps.n > 0 {
+		s.onDeparture()
 	}
 }
 
-func (s *Simulator) step() {
-	e := s.heap.pop()
-	s.now = e.at
-	switch e.kind {
-	case evArrival:
-		s.arrivalPending = false
-		s.onArrival(e.pkt)
-	case evDeparture:
-		s.onDeparture(int(e.shard))
+// step runs the timeline through the pending arrival at: first every
+// departure that precedes it — including those the departures themselves
+// schedule — then the arrival.
+//
+// hotpath: zero-alloc
+func (s *Simulator) step(at stamp, pkt Packet) {
+	for s.deps.n > 0 && s.deps.ev[0].before(at) {
+		s.onDeparture()
 	}
+	s.now = at.at
+	s.onArrival(pkt)
 }
 
+// hotpath: zero-alloc
 func (s *Simulator) onArrival(pkt Packet) {
 	s.arrived++
-	shard := int(pkt.Flow) % len(s.shards)
+	shard := int(s.shardOf.Mod(pkt.Flow))
 	sh := &s.shards[shard]
 	svc := s.cfg.Service.MLServiceNs
 	if pkt.Bypass {
 		svc = s.cfg.Service.BypassServiceNs
 	}
-	p := qpkt{arrival: s.now, svc: svc, anomalous: pkt.Anomalous}
+	p := qpkt{arrival: s.now, svc: svc}
 	if !sh.busy {
 		sh.busy = true
 		sh.cur = p
-		s.scheduleDeparture(shard, p)
+		s.deps.push(s.scheduleDeparture(shard, p))
 		return
 	}
 	if sh.n >= len(sh.buf) {
@@ -353,10 +402,16 @@ func (s *Simulator) onArrival(pkt Packet) {
 	}
 }
 
-func (s *Simulator) onDeparture(shard int) {
-	sh := &s.shards[shard]
+// onDeparture completes the earliest in-flight service, the heap's top. The
+// shard's next waiting packet, if any, takes the top's place.
+//
+// hotpath: zero-alloc
+func (s *Simulator) onDeparture() {
+	d := s.deps.ev[0]
+	s.now = d.at
+	sh := &s.shards[d.shard]
 	lat := s.now - sh.cur.arrival + s.cfg.Service.LatencyNs
-	s.hist.Record(lat)
+	s.hist[obs.BucketOf(lat)]++
 	s.served++
 	s.sumNs += lat
 	if lat > s.maxNs {
@@ -366,27 +421,25 @@ func (s *Simulator) onDeparture(shard int) {
 		sh.tick(s.now)
 		p := sh.dequeue()
 		sh.cur = p
-		s.scheduleDeparture(shard, p)
+		s.deps.replaceTop(s.scheduleDeparture(d.shard, p))
 		return
 	}
 	sh.busy = false
+	s.deps.pop()
 }
 
 // scheduleDeparture commits the next service on shard: it begins at the
 // later of now and the shard's push-pause end, and completes one service
-// time later.
-func (s *Simulator) scheduleDeparture(shard int, p qpkt) {
+// time later. It returns the completion for the caller to queue.
+//
+// hotpath: zero-alloc
+func (s *Simulator) scheduleDeparture(shard int, p qpkt) departure {
 	begin := s.now
 	if pu := s.shards[shard].pauseUntil; pu > begin {
 		begin = pu
 	}
 	s.seq++
-	s.heap.push(event{
-		at:    begin + p.svc,
-		seq:   s.seq,
-		kind:  evDeparture,
-		shard: int32(shard),
-	})
+	return departure{stamp: stamp{at: begin + p.svc, seq: s.seq}, shard: shard}
 }
 
 // Result is one measurement interval's metrics (since the last ResetStats,
@@ -431,9 +484,9 @@ func (s *Simulator) Stats() Result {
 		Served:           s.served,
 		Drops:            s.drops,
 		DroppedAnomalous: s.dropsAnom,
-		P50Ns:            s.hist.Quantile(0.50),
-		P99Ns:            s.hist.Quantile(0.99),
-		P999Ns:           s.hist.Quantile(0.999),
+		P50Ns:            s.quantile(0.50),
+		P99Ns:            s.quantile(0.99),
+		P999Ns:           s.quantile(0.999),
 		MaxNs:            s.maxNs,
 		Pushes:           s.pushes,
 		DurationNs:       s.now - s.statsStart,
@@ -460,11 +513,35 @@ func (s *Simulator) Stats() Result {
 	return r
 }
 
+// quantile is obs.Histogram.Quantile over the interval's bucket counts: the
+// midpoint of the bucket holding the target rank (0 with nothing served).
+func (s *Simulator) quantile(q float64) float64 {
+	count := int64(s.served)
+	if count == 0 {
+		return 0
+	}
+	target := int64(q*float64(count) + 0.5)
+	if target < 1 {
+		target = 1
+	}
+	if target > count {
+		target = count
+	}
+	var seen int64
+	for i, n := range s.hist[:] {
+		seen += n
+		if seen >= target {
+			return obs.BucketMid(i)
+		}
+	}
+	return obs.BucketMid(obs.NumHistBuckets - 1)
+}
+
 // ResetStats zeroes the interval metrics (histogram, counters, depth
 // integrals) while queue and server state carry on — the boundary between
 // windowed measurements on one continuous timeline.
 func (s *Simulator) ResetStats() {
-	s.hist.Reset()
+	clear(s.hist[:])
 	s.statsStart = s.now
 	s.arrived, s.served, s.drops, s.dropsAnom, s.pushes = 0, 0, 0, 0, 0
 	s.maxNs, s.sumNs = 0, 0
@@ -483,6 +560,9 @@ func (s *Simulator) ResetStats() {
 func MaxSustainablePPS(cfg Config, mk func(pps float64) (ArrivalProcess, error), packets int, maxDropFrac float64) (float64, error) {
 	if packets <= 0 {
 		return 0, fmt.Errorf("netqueue: need a positive packet budget, got %d", packets)
+	}
+	if !(maxDropFrac >= 0 && maxDropFrac <= 1) {
+		return 0, fmt.Errorf("netqueue: maxDropFrac must be a fraction in [0, 1], got %v", maxDropFrac)
 	}
 	nominal := cfg.Service.NominalPPS()
 	if nominal <= 0 {

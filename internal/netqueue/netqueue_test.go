@@ -2,6 +2,7 @@ package netqueue
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"taurus/internal/dataset"
@@ -50,6 +51,51 @@ func TestValidation(t *testing.T) {
 	if _, err := NewReplay(nil, 1e6, 0, 1); err == nil {
 		t.Error("nil replay stream accepted")
 	}
+
+	// Non-finite parameters: NaN passes every `x <= 0` check, so each must be
+	// refused by name rather than run to a NaN result.
+	nan, inf := math.NaN(), math.Inf(1)
+	stream, err := trafficgen.NewDriftingStream(dataset.DefaultDriftConfig(), 1, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	onoff := OnOffConfig{PeakPPS: 1e8, BasePPS: 1e6, MeanOnNs: 1000, MeanOffNs: 1000}
+	withSvc := func(edit func(*pipeline.ServiceModel)) Config { return Config{Service: with(svc1(), edit)} }
+	for _, tc := range []struct {
+		what, field string
+		err         error
+	}{
+		{"NewPoisson(NaN)", "rate", second(NewPoisson(nan, 8, 1))},
+		{"NewPoisson(+Inf)", "rate", second(NewPoisson(inf, 8, 1))},
+		{"NewReplay(NaN)", "rate", second(NewReplay(stream, nan, 0, 1))},
+		{"NewOnOff NaN peak", "PeakPPS", second(NewOnOff(with(onoff, func(c *OnOffConfig) { c.PeakPPS = nan })))},
+		{"NewOnOff +Inf peak", "PeakPPS", second(NewOnOff(with(onoff, func(c *OnOffConfig) { c.PeakPPS = inf })))},
+		{"NewOnOff NaN base", "BasePPS", second(NewOnOff(with(onoff, func(c *OnOffConfig) { c.BasePPS = nan })))},
+		{"NewOnOff NaN on dwell", "MeanOnNs", second(NewOnOff(with(onoff, func(c *OnOffConfig) { c.MeanOnNs = nan })))},
+		{"NewOnOff NaN off dwell", "MeanOffNs", second(NewOnOff(with(onoff, func(c *OnOffConfig) { c.MeanOffNs = nan })))},
+		{"New NaN MLServiceNs", "MLServiceNs", second(New(withSvc(func(s *pipeline.ServiceModel) { s.MLServiceNs = nan }), arr))},
+		{"New +Inf MLServiceNs", "MLServiceNs", second(New(withSvc(func(s *pipeline.ServiceModel) { s.MLServiceNs = inf }), arr))},
+		{"New NaN BypassServiceNs", "BypassServiceNs", second(New(withSvc(func(s *pipeline.ServiceModel) { s.BypassServiceNs = nan }), arr))},
+		{"New NaN LatencyNs", "LatencyNs", second(New(withSvc(func(s *pipeline.ServiceModel) { s.LatencyNs = nan }), arr))},
+		{"New NaN PushStallNs", "PushStallNs", second(New(Config{Service: svc1(), PushStallNs: nan}, arr))},
+		{"MaxSustainablePPS(maxDropFrac NaN)", "maxDropFrac", second(MaxSustainablePPS(Config{Service: svc1()},
+			func(pps float64) (ArrivalProcess, error) { return NewPoisson(pps, 8, 1) }, 100, nan))},
+	} {
+		if tc.err == nil {
+			t.Errorf("%s accepted", tc.what)
+		} else if !strings.Contains(tc.err.Error(), tc.field) {
+			t.Errorf("%s: error %q does not name %s", tc.what, tc.err, tc.field)
+		}
+	}
+}
+
+// second returns a constructor's error.
+func second[T any](_ T, err error) error { return err }
+
+// with returns a copy of c edited by edit.
+func with[T any](c T, edit func(*T)) T {
+	edit(&c)
+	return c
 }
 
 // TestPoissonRate checks the generator's mean interarrival gap.
@@ -352,15 +398,14 @@ func TestEventLoopAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkSimulatorEventLoop measures the heap-based event loop per
-// packet; it must report 0 allocs/op in the steady state.
-func BenchmarkSimulatorEventLoop(b *testing.B) {
-	svc := pipeline.ServiceModel{Shards: 8, MLServiceNs: 1, BypassServiceNs: 1, LatencyNs: 34}
-	arr, err := NewPoisson(0.8*8e9, 512, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim, err := New(Config{Service: svc, QueueCap: 512}, arr)
+// benchSvc is the shape the gated benchmark's sim_pps measures: 4 shards at
+// one ns per ML packet, 512 flows, the default 512-packet queues.
+var benchSvc = pipeline.ServiceModel{Shards: 4, MLServiceNs: 1, BypassServiceNs: 1}
+
+// benchEventLoop times the event loop per simulated packet; it must report
+// 0 allocs/op in the steady state.
+func benchEventLoop(b *testing.B, arr ArrivalProcess) {
+	sim, err := New(Config{Service: benchSvc, QueueCap: 512}, arr)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -372,6 +417,33 @@ func BenchmarkSimulatorEventLoop(b *testing.B) {
 	r := sim.Stats()
 	b.ReportMetric(r.P99Ns, "p99-ns")
 	b.ReportMetric(r.DropFrac*100, "drop-pct")
+}
+
+// BenchmarkSimulatorEventLoop: Poisson arrivals at 0.8 of nominal.
+func BenchmarkSimulatorEventLoop(b *testing.B) {
+	arr, err := NewPoisson(0.8*benchSvc.NominalPPS(), 512, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEventLoop(b, arr)
+}
+
+// BenchmarkSimulatorEventLoopOnOff: bursts at 4x nominal for a mean 400
+// services, a long-run 0.7 of nominal — queues fill and drop.
+func BenchmarkSimulatorEventLoopOnOff(b *testing.B) {
+	const peakX, load = 4.0, 0.7
+	onNs := 400 * benchSvc.MLServiceNs
+	arr, err := NewOnOff(OnOffConfig{
+		PeakPPS:   peakX * benchSvc.NominalPPS(),
+		MeanOnNs:  onNs,
+		MeanOffNs: onNs * (peakX/load - 1),
+		Flows:     512,
+		Seed:      1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchEventLoop(b, arr)
 }
 
 // TestPushStallZeroIsFree: an explicit PushStallNs of 0 models a free

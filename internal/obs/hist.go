@@ -16,7 +16,10 @@ import (
 // Recording is a constant number of atomic ops on preallocated cells —
 // safe for concurrent recorders, and cheap enough for per-packet paths when
 // batched with RecordN. The zero value is ready to use; Registry.Histogram
-// hands out registered instances.
+// hands out registered instances. A single-threaded recorder that needs
+// neither the atomics nor the sum can keep the same buckets in a plain
+// [NumHistBuckets]int64 through BucketOf and BucketMid, as netqueue's event
+// loop does: its quantiles are bit-identical to a Histogram's.
 type Histogram struct {
 	count   atomic.Int64
 	sum     atomic.Uint64 // float64 bits
@@ -34,8 +37,11 @@ const (
 // NumHistBuckets is the fixed bucket count of every Histogram.
 const NumHistBuckets = histBuckets
 
-// bucketOf maps a non-negative value to its bucket index.
-func bucketOf(v float64) int {
+// BucketOf maps a non-negative value to its bucket index in
+// [0, NumHistBuckets).
+//
+// hotpath: zero-alloc
+func BucketOf(v float64) int {
 	if v < 0 || v != v { // negatives and NaN clamp to the first bucket
 		v = 0
 	}
@@ -90,7 +96,7 @@ func (h *Histogram) RecordN(v float64, n int64) {
 	if n <= 0 {
 		return
 	}
-	h.buckets[bucketOf(v)].Add(n)
+	h.buckets[BucketOf(v)].Add(n)
 	h.count.Add(n)
 	h.addSum(v * float64(n))
 }

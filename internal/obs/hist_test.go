@@ -14,29 +14,29 @@ import (
 func TestHistBucketBoundaries(t *testing.T) {
 	// Linear region: one bucket per integer.
 	for v := 0; v < histSub; v++ {
-		if got := bucketOf(float64(v)); got != v {
-			t.Errorf("bucketOf(%d) = %d, want %d (unit bucket)", v, got, v)
+		if got := BucketOf(float64(v)); got != v {
+			t.Errorf("BucketOf(%d) = %d, want %d (unit bucket)", v, got, v)
 		}
 	}
 	// First log bucket starts exactly at histSub.
-	if got := bucketOf(histSub); got != histSub {
-		t.Errorf("bucketOf(%d) = %d, want %d", histSub, got, histSub)
+	if got := BucketOf(histSub); got != histSub {
+		t.Errorf("BucketOf(%d) = %d, want %d", histSub, got, histSub)
 	}
 	// Octave boundaries: 2^k maps to the first sub-bucket of its octave.
 	for k := histSubBits; k < 40; k++ {
 		v := float64(uint64(1) << uint(k))
-		i := bucketOf(v)
+		i := BucketOf(v)
 		if BucketLow(i) != v {
-			t.Errorf("bucketOf(2^%d): bucket %d has low %g, want %g", k, i, BucketLow(i), v)
+			t.Errorf("BucketOf(2^%d): bucket %d has low %g, want %g", k, i, BucketLow(i), v)
 		}
 	}
 	// Containment + monotonicity across a dense sweep.
 	prev := -1
 	for u := 0; u < 1<<14; u++ {
 		v := float64(u)
-		i := bucketOf(v)
+		i := BucketOf(v)
 		if i < prev {
-			t.Fatalf("bucketOf not monotonic at %g: %d after %d", v, i, prev)
+			t.Fatalf("BucketOf not monotonic at %g: %d after %d", v, i, prev)
 		}
 		prev = i
 		low := BucketLow(i)
@@ -51,8 +51,8 @@ func TestHistBucketBoundaries(t *testing.T) {
 		}
 	}
 	// Negative values clamp to bucket 0.
-	if got := bucketOf(-5); got != 0 {
-		t.Errorf("bucketOf(-5) = %d, want 0", got)
+	if got := BucketOf(-5); got != 0 {
+		t.Errorf("BucketOf(-5) = %d, want 0", got)
 	}
 }
 
