@@ -18,6 +18,8 @@ bench:
 # and running so it can't silently rot. The end-to-end control-loop smoke
 # moved to bench-json, which runs the drift and fleet experiments anyway —
 # CI runs both targets, so duplicating them here would double the slow part.
+# BenchmarkLoadModel (internal/pipeline) splits an install into its stages
+# for both benchmark DNN shapes, so one iteration also smokes every stage.
 # The distfit experiment runs here in rendered-table form: it is the one
 # experiment whose wall-clock depends on scheduling (task deadlines,
 # stragglers), so smoking it on every run keeps the timing honest.

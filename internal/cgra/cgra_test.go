@@ -226,6 +226,22 @@ func TestPlacementValidateCoverage(t *testing.T) {
 	}
 }
 
+// TestPlacementValidateRejectsUnknownNode: a group naming a node the graph
+// does not have is an error from Validate (and so from Timing), not an
+// index-out-of-range panic.
+func TestPlacementValidateRejectsUnknownNode(t *testing.T) {
+	for _, id := range []mr.NodeID{4, 1 << 20, -1} {
+		g, pl := tinyPlacement(t)
+		pl.Groups[0].Nodes = append(pl.Groups[0].Nodes, id)
+		if err := pl.Validate(g); err == nil {
+			t.Errorf("group naming node %d: Validate passed", id)
+		}
+		if _, err := Timing(g, pl); err == nil {
+			t.Errorf("group naming node %d: Timing passed", id)
+		}
+	}
+}
+
 func TestNonConvexFusionRejected(t *testing.T) {
 	// g: x -> a -> b -> c, but a and c fused while b is a separate, later
 	// group: group 0 would consume from group 1.

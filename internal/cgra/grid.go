@@ -103,6 +103,9 @@ func (s GridSpec) IsMU(c Coord) bool {
 	return idx%(s.CUMURatio+1) == s.CUMURatio
 }
 
+// unit is the row-major index of an on-grid position.
+func (s GridSpec) unit(c Coord) int { return c.Row*s.Cols + c.Col }
+
 // CUCount returns the number of compute units in the grid.
 func (s GridSpec) CUCount() int {
 	n := 0

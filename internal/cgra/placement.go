@@ -120,12 +120,15 @@ func (p *Placement) Validate(g *mr.Graph) error {
 	if len(p.NodeGroup) != len(g.Nodes) {
 		return fmt.Errorf("cgra: NodeGroup covers %d nodes, graph has %d", len(p.NodeGroup), len(g.Nodes))
 	}
-	seen := make(map[mr.NodeID]bool)
+	seen := make([]bool, len(g.Nodes))
 	for gi, grp := range p.Groups {
 		if len(grp.Nodes) == 0 {
 			return fmt.Errorf("cgra: group %d is empty", gi)
 		}
 		for _, n := range grp.Nodes {
+			if n < 0 || int(n) >= len(g.Nodes) {
+				return fmt.Errorf("cgra: group %d names node %d, graph has %d", gi, n, len(g.Nodes))
+			}
 			if seen[n] {
 				return fmt.Errorf("cgra: node %d in multiple groups", n)
 			}
@@ -243,7 +246,7 @@ func Timing(g *mr.Graph, p *Placement) (Stats, error) {
 	// arguments produced by earlier groups or by inputs/consts). Groups
 	// sharing a physical unit serialise: a unit runs one configuration at a
 	// time (§4's unrolling trade-off in reverse).
-	unitBusy := map[Coord]int{}
+	unitBusy := make([]int, p.Spec.Rows*p.Spec.Cols) // by unit, row-major
 	for gi, grp := range p.Groups {
 		pos := grp.effectivePos(inPort)
 		arrive := 0
@@ -272,13 +275,11 @@ func Timing(g *mr.Graph, p *Placement) (Stats, error) {
 			}
 		}
 		if grp.Kind != GroupWire {
-			if busy := unitBusy[pos]; busy > arrive {
-				arrive = busy
-			}
+			arrive = max(arrive, unitBusy[p.Spec.unit(pos)])
 		}
 		done := arrive + grp.traversalCycles(p.Spec)
 		if grp.Kind != GroupWire {
-			unitBusy[pos] = done
+			unitBusy[p.Spec.unit(pos)] = done
 		}
 		for _, member := range grp.Nodes {
 			nodeReady[member] = done
@@ -300,34 +301,41 @@ func Timing(g *mr.Graph, p *Placement) (Stats, error) {
 	}
 
 	// II: total issue occupancy per physical unit. CUs issue one vector op
-	// per cycle; MUs serve MUBanks lookups per cycle across their banks.
-	unitLoad := map[Coord]int{}
-	muReads := map[Coord]int{}
-	cus := map[Coord]bool{}
-	mus := map[Coord]bool{}
+	// per cycle; MUs serve MUBanks lookups per cycle across their banks. A
+	// unit is a CU or an MU by position, so one row-major slice — unitBusy's,
+	// which is done with — holds both kinds: a CU's issue load, or an MU's
+	// lane reads until they are turned into bank cycles.
+	load := unitBusy
+	clear(load)
+	cus, mus := 0, 0
 	for _, grp := range p.Groups {
-		switch grp.Kind {
-		case GroupWire:
-		case GroupMU:
-			mus[grp.Pos] = true
-			for _, m := range grp.Nodes {
-				muReads[grp.Pos] += g.Node(m).Width
-			}
-		default:
-			cus[grp.Pos] = true
-			unitLoad[grp.Pos] += grp.occupancy()
+		if grp.Kind == GroupWire {
+			continue
 		}
-	}
-	for pos, reads := range muReads {
-		unitLoad[pos] += (reads + MUBanks - 1) / MUBanks
+		u := p.Spec.unit(grp.Pos)
+		if load[u] == 0 {
+			if grp.Kind == GroupMU {
+				mus++
+			} else {
+				cus++
+			}
+		}
+		if grp.Kind == GroupMU {
+			for _, m := range grp.Nodes {
+				load[u] += g.Node(m).Width
+			}
+		} else {
+			load[u] += grp.occupancy()
+		}
 	}
 	ii := 1
-	for _, load := range unitLoad {
-		if load > ii {
-			ii = load
+	for u, l := range load {
+		if p.Spec.IsMU(Coord{Row: u / p.Spec.Cols, Col: u % p.Spec.Cols}) {
+			l = (l + MUBanks - 1) / MUBanks
 		}
+		ii = max(ii, l)
 	}
-	return Stats{LatencyCycles: latency, II: ii, CUsUsed: len(cus), MUsUsed: len(mus)}, nil
+	return Stats{LatencyCycles: latency, II: ii, CUsUsed: cus, MUsUsed: mus}, nil
 }
 
 // effectivePos returns the group's routing position; wires sit at their

@@ -152,14 +152,19 @@ func Compile(g *mr.Graph, opts Options) (*Result, error) {
 // CU traversal, and wraps LUTs and wires in their own groups.
 func fuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 	// uses counts *distinct consumers* (a node consuming the same value on
-	// both operands, like x*x, is one consumer).
+	// both operands, like x*x, is one consumer); consumer[id] is the last
+	// distinct node reading id, which for a value with one use is its only
+	// consumer — the chain's next link — and the first after it in node order.
 	uses := make([]int, len(g.Nodes))
+	consumer := make([]mr.NodeID, len(g.Nodes))
+	for i := range consumer {
+		consumer[i] = -1
+	}
 	for _, n := range g.Nodes {
-		seen := map[mr.NodeID]bool{}
 		for _, a := range n.Args {
-			if !seen[a] {
+			if consumer[a] != n.ID {
 				uses[a]++
-				seen[a] = true
+				consumer[a] = n.ID
 			}
 		}
 	}
@@ -171,7 +176,31 @@ func fuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 	for i := range nodeGroup {
 		nodeGroup[i] = -1
 	}
-	var groups []*cgra.Group
+	// Every group holds at least one node that is neither an input nor a
+	// constant, and every such node sits in one group: carve the groups, and
+	// their member lists in group order, out of one array each. A chain head
+	// is the last member carved, so its chain grows in place.
+	units := 0
+	for _, n := range g.Nodes {
+		if n.Kind != mr.KInput && n.Kind != mr.KConst {
+			units++
+		}
+	}
+	var groups []*cgra.Group // nil when there is nothing to place
+	if units > 0 {
+		groups = make([]*cgra.Group, 0, units)
+	}
+	store := make([]cgra.Group, units)
+	members := make([]mr.NodeID, 0, units)
+	newGroup := func(grp cgra.Group, head mr.NodeID) *cgra.Group {
+		nodeGroup[head] = len(groups)
+		p := &store[len(groups)]
+		*p = grp
+		members = append(members, head)
+		p.Nodes = members[len(members)-1 : len(members) : len(members)]
+		groups = append(groups, p)
+		return p
+	}
 
 	// Slot budgets: a pure element-wise chain fills the pipeline depth; a
 	// chain containing a reduction may additionally use per-cycle fractions
@@ -179,15 +208,6 @@ func fuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 	// ops (bias add, requant).
 	chainCap := spec.Stages
 	reduceCap := 2 + log2Ceil(spec.Lanes) + 2
-
-	inGroup := func(grp *cgra.Group, id mr.NodeID) bool {
-		for _, m := range grp.Nodes {
-			if m == id {
-				return true
-			}
-		}
-		return false
-	}
 
 	for _, n := range g.Nodes {
 		if nodeGroup[n.ID] != -1 {
@@ -197,43 +217,28 @@ func fuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 		case mr.KInput, mr.KConst:
 			continue
 		case mr.KConcat, mr.KSlice:
-			grp := &cgra.Group{Kind: cgra.GroupWire, Nodes: []mr.NodeID{n.ID}, Slots: 0, Iterations: 1, Pack: 1}
-			nodeGroup[n.ID] = len(groups)
-			groups = append(groups, grp)
+			newGroup(cgra.Group{Kind: cgra.GroupWire, Slots: 0, Iterations: 1, Pack: 1}, n.ID)
 		case mr.KLUT:
 			iters := (n.Width + hwmodel.MUBanks - 1) / hwmodel.MUBanks
-			grp := &cgra.Group{Kind: cgra.GroupMU, Nodes: []mr.NodeID{n.ID}, Slots: 1, Iterations: iters, Pack: 1}
-			nodeGroup[n.ID] = len(groups)
-			groups = append(groups, grp)
+			newGroup(cgra.Group{Kind: cgra.GroupMU, Slots: 1, Iterations: iters, Pack: 1}, n.ID)
 		default: // compute chain head
-			grp := &cgra.Group{Kind: cgra.GroupCU, Nodes: []mr.NodeID{n.ID}, Iterations: 1, Pack: 1}
+			gi, first := len(groups), len(members)
+			grp := newGroup(cgra.Group{Kind: cgra.GroupCU, Iterations: 1, Pack: 1}, n.ID)
 			slots := nodeSlots(g, n, spec.Lanes)
 			hasReduce := n.Kind == mr.KReduce
 			maxWidth := chainWidth(g, n)
-			gi := len(groups)
-			nodeGroup[n.ID] = gi
 
 			tail := n
 			for {
 				// The tail must have exactly one consumer, the consumer
 				// must be fusible compute, and all its other args must be
-				// constants or already in this group (convexity).
-				if uses[tail.ID] != 1 {
+				// constants (convexity: every member before the tail has
+				// the next member as its one consumer, so none can be one).
+				if uses[tail.ID] != 1 || consumer[tail.ID] < 0 {
 					break
 				}
-				var next *mr.Node
-				for _, cand := range g.Nodes[tail.ID+1:] {
-					for _, a := range cand.Args {
-						if a == tail.ID {
-							next = cand
-							break
-						}
-					}
-					if next != nil {
-						break
-					}
-				}
-				if next == nil || !fusible(next.Kind) || nodeGroup[next.ID] != -1 {
+				next := g.Node(consumer[tail.ID])
+				if !fusible(next.Kind) || nodeGroup[next.ID] != -1 {
 					break
 				}
 				ok := true
@@ -241,8 +246,7 @@ func fuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 					if a == tail.ID {
 						continue
 					}
-					an := g.Node(a)
-					if an.Kind == mr.KConst || inGroup(grp, a) {
+					if g.Node(a).Kind == mr.KConst {
 						continue
 					}
 					ok = false
@@ -263,18 +267,18 @@ func fuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 				if w := chainWidth(g, next); w > maxWidth {
 					maxWidth = w
 				}
-				grp.Nodes = append(grp.Nodes, next.ID)
+				members = append(members, next.ID)
 				nodeGroup[next.ID] = gi
 				slots = nextSlots
 				hasReduce = nextReduce
 				tail = next
 			}
+			grp.Nodes = members[first:len(members):len(members)]
 			grp.Slots = slots
 			grp.Iterations = (maxWidth + spec.Lanes - 1) / spec.Lanes
 			if grp.Iterations < 1 {
 				grp.Iterations = 1
 			}
-			groups = append(groups, grp)
 		}
 	}
 	return groups, nodeGroup
@@ -297,7 +301,7 @@ func mergeAdjacent(g *mr.Graph, spec cgra.GridSpec, groups []*cgra.Group, nodeGr
 	chainCap := spec.Stages
 	reduceCap := 2 + log2Ceil(spec.Lanes) + 2
 
-	var out []*cgra.Group
+	out := groups[:0] // merging only drops groups: compact in place
 	for _, grp := range groups {
 		if len(out) > 0 {
 			prev := out[len(out)-1]
@@ -341,7 +345,8 @@ func chainWidth(g *mr.Graph, n *mr.Node) int {
 // least-loaded unit, raising II.
 func place(g *mr.Graph, pl *cgra.Placement, opts Options) error {
 	spec := pl.Spec
-	var freeCUs, freeMUs []cgra.Coord
+	freeMUs := make([]cgra.Coord, 0, spec.MUCount())
+	freeCUs := make([]cgra.Coord, 0, spec.Rows*spec.Cols-cap(freeMUs))
 	for c := 0; c < spec.Cols; c++ {
 		for r := 0; r < spec.Rows; r++ {
 			pos := cgra.Coord{Row: r, Col: c}
@@ -362,7 +367,8 @@ func place(g *mr.Graph, pl *cgra.Placement, opts Options) error {
 		return fmt.Errorf("compiler: grid has no usable units (CUs=%d MUs=%d)", len(freeCUs), len(freeMUs))
 	}
 
-	used := map[cgra.Coord]int{}        // load per used unit
+	// used[r*Cols+c] is the load of the unit at (r, c), 0 while it is free.
+	used := make([]int, spec.Rows*spec.Cols)
 	lutHome := map[*mr.LUT]cgra.Coord{} // table -> MU hosting it
 	inPort := spec.InputPort()
 
@@ -386,30 +392,32 @@ func place(g *mr.Graph, pl *cgra.Placement, opts Options) error {
 		(*pool) = append((*pool)[:best], (*pool)[best+1:]...)
 		return pos, true
 	}
-	// shareLeastLoaded ranges over a map, so every tie is broken explicitly —
-	// load, then distance to want (takeNearest's criterion), then row-major —
-	// and the placement is a function of the graph, not of iteration order.
+	// shareLeastLoaded picks the used unit of the kind with the least load,
+	// then the least distance to want (takeNearest's criterion); the scan is
+	// row-major and keeps the first of equals, so a unit tied on both is the
+	// lowest row, then column, and the placement is a function of the graph.
 	shareLeastLoaded := func(kind cgra.GroupKind, want cgra.Coord) (cgra.Coord, error) {
 		best := cgra.Coord{Row: -1}
 		bestLoad, bestD := 1<<30, 1<<30
-		for pos, load := range used {
+		for i, load := range used {
+			if load == 0 {
+				continue
+			}
+			pos := cgra.Coord{Row: i / spec.Cols, Col: i % spec.Cols}
 			if spec.IsMU(pos) != (kind == cgra.GroupMU) {
 				continue
 			}
 			d := pos.Manhattan(want)
-			better := load < bestLoad ||
-				load == bestLoad && (d < bestD ||
-					d == bestD && (pos.Row < best.Row || pos.Row == best.Row && pos.Col < best.Col))
-			if !better {
-				continue
+			if load < bestLoad || load == bestLoad && d < bestD {
+				best, bestLoad, bestD = pos, load, d
 			}
-			best, bestLoad, bestD = pos, load, d
 		}
 		if best.Row < 0 {
 			return cgra.Coord{}, fmt.Errorf("compiler: no unit available to share for %v group", kind)
 		}
 		return best, nil
 	}
+	unit := func(pos cgra.Coord) *int { return &used[pos.Row*spec.Cols+pos.Col] }
 
 	for _, grp := range pl.Groups {
 		// Desired position: centroid of external producers, one column in.
@@ -455,7 +463,7 @@ func place(g *mr.Graph, pl *cgra.Placement, opts Options) error {
 			lutKey := g.Node(grp.Nodes[0]).LUT
 			if prev, ok := lutHome[lutKey]; ok {
 				grp.Pos = prev
-				used[prev]++
+				*unit(prev)++
 				break
 			}
 			pos, ok := takeNearest(&freeMUs, want)
@@ -468,7 +476,7 @@ func place(g *mr.Graph, pl *cgra.Placement, opts Options) error {
 			}
 			grp.Pos = pos
 			lutHome[lutKey] = pos
-			used[pos]++
+			*unit(pos)++
 		default:
 			pos, ok := takeNearest(&freeCUs, want)
 			if !ok {
@@ -479,7 +487,7 @@ func place(g *mr.Graph, pl *cgra.Placement, opts Options) error {
 				}
 			}
 			grp.Pos = pos
-			used[pos]++
+			*unit(pos)++
 		}
 		for _, m := range grp.Nodes {
 			nodePos[m] = grp.Pos

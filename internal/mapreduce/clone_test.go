@@ -84,3 +84,40 @@ func TestGraphClone(t *testing.T) {
 		}
 	}
 }
+
+// TestCloneKeepsSharedLUTs: lookups that share one table in the original
+// share one copy of it in the clone — placement puts lookups of one table on
+// one MU, so a clone that split them would place differently — while distinct
+// tables stay distinct, and no table is the original's.
+func TestCloneKeepsSharedLUTs(t *testing.T) {
+	b := NewBuilder("shared-luts")
+	x := b.Input("x", 4)
+	var shared, other LUT
+	shared.Mult = fixed.Multiplier{M0: 1 << 30, Shift: 31}
+	other.Mult = shared.Mult
+	other.Table[0] = 1
+	a := b.ApplyLUT(x, &shared)
+	c := b.ApplyLUT(b.Unary(UNeg, x), &other)
+	d := b.ApplyLUT(b.Unary(UAbs, x), &shared)
+	b.Output(b.Concat(a, c, d))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c2 := g.Clone()
+	var luts []*LUT
+	for _, n := range c2.Nodes {
+		if n.Kind == KLUT {
+			luts = append(luts, n.LUT)
+			if n.LUT == &shared || n.LUT == &other {
+				t.Fatalf("node %d: the clone holds the original's table", n.ID)
+			}
+		}
+	}
+	if len(luts) != 3 || luts[0] != luts[2] || luts[0] == luts[1] {
+		t.Fatalf("clone tables %p: want the first and last shared, the middle its own", luts)
+	}
+	if *luts[0] != shared || *luts[1] != other {
+		t.Fatal("cloned tables differ from the originals")
+	}
+}

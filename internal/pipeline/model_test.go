@@ -116,7 +116,7 @@ func TestBatchServesOneModel(t *testing.T) {
 }
 
 // untrainedDNN lowers a randomly initialised DNN of the given layer widths.
-func untrainedDNN(t *testing.T, sizes []int) (*mr.Graph, *ml.QuantizedDNN) {
+func untrainedDNN(t testing.TB, sizes []int) (*mr.Graph, *ml.QuantizedDNN) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(len(sizes) + sizes[1])))
 	X := make([]tensor.Vec, 64)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 
 	"taurus/internal/cgra"
 	"taurus/internal/fixed"
@@ -308,6 +307,30 @@ func (p *Program) OutAt(i, j int) []int32 {
 	return p.arena.vals[base : base+o.W]
 }
 
+// issueOrder linearises the schedule bundle by bundle: every node by Start
+// cycle, IDs ascending (topological) within a cycle — the order the tape
+// executes. One counting pass over the cycles buckets it.
+func issueOrder(s *Schedule) []mr.NodeID {
+	last := 0
+	for _, t := range s.Start {
+		last = max(last, t)
+	}
+	// at[t] is where cycle t's nodes begin in order, once the counts are summed.
+	at := make([]int, last+2)
+	for _, t := range s.Start {
+		at[t+1]++
+	}
+	for t := 1; t < len(at); t++ {
+		at[t] += at[t-1]
+	}
+	order := make([]mr.NodeID, len(s.Start))
+	for id, t := range s.Start {
+		order[at[t]] = mr.NodeID(id)
+		at[t]++
+	}
+	return order
+}
+
 // emit lays out the arena and linearises the schedule into the tape. Five
 // peephole passes cut the instruction count before emission: dot/sqdist
 // chains fuse into their reductions, a neuron's scalar bias add folds into
@@ -569,21 +592,7 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 		return o
 	}
 
-	// Linearise bundle by bundle (ties broken by node ID, which is
-	// topological): the tape executes the schedule in issue order.
-	order := make([]mr.NodeID, 0, len(g.Nodes))
-	for _, n := range g.Nodes {
-		order = append(order, n.ID)
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if s.Start[a] != s.Start[b] {
-			return s.Start[a] < s.Start[b]
-		}
-		return a < b
-	})
-
-	for _, id := range order {
+	for _, id := range issueOrder(s) {
 		n := g.Node(id)
 		if fused[id] {
 			continue

@@ -57,7 +57,7 @@ func matVecBiased(ins *sched.Instr) (biased, ok bool) {
 // packet's values. As a side effect it builds c.writer, which equiv() uses
 // to attribute output cells to instructions.
 func (c *checker) bounds() {
-	c.writer = make([]int32, c.arena)
+	c.writer = grown(&c.ws.writer, c.arena)
 	for i := range c.writer {
 		c.writer[i] = -1
 	}

@@ -2,6 +2,8 @@ package tapecheck
 
 import (
 	"fmt"
+	"math/bits"
+	"sync"
 
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/sched"
@@ -67,21 +69,25 @@ type exprNode struct {
 	pc     int32
 }
 
-// interner hash-conses expressions into an open-addressing table keyed by an
-// FNV-1a hash of (kind, x, y, kids). A general map with byte-slice keys
-// spends the whole verification budget hashing 64-kid sum keys; mixing the
-// fields directly keeps the ~1400-node DNN pass well under the 2 ms budget.
+// interner hash-conses expressions into an open-addressing table keyed by
+// (kind, x, y, kids). A general map with byte-slice keys spends the whole
+// verification budget hashing 64-kid sum keys; mixing the fields directly
+// keeps the ~1400-node DNN pass well under the 2 ms budget. Its slices are a
+// pooled workspace's: ids are assigned in insertion order whatever the table
+// looks like, so a reused table changes no id and no report.
 type interner struct {
 	nodes []exprNode
 	kids  []exprID
 	tab   []int32 // open-addressed: node id + 1, 0 = empty
 	mask  uint32
+	shift uint8 // 64 - log2(len(tab)): a two-kid key's slot is its hash's top bits
 	pc    int32
 }
 
-// newInterner pre-sizes for roughly `hint` interned expressions (the table
-// at load factor <= 1/2) so verifying a large tape never pays rehash growth.
-func newInterner(hint int) *interner {
+// reset empties the interner for about `hint` interned expressions, reusing
+// its storage where it is big enough: the table at load factor <= 1/2 so
+// verifying a large tape never pays rehash growth.
+func (it *interner) reset(hint int) {
 	// Leaves bypass the table, so table residency runs well below hint; one
 	// power of two above it keeps the load factor comfortable without paying
 	// to zero a table that would sit mostly empty.
@@ -89,13 +95,19 @@ func newInterner(hint int) *interner {
 	for size < hint {
 		size <<= 1
 	}
-	return &interner{
-		nodes: make([]exprNode, 0, hint+16),
-		kids:  make([]exprID, 0, 2*hint+16),
-		tab:   make([]int32, size),
-		mask:  uint32(size - 1),
-		pc:    -1,
+	if cap(it.tab) < size {
+		it.tab = make([]int32, size)
 	}
+	it.tab = it.tab[:size]
+	clear(it.tab)
+	it.mask, it.shift = uint32(size-1), uint8(64-bits.TrailingZeros(uint(size)))
+	if cap(it.nodes) < hint+16 {
+		it.nodes = make([]exprNode, 0, hint+16)
+	}
+	if cap(it.kids) < 2*hint+16 {
+		it.kids = make([]exprID, 0, 2*hint+16)
+	}
+	it.nodes, it.kids, it.pc = it.nodes[:0], it.kids[:0], -1
 }
 
 // fresh appends a leaf guaranteed to be new — input/const leaves are interned
@@ -122,14 +134,28 @@ func fin(h uint32) uint32 {
 	return h
 }
 
-func exprHash(kind uint8, x, y int32, kids []exprID) uint32 {
+// slot is where probing for a key starts. Two-kid keys — every map lane and
+// every fused dot term, the bulk of the universe — pack both kids into one
+// word, fold in the rest, and take the top bits of one multiply (Fibonacci
+// hashing); any other key runs FNV-1a over its fields. binary, intern and
+// grow all come through here, so a key always probes from the same slot.
+func (it *interner) slot(kind uint8, x, y int32, kids []exprID) uint32 {
+	if len(kids) == 2 {
+		return it.slot2(kind, x, y, kids[0], kids[1])
+	}
 	h := mix(uint32(2166136261), uint32(kind))
 	h = mix(h, uint32(x))
 	h = mix(h, uint32(y))
 	for _, k := range kids {
 		h = mix(h, uint32(k))
 	}
-	return fin(h)
+	return fin(h) & it.mask
+}
+
+func (it *interner) slot2(kind uint8, x, y int32, a, b exprID) uint32 {
+	key := uint64(uint32(a))<<32 | uint64(uint32(b))
+	key ^= uint64(kind)<<58 ^ uint64(uint32(x))<<16 ^ uint64(uint32(y))<<40
+	return uint32(key * 0x9e3779b97f4a7c15 >> it.shift)
 }
 
 func (it *interner) equal(id exprID, kind uint8, x, y int32, kids []exprID) bool {
@@ -147,7 +173,7 @@ func (it *interner) equal(id exprID, kind uint8, x, y int32, kids []exprID) bool
 }
 
 func (it *interner) intern(kind uint8, x, y int32, kids []exprID) exprID {
-	slot := exprHash(kind, x, y, kids) & it.mask
+	slot := it.slot(kind, x, y, kids)
 	for {
 		e := it.tab[slot]
 		if e == 0 {
@@ -171,17 +197,16 @@ func (it *interner) intern(kind uint8, x, y int32, kids []exprID) exprID {
 
 // grow doubles the table and rehashes every interned node.
 func (it *interner) grow() {
-	tab := make([]int32, len(it.tab)*2)
-	mask := uint32(len(tab) - 1)
+	it.tab = make([]int32, len(it.tab)*2)
+	it.mask, it.shift = uint32(len(it.tab)-1), it.shift-1
 	for id := range it.nodes {
 		n := &it.nodes[id]
-		slot := exprHash(n.kind, n.x, n.y, it.kids[n.kidOff:n.kidOff+n.kidLen]) & mask
-		for tab[slot] != 0 {
-			slot = (slot + 1) & mask
+		slot := it.slot(n.kind, n.x, n.y, it.kids[n.kidOff:n.kidOff+n.kidLen])
+		for it.tab[slot] != 0 {
+			slot = (slot + 1) & it.mask
 		}
-		tab[slot] = int32(id) + 1
+		it.tab[slot] = int32(id) + 1
 	}
-	it.tab, it.mask = tab, mask
 }
 
 func (it *interner) kidsOf(id exprID) []exprID {
@@ -192,20 +217,15 @@ func (it *interner) kidsOf(id exprID) []exprID {
 // binary interns a two-kid expression, sorting the kids when the operator is
 // bit-exact commutative so `mul(a,b)` and `mul(b,a)` cons to the same id.
 // Two-kid nodes are the bulk of the universe (every map lane, every fused dot
-// term), so the probe loop is specialised: same hash as the general path
-// (grow() rehashes through exprHash), no kid-slice detour.
+// term), so the probe loop is specialised: same slot as the general path, no
+// kid-slice detour.
 func (it *interner) binary(kind uint8, a, b exprID) exprID {
 	if kind == eAdd || kind == eMul || kind == eMin || kind == eMax {
 		if b < a {
 			a, b = b, a
 		}
 	}
-	h := mix(uint32(2166136261), uint32(kind))
-	h = mix(h, 0)
-	h = mix(h, 0)
-	h = mix(h, uint32(a))
-	h = mix(h, uint32(b))
-	slot := fin(h) & it.mask
+	slot := it.slot2(kind, 0, 0, a, b)
 	for {
 		e := it.tab[slot]
 		if e == 0 {
@@ -330,23 +350,65 @@ func payloadSlot(slot int, ok bool, pc int) int32 {
 	return int32(-1000 - pc)
 }
 
+// workspace is one Verify's scratch: the interner's storage, every graph
+// node's lanes carved out of one backing array, the tape side's arena cells
+// and the bounds analysis' writer map. Workspaces are pooled, so nothing a
+// Report holds may point into one — findings carry rendered strings only.
+type workspace struct {
+	it      interner
+	buf     []exprID   // the graph-side lanes of every node, back to back
+	lanes   [][]exprID // per node: its carve of buf
+	cells   []exprID
+	scratch []exprID
+	writer  []int32
+}
+
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
+
+// grown returns (*buf)[:n], reallocating *buf when it is too small. The
+// contents are stale: callers overwrite every element.
+func grown[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// carve gives every node of g a window of Width lanes in one backing array,
+// in node order. Nothing is cleared: the graph walk writes every lane of a
+// window before any node reads it.
+func (ws *workspace) carve(g *mr.Graph) [][]exprID {
+	need := 0
+	for _, n := range g.Nodes {
+		need += n.Width
+	}
+	buf, lanes := grown(&ws.buf, need), grown(&ws.lanes, len(g.Nodes))
+	for i, n := range g.Nodes {
+		lanes[i], buf = buf[:n.Width:n.Width], buf[n.Width:]
+	}
+	return lanes
+}
+
 func (c *checker) equiv() {
 	// Size hint: the universe is dominated by one expression per graph lane
 	// (tape-side fused forms re-cons onto the same ids), plus a handful of
 	// accumulators per instruction.
+	ws := c.ws
 	hint := len(c.code) + 64
 	for _, n := range c.g.Nodes {
 		hint += n.Width
 	}
-	it := newInterner(hint)
+	it := &ws.it
+	it.reset(hint)
 
 	// Graph side: per-lane expressions for every node. Validate guarantees
 	// arguments are built before use, so one forward pass suffices.
-	glanes := make([][]exprID, len(c.g.Nodes))
-	scratch := make([]exprID, 0, 64)
+	glanes := ws.carve(c.g)
+	scratch := ws.scratch[:0]
+	defer func() { ws.scratch = scratch }()
 	for i := range c.g.Nodes {
 		n := c.g.Nodes[i]
-		lanes := make([]exprID, n.Width)
+		lanes := glanes[i]
 		arg := func(j int) []exprID {
 			if j < len(n.Args) {
 				return glanes[n.Args[j]]
@@ -419,11 +481,10 @@ func (c *checker) equiv() {
 				lanes[l] = it.intern(eLUT, int32(c.layout[i]), 0, []exprID{pick(a, l)})
 			}
 		}
-		glanes[i] = lanes
 	}
 
 	// Tape side: symbolic execution over slot 0 of the arena.
-	cells := make([]exprID, c.arena)
+	cells := grown(&ws.cells, c.arena)
 	for i := range cells {
 		cells[i] = -1
 	}

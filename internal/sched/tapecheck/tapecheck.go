@@ -51,8 +51,10 @@
 // saturate Fix32 is a question about the graph: graphcheck answers it, once, on
 // every install and push path — a tape that merely inherits it is faithful.
 //
-// Verify is pure and allocation-bounded: on the ~1400-node DNN it makes about
-// a thousand allocations (pinned by TestVerifyLargestDNNBudget; timed by
+// Verify is pure and allocation-bounded: its scratch — the interner, every
+// node's lanes, the arena cells — lives in a pooled workspace, so on the
+// ~1400-node DNN a warm call makes about thirty allocations, the report's
+// among them (pinned by TestVerifyLargestDNNBudget; timed by
 // BenchmarkTapeVerify). Importing this package registers it as sched's
 // compile gate: sched.Compile refuses to return a program with
 // error-severity findings (sched.CompileUnverified opts out), so a device
@@ -249,8 +251,10 @@ func Verify(p *sched.Program) *Report {
 		})
 		return r
 	}
+	ws := workspaces.Get().(*workspace)
+	defer workspaces.Put(ws)
 	c := &checker{
-		p: p, g: g, r: r,
+		p: p, g: g, r: r, ws: ws,
 		code:   p.Code(),
 		batch:  p.MaxBatch(),
 		arena:  p.ArenaSize(),
@@ -289,6 +293,9 @@ type checker struct {
 	// writer[cell] is the pc that defines each arena cell (slot-expanded),
 	// -2 for input-seeded cells, -1 for never-written. Built by bounds().
 	writer []int32
+
+	// ws is the pooled scratch of this pass (writer's storage among it).
+	ws *workspace
 }
 
 // finding appends one diagnostic for instruction pc (or -1).
