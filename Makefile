@@ -61,9 +61,17 @@ check:
 
 # Repo-local vet passes: the taurus-lint multichecker runs hotpathcheck
 # (zero-alloc hot paths), gatecheck (verify-before-push) and obsnames (metric
-# names) over the production tree (see internal/lint).
+# names) over the production tree (see internal/lint). Then the orphan check:
+# every internal package must be reached from the facade, a command or an
+# example — one that only its own tests import is dead code.
 lint: check
 	$(GO) run ./cmd/taurus-lint .
+	@reached=$$($(GO) list -deps . ./cmd/... ./examples/...) || exit 1; \
+	orphans=$$($(GO) list ./internal/... | while read -r p; do \
+		echo "$$reached" | grep -qxF "$$p" || echo "$$p"; done); \
+	if [ -n "$$orphans" ]; then \
+		echo "internal packages no facade, command or example imports:"; echo "$$orphans"; exit 1; \
+	fi
 
 fmt:
 	gofmt -w .

@@ -155,7 +155,7 @@ func BenchmarkTable8(b *testing.B) {
 	var last netsim.Result
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := netsim.Run(netsim.DefaultConfig(m.DNN, 1e-3, 100_000))
+		res, err := netsim.Run(m.DNN, 1e-3, 100_000)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -28,15 +28,6 @@ func (a Accelerator) LatencyMs(batch int) (float64, error) {
 	return a.SetupMs + a.PerItemMs*float64(batch), nil
 }
 
-// ThroughputAtBatch returns samples/second for a batch size.
-func (a Accelerator) ThroughputAtBatch(batch int) (float64, error) {
-	lat, err := a.LatencyMs(batch)
-	if err != nil {
-		return 0, err
-	}
-	return float64(batch) / (lat / 1000), nil
-}
-
 // Table2 returns the three accelerators with constants calibrated to the
 // paper's unbatched measurements (batch = 1): Xeon 0.67 ms, Tesla T4
 // 1.15 ms, Cloud TPU v2-8 3.51 ms. The CPU has the smallest dispatch

@@ -41,10 +41,11 @@ func TestAcceleratorsWinBatched(t *testing.T) {
 	// ("larger batch sizes boost throughput").
 	accels := Table2()
 	cpu, tpu := accels[0], accels[2]
-	cpuT, _ := cpu.ThroughputAtBatch(10000)
-	tpuT, _ := tpu.ThroughputAtBatch(10000)
-	if tpuT <= cpuT {
-		t.Errorf("TPU throughput (%v) should beat CPU (%v) at batch 10k", tpuT, cpuT)
+	// Same batch, so the lower latency is the higher throughput.
+	cpuL, _ := cpu.LatencyMs(10000)
+	tpuL, _ := tpu.LatencyMs(10000)
+	if tpuL >= cpuL {
+		t.Errorf("TPU latency (%v ms) should beat CPU (%v ms) at batch 10k", tpuL, cpuL)
 	}
 }
 
@@ -61,7 +62,7 @@ func TestLatencyErrors(t *testing.T) {
 	if _, err := a.LatencyMs(0); err == nil {
 		t.Error("batch 0 should fail")
 	}
-	if _, err := a.ThroughputAtBatch(-1); err == nil {
+	if _, err := a.LatencyMs(-1); err == nil {
 		t.Error("negative batch should fail")
 	}
 }

@@ -28,6 +28,7 @@ package controlplane
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"sync/atomic"
 	"time"
@@ -200,7 +201,28 @@ func DefaultConfig() Config {
 	}
 }
 
-func (c *Config) applyDefaults() {
+// applyDefaults replaces every zero (or negative) field with its default and
+// refuses what no default can mean: NaN and +Inf pass a `<= 0` check, but no
+// window distance ever exceeds them, so a NaN or +Inf threshold would switch
+// drift detection off without a word; a Statistic outside the defined three
+// would silently run mean-shift.
+func (c *Config) applyDefaults() error {
+	if c.Statistic < DriftMeanShift || c.Statistic > DriftKS {
+		return fmt.Errorf("controlplane: Statistic %d is not a defined DriftStatistic", c.Statistic)
+	}
+	for _, th := range []struct {
+		name string
+		v    float64
+	}{
+		{"FlagDelta", c.FlagDelta},
+		{"ScoreDelta", c.ScoreDelta},
+		{"PSIThreshold", c.PSIThreshold},
+		{"KSThreshold", c.KSThreshold},
+	} {
+		if math.IsNaN(th.v) || math.IsInf(th.v, 1) {
+			return fmt.Errorf("controlplane: %s is %v; a drift threshold must be finite", th.name, th.v)
+		}
+	}
 	d := DefaultConfig()
 	if c.SampleEvery <= 0 {
 		c.SampleEvery = d.SampleEvery
@@ -232,6 +254,7 @@ func (c *Config) applyDefaults() {
 	if c.RetrainMaxRecords <= 0 {
 		c.RetrainMaxRecords = 4 * c.RetrainRecords
 	}
+	return nil
 }
 
 // Stats reports the controller's activity.

@@ -204,7 +204,9 @@ func NewFleet(m model.Deployable, inQ fixed.Quantizer, cfg Config) (*Fleet, erro
 	if inQ.Scale <= 0 {
 		return nil, fmt.Errorf("controlplane: input quantiser has scale %v; pass the quantiser the fleet's members were loaded with", inQ.Scale)
 	}
-	cfg.applyDefaults()
+	if err := cfg.applyDefaults(); err != nil {
+		return nil, err
+	}
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.Default()
@@ -353,13 +355,6 @@ func (f *Fleet) Deregister(member int) {
 		return
 	}
 	f.members[member].gone = true
-}
-
-// NumMembers returns how many switches are registered.
-func (f *Fleet) NumMembers() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return len(f.members)
 }
 
 // Observe feeds a batch of member's data-plane decisions into that member's

@@ -2,6 +2,7 @@ package controlplane
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -131,6 +132,44 @@ func TestFleetValidation(t *testing.T) {
 		}
 	}()
 	fl.Observe(7, nil)
+}
+
+// TestFleetRefusesUndetectableDrift: a NaN or +Inf drift threshold is never
+// exceeded and an undefined Statistic silently runs mean-shift, so each would
+// turn drift detection off without a word. NewFleet — and New, built on it —
+// refuses them with an error naming the field.
+func TestFleetRefusesUndetectableDrift(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	q := fixed.NewQuantizer(1)
+	for _, c := range []struct {
+		field string
+		cfg   Config
+	}{
+		{"FlagDelta", Config{FlagDelta: nan}},
+		{"FlagDelta", Config{FlagDelta: inf}},
+		{"ScoreDelta", Config{ScoreDelta: nan}},
+		{"ScoreDelta", Config{ScoreDelta: inf}},
+		{"PSIThreshold", Config{PSIThreshold: nan}},
+		{"PSIThreshold", Config{PSIThreshold: inf}},
+		{"KSThreshold", Config{KSThreshold: nan}},
+		{"KSThreshold", Config{KSThreshold: inf}},
+		{"Statistic", Config{Statistic: DriftKS + 1}},
+		{"Statistic", Config{Statistic: -1}},
+	} {
+		if _, err := NewFleet(stubModel{}, q, c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
+			t.Errorf("NewFleet(%s bad): err = %v, want a refusal naming %s", c.field, err, c.field)
+		}
+	}
+	src := func(n int) []dataset.Record { return make([]dataset.Record, n) }
+	if _, err := New(nopPusher{}, stubModel{}, q, src, Config{KSThreshold: nan}); err == nil || !strings.Contains(err.Error(), "KSThreshold") {
+		t.Errorf("New(KSThreshold NaN): err = %v, want a refusal naming KSThreshold", err)
+	}
+	// Zero, negative and -Inf thresholds still select the defaults.
+	for _, cfg := range []Config{{}, {FlagDelta: -1}, {ScoreDelta: math.Inf(-1)}, {Statistic: DriftPSI}} {
+		if _, err := NewFleet(stubModel{}, q, cfg); err != nil {
+			t.Errorf("NewFleet(%+v) = %v, want the defaults", cfg, err)
+		}
+	}
 }
 
 // TestFleetDriftOnOneMemberRetrainsAll is the core fleet contract: drift on

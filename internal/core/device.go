@@ -500,15 +500,11 @@ func ShardHash(data []byte) uint32 {
 	return fnv1aTuple(&b)
 }
 
-// AccumulateFeatures installs a flow's feature vector into the stateful
-// registers (the role of INT and cross-packet accumulation in §3.1). In the
-// testbed the features arrive with the expanded trace (§5.2.2).
-func (d *Device) AccumulateFeatures(flowKey uint32, features []float32) error {
-	return d.accumulate(d.flowValid.Slot(flowKey), features)
-}
-
-// accumulate writes a feature vector into register slot slot of every
-// feature array (all FlowTableSize long, so one reduction serves them all).
+// accumulate installs a flow's feature vector into the stateful registers
+// (the role of INT and cross-packet accumulation in §3.1; in the testbed the
+// features arrive with the expanded trace, §5.2.2): register slot slot of
+// every feature array (all FlowTableSize long, so one reduction serves them
+// all).
 func (d *Device) accumulate(slot uint32, features []float32) error {
 	if len(features) != d.cfg.NumFeatures {
 		return fmt.Errorf("%w: got %d features, want %d", ErrBadFeatureWidth, len(features), d.cfg.NumFeatures)

@@ -240,7 +240,7 @@ func TestTraceGenerator(t *testing.T) {
 		t.Errorf("anomalous packet fraction = %v", frac)
 	}
 	// Aggregate rate should be near the configured one.
-	rate := float64(n) / tg.Now()
+	rate := float64(n) / prev // prev is the last packet's time
 	if rate < 0.8*800_000 || rate > 1.2*800_000 {
 		t.Errorf("packet rate = %v, want ~800k", rate)
 	}

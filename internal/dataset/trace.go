@@ -140,6 +140,3 @@ func (t *TraceGenerator) Next() Packet {
 	}
 	return Packet{Flow: f, Time: t.now, Size: size}
 }
-
-// Now returns the trace clock (time of the last emitted packet).
-func (t *TraceGenerator) Now() float64 { return t.now }

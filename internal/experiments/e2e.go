@@ -16,7 +16,7 @@ func Table8(m *Models, packets int) ([]netsim.Result, string, error) {
 	var rows []netsim.Result
 	var cells [][]string
 	for _, p := range []float64{1e-5, 1e-4, 1e-3, 1e-2} {
-		res, err := netsim.Run(netsim.DefaultConfig(m.DNN, p, packets))
+		res, err := netsim.Run(m.DNN, p, packets)
 		if err != nil {
 			return nil, "", err
 		}

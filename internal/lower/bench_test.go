@@ -9,7 +9,7 @@ import (
 	"taurus/internal/ml"
 )
 
-// benchSVM trains a small RBF SVM for the reference-decision benchmarks.
+// benchSVM trains a small RBF SVM for the reference-decision benchmark.
 func benchSVM(b *testing.B) (*ml.SVM, fixed.Quantizer, []float32) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -29,19 +29,6 @@ func benchSVM(b *testing.B) (*ml.SVM, fixed.Quantizer, []float32) {
 		flat = append(flat, x...)
 	}
 	return svm, fixed.QuantizerFor(flat), X[0]
-}
-
-// BenchmarkSVMReferenceDecision guards the one-shot reference path: it must
-// stay a direct arithmetic evaluation, not a per-call graph build plus
-// evaluator allocation (the regression this benchmark was added against).
-func BenchmarkSVMReferenceDecision(b *testing.B) {
-	svm, inQ, x := benchSVM(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := SVMReferenceDecision(svm, inQ, 16, x); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkSVMReferenceCached is the per-deployment shape: quantise once,

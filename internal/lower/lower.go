@@ -283,16 +283,3 @@ func (r *SVMReference) Decision(x []float32) (int32, error) {
 	}
 	return mr.MAdd.Apply(mr.RAdd.Apply(r.ks), p.bias), nil
 }
-
-// SVMReferenceDecision evaluates the same quantised arithmetic the lowered
-// SVM graph computes, for bit-exactness tests and control-plane parity. It
-// computes the arithmetic directly — no graph construction or evaluator — so
-// it is cheap enough to call per sample; callers scoring many samples should
-// still build one SVMReference and reuse it.
-func SVMReferenceDecision(s *ml.SVM, inQ fixed.Quantizer, maxSV int, x []float32) (int32, error) {
-	ref, err := NewSVMReference(s, inQ, maxSV)
-	if err != nil {
-		return 0, err
-	}
-	return ref.Decision(x)
-}

@@ -141,6 +141,10 @@ func TestSVMLoweringSignAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref, err := NewSVMReference(svm, inQ, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
 	agree := 0
 	n := 200
 	compressed := svm.Compress(16)
@@ -155,12 +159,12 @@ func TestSVMLoweringSignAgreement(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Reference path must be bit-identical.
-		ref, err := SVMReferenceDecision(svm, inQ, 16, x)
+		want, err := ref.Decision(x)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if outs[0][0] != ref {
-			t.Fatalf("graph decision %d != reference %d", outs[0][0], ref)
+		if outs[0][0] != want {
+			t.Fatalf("graph decision %d != reference %d", outs[0][0], want)
 		}
 		if (outs[0][0] > 0) == compressed.Predict(x) {
 			agree++

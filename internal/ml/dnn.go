@@ -180,11 +180,6 @@ type SGDConfig struct {
 	Epochs       int
 }
 
-// DefaultSGD returns the configuration used by most experiments.
-func DefaultSGD() SGDConfig {
-	return SGDConfig{LearningRate: 0.05, Momentum: 0.9, BatchSize: 32, Epochs: 20}
-}
-
 // Trainer performs minibatch SGD with momentum on a DNN. Loss is softmax
 // cross-entropy for multi-output networks and binary cross-entropy for
 // single-sigmoid-output networks.

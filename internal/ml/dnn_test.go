@@ -110,7 +110,7 @@ func TestFitEpochLossDecreases(t *testing.T) {
 func TestFitMismatchedLengthsPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	n := NewDNN([]int{2, 2}, ReLU, Sigmoid, rng)
-	tr := NewTrainer(n, DefaultSGD(), rng)
+	tr := NewTrainer(n, SGDConfig{LearningRate: 0.05, Momentum: 0.9, BatchSize: 32, Epochs: 20}, rng)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic")
@@ -122,7 +122,7 @@ func TestFitMismatchedLengthsPanics(t *testing.T) {
 func TestFitEmptyDataset(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := NewDNN([]int{2, 1}, ReLU, Sigmoid, rng)
-	tr := NewTrainer(n, DefaultSGD(), rng)
+	tr := NewTrainer(n, SGDConfig{LearningRate: 0.05, Momentum: 0.9, BatchSize: 32, Epochs: 20}, rng)
 	if loss := tr.Fit(nil, nil); loss != 0 {
 		t.Errorf("empty fit loss = %v", loss)
 	}

@@ -313,9 +313,6 @@ func New(cfg Config, arr ArrivalProcess) (*Simulator, error) {
 	return s, nil
 }
 
-// NowNs returns the current simulated time.
-func (s *Simulator) NowNs() float64 { return s.now }
-
 // Push injects a control-plane weight push at the current simulated time:
 // every shard finishes its in-flight packet (a service already committed is
 // not recalled) and then starts no new one for PushStallNs, the way a real

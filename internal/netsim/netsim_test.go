@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -29,27 +30,29 @@ func trainedModel(tb testing.TB) *ml.QuantizedDNN {
 
 func TestRunValidation(t *testing.T) {
 	q := trainedModel(t)
-	if _, err := Run(Config{}); err == nil {
-		t.Error("missing model should fail")
-	}
-	cfg := DefaultConfig(q, 1e-3, 0)
-	if _, err := Run(cfg); err == nil {
-		t.Error("zero packets should fail")
-	}
-	cfg = DefaultConfig(q, 0, 1000)
-	if _, err := Run(cfg); err == nil {
-		t.Error("zero sampling should fail")
-	}
-	cfg = DefaultConfig(q, 2, 1000)
-	if _, err := Run(cfg); err == nil {
-		t.Error("sampling > 1 should fail")
+	for _, c := range []struct {
+		name     string
+		model    *ml.QuantizedDNN
+		sampling float64
+		packets  int
+	}{
+		{"missing model", nil, 1e-3, 1000},
+		{"zero packets", q, 1e-3, 0},
+		{"zero sampling", q, 0, 1000},
+		{"sampling > 1", q, 2, 1000},
+		// NaN passes `s <= 0 || s > 1`: it would sample nothing and report
+		// a 0% baseline as if it were a result.
+		{"NaN sampling", q, math.NaN(), 1000},
+	} {
+		if _, err := Run(c.model, c.sampling, c.packets); err == nil {
+			t.Errorf("%s should fail", c.name)
+		}
 	}
 }
 
 func TestTaurusBeatsBaseline(t *testing.T) {
 	q := trainedModel(t)
-	cfg := DefaultConfig(q, 1e-3, 200_000)
-	res, err := Run(cfg)
+	res, err := Run(q, 1e-3, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,11 +75,11 @@ func TestTaurusBeatsBaseline(t *testing.T) {
 
 func TestBatchesGrowWithSampling(t *testing.T) {
 	q := trainedModel(t)
-	lo, err := Run(DefaultConfig(q, 1e-4, 150_000))
+	lo, err := Run(q, 1e-4, 150_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hi, err := Run(DefaultConfig(q, 1e-2, 150_000))
+	hi, err := Run(q, 1e-2, 150_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +98,7 @@ func TestBatchesGrowWithSampling(t *testing.T) {
 
 func TestControlLatencyMilliseconds(t *testing.T) {
 	q := trainedModel(t)
-	res, err := Run(DefaultConfig(q, 1e-3, 100_000))
+	res, err := Run(q, 1e-3, 100_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,11 +114,11 @@ func TestControlLatencyMilliseconds(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	q := trainedModel(t)
-	a, err := Run(DefaultConfig(q, 1e-3, 50_000))
+	a, err := Run(q, 1e-3, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(DefaultConfig(q, 1e-3, 50_000))
+	b, err := Run(q, 1e-3, 50_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ func TestProbeTable8(t *testing.T) {
 	}
 	q := trainedModel(t)
 	for _, p := range []float64{1e-5, 1e-4, 1e-3, 1e-2} {
-		res, err := Run(DefaultConfig(q, p, 400_000))
+		res, err := Run(q, p, 400_000)
 		if err != nil {
 			t.Fatal(err)
 		}

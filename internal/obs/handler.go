@@ -9,8 +9,8 @@ import "net/http"
 //	/trace         the trace journal, one line per event
 //	/trace.json    the trace journal as JSON
 //
-// Either argument may be nil (its endpoints then serve 404). taurus-sim and
-// taurus-bench mount it behind -metrics-addr.
+// Either argument may be nil (its endpoints then serve 404). taurus-bench
+// mounts it behind -metrics-addr.
 func Handler(reg *Registry, tr *Tracer) http.Handler {
 	mux := http.NewServeMux()
 	if reg != nil {

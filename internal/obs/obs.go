@@ -23,7 +23,7 @@
 // (histograms as summaries with p50/p90/p99/p999 quantile lines);
 // ParsePrometheus validates an exposition (the CI gate behind
 // cmd/taurus-promcheck); Handler serves /metrics, /metrics.json, /trace and
-// /trace.json over HTTP for taurus-sim and taurus-bench's -metrics-addr.
+// /trace.json over HTTP for taurus-bench's -metrics-addr.
 //
 // Default returns the process-wide registry (and DefaultTracer the journal)
 // every subsystem lands in when none is injected — the prometheus-client

@@ -247,14 +247,11 @@ func NewRegisterArray(name string, size int) *RegisterArray {
 	return &RegisterArray{Name: name, vals: make([]int32, size), mod: NewFastMod(uint32(size))}
 }
 
-// Size returns the array length.
-func (r *RegisterArray) Size() int { return len(r.vals) }
-
-// Slot reduces a hash to its register index, idx % Size() (indexes wrap like
-// hardware hash indices), by multiplication: no divide per packet. The
-// reduction stays in uint32, so an idx >= 2^31 cannot go negative on a 32-bit
-// platform. A caller that touches several same-sized arrays for one key
-// reduces it once and uses ReadSlot/WriteSlot.
+// Slot reduces a hash to its register index, idx modulo the array length
+// (indexes wrap like hardware hash indices), by multiplication: no divide per
+// packet. The reduction stays in uint32, so an idx >= 2^31 cannot go negative
+// on a 32-bit platform. A caller that touches several same-sized arrays for
+// one key reduces it once and uses ReadSlot/WriteSlot.
 func (r *RegisterArray) Slot(idx uint32) uint32 { return r.mod.Mod(idx) }
 
 // ReadSlot returns the register at slot, which must come from Slot on an
@@ -263,24 +260,3 @@ func (r *RegisterArray) ReadSlot(slot uint32) int32 { return r.vals[slot] }
 
 // WriteSlot stores a value at slot.
 func (r *RegisterArray) WriteSlot(slot uint32, v int32) { r.vals[slot] = v }
-
-// Read returns the value at idx, wrapped into the array.
-func (r *RegisterArray) Read(idx uint32) int32 { return r.vals[r.Slot(idx)] }
-
-// Write stores a value at idx, wrapped into the array.
-func (r *RegisterArray) Write(idx uint32, v int32) { r.vals[r.Slot(idx)] = v }
-
-// Add atomically accumulates into idx and returns the new value — the
-// read-modify-write register action used for feature accumulation.
-func (r *RegisterArray) Add(idx uint32, delta int32) int32 {
-	i := r.Slot(idx)
-	r.vals[i] += delta
-	return r.vals[i]
-}
-
-// Reset zeroes the array.
-func (r *RegisterArray) Reset() {
-	for i := range r.vals {
-		r.vals[i] = 0
-	}
-}

@@ -1,8 +1,8 @@
 // Package pisa models the Protocol-Independent Switch Architecture
 // components Taurus shares with conventional programmable switches (§3, §4):
 // packet header vectors (PHVs), a programmable parser, match-action tables
-// with VLIW actions, stateful register arrays, packet queues, a round-robin
-// bypass arbiter, and a PIFO scheduler.
+// with VLIW actions and stateful register arrays. Figure 6's packet queues
+// and round-robin merge are modelled in time by internal/netqueue.
 package pisa
 
 import "fmt"
@@ -28,12 +28,6 @@ func NewLayout(names ...string) *Layout {
 		l.names = append(l.names, n)
 	}
 	return l
-}
-
-// Extend returns a new layout with extra fields appended.
-func (l *Layout) Extend(names ...string) *Layout {
-	all := append(append([]string{}, l.names...), names...)
-	return NewLayout(all...)
 }
 
 // ID resolves a field name; it panics on unknown names (programming error).

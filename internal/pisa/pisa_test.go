@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func stdLayout() *Layout {
@@ -21,10 +20,6 @@ func TestLayout(t *testing.T) {
 	}
 	if !l.Has("a") || l.Has("z") {
 		t.Error("Has broken")
-	}
-	l2 := l.Extend("c")
-	if l2.Len() != 3 || l2.ID("c") != 2 {
-		t.Error("Extend broken")
 	}
 	defer func() {
 		if recover() == nil {
@@ -470,24 +465,16 @@ func TestStandardParserMatchesWalk(t *testing.T) {
 
 func TestRegisterArray(t *testing.T) {
 	r := NewRegisterArray("cnt", 4)
-	if r.Size() != 4 {
-		t.Errorf("Size = %d", r.Size())
+	r.WriteSlot(r.Slot(1), 10)
+	if r.ReadSlot(r.Slot(1)) != 10 {
+		t.Error("WriteSlot/ReadSlot broken")
 	}
-	r.Write(1, 10)
-	if r.Read(1) != 10 {
-		t.Error("Write/Read broken")
-	}
-	if got := r.Add(1, 5); got != 15 {
-		t.Errorf("Add = %d", got)
-	}
-	// Index wrap.
-	r.Write(5, 99)
-	if r.Read(1) != 99 {
+	// Index wrap: 5 and 1 address the same register.
+	if r.Slot(5) != r.Slot(1) {
 		t.Error("index should wrap")
 	}
-	r.Reset()
-	if r.Read(1) != 0 {
-		t.Error("Reset broken")
+	if r.ReadSlot(r.Slot(5)) != 10 {
+		t.Error("a wrapped index should read the same register")
 	}
 }
 
@@ -497,133 +484,19 @@ func TestRegisterArrayHighBitIndex(t *testing.T) {
 	// 32-bit platforms and panics on the negative modulus.
 	r := NewRegisterArray("cnt", 3)
 	const idx = uint32(1)<<31 + 2 // 2147483650 % 3 == 1
-	r.Write(idx, 7)
-	if got := r.Read(idx); got != 7 {
-		t.Errorf("Read(2^31+2) = %d, want 7", got)
-	}
-	if got := r.Read(1); got != 7 {
-		t.Errorf("high-bit index should reduce to slot 1, Read(1) = %d", got)
-	}
-	if got := r.Add(idx, 3); got != 10 {
-		t.Errorf("Add at high-bit index = %d, want 10", got)
-	}
-	// A key reduced once addresses the same register through the slot
-	// accessors, on this array and on any other of the same size.
 	slot := r.Slot(idx)
-	if slot != 1 || r.ReadSlot(slot) != 10 {
-		t.Errorf("Slot(2^31+2) = %d holding %d, want slot 1 holding 10", slot, r.ReadSlot(slot))
+	if slot != 1 {
+		t.Fatalf("Slot(2^31+2) = %d, want 1", slot)
 	}
+	r.WriteSlot(slot, 7)
+	if got := r.ReadSlot(r.Slot(1)); got != 7 {
+		t.Errorf("high-bit index should reduce to slot 1, ReadSlot(Slot(1)) = %d", got)
+	}
+	// A key reduced once addresses the same register on any other array of
+	// the same size.
 	other := NewRegisterArray("other", 3)
 	other.WriteSlot(slot, 4)
-	if got := other.Read(idx); got != 4 {
-		t.Errorf("WriteSlot(Slot(idx)) then Read(idx) = %d, want 4", got)
-	}
-}
-
-func TestFIFO(t *testing.T) {
-	q := NewFIFO[int](2)
-	if !q.Push(1) || !q.Push(2) {
-		t.Fatal("pushes should succeed")
-	}
-	if q.Push(3) {
-		t.Error("full queue should reject")
-	}
-	if q.Drops() != 1 {
-		t.Errorf("Drops = %d", q.Drops())
-	}
-	if v, ok := q.Pop(); !ok || v != 1 {
-		t.Errorf("Pop = %d,%v", v, ok)
-	}
-	if v, ok := q.Pop(); !ok || v != 2 {
-		t.Errorf("Pop = %d,%v", v, ok)
-	}
-	if _, ok := q.Pop(); ok {
-		t.Error("empty queue should report !ok")
-	}
-}
-
-// Property: FIFO preserves order for arbitrary push/pop sequences that fit.
-func TestFIFOOrderProperty(t *testing.T) {
-	f := func(vals []int8) bool {
-		q := NewFIFO[int8](len(vals) + 1)
-		for _, v := range vals {
-			q.Push(v)
-		}
-		for _, v := range vals {
-			got, ok := q.Pop()
-			if !ok || got != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestRoundRobinAlternates(t *testing.T) {
-	a, b := NewFIFO[string](4), NewFIFO[string](4)
-	a.Push("a1")
-	a.Push("a2")
-	b.Push("b1")
-	b.Push("b2")
-	rr := NewRoundRobin(a, b)
-	got := []string{}
-	for {
-		v, ok := rr.Pop()
-		if !ok {
-			break
-		}
-		got = append(got, v)
-	}
-	want := []string{"a1", "b1", "a2", "b2"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("order = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestRoundRobinEmptySide(t *testing.T) {
-	a, b := NewFIFO[int](4), NewFIFO[int](4)
-	b.Push(7)
-	rr := NewRoundRobin(a, b)
-	if v, ok := rr.Pop(); !ok || v != 7 {
-		t.Errorf("Pop = %d,%v", v, ok)
-	}
-	if _, ok := rr.Pop(); ok {
-		t.Error("both empty should report !ok")
-	}
-}
-
-func TestPIFOOrdering(t *testing.T) {
-	p := NewPIFO[string](0)
-	p.Push("late", 30)
-	p.Push("early", 10)
-	p.Push("mid", 20)
-	p.Push("early2", 10) // FIFO among equals
-	want := []string{"early", "early2", "mid", "late"}
-	for _, w := range want {
-		v, ok := p.Pop()
-		if !ok || v != w {
-			t.Fatalf("Pop = %q, want %q", v, w)
-		}
-	}
-	if _, ok := p.Pop(); ok {
-		t.Error("empty PIFO should report !ok")
-	}
-}
-
-func TestPIFOCapacity(t *testing.T) {
-	p := NewPIFO[int](1)
-	if !p.Push(1, 1) {
-		t.Error("first push should fit")
-	}
-	if p.Push(2, 2) {
-		t.Error("full PIFO should reject")
-	}
-	if p.Len() != 1 {
-		t.Errorf("Len = %d", p.Len())
+	if got := other.ReadSlot(other.Slot(idx)); got != 4 {
+		t.Errorf("WriteSlot(Slot(idx)) then ReadSlot(Slot(idx)) = %d, want 4", got)
 	}
 }

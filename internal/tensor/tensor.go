@@ -83,18 +83,6 @@ func MatVec(m Mat, x Vec) Vec {
 	return out
 }
 
-// Add returns a+b element-wise.
-func Add(a, b Vec) Vec {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: add length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
 // AddInPlace adds b into a.
 func AddInPlace(a, b Vec) {
 	if len(a) != len(b) {
@@ -105,35 +93,11 @@ func AddInPlace(a, b Vec) {
 	}
 }
 
-// Sub returns a-b element-wise.
-func Sub(a, b Vec) Vec {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: sub length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
 // Scale returns s*a.
 func Scale(a Vec, s float32) Vec {
 	out := make(Vec, len(a))
 	for i := range a {
 		out[i] = a[i] * s
-	}
-	return out
-}
-
-// Hadamard returns a⊙b element-wise.
-func Hadamard(a, b Vec) Vec {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("tensor: hadamard length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make(Vec, len(a))
-	for i := range a {
-		out[i] = a[i] * b[i]
 	}
 	return out
 }
