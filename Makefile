@@ -60,10 +60,10 @@ check:
 	$(GO) vet ./...
 
 # Repo-local vet passes: the taurus-lint multichecker runs hotpathcheck
-# (zero-alloc hot paths), gatecheck (verify-before-push) and obsnames (metric
-# names) over the production tree (see internal/lint). Then the orphan check:
-# every internal package must be reached from the facade, a command or an
-# example — one that only its own tests import is dead code.
+# (zero-alloc hot paths) and obsnames (metric names) over the production tree
+# (see internal/lint). Then the orphan check: every internal package must be
+# reached from the facade, a command or an example — one that only its own
+# tests import is dead code.
 lint: check
 	$(GO) run ./cmd/taurus-lint .
 	@reached=$$($(GO) list -deps . ./cmd/... ./examples/...) || exit 1; \

@@ -2,18 +2,16 @@
 // over one or more directory trees and prints every diagnostic. Exit status
 // 1 when any diagnostic is reported, 2 on a driver error.
 //
-// The suite holds three analyzers, selectable with flags (all on by
-// default):
+// The suite holds two analyzers, selectable with flags (both on by default):
 //
 //	hotpathcheck  functions annotated `//hotpath: zero-alloc` must stay free
 //	              of allocating constructs
-//	gatecheck     push call sites must be dominated by a graphcheck gate
 //	obsnames      metric registrations must use valid dotted names, one kind
 //	              per name
 //
 // Usage:
 //
-//	taurus-lint [-hotpathcheck=false] [-gatecheck=false] [-obsnames=false] [dir ...]   (default ".")
+//	taurus-lint [-hotpathcheck=false] [-obsnames=false] [dir ...]   (default ".")
 package main
 
 import (
@@ -22,7 +20,6 @@ import (
 	"os"
 
 	"taurus/internal/lint"
-	"taurus/internal/lint/gatecheck"
 	"taurus/internal/lint/hotpathcheck"
 	"taurus/internal/lint/obsnames"
 )
@@ -30,7 +27,7 @@ import (
 func main() {
 	// obsnames is constructed per run: its kind census spans every file the
 	// run sees, so the instance must not outlive the invocation.
-	all := []*lint.Analyzer{hotpathcheck.Analyzer, gatecheck.Analyzer, obsnames.New()}
+	all := []*lint.Analyzer{hotpathcheck.Analyzer, obsnames.New()}
 	enabled := map[string]*bool{}
 	for _, a := range all {
 		enabled[a.Name] = flag.Bool(a.Name, true, a.Doc)

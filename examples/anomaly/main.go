@@ -45,11 +45,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Static gate before anything reaches the data plane (the verify-before-
-	// push contract gatecheck enforces repo-wide).
-	if err := taurus.CheckGraph(g1); err != nil {
-		log.Fatal(err)
-	}
+	// LoadModel and UpdateWeights run the static gate before anything reaches
+	// the data plane.
 	if err := dev.LoadModel(g1, q1.InputQ, taurus.CompileOptions{}); err != nil {
 		log.Fatal(err)
 	}
@@ -89,11 +86,7 @@ func main() {
 	fmt.Printf("per-packet F1 with the v1 (early) model:  %.1f\n", before)
 
 	// Control plane pushes new weights out of band; the placement is
-	// untouched (§3.3.1 "out-of-band weight updates"). The retrained graph
-	// clears the same static gate before the push.
-	if err := taurus.CheckGraph(g2); err != nil {
-		log.Fatal(err)
-	}
+	// untouched (§3.3.1 "out-of-band weight updates").
 	if err := dev.UpdateWeights(g2); err != nil {
 		log.Fatal(err)
 	}

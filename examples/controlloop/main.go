@@ -60,7 +60,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer pl.Close()
-	//gatecheck:verified — Pipeline.LoadModel runs graphcheck on the graph before installing
 	if err := pl.LoadModel(program, inQ, taurus.CompileOptions{}); err != nil {
 		log.Fatal(err)
 	}

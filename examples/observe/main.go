@@ -99,7 +99,6 @@ func run() error {
 		return err
 	}
 	defer pl.Close()
-	//gatecheck:verified — Pipeline.LoadModel runs graphcheck on the graph before installing
 	if err := pl.LoadModel(program, inQ, taurus.CompileOptions{}); err != nil {
 		return err
 	}

@@ -42,7 +42,6 @@ func main() {
 		log.Fatal(err)
 	}
 	defer pl.Close()
-	//gatecheck:verified — Pipeline.LoadModel runs graphcheck on the graph before installing
 	if err := pl.LoadModel(program, q.InputQ, taurus.CompileOptions{}); err != nil {
 		log.Fatal(err)
 	}
@@ -86,7 +85,6 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			//gatecheck:verified — Pipeline.UpdateWeights runs graphcheck + Compatible before pushing
 			if err := pl.UpdateWeights(p2); err != nil {
 				log.Fatal(err)
 			}

@@ -47,13 +47,10 @@ func main() {
 		compiled.Usage.CUs, compiled.Usage.MUs, compiled.Stats.LatencyCycles,
 		compiled.Stats.II, compiled.AreaMM2(), compiled.Usage.AreaOverheadPct())
 
-	// 4. Build a Taurus switch and install the model, gating it through the
-	// static verifier first (the verify-before-push contract).
+	// 4. Build a Taurus switch and install the model; LoadModel refuses a
+	// graph the static verifier rejects.
 	dev, err := taurus.NewDevice(6)
 	if err != nil {
-		log.Fatal(err)
-	}
-	if err := taurus.CheckGraph(program); err != nil {
 		log.Fatal(err)
 	}
 	if err := dev.LoadModel(program, q.InputQ, taurus.CompileOptions{}); err != nil {

@@ -326,7 +326,6 @@ func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	g := f.lastGraph
 	f.mu.Unlock()
 	if g != nil {
-		//gatecheck:verified — f.lastGraph passed graphcheck.Check/Compatible in the retrain that installed it
 		if err := p.UpdateWeights(g); err != nil {
 			f.mu.Lock()
 			m.gone = true
@@ -650,14 +649,12 @@ func (f *Fleet) push(span int64, g *mr.Graph) error {
 				// prev installed on r once already; structural rejection
 				// cannot recur, and a deeper device failure would leave
 				// the original error the one worth surfacing.
-				//gatecheck:verified — rollback to the previously pushed graph, verified by its own push
 				_ = r.pusher.UpdateWeights(prev)
 			}
 		}
 		return fmt.Errorf("controlplane: %s %q: %w", what, m.name, err)
 	}
 	for i, m := range members {
-		//gatecheck:verified — the caller (retrain) passed g through graphcheck.Check/Compatible before push()
 		if err := m.pusher.UpdateWeights(g); err != nil {
 			return rollback(i, "push to fleet member", m, err)
 		}

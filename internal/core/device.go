@@ -387,9 +387,10 @@ func (c Config) checkModel(g *mr.Graph) error {
 
 // LoadModel compiles a MapReduce program onto the device's grid and
 // installs it, together with the feature quantiser the preprocessing MATs
-// use. The graph must take a single input of width NumFeatures and produce
-// a single-lane score output; it is copied, not kept. On error the device is
-// untouched: the model it was serving (or none) keeps serving.
+// use (see Install). The graph must pass the static gate (graphcheck;
+// ErrBadGraph otherwise), take a single input of width NumFeatures and
+// produce a single-lane score output; it is copied, not kept. On error the
+// device is untouched: the model it was serving (or none) keeps serving.
 func (d *Device) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options) error {
 	m, err := Install(d.cfg, d.model, g, inQ, opts, 1)
 	if err != nil {
@@ -419,8 +420,10 @@ func (d *Device) InputQuantizer() fixed.Quantizer { return d.model.InputQuantize
 
 // UpdateWeights swaps the constants, multipliers and LUT tables of the
 // installed model for those of newGraph without re-placing the design (see
-// Model.WithWeights). The new graph is only read, so one graph can be pushed to many
-// devices concurrently, and a refused push leaves the served weights alone.
+// Model.WithWeights: the graph must pass the static gate against the grid the
+// model was installed on and be a weight-only update). The new graph is only
+// read, so one graph can be pushed to many devices concurrently, and a
+// refused push leaves the served weights alone.
 func (d *Device) UpdateWeights(newGraph *mr.Graph) error {
 	m, err := d.model.WithWeights(newGraph)
 	if err != nil {

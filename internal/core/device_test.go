@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -164,6 +165,51 @@ func TestUpdateWeightsOneGate(t *testing.T) {
 	}
 	if err := dev.UpdateWeights(g); err != nil {
 		t.Errorf("a weight-only variant is refused: %v", err)
+	}
+}
+
+// TestDeviceRefusesSaturatingGraph: the static gate is in Install and
+// WithWeights, so a bare device — no pipeline in front of it — refuses a
+// graph that can saturate Fix32 on LoadModel and on UpdateWeights, and keeps
+// serving what it served.
+func TestDeviceRefusesSaturatingGraph(t *testing.T) {
+	b := mr.NewBuilder("sat")
+	x := b.Input("x", 6)
+	y := b.Map(mr.MMul, x, b.Const("big", []int32{1 << 20, 1 << 20, 1 << 20, 1 << 20, 1 << 20, 1 << 20}))
+	b.Output(b.Reduce(mr.RAdd, b.Map(mr.MMul, y, y)))
+	sat, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := NewDevice(DefaultConfig(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.LoadModel(sat, fixed.NewQuantizer(1), compiler.Options{}); !errors.Is(err, graphcheck.ErrBadGraph) {
+		t.Errorf("LoadModel(saturating) on an empty device = %v, want ErrBadGraph", err)
+	}
+	if bare.model.Epoch() != 0 {
+		t.Errorf("epoch %d after a refused first install, want 0", bare.model.Epoch())
+	}
+
+	dev, q, _ := buildAnomalyDevice(t)
+	served := dev.model
+	if err := dev.LoadModel(sat, q.InputQ, compiler.Options{}); !errors.Is(err, graphcheck.ErrBadGraph) {
+		t.Errorf("LoadModel(saturating) = %v, want ErrBadGraph", err)
+	}
+	push := dev.prog.Graph().Clone()
+	for _, n := range push.Nodes {
+		if n.Kind == mr.KConst && n.Width == 6 {
+			for i := range n.Const {
+				n.Const[i] = math.MaxInt32
+			}
+		}
+	}
+	if err := dev.UpdateWeights(push); !errors.Is(err, graphcheck.ErrBadGraph) {
+		t.Errorf("UpdateWeights(saturating) = %v, want ErrBadGraph", err)
+	}
+	if dev.model != served || dev.model.Epoch() != 1 {
+		t.Errorf("a refused install or push replaced the served model (epoch %d, want 1)", dev.model.Epoch())
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"taurus/internal/cgra"
 	"taurus/internal/compiler"
 	"taurus/internal/fixed"
+	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/obs"
 	"taurus/internal/sched"
@@ -21,6 +22,8 @@ import (
 // (planned, emitted and verified once, whatever the shard count, and holding
 // the install's one structural copy of the graph), one image of the weights,
 // an arena per shard for the tape to run in, and the placed design's timing.
+// Install and WithWeights are the only builders, and both run graphcheck
+// first: a Model exists only for a graph that verified against its grid.
 // Its owner — a Pipeline, or a bare Device — publishes it by pointer: an
 // install builds a whole new Model, a weight push one that shares everything
 // but the image, and a packet is served by whichever Model its batch was
@@ -37,6 +40,7 @@ type Model struct {
 	arenas []*sched.Arena
 	inQ    fixed.Quantizer
 	tracer *obs.Tracer
+	grid   cgra.GridSpec // Install verified against it; WithWeights verifies pushes on it
 
 	// The placed design's initiation interval and pipeline latency (CGRA
 	// timing model) and the tape's scheduled II.
@@ -55,18 +59,23 @@ func (m *Model) orNone() *Model {
 }
 
 // Install builds the model that follows prev (nil for a first install) on an
-// owner configured by cfg: g is shape-checked, placed on the grid
-// (compiler.Compile), compiled once to a tape that must clear tapecheck, and
-// given an arena per shard. A graph the scheduler refuses (a LUT model on a
-// grid with no MUs) or a tape the validator rejects is an error — there is no
-// second engine to serve it — and either verdict is journalled on cfg's
-// tracer. Nothing is published here: on error the caller keeps serving prev.
+// owner configured by cfg: g must pass the static gate (graphcheck: no
+// feasible Fix32 saturation, fits the grid; ErrBadGraph otherwise), is
+// shape-checked, placed on the grid (compiler.Compile), compiled once to a
+// tape that must clear tapecheck, and given an arena per shard. A graph the
+// scheduler refuses (a LUT model on a grid with no MUs) or a tape the
+// validator rejects is an error — there is no second engine to serve it — and
+// either verdict is journalled on cfg's tracer. Nothing is published here: on
+// error the caller keeps serving prev.
 func Install(cfg Config, prev *Model, g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options, shards int) (*Model, error) {
-	if err := cfg.checkModel(g); err != nil {
-		return nil, err
-	}
 	if opts.Grid == (cgra.GridSpec{}) {
 		opts.Grid = cfg.grid()
+	}
+	if err := graphcheck.VerifyWith(g, graphcheck.Options{Grid: opts.Grid}).Err(); err != nil {
+		return nil, err
+	}
+	if err := cfg.checkModel(g); err != nil {
+		return nil, err
 	}
 	res, err := compiler.Compile(g.Clone(), opts)
 	if err != nil {
@@ -77,7 +86,7 @@ func Install(cfg Config, prev *Model, g *mr.Graph, inQ fixed.Quantizer, opts com
 		grid = res.Placement.Spec
 	}
 	m := &Model{
-		epoch: prev.Epoch() + 1, inQ: inQ, tracer: cfg.tracer(),
+		epoch: prev.Epoch() + 1, inQ: inQ, tracer: cfg.tracer(), grid: opts.Grid,
 		ii: res.Stats.II, latNs: res.Stats.LatencyNs(),
 	}
 	prog, err := sched.Compile(res.Graph, grid)
@@ -98,13 +107,17 @@ func Install(cfg Config, prev *Model, g *mr.Graph, inQ fixed.Quantizer, opts com
 
 // WithWeights builds the model that serves g's weights on m's tape — the
 // out-of-band weight update of §3.3.1/Figure 1: one image copied out of g
-// (which is only read), everything else shared with m. g must be a weight-only variant of
-// the installed graph; the image build decides that, and its refusal
-// satisfies errors.Is for ErrStructureMismatch and graphcheck.ErrIncompatible.
-// A nil m is ErrNoModel.
+// (which is only read), everything else shared with m. A nil m is ErrNoModel.
+// g must pass the static gate against the grid m was installed on
+// (ErrBadGraph otherwise) and be a weight-only variant of the installed
+// graph; the image build decides that, and its refusal satisfies errors.Is
+// for ErrStructureMismatch and graphcheck.ErrIncompatible.
 func (m *Model) WithWeights(g *mr.Graph) (*Model, error) {
 	if m == nil {
 		return nil, ErrNoModel
+	}
+	if err := graphcheck.VerifyWith(g, graphcheck.Options{Grid: m.grid}).Err(); err != nil {
+		return nil, err
 	}
 	img, err := m.tape.NewImage(g)
 	if err != nil {
@@ -120,7 +133,7 @@ func (m *Model) WithWeights(g *mr.Graph) (*Model, error) {
 // image being served — the control plane's post-push audit that the weights a
 // push installed sit where the compiled code reads them (layout, row sums,
 // equivalence). Whether those weights can saturate a lane is graphcheck's
-// verdict on the pushed graph, which every push path runs before this.
+// verdict on the pushed graph, which WithWeights ran before building them.
 // ErrNoModel on a nil m.
 func (m *Model) Recheck() error {
 	if m == nil {

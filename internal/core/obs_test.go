@@ -2,8 +2,8 @@ package core
 
 import (
 	"errors"
-	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -219,17 +219,29 @@ func TestSweepCounters(t *testing.T) {
 		t.Errorf("tape_fallbacks = %d (program says %d) on int8 weights and codes, want 0", got, dev.prog.Fallbacks())
 	}
 
-	// Saturating first-layer weights, pushed between two sweeps.
-	saturating := dev.prog.Graph().Clone() // the loaded graph: nothing was pushed yet
-	for _, n := range saturating.Nodes {
-		if n.Kind == mr.KConst && n.Width == 6 {
-			for i := range n.Const {
-				n.Const[i] = math.MaxInt32
+	// Weights the static gate accepts that still fail the packing guard,
+	// pushed between two sweeps: every first-layer row zero but one weight of
+	// exactly 2^24, no biases, and every packet's feature 0 at code −128. The
+	// lane's range [−2^31, 127·2^24] fits Fix32, but the guard's
+	// Σ|w|·max|x| = 2^24·128 exceeds MaxInt32.
+	guarded := dev.prog.Graph().Clone() // the loaded graph: nothing was pushed yet
+	for _, n := range guarded.Nodes {
+		switch {
+		case n.Kind != mr.KConst:
+		case strings.HasPrefix(n.Name, "W0_"):
+			clear(n.Const)
+			if n.Name == "W0_0" {
+				n.Const[0] = 1 << 24
 			}
+		case n.Width == 1:
+			n.Const[0] = 0
 		}
 	}
-	if err := dev.UpdateWeights(saturating); err != nil {
+	if err := dev.UpdateWeights(guarded); err != nil {
 		t.Fatal(err)
+	}
+	for i := range ins {
+		ins[i].Features[0] = dev.InputQuantizer().Dequantize(-128)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { _ = dev.ProcessBatch(ins, out) }); allocs != 0 {
 		t.Errorf("ProcessBatch allocates %.1f times per call while counting fallbacks, want 0", allocs)

@@ -120,6 +120,16 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// newGate returns a channel a fake worker parks on and its release, which is
+// idempotent. A test defers release after the coordinator's Close — defers
+// run last first — so a t.Fatalf on the way frees the parked worker before
+// Close waits for it.
+func newGate() (<-chan struct{}, func()) {
+	ch := make(chan struct{})
+	var once sync.Once
+	return ch, func() { once.Do(func() { close(ch) }) }
+}
+
 // TestRoundMergesInChunkOrder: the happy path — one round fans out, every
 // chunk executes exactly once, and Merge sees partials in chunk-index
 // order regardless of which workers computed them.
@@ -149,7 +159,7 @@ func TestRoundMergesInChunkOrder(t *testing.T) {
 // TaskDeadline is re-issued; when the straggler's result finally arrives
 // the duplicate is discarded, and the merge counts the chunk exactly once.
 func TestDeadlineReissueFirstWriteWins(t *testing.T) {
-	gateB := make(chan struct{})
+	gateB, releaseB := newGate()
 	f := newFake(func(first, nth int) error {
 		switch {
 		case first == 0 && nth == 1:
@@ -164,6 +174,7 @@ func TestDeadlineReissueFirstWriteWins(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	defer releaseB()
 
 	fitErr := make(chan error, 1)
 	go func() { fitErr <- c.Fit(fakeRecs(8)) }()
@@ -171,7 +182,7 @@ func TestDeadlineReissueFirstWriteWins(t *testing.T) {
 	// The re-issued chunk@0 completes quickly; the straggler reports at
 	// ~300ms while chunk@4 still holds the round open — the duplicate path.
 	eventually(t, "duplicate completion", func() bool { return c.Stats().DuplicateCompletions == 1 })
-	close(gateB)
+	releaseB()
 	if err := <-fitErr; err != nil {
 		t.Fatal(err)
 	}
@@ -189,8 +200,8 @@ func TestDeadlineReissueFirstWriteWins(t *testing.T) {
 // work, its eventual result is discarded as a crashed process's would be,
 // and its chunk is recovered by re-execution on a live worker.
 func TestKillWorkerDropsItsReport(t *testing.T) {
-	gateA := make(chan struct{})
-	gateB := make(chan struct{})
+	gateA, releaseA := newGate()
+	gateB, releaseB := newGate()
 	store := NewMemStore()
 	f := newFake(func(first, nth int) error {
 		switch {
@@ -206,6 +217,8 @@ func TestKillWorkerDropsItsReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	defer releaseA()
+	defer releaseB()
 
 	fitErr := make(chan error, 1)
 	go func() { fitErr <- c.Fit(fakeRecs(8)) }()
@@ -228,9 +241,9 @@ func TestKillWorkerDropsItsReport(t *testing.T) {
 		ck, ok := store.Load()
 		return ok && len(ck.Partials) == 2 && ck.Partials[0] != nil
 	})
-	close(gateA)
+	releaseA()
 	eventually(t, "dropped report", func() bool { return c.Stats().DroppedReports == 1 })
-	close(gateB)
+	releaseB()
 	if err := <-fitErr; err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +354,7 @@ func TestFullyCheckpointedRoundCompletes(t *testing.T) {
 // the in-flight PartialFit calls before Fit returns (the model is
 // quiescent), and later Fit calls fail fast.
 func TestCloseMidRound(t *testing.T) {
-	gate := make(chan struct{})
+	gate, release := newGate()
 	f := newFake(func(first, nth int) error {
 		<-gate
 		return nil
@@ -350,6 +363,7 @@ func TestCloseMidRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer release()
 	fitErr := make(chan error, 1)
 	go func() { fitErr <- c.Fit(fakeRecs(8)) }()
 	eventually(t, "workers to wedge", func() bool { return f.calls(0)+f.calls(4) >= 1 })
@@ -366,7 +380,7 @@ func TestCloseMidRound(t *testing.T) {
 			return false
 		}
 	})
-	close(gate)
+	release()
 	if err := <-fitErr; !errors.Is(err, ErrClosed) {
 		t.Fatalf("Fit during Close = %v, want ErrClosed", err)
 	}

@@ -158,7 +158,6 @@ func (s *driftSpec) newPipe(g *mr.Graph, inQ fixed.Quantizer, shards int) (*pipe
 	if err != nil {
 		return nil, err
 	}
-	//gatecheck:verified — Pipeline.LoadModel runs graphcheck on the graph before installing
 	if err := pl.LoadModel(g, inQ, compiler.Options{}); err != nil {
 		pl.Close()
 		return nil, err

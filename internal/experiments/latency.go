@@ -107,7 +107,6 @@ func latencyServiceModel(m *Models, shards int) (pipeline.ServiceModel, error) {
 		return pipeline.ServiceModel{}, err
 	}
 	defer pl.Close()
-	//gatecheck:verified — Pipeline.LoadModel runs graphcheck on the graph before installing
 	if err := pl.LoadModel(m.DNNGraph, m.DNN.InputQ, compiler.Options{}); err != nil {
 		return pipeline.ServiceModel{}, err
 	}

@@ -47,7 +47,6 @@ func Throughput(m *Models) ([]ThroughputRow, string, error) {
 		if err != nil {
 			return nil, "", err
 		}
-		//gatecheck:verified — Pipeline.LoadModel runs graphcheck on the graph before installing
 		if err := pl.LoadModel(m.DNNGraph, m.DNN.InputQ, compiler.Options{}); err != nil {
 			pl.Close()
 			return nil, "", err

@@ -1,5 +1,6 @@
 // Package graphcheck statically verifies lowered MapReduce graphs before
-// they reach hardware — the pre-push gate of the control plane. Where
+// they reach hardware — the pre-push gate, run by core.Install and
+// core.Model.WithWeights on every graph a servable model is built from. Where
 // Graph.Validate checks shape (widths, topology, payloads), graphcheck
 // proves semantic and physical properties by abstract interpretation and a
 // resource census, in one topological walk over a pooled workspace that runs
@@ -32,9 +33,10 @@
 //
 //  4. Structural stability: Compatible(old, new) proves a push is
 //     weight-only — same kinds, widths, edges and operators, only
-//     Const/LUT/Multiplier payloads differing — which is what
-//     pipeline.UpdateWeights and the controlplane fan-out require before
-//     a graph is accepted for an in-place weight swap.
+//     Const/LUT/Multiplier payloads differing — which is what a weight
+//     push (the image build behind core.Model.WithWeights) and the
+//     controlplane fan-out require before a graph is accepted for an
+//     in-place weight swap.
 //
 // The analysis is sound for the deployed input convention (all graph
 // inputs are int8 codes: feature codes from the preprocessing MATs,

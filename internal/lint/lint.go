@@ -11,8 +11,8 @@
 //
 //   - hotpathcheck: functions annotated `//hotpath: zero-alloc` must stay
 //     free of allocating constructs (see internal/lint/hotpathcheck).
-//   - gatecheck: every push call site must be dominated by a graphcheck
-//     gate or carry a reviewed annotation (see internal/lint/gatecheck).
+//   - obsnames: metric registrations must use valid dotted names, one kind
+//     per name (see internal/lint/obsnames).
 //
 // Analyzers are syntactic (go/parser + go/ast, no type information): cheap
 // enough to run on every build, precise enough when paired with the

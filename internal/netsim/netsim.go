@@ -132,7 +132,6 @@ func Run(model *ml.QuantizedDNN, sampling float64, packets int) (Result, error) 
 		return Result{}, err
 	}
 	defer pl.Close()
-	//gatecheck:verified — Pipeline.LoadModel runs graphcheck on the graph before installing
 	if err := pl.LoadModel(g, model.InputQ, compiler.Options{}); err != nil {
 		return Result{}, err
 	}

@@ -23,11 +23,9 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"taurus/internal/cgra"
 	"taurus/internal/compiler"
 	"taurus/internal/core"
 	"taurus/internal/fixed"
-	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/obs"
 	"taurus/internal/pisa"
@@ -199,18 +197,11 @@ func (p *Pipeline) shardOf(key uint32) *shard {
 // of flashing one bitstream to N identical blocks. The shards share the code
 // and the weight image and own only an arena each; g is copied, not kept.
 //
-// A refused model (the static gate, the compiler, the tape verifier) is an
-// error before anything is published, so every shard keeps the model it was
-// serving; an accepted one serves from the next batch on, never part of one.
+// A refused model (core.Install: the static gate, the compiler, the tape
+// verifier) is an error before anything is published, so every shard keeps
+// the model it was serving; an accepted one serves from the next batch on,
+// never part of one.
 func (p *Pipeline) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options) error {
-	if opts.Grid == (cgra.GridSpec{}) {
-		opts.Grid = p.cfg.Grid
-	}
-	// Static gate: refuse a graph whose fixed-point ranges can silently
-	// saturate or that cannot fit the grid, before the compiler ever sees it.
-	if rep := graphcheck.VerifyWith(g, graphcheck.Options{Grid: opts.Grid}); !rep.OK() {
-		return rep.Err()
-	}
 	p.publishMu.Lock()
 	defer p.publishMu.Unlock()
 	m, err := core.Install(p.cfg, p.model.Load(), g, inQ, opts, len(p.shards))
@@ -227,22 +218,14 @@ func (p *Pipeline) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Opt
 // dispatched after that are served from it, batches in flight finish on the
 // weights they started with.
 //
-// Before anything is built, the graph passes the static gate: it must verify
-// (no feasible saturation, fits the grid) and be structurally compatible with
-// the installed model — a weight-only update — so a bad push is refused
-// outright and the previous weights keep serving.
+// A push the static gate refuses (core.Model.WithWeights: the graph must
+// verify against the grid the model was installed on and be a weight-only
+// update of it) is an error before anything is published, and the previous
+// weights keep serving.
 func (p *Pipeline) UpdateWeights(newGraph *mr.Graph) error {
 	p.publishMu.Lock()
 	defer p.publishMu.Unlock()
-	m := p.model.Load()
-	if m != nil {
-		// No model installed means the push itself reports ErrNoModel; the
-		// static gate only guards pushes that could actually land.
-		if rep := graphcheck.VerifyWith(newGraph, graphcheck.Options{Grid: p.cfg.Grid}); !rep.OK() {
-			return rep.Err()
-		}
-	}
-	next, err := m.WithWeights(newGraph)
+	next, err := p.model.Load().WithWeights(newGraph)
 	if err != nil {
 		return err
 	}

@@ -7,9 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"taurus/internal/cgra"
 	"taurus/internal/compiler"
 	"taurus/internal/core"
 	"taurus/internal/dataset"
+	"taurus/internal/fixed"
 	"taurus/internal/lower"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
@@ -718,6 +720,39 @@ func TestPipelineSentinelErrors(t *testing.T) {
 	var inQ = modelQ.InputQ
 	if err := p.LoadModel(wide, inQ, compiler.Options{}); !errors.Is(err, core.ErrBadFeatureWidth) {
 		t.Errorf("width-16 model: %v, want ErrBadFeatureWidth", err)
+	}
+}
+
+// TestUpdateWeightsVerifiesOnInstalledGrid: a push is verified against the
+// grid its model was installed on, not the device's configured grid. The
+// graph's 16 448 weight bytes need two MUs: LoadModel places it on the
+// default grid, the configured 1×4 grid has one, and pushing the installed
+// graph back must still be accepted.
+func TestUpdateWeightsVerifiesOnInstalledGrid(t *testing.T) {
+	b := mr.NewBuilder("wide-store")
+	x := b.Input("x", 6)
+	w := b.Const("w", make([]int32, 16448))
+	b.Output(b.Reduce(mr.RAdd, b.Map(mr.MAdd, x, b.Slice(w, 0, 6))))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig(6)
+	cfg.Grid = cgra.DefaultGrid()
+	cfg.Grid.Rows, cfg.Grid.Cols = 1, 4
+	p, err := New(Config{Shards: 2, Device: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.LoadModel(g, fixed.NewQuantizer(1), compiler.Options{Grid: cgra.DefaultGrid()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.UpdateWeights(g); err != nil {
+		t.Fatalf("pushing the installed graph back: %v", err)
+	}
+	if got := p.model.Load().Epoch(); got != 2 {
+		t.Errorf("epoch %d after install and push, want 2", got)
 	}
 }
 

@@ -63,7 +63,6 @@ func TestObservabilityIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	//gatecheck:verified — Pipeline.LoadModel runs graphcheck on the graph before installing
 	if err := pl.LoadModel(program, inQ, CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}

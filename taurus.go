@@ -135,9 +135,10 @@ type (
 func NewProgram(name string) *Builder { return mapreduce.NewBuilder(name) }
 
 // Static verification: the pre-push graph gate (internal/graphcheck).
-// Every push path — LoadModel, UpdateWeights, Controller and Fleet retrain
-// pushes, the distfit merge accept — runs the same analyses and refuses a
-// graph that fails them; VerifyGraph exposes the full report directly.
+// Every LoadModel and UpdateWeights — on a Device or a Pipeline, and so every
+// Controller and Fleet retrain push — runs the same analyses and refuses a
+// graph that fails them with ErrBadGraph (a push is verified against the grid
+// its model was installed on); VerifyGraph exposes the full report directly.
 type (
 	// GraphReport is the verifier's full result: per-node findings, the
 	// resource census against the grid and dead-node diagnostics. OK() is the
