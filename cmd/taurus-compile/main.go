@@ -5,12 +5,12 @@
 // With -check it instead runs both static verifiers and prints their full
 // reports, exiting non-zero if either rejects or the graph does not schedule:
 // the graph verifier (internal/graphcheck) — value ranges, resource census,
-// dead nodes — and the tape verifier (internal/sched/tapecheck), which
-// translation-validates the compiled instruction tape against the graph
-// (semantic equivalence, weight aliasing, row sums, arena and schedule
-// bounds) and is the gate sched.Compile installs through. The list schedule's
-// depth and II (internal/sched) follow. -json renders both reports as one
-// JSON document instead of text.
+// dead nodes — and the tape verifier (sched.Verify, the report of the gate
+// sched.Compile closes with), which translation-validates the compiled
+// instruction tape against the graph (semantic equivalence, weight aliasing,
+// row sums, arena and schedule bounds). The list schedule's depth and II
+// (internal/sched) follow. -json renders both reports as one JSON document
+// instead of text.
 //
 // Usage:
 //
@@ -30,7 +30,6 @@ import (
 	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/sched"
-	"taurus/internal/sched/tapecheck"
 )
 
 func main() {
@@ -117,17 +116,17 @@ func runCheck(w io.Writer, g *mr.Graph, asJSON bool) error {
 
 	// Compile the tape unverified so a rejected translation still yields the
 	// full tapecheck report rather than a bare compile error.
-	var trep *tapecheck.Report
+	var trep *sched.Report
 	prog, tapeErr := sched.CompileUnverified(g, cgra.DefaultGrid())
 	if tapeErr == nil {
-		trep = tapecheck.Verify(prog)
+		trep = sched.Verify(prog)
 	}
 	verdict := checkErr(rep, trep, tapeErr)
 
 	if asJSON {
 		out := struct {
 			Graph *graphcheck.Report `json:"graph"`
-			Tape  *tapecheck.Report  `json:"tape,omitempty"`
+			Tape  *sched.Report      `json:"tape,omitempty"`
 			// TapeError is set when the list scheduler refused the graph and
 			// no tape exists to verify.
 			TapeError string `json:"tape_error,omitempty"`
@@ -162,7 +161,7 @@ func runCheck(w io.Writer, g *mr.Graph, asJSON bool) error {
 // graph must verify, schedule, and translate faithfully — exactly the graphs
 // the push gate (graphcheck.Check) and the install gate (sched.Compile)
 // accept. trep is nil when tapeErr is not.
-func checkErr(rep *graphcheck.Report, trep *tapecheck.Report, tapeErr error) error {
+func checkErr(rep *graphcheck.Report, trep *sched.Report, tapeErr error) error {
 	switch {
 	case !rep.OK():
 		return rep.Err()

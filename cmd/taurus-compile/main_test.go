@@ -11,7 +11,6 @@ import (
 	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/sched"
-	"taurus/internal/sched/tapecheck"
 )
 
 func neuron(t *testing.T, weight int32) *mr.Graph {
@@ -36,7 +35,7 @@ func TestCheckErr(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := checkErr(rep, tapecheck.Verify(p), nil); err != nil {
+	if err := checkErr(rep, sched.Verify(p), nil); err != nil {
 		t.Errorf("clean graph, faithful tape: %v", err)
 	}
 	noMU := errors.New("sched: grid has no MUs")
@@ -44,10 +43,10 @@ func TestCheckErr(t *testing.T) {
 		t.Errorf("graph that verifies but does not schedule: %v, want an error wrapping the scheduler's", err)
 	}
 	p.Code()[0].Op = sched.OpSqDist
-	if err := checkErr(rep, tapecheck.Verify(p), nil); !errors.Is(err, tapecheck.ErrBadTape) {
+	if err := checkErr(rep, sched.Verify(p), nil); !errors.Is(err, sched.ErrBadTape) {
 		t.Errorf("mistranslated tape: %v, want ErrBadTape", err)
 	}
-	if err := checkErr(graphcheck.Verify(neuron(t, 1<<30)), tapecheck.Verify(p), nil); !errors.Is(err, graphcheck.ErrBadGraph) {
+	if err := checkErr(graphcheck.Verify(neuron(t, 1<<30)), sched.Verify(p), nil); !errors.Is(err, graphcheck.ErrBadGraph) {
 		t.Errorf("saturating graph: %v, want ErrBadGraph", err)
 	}
 }

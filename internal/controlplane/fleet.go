@@ -299,9 +299,11 @@ func (f *Fleet) coordinator() (*distfit.Coordinator, error) {
 // joiner before Register returns, so a late joiner never serves stale
 // deployment-time weights beside retrained siblings. Register serialises
 // with retrains, so the catch-up push cannot interleave with a fleet-wide
-// push mid-flight. If the catch-up push fails, the member is left
-// deregistered (its id is still returned, tombstoned) and the error says
-// why — a switch that rejects the fleet's current model cannot join it.
+// push mid-flight. The joiner's tape is audited after the catch-up push like
+// every member's after a fan-out push (TapeRechecker). If the push fails or
+// the audit does, the member is left deregistered (its id is still returned,
+// tombstoned) and the error says why — a switch that rejects the fleet's
+// current model, or cannot serve it faithfully, cannot join it.
 func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	if p == nil {
 		return 0, fmt.Errorf("controlplane: nil pusher")
@@ -325,13 +327,20 @@ func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	id := len(f.members) - 1
 	g := f.lastGraph
 	f.mu.Unlock()
-	if g != nil {
-		if err := p.UpdateWeights(g); err != nil {
-			f.mu.Lock()
-			m.gone = true
-			f.mu.Unlock()
-			return id, fmt.Errorf("controlplane: catch-up push to new fleet member %q: %w", name, err)
-		}
+	if g == nil {
+		return id, nil
+	}
+	refuse := func(what string, err error) (int, error) {
+		f.mu.Lock()
+		m.gone = true
+		f.mu.Unlock()
+		return id, fmt.Errorf("controlplane: %s new fleet member %q: %w", what, name, err)
+	}
+	if err := p.UpdateWeights(g); err != nil {
+		return refuse("catch-up push to", err)
+	}
+	if err := f.recheck(0, m); err != nil {
+		return refuse("post-push tape recheck on", err)
 	}
 	return id, nil
 }
@@ -660,14 +669,26 @@ func (f *Fleet) push(span int64, g *mr.Graph) error {
 		}
 	}
 	for _, m := range members {
-		if rc, ok := m.pusher.(TapeRechecker); ok {
-			if err := rc.RecheckTape(); err != nil {
-				f.tracer.Emitf(span, "tapecheck.fail", "member=%q post-push recheck: err=%q", m.name, err.Error())
-				return rollback(len(members), "post-push tape recheck on fleet member", m, err)
-			}
-			f.tracer.Emitf(span, "tapecheck.pass", "member=%q post-push recheck", m.name)
+		if err := f.recheck(span, m); err != nil {
+			return rollback(len(members), "post-push tape recheck on fleet member", m, err)
 		}
 	}
+	return nil
+}
+
+// recheck has m re-verify the tape it serves against the weights just pushed
+// to it, when it can (a device or pipeline: TapeRechecker), and journals the
+// verdict on span.
+func (f *Fleet) recheck(span int64, m *fleetMember) error {
+	rc, ok := m.pusher.(TapeRechecker)
+	if !ok {
+		return nil
+	}
+	if err := rc.RecheckTape(); err != nil {
+		f.tracer.Emitf(span, "tapecheck.fail", "member=%q post-push recheck: err=%q", m.name, err.Error())
+		return err
+	}
+	f.tracer.Emitf(span, "tapecheck.pass", "member=%q post-push recheck", m.name)
 	return nil
 }
 

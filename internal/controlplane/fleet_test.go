@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -490,6 +491,57 @@ func TestFleetRecheckFailureRollsBack(t *testing.T) {
 	}
 	if err := first.RetrainNow(); err == nil || !strings.Contains(err.Error(), "already serve the new model") {
 		t.Errorf("recheck failure on the first fleet push = %v, want the members-already-serve error", err)
+	}
+}
+
+// TestFleetCatchUpIsRechecked: a late joiner's catch-up push is audited like
+// every fan-out push. A joiner whose tape fails the audit after the catch-up
+// cannot join — it is tombstoned, the error names it, and later retrains
+// leave it alone — and one whose audit passes joins with the pass journalled.
+func TestFleetCatchUpIsRechecked(t *testing.T) {
+	tracer := obs.NewTracer(256)
+	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Tracer: tracer, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	founder := &auditedPusher{}
+	if _, err := fl.Register("founder", founder, labelSrc); err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.RetrainNow(); err != nil {
+		t.Fatal(err)
+	}
+
+	broken := &auditedPusher{failRecheck: 1} // fails the audit of its catch-up push
+	id, err := fl.Register("broken", broken, labelSrc)
+	if err == nil || !strings.Contains(err.Error(), `"broken"`) || !strings.Contains(err.Error(), "recheck") {
+		t.Fatalf("Register of a joiner whose audit fails = %v, want the recheck failure naming it", err)
+	}
+	if !fl.Stats().Members[id].Deregistered {
+		t.Error("a joiner whose audit failed was not tombstoned")
+	}
+	good := &auditedPusher{}
+	if _, err := fl.Register("good", good, labelSrc); err != nil {
+		t.Fatal(err)
+	}
+	var verdicts []string
+	for _, e := range tracer.Events() {
+		if strings.HasPrefix(e.Kind, "tapecheck.") && !strings.Contains(e.Detail, `member="founder"`) {
+			verdicts = append(verdicts, e.Kind+" "+e.Detail[:strings.Index(e.Detail, " ")])
+		}
+	}
+	if want := []string{`tapecheck.fail member="broken"`, `tapecheck.pass member="good"`}; !slices.Equal(verdicts, want) {
+		t.Errorf("catch-up audits journalled %q, want %q", verdicts, want)
+	}
+
+	if err := fl.RetrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(broken.pushed()); got != 1 {
+		t.Errorf("tombstoned joiner has %d pushes, want the catch-up only", got)
+	}
+	if f, g := founder.pushed(), good.pushed(); len(g) != 2 || g[1] != f[len(f)-1] {
+		t.Error("the audited joiner does not serve the fleet's graph after the next retrain")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -515,24 +516,16 @@ func mixedBatch(gen *dataset.AnomalyGenerator, n int) []PacketIn {
 	return ins
 }
 
-// TestRefusedTapeIsInstallError pins the install contract: a tape the
-// verifier (or the scheduler) refuses is an error from LoadModel, never a
-// second engine — and the refused install leaves no trace on the device: the
-// model that was serving keeps serving, bit-identically.
+// TestRefusedTapeIsInstallError pins the install's tape gate (admit): the
+// program CompileUnverified emits for a graph, with one instruction corrupted
+// the way sched's TestMutationKill corrupts one, is refused with an error
+// wrapping sched.ErrBadTape — there is no second engine to serve it — and so
+// is a scheduler refusal. Each refusal is journalled as tapecheck.fail naming
+// the error, and the model being built takes no tape. The same graph's
+// faithful program clears the same gate: LoadModel installs and serves it,
+// journalling tapecheck.pass, then model.publish.
 func TestRefusedTapeIsInstallError(t *testing.T) {
-	dev, q, gen := buildAnomalyDevice(t)
-	ins := mixedBatch(gen, 96)
-	before := make([]Decision, len(ins))
-	if err := dev.ProcessBatch(ins, before); err != nil {
-		t.Fatal(err)
-	}
-	if ml := dev.Stats().MLInferences; ml < len(ins)/3 {
-		t.Fatalf("only %d of %d packets reached the model; the batch proves nothing", ml, len(ins))
-	}
-	served, ii, lat := dev.model, dev.ScheduledII(), dev.ModelLatencyNs()
-
-	// Same structure, different weights and quantiser: were the refused
-	// install to land anyway, the decisions below would move.
+	_, q, _ := buildAnomalyDevice(t)
 	next, err := lower.DNN(q, "anomaly-next")
 	if err != nil {
 		t.Fatal(err)
@@ -542,66 +535,48 @@ func TestRefusedTapeIsInstallError(t *testing.T) {
 			n.Const[i] = -n.Const[i]
 		}
 	}
-	boom := errors.New("synthetic tape rejection")
-	prev := sched.SetVerifier(func(*sched.Program) error { return boom })
-	defer sched.SetVerifier(prev)
-
-	if err := dev.LoadModel(next, fixed.NewQuantizer(3), compiler.Options{}); !errors.Is(err, boom) {
-		t.Fatalf("LoadModel with a rejecting verifier = %v, want the verifier's error", err)
-	}
-	if dev.model != served || dev.ScheduledII() != ii || dev.ModelLatencyNs() != lat || dev.InputQuantizer() != q.InputQ {
-		t.Error("refused install changed the installed model, its II, latency or quantiser")
-	}
-	if err := dev.RecheckTape(); err != nil {
-		t.Errorf("serving tape no longer verifies after a refused install: %v", err)
-	}
-	after := make([]Decision, len(ins))
-	if err := dev.ProcessBatch(ins, after); err != nil {
-		t.Fatal(err)
-	}
-	for i := range after {
-		if after[i] != before[i] {
-			t.Fatalf("packet %d decided %+v before the refused install, %+v after", i, before[i], after[i])
-		}
-	}
-
-	// A device that had no model still has none: every packet bypasses, and
-	// the refusal is journalled on the device's own tracer.
 	cfg := DefaultConfig(6)
 	cfg.Obs, cfg.Tracer = obs.NewRegistry(), obs.NewTracer(16)
+
+	prog, err := sched.CompileUnverified(next, cfg.grid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := slices.IndexFunc(prog.Code(), func(ins sched.Instr) bool { return ins.Op == sched.OpDotAdd })
+	if pc < 0 {
+		t.Fatal("the DNN's tape has no dotadd to corrupt")
+	}
+	prog.Code()[pc].Op = sched.OpDot // the output neuron's bias dropped
+	m := &Model{epoch: 1, tracer: cfg.tracer()}
+	refused := m.admit(next.Name, prog, nil)
+	if !errors.Is(refused, sched.ErrBadTape) {
+		t.Fatalf("the tape gate on a corrupted tape = %v, want an error wrapping ErrBadTape", refused)
+	}
+	noMU := errors.New("sched: grid has no MUs")
+	if err := m.admit(next.Name, nil, noMU); !errors.Is(err, noMU) {
+		t.Fatalf("the tape gate on a scheduler refusal = %v, want the scheduler's error", err)
+	}
+	if m.tape != nil || m.image != nil || m.schedII != 0 {
+		t.Error("a refused tape became the model's")
+	}
+	events := cfg.Tracer.Events()
+	if len(events) != 2 || events[0].Kind != "tapecheck.fail" || !strings.Contains(events[0].Detail, sched.ErrBadTape.Error()) ||
+		events[1].Kind != "tapecheck.fail" || !strings.Contains(events[1].Detail, noMU.Error()) {
+		t.Errorf("journal after two refusals = %+v, want two tapecheck.fail naming their errors", events)
+	}
+
 	bare, err := NewDevice(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := bare.LoadModel(next, q.InputQ, compiler.Options{}); !errors.Is(err, boom) {
-		t.Fatalf("LoadModel on a bare device = %v, want the verifier's error", err)
-	}
-	if bare.model != nil || bare.ScheduledII() != 0 || !errors.Is(bare.RecheckTape(), ErrNoModel) {
-		t.Error("refused install left a model on a bare device")
-	}
-	if err := bare.ProcessBatch(ins, after); err != nil {
-		t.Fatal(err)
-	}
-	for i, d := range after {
-		if !d.Bypassed && d.Verdict != Drop {
-			t.Fatalf("packet %d took the ML path on a device with no model: %+v", i, d)
-		}
-	}
-	events := cfg.Tracer.Events()
-	if len(events) != 1 || events[0].Kind != "tapecheck.fail" || !strings.Contains(events[0].Detail, boom.Error()) {
-		t.Errorf("device journal after a refused install = %+v, want one tapecheck.fail naming the error", events)
-	}
-
-	// With the real validator back the same graph installs and serves.
-	sched.SetVerifier(prev)
 	if err := bare.LoadModel(next, q.InputQ, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if bare.model == nil || bare.ScheduledII() == 0 || bare.RecheckTape() != nil {
-		t.Error("clean install after a refused one did not take")
+		t.Error("the faithful tape did not install")
 	}
-	if ev := cfg.Tracer.Events(); len(ev) != 3 || ev[1].Kind != "tapecheck.pass" || ev[2].Kind != "model.publish" {
-		t.Errorf("clean install journalled %+v after the refusal, want tapecheck.pass then model.publish", ev[1:])
+	if ev := cfg.Tracer.Events(); len(ev) != 4 || ev[2].Kind != "tapecheck.pass" || ev[3].Kind != "model.publish" {
+		t.Errorf("clean install journalled %+v after the refusals, want tapecheck.pass then model.publish", ev[2:])
 	}
 }
 

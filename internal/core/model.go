@@ -10,12 +10,6 @@ import (
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/obs"
 	"taurus/internal/sched"
-
-	// tapecheck both arms sched.Compile's translation-validation gate —
-	// every tape an install builds has been statically verified against its
-	// source graph, and a rejected tape is an install error — and backs
-	// Recheck's post-push revalidation of the serving tape.
-	"taurus/internal/sched/tapecheck"
 )
 
 // Model is one installed model, complete and immutable: the compiled tape
@@ -62,11 +56,11 @@ func (m *Model) orNone() *Model {
 // owner configured by cfg: g must pass the static gate (graphcheck: no
 // feasible Fix32 saturation, fits the grid; ErrBadGraph otherwise), is
 // shape-checked, placed on the grid (compiler.Compile), compiled once to a
-// tape that must clear tapecheck, and given an arena per shard. A graph the
-// scheduler refuses (a LUT model on a grid with no MUs) or a tape the
-// validator rejects is an error — there is no second engine to serve it — and
-// either verdict is journalled on cfg's tracer. Nothing is published here: on
-// error the caller keeps serving prev.
+// tape that must clear the tape gate (admit), and given an arena per shard. A
+// graph the scheduler refuses (a LUT model on a grid with no MUs) or a tape
+// the verifier rejects is an error — there is no second engine to serve it —
+// and either verdict is journalled on cfg's tracer. Nothing is published
+// here: on error the caller keeps serving prev.
 func Install(cfg Config, prev *Model, g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options, shards int) (*Model, error) {
 	if opts.Grid == (cgra.GridSpec{}) {
 		opts.Grid = cfg.grid()
@@ -89,20 +83,34 @@ func Install(cfg Config, prev *Model, g *mr.Graph, inQ fixed.Quantizer, opts com
 		epoch: prev.Epoch() + 1, inQ: inQ, tracer: cfg.tracer(), grid: opts.Grid,
 		ii: res.Stats.II, latNs: res.Stats.LatencyNs(),
 	}
-	prog, err := sched.Compile(res.Graph, grid)
-	if err != nil {
-		m.tracer.Emitf(0, "tapecheck.fail", "graph=%q epoch=%d err=%q", g.Name, m.epoch, err.Error())
-		return nil, fmt.Errorf("core: compile tape for %q: %w", g.Name, err)
+	prog, err := sched.CompileUnverified(res.Graph, grid)
+	if err = m.admit(g.Name, prog, err); err != nil {
+		return nil, err
 	}
-	m.tape, m.image, m.schedII = prog.Tape(), prog.Image(), prog.Schedule().II
 	m.arenas = make([]*sched.Arena, shards)
 	m.arenas[0] = prog.Arena()
 	for i := 1; i < shards; i++ {
 		m.arenas[i] = m.tape.NewArena()
 	}
-	m.tracer.Emitf(0, "tapecheck.pass", "graph=%q epoch=%d ii=%d", g.Name, m.epoch, m.schedII)
 	m.tracer.Emitf(0, "model.publish", "epoch=%d kind=install graph=%q", m.epoch, g.Name)
 	return m, nil
+}
+
+// admit is the install's tape gate: the program CompileUnverified emitted
+// for graph name — or err, the scheduler's refusal to emit one — must clear
+// one sched.Check before m takes its tape and image. The verdict is
+// journalled on m's tracer as tapecheck.pass or tapecheck.fail.
+func (m *Model) admit(name string, prog *sched.Program, err error) error {
+	if err == nil {
+		err = sched.Check(prog)
+	}
+	if err != nil {
+		m.tracer.Emitf(0, "tapecheck.fail", "graph=%q epoch=%d err=%q", name, m.epoch, err.Error())
+		return fmt.Errorf("core: compile tape for %q: %w", name, err)
+	}
+	m.tape, m.image, m.schedII = prog.Tape(), prog.Image(), prog.Schedule().II
+	m.tracer.Emitf(0, "tapecheck.pass", "graph=%q epoch=%d ii=%d", name, m.epoch, m.schedII)
+	return nil
 }
 
 // WithWeights builds the model that serves g's weights on m's tape — the
@@ -129,7 +137,7 @@ func (m *Model) WithWeights(g *mr.Graph) (*Model, error) {
 	return &next, nil
 }
 
-// Recheck re-runs tapecheck's translation validator over the tape and the
+// Recheck re-runs the tape verifier (sched.Check) over the tape and the
 // image being served — the control plane's post-push audit that the weights a
 // push installed sit where the compiled code reads them (layout, row sums,
 // equivalence). Whether those weights can saturate a lane is graphcheck's
@@ -140,7 +148,7 @@ func (m *Model) Recheck() error {
 		return ErrNoModel
 	}
 	prog := sched.Bind(m.tape, m.image, nil)
-	return tapecheck.Check(&prog)
+	return sched.Check(&prog)
 }
 
 // Epoch is the model's publish count on its owner (0: nothing installed).

@@ -9,7 +9,6 @@ import (
 	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/sched"
-	"taurus/internal/sched/tapecheck"
 )
 
 // fuzzReader consumes the fuzz input byte stream, yielding zero once
@@ -300,8 +299,8 @@ func diffProgram(t *testing.T, g *mr.Graph, p *sched.Program, data []byte, refs 
 
 // schedDifferential asserts the compiled tape agrees with the interpreter.
 // Graphs whose Eval legitimately errors (undeclared inputs) are skipped;
-// everything else must compile — through the tapecheck gate, which the
-// tapecheck import above arms — and match bit-for-bit.
+// everything else must compile — through the tape gate Compile closes with —
+// and match bit-for-bit.
 func schedDifferential(t *testing.T, g *mr.Graph, data []byte) {
 	refs, ok := evalRefs(g, data)
 	if !ok {
@@ -314,7 +313,7 @@ func schedDifferential(t *testing.T, g *mr.Graph, data []byte) {
 	// Compile's gate already ran; pin the stronger invariant behind it: a
 	// faithful compile carries no findings at all, whatever the graph's own
 	// ranges (saturation a tape inherits is graphcheck's to name).
-	for _, fd := range tapecheck.Verify(p).Findings {
+	for _, fd := range sched.Verify(p).Findings {
 		t.Fatalf("tapecheck %s finding on a faithfully compiled graph: %s", fd.Check, fd)
 	}
 	diffProgram(t, g, p, data, refs, "")
@@ -497,7 +496,7 @@ func FuzzTapeMutation(f *testing.F) {
 		if !mutateTape(p, kind, k) {
 			return
 		}
-		if !tapecheck.Verify(p).OK() {
+		if !sched.Verify(p).OK() {
 			return // caught — the expected outcome for a harmful mutation
 		}
 		reimage(t, p, g)
@@ -511,7 +510,7 @@ func FuzzTapeMutation(f *testing.F) {
 // validation analyses (equivalence, bounds) — proving the corpus actually
 // reaches the finding classes it exists to cover.
 func TestTapeMutationSeeds(t *testing.T) {
-	classes := map[tapecheck.Analysis]int{}
+	classes := map[sched.Analysis]int{}
 	rejected := 0
 	for name, seed := range fuzzSeeds {
 		g := graphFromBytes(seed)
@@ -532,7 +531,7 @@ func TestTapeMutationSeeds(t *testing.T) {
 					t.Fatalf("%s seed does not compile: %v", name, err)
 				}
 				mutateTape(p, kind, k)
-				rep := tapecheck.Verify(p)
+				rep := sched.Verify(p)
 				if rep.OK() {
 					reimage(t, p, g)
 					diffProgram(t, g, p, seed, refs,
@@ -541,7 +540,7 @@ func TestTapeMutationSeeds(t *testing.T) {
 				}
 				rejected++
 				for _, fd := range rep.Findings {
-					if fd.Severity == tapecheck.SevError {
+					if fd.Severity == graphcheck.SevError {
 						classes[fd.Check]++
 					}
 				}
@@ -564,10 +563,10 @@ func TestTapeMutationSeeds(t *testing.T) {
 		t.Fatal("dead-dot seed compiles to no dot")
 	}
 	mutateTape(p, 3, pc)
-	if rep := tapecheck.Verify(p); p.Code()[pc].Op != sched.OpSqDist || !rep.OK() {
+	if rep := sched.Verify(p); p.Code()[pc].Op != sched.OpSqDist || !rep.OK() {
 		t.Fatalf("dead dot flipped to %s is not certified:\n%s", p.Code()[pc].Op, rep)
 	}
-	for _, want := range []tapecheck.Analysis{tapecheck.CheckEquiv, tapecheck.CheckBounds} {
+	for _, want := range []sched.Analysis{sched.CheckEquiv, sched.CheckBounds} {
 		if classes[want] == 0 {
 			t.Errorf("mutation corpus never fired the %s analysis (fired: %v)", want, classes)
 		}

@@ -11,7 +11,6 @@ import (
 	"taurus/internal/core"
 	"taurus/internal/graphcheck"
 	"taurus/internal/sched"
-	"taurus/internal/sched/tapecheck"
 )
 
 // installShapes are the two DNNs the gated benchmark installs: the anomaly
@@ -95,7 +94,7 @@ func BenchmarkLoadModel(b *testing.B) {
 			{"clone", func() error { g.Clone(); return nil }},
 			{"compile", func() error { _, err := compiler.Compile(g, compiler.Options{Grid: grid}); return err }},
 			{"plan+emit", func() error { _, err := sched.CompileUnverified(g, grid); return err }},
-			{"tapecheck", func() error { return tapecheck.Verify(prog).Err() }},
+			{"tapecheck", func() error { return sched.Check(prog) }},
 		}
 		for _, st := range stages {
 			b.Run(fmt.Sprintf("%s/%s", shape.name, st.name), func(b *testing.B) {

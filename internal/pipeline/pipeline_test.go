@@ -3,6 +3,7 @@ package pipeline
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,7 +17,6 @@ import (
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/pisa"
-	"taurus/internal/sched"
 	"taurus/internal/trafficgen"
 )
 
@@ -562,17 +562,27 @@ func TestLoadModelAllOrNothing(t *testing.T) {
 	}
 }
 
-// TestLoadModelRefusedMidway drives the case a shape error never reaches: the
-// install clears the static gate and the placer and is refused at the last
-// fallible step, by the tape verifier. Nothing may have been published: the
-// pipeline keeps the very model it was serving — not switched, not cleared —
-// and decisions are bit-identical.
+// TestLoadModelRefusedMidway drives a refusal a shape error never reaches:
+// the install clears the static gate and the shape check, clones the graph and
+// is refused by the placer — a graph with no weights verifies on a grid with
+// no memory units, and compiler.Compile has nowhere to place it. Nothing may
+// have been published: the pipeline keeps the very model it was serving — not
+// switched, not cleared — and decisions are bit-identical.
 func TestLoadModelRefusedMidway(t *testing.T) {
-	_, _, g2, _ := trainModel(t)
-	boom := errors.New("synthetic rejection of the tape")
-	rejectTape := func() (restore func()) {
-		prev := sched.SetVerifier(func(*sched.Program) error { return boom })
-		return func() { sched.SetVerifier(prev) }
+	b := mr.NewBuilder("weightless")
+	b.Output(b.Reduce(mr.RAdd, b.Input("x", 6)))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	noMUs := cgra.DefaultGrid()
+	noMUs.Rows, noMUs.Cols = 1, 1 // one unit, a compute unit
+	load := func(p *Pipeline) {
+		t.Helper()
+		err := p.LoadModel(g, modelQ.InputQ, compiler.Options{Grid: noMUs})
+		if err == nil || !strings.Contains(err.Error(), "no usable units") {
+			t.Fatalf("LoadModel on a grid with no MUs = %v, want the placer's refusal", err)
+		}
 	}
 
 	p := newLoadedPipeline(t, 3)
@@ -583,12 +593,7 @@ func TestLoadModelRefusedMidway(t *testing.T) {
 	before := append([]core.Decision(nil), out...)
 	served := p.model.Load()
 
-	restore := rejectTape()
-	err := p.LoadModel(g2, modelQ.InputQ, compiler.Options{})
-	restore()
-	if !errors.Is(err, boom) {
-		t.Fatalf("LoadModel with the tape rejected = %v, want the verifier's error", err)
-	}
+	load(p)
 	if p.model.Load() != served {
 		t.Error("the pipeline no longer holds the model it was serving")
 	}
@@ -607,17 +612,12 @@ func TestLoadModelRefusedMidway(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fresh.Close()
-	restore = rejectTape()
-	err = fresh.LoadModel(g2, modelQ.InputQ, compiler.Options{})
-	restore()
-	if !errors.Is(err, boom) {
-		t.Fatalf("LoadModel on a fresh pipeline = %v, want the verifier's error", err)
-	}
+	load(fresh)
 	if fresh.model.Load() != nil {
 		t.Error("a modelless pipeline holds a model after a refused install")
 	}
-	// And the same graph installs once nothing rejects it.
-	if err := fresh.LoadModel(g2, modelQ.InputQ, compiler.Options{}); err != nil {
+	// And the same graph installs on a grid it can be placed on.
+	if err := fresh.LoadModel(g, modelQ.InputQ, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if fresh.model.Load() == nil {

@@ -718,7 +718,7 @@ func TestMatVecEmit(t *testing.T) {
 			t.Errorf("%s: tape is %v, want %v", tc.name, got, tc.want)
 		}
 		// A node fused away holds no arena block.
-		if got := p.ArenaSize() / p.MaxBatch(); got != tc.lanes {
+		if got := sched.Verify(p).Arena / p.MaxBatch(); got != tc.lanes {
 			t.Errorf("%s: the arena holds %d lanes a packet, want %d", tc.name, got, tc.lanes)
 		}
 	}

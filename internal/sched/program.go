@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
@@ -68,9 +67,9 @@ const (
 // biases of an OpMatVec included; everything else lives in the batch-major
 // arena at Off + j*Stride for packet j. An operand holds offsets, never
 // storage, so one tape serves every shard's arena and every image pushed
-// after it was compiled. The fields are exported for static inspection
-// (internal/sched/tapecheck audits every operand against the tape's layout);
-// runtime code treats them as immutable after emit.
+// after it was compiled. The fields are exported for the fuzzers that read or
+// corrupt a tape (Program.Code); Verify audits every operand against the
+// tape's layout, and runtime code treats them as immutable after emit.
 type Operand struct {
 	Const  bool // lanes image[Off:Off+W], same every packet
 	Off    int
@@ -168,30 +167,25 @@ type Program struct {
 	arena *Arena
 }
 
-// Compile plans g on spec, emits the instruction tape and hands it to the
-// registered tape verifier (SetVerifier — importing internal/sched/tapecheck
-// registers the real one), which it must clear before it is returned: a
-// miscompilation is an error here, not a wrong verdict later. The gate fails
-// closed — with no verifier registered Compile refuses outright rather than
-// hand out a tape nobody checked. The program is bound to an image of g's
-// weights and an arena of its own; g is kept for its structure only.
+// Compile plans g on spec, emits the instruction tape and verifies it: the
+// program is returned only if Check finds it a faithful translation of g, so
+// a miscompilation is an error here, not a wrong verdict later. The program
+// is bound to an image of g's weights and an arena of its own; g is kept for
+// its structure only.
 func Compile(g *mr.Graph, spec cgra.GridSpec) (*Program, error) {
-	if verifyHook == nil {
-		return nil, errors.New("sched: no tape verifier registered (link internal/sched/tapecheck)")
-	}
 	p, err := CompileUnverified(g, spec)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		err = Check(p)
 	}
-	if err := verifyHook(p); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-// CompileUnverified is Compile without the verifier gate — the opt-out for
-// tests that inspect or corrupt tapes, and for callers that run the verifier
-// themselves to keep the report.
+// CompileUnverified is Compile without the closing Check — for callers that
+// run the gate themselves (core.Install journals its verdict, taurus-compile
+// keeps the whole Report) and for tests that corrupt a tape before checking it.
 func CompileUnverified(g *mr.Graph, spec cgra.GridSpec) (*Program, error) {
 	s, err := Plan(g, spec)
 	if err != nil {

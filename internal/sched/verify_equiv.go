@@ -1,12 +1,12 @@
-package tapecheck
+package sched
 
 import (
 	"fmt"
 	"math/bits"
 	"sync"
 
+	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
-	"taurus/internal/sched"
 )
 
 // equiv is the semantic-equivalence analysis. Both sides of the translation
@@ -324,18 +324,18 @@ func (it *interner) render(id exprID, depth int) string {
 // unaryExpr and rescaleExpr are the expression kinds of the opcodes an
 // activation or a rescale — an instruction's own, or a matvec epilogue's — may
 // be, eUndef for any other.
-func unaryExpr(op sched.Opcode) uint8 {
-	if op < sched.OpRelu || op > sched.OpAbs {
+func unaryExpr(op Opcode) uint8 {
+	if op < OpRelu || op > OpAbs {
 		return eUndef
 	}
-	return [...]uint8{eRelu, eLeaky, eNeg, eAbs}[op-sched.OpRelu]
+	return [...]uint8{eRelu, eLeaky, eNeg, eAbs}[op-OpRelu]
 }
 
-func rescaleExpr(op sched.Opcode) uint8 {
+func rescaleExpr(op Opcode) uint8 {
 	switch op {
-	case sched.OpRequant:
+	case OpRequant:
 		return eRequant
-	case sched.OpScale:
+	case OpScale:
 		return eScale
 	}
 	return eUndef
@@ -489,7 +489,7 @@ func (c *checker) equiv() {
 		cells[i] = -1
 	}
 	for i := range c.g.Inputs {
-		o := c.p.InputOperand(i)
+		o := c.t.ins[i]
 		if o.Const || o.Off < 0 || o.Off+o.W > c.arena {
 			continue
 		}
@@ -504,7 +504,7 @@ func (c *checker) equiv() {
 	// (nil when it lies in none, in which case every read is undef — alias()
 	// already reported it). Hoisting the resolution per operand keeps the
 	// search out of per-lane loops.
-	wlanes := func(o sched.Operand) []exprID {
+	wlanes := func(o Operand) []exprID {
 		if id, at := c.constNode(o); id >= 0 {
 			return glanes[id][o.Off-at:]
 		}
@@ -515,7 +515,7 @@ func (c *checker) equiv() {
 		ins := &c.code[pc]
 		it.pc = int32(pc)
 		aW, bW, cW := wlanes(ins.A), wlanes(ins.B), wlanes(ins.C)
-		read := func(o sched.Operand, w []exprID, l int) exprID {
+		read := func(o Operand, w []exprID, l int) exprID {
 			if o.Const {
 				if l < len(w) {
 					return w[l]
@@ -540,54 +540,54 @@ func (c *checker) equiv() {
 		}
 
 		switch ins.Op {
-		case sched.OpAdd, sched.OpSub, sched.OpMul, sched.OpMin, sched.OpMax:
-			kind := [...]uint8{eAdd, eSub, eMul, eMin, eMax}[ins.Op-sched.OpAdd]
+		case OpAdd, OpSub, OpMul, OpMin, OpMax:
+			kind := [...]uint8{eAdd, eSub, eMul, eMin, eMax}[ins.Op-OpAdd]
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
 				write(l, it.binary(kind, read(ins.A, aW, l), bLane(l)))
 			}
-		case sched.OpRelu, sched.OpLeaky, sched.OpNeg, sched.OpAbs:
+		case OpRelu, OpLeaky, OpNeg, OpAbs:
 			kind := unaryExpr(ins.Op)
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
 				write(l, it.intern(kind, 0, 0, []exprID{read(ins.A, aW, l)}))
 			}
-		case sched.OpSum, sched.OpRedMin, sched.OpRedMax, sched.OpArgMin, sched.OpArgMax:
-			kind := [...]uint8{eSum, eRMin, eRMax, eArgMin, eArgMax}[ins.Op-sched.OpSum]
+		case OpSum, OpRedMin, OpRedMax, OpArgMin, OpArgMax:
+			kind := [...]uint8{eSum, eRMin, eRMax, eArgMin, eArgMax}[ins.Op-OpSum]
 			scratch = scratch[:0]
 			for l := 0; l < ins.A.W; l++ {
 				scratch = append(scratch, read(ins.A, aW, l))
 			}
 			write(0, it.intern(kind, 0, 0, scratch))
-		case sched.OpRequant, sched.OpScale:
+		case OpRequant, OpScale:
 			kind := rescaleExpr(ins.Op)
 			slot := payloadSlot(ins.Slot, c.hasMult(ins), pc)
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
 				write(l, it.intern(kind, slot, 0, []exprID{read(ins.A, aW, l)}))
 			}
-		case sched.OpLUT:
+		case OpLUT:
 			slot := payloadSlot(ins.Slot, c.hasLUT(ins), pc)
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
 				write(l, it.intern(eLUT, slot, 0, []exprID{read(ins.A, aW, l)}))
 			}
-		case sched.OpCopy:
+		case OpCopy:
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
 				write(l, read(ins.A, aW, l))
 			}
-		case sched.OpDot, sched.OpDotAdd:
+		case OpDot, OpDotAdd:
 			scratch = scratch[:0]
 			for l := 0; l < ins.A.W; l++ {
 				scratch = append(scratch, it.binary(eMul, read(ins.A, aW, l), bLane(l)))
 			}
 			e := it.intern(eSum, 0, 0, scratch)
-			if ins.Op == sched.OpDotAdd {
+			if ins.Op == OpDotAdd {
 				e = it.binary(eAdd, e, read(ins.C, cW, 0))
 			}
 			write(0, e)
-		case sched.OpMatVec:
+		case OpMatVec:
 			// Row by row, the dot+bias an OpDotAdd would have been, then what
 			// the OpRelu and the OpRequant the epilogue stands for would have
 			// made of that lane. An epilogue opcode that is neither (bounds()
@@ -597,7 +597,7 @@ func (c *checker) equiv() {
 				break // bounds() reported; the lanes stay undefined
 			}
 			act, rescale := unaryExpr(ins.Act), rescaleExpr(ins.Quant)
-			unknown := (ins.Act != sched.OpNone && act == eUndef) || (ins.Quant != sched.OpNone && rescale == eUndef)
+			unknown := (ins.Act != OpNone && act == eUndef) || (ins.Quant != OpNone && rescale == eUndef)
 			slot := payloadSlot(ins.Slot, c.hasMult(ins), pc)
 			for r := 0; r < ins.W; r++ {
 				row := ins.Rows[r]
@@ -611,10 +611,10 @@ func (c *checker) equiv() {
 					bias := ins.Rows[ins.W+r]
 					e = it.binary(eAdd, e, read(bias, wlanes(bias), 0))
 				}
-				if ins.Act != sched.OpNone {
+				if ins.Act != OpNone {
 					e = it.intern(act, 0, 0, []exprID{e})
 				}
-				if ins.Quant != sched.OpNone {
+				if ins.Quant != OpNone {
 					e = it.intern(rescale, slot, 0, []exprID{e})
 				}
 				if unknown {
@@ -622,7 +622,7 @@ func (c *checker) equiv() {
 				}
 				write(r, e)
 			}
-		case sched.OpSqDist:
+		case OpSqDist:
 			scratch = scratch[:0]
 			for l := 0; l < ins.A.W; l++ {
 				d := it.binary(eSub, read(ins.A, aW, l), bLane(l))
@@ -638,7 +638,7 @@ func (c *checker) equiv() {
 	// the first differing subexpression.
 	for i, id := range c.g.Outputs {
 		want := glanes[id]
-		o := c.p.OutputOperand(i)
+		o := c.t.outs[i]
 		for l := 0; l < len(want) && l < o.W; l++ {
 			var got exprID = -1
 			if o.Const {
@@ -665,7 +665,7 @@ func (c *checker) equiv() {
 					pc = int(c.writer[idx]) // diverging expr predates the tape: blame the cell's writer
 				}
 			}
-			c.finding(pc, id, SevError, CheckEquiv,
+			c.finding(pc, id, graphcheck.SevError, CheckEquiv,
 				"output %d lane %d computes %s, graph defines %s (diverges at %s vs %s)",
 				i, l, it.render(got, 3), it.render(want[l], 3),
 				it.render(dg, 2), it.render(dw, 2))

@@ -1,9 +1,9 @@
-package tapecheck
+package sched
 
 import (
 	"taurus/internal/cgra"
+	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
-	"taurus/internal/sched"
 )
 
 // plan re-verifies the list schedule the tape was linearised from: the
@@ -11,22 +11,22 @@ import (
 // interval the service model bills against — are re-derived from the cost
 // model and checked, so a Plan bug (or a hand-edited schedule) cannot smuggle
 // an oversubscribed or optimistic schedule onto the device. The checks
-// mirror sched.Plan exactly: precedence (a node issues only after its
-// arguments complete), per-cycle CU/MU capacity via sched.NodeCost, and the
+// mirror Plan exactly: precedence (a node issues only after its
+// arguments complete), per-cycle CU/MU capacity via nodeCost, and the
 // three resource bounds under the claimed II.
 func (c *checker) plan() {
-	s := c.p.Schedule()
+	s := c.t.sched
 	if s == nil {
-		c.finding(-1, -1, SevError, CheckPlan, "program has no schedule")
+		c.finding(-1, -1, graphcheck.SevError, CheckPlan, "program has no schedule")
 		return
 	}
 	g := c.g
 	if s.Graph() != g {
-		c.finding(-1, -1, SevError, CheckPlan, "schedule was planned for a different graph")
+		c.finding(-1, -1, graphcheck.SevError, CheckPlan, "schedule was planned for a different graph")
 		return
 	}
 	if len(s.Start) != len(g.Nodes) || len(s.Done) != len(g.Nodes) {
-		c.finding(-1, -1, SevError, CheckPlan,
+		c.finding(-1, -1, graphcheck.SevError, CheckPlan,
 			"schedule covers %d/%d nodes, graph has %d", len(s.Start), len(s.Done), len(g.Nodes))
 		return
 	}
@@ -42,11 +42,11 @@ func (c *checker) plan() {
 	for t, bundle := range s.Bundles {
 		for _, id := range bundle {
 			if id < 0 || int(id) >= len(g.Nodes) {
-				c.finding(-1, id, SevError, CheckPlan, "bundle %d names unknown node", t)
+				c.finding(-1, id, graphcheck.SevError, CheckPlan, "bundle %d names unknown node", t)
 				continue
 			}
 			if bundleAt[id] != -1 {
-				c.finding(-1, id, SevError, CheckPlan,
+				c.finding(-1, id, graphcheck.SevError, CheckPlan,
 					"node appears in bundles %d and %d", bundleAt[id], t)
 				continue
 			}
@@ -74,7 +74,7 @@ func (c *checker) plan() {
 				ready = s.Done[a]
 			}
 		}
-		issues, lat, onMU := sched.NodeCost(g, n, spec)
+		issues, lat, onMU := nodeCost(g, n, spec)
 		if n.Kind == mr.KConst {
 			muReads += n.Width
 		}
@@ -83,22 +83,22 @@ func (c *checker) plan() {
 		}
 		if issues == 0 {
 			if s.Done[n.ID] < ready {
-				c.finding(-1, n.ID, SevError, CheckPlan,
+				c.finding(-1, n.ID, graphcheck.SevError, CheckPlan,
 					"completes at cycle %d before its arguments at %d", s.Done[n.ID], ready)
 			}
 			continue
 		}
 		t := s.Start[n.ID]
 		if t < ready {
-			c.finding(-1, n.ID, SevError, CheckPlan,
+			c.finding(-1, n.ID, graphcheck.SevError, CheckPlan,
 				"issues at cycle %d before its arguments complete at %d", t, ready)
 		}
 		if s.Done[n.ID] != t+lat {
-			c.finding(-1, n.ID, SevError, CheckPlan,
+			c.finding(-1, n.ID, graphcheck.SevError, CheckPlan,
 				"completion cycle %d inconsistent with issue %d + latency %d", s.Done[n.ID], t, lat)
 		}
 		if bundleAt[n.ID] != t {
-			c.finding(-1, n.ID, SevError, CheckPlan,
+			c.finding(-1, n.ID, graphcheck.SevError, CheckPlan,
 				"issues at cycle %d but sits in bundle %d", t, bundleAt[n.ID])
 		}
 		if onMU {
@@ -115,13 +115,13 @@ func (c *checker) plan() {
 
 	for cy, u := range cuUsed {
 		if u > cus {
-			c.finding(-1, -1, SevError, CheckPlan,
+			c.finding(-1, -1, graphcheck.SevError, CheckPlan,
 				"cycle %d issues %d CU ops on %d CUs", cy, u, cus)
 		}
 	}
 	for cy, u := range muUsed {
 		if u > mus {
-			c.finding(-1, -1, SevError, CheckPlan,
+			c.finding(-1, -1, graphcheck.SevError, CheckPlan,
 				"cycle %d issues %d MU reads on %d MUs", cy, u, mus)
 		}
 	}
@@ -130,27 +130,27 @@ func (c *checker) plan() {
 	// device's service model (and netqueue's latency story) bill packets at
 	// this rate, so an optimistic II is not an estimate, it is a lie.
 	if s.II < maxNodeII {
-		c.finding(-1, -1, SevError, CheckPlan,
+		c.finding(-1, -1, graphcheck.SevError, CheckPlan,
 			"claimed II %d below busiest-unit bound %d", s.II, maxNodeII)
 	}
 	if cus > 0 {
 		if r := (cuIssues + cus - 1) / cus; s.II < r {
-			c.finding(-1, -1, SevError, CheckPlan,
+			c.finding(-1, -1, graphcheck.SevError, CheckPlan,
 				"claimed II %d below CU issue bound %d (%d issues on %d CUs)", s.II, r, cuIssues, cus)
 		}
 	}
 	if muReads > 0 && mus > 0 {
 		if r := (muReads + mus*cgra.MUBanks - 1) / (mus * cgra.MUBanks); s.II < r {
-			c.finding(-1, -1, SevError, CheckPlan,
+			c.finding(-1, -1, graphcheck.SevError, CheckPlan,
 				"claimed II %d below MU bandwidth bound %d (%d reads on %d banked MUs)", s.II, r, muReads, mus)
 		}
 	}
 	if s.Depth < maxDone {
-		c.finding(-1, -1, SevError, CheckPlan,
+		c.finding(-1, -1, graphcheck.SevError, CheckPlan,
 			"claimed depth %d below last completion cycle %d", s.Depth, maxDone)
 	}
 	if s.CUIssues != cuIssues {
-		c.finding(-1, -1, SevWarning, CheckPlan,
+		c.finding(-1, -1, graphcheck.SevWarning, CheckPlan,
 			"reported CU issue total %d, cost model says %d", s.CUIssues, cuIssues)
 	}
 }

@@ -1,4 +1,4 @@
-package tapecheck_test
+package sched_test
 
 import (
 	"reflect"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"taurus/internal/sched"
-	"taurus/internal/sched/tapecheck"
 )
 
 // poolCases are programs of different sizes, clean and rejected, for the
@@ -28,10 +27,10 @@ func poolCases(t *testing.T) map[string]*sched.Program {
 func TestVerifyConcurrent(t *testing.T) {
 	cases := poolCases(t)
 	var names []string
-	want := map[string]*tapecheck.Report{}
+	want := map[string]*sched.Report{}
 	for name, p := range cases {
 		names = append(names, name)
-		want[name] = tapecheck.Verify(p)
+		want[name] = sched.Verify(p)
 	}
 	if want["zoo-flipped"].OK() {
 		t.Fatal("the flipped zoo verifies clean: no findings to compare")
@@ -45,7 +44,7 @@ func TestVerifyConcurrent(t *testing.T) {
 			for round := 0; round < 4; round++ {
 				for k := range names {
 					name := names[(k*(w+1)+round)%len(names)]
-					if got := tapecheck.Verify(cases[name]); !reflect.DeepEqual(got, want[name]) {
+					if got := sched.Verify(cases[name]); !reflect.DeepEqual(got, want[name]) {
 						errs <- name
 						return
 					}
@@ -70,15 +69,15 @@ func TestReportDoesNotAlias(t *testing.T) {
 	p1 := compile(t, zooGraph(t))
 	p1.Code()[findPC(t, p1, sched.OpAdd)].Op = sched.OpSub
 	p2 := compile(t, bigDNNGraph(t))
-	tapecheck.Verify(p2)
-	r1 := tapecheck.Verify(p1)
+	sched.Verify(p2)
+	r1 := sched.Verify(p1)
 	if r1.OK() || len(r1.Findings) == 0 {
 		t.Fatalf("fixture does not exercise findings:\n%s", r1)
 	}
 	snap := *r1
 	snap.Tape = append([]string(nil), r1.Tape...)
-	snap.Findings = append([]tapecheck.Finding(nil), r1.Findings...)
-	tapecheck.Verify(p2)
+	snap.Findings = append([]sched.Finding(nil), r1.Findings...)
+	sched.Verify(p2)
 	if !reflect.DeepEqual(*r1, snap) {
 		t.Fatalf("a later Verify rewrote an earlier Report:\nbefore: %+v\nafter:  %+v", snap, *r1)
 	}
@@ -89,17 +88,17 @@ func TestReportDoesNotAlias(t *testing.T) {
 // last held a larger program's expressions — equiv must not read them as
 // computed.
 func TestPooledCellsStartUndefined(t *testing.T) {
-	tapecheck.Verify(compile(t, bigDNNGraph(t)))
+	sched.Verify(compile(t, bigDNNGraph(t)))
 	p := compile(t, zooGraph(t))
 	ins := findLayer(t, p, false)
 	ins.Rows = []sched.Operand{ins.Rows[0], ins.Rows[1], ins.Rows[3], ins.Rows[4]}
 	ins.W = 2
-	rep := tapecheck.Verify(p)
+	rep := sched.Verify(p)
 	if rep.OK() {
 		t.Fatalf("a dropped matvec row verifies clean:\n%s", rep)
 	}
 	for _, f := range rep.Findings {
-		if f.Check == tapecheck.CheckEquiv {
+		if f.Check == sched.CheckEquiv {
 			t.Errorf("equiv reads a lane nothing computes: %s", f)
 		}
 	}

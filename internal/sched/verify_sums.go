@@ -1,9 +1,9 @@
-package tapecheck
+package sched
 
 import (
 	"math"
 
-	"taurus/internal/sched"
+	"taurus/internal/graphcheck"
 )
 
 // sums is the row-sum audit. The packed matvec kernel multiplies two batch
@@ -19,15 +19,15 @@ import (
 // min(sum|w|, 1<<31) of this image's lanes: an understated sum licenses
 // packed arithmetic whose partial sums leave int32.
 func (c *checker) sums() {
-	lanes, sums := c.img.Lanes(), c.img.Sums()
+	lanes, sums := c.img.lanes, c.img.sums
 	next := 0
 	for pc := range c.code {
 		ins := &c.code[pc]
-		if ins.Op != sched.OpMatVec {
+		if ins.Op != OpMatVec {
 			continue
 		}
 		if ins.Sum != next {
-			c.finding(pc, -1, SevError, CheckSums,
+			c.finding(pc, -1, graphcheck.SevError, CheckSums,
 				"row sums are indexed from %d, want %d: they would share an index with, or leave a gap beside, another matvec's", ins.Sum, next)
 		}
 		next += max(ins.W, 0)
@@ -45,14 +45,14 @@ func (c *checker) sums() {
 			}
 			want = min(want, math.MaxInt32+1)
 			if got := sums[ins.Sum+r]; got != want {
-				c.finding(pc, -1, SevError, CheckSums,
+				c.finding(pc, -1, graphcheck.SevError, CheckSums,
 					"row %d: the image's sum|w| is %d, its lanes [%d,%d) sum to %d", r, got, row.Off, row.Off+row.W, want)
 				break
 			}
 		}
 	}
 	if next != len(sums) {
-		c.finding(-1, -1, SevError, CheckSums,
+		c.finding(-1, -1, graphcheck.SevError, CheckSums,
 			"image holds %d row sums, the tape's matvecs have %d rows", len(sums), next)
 	}
 }

@@ -1,4 +1,4 @@
-package tapecheck_test
+package sched_test
 
 import (
 	"errors"
@@ -10,15 +10,11 @@ import (
 	"testing"
 
 	"taurus/internal/cgra"
-	"taurus/internal/dataset"
 	"taurus/internal/fixed"
 	"taurus/internal/graphcheck"
-	"taurus/internal/lower"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
 	"taurus/internal/sched"
-	"taurus/internal/sched/tapecheck"
-	"taurus/internal/tensor"
 )
 
 func compile(t testing.TB, g *mr.Graph) *sched.Program {
@@ -140,24 +136,24 @@ func constID(t *testing.T, p *sched.Program, name string) mr.NodeID {
 func TestMutationKill(t *testing.T) {
 	cases := []struct {
 		name   string
-		check  tapecheck.Analysis
+		check  sched.Analysis
 		wantPC bool // finding must name an instruction (PC >= 0)
 		mutate func(t *testing.T, p *sched.Program)
 	}{
-		{"opcode-swap-add-to-sub", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"opcode-swap-add-to-sub", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			p.Code()[findPC(t, p, sched.OpAdd)].Op = sched.OpSub
 		}},
-		{"fusion-dropped-bias", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"fusion-dropped-bias", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			p.Code()[findPC(t, p, sched.OpDotAdd)].Op = sched.OpDot
 		}},
-		{"fusion-dot-to-sqdist", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"fusion-dot-to-sqdist", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			p.Code()[findPC(t, p, sched.OpDot)].Op = sched.OpSqDist
 		}},
-		{"operand-swap-sub", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"operand-swap-sub", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			ins := &p.Code()[findPC(t, p, sched.OpSub)]
 			ins.A, ins.B = ins.B, ins.A
 		}},
-		{"weight-window-off-by-one", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"weight-window-off-by-one", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			// dotW reads const lanes w[4:12] through the slice; shift the
 			// window one lane left — still inside the const, so only the
 			// symbolic check can see it.
@@ -170,23 +166,23 @@ func TestMutationKill(t *testing.T) {
 			}
 			t.Fatal("no const-window dot on the tape")
 		}},
-		{"operand-stride-skew", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+		{"operand-stride-skew", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
 			p.Code()[findPC(t, p, sched.OpRelu)].A.Stride++
 		}},
-		{"arena-clobber", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+		{"arena-clobber", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
 			add := p.Code()[findPC(t, p, sched.OpAdd)]
 			relu := &p.Code()[findPC(t, p, sched.OpRelu)]
 			relu.Dst, relu.DStride = add.Dst, add.DStride
 		}},
-		{"write-into-input-window", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+		{"write-into-input-window", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
 			in := p.InputOperand(0)
 			relu := &p.Code()[findPC(t, p, sched.OpRelu)]
 			relu.Dst, relu.DStride = in.Off, in.Stride
 		}},
-		{"width-truncated", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+		{"width-truncated", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
 			p.Code()[findPC(t, p, sched.OpAdd)].W--
 		}},
-		{"alias-detached-weights", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
+		{"alias-detached-weights", sched.CheckAlias, true, func(t *testing.T, p *sched.Program) {
 			// A window past the image's last lane: weights no push can set.
 			for pc := range p.Code() {
 				ins := &p.Code()[pc]
@@ -197,87 +193,87 @@ func TestMutationKill(t *testing.T) {
 			}
 			t.Fatal("no const-window dot on the tape")
 		}},
-		{"alias-detached-multiplier", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"alias-detached-multiplier", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			// The requant reads the scale node's multiplier: an index the
 			// image holds, and another node's slot.
 			p.Code()[findPC(t, p, sched.OpRequant)].Slot = p.Code()[findPC(t, p, sched.OpScale)].Slot
 		}},
-		{"alias-detached-lut", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
+		{"alias-detached-lut", sched.CheckAlias, true, func(t *testing.T, p *sched.Program) {
 			// A table index naming none of the image's tables.
-			p.Code()[findPC(t, p, sched.OpLUT)].Slot = len(p.Image().LUTs())
+			p.Code()[findPC(t, p, sched.OpLUT)].Slot = sched.Verify(p).LUTs
 		}},
 		// The dense layer: rows 0..2 then biases 0..2 in Rows.
-		{"matvec-rows-swapped", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-rows-swapped", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			rows := findLayer(t, p, false).Rows
 			rows[0], rows[2] = rows[2], rows[0]
 		}},
-		{"matvec-row-dropped", tapecheck.CheckBounds, false, func(t *testing.T, p *sched.Program) {
+		{"matvec-row-dropped", sched.CheckBounds, false, func(t *testing.T, p *sched.Program) {
 			// Row 2 and its bias removed: the layer's last lane is never computed.
 			ins := findLayer(t, p, false)
 			ins.Rows = []sched.Operand{ins.Rows[0], ins.Rows[1], ins.Rows[3], ins.Rows[4]}
 			ins.W = 2
 		}},
-		{"matvec-row-duplicated", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-row-duplicated", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			rows := findLayer(t, p, false).Rows
 			rows[2] = rows[0]
 		}},
-		{"matvec-row-one-lane-off", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-row-one-lane-off", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			// Row 1 is l1[1:9]; l1[2:10] is still inside the constant, so
 			// only the symbolic check can see it.
 			findLayer(t, p, false).Rows[1].Off++
 		}},
-		{"matvec-bias-skewed", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-bias-skewed", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			// Bias 0 reads its neighbour's scalar, lb[1].
 			findLayer(t, p, false).Rows[3].Off++
 		}},
-		{"matvec-wrong-dstride", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-wrong-dstride", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
 			findLayer(t, p, false).DStride--
 		}},
-		{"matvec-wrong-dst", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-wrong-dst", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
 			findLayer(t, p, false).Dst--
 		}},
-		{"matvec-input-narrowed-to-broadcast", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-input-narrowed-to-broadcast", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
 			findLayer(t, p, false).A.W = 1
 		}},
-		{"matvec-row-aliases-other-const", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-row-aliases-other-const", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			// nw is another 8-lane constant: in range, pushed like any other,
 			// and the wrong weights.
 			ins := findLayer(t, p, false)
 			ins.Rows[0].Off = p.Code()[findPC(t, p, sched.OpDotAdd)].B.Off
 		}},
-		{"matvec-row-detached", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-row-detached", sched.CheckAlias, true, func(t *testing.T, p *sched.Program) {
 			// Two const nodes laid out over the same lanes: an image build
 			// writes l2's weights over l0's, and row 2 reads lanes no node owns.
 			layout := p.Tape().Layout()
 			layout[constID(t, p, "l2")] = layout[constID(t, p, "l0")]
 		}},
 		// The second layer's epilogue: relu, then a requant by its own multiplier.
-		{"matvec-epilogue-dropped", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-epilogue-dropped", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			findLayer(t, p, true).Quant = sched.OpNone
 		}},
-		{"matvec-epilogue-wrong-activation", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-epilogue-wrong-activation", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			findLayer(t, p, true).Act = sched.OpAbs
 		}},
-		{"matvec-epilogue-wrong-multiplier", tapecheck.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-epilogue-wrong-multiplier", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			// The standalone requant's multiplier: in the image, another node's.
 			findLayer(t, p, true).Slot = p.Code()[findPC(t, p, sched.OpRequant)].Slot
 		}},
-		{"matvec-epilogue-slot-out-of-range", tapecheck.CheckAlias, true, func(t *testing.T, p *sched.Program) {
-			findLayer(t, p, true).Slot = len(p.Image().Mults())
+		{"matvec-epilogue-slot-out-of-range", sched.CheckAlias, true, func(t *testing.T, p *sched.Program) {
+			findLayer(t, p, true).Slot = sched.Verify(p).Mults
 		}},
-		{"matvec-epilogue-bad-opcode", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-epilogue-bad-opcode", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
 			findLayer(t, p, true).Act = sched.OpRequant
 		}},
 		// Row sums: the image's, at the index the instruction names.
-		{"matvec-sum-index-out-of-range", tapecheck.CheckBounds, true, func(t *testing.T, p *sched.Program) {
-			findLayer(t, p, true).Sum = len(p.Image().Sums()) - 1
+		{"matvec-sum-index-out-of-range", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			findLayer(t, p, true).Sum = sched.Verify(p).Sums - 1
 		}},
-		{"matvec-sum-understated", tapecheck.CheckSums, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-sum-understated", sched.CheckSums, true, func(t *testing.T, p *sched.Program) {
 			// One less than the weights add up to: a guard that passes a
 			// product it should not.
 			p.Image().Sums()[findLayer(t, p, false).Sum+1]--
 		}},
-		{"matvec-sum-of-other-row", tapecheck.CheckSums, true, func(t *testing.T, p *sched.Program) {
+		{"matvec-sum-of-other-row", sched.CheckSums, true, func(t *testing.T, p *sched.Program) {
 			// In range, and every row reads its neighbour's sum — or the
 			// other layer's.
 			for pc := range p.Code() {
@@ -288,26 +284,26 @@ func TestMutationKill(t *testing.T) {
 			}
 			t.Fatal("no matvec owns row sum 0")
 		}},
-		{"schedule-claims-low-ii", tapecheck.CheckPlan, false, func(t *testing.T, p *sched.Program) {
+		{"schedule-claims-low-ii", sched.CheckPlan, false, func(t *testing.T, p *sched.Program) {
 			p.Schedule().II = 0
 		}},
-		{"schedule-claims-low-depth", tapecheck.CheckPlan, false, func(t *testing.T, p *sched.Program) {
+		{"schedule-claims-low-depth", sched.CheckPlan, false, func(t *testing.T, p *sched.Program) {
 			p.Schedule().Depth = 0
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			p := compile(t, zooGraph(t))
-			if rep := tapecheck.Verify(p); !rep.OK() {
+			if rep := sched.Verify(p); !rep.OK() {
 				t.Fatalf("zoo tape dirty before mutation:\n%s", rep)
 			}
 			tc.mutate(t, p)
-			rep := tapecheck.Verify(p)
+			rep := sched.Verify(p)
 			if rep.OK() {
 				t.Fatalf("mutation not rejected; report:\n%s", rep)
 			}
 			for _, f := range rep.Findings {
-				if f.Severity != tapecheck.SevError || f.Check != tc.check {
+				if f.Severity != graphcheck.SevError || f.Check != tc.check {
 					continue
 				}
 				if tc.wantPC && f.PC < 0 {
@@ -332,14 +328,14 @@ func TestFlippedOpIsEquivFinding(t *testing.T) {
 		b.Output(b.Map(mr.MMin, x, c))
 	})
 	p := compile(t, g)
-	if rep := tapecheck.Verify(p); !rep.OK() {
+	if rep := sched.Verify(p); !rep.OK() {
 		t.Fatalf("dirty before mutation:\n%s", rep)
 	}
 	pc := findPC(t, p, sched.OpMin)
 	p.Code()[pc].Op = sched.OpMul
-	rep := tapecheck.Verify(p)
+	rep := sched.Verify(p)
 	for _, f := range rep.Findings {
-		if f.Check == tapecheck.CheckEquiv && f.Severity == tapecheck.SevError && f.PC == pc {
+		if f.Check == sched.CheckEquiv && f.Severity == graphcheck.SevError && f.PC == pc {
 			return
 		}
 	}
@@ -351,13 +347,13 @@ func TestFlippedOpIsEquivFinding(t *testing.T) {
 func TestWarningDoesNotReject(t *testing.T) {
 	p := compile(t, zooGraph(t))
 	p.Schedule().CUIssues++
-	rep := tapecheck.Verify(p)
+	rep := sched.Verify(p)
 	if !rep.OK() {
 		t.Fatalf("warning rejected the tape:\n%s", rep)
 	}
 	found := false
 	for _, f := range rep.Findings {
-		if f.Severity == tapecheck.SevWarning && f.Check == tapecheck.CheckPlan {
+		if f.Severity == graphcheck.SevWarning && f.Check == sched.CheckPlan {
 			found = true
 		}
 	}
@@ -372,29 +368,10 @@ func TestWarningDoesNotReject(t *testing.T) {
 // TestNilAndForeignPrograms: the verifier degrades to findings, never
 // panics, on degenerate programs.
 func TestNilAndForeignPrograms(t *testing.T) {
-	if rep := tapecheck.Verify(nil); rep.OK() {
+	if rep := sched.Verify(nil); rep.OK() {
 		t.Fatal("nil program accepted")
-	} else if !errors.Is(rep.Err(), tapecheck.ErrBadTape) {
+	} else if !errors.Is(rep.Err(), sched.ErrBadTape) {
 		t.Fatalf("Err() does not wrap ErrBadTape: %v", rep.Err())
-	}
-}
-
-// TestCompileGate: importing tapecheck registers it with sched; Compile
-// refuses tapes the active verifier rejects, CompileUnverified opts out.
-func TestCompileGate(t *testing.T) {
-	g := zooGraph(t)
-	if _, err := sched.Compile(g, cgra.DefaultGrid()); err != nil {
-		t.Fatalf("gated Compile rejects a clean graph: %v", err)
-	}
-
-	boom := errors.New("boom")
-	prev := sched.SetVerifier(func(*sched.Program) error { return boom })
-	defer sched.SetVerifier(prev)
-	if _, err := sched.Compile(g, cgra.DefaultGrid()); !errors.Is(err, boom) {
-		t.Fatalf("Compile ignored the registered verifier: %v", err)
-	}
-	if _, err := sched.CompileUnverified(g, cgra.DefaultGrid()); err != nil {
-		t.Fatalf("CompileUnverified ran the verifier: %v", err)
 	}
 }
 
@@ -415,7 +392,7 @@ func TestInheritedSaturationDoesNotGate(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Compile rejects inherited saturation: %v", err)
 	}
-	if rep := tapecheck.Verify(p); len(rep.Findings) != 0 {
+	if rep := sched.Verify(p); len(rep.Findings) != 0 {
 		t.Fatalf("findings on a faithful tape:\n%s", rep)
 	}
 	if err := graphcheck.Check(g); !errors.Is(err, graphcheck.ErrBadGraph) || !strings.Contains(err.Error(), "saturate") {
@@ -447,83 +424,33 @@ func TestSlicedConstOutputVerifies(t *testing.T) {
 func TestReportRendering(t *testing.T) {
 	p := compile(t, zooGraph(t))
 	p.Code()[findPC(t, p, sched.OpAdd)].Op = sched.OpSub
-	rep := tapecheck.Verify(p)
+	rep := sched.Verify(p)
 	s := rep.String()
 	for _, want := range []string{"REJECTED", `"zoo"`, "[equiv]", "pc "} {
 		if !strings.Contains(s, want) {
 			t.Errorf("report lacks %q:\n%s", want, s)
 		}
 	}
-	if err := rep.Err(); !errors.Is(err, tapecheck.ErrBadTape) {
+	if err := rep.Err(); !errors.Is(err, sched.ErrBadTape) {
 		t.Fatalf("Err() does not wrap ErrBadTape: %v", err)
 	}
 }
 
 // --- model-family acceptance: every shipped lowering verifies clean, fast.
 
-func modelGraphs(t testing.TB) map[string]*mr.Graph {
-	t.Helper()
-	rng := rand.New(rand.NewSource(7))
-	gen, err := dataset.NewAnomalyGenerator(dataset.DefaultAnomalyConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	X, y := dataset.Split(gen.Records(400))
-	out := map[string]*mr.Graph{}
-
-	n := ml.NewDNN([]int{6, 12, 6, 3, 1}, ml.ReLU, ml.Sigmoid, rng)
-	ml.NewTrainer(n, ml.SGDConfig{LearningRate: 0.05, Momentum: 0.9, BatchSize: 32, Epochs: 4}, rng).Fit(X, y)
-	q, err := ml.Quantize(n, X[:100])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["dnn"], err = lower.DNN(q, "dnn"); err != nil {
-		t.Fatal(err)
-	}
-
-	km, err := ml.TrainKMeans(X, 4, 20, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var flat []float32
-	for _, x := range X {
-		flat = append(flat, x...)
-	}
-	_ = tensor.Vec(nil)
-	inQ := fixed.QuantizerFor(flat)
-	if out["kmeans"], err = lower.KMeans(km, inQ, "kmeans"); err != nil {
-		t.Fatal(err)
-	}
-
-	Xpm, ypm := dataset.SplitPM(gen.Records(400))
-	svm, err := ml.TrainSVM(Xpm, ypm, ml.DefaultSVMConfig(), rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out["svm"], err = lower.SVM(svm, inQ, 8, "svm"); err != nil {
-		t.Fatal(err)
-	}
-
-	l := ml.NewLSTM(4, 32, 5, rng)
-	if out["lstm"], err = lower.LSTMStep(l, fixed.NewQuantizer(1), "lstm"); err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// verifyCost reports what one tapecheck.Verify(p) allocates: heap objects
+// verifyCost reports what one sched.Verify(p) allocates: heap objects
 // and heap bytes, the machine-independent units the verifier's budgets are
 // pinned in (its wall time is a row of the benchmark's ledger, not a test).
 // It is the cheapest of ten calls after one to warm up: the cost of a call
 // that finds the workspace pool stocked, which a GC — or, under -race,
 // sync.Pool on purpose — may empty.
 func verifyCost(p *sched.Program) (allocs, bytes uint64) {
-	tapecheck.Verify(p)
+	sched.Verify(p)
 	allocs, bytes = math.MaxUint64, math.MaxUint64
 	var before, after runtime.MemStats
 	for range 10 {
 		runtime.ReadMemStats(&before)
-		tapecheck.Verify(p)
+		sched.Verify(p)
 		runtime.ReadMemStats(&after)
 		allocs = min(allocs, after.Mallocs-before.Mallocs)
 		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
@@ -541,7 +468,7 @@ func TestModelFamiliesVerifyClean(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
 			}
-			if rep := tapecheck.Verify(p); len(rep.Findings) != 0 {
+			if rep := sched.Verify(p); len(rep.Findings) != 0 {
 				t.Fatalf("findings on a shipped lowering:\n%s", rep)
 			}
 			if allocs, bytes := verifyCost(p); allocs > 800 || bytes > 840_000 {
@@ -597,7 +524,7 @@ func bigDNNGraph(tb testing.TB) *mr.Graph {
 // batch slot fails here on any host, fast or slow.
 func TestVerifyLargestDNNBudget(t *testing.T) {
 	p := compile(t, bigDNNGraph(t))
-	rep := tapecheck.Verify(p) // warm-up + sanity
+	rep := sched.Verify(p) // warm-up + sanity
 	if !rep.OK() {
 		t.Fatalf("big DNN tape rejected:\n%s", rep)
 	}
@@ -614,7 +541,7 @@ func BenchmarkTapeVerify(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rep := tapecheck.Verify(p); !rep.OK() {
+		if rep := sched.Verify(p); !rep.OK() {
 			b.Fatalf("rejected:\n%s", rep)
 		}
 	}

@@ -115,7 +115,6 @@ import (
 	"taurus/internal/pipeline"
 	"taurus/internal/pisa"
 	"taurus/internal/sched"
-	"taurus/internal/sched/tapecheck"
 	"taurus/internal/tensor"
 	"taurus/internal/trafficgen"
 )
@@ -215,14 +214,15 @@ type (
 // PlanSchedule list-schedules g on the grid.
 func PlanSchedule(g *Graph, spec GridSpec) (*Schedule, error) { return sched.Plan(g, spec) }
 
-// CompileProgram plans g and emits its instruction tape.
+// CompileProgram plans g, emits its instruction tape and verifies the tape
+// against g (CheckTape); a tape that fails is an error wrapping ErrBadTape.
 func CompileProgram(g *Graph, spec GridSpec) (*CompiledProgram, error) {
 	return sched.Compile(g, spec)
 }
 
-// Translation validation: the post-compile tape gate (internal/sched/
-// tapecheck). CompileProgram (and every Device install) already refuses a
-// tape that fails it; these entry points expose the full report for
+// Translation validation: the tape gate CompileProgram closes with (sched.Check,
+// a call in package sched). CompileProgram (and every Device install) already
+// refuses a tape that fails it; these entry points expose the full report for
 // inspection — taurus-compile -check prints it, and callers holding a tape
 // compiled elsewhere can re-verify it.
 type (
@@ -230,22 +230,22 @@ type (
 	// every output lane against the source graph, the weight-addressing and
 	// row-sum audits and the arena/schedule bounds. Value ranges are
 	// GraphReport's: a lane the tape proves equal to the graph's inherits them.
-	TapeReport = tapecheck.Report
+	TapeReport = sched.Report
 	// TapeFinding is one diagnostic, anchored to the offending instruction.
-	TapeFinding = tapecheck.Finding
+	TapeFinding = sched.Finding
 )
 
 // ErrBadTape: a compiled tape failed translation validation.
-var ErrBadTape = tapecheck.ErrBadTape
+var ErrBadTape = sched.ErrBadTape
 
 // Tape verification entry points.
 var (
 	// VerifyTape validates a compiled tape against its source graph and
 	// returns the full report.
-	VerifyTape = tapecheck.Verify
+	VerifyTape = sched.Verify
 	// CheckTape is the gate form: nil when the tape verifies clean, an error
 	// wrapping ErrBadTape otherwise. CompileProgram runs it implicitly.
-	CheckTape = tapecheck.Check
+	CheckTape = sched.Check
 )
 
 // DefaultGrid returns the final ASIC configuration: a 12x10 grid with 3:1
