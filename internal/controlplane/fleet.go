@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -636,7 +637,9 @@ func (f *Fleet) pullFrom(m *fleetMember, want int) ([]dataset.Record, bool) {
 // the fleet never serves a mix of models and what the members serve agrees
 // with lastGraph. Before the first successful push there is nothing to roll
 // back to — the error then names the members left serving the new graph so the
-// operator knows the fleet diverged.
+// operator knows the fleet diverged. A member that refuses its rollback push
+// is journalled as push.rollback_fail, and its error is joined to the one
+// that caused the rollback, which stays errors.Is-reachable.
 func (f *Fleet) push(span int64, g *mr.Graph) error {
 	members := f.snapshot()
 	f.mu.Lock()
@@ -653,15 +656,16 @@ func (f *Fleet) push(span int64, g *mr.Graph) error {
 			return fmt.Errorf("controlplane: %s %q failed with no prior fleet push to roll back to; members %v already serve the new model: %w",
 				what, m.name, names, err)
 		}
+		errs := []error{fmt.Errorf("controlplane: %s %q: %w", what, m.name, err)}
 		if prev != nil {
 			for _, r := range members[:n] {
-				// prev installed on r once already; structural rejection
-				// cannot recur, and a deeper device failure would leave
-				// the original error the one worth surfacing.
-				_ = r.pusher.UpdateWeights(prev)
+				if rerr := r.pusher.UpdateWeights(prev); rerr != nil {
+					f.tracer.Emitf(span, "push.rollback_fail", "member=%q err=%q", r.name, rerr.Error())
+					errs = append(errs, fmt.Errorf("controlplane: rollback of fleet member %q: %w", r.name, rerr))
+				}
 			}
 		}
-		return fmt.Errorf("controlplane: %s %q: %w", what, m.name, err)
+		return errors.Join(errs...)
 	}
 	for i, m := range members {
 		if err := m.pusher.UpdateWeights(g); err != nil {

@@ -330,7 +330,8 @@ func TestFleetPoolWeighting(t *testing.T) {
 type recordPusher struct {
 	mu     sync.Mutex
 	graphs []*mr.Graph
-	failAt int // fail the Nth push (1-based); 0 = never
+	failAt int   // fail the Nth push (1-based); 0 = never
+	err    error // what the failed push returns; nil = "injected push failure"
 }
 
 func (p *recordPusher) UpdateWeights(g *mr.Graph) error {
@@ -338,6 +339,9 @@ func (p *recordPusher) UpdateWeights(g *mr.Graph) error {
 	defer p.mu.Unlock()
 	if p.failAt > 0 && len(p.graphs)+1 == p.failAt {
 		p.graphs = append(p.graphs, nil)
+		if p.err != nil {
+			return p.err
+		}
 		return errors.New("injected push failure")
 	}
 	p.graphs = append(p.graphs, g)
@@ -406,6 +410,46 @@ func TestFleetPushFailureRollsBack(t *testing.T) {
 	}
 	if st := fl.Stats(); st.Retrains != 2 {
 		t.Errorf("retrains = %d, want 2", st.Retrains)
+	}
+}
+
+// TestFleetRollbackFailureIsLoud: a member that refuses the rollback push is
+// journalled as push.rollback_fail, and its error is joined to the returned
+// one, from which the push failure that caused the rollback stays reachable.
+func TestFleetRollbackFailureIsLoud(t *testing.T) {
+	tracer := obs.NewTracer(256)
+	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Tracer: tracer, Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	errPush, errRollback := errors.New("push refused"), errors.New("rollback refused")
+	stuck := &recordPusher{failAt: 3, err: errRollback} // takes two pushes, refuses the rollback
+	flaky := &recordPusher{failAt: 2, err: errPush}     // takes the first push, refuses the second
+	if _, err := fl.Register("stuck", stuck, labelSrc); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fl.Register("flaky", flaky, labelSrc); err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.RetrainNow(); err != nil {
+		t.Fatalf("first retrain failed: %v", err)
+	}
+
+	err = fl.RetrainNow()
+	if !errors.Is(err, errPush) {
+		t.Fatalf("second retrain = %v, want the push failure reachable", err)
+	}
+	if !errors.Is(err, errRollback) || !strings.Contains(err.Error(), `rollback of fleet member "stuck"`) {
+		t.Fatalf("second retrain = %v, want the refused rollback of member stuck joined in", err)
+	}
+	journalled := false
+	for _, e := range tracer.Events() {
+		if e.Kind == "push.rollback_fail" && strings.Contains(e.Detail, `member="stuck"`) && strings.Contains(e.Detail, "rollback refused") {
+			journalled = true
+		}
+	}
+	if !journalled {
+		t.Error("no push.rollback_fail event names member stuck and its error")
 	}
 }
 

@@ -171,6 +171,10 @@ type Coordinator struct {
 	closed    chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
+
+	// now stamps each issue and judges its deadline. New uses the wall
+	// clock; a test moves it by hand.
+	now func() time.Time
 }
 
 // New builds a coordinator over m and spawns Config.Workers workers.
@@ -178,6 +182,11 @@ type Coordinator struct {
 // model must not be mutated by anyone else (the controlplane guarantees
 // this with its retrain lock).
 func New(m model.PartialFitter, cfg Config) (*Coordinator, error) {
+	return newCoordinator(m, cfg, time.Now)
+}
+
+// newCoordinator is New on the clock now.
+func newCoordinator(m model.PartialFitter, cfg Config, now func() time.Time) (*Coordinator, error) {
 	if m == nil {
 		return nil, fmt.Errorf("distfit: nil model")
 	}
@@ -188,6 +197,7 @@ func New(m model.PartialFitter, cfg Config) (*Coordinator, error) {
 		issuedAt: make(map[int]time.Time),
 		pending:  make(chan pendingTask, 1024),
 		closed:   make(chan struct{}),
+		now:      now,
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		c.AddWorker()
@@ -396,7 +406,7 @@ func (c *Coordinator) monitor(round int64, stop <-chan struct{}) {
 			c.mu.Unlock()
 			return
 		}
-		now := time.Now()
+		now := c.now()
 		for chunk, at := range c.issuedAt {
 			if c.parts[chunk] == nil && now.Sub(at) > c.cfg.TaskDeadline {
 				c.issuedAt[chunk] = now // back off until the re-issue is itself overdue
@@ -431,7 +441,7 @@ func (c *Coordinator) RequestTask(workerID int, cancel <-chan struct{}) (Task, b
 				c.mu.Unlock()
 				continue // stale entry
 			}
-			c.issuedAt[pt.chunk] = time.Now()
+			c.issuedAt[pt.chunk] = c.now()
 			c.inflight++
 			t := Task{Round: pt.round, Chunk: pt.chunk, Recs: c.chunks[pt.chunk]}
 			c.mu.Unlock()

@@ -120,6 +120,40 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// fakeClock is a coordinator's clock under a test's control: it stands
+// still until advance moves it, so the monitor's scans find a task overdue
+// only once the test has moved the clock past its deadline.
+type fakeClock struct {
+	mu sync.Mutex
+	t  time.Time
+}
+
+func (k *fakeClock) now() time.Time {
+	k.mu.Lock()
+	defer k.mu.Unlock()
+	return k.t
+}
+
+// advance moves the clock by d. The monitor's next scan re-issues the tasks
+// overdue at the new time and restamps them, so while the clock stands
+// still again nothing is re-issued twice.
+func (k *fakeClock) advance(d time.Duration) {
+	k.mu.Lock()
+	k.t = k.t.Add(d)
+	k.mu.Unlock()
+}
+
+// newFakeCoordinator is New on a fresh fakeClock.
+func newFakeCoordinator(t *testing.T, f *fakeFitter, cfg Config) (*Coordinator, *fakeClock) {
+	t.Helper()
+	clk := &fakeClock{t: time.Unix(0, 0)}
+	c, err := newCoordinator(f, cfg, clk.now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c, clk
+}
+
 // newGate returns a channel a fake worker parks on and its release, which is
 // idempotent. A test defers release after the coordinator's Close — defers
 // run last first — so a t.Fatalf on the way frees the parked worker before
@@ -159,28 +193,37 @@ func TestRoundMergesInChunkOrder(t *testing.T) {
 // TaskDeadline is re-issued; when the straggler's result finally arrives
 // the duplicate is discarded, and the merge counts the chunk exactly once.
 func TestDeadlineReissueFirstWriteWins(t *testing.T) {
+	gateA, releaseA := newGate()
 	gateB, releaseB := newGate()
+	store := NewMemStore()
 	f := newFake(func(first, nth int) error {
 		switch {
 		case first == 0 && nth == 1:
-			time.Sleep(300 * time.Millisecond) // straggle far past the deadline
+			<-gateA // straggle past the deadline
 		case first == 4:
 			<-gateB // hold the round open until the duplicate has landed
 		}
 		return nil
 	})
-	c, err := New(f, Config{Workers: 4, ChunkSize: 4, TaskDeadline: 30 * time.Millisecond})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, clk := newFakeCoordinator(t, f, Config{Workers: 4, ChunkSize: 4, TaskDeadline: 30 * time.Millisecond, Store: store})
 	defer c.Close()
+	defer releaseA()
 	defer releaseB()
 
 	fitErr := make(chan error, 1)
 	go func() { fitErr <- c.Fit(fakeRecs(8)) }()
 
-	// The re-issued chunk@0 completes quickly; the straggler reports at
-	// ~300ms while chunk@4 still holds the round open — the duplicate path.
+	// Both chunks are out when the clock passes the deadline, so both are
+	// re-issued. The re-issued chunk@0 completes at once (it appears in the
+	// checkpoint); then the straggler reports while chunk@4 still holds the
+	// round open — the duplicate path.
+	eventually(t, "both chunks issued", func() bool { return f.calls(0) == 1 && f.calls(4) == 1 })
+	clk.advance(31 * time.Millisecond)
+	eventually(t, "re-executed chunk@0 accepted", func() bool {
+		ck, ok := store.Load()
+		return ok && len(ck.Partials) == 2 && ck.Partials[0] != nil
+	})
+	releaseA()
 	eventually(t, "duplicate completion", func() bool { return c.Stats().DuplicateCompletions == 1 })
 	releaseB()
 	if err := <-fitErr; err != nil {
@@ -193,6 +236,12 @@ func TestDeadlineReissueFirstWriteWins(t *testing.T) {
 	}
 	if f.calls(0) != 2 {
 		t.Fatalf("chunk@0 executed %d times, want 2 (original + re-issue)", f.calls(0))
+	}
+	f.mu.Lock()
+	nth := f.merged[0].(*fakePartial).nth
+	f.mu.Unlock()
+	if nth != 2 {
+		t.Fatalf("merged chunk@0 came from attempt %d, want 2 (the first to report)", nth)
 	}
 }
 
@@ -212,10 +261,7 @@ func TestKillWorkerDropsItsReport(t *testing.T) {
 		}
 		return nil
 	})
-	c, err := New(f, Config{Workers: 1, ChunkSize: 4, TaskDeadline: 30 * time.Millisecond, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, clk := newFakeCoordinator(t, f, Config{Workers: 1, ChunkSize: 4, TaskDeadline: 30 * time.Millisecond, Store: store})
 	defer c.Close()
 	defer releaseA()
 	defer releaseB()
@@ -223,20 +269,25 @@ func TestKillWorkerDropsItsReport(t *testing.T) {
 	fitErr := make(chan error, 1)
 	go func() { fitErr <- c.Fit(fakeRecs(8)) }()
 
-	// The lone worker takes chunk@0 and wedges; kill it, then add capacity.
+	// The lone worker takes chunk@0 and wedges; kill it. The clock then
+	// passes the deadline once, while chunk@0 is the only chunk issued; a
+	// chunk issued later is stamped at the new time and never falls due, so
+	// only chunk@0 is re-issued. The two workers added next take one task
+	// each: chunk@4 (which parks) and the re-issue of chunk@0.
 	eventually(t, "worker to take chunk@0", func() bool { return f.calls(0) == 1 })
 	if err := c.KillWorker(0); err != nil {
 		t.Fatal(err)
 	}
+	clk.advance(31 * time.Millisecond)
 	c.AddWorker()
 	c.AddWorker()
 	if live := c.LiveWorkers(); live != 2 {
 		t.Fatalf("LiveWorkers = %d, want 2", live)
 	}
 
-	// The deadline re-issues chunk@0 to a live worker; wait for its result
-	// to be accepted (it appears in the checkpoint), then release the dead
-	// worker's wedged call — its report must be dropped, not merged.
+	// Wait for the re-executed chunk@0's result to be accepted (it appears
+	// in the checkpoint), then release the dead worker's wedged call — its
+	// report must be dropped, not merged.
 	eventually(t, "re-executed chunk@0 accepted", func() bool {
 		ck, ok := store.Load()
 		return ok && len(ck.Partials) == 2 && ck.Partials[0] != nil
@@ -359,10 +410,8 @@ func TestCloseMidRound(t *testing.T) {
 		<-gate
 		return nil
 	})
-	c, err := New(f, Config{Workers: 2, ChunkSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The clock never moves, so nothing is re-issued while the workers wedge.
+	c, _ := newFakeCoordinator(t, f, Config{Workers: 2, ChunkSize: 4})
 	defer release()
 	fitErr := make(chan error, 1)
 	go func() { fitErr <- c.Fit(fakeRecs(8)) }()

@@ -184,6 +184,12 @@ type SGDConfig struct {
 // cross-entropy for multi-output networks and binary cross-entropy for
 // single-sigmoid-output networks.
 //
+// A velocity lane below 2⁻¹⁰⁰ in magnitude is snapped to +0 before each
+// update (the velocity floor; see momentumUpdate). A step differs from plain
+// momentum SGD only on a lane whose weight is below 2⁻⁷⁶ in magnitude or
+// whose own |scale*grad| is that small; the floor spares dead units their
+// subnormal arithmetic.
+//
 // Every buffer a sample or a minibatch needs is sized from the layer shapes
 // in NewTrainer and reused, so a warm epoch allocates nothing; a Trainer is
 // therefore not safe for concurrent use.
@@ -306,13 +312,30 @@ func (t *Trainer) step(X []tensor.Vec, y []int, batch []int) float64 {
 	return loss
 }
 
-// momentumUpdate applies vel = mom*vel - scale*grad; w += vel lane by lane.
+// velFloorBits is the bit pattern of 2⁻¹⁰⁰: a velocity whose magnitude bits
+// are below it is snapped to +0. NaN and ±Inf sit above it and never snap.
+const velFloorBits = 0x0d800000
+
+// momentumUpdate applies vel = mom*vel - scale*grad; w += vel lane by lane,
+// with a velocity floor: a lane with |vel| < 2⁻¹⁰⁰ enters the step as +0.
+// The velocities of dead units otherwise decay by mom every step into the
+// subnormal range, where each multiply costs a microcode assist.
+//
+// The floor is part of the trainer's bit-exactness contract. A snapped
+// velocity is below half an ulp of any weight with |w| ≥ 2⁻⁷⁶, so adding it
+// never changed such a weight, and it could change mom*vel - scale*grad only
+// where |scale*grad| is that small too. It is per lane and deterministic, so
+// merged retrain graphs stay byte-equal across worker counts and crashes.
 //
 // hotpath: zero-alloc
 func momentumUpdate(w, vel, grad []float32, mom, scale float32) {
 	vel, grad = vel[:len(w)], grad[:len(w)]
 	for j := range w {
-		vel[j] = mom*vel[j] - scale*grad[j]
+		v := vel[j]
+		if math.Float32bits(v)&0x7fffffff < velFloorBits {
+			v = 0
+		}
+		vel[j] = mom*v - scale*grad[j]
 		w[j] += vel[j]
 	}
 }

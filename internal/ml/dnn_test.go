@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"taurus/internal/dataset"
 	"taurus/internal/tensor"
 )
 
@@ -180,7 +181,9 @@ func TestBackpropGradientCheck(t *testing.T) {
 // workspace: step, backprop and forwardTrace are kept verbatim (a fresh
 // gradient set per minibatch, a slice per layer per sample, the delta
 // back-propagation walking W by column) as the reference the in-place
-// trainer must match bit for bit.
+// trainer must match bit for bit. Its update carries the velocity floor,
+// written from the magnitude rather than the bits: a velocity with
+// |v| < 2⁻¹⁰⁰ enters the step as +0.
 type oracleTrainer struct {
 	Net *DNN
 	Cfg SGDConfig
@@ -188,6 +191,17 @@ type oracleTrainer struct {
 
 	velW []tensor.Mat
 	velB []tensor.Vec
+
+	// floorless turns the floor off: the trainer as it was before it.
+	floorless bool
+}
+
+// floor is the oracle's velocity floor.
+func (t *oracleTrainer) floor(v float32) float32 {
+	if t.floorless || !(math.Abs(float64(v)) < 0x1p-100) {
+		return v
+	}
+	return 0
 }
 
 func newOracleTrainer(net *DNN, cfg SGDConfig, rng *rand.Rand) *oracleTrainer {
@@ -237,11 +251,11 @@ func (t *oracleTrainer) step(X []tensor.Vec, y []int, batch []int) float64 {
 	scale := t.Cfg.LearningRate / float32(len(batch))
 	for i, l := range net.Layers {
 		for j := range l.W.Data {
-			t.velW[i].Data[j] = t.Cfg.Momentum*t.velW[i].Data[j] - scale*gradW[i].Data[j]
+			t.velW[i].Data[j] = t.Cfg.Momentum*t.floor(t.velW[i].Data[j]) - scale*gradW[i].Data[j]
 			l.W.Data[j] += t.velW[i].Data[j]
 		}
 		for j := range l.B {
-			t.velB[i][j] = t.Cfg.Momentum*t.velB[i][j] - scale*gradB[i][j]
+			t.velB[i][j] = t.Cfg.Momentum*t.floor(t.velB[i][j]) - scale*gradB[i][j]
 			l.B[j] += t.velB[i][j]
 		}
 	}
@@ -620,7 +634,7 @@ func TestForwardMatchesOracleTrace(t *testing.T) {
 
 // A warm epoch runs entirely in the trainer's workspace.
 func TestFitEpochZeroAlloc(t *testing.T) {
-	for _, sizes := range [][]int{{6, 12, 6, 3, 1}, {6, 8, 3}} {
+	for _, sizes := range [][]int{{6, 12, 6, 3, 1}, {8, 64, 32, 1}, {6, 8, 3}} {
 		X, y := trainingSet(512, sizes[0], 2, 31)
 		n := NewDNN(sizes, ReLU, Sigmoid, rand.New(rand.NewSource(32)))
 		tr := NewTrainer(n, SGDConfig{LearningRate: 0.05, Momentum: 0.9, BatchSize: 32, Epochs: 1}, rand.New(rand.NewSource(33)))
@@ -628,5 +642,65 @@ func TestFitEpochZeroAlloc(t *testing.T) {
 		if allocs := testing.AllocsPerRun(5, func() { tr.FitEpoch(X, y) }); allocs != 0 {
 			t.Errorf("%v: warm FitEpoch allocates %v times, want 0", sizes, allocs)
 		}
+	}
+}
+
+// TestFitLeavesNoSubnormalVelocity trains BenchmarkFit's two shapes as that
+// benchmark does — anomaly records, one Fit of 1024 × 4 epochs, then warm
+// Fits of 512 × 4 — beside a floor-off oracle. On that traffic the floor
+// fires (a velocity the oracle still carries is +0 in the trainer), no
+// velocity is left a non-zero subnormal after a warm Fit, and every weight
+// and bias is bit-identical to the oracle's: the floor changed nothing the
+// benchmark's model serves.
+func TestFitLeavesNoSubnormalVelocity(t *testing.T) {
+	const epochs, warmFits = 4, 12
+	for _, sizes := range [][]int{{6, 12, 6, 3, 1}, {8, 64, 32, 1}} {
+		t.Run(fmt.Sprint(sizes), func(t *testing.T) {
+			gen, err := dataset.NewAnomalyGenerator(dataset.AnomalyConfig{
+				NumFeatures: sizes[0], AnomalyFraction: 0.4, Separation: 1.2,
+			}, rand.New(rand.NewSource(10)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := gen.Records(1024 + 512)
+			net := NewDNN(sizes, ReLU, Sigmoid, rand.New(rand.NewSource(3)))
+			ref := net.Clone()
+			cfg := SGDConfig{LearningRate: 0.05, Momentum: 0.9, BatchSize: 32}
+			tr := NewTrainer(net, cfg, rand.New(rand.NewSource(1)))
+			off := newOracleTrainer(ref, cfg, rand.New(rand.NewSource(1)))
+			off.floorless = true
+			fit := func(recs []dataset.Record) {
+				X, y := dataset.Split(recs)
+				for e := 0; e < epochs; e++ {
+					tr.FitEpoch(X, y)
+					off.FitEpoch(X, y)
+				}
+			}
+			fit(pool[:1024])
+			snapped := 0
+			for w := 0; w < warmFits; w++ {
+				fit(pool[1024:])
+				snapped = 0
+				for i, l := range net.Layers {
+					what := fmt.Sprintf("warm fit %d layer %d ", w, i)
+					for _, vels := range [][2][]float32{{tr.velW[i].Data, off.velW[i].Data}, {tr.velB[i], off.velB[i]}} {
+						for j, v := range vels[0] {
+							if v != 0 && math.Abs(float64(v)) < 0x1p-126 {
+								t.Fatalf("%svelocity[%d] = %v is subnormal", what, j, v)
+							}
+							if v == 0 && vels[1][j] != 0 {
+								snapped++
+							}
+						}
+					}
+					sameBits(t, what+"W", l.W.Data, ref.Layers[i].W.Data)
+					sameBits(t, what+"B", l.B, ref.Layers[i].B)
+				}
+			}
+			if snapped == 0 {
+				t.Fatalf("the floor never fired in %d warm fits", warmFits)
+			}
+			t.Logf("%d velocities held at +0 by the floor", snapped)
+		})
 	}
 }
