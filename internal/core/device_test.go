@@ -111,9 +111,10 @@ func TestUpdateWeightsStructureSentinel(t *testing.T) {
 }
 
 // TestUpdateWeightsOneGate: a bare device refuses exactly what the pipeline's
-// push gate refuses — the structural check lives once, in the image build — so
-// a same-shape graph that is not a weight-only variant of the installed one
-// is an error under both sentinels and leaves the served weights alone.
+// push gate refuses — the structural check lives once, in the push gate
+// (graphcheck.CheckPush, which Model.WithWeights runs) — so a same-shape graph
+// that is not a weight-only variant of the installed one is an error under
+// both sentinels and leaves the served weights alone.
 func TestUpdateWeightsOneGate(t *testing.T) {
 	b := mr.NewBuilder("gate")
 	x := b.Input("x", 6)

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"taurus/internal/compiler"
@@ -10,6 +12,7 @@ import (
 	"taurus/internal/lower"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/ml"
+	"taurus/internal/tensor"
 )
 
 // familyGraphs trains and lowers the four model families the way the sched
@@ -93,4 +96,62 @@ func TestInstallPlacesLikeCompile(t *testing.T) {
 				name, ii, lat, want.II, want.LatencyNs(), want.MUsUsed)
 		}
 	}
+}
+
+// TestPushGateAllocs pins what a warm weight push allocates on the wide
+// benchmark model (8-64-32-1, 4 shards): 8 objects — the new image (its
+// header and four arrays), the Model, and the publish event's detail string
+// and boxed graph name (an epoch below 256 boxes without allocating). The
+// push gate itself allocates nothing once its pooled workspace is warm. The
+// least of ten pushes, alternating two weight sets, is the steady cost.
+func TestPushGateAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	var X []tensor.Vec
+	for range 64 {
+		x := make(tensor.Vec, 8)
+		for j := range x {
+			x[j] = rng.Float32()*2 - 1
+		}
+		X = append(X, x)
+	}
+	q, err := ml.Quantize(ml.NewDNN([]int{8, 64, 32, 1}, ml.ReLU, ml.Sigmoid, rng), X)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := lower.DNN(q, "wide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := g.Clone()
+	for _, n := range flipped.Nodes {
+		if n.Kind == mr.KConst {
+			for i := range n.Const {
+				n.Const[i] = -n.Const[i]
+			}
+		}
+	}
+	m, err := Install(DefaultConfig(8), nil, g, q.InputQ, compiler.Options{}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := []*mr.Graph{flipped, g}
+	push := func(i int) {
+		if m, err = m.WithWeights(weights[i%2]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	push(0)
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := range 10 {
+		runtime.ReadMemStats(&before)
+		push(i + 1)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	const budget = 8
+	if least > budget {
+		t.Errorf("a warm WithWeights(8-64-32-1) makes %d allocations, budget %d", least, budget)
+	}
+	t.Logf("warm WithWeights(8-64-32-1): %d allocations", least)
 }

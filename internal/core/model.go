@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"taurus/internal/cgra"
@@ -116,23 +117,24 @@ func (m *Model) admit(name string, prog *sched.Program, err error) error {
 // WithWeights builds the model that serves g's weights on m's tape — the
 // out-of-band weight update of §3.3.1/Figure 1: one image copied out of g
 // (which is only read), everything else shared with m. A nil m is ErrNoModel.
-// g must pass the static gate against the grid m was installed on
-// (ErrBadGraph otherwise) and be a weight-only variant of the installed
-// graph; the image build decides that, and its refusal satisfies errors.Is
-// for ErrStructureMismatch and graphcheck.ErrIncompatible.
+// g must clear the push gate, graphcheck.CheckPush against the tape's graph
+// on the grid m was installed on: a weight-only variant of the installed
+// graph (the structural check lives there, once; its refusal satisfies
+// errors.Is for ErrStructureMismatch and graphcheck.ErrIncompatible) whose
+// payloads and ranges verify (ErrBadGraph otherwise, and first when g is
+// both).
 func (m *Model) WithWeights(g *mr.Graph) (*Model, error) {
 	if m == nil {
 		return nil, ErrNoModel
 	}
-	if err := graphcheck.VerifyWith(g, graphcheck.Options{Grid: m.grid}).Err(); err != nil {
+	if err := graphcheck.CheckPush(m.tape.Graph(), g, graphcheck.Options{Grid: m.grid}); err != nil {
+		if errors.Is(err, graphcheck.ErrIncompatible) {
+			return nil, fmt.Errorf("%w: %w", ErrStructureMismatch, err)
+		}
 		return nil, err
 	}
-	img, err := m.tape.NewImage(g)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrStructureMismatch, err)
-	}
 	next := *m
-	next.epoch, next.image = m.epoch+1, img
+	next.epoch, next.image = m.epoch+1, m.tape.NewImage(g)
 	m.tracer.Emitf(0, "model.publish", "epoch=%d kind=push graph=%q", next.epoch, g.Name)
 	return &next, nil
 }

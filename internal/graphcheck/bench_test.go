@@ -53,18 +53,40 @@ func bigDNNGraph(tb testing.TB) *mr.Graph {
 	return g
 }
 
-// BenchmarkVerify is the bench-smoke guard: verifying the largest DNN-shaped
-// graph must stay well under a millisecond and allocate only its Report.
+// BenchmarkVerify times both gates: "install" is a full verify of the largest
+// DNN-shaped graph (the bench-smoke guard: well under a millisecond, and only
+// its Report allocated), "push" is CheckPush of the benchmark's 8-64-32-1
+// model onto itself, alternating two weight sets:
+//
+//	go test ./internal/graphcheck -run '^$' -bench Verify -benchmem
 func BenchmarkVerify(b *testing.B) {
-	g := bigDNNGraph(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep := graphcheck.Verify(g)
-		if !rep.OK() {
-			b.Fatalf("benchmark graph rejected:\n%s", rep)
+	b.Run("install/64-128-64-8", func(b *testing.B) {
+		g := bigDNNGraph(b)
+		b.ReportAllocs()
+		for range b.N {
+			if rep := graphcheck.Verify(g); !rep.OK() {
+				b.Fatalf("benchmark graph rejected:\n%s", rep)
+			}
 		}
-	}
+	})
+	b.Run("push/8-64-32-1", func(b *testing.B) {
+		installed := untrainedDNN(b, []int{8, 64, 32, 1})
+		flipped := installed.Clone()
+		for _, n := range flipped.Nodes {
+			if n.Kind == mr.KConst {
+				for i := range n.Const {
+					n.Const[i] = -n.Const[i]
+				}
+			}
+		}
+		weights := []*mr.Graph{flipped, installed}
+		b.ReportAllocs()
+		for i := range b.N {
+			if err := graphcheck.CheckPush(installed, weights[i%2], graphcheck.Options{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // reportBytes is what a Report holds of its own: the struct, Ranges,
@@ -99,9 +121,8 @@ func warmCost(f func()) (allocs, bytes uint64) {
 
 // TestVerifyLargestDNNBudget pins the verifier's cost on the largest
 // DNN-shaped graph in allocations and bytes, on warm calls: the interval walk
-// runs in a pooled workspace, so a verify allocates its Report (8 objects,
-// 1.03x the report's own bytes when the budget was set) — one lane slice
-// per node would be ~1000. Wall time is BenchmarkVerify's and the benchmark
+// runs in a pooled workspace, so a verify allocates its Report (6 objects,
+// 1.02x the report's own bytes) — one lane slice per node would be ~1000. Wall time is BenchmarkVerify's and the benchmark
 // ledger's business, not a test's.
 func TestVerifyLargestDNNBudget(t *testing.T) {
 	g := bigDNNGraph(t)

@@ -2,6 +2,7 @@ package graphcheck_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -78,7 +79,23 @@ func oracleCases(t testing.TB) []oracleCase {
 	cat := wires.Concat(c, wires.Const("d", []int32{-1, 9}), c)
 	mix := wires.Concat(wires.Input("x", 2), cat)
 	wires.Output(wires.Slice(cat, 1, 3), wires.Unary(mr.UNeg, wires.Slice(mix, 4, 4)))
+	// Constants read in place: a multiply reads a same-width KConst where it
+	// is — on either side, against a broadcast lane, times itself or another
+	// constant, beside a reader that needs its lanes — while a constant
+	// broadcast into a multiply, and one nothing reads, keep the lane path.
+	inPlace := mr.NewBuilder("in-place")
+	x3, y1 := inPlace.Input("x", 3), inPlace.Input("y", 1)
+	w, u := inPlace.Const("w", []int32{-7, 0, 5}), inPlace.Const("u", []int32{3, -2, 1 << 20})
+	k := inPlace.Const("k", []int32{-9})
+	inPlace.Const("unread", []int32{4, -4})
+	inPlace.Output(inPlace.Concat(
+		inPlace.Map(mr.MMul, w, x3), inPlace.Map(mr.MMul, x3, u), inPlace.Map(mr.MMul, w, y1),
+		inPlace.Map(mr.MMul, u, u), inPlace.Map(mr.MMul, w, u), inPlace.Map(mr.MAdd, u, x3),
+		inPlace.Map(mr.MMul, x3, k), inPlace.Map(mr.MMul, y1, k)))
+	inPlaceG := mustBuild(t, inPlace)
 	cases = append(cases,
+		oracleCase{name: "in-place", g: inPlaceG},
+		oracleCase{name: "in-place-seeded", g: inPlaceG, opts: narrowOpts(1 << 12)},
 		oracleCase{name: "wires", g: mustBuild(t, wires)},
 		oracleCase{name: "deadwood", g: mustBuild(t, dead)},
 		oracleCase{name: "busy", g: mustBuild(t, busy), opts: small},
@@ -310,11 +327,20 @@ func FuzzVerifyOracle(f *testing.F) {
 // TestVerifyConcurrent runs VerifyWith from 8 goroutines over graphs of
 // different sizes, each in its own order, and requires every Report to
 // equal a serial run's: pooled workspaces must never be shared in flight.
+// Each installable graph is pushed onto itself through CheckPush in between,
+// which must give the serial verify's verdict.
 func TestVerifyConcurrent(t *testing.T) {
 	cases := oracleCases(t)
 	want := make([]*graphcheck.Report, len(cases))
+	installable := make([]bool, len(cases))
 	for i, c := range cases {
 		want[i] = graphcheck.VerifyWith(c.g, c.opts)
+		installable[i] = want[i].Valid
+		for _, f := range want[i].Findings {
+			if f.Check == graphcheck.CheckResource && f.Severity == graphcheck.SevError {
+				installable[i] = false
+			}
+		}
 	}
 	var wg sync.WaitGroup
 	errs := make(chan string, 8)
@@ -329,6 +355,13 @@ func TestVerifyConcurrent(t *testing.T) {
 						errs <- cases[i].name
 						return
 					}
+					if !installable[i] {
+						continue
+					}
+					if err := graphcheck.CheckPush(cases[i].g, cases[i].g, cases[i].opts); fmt.Sprint(err) != fmt.Sprint(want[i].Err()) {
+						errs <- cases[i].name + " (push)"
+						return
+					}
 				}
 			}
 		}()
@@ -336,7 +369,7 @@ func TestVerifyConcurrent(t *testing.T) {
 	wg.Wait()
 	close(errs)
 	for name := range errs {
-		t.Errorf("%s: a concurrent Verify differs from the serial one", name)
+		t.Errorf("%s: a concurrent verify differs from the serial one", name)
 	}
 }
 

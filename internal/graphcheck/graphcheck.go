@@ -1,6 +1,7 @@
 // Package graphcheck statically verifies lowered MapReduce graphs before
-// they reach hardware — the pre-push gate, run by core.Install and
-// core.Model.WithWeights on every graph a servable model is built from. Where
+// they reach hardware — the static gate every graph a servable model is built
+// from clears: VerifyWith at core.Install, CheckPush at
+// core.Model.WithWeights. Where
 // Graph.Validate checks shape (widths, topology, payloads), graphcheck
 // proves semantic and physical properties by abstract interpretation and a
 // resource census, in one topological walk over a pooled workspace that runs
@@ -34,9 +35,14 @@
 //  4. Structural stability: Compatible(old, new) proves a push is
 //     weight-only — same kinds, widths, edges and operators, only
 //     Const/LUT/Multiplier payloads differing — which is what a weight
-//     push (the image build behind core.Model.WithWeights) and the
-//     controlplane fan-out require before a graph is accepted for an
-//     in-place weight swap.
+//     push (CheckPush, behind core.Model.WithWeights) and the controlplane
+//     fan-out require before a graph is accepted for an in-place weight
+//     swap.
+//
+// A push verifies only what a push can change. Validate's structural rules,
+// the census and reachability read kinds, widths and edges alone, so on a
+// Compatible graph their verdict is the install's; CheckPush runs Compatible,
+// then Validate's payload rules and the range walk.
 //
 // The analysis is sound for the deployed input convention (all graph
 // inputs are int8 codes: feature codes from the preprocessing MATs,
@@ -274,79 +280,174 @@ func VerifyWith(g *mr.Graph, opts Options) *Report {
 	}
 	r := &Report{Graph: g.Name, NumNodes: len(g.Nodes)}
 	if err := g.Validate(); err != nil {
-		r.Findings = append(r.Findings, Finding{
-			Node: -1, Severity: SevError, Check: CheckValidate, Msg: err.Error(),
-		})
+		r.invalid(err)
 		return r
 	}
 	r.Valid = true
+	r.Ranges = make([]Interval, len(g.Nodes))
 	spec := opts.Grid
 	if spec == (cgra.GridSpec{}) {
 		spec = cgra.DefaultGrid()
 	}
 
 	ws := workspaces.Get().(*workspace)
-	defer workspaces.Put(ws)
-	v := &verifier{g: g, r: r, spec: spec, ws: ws, lanes: ws.carve(g)}
-	v.seedInputs(opts)
-	v.walk()
+	defer ws.release()
+	v := newVerifier(ws, g, r, r.Ranges)
+	v.spec = spec
+	v.walk(opts)
 	v.census()
 	v.reachability()
 	return r
 }
 
-// workspace is one verify's scratch: every node's lanes carved out of one
-// backing array, and the reachability worklist. Workspaces are pooled, so a
-// verify allocates only its Report; nothing the Report holds may point into
-// one.
-type workspace struct {
-	buf   []Interval   // the lanes of every non-slice node, back to back
-	lanes [][]Interval // per node: its carve of buf, or a view for a slice
-	live  []bool
-	stack []mr.NodeID
+// CheckPush is the static gate of a weight push of g onto installed, a graph
+// VerifyWith accepted on opts.Grid: it returns the error VerifyWith(g) then
+// Compatible(installed, g) would, checking only what a weight-only change can
+// break. A Compatible g gets Validate's payload rules
+// (Graph.ValidatePayloads) and the range walk; Validate's structural rules,
+// the census and reachability read kinds, widths and edges alone, so their
+// verdict is the install's (no error; warnings never refuse). An incompatible
+// g gets the full VerifyWith first, so a graph both bad and incompatible is
+// ErrBadGraph.
+func CheckPush(installed, g *mr.Graph, opts Options) error {
+	if err := Compatible(installed, g); err != nil {
+		if verr := VerifyWith(g, opts).Err(); verr != nil {
+			return verr
+		}
+		return err
+	}
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	if cap(ws.ranges) < len(g.Nodes) {
+		ws.ranges = make([]Interval, len(g.Nodes))
+	}
+	r := Report{Graph: g.Name, NumNodes: len(g.Nodes)}
+	ws.verifyPush(g, opts, &r, ws.ranges[:len(g.Nodes)])
+	return r.Err()
 }
+
+// verifyPush is CheckPush's verify of a Compatible g into r: Valid and
+// Findings as VerifyWith reports them — the payload rule's validation error,
+// or the range findings — and the walk's per-node ranges into ranges. The
+// census fields and DeadNodes stay zero: they are the install's.
+func (ws *workspace) verifyPush(g *mr.Graph, opts Options, r *Report, ranges []Interval) {
+	if err := g.ValidatePayloads(); err != nil {
+		r.invalid(err)
+		return
+	}
+	r.Valid = true
+	v := newVerifier(ws, g, r, ranges)
+	v.walk(opts)
+}
+
+// invalid records a Validate error as the report's one finding.
+func (r *Report) invalid(err error) {
+	r.Findings = append(r.Findings, Finding{
+		Node: -1, Severity: SevError, Check: CheckValidate, Msg: err.Error(),
+	})
+}
+
+// workspace is one verify's scratch: the lanes of the interval walk, the
+// LUT memo, the push gate's ranges and the reachability worklist. Workspaces
+// are pooled, so a verify allocates only its Report; nothing the Report
+// holds may point into one.
+type workspace struct {
+	buf    []Interval // the lanes of every node that has its own, back to back
+	spans  []span     // per node: its window of buf
+	ranges []Interval // per node: a push's hull, which no Report keeps
+	// lutFull memoises whole-table min/max per distinct table. It is
+	// cleared on release: tables are mutable across pushes, so a pointer
+	// seen by an earlier verify may hold different contents now.
+	lutFull map[*mr.LUT]Interval
+	live    []bool
+	stack   []mr.NodeID
+}
+
+// span is a node's window [lo, hi) of workspace.buf.
+type span struct{ lo, hi int32 }
 
 var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
-// carve lays out g's lanes: Σ width over the non-slice nodes (a reduce's one
-// lane is its width), each node its own window in topological order, a
-// slice a view of its argument's window. Nothing is cleared: the walk
-// writes every lane of a window before any node reads it.
-func (ws *workspace) carve(g *mr.Graph) [][]Interval {
-	need := 0
-	for _, n := range g.Nodes {
-		if n.Kind != mr.KSlice {
-			need += n.Width
+// release clears what the workspace memoised for this call — and the table
+// pointers that would keep a graph alive — and returns it to the pool.
+func (ws *workspace) release() {
+	clear(ws.lutFull)
+	workspaces.Put(ws)
+}
+
+// carve lays out g's lanes: each node its own window of buf, a slice a view
+// of its argument's window, and a KConst none until its first reader that
+// needs lanes — one that only ever is a multiply's in-place operand
+// (constOperand) gets none at all, and the walk reads its Const where it is.
+// A reduce's one lane is its width. Nothing is cleared: the walk writes every
+// lane of a window before any node reads it.
+func (ws *workspace) carve(g *mr.Graph) []Interval {
+	if cap(ws.spans) < len(g.Nodes) {
+		ws.spans = make([]span, len(g.Nodes))
+	}
+	spans := ws.spans[:len(g.Nodes)]
+	var at int32
+	for i, n := range g.Nodes {
+		c := constOperand(g, n)
+		for j, a := range n.Args {
+			if s := &spans[a]; j != c && s.lo == s.hi { // a constant without lanes yet
+				*s = span{at, at + int32(g.Nodes[a].Width)}
+				at = s.hi
+			}
+		}
+		switch n.Kind {
+		case mr.KSlice:
+			lo := spans[n.Args[0]].lo + int32(n.Start)
+			spans[i] = span{lo, lo + int32(n.Width)}
+		case mr.KConst:
+			spans[i] = span{}
+		default:
+			spans[i] = span{at, at + int32(n.Width)}
+			at += int32(n.Width)
 		}
 	}
-	if cap(ws.buf) < need {
-		ws.buf = make([]Interval, need)
+	if cap(ws.buf) < int(at) {
+		ws.buf = make([]Interval, at)
 	}
-	if cap(ws.lanes) < len(g.Nodes) {
-		ws.lanes = make([][]Interval, len(g.Nodes))
+	return ws.buf[:at]
+}
+
+// constOperand returns the operand of n that the walk reads in place: for a
+// multiply, the first argument that is a KConst as wide as n (a point in
+// every lane, so the product needs no lanes of it), else -1.
+func constOperand(g *mr.Graph, n *mr.Node) int {
+	if n.Kind != mr.KMap || n.Map != mr.MMul {
+		return -1
 	}
-	buf, lanes := ws.buf[:need], ws.lanes[:len(g.Nodes)]
-	for _, n := range g.Nodes {
-		if n.Kind == mr.KSlice {
-			lanes[n.ID] = lanes[n.Args[0]][n.Start : n.Start+n.Width]
-			continue
+	for j, a := range n.Args {
+		if c := g.Nodes[a]; c.Kind == mr.KConst && c.Width == n.Width {
+			return j
 		}
-		lanes[n.ID], buf = buf[:n.Width:n.Width], buf[n.Width:]
 	}
-	return lanes
+	return -1
 }
 
 // verifier carries the walk state.
 type verifier struct {
-	g     *mr.Graph
-	r     *Report
-	spec  cgra.GridSpec
-	ws    *workspace
-	lanes [][]Interval // per node, per lane: ws's carve
-	// lutFull memoises whole-table min/max per distinct table. It lives for
-	// one call: tables are mutable across pushes, so a pointer seen by an
-	// earlier verify may hold different contents now.
-	lutFull map[*mr.LUT]Interval
+	g      *mr.Graph
+	r      *Report
+	spec   cgra.GridSpec
+	ws     *workspace
+	buf    []Interval // ws's carve
+	spans  []span     // per node: its window of buf
+	ranges []Interval // per node: the union of its lanes (Report.Ranges)
+}
+
+// lanes returns node id's window of the walk's lanes.
+func (v *verifier) lanes(id mr.NodeID) []Interval {
+	s := v.spans[id]
+	return v.buf[s.lo:s.hi:s.hi]
+}
+
+// newVerifier lays out g's lanes in ws for a walk that writes its findings
+// to r and each node's hull to ranges.
+func newVerifier(ws *workspace, g *mr.Graph, r *Report, ranges []Interval) verifier {
+	return verifier{g: g, r: r, ws: ws, buf: ws.carve(g), spans: ws.spans[:len(g.Nodes)], ranges: ranges}
 }
 
 func (v *verifier) finding(n *mr.Node, sev Severity, check Analysis, rng Interval, format string, args ...any) {
@@ -362,7 +463,7 @@ func (v *verifier) finding(n *mr.Node, sev Severity, check Analysis, rng Interva
 func (v *verifier) seedInputs(opts Options) {
 	for _, n := range v.g.Nodes {
 		if n.Kind == mr.KInput {
-			fillLanes(v.lanes[n.ID], Interval{int8Lo, int8Hi})
+			fillLanes(v.lanes(n.ID), Interval{int8Lo, int8Hi})
 		}
 	}
 	if opts.InputRange == nil {
@@ -371,7 +472,7 @@ func (v *verifier) seedInputs(opts Options) {
 	for i, id := range v.g.Inputs {
 		if iv, ok := opts.InputRange(i, v.g.Node(id).Name); ok {
 			seed, _ := clampFix32(iv) // the seed describes runtime values, which are int32
-			fillLanes(v.lanes[id], seed)
+			fillLanes(v.lanes(id), seed)
 		}
 	}
 }
@@ -402,30 +503,31 @@ func (v *verifier) saturate(n *mr.Node, lanes []Interval, hull Interval) Interva
 	return hull
 }
 
-// walk propagates lane intervals through every node in topological order
-// (Validate guarantees args precede uses) and records the per-node union,
-// which each transfer folds as it writes its lanes.
-func (v *verifier) walk() {
-	r := v.r
-	r.Ranges = make([]Interval, len(v.g.Nodes))
+// walk seeds the inputs, then propagates lane intervals through every node
+// in topological order (Validate guarantees args precede uses) and records
+// the per-node union, which each transfer folds as it writes its lanes.
+func (v *verifier) walk(opts Options) {
+	v.seedInputs(opts)
 	for _, n := range v.g.Nodes {
-		out := v.lanes[n.ID]
+		out := v.lanes(n.ID)
 		var hull Interval
 		switch n.Kind {
 		case mr.KInput, mr.KSlice: // seeded, or a view
 			hull = hullOf(out)
 		case mr.KConst:
-			hull = emptyHull
-			for i, c := range n.Const {
-				out[i] = point(int64(c))
-				hull = hull.union(out[i])
-			}
+			hull = constLanes(out, n.Const)
 		case mr.KMap:
-			hull = v.saturate(n, out, mapLanes(n.Map, out, v.lanes[n.Args[0]], v.lanes[n.Args[1]]))
+			var raw Interval
+			if c := constOperand(v.g, n); c >= 0 {
+				raw = mulConst(out, v.lanes(n.Args[1-c]), v.g.Nodes[n.Args[c]].Const)
+			} else {
+				raw = mapLanes(n.Map, out, v.lanes(n.Args[0]), v.lanes(n.Args[1]))
+			}
+			hull = v.saturate(n, out, raw)
 		case mr.KUnary:
-			hull = v.saturate(n, out, unaryLanes(n.Unary, out, v.lanes[n.Args[0]]))
+			hull = v.saturate(n, out, unaryLanes(n.Unary, out, v.lanes(n.Args[0])))
 		case mr.KReduce:
-			out[0] = reduceTransfer(n.Reduce, v.lanes[n.Args[0]])
+			out[0] = reduceTransfer(n.Reduce, v.lanes(n.Args[0]))
 			hull = out[0]
 			if n.Reduce == mr.RAdd {
 				hull = v.saturate(n, out, hull)
@@ -434,8 +536,8 @@ func (v *verifier) walk() {
 			hull = emptyHull
 			at := 0
 			for _, a := range n.Args {
-				at += copy(out[at:], v.lanes[a])
-				hull = hull.union(r.Ranges[a])
+				at += copy(out[at:], v.lanes(a))
+				hull = hull.union(v.ranges[a])
 			}
 		case mr.KRequant:
 			hull = v.transferRequant(n, out)
@@ -444,7 +546,7 @@ func (v *verifier) walk() {
 		case mr.KLUT:
 			hull = v.transferLUT(n, out)
 		}
-		r.Ranges[n.ID] = hull
+		v.ranges[n.ID] = hull
 	}
 }
 
@@ -484,7 +586,7 @@ func applyMult(m fixed.Multiplier, acc int64) int64 {
 func (v *verifier) transferRequant(n *mr.Node, out []Interval) Interval {
 	hull := emptyHull
 	reported := false
-	for i, av := range v.lanes[n.Args[0]] {
+	for i, av := range v.lanes(n.Args[0]) {
 		// ApplySat8's clamp is the programming model, not corruption — but a
 		// lane whose every feasible value clips is a constant, which no
 		// calibrated requant produces: the multiplier is wrong. A fully
@@ -505,7 +607,7 @@ func (v *verifier) transferRequant(n *mr.Node, out []Interval) Interval {
 func (v *verifier) transferScale(n *mr.Node, out []Interval) Interval {
 	hull := emptyHull
 	reported := false
-	for i, av := range v.lanes[n.Args[0]] {
+	for i, av := range v.lanes(n.Args[0]) {
 		// Unlike the saturating map/reduce datapath, Multiplier.Apply
 		// truncates its result to int32 — a feasible value outside the
 		// range does not clip, it wraps. Always an error; the wrapped
@@ -527,7 +629,7 @@ func (v *verifier) transferLUT(n *mr.Node, out []Interval) Interval {
 	hull := emptyHull
 	reported := false
 	const idxLo, idxHi = -mr.LUTSize / 2, mr.LUTSize/2 - 1
-	for i, av := range v.lanes[n.Args[0]] {
+	for i, av := range v.lanes(n.Args[0]) {
 		idx, raw, allOutside := lutIndex(n.LUT, av)
 		if allOutside && !reported {
 			// Every feasible index clamps to the same table end: the LUT
@@ -549,16 +651,16 @@ func (v *verifier) transferLUT(n *mr.Node, out []Interval) Interval {
 func (v *verifier) lutRange(l *mr.LUT, idx Interval) Interval {
 	full := idx.Lo == -mr.LUTSize/2 && idx.Hi == mr.LUTSize/2-1
 	if full {
-		if v.lutFull == nil {
-			v.lutFull = make(map[*mr.LUT]Interval, 4)
+		if v.ws.lutFull == nil {
+			v.ws.lutFull = make(map[*mr.LUT]Interval, 4)
 		}
-		if iv, ok := v.lutFull[l]; ok {
+		if iv, ok := v.ws.lutFull[l]; ok {
 			return iv
 		}
 	}
 	iv := tableRange(l, idx)
 	if full {
-		v.lutFull[l] = iv
+		v.ws.lutFull[l] = iv
 	}
 	return iv
 }

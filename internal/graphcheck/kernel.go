@@ -60,17 +60,9 @@ func mapLanes(op mr.MapOp, out, a, b []Interval) Interval {
 			out[i] = Interval{x.Lo - y.Hi, x.Hi - y.Lo}
 			hull = hull.union(out[i])
 		}
-	case mr.MMul:
+	case mr.MMul: // a same-width constant operand is mulConst's
 		for i, x := range a {
-			y := b[i*bs]
-			switch {
-			case x.Lo == x.Hi: // a constant weight: one product per bound
-				out[i] = mulPoint(y, x.Lo)
-			case y.Lo == y.Hi:
-				out[i] = mulPoint(x, y.Lo)
-			default:
-				out[i] = mulHull(x, y)
-			}
+			out[i] = mulHull(x, b[i*bs])
 			hull = hull.union(out[i])
 		}
 	case mr.MMin:
@@ -87,6 +79,28 @@ func mapLanes(op mr.MapOp, out, a, b []Interval) Interval {
 		}
 	default:
 		return fillLanes(out, fix32)
+	}
+	return hull
+}
+
+// mulConst writes the raw interval of x[i]·c[i] to out[i] — x broadcast when
+// it has one lane — for a constant operand read in place, and returns the
+// hull of what it wrote: mapLanes' MMul with the constant's point lanes, one
+// product per bound.
+func mulConst(out, x []Interval, c []int32) Interval {
+	out = out[:len(c)]
+	hull := emptyHull
+	if len(x) == 1 {
+		for i, w := range c {
+			out[i] = mulPoint(x[0], int64(w))
+			hull = hull.union(out[i])
+		}
+		return hull
+	}
+	x = x[:len(c)]
+	for i, w := range c {
+		out[i] = mulPoint(x[i], int64(w))
+		hull = hull.union(out[i])
 	}
 	return hull
 }
@@ -143,6 +157,21 @@ func unaryLanes(op mr.UnaryOp, out, a []Interval) Interval {
 		return fillLanes(out, fix32)
 	}
 	return hull
+}
+
+// constLanes writes c's values to out as points — out is empty for a
+// constant the walk reads in place — and returns their hull.
+func constLanes(out []Interval, c []int32) Interval {
+	lo, hi := c[0], c[0]
+	for _, w := range c[1:] {
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	if len(out) > 0 {
+		for i, w := range c {
+			out[i] = point(int64(w))
+		}
+	}
+	return Interval{int64(lo), int64(hi)}
 }
 
 // fillLanes sets every lane to iv and returns iv, their hull.

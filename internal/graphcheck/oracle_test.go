@@ -291,5 +291,24 @@ func max64(a, b int64) int64 {
 	return b
 }
 
-// OracleVerifyWith exports the oracle to this package's external tests.
-var OracleVerifyWith = oracleVerifyWith
+// pushReport is CheckPush's verify of g — which must be Compatible with the
+// installed graph — in a pooled workspace, as a Report whose Ranges are the
+// walk's: what FuzzPushGateOracle holds to the oracle.
+func pushReport(g *mr.Graph, opts Options) *Report {
+	r := &Report{Graph: g.Name, NumNodes: len(g.Nodes)}
+	ws := workspaces.Get().(*workspace)
+	defer ws.release()
+	ranges := make([]Interval, len(g.Nodes))
+	ws.verifyPush(g, opts, r, ranges)
+	if r.Valid {
+		r.Ranges = ranges
+	}
+	return r
+}
+
+// OracleVerifyWith and PushReport export the oracle and the push gate's
+// Report to this package's external tests.
+var (
+	OracleVerifyWith = oracleVerifyWith
+	PushReport       = pushReport
+)

@@ -458,11 +458,7 @@ func mutateTape(p *sched.Program, kind, k int) bool {
 // weights in the differential.
 func reimage(t *testing.T, p *sched.Program, g *mr.Graph) {
 	t.Helper()
-	img, err := p.Tape().NewImage(g)
-	if err != nil {
-		t.Fatalf("image of the tape's own graph: %v", err)
-	}
-	p.SetImage(img)
+	p.SetImage(p.Tape().NewImage(g))
 }
 
 // FuzzTapeMutation fuzzes the verifier's soundness: corrupt one instruction

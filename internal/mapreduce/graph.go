@@ -293,8 +293,8 @@ func (g *Graph) Validate() error {
 		return fmt.Errorf("mapreduce: graph %q has no outputs", g.Name)
 	}
 	for i, n := range g.Nodes {
-		if n.ID != NodeID(i) {
-			return fmt.Errorf("mapreduce: node %d has ID %d", i, n.ID)
+		if err := n.checkID(i); err != nil {
+			return err
 		}
 		if n.Width <= 0 {
 			return fmt.Errorf("mapreduce: node %d has width %d", i, n.Width)
@@ -310,8 +310,8 @@ func (g *Graph) Validate() error {
 				return fmt.Errorf("mapreduce: input node %d has args", i)
 			}
 		case KConst:
-			if len(n.Const) != n.Width {
-				return fmt.Errorf("mapreduce: const node %d has %d values for width %d", i, len(n.Const), n.Width)
+			if err := n.checkPayload(i); err != nil {
+				return err
 			}
 		case KMap:
 			if len(n.Args) != 2 {
@@ -334,19 +334,8 @@ func (g *Graph) Validate() error {
 			if n.Kind == KLUT && n.LUT == nil {
 				return fmt.Errorf("mapreduce: LUT node %d missing table", i)
 			}
-			// Requantisation multipliers must be genuine NewMultiplier
-			// encodings (M0 and Shift positive): a zero or negative M0 is
-			// not a positive real factor, and downstream range analysis
-			// relies on Apply being monotone in the accumulator.
-			switch n.Kind {
-			case KRequant, KScale:
-				if n.Mult.M0 <= 0 || n.Mult.Shift <= 0 {
-					return fmt.Errorf("mapreduce: node %d multiplier (M0=%d, shift=%d) is not a positive factor encoding", i, n.Mult.M0, n.Mult.Shift)
-				}
-			case KLUT:
-				if n.LUT.Mult.M0 <= 0 || n.LUT.Mult.Shift <= 0 {
-					return fmt.Errorf("mapreduce: LUT node %d index multiplier (M0=%d, shift=%d) is not a positive factor encoding", i, n.LUT.Mult.M0, n.LUT.Mult.Shift)
-				}
+			if err := n.checkPayload(i); err != nil {
+				return err
 			}
 		case KReduce:
 			if len(n.Args) != 1 {
@@ -386,6 +375,53 @@ func (g *Graph) Validate() error {
 	for _, in := range g.Inputs {
 		if int(in) >= len(g.Nodes) || g.Node(in).Kind != KInput {
 			return fmt.Errorf("mapreduce: declared input %d is not an input node", in)
+		}
+	}
+	return nil
+}
+
+// ValidatePayloads is the part of Validate that a weight-only change can
+// break — node IDs, constant lengths and multiplier encodings — for a graph
+// whose structure is known to pass it (graphcheck.Compatible with one that
+// did). On such a graph it returns exactly the error Validate would.
+func (g *Graph) ValidatePayloads() error {
+	for i, n := range g.Nodes {
+		if err := n.checkID(i); err != nil {
+			return err
+		}
+		if err := n.checkPayload(i); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (n *Node) checkID(i int) error {
+	if n.ID != NodeID(i) {
+		return fmt.Errorf("mapreduce: node %d has ID %d", i, n.ID)
+	}
+	return nil
+}
+
+// checkPayload checks node i's weights against its shape: a KConst holds one
+// value per lane, and requant, scale and LUT-index multipliers are genuine
+// NewMultiplier encodings (M0 and Shift positive) — a zero or negative M0 is
+// not a positive real factor, and downstream range analysis relies on Apply
+// being monotone in the accumulator. A KLUT's table must be present (Validate
+// checks that first; Compatible keeps it so).
+func (n *Node) checkPayload(i int) error {
+	switch n.Kind {
+	case KConst:
+		if len(n.Const) != n.Width {
+			return fmt.Errorf("mapreduce: const node %d has %d values for width %d", i, len(n.Const), n.Width)
+		}
+	case KRequant, KScale:
+		if n.Mult.M0 <= 0 || n.Mult.Shift <= 0 {
+			return fmt.Errorf("mapreduce: node %d multiplier (M0=%d, shift=%d) is not a positive factor encoding", i, n.Mult.M0, n.Mult.Shift)
+		}
+	case KLUT:
+		if n.LUT.Mult.M0 <= 0 || n.LUT.Mult.Shift <= 0 {
+			return fmt.Errorf("mapreduce: LUT node %d index multiplier (M0=%d, shift=%d) is not a positive factor encoding", i, n.LUT.Mult.M0, n.LUT.Mult.Shift)
 		}
 	}
 	return nil

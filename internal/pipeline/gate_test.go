@@ -87,3 +87,53 @@ func TestUpdateWeightsRejectsIncompatibleGraph(t *testing.T) {
 		t.Fatalf("UpdateWeights(incompatible) = %v, want ErrIncompatible", err)
 	}
 }
+
+// TestUpdateWeightsRefusesBrokenPayloads: a push of a graph Compatible with
+// the installed one — so the push gate skips Validate's structural rules —
+// that breaks one of Validate's payload rules is refused with ErrBadGraph and
+// the very error a full verify gives, and the served model stays.
+func TestUpdateWeightsRefusesBrokenPayloads(t *testing.T) {
+	q, g, _, _ := trainModel(t)
+	p, err := New(Config{Shards: 2, Device: core.DefaultConfig(6)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Close)
+	if err := p.LoadModel(g, q.InputQ, compiler.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	firstOf := func(v *mr.Graph, k mr.Kind) *mr.Node {
+		for _, n := range v.Nodes {
+			if n.Kind == k {
+				return n
+			}
+		}
+		t.Fatalf("the model has no %v node", k)
+		return nil
+	}
+	for name, mutate := range map[string]func(v *mr.Graph){
+		"const length":   func(v *mr.Graph) { n := firstOf(v, mr.KConst); n.Const = append(n.Const, 1) },
+		"requant M0 = 0": func(v *mr.Graph) { firstOf(v, mr.KRequant).Mult.M0 = 0 },
+		"LUT shift = 0":  func(v *mr.Graph) { firstOf(v, mr.KLUT).LUT.Mult.Shift = 0 },
+		"ID not index":   func(v *mr.Graph) { v.Nodes[3].ID = 4 },
+	} {
+		v := g.Clone()
+		mutate(v)
+		if err := graphcheck.Compatible(g, v); err != nil {
+			t.Fatalf("%s: the mutant is not Compatible, so it does not reach the payload rules: %v", name, err)
+		}
+		served := p.model.Load()
+		err := p.UpdateWeights(v)
+		if !errors.Is(err, graphcheck.ErrBadGraph) || errors.Is(err, graphcheck.ErrIncompatible) {
+			t.Errorf("%s: UpdateWeights = %v, want ErrBadGraph alone", name, err)
+		} else if want := graphcheck.Verify(v).Err(); err.Error() != want.Error() {
+			t.Errorf("%s: UpdateWeights = %v, want a full verify's %v", name, err, want)
+		}
+		if now := p.model.Load(); now != served || now.Epoch() != served.Epoch() {
+			t.Errorf("%s: a refused push moved the served epoch %d -> %d", name, served.Epoch(), now.Epoch())
+		}
+	}
+	if err := p.UpdateWeights(g.Clone()); err != nil {
+		t.Errorf("an unbroken weight-only push is refused: %v", err)
+	}
+}

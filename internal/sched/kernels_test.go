@@ -102,11 +102,7 @@ func sweepAgainstEval(t *testing.T, g *mr.Graph, p *sched.Program, rng *rand.Ran
 // of g's weights as they stand, the way Device.UpdateWeights does it.
 func reimage(t *testing.T, p *sched.Program, g *mr.Graph) {
 	t.Helper()
-	img, err := p.Tape().NewImage(g)
-	if err != nil {
-		t.Fatalf("%s: image of the pushed graph: %v", g.Name, err)
-	}
-	p.SetImage(img)
+	p.SetImage(p.Tape().NewImage(g))
 }
 
 // pushWeights overwrites everything a weight update may change — constants,

@@ -6,7 +6,6 @@ import (
 
 	"taurus/internal/cgra"
 	"taurus/internal/fixed"
-	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 )
 
@@ -195,23 +194,23 @@ func CompileUnverified(g *mr.Graph, spec cgra.GridSpec) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{tape: t, img: t.image(g), arena: t.NewArena()}, nil
+	return &Program{tape: t, img: t.NewImage(g), arena: t.NewArena()}, nil
 }
 
 // Bind returns the program that runs t over img in a.
 func Bind(t *Tape, img *Image, a *Arena) Program { return Program{tape: t, img: img, arena: a} }
 
-// NewImage copies the weights of g — a weight-only variant of the graph the
-// tape was compiled from, which graphcheck.Compatible decides — into a fresh
-// Image. g is only read and nothing of it is kept.
-func (t *Tape) NewImage(g *mr.Graph) (*Image, error) {
-	if err := graphcheck.Compatible(t.g, g); err != nil {
-		return nil, err
-	}
-	return t.image(g), nil
-}
+// Graph returns the structure the tape was compiled from: its kinds, widths,
+// edges and operators, which every image's graph shares. Its weights may be
+// stale — an Image holds the live ones. It is the tape's own: read-only.
+func (t *Tape) Graph() *mr.Graph { return t.g }
 
-func (t *Tape) image(g *mr.Graph) *Image {
+// NewImage copies the weights of g into a fresh Image. g must be a weight-only
+// variant of Graph(), which graphcheck.Compatible decides and the caller
+// checks first (core.Model.WithWeights runs it in its push gate,
+// graphcheck.CheckPush): the copy trusts the layout to fit. g is only read and
+// nothing of it is kept.
+func (t *Tape) NewImage(g *mr.Graph) *Image {
 	img := &Image{
 		lanes: make([]int32, t.lanes),
 		mults: make([]fixed.Multiplier, t.mults),

@@ -348,11 +348,7 @@ func TestWeightUpdateVisible(t *testing.T) {
 			}
 		}
 	}
-	img, err := p.Tape().NewImage(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.SetImage(img)
+	p.SetImage(p.Tape().NewImage(g))
 	check("after update")
 	same := true
 	for k, v := range p.Out(0) {
