@@ -479,13 +479,16 @@ func (d *Device) FlowKey(srcIP, dstIP uint32, sport, dport uint16, proto uint8) 
 }
 
 // ShardHash hashes a raw packet's five-tuple without running the full
-// parser, so a pipeline can pick the owning shard before any per-shard
-// state is touched. For standard Ethernet+IPv4 packets it equals the
-// device's FlowKey; anything else (non-IP, truncated) returns 0 and may be
-// placed on any shard, since such packets carry no per-flow register state.
-// It is the one flow hash of the packet path: the dispatcher hands the value
-// it routed by to the shard (Routed.Key), and a device driven directly
-// computes it for the packets that reach the registers.
+// parser, so a pipeline of several shards can pick the owning shard before
+// any per-shard state is touched. For standard Ethernet+IPv4 packets it
+// equals the device's FlowKey; anything else (non-IP, truncated) returns 0
+// and may be placed on any shard, since such packets carry no per-flow
+// register state. It is the one flow hash of the packet path, computed at most
+// once per packet: a pipeline of several shards hashes every frame to route
+// it and hands the value to the shard (Routed.Key); a device given no key —
+// driven directly, or the shard of a 1-shard pipeline, which has nothing to
+// route — computes it only for the packets the preprocessing MAT sends on to
+// the registers.
 //
 // hotpath: zero-alloc
 func ShardHash(data []byte) uint32 {
@@ -539,16 +542,16 @@ type PacketIn struct {
 // hotpath: zero-alloc
 func (d *Device) Process(in PacketIn) (Decision, error) { return d.process1(in, nil) }
 
-// ProcessKeyed is Process on a pipeline's shard, for a caller that already
-// hashed the frame to route it (key = ShardHash(in.Data)): the device serves
-// the packet from m, in m's arena for shard, and reuses the key instead of
-// hashing the five-tuple a second time, as ProcessIndexed does for a batch.
+// ProcessKeyed is Process on a pipeline's shard: the device serves the packet
+// from m, in m's arena for shard. routed is nil, or, when the caller hashed
+// the frame to route it, the one entry {Index: 0, Key: ShardHash(in.Data)},
+// whose key the device reuses instead of hashing the five-tuple a second
+// time, as ProcessIndexed does for a batch.
 //
 // hotpath: zero-alloc
-func (d *Device) ProcessKeyed(m *Model, shard int, in PacketIn, key uint32) (Decision, error) {
+func (d *Device) ProcessKeyed(m *Model, shard int, in PacketIn, routed []Routed) (Decision, error) {
 	d.serve(m, shard)
-	routed := [1]Routed{{Key: key}}
-	return d.process1(in, routed[:])
+	return d.process1(in, routed)
 }
 
 // process1 is the batch loop over one packet, returning its own error.
@@ -674,18 +677,20 @@ func (d *Device) ProcessBatch(ins []PacketIn, out []Decision) error {
 
 // Routed names one packet of a shared batch — ins[Index] — together with the
 // flow hash (ShardHash of its bytes) the dispatcher computed to route it, so
-// the device that receives it does not hash the five-tuple a second time.
+// the device that receives it does not hash the five-tuple a second time. Only
+// a pipeline of several shards routes; one shard takes its batch unrouted.
 type Routed struct {
 	Index int
 	Key   uint32
 }
 
-// ProcessIndexed processes the packets ins[r.Index] for each r in routed (all
-// of ins, hashing as needed, when routed is nil), writing out[r.Index] — the
-// shape the pipeline's shard workers use, where
-// routed is the shard's partition of a shared batch and m the model the
-// pipeline had published when it dispatched the batch (nil: none yet), served
-// in m's arena for shard. Error semantics match ProcessBatch.
+// ProcessIndexed is the shape a pipeline's shards use: it processes the
+// packets ins[r.Index] for each r in routed, writing out[r.Index], where
+// routed is the shard's partition of a shared batch; or, when routed is nil (a
+// 1-shard pipeline, which has nothing to partition), every packet of ins,
+// hashing only those that reach the registers. m is the model the pipeline had
+// published when it dispatched the batch (nil: none yet), served in m's arena
+// for shard. Error semantics match ProcessBatch.
 //
 // hotpath: zero-alloc
 func (d *Device) ProcessIndexed(m *Model, shard int, ins []PacketIn, out []Decision, routed []Routed) error {

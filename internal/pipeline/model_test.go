@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -38,13 +39,21 @@ func constantScore(t *testing.T, g *mr.Graph, score int8) *mr.Graph {
 // served by one published model, and a single packet by some published model.
 // The control plane alternates two weight sets whose scores differ on every
 // ML packet (with a full LoadModel of a third thrown in) while traffic runs;
-// a batch that straddled a publish would mix scores.
+// a batch that straddled a publish would mix scores. One shard, which takes
+// the batch unpartitioned, must load the published model once per batch as
+// four do.
 func TestBatchServesOneModel(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) { batchServesOneModel(t, shards) })
+	}
+}
+
+func batchServesOneModel(t *testing.T, shards int) {
 	q, g, _, _ := trainModel(t)
 	const scoreA, scoreB, scoreC = 100, -100, 50 // threshold 64: A flags, B and C forward
 	gA, gB, gC := constantScore(t, g, scoreA), constantScore(t, g, scoreB), constantScore(t, g, scoreC)
 
-	p, err := New(Config{Shards: 4, Device: core.DefaultConfig(6)})
+	p, err := New(Config{Shards: shards, Device: core.DefaultConfig(6)})
 	if err != nil {
 		t.Fatal(err)
 	}

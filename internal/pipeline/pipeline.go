@@ -71,7 +71,7 @@ type shard struct {
 	mu     sync.Mutex
 	dev    *core.Device
 	index  int           // which of a model's arenas is this shard's
-	routed []core.Routed // this shard's packets of the current batch, each with the hash it was routed by
+	routed []core.Routed // this shard's packets of the current batch, each with the hash it was routed by (nil on a 1-shard pipeline)
 	busyNs float64       // modelled occupancy of the last batch
 	err    error         // caller error (bad feature width) from the last batch
 }
@@ -249,16 +249,20 @@ func (p *Pipeline) ProcessBatch(ins []core.PacketIn, out []core.Decision) (Batch
 		return BatchStats{}, fmt.Errorf("%w: pipeline is closed", core.ErrBadConfig)
 	}
 
-	// The partition pass is the one place a packet's five-tuple is hashed:
-	// the key that picks the shard travels with the index, and the shard's
-	// device reduces it to a register slot instead of hashing again.
-	for _, s := range p.shards {
-		s.routed = s.routed[:0]
-	}
-	for i := range ins {
-		key := core.ShardHash(ins[i].Data)
-		s := p.shardOf(key)
-		s.routed = append(s.routed, core.Routed{Index: i, Key: key})
+	// Across shards the partition pass hashes every frame to route it, and the
+	// key travels with the index so the shard's device reduces it to a register
+	// slot instead of hashing again. One shard has nothing to partition: it
+	// takes the whole batch unrouted, and its device hashes only the packets its
+	// preprocessing MAT sends on to the registers, as a bare device does.
+	if len(p.shards) > 1 {
+		for _, s := range p.shards {
+			s.routed = s.routed[:0]
+		}
+		for i := range ins {
+			key := core.ShardHash(ins[i].Data)
+			s := p.shardOf(key)
+			s.routed = append(s.routed, core.Routed{Index: i, Key: key})
+		}
 	}
 
 	// Every active shard but the last goes to its worker; the last one the
@@ -269,13 +273,13 @@ func (p *Pipeline) ProcessBatch(ins []core.PacketIn, out []core.Decision) (Batch
 	// the packets themselves, and it makes one run differ from the next.
 	last := -1
 	for si, s := range p.shards {
-		if len(s.routed) > 0 {
+		if p.active(s, ins) {
 			last = si
 		}
 	}
 	req := batchReq{model: p.model.Load(), ins: ins, out: out}
 	for si := 0; si < last; si++ {
-		if len(p.shards[si].routed) > 0 {
+		if p.active(p.shards[si], ins) {
 			p.wg.Add(1)
 			p.reqs[si] <- req
 		}
@@ -291,7 +295,7 @@ func (p *Pipeline) ProcessBatch(ins []core.PacketIn, out []core.Decision) (Batch
 	bs := BatchStats{Packets: len(ins)}
 	var firstErr error
 	for _, s := range p.shards {
-		if len(s.routed) == 0 {
+		if !p.active(s, ins) {
 			continue
 		}
 		if s.err != nil && firstErr == nil {
@@ -307,16 +311,31 @@ func (p *Pipeline) ProcessBatch(ins []core.PacketIn, out []core.Decision) (Batch
 	return bs, firstErr
 }
 
+// active reports whether shard s has packets of the batch ins to serve: its
+// partition across shards, the whole batch on a 1-shard pipeline.
+func (p *Pipeline) active(s *shard, ins []core.PacketIn) bool {
+	if len(p.shards) == 1 {
+		return len(ins) > 0
+	}
+	return len(s.routed) > 0
+}
+
 // Process runs a single packet through its owning shard — the one-packet
-// convenience wrapper around the batch plane.
+// convenience wrapper around the batch plane. As in ProcessBatch, only a
+// pipeline of several shards hashes the frame up front, to route it, and its
+// device reuses the key; one shard's device hashes only a register-bound
+// packet.
 func (p *Pipeline) Process(in core.PacketIn) (core.Decision, error) {
 	if p.closed.Load() {
 		return core.Decision{}, fmt.Errorf("%w: pipeline is closed", core.ErrBadConfig)
 	}
-	key := core.ShardHash(in.Data)
-	s := p.shardOf(key)
+	s, routed := p.shards[0], []core.Routed(nil)
+	if len(p.shards) > 1 {
+		key := core.ShardHash(in.Data)
+		s, routed = p.shardOf(key), []core.Routed{{Key: key}}
+	}
 	s.mu.Lock()
-	dec, err := s.dev.ProcessKeyed(p.model.Load(), s.index, in, key)
+	dec, err := s.dev.ProcessKeyed(p.model.Load(), s.index, in, routed)
 	s.mu.Unlock()
 	return dec, err
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"sync"
@@ -91,29 +92,47 @@ func makeBatch(t *testing.T, n, nflows int) ([]core.PacketIn, []core.Decision) {
 	return ins, out
 }
 
-// mixedTraffic rewrites a feature-carrying TCP batch so it takes every exit
-// of the packet path: of each six packets one loses its features (served
-// from the registers once its flow is warm), one becomes a TCP flow no
-// packet ever fed, one a non-IP frame and one a truncated frame.
-func mixedTraffic(t *testing.T, n, nflows int) ([]core.PacketIn, []core.Decision) {
+// The packet classes mixedTraffic deals, one for each exit of the packet path.
+const (
+	clsFeatures  = iota // TCP carrying its flow's features: ML
+	clsRegisters        // TCP without features: ML once its flow is warm, a bypass before
+	clsUnseen           // TCP of a flow no packet ever fed: the registers are empty, a bypass
+	clsBypass           // UDP or ICMP: the preprocessing MAT bypasses it
+	clsNonIP            // ARP: bypassed without an IP header
+	clsTruncated        // a parse error, counted as a Drop
+	numClasses
+)
+
+// mixedTraffic rewrites a feature-carrying TCP batch so that packet i is of
+// class class(i), and returns the classes it dealt.
+func mixedTraffic(t *testing.T, n, nflows int, class func(i int) int) ([]core.PacketIn, []core.Decision, []int) {
 	t.Helper()
 	ins, out := makeBatch(t, n, nflows)
 	arp := make([]byte, 14)
 	arp[12], arp[13] = 0x08, 0x06
+	classes := make([]int, n)
 	for i := range ins {
-		switch i % 6 {
-		case 2:
+		classes[i] = class(i)
+		switch classes[i] {
+		case clsRegisters:
 			ins[i].Features = nil
-		case 3:
+		case clsUnseen:
 			ins[i] = core.PacketIn{Data: pisa.BuildTCPPacket(0x0b000000+uint32(i), 0x0a800001, 7, 443, 0x10, 64)}
-		case 4:
+		case clsBypass:
+			frame := pisa.BuildTCPPacket(0x0c000000+uint32(i), 0x0a800001, 5353, 53, 0, 16)
+			frame[23] = []byte{17, 1}[i%2] // UDP or ICMP
+			ins[i] = core.PacketIn{Data: frame}
+		case clsNonIP:
 			ins[i] = core.PacketIn{Data: arp}
-		case 5:
-			ins[i] = core.PacketIn{Data: ins[i].Data[:[]int{2, 14, 30, 34, 50}[i/6%5]]}
+		case clsTruncated:
+			ins[i] = core.PacketIn{Data: ins[i].Data[:[]int{2, 14, 30, 34, 50}[i%5]]}
 		}
 	}
-	return ins, out
+	return ins, out, classes
 }
+
+// roundRobin deals every class in turn, so any six packets take every exit.
+func roundRobin(i int) int { return i % numClasses }
 
 // checkConservation asserts the counter laws every batch boundary satisfies.
 func checkConservation(t *testing.T, who string, st core.Stats) {
@@ -129,14 +148,28 @@ func checkConservation(t *testing.T, who string, st core.Stats) {
 }
 
 // TestEntryPointsAgree: Device.Process, Device.ProcessBatch, Pipeline.Process
-// and an N-shard Pipeline.ProcessBatch are four views of one packet loop —
-// on traffic that takes every exit they give identical decisions and
-// identical counter totals, the conservation laws hold after each, and they
-// address one register file: a flow lands in the same slot whichever of them
-// carried it.
+// and Pipeline.ProcessBatch are four views of one packet loop — on traffic
+// that takes every exit they give identical decisions and identical counter
+// totals, the conservation laws hold after each, and they address one register
+// file: a flow lands in the same slot whichever of them carried it. The
+// pipeline's views run at one shard, where the whole batch goes to the device
+// unrouted and it hashes what it needs, and at three, where the dispatcher
+// hashes every frame to route it and the device reuses that key. Each run deals
+// a seeded random class mix.
 func TestEntryPointsAgree(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, seed), func(t *testing.T) {
+				entryPointsAgree(t, shards, seed)
+			})
+		}
+	}
+}
+
+func entryPointsAgree(t *testing.T, shards int, seed int64) {
 	q, g, _, _ := trainModel(t)
-	ins, want := mixedTraffic(t, 384, 48)
+	rng := rand.New(rand.NewSource(seed))
+	ins, want, classes := mixedTraffic(t, 384, 48, func(int) int { return rng.Intn(numClasses) })
 	newDevice := func() *core.Device {
 		dev, err := core.NewDevice(core.DefaultConfig(6))
 		if err != nil {
@@ -177,7 +210,7 @@ func TestEntryPointsAgree(t *testing.T) {
 		got := make([]core.Decision, len(ins))
 		for i, in := range ins {
 			dec, err := process(in)
-			if truncated := i%6 == 5; truncated != errors.Is(err, pisa.ErrShortPacket) {
+			if truncated := classes[i] == clsTruncated; truncated != errors.Is(err, pisa.ErrShortPacket) {
 				t.Fatalf("%s: packet %d (truncated=%v) returned %v", who, i, truncated, err)
 			}
 			got[i] = dec
@@ -189,21 +222,22 @@ func TestEntryPointsAgree(t *testing.T) {
 	compare("Device.Process", single("Device.Process", oneDev.Process), oneDev.Stats())
 
 	got := make([]core.Decision, len(ins))
-	batchPipe := newLoadedPipeline(t, 3)
+	batchPipe := newLoadedPipeline(t, shards)
 	if _, err := batchPipe.ProcessBatch(ins, got); err != nil {
 		t.Fatal(err)
 	}
 	compare("Pipeline.ProcessBatch", got, batchPipe.Stats())
 
-	onePipe := newLoadedPipeline(t, 3)
+	onePipe := newLoadedPipeline(t, shards)
 	compare("Pipeline.Process", single("Pipeline.Process", onePipe.Process), onePipe.Stats())
 
-	// The flow hash is computed in two places — the dispatcher, which hands
-	// it to the shard with the packet, and a device driven directly, which
-	// hashes the frame itself — and both must land a flow in the same
-	// register slot: features written through one entry point are what the
-	// other reads. Were the two to disagree, the read below would find an
-	// empty slot (a bypass) or another flow's features (another score).
+	// The flow hash is computed in two places — the dispatcher of a pipeline
+	// of several shards, which hands it to the shard with the packet, and a
+	// device given no key, which hashes the frame itself — and both must land
+	// a flow in the same register slot: features written through one entry
+	// point are what the other reads. Were the two to disagree, the read below
+	// would find an empty slot (a bypass) or another flow's features (another
+	// score).
 	var flows []int // the feature-carrying packets, one per register write
 	for i := range ins {
 		if ins[i].Features != nil {
@@ -222,14 +256,14 @@ func TestEntryPointsAgree(t *testing.T) {
 		}
 		return dec[0]
 	}
-	// Written with the carried key (batchPipe above), read with the device's own hash.
+	// Written through Pipeline.ProcessBatch (batchPipe above), read with the device's own hash.
 	for _, i := range flows {
 		if dec := bare(batchPipe, core.PacketIn{Data: ins[i].Data}); dec != want[i] {
 			t.Fatalf("flow of packet %d: written through Pipeline.ProcessBatch, the shard's device reads %+v, want %+v", i, dec, want[i])
 		}
 	}
-	// Written with the device's own hash, read with the carried key.
-	revPipe := newLoadedPipeline(t, 3)
+	// Written with the device's own hash, read through Pipeline.ProcessBatch.
+	revPipe := newLoadedPipeline(t, shards)
 	reads := make([]core.PacketIn, len(flows))
 	for k, i := range flows {
 		bare(revPipe, ins[i])
@@ -246,16 +280,18 @@ func TestEntryPointsAgree(t *testing.T) {
 }
 
 // TestPipelineProcessZeroAlloc: the single-packet plane shares the batch
-// plane's allocation-free loop, on the parse-error exit too.
+// plane's allocation-free loop, on the parse-error exit too, whether or not the
+// pipeline hashes the frame to route it.
 func TestPipelineProcessZeroAlloc(t *testing.T) {
-	p := newLoadedPipeline(t, 3)
-	ins, _ := mixedTraffic(t, 12, 4)
-	for _, in := range ins {
-		in := in
-		_, _ = p.Process(in) // warm up
-		if allocs := testing.AllocsPerRun(100, func() { _, _ = p.Process(in) }); allocs != 0 {
-			t.Errorf("Process(%d-byte frame, %d features) allocates %.2f times, want 0",
-				len(in.Data), len(in.Features), allocs)
+	for _, shards := range []int{1, 3} {
+		p := newLoadedPipeline(t, shards)
+		ins, _, _ := mixedTraffic(t, 12, 4, roundRobin)
+		for _, in := range ins {
+			_, _ = p.Process(in) // warm up
+			if allocs := testing.AllocsPerRun(100, func() { _, _ = p.Process(in) }); allocs != 0 {
+				t.Errorf("%d shards: Process(%d-byte frame, %d features) allocates %.2f times, want 0",
+					shards, len(in.Data), len(in.Features), allocs)
+			}
 		}
 	}
 }
@@ -586,7 +622,7 @@ func TestLoadModelRefusedMidway(t *testing.T) {
 	}
 
 	p := newLoadedPipeline(t, 3)
-	ins, out := mixedTraffic(t, 96, 12)
+	ins, out, _ := mixedTraffic(t, 96, 12, roundRobin)
 	if _, err := p.ProcessBatch(ins, out); err != nil {
 		t.Fatal(err)
 	}
@@ -822,22 +858,25 @@ func TestPipelineConcurrentTraffic(t *testing.T) {
 }
 
 // TestPipelineBatchZeroAlloc asserts the steady-state batch path allocates
-// nothing (the acceptance bar for the traffic plane's hot path).
+// nothing (the acceptance bar for the traffic plane's hot path), partitioned
+// across shards or handed whole to one.
 func TestPipelineBatchZeroAlloc(t *testing.T) {
-	p := newLoadedPipeline(t, 4)
 	ins, out := makeBatch(t, 512, 64)
-	for i := 0; i < 3; i++ { // warm up: registers touched, buffers sized
-		if _, err := p.ProcessBatch(ins, out); err != nil {
-			t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		p := newLoadedPipeline(t, shards)
+		for i := 0; i < 3; i++ { // warm up: registers touched, buffers sized
+			if _, err := p.ProcessBatch(ins, out); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := p.ProcessBatch(ins, out); err != nil {
-			t.Fatal(err)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := p.ProcessBatch(ins, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%d shards: steady-state ProcessBatch allocates %.2f times per batch, want 0", shards, allocs)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state ProcessBatch allocates %.2f times per batch, want 0", allocs)
 	}
 }
 
