@@ -89,7 +89,7 @@ func (n *DNN) Clone() *DNN {
 // Forward runs float inference, returning the output activations.
 func (n *DNN) Forward(x tensor.Vec) tensor.Vec {
 	act := n.layerVecs()
-	return n.forwardInto(x, act, act)
+	return n.forwardInto(x, act, act, nil, nil)
 }
 
 // layerVecs returns one zero vector per layer, as wide as the layer's
@@ -107,6 +107,22 @@ func (n *DNN) layerVecs() []tensor.Vec {
 	return vecs
 }
 
+// activeLists returns one buffer per layer for the indices of its active
+// units — the ReLU outputs that are not 0 — where the next layer's walks go
+// by them: every ReLU layer that has a layer after it. Other layers get nil.
+// The choice follows the layer activations, which stay as they are for the
+// lists' lifetime. No width threshold pays for itself: listing even the
+// 3-wide layer of 6-12-6-3-1 made its Fit faster.
+func (n *DNN) activeLists() [][]int {
+	lists := make([][]int, len(n.Layers))
+	for i, l := range n.Layers[:len(n.Layers)-1] {
+		if l.Act == ReLU {
+			lists[i] = make([]int, 0, l.Out())
+		}
+	}
+	return lists
+}
+
 // forwardInto is the one float forward pass — inference, the trainer's
 // trace and quantisation's range calibration all run it. Layer i's
 // pre-activations W·in + b go to pre[i] and its activations to post[i], each
@@ -119,44 +135,114 @@ func (n *DNN) layerVecs() []tensor.Vec {
 // a pass of its own, z[r] += b[r] as tensor.AddInPlace adds it, which keeps
 // the four-row loop within the registers it has.
 //
+// Where active[i] is a buffer (activeLists), layer i's ReLU pass also lists
+// its active units in increasing order and leaves active[i] holding them.
+// The next layer's rows then sum over the listed inputs only if its weights
+// are all finite (finiteW[i+1]): every input dropped is exactly 0, so every
+// term dropped is finite·0 = ±0, and adding ±0 to a sum that starts at +0
+// changes no bit (see backprop). With a NaN or ±Inf weight, 0·it is NaN, so
+// the layer keeps the dense sum. Forward passes no lists and no flags.
+//
 // hotpath: zero-alloc
-func (n *DNN) forwardInto(x tensor.Vec, pre, post []tensor.Vec) tensor.Vec {
+func (n *DNN) forwardInto(x tensor.Vec, pre, post []tensor.Vec, active [][]int, finiteW []bool) tensor.Vec {
 	cur := x
+	var on []int // cur's active units, when the layer that wrote cur listed them
 	for i, l := range n.Layers {
 		if len(cur) != l.W.Cols {
 			panic("ml: DNN layer input width mismatch")
 		}
 		z := pre[i]
 		k := len(cur)
-		rows := l.W.Data // rows[:k] is the next row of W
-		r := 0
-		for ; r+4 <= len(z); r += 4 {
-			w0, w1, w2, w3 := rows[:k], rows[k:][:k], rows[2*k:][:k], rows[3*k:][:k]
-			var s0, s1, s2, s3 float32
-			for c, v := range cur {
-				s0 += w0[c] * v
-				s1 += w1[c] * v
-				s2 += w2[c] * v
-				s3 += w3[c] * v
+		if on != nil && finiteW[i] {
+			sumListed(z, l.W.Data, cur, on)
+		} else {
+			rows := l.W.Data // rows[:k] is the next row of W
+			r := 0
+			for ; r+4 <= len(z); r += 4 {
+				w0, w1, w2, w3 := rows[:k], rows[k:][:k], rows[2*k:][:k], rows[3*k:][:k]
+				var s0, s1, s2, s3 float32
+				for c, v := range cur {
+					s0 += w0[c] * v
+					s1 += w1[c] * v
+					s2 += w2[c] * v
+					s3 += w3[c] * v
+				}
+				z[r], z[r+1], z[r+2], z[r+3] = s0, s1, s2, s3
+				rows = rows[4*k:]
 			}
-			z[r], z[r+1], z[r+2], z[r+3] = s0, s1, s2, s3
-			rows = rows[4*k:]
-		}
-		for ; r < len(z); r++ {
-			var s float32
-			for c, w := range rows[:k] {
-				s += w * cur[c]
+			for ; r < len(z); r++ {
+				var s float32
+				for c, w := range rows[:k] {
+					s += w * cur[c]
+				}
+				z[r] = s
+				rows = rows[k:]
 			}
-			z[r] = s
-			rows = rows[k:]
 		}
 		for r, b := range l.B[:len(z)] {
 			z[r] += b
 		}
-		l.Act.applyTo(post[i], z)
+		if active != nil && active[i] != nil {
+			on = reluListing(post[i], z, active[i][:cap(active[i])])
+			active[i] = on
+		} else {
+			l.Act.applyTo(post[i], z)
+			on = nil
+		}
 		cur = post[i]
 	}
 	return cur
+}
+
+// sumListed is forwardInto's row sums over the listed inputs only: z[r] sums
+// w[r][c]·in[c] for c in on, in on's (increasing) order, four rows to a pass.
+//
+// hotpath: zero-alloc
+func sumListed(z, w, in tensor.Vec, on []int) {
+	k := len(in)
+	r := 0
+	for ; r+4 <= len(z); r += 4 {
+		w0, w1, w2, w3 := w[:k], w[k:][:k], w[2*k:][:k], w[3*k:][:k]
+		var s0, s1, s2, s3 float32
+		for _, c := range on {
+			v := in[c]
+			s0 += w0[c] * v
+			s1 += w1[c] * v
+			s2 += w2[c] * v
+			s3 += w3[c] * v
+		}
+		z[r], z[r+1], z[r+2], z[r+3] = s0, s1, s2, s3
+		w = w[4*k:]
+	}
+	for ; r < len(z); r++ {
+		row := w[:k]
+		var s float32
+		for _, c := range on {
+			s += row[c] * in[c]
+		}
+		z[r] = s
+		w = w[k:]
+	}
+}
+
+// reluListing is applyTo's ReLU pass that also writes the index of every
+// output that is not 0 — every x > 0 — to on, in increasing order, and
+// returns that prefix of on.
+//
+// hotpath: zero-alloc
+func reluListing(dst, xs []float32, on []int) []int {
+	dst, on = dst[:len(xs)], on[:len(xs)]
+	n := 0
+	for i, x := range xs {
+		if x > 0 {
+			dst[i] = x
+			on[n] = i
+			n++
+		} else {
+			dst[i] = 0
+		}
+	}
+	return on[:n]
 }
 
 // PredictClass returns the argmax output index for multi-class networks, or
@@ -190,6 +276,13 @@ type SGDConfig struct {
 // whose own |scale*grad| is that small; the floor spares dead units their
 // subnormal arithmetic.
 //
+// Nothing else differs by a bit: the trainer skips only work whose result is
+// known exactly — the rows of a delta that is ±0 and, behind a ReLU layer,
+// the columns of an output that is 0 — and each skip sits behind the
+// finiteness guard that makes it exact (backprop). The layers whose units
+// are listed are chosen in NewTrainer from the layer activations, which a
+// Trainer's life does not change.
+//
 // Every buffer a sample or a minibatch needs is sized from the layer shapes
 // in NewTrainer and reused, so a warm epoch allocates nothing; a Trainer is
 // therefore not safe for concurrent use.
@@ -202,17 +295,21 @@ type Trainer struct {
 	velB []tensor.Vec
 
 	// The workspace. pre, post and delta hold one sample's forward trace and
-	// back-propagated dLoss/dPre per layer; gradW and gradB accumulate one
+	// back-propagated dLoss/dPre per layer; active[i] lists layer i's
+	// non-zero outputs for the walks that go by them (nil where layer i is
+	// not listed, see DNN.activeLists); gradW and gradB accumulate one
 	// minibatch; probs is the softmax of the output layer; perm is the
 	// epoch's visiting order; finiteW[i] says whether layer i's weights were
-	// all finite when the minibatch began; live lists the rows a layer's
-	// Wᵀ·delta walks.
+	// all finite when the minibatch began, and maxW[i] is then their largest
+	// magnitude; live lists the rows a layer's Wᵀ·delta walks.
 	pre, post, delta []tensor.Vec
+	active           [][]int
 	gradW            []tensor.Mat
 	gradB            []tensor.Vec
 	probs            tensor.Vec
 	perm, live       []int
 	finiteW          []bool
+	maxW             []float32
 }
 
 // NewTrainer wires a trainer to net.
@@ -221,7 +318,9 @@ func NewTrainer(net *DNN, cfg SGDConfig, rng *rand.Rand) *Trainer {
 		Net: net, Cfg: cfg, rng: rng,
 		velB: net.layerVecs(), gradB: net.layerVecs(),
 		pre: net.layerVecs(), post: net.layerVecs(), delta: net.layerVecs(),
+		active:  net.activeLists(),
 		finiteW: make([]bool, len(net.Layers)),
+		maxW:    make([]float32, len(net.Layers)),
 	}
 	widest := 0
 	for _, l := range net.Layers {
@@ -295,7 +394,8 @@ func (t *Trainer) step(X []tensor.Vec, y []int, batch []int) float64 {
 	for i, l := range t.Net.Layers {
 		clear(t.gradW[i].Data)
 		clear(t.gradB[i])
-		t.finiteW[i] = allFinite(l.W.Data)
+		m := maxMagnitudeBits(l.W.Data)
+		t.finiteW[i], t.maxW[i] = m < 0x7f800000, math.Float32frombits(m)
 	}
 
 	var loss float64
@@ -346,7 +446,7 @@ func momentumUpdate(w, vel, grad []float32, mom, scale float32) {
 // hotpath: zero-alloc
 func (t *Trainer) backprop(x tensor.Vec, label int) float64 {
 	net := t.Net
-	out := net.forwardInto(x, t.pre, t.post)
+	out := net.forwardInto(x, t.pre, t.post, t.active, t.finiteW)
 	L := len(net.Layers)
 	outLayer := net.Layers[L-1]
 
@@ -387,17 +487,32 @@ func (t *Trainer) backprop(x tensor.Vec, label int) float64 {
 		panic("ml: unsupported output configuration")
 	}
 
-	// Walk layers backwards. A row whose delta is ±0 (every dead ReLU unit's)
-	// is skipped in both walks: its products are ±0 when the other factor is
-	// finite, and adding ±0 changes no sum here — each starts at +0, and
-	// under round-to-nearest a sum that starts at +0 can never become −0.
-	// Where an input or a weight is NaN or ±Inf, 0·it is NaN, so that walk
-	// stays dense.
+	// Walk layers backwards, skipping what only ever adds ±0. Every sum here
+	// starts at +0, under round-to-nearest a sum that starts at +0 can never
+	// become −0, and adding ±0 to anything else returns it unchanged; a
+	// product is ±0 when one factor is ±0 and the other finite, but 0·NaN and
+	// 0·Inf are NaN, so each skip waits on the finiteness of the other factor:
+	//   - a row whose delta is ±0 (every dead ReLU unit's) adds nothing to
+	//     gradW if the layer's input is all finite, and nothing to Wᵀ·delta
+	//     if the layer's weights are (finiteW);
+	//   - an input that is 0 behind a listed ReLU layer adds nothing to a
+	//     row of gradW whose delta is finite, so that row walks the listed
+	//     inputs only;
+	//   - a unit of the listed layer below whose output is 0 has ReLU
+	//     derivative 0, so its next delta is (Wᵀ·delta)[c]·0 = ±0 as long as
+	//     that sum is finite. With finite weights and max|w|·Σ|delta| ≤
+	//     MaxFloat32/2 no partial sum can overflow, so Wᵀ·delta is summed for
+	//     the listed units only (whose derivative is 1) and the others are
+	//     set to +0. That can turn a −0 delta into +0, which nothing reads:
+	//     every walk treats ±0 deltas alike, and gradB adds them to sums that
+	//     are never −0.
+	// Elsewhere the dense walk runs.
 	for li := L - 1; li >= 0; li-- {
 		layer := net.Layers[li]
 		input := x
+		var on []int // input's non-zero lanes, when layer li-1 listed them
 		if li > 0 {
-			input = t.post[li-1]
+			input, on = t.post[li-1], t.active[li-1]
 		}
 		delta := t.delta[li]
 		gradB := t.gradB[li]
@@ -405,8 +520,14 @@ func (t *Trainer) backprop(x tensor.Vec, label int) float64 {
 		rows := t.gradW[li].Data // rows[:len(input)] is the next row of gradW
 		for r, d := range delta {
 			gradB[r] += d
-			if d != 0 || !sparse {
-				row := rows[:len(input)]
+			row := rows[:len(input)]
+			switch {
+			case d == 0 && sparse:
+			case on != nil && isFinite(d):
+				for _, c := range on {
+					row[c] += d * input[c]
+				}
+			default:
 				for c, in := range input {
 					row[c] += d * in
 				}
@@ -420,14 +541,21 @@ func (t *Trainer) backprop(x tensor.Vec, label int) float64 {
 			// every product loading and storing next[c].
 			live := t.live[:len(delta)]
 			n := 0
+			var mass float32 // Σ|delta|
 			for r, d := range delta {
 				if d != 0 || !t.finiteW[li] {
 					live[n] = r
 					n++
 				}
+				mass += math.Float32frombits(math.Float32bits(d) &^ (1 << 31))
 			}
 			live = live[:n]
 			next, W := t.delta[li-1], layer.W.Data
+			if on != nil && t.maxW[li]*mass <= math.MaxFloat32/2 {
+				clear(next)
+				sumColumns(next, W, delta, live, on)
+				continue
+			}
 			cols := len(next)
 			c := 0
 			for ; c+4 <= cols; c += 4 {
@@ -454,16 +582,62 @@ func (t *Trainer) backprop(x tensor.Vec, label int) float64 {
 	return loss
 }
 
+// sumColumns is backprop's Wᵀ·delta for the listed columns only, four to a
+// pass over the live rows: next[c] for c in on sums W[r][c]·delta[r] over r
+// in live, in live's order.
+//
+// hotpath: zero-alloc
+func sumColumns(next, W, delta tensor.Vec, live, on []int) {
+	cols := len(next)
+	j := 0
+	for ; j+4 <= len(on); j += 4 {
+		c0, c1, c2, c3 := on[j], on[j+1], on[j+2], on[j+3]
+		var s0, s1, s2, s3 float32
+		for _, r := range live {
+			w, d := W[r*cols:][:cols], delta[r]
+			s0 += w[c0] * d
+			s1 += w[c1] * d
+			s2 += w[c2] * d
+			s3 += w[c3] * d
+		}
+		next[c0], next[c1], next[c2], next[c3] = s0, s1, s2, s3
+	}
+	for ; j < len(on); j++ {
+		c := on[j]
+		var s float32
+		for _, r := range live {
+			s += W[r*cols+c] * delta[r]
+		}
+		next[c] = s
+	}
+}
+
+// isFinite reports whether x is neither NaN nor ±Inf.
+func isFinite(x float32) bool { return math.Float32bits(x)&0x7f800000 != 0x7f800000 }
+
 // allFinite reports whether no lane of v is NaN or ±Inf.
 //
 // hotpath: zero-alloc
 func allFinite(v []float32) bool {
 	for _, x := range v {
-		if math.Float32bits(x)&0x7f800000 == 0x7f800000 {
+		if !isFinite(x) {
 			return false
 		}
 	}
 	return true
+}
+
+// maxMagnitudeBits returns the largest of v's bit patterns with the sign
+// cleared: at least 0x7f800000 if v holds a NaN or ±Inf, and otherwise the
+// bits of max|v| — one pass gives both the finiteness flag and the bound.
+//
+// hotpath: zero-alloc
+func maxMagnitudeBits(v []float32) uint32 {
+	var m uint32
+	for _, x := range v {
+		m = max(m, math.Float32bits(x)&^(1<<31))
+	}
+	return m
 }
 
 func clampProb(p float32) float32 {

@@ -463,14 +463,16 @@ const fitSamples, fitEpochs = 32, 3
 // Bytes out of range wrap, and each field's in-range values map to
 // themselves:
 //   - dims: layer widths, input first — 1–16 inputs, 1–3 hidden layers of
-//     1–40 units, 1–3 outputs (padded with 1s to three widths);
+//     1–64 units, 1–3 outputs (padded with 1s to three widths);
 //   - hidden, out: activations; a single output is Sigmoid unless out is
 //     Linear, the two single-output losses backprop has;
 //   - batch: 1–40; lr: its magnitude, at most 1e30;
 //   - kill: every hidden bias starts at -3, so most ReLUs never fire;
 //   - seed: weights, labels, ordinary features and both shuffles;
 //   - feats[i]: the value class of feature i of the fitSamples samples
-//     laid end to end; ordinary past its end.
+//     laid end to end; ordinary past its end;
+//   - wexp[i]: layer i's initial weights are scaled by 2^int8(wexp[i]);
+//     unscaled past its end.
 type fitArgs struct {
 	dims        []byte
 	hidden, out uint8
@@ -479,6 +481,7 @@ type fitArgs struct {
 	kill        bool
 	seed        int64
 	feats       []byte
+	wexp        []byte
 }
 
 // sameFloats is sameBits with one allowance: a NaN matches any NaN. Which
@@ -515,7 +518,7 @@ func (a fitArgs) check(t *testing.T) {
 	sizes := make([]int, len(dims))
 	sizes[0] = 1 + (int(dims[0])+15)%16
 	for i := 1; i < last; i++ {
-		sizes[i] = 1 + (int(dims[i])+39)%40
+		sizes[i] = 1 + (int(dims[i])+63)%64
 	}
 	sizes[last] = 1 + (int(dims[last])+2)%3
 
@@ -537,6 +540,12 @@ func (a fitArgs) check(t *testing.T) {
 			for j := range l.B {
 				l.B[j] = -3
 			}
+		}
+	}
+	for i, e := range a.wexp[:min(len(a.wexp), len(net.Layers))] {
+		scale := float32(math.Ldexp(1, int(int8(e))))
+		for j := range net.Layers[i].W.Data {
+			net.Layers[i].W.Data[j] *= scale
 		}
 	}
 	X, y := make([]tensor.Vec, fitSamples), make([]int, fitSamples)
@@ -575,11 +584,13 @@ func (a fitArgs) check(t *testing.T) {
 	}
 }
 
-// hostileFits are inputs on which skipping a zero-delta row is exact only
-// behind the finiteness guard: where an input or a weight is NaN or ±Inf,
-// 0 times it is NaN, so the oracle's weights go NaN where a bare skip's stay
-// finite. Each fails a trainer that skips without the guard; all but
-// nan-feature fail one that drops either half of it. They seed
+// hostileFits are inputs on which skipping work is exact only behind a
+// finiteness guard: where an input or a weight is NaN or ±Inf, 0 times it is
+// NaN, so the oracle's weights go NaN where a bare skip's stay finite. The
+// first five run on 6-12-6-3-1 and again, as wide/…, on 8-64-32-1, whose
+// 64-wide layer is three quarters zeros on ordinary inputs; wide/huge-weights
+// is the one case of finite weights whose Wᵀ·delta overflows. Each guard in
+// backprop and forwardInto fails some case when it is removed. They seed
 // FuzzFitOracle.
 var hostileFits = []struct {
 	name string
@@ -597,6 +608,15 @@ var hostileFits = []struct {
 	// Nearly every hidden delta is ±0, so nearly every row is skipped; one
 	// Inf feature makes some of those skips need the guard.
 	{"almost-all-dead", fitArgs{dims: []byte{6, 12, 6, 3, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 0.05, kill: true, seed: 1, feats: featAt(20, featInf)}},
+	{"wide/nan-feature", fitArgs{dims: []byte{8, 64, 32, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 0.05, seed: 41, feats: featAt(20, featNaN)}},
+	{"wide/inf-feature", fitArgs{dims: []byte{8, 64, 32, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 0.05, seed: 1, feats: featAt(20, featInf)}},
+	{"wide/huge-feature", fitArgs{dims: []byte{8, 64, 32, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 0.05, seed: 7, feats: featAt(20, featHuge)}},
+	{"wide/divergent-lr", fitArgs{dims: []byte{8, 64, 32, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 1e30, seed: 2}},
+	{"wide/almost-all-dead", fitArgs{dims: []byte{8, 64, 32, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 0.05, kill: true, seed: 1, feats: featAt(20, featInf)}},
+	// Finite weights up to 4.3e37 in layer 1 behind subnormal ones in layer
+	// 0: the forward pass stays finite, but Wᵀ·delta overflows, so a dead
+	// unit's delta is Inf·0 = NaN.
+	{"wide/huge-weights", fitArgs{dims: []byte{8, 64, 32, 1}, hidden: uint8(ReLU), out: uint8(Sigmoid), batch: 8, lr: 0.05, seed: 1, wexp: []byte{0x80, 127, 4}}},
 }
 
 func TestTrainerMatchesOracleOnHostileInputs(t *testing.T) {
@@ -611,10 +631,10 @@ func TestTrainerMatchesOracleOnHostileInputs(t *testing.T) {
 func FuzzFitOracle(f *testing.F) {
 	for _, c := range hostileFits {
 		a := c.args
-		f.Add(a.dims, a.hidden, a.out, a.batch, a.lr, a.kill, a.seed, a.feats)
+		f.Add(a.dims, a.hidden, a.out, a.batch, a.lr, a.kill, a.seed, a.feats, a.wexp)
 	}
-	f.Fuzz(func(t *testing.T, dims []byte, hidden, out, batch uint8, lr float32, kill bool, seed int64, feats []byte) {
-		fitArgs{dims, hidden, out, batch, lr, kill, seed, feats}.check(t)
+	f.Fuzz(func(t *testing.T, dims []byte, hidden, out, batch uint8, lr float32, kill bool, seed int64, feats, wexp []byte) {
+		fitArgs{dims, hidden, out, batch, lr, kill, seed, feats, wexp}.check(t)
 	})
 }
 

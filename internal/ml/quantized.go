@@ -112,14 +112,19 @@ func quantize(n *DNN, calib []tensor.Vec, pinnedInQ *fixed.Quantizer) (*Quantize
 		return nil, fmt.Errorf("ml: quantisation needs a calibration set")
 	}
 	// Observe the dynamic range of every layer boundary over the
-	// calibration set.
+	// calibration set, by the trainer's forward pass: the weights' finiteness
+	// is taken once, and the layers the trainer lists units of are listed.
 	inMax := make([]float32, len(n.Layers)+1) // inMax[i] = absmax input to layer i
-	act := n.layerVecs()
+	act, active := n.layerVecs(), n.activeLists()
+	finiteW := make([]bool, len(n.Layers))
+	for i, l := range n.Layers {
+		finiteW[i] = allFinite(l.W.Data)
+	}
 	for _, x := range calib {
 		if m := tensor.AbsMax(x); m > inMax[0] {
 			inMax[0] = m
 		}
-		n.forwardInto(x, act, act)
+		n.forwardInto(x, act, act, active, finiteW)
 		for i, a := range act {
 			if m := tensor.AbsMax(a); m > inMax[i+1] {
 				inMax[i+1] = m

@@ -2,6 +2,8 @@ package model
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -100,33 +102,90 @@ func TestDNNFitAllocationLedger(t *testing.T) {
 	}
 }
 
-// BenchmarkFit times one warm Fit of a retrain round's size — 512 records,
-// 4 epochs — on the gated benchmark's two shapes, each first trained on
-// 1024 records the way the benchmark's set-up trains it.
+// retrainShapes are the gated benchmark's two DNNs as its set-up trains
+// them: the records of the cold Fit and the epochs of every Fit.
+var retrainShapes = []struct {
+	name            string
+	sizes           []int
+	initial, epochs int
+}{
+	{"anomaly-6-12-6-3-1", []int{6, 12, 6, 3, 1}, 2000, 8},
+	{"wide-8-64-32-1", []int{8, 64, 32, 1}, 1024, 4},
+}
+
+// retrainRound is how many records one retrain round draws.
+const retrainRound = 512
+
+// benchRecords draws records of the gated benchmark's anomaly traffic
+// (anomaly fraction 0.3, separation 0.5) with the given feature width.
+func benchRecords(t testing.TB, seed int64, features, n int) []dataset.Record {
+	t.Helper()
+	gen, err := dataset.NewAnomalyGenerator(dataset.AnomalyConfig{
+		NumFeatures: features, AnomalyFraction: 0.3, Separation: 0.5,
+	}, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gen.Records(n)
+}
+
+// BenchmarkFit times one warm Fit of a retrain round — a fresh draw of 512
+// records, pre-generated — on the gated benchmark's two shapes, each first
+// trained the way the benchmark's set-up trains it.
 func BenchmarkFit(b *testing.B) {
-	for _, bc := range []struct {
-		name  string
-		sizes []int
-	}{
-		{"anomaly-6-12-6-3-1", []int{6, 12, 6, 3, 1}},
-		{"wide-8-64-32-1", []int{8, 64, 32, 1}},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			net := ml.NewDNN(bc.sizes, ml.ReLU, ml.Sigmoid, rand.New(rand.NewSource(3)))
-			d, err := NewDNN(net, DNNConfig{Epochs: 4})
+	for _, sc := range retrainShapes {
+		b.Run(sc.name, func(b *testing.B) {
+			net := ml.NewDNN(sc.sizes, ml.ReLU, ml.Sigmoid, rand.New(rand.NewSource(3)))
+			d, err := NewDNN(net, DNNConfig{Epochs: sc.epochs})
 			if err != nil {
 				b.Fatal(err)
 			}
-			pool := anomalyRecords(b, 10, bc.sizes[0], 1024+512)
-			if err := d.Fit(pool[:1024]); err != nil {
+			pool := benchRecords(b, 10, sc.sizes[0], sc.initial+b.N*retrainRound)
+			if err := d.Fit(pool[:sc.initial]); err != nil {
 				b.Fatal(err)
 			}
-			recs := pool[1024:]
+			draws := pool[sc.initial:]
 			b.ReportAllocs()
-			for b.Loop() {
-				if err := d.Fit(recs); err != nil {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := d.Fit(draws[i*retrainRound : (i+1)*retrainRound]); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// TestRetrainedGraphIsPinned holds "bit-identical training ⇒ byte-identical
+// pushed graph" end to end: on each benchmark shape a seeded cold Fit, two
+// warm Fits of a round each and Lower must encode to the bytes whose sha256
+// is recorded here. A change to the trainer, to the calibration forward pass
+// or to the lowering that moves one bit of a weight or a range moves it.
+func TestRetrainedGraphIsPinned(t *testing.T) {
+	want := map[string]string{
+		"anomaly-6-12-6-3-1": "70f8ad5bbc60543df7cda35be5acf6f3e2f9fb23c9355d52a861db3781b4be95",
+		"wide-8-64-32-1":     "5548208f4781d3dc3abb9dd47e1ff50c69f75a54c933e8947b10eca286510ef9",
+	}
+	for _, sc := range retrainShapes {
+		t.Run(sc.name, func(t *testing.T) {
+			net := ml.NewDNN(sc.sizes, ml.ReLU, ml.Sigmoid, rand.New(rand.NewSource(3)))
+			d, err := NewDNN(net, DNNConfig{Epochs: sc.epochs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pool := benchRecords(t, 10, sc.sizes[0], sc.initial+2*retrainRound)
+			inQ := inputQFor(pool[:sc.initial])
+			for _, recs := range [][]dataset.Record{pool[:sc.initial], pool[sc.initial:][:retrainRound], pool[sc.initial+retrainRound:]} {
+				if err := d.Fit(recs); err != nil {
+					t.Fatal(err)
+				}
+			}
+			g, err := d.Lower(inQ)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(mr.Encode(g))); got != want[sc.name] {
+				t.Errorf("sha256 of the lowered graph = %s, want %s", got, want[sc.name])
 			}
 		})
 	}
