@@ -54,9 +54,10 @@ var verifierFiles = []string{
 	"verify.go", "verify_alias.go", "verify_bounds.go", "verify_equiv.go", "verify_plan.go", "verify_sums.go",
 }
 
-// kernelName matches the code that runs a tape: the per-opcode lane loops,
-// the packed matvec kernels, the saturating narrowing and the sweeps.
-var kernelName = regexp.MustCompile(`Lanes$|^packedDot2|^matVec|^sat32$|^Run$|^RunBatch$`)
+// kernelName matches the code that runs a tape: the per-opcode lane loops
+// and their per-lane rules, the packed matvec kernels, the matvec epilogue
+// and the stores that apply it, the saturating narrowing and the sweeps.
+var kernelName = regexp.MustCompile(`Lanes?$|^packedDot2|^matVec|^finish|^sat32$|^Run$|^RunBatch$`)
 
 // TestVerifierCallsNoKernel: the verifier derives what each instruction
 // computes from its own model of the opcode. One that called a kernel would
@@ -86,7 +87,7 @@ func TestVerifierCallsNoKernel(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"dotLanes", "reluScaleLanes", "packedDot2x2", "matVec", "matVecPair", "sat32", "Run", "RunBatch"} {
+	for _, want := range []string{"dotLanes", "leakyLane", "finishFor", "finishLane", "finishPair", "finishRow", "packedDot2x2", "matVec", "matVecPair", "sat32", "Run", "RunBatch"} {
 		if !kernels[want] {
 			t.Fatalf("no kernel %s among %v: the pattern no longer finds the tape's kernels", want, kernels)
 		}

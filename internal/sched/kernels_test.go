@@ -389,12 +389,12 @@ func sweepDense(t *testing.T, g *mr.Graph, p *sched.Program, slots [][]int32, wa
 // matVecCells are OpMatVec's rows of the matrix: layer shapes from one row
 // of one lane to 64 x 64, with and without biases, and every epilogue — no
 // activation or each unary, then no rescale, a requant, a scale or a
-// multiplier that shifts everything out — at fills of odd and even slot and
-// pair counts (so the 2 x 2 block and both its tails run), on int8 codes and
-// on lanes up to the int32 extremes, against int8 weights, saturating weights
-// pushed between sweeps, and int8 weights pushed back. Every cell is
-// bit-exact and takes the exact path exactly when the guard, worked out
-// independently, says so.
+// multiplier that shifts everything out — at width 7, four of them at 64 x 64
+// too, at fills of odd and even slot and pair counts (so the 2 x 2 block and
+// both its tails run), on int8 codes and on lanes up to the int32 extremes,
+// against int8 weights, saturating weights pushed between sweeps, and int8
+// weights pushed back. Every cell is bit-exact and takes the exact path
+// exactly when the guard, worked out independently, says so.
 func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 	draw := func(lanes func(*rand.Rand, int) []int32, n, width int) [][]int32 {
 		out := make([][]int32, n)
@@ -459,6 +459,17 @@ func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 				layer(rows, 7, rows != 2, q)
 			}
 		}
+	}
+	// A biased 64 x 64 layer under the epilogues the shipped lowerings and
+	// the odd corners carry: the 2 x 2 block's long runs, its odd pair and its
+	// odd slot store finished lanes on the packed path and on the exact one.
+	for _, ep := range []epilogue{
+		{act: sched.OpRelu, quant: sched.OpRequant, mult: mult},
+		{act: sched.OpLeaky, quant: sched.OpScale, mult: mult},
+		{act: sched.OpAbs},
+		{quant: sched.OpRequant, mult: fixed.Multiplier{M0: 1 << 30, Shift: 63}},
+	} {
+		layer(64, 64, true, ep)
 	}
 	if packed == 0 || exact == 0 {
 		t.Errorf("saturating weights drove %d cells down the packed path and %d down the exact one: the matrix must reach both", packed, exact)

@@ -57,7 +57,9 @@ const (
 	// replaces. Lane r is sat32(sat32(sum(sat32(Rows[r][i]*a[i]))) + bias r),
 	// exactly what the W instructions it stands for compute (see matVec),
 	// then through the layer's epilogue when it carries one: the activation
-	// Act and the rescale Quant the concat fed, which it replaces too.
+	// Act and the rescale Quant the concat fed, which it replaces too. The
+	// kernel applies the epilogue to each lane as it stores it, so a lane is
+	// written once, finished.
 	OpMatVec
 )
 
@@ -86,8 +88,10 @@ type Operand struct {
 // len(Rows) is W or 2*W; Sum is where row 0's weight sum sits in the image
 // (row r's at Sum+r, see Image). Its epilogue is Act — OpRelu, OpLeaky, OpNeg,
 // OpAbs or OpNone — then Quant — OpRequant or OpScale by the multiplier at
-// Slot, or OpNone — applied to every lane after the bias. Exported for static
-// inspection and for fault-injection in verifier tests (Program.Code).
+// Slot, or OpNone — applied to every lane after the bias, before the lane is
+// stored (the kernel resolves the pair once per sweep, see finishFor).
+// Exported for static inspection and for fault-injection in verifier tests
+// (Program.Code).
 type Instr struct {
 	Op      Opcode
 	Dst     int
@@ -851,8 +855,9 @@ func (p *Program) RunBatch(n int) {
 func (p *Program) Fallbacks() int { return p.arena.fallbacks }
 
 // matVec evaluates one OpMatVec for batch slots 0..n-1: lane r of slot j is
-// sat32(sat32(sum_i sat32(w_r[i]*x_j[i])) + bias_r), then through the
-// instruction's epilogue.
+// sat32(sat32(sum_i sat32(w_r[i]*x_j[i])) + bias_r) through the instruction's
+// epilogue, which the kernel applies as it stores the lane (finisher): no
+// lane is written unfinished and read back.
 //
 // Two slots share each multiply. The lanes of slots 2q and 2q+1 are packed
 // into one int64, X[i] = x_2q[i] + x_2q+1[i]<<32 (an odd last slot packs
@@ -872,12 +877,17 @@ func (p *Program) Fallbacks() int { return p.arena.fallbacks }
 // hotpath: zero-alloc
 func (p *Arena) matVec(ins *Instr, img *Image, x, out window, n int) {
 	rows, width := ins.W, ins.A.W
+	var f finisher
+	f.finishFor(ins, img)
 	if n == 1 {
 		xs := x.slot(0, width)
 		for r := 0; r < rows; r++ {
-			out.lanes[r] = sat32(int64(sat32(dotLanes(ins.row(img, r), xs))) + ins.bias(img, r))
+			v := sat32(int64(sat32(dotLanes(ins.row(img, r), xs))) + ins.bias(img, r))
+			if f.unary != OpNone {
+				v = finishUnary(f.unary, v)
+			}
+			out.lanes[r] = f.finishLane(v)
 		}
-		ins.epilogue(img, out, 1)
 		return
 	}
 
@@ -917,49 +927,46 @@ func (p *Arena) matVec(ins *Instr, img *Image, x, out window, n int) {
 		q := 0
 		for ; q+1 < pairs; q += 2 {
 			if max(s0, s1)*(p.mag[q]|p.mag[q+1]) > math.MaxInt32 {
-				p.matVecPair(x, out, n, r, q, w0, w1, s0, s1, b0, b1)
-				p.matVecPair(x, out, n, r, q+1, w0, w1, s0, s1, b0, b1)
+				p.matVecPair(&f, x, out, n, r, q, w0, w1, s0, s1, b0, b1)
+				p.matVecPair(&f, x, out, n, r, q+1, w0, w1, s0, s1, b0, b1)
 				continue
 			}
 			a00, a01, a10, a11 := packedDot2x2(p.pack[q*width:(q+2)*width], w0, w1)
-			putPair(out, n, r, q, a00, b0)
-			putPair(out, n, r, q+1, a01, b0)
-			putPair(out, n, r+1, q, a10, b1)
-			putPair(out, n, r+1, q+1, a11, b1)
+			f.finishRow(out, n, r, q, a00, a01, b0)
+			f.finishRow(out, n, r+1, q, a10, a11, b1)
 		}
 		if q < pairs {
-			p.matVecPair(x, out, n, r, q, w0, w1, s0, s1, b0, b1)
+			p.matVecPair(&f, x, out, n, r, q, w0, w1, s0, s1, b0, b1)
 		}
 	}
 	if r < rows {
 		w, s, b := ins.row(img, r), sums[r], ins.bias(img, r)
 		for q := 0; q < pairs; q++ {
-			p.matVecCell(x, out, n, r, q, w, s, b)
+			p.matVecCell(&f, x, out, n, r, q, w, s, b)
 		}
 	}
-	ins.epilogue(img, out, n)
 }
 
 // matVecPair evaluates rows r and r+1 (weights w0 and w1 of equal length,
 // sums s0 and s1, biases b0 and b1) for slot pair q alone.
 //
 // hotpath: zero-alloc
-func (p *Arena) matVecPair(x, out window, n, r, q int, w0, w1 []int32, s0, s1, b0, b1 int64) {
+func (p *Arena) matVecPair(f *finisher, x, out window, n, r, q int, w0, w1 []int32, s0, s1, b0, b1 int64) {
 	if m := p.mag[q]; s0*m > math.MaxInt32 || s1*m > math.MaxInt32 {
-		p.matVecCell(x, out, n, r, q, w0, s0, b0)
-		p.matVecCell(x, out, n, r+1, q, w1, s1, b1)
+		p.matVecCell(f, x, out, n, r, q, w0, s0, b0)
+		p.matVecCell(f, x, out, n, r+1, q, w1, s1, b1)
 		return
 	}
 	acc0, acc1 := packedDot2(p.pack[q*len(w0):(q+1)*len(w0)], w0, w1)
-	putPair(out, n, r, q, acc0, b0)
-	putPair(out, n, r+1, q, acc1, b1)
+	f.finishPair(out, n, r, q, acc0, b0)
+	f.finishPair(out, n, r+1, q, acc1, b1)
 }
 
 // matVecCell evaluates row r (weights w, sum s, bias b) for slot pair q
 // alone: packed when the guard holds, otherwise slot by slot through dotLanes.
 //
 // hotpath: zero-alloc
-func (p *Arena) matVecCell(x, out window, n, r, q int, w []int32, s, b int64) {
+func (p *Arena) matVecCell(f *finisher, x, out window, n, r, q int, w []int32, s, b int64) {
 	width := len(w)
 	if s*p.mag[q] <= math.MaxInt32 {
 		var acc int64
@@ -967,7 +974,7 @@ func (p *Arena) matVecCell(x, out window, n, r, q int, w []int32, s, b int64) {
 		for i, wv := range w {
 			acc += packed[i] * int64(wv)
 		}
-		putPair(out, n, r, q, acc, b)
+		f.finishPair(out, n, r, q, acc, b)
 		return
 	}
 	p.fallbacks++
@@ -975,7 +982,7 @@ func (p *Arena) matVecCell(x, out window, n, r, q int, w []int32, s, b int64) {
 	if 2*q+1 < n {
 		acc += int64(sat32(dotLanes(w, x.slot(2*q+1, width)))) << 32
 	}
-	putPair(out, n, r, q, acc, b)
+	f.finishPair(out, n, r, q, acc, b)
 }
 
 // packedDot2x2 is the packed dot of each of two adjacent slot pairs — x holds
@@ -1013,51 +1020,101 @@ func packedDot2(x []int64, w0, w1 []int32) (acc0, acc1 int64) {
 	return acc0, acc1
 }
 
-// epilogue applies an OpMatVec's activation and rescale, in place, to the W
-// finished lanes of slots 0..n-1: what the OpRelu and OpRequant it replaces
-// would have done to the same int32 lanes, one window over.
-//
-// hotpath: zero-alloc
-func (ins *Instr) epilogue(img *Image, out window, n int) {
-	if ins.Act == OpNone && ins.Quant == OpNone {
-		return
+// finisher is an OpMatVec's epilogue resolved against one image, once per
+// sweep: what the OpRelu (or other unary) and the OpRequant or OpScale the
+// instruction replaces would do to a lane, as one per-lane map. A ReLU is the
+// floor 0 (MinInt32, no floor, otherwise); OpLeaky, OpNeg and OpAbs are the
+// out-of-line rule unary; the rescale is (v*m0 + half) >> sh clamped to
+// [lo, hi] — the identity m0 = 1, sh = 0 without one, and m0 = 0 for a
+// multiplier that shifts everything out (scaleLanes clears those lanes).
+type finisher struct {
+	unary    Opcode
+	floor    int32
+	lo, hi   int32
+	m0, half int64
+	sh       uint
+}
+
+// finishFor resolves ins's epilogue against img into f. It fills f in place:
+// a finisher returned by value was copied through the stack by wide loads of
+// its narrow stores, and that store-forwarding stall made a one-slot sweep of
+// the 6-12-6-3-1 model about 15 % slower.
+func (f *finisher) finishFor(ins *Instr, img *Image) {
+	f.unary, f.floor, f.m0, f.half, f.sh = ins.Act, math.MinInt32, 1, 0, 0
+	if ins.Act == OpRelu {
+		f.unary, f.floor = OpNone, 0
 	}
-	var m fixed.Multiplier
+	f.lo, f.hi = clampOf(ins.Quant)
 	if ins.Quant != OpNone {
-		m = img.mults[ins.Slot]
-	}
-	lo, hi := clampOf(ins.Quant)
-	for j := 0; j < n; j++ {
-		lanes := out.slot(j, ins.W)
-		if ins.Act == OpRelu && ins.Quant != OpNone {
-			// Every hidden layer of the DNN lowering: one pass, not two.
-			reluScaleLanes(lanes, m, lo, hi)
-			continue
-		}
-		switch ins.Act {
-		case OpRelu:
-			reluLanes(lanes, lanes)
-		case OpLeaky:
-			leakyLanes(lanes, lanes)
-		case OpNeg:
-			negLanes(lanes, lanes)
-		case OpAbs:
-			absLanes(lanes, lanes)
-		}
-		if ins.Quant != OpNone {
-			scaleLanes(lanes, lanes, m, lo, hi)
+		if m := img.mults[ins.Slot]; m.Shift >= 63 {
+			f.m0 = 0
+		} else {
+			f.m0, f.half, f.sh = int64(m.M0), int64(1)<<(m.Shift-1), uint(m.Shift)
 		}
 	}
 }
 
-// putPair splits acc = lo + hi<<32 into the dots of slots 2q and 2q+1 and
-// stores each, plus the bias b, in lane r.
-func putPair(out window, n, r, q int, acc, b int64) {
+// finishLane is the floor and the rescale of lane x: branch-free, and small
+// enough to inline into the stores. The shift is masked because sh < 63,
+// which lets the compiler drop its range check.
+func (f *finisher) finishLane(x int32) int32 {
+	return min(max(int32((int64(max(x, f.floor))*f.m0+f.half)>>(f.sh&63)), f.lo), f.hi)
+}
+
+// finishPair splits acc = lo + hi<<32 into the dots of slots 2q and 2q+1,
+// adds the bias b to each, finishes it and stores it in lane r.
+//
+// hotpath: zero-alloc
+func (f *finisher) finishPair(out window, n, r, q int, acc, b int64) {
 	lo := int32(acc)
-	out.lanes[2*q*out.step+r] = sat32(int64(lo) + b)
-	if 2*q+1 < n {
-		out.lanes[(2*q+1)*out.step+r] = sat32((acc-int64(lo))>>32 + b)
+	v0, v1 := sat32(int64(lo)+b), sat32((acc-int64(lo))>>32+b)
+	if f.unary != OpNone {
+		v0, v1 = finishUnary(f.unary, v0), finishUnary(f.unary, v1)
 	}
+	j := 2*q*out.step + r
+	out.lanes[j] = f.finishLane(v0)
+	if 2*q+1 < n {
+		out.lanes[j+out.step] = f.finishLane(v1)
+	}
+}
+
+// finishRow is finishPair of pairs q and q+1 (accumulators a0 and a1) in one
+// call, for one row of a 2 x 2 block: slots 2q..2q+2 are in the sweep, 2q+3
+// may not be.
+//
+// hotpath: zero-alloc
+func (f *finisher) finishRow(out window, n, r, q int, a0, a1, b int64) {
+	lo0, lo1 := int32(a0), int32(a1)
+	v0, v1 := sat32(int64(lo0)+b), sat32((a0-int64(lo0))>>32+b)
+	v2, v3 := sat32(int64(lo1)+b), sat32((a1-int64(lo1))>>32+b)
+	if f.unary != OpNone {
+		v0, v1 = finishUnary(f.unary, v0), finishUnary(f.unary, v1)
+		v2, v3 = finishUnary(f.unary, v2), finishUnary(f.unary, v3)
+	}
+	j := 2*q*out.step + r
+	out.lanes[j] = f.finishLane(v0)
+	out.lanes[j+out.step] = f.finishLane(v1)
+	out.lanes[j+2*out.step] = f.finishLane(v2)
+	if 2*q+3 < n {
+		out.lanes[j+3*out.step] = f.finishLane(v3)
+	}
+}
+
+// finishUnary is the per-lane rule of an epilogue's OpLeaky, OpNeg or OpAbs.
+// It stays out of line: every shipped model's hidden layers are ReLU layers,
+// which never call it.
+//
+//go:noinline
+func finishUnary(op Opcode, v int32) int32 {
+	switch op {
+	case OpLeaky:
+		return leakyLane(v)
+	case OpNeg:
+		return negLane(v)
+	case OpAbs:
+		return absLane(v)
+	}
+	return v
 }
 
 // row returns the weights of an OpMatVec's row r in img.
@@ -1170,30 +1227,40 @@ func reluLanes(out, a []int32) {
 func leakyLanes(out, a []int32) {
 	a = a[:len(out)]
 	for i := range out {
-		if v := a[i]; v < 0 {
-			out[i] = int32((int64(v)*82 + 4096) >> 13)
-		} else {
-			out[i] = v
-		}
+		out[i] = leakyLane(a[i])
 	}
 }
 
 func negLanes(out, a []int32) {
 	a = a[:len(out)]
 	for i := range out {
-		out[i] = sat32(-int64(a[i]))
+		out[i] = negLane(a[i])
 	}
 }
 
 func absLanes(out, a []int32) {
 	a = a[:len(out)]
 	for i := range out {
-		if v := a[i]; v < 0 {
-			out[i] = sat32(-int64(v))
-		} else {
-			out[i] = v
-		}
+		out[i] = absLane(a[i])
 	}
+}
+
+// leakyLane, negLane and absLane are the per-lane rules of OpLeaky, OpNeg and
+// OpAbs, shared by their lane loops and the matvec epilogue (finishUnary).
+func leakyLane(v int32) int32 {
+	if v < 0 {
+		return int32((int64(v)*82 + 4096) >> 13)
+	}
+	return v
+}
+
+func negLane(v int32) int32 { return sat32(-int64(v)) }
+
+func absLane(v int32) int32 {
+	if v < 0 {
+		return sat32(-int64(v))
+	}
+	return v
 }
 
 // argMin and argMax return the index of the first extreme lane.
@@ -1236,18 +1303,6 @@ func scaleLanes(out, a []int32, m fixed.Multiplier, lo, hi int32) {
 	a = a[:len(out)]
 	for i := range out {
 		out[i] = min(max(int32((int64(a[i])*m0+half)>>sh), lo), hi)
-	}
-}
-
-// reluScaleLanes is scaleLanes of reluLanes, in place and in one pass.
-func reluScaleLanes(v []int32, m fixed.Multiplier, lo, hi int32) {
-	if m.Shift >= 63 {
-		clear(v)
-		return
-	}
-	m0, half, sh := int64(m.M0), int64(1)<<(m.Shift-1), uint(m.Shift)
-	for i, x := range v {
-		v[i] = min(max(int32((int64(max(x, 0))*m0+half)>>sh), lo), hi)
 	}
 }
 

@@ -144,8 +144,11 @@ func (c *checker) bounds() {
 					ins.W, len(ins.Rows), ins.W, 2*ins.W)
 				continue
 			}
-			// The epilogue is a switch on two opcodes in the kernel; one it
-			// does not know would pass the lanes through untouched.
+			// The kernel resolves the epilogue from these two opcodes once
+			// per sweep and applies it as it stores each lane: an
+			// activation it does not know would pass the lanes through
+			// untouched, a rescale it does not know would be taken for a
+			// scale.
 			switch ins.Act {
 			case OpNone, OpRelu, OpLeaky, OpNeg, OpAbs:
 			default:
