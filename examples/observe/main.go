@@ -3,7 +3,7 @@
 // while a synchronous Controller watches its decisions; when drift is
 // detected the example retrains in-line and then audits the trace journal
 // for the complete recovery chain — drift.detected, retrain.start,
-// graphcheck.pass, tapecheck.pass, push.done — with monotonic timestamps
+// retrain.fit, graphcheck.pass, push.done — with monotonic timestamps
 // inside the retrain span. It exits non-zero if the chain is broken, which
 // makes it a CI gate as well as a demo.
 //
@@ -154,7 +154,7 @@ func run() error {
 // retrain span.
 func auditTrace() error {
 	events := taurus.Tracer().Events()
-	chain := []string{"drift.detected", "retrain.start", "retrain.fit", "graphcheck.pass", "tapecheck.pass", "push.done"}
+	chain := []string{"drift.detected", "retrain.start", "retrain.fit", "graphcheck.pass", "push.done"}
 	next, span := 0, int64(0)
 	var lastNs int64
 	for _, ev := range events {
@@ -186,7 +186,7 @@ func auditTrace() error {
 		return fmt.Errorf("trace: recovery chain incomplete: missing %q (have %d events)", chain[next], len(events))
 	}
 
-	fmt.Println("trace: drift -> retrain -> graphcheck -> tapecheck -> push chain complete; excerpt:")
+	fmt.Println("trace: drift -> retrain -> graphcheck -> push chain complete; excerpt:")
 	start := len(events) - 8
 	if start < 0 {
 		start = 0

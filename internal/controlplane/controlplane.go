@@ -4,7 +4,9 @@
 // the flagged-packet rate or of the score distribution against a reference
 // window — retrains its model on freshly collected labelled telemetry,
 // requantises the result against the data plane's pinned input domain, and
-// pushes the new weights to every shard out-of-band via UpdateWeights.
+// pushes the new weights to every shard out-of-band via UpdateWeights. The
+// data plane gates each push before it publishes it, so a refused push leaves
+// the previous model serving.
 //
 // The controller is model-agnostic: it drives any model.Deployable — the
 // anomaly DNN, the RBF SVM, the KMeans IoT classifier — through the same
@@ -42,20 +44,10 @@ import (
 	"taurus/internal/obs"
 )
 
-// TapeRechecker is the optional audit surface of a Pusher: after a
-// successful weight push, the control plane re-runs tapecheck's translation
-// validator on the tape the data plane is serving and the weight image the
-// push built for it, and RecheckTape proves the compiled path is still a
-// faithful translation within the datapath's ranges. A failed audit rolls
-// the push back like a refused one. *pipeline.Pipeline and *core.Device both
-// implement it.
-type TapeRechecker interface {
-	RecheckTape() error
-}
-
 // Pusher is the controller's view of the data plane: anything that accepts
-// an out-of-band weight push. *pipeline.Pipeline and *core.Device both
-// satisfy it.
+// an out-of-band weight push. UpdateWeights publishes only what its gate
+// accepted: it returns an error, and keeps serving the previous model, for
+// a graph it refuses. *pipeline.Pipeline and *core.Device both satisfy it.
 type Pusher interface {
 	UpdateWeights(newGraph *mr.Graph) error
 }
@@ -181,7 +173,7 @@ type Config struct {
 	// member is "member-0").
 	ObsLabels []obs.Label
 	// Tracer receives the control-plane trace: drift detections, retrain
-	// spans, graphcheck/tapecheck verdicts, label pooling, push fan-out and
+	// spans, graphcheck verdicts, label pooling, push fan-out and
 	// rollback (obs.DefaultTracer() when nil).
 	Tracer *obs.Tracer
 }

@@ -300,11 +300,10 @@ func (f *Fleet) coordinator() (*distfit.Coordinator, error) {
 // joiner before Register returns, so a late joiner never serves stale
 // deployment-time weights beside retrained siblings. Register serialises
 // with retrains, so the catch-up push cannot interleave with a fleet-wide
-// push mid-flight. The joiner's tape is audited after the catch-up push like
-// every member's after a fan-out push (TapeRechecker). If the push fails or
-// the audit does, the member is left deregistered (its id is still returned,
-// tombstoned) and the error says why — a switch that rejects the fleet's
-// current model, or cannot serve it faithfully, cannot join it.
+// push mid-flight. The catch-up push passes the joiner's own push gate like
+// every member's fan-out push. If the joiner refuses it, the member is left
+// deregistered (its id is still returned, tombstoned) and the error says
+// why — a switch that rejects the fleet's current model cannot join it.
 func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	if p == nil {
 		return 0, fmt.Errorf("controlplane: nil pusher")
@@ -331,17 +330,11 @@ func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	if g == nil {
 		return id, nil
 	}
-	refuse := func(what string, err error) (int, error) {
+	if err := p.UpdateWeights(g); err != nil {
 		f.mu.Lock()
 		m.gone = true
 		f.mu.Unlock()
-		return id, fmt.Errorf("controlplane: %s new fleet member %q: %w", what, name, err)
-	}
-	if err := p.UpdateWeights(g); err != nil {
-		return refuse("catch-up push to", err)
-	}
-	if err := f.recheck(0, m); err != nil {
-		return refuse("post-push tape recheck on", err)
+		return id, fmt.Errorf("controlplane: catch-up push to new fleet member %q: %w", name, err)
 	}
 	return id, nil
 }
@@ -630,35 +623,38 @@ func (f *Fleet) pullFrom(m *fleetMember, want int) ([]dataset.Record, bool) {
 	}
 }
 
-// push applies g to every member, then has every member that can (a device
-// or pipeline: TapeRechecker) re-verify the tape it serves against the new
-// weights. On a member's failure — a refused push or a failed audit — the
-// members already updated are rolled back to the previously pushed graph, so
-// the fleet never serves a mix of models and what the members serve agrees
-// with lastGraph. Before the first successful push there is nothing to roll
-// back to — the error then names the members left serving the new graph so the
-// operator knows the fleet diverged. A member that refuses its rollback push
-// is journalled as push.rollback_fail, and its error is joined to the one
-// that caused the rollback, which stays errors.Is-reachable.
+// push applies g to every member. A member's UpdateWeights gates the push
+// before it publishes, so a member that refuses it still serves its previous
+// model. On a refusal the members already updated are rolled back to the
+// previously pushed graph, so the fleet never serves a mix of models and what
+// the members serve agrees with lastGraph. Before the first successful push
+// there is nothing to roll back to — the error then names the members left
+// serving the new graph so the operator knows the fleet diverged. A member
+// that refuses its rollback push is journalled as push.rollback_fail, and its
+// error is joined to the one that caused the rollback, which stays
+// errors.Is-reachable.
 func (f *Fleet) push(span int64, g *mr.Graph) error {
 	members := f.snapshot()
 	f.mu.Lock()
 	prev := f.lastGraph
 	f.mu.Unlock()
-	// rollback undoes the push on the first n members after what failed on m.
-	rollback := func(n int, what string, m *fleetMember, err error) error {
-		f.tracer.Emitf(span, "push.rollback", "member=%q rolled_back=%d err=%q", m.name, n, err.Error())
-		if prev == nil && n > 0 {
-			names := make([]string, n)
-			for j, r := range members[:n] {
+	for i, m := range members {
+		err := m.pusher.UpdateWeights(g)
+		if err == nil {
+			continue
+		}
+		f.tracer.Emitf(span, "push.rollback", "member=%q rolled_back=%d err=%q", m.name, i, err.Error())
+		if prev == nil && i > 0 {
+			names := make([]string, i)
+			for j, r := range members[:i] {
 				names[j] = r.name
 			}
-			return fmt.Errorf("controlplane: %s %q failed with no prior fleet push to roll back to; members %v already serve the new model: %w",
-				what, m.name, names, err)
+			return fmt.Errorf("controlplane: push to fleet member %q failed with no prior fleet push to roll back to; members %v already serve the new model: %w",
+				m.name, names, err)
 		}
-		errs := []error{fmt.Errorf("controlplane: %s %q: %w", what, m.name, err)}
+		errs := []error{fmt.Errorf("controlplane: push to fleet member %q: %w", m.name, err)}
 		if prev != nil {
-			for _, r := range members[:n] {
+			for _, r := range members[:i] {
 				if rerr := r.pusher.UpdateWeights(prev); rerr != nil {
 					f.tracer.Emitf(span, "push.rollback_fail", "member=%q err=%q", r.name, rerr.Error())
 					errs = append(errs, fmt.Errorf("controlplane: rollback of fleet member %q: %w", r.name, rerr))
@@ -667,32 +663,6 @@ func (f *Fleet) push(span int64, g *mr.Graph) error {
 		}
 		return errors.Join(errs...)
 	}
-	for i, m := range members {
-		if err := m.pusher.UpdateWeights(g); err != nil {
-			return rollback(i, "push to fleet member", m, err)
-		}
-	}
-	for _, m := range members {
-		if err := f.recheck(span, m); err != nil {
-			return rollback(len(members), "post-push tape recheck on fleet member", m, err)
-		}
-	}
-	return nil
-}
-
-// recheck has m re-verify the tape it serves against the weights just pushed
-// to it, when it can (a device or pipeline: TapeRechecker), and journals the
-// verdict on span.
-func (f *Fleet) recheck(span int64, m *fleetMember) error {
-	rc, ok := m.pusher.(TapeRechecker)
-	if !ok {
-		return nil
-	}
-	if err := rc.RecheckTape(); err != nil {
-		f.tracer.Emitf(span, "tapecheck.fail", "member=%q post-push recheck: err=%q", m.name, err.Error())
-		return err
-	}
-	f.tracer.Emitf(span, "tapecheck.pass", "member=%q post-push recheck", m.name)
 	return nil
 }
 

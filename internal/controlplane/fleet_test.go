@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -363,11 +362,14 @@ func (liveModel) Lower(fixed.Quantizer) (*mr.Graph, error) { return stubGraph(),
 
 // TestFleetPushFailureRollsBack: a member rejecting a push must not leave
 // the fleet serving a mix of models — members already updated are rolled
-// back to the previous graph, the error surfaces, and a later retrain
-// succeeds everywhere.
+// back to the previous graph, the rollback is journalled naming the member
+// and how many members it undid, the error surfaces, and a later retrain
+// succeeds everywhere. Before the first fleet push there is nothing to roll
+// back to, and the error says which members already serve the new model.
 func TestFleetPushFailureRollsBack(t *testing.T) {
 	src := func(n int) []dataset.Record { return make([]dataset.Record, n) }
-	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{})
+	tracer := obs.NewTracer(256)
+	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Tracer: tracer, Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -395,6 +397,15 @@ func TestFleetPushFailureRollsBack(t *testing.T) {
 	if len(got) != 3 || got[2] != g1 {
 		t.Fatalf("good member saw %d pushes, last == first push: %v — rollback missing", len(got), len(got) == 3 && got[2] == g1)
 	}
+	rolledBack := false
+	for _, e := range tracer.Events() {
+		if e.Kind == "push.rollback" && strings.Contains(e.Detail, `member="flaky"`) && strings.Contains(e.Detail, "rolled_back=1") {
+			rolledBack = true
+		}
+	}
+	if !rolledBack {
+		t.Error("no push.rollback event names member flaky and the one member it rolled back")
+	}
 	if st := fl.Stats(); st.Retrains != 1 {
 		t.Errorf("failed cycle counted as a retrain (retrains = %d)", st.Retrains)
 	}
@@ -410,6 +421,20 @@ func TestFleetPushFailureRollsBack(t *testing.T) {
 	}
 	if st := fl.Stats(); st.Retrains != 2 {
 		t.Errorf("retrains = %d, want 2", st.Retrains)
+	}
+
+	first, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Obs: obs.NewRegistry()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Register("takes", &recordPusher{}, src); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Register("refuses", &recordPusher{failAt: 1}, src); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.RetrainNow(); err == nil || !strings.Contains(err.Error(), "already serve the new model") || !strings.Contains(err.Error(), "[takes]") {
+		t.Errorf("refused first fleet push = %v, want the members-already-serve error naming member takes", err)
 	}
 }
 
@@ -453,102 +478,16 @@ func TestFleetRollbackFailureIsLoud(t *testing.T) {
 	}
 }
 
-// auditedPusher is a recordPusher whose post-push audit fails after its
-// failRecheck-th push (1-based; 0 = never).
-type auditedPusher struct {
-	recordPusher
-	failRecheck int
-}
-
-func (p *auditedPusher) RecheckTape() error {
-	if n := len(p.pushed()); n == p.failRecheck {
-		return errors.New("injected recheck failure")
-	}
-	return nil
-}
-
-// TestFleetRecheckFailureRollsBack: a member whose post-push tape audit fails
-// must not leave the rejected weights serving anywhere — every member is
-// rolled back to the previous push exactly as after a refused UpdateWeights,
-// what the members serve agrees with the fleet's record of it, the error
-// names the member, and the next retrain runs again.
-func TestFleetRecheckFailureRollsBack(t *testing.T) {
-	tracer := obs.NewTracer(256)
-	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Tracer: tracer, Obs: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := &auditedPusher{}
-	picky := &auditedPusher{failRecheck: 2} // audits the first push clean, fails the second
-	for name, p := range map[string]*auditedPusher{"good": good, "picky": picky} {
-		if _, err := fl.Register(name, p, labelSrc); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fl.RetrainNow(); err != nil {
-		t.Fatalf("first retrain failed: %v", err)
-	}
-	g1 := good.pushed()[0]
-
-	err = fl.RetrainNow()
-	if err == nil || !strings.Contains(err.Error(), `"picky"`) || !strings.Contains(err.Error(), "recheck") {
-		t.Fatalf("second retrain = %v, want the recheck failure naming member picky", err)
-	}
-	for name, p := range map[string]*auditedPusher{"good": good, "picky": picky} {
-		got := p.pushed()
-		if len(got) != 3 || got[2] != g1 {
-			t.Errorf("member %s saw %d pushes and does not end on the first push's graph: the rejected weights keep serving", name, len(got))
-		}
-	}
-	rolledBack := false
-	for _, e := range tracer.Events() {
-		if e.Kind == "push.rollback" && strings.Contains(e.Detail, `member="picky"`) && strings.Contains(e.Detail, "rolled_back=2") {
-			rolledBack = true
-		}
-	}
-	if !rolledBack {
-		t.Error("no push.rollback event names member picky and both members")
-	}
-	if st := fl.Stats(); st.Retrains != 1 {
-		t.Errorf("failed cycle counted as a retrain (retrains = %d)", st.Retrains)
-	}
-
-	// The loop is not over: the next retrain pushes again and converges.
-	if err := fl.RetrainNow(); err != nil {
-		t.Fatalf("retrain after the rollback failed: %v", err)
-	}
-	if g, p := good.pushed(), picky.pushed(); g[len(g)-1] != p[len(p)-1] || g[len(g)-1] == g1 {
-		t.Error("members did not converge on a fresh graph after the retry")
-	}
-	if st := fl.Stats(); st.Retrains != 2 {
-		t.Errorf("retrains = %d, want 2", st.Retrains)
-	}
-
-	// Before the first fleet push there is nothing to roll back to: the error
-	// says which members already serve the new model.
-	first, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Obs: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := first.Register("only", &auditedPusher{failRecheck: 1}, labelSrc); err != nil {
-		t.Fatal(err)
-	}
-	if err := first.RetrainNow(); err == nil || !strings.Contains(err.Error(), "already serve the new model") {
-		t.Errorf("recheck failure on the first fleet push = %v, want the members-already-serve error", err)
-	}
-}
-
-// TestFleetCatchUpIsRechecked: a late joiner's catch-up push is audited like
-// every fan-out push. A joiner whose tape fails the audit after the catch-up
-// cannot join — it is tombstoned, the error names it, and later retrains
-// leave it alone — and one whose audit passes joins with the pass journalled.
+// TestFleetCatchUpIsRechecked: a late joiner's catch-up push passes the
+// joiner's own push gate, like every fan-out push. A joiner that refuses the
+// catch-up cannot join — it is tombstoned, the error names it, and later
+// retrains leave it alone — and one that accepts it serves the fleet's graph.
 func TestFleetCatchUpIsRechecked(t *testing.T) {
-	tracer := obs.NewTracer(256)
-	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Tracer: tracer, Obs: obs.NewRegistry()})
+	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Obs: obs.NewRegistry()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	founder := &auditedPusher{}
+	founder := &recordPusher{}
 	if _, err := fl.Register("founder", founder, labelSrc); err != nil {
 		t.Fatal(err)
 	}
@@ -556,26 +495,20 @@ func TestFleetCatchUpIsRechecked(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	broken := &auditedPusher{failRecheck: 1} // fails the audit of its catch-up push
+	broken := &recordPusher{failAt: 1} // refuses its catch-up push
 	id, err := fl.Register("broken", broken, labelSrc)
-	if err == nil || !strings.Contains(err.Error(), `"broken"`) || !strings.Contains(err.Error(), "recheck") {
-		t.Fatalf("Register of a joiner whose audit fails = %v, want the recheck failure naming it", err)
+	if err == nil || !strings.Contains(err.Error(), `"broken"`) || !strings.Contains(err.Error(), "catch-up") {
+		t.Fatalf("Register of a joiner that refuses its catch-up = %v, want the refusal naming it", err)
 	}
 	if !fl.Stats().Members[id].Deregistered {
-		t.Error("a joiner whose audit failed was not tombstoned")
+		t.Error("a joiner that refused its catch-up was not tombstoned")
 	}
-	good := &auditedPusher{}
+	good := &recordPusher{}
 	if _, err := fl.Register("good", good, labelSrc); err != nil {
 		t.Fatal(err)
 	}
-	var verdicts []string
-	for _, e := range tracer.Events() {
-		if strings.HasPrefix(e.Kind, "tapecheck.") && !strings.Contains(e.Detail, `member="founder"`) {
-			verdicts = append(verdicts, e.Kind+" "+e.Detail[:strings.Index(e.Detail, " ")])
-		}
-	}
-	if want := []string{`tapecheck.fail member="broken"`, `tapecheck.pass member="good"`}; !slices.Equal(verdicts, want) {
-		t.Errorf("catch-up audits journalled %q, want %q", verdicts, want)
+	if f, g := founder.pushed(), good.pushed(); len(g) != 1 || g[0] != f[len(f)-1] {
+		t.Error("the accepted catch-up is not the fleet's graph")
 	}
 
 	if err := fl.RetrainNow(); err != nil {
@@ -585,7 +518,7 @@ func TestFleetCatchUpIsRechecked(t *testing.T) {
 		t.Errorf("tombstoned joiner has %d pushes, want the catch-up only", got)
 	}
 	if f, g := founder.pushed(), good.pushed(); len(g) != 2 || g[1] != f[len(f)-1] {
-		t.Error("the audited joiner does not serve the fleet's graph after the next retrain")
+		t.Error("the caught-up joiner does not serve the fleet's graph after the next retrain")
 	}
 }
 

@@ -788,10 +788,6 @@ func (d *Device) Stats() Stats {
 // taurus.device.service_ns with the device's labels.
 func (d *Device) ServiceHist() *obs.Histogram { return d.m.serviceNs }
 
-// RecheckTape re-verifies the tape and weights the device is serving (see
-// Model.Recheck). ErrNoModel before LoadModel.
-func (d *Device) RecheckTape() error { return d.model.Recheck() }
-
 // ModelLatencyNs returns the compiled model's pipeline latency (0 before
 // LoadModel).
 func (d *Device) ModelLatencyNs() float64 { return d.model.LatencyNs() }

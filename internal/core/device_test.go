@@ -573,7 +573,7 @@ func TestRefusedTapeIsInstallError(t *testing.T) {
 	if err := bare.LoadModel(next, q.InputQ, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if bare.model == nil || bare.ScheduledII() == 0 || bare.RecheckTape() != nil {
+	if bare.model == nil || bare.ScheduledII() == 0 || servedTapeCheck(bare.model) != nil {
 		t.Error("the faithful tape did not install")
 	}
 	if ev := cfg.Tracer.Events(); len(ev) != 4 || ev[2].Kind != "tapecheck.pass" || ev[3].Kind != "model.publish" {
@@ -730,11 +730,19 @@ func clobber(g *mr.Graph) {
 	}
 }
 
+// servedTapeCheck runs the install's tape verifier over the tape and image m
+// serves. A push never runs it (WithWeights' gate is the push's only check);
+// tests call it to show a model still verifies after whatever they did.
+func servedTapeCheck(m *Model) error {
+	prog := sched.Bind(m.tape, m.image, nil)
+	return sched.Check(&prog)
+}
+
 // TestUpdateWeightsIsolatesTrainerGraph pins the install and §3.3.1 push
 // contract: a graph handed to LoadModel or UpdateWeights is copied, not kept,
 // so a trainer that keeps mutating it after the call returns changes neither
-// what the device computes, nor what RecheckTape verifies, nor what a further
-// push builds on.
+// what the device computes, nor whether the served tape and image still
+// verify, nor what a further push builds on.
 func TestUpdateWeightsIsolatesTrainerGraph(t *testing.T) {
 	_, q, gen := buildAnomalyDevice(t)
 	rng := rand.New(rand.NewSource(77))
@@ -809,8 +817,8 @@ func TestUpdateWeightsIsolatesTrainerGraph(t *testing.T) {
 					t.Fatalf("record %d: score changed from %d to %d after the trainer mutated its graph", i, want[i], got)
 				}
 			}
-			if err := dev.RecheckTape(); err != nil {
-				t.Errorf("RecheckTape after the trainer mutated its graph: %v", err)
+			if err := servedTapeCheck(dev.model); err != nil {
+				t.Errorf("the served tape after the trainer mutated its graph: %v", err)
 			}
 			// A further push lands on the device's own structure, not on the
 			// clobbered graph, and serves exactly the pushed weights.

@@ -122,7 +122,11 @@ func (m *Model) admit(name string, prog *sched.Program, err error) error {
 // graph (the structural check lives there, once; its refusal satisfies
 // errors.Is for ErrStructureMismatch and graphcheck.ErrIncompatible) whose
 // payloads and ranges verify (ErrBadGraph otherwise, and first when g is
-// both).
+// both). That gate is the push's only check: the tape admit proved is shared,
+// unchanged, and NewImage fixes the rest of what the tape verifier reads —
+// the image takes the tape's own dimensions and recomputes its row sums with
+// the verifier's formula — so the install's sched.Check still holds for the
+// new image (sched's TestImageSums and TestModelFamiliesVerifyClean pin it).
 func (m *Model) WithWeights(g *mr.Graph) (*Model, error) {
 	if m == nil {
 		return nil, ErrNoModel
@@ -137,20 +141,6 @@ func (m *Model) WithWeights(g *mr.Graph) (*Model, error) {
 	next.epoch, next.image = m.epoch+1, m.tape.NewImage(g)
 	m.tracer.Emitf(0, "model.publish", "epoch=%d kind=push graph=%q", next.epoch, g.Name)
 	return &next, nil
-}
-
-// Recheck re-runs the tape verifier (sched.Check) over the tape and the
-// image being served — the control plane's post-push audit that the weights a
-// push installed sit where the compiled code reads them (layout, row sums,
-// equivalence). Whether those weights can saturate a lane is graphcheck's
-// verdict on the pushed graph, which WithWeights ran before building them.
-// ErrNoModel on a nil m.
-func (m *Model) Recheck() error {
-	if m == nil {
-		return ErrNoModel
-	}
-	prog := sched.Bind(m.tape, m.image, nil)
-	return sched.Check(&prog)
 }
 
 // Epoch is the model's publish count on its owner (0: nothing installed).

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/rand"
 	"strings"
 	"sync"
@@ -157,23 +156,6 @@ func TestStatsIsRegistryView(t *testing.T) {
 	// The ML service time is the installed schedule's II.
 	if q := h.Quantile(0.99); dev.ScheduledII() > 1 && q < float64(dev.ScheduledII())/2 {
 		t.Errorf("p99 service = %g, want near II = %d", q, dev.ScheduledII())
-	}
-}
-
-func TestRecheckTape(t *testing.T) {
-	cfg := DefaultConfig(6)
-	cfg.Obs = obs.NewRegistry()
-	bare, err := NewDevice(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bare.RecheckTape(); !errors.Is(err, ErrNoModel) {
-		t.Fatalf("RecheckTape before LoadModel: %v, want ErrNoModel", err)
-	}
-
-	dev, _ := buildObsDevice(t, obs.NewRegistry())
-	if err := dev.RecheckTape(); err != nil {
-		t.Fatalf("RecheckTape on a freshly verified tape: %v", err)
 	}
 }
 

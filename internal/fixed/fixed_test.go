@@ -202,6 +202,33 @@ func TestQuantizerSaturates(t *testing.T) {
 	}
 }
 
+// TestQuantizerEdgeValues pins the values a plain conversion would leave to
+// the platform or to the rounding mode: NaN is 0, the infinities saturate,
+// both zeros are 0, and ties round to even before saturating.
+func TestQuantizerEdgeValues(t *testing.T) {
+	q := Quantizer{Scale: 1}
+	for _, tc := range []struct {
+		v    float32
+		want int8
+	}{
+		{float32(math.NaN()), 0},
+		{float32(math.Inf(1)), 127},
+		{float32(math.Inf(-1)), -128},
+		{0, 0},
+		{float32(math.Copysign(0, -1)), 0},
+		{126.5, 126},
+		{127, 127},
+		{127.5, 127},
+		{-127.5, -128},
+		{-128, -128},
+		{-128.5, -128},
+	} {
+		if got := q.Quantize(tc.v); got != tc.want {
+			t.Errorf("Quantize(%v) = %d, want %d", tc.v, got, tc.want)
+		}
+	}
+}
+
 func TestQuantizerDegenerate(t *testing.T) {
 	q := NewQuantizer(0)
 	if q.Scale <= 0 {

@@ -36,15 +36,18 @@ func QuantizerFor(vs []float32) Quantizer {
 }
 
 // Quantize converts a real value to int8 with round-to-nearest, saturating.
+// NaN quantises to 0: converting it to int8 is implementation-defined in Go.
 func (q Quantizer) Quantize(v float32) int8 {
 	r := math.RoundToEven(float64(v) / q.Scale)
 	switch {
+	case r >= -128 && r <= 127:
+		return int8(r)
 	case r > 127:
 		return 127
 	case r < -128:
 		return -128
-	default:
-		return int8(r)
+	default: // NaN
+		return 0
 	}
 }
 

@@ -379,12 +379,6 @@ func (p *Pipeline) ModelII() int { return p.model.Load().II() }
 // the deployed model (0 before LoadModel) — the II ServiceModel charges.
 func (p *Pipeline) ScheduledII() int { return p.model.Load().ScheduledII() }
 
-// RecheckTape re-validates the published model's tape against the weights it
-// is serving — the control plane's post-push audit that a weight update left
-// the translation faithful. One tape and one image serve every shard, so one
-// check speaks for all.
-func (p *Pipeline) RecheckTape() error { return p.model.Load().Recheck() }
-
 // ServiceModel is the per-shard service-time model of the deployed design —
 // the hook the continuous-time queueing simulator (internal/netqueue) runs
 // on. It is the same occupancy model BatchStats.ModelNs folds per batch,

@@ -744,7 +744,8 @@ func mnemonics(p *sched.Program) []string {
 // sums are those of its own lanes — sums[ins.Sum+r] is min(sum|w|, 1<<31) over
 // the lanes row r of matvec ins reads, every row of every matvec has one, and
 // there are no others — on the image an install builds and on the image of a
-// push.
+// push. Each pushed image also clears sched.Check: the tape verifier reads
+// nothing else of an image, so no push can fail it.
 func TestImageSums(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	mult, err := fixed.NewMultiplier(0.37)
@@ -818,6 +819,9 @@ func TestImageSums(t *testing.T) {
 		pushWeights(t, g, rng)
 		reimage(t, p, g)
 		check(name+" after a push", p)
+		if err := sched.Check(p); err != nil {
+			t.Fatalf("%s after a push: %v", name, err)
+		}
 	}
 	if total == 0 {
 		t.Fatal("no random stack compiled to a matvec")

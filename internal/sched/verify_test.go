@@ -460,10 +460,14 @@ func verifyCost(p *sched.Program) (allocs, bytes uint64) {
 
 // TestModelFamiliesVerifyClean: dnn, svm, kmeans and lstm tapes all clear
 // the validator, each within the allocation budget of the largest family
-// (lstm: 729 allocations, 762 KB per verify when the budget was set).
+// (lstm: 729 allocations, 762 KB per verify when the budget was set). They
+// clear it again after each of several random weight pushes onto the same
+// tape: a push builds only a new image, so the install's verdict is the
+// push's, and core runs no tape check on a push.
 func TestModelFamiliesVerifyClean(t *testing.T) {
 	for name, g := range modelGraphs(t) {
 		t.Run(name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(43))
 			p, err := sched.Compile(g, cgra.DefaultGrid()) // through the live gate
 			if err != nil {
 				t.Fatalf("Compile: %v", err)
@@ -474,6 +478,14 @@ func TestModelFamiliesVerifyClean(t *testing.T) {
 			if allocs, bytes := verifyCost(p); allocs > 800 || bytes > 840_000 {
 				t.Errorf("Verify(%d instrs) allocates %d objects / %d bytes, budget 800 / 840000",
 					len(p.Code()), allocs, bytes)
+			}
+			for push := range 20 {
+				next := g.Clone() // the tape keeps the installed graph, as on a device
+				pushWeights(t, next, rng)
+				reimage(t, p, next)
+				if rep := sched.Verify(p); len(rep.Findings) != 0 {
+					t.Fatalf("findings after weight push %d:\n%s", push, rep)
+				}
 			}
 		})
 	}

@@ -13,8 +13,8 @@ import (
 // TestObservabilityIntegration is the in-tree version of the
 // examples/observe CI gate: one drift-recovery run must journal the complete
 // chain — drift.detected, retrain.start, retrain.fit, graphcheck.pass,
-// tapecheck.pass, push.done — with monotonic timestamps inside the retrain
-// span, the per-shard service-time histograms exposed over Prometheus must
+// push.done — with monotonic timestamps inside the retrain span, the
+// per-shard service-time histograms exposed over Prometheus must
 // agree with pipeline.Stats() totals, and after a push every shard's
 // model_epoch gauge reads the epoch the pipeline last published.
 //
@@ -144,7 +144,7 @@ func auditModelEpoch(t *testing.T, reg *MetricsRegistry, baseSeq int64, publishe
 // monotonic timestamps — considering only events this test emitted.
 func auditRecoveryChain(t *testing.T, baseSeq int64) {
 	t.Helper()
-	chain := []string{"drift.detected", "retrain.start", "retrain.fit", "graphcheck.pass", "tapecheck.pass", "push.done"}
+	chain := []string{"drift.detected", "retrain.start", "retrain.fit", "graphcheck.pass", "push.done"}
 	next, span := 0, int64(0)
 	var lastNs int64
 	for _, ev := range Tracer().Events() {
