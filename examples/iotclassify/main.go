@@ -7,7 +7,9 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"taurus"
 )
@@ -64,7 +66,7 @@ func main() {
 	}
 	fmt.Printf("8-bit data plane agrees with float KMeans on %d/%d samples\n", agree, len(testX))
 
-	// Purity against ground-truth device categories.
+	// Purity against ground-truth device categories, in category order.
 	byTruth := map[int]map[int]int{}
 	for i, x := range X {
 		c := km.Predict(x)
@@ -73,9 +75,9 @@ func main() {
 		}
 		byTruth[labels[i]][c]++
 	}
-	for truth, counts := range byTruth {
+	for _, truth := range slices.Sorted(maps.Keys(byTruth)) {
 		best, total := 0, 0
-		for _, n := range counts {
+		for _, n := range byTruth[truth] {
 			total += n
 			if n > best {
 				best = n

@@ -101,8 +101,7 @@ func main() {
 
 	// A control-plane weight push under 80% load: the shards pause for the
 	// out-of-band weight write while arrivals keep queueing. In a closed
-	// loop this fires through taurus.WithOnPush(sim.Push); here we inject
-	// it directly.
+	// loop a retrain's push would call sim.Push; here we inject it directly.
 	arr, err := taurus.NewPoissonArrivals(0.8*nominal, 512, 11)
 	if err != nil {
 		log.Fatal(err)

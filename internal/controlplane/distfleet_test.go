@@ -16,7 +16,7 @@ import (
 )
 
 // countingSource is a LabelSource that counts its invocations — the probe
-// for Deregister's never-pulled-again guarantee.
+// for a tombstoned member's never-pulled guarantee.
 type countingSource struct{ calls int32 }
 
 func (s *countingSource) pull(n int) []dataset.Record {
@@ -26,67 +26,11 @@ func (s *countingSource) pull(n int) []dataset.Record {
 
 func (s *countingSource) count() int32 { return atomic.LoadInt32(&s.calls) }
 
-// TestFleetDeregister: a deregistered member's source is never pulled
-// again, it receives no further pushes, its Observe goes inert, and its
-// slot stays visible in Stats (Deregistered) without shifting other ids.
-func TestFleetDeregister(t *testing.T) {
-	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pushers := make([]*recordPusher, 3)
-	sources := make([]*countingSource, 3)
-	for i := range pushers {
-		pushers[i] = &recordPusher{}
-		sources[i] = &countingSource{}
-		if _, err := fl.Register("", pushers[i], sources[i].pull); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := fl.RetrainNow(); err != nil {
-		t.Fatal(err)
-	}
-	frozenCalls := sources[1].count()
-	frozenPushes := len(pushers[1].pushed())
-	if frozenCalls == 0 || frozenPushes == 0 {
-		t.Fatal("member 1 idle before deregistration — test setup broken")
-	}
-
-	fl.Deregister(1)
-	fl.Deregister(1)  // idempotent
-	fl.Deregister(99) // out of range: no-op
-	if err := fl.RetrainNow(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sources[1].count(); got != frozenCalls {
-		t.Errorf("deregistered member's source pulled again (%d calls, frozen at %d)", got, frozenCalls)
-	}
-	if got := len(pushers[1].pushed()); got != frozenPushes {
-		t.Errorf("deregistered member pushed again (%d pushes, frozen at %d)", got, frozenPushes)
-	}
-	for _, i := range []int{0, 2} {
-		if got := len(pushers[i].pushed()); got != 2 {
-			t.Errorf("live member %d has %d pushes, want 2", i, got)
-		}
-	}
-	if fl.Observe(1, []core.Decision{{}}) {
-		t.Error("Observe on a deregistered member reported drift")
-	}
-
-	st := fl.Stats()
-	if len(st.Members) != 3 {
-		t.Fatalf("Stats has %d members, want all 3 slots", len(st.Members))
-	}
-	if !st.Members[1].Deregistered || st.Members[0].Deregistered || st.Members[2].Deregistered {
-		t.Errorf("Deregistered flags = [%v %v %v], want only member 1",
-			st.Members[0].Deregistered, st.Members[1].Deregistered, st.Members[2].Deregistered)
-	}
-}
-
 // TestFleetRegisterCatchUp: a member joining after the fleet has pushed a
 // retrained graph receives that graph before Register returns; a joiner
-// whose catch-up push fails is left tombstoned, untouched by later
-// retrains.
+// whose catch-up push fails is left tombstoned: later retrains neither pull
+// its source nor push to it, its Observe goes inert, and its slot stays
+// visible in Stats without shifting other ids.
 func TestFleetRegisterCatchUp(t *testing.T) {
 	src := func(n int) []dataset.Record { return make([]dataset.Record, n) }
 	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{})
@@ -132,7 +76,8 @@ func TestFleetRegisterCatchUp(t *testing.T) {
 
 	// A joiner that rejects the catch-up push cannot join: tombstoned.
 	broken := &recordPusher{failAt: 1}
-	id, err := fl.Register("broken", broken, src)
+	brokenSrc := &countingSource{}
+	id, err := fl.Register("broken", broken, brokenSrc.pull)
 	if err == nil {
 		t.Fatal("catch-up push failure not surfaced")
 	}
@@ -146,11 +91,27 @@ func TestFleetRegisterCatchUp(t *testing.T) {
 	if got := len(broken.pushed()); got != 1 { // the failed catch-up attempt only
 		t.Errorf("tombstoned joiner has %d pushes, want 1", got)
 	}
+	if got := brokenSrc.count(); got != 0 {
+		t.Errorf("tombstoned joiner's source pulled %d times, want 0", got)
+	}
+	if fl.Observe(id, []core.Decision{{}}) {
+		t.Error("Observe on a tombstoned member reported drift")
+	}
+	st = fl.Stats()
+	if len(st.Members) != 4 || st.Members[id].Name != "broken" {
+		t.Fatalf("Stats slots = %d, member %d = %q; want 4 slots with the joiner last", len(st.Members), id, st.Members[id].Name)
+	}
+	for i := 0; i < id; i++ {
+		if st.Members[i].Deregistered {
+			t.Errorf("member %d tombstoned, want only the failed joiner", i)
+		}
+	}
 }
 
-// TestFleetChurnDuringTraffic is the -race regression: members register,
-// deregister, observe traffic and retrain concurrently; the invariants
-// (stable ids, no pushes to the departed) must hold throughout.
+// TestFleetChurnDuringTraffic is the -race regression: members register
+// (each refusing its catch-up push, so each is tombstoned), observe traffic
+// and retrain concurrently; the invariants (stable ids, no pushes to the
+// tombstoned) must hold throughout.
 func TestFleetChurnDuringTraffic(t *testing.T) {
 	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{})
 	if err != nil {
@@ -162,6 +123,10 @@ func TestFleetChurnDuringTraffic(t *testing.T) {
 		if _, err := fl.Register("", &recordPusher{}, src); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// One push first, so that every later joiner gets a catch-up push.
+	if err := fl.RetrainNow(); err != nil {
+		t.Fatal(err)
 	}
 	var churn sync.WaitGroup
 	var traffic sync.WaitGroup
@@ -181,16 +146,17 @@ func TestFleetChurnDuringTraffic(t *testing.T) {
 		}
 	}()
 	churn.Add(2)
-	go func() { // churn: register and deregister beyond the founders
+	joiners := make([]*recordPusher, 20)
+	go func() { // churn: joiners that refuse their catch-up push
 		defer churn.Done()
-		for i := 0; i < 20; i++ {
-			id, err := fl.Register("", &recordPusher{}, src)
-			if err != nil {
-				t.Error(err)
+		for i := range joiners {
+			joiners[i] = &recordPusher{failAt: 1}
+			id, err := fl.Register("", joiners[i], src)
+			if err == nil {
+				t.Error("refused catch-up push not surfaced")
 				return
 			}
 			fl.Observe(id, []core.Decision{{}})
-			fl.Deregister(id)
 		}
 	}()
 	go func() { // retrains interleaving with both
@@ -212,7 +178,12 @@ func TestFleetChurnDuringTraffic(t *testing.T) {
 	}
 	for i := seed; i < len(st.Members); i++ {
 		if !st.Members[i].Deregistered {
-			t.Fatalf("churned member %d not marked deregistered", i)
+			t.Fatalf("churned member %d not tombstoned", i)
+		}
+	}
+	for i, p := range joiners {
+		if got := len(p.pushed()); got != 1 { // the refused catch-up only
+			t.Errorf("joiner %d has %d pushes, want 1", i, got)
 		}
 	}
 }

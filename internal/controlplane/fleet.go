@@ -79,9 +79,8 @@ type Fleet struct {
 	obsLabels []obs.Label
 	tracer    *obs.Tracer
 
-	// trainMu serialises retrains — and, since PR 6, membership changes:
-	// Register's catch-up push and Deregister's never-pulled-again guarantee
-	// both hold only if they cannot interleave with an in-flight retrain.
+	// trainMu serialises retrains and Register: the catch-up push holds
+	// only if it cannot interleave with an in-flight retrain.
 	trainMu sync.Mutex
 	model   model.Deployable
 
@@ -127,16 +126,16 @@ type fleetMember struct {
 	// be reentrant.
 	sourceInFlight bool
 
-	// gone marks a deregistered member (guarded by Fleet.mu, like the
-	// member list itself). The slot stays in the slice so member ids never
-	// shift; every retrain/push/pooling path skips it.
+	// gone marks a joiner whose catch-up push was refused (guarded by
+	// Fleet.mu, like the member list itself). The slot stays in the slice
+	// so member ids never shift; every retrain/push/pooling path skips it.
 	gone bool
 }
 
-// snapshot returns the live (not deregistered) members under the fleet
-// lock; callers then take each member's own lock as needed, never nesting
-// member locks. Deregistered members are invisible to every retrain, push
-// and pooling path; only Stats walks the full slice.
+// snapshot returns the live (not tombstoned) members under the fleet lock;
+// callers then take each member's own lock as needed, never nesting member
+// locks. Tombstoned members are invisible to every retrain, push and
+// pooling path; only Stats walks the full slice.
 func (f *Fleet) snapshot() []*fleetMember {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -167,10 +166,9 @@ type MemberStats struct {
 	// label source blocked past Config.SourceDeadline — the backpressure
 	// guard keeping one laggy source from stalling the shared loop.
 	SourceTimeouts int
-	// Deregistered reports that the member has left the fleet
-	// (Fleet.Deregister): it no longer receives pushes or contributes
-	// labels, but its slot — and its counters up to departure — remain in
-	// Stats so member ids stay stable.
+	// Deregistered reports that the member refused its catch-up push at
+	// Register and is tombstoned: it receives no pushes and contributes no
+	// labels, but its slot remains in Stats so member ids stay stable.
 	Deregistered bool
 }
 
@@ -302,8 +300,9 @@ func (f *Fleet) coordinator() (*distfit.Coordinator, error) {
 // with retrains, so the catch-up push cannot interleave with a fleet-wide
 // push mid-flight. The catch-up push passes the joiner's own push gate like
 // every member's fan-out push. If the joiner refuses it, the member is left
-// deregistered (its id is still returned, tombstoned) and the error says
-// why — a switch that rejects the fleet's current model cannot join it.
+// tombstoned (its id is still returned, with Deregistered set in Stats) and
+// the error says why — a switch that rejects the fleet's current model
+// cannot join it.
 func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	if p == nil {
 		return 0, fmt.Errorf("controlplane: nil pusher")
@@ -339,26 +338,6 @@ func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	return id, nil
 }
 
-// Deregister removes a member from the fleet: its label source is never
-// pulled again, it receives no further pushes, and its traffic no longer
-// feeds drift detection (Observe on it returns false). Member ids are
-// stable — the slot is tombstoned, not removed — so other members' ids do
-// not shift, and the member's counters up to departure stay visible in
-// Stats with Deregistered set. Deregister serialises with retrains: it
-// blocks until any in-flight retrain finishes, and returns with the
-// guarantee that no future retrain touches the member. Deregistering twice,
-// or an out-of-range id, is a no-op.
-func (f *Fleet) Deregister(member int) {
-	f.trainMu.Lock()
-	defer f.trainMu.Unlock()
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if member < 0 || member >= len(f.members) {
-		return
-	}
-	f.members[member].gone = true
-}
-
 // Observe feeds a batch of member's data-plane decisions into that member's
 // drift detector. It returns true when this call completed a window that
 // newly crossed a drift threshold on that member; in background mode that
@@ -376,8 +355,8 @@ func (f *Fleet) Observe(member int, decs []core.Decision) bool {
 	gone := m.gone
 	f.mu.Unlock()
 	if gone {
-		// A deregistered member's traffic no longer feeds drift detection;
-		// the id stays valid (ids are stable) but is inert.
+		// A tombstoned member's traffic feeds no drift detection; the id
+		// stays valid (ids are stable) but is inert.
 		return false
 	}
 	m.mu.Lock()
@@ -767,9 +746,8 @@ func (f *Fleet) Close() {
 
 // Stats returns a snapshot of the fleet's aggregate and per-member
 // counters. Unlike the retrain paths, Stats reports every slot ever
-// registered — deregistered members appear with Deregistered set and their
-// counters frozen at departure — so indices in Members line up with member
-// ids.
+// registered — tombstoned members appear with Deregistered set — so
+// indices in Members line up with member ids.
 func (f *Fleet) Stats() FleetStats {
 	f.mu.Lock()
 	members := append([]*fleetMember(nil), f.members...)

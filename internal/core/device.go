@@ -782,12 +782,6 @@ func (d *Device) Stats() Stats {
 	}
 }
 
-// ServiceHist returns the device's service-time histogram instrument
-// (nanoseconds per packet: II for ML packets, one cycle for bypass). The
-// same instrument is reachable through the registry as
-// taurus.device.service_ns with the device's labels.
-func (d *Device) ServiceHist() *obs.Histogram { return d.m.serviceNs }
-
 // ModelLatencyNs returns the compiled model's pipeline latency (0 before
 // LoadModel).
 func (d *Device) ModelLatencyNs() float64 { return d.model.LatencyNs() }

@@ -146,7 +146,7 @@ func TestStatsIsRegistryView(t *testing.T) {
 		}
 	}
 
-	h := dev.ServiceHist()
+	h := dev.m.serviceNs
 	if got, want := h.Count(), int64(s.MLInferences+s.Bypassed); got != want {
 		t.Errorf("service histogram holds %d samples, want ml+bypass = %d", got, want)
 	}

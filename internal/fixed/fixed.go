@@ -1,25 +1,15 @@
 // Package fixed implements the reduced-precision fixed-point arithmetic used
-// by the Taurus MapReduce block (§4, §5.1.1 of the paper).
-//
-// Two complementary representations are provided:
-//
-//   - Q-format numbers (Q) with an explicit integer/fraction split, used for
-//     feature formatting in preprocessing MATs and for LUT-based activation
-//     tables (§3.1, §5.1.3).
-//
-//   - Symmetric per-tensor quantisation (Quantizer), the TensorFlow-Lite
-//     style scheme the paper uses to demonstrate that 8-bit inference loses
-//     almost no accuracy (Table 3). Values are int8, accumulation is int32
-//     (the CU reduce tree accumulates wider than a lane, as real SIMD
-//     datapaths do), and rescaling between layers uses an integer
-//     multiplier+shift so the whole pipeline is expressible on an 8-bit
-//     fixed-point datapath.
+// by the Taurus MapReduce block (§4, §5.1.1 of the paper): the datapath
+// widths of the design space (Precision), and symmetric per-tensor
+// quantisation (Quantizer), the TensorFlow-Lite style scheme the paper uses
+// to demonstrate that 8-bit inference loses almost no accuracy (Table 3).
+// Values are int8, accumulation is int32 (the CU reduce tree accumulates
+// wider than a lane, as real SIMD datapaths do), and rescaling between
+// layers uses an integer multiplier+shift so the whole pipeline is
+// expressible on an 8-bit fixed-point datapath.
 package fixed
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Precision enumerates the datapath widths explored in the paper's design
 // space (Table 4).
@@ -62,116 +52,4 @@ func (p Precision) Saturate(v int64) int32 {
 		return int32(hi)
 	}
 	return int32(v)
-}
-
-// Format is a signed Q-format: Bits total bits of which Frac are fractional.
-// A raw integer r represents the real value r / 2^Frac.
-type Format struct {
-	Bits int // total width including sign, in {8,16,32}
-	Frac int // fractional bits, 0 <= Frac < Bits
-}
-
-// Q8p4 is the default feature format used by preprocessing MATs: 8 bits with
-// 4 fractional bits, range [-8, 7.9375] at 1/16 resolution.
-var Q8p4 = Format{Bits: 8, Frac: 4}
-
-// Q16p8 is a wider format used by LUT activation tables and tests.
-var Q16p8 = Format{Bits: 16, Frac: 8}
-
-// Validate returns an error if the format is not usable.
-func (f Format) Validate() error {
-	if f.Bits != 8 && f.Bits != 16 && f.Bits != 32 {
-		return fmt.Errorf("fixed: unsupported width %d (want 8, 16 or 32)", f.Bits)
-	}
-	if f.Frac < 0 || f.Frac >= f.Bits {
-		return fmt.Errorf("fixed: fractional bits %d out of range for %d-bit format", f.Frac, f.Bits)
-	}
-	return nil
-}
-
-// Precision returns the datapath precision matching the format width.
-func (f Format) Precision() Precision { return Precision(f.Bits) }
-
-// Min returns the most negative representable real value.
-func (f Format) Min() float64 { return float64(f.Precision().Min()) / f.scale() }
-
-// Max returns the most positive representable real value.
-func (f Format) Max() float64 { return float64(f.Precision().Max()) / f.scale() }
-
-// Resolution returns the value of one least-significant bit.
-func (f Format) Resolution() float64 { return 1 / f.scale() }
-
-func (f Format) scale() float64 { return float64(int64(1) << uint(f.Frac)) }
-
-// Q is a fixed-point number: a raw integer interpreted under a Format.
-type Q struct {
-	Raw int32
-	Fmt Format
-}
-
-// FromFloat converts a real value to fixed point with round-to-nearest and
-// saturation.
-func (f Format) FromFloat(v float64) Q {
-	r := math.RoundToEven(v * f.scale())
-	if math.IsNaN(r) {
-		r = 0
-	}
-	var raw int32
-	switch {
-	case r >= float64(f.Precision().Max()):
-		raw = f.Precision().Max()
-	case r <= float64(f.Precision().Min()):
-		raw = f.Precision().Min()
-	default:
-		raw = int32(r)
-	}
-	return Q{Raw: raw, Fmt: f}
-}
-
-// FromRaw wraps an already-encoded raw integer, saturating it to the format.
-func (f Format) FromRaw(raw int64) Q {
-	return Q{Raw: f.Precision().Saturate(raw), Fmt: f}
-}
-
-// Float returns the real value represented by q.
-func (q Q) Float() float64 { return float64(q.Raw) / q.Fmt.scale() }
-
-// Add returns q+o saturated to q's format. Both operands must share a format.
-func (q Q) Add(o Q) Q {
-	q.mustMatch(o)
-	return q.Fmt.FromRaw(int64(q.Raw) + int64(o.Raw))
-}
-
-// Sub returns q-o saturated to q's format.
-func (q Q) Sub(o Q) Q {
-	q.mustMatch(o)
-	return q.Fmt.FromRaw(int64(q.Raw) - int64(o.Raw))
-}
-
-// Mul returns q*o with round-to-nearest on the discarded fraction bits,
-// saturated to q's format.
-func (q Q) Mul(o Q) Q {
-	q.mustMatch(o)
-	prod := int64(q.Raw) * int64(o.Raw)
-	if q.Fmt.Frac == 0 {
-		return q.Fmt.FromRaw(prod)
-	}
-	// Round-half-up: add half an LSB, then arithmetic shift (floor); correct
-	// for both signs.
-	prod += int64(1) << uint(q.Fmt.Frac-1)
-	return q.Fmt.FromRaw(prod >> uint(q.Fmt.Frac))
-}
-
-// Neg returns -q saturated (the minimum value negates to the maximum).
-func (q Q) Neg() Q { return q.Fmt.FromRaw(-int64(q.Raw)) }
-
-// String formats the value for debugging, e.g. "1.2500(q8.4)".
-func (q Q) String() string {
-	return fmt.Sprintf("%.6g(q%d.%d)", q.Float(), q.Fmt.Bits-q.Fmt.Frac, q.Fmt.Frac)
-}
-
-func (q Q) mustMatch(o Q) {
-	if q.Fmt != o.Fmt {
-		panic(fmt.Sprintf("fixed: format mismatch %v vs %v", q.Fmt, o.Fmt))
-	}
 }

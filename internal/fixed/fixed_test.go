@@ -49,139 +49,6 @@ func TestSaturate(t *testing.T) {
 	}
 }
 
-func TestFormatValidate(t *testing.T) {
-	if err := Q8p4.Validate(); err != nil {
-		t.Fatalf("Q8p4 invalid: %v", err)
-	}
-	if err := (Format{Bits: 9, Frac: 2}).Validate(); err == nil {
-		t.Error("9-bit format should be invalid")
-	}
-	if err := (Format{Bits: 8, Frac: 8}).Validate(); err == nil {
-		t.Error("Frac==Bits should be invalid")
-	}
-	if err := (Format{Bits: 8, Frac: -1}).Validate(); err == nil {
-		t.Error("negative Frac should be invalid")
-	}
-}
-
-func TestFormatRange(t *testing.T) {
-	if got, want := Q8p4.Max(), 7.9375; got != want {
-		t.Errorf("Q8p4.Max() = %v, want %v", got, want)
-	}
-	if got, want := Q8p4.Min(), -8.0; got != want {
-		t.Errorf("Q8p4.Min() = %v, want %v", got, want)
-	}
-	if got, want := Q8p4.Resolution(), 0.0625; got != want {
-		t.Errorf("Q8p4.Resolution() = %v, want %v", got, want)
-	}
-}
-
-func TestQRoundTrip(t *testing.T) {
-	for _, v := range []float64{0, 1, -1, 3.25, -3.25, 7.9375, -8} {
-		q := Q8p4.FromFloat(v)
-		if q.Float() != v {
-			t.Errorf("FromFloat(%v).Float() = %v", v, q.Float())
-		}
-	}
-}
-
-func TestQSaturation(t *testing.T) {
-	if got := Q8p4.FromFloat(100).Float(); got != 7.9375 {
-		t.Errorf("overflow should saturate to max, got %v", got)
-	}
-	if got := Q8p4.FromFloat(-100).Float(); got != -8 {
-		t.Errorf("underflow should saturate to min, got %v", got)
-	}
-	if got := Q8p4.FromFloat(math.NaN()).Float(); got != 0 {
-		t.Errorf("NaN should map to 0, got %v", got)
-	}
-}
-
-func TestQArithmetic(t *testing.T) {
-	a := Q8p4.FromFloat(1.5)
-	b := Q8p4.FromFloat(2.25)
-	if got := a.Add(b).Float(); got != 3.75 {
-		t.Errorf("1.5+2.25 = %v", got)
-	}
-	if got := a.Sub(b).Float(); got != -0.75 {
-		t.Errorf("1.5-2.25 = %v", got)
-	}
-	if got := a.Mul(b).Float(); math.Abs(got-3.375) > Q8p4.Resolution() {
-		t.Errorf("1.5*2.25 = %v, want ~3.375", got)
-	}
-	if got := a.Neg().Float(); got != -1.5 {
-		t.Errorf("-1.5 = %v", got)
-	}
-	// Negating the minimum saturates.
-	if got := Q8p4.FromFloat(-8).Neg().Float(); got != 7.9375 {
-		t.Errorf("-(-8) = %v, want 7.9375 (saturated)", got)
-	}
-}
-
-func TestQAddSaturates(t *testing.T) {
-	a := Q8p4.FromFloat(7)
-	if got := a.Add(a).Float(); got != 7.9375 {
-		t.Errorf("7+7 should saturate, got %v", got)
-	}
-}
-
-func TestQMulZeroFrac(t *testing.T) {
-	f := Format{Bits: 8, Frac: 0}
-	a := f.FromFloat(6)
-	b := f.FromFloat(7)
-	if got := a.Mul(b).Float(); got != 42 {
-		t.Errorf("6*7 = %v", got)
-	}
-}
-
-func TestQFormatMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on format mismatch")
-		}
-	}()
-	Q8p4.FromFloat(1).Add(Q16p8.FromFloat(1))
-}
-
-func TestQString(t *testing.T) {
-	if s := Q8p4.FromFloat(1.25).String(); s != "1.25(q4.4)" {
-		t.Errorf("String() = %q", s)
-	}
-}
-
-// Property: fixed-point addition never strays more than one resolution step
-// from real addition, as long as the real result is in range.
-func TestQAddProperty(t *testing.T) {
-	f := func(a, b int8) bool {
-		qa := Q8p4.FromRaw(int64(a))
-		qb := Q8p4.FromRaw(int64(b))
-		sum := qa.Float() + qb.Float()
-		if sum > Q8p4.Max() || sum < Q8p4.Min() {
-			return true // saturation cases checked elsewhere
-		}
-		return qa.Add(qb).Float() == sum
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: multiplication error is bounded by one resolution step.
-func TestQMulProperty(t *testing.T) {
-	f := func(a, b int8) bool {
-		qa := Q8p4.FromRaw(int64(a))
-		qb := Q8p4.FromRaw(int64(b))
-		want := qa.Float() * qb.Float()
-		if want > Q8p4.Max() || want < Q8p4.Min() {
-			return true
-		}
-		return math.Abs(qa.Mul(qb).Float()-want) <= Q8p4.Resolution()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestQuantizerRoundTrip(t *testing.T) {
 	q := NewQuantizer(4.0)
 	for _, v := range []float32{0, 1, -1, 3.999, -4, 2.5} {

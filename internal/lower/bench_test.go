@@ -35,7 +35,7 @@ func benchSVM(b *testing.B) (*ml.SVM, fixed.Quantizer, []float32) {
 // score many samples. The per-call path must not allocate.
 func BenchmarkSVMReferenceCached(b *testing.B) {
 	svm, inQ, x := benchSVM(b)
-	ref, err := NewSVMReference(svm, inQ, 16)
+	_, ref, err := SVMWithReference(svm, inQ, 16, "bench-svm")
 	if err != nil {
 		b.Fatal(err)
 	}

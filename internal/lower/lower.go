@@ -244,16 +244,6 @@ type SVMReference struct {
 	ks   []int32 // scratch: per-SV kernel codes
 }
 
-// NewSVMReference quantises s against inQ (capped at maxSV support vectors)
-// and returns a reusable reference evaluator.
-func NewSVMReference(s *ml.SVM, inQ fixed.Quantizer, maxSV int) (*SVMReference, error) {
-	p, err := planSVM(s, inQ, maxSV)
-	if err != nil {
-		return nil, err
-	}
-	return p.reference(), nil
-}
-
 // NumFeatures returns the model's input width.
 func (r *SVMReference) NumFeatures() int { return len(r.in) }
 

@@ -137,11 +137,7 @@ func TestSVMLoweringSignAgreement(t *testing.T) {
 		flat = append(flat, x...)
 	}
 	inQ := fixed.QuantizerFor(flat)
-	g, err := SVM(svm, inQ, 16, "anomaly-svm")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := NewSVMReference(svm, inQ, 16)
+	g, ref, err := SVMWithReference(svm, inQ, 16, "anomaly-svm")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,137 +144,3 @@ func (a Activation) mulDerivative(v, pre []float32) {
 		v[i] *= a.Derivative(x)
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Hardware activation implementations (§5.1.3, Figure 10, Table 6).
-//
-// The paper evaluates several ways to realise sigmoid/tanh on the CU fabric:
-// exponential (Taylor-series) expansions, piecewise-linear approximations,
-// and lookup tables. Each has a different stage/area cost; the functions
-// below are the arithmetic those hardware variants compute, so accuracy can
-// be compared against the exact math (and so the CGRA simulator can execute
-// the same polynomial the hardware would).
-// ---------------------------------------------------------------------------
-
-// ExpTaylor evaluates e^x with a degree-7 Taylor polynomial around 0,
-// clamping x to [-4, 4] — the long-basic-block "Exp" variant the compiler
-// must split across CUs (TanhExp/SigmoidExp rows of Table 6; the paper notes
-// Taylor-series activations cost 2-5x the area of piecewise ones, which is
-// exactly this longer chain of multiply-adds).
-func ExpTaylor(x float32) float32 {
-	if x > 4 {
-		x = 4
-	} else if x < -4 {
-		x = -4
-	}
-	// Horner evaluation of sum_{k=0..7} x^k/k!.
-	xf := float64(x)
-	p := 1 + xf*(1+xf*(0.5+xf*(1.0/6+xf*(1.0/24+xf*(1.0/120+xf*(1.0/720+xf/5040))))))
-	if p < 0 { // Taylor truncation can go slightly negative near -4
-		p = 0
-	}
-	return float32(p)
-}
-
-// SigmoidExp is the sigmoid built from the Taylor exponential.
-func SigmoidExp(x float32) float32 {
-	e := ExpTaylor(-x)
-	return 1 / (1 + e)
-}
-
-// TanhExp is tanh built from the Taylor exponential:
-// tanh(x) = (e^2x - 1)/(e^2x + 1).
-func TanhExp(x float32) float32 {
-	e := ExpTaylor(2 * x)
-	return (e - 1) / (e + 1)
-}
-
-// SigmoidPW is the classic 3-segment piecewise-linear sigmoid
-// (hard sigmoid): clamp(0.25*x + 0.5, 0, 1).
-func SigmoidPW(x float32) float32 {
-	y := 0.25*x + 0.5
-	if y < 0 {
-		return 0
-	}
-	if y > 1 {
-		return 1
-	}
-	return y
-}
-
-// TanhPW is the piecewise-linear tanh: clamp(x, -1, 1).
-func TanhPW(x float32) float32 {
-	if x < -1 {
-		return -1
-	}
-	if x > 1 {
-		return 1
-	}
-	return x
-}
-
-// ActLUTSize is the number of entries in a hardware activation lookup table
-// (§5.1.3: "1024 8-bit entries").
-const ActLUTSize = 1024
-
-// ActLUT is a lookup-table activation: 1024 precomputed 8-bit outputs over a
-// fixed input range, the cheapest way to realise an arbitrary non-linearity.
-type ActLUT struct {
-	// Lo and Hi bound the input range covered by the table; inputs outside
-	// are clamped.
-	Lo, Hi float32
-	// Table holds the quantised outputs: code c represents OutLo + (c+128) *
-	// (OutHi-OutLo)/255.
-	Table        [ActLUTSize]int8
-	OutLo, OutHi float32
-}
-
-// NewActLUT tabulates fn over [lo, hi] with 8-bit outputs spanning the
-// function's observed output range.
-func NewActLUT(fn func(float32) float32, lo, hi float32) *ActLUT {
-	if hi <= lo {
-		panic(fmt.Sprintf("ml: bad LUT range [%v, %v]", lo, hi))
-	}
-	l := &ActLUT{Lo: lo, Hi: hi}
-	outs := make([]float32, ActLUTSize)
-	outLo, outHi := float32(math.Inf(1)), float32(math.Inf(-1))
-	for i := 0; i < ActLUTSize; i++ {
-		x := lo + (hi-lo)*float32(i)/(ActLUTSize-1)
-		y := fn(x)
-		outs[i] = y
-		if y < outLo {
-			outLo = y
-		}
-		if y > outHi {
-			outHi = y
-		}
-	}
-	if outHi == outLo {
-		outHi = outLo + 1
-	}
-	l.OutLo, l.OutHi = outLo, outHi
-	for i, y := range outs {
-		code := math.RoundToEven(float64((y-outLo)/(outHi-outLo))*255) - 128
-		l.Table[i] = int8(code)
-	}
-	return l
-}
-
-// Apply evaluates the table at x (clamping out-of-range inputs).
-func (l *ActLUT) Apply(x float32) float32 {
-	if x <= l.Lo {
-		x = l.Lo
-	}
-	if x >= l.Hi {
-		x = l.Hi
-	}
-	idx := int(math.RoundToEven(float64((x - l.Lo) / (l.Hi - l.Lo) * (ActLUTSize - 1))))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= ActLUTSize {
-		idx = ActLUTSize - 1
-	}
-	code := l.Table[idx]
-	return l.OutLo + (float32(code)+128)*(l.OutHi-l.OutLo)/255
-}

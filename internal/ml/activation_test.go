@@ -3,7 +3,6 @@ package ml
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestActivationApply(t *testing.T) {
@@ -58,92 +57,4 @@ func TestApplyVec(t *testing.T) {
 	if out[0] != 0 || out[1] != 2 || out[2] != 0 {
 		t.Errorf("ApplyVec = %v", out)
 	}
-}
-
-func TestExpTaylorAccuracy(t *testing.T) {
-	// Within [-1.5, 1.5] the degree-5 Taylor series is accurate to a few
-	// percent — that's the regime the compiler keeps inputs in.
-	for x := float32(-1.5); x <= 1.5; x += 0.25 {
-		want := math.Exp(float64(x))
-		got := float64(ExpTaylor(x))
-		if math.Abs(got-want)/want > 0.03 {
-			t.Errorf("ExpTaylor(%v) = %v, want %v", x, got, want)
-		}
-	}
-	// Clamps keep it finite and non-negative everywhere.
-	for _, x := range []float32{-100, -4, 4, 100} {
-		if v := ExpTaylor(x); v < 0 || math.IsNaN(float64(v)) {
-			t.Errorf("ExpTaylor(%v) = %v", x, v)
-		}
-	}
-}
-
-func TestSigmoidVariantsApproximate(t *testing.T) {
-	for x := float32(-1.5); x <= 1.5; x += 0.25 {
-		exact := Sigmoid.Apply(x)
-		if d := math.Abs(float64(SigmoidExp(x) - exact)); d > 0.05 {
-			t.Errorf("SigmoidExp(%v) off by %v", x, d)
-		}
-		if d := math.Abs(float64(SigmoidPW(x) - exact)); d > 0.15 {
-			t.Errorf("SigmoidPW(%v) off by %v", x, d)
-		}
-	}
-}
-
-func TestTanhVariantsApproximate(t *testing.T) {
-	for x := float32(-1.0); x <= 1.0; x += 0.25 {
-		exact := Tanh.Apply(x)
-		if d := math.Abs(float64(TanhExp(x) - exact)); d > 0.08 {
-			t.Errorf("TanhExp(%v) off by %v", x, d)
-		}
-		if d := math.Abs(float64(TanhPW(x) - exact)); d > 0.25 {
-			t.Errorf("TanhPW(%v) off by %v", x, d)
-		}
-	}
-}
-
-func TestPiecewiseBounds(t *testing.T) {
-	f := func(x float32) bool {
-		s := SigmoidPW(x)
-		th := TanhPW(x)
-		return s >= 0 && s <= 1 && th >= -1 && th <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestActLUT(t *testing.T) {
-	lut := NewActLUT(Sigmoid.Apply, -8, 8)
-	for x := float32(-6); x <= 6; x += 0.5 {
-		want := Sigmoid.Apply(x)
-		got := lut.Apply(x)
-		// 8-bit output resolution over [~0,1] is ~1/255.
-		if math.Abs(float64(got-want)) > 0.02 {
-			t.Errorf("LUT sigmoid(%v) = %v, want %v", x, got, want)
-		}
-	}
-	// Out-of-range clamps.
-	if got := lut.Apply(100); math.Abs(float64(got-1)) > 0.02 {
-		t.Errorf("LUT sigmoid(100) = %v", got)
-	}
-	if got := lut.Apply(-100); math.Abs(float64(got)) > 0.02 {
-		t.Errorf("LUT sigmoid(-100) = %v", got)
-	}
-}
-
-func TestActLUTConstantFunction(t *testing.T) {
-	lut := NewActLUT(func(float32) float32 { return 3 }, -1, 1)
-	if got := lut.Apply(0); math.Abs(float64(got-3)) > 0.01 {
-		t.Errorf("constant LUT = %v", got)
-	}
-}
-
-func TestActLUTBadRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic for hi <= lo")
-		}
-	}()
-	NewActLUT(Sigmoid.Apply, 1, 1)
 }

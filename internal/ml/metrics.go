@@ -47,18 +47,6 @@ func (c BinaryConfusion) F1() float64 {
 	return 100 * 2 * p * r / (p + r)
 }
 
-// Accuracy returns the fraction of correct predictions as a percentage.
-func (c BinaryConfusion) Accuracy() float64 {
-	total := c.TP + c.FP + c.TN + c.FN
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(c.TP+c.TN) / float64(total)
-}
-
-// Total returns the number of observations.
-func (c BinaryConfusion) Total() int { return c.TP + c.FP + c.TN + c.FN }
-
 // MultiConfusion tallies a k-class classifier's outcomes — the metric the
 // IoT traffic classifiers need, where BinaryConfusion's anomalous/benign
 // split cannot score a 5-category prediction. The matrix grows on demand, so
@@ -143,34 +131,6 @@ func (c *MultiConfusion) MacroF1() float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// Accuracy returns the fraction of correct predictions as a percentage.
-func (c *MultiConfusion) Accuracy() float64 {
-	correct, total := 0, 0
-	for i := range c.Counts {
-		for j, n := range c.Counts[i] {
-			total += n
-			if i == j {
-				correct += n
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return 100 * float64(correct) / float64(total)
-}
-
-// Total returns the number of observations.
-func (c *MultiConfusion) Total() int {
-	total := 0
-	for i := range c.Counts {
-		for _, n := range c.Counts[i] {
-			total += n
-		}
-	}
-	return total
 }
 
 // MulticlassAccuracy returns the percentage of indices where pred == truth.

@@ -14,9 +14,6 @@ func TestConfusionCounts(t *testing.T) {
 	if c.TP != 1 || c.FP != 1 || c.TN != 1 || c.FN != 1 {
 		t.Errorf("confusion = %+v", c)
 	}
-	if c.Total() != 4 {
-		t.Errorf("Total = %d", c.Total())
-	}
 	if got := c.Precision(); got != 0.5 {
 		t.Errorf("Precision = %v", got)
 	}
@@ -26,14 +23,11 @@ func TestConfusionCounts(t *testing.T) {
 	if got := c.F1(); got != 50 {
 		t.Errorf("F1 = %v", got)
 	}
-	if got := c.Accuracy(); got != 50 {
-		t.Errorf("Accuracy = %v", got)
-	}
 }
 
 func TestConfusionDegenerate(t *testing.T) {
 	var c BinaryConfusion
-	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 || c.Accuracy() != 0 {
+	if c.Precision() != 0 || c.Recall() != 0 || c.F1() != 0 {
 		t.Error("empty confusion should report zeros")
 	}
 	c.Observe(false, false)
@@ -68,8 +62,8 @@ func TestMultiConfusion(t *testing.T) {
 	if c.K() != 3 {
 		t.Fatalf("K = %d, want 3", c.K())
 	}
-	if c.Total() != len(obs) {
-		t.Fatalf("Total = %d, want %d", c.Total(), len(obs))
+	if n := observations(&c); n != len(obs) {
+		t.Fatalf("matrix holds %d observations, want %d", n, len(obs))
 	}
 	// Class 0: TP 2, FP 0, FN 1 -> F1 = 2*2/(2*2+0+1) = 80%.
 	if got := c.F1(0); math.Abs(got-80) > 1e-9 {
@@ -85,19 +79,16 @@ func TestMultiConfusion(t *testing.T) {
 	if got := c.MacroF1(); math.Abs(got-70) > 1e-9 {
 		t.Errorf("MacroF1 = %v, want 70", got)
 	}
-	if got := c.Accuracy(); math.Abs(got-100*5.0/7) > 1e-9 {
-		t.Errorf("Accuracy = %v", got)
-	}
 }
 
 func TestMultiConfusionDegenerate(t *testing.T) {
 	var c MultiConfusion
-	if c.MacroF1() != 0 || c.Accuracy() != 0 || c.Total() != 0 || c.F1(3) != 0 {
+	if c.MacroF1() != 0 || observations(&c) != 0 || c.F1(3) != 0 {
 		t.Error("empty multi confusion should report zeros")
 	}
 	c.Observe(-1, 0) // ignored
 	c.Observe(0, -1) // ignored
-	if c.Total() != 0 {
+	if observations(&c) != 0 {
 		t.Error("negative classes must be ignored")
 	}
 	// A class absent from both axes must not drag the macro average down.
@@ -118,4 +109,15 @@ func TestMulticlassAccuracy(t *testing.T) {
 	if MulticlassAccuracy([]int{1}, []int{1, 2}) != 0 {
 		t.Error("mismatched lengths should be 0")
 	}
+}
+
+// observations counts the outcomes c has tallied.
+func observations(c *MultiConfusion) int {
+	n := 0
+	for _, row := range c.Counts {
+		for _, v := range row {
+			n += v
+		}
+	}
+	return n
 }

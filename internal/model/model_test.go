@@ -243,11 +243,11 @@ func TestKMeansAlignsClusters(t *testing.T) {
 		t.Fatal(err)
 	}
 	held := iotRecords(t, 61, 600)
-	var conf ml.MultiConfusion
-	for _, r := range held {
-		conf.Observe(int(k.Score(r.Features)), int(r.Class))
+	pred, truth := make([]int, len(held)), make([]int, len(held))
+	for i, r := range held {
+		pred[i], truth[i] = int(k.Score(r.Features)), int(r.Class)
 	}
-	if acc := conf.Accuracy(); acc < 70 {
+	if acc := ml.MulticlassAccuracy(pred, truth); acc < 70 {
 		t.Errorf("aligned KMeans accuracy = %.1f%%, alignment failed", acc)
 	}
 }

@@ -146,22 +146,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return BucketMid(histBuckets - 1)
 }
 
-// Bucket returns the raw count of bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i].Load() }
-
-// Merge folds other's observations into h (bucket-wise adds; other is only
-// read). Merging concurrent with recording on either side is safe but
-// observes no cross-bucket consistency.
-func (h *Histogram) Merge(other *Histogram) {
-	for i := range h.buckets {
-		if n := other.buckets[i].Load(); n != 0 {
-			h.buckets[i].Add(n)
-		}
-	}
-	h.count.Add(other.count.Load())
-	h.addSum(other.Sum())
-}
-
 // Reset zeroes the histogram. Not atomic against concurrent recorders —
 // callers that reset (windowed measurement) own the single writer.
 func (h *Histogram) Reset() {

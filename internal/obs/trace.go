@@ -126,28 +126,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Len returns how many events the journal currently retains.
-func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.ring)
-}
-
-// Reset drops every retained event (sequence and span counters keep
-// advancing, so ids stay unique across resets).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.ring = t.ring[:0]
-	t.n = 0
-	t.mu.Unlock()
-}
-
 // WriteText renders the journal one line per event:
 //
 //	12.345ms span=3 seq=41 graphcheck.pass nodes=17

@@ -52,9 +52,6 @@ func TestTracerRingWrap(t *testing.T) {
 			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, want)
 		}
 	}
-	if tr.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", tr.Len())
-	}
 }
 
 func TestTracerNilSafe(t *testing.T) {
@@ -64,26 +61,11 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 	tr.Emit(1, "x", "y") // must not panic
 	tr.Emitf(1, "x", "%d", 3)
-	if tr.Events() != nil || tr.Len() != 0 {
+	if tr.Events() != nil {
 		t.Fatal("nil tracer retains events")
 	}
-	tr.Reset()
 	if err := tr.WriteText(&strings.Builder{}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTracerReset(t *testing.T) {
-	tr := NewTracer(4)
-	tr.Emit(0, "a", "")
-	tr.Reset()
-	if tr.Len() != 0 {
-		t.Fatal("Reset left events behind")
-	}
-	tr.Emit(0, "b", "")
-	evs := tr.Events()
-	if len(evs) != 1 || evs[0].Seq != 2 {
-		t.Fatalf("post-reset events: %+v (seq must keep advancing)", evs)
 	}
 }
 

@@ -28,14 +28,6 @@ func NewMat(rows, cols int) Mat {
 	return Mat{Rows: rows, Cols: cols, Data: make([]float32, rows*cols)}
 }
 
-// NewMatFrom wraps existing data (must have rows*cols elements).
-func NewMatFrom(rows, cols int, data []float32) Mat {
-	if len(data) != rows*cols {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
-	}
-	return Mat{Rows: rows, Cols: cols, Data: data}
-}
-
 // At returns element (r,c).
 func (m Mat) At(r, c int) float32 { return m.Data[r*m.Cols+c] }
 

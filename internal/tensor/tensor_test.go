@@ -35,19 +35,6 @@ func TestMatBasics(t *testing.T) {
 	}
 }
 
-func TestNewMatFrom(t *testing.T) {
-	m := NewMatFrom(2, 2, []float32{1, 2, 3, 4})
-	if m.At(1, 0) != 3 {
-		t.Errorf("At(1,0) = %v", m.At(1, 0))
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic on bad length")
-		}
-	}()
-	NewMatFrom(2, 2, []float32{1})
-}
-
 func TestNewMatNegativePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -70,7 +57,7 @@ func TestDot(t *testing.T) {
 }
 
 func TestMatVec(t *testing.T) {
-	m := NewMatFrom(2, 3, []float32{1, 0, 0, 0, 2, 0})
+	m := Mat{Rows: 2, Cols: 3, Data: []float32{1, 0, 0, 0, 2, 0}}
 	got := MatVec(m, Vec{5, 7, 9})
 	if got[0] != 5 || got[1] != 14 {
 		t.Errorf("MatVec = %v", got)

@@ -188,7 +188,8 @@ func NewDriftingStreamFrom(traffic, labels DriftSource, seed int64, nflows int, 
 	for _, opt := range opts {
 		opt(s)
 	}
-	if s.noiseP < 0 || s.noiseP >= 1 {
+	// Written so that NaN fails too: every comparison with NaN is false.
+	if !(s.noiseP >= 0 && s.noiseP < 1) {
 		return nil, fmt.Errorf("trafficgen: label noise must be in [0,1), got %v", s.noiseP)
 	}
 	// Pre-fill the phase history with the label feed's starting phase, so a

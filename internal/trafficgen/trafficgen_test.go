@@ -11,8 +11,10 @@ func TestDriftingStreamValidation(t *testing.T) {
 	if _, err := NewDriftingStream(dataset.DefaultDriftConfig(), 1, 0); err == nil {
 		t.Error("zero flows accepted")
 	}
-	if _, err := NewDriftingStream(dataset.DefaultDriftConfig(), 1, 8, WithLabelNoise(1.5)); err == nil {
-		t.Error("out-of-range label noise accepted")
+	for _, p := range []float64{-0.1, 1, 1.5, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := NewDriftingStream(dataset.DefaultDriftConfig(), 1, 8, WithLabelNoise(p)); err == nil {
+			t.Errorf("label noise %v accepted", p)
+		}
 	}
 	if _, err := NewDriftingStreamFrom(nil, nil, 1, 8); err == nil {
 		t.Error("nil sources accepted")

@@ -7,7 +7,9 @@ import (
 	"strings"
 	"testing"
 
+	"taurus/internal/core"
 	"taurus/internal/obs"
+	"taurus/internal/pipeline"
 )
 
 // TestObservabilityIntegration is the in-tree version of the
@@ -18,8 +20,8 @@ import (
 // agree with pipeline.Stats() totals, and after a push every shard's
 // model_epoch gauge reads the epoch the pipeline last published.
 //
-// The pipeline binds to a private registry (WithMetrics) so the metric
-// assertions are isolated from the rest of the test binary; the controller
+// The pipeline binds to a private registry (its device config's Obs) so the
+// metric assertions are isolated from the rest of the test binary; the controller
 // journals to the shared default tracer, so trace assertions only consider
 // events emitted after this test's baseline sequence number.
 func TestObservabilityIntegration(t *testing.T) {
@@ -30,7 +32,7 @@ func TestObservabilityIntegration(t *testing.T) {
 		shards    = 4
 	)
 
-	reg := NewMetricsRegistry()
+	reg := obs.NewRegistry()
 
 	var baseSeq int64
 	if evs := Tracer().Events(); len(evs) > 0 {
@@ -58,7 +60,9 @@ func TestObservabilityIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pl, err := NewPipeline(6, WithShards(shards), WithMetrics(reg))
+	dev := core.DefaultConfig(6)
+	dev.Obs = reg
+	pl, err := pipeline.New(pipeline.Config{Shards: shards, Device: dev})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,22 +5,25 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+
+	"taurus/internal/controlplane"
+	"taurus/internal/core"
+	"taurus/internal/netqueue"
+	"taurus/internal/pipeline"
 )
 
-// TestOptionsConstruction exercises the v1 functional-options surface.
+// TestOptionsConstruction exercises the functional-options surface.
 func TestOptionsConstruction(t *testing.T) {
-	dev, err := NewDevice(6,
-		WithGrid(DefaultGrid()),
-		WithFlowTable(1024),
-		WithThreshold(32),
-		WithDropOnAnomaly(),
-	)
+	dev, err := NewDevice(6, WithDropOnAnomaly())
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := dev.Config()
-	if cfg.NumFeatures != 6 || cfg.FlowTableSize != 1024 || cfg.Threshold != 32 || !cfg.DropOnAnomaly {
+	if cfg.NumFeatures != 6 || !cfg.DropOnAnomaly {
 		t.Errorf("options not applied: %+v", cfg)
+	}
+	if def := core.DefaultConfig(6); cfg.FlowTableSize != def.FlowTableSize || cfg.Threshold != def.Threshold {
+		t.Errorf("defaults not applied: %+v, want %+v", cfg, def)
 	}
 
 	if _, err := NewDevice(0); !errors.Is(err, ErrBadConfig) {
@@ -34,8 +37,8 @@ func TestPipelineConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer pl.Close()
-	if pl.NumShards() != DefaultShards {
-		t.Errorf("default shards = %d, want %d", pl.NumShards(), DefaultShards)
+	if pl.NumShards() != pipeline.DefaultShards {
+		t.Errorf("default shards = %d, want %d", pl.NumShards(), pipeline.DefaultShards)
 	}
 
 	pl2, err := NewPipeline(6, WithShards(8))
@@ -55,8 +58,8 @@ func TestPipelineConstruction(t *testing.T) {
 }
 
 // TestControllerConstruction exercises the control-plane facade: a pipeline
-// with a deployed model, a drifting stream, and a controller built with the
-// functional options, driven one synchronous loop iteration.
+// with a deployed model, a drifting stream, and a DNN controller built with
+// the functional options, driven one synchronous loop iteration.
 func TestControllerConstruction(t *testing.T) {
 	stream, err := NewDriftingStream(DefaultDriftConfig(), 5, 64)
 	if err != nil {
@@ -83,15 +86,19 @@ func TestControllerConstruction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ctrl, err := NewDNNController(pl, net, q.InputQ, stream.Labelled,
-		WithSampleEvery(2),
-		WithDriftWindow(128),
-		WithDriftThresholds(0.2, 32),
-		WithDriftPatience(1),
-		WithRetrainInterval(time.Hour),
+	dep, err := NewDNNDeployable(net, DNNDeployableConfig{Epochs: 1, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := NewController(pl, dep, stream.Labelled,
+		func(c *controlplane.Config) {
+			c.SampleEvery = 2
+			c.Window = 128
+			c.FlagDelta, c.ScoreDelta = 0.2, 32
+			c.DriftPatience = 1
+			c.RetrainInterval = time.Hour
+		},
 		WithRetrainRecords(400),
-		WithRetrainEpochs(1),
-		WithControllerSeed(5),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -114,14 +121,15 @@ func TestControllerConstruction(t *testing.T) {
 		t.Error("controller sampled no decisions")
 	}
 
-	if _, err := NewDNNController(nil, net, q.InputQ, stream.Labelled); err == nil {
-		t.Error("nil pipeline accepted")
+	if _, err := NewController(nil, dep, stream.Labelled); !errors.Is(err, ErrBadConfig) {
+		t.Errorf("nil pipeline: %v, want ErrBadConfig", err)
 	}
 }
 
 // TestDeployableControllerFacade drives the model-agnostic surface: an SVM
 // Deployable deployed through its own lifecycle, a controller attached with
 // the quantiser pinned from the pipeline, and a PSI-detector retrain cycle.
+// The pipeline cuts at score 1, the SVM's decision sign (svmPipeline).
 func TestDeployableControllerFacade(t *testing.T) {
 	cfg := DriftConfig{Base: AnomalyConfig{NumFeatures: 8, AnomalyFraction: 0.4, Separation: 1.2}}
 	stream, err := NewDriftingStream(cfg, 7, 64, WithLabelDelay(1), WithLabelNoise(0.05))
@@ -141,7 +149,7 @@ func TestDeployableControllerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pl, err := NewPipeline(8, WithShards(2), WithThreshold(1))
+	pl, err := svmPipeline(8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,15 +157,14 @@ func TestDeployableControllerFacade(t *testing.T) {
 
 	// A controller must refuse a pipeline with no deployed model (there is
 	// no quantiser to pin against yet).
-	if _, err := NewController(pl, dep, stream.Labelled); err == nil {
-		t.Error("controller attached before LoadModel")
+	if _, err := NewController(pl, dep, stream.Labelled); !errors.Is(err, ErrNoModel) {
+		t.Errorf("controller attached before LoadModel: %v, want ErrNoModel", err)
 	}
 	if err := pl.LoadModel(program, inQ, CompileOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	ctrl, err := NewController(pl, dep, stream.Labelled,
-		WithDriftStatistic(DriftPSI),
-		WithPSIThreshold(0.3),
+		func(c *controlplane.Config) { c.Statistic, c.PSIThreshold = controlplane.DriftPSI, 0.3 },
 		WithRetrainRecords(300),
 	)
 	if err != nil {
@@ -218,8 +225,7 @@ func TestFleetFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet, err := NewFleet(dep, inQ,
-		WithDriftStatistic(DriftKS),
-		WithKSThreshold(0.2),
+		func(c *controlplane.Config) { c.Statistic, c.KSThreshold = controlplane.DriftKS, 0.2 },
 		WithRetrainRecords(300),
 		WithAdaptiveRetrain(900),
 	)
@@ -228,7 +234,7 @@ func TestFleetFacade(t *testing.T) {
 	}
 	pipes := make([]*Pipeline, 2)
 	for i := range pipes {
-		pl, err := NewPipeline(8, WithShards(2), WithThreshold(1))
+		pl, err := svmPipeline(8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,10 +247,6 @@ func TestFleetFacade(t *testing.T) {
 		}
 		pipes[i] = pl
 	}
-	if _, err := NewFleet(dep, inQ, WithRetrainEpochs(3)); err == nil {
-		t.Error("DNN-lifecycle option accepted by NewFleet with a caller-supplied Deployable")
-	}
-
 	for i, pl := range pipes {
 		ins, out, _ := streams[i].NextBatch(256)
 		if _, err := pl.ProcessBatch(ins, out); err != nil {
@@ -287,9 +289,11 @@ func TestFleetFacade(t *testing.T) {
 }
 
 // TestSimulatorFacade deploys a model, runs the continuous-time queueing
-// simulator over the pipeline's service model through the public surface,
-// and wires a controller's WithOnPush to Simulator.Push so a retrain's
-// weight write becomes a simulated service stall.
+// simulator over the pipeline's service model, and wires a controller's
+// OnPush to Simulator.Push so a retrain's weight write becomes a simulated
+// service stall. The facade builds the simulator with the default queue and
+// stall; this one, with a 256-slot queue and a 20µs stall, is built from
+// the internal config, so that the push must drop packets.
 func TestSimulatorFacade(t *testing.T) {
 	stream, err := NewDriftingStream(DefaultDriftConfig(), 9, 64)
 	if err != nil {
@@ -337,19 +341,21 @@ func TestSimulatorFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim, err := NewSimulator(pl, arr,
-		WithQueueCapacity(256),
-		WithPushStall(20*time.Microsecond),
-	)
+	if _, err := NewSimulator(pl, idle); err != nil {
+		t.Fatal(err)
+	}
+	sim, err := netqueue.New(netqueue.Config{Service: svc, QueueCap: 256, PushStallNs: 20_000}, arr)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	ctrl, err := NewDNNController(pl, net, q.InputQ, stream.Labelled,
+	dep, err := NewDNNDeployable(net, DNNDeployableConfig{Epochs: 1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctrl, err := NewController(pl, dep, stream.Labelled,
 		WithRetrainRecords(400),
-		WithRetrainEpochs(1),
-		WithControllerSeed(9),
-		WithOnPush(sim.Push),
+		func(c *controlplane.Config) { c.OnPush = sim.Push },
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -390,4 +396,12 @@ func TestSimulatorFacade(t *testing.T) {
 	if max <= 0 || max > 1.25*svc.NominalPPS() {
 		t.Errorf("sustainable load %.3g pps out of range (nominal %.3g)", max, svc.NominalPPS())
 	}
+}
+
+// svmPipeline builds a two-shard pipeline whose postprocessing cut is score
+// 1, the sign of an SVM decision.
+func svmPipeline(numFeatures int) (*Pipeline, error) {
+	dev := core.DefaultConfig(numFeatures)
+	dev.Threshold = 1
+	return pipeline.New(pipeline.Config{Shards: 2, Device: dev})
 }
