@@ -33,7 +33,6 @@ import (
 	"math"
 	"strconv"
 	"sync/atomic"
-	"time"
 
 	"taurus/internal/core"
 	"taurus/internal/dataset"
@@ -74,11 +73,6 @@ const (
 	// sensitive to distribution change that leaves the mean untouched —
 	// symmetric variance widening, bimodal splits.
 	DriftPSI
-	// DriftKS computes the two-sample Kolmogorov–Smirnov distance between
-	// the window's raw score sample and a reference sample. Scale-free like
-	// PSI but binning-free: no quantile-edge artefacts on heavily discrete
-	// or long-tailed score distributions.
-	DriftKS
 )
 
 // Config parameterises a Controller. The zero value of any field selects
@@ -108,10 +102,11 @@ type Config struct {
 	// drift (default 0.25 — the conventional "significant shift" point).
 	// DriftPSI only.
 	PSIThreshold float64
-	// KSThreshold is the two-sample Kolmogorov–Smirnov distance that
-	// declares drift (default 0.15 — comfortably above the ~0.09 sampling
-	// noise of two 512-sample windows at the 5% level). Used by DriftKS for
-	// detection, and by AdaptiveRetrain as its calm criterion.
+	// KSThreshold is AdaptiveRetrain's calm criterion: the two-sample
+	// Kolmogorov–Smirnov distance between the model's scores on a fresh
+	// chunk before and after refitting on it, at or under which collection
+	// stops (default 0.15 — comfortably above the ~0.09 sampling noise of
+	// two 512-sample draws at the 5% level).
 	KSThreshold float64
 	// DriftPatience is how many consecutive out-of-threshold windows it
 	// takes to declare drift (default 2) — hysteresis against the sampling
@@ -132,21 +127,6 @@ type Config struct {
 	// RetrainMaxRecords caps the adaptive collection (default
 	// 4×RetrainRecords; ignored without AdaptiveRetrain).
 	RetrainMaxRecords int
-	// RetrainInterval, when positive, retrains periodically in background
-	// mode even without a drift signal (0 = drift-triggered only).
-	RetrainInterval time.Duration
-	// SourceDeadline, when positive, bounds how long a retrain waits on any
-	// one member's LabelSource: a member whose source has not returned after
-	// the deadline is skipped for that retrain (its MemberStats.SourceTimeouts
-	// increments) and its share of the pool is re-drawn from the members that
-	// answered, so one stalled source cannot stall or starve the shared loop.
-	// When every source stalls — a Controller's only one, say — the retrain
-	// fails after the deadline (Err reports it, the drift latch is cleared)
-	// instead of blocking. Records a skipped call returns later are
-	// discarded, and while it is still running the member stays skipped — a
-	// LabelSource is never invoked concurrently with itself. 0 (the default)
-	// waits indefinitely.
-	SourceDeadline time.Duration
 	// DistFit, when set, routes every retrain's Fit through a
 	// coordinator/worker distributed fit (internal/distfit): the collected
 	// records are chunked, the configured workers compute model partials
@@ -165,13 +145,10 @@ type Config struct {
 	// controller locks held; it must not call back into the controller.
 	OnPush func()
 	// Obs is the metrics registry the control plane's counters register in
-	// (obs.Default() when nil).
+	// (obs.Default() when nil). A Controller's instruments carry a
+	// process-unique {ctl=N}, a Fleet's {fleet=N}; each member's detector
+	// counters add {member=<name>} (a Controller's one member is "member-0").
 	Obs *obs.Registry
-	// ObsLabels identify this control plane's instruments. When nil a
-	// Controller takes a process-unique {ctl=N} and a Fleet {fleet=N}; each
-	// member's detector counters add {member=<name>} (a Controller's one
-	// member is "member-0").
-	ObsLabels []obs.Label
 	// Tracer receives the control-plane trace: drift detections, retrain
 	// spans, graphcheck verdicts, label pooling, push fan-out and
 	// rollback (obs.DefaultTracer() when nil).
@@ -196,10 +173,10 @@ func DefaultConfig() Config {
 // applyDefaults replaces every zero (or negative) field with its default and
 // refuses what no default can mean: NaN and +Inf pass a `<= 0` check, but no
 // window distance ever exceeds them, so a NaN or +Inf threshold would switch
-// drift detection off without a word; a Statistic outside the defined three
+// drift detection off without a word; a Statistic outside the defined two
 // would silently run mean-shift.
 func (c *Config) applyDefaults() error {
-	if c.Statistic < DriftMeanShift || c.Statistic > DriftKS {
+	if c.Statistic < DriftMeanShift || c.Statistic > DriftPSI {
 		return fmt.Errorf("controlplane: Statistic %d is not a defined DriftStatistic", c.Statistic)
 	}
 	for _, th := range []struct {
@@ -272,10 +249,6 @@ type Stats struct {
 	// window (0 until the reference is armed; DriftPSI only). Zeroed on
 	// re-arm, like the reference profile it is measured against.
 	LastPSI float64
-	// LastKS is the Kolmogorov–Smirnov distance of the last completed
-	// window (0 until the reference is armed; DriftKS only). Zeroed on
-	// re-arm.
-	LastKS float64
 	// LastRetrainRecords is how many labelled records the most recent
 	// retrain trained on — RetrainRecords for fixed sizing, the adaptive
 	// collection size otherwise.
@@ -289,7 +262,7 @@ type Stats struct {
 	ReissuedTasks int
 }
 
-// ctlOrdinal numbers controllers built without explicit ObsLabels.
+// ctlOrdinal numbers controllers for their telemetry labels ({ctl=N}).
 var ctlOrdinal atomic.Int64
 
 // Controller is the closed-loop control plane over one data plane: a Fleet
@@ -315,10 +288,8 @@ func New(pusher Pusher, m model.Deployable, inQ fixed.Quantizer, source LabelSou
 	if source == nil {
 		return nil, fmt.Errorf("controlplane: nil label source")
 	}
-	if cfg.ObsLabels == nil {
-		cfg.ObsLabels = []obs.Label{obs.L("ctl", strconv.FormatInt(ctlOrdinal.Add(1)-1, 10))}
-	}
-	f, err := NewFleet(m, inQ, cfg)
+	labels := []obs.Label{obs.L("ctl", strconv.FormatInt(ctlOrdinal.Add(1)-1, 10))}
+	f, err := newFleet(m, inQ, cfg, labels)
 	if err != nil {
 		return nil, err
 	}
@@ -413,8 +384,7 @@ func scoresOf(m model.Deployable, recs []dataset.Record) []float64 {
 }
 
 // Start launches the background retrain worker: it retrains whenever
-// Observe detects drift, and on every RetrainInterval when one is
-// configured. Calling Start twice is a no-op.
+// Observe detects drift. Calling Start twice is a no-op.
 func (c *Controller) Start() { c.f.Start() }
 
 // Close stops the background worker (if started), waits for any retrain in
@@ -437,10 +407,6 @@ func (c *Controller) Stats() Stats {
 // Err returns the error of the most recent failed retrain, or nil if the
 // last retrain succeeded (or none ran).
 func (c *Controller) Err() error { return c.f.Err() }
-
-// Drifted reports whether drift has been detected and not yet answered by a
-// retrain.
-func (c *Controller) Drifted() bool { return c.f.Drifted() }
 
 func abs(v float64) float64 {
 	if v < 0 {

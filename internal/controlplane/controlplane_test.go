@@ -148,17 +148,46 @@ func TestControllerClosesTheLoop(t *testing.T) {
 	}
 }
 
+// pushSignal returns a channel fed by Config.OnPush: one slot, filled without
+// blocking, so a test can wait for the next push under a select timeout
+// after draining an earlier one.
+func pushSignal(cfg *Config) <-chan struct{} {
+	pushed := make(chan struct{}, 1)
+	cfg.OnPush = func() {
+		select {
+		case pushed <- struct{}{}:
+		default:
+		}
+	}
+	return pushed
+}
+
+// drain empties a pushSignal channel.
+func drain(pushed <-chan struct{}) {
+	select {
+	case <-pushed:
+	default:
+	}
+}
+
+// drifted reports whether the controller's one member has drift detected
+// and not yet answered by a retrain.
+func drifted(c *Controller) bool { return c.f.Stats().Members[0].Drifted }
+
 // TestControllerBackgroundRetrainUnderTraffic exercises the deployment
-// shape under the race detector: batches keep flowing through ProcessBatch
-// on several goroutines while the background worker retrains and pushes
-// weights into the live shards.
+// shape under the race detector, in two phases. (a) Batches flow through
+// ProcessBatch on several goroutines while another keeps pushing weights
+// into the live shards with RetrainNow, the background worker running
+// beside them. (b) With a fresh reference built on stationary traffic, the
+// distribution shifts and traffic keeps flowing until the worker's own push
+// answers the drift.
 func TestControllerBackgroundRetrainUnderTraffic(t *testing.T) {
 	f := newLoopFixture(t, 4, 2)
 	cfg := DefaultConfig()
 	cfg.Window = 128
 	cfg.RefWindows = 1
 	cfg.RetrainRecords = 512
-	cfg.RetrainInterval = time.Millisecond // force pushes regardless of drift
+	pushed := pushSignal(&cfg)
 	ctrl, err := New(f.pipe, f.dep, f.inQ, f.stream.Labelled, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -166,9 +195,8 @@ func TestControllerBackgroundRetrainUnderTraffic(t *testing.T) {
 	ctrl.Start()
 	ctrl.Start() // second Start must be a harmless no-op
 
-	f.stream.SetPhase(1) // drive drifted traffic so Observe also kicks
-
-	const workers = 3
+	// (a) Operator pushes under live traffic.
+	const workers, pushes = 3, 5
 	ins, _, _ := f.stream.NextBatch(512)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -185,19 +213,66 @@ func TestControllerBackgroundRetrainUnderTraffic(t *testing.T) {
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < pushes; i++ {
+			if err := ctrl.RetrainNow(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	if got := ctrl.Stats().Retrains; got < pushes {
+		t.Fatalf("retrains = %d after %d operator pushes under traffic", got, pushes)
+	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for ctrl.Stats().Retrains == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// Quiesce: stop the worker (joining any retrain it has in flight), then
+	// one synchronous retrain re-arms every reference and drains any kick
+	// phase (a) left pending, so the next push can only be the worker's
+	// answer to the drift below.
+	ctrl.Close()
+	if err := ctrl.RetrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	drain(pushed)
+	ctrl.Start() // a restart after Close
+
+	// (b) Reference on stationary traffic, then drift, answered by the worker.
+	before := ctrl.Stats()
+	for ctrl.Stats().Windows < before.Windows+cfg.RefWindows {
+		ins, out, _ := f.stream.NextBatch(512)
+		if _, err := f.pipe.ProcessBatch(ins, out); err != nil {
+			t.Fatal(err)
+		}
+		ctrl.Observe(out)
+	}
+	f.stream.SetPhase(1)
+	timeout := time.After(5 * time.Second)
+	for answered := false; !answered; {
+		select {
+		case <-pushed:
+			answered = true
+		case <-timeout:
+			t.Fatalf("background worker never answered the drift (stats %+v)", ctrl.Stats())
+		default:
+			ins, out, _ := f.stream.NextBatch(512)
+			if _, err := f.pipe.ProcessBatch(ins, out); err != nil {
+				t.Fatal(err)
+			}
+			ctrl.Observe(out)
+		}
 	}
 	ctrl.Close()
 	ctrl.Close() // idempotent
 	if err := ctrl.Err(); err != nil {
 		t.Fatalf("background retrain failed: %v", err)
 	}
-	if got := ctrl.Stats().Retrains; got == 0 {
-		t.Fatal("background worker never retrained")
+	st := ctrl.Stats()
+	if st.Drifts <= before.Drifts || st.Retrains <= before.Retrains {
+		t.Fatalf("worker push without a drift to answer: drifts %d -> %d, retrains %d -> %d",
+			before.Drifts, st.Drifts, before.Retrains, st.Retrains)
 	}
 
 	// The pipeline must still serve traffic after the controller is closed.
@@ -249,7 +324,7 @@ func TestControllerFailedRetrainRearms(t *testing.T) {
 	if err := drive(6); err == nil {
 		t.Fatal("flaky source never made a retrain fail; test needs retuning")
 	}
-	if ctrl.Drifted() {
+	if drifted(ctrl) {
 		t.Error("failed retrain left the drift flag latched")
 	}
 	// The distribution is still shifted: the detector must fire again and
@@ -266,84 +341,6 @@ func TestControllerFailedRetrainRearms(t *testing.T) {
 	}
 	if err := ctrl.Err(); err != nil {
 		t.Errorf("Err() still reports a failure after a successful retrain: %v", err)
-	}
-}
-
-// TestControllerSourceDeadline: a controller's label source is held to
-// Config.SourceDeadline like any fleet member's. While the source is stalled
-// a retrain fails after the deadline instead of blocking — error retained,
-// drift latch cleared so the detector can re-signal — the stalled call is
-// never run concurrently with itself, and once it returns retraining resumes.
-func TestControllerSourceDeadline(t *testing.T) {
-	var mu sync.Mutex
-	inside, maxInside := 0, 0
-	release := make(chan struct{})
-	stalled := func(n int) []dataset.Record {
-		mu.Lock()
-		inside++
-		if inside > maxInside {
-			maxInside = inside
-		}
-		mu.Unlock()
-		<-release
-		mu.Lock()
-		inside--
-		mu.Unlock()
-		return make([]dataset.Record, n)
-	}
-	cfg := DefaultConfig()
-	cfg.SampleEvery = 1
-	cfg.Window = 256
-	cfg.SourceDeadline = 20 * time.Millisecond
-	ctrl, err := New(nopPusher{}, stubModel{}, fixed.NewQuantizer(1), stalled, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	for w := 0; w < 2; w++ {
-		ctrl.Observe(scoreDecisions(normalScores(rng, 256, 64, 4)))
-	}
-	for w := 0; w < 4 && !ctrl.Drifted(); w++ {
-		ctrl.Observe(scoreDecisions(normalScores(rng, 256, 160, 4)))
-	}
-	if !ctrl.Drifted() {
-		t.Fatal("drift never detected; test needs retuning")
-	}
-
-	// Two retrains inside the outage: the first waits out the deadline, the
-	// second finds the abandoned call still running and must not start another.
-	for i := 0; i < 2; i++ {
-		if err := ctrl.RetrainNow(); err == nil {
-			t.Fatalf("retrain %d succeeded with the label source stalled", i)
-		}
-	}
-	if ctrl.Err() == nil {
-		t.Error("Err() lost the timed-out retrain")
-	}
-	if ctrl.Drifted() {
-		t.Error("timed-out retrain left the drift flag latched")
-	}
-	if got := ctrl.Stats().Retrains; got != 0 {
-		t.Errorf("retrains = %d during the outage, want 0", got)
-	}
-
-	// The outage ends; the abandoned call drains in its own goroutine, so the
-	// first attempts may still find it in flight.
-	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for ctrl.RetrainNow() != nil && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if err := ctrl.Err(); err != nil {
-		t.Fatalf("retrain still failing after the source recovered: %v", err)
-	}
-	if got := ctrl.Stats().Retrains; got != 1 {
-		t.Errorf("retrains = %d after recovery, want 1", got)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if maxInside != 1 {
-		t.Errorf("label source ran %d times concurrently, want at most 1", maxInside)
 	}
 }
 
@@ -486,7 +483,7 @@ func TestControllerReferenceRearms(t *testing.T) {
 	if !t.Failed() && ctrl.Stats().Retrains == 0 {
 		t.Fatal("no retrain on drift")
 	}
-	if ctrl.Drifted() {
+	if drifted(ctrl) {
 		t.Error("drift flag still set after retrain re-armed the reference")
 	}
 	// Stationary post-recovery traffic must not keep declaring drift.
@@ -505,7 +502,8 @@ func TestControllerReferenceRearms(t *testing.T) {
 // spurious retrain for drift the push already resolved.
 func TestControllerStaleKickDrained(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	ctrl := detectorController(t, DriftMeanShift)
+	var pushed <-chan struct{}
+	ctrl := detectorController(t, DriftMeanShift, func(c *Config) { pushed = pushSignal(c) })
 
 	// Reference at mean 64, then a hard shift; Observe returns true and, as
 	// a side effect, buffers a kick.
@@ -525,15 +523,14 @@ func TestControllerStaleKickDrained(t *testing.T) {
 	if got := ctrl.Stats().Retrains; got != 1 {
 		t.Fatalf("retrains = %d, want 1", got)
 	}
+	drain(pushed)
 
-	// Starting the background worker now must not replay the answered kick.
+	// Starting the background worker now must not replay the answered kick:
+	// no push may land within the settling window.
 	waitSettled := func() {
-		deadline := time.Now().Add(200 * time.Millisecond)
-		for time.Now().Before(deadline) {
-			if ctrl.Stats().Retrains > 1 {
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
+		select {
+		case <-pushed:
+		case <-time.After(200 * time.Millisecond):
 		}
 	}
 	ctrl.Start()
@@ -555,12 +552,16 @@ func TestControllerStaleKickDrained(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		ctrl.Observe(scoreDecisions(normalScores(rng, 256, 64, 4)))
 	}
-	for w := 0; w < 8 && ctrl.Stats().Retrains < 2; w++ {
-		ctrl.Observe(scoreDecisions(normalScores(rng, 256, 16, 4)))
+	fired = false
+	for w := 0; w < 8 && !fired; w++ {
+		fired = ctrl.Observe(scoreDecisions(normalScores(rng, 256, 16, 4)))
 	}
-	deadline := time.Now().Add(2 * time.Second)
-	for ctrl.Stats().Retrains < 2 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	if !fired {
+		t.Fatal("fresh drift never detected; test needs retuning")
+	}
+	select {
+	case <-pushed:
+	case <-time.After(5 * time.Second):
 	}
 	ctrl.Close()
 	if got := ctrl.Stats().Retrains; got != 2 {
@@ -594,9 +595,9 @@ func TestControllerStatsRearmedAfterRetrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = ctrl.Stats()
-	if st.RefFlagRate != 0 || st.RefMeanScore != 0 || st.LastPSI != 0 || st.LastKS != 0 {
-		t.Errorf("stale reference reported as current after re-arm: ref flag %.3f, ref mean %.1f, PSI %.3f, KS %.3f",
-			st.RefFlagRate, st.RefMeanScore, st.LastPSI, st.LastKS)
+	if st.RefFlagRate != 0 || st.RefMeanScore != 0 || st.LastPSI != 0 {
+		t.Errorf("stale reference reported as current after re-arm: ref flag %.3f, ref mean %.1f, PSI %.3f",
+			st.RefFlagRate, st.RefMeanScore, st.LastPSI)
 	}
 	// Cumulative counters must survive the re-arm.
 	if st.Windows == 0 || st.Drifts == 0 || st.Sampled == 0 {
@@ -749,8 +750,9 @@ func (stubModel) ReferenceDecision(fixed.Quantizer, tensor.Vec) (int32, error) {
 }
 
 // detectorController builds a controller wired to stubs, for feeding
-// synthetic decision streams straight into the drift detector.
-func detectorController(t *testing.T, stat DriftStatistic) *Controller {
+// synthetic decision streams straight into the drift detector; opts adjust
+// the configuration last.
+func detectorController(t *testing.T, stat DriftStatistic, opts ...func(*Config)) *Controller {
 	t.Helper()
 	cfg := DefaultConfig()
 	cfg.Statistic = stat
@@ -758,6 +760,9 @@ func detectorController(t *testing.T, stat DriftStatistic) *Controller {
 	cfg.Window = 256
 	cfg.RefWindows = 2
 	cfg.DriftPatience = 2
+	for _, o := range opts {
+		o(&cfg)
+	}
 	src := func(n int) []dataset.Record { return make([]dataset.Record, n) }
 	ctrl, err := New(nopPusher{}, stubModel{}, fixed.NewQuantizer(1), src, cfg)
 	if err != nil {
@@ -805,7 +810,7 @@ func TestPSIDetectsVarianceWidening(t *testing.T) {
 		feed(psiCtrl, scores)
 		feed(meanCtrl, scores)
 	}
-	if psiCtrl.Drifted() || meanCtrl.Drifted() {
+	if drifted(psiCtrl) || drifted(meanCtrl) {
 		t.Fatal("drift declared during reference establishment")
 	}
 

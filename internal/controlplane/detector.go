@@ -21,7 +21,6 @@ type detector struct {
 	refFlag    float64
 	refScore   float64
 	psi        psiDetector
-	ks         ksDetector
 	outOfBand  int // consecutive windows past a threshold
 	drifted    bool
 
@@ -40,7 +39,6 @@ type detector struct {
 	lastFlagRate  float64
 	lastMeanScore float64
 	lastPSI       float64
-	lastKS        float64
 }
 
 // bind registers the detector's cumulative counters; Fleet.Register binds
@@ -71,11 +69,8 @@ func (d *detector) observe(decs []core.Decision) bool {
 		}
 		score := float64(decs[i].MLScore)
 		d.winScore += score
-		switch d.cfg.Statistic {
-		case DriftPSI:
+		if d.cfg.Statistic == DriftPSI {
 			d.psi.observe(score)
-		case DriftKS:
-			d.ks.observe(score)
 		}
 		if d.winN >= d.cfg.Window {
 			if d.closeWindow() {
@@ -102,28 +97,17 @@ func (d *detector) closeWindow() bool {
 		d.refScore = (d.refScore*n + meanScore) / (n + 1)
 		d.refWindows++
 		d.refFlagRate, d.refMeanScore = d.refFlag, d.refScore
-		if d.refWindows == d.cfg.RefWindows {
-			switch d.cfg.Statistic {
-			case DriftPSI:
-				d.psi.armReference()
-			case DriftKS:
-				d.ks.armReference()
-			}
+		if d.refWindows == d.cfg.RefWindows && d.cfg.Statistic == DriftPSI {
+			d.psi.armReference()
 		}
 		return false
 	}
 
-	outOfBand := false
-	switch d.cfg.Statistic {
-	case DriftPSI:
-		p := d.psi.closeWindow()
-		d.lastPSI = p
-		outOfBand = p > d.cfg.PSIThreshold || abs(flagRate-d.refFlag) > d.cfg.FlagDelta
-	case DriftKS:
-		ks := d.ks.closeWindow()
-		d.lastKS = ks
-		outOfBand = ks > d.cfg.KSThreshold || abs(flagRate-d.refFlag) > d.cfg.FlagDelta
-	default:
+	var outOfBand bool
+	if d.cfg.Statistic == DriftPSI {
+		d.lastPSI = d.psi.closeWindow()
+		outOfBand = d.lastPSI > d.cfg.PSIThreshold || abs(flagRate-d.refFlag) > d.cfg.FlagDelta
+	} else {
 		outOfBand = abs(flagRate-d.refFlag) > d.cfg.FlagDelta || abs(meanScore-d.refScore) > d.cfg.ScoreDelta
 	}
 
@@ -151,11 +135,10 @@ func (d *detector) rearm() {
 	d.winN, d.winFlagged, d.winScore = 0, 0, 0
 	d.refWindows, d.refFlag, d.refScore = 0, 0, 0
 	d.psi.reset()
-	d.ks.reset()
 	d.outOfBand = 0
 	d.drifted = false
 	d.refFlagRate, d.refMeanScore = 0, 0
-	d.lastPSI, d.lastKS = 0, 0
+	d.lastPSI = 0
 }
 
 // clearLatch re-arms only the drift latch — the recovery path after a failed
@@ -178,6 +161,5 @@ func (d *detector) stats() Stats {
 		LastFlagRate:  d.lastFlagRate,
 		LastMeanScore: d.lastMeanScore,
 		LastPSI:       d.lastPSI,
-		LastKS:        d.lastKS,
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"taurus/internal/core"
 	"taurus/internal/dataset"
@@ -44,9 +43,8 @@ var fleetOrdinal atomic.Int64
 // Observe after each batch and, when it returns true (drift), calls
 // RetrainNow — fully deterministic, used by the drift experiment. Background:
 // Start launches a worker goroutine that retrains whenever drift is observed
-// on any member (and, optionally, on a fixed RetrainInterval) while the
-// callers keep pushing batches — the live deployment shape, exercised under
-// -race.
+// on any member while the callers keep pushing batches — the live deployment
+// shape, exercised under -race.
 //
 // The two modes meet at the kick channel: every drift detection fills a
 // one-slot buffer the background worker drains, so signals coalesce —
@@ -117,14 +115,6 @@ type fleetMember struct {
 	sampledAtRetrain int
 	// pooled is how many records the member contributed to the last retrain.
 	pooled int
-	// sourceTimeouts counts retrains that skipped this member because its
-	// label source blocked past Config.SourceDeadline.
-	sourceTimeouts int
-	// sourceInFlight marks an abandoned (timed-out) source call still
-	// running; while set, the member is skipped rather than invoking its
-	// LabelSource concurrently with itself — sources are not required to
-	// be reentrant.
-	sourceInFlight bool
 
 	// gone marks a joiner whose catch-up push was refused (guarded by
 	// Fleet.mu, like the member list itself). The slot stays in the slice
@@ -162,10 +152,6 @@ type MemberStats struct {
 	// PooledRecords is how many labelled records the member contributed to
 	// the most recent fleet retrain.
 	PooledRecords int
-	// SourceTimeouts counts retrains that skipped this member because its
-	// label source blocked past Config.SourceDeadline — the backpressure
-	// guard keeping one laggy source from stalling the shared loop.
-	SourceTimeouts int
 	// Deregistered reports that the member refused its catch-up push at
 	// Register and is tombstoned: it receives no pushes and contributes no
 	// labels, but its slot remains in Stats so member ids stay stable.
@@ -197,6 +183,12 @@ type FleetStats struct {
 // graph to all members, so they must share the deployment: same model, same
 // input domain). Register members with Register before driving traffic.
 func NewFleet(m model.Deployable, inQ fixed.Quantizer, cfg Config) (*Fleet, error) {
+	return newFleet(m, inQ, cfg, nil)
+}
+
+// newFleet is NewFleet with the labels that identify the fleet's instruments;
+// nil takes a process-unique {fleet=N}.
+func newFleet(m model.Deployable, inQ fixed.Quantizer, cfg Config, labels []obs.Label) (*Fleet, error) {
 	if m == nil {
 		return nil, fmt.Errorf("controlplane: nil model")
 	}
@@ -210,7 +202,6 @@ func NewFleet(m model.Deployable, inQ fixed.Quantizer, cfg Config) (*Fleet, erro
 	if reg == nil {
 		reg = obs.Default()
 	}
-	labels := cfg.ObsLabels
 	if labels == nil {
 		labels = []obs.Label{obs.L("fleet", strconv.FormatInt(fleetOrdinal.Add(1)-1, 10))}
 	}
@@ -289,9 +280,12 @@ func (f *Fleet) coordinator() (*distfit.Coordinator, error) {
 
 // Register adds one switch to the fleet: its data plane (anything accepting
 // weight pushes — a *pipeline.Pipeline or *core.Device) and its labelled
-// telemetry source. name is for reports; empty picks "member-N". Returns
-// the member id for Observe. Each member gets its own drift detector over
-// the fleet's shared configuration.
+// telemetry source. name is for reports; empty picks "member-N", where N is
+// the new member's id. Returns the member id for Observe. Each member gets its
+// own drift detector over the fleet's shared configuration, whose counters
+// are registry instruments labelled {member=<name>}; a name already
+// registered — tombstoned members included — is refused before anything is
+// bound, since two members under one name would share those counters.
 //
 // A member joining after the fleet has already pushed a retrained graph is
 // caught up immediately: the most recent pushed graph is pushed to the
@@ -315,6 +309,12 @@ func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	f.mu.Lock()
 	if name == "" {
 		name = fmt.Sprintf("member-%d", len(f.members))
+	}
+	for _, o := range f.members {
+		if o.name == name {
+			f.mu.Unlock()
+			return 0, fmt.Errorf("controlplane: fleet member name %q is already registered", name)
+		}
 	}
 	m := &fleetMember{name: name, pusher: p, source: src}
 	m.det.cfg = &f.cfg
@@ -377,8 +377,8 @@ func (f *Fleet) Observe(member int, decs []core.Decision) bool {
 // records from the drifted members — weighted by the traffic each sampled
 // since the last retrain — Fit the shared model, Lower once against the
 // pinned input domain, and push the one lowered graph to every member
-// atomically. When no member is drifted (a periodic or operator-initiated
-// retrain), every member contributes to the pool. On success every member's
+// atomically. When no member is drifted (an operator-initiated retrain),
+// every member contributes to the pool. On success every member's
 // detector is re-armed — the push changed every member's score distribution,
 // drifted or not — and any pending drift kick is drained. Concurrent calls
 // serialise.
@@ -478,8 +478,8 @@ func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
 		return nil, nil, nil, fmt.Errorf("controlplane: fleet has no members")
 	}
 	// Every member is weighed — a member with no sampled traffic still counts
-	// for 1 — and the drifted ones form the pool; with no drift at all (a
-	// periodic or operator retrain) every member contributes.
+	// for 1 — and the drifted ones form the pool; with no drift at all (an
+	// operator retrain) every member contributes.
 	all := make([]float64, len(members))
 	drifted := make([]bool, len(members))
 	anyDrift := false
@@ -508,21 +508,8 @@ func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
 	}
 
 	contrib := make([]int, len(pool))
-	// skipped latches per retrain: a member whose source blocked past the
-	// deadline once is not asked again for this retrain's later chunks.
-	skipped := make([]bool, len(pool))
 	draw := func(i int, m *fleetMember, want int, recs []dataset.Record, remaining *int) []dataset.Record {
-		got, ok := f.pullFrom(m, want)
-		if !ok {
-			// The backpressure guard: a source that blocks past the
-			// deadline is skipped for this whole retrain; its share falls
-			// to the members that answered.
-			skipped[i] = true
-			m.mu.Lock()
-			m.sourceTimeouts++
-			m.mu.Unlock()
-			return recs
-		}
+		got := m.source(want)
 		contrib[i] += len(got)
 		// Deduct what actually arrived: a member whose label source
 		// under-delivers leaves its shortfall for its siblings, so one dry
@@ -534,8 +521,8 @@ func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
 		recs := make([]dataset.Record, 0, n)
 		remaining := n
 		for i, m := range pool {
-			if skipped[i] || remaining <= 0 {
-				continue
+			if remaining <= 0 {
+				break
 			}
 			want := remaining
 			if i < len(pool)-1 {
@@ -549,57 +536,18 @@ func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
 			}
 			recs = draw(i, m, want, recs, &remaining)
 		}
-		// Top-up pass: whatever share was lost to timed-out (or dry)
-		// members is re-requested from the members that answered, so the
-		// pool only comes up short when every remaining source does.
+		// Top-up pass: whatever share a dry member left short is
+		// re-requested from every member in turn, so the pool only comes up
+		// short when every source does.
 		for i, m := range pool {
 			if remaining <= 0 {
 				break
-			}
-			if skipped[i] {
-				continue
 			}
 			recs = draw(i, m, remaining, recs, &remaining)
 		}
 		return recs
 	}
 	return pool, pull, contrib, nil
-}
-
-// pullFrom draws want records from m's label source, giving up after
-// Config.SourceDeadline (false). With no deadline it blocks, exactly as
-// before. An abandoned call keeps running in its goroutine; whatever it
-// eventually returns is discarded — stale labels from a stalled source are
-// worth less than an on-time retrain for the members that answered — and
-// while it is still running the member reports not-ok immediately, so a
-// LabelSource is never invoked concurrently with itself.
-func (f *Fleet) pullFrom(m *fleetMember, want int) ([]dataset.Record, bool) {
-	if f.cfg.SourceDeadline <= 0 {
-		return m.source(want), true
-	}
-	m.mu.Lock()
-	if m.sourceInFlight {
-		m.mu.Unlock()
-		return nil, false
-	}
-	m.sourceInFlight = true
-	m.mu.Unlock()
-	ch := make(chan []dataset.Record, 1)
-	go func() {
-		recs := m.source(want)
-		m.mu.Lock()
-		m.sourceInFlight = false
-		m.mu.Unlock()
-		ch <- recs
-	}()
-	t := time.NewTimer(f.cfg.SourceDeadline)
-	defer t.Stop()
-	select {
-	case recs := <-ch:
-		return recs, true
-	case <-t.C:
-		return nil, false
-	}
 }
 
 // push applies g to every member. A member's UpdateWeights gates the push
@@ -662,8 +610,7 @@ func (f *Fleet) fail(span int64, err error) error {
 }
 
 // Start launches the background retrain worker: it retrains whenever any
-// member's Observe detects drift, and on every RetrainInterval when one is
-// configured. Calling Start twice is a no-op.
+// member's Observe detects drift. Calling Start twice is a no-op.
 func (f *Fleet) Start() {
 	f.runMu.Lock()
 	defer f.runMu.Unlock()
@@ -677,18 +624,11 @@ func (f *Fleet) Start() {
 
 func (f *Fleet) run(done <-chan struct{}) {
 	defer f.wg.Done()
-	var tick <-chan time.Time
-	if f.cfg.RetrainInterval > 0 {
-		t := time.NewTicker(f.cfg.RetrainInterval)
-		defer t.Stop()
-		tick = t.C
-	}
 	for {
 		select {
 		case <-done:
 			return
 		case <-f.kick:
-		case <-tick:
 		}
 		// Errors are retained in Err(); the loop keeps serving future drift
 		// signals — one failed push must not end the control plane.
@@ -769,12 +709,11 @@ func (f *Fleet) Stats() FleetStats {
 	for i, m := range members {
 		m.mu.Lock()
 		ms := MemberStats{
-			Name:           m.name,
-			Stats:          m.det.stats(),
-			Drifted:        m.det.drifted,
-			PooledRecords:  m.pooled,
-			SourceTimeouts: m.sourceTimeouts,
-			Deregistered:   gone[i],
+			Name:          m.name,
+			Stats:         m.det.stats(),
+			Drifted:       m.det.drifted,
+			PooledRecords: m.pooled,
+			Deregistered:  gone[i],
 		}
 		m.mu.Unlock()
 		st.Drifts += ms.Stats.Drifts
@@ -789,18 +728,4 @@ func (f *Fleet) Err() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.lastErr
-}
-
-// Drifted reports whether any member has drift detected and not yet
-// answered by a retrain.
-func (f *Fleet) Drifted() bool {
-	for _, m := range f.snapshot() {
-		m.mu.Lock()
-		drifted := m.det.drifted
-		m.mu.Unlock()
-		if drifted {
-			return true
-		}
-	}
-	return false
 }

@@ -4,8 +4,10 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -134,6 +136,37 @@ func TestFleetValidation(t *testing.T) {
 	fl.Observe(7, nil)
 }
 
+// TestFleetRegisterRefusesDuplicateName: a member's detector counters are
+// registry instruments labelled {member=<name>}, and the registry hands back
+// the existing instrument for a name and labels it has seen, so two members
+// under one name would share — and corrupt — one detector's counters. A
+// second registration of a name is refused before anything is bound, whether
+// the name is explicit or a default "member-N" that an earlier explicit name
+// already took.
+func TestFleetRegisterRefusesDuplicateName(t *testing.T) {
+	src := func(n int) []dataset.Record { return make([]dataset.Record, n) }
+	for _, names := range [][2]string{{"a", "a"}, {"member-1", ""}} {
+		reg := obs.NewRegistry()
+		fl, err := NewFleet(stubModel{}, fixed.NewQuantizer(1), Config{Obs: reg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fl.Register(names[0], nopPusher{}, src); err != nil {
+			t.Fatal(err)
+		}
+		series := reg.Snapshot()
+		if _, err := fl.Register(names[1], nopPusher{}, src); err == nil || !strings.Contains(err.Error(), names[0]) {
+			t.Errorf("Register(%q) after Register(%q) = %v, want a refusal naming %q", names[1], names[0], err, names[0])
+		}
+		if got := len(fl.Stats().Members); got != 1 {
+			t.Errorf("%q then %q: %d members registered, want 1", names[0], names[1], got)
+		}
+		if got := reg.Snapshot(); !reflect.DeepEqual(got, series) {
+			t.Errorf("%q then %q: refused registration changed the taurus.ctl.* series:\nbefore %+v\nafter  %+v", names[0], names[1], series, got)
+		}
+	}
+}
+
 // TestFleetRefusesUndetectableDrift: a NaN or +Inf drift threshold is never
 // exceeded and an undefined Statistic silently runs mean-shift, so each would
 // turn drift detection off without a word. NewFleet — and New, built on it —
@@ -153,7 +186,7 @@ func TestFleetRefusesUndetectableDrift(t *testing.T) {
 		{"PSIThreshold", Config{PSIThreshold: inf}},
 		{"KSThreshold", Config{KSThreshold: nan}},
 		{"KSThreshold", Config{KSThreshold: inf}},
-		{"Statistic", Config{Statistic: DriftKS + 1}},
+		{"Statistic", Config{Statistic: DriftPSI + 1}},
 		{"Statistic", Config{Statistic: -1}},
 	} {
 		if _, err := NewFleet(stubModel{}, q, c.cfg); err == nil || !strings.Contains(err.Error(), c.field) {
@@ -236,7 +269,7 @@ func TestFleetDriftOnOneMemberRetrainsAll(t *testing.T) {
 		if m.Drifted {
 			t.Errorf("member %d still latched drifted after the fleet retrain", i)
 		}
-		if m.RefFlagRate != 0 || m.RefMeanScore != 0 || m.LastPSI != 0 || m.LastKS != 0 {
+		if m.RefFlagRate != 0 || m.RefMeanScore != 0 || m.LastPSI != 0 {
 			t.Errorf("member %d reports a stale reference after re-arm: %+v", i, m.Stats)
 		}
 	}
@@ -523,21 +556,24 @@ func TestFleetCatchUpIsRechecked(t *testing.T) {
 }
 
 // TestFleetBackgroundRetrainUnderTraffic exercises the deployment shape
-// under the race detector: every member serves batches on its own goroutine
-// while the shared background worker retrains and pushes to all of them.
+// under the race detector, in two phases. (a) Every member serves batches on
+// its own goroutine while another keeps pushing to all of them with
+// RetrainNow, the shared background worker running beside them. (b) With
+// fresh references built on stationary traffic, every member's distribution
+// shifts and traffic keeps flowing until the worker's own push answers the
+// drift.
 func TestFleetBackgroundRetrainUnderTraffic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Window = 128
 	cfg.RefWindows = 1
 	cfg.RetrainRecords = 512
-	cfg.RetrainInterval = time.Millisecond // force pushes regardless of drift
+	pushed := pushSignal(&cfg)
 	f := newFleetFixture(t, 3, 2, 2, cfg)
 	f.fleet.Start()
 	f.fleet.Start() // second Start must be a harmless no-op
 
-	for _, s := range f.streams {
-		s.SetPhase(1) // drifted traffic so member Observes also kick
-	}
+	// (a) Operator pushes under live traffic on every member.
+	const pushes = 5
 	var wg sync.WaitGroup
 	for i := range f.pipes {
 		wg.Add(1)
@@ -554,19 +590,66 @@ func TestFleetBackgroundRetrainUnderTraffic(t *testing.T) {
 			}
 		}(i)
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < pushes; i++ {
+			if err := f.fleet.RetrainNow(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
 	wg.Wait()
+	if got := f.fleet.Stats().Retrains; got < pushes {
+		t.Fatalf("retrains = %d after %d operator pushes under traffic", got, pushes)
+	}
 
-	deadline := time.Now().Add(5 * time.Second)
-	for f.fleet.Stats().Retrains == 0 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// Quiesce, as in the controller test: the next push can only be the
+	// worker's answer to the drift below.
+	f.fleet.Close()
+	if err := f.fleet.RetrainNow(); err != nil {
+		t.Fatal(err)
+	}
+	drain(pushed)
+	f.fleet.Start()
+
+	// (b) References on stationary traffic, then drift, answered by the worker.
+	before := f.fleet.Stats()
+	armed := func() bool {
+		for i, m := range f.fleet.Stats().Members {
+			if m.Windows < before.Members[i].Windows+cfg.RefWindows {
+				return false
+			}
+		}
+		return true
+	}
+	for !armed() {
+		f.round(t, 512)
+	}
+	for _, s := range f.streams {
+		s.SetPhase(1)
+	}
+	timeout := time.After(5 * time.Second)
+	for answered := false; !answered; {
+		select {
+		case <-pushed:
+			answered = true
+		case <-timeout:
+			t.Fatalf("background worker never answered the drift (stats %+v)", f.fleet.Stats())
+		default:
+			f.round(t, 512)
+		}
 	}
 	f.fleet.Close()
 	f.fleet.Close() // idempotent
 	if err := f.fleet.Err(); err != nil {
 		t.Fatalf("background fleet retrain failed: %v", err)
 	}
-	if got := f.fleet.Stats().Retrains; got == 0 {
-		t.Fatal("background worker never retrained")
+	st := f.fleet.Stats()
+	if st.Drifts <= before.Drifts || st.Retrains <= before.Retrains {
+		t.Fatalf("worker push without a drift to answer: drifts %d -> %d, retrains %d -> %d",
+			before.Drifts, st.Drifts, before.Retrains, st.Retrains)
 	}
 	// Every member pipeline must still serve traffic afterwards.
 	for i, pl := range f.pipes {
@@ -577,211 +660,92 @@ func TestFleetBackgroundRetrainUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestFleetSlowSourceSkipped: the backpressure guard. A member whose label
-// source blocks past Config.SourceDeadline is skipped for that retrain —
-// its share of the pool falls to the members after it, its SourceTimeouts
-// counter increments, and the shared loop completes instead of stalling.
-func TestFleetSlowSourceSkipped(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SourceDeadline = 25 * time.Millisecond
-	cfg.RetrainRecords = 64
+// dryFleet registers one member per source on a stub-model fleet that pools
+// cfg.RetrainRecords records per retrain.
+func dryFleet(t *testing.T, cfg Config, srcs ...LabelSource) *Fleet {
+	t.Helper()
 	fl, err := NewFleet(stubModel{}, fixed.NewQuantizer(1), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	release := make(chan struct{})
-	slow := func(n int) []dataset.Record {
-		<-release
-		return make([]dataset.Record, n)
-	}
-	fast := func(n int) []dataset.Record { return make([]dataset.Record, n) }
-	if _, err := fl.Register("laggy", nopPusher{}, slow); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fl.Register("prompt", nopPusher{}, fast); err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan error, 1)
-	go func() { done <- fl.RetrainNow() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("retrain with one laggy member failed: %v", err)
+	for _, src := range srcs {
+		if _, err := fl.Register("", nopPusher{}, src); err != nil {
+			t.Fatal(err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("retrain stalled on the laggy member despite the deadline")
 	}
+	return fl
+}
 
+// checkPooled retrains fl once and checks that the pool came up full and
+// that each member contributed the records in want.
+func checkPooled(t *testing.T, fl *Fleet, cfg Config, want ...int) {
+	t.Helper()
+	if err := fl.RetrainNow(); err != nil {
+		t.Fatalf("retrain failed: %v", err)
+	}
 	st := fl.Stats()
-	if got := st.Members[0].SourceTimeouts; got != 1 {
-		t.Errorf("laggy member SourceTimeouts = %d, want 1", got)
-	}
-	if got := st.Members[1].SourceTimeouts; got != 0 {
-		t.Errorf("prompt member SourceTimeouts = %d, want 0", got)
-	}
-	if got := st.Members[0].PooledRecords; got != 0 {
-		t.Errorf("laggy member contributed %d records, want 0", got)
-	}
-	// The laggy member's share fell to the prompt member.
-	if got := st.Members[1].PooledRecords; got != cfg.RetrainRecords {
-		t.Errorf("prompt member contributed %d records, want the whole pool %d",
-			got, cfg.RetrainRecords)
-	}
 	if st.LastPoolSize != cfg.RetrainRecords {
 		t.Errorf("pool size = %d, want %d", st.LastPoolSize, cfg.RetrainRecords)
 	}
-
-	// Once the source recovers, the member pools again; the timeout counter
-	// records history instead of blacklisting. Until the abandoned call's
-	// goroutine drains, the member stays skipped (never invoked
-	// concurrently with itself), so poll through retrains until it
-	// contributes.
-	close(release)
-	deadline := time.Now().Add(5 * time.Second)
-	for fl.Stats().Members[0].PooledRecords == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("recovered member never pooled again")
+	for i, w := range want {
+		if got := st.Members[i].PooledRecords; got != w {
+			t.Errorf("member %d pooled %d records, want %d", i, got, w)
 		}
-		if err := fl.RetrainNow(); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	before := fl.Stats().Members[0].SourceTimeouts
-	if err := fl.RetrainNow(); err != nil {
-		t.Fatal(err)
-	}
-	st = fl.Stats()
-	if got := st.Members[0].SourceTimeouts; got != before {
-		t.Errorf("recovered member's SourceTimeouts still rising: %d -> %d", before, got)
-	}
-	if got := st.Members[0].PooledRecords; got == 0 {
-		t.Error("recovered member contributed nothing to the latest retrain")
 	}
 }
 
-// TestFleetAllSourcesStalled: when every member times out the retrain
-// fails cleanly (no records) rather than hanging, and the error is
-// retained.
-func TestFleetAllSourcesStalled(t *testing.T) {
+// TestFleetSlowSourceSkipped: a member whose label source has nothing to
+// give (a labeler that has fallen behind answers with no records) is skipped
+// for that retrain: its share of the pool falls to the member after it, and
+// once the source recovers the member pools again.
+func TestFleetSlowSourceSkipped(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SourceDeadline = 10 * time.Millisecond
-	fl, err := NewFleet(stubModel{}, fixed.NewQuantizer(1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := make(chan struct{})
-	defer close(release)
-	slow := func(n int) []dataset.Record {
-		<-release
+	cfg.RetrainRecords = 64
+	var behind atomic.Bool
+	behind.Store(true)
+	laggy := func(n int) []dataset.Record {
+		if behind.Load() {
+			return nil
+		}
 		return make([]dataset.Record, n)
 	}
-	if _, err := fl.Register("a", nopPusher{}, slow); err != nil {
-		t.Fatal(err)
-	}
+	full := func(n int) []dataset.Record { return make([]dataset.Record, n) }
+	fl := dryFleet(t, cfg, laggy, full)
+	checkPooled(t, fl, cfg, 0, 64)
+
+	behind.Store(false)
+	checkPooled(t, fl, cfg, 32, 32)
+}
+
+// TestFleetAllSourcesStalled: when every source comes back empty the retrain
+// fails cleanly, the error is retained, and no retrain is counted.
+func TestFleetAllSourcesStalled(t *testing.T) {
+	cfg := DefaultConfig()
+	none := func(int) []dataset.Record { return nil }
+	fl := dryFleet(t, cfg, none, none)
 	if err := fl.RetrainNow(); err == nil {
-		t.Fatal("retrain with every source stalled should fail")
+		t.Fatal("retrain with every source dry should fail")
 	}
 	if fl.Err() == nil {
 		t.Error("Err() lost the failed retrain")
 	}
-	if got := fl.Stats().Members[0].SourceTimeouts; got != 1 {
-		t.Errorf("SourceTimeouts = %d, want 1", got)
+	if got := fl.Stats().Retrains; got != 0 {
+		t.Errorf("retrains = %d with every source dry, want 0", got)
 	}
 }
 
-// TestFleetSlowSourceLastSkipped: registration order must not matter — when
-// the member that times out is the *last* in the pool (the one that would
-// normally absorb the rounding remainder), the top-up pass re-draws its
-// share from the members that answered instead of silently shrinking the
-// pool.
+// TestFleetSlowSourceLastSkipped: registration order must not matter. When
+// the member that under-delivers is the last in the pool (the one that would
+// absorb the rounding remainder), the top-up pass re-draws its shortfall
+// from the members that answered instead of silently shrinking the pool.
 func TestFleetSlowSourceLastSkipped(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.SourceDeadline = 25 * time.Millisecond
 	cfg.RetrainRecords = 64
-	fl, err := NewFleet(stubModel{}, fixed.NewQuantizer(1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := make(chan struct{})
-	defer close(release)
-	slow := func(n int) []dataset.Record {
-		<-release
-		return make([]dataset.Record, n)
-	}
-	fast := func(n int) []dataset.Record { return make([]dataset.Record, n) }
-	if _, err := fl.Register("prompt", nopPusher{}, fast); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fl.Register("laggy", nopPusher{}, slow); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.RetrainNow(); err != nil {
-		t.Fatalf("retrain with the last member laggy failed: %v", err)
-	}
-	st := fl.Stats()
-	if got := st.Members[1].SourceTimeouts; got != 1 {
-		t.Errorf("laggy member SourceTimeouts = %d, want 1", got)
-	}
-	if got := st.Members[0].PooledRecords; got != cfg.RetrainRecords {
-		t.Errorf("prompt member contributed %d records, want the whole pool %d", got, cfg.RetrainRecords)
-	}
-	if st.LastPoolSize != cfg.RetrainRecords {
-		t.Errorf("pool size = %d, want %d — the laggy member's share was lost", st.LastPoolSize, cfg.RetrainRecords)
-	}
-}
-
-// TestFleetSourceNeverConcurrent: a source that is slow (but not stuck)
-// must not be invoked concurrently with its own abandoned call — the
-// member stays skipped while the old call runs, then pools again.
-func TestFleetSourceNeverConcurrent(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.SourceDeadline = 20 * time.Millisecond
-	cfg.RetrainRecords = 64
-	fl, err := NewFleet(stubModel{}, fixed.NewQuantizer(1), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	inside, maxInside := 0, 0
-	release := make(chan struct{})
-	slow := func(n int) []dataset.Record {
-		mu.Lock()
-		inside++
-		if inside > maxInside {
-			maxInside = inside
-		}
-		mu.Unlock()
-		<-release
-		mu.Lock()
-		inside--
-		mu.Unlock()
-		return make([]dataset.Record, n)
-	}
-	fast := func(n int) []dataset.Record { return make([]dataset.Record, n) }
-	if _, err := fl.Register("laggy", nopPusher{}, slow); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fl.Register("prompt", nopPusher{}, fast); err != nil {
-		t.Fatal(err)
-	}
-	// Two retrains while the first slow call is still in flight: the second
-	// must skip the member without a second concurrent invocation.
-	if err := fl.RetrainNow(); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.RetrainNow(); err != nil {
-		t.Fatal(err)
-	}
-	close(release)
-	st := fl.Stats()
-	if got := st.Members[0].SourceTimeouts; got != 2 {
-		t.Errorf("laggy member SourceTimeouts = %d, want 2 (one per skipped retrain)", got)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if maxInside != 1 {
-		t.Errorf("label source ran %d times concurrently, want at most 1", maxInside)
-	}
+	full := func(n int) []dataset.Record { return make([]dataset.Record, n) }
+	half := func(n int) []dataset.Record { return make([]dataset.Record, n/2) }
+	none := func(int) []dataset.Record { return nil }
+	// 32 + 16 on the first pass, the missing 16 topped up from the first.
+	checkPooled(t, dryFleet(t, cfg, full, half), cfg, 48, 16)
+	// Nothing from the last: its whole share falls to the first.
+	checkPooled(t, dryFleet(t, cfg, full, none), cfg, 64, 0)
 }

@@ -2,75 +2,10 @@ package controlplane
 
 import "sort"
 
-// ksRefCap bounds how many reference scores are retained for the empirical
-// CDF; reference windows are typically ~1k samples, so this only guards
-// pathological configurations.
-const ksRefCap = 16384
-
-// ksDetector compares each observation window's raw score sample against a
-// reference sample with the two-sample Kolmogorov–Smirnov distance — the
-// supremum gap between the two empirical CDFs. Working on raw samples makes
-// it binning-free: unlike PSI it has no quantile-edge artefacts on heavily
-// discrete or long-tailed score distributions, and like PSI it is scale-free
-// and sensitive to shifts that preserve the mean. The zero value is ready to
-// use; the caller provides locking.
-type ksDetector struct {
-	refSamples []float64 // raw scores while the reference is being built
-	ref        []float64 // sorted reference sample once armed
-	win        []float64 // current window's raw scores
-}
-
-// armed reports whether the reference sample has been frozen.
-func (k *ksDetector) armed() bool { return k.ref != nil }
-
-// observe routes one sampled score: into the reference buffer while the
-// reference profile is still being established, into the current window's
-// sample afterwards.
-func (k *ksDetector) observe(score float64) {
-	if !k.armed() {
-		if len(k.refSamples) < ksRefCap {
-			k.refSamples = append(k.refSamples, score)
-		}
-		return
-	}
-	k.win = append(k.win, score)
-}
-
-// armReference freezes the reference: the collected scores, sorted once so
-// every later window compares against the same empirical CDF.
-func (k *ksDetector) armReference() {
-	k.ref = make([]float64, len(k.refSamples))
-	copy(k.ref, k.refSamples)
-	sort.Float64s(k.ref)
-	k.refSamples = k.refSamples[:0]
-	k.win = k.win[:0]
-}
-
-// closeWindow returns the KS distance of the completed window against the
-// reference and resets the window sample. Returns 0 before the reference is
-// armed or when either sample is empty (e.g. all traffic bypassed).
-func (k *ksDetector) closeWindow() float64 {
-	if !k.armed() || len(k.win) == 0 || len(k.ref) == 0 {
-		k.win = k.win[:0]
-		return 0
-	}
-	sort.Float64s(k.win)
-	d := ksSorted(k.ref, k.win)
-	k.win = k.win[:0]
-	return d
-}
-
-// reset discards the reference and every buffered sample; the next windows
-// rebuild the profile from scratch (after a retrain re-arms the detector).
-func (k *ksDetector) reset() {
-	k.refSamples = k.refSamples[:0]
-	k.ref = nil
-	k.win = k.win[:0]
-}
-
 // ksStat returns the two-sample Kolmogorov–Smirnov distance sup|F_a − F_b|
-// between the empirical CDFs of a and b. The inputs are not modified.
-// Returns 0 when either sample is empty.
+// between the empirical CDFs of a and b — AdaptiveRetrain's calm criterion
+// (fitOnFresh). The inputs are not modified. Returns 0 when either sample is
+// empty.
 func ksStat(a, b []float64) float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return 0

@@ -414,10 +414,6 @@ func inputWidth(g *mr.Graph) int {
 	return g.Node(g.Inputs[0]).Width
 }
 
-// InputQuantizer returns the feature quantiser installed with the model (the
-// zero Quantizer before LoadModel).
-func (d *Device) InputQuantizer() fixed.Quantizer { return d.model.InputQuantizer() }
-
 // UpdateWeights swaps the constants, multipliers and LUT tables of the
 // installed model for those of newGraph without re-placing the design (see
 // Model.WithWeights: the graph must pass the static gate against the grid the
@@ -789,7 +785,3 @@ func (d *Device) ModelLatencyNs() float64 { return d.model.LatencyNs() }
 // ModelII returns the placed design's initiation interval from the CGRA
 // timing model.
 func (d *Device) ModelII() int { return d.model.II() }
-
-// ScheduledII returns the list schedule's measured initiation interval for
-// the installed model (0 before LoadModel; see Model.ScheduledII).
-func (d *Device) ScheduledII() int { return d.model.ScheduledII() }

@@ -88,7 +88,7 @@ func TestSentinelErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.LoadModel(wide, dev.InputQuantizer(), compiler.Options{}); !errors.Is(err, ErrBadFeatureWidth) {
+	if err := dev.LoadModel(wide, dev.model.InputQuantizer(), compiler.Options{}); !errors.Is(err, ErrBadFeatureWidth) {
 		t.Errorf("wide model: %v, want ErrBadFeatureWidth", err)
 	}
 }
@@ -354,7 +354,7 @@ func TestModelBusyAccounting(t *testing.T) {
 	if _, err := dev.Process(PacketIn{Data: pkt, Features: rec.Features}); err != nil {
 		t.Fatal(err)
 	}
-	want := float64(dev.ScheduledII())
+	want := float64(dev.model.ScheduledII())
 	if got := dev.Stats().ModelBusyNs; got != want {
 		t.Errorf("ML packet busy = %v ns, want II = %v", got, want)
 	}
@@ -573,7 +573,7 @@ func TestRefusedTapeIsInstallError(t *testing.T) {
 	if err := bare.LoadModel(next, q.InputQ, compiler.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if bare.model == nil || bare.ScheduledII() == 0 || servedTapeCheck(bare.model) != nil {
+	if bare.model == nil || bare.model.ScheduledII() == 0 || servedTapeCheck(bare.model) != nil {
 		t.Error("the faithful tape did not install")
 	}
 	if ev := cfg.Tracer.Events(); len(ev) != 4 || ev[2].Kind != "tapecheck.pass" || ev[3].Kind != "model.publish" {
@@ -660,7 +660,7 @@ func TestLoadModelValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.LoadModel(g, dev.InputQuantizer(), compiler.Options{}); err == nil {
+	if err := dev.LoadModel(g, dev.model.InputQuantizer(), compiler.Options{}); err == nil {
 		t.Error("width-16 model on 6-feature device should fail")
 	}
 }

@@ -154,8 +154,8 @@ func TestStatsIsRegistryView(t *testing.T) {
 		t.Errorf("service histogram sum = %g, ModelBusyNs = %g", got, want)
 	}
 	// The ML service time is the installed schedule's II.
-	if q := h.Quantile(0.99); dev.ScheduledII() > 1 && q < float64(dev.ScheduledII())/2 {
-		t.Errorf("p99 service = %g, want near II = %d", q, dev.ScheduledII())
+	if q := h.Quantile(0.99); dev.model.ScheduledII() > 1 && q < float64(dev.model.ScheduledII())/2 {
+		t.Errorf("p99 service = %g, want near II = %d", q, dev.model.ScheduledII())
 	}
 }
 
@@ -223,7 +223,7 @@ func TestSweepCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range ins {
-		ins[i].Features[0] = dev.InputQuantizer().Dequantize(-128)
+		ins[i].Features[0] = dev.model.InputQuantizer().Dequantize(-128)
 	}
 	if allocs := testing.AllocsPerRun(10, func() { _ = dev.ProcessBatch(ins, out) }); allocs != 0 {
 		t.Errorf("ProcessBatch allocates %.1f times per call while counting fallbacks, want 0", allocs)

@@ -196,7 +196,7 @@ func IsoAreaMATs(areaMM2 float64) float64 { return areaMM2 / MATAreaMM2() }
 // ThroughputPPS converts an initiation interval into the block's sustained
 // packet rate at the fabric clock: one packet enters every ii cycles. Feed
 // it the list schedule's measured II (sched.Schedule.II, surfaced as
-// core.Device.ScheduledII), which accounts for issue-capacity contention.
+// core.Model.ScheduledII), which accounts for issue-capacity contention.
 func ThroughputPPS(ii int) float64 {
 	if ii <= 0 {
 		return 0

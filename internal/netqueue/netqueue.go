@@ -12,7 +12,7 @@
 // model (pipeline.ServiceModel: II ns per ML packet, one cycle per bypass,
 // plus the block's fill latency on the way out). The II in that model is
 // the list schedule's measured initiation interval (internal/sched, via
-// core.Device.ScheduledII), so simulated latency and loss are derived from
+// core.Model.ScheduledII), so simulated latency and loss are derived from
 // the schedule the device actually executes. Control-plane weight
 // pushes become simulated events too: Push stalls every shard's service for
 // PushStallNs — the out-of-band weight-write window — so the drift

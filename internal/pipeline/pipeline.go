@@ -375,10 +375,6 @@ func (p *Pipeline) ModelLatencyNs() float64 { return p.model.Load().LatencyNs() 
 // timing model.
 func (p *Pipeline) ModelII() int { return p.model.Load().II() }
 
-// ScheduledII returns the list schedule's measured initiation interval for
-// the deployed model (0 before LoadModel) — the II ServiceModel charges.
-func (p *Pipeline) ScheduledII() int { return p.model.Load().ScheduledII() }
-
 // ServiceModel is the per-shard service-time model of the deployed design —
 // the hook the continuous-time queueing simulator (internal/netqueue) runs
 // on. It is the same occupancy model BatchStats.ModelNs folds per batch,

@@ -619,7 +619,7 @@ func TestLoadModelRefusedMidway(t *testing.T) {
 	if fresh.model.Load() != nil {
 		t.Error("a modelless pipeline holds a model after a refused install")
 	}
-	if ii := fresh.ScheduledII(); ii != 0 {
+	if ii := fresh.model.Load().ScheduledII(); ii != 0 {
 		t.Errorf("ScheduledII before a clean LoadModel = %d, want 0", ii)
 	}
 	// And the same graph installs on a grid it can be placed on.
@@ -629,7 +629,7 @@ func TestLoadModelRefusedMidway(t *testing.T) {
 	if fresh.model.Load() == nil {
 		t.Error("no model after a clean install")
 	}
-	if ii := fresh.ScheduledII(); ii < 1 {
+	if ii := fresh.model.Load().ScheduledII(); ii < 1 {
 		t.Errorf("ScheduledII after LoadModel = %d, want >= 1", ii)
 	}
 }
@@ -921,7 +921,7 @@ func TestServiceModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	svc = pl.ServiceModel()
-	if got, want := svc.MLServiceNs, float64(pl.ScheduledII()); got != want {
+	if got, want := svc.MLServiceNs, float64(pl.model.Load().ScheduledII()); got != want {
 		t.Errorf("MLServiceNs = %v, want the scheduled II %v", got, want)
 	}
 	if got, want := svc.LatencyNs, pl.ModelLatencyNs(); got != want {
@@ -930,7 +930,7 @@ func TestServiceModel(t *testing.T) {
 	if svc.BypassServiceNs != 1 {
 		t.Errorf("BypassServiceNs = %v, want 1 cycle", svc.BypassServiceNs)
 	}
-	want := 4 * 1e9 / float64(pl.ScheduledII())
+	want := 4 * 1e9 / float64(pl.model.Load().ScheduledII())
 	if got := svc.NominalPPS(); got != want {
 		t.Errorf("NominalPPS = %v, want %v", got, want)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
-	"time"
 
 	"taurus/internal/controlplane"
 	"taurus/internal/core"
@@ -96,7 +95,6 @@ func TestControllerConstruction(t *testing.T) {
 			c.Window = 128
 			c.FlagDelta, c.ScoreDelta = 0.2, 32
 			c.DriftPatience = 1
-			c.RetrainInterval = time.Hour
 		},
 		WithRetrainRecords(400),
 	)
@@ -203,7 +201,7 @@ func TestDeployableControllerFacade(t *testing.T) {
 }
 
 // TestFleetFacade drives the multi-switch surface: one SVM Deployable
-// deployed to two pipelines, a Fleet with the KS detector and adaptive
+// deployed to two pipelines, a Fleet with the PSI detector and adaptive
 // retrain sizing, and a pooled retrain pushed to every member with parity.
 func TestFleetFacade(t *testing.T) {
 	cfg := DriftConfig{Base: AnomalyConfig{NumFeatures: 8, AnomalyFraction: 0.4, Separation: 1.2}}
@@ -225,7 +223,7 @@ func TestFleetFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	fleet, err := NewFleet(dep, inQ,
-		func(c *controlplane.Config) { c.Statistic, c.KSThreshold = controlplane.DriftKS, 0.2 },
+		func(c *controlplane.Config) { c.Statistic, c.PSIThreshold = controlplane.DriftPSI, 0.2 },
 		WithRetrainRecords(300),
 		WithAdaptiveRetrain(900),
 	)
