@@ -3,9 +3,9 @@
 // while a synchronous Controller watches its decisions; when drift is
 // detected the example retrains in-line and then audits the trace journal
 // for the complete recovery chain — drift.detected, retrain.start,
-// retrain.fit, graphcheck.pass, push.done — with monotonic timestamps
-// inside the retrain span. It exits non-zero if the chain is broken, which
-// makes it a CI gate as well as a demo.
+// retrain.fit, the data plane's model.publish of the push, push.done — with
+// monotonic timestamps from the retrain's start. It exits non-zero if the
+// chain is broken, which makes it a CI gate as well as a demo.
 //
 // Every counter and histogram the run touches lives in the process-wide
 // registry (taurus.Metrics()); -metrics-addr serves it as Prometheus text
@@ -150,11 +150,11 @@ func run() error {
 }
 
 // auditTrace walks the trace journal for the drift-recovery chain the run
-// must have journalled, in order, with monotonic timestamps inside the
-// retrain span.
+// must have journalled, in order, with monotonic timestamps from the
+// retrain's start.
 func auditTrace() error {
 	events := taurus.Tracer().Events()
-	chain := []string{"drift.detected", "retrain.start", "retrain.fit", "graphcheck.pass", "push.done"}
+	chain := []string{"drift.detected", "retrain.start", "retrain.fit", "model.publish", "push.done"}
 	next, span := 0, int64(0)
 	var lastNs int64
 	for _, ev := range events {
@@ -169,12 +169,17 @@ func auditTrace() error {
 			// Unspanned: it precedes the retrain span.
 		case "retrain.start":
 			span = ev.Span
+		case "model.publish":
+			// The data plane journals the push it serves at span 0.
+			if ev.Span != 0 || !strings.Contains(ev.Detail, "kind=push") {
+				continue
+			}
 		default:
 			if ev.Span != span {
 				continue // an event from some other retrain's span
 			}
 		}
-		if ev.Span == span && span != 0 {
+		if span != 0 {
 			if ev.TimeNs < lastNs {
 				return fmt.Errorf("trace: %s at %dns precedes the previous span event at %dns", ev.Kind, ev.TimeNs, lastNs)
 			}
@@ -186,7 +191,7 @@ func auditTrace() error {
 		return fmt.Errorf("trace: recovery chain incomplete: missing %q (have %d events)", chain[next], len(events))
 	}
 
-	fmt.Println("trace: drift -> retrain -> graphcheck -> push chain complete; excerpt:")
+	fmt.Println("trace: drift -> retrain -> publish -> push chain complete; excerpt:")
 	start := len(events) - 8
 	if start < 0 {
 		start = 0

@@ -188,23 +188,6 @@ func (s Stats) LineRateFraction() float64 {
 	return 1 / float64(s.II)
 }
 
-// Run executes one packet: computes output values (bit-exact with
-// Graph.Eval) and timing from the placement.
-func Run(g *mr.Graph, p *Placement, inputs ...[]int32) ([][]int32, Stats, error) {
-	if err := p.Validate(g); err != nil {
-		return nil, Stats{}, err
-	}
-	outs, err := g.Eval(inputs...)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats, err := Timing(g, p)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	return outs, stats, nil
-}
-
 // Timing computes latency and II for the placed graph without executing
 // values.
 func Timing(g *mr.Graph, p *Placement) (Stats, error) {

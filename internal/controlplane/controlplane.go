@@ -150,8 +150,8 @@ type Config struct {
 	// counters add {member=<name>} (a Controller's one member is "member-0").
 	Obs *obs.Registry
 	// Tracer receives the control-plane trace: drift detections, retrain
-	// spans, graphcheck verdicts, label pooling, push fan-out and
-	// rollback (obs.DefaultTracer() when nil).
+	// spans, label pooling, push fan-out and rollback (obs.DefaultTracer()
+	// when nil).
 	Tracer *obs.Tracer
 }
 
@@ -267,8 +267,8 @@ var ctlOrdinal atomic.Int64
 
 // Controller is the closed-loop control plane over one data plane: a Fleet
 // with exactly one member. Detection, pooling, the retrain cycle, the push
-// gate and the background worker are the fleet's; the controller only drops
-// the member argument and folds the fleet's aggregates into Stats.
+// and the background worker are the fleet's; the controller only drops the
+// member argument and folds the fleet's aggregates into Stats.
 type Controller struct {
 	f *Fleet
 }
@@ -311,7 +311,8 @@ func (c *Controller) DistFit() *distfit.Coordinator { return c.f.DistFit() }
 func (c *Controller) Observe(decs []core.Decision) bool { return c.f.Observe(0, decs) }
 
 // RetrainNow synchronously runs one control-loop cycle — collect, Fit, Lower,
-// verify, push, re-arm; see Fleet.RetrainNow. Concurrent calls serialise.
+// push (the data plane gates it), re-arm; see Fleet.RetrainNow. Concurrent
+// calls serialise.
 func (c *Controller) RetrainNow() error { return c.f.RetrainNow() }
 
 // fitOnFresh collects labelled records from pull and (re)fits m on them —

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -16,7 +17,7 @@ import (
 )
 
 // countingSource is a LabelSource that counts its invocations — the probe
-// for a tombstoned member's never-pulled guarantee.
+// for a refused joiner's never-pulled guarantee.
 type countingSource struct{ calls int32 }
 
 func (s *countingSource) pull(n int) []dataset.Record {
@@ -28,9 +29,9 @@ func (s *countingSource) count() int32 { return atomic.LoadInt32(&s.calls) }
 
 // TestFleetRegisterCatchUp: a member joining after the fleet has pushed a
 // retrained graph receives that graph before Register returns; a joiner
-// whose catch-up push fails is left tombstoned: later retrains neither pull
-// its source nor push to it, its Observe goes inert, and its slot stays
-// visible in Stats without shifting other ids.
+// whose catch-up push fails does not join: Register returns -1, later
+// retrains neither pull its source nor push to it, the member count is
+// unchanged, and its name stays free for a joiner that accepts.
 func TestFleetRegisterCatchUp(t *testing.T) {
 	src := func(n int) []dataset.Record { return make([]dataset.Record, n) }
 	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{})
@@ -74,44 +75,47 @@ func TestFleetRegisterCatchUp(t *testing.T) {
 		t.Fatalf("late joiner has %d pushes after the next retrain, want 2", got)
 	}
 
-	// A joiner that rejects the catch-up push cannot join: tombstoned.
+	// A joiner that rejects the catch-up push cannot join.
 	broken := &recordPusher{failAt: 1}
 	brokenSrc := &countingSource{}
 	id, err := fl.Register("broken", broken, brokenSrc.pull)
-	if err == nil {
-		t.Fatal("catch-up push failure not surfaced")
+	if err == nil || id != -1 {
+		t.Fatalf("Register of a joiner refusing its catch-up = (%d, %v), want (-1, an error)", id, err)
 	}
-	st := fl.Stats()
-	if !st.Members[id].Deregistered {
-		t.Error("failed joiner not tombstoned")
+	if got := len(fl.Stats().Members); got != 3 {
+		t.Errorf("%d members after the refused joiner, want 3", got)
 	}
 	if err := fl.RetrainNow(); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(broken.pushed()); got != 1 { // the failed catch-up attempt only
-		t.Errorf("tombstoned joiner has %d pushes, want 1", got)
+	if got := len(broken.pushed()); got != 1 { // the refused catch-up only
+		t.Errorf("refused joiner has %d pushes, want 1", got)
 	}
 	if got := brokenSrc.count(); got != 0 {
-		t.Errorf("tombstoned joiner's source pulled %d times, want 0", got)
+		t.Errorf("refused joiner's source pulled %d times, want 0", got)
 	}
-	if fl.Observe(id, []core.Decision{{}}) {
-		t.Error("Observe on a tombstoned member reported drift")
+
+	// Its name is free: a joiner that accepts takes it, and the next id.
+	again := &recordPusher{}
+	id, err = fl.Register("broken", again, src)
+	if err != nil || id != 3 {
+		t.Fatalf("re-Register of the refused name = (%d, %v), want (3, nil)", id, err)
 	}
-	st = fl.Stats()
+	f := founder.pushed()
+	if got := again.pushed(); len(got) != 1 || got[0] != f[len(f)-1] {
+		t.Error("the re-registered joiner was not caught up with the fleet's graph")
+	}
+	st := fl.Stats()
 	if len(st.Members) != 4 || st.Members[id].Name != "broken" {
-		t.Fatalf("Stats slots = %d, member %d = %q; want 4 slots with the joiner last", len(st.Members), id, st.Members[id].Name)
-	}
-	for i := 0; i < id; i++ {
-		if st.Members[i].Deregistered {
-			t.Errorf("member %d tombstoned, want only the failed joiner", i)
-		}
+		t.Fatalf("Stats has %d members, member %d = %q; want 4 with the joiner last", len(st.Members), id, st.Members[id].Name)
 	}
 }
 
-// TestFleetChurnDuringTraffic is the -race regression: members register
-// (each refusing its catch-up push, so each is tombstoned), observe traffic
-// and retrain concurrently; the invariants (stable ids, no pushes to the
-// tombstoned) must hold throughout.
+// TestFleetChurnDuringTraffic is the -race regression: joiners register
+// (each refusing its catch-up push, so none joins) while the founding
+// members observe traffic and the fleet retrains; the member list, and so
+// every id, must stay as it was, and no refused joiner is pushed to again
+// or pulled from.
 func TestFleetChurnDuringTraffic(t *testing.T) {
 	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{})
 	if err != nil {
@@ -147,16 +151,16 @@ func TestFleetChurnDuringTraffic(t *testing.T) {
 	}()
 	churn.Add(2)
 	joiners := make([]*recordPusher, 20)
+	sources := make([]*countingSource, len(joiners))
 	go func() { // churn: joiners that refuse their catch-up push
 		defer churn.Done()
 		for i := range joiners {
-			joiners[i] = &recordPusher{failAt: 1}
-			id, err := fl.Register("", joiners[i], src)
-			if err == nil {
-				t.Error("refused catch-up push not surfaced")
+			joiners[i], sources[i] = &recordPusher{failAt: 1}, &countingSource{}
+			id, err := fl.Register(fmt.Sprintf("joiner-%d", i), joiners[i], sources[i].pull)
+			if err == nil || id != -1 {
+				t.Errorf("refused catch-up push returned (%d, %v), want (-1, an error)", id, err)
 				return
 			}
-			fl.Observe(id, []core.Decision{{}})
 		}
 	}()
 	go func() { // retrains interleaving with both
@@ -172,18 +176,22 @@ func TestFleetChurnDuringTraffic(t *testing.T) {
 	close(stop)
 	traffic.Wait()
 
-	st := fl.Stats()
-	if len(st.Members) != seed+20 {
-		t.Fatalf("Stats has %d slots, want %d", len(st.Members), seed+20)
-	}
-	for i := seed; i < len(st.Members); i++ {
-		if !st.Members[i].Deregistered {
-			t.Fatalf("churned member %d not tombstoned", i)
-		}
+	if got := len(fl.Stats().Members); got != seed {
+		t.Fatalf("Stats has %d members, want the %d founders", got, seed)
 	}
 	for i, p := range joiners {
 		if got := len(p.pushed()); got != 1 { // the refused catch-up only
 			t.Errorf("joiner %d has %d pushes, want 1", i, got)
+		}
+		if got := sources[i].count(); got != 0 {
+			t.Errorf("joiner %d's source pulled %d times, want 0", i, got)
+		}
+	}
+	// Every refused name is free for a joiner that accepts.
+	for i := range joiners {
+		id, err := fl.Register(fmt.Sprintf("joiner-%d", i), &recordPusher{}, src)
+		if err != nil || id != seed+i {
+			t.Fatalf("re-Register of joiner-%d = (%d, %v), want (%d, nil)", i, id, err, seed+i)
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"taurus/internal/dataset"
 	"taurus/internal/distfit"
 	"taurus/internal/fixed"
-	"taurus/internal/graphcheck"
 	mr "taurus/internal/mapreduce"
 	"taurus/internal/model"
 	"taurus/internal/obs"
@@ -32,12 +31,15 @@ var fleetOrdinal atomic.Int64
 // model is Fit once, Lowered once against the pinned input domain, and the
 // one lowered graph is pushed to every member.
 //
-// The push is atomic across the fleet: if any member rejects the graph, the
-// members already updated are rolled back to the previously pushed graph,
-// so the fleet never serves traffic from a mix of models. (Before the first
-// successful fleet push there is no previous graph to restore; a failure
-// there leaves the deployment-time weights only on the members not yet
-// touched, and the error names the members that already diverged.)
+// Each member's data plane gates the push before it serves it, on the grid
+// its model was installed on; the fleet adds no check of its own, so a graph
+// the first member refuses is published nowhere. The push is atomic across
+// the fleet: if any member rejects the graph, the members already updated
+// are rolled back to the previously pushed graph, so the fleet never serves
+// traffic from a mix of models. (Before the first successful fleet push
+// there is no previous graph to restore; a failure there leaves the
+// deployment-time weights only on the members not yet touched, and the
+// error names the members that already diverged.)
 //
 // The loop has two driving modes. Synchronous: the traffic driver calls
 // Observe after each batch and, when it returns true (drift), calls
@@ -115,27 +117,14 @@ type fleetMember struct {
 	sampledAtRetrain int
 	// pooled is how many records the member contributed to the last retrain.
 	pooled int
-
-	// gone marks a joiner whose catch-up push was refused (guarded by
-	// Fleet.mu, like the member list itself). The slot stays in the slice
-	// so member ids never shift; every retrain/push/pooling path skips it.
-	gone bool
 }
 
-// snapshot returns the live (not tombstoned) members under the fleet lock;
-// callers then take each member's own lock as needed, never nesting member
-// locks. Tombstoned members are invisible to every retrain, push and
-// pooling path; only Stats walks the full slice.
+// snapshot copies the member list under the fleet lock; callers then take
+// each member's own lock as needed, never nesting member locks.
 func (f *Fleet) snapshot() []*fleetMember {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	live := make([]*fleetMember, 0, len(f.members))
-	for _, m := range f.members {
-		if !m.gone {
-			live = append(live, m)
-		}
-	}
-	return live
+	return append([]*fleetMember(nil), f.members...)
 }
 
 // MemberStats reports one fleet member's control-plane activity.
@@ -152,10 +141,6 @@ type MemberStats struct {
 	// PooledRecords is how many labelled records the member contributed to
 	// the most recent fleet retrain.
 	PooledRecords int
-	// Deregistered reports that the member refused its catch-up push at
-	// Register and is tombstoned: it receives no pushes and contributes no
-	// labels, but its slot remains in Stats so member ids stay stable.
-	Deregistered bool
 }
 
 // FleetStats reports the fleet's aggregate and per-member activity.
@@ -284,36 +269,45 @@ func (f *Fleet) coordinator() (*distfit.Coordinator, error) {
 // the new member's id. Returns the member id for Observe. Each member gets its
 // own drift detector over the fleet's shared configuration, whose counters
 // are registry instruments labelled {member=<name>}; a name already
-// registered — tombstoned members included — is refused before anything is
-// bound, since two members under one name would share those counters.
+// registered is refused, since two members under one name would share those
+// counters.
 //
 // A member joining after the fleet has already pushed a retrained graph is
-// caught up immediately: the most recent pushed graph is pushed to the
-// joiner before Register returns, so a late joiner never serves stale
-// deployment-time weights beside retrained siblings. Register serialises
-// with retrains, so the catch-up push cannot interleave with a fleet-wide
-// push mid-flight. The catch-up push passes the joiner's own push gate like
-// every member's fan-out push. If the joiner refuses it, the member is left
-// tombstoned (its id is still returned, with Deregistered set in Stats) and
-// the error says why — a switch that rejects the fleet's current model
-// cannot join it.
+// caught up before it joins: the most recent pushed graph is pushed to it
+// first, so a late joiner never serves stale deployment-time weights beside
+// retrained siblings. Register serialises with retrains, so the catch-up
+// push cannot interleave with a fleet-wide push mid-flight. The catch-up
+// push passes the joiner's own push gate like every member's fan-out push.
+// Every refusal returns -1 and the error says why, with nothing bound and no
+// name claimed — a switch that rejects the fleet's current model cannot
+// join it.
 func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	if p == nil {
-		return 0, fmt.Errorf("controlplane: nil pusher")
+		return -1, fmt.Errorf("controlplane: nil pusher")
 	}
 	if src == nil {
-		return 0, fmt.Errorf("controlplane: nil label source")
+		return -1, fmt.Errorf("controlplane: nil label source")
 	}
 	f.trainMu.Lock()
 	defer f.trainMu.Unlock()
+	// Under trainMu nothing else registers or pushes, so the member list and
+	// lastGraph read here still hold when the member is appended below.
 	f.mu.Lock()
+	id := len(f.members)
 	if name == "" {
-		name = fmt.Sprintf("member-%d", len(f.members))
+		name = fmt.Sprintf("member-%d", id)
 	}
 	for _, o := range f.members {
 		if o.name == name {
 			f.mu.Unlock()
-			return 0, fmt.Errorf("controlplane: fleet member name %q is already registered", name)
+			return -1, fmt.Errorf("controlplane: fleet member name %q is already registered", name)
+		}
+	}
+	g := f.lastGraph
+	f.mu.Unlock()
+	if g != nil {
+		if err := p.UpdateWeights(g); err != nil {
+			return -1, fmt.Errorf("controlplane: catch-up push to new fleet member %q: %w", name, err)
 		}
 	}
 	m := &fleetMember{name: name, pusher: p, source: src}
@@ -322,19 +316,9 @@ func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 	// instruments and must exist before the first observe. The full-slice
 	// expression keeps the append from scribbling on the fleet's own labels.
 	m.det.bind(f.reg, append(f.obsLabels[:len(f.obsLabels):len(f.obsLabels)], obs.L("member", name)))
+	f.mu.Lock()
 	f.members = append(f.members, m)
-	id := len(f.members) - 1
-	g := f.lastGraph
 	f.mu.Unlock()
-	if g == nil {
-		return id, nil
-	}
-	if err := p.UpdateWeights(g); err != nil {
-		f.mu.Lock()
-		m.gone = true
-		f.mu.Unlock()
-		return id, fmt.Errorf("controlplane: catch-up push to new fleet member %q: %w", name, err)
-	}
 	return id, nil
 }
 
@@ -352,13 +336,7 @@ func (f *Fleet) Observe(member int, decs []core.Decision) bool {
 		panic(fmt.Sprintf("controlplane: fleet member %d out of range (have %d)", member, n))
 	}
 	m := f.members[member]
-	gone := m.gone
 	f.mu.Unlock()
-	if gone {
-		// A tombstoned member's traffic feeds no drift detection; the id
-		// stays valid (ids are stable) but is inert.
-		return false
-	}
 	m.mu.Lock()
 	newDrift := m.det.observe(decs)
 	flagRate, meanScore := m.det.lastFlagRate, m.det.lastMeanScore
@@ -408,24 +386,6 @@ func (f *Fleet) RetrainNow() error {
 	if err != nil {
 		return f.fail(span, err)
 	}
-	// Static gate before any member sees the graph: verify the lowering and
-	// prove it structurally compatible with the previous fleet-wide push, so
-	// the atomic fan-out (and its rollback path) is only ever exercised with
-	// a provably pushable graph.
-	if err := graphcheck.Check(g); err != nil {
-		f.tracer.Emitf(span, "graphcheck.fail", "err=%q", err.Error())
-		return f.fail(span, err)
-	}
-	f.mu.Lock()
-	prev := f.lastGraph
-	f.mu.Unlock()
-	if prev != nil {
-		if err := graphcheck.Compatible(prev, g); err != nil {
-			f.tracer.Emitf(span, "graphcheck.fail", "err=%q", err.Error())
-			return f.fail(span, err)
-		}
-	}
-	f.tracer.Emitf(span, "graphcheck.pass", "graph=%q", g.Name)
 	if err := f.push(span, g); err != nil {
 		return f.fail(span, err)
 	}
@@ -552,9 +512,12 @@ func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
 
 // push applies g to every member. A member's UpdateWeights gates the push
 // before it publishes, so a member that refuses it still serves its previous
-// model. On a refusal the members already updated are rolled back to the
-// previously pushed graph, so the fleet never serves a mix of models and what
-// the members serve agrees with lastGraph. Before the first successful push
+// model, and a graph the first member refuses is published nowhere. The
+// returned error names the refusing member, and RetrainNow journals it as
+// the span's retrain.fail. On a later member's refusal the members already
+// updated are rolled back to the previously pushed graph, journalled as
+// push.rollback, so the fleet never serves a mix of models and what the
+// members serve agrees with lastGraph. Before the first successful push
 // there is nothing to roll back to — the error then names the members left
 // serving the new graph so the operator knows the fleet diverged. A member
 // that refuses its rollback push is journalled as push.rollback_fail, and its
@@ -570,8 +533,11 @@ func (f *Fleet) push(span int64, g *mr.Graph) error {
 		if err == nil {
 			continue
 		}
-		f.tracer.Emitf(span, "push.rollback", "member=%q rolled_back=%d err=%q", m.name, i, err.Error())
-		if prev == nil && i > 0 {
+		perr := fmt.Errorf("controlplane: push to fleet member %q: %w", m.name, err)
+		if i == 0 {
+			return perr
+		}
+		if prev == nil {
 			names := make([]string, i)
 			for j, r := range members[:i] {
 				names[j] = r.name
@@ -579,13 +545,12 @@ func (f *Fleet) push(span int64, g *mr.Graph) error {
 			return fmt.Errorf("controlplane: push to fleet member %q failed with no prior fleet push to roll back to; members %v already serve the new model: %w",
 				m.name, names, err)
 		}
-		errs := []error{fmt.Errorf("controlplane: push to fleet member %q: %w", m.name, err)}
-		if prev != nil {
-			for _, r := range members[:i] {
-				if rerr := r.pusher.UpdateWeights(prev); rerr != nil {
-					f.tracer.Emitf(span, "push.rollback_fail", "member=%q err=%q", r.name, rerr.Error())
-					errs = append(errs, fmt.Errorf("controlplane: rollback of fleet member %q: %w", r.name, rerr))
-				}
+		f.tracer.Emitf(span, "push.rollback", "member=%q rolled_back=%d err=%q", m.name, i, err.Error())
+		errs := []error{perr}
+		for _, r := range members[:i] {
+			if rerr := r.pusher.UpdateWeights(prev); rerr != nil {
+				f.tracer.Emitf(span, "push.rollback_fail", "member=%q err=%q", r.name, rerr.Error())
+				errs = append(errs, fmt.Errorf("controlplane: rollback of fleet member %q: %w", r.name, rerr))
 			}
 		}
 		return errors.Join(errs...)
@@ -685,16 +650,10 @@ func (f *Fleet) Close() {
 }
 
 // Stats returns a snapshot of the fleet's aggregate and per-member
-// counters. Unlike the retrain paths, Stats reports every slot ever
-// registered — tombstoned members appear with Deregistered set — so
-// indices in Members line up with member ids.
+// counters; indices in Members are member ids.
 func (f *Fleet) Stats() FleetStats {
 	f.mu.Lock()
 	members := append([]*fleetMember(nil), f.members...)
-	gone := make([]bool, len(members))
-	for i, m := range members {
-		gone[i] = m.gone
-	}
 	st := FleetStats{
 		Retrains:           int(f.retrainsC.Value()),
 		LastPoolSize:       f.lastPool,
@@ -706,14 +665,13 @@ func (f *Fleet) Stats() FleetStats {
 	if coord != nil {
 		st.ReissuedTasks += coord.Stats().ReissuedTasks
 	}
-	for i, m := range members {
+	for _, m := range members {
 		m.mu.Lock()
 		ms := MemberStats{
 			Name:          m.name,
 			Stats:         m.det.stats(),
 			Drifted:       m.det.drifted,
 			PooledRecords: m.pooled,
-			Deregistered:  gone[i],
 		}
 		m.mu.Unlock()
 		st.Drifts += ms.Stats.Drifts

@@ -513,8 +513,9 @@ func TestFleetRollbackFailureIsLoud(t *testing.T) {
 
 // TestFleetCatchUpIsRechecked: a late joiner's catch-up push passes the
 // joiner's own push gate, like every fan-out push. A joiner that refuses the
-// catch-up cannot join — it is tombstoned, the error names it, and later
-// retrains leave it alone — and one that accepts it serves the fleet's graph.
+// catch-up cannot join — Register returns -1 and an error naming it, the
+// member count is unchanged, its name stays free and later retrains leave
+// it alone — and one that accepts it serves the fleet's graph.
 func TestFleetCatchUpIsRechecked(t *testing.T) {
 	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Obs: obs.NewRegistry()})
 	if err != nil {
@@ -529,12 +530,16 @@ func TestFleetCatchUpIsRechecked(t *testing.T) {
 	}
 
 	broken := &recordPusher{failAt: 1} // refuses its catch-up push
-	id, err := fl.Register("broken", broken, labelSrc)
+	brokenSrc := &countingSource{}
+	id, err := fl.Register("broken", broken, brokenSrc.pull)
 	if err == nil || !strings.Contains(err.Error(), `"broken"`) || !strings.Contains(err.Error(), "catch-up") {
 		t.Fatalf("Register of a joiner that refuses its catch-up = %v, want the refusal naming it", err)
 	}
-	if !fl.Stats().Members[id].Deregistered {
-		t.Error("a joiner that refused its catch-up was not tombstoned")
+	if id != -1 {
+		t.Errorf("refused joiner got id %d, want -1", id)
+	}
+	if got := len(fl.Stats().Members); got != 1 {
+		t.Errorf("%d members after the refused joiner, want 1", got)
 	}
 	good := &recordPusher{}
 	if _, err := fl.Register("good", good, labelSrc); err != nil {
@@ -548,10 +553,20 @@ func TestFleetCatchUpIsRechecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := len(broken.pushed()); got != 1 {
-		t.Errorf("tombstoned joiner has %d pushes, want the catch-up only", got)
+		t.Errorf("refused joiner has %d pushes, want the catch-up only", got)
+	}
+	if got := brokenSrc.count(); got != 0 {
+		t.Errorf("refused joiner's source pulled %d times, want 0", got)
 	}
 	if f, g := founder.pushed(), good.pushed(); len(g) != 2 || g[1] != f[len(f)-1] {
 		t.Error("the caught-up joiner does not serve the fleet's graph after the next retrain")
+	}
+	again := &recordPusher{}
+	if id, err := fl.Register("broken", again, labelSrc); err != nil || id != 2 {
+		t.Fatalf("re-Register of the refused name = (%d, %v), want (2, nil)", id, err)
+	}
+	if f, g := founder.pushed(), again.pushed(); len(g) != 1 || g[0] != f[len(f)-1] {
+		t.Error("the re-registered joiner does not serve the fleet's graph")
 	}
 }
 

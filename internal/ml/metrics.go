@@ -69,9 +69,6 @@ func (c *MultiConfusion) grow(k int) {
 	}
 }
 
-// K returns the number of classes seen so far.
-func (c *MultiConfusion) K() int { return len(c.Counts) }
-
 // Observe records one prediction against the truth. Negative class indices
 // are ignored (they encode "no prediction" in some callers).
 func (c *MultiConfusion) Observe(pred, truth int) {
@@ -97,19 +94,6 @@ func (c *MultiConfusion) classTallies(k int) (tp, fp, fn int) {
 		fn += c.Counts[k][j] // truth k, predicted j
 	}
 	return tp, fp, fn
-}
-
-// F1 returns the per-class F1 as a percentage (0 when the class was never
-// seen nor predicted).
-func (c *MultiConfusion) F1(class int) float64 {
-	if class < 0 || class >= len(c.Counts) {
-		return 0
-	}
-	tp, fp, fn := c.classTallies(class)
-	if 2*tp+fp+fn == 0 {
-		return 0
-	}
-	return 100 * 2 * float64(tp) / float64(2*tp+fp+fn)
 }
 
 // MacroF1 returns the unweighted mean of per-class F1 scores, as a

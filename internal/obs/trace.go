@@ -22,7 +22,7 @@ type Event struct {
 	// Wall is the wall-clock emission time, for humans and cross-process
 	// correlation.
 	Wall time.Time `json:"wall"`
-	// Kind names the event ("drift.detected", "graphcheck.pass",
+	// Kind names the event ("drift.detected", "model.publish",
 	// "push.done", …) — see the catalogue in the README.
 	Kind string `json:"kind"`
 	// Detail carries the event's free-form context (counts, reasons).
@@ -128,7 +128,7 @@ func (t *Tracer) Events() []Event {
 
 // WriteText renders the journal one line per event:
 //
-//	12.345ms span=3 seq=41 graphcheck.pass nodes=17
+//	12.345ms span=3 seq=41 push.done records=3000 members=1
 func (t *Tracer) WriteText(w io.Writer) error {
 	for _, ev := range t.Events() {
 		line := fmt.Sprintf("%14.3fms span=%d seq=%d %s", float64(ev.TimeNs)/1e6, ev.Span, ev.Seq, ev.Kind)

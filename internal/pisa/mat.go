@@ -152,9 +152,6 @@ func NewTable(name string, keys []Key, maxEntries int) *Table {
 	return &Table{Name: name, Keys: keys, MaxEntries: maxEntries}
 }
 
-// Len returns the number of installed entries.
-func (t *Table) Len() int { return len(t.rows) }
-
 // Insert compiles a rule into the table. It fails when the table is full or
 // the entry is one the table cannot honour: a value count other than the key
 // count, a ternary key without masks, an LPM prefix length outside [0, 32], a
@@ -205,9 +202,6 @@ func (t *Table) Insert(e *Entry) error {
 	})
 	return nil
 }
-
-// Clear removes all entries.
-func (t *Table) Clear() { t.rows = nil }
 
 // Lookup matches the PHV, applies the winning (or default) action, and
 // reports whether an installed entry hit.

@@ -270,12 +270,8 @@ func TestTableExactMatch(t *testing.T) {
 	if tab.Lookup(p) || p.GetName("verdict") != 9 {
 		t.Errorf("default path broken: verdict=%d", p.GetName("verdict"))
 	}
-	if tab.Len() != 1 {
-		t.Errorf("Len = %d", tab.Len())
-	}
-	tab.Clear()
-	if tab.Len() != 0 {
-		t.Error("Clear broken")
+	if len(tab.rows) != 1 {
+		t.Errorf("table holds %d rows, want 1", len(tab.rows))
 	}
 }
 
@@ -374,8 +370,8 @@ func TestTableInsertRejectsUnhonourable(t *testing.T) {
 	if err := exact.Insert(&Entry{Values: []int32{1}, Action: long}); err != nil {
 		t.Errorf("%d-op action: %v", len(long.Ops), err)
 	}
-	if rib.Len() != 2 || twoLPM.Len() != 0 || exact.Len() != 1 {
-		t.Errorf("rejected entries were installed: Len %d, %d, %d; want 2, 0, 1", rib.Len(), twoLPM.Len(), exact.Len())
+	if len(rib.rows) != 2 || len(twoLPM.rows) != 0 || len(exact.rows) != 1 {
+		t.Errorf("rejected entries were installed: rows %d, %d, %d; want 2, 0, 1", len(rib.rows), len(twoLPM.rows), len(exact.rows))
 	}
 }
 

@@ -14,8 +14,9 @@ import (
 
 // TestObservabilityIntegration is the in-tree version of the
 // examples/observe CI gate: one drift-recovery run must journal the complete
-// chain — drift.detected, retrain.start, retrain.fit, graphcheck.pass,
-// push.done — with monotonic timestamps inside the retrain span, the
+// chain — drift.detected, retrain.start, retrain.fit, the data plane's
+// model.publish of the push, push.done — with monotonic timestamps from the
+// retrain's start, the
 // per-shard service-time histograms exposed over Prometheus must
 // agree with pipeline.Stats() totals, and after a push every shard's
 // model_epoch gauge reads the epoch the pipeline last published.
@@ -144,11 +145,12 @@ func auditModelEpoch(t *testing.T, reg *MetricsRegistry, baseSeq int64, publishe
 }
 
 // auditRecoveryChain asserts the default trace journal holds the full
-// drift-recovery chain, in order, within one span, at non-decreasing
-// monotonic timestamps — considering only events this test emitted.
+// drift-recovery chain, in order, within one retrain span (the data plane's
+// model.publish at span 0), at non-decreasing monotonic timestamps —
+// considering only events this test emitted.
 func auditRecoveryChain(t *testing.T, baseSeq int64) {
 	t.Helper()
-	chain := []string{"drift.detected", "retrain.start", "retrain.fit", "graphcheck.pass", "push.done"}
+	chain := []string{"drift.detected", "retrain.start", "retrain.fit", "model.publish", "push.done"}
 	next, span := 0, int64(0)
 	var lastNs int64
 	for _, ev := range Tracer().Events() {
@@ -163,12 +165,17 @@ func auditRecoveryChain(t *testing.T, baseSeq int64) {
 			// Unspanned: it precedes the retrain span.
 		case "retrain.start":
 			span = ev.Span
+		case "model.publish":
+			// The data plane journals the push it serves at span 0.
+			if ev.Span != 0 || !strings.Contains(ev.Detail, "kind=push") {
+				continue
+			}
 		default:
 			if ev.Span != span {
 				continue // another retrain's span
 			}
 		}
-		if ev.Span == span && span != 0 {
+		if span != 0 {
 			if ev.TimeNs < lastNs {
 				t.Fatalf("trace: %s at %dns precedes the previous span event at %dns", ev.Kind, ev.TimeNs, lastNs)
 			}

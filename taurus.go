@@ -416,8 +416,8 @@ type (
 	// instrument's current value; WriteJSON serialises the snapshot.
 	MetricsRegistry = obs.Registry
 	// TraceJournal is the bounded ring-buffer journal of control-plane
-	// events: drift detections, retrain spans, graphcheck/tapecheck
-	// verdicts, pushes, rollbacks, distfit rounds. Events() returns the
+	// events: drift detections, retrain spans, tapecheck verdicts, model
+	// publishes, rollbacks, distfit rounds. Events() returns the
 	// retained window oldest-first; WriteText/WriteJSON render it.
 	TraceJournal = obs.Tracer
 )
