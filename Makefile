@@ -41,16 +41,18 @@ bench-json:
 
 # The gated benchmark (bench/, a module of its own that BENCHMARK.json points
 # the driver at) is built by nothing above, so an API change could break it
-# silently. Its tests, then three four-second runs: a run checks every decision
-# against Graph.Eval and audits the conservation laws (no packet off the
-# packed matvec path among them), and exits non-zero on any mismatch.
-# wide-bulk is the workload whose packet is nearly all tape. Timings from
-# runs this short mean nothing.
+# silently. Its tests, then a four-second run of each of its four workloads: a
+# run checks every decision against Graph.Eval and audits the conservation
+# laws (no packet off the packed matvec path among them), and exits non-zero
+# on any mismatch. wide-bulk is the workload whose packet is nearly all tape;
+# dnn-small's 32-packet batches are the only ones that sweep partial fills.
+# Timings from runs this short mean nothing.
 bench-check:
 	cd bench && $(GO) test ./...
 	bash bench/run.sh --workload dnn-bulk --seed 1 --seconds 4 --trace 0
 	bash bench/run.sh --workload mixed-edge --seed 1 --seconds 4 --trace 0
 	bash bench/run.sh --workload wide-bulk --seed 1 --seconds 4 --trace 0
+	bash bench/run.sh --workload dnn-small --seed 1 --seconds 4 --trace 0
 
 check:
 	@fmtout=$$(gofmt -l .); \

@@ -12,7 +12,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"sync/atomic"
@@ -67,7 +66,13 @@ type Decision struct {
 type Stats struct {
 	Processed, MLInferences, Bypassed int
 	Forwarded, Flagged, Dropped       int
-	ParseErrors                       int
+	// ParseErrors counts the packets dropped as malformed before the
+	// verdict MAT: a frame the parser refuses, or a feature vector of the
+	// wrong width — in Taurus the features arrive in the packet's INT
+	// header, so that header is malformed. Processed = MLInferences +
+	// Bypassed + ParseErrors, and Forwarded + Flagged + Dropped =
+	// Processed - ParseErrors.
+	ParseErrors int
 	// ModelBusyNs is the modelled occupancy of this device's MapReduce
 	// block: each ML packet holds an issue slot for II cycles (1 ns each at
 	// the 1 GHz fabric), each bypass packet for one PISA cycle. The busiest
@@ -506,10 +511,12 @@ func ShardHash(data []byte) uint32 {
 // (the role of INT and cross-packet accumulation in §3.1; in the testbed the
 // features arrive with the expanded trace, §5.2.2): register slot slot of
 // every feature array (all FlowTableSize long, so one reduction serves them
-// all).
+// all). A vector of the wrong width is refused with the bare sentinel, which
+// costs nothing to return; run describes the batch's first one
+// (featureWidthError).
 func (d *Device) accumulate(slot uint32, features []float32) error {
 	if len(features) != d.cfg.NumFeatures {
-		return fmt.Errorf("%w: got %d features, want %d", ErrBadFeatureWidth, len(features), d.cfg.NumFeatures)
+		return ErrBadFeatureWidth
 	}
 	inQ := d.model.InputQuantizer()
 	for i, f := range features {
@@ -526,6 +533,11 @@ type PacketIn struct {
 	// Features optionally carries INT/telemetry features to accumulate
 	// before inference (nil = use whatever the registers hold).
 	Features []float32
+}
+
+// featureWidthError describes a packet whose feature vector is got lanes wide.
+func (d *Device) featureWidthError(got int) error {
+	return fmt.Errorf("%w: got %d features, want %d", ErrBadFeatureWidth, got, d.cfg.NumFeatures)
 }
 
 // Process runs one packet through the full pipeline — the batch loop with a
@@ -592,6 +604,7 @@ func (d *Device) admit(in PacketIn, key uint32, keyed bool, dec *Decision) (slot
 	slot = d.flowValid.Slot(key)
 	if in.Features != nil {
 		if err := d.accumulate(slot, in.Features); err != nil {
+			d.tally.parseErrors++ // the INT header carrying them is malformed
 			return 0, false, err
 		}
 	}
@@ -656,10 +669,11 @@ func (d *Device) applyVerdict(dec *Decision) {
 // out[i] for ins[i]. Malformed packets — parse failures, the data-plane
 // reality of line-rate traffic — are dropped (Verdict Drop, counted in
 // Stats.ParseErrors) rather than aborting the batch. A feature vector of
-// the wrong width is a caller bug: the whole batch is still processed (so
-// out is fully written, matching the pipeline's behaviour), then the first
-// such error is returned as ErrBadFeatureWidth. The steady-state path
-// performs no heap allocation. out must be at least as long as ins.
+// the wrong width is dropped and counted the same way, and is also a caller
+// bug: the whole batch is still processed (so out is fully written,
+// matching the pipeline's behaviour), then the first such error is returned
+// as ErrBadFeatureWidth. The steady-state path performs no heap allocation.
+// out must be at least as long as ins.
 //
 // hotpath: zero-alloc
 func (d *Device) ProcessBatch(ins []PacketIn, out []Decision) error {
@@ -720,9 +734,9 @@ func (d *Device) run(ins []PacketIn, out []Decision, routed []Routed) (callerErr
 		switch {
 		case err != nil:
 			out[i] = Decision{Verdict: Drop}
-			if errors.Is(err, ErrBadFeatureWidth) {
+			if err == ErrBadFeatureWidth {
 				if callerErr == nil {
-					callerErr = err
+					callerErr = d.featureWidthError(len(ins[i].Features))
 				}
 			} else if parseErr == nil {
 				parseErr = err

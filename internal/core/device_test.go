@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -279,6 +280,59 @@ func TestProcessBatchDropsMalformed(t *testing.T) {
 	}
 }
 
+// TestWrongWidthFeaturesKeepTheLaws: a feature vector of the wrong width is a
+// malformed INT header. Each such packet is dropped and counted as a parse
+// error, so a batch of nothing else keeps both conservation laws; the batch
+// describes only its first offender, so it allocates no more than a batch of
+// that one offender does, and Process still returns the description.
+func TestWrongWidthFeaturesKeepTheLaws(t *testing.T) {
+	dev, _, _ := buildAnomalyDevice(t)
+	const n = 256
+	ins := make([]PacketIn, n)
+	for i := range ins {
+		ins[i] = PacketIn{Data: pisa.BuildTCPPacket(uint32(i), 2, 3, 4, 0x10, 64), Features: make([]float32, 3)}
+	}
+	out := make([]Decision, n)
+	err := dev.ProcessBatch(ins, out)
+	if !errors.Is(err, ErrBadFeatureWidth) || err.Error() != dev.featureWidthError(3).Error() {
+		t.Fatalf("batch of wrong-width packets: %v, want %v", err, dev.featureWidthError(3))
+	}
+	st := dev.Stats()
+	if st.Processed != n || st.ParseErrors != n || st.MLInferences != 0 || st.Bypassed != 0 {
+		t.Errorf("stats %+v, want %d processed, all of them parse errors", st, n)
+	}
+	if st.Processed != st.MLInferences+st.Bypassed+st.ParseErrors ||
+		st.Forwarded+st.Flagged+st.Dropped != st.Processed-st.ParseErrors {
+		t.Errorf("stats %+v break a conservation law", st)
+	}
+	for i, dec := range out {
+		if dec != (Decision{Verdict: Drop}) {
+			t.Fatalf("packet %d decided %+v, want a bare Drop", i, dec)
+		}
+	}
+	// A batch of one offender builds that one error; a batch of n builds no
+	// more. The least of twenty calls is the steady cost: under -race fmt's
+	// sync.Pool drops entries at random and moves one error's count by one
+	// or two.
+	allocs := func(ins []PacketIn) uint64 {
+		least := uint64(math.MaxUint64)
+		var before, after runtime.MemStats
+		for range 20 {
+			runtime.ReadMemStats(&before)
+			_ = dev.ProcessBatch(ins, out)
+			runtime.ReadMemStats(&after)
+			least = min(least, after.Mallocs-before.Mallocs)
+		}
+		return least
+	}
+	if all, one := allocs(ins), allocs(ins[:1]); all > one {
+		t.Errorf("a batch of %d wrong-width packets allocates %d times, a batch of one %d", n, all, one)
+	}
+	if _, err := dev.Process(ins[0]); err == nil || err.Error() != dev.featureWidthError(3).Error() {
+		t.Errorf("Process of a wrong-width packet: %v, want %v", err, dev.featureWidthError(3))
+	}
+}
+
 func TestProcessBatchZeroAlloc(t *testing.T) {
 	dev, _, gen := buildAnomalyDevice(t)
 	ins := make([]PacketIn, 64)
@@ -543,11 +597,16 @@ func TestRefusedTapeIsInstallError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := slices.IndexFunc(prog.Code(), func(ins sched.Instr) bool { return ins.Op == sched.OpDotAdd })
+	// The output neuron is the tape's 1-row layer: one weight row, then its
+	// bias.
+	pc := slices.IndexFunc(prog.Code(), func(ins sched.Instr) bool {
+		return ins.Op == sched.OpMatVec && ins.W == 1 && len(ins.Rows) == 2
+	})
 	if pc < 0 {
-		t.Fatal("the DNN's tape has no dotadd to corrupt")
+		t.Fatal("the DNN's tape has no output neuron to corrupt")
 	}
-	prog.Code()[pc].Op = sched.OpDot // the output neuron's bias dropped
+	out := &prog.Code()[pc]
+	out.Rows = out.Rows[:out.W] // the output neuron's bias dropped
 	m := &Model{epoch: 1, tracer: cfg.tracer()}
 	refused := m.admit(next.Name, prog, nil)
 	if !errors.Is(refused, sched.ErrBadTape) {

@@ -155,17 +155,30 @@ var fuzzSeedSharedAct = append(append([]byte{9}, // 10 nodes
 	1, 8, 9, // two outputs: n8, n9
 )
 
+// fuzzSeedHandOff is fuzzSeedLayer with an output neuron behind the ReLU: a
+// dot of a constant row with the layer, which no concat gathers. The neuron is
+// a 1-row matvec and the layer its only reader, so the layer hands it its
+// lanes packed.
+var fuzzSeedHandOff = append(append([]byte{11}, // 12 nodes
+	fuzzSeedLayer[1:len(fuzzSeedLayer)-2]...), // n0..n8 as above
+	1, 2, 0, 8, 3, 0, 0, 0, 8, 254, 255, 255, 255, 2, // n9 const row w2: 3, -2
+	2, 2, 2, 10, 9, 2, // n10 map mul (n9, n8)
+	4, 1, 1, 11, 0, // n11 reduce add (n10)
+	0, 11, // one output: n11
+)
+
 // fuzzSeedDeadDot decodes to a dot product no declared output reads, beside a
 // ReLU one does. Flipped to a squared distance the dead lane saturates
 // ((x−3145776)² leaves int32) where the dot cannot — the one shape an interval
 // analysis of the tape would refuse and the equivalence analysis certifies,
-// rightly: no output can tell (TestTapeMutationSeeds pins it).
+// rightly: no output can tell (TestTapeMutationSeeds pins it). Its weight is
+// one lane broadcast over the input, so no 1-row matvec takes the dot.
 var fuzzSeedDeadDot = []byte{
 	4,       // 5 nodes
 	0, 4, 0, // n0 input w4
-	1, 4, 0, // n1 const w4: 12336, -53200, 48, 3145776
-	8, 48, 48, 0, 0, 8, 48, 48, 255, 255, 8, 48, 0, 0, 0, 8, 48, 0, 48, 0, 4,
-	2, 4, 2, 1, 2, 2, // n2 map mul (n0, n1)
+	1, 1, 0, // n1 const w1: 3145776
+	8, 48, 0, 48, 0, 1,
+	2, 4, 2, 1, 2, 2, // n2 map mul (n0, n1), n1 broadcast
 	4, 1, 1, 3, 0, // n3 reduce add (n2): dead
 	3, 4, 1, 1, 0, // n4 relu (n0)
 	0, 4, // one output: n4
@@ -174,7 +187,7 @@ var fuzzSeedDeadDot = []byte{
 // fuzzSeeds are the model-shaped corpus seeds, by name.
 var fuzzSeeds = map[string][]byte{
 	"dnn": fuzzSeedDNN, "kmeans": fuzzSeedKMeans, "svm": fuzzSeedSVM,
-	"layer": fuzzSeedLayer, "shared-act": fuzzSeedSharedAct,
+	"layer": fuzzSeedLayer, "shared-act": fuzzSeedSharedAct, "hand-off": fuzzSeedHandOff,
 	"dead-dot": fuzzSeedDeadDot,
 }
 
@@ -320,7 +333,7 @@ func schedDifferential(t *testing.T, g *mr.Graph, data []byte) {
 }
 
 // mutationKinds is the number of corruption classes mutateTape knows.
-const mutationKinds = 14
+const mutationKinds = 15
 
 // mutateTape applies one hand-corruption class to instruction k of the tape:
 // swapped operands, shifted destination or source slots (a constant source
@@ -331,9 +344,9 @@ const mutationKinds = 14
 // payload of the image (or none), two weight-owning nodes laid out over
 // the same image slot, or on a matvec half of the epilogue dropped, its
 // activation flipped (or invented), its multiplier index moved to a
-// neighbour's, or its row sums read from one row along: the miscompilation
-// shapes tapecheck's analyses exist to catch. Returns false when the tape has
-// nothing to mutate.
+// neighbour's, or its row sums read from one row along, or a packed hand-off
+// broken at either end: the miscompilation shapes tapecheck's analyses exist
+// to catch. Returns false when the tape has nothing to mutate.
 func mutateTape(p *sched.Program, kind, k int) bool {
 	code := p.Code()
 	if len(code) == 0 {
@@ -449,6 +462,12 @@ func mutateTape(p *sched.Program, kind, k int) bool {
 			break
 		}
 		ins.Sum += 1 - 2*(k/len(code)%2)
+	case 14: // the destination stored, or the input read, packed when it is not, or the other way
+		if k/len(code)%2 == 0 {
+			ins.Packed = !ins.Packed
+		} else {
+			ins.A.Packed = !ins.A.Packed
+		}
 	}
 	return true
 }
@@ -581,14 +600,16 @@ func TestFuzzSeeds(t *testing.T) {
 		schedDifferential(t, g, seed)
 	}
 	// The layer seeds are in the corpus for the tapes they compile to: one
-	// matvec carrying the ReLU, and — the ReLU having a second reader — the
-	// same followed by the requant it could not take.
+	// matvec carrying the ReLU, the same followed by the requant it could not
+	// take — the ReLU having a second reader — and the same handing its lanes
+	// packed to the 1-row matvec of an output neuron.
 	for _, tc := range []struct {
 		seed []byte
 		want []string
 	}{
 		{fuzzSeedLayer, []string{"matvec+relu"}},
 		{fuzzSeedSharedAct, []string{"matvec+relu", "requant"}},
+		{fuzzSeedHandOff, []string{"matvec+relu", "matvec"}},
 	} {
 		p, err := sched.Compile(graphFromBytes(tc.seed), cgra.DefaultGrid())
 		if err != nil {
@@ -600,6 +621,9 @@ func TestFuzzSeeds(t *testing.T) {
 		}
 		if !slices.Equal(got, tc.want) {
 			t.Errorf("layer seed compiles to %v, want %v", got, tc.want)
+		}
+		if handOff := len(tc.want) == 2 && tc.want[1] == "matvec"; p.Code()[0].Packed != handOff {
+			t.Errorf("layer seed %v: the layer stores packed %v, want %v", tc.want, p.Code()[0].Packed, handOff)
 		}
 	}
 }

@@ -236,7 +236,8 @@ func (p *Pipeline) UpdateWeights(newGraph *mr.Graph) error {
 // ProcessBatch partitions ins across the shards by flow hash, processes
 // every packet, and writes out[i] for ins[i]. Malformed packets are dropped
 // (counted in Stats().ParseErrors); a feature vector of the wrong width is
-// a caller bug and surfaces as ErrBadFeatureWidth after the batch drains.
+// dropped and counted the same way, and — a caller bug — surfaces as
+// ErrBadFeatureWidth after the batch drains.
 // The steady-state path performs no heap allocation. out must be at least
 // as long as ins.
 func (p *Pipeline) ProcessBatch(ins []core.PacketIn, out []core.Decision) (BatchStats, error) {

@@ -16,10 +16,10 @@ import (
 )
 
 // TestCompileGate: Compile is plan → emit → Check. A faithful tape comes
-// back; the same program with one instruction flipped — the tape a
+// back; the same program with one instruction corrupted — the tape a
 // miscompiling emit would hand the gate — is refused with ErrBadTape, which
 // Compile returns in place of the program. CompileUnverified hands the
-// program out before the gate, so the flip is the test's and not emit's.
+// program out before the gate, so the corruption is the test's and not emit's.
 func TestCompileGate(t *testing.T) {
 	b := mr.NewBuilder("gate")
 	x := b.Input("x", 4)
@@ -35,14 +35,16 @@ func TestCompileGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := slices.IndexFunc(p.tape.code, func(ins Instr) bool { return ins.Op == OpDotAdd })
+	// The neuron is a 1-row layer: one weight row, then its bias.
+	pc := slices.IndexFunc(p.tape.code, func(ins Instr) bool { return ins.Op == OpMatVec && len(ins.Rows) == 2*ins.W })
 	if pc < 0 {
-		t.Fatalf("tape %v has no dotadd to flip", Verify(p).Tape)
+		t.Fatalf("tape %v has no biased matvec to corrupt", Verify(p).Tape)
 	}
 	if err := Check(p); err != nil {
 		t.Fatalf("the gate refuses the tape Compile accepted: %v", err)
 	}
-	p.tape.code[pc].Op = OpDot // the bias dropped
+	ins := &p.tape.code[pc]
+	ins.Rows = ins.Rows[:ins.W] // the bias dropped
 	if err := Check(p); !errors.Is(err, ErrBadTape) {
 		t.Fatalf("the gate passes a tape that drops the bias: %v", err)
 	}
@@ -55,9 +57,10 @@ var verifierFiles = []string{
 }
 
 // kernelName matches the code that runs a tape: the per-opcode lane loops
-// and their per-lane rules, the packed matvec kernels, the matvec epilogue
-// and the stores that apply it, the saturating narrowing and the sweeps.
-var kernelName = regexp.MustCompile(`Lanes?$|^packedDot2|^matVec|^finish|^sat32$|^Run$|^RunBatch$`)
+// and their per-lane rules, the pack pass and the packed matvec kernels, the
+// matvec epilogue and the stores that apply it, the saturating narrowing and
+// the sweeps.
+var kernelName = regexp.MustCompile(`Lanes?$|^packedDot|^matVec|^finish|^sat32$|^Run$|^RunBatch$`)
 
 // TestVerifierCallsNoKernel: the verifier derives what each instruction
 // computes from its own model of the opcode. One that called a kernel would
@@ -87,7 +90,7 @@ func TestVerifierCallsNoKernel(t *testing.T) {
 			}
 		}
 	}
-	for _, want := range []string{"dotLanes", "leakyLane", "finishFor", "finishLane", "finishPair", "finishRow", "packedDot2x2", "matVec", "matVecPair", "sat32", "Run", "RunBatch"} {
+	for _, want := range []string{"dotLanes", "dotPairLanes", "packLanes", "leakyLane", "tableLane", "finishFor", "finishLane", "finishPair", "finishRow", "finishPairs", "packedDot2x2", "packedDot1x2", "matVec", "matVecPair", "sat32", "Run", "RunBatch"} {
 		if !kernels[want] {
 			t.Fatalf("no kernel %s among %v: the pattern no longer finds the tape's kernels", want, kernels)
 		}

@@ -131,7 +131,7 @@ func pushWeights(t *testing.T, g *mr.Graph, rng *rand.Rand) {
 // TestKernelShapeMatrix drives every tape opcode through every shape its
 // kernel distinguishes: each argument constant or arena-backed, in either
 // argument position, the second argument full-width or a broadcast lane, at
-// batch fills of 1, 15 and 16, on inputs that saturate. Each cell is
+// every batch fill from 1 to 16, on inputs that saturate. Each cell is
 // bit-exact with Graph.Eval, before and after a weight push between two
 // sweeps: a kernel may hoist where its operands lie out of the slot loop,
 // never which image they lie in.
@@ -236,7 +236,7 @@ func TestKernelShapeMatrix(t *testing.T) {
 		for _, ins := range p.Code() {
 			emitted[ins.Op] = true
 		}
-		for _, fill := range []int{1, 15, 16} {
+		for fill := 1; fill <= p.MaxBatch(); fill++ {
 			sweepAgainstEval(t, g, p, rng, fill, "as compiled")
 			pushWeights(t, g, rng)
 			reimage(t, p, g)
@@ -244,6 +244,7 @@ func TestKernelShapeMatrix(t *testing.T) {
 		}
 	}
 	t.Run("matvec", func(t *testing.T) { matVecCells(t, rng, emitted) })
+	t.Run("chain", func(t *testing.T) { matVecChains(t, rng) })
 	for op := sched.OpAdd; op <= sched.OpMatVec; op++ {
 		if !emitted[op] {
 			t.Errorf("no graph of the matrix compiled to opcode %v", op)
@@ -253,7 +254,7 @@ func TestKernelShapeMatrix(t *testing.T) {
 
 // epilogue is what a dense layer's concat feeds before anything else reads
 // it: an activation (OpNone or a unary), then a rescale (OpNone, OpRequant or
-// OpScale by mult).
+// OpScale by mult) or a table (OpLUT indexed by mult).
 type epilogue struct {
 	act, quant sched.Opcode
 	mult       fixed.Multiplier
@@ -278,7 +279,16 @@ func denseGraph(t *testing.T, name string, weights [][]int32, biases []int32, ep
 			neurons[r] = b.Map(mr.MAdd, neurons[r], b.Scalar(fmt.Sprintf("b%d", r), biases[r]))
 		}
 	}
-	z := b.Concat(neurons...)
+	b.Output(finish(b, b.Concat(neurons...), ep))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return g
+}
+
+// finish puts layer z through epilogue ep.
+func finish(b *mr.Builder, z mr.Value, ep epilogue) mr.Value {
 	if ep.act != sched.OpNone {
 		z = b.Unary(unaryOf[ep.act], z)
 	}
@@ -287,13 +297,14 @@ func denseGraph(t *testing.T, name string, weights [][]int32, biases []int32, ep
 		z = b.Requant(z, ep.mult)
 	case sched.OpScale:
 		z = b.Scale(z, ep.mult)
+	case sched.OpLUT:
+		lut := &mr.LUT{Mult: ep.mult}
+		for i := range lut.Table {
+			lut.Table[i] = int8(i*37 + 11)
+		}
+		z = b.ApplyLUT(z, lut)
 	}
-	b.Output(z)
-	g, err := b.Build()
-	if err != nil {
-		t.Fatalf("%s: %v", name, err)
-	}
-	return g
+	return z
 }
 
 // compileDense compiles a denseGraph and insists the layer came out as the
@@ -330,11 +341,8 @@ func magnitude(v int32) int64 {
 // exactCells is the packing guard worked out by the test: how many (weight
 // row, slot pair) cells of one sweep must leave the packed path because the
 // row's sum|w| times the OR of the pair's input magnitudes exceeds MaxInt32.
-// A sweep of one slot has no pairs.
+// An odd last slot is a pair of its own.
 func exactCells(g *mr.Graph, slots [][]int32) int {
-	if len(slots) < 2 {
-		return 0
-	}
 	cells := 0
 	for q := 0; q < len(slots); q += 2 {
 		var m int64
@@ -360,7 +368,8 @@ func exactCells(g *mr.Graph, slots [][]int32) int {
 }
 
 // sweepDense runs one sweep over the given slots, holds every lane to
-// Graph.Eval and the program's fallback count to wantExact more than before.
+// Graph.Eval and the program's fallback count to wantExact more than before
+// (unless wantExact is negative).
 func sweepDense(t *testing.T, g *mr.Graph, p *sched.Program, slots [][]int32, wantExact int, tag string) {
 	t.Helper()
 	for j, slot := range slots {
@@ -368,7 +377,7 @@ func sweepDense(t *testing.T, g *mr.Graph, p *sched.Program, slots [][]int32, wa
 	}
 	before := p.Fallbacks()
 	p.RunBatch(len(slots))
-	if got := p.Fallbacks() - before; got != wantExact {
+	if got := p.Fallbacks() - before; wantExact >= 0 && got != wantExact {
 		t.Fatalf("%s %s fill %d: %d cells took the exact path, want %d", g.Name, tag, len(slots), got, wantExact)
 	}
 	for j, slot := range slots {
@@ -388,10 +397,10 @@ func sweepDense(t *testing.T, g *mr.Graph, p *sched.Program, slots [][]int32, wa
 
 // matVecCells are OpMatVec's rows of the matrix: layer shapes from one row
 // of one lane to 64 x 64, with and without biases, and every epilogue — no
-// activation or each unary, then no rescale, a requant, a scale or a
-// multiplier that shifts everything out — at width 7, four of them at 64 x 64
-// too, at fills of odd and even slot and pair counts (so the 2 x 2 block and
-// both its tails run), on int8 codes and on lanes up to the int32 extremes,
+// activation or each unary, then no rescale, a requant, a scale, a table or
+// a multiplier that shifts everything out — at width 7, four of them at
+// 64 x 64 too, at every fill from 1 to 16 (so the 2 x 2 block, both its
+// tails and the lone slot run), on int8 codes and on lanes up to the int32 extremes,
 // against int8 weights, saturating weights pushed between sweeps, and int8
 // weights pushed back. Every cell is bit-exact and takes the exact path
 // exactly when the guard, worked out independently, says so.
@@ -420,7 +429,7 @@ func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 			}
 			reimage(t, p, g)
 		}
-		for _, fill := range []int{1, 2, 3, 4, 5, 15, 16} {
+		for fill := 1; fill <= p.MaxBatch(); fill++ {
 			codes, edges := draw(int8Lanes, fill, width), draw(drawLanes, fill, width)
 			// int8 weights on int8 codes always pack: 64 * 128 * 255 < 1<<31.
 			sweepDense(t, g, p, codes, 0, "int8 weights, int8 codes")
@@ -467,6 +476,7 @@ func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 		{act: sched.OpRelu, quant: sched.OpRequant, mult: mult},
 		{act: sched.OpLeaky, quant: sched.OpScale, mult: mult},
 		{act: sched.OpAbs},
+		{act: sched.OpNeg, quant: sched.OpLUT, mult: mult},
 		{quant: sched.OpRequant, mult: fixed.Multiplier{M0: 1 << 30, Shift: 63}},
 	} {
 		layer(64, 64, true, ep)
@@ -513,6 +523,120 @@ func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 		pair := [][]int32{tc.a, tc.b}
 		ones := exactCells(denseGraph(t, "ones", [][]int32{{1, 1}}, nil, epilogue{}), pair)
 		sweepDense(t, g, p, pair, tc.exact+ones, "boundary")
+	}
+}
+
+// matVecChains are layers handing their lanes over packed: stacks of dense
+// layers under one epilogue each, for every activation × {no rescale, a
+// requant, a scale, a table}, down to 1-row layers and to an output neuron no
+// concat gathers, at every fill from 1 to 16, on int8 codes and on lanes up
+// to the int32 extremes, against Graph.Eval, before and after a saturating
+// weight push — so the packed stores of the odd last pair and the lone slot,
+// and the exact fallback unpacking a handed-over pair, all run. Every layer
+// but the last must hand over packed.
+func matVecChains(t *testing.T, rng *rand.Rand) {
+	mult, err := fixed.NewMultiplier(0.37)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chain := func(name string, widths []int, biased, lone bool, ep epilogue) *mr.Graph {
+		b := mr.NewBuilder(name)
+		x := b.Input("x", widths[0])
+		for l, rows := range widths[1:] {
+			neurons := make([]mr.Value, rows)
+			for r := range neurons {
+				neurons[r] = b.DotProduct(b.Const(fmt.Sprintf("w%d_%d", l, r), int8Lanes(rng, x.Width())), x)
+				if biased {
+					neurons[r] = b.Map(mr.MAdd, neurons[r], b.Scalar(fmt.Sprintf("b%d_%d", l, r), int32(rng.Intn(512)-256)))
+				}
+			}
+			z := neurons[0]
+			if !lone || rows > 1 {
+				z = b.Concat(neurons...)
+			}
+			x = finish(b, z, ep)
+		}
+		b.Output(x)
+		g, err := b.Build()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return g
+	}
+	for _, act := range []sched.Opcode{sched.OpNone, sched.OpRelu, sched.OpLeaky, sched.OpNeg, sched.OpAbs} {
+		for _, quant := range []sched.Opcode{sched.OpNone, sched.OpRequant, sched.OpScale, sched.OpLUT} {
+			ep := epilogue{act: act, quant: quant, mult: mult}
+			for _, shape := range []struct {
+				widths       []int
+				biased, lone bool
+			}{
+				{[]int{7, 5, 2}, true, false},
+				{[]int{7, 4, 3, 1}, false, true},
+				{[]int{6, 1, 1}, true, true},
+				{[]int{5, 1, 3}, false, false},
+			} {
+				g := chain(fmt.Sprintf("chain/%v-%v/%v-bias-%v-lone-%v", act, quant, shape.widths, shape.biased, shape.lone),
+					shape.widths, shape.biased, shape.lone, ep)
+				p, err := sched.Compile(g, cgra.DefaultGrid())
+				if err != nil {
+					t.Fatalf("Compile(%s): %v", g.Name, err)
+				}
+				code := p.Code()
+				if len(code) != len(shape.widths)-1 {
+					t.Fatalf("%s: tape is %v, want one matvec a layer", g.Name, mnemonics(p))
+				}
+				for pc, ins := range code {
+					if last := pc == len(code)-1; ins.Op != sched.OpMatVec || ins.Act != act || ins.Quant != quant || ins.Packed == last || ins.A.Packed != (pc > 0) {
+						t.Fatalf("%s: pc %d is %s storing packed %v, reading packed %v: want every layer a matvec with its epilogue, all but the last handing over packed",
+							g.Name, pc, ins.Mnemonic(), ins.Packed, ins.A.Packed)
+					}
+				}
+				for fill := 1; fill <= p.MaxBatch(); fill++ {
+					codes, edges := make([][]int32, fill), make([][]int32, fill)
+					for j := range codes {
+						codes[j], edges[j] = int8Lanes(rng, shape.widths[0]), drawLanes(rng, shape.widths[0])
+					}
+					sweepDense(t, g, p, codes, -1, "int8 codes")
+					sweepDense(t, g, p, edges, -1, "edge lanes")
+					next := g.Clone()
+					pushWeights(t, next, rng)
+					reimage(t, p, next)
+					sweepDense(t, next, p, codes, -1, "int8 codes after a saturating push")
+					sweepDense(t, next, p, edges, -1, "edge lanes after a saturating push")
+					reimage(t, p, g)
+				}
+			}
+		}
+	}
+
+	// The odd last slot is packed against zero, and the bound a layer hands
+	// over is over what it stored: every slot's lane is 0 (x = -1000 against
+	// a bias of 1000), so every pair's bound is 0 and the next layer's row of
+	// 2^22 multiplies it packed. A high half holding what the bias alone
+	// finishes to (1000) instead of 0 would bound the last pair at 1000 and
+	// send the row down the exact path. Fill 3 stores the odd pair from the
+	// 1 x 2 block, fill 5 from a cell of its own.
+	b := mr.NewBuilder("chain/odd-pair")
+	x := b.Input("x", 1)
+	h := b.Map(mr.MAdd, b.DotProduct(b.Const("w0", []int32{1}), x), b.Scalar("b0", 1000))
+	b.Output(b.DotProduct(b.Const("w1", []int32{1 << 22}), h))
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sched.Compile(g, cgra.DefaultGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code := p.Code(); len(code) != 2 || !code[0].Packed || !code[1].A.Packed {
+		t.Fatalf("odd-pair chain: tape is %v, want two matvecs, the first handing over packed", mnemonics(p))
+	}
+	for _, fill := range []int{1, 3, 5} {
+		slots := make([][]int32, fill)
+		for j := range slots {
+			slots[j] = []int32{-1000}
+		}
+		sweepDense(t, g, p, slots, 0, "odd last slot")
 	}
 }
 
@@ -595,11 +719,6 @@ func TestMatVecEmit(t *testing.T) {
 			x, y := b.Input("x", 7), b.Input("y", 1)
 			return b.Concat(b.Map(mr.MAdd, b.DotProduct(row(b, 0, 7), x), y), b.Map(mr.MAdd, b.DotProduct(row(b, 1, 7), x), y))
 		}),
-		build("row-used-twice", func(b *mr.Builder) mr.Value {
-			x := b.Input("x", 7)
-			d := b.DotProduct(row(b, 0, 7), x)
-			return b.Concat(d, b.DotProduct(row(b, 1, 7), x), d)
-		}),
 		build("conv1d-windows", func(b *mr.Builder) mr.Value {
 			x, k := b.Input("x", 9), row(b, 0, 3)
 			outs := make([]mr.Value, 7)
@@ -615,7 +734,8 @@ func TestMatVecEmit(t *testing.T) {
 	}
 
 	// Where the pattern holds: weights on either side of the multiply, a
-	// sliced input shared by every row, and the dense layers of the models.
+	// sliced input shared by every row, a (bias-)dot no concat gathers (a
+	// 1-row layer), and the dense layers of the models.
 	for _, tc := range []struct {
 		g             *mr.Graph
 		matvecs, dots int
@@ -628,8 +748,21 @@ func TestMatVecEmit(t *testing.T) {
 			win := b.Slice(b.Input("x", 9), 2, 3)
 			return b.Concat(b.DotProduct(row(b, 0, 3), win), b.DotProduct(row(b, 1, 3), win))
 		}), 1, 0},
+		// A row the concat reads twice is no concat's neuron: it stands
+		// alone, a 1-row layer the concat copies, and the other row, sunk
+		// into a concat that is no layer, stays a dot.
+		{build("row-used-twice", func(b *mr.Builder) mr.Value {
+			x := b.Input("x", 7)
+			d := b.DotProduct(row(b, 0, 7), x)
+			return b.Concat(d, b.DotProduct(row(b, 1, 7), x), d)
+		}), 1, 1},
+		{build("lone-biased-neuron", func(b *mr.Builder) mr.Value {
+			return b.Map(mr.MAdd, b.Scalar("b", 3), b.DotProduct(b.Input("x", 7), row(b, 0, 7)))
+		}), 1, 0},
 		// 6-12-6-3-1: three layers, and the lone output neuron no concat gathers.
-		{modelGraphs(t)["dnn"], 3, 1},
+		{modelGraphs(t)["dnn"], 4, 0},
+		// The SVM's one dot of its weights with the features.
+		{modelGraphs(t)["svm"], 1, 0},
 		// The four gate layers and the output layer of an LSTM step.
 		{lstmGraph(t), 5, 0},
 	} {
@@ -638,28 +771,34 @@ func TestMatVecEmit(t *testing.T) {
 			t.Errorf("%s: emitted %d matvecs and %d per-neuron dots, want %d and %d", tc.g.Name, matvecs, dots, tc.matvecs, tc.dots)
 		}
 	}
-	// KMeans distances are sqdist chains and the SVM's one dot stands alone:
-	// neither holds the pattern.
-	for _, name := range []string{"kmeans", "svm"} {
-		if matvecs, _ := count(modelGraphs(t)[name]); matvecs != 0 {
-			t.Errorf("%s: emitted %d matvecs, want none", name, matvecs)
-		}
+	// KMeans distances are sqdist chains: no dot to take.
+	if matvecs, _ := count(modelGraphs(t)["kmeans"]); matvecs != 0 {
+		t.Errorf("kmeans: emitted %d matvecs, want none", matvecs)
 	}
 
-	// 6-12-6-3-1 whole: each hidden layer is one instruction.
+	// 6-12-6-3-1 whole: each layer is one instruction, the output neuron's
+	// table its epilogue, and each layer hands the next its lanes packed.
 	dnn, err := sched.Compile(modelGraphs(t)["dnn"], cgra.DefaultGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
 	hidden := "matvec+relu+requant"
-	if got, want := mnemonics(dnn), []string{hidden, hidden, hidden, "dotadd", "lut"}; !slices.Equal(got, want) {
+	if got, want := mnemonics(dnn), []string{hidden, hidden, hidden, "matvec+lut"}; !slices.Equal(got, want) {
 		t.Errorf("dnn: tape is %v, want %v", got, want)
 	}
+	for pc, ins := range dnn.Code() {
+		if last := pc == len(dnn.Code())-1; ins.Packed == last || ins.A.Packed != (pc > 0) {
+			t.Errorf("dnn: pc %d (%s) stores packed %v and reads packed %v: every layer but the last hands over packed",
+				pc, ins.Mnemonic(), ins.Packed, ins.A.Packed)
+		}
+	}
 
-	// The epilogue: a unary the layer alone feeds, then a requant or scale
-	// that one (or the layer) alone feeds, ride on the matvec; a second
-	// reader or a declared output ends the chain at the node that has it,
-	// and nothing else is taken. Each tape is listed whole, in issue order.
+	// The epilogue: a unary the layer alone feeds, then a requant, a scale or
+	// a table that one (or the layer) alone feeds, ride on the matvec; a
+	// second reader or a declared output ends the chain at the node that has
+	// it, and nothing else is taken. A layer whose only readers are the rows
+	// of the next hands it its lanes packed. Each tape is listed whole, in
+	// issue order.
 	mult, err := fixed.NewMultiplier(0.37)
 	if err != nil {
 		t.Fatal(err)
@@ -668,48 +807,71 @@ func TestMatVecEmit(t *testing.T) {
 		return b.Concat(b.DotProduct(row(b, first, 7), x), b.DotProduct(row(b, first+1, 7), x))
 	}
 	for _, tc := range []struct {
-		name  string
-		f     func(b *mr.Builder, x mr.Value) []mr.Value // the declared outputs
-		want  []string
-		lanes int // of arena per packet: the 7 of x, and those of every node left standing
+		name   string
+		f      func(b *mr.Builder, x mr.Value) []mr.Value // the declared outputs
+		want   []string
+		lanes  int // of arena per packet: the 7 of x, and those of every node left standing
+		packed int // layers handed over packed
 	}{
 		{"requant-on-a-declared-output", func(b *mr.Builder, x mr.Value) []mr.Value {
 			return []mr.Value{b.Requant(b.Unary(mr.UReLU, dense(b, x, 0)), mult)}
-		}, []string{"matvec+relu+requant"}, 9},
+		}, []string{"matvec+relu+requant"}, 9, 0},
 		{"linear-layer", func(b *mr.Builder, x mr.Value) []mr.Value {
 			return []mr.Value{b.Requant(dense(b, x, 0), mult)}
-		}, []string{"matvec+requant"}, 9},
+		}, []string{"matvec+requant"}, 9, 0},
 		{"abs-then-scale", func(b *mr.Builder, x mr.Value) []mr.Value {
 			return []mr.Value{b.Scale(b.Unary(mr.UAbs, dense(b, x, 0)), mult)}
-		}, []string{"matvec+abs+scale"}, 9},
+		}, []string{"matvec+abs+scale"}, 9, 0},
 		{"stacked-layers", func(b *mr.Builder, x mr.Value) []mr.Value {
 			h := b.Requant(b.Unary(mr.ULeakyReLU, dense(b, x, 0)), mult)
 			return []mr.Value{b.Unary(mr.UNeg, b.Concat(b.DotProduct(row(b, 2, 2), h), b.DotProduct(row(b, 3, 2), h)))}
-		}, []string{"matvec+leaky+requant", "matvec+neg"}, 11},
+		}, []string{"matvec+leaky+requant", "matvec+neg"}, 9, 1},
 		{"activation-sunk-into-another-concat", func(b *mr.Builder, x mr.Value) []mr.Value {
 			return []mr.Value{b.Concat(b.Unary(mr.UReLU, dense(b, x, 0)), b.Unary(mr.UReLU, dense(b, x, 2)))}
-		}, []string{"matvec+relu", "matvec+relu"}, 11},
+		}, []string{"matvec+relu", "matvec+relu"}, 11, 0},
 		{"shared-activation", func(b *mr.Builder, x mr.Value) []mr.Value {
 			a := b.Unary(mr.UReLU, dense(b, x, 0))
 			return []mr.Value{b.Requant(a, mult), b.Reduce(mr.RMax, a)}
-		}, []string{"matvec+relu", "requant", "redmax"}, 12},
+		}, []string{"matvec+relu", "requant", "redmax"}, 12, 0},
 		{"activation-is-a-declared-output", func(b *mr.Builder, x mr.Value) []mr.Value {
 			a := b.Unary(mr.UReLU, dense(b, x, 0))
 			return []mr.Value{a, b.Requant(a, mult)}
-		}, []string{"matvec+relu", "requant"}, 11},
+		}, []string{"matvec+relu", "requant"}, 11, 0},
 		{"layer-is-a-declared-output", func(b *mr.Builder, x mr.Value) []mr.Value {
 			l := dense(b, x, 0)
 			return []mr.Value{l, b.Requant(b.Unary(mr.UReLU, l), mult)}
-		}, []string{"matvec", "relu", "requant"}, 13},
+		}, []string{"matvec", "relu", "requant"}, 13, 0},
 		{"rescale-before-activation", func(b *mr.Builder, x mr.Value) []mr.Value {
 			return []mr.Value{b.Unary(mr.UReLU, b.Requant(dense(b, x, 0), mult))}
-		}, []string{"matvec+requant", "relu"}, 11},
+		}, []string{"matvec+requant", "relu"}, 11, 0},
 		{"two-activations", func(b *mr.Builder, x mr.Value) []mr.Value {
 			return []mr.Value{b.Unary(mr.UNeg, b.Unary(mr.UReLU, dense(b, x, 0)))}
-		}, []string{"matvec+relu", "neg"}, 11},
+		}, []string{"matvec+relu", "neg"}, 11, 0},
 		{"table-activation", func(b *mr.Builder, x mr.Value) []mr.Value {
 			return []mr.Value{b.ApplyLUT(dense(b, x, 0), &mr.LUT{Mult: mult})}
-		}, []string{"matvec", "lut"}, 11},
+		}, []string{"matvec+lut"}, 9, 0},
+		{"activation-then-table", func(b *mr.Builder, x mr.Value) []mr.Value {
+			return []mr.Value{b.ApplyLUT(b.Unary(mr.UReLU, dense(b, x, 0)), &mr.LUT{Mult: mult})}
+		}, []string{"matvec+relu+lut"}, 9, 0},
+		{"requant-then-table", func(b *mr.Builder, x mr.Value) []mr.Value {
+			return []mr.Value{b.ApplyLUT(b.Requant(dense(b, x, 0), mult), &mr.LUT{Mult: mult})}
+		}, []string{"matvec+requant", "lut"}, 11, 0},
+		{"output-neuron-with-table", func(b *mr.Builder, x mr.Value) []mr.Value {
+			h := b.Requant(b.Unary(mr.UReLU, dense(b, x, 0)), mult)
+			return []mr.Value{b.ApplyLUT(b.Map(mr.MAdd, b.DotProduct(row(b, 2, 2), h), b.Scalar("ob", 1)), &mr.LUT{Mult: mult})}
+		}, []string{"matvec+relu+requant", "matvec+lut"}, 8, 1},
+		{"layer-also-a-declared-output", func(b *mr.Builder, x mr.Value) []mr.Value {
+			h := b.Requant(dense(b, x, 0), mult)
+			return []mr.Value{h, b.DotProduct(row(b, 2, 2), h)}
+		}, []string{"matvec+requant", "matvec"}, 10, 0},
+		{"layer-read-through-a-slice", func(b *mr.Builder, x mr.Value) []mr.Value {
+			h := b.Requant(dense(b, x, 0), mult)
+			return []mr.Value{b.DotProduct(row(b, 2, 1), b.Slice(h, 1, 1))}
+		}, []string{"matvec+requant", "matvec"}, 10, 0},
+		{"layer-read-by-two-layers", func(b *mr.Builder, x mr.Value) []mr.Value {
+			h := b.Requant(dense(b, x, 0), mult)
+			return []mr.Value{b.DotProduct(row(b, 2, 2), h), b.DotProduct(row(b, 3, 2), h)}
+		}, []string{"matvec+requant", "matvec", "matvec"}, 11, 0},
 	} {
 		b := mr.NewBuilder(tc.name)
 		b.Output(tc.f(b, b.Input("x", 7))...)
@@ -724,9 +886,19 @@ func TestMatVecEmit(t *testing.T) {
 		if got := mnemonics(p); !slices.Equal(got, tc.want) {
 			t.Errorf("%s: tape is %v, want %v", tc.name, got, tc.want)
 		}
-		// A node fused away holds no arena block.
+		// A node fused away holds no arena block, nor does a layer handed
+		// over packed.
 		if got := sched.Verify(p).Arena / p.MaxBatch(); got != tc.lanes {
 			t.Errorf("%s: the arena holds %d lanes a packet, want %d", tc.name, got, tc.lanes)
+		}
+		packed := 0
+		for _, ins := range p.Code() {
+			if ins.Packed {
+				packed++
+			}
+		}
+		if packed != tc.packed {
+			t.Errorf("%s: %d layers hand over packed, want %d", tc.name, packed, tc.packed)
 		}
 	}
 }

@@ -54,25 +54,31 @@ const (
 	// OpMatVec is a dense layer: W (bias-)dots of constant weight rows with
 	// one arena-backed input, written to W adjacent lanes — every argument of
 	// a concat when each is a sunk OpDot/OpDotAdd of that shape, which it
-	// replaces. Lane r is sat32(sat32(sum(sat32(Rows[r][i]*a[i]))) + bias r),
-	// exactly what the W instructions it stands for compute (see matVec),
-	// then through the layer's epilogue when it carries one: the activation
-	// Act and the rescale Quant the concat fed, which it replaces too. The
-	// kernel applies the epilogue to each lane as it stores it, so a lane is
-	// written once, finished.
+	// replaces, or one such (bias-)dot no concat gathers (a 1-row layer).
+	// Lane r is sat32(sat32(sum(sat32(Rows[r][i]*a[i]))) + bias r), exactly
+	// what the W instructions it stands for compute (see matVec), then through
+	// the layer's epilogue when it carries one: the activation Act and the
+	// rescale or table Quant the layer fed, which it replaces too. The kernel
+	// applies the epilogue to each lane as it stores it, so a lane is written
+	// once, finished — packed, when the next layer is its only reader.
 	OpMatVec
 )
 
 // Operand locates one argument's lanes. A constant's lanes sit in the model's
 // weight image at Off..Off+W, the same for every packet — the weight rows and
 // biases of an OpMatVec included; everything else lives in the batch-major
-// arena at Off + j*Stride for packet j. An operand holds offsets, never
-// storage, so one tape serves every shard's arena and every image pushed
-// after it was compiled. The fields are exported for the fuzzers that read or
-// corrupt a tape (Program.Code); Verify audits every operand against the
-// tape's layout, and runtime code treats them as immutable after emit.
+// arena at Off + j*Stride for packet j, or — Packed, the input of an OpMatVec
+// its producer handed over — in the arena's packed lanes, where slot pair q
+// (packets 2q and 2q+1) sits at Off + q*Stride: W lanes x_2q[i] +
+// x_2q+1[i]<<32, then the pair's magnitude bound (see Arena). An operand holds
+// offsets, never storage, so one tape serves every shard's arena and every
+// image pushed after it was compiled. The fields are exported for the fuzzers
+// that read or corrupt a tape (Program.Code); Verify audits every operand
+// against the tape's layout, and runtime code treats them as immutable after
+// emit.
 type Operand struct {
 	Const  bool // lanes image[Off:Off+W], same every packet
+	Packed bool // slot pair q's lanes packed[Off+q*Stride:][:W], its bound after them
 	Off    int
 	Stride int
 	W      int
@@ -88,10 +94,13 @@ type Operand struct {
 // len(Rows) is W or 2*W; Sum is where row 0's weight sum sits in the image
 // (row r's at Sum+r, see Image). Its epilogue is Act — OpRelu, OpLeaky, OpNeg,
 // OpAbs or OpNone — then Quant — OpRequant or OpScale by the multiplier at
-// Slot, or OpNone — applied to every lane after the bias, before the lane is
-// stored (the kernel resolves the pair once per sweep, see finishFor).
-// Exported for static inspection and for fault-injection in verifier tests
-// (Program.Code).
+// Slot, OpLUT through the table at Slot, or OpNone — applied to every lane
+// after the bias, before the lane is stored (the kernel resolves the pair once
+// per sweep, see finishFor). Packed says where it stores: in the arena's
+// packed lanes at Dst, DStride per slot pair, in the layout of a Packed
+// Operand, which is how the one OpMatVec that reads the layer whole takes it
+// as its A. Exported for static inspection and for fault-injection in
+// verifier tests (Program.Code).
 type Instr struct {
 	Op      Opcode
 	Dst     int
@@ -104,6 +113,7 @@ type Instr struct {
 	// OpMatVec only.
 	Act, Quant Opcode
 	Sum        int
+	Packed     bool
 }
 
 // Tape is the immutable code of a compiled model: the schedule's bundles
@@ -127,8 +137,9 @@ type Tape struct {
 	layout                   []int
 	lanes, mults, luts, sums int
 
-	// packLanes is the OpMatVec scratch of an Arena, in packed lanes.
-	packLanes int
+	// packed is the extent of the packed windows one OpMatVec hands the next,
+	// and scratch that of the pack scratch after them, in packed lanes.
+	packed, scratch int
 }
 
 // Image is one immutable set of a model's weights — every constant lane,
@@ -146,18 +157,24 @@ type Image struct {
 	sums  []int64
 }
 
-// Arena is the mutable state one shard sweeps in: the structure-of-arrays
-// value arena and the OpMatVec scratch, all preallocated. It is not safe for
-// concurrent use; every shard owns one.
+// Arena is the mutable state one shard sweeps in, all preallocated: the
+// structure-of-arrays value arena and the packed lanes an OpMatVec reads.
+// Its packed lanes hold two packets per int64, pair-major: slot pair q of a
+// window W lanes wide is W lanes x_2q[i] + x_2q+1[i]<<32 (an odd last slot is
+// packed against zero) followed by M_q >= max|x| over both slots, the
+// magnitude half of the matvec's packing guard. A layer whose only reader is
+// the next layer stores its lanes there itself (Instr.Packed), in the block
+// its int32 lanes would have taken; every other OpMatVec input is packed into
+// the shared scratch by a pass first. It is not safe for concurrent use;
+// every shard owns one.
 type Arena struct {
 	vals []int32
 
-	// OpMatVec scratch, shared by every matvec of the tape and overwritten by
-	// each: the input lanes of slots 2q and 2q+1 packed into one int64 per
-	// lane (pack, pair-major) and the magnitude bound of pair q's inputs
-	// (mag). fallbacks counts the (row, slot pair) cells whose guard failed.
-	pack, mag []int64
-	fallbacks int
+	// packed holds the hand-off windows, pack the scratch (sized for the
+	// widest input still packed by a pass), overwritten by every matvec that
+	// packs. fallbacks counts the (row, slot pair) cells whose guard failed.
+	packed, pack []int64
+	fallbacks    int
 }
 
 // Program binds a Tape to the Image it reads and the Arena it runs in: a
@@ -253,9 +270,9 @@ func (t *Tape) NewImage(g *mr.Graph) *Image {
 // NewArena allocates the state one shard needs to run the tape.
 func (t *Tape) NewArena() *Arena {
 	a := &Arena{vals: make([]int32, t.arena)}
-	if t.packLanes > 0 {
-		scratch := make([]int64, t.packLanes+(t.batch+1)/2)
-		a.pack, a.mag = scratch[:t.packLanes], scratch[t.packLanes:]
+	if wide := t.packed + t.scratch; wide > 0 {
+		lanes := make([]int64, wide)
+		a.packed, a.pack = lanes[:t.packed], lanes[t.packed:]
 	}
 	return a
 }
@@ -328,13 +345,15 @@ func issueOrder(s *Schedule) []mr.NodeID {
 	return order
 }
 
-// emit lays out the arena and linearises the schedule into the tape. Five
+// emit lays out the arena and linearises the schedule into the tape. Six
 // peephole passes cut the instruction count before emission: dot/sqdist
 // chains fuse into their reductions, a neuron's scalar bias add folds into
 // its dot product, values consumed only by a concat are produced directly
 // into the concat's window (copy elimination), a concat that gathers nothing
-// but the neurons of one dense layer becomes a single OpMatVec, and the
-// activation and rescale that concat alone feeds become its epilogue.
+// but the neurons of one dense layer — or one such neuron no concat gathers —
+// becomes a single OpMatVec, the activation and rescale or table that layer
+// alone feeds become its epilogue, and a layer that only the next layer reads
+// hands it its lanes packed.
 func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 	t := &Tape{g: g, sched: s, batch: DefaultBatch, layout: make([]int, len(g.Nodes))}
 
@@ -437,16 +456,17 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 
 	// Layer fusion: a concat whose every argument is a (bias-)dot sunk into
 	// it, each of one constant weight row with the same arena-backed input at
-	// full width (and constant biases on all rows or none), is one OpMatVec.
-	// A broadcast or constant input, rows over different windows (Conv1D) or
-	// a single non-dot argument leave the per-neuron instructions alone.
+	// full width (and constant biases on all rows or none), is one OpMatVec;
+	// so is one such (bias-)dot that no concat gathers, as a 1-row layer. A
+	// broadcast or constant input, rows over different windows (Conv1D) or a
+	// single non-dot argument leave the per-neuron instructions alone.
 	//
-	// The layer's epilogue rides on the same instruction: when the concat's
-	// only reader is a unary, and when that one's (or the concat's) only
-	// reader is a requant or scale, the OpMatVec is issued where the last node
-	// of that chain is and writes that node's window; the nodes before it
-	// are fused away and get no arena block. A second reader, or a declared
-	// output, ends the chain at the node that has it.
+	// The layer's epilogue rides on the same instruction: when the layer's
+	// only reader is a unary, and when that one's (or the layer's) only
+	// reader is a requant, a scale or a LUT, the OpMatVec is issued where the
+	// last node of that chain is and writes that node's window; the nodes
+	// before it are fused away and get no arena block. A second reader, or a
+	// declared output, ends the chain at the node that has it.
 	//
 	// constant reports whether a node's lanes sit in the weight image: a
 	// const, or a slice of one.
@@ -457,91 +477,123 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 		}
 		return n.Kind == mr.KConst
 	}
-	// neuron decomposes a concat argument into its dot's multiply node and
-	// its bias (-1: none); m is nil when the argument is not a (bias-)dot.
-	neuron := func(id mr.NodeID) (m *mr.Node, bias mr.NodeID) {
+	// neuron decomposes a (bias-)dot of a constant row with an arena-backed
+	// input at full width into its input x, its row w and its constant bias
+	// (-1: none); ok is false for any other node.
+	neuron := func(id mr.NodeID) (x, w, bias mr.NodeID, ok bool) {
 		n := g.Node(id)
 		bias = -1
 		if r := biasDot[id]; r >= 0 {
 			if bias = n.Args[0]; bias == r {
 				bias = n.Args[1]
 			}
+			if !constant(bias) {
+				return -1, -1, -1, false
+			}
 			n = g.Node(r)
 		}
 		if n.Kind != mr.KReduce || n.Reduce != mr.RAdd {
-			return nil, -1
+			return -1, -1, -1, false
 		}
-		m = g.Node(n.Args[0])
+		m := g.Node(n.Args[0])
 		if !fused[m.ID] || (m.Args[0] == m.Args[1] && fused[m.Args[0]]) {
-			return nil, -1 // plain sum or sqdist chain: not a dot
+			return -1, -1, -1, false // plain sum or sqdist chain: not a dot
 		}
-		return m, bias
+		w, x = m.Args[0], m.Args[1]
+		if !constant(w) {
+			w, x = x, w
+		}
+		if !constant(w) || constant(x) || g.Node(x).Width != g.Node(w).Width {
+			return -1, -1, -1, false
+		}
+		return x, w, bias, true
 	}
 	type layer struct {
 		input      mr.NodeID
-		rows       []mr.NodeID // weight rows, then biases if any
+		w          int         // weight rows
+		rows       []mr.NodeID // the w weight rows, then their biases if any
 		act, quant Opcode
 	}
 	layers := make(map[mr.NodeID]layer) // by the node the OpMatVec is issued at
-	maxWidth := 0
+	var lone [1]mr.NodeID
 	for _, n := range g.Nodes {
-		if n.Kind != mr.KConcat {
+		neurons := n.Args
+		switch {
+		case n.Kind == mr.KConcat:
+		case sink[n.ID].target < 0 && !fused[n.ID]:
+			lone[0] = n.ID
+			neurons = lone[:]
+		default:
 			continue
 		}
-		rows, biases, input := len(n.Args), 0, mr.NodeID(-1)
-		var ops []mr.NodeID
-		for r, a := range n.Args {
-			m, bias := neuron(a)
-			if m == nil || sink[a].target != n.ID {
-				ops = nil
+		rows, biases, input, ok := len(neurons), 0, mr.NodeID(-1), true
+		for r, a := range neurons {
+			x, _, bias, isNeuron := neuron(a)
+			if ok = isNeuron && (n.Kind != mr.KConcat || sink[a].target == n.ID) && (r == 0 || x == input); !ok {
 				break
 			}
-			w, x := m.Args[0], m.Args[1]
-			if !constant(w) {
-				w, x = x, w
-			}
-			if !constant(w) || constant(x) || g.Node(x).Width != g.Node(w).Width || (r > 0 && x != input) {
-				ops = nil
-				break
-			}
-			if ops == nil {
-				ops = make([]mr.NodeID, 2*rows)
-			}
-			input, ops[r] = x, w
+			input = x
 			if bias >= 0 {
-				if !constant(bias) {
-					ops = nil
-					break
-				}
-				ops[rows+biases] = bias
 				biases++
 			}
 		}
-		if ops == nil || (biases != 0 && biases != rows) {
+		if !ok || (biases != 0 && biases != rows) {
 			continue
 		}
-		for _, a := range n.Args {
-			fused[a] = true // the OpMatVec computes it
+		ops := make([]mr.NodeID, rows+biases)
+		for r, a := range neurons {
+			_, w, bias, _ := neuron(a)
+			ops[r] = w
+			if bias >= 0 {
+				ops[rows+r] = bias
+			}
 		}
-		l, last := layer{input: input, rows: ops[:rows+biases]}, n.ID
+		if n.Kind == mr.KConcat {
+			for _, a := range n.Args {
+				fused[a] = true // the OpMatVec computes it
+			}
+		}
+		l, last := layer{input: input, w: rows, rows: ops}, n.ID
 		if u := consumer[last]; u >= 0 && g.Node(u).Kind == mr.KUnary {
 			l.act = unaryOps[g.Node(u).Unary]
 			fused[last], last = true, u
 		}
-		if q := consumer[last]; q >= 0 && (g.Node(q).Kind == mr.KRequant || g.Node(q).Kind == mr.KScale) {
-			l.quant = OpRequant
-			if g.Node(q).Kind == mr.KScale {
+		if q := consumer[last]; q >= 0 {
+			switch g.Node(q).Kind {
+			case mr.KRequant:
+				l.quant = OpRequant
+			case mr.KScale:
 				l.quant = OpScale
+			case mr.KLUT:
+				l.quant = OpLUT
 			}
-			fused[last], last = true, q
+			if l.quant != OpNone {
+				fused[last], last = true, q
+			}
 		}
 		layers[last] = l
-		maxWidth = max(maxWidth, g.Node(input).Width)
 	}
-	t.packLanes = (t.batch + 1) / 2 * maxWidth
+	// Packed hand-off: a layer whose every reader is a weight row of one
+	// other layer — that layer's whole input, and no declared output — stores
+	// its lanes packed for it. Every other layer's input is packed into the
+	// shared scratch, sized for the widest of them.
+	handOff := make([]bool, len(g.Nodes))
+	maxWidth := 0
+	for _, l := range layers {
+		if _, ok := layers[l.input]; ok && uses[l.input] == l.w {
+			handOff[l.input] = true
+		} else {
+			maxWidth = max(maxWidth, g.Node(l.input).Width)
+		}
+	}
+	pairs := (t.batch + 1) / 2
+	if maxWidth > 0 {
+		t.scratch = pairs * (maxWidth + 1)
+	}
 
 	// Arena and image layout: one batch-major arena block per value-producing
-	// node that is neither fused away nor sunk; one image slot per node that
+	// node that is neither fused away nor sunk — a packed one, a slot pair at
+	// a time, for a layer handed over packed; one image slot per node that
 	// owns weights (a const's lanes, a requant/scale's multiplier, a LUT's
 	// table). Slices and sunk values resolve into another node's window.
 	loc := make([]Operand, len(g.Nodes))
@@ -564,6 +616,10 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 			t.lanes += n.Width
 		case n.Kind == mr.KSlice, fused[n.ID], sink[n.ID].target >= 0:
 			// resolved lazily below
+		case handOff[n.ID]:
+			loc[n.ID] = Operand{Packed: true, Off: t.packed, Stride: n.Width + 1, W: n.Width}
+			resolved[n.ID] = true
+			t.packed += pairs * (n.Width + 1)
 		default:
 			loc[n.ID] = Operand{Off: t.arena, Stride: n.Width, W: n.Width}
 			resolved[n.ID] = true
@@ -602,6 +658,7 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 		ins := Instr{Dst: d.Off, DStride: d.Stride, W: n.Width}
 		if l, ok := layers[id]; ok {
 			ins.Op, ins.A, ins.Act, ins.Quant, ins.Sum = OpMatVec, resolve(l.input), l.act, l.quant, t.sums
+			ins.Packed = d.Packed
 			ins.Rows = make([]Operand, len(l.rows))
 			for i, r := range l.rows {
 				ins.Rows[i] = resolve(r)
@@ -746,6 +803,10 @@ func (p *Program) RunBatch(n int) {
 	}
 	for ci := range code {
 		ins := &code[ci]
+		if ins.Op == OpMatVec {
+			p.arena.matVec(ins, p.img, n)
+			continue
+		}
 		a, b := ins.A.resolve(img, vals), ins.B.resolve(img, vals)
 		out := window{lanes: vals[ins.Dst:], step: ins.DStride}
 		w, aw, bw := ins.W, ins.A.W, ins.B.W
@@ -842,16 +903,13 @@ func (p *Program) RunBatch(n int) {
 			for j := 0; j < n; j++ {
 				out.lanes[j*out.step] = sat32(sqDistLanes(a.slot(j, aw), b.slot(j, bw)))
 			}
-		case OpMatVec:
-			p.arena.matVec(ins, p.img, a, out, n)
 		}
 	}
 }
 
 // Fallbacks returns how many (weight row, slot pair) cells of OpMatVec sweeps
 // have been evaluated product by product because their operands failed the
-// packing guard, in the program's arena since it was allocated. A lone
-// RunBatch(1) slot always runs that way and is not counted.
+// packing guard, in the program's arena since it was allocated.
 func (p *Program) Fallbacks() int { return p.arena.fallbacks }
 
 // matVec evaluates one OpMatVec for batch slots 0..n-1: lane r of slot j is
@@ -859,41 +917,90 @@ func (p *Program) Fallbacks() int { return p.arena.fallbacks }
 // epilogue, which the kernel applies as it stores the lane (finisher): no
 // lane is written unfinished and read back.
 //
-// Two slots share each multiply. The lanes of slots 2q and 2q+1 are packed
-// into one int64, X[i] = x_2q[i] + x_2q+1[i]<<32 (an odd last slot packs
-// against zero), so acc = sum_i X[i]*w[i] is dot_2q + dot_2q+1<<32 and the
+// Two slots share each multiply. The input lanes of slots 2q and 2q+1 come
+// packed into one int64, X[i] = x_2q[i] + x_2q+1[i]<<32 (an odd last slot
+// packs against zero) — handed over so by the layer before, or packed by a
+// pass here — so acc = sum_i X[i]*w[i] is dot_2q + dot_2q+1<<32 and the
 // halves come back as lo = int32(acc), hi = (acc-lo)>>32. That is exact iff
 // no product and no partial sum of either slot leaves int32, which the
-// kernel establishes for the operands it is about to multiply: the pack pass
-// ORs the input magnitudes of a pair into M >= max|x|, the image holds
-// S = sum|w| per row of its own lanes, and S*M <= MaxInt32 bounds every
-// product and partial sum, making every sat32 of the reference the identity
-// and keeping the low half from carrying into the high one. A (row, pair)
-// that fails the guard — and a lone slot, which has no partner — takes
-// dotLanes, the per-product-saturating kernel of OpDot. Nothing is assumed
-// about what the inputs hold, and S is as new as the weights it was summed
-// from, so a new image needs no notification.
+// kernel establishes for the operands it is about to multiply: each packed
+// pair carries M >= max|x| of its inputs, the image holds S = sum|w| per row
+// of its own lanes, and S*M <= MaxInt32 bounds every product and partial
+// sum, making every sat32 of the reference the identity and keeping the low
+// half from carrying into the high one. A (row, pair) that fails the guard
+// takes the per-product-saturating form of OpDot on the pair's unpacked
+// slots (dotPairLanes). Nothing is assumed about what the inputs hold, and S
+// is as new as the weights it was summed from, so a new image needs no
+// notification.
 //
 // hotpath: zero-alloc
-func (p *Arena) matVec(ins *Instr, img *Image, x, out window, n int) {
+func (p *Arena) matVec(ins *Instr, img *Image, n int) {
 	rows, width := ins.W, ins.A.W
 	var f finisher
-	f.finishFor(ins, img)
-	if n == 1 {
-		xs := x.slot(0, width)
-		for r := 0; r < rows; r++ {
-			v := sat32(int64(sat32(dotLanes(ins.row(img, r), xs))) + ins.bias(img, r))
-			if f.unary != OpNone {
-				v = finishUnary(f.unary, v)
-			}
-			out.lanes[r] = f.finishLane(v)
-		}
-		return
+	f.finishFor(ins, img, p, n)
+	x, step := p.pack, width+1
+	if ins.A.Packed {
+		x, step = p.packed[ins.A.Off:], ins.A.Stride
+	} else {
+		packLanes(x, window{lanes: p.vals[ins.A.Off:], step: ins.A.Stride}, width, n)
 	}
 
+	sums := img.sums[ins.Sum : ins.Sum+rows]
+	// Two rows by two pairs per pass, so each packed lane and each weight is
+	// loaded once for four multiplies (eight dots); an odd row runs one row
+	// by two pairs, an odd pair the narrower forms. A block whose joint guard
+	// fails is retried pair by pair, and a pair cell by cell, so only a cell
+	// that fails its own guard leaves the packed path.
 	pairs := (n + 1) / 2
-	for q := 0; q < pairs; q++ {
-		packed := p.pack[q*width : (q+1)*width]
+	r := 0
+	for ; r+1 < rows; r += 2 {
+		w0, w1 := ins.row(img, r), ins.row(img, r+1)
+		w1 = w1[:len(w0)]
+		s0, s1, b0, b1 := sums[r], sums[r+1], ins.bias(img, r), ins.bias(img, r+1)
+		q := 0
+		for ; q+1 < pairs; q += 2 {
+			x0, x1 := x[q*step:][:width+1], x[(q+1)*step:][:width+1]
+			if max(s0, s1)*(x0[width]|x1[width]) > math.MaxInt32 {
+				p.matVecPair(&f, x0, n, r, q, w0, w1, s0, s1, b0, b1)
+				p.matVecPair(&f, x1, n, r, q+1, w0, w1, s0, s1, b0, b1)
+				continue
+			}
+			a00, a01, a10, a11 := packedDot2x2(x0[:width], x1[:width], w0, w1)
+			f.finishRow(n, r, q, a00, a01, b0)
+			f.finishRow(n, r+1, q, a10, a11, b1)
+		}
+		if q < pairs {
+			p.matVecPair(&f, x[q*step:][:width+1], n, r, q, w0, w1, s0, s1, b0, b1)
+		}
+	}
+	if r < rows {
+		w, s, b := ins.row(img, r), sums[r], ins.bias(img, r)
+		q := 0
+		for ; q+1 < pairs; q += 2 {
+			x0, x1 := x[q*step:][:width+1], x[(q+1)*step:][:width+1]
+			if s*(x0[width]|x1[width]) > math.MaxInt32 {
+				p.matVecCell(&f, x0, n, r, q, w, s, b)
+				p.matVecCell(&f, x1, n, r, q+1, w, s, b)
+				continue
+			}
+			a0, a1 := packedDot1x2(x0[:width], x1[:width], w)
+			f.finishRow(n, r, q, a0, a1, b)
+		}
+		if q < pairs {
+			p.matVecCell(&f, x[q*step:][:width+1], n, r, q, w, s, b)
+		}
+	}
+}
+
+// packLanes packs the n slots of input window x, width lanes each, into dst
+// pair by pair — slots 2q and 2q+1 into lanes dst[q*(width+1):][:width], an
+// odd last slot against zero — and ORs each pair's input magnitudes into
+// the lane after them, an M >= max|x| for the guard.
+//
+// hotpath: zero-alloc
+func packLanes(dst []int64, x window, width, n int) {
+	for q := 0; q < (n+1)/2; q++ {
+		packed := dst[q*(width+1):][:width]
 		lo := x.slot(2*q, width)[:len(packed)]
 		var m int64
 		if 2*q+1 < n {
@@ -910,90 +1017,68 @@ func (p *Arena) matVec(ins *Instr, img *Image, x, out window, n int) {
 				m |= abs64(a)
 			}
 		}
-		p.mag[q] = m
-	}
-
-	// Two rows by two pairs per pass, so each packed lane and each weight is
-	// loaded once for four multiplies (eight dots); an odd pair and an odd row
-	// run the narrower forms. A block whose joint guard fails is retried
-	// pair by pair, and a pair cell by cell, so only a cell that fails its
-	// own guard leaves the packed path.
-	sums := img.sums[ins.Sum : ins.Sum+rows]
-	r := 0
-	for ; r+1 < rows; r += 2 {
-		w0, w1 := ins.row(img, r), ins.row(img, r+1)
-		w1 = w1[:len(w0)]
-		s0, s1, b0, b1 := sums[r], sums[r+1], ins.bias(img, r), ins.bias(img, r+1)
-		q := 0
-		for ; q+1 < pairs; q += 2 {
-			if max(s0, s1)*(p.mag[q]|p.mag[q+1]) > math.MaxInt32 {
-				p.matVecPair(&f, x, out, n, r, q, w0, w1, s0, s1, b0, b1)
-				p.matVecPair(&f, x, out, n, r, q+1, w0, w1, s0, s1, b0, b1)
-				continue
-			}
-			a00, a01, a10, a11 := packedDot2x2(p.pack[q*width:(q+2)*width], w0, w1)
-			f.finishRow(out, n, r, q, a00, a01, b0)
-			f.finishRow(out, n, r+1, q, a10, a11, b1)
-		}
-		if q < pairs {
-			p.matVecPair(&f, x, out, n, r, q, w0, w1, s0, s1, b0, b1)
-		}
-	}
-	if r < rows {
-		w, s, b := ins.row(img, r), sums[r], ins.bias(img, r)
-		for q := 0; q < pairs; q++ {
-			p.matVecCell(&f, x, out, n, r, q, w, s, b)
-		}
+		dst[q*(width+1)+width] = m
 	}
 }
 
 // matVecPair evaluates rows r and r+1 (weights w0 and w1 of equal length,
-// sums s0 and s1, biases b0 and b1) for slot pair q alone.
+// sums s0 and s1, biases b0 and b1) for slot pair q alone, whose packed lanes
+// x are followed by their bound.
 //
 // hotpath: zero-alloc
-func (p *Arena) matVecPair(f *finisher, x, out window, n, r, q int, w0, w1 []int32, s0, s1, b0, b1 int64) {
-	if m := p.mag[q]; s0*m > math.MaxInt32 || s1*m > math.MaxInt32 {
-		p.matVecCell(f, x, out, n, r, q, w0, s0, b0)
-		p.matVecCell(f, x, out, n, r+1, q, w1, s1, b1)
+func (p *Arena) matVecPair(f *finisher, x []int64, n, r, q int, w0, w1 []int32, s0, s1, b0, b1 int64) {
+	if m := x[len(w0)]; s0*m > math.MaxInt32 || s1*m > math.MaxInt32 {
+		p.matVecCell(f, x, n, r, q, w0, s0, b0)
+		p.matVecCell(f, x, n, r+1, q, w1, s1, b1)
 		return
 	}
-	acc0, acc1 := packedDot2(p.pack[q*len(w0):(q+1)*len(w0)], w0, w1)
-	f.finishPair(out, n, r, q, acc0, b0)
-	f.finishPair(out, n, r+1, q, acc1, b1)
+	acc0, acc1 := packedDot2(x[:len(w0)], w0, w1)
+	f.finishPair(n, r, q, acc0, b0)
+	f.finishPair(n, r+1, q, acc1, b1)
 }
 
 // matVecCell evaluates row r (weights w, sum s, bias b) for slot pair q
-// alone: packed when the guard holds, otherwise slot by slot through dotLanes.
+// alone, whose packed lanes x are followed by their bound: packed when the
+// guard holds, otherwise slot by slot through dotPairLanes.
 //
 // hotpath: zero-alloc
-func (p *Arena) matVecCell(f *finisher, x, out window, n, r, q int, w []int32, s, b int64) {
-	width := len(w)
-	if s*p.mag[q] <= math.MaxInt32 {
+func (p *Arena) matVecCell(f *finisher, x []int64, n, r, q int, w []int32, s, b int64) {
+	packed := x[:len(w)]
+	if s*x[len(w)] <= math.MaxInt32 {
 		var acc int64
-		packed := p.pack[q*width:][:len(w)]
 		for i, wv := range w {
 			acc += packed[i] * int64(wv)
 		}
-		f.finishPair(out, n, r, q, acc, b)
+		f.finishPair(n, r, q, acc, b)
 		return
 	}
 	p.fallbacks++
-	acc := int64(sat32(dotLanes(w, x.slot(2*q, width))))
-	if 2*q+1 < n {
-		acc += int64(sat32(dotLanes(w, x.slot(2*q+1, width)))) << 32
-	}
-	f.finishPair(out, n, r, q, acc, b)
+	lo, hi := dotPairLanes(w, packed)
+	f.finishPair(n, r, q, int64(sat32(lo))+int64(sat32(hi))<<32, b)
 }
 
-// packedDot2x2 is the packed dot of each of two adjacent slot pairs — x holds
-// the packed lanes of one, then of the other — with each of two rows; a01 is
-// row 0 with the second pair. It stays out of line, as packedDot2 does:
-// inlined into matVec the accumulators spill to the stack.
+// dotPairLanes is dotLanes of w with each slot of the packed pair x — the low
+// half lo = int32(X) and the high half (X-lo)>>32 of every lane — the exact
+// per-product-saturating dot of a cell that fails the packing guard; the
+// caller saturates the sums.
+func dotPairLanes(w []int32, x []int64) (lo, hi int64) {
+	x = x[:len(w)]
+	for i, wv := range w {
+		l := int32(x[i])
+		h := int32((x[i] - int64(l)) >> 32)
+		lo += int64(sat32(int64(wv) * int64(l)))
+		hi += int64(sat32(int64(wv) * int64(h)))
+	}
+	return lo, hi
+}
+
+// packedDot2x2 is the packed dot of each of two slot pairs, x0 and x1, with
+// each of two rows; a01 is row 0 with the second pair. It stays out of line,
+// as packedDot2 does: inlined into matVec the accumulators spill to the stack.
 //
 //go:noinline
-func packedDot2x2(x []int64, w0, w1 []int32) (a00, a01, a10, a11 int64) {
-	x0, x1 := x[:len(w0)], x[len(w0):]
-	x1, w1 = x1[:len(x0)], w1[:len(x0)]
+func packedDot2x2(x0, x1 []int64, w0, w1 []int32) (a00, a01, a10, a11 int64) {
+	x1, w0, w1 = x1[:len(x0)], w0[:len(x0)], w1[:len(x0)]
 	for i, xv0 := range x0 {
 		xv1 := x1[i]
 		wv := int64(w0[i])
@@ -1004,6 +1089,20 @@ func packedDot2x2(x []int64, w0, w1 []int32) (a00, a01, a10, a11 int64) {
 		a11 += xv1 * wv
 	}
 	return a00, a01, a10, a11
+}
+
+// packedDot1x2 is the packed dot of each of two slot pairs, x0 and x1, with
+// one row: the 2 x 2 block's odd row.
+//
+//go:noinline
+func packedDot1x2(x0, x1 []int64, w []int32) (a0, a1 int64) {
+	x1, w = x1[:len(x0)], w[:len(x0)]
+	for i, xv0 := range x0 {
+		wv := int64(w[i])
+		a0 += xv0 * wv
+		a1 += x1[i] * wv
+	}
+	return a0, a1
 }
 
 // packedDot2 is the packed dot of x with each of two rows. It stays out of
@@ -1021,36 +1120,73 @@ func packedDot2(x []int64, w0, w1 []int32) (acc0, acc1 int64) {
 }
 
 // finisher is an OpMatVec's epilogue resolved against one image, once per
-// sweep: what the OpRelu (or other unary) and the OpRequant or OpScale the
-// instruction replaces would do to a lane, as one per-lane map. A ReLU is the
-// floor 0 (MinInt32, no floor, otherwise); OpLeaky, OpNeg and OpAbs are the
-// out-of-line rule unary; the rescale is (v*m0 + half) >> sh clamped to
-// [lo, hi] — the identity m0 = 1, sh = 0 without one, and m0 = 0 for a
-// multiplier that shifts everything out (scaleLanes clears those lanes).
+// sweep, and where it stores: what the OpRelu (or other unary) and the
+// OpRequant, OpScale or OpLUT the instruction replaces would do to a lane, as
+// one per-lane map. A ReLU is the floor 0 (MinInt32, no floor, otherwise);
+// OpLeaky, OpNeg and OpAbs are the out-of-line rule unary; the rescale is
+// (v*m0 + half) >> sh clamped to [lo, hi] — the identity m0 = 1, sh = 0
+// without one, and m0 = 0 for a multiplier that shifts everything out
+// (scaleLanes clears those lanes) — and a table's index, looked up in table.
+//
+// Finished lanes go to the arena's int32 lanes, slot j's lane r at
+// lanes[j*step+r], or — for a layer handed over packed — into the packed
+// lanes, slot pair q's at packed[q*step+r], with the pair's bound at
+// packed[q*step+bound]: 128 without looking when the epilogue ends in int8
+// (a requant's clamp or a table), otherwise the OR of every |lane| stored.
 type finisher struct {
 	unary    Opcode
 	floor    int32
 	lo, hi   int32
 	m0, half int64
 	sh       uint
+	table    *[mr.LUTSize]int8
+
+	lanes       []int32
+	packed      []int64
+	step, bound int
+	trackBound  bool
 }
 
-// finishFor resolves ins's epilogue against img into f. It fills f in place:
-// a finisher returned by value was copied through the stack by wide loads of
+// finishFor resolves ins's epilogue against img into f, points f at ins's
+// destination in arena p, and seeds the bound of every pair a packed
+// destination is about to hold in a sweep of n slots. It fills f in place: a
+// finisher returned by value was copied through the stack by wide loads of
 // its narrow stores, and that store-forwarding stall made a one-slot sweep of
 // the 6-12-6-3-1 model about 15 % slower.
-func (f *finisher) finishFor(ins *Instr, img *Image) {
-	f.unary, f.floor, f.m0, f.half, f.sh = ins.Act, math.MinInt32, 1, 0, 0
+func (f *finisher) finishFor(ins *Instr, img *Image, p *Arena, n int) {
+	f.unary, f.floor, f.m0, f.half, f.sh, f.table = ins.Act, math.MinInt32, 1, 0, 0, nil
 	if ins.Act == OpRelu {
 		f.unary, f.floor = OpNone, 0
 	}
 	f.lo, f.hi = clampOf(ins.Quant)
 	if ins.Quant != OpNone {
-		if m := img.mults[ins.Slot]; m.Shift >= 63 {
+		var m fixed.Multiplier
+		if ins.Quant == OpLUT {
+			lut := &img.luts[ins.Slot]
+			m, f.table = lut.Mult, &lut.Table
+		} else {
+			m = img.mults[ins.Slot]
+		}
+		if m.Shift >= 63 {
 			f.m0 = 0
 		} else {
 			f.m0, f.half, f.sh = int64(m.M0), int64(1)<<(m.Shift-1), uint(m.Shift)
 		}
+	}
+
+	f.step, f.bound = ins.DStride, ins.W
+	if !ins.Packed {
+		f.lanes = p.vals[ins.Dst:]
+		return
+	}
+	f.packed = p.packed[ins.Dst:]
+	f.trackBound = ins.Quant != OpRequant && ins.Quant != OpLUT
+	seed := int64(128)
+	if f.trackBound {
+		seed = 0
+	}
+	for q := 0; q < (n+1)/2; q++ {
+		f.packed[q*f.step+f.bound] = seed
 	}
 }
 
@@ -1062,28 +1198,28 @@ func (f *finisher) finishLane(x int32) int32 {
 }
 
 // finishPair splits acc = lo + hi<<32 into the dots of slots 2q and 2q+1,
-// adds the bias b to each, finishes it and stores it in lane r.
+// adds the bias b to each, finishes them and stores them in lane r (see
+// finishPairs).
 //
 // hotpath: zero-alloc
-func (f *finisher) finishPair(out window, n, r, q int, acc, b int64) {
+func (f *finisher) finishPair(n, r, q int, acc, b int64) {
 	lo := int32(acc)
-	v0, v1 := sat32(int64(lo)+b), sat32((acc-int64(lo))>>32+b)
+	vs := [2]int32{sat32(int64(lo) + b), sat32((acc-int64(lo))>>32 + b)}
 	if f.unary != OpNone {
-		v0, v1 = finishUnary(f.unary, v0), finishUnary(f.unary, v1)
+		vs[0], vs[1] = finishUnary(f.unary, vs[0]), finishUnary(f.unary, vs[1])
 	}
-	j := 2*q*out.step + r
-	out.lanes[j] = f.finishLane(v0)
-	if 2*q+1 < n {
-		out.lanes[j+out.step] = f.finishLane(v1)
-	}
+	f.finishPairs(n, r, q, vs[:])
 }
 
 // finishRow is finishPair of pairs q and q+1 (accumulators a0 and a1) in one
 // call, for one row of a 2 x 2 block: slots 2q..2q+2 are in the sweep, 2q+3
-// may not be.
+// may not be. Each finished lane goes straight to memory: stored so, the
+// floor and the clamps of finishLane compile to conditional moves, where a
+// lane kept for a later store turned them into jumps that a ReLU's floor
+// mispredicts on half the lanes of real traffic.
 //
 // hotpath: zero-alloc
-func (f *finisher) finishRow(out window, n, r, q int, a0, a1, b int64) {
+func (f *finisher) finishRow(n, r, q int, a0, a1, b int64) {
 	lo0, lo1 := int32(a0), int32(a1)
 	v0, v1 := sat32(int64(lo0)+b), sat32((a0-int64(lo0))>>32+b)
 	v2, v3 := sat32(int64(lo1)+b), sat32((a1-int64(lo1))>>32+b)
@@ -1091,13 +1227,79 @@ func (f *finisher) finishRow(out window, n, r, q int, a0, a1, b int64) {
 		v0, v1 = finishUnary(f.unary, v0), finishUnary(f.unary, v1)
 		v2, v3 = finishUnary(f.unary, v2), finishUnary(f.unary, v3)
 	}
-	j := 2*q*out.step + r
-	out.lanes[j] = f.finishLane(v0)
-	out.lanes[j+out.step] = f.finishLane(v1)
-	out.lanes[j+2*out.step] = f.finishLane(v2)
-	if 2*q+3 < n {
-		out.lanes[j+3*out.step] = f.finishLane(v3)
+	switch {
+	case f.table != nil:
+		vs := [4]int32{v0, v1, v2, v3}
+		f.finishPairs(n, r, q, vs[:])
+	case f.packed != nil:
+		j := q*f.step + r
+		f.packed[j] = int64(f.finishLane(v0)) + int64(f.finishLane(v1))<<32
+		hi := int64(f.finishLane(v3))
+		if 2*q+3 >= n {
+			hi = 0
+		}
+		f.packed[j+f.step] = int64(f.finishLane(v2)) + hi<<32
+		if f.trackBound {
+			f.trackPair(q, j)
+			f.trackPair(q+1, j+f.step)
+		}
+	default:
+		j := 2*q*f.step + r
+		f.lanes[j] = f.finishLane(v0)
+		f.lanes[j+f.step] = f.finishLane(v1)
+		f.lanes[j+2*f.step] = f.finishLane(v2)
+		if 2*q+3 < n {
+			f.lanes[j+3*f.step] = f.finishLane(v3)
+		}
 	}
+}
+
+// trackPair ORs the magnitudes of the packed lane at j into the bound of
+// pair q.
+func (f *finisher) trackPair(q, j int) {
+	x := f.packed[j]
+	lo := int64(int32(x))
+	f.packed[q*f.step+f.bound] |= abs64(lo) | abs64((x-lo)>>32)
+}
+
+// finishPairs finishes lane r of the slots from 2q on, one value of vs each
+// (the two of pair q, or the four of pairs q and q+1), and stores them:
+// slots past the sweep's n are dropped, or packed as zero. It serves the
+// table epilogue, an odd last pair and the cells the guard sends down the
+// exact path; finishRow stores the 2 x 2 block's lanes itself.
+//
+// hotpath: zero-alloc
+func (f *finisher) finishPairs(n, r, q int, vs []int32) {
+	for k := range vs {
+		if vs[k] = f.finishLane(vs[k]); f.table != nil {
+			vs[k] = tableLane(f.table, vs[k])
+		}
+	}
+	for k := 0; k+1 < len(vs) && 2*q+k < n; k += 2 {
+		lo, hi := vs[k], vs[k+1]
+		if 2*q+k+1 >= n {
+			hi = 0
+		}
+		if f.packed != nil {
+			j := (q+k/2)*f.step + r
+			f.packed[j] = int64(lo) + int64(hi)<<32
+			if f.trackBound {
+				f.trackPair(q+k/2, j)
+			}
+			continue
+		}
+		j := (2*q+k)*f.step + r
+		f.lanes[j] = lo
+		if 2*q+k+1 < n {
+			f.lanes[j+f.step] = hi
+		}
+	}
+}
+
+// tableLane is an OpLUT's lookup of a clamped index v, in its lane loop and
+// as a matvec epilogue's last stage.
+func tableLane(table *[mr.LUTSize]int8, v int32) int32 {
+	return int32(table[v+mr.LUTSize/2])
 }
 
 // finishUnary is the per-lane rule of an epilogue's OpLeaky, OpNeg or OpAbs.
@@ -1284,11 +1486,14 @@ func argMax(a []int32) int {
 	return best
 }
 
-// clampOf is the range a rescale clamps to: int8 for a requantise, the whole
-// of int32 (no clamp) for a scale.
+// clampOf is the range a rescale clamps to: int8 for a requantise, a table's
+// index range for a LUT, the whole of int32 (no clamp) for a scale.
 func clampOf(op Opcode) (lo, hi int32) {
-	if op == OpRequant {
+	switch op {
+	case OpRequant:
 		return -128, 127
+	case OpLUT:
+		return -mr.LUTSize / 2, mr.LUTSize/2 - 1
 	}
 	return math.MinInt32, math.MaxInt32
 }
@@ -1310,8 +1515,7 @@ func lutLanes(out, a []int32, lut *mr.LUT) {
 	m := lut.Mult
 	a = a[:len(out)]
 	for i := range out {
-		idx := min(max(m.Apply(a[i]), -mr.LUTSize/2), mr.LUTSize/2-1)
-		out[i] = int32(lut.Table[idx+mr.LUTSize/2])
+		out[i] = tableLane(&lut.Table, min(max(m.Apply(a[i]), -mr.LUTSize/2), mr.LUTSize/2-1))
 	}
 }
 

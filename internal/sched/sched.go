@@ -33,8 +33,10 @@
 //     sum(sat32(a·b)), a dot+bias is sat32(sat32(dot)+c), a squared
 //     distance is sum(sat32(sat32(a−b)²)), a matvec is the dot+bias of each
 //     of its rows, lane by lane, wrapped in the activation and the rescale
-//     its epilogue names, concat sinks write producer results
-//     straight into the concatenation's window). The expression at
+//     or table its epilogue names, stored in — or read from — a packed
+//     window's slot pair 0 when one layer hands the next its lanes packed,
+//     concat sinks write producer results straight into the
+//     concatenation's window). The expression at
 //     each declared output cell must match, structurally and bit-exactly,
 //     the expression the graph defines for that output lane. A mismatch is
 //     reported at the instruction that produced the first diverging
@@ -58,7 +60,9 @@
 //     structure-of-arrays arena stays in bounds across all batch slots, no
 //     cell is read before it is written or written by two instructions, and
 //     every lane reads the same producer in every batch slot (so a corrupted
-//     stride cannot read a neighbouring packet's data).
+//     stride cannot read a neighbouring packet's data). Packed windows are
+//     stored and read by matvecs alone, each read whole as the layer before
+//     laid it out, and every input a matvec packs itself fits the scratch.
 //
 //  5. Plan: the schedule's issue bundles are re-verified against the
 //     cgra.GridSpec CU/MU capacities and the II the scheduler claimed.

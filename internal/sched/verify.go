@@ -69,10 +69,13 @@ type Report struct {
 	// Graph is the source graph's name.
 	Graph string
 	// Instrs, Arena and Batch describe the tape: instruction count, arena
-	// size in lanes, and compiled batch capacity.
+	// size in lanes, and compiled batch capacity; packed is the packed lanes
+	// besides the arena (the windows layers hand over and the pack scratch,
+	// two packets a lane), which String prints.
 	Instrs int
 	Arena  int
 	Batch  int
+	packed int
 	// Lanes, Mults, LUTs and Sums are the weight image's dimensions: constant
 	// lanes, requant/scale multipliers, lookup tables and matvec row sums.
 	Lanes, Mults, LUTs, Sums int
@@ -110,8 +113,8 @@ func (r *Report) String() string {
 	if !r.OK() {
 		status = "REJECTED"
 	}
-	fmt.Fprintf(&b, "tapecheck: %q — %s (%d instrs, arena %d lanes, batch %d; image %d lanes, %d multipliers, %d tables, %d row sums)\n",
-		r.Graph, status, r.Instrs, r.Arena, r.Batch, r.Lanes, r.Mults, r.LUTs, r.Sums)
+	fmt.Fprintf(&b, "tapecheck: %q — %s (%d instrs, arena %d lanes + %d packed, batch %d; image %d lanes, %d multipliers, %d tables, %d row sums)\n",
+		r.Graph, status, r.Instrs, r.Arena, r.packed, r.Batch, r.Lanes, r.Mults, r.LUTs, r.Sums)
 	b.WriteString("  tape:     ")
 	for i := 0; i < len(r.Tape); {
 		run := 1
@@ -152,7 +155,7 @@ func Verify(p *Program) *Report {
 	}
 	t, img, g := p.tape, p.img, p.tape.g
 	r := &Report{
-		Instrs: len(t.code), Arena: t.arena, Batch: t.batch,
+		Instrs: len(t.code), Arena: t.arena, Batch: t.batch, packed: t.packed + t.scratch,
 		Lanes: len(img.lanes), Mults: len(img.mults), LUTs: len(img.luts), Sums: len(img.sums),
 	}
 	r.Tape = make([]string, len(t.code))
@@ -178,11 +181,13 @@ func Verify(p *Program) *Report {
 	defer workspaces.Put(ws)
 	c := &checker{
 		t: t, g: g, r: r, ws: ws,
-		code:   t.code,
-		batch:  t.batch,
-		arena:  t.arena,
-		img:    img,
-		layout: t.layout,
+		code:    t.code,
+		batch:   t.batch,
+		arena:   t.arena,
+		packed:  t.packed,
+		scratch: t.scratch,
+		img:     img,
+		layout:  t.layout,
 	}
 	if len(c.layout) != len(g.Nodes) {
 		c.finding(-1, -1, graphcheck.SevError, CheckAlias,
@@ -206,6 +211,10 @@ type checker struct {
 	batch int
 	arena int
 
+	// packed is the extent of the packed windows, scratch that of the pack
+	// scratch after them, in packed lanes.
+	packed, scratch int
+
 	// The weights the program reads: the image it is bound to, the tape's
 	// node → image slot layout, and — built by alias() — the const nodes whose
 	// slot the layout places soundly, in lane order.
@@ -214,7 +223,8 @@ type checker struct {
 	consts []constSlot
 
 	// writer[cell] is the pc that defines each arena cell (slot-expanded),
-	// -2 for input-seeded cells, -1 for never-written. Built by bounds().
+	// then each packed cell (pair-expanded, from index arena on), -2 for
+	// input-seeded cells, -1 for never-written. Built by bounds().
 	writer []int32
 
 	// ws is the pooled scratch of this pass (writer's storage among it).

@@ -77,12 +77,12 @@ func (c *checker) alias() {
 			}
 		}
 		switch {
-		case ins.Op == OpRequant, ins.Op == OpScale, ins.Op == OpMatVec && ins.Quant != OpNone:
+		case ins.Op == OpRequant, ins.Op == OpScale, ins.Op == OpMatVec && (ins.Quant == OpRequant || ins.Quant == OpScale):
 			if !c.hasMult(ins) {
 				c.finding(pc, -1, graphcheck.SevError, CheckAlias,
 					"multiplier index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.mults))
 			}
-		case ins.Op == OpLUT:
+		case ins.Op == OpLUT, ins.Op == OpMatVec && ins.Quant == OpLUT:
 			if !c.hasLUT(ins) {
 				c.finding(pc, -1, graphcheck.SevError, CheckAlias,
 					"table index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.luts))
@@ -118,8 +118,8 @@ func (c *checker) alias() {
 }
 
 // hasMult and hasLUT report whether the Slot of a requant, a scale or a
-// rescaling matvec epilogue, or of a LUT instruction, names a payload of the
-// image.
+// rescaling matvec epilogue, or of a LUT instruction or a matvec epilogue
+// ending in a table, names a payload of the image.
 func (c *checker) hasMult(ins *Instr) bool {
 	return ins.Slot >= 0 && ins.Slot < len(c.img.mults)
 }

@@ -16,7 +16,7 @@ const (
 	classReduce                // reads a[0:A.W]; writes lane 0
 	classDot                   // reads a[0:A.W], b likewise (or broadcast); writes lane 0
 	classDotAdd                // classDot plus c[0]
-	classMatVec                // reads a[0:A.W], W constant rows (plus W constant biases) and W row sums; writes W lanes
+	classMatVec                // reads a[0:A.W] (packed or not), W constant rows (plus W constant biases) and W row sums; writes W lanes (packed or not)
 	classBad
 )
 
@@ -54,10 +54,14 @@ func matVecBiased(ins *Instr) (biased, ok bool) {
 // input staging) defines it, no two instructions write the same cell, and —
 // the cross-slot invariant — every lane reads the same producer in every
 // batch slot, so a corrupted stride cannot silently read a neighbouring
-// packet's values. As a side effect it builds c.writer, which equiv() uses
-// to attribute output cells to instructions.
+// packet's values. Packed lanes are cells of their own, after the arena's, a
+// window's W lanes and its bound once per slot pair: only a matvec stores
+// them, only a matvec reads them, and it reads one window whole, exactly as
+// the layer that stored it laid it out; an input a matvec packs itself must
+// fit the pack scratch. As a side effect it builds c.writer, which equiv()
+// uses to attribute output cells to instructions.
 func (c *checker) bounds() {
-	c.writer = grown(&c.ws.writer, c.arena)
+	c.writer = grown(&c.ws.writer, c.arena+c.packed)
 	for i := range c.writer {
 		c.writer[i] = -1
 	}
@@ -67,6 +71,11 @@ func (c *checker) bounds() {
 		o := c.t.ins[i]
 		if o.Const {
 			continue // alias() flags this
+		}
+		if o.Packed {
+			c.finding(-1, c.g.Inputs[i], graphcheck.SevError, CheckBounds,
+				"declared input %d addresses packed lanes, which the caller cannot stage", i)
+			continue
 		}
 		if w := c.g.Node(c.g.Inputs[i]).Width; o.W != w {
 			c.finding(-1, c.g.Inputs[i], graphcheck.SevError, CheckBounds,
@@ -92,6 +101,11 @@ func (c *checker) bounds() {
 		}
 		if ins.W < 1 {
 			c.finding(pc, -1, graphcheck.SevError, CheckBounds, "instruction width %d", ins.W)
+			continue
+		}
+		if cls != classMatVec && (ins.Packed || ins.A.Packed || ins.B.Packed || ins.C.Packed) {
+			c.finding(pc, -1, graphcheck.SevError, CheckBounds,
+				"a %v addresses packed lanes, which only a matvec reads or stores", ins.Op)
 			continue
 		}
 
@@ -156,10 +170,14 @@ func (c *checker) bounds() {
 					"matvec epilogue activation is %v (opcode %d), want a unary or none", ins.Act, int(ins.Act))
 			}
 			switch ins.Quant {
-			case OpNone, OpRequant, OpScale:
+			case OpNone, OpRequant, OpScale, OpLUT:
 			default:
 				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
-					"matvec epilogue rescale is %v (opcode %d), want requant, scale or none", ins.Quant, int(ins.Quant))
+					"matvec epilogue rescale is %v (opcode %d), want requant, scale, lut or none", ins.Quant, int(ins.Quant))
+			}
+			if need := (c.batch + 1) / 2 * (ins.A.W + 1); !ins.A.Packed && need > c.scratch {
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
+					"matvec input of %d lanes packs into %d lanes, the pack scratch holds %d", ins.A.W, need, c.scratch)
 			}
 			if n := len(c.img.sums); ins.Sum < 0 || ins.Sum+ins.W > n {
 				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
@@ -201,22 +219,28 @@ func (c *checker) bounds() {
 				c.checkRead(pc, ins.C, 1, &undefOnce, &skewOnce)
 			}
 		case classMatVec:
-			c.checkRead(pc, ins.A, ins.A.W, &undefOnce, &skewOnce)
+			if ins.A.Packed {
+				c.checkPackedRead(pc, ins.A)
+			} else {
+				c.checkRead(pc, ins.A, ins.A.W, &undefOnce, &skewOnce)
+			}
 		}
 
-		// Writes: W lanes for element ops, lane 0 for reductions.
+		// Writes: W lanes for element ops, lane 0 for reductions; a packed
+		// window's W lanes and bound per slot pair.
 		wl := ins.W
 		if cls == classReduce || cls == classDot || cls == classDotAdd {
 			wl = 1
 		}
-		dst := Operand{Off: ins.Dst, Stride: ins.DStride, W: ins.W}
+		dst := Operand{Packed: ins.Packed, Off: ins.Dst, Stride: ins.DStride, W: ins.W}
 		if !c.checkWindow(pc, -1, "destination", dst, wl) {
 			continue
 		}
+		first, reps, cells := c.span(dst, wl)
 		clobberOnce := false
-		for j := 0; j < c.batch; j++ {
-			base := ins.Dst + j*ins.DStride
-			for l := 0; l < wl; l++ {
+		for j := 0; j < reps; j++ {
+			base := first + j*ins.DStride
+			for l := 0; l < cells; l++ {
 				idx := base + l
 				switch {
 				case c.writer[idx] >= 0 && !clobberOnce:
@@ -238,6 +262,11 @@ func (c *checker) bounds() {
 		o := c.t.outs[i]
 		if o.Const {
 			continue // alias() audits constant-backed outputs
+		}
+		if o.Packed {
+			c.finding(-1, id, graphcheck.SevError, CheckBounds,
+				"declared output %d addresses packed lanes, which the caller cannot read", i)
+			continue
 		}
 		if w := c.g.Node(id).Width; o.W != w {
 			c.finding(-1, id, graphcheck.SevError, CheckBounds,
@@ -261,25 +290,72 @@ func (c *checker) bounds() {
 	}
 }
 
-// checkWindow proves an arena window [Off + j*Stride, +lanes) stays inside
-// the arena for every batch slot and that the stride cannot make slots
+// span is where window o's cells lie in the writer map when the tape reads or
+// writes lanes of it per repetition: per batch slot from o.Off in the arena's
+// cells, or — packed — per slot pair from the first packed cell after the
+// arena's, its W lanes and then their bound.
+func (c *checker) span(o Operand, lanes int) (first, reps, cells int) {
+	if o.Packed {
+		return c.arena + o.Off, (c.batch + 1) / 2, o.W + 1
+	}
+	return o.Off, c.batch, lanes
+}
+
+// checkWindow proves a window [Off + j*Stride, +lanes) stays inside the
+// arena — or, packed, inside the packed windows with its bound beside each
+// pair's lanes — for every repetition and that the stride cannot make them
 // overlap. Returns false (after reporting) when the window is unusable.
 func (c *checker) checkWindow(pc int, node mr.NodeID, what string, o Operand, lanes int) bool {
 	if lanes < 1 {
 		return false // width findings already reported by the caller
 	}
-	if o.Off < 0 || o.Stride < o.W || o.W < lanes {
+	_, reps, cells := c.span(o, lanes)
+	space, kind := c.arena, "arena"
+	if o.Packed {
+		space, kind = c.packed, "packed windows"
+	}
+	if o.Off < 0 || o.Stride < max(o.W, cells) || o.W < lanes {
 		c.finding(pc, node, graphcheck.SevError, CheckBounds,
 			"%s window malformed: off %d, stride %d, width %d", what, o.Off, o.Stride, o.W)
 		return false
 	}
-	if end := o.Off + (c.batch-1)*o.Stride + lanes; end > c.arena {
+	if end := o.Off + (reps-1)*o.Stride + cells; end > space {
 		c.finding(pc, node, graphcheck.SevError, CheckBounds,
-			"%s window [%d,%d) overruns the %d-lane arena at batch %d",
-			what, o.Off, end, c.arena, c.batch)
+			"%s window [%d,%d) overruns the %d lanes of the %s at batch %d",
+			what, o.Off, end, space, kind, c.batch)
 		return false
 	}
 	return true
+}
+
+// checkPackedRead proves a matvec's packed input is one layer's whole window,
+// laid out as that layer stored it — same lanes, same pair stride, same
+// width — and that nothing after the store wrote over any of its cells.
+func (c *checker) checkPackedRead(pc int, o Operand) {
+	if !c.checkWindow(pc, -1, "operand", o, o.W) {
+		return
+	}
+	first, reps, cells := c.span(o, o.W)
+	w := c.writer[first]
+	if w < 0 {
+		c.finding(pc, -1, graphcheck.SevError, CheckBounds,
+			"reads packed lanes [%d,%d) before any layer stores them", o.Off, o.Off+cells)
+		return
+	}
+	if p := &c.code[w]; p.Op != OpMatVec || !p.Packed || p.Dst != o.Off || p.DStride != o.Stride || p.W != o.W {
+		c.finding(pc, -1, graphcheck.SevError, CheckBounds,
+			"reads packed lanes [%d,%d) with pair stride %d, not the window pc %d stored whole", o.Off, o.Off+cells, o.Stride, w)
+		return
+	}
+	for j := 0; j < reps; j++ {
+		for l, at := range c.writer[first+j*o.Stride:][:cells] {
+			if at != w {
+				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
+					"packed lane %d of slot pair %d was last written by pc %d, not by pc %d that stored the window", l, j, at, w)
+				return
+			}
+		}
+	}
 }
 
 // checkRead proves `lanes` lanes of one operand are defined before this

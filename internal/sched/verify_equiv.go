@@ -18,7 +18,8 @@ import (
 // RunBatch meaning — a dot is sum(mul(aᵢ,bᵢ)), a dot+bias wraps that sum in
 // one more saturating add, a squared distance is sum(mul(d,d)) over
 // d = sub(aᵢ,bᵢ), a matvec is one dot(+bias) per weight row, lane by lane,
-// inside the unary and the requant/scale of its epilogue.
+// inside the unary and the requant/scale/table of its epilogue, stored in —
+// or read from — the lanes of slot pair 0 when packed, which are slot 0's.
 // Hash-consing makes equivalence a single integer compare per output lane,
 // and because the expressions are interned structurally the check is exact: no instruction-order or copy-elimination freedom is lost,
 // while only bit-exact-commutative operators (saturating add, mul, min, max)
@@ -322,8 +323,8 @@ func (it *interner) render(id exprID, depth int) string {
 }
 
 // unaryExpr and rescaleExpr are the expression kinds of the opcodes an
-// activation or a rescale — an instruction's own, or a matvec epilogue's — may
-// be, eUndef for any other.
+// activation or a rescale — an instruction's own, or a matvec epilogue's, which
+// may also be a table — may be, eUndef for any other.
 func unaryExpr(op Opcode) uint8 {
 	if op < OpRelu || op > OpAbs {
 		return eUndef
@@ -337,6 +338,8 @@ func rescaleExpr(op Opcode) uint8 {
 		return eRequant
 	case OpScale:
 		return eScale
+	case OpLUT:
+		return eLUT
 	}
 	return eUndef
 }
@@ -483,14 +486,16 @@ func (c *checker) equiv() {
 		}
 	}
 
-	// Tape side: symbolic execution over slot 0 of the arena.
-	cells := grown(&ws.cells, c.arena)
+	// Tape side: symbolic execution over slot 0 of the arena, and over slot
+	// pair 0 of the packed lanes, whose low halves are slot 0's (cells from
+	// index arena on, as in c.writer).
+	cells := grown(&ws.cells, c.arena+c.packed)
 	for i := range cells {
 		cells[i] = -1
 	}
 	for i := range c.g.Inputs {
 		o := c.t.ins[i]
-		if o.Const || o.Off < 0 || o.Off+o.W > c.arena {
+		if o.Const || o.Packed || o.Off < 0 || o.Off+o.W > c.arena {
 			continue
 		}
 		in := glanes[c.g.Inputs[i]]
@@ -511,6 +516,19 @@ func (c *checker) equiv() {
 		return nil
 	}
 
+	// cell is where lane l of slot 0 of an arena-backed window lies among the
+	// cells, -1 outside the window's own space (bounds() reported).
+	cell := func(packed bool, off, l int) int {
+		lo, hi := 0, c.arena
+		if packed {
+			lo, hi = c.arena, c.arena+c.packed
+		}
+		if idx := lo + off + l; off >= 0 && idx < hi {
+			return idx
+		}
+		return -1
+	}
+
 	for pc := range c.code {
 		ins := &c.code[pc]
 		it.pc = int32(pc)
@@ -522,7 +540,7 @@ func (c *checker) equiv() {
 				}
 				return it.undefAt(pc, l)
 			}
-			if idx := o.Off + l; idx >= 0 && idx < c.arena && cells[idx] >= 0 {
+			if idx := cell(o.Packed, o.Off, l); idx >= 0 && cells[idx] >= 0 {
 				return cells[idx]
 			}
 			return it.undefAt(pc, o.Off+l)
@@ -534,7 +552,7 @@ func (c *checker) equiv() {
 			return read(ins.B, bW, l)
 		}
 		write := func(l int, e exprID) {
-			if idx := ins.Dst + l; idx >= 0 && idx < c.arena {
+			if idx := cell(ins.Packed, ins.Dst, l); idx >= 0 {
 				cells[idx] = e
 			}
 		}
@@ -589,16 +607,20 @@ func (c *checker) equiv() {
 			write(0, e)
 		case OpMatVec:
 			// Row by row, the dot+bias an OpDotAdd would have been, then what
-			// the OpRelu and the OpRequant the epilogue stands for would have
-			// made of that lane. An epilogue opcode that is neither (bounds()
-			// reported it) leaves the lane undefined.
+			// the OpRelu and the OpRequant or OpLUT the epilogue stands for
+			// would have made of that lane. An epilogue opcode that is neither
+			// (bounds() reported it) leaves the lane undefined.
 			biased, ok := matVecBiased(ins)
 			if !ok {
 				break // bounds() reported; the lanes stay undefined
 			}
 			act, rescale := unaryExpr(ins.Act), rescaleExpr(ins.Quant)
 			unknown := (ins.Act != OpNone && act == eUndef) || (ins.Quant != OpNone && rescale == eUndef)
-			slot := payloadSlot(ins.Slot, c.hasMult(ins), pc)
+			hasPayload := c.hasMult(ins)
+			if ins.Quant == OpLUT {
+				hasPayload = c.hasLUT(ins)
+			}
+			slot := payloadSlot(ins.Slot, hasPayload, pc)
 			for r := 0; r < ins.W; r++ {
 				row := ins.Rows[r]
 				rowW := wlanes(row)
@@ -649,7 +671,7 @@ func (c *checker) equiv() {
 				if w := wlanes(o); l < len(w) {
 					got = w[l]
 				}
-			} else if idx := o.Off + l; idx >= 0 && idx < c.arena {
+			} else if idx := cell(o.Packed, o.Off, l); idx >= 0 {
 				got = cells[idx]
 			}
 			if got < 0 {
@@ -661,7 +683,7 @@ func (c *checker) equiv() {
 			dw, dg := it.diverge(want[l], got)
 			pc := int(it.nodes[dg].pc)
 			if pc < 0 && !o.Const {
-				if idx := o.Off + l; idx >= 0 && idx < len(c.writer) && c.writer[idx] >= 0 {
+				if idx := cell(o.Packed, o.Off, l); idx >= 0 && idx < len(c.writer) && c.writer[idx] >= 0 {
 					pc = int(c.writer[idx]) // diverging expr predates the tape: blame the cell's writer
 				}
 			}

@@ -48,16 +48,23 @@ func mustMult(t testing.TB, f float64) fixed.Multiplier {
 
 // zooGraph compiles to a tape exercising every instruction family the
 // verifier special-cases: a materialised add (multi-consumer), a sub, a
-// plain dot, a const-window dot (through a slice), a bias-folded dot+add,
-// requant, scale, LUT, relu, a concat with one genuine copy, a dense
-// layer (three bias-dots gathered by a concat: one matvec) whose second row
-// and whose biases are windows of larger constants, and a second layer of two
-// rows that carries its ReLU and requant as an epilogue.
+// plain dot, a const-window dot (through a slice), a bias-folded dot+add
+// (both gathered with other values by a concat, so no layer takes them),
+// requant, scale, LUT, relu, a concat with one genuine copy, a dense layer
+// (three bias-dots gathered by a concat: one matvec) whose second row and
+// whose biases are windows of larger constants, a second layer of two rows
+// that carries its ReLU and requant as an epilogue and hands its lanes packed
+// to the third, an output neuron no concat gathers: a 1-row matvec whose
+// epilogue is a table.
 func zooGraph(t testing.TB) *mr.Graph {
 	mult := mustMult(t, 0.03)
 	lut := &mr.LUT{Mult: mustMult(t, 1.0/64)}
 	for i := range lut.Table {
 		lut.Table[i] = int8(i % 120)
+	}
+	sigmoid := &mr.LUT{Mult: mustMult(t, 1.0/16)}
+	for i := range sigmoid.Table {
+		sigmoid.Table[i] = int8(i/8 - 64)
 	}
 	return build(t, "zoo", func(b *mr.Builder) {
 		x := b.Input("x", 8)
@@ -80,15 +87,15 @@ func zooGraph(t testing.TB) *mr.Graph {
 		for r, w := range rows {
 			layer[r] = b.Map(mr.MAdd, b.DotProduct(w, x), b.Slice(lb, r, 1))
 		}
-		hidden := b.Concat(
+		hidden := b.Requant(b.Unary(mr.UReLU, b.Concat(
 			b.DotProduct(b.Const("h0", []int32{3, 1, -4, 1, -5, 9, -2, 6}), x),
-			b.DotProduct(b.Const("h1", []int32{2, -7, 1, 8, -2, 8, 1, -8}), x))
+			b.DotProduct(b.Const("h1", []int32{2, -7, 1, 8, -2, 8, 1, -8}), x))), mustMult(t, 0.11))
 		b.Output(
 			b.Concat(b.Requant(sum, mult), b.Scale(sum, mult), b.ApplyLUT(sum, lut),
-				b.Unary(mr.UReLU, sum), x), // trailing input forces one OpCopy
-			diff, dotSelf, dotW, neuron,
+				b.Unary(mr.UReLU, sum), x, dotW, neuron), // trailing input forces one OpCopy
+			diff, dotSelf,
 			b.Concat(layer...), // OpMatVec
-			b.Requant(b.Unary(mr.UReLU, hidden), mustMult(t, 0.11))) // OpMatVec with an epilogue
+			b.ApplyLUT(b.Map(mr.MAdd, b.DotProduct(b.Const("o", []int32{7, -3}), hidden), b.Scalar("ob", -5)), sigmoid)) // OpMatVec with an epilogue, packed, into a 1-row OpMatVec with a table
 	})
 }
 
@@ -103,17 +110,31 @@ func findPC(t *testing.T, p *sched.Program, op sched.Opcode) int {
 	return -1
 }
 
-// findLayer returns the zoo's matvec that carries an epilogue, or the one
-// that does not.
+// findLayer returns the zoo's first matvec that carries an epilogue — the
+// hidden layer, which hands its lanes packed to the output neuron — or the
+// one that does not.
 func findLayer(t *testing.T, p *sched.Program, epilogue bool) *sched.Instr {
 	t.Helper()
 	for pc := range p.Code() {
 		ins := &p.Code()[pc]
-		if ins.Op == sched.OpMatVec && (ins.Act != sched.OpNone) == epilogue {
+		if ins.Op == sched.OpMatVec && (ins.Act != sched.OpNone || ins.Quant != sched.OpNone) == epilogue {
 			return ins
 		}
 	}
 	t.Fatalf("tape has no matvec with epilogue = %v", epilogue)
+	return nil
+}
+
+// findOutputNeuron returns the zoo's 1-row matvec, which reads the hidden
+// layer packed and looks its lane up in a table.
+func findOutputNeuron(t *testing.T, p *sched.Program) *sched.Instr {
+	t.Helper()
+	for pc := range p.Code() {
+		if ins := &p.Code()[pc]; ins.Op == sched.OpMatVec && ins.Quant == sched.OpLUT && ins.A.Packed {
+			return ins
+		}
+	}
+	t.Fatal("tape has no matvec reading packed lanes through a table")
 	return nil
 }
 
@@ -263,6 +284,38 @@ func TestMutationKill(t *testing.T) {
 		}},
 		{"matvec-epilogue-bad-opcode", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
 			findLayer(t, p, true).Act = sched.OpRequant
+		}},
+		// The hidden layer's packed hand-off to the output neuron, and that
+		// neuron's table.
+		{"matvec-packed-dst-one-lane-off", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			findLayer(t, p, true).Dst++
+		}},
+		{"matvec-packed-dst-one-pair-off", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			ins := findLayer(t, p, true)
+			ins.Dst += ins.DStride
+		}},
+		{"matvec-packed-dst-unpacked", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			findLayer(t, p, true).Packed = false
+		}},
+		{"matvec-packed-src-one-lane-off", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			findOutputNeuron(t, p).A.Off++
+		}},
+		{"matvec-packed-src-one-pair-off", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			ins := findOutputNeuron(t, p)
+			ins.A.Off += ins.A.Stride
+		}},
+		{"matvec-packed-read-by-a-copy", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
+			p.Code()[findPC(t, p, sched.OpCopy)].A = findOutputNeuron(t, p).A
+		}},
+		{"matvec-lut-epilogue-wrong-table", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			// The standalone LUT's table: in the image, another node's.
+			findOutputNeuron(t, p).Slot = p.Code()[findPC(t, p, sched.OpLUT)].Slot
+		}},
+		{"matvec-lut-epilogue-table-out-of-range", sched.CheckAlias, true, func(t *testing.T, p *sched.Program) {
+			findOutputNeuron(t, p).Slot = sched.Verify(p).LUTs
+		}},
+		{"matvec-lut-epilogue-read-as-multiplier", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
+			findOutputNeuron(t, p).Quant = sched.OpRequant
 		}},
 		// Row sums: the image's, at the index the instruction names.
 		{"matvec-sum-index-out-of-range", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
