@@ -46,9 +46,12 @@ import (
 // Pusher is the controller's view of the data plane: anything that accepts
 // an out-of-band weight push. UpdateWeights publishes only what its gate
 // accepted: it returns an error, and keeps serving the previous model, for
-// a graph it refuses. *pipeline.Pipeline and *core.Device both satisfy it.
+// a graph it refuses. RollbackWeights, which cannot fail, serves again what
+// the last accepted push replaced. *pipeline.Pipeline and *core.Device both
+// satisfy it.
 type Pusher interface {
 	UpdateWeights(newGraph *mr.Graph) error
+	RollbackWeights()
 }
 
 // LabelSource returns n freshly sampled labelled records reflecting the

@@ -721,6 +721,7 @@ func TestControllerAdaptiveRetrainRecovers(t *testing.T) {
 type nopPusher struct{}
 
 func (nopPusher) UpdateWeights(*mr.Graph) error { return nil }
+func (nopPusher) RollbackWeights()              {}
 
 // stubModel is a minimal Deployable for detector-only tests. Lower returns
 // a fresh copy of a tiny valid graph: the push gate (graphcheck) verifies

@@ -1,7 +1,6 @@
 package controlplane
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"sync"
@@ -35,11 +34,8 @@ var fleetOrdinal atomic.Int64
 // its model was installed on; the fleet adds no check of its own, so a graph
 // the first member refuses is published nowhere. The push is atomic across
 // the fleet: if any member rejects the graph, the members already updated
-// are rolled back to the previously pushed graph, so the fleet never serves
-// traffic from a mix of models. (Before the first successful fleet push
-// there is no previous graph to restore; a failure there leaves the
-// deployment-time weights only on the members not yet touched, and the
-// error names the members that already diverged.)
+// roll back to the weights they served before it, so the fleet never serves
+// traffic from a mix of models.
 //
 // The loop has two driving modes. Synchronous: the traffic driver calls
 // Observe after each batch and, when it returns true (drift), calls
@@ -72,7 +68,7 @@ type Fleet struct {
 	retrainsC *obs.Counter // taurus.ctl.retrains — completed fleet cycles
 	lastPool  int
 	lastErr   error
-	lastGraph *mr.Graph // most recently pushed graph, for rollback
+	lastGraph *mr.Graph // most recently pushed graph, a joiner's catch-up
 
 	// Registry/tracer bindings for this fleet and its members' detectors.
 	reg       *obs.Registry
@@ -512,48 +508,23 @@ func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
 
 // push applies g to every member. A member's UpdateWeights gates the push
 // before it publishes, so a member that refuses it still serves its previous
-// model, and a graph the first member refuses is published nowhere. The
-// returned error names the refusing member, and RetrainNow journals it as
-// the span's retrain.fail. On a later member's refusal the members already
-// updated are rolled back to the previously pushed graph, journalled as
-// push.rollback, so the fleet never serves a mix of models and what the
-// members serve agrees with lastGraph. Before the first successful push
-// there is nothing to roll back to — the error then names the members left
-// serving the new graph so the operator knows the fleet diverged. A member
-// that refuses its rollback push is journalled as push.rollback_fail, and its
-// error is joined to the one that caused the rollback, which stays
-// errors.Is-reachable.
+// model, and a graph the first member refuses is published nowhere. On a
+// later member's refusal the members already updated roll back
+// (Pusher.RollbackWeights), journalled as push.rollback, to what they served
+// before — their install, on the fleet's first push. The returned error names
+// the refusing member, and RetrainNow journals it as the span's retrain.fail.
 func (f *Fleet) push(span int64, g *mr.Graph) error {
 	members := f.snapshot()
-	f.mu.Lock()
-	prev := f.lastGraph
-	f.mu.Unlock()
 	for i, m := range members {
-		err := m.pusher.UpdateWeights(g)
-		if err == nil {
-			continue
-		}
-		perr := fmt.Errorf("controlplane: push to fleet member %q: %w", m.name, err)
-		if i == 0 {
-			return perr
-		}
-		if prev == nil {
-			names := make([]string, i)
-			for j, r := range members[:i] {
-				names[j] = r.name
+		if err := m.pusher.UpdateWeights(g); err != nil {
+			if i > 0 {
+				f.tracer.Emitf(span, "push.rollback", "member=%q rolled_back=%d err=%q", m.name, i, err.Error())
 			}
-			return fmt.Errorf("controlplane: push to fleet member %q failed with no prior fleet push to roll back to; members %v already serve the new model: %w",
-				m.name, names, err)
-		}
-		f.tracer.Emitf(span, "push.rollback", "member=%q rolled_back=%d err=%q", m.name, i, err.Error())
-		errs := []error{perr}
-		for _, r := range members[:i] {
-			if rerr := r.pusher.UpdateWeights(prev); rerr != nil {
-				f.tracer.Emitf(span, "push.rollback_fail", "member=%q err=%q", r.name, rerr.Error())
-				errs = append(errs, fmt.Errorf("controlplane: rollback of fleet member %q: %w", r.name, rerr))
+			for _, r := range members[:i] {
+				r.pusher.RollbackWeights()
 			}
+			return fmt.Errorf("controlplane: push to fleet member %q: %w", m.name, err)
 		}
-		return errors.Join(errs...)
 	}
 	return nil
 }

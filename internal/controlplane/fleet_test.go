@@ -358,12 +358,18 @@ func TestFleetPoolWeighting(t *testing.T) {
 	}
 }
 
-// recordPusher records every pushed graph and can fail on demand.
+// recordPusher records every pushed graph and every rollback, serves what a
+// data plane would (a rollback undoes the last accepted push, once), and can
+// fail on demand.
 type recordPusher struct {
-	mu     sync.Mutex
-	graphs []*mr.Graph
-	failAt int   // fail the Nth push (1-based); 0 = never
-	err    error // what the failed push returns; nil = "injected push failure"
+	mu        sync.Mutex
+	graphs    []*mr.Graph
+	rollbacks int
+	serving   *mr.Graph // nil: the install's weights
+	undo      *mr.Graph // what the last accepted push replaced
+	canUndo   bool
+	failAt    int   // fail the Nth push (1-based); 0 = never
+	err       error // what the failed push returns; nil = "injected push failure"
 }
 
 func (p *recordPusher) UpdateWeights(g *mr.Graph) error {
@@ -377,7 +383,25 @@ func (p *recordPusher) UpdateWeights(g *mr.Graph) error {
 		return errors.New("injected push failure")
 	}
 	p.graphs = append(p.graphs, g)
+	p.serving, p.undo, p.canUndo = g, p.serving, true
 	return nil
+}
+
+func (p *recordPusher) RollbackWeights() {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.rollbacks++
+	if p.canUndo {
+		p.serving, p.canUndo = p.undo, false
+	}
+}
+
+// served returns the graph the pusher serves (nil: its install) and how many
+// rollbacks it was sent.
+func (p *recordPusher) served() (*mr.Graph, int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.serving, p.rollbacks
 }
 
 func (p *recordPusher) pushed() []*mr.Graph {
@@ -394,11 +418,11 @@ type liveModel struct{ stubModel }
 func (liveModel) Lower(fixed.Quantizer) (*mr.Graph, error) { return stubGraph(), nil }
 
 // TestFleetPushFailureRollsBack: a member rejecting a push must not leave
-// the fleet serving a mix of models — members already updated are rolled
-// back to the previous graph, the rollback is journalled naming the member
-// and how many members it undid, the error surfaces, and a later retrain
-// succeeds everywhere. Before the first fleet push there is nothing to roll
-// back to, and the error says which members already serve the new model.
+// the fleet serving a mix of models — members already updated roll back to
+// what they served before, the rollback is journalled naming the member and
+// how many members it undid, the error surfaces, and a later retrain
+// succeeds everywhere. The fleet's first push is as atomic: the member that
+// took it serves its install again.
 func TestFleetPushFailureRollsBack(t *testing.T) {
 	src := func(n int) []dataset.Record { return make([]dataset.Record, n) }
 	tracer := obs.NewTracer(256)
@@ -420,15 +444,20 @@ func TestFleetPushFailureRollsBack(t *testing.T) {
 	}
 	g1 := good.pushed()[0]
 
-	if err := fl.RetrainNow(); err == nil {
-		t.Fatal("second retrain should have surfaced the injected push failure")
+	if err := fl.RetrainNow(); err == nil || !strings.Contains(err.Error(), `fleet member "flaky"`) {
+		t.Fatalf("second retrain = %v, want the injected push failure naming member flaky", err)
 	}
 	if fl.Err() == nil {
 		t.Error("Err() empty after failed push")
 	}
-	got := good.pushed()
-	if len(got) != 3 || got[2] != g1 {
-		t.Fatalf("good member saw %d pushes, last == first push: %v — rollback missing", len(got), len(got) == 3 && got[2] == g1)
+	if got := good.pushed(); len(got) != 2 || got[1] == g1 {
+		t.Fatalf("good member saw %d pushes, want the first push and a distinct second", len(got))
+	}
+	if serving, rollbacks := good.served(); serving != g1 || rollbacks != 1 {
+		t.Fatalf("good member serves the first push: %v, after %d rollbacks — want true after 1", serving == g1, rollbacks)
+	}
+	if _, rollbacks := flaky.served(); rollbacks != 0 {
+		t.Errorf("the refusing member was sent %d rollbacks, want 0: it published nothing", rollbacks)
 	}
 	rolledBack := false
 	for _, e := range tracer.Events() {
@@ -447,10 +476,10 @@ func TestFleetPushFailureRollsBack(t *testing.T) {
 	if err := fl.RetrainNow(); err != nil {
 		t.Fatalf("retry after rollback failed: %v", err)
 	}
-	got = good.pushed()
-	fGot := flaky.pushed()
-	if got[len(got)-1] != fGot[len(fGot)-1] {
-		t.Error("members diverged after the retry push")
+	gs, _ := good.served()
+	fs, _ := flaky.served()
+	if gs != fs || gs == g1 {
+		t.Error("members do not both serve the retry push")
 	}
 	if st := fl.Stats(); st.Retrains != 2 {
 		t.Errorf("retrains = %d, want 2", st.Retrains)
@@ -460,54 +489,87 @@ func TestFleetPushFailureRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := first.Register("takes", &recordPusher{}, src); err != nil {
+	takes := &recordPusher{}
+	if _, err := first.Register("takes", takes, src); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := first.Register("refuses", &recordPusher{failAt: 1}, src); err != nil {
 		t.Fatal(err)
 	}
-	if err := first.RetrainNow(); err == nil || !strings.Contains(err.Error(), "already serve the new model") || !strings.Contains(err.Error(), "[takes]") {
-		t.Errorf("refused first fleet push = %v, want the members-already-serve error naming member takes", err)
+	if err := first.RetrainNow(); err == nil || !strings.Contains(err.Error(), `fleet member "refuses"`) {
+		t.Errorf("refused first fleet push = %v, want the refusal naming member refuses", err)
+	}
+	if serving, rollbacks := takes.served(); serving != nil || rollbacks != 1 || len(takes.pushed()) != 1 {
+		t.Errorf("after the refused first fleet push member takes serves its install: %v, after %d pushes and %d rollbacks — want true after 1 and 1",
+			serving == nil, len(takes.pushed()), rollbacks)
 	}
 }
 
-// TestFleetRollbackFailureIsLoud: a member that refuses the rollback push is
-// journalled as push.rollback_fail, and its error is joined to the returned
-// one, from which the push failure that caused the rollback stays reachable.
-func TestFleetRollbackFailureIsLoud(t *testing.T) {
-	tracer := obs.NewTracer(256)
-	fl, err := NewFleet(liveModel{}, fixed.NewQuantizer(1), Config{Tracer: tracer, Obs: obs.NewRegistry()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	errPush, errRollback := errors.New("push refused"), errors.New("rollback refused")
-	stuck := &recordPusher{failAt: 3, err: errRollback} // takes two pushes, refuses the rollback
-	flaky := &recordPusher{failAt: 2, err: errPush}     // takes the first push, refuses the second
-	if _, err := fl.Register("stuck", stuck, labelSrc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fl.Register("flaky", flaky, labelSrc); err != nil {
-		t.Fatal(err)
-	}
-	if err := fl.RetrainNow(); err != nil {
-		t.Fatalf("first retrain failed: %v", err)
-	}
-
-	err = fl.RetrainNow()
-	if !errors.Is(err, errPush) {
-		t.Fatalf("second retrain = %v, want the push failure reachable", err)
-	}
-	if !errors.Is(err, errRollback) || !strings.Contains(err.Error(), `rollback of fleet member "stuck"`) {
-		t.Fatalf("second retrain = %v, want the refused rollback of member stuck joined in", err)
-	}
-	journalled := false
-	for _, e := range tracer.Events() {
-		if e.Kind == "push.rollback_fail" && strings.Contains(e.Detail, `member="stuck"`) && strings.Contains(e.Detail, "rollback refused") {
-			journalled = true
-		}
-	}
-	if !journalled {
-		t.Error("no push.rollback_fail event names member stuck and its error")
+// TestFleetRollbackRestoresServedWeights: on a real data plane a refused
+// fan-out leaves the member that took the push scoring as it did before it,
+// on the fleet's first push (back to the install) and on a later one (back
+// to the previous push, not the install). The undo is one more publish —
+// model.publish kind=rollback under a fresh epoch — and cannot fail, so the
+// fleet journals no rollback event but push.rollback.
+func TestFleetRollbackRestoresServedWeights(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		failAt int // the refusing member's first refused push
+		epoch  int // the device's epoch after the rollback
+	}{
+		{"first push", 1, 3}, // install, push, rollback
+		{"later push", 2, 4}, // install, push, push, rollback
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dev := newGateMember(t, scaledSquareGraph(t, 1), compiler.Options{})
+			m := &seqModel{graphs: []*mr.Graph{scaledSquareGraph(t, 2), scaledSquareGraph(t, 3)}}
+			if tc.failAt == 1 {
+				m.graphs = m.graphs[1:]
+			}
+			tr := obs.NewTracer(256)
+			fl, err := NewFleet(m, fixed.NewQuantizer(1), gateConfig(tr))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fl.Register("dev", dev, labelSrc); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fl.Register("refuses", &recordPusher{failAt: tc.failAt}, labelSrc); err != nil {
+				t.Fatal(err)
+			}
+			install := dev.score(t)
+			for i := 1; i < tc.failAt; i++ {
+				if err := fl.RetrainNow(); err != nil {
+					t.Fatalf("retrain %d: %v", i, err)
+				}
+			}
+			before := dev.score(t)
+			if tc.failAt > 1 && before == install {
+				t.Fatalf("the accepted push left the score at the install's %d: the test cannot tell them apart", install)
+			}
+			if err := fl.RetrainNow(); err == nil || !strings.Contains(err.Error(), `fleet member "refuses"`) {
+				t.Fatalf("refused fan-out = %v, want the refusal naming member refuses", err)
+			}
+			if got := dev.score(t); got != before {
+				t.Errorf("device scores %d after the refused fan-out, %d before it", got, before)
+			}
+			if got := dev.epoch(t); got != tc.epoch {
+				t.Errorf("device serves epoch %d, want %d", got, tc.epoch)
+			}
+			if evs := dev.tr.Events(); !strings.Contains(evs[len(evs)-1].Detail, "kind=rollback") {
+				t.Errorf("device's last event is %s %s, want model.publish kind=rollback", evs[len(evs)-1].Kind, evs[len(evs)-1].Detail)
+			}
+			rolledBack := false
+			for _, e := range tr.Events() {
+				rolledBack = rolledBack || e.Kind == "push.rollback" && strings.Contains(e.Detail, "rolled_back=1")
+				if strings.HasPrefix(e.Kind, "push.rollback") && e.Kind != "push.rollback" {
+					t.Errorf("journalled %s %s: a rollback cannot fail", e.Kind, e.Detail)
+				}
+			}
+			if !rolledBack {
+				t.Error("no push.rollback event names the one member rolled back")
+			}
+		})
 	}
 }
 

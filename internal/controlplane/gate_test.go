@@ -100,6 +100,16 @@ func newGateMember(t *testing.T, g *mr.Graph, opts compiler.Options) gateMember 
 	return gateMember{Device: d, tr: tr}
 }
 
+// score is the member's ML score for one packet whose four features are 1.
+func (m gateMember) score(t *testing.T) int32 {
+	t.Helper()
+	dec, err := m.Process(core.PacketIn{Data: pisa.BuildTCPPacket(1, 2, 3, 4, 0x10, 64), Features: []float32{1, 1, 1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dec.MLScore
+}
+
 // epoch is the epoch of the member's last model.publish.
 func (m gateMember) epoch(t *testing.T) int {
 	t.Helper()
@@ -269,15 +279,7 @@ func TestControllerPushesOnInstallGrid(t *testing.T) {
 	grid := cgra.DefaultGrid()
 	grid.Rows = 24
 	dev := newGateMember(t, bigConstGraph(t, 0, 0), compiler.Options{Grid: grid})
-	score := func() int32 {
-		t.Helper()
-		dec, err := dev.Process(core.PacketIn{Data: pisa.BuildTCPPacket(1, 2, 3, 4, 0x10, 64), Features: []float32{1, 1, 1, 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return dec.MLScore
-	}
-	before := score()
+	before := dev.score(t)
 	m := &seqModel{graphs: []*mr.Graph{bigConstGraph(t, 7, 1)}}
 	ctrl, err := New(dev, m, fixed.NewQuantizer(1), labelSrc, gateConfig(obs.NewTracer(64)))
 	if err != nil {
@@ -289,7 +291,7 @@ func TestControllerPushesOnInstallGrid(t *testing.T) {
 	if got := dev.epoch(t); got != 2 {
 		t.Errorf("device serves epoch %d after the retrain, want 2", got)
 	}
-	if after := score(); after != before+7 {
+	if after := dev.score(t); after != before+7 {
 		t.Errorf("score %d after the push, want %d: the new weights do not serve", after, before+7)
 	}
 }

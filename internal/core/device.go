@@ -397,12 +397,15 @@ func (c Config) checkModel(g *mr.Graph) error {
 // produce a single-lane score output; it is copied, not kept. On error the
 // device is untouched: the model it was serving (or none) keeps serving.
 func (d *Device) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options) error {
-	m, err := Install(d.cfg, d.model, g, inQ, opts, 1)
-	if err != nil {
-		return err
+	return d.publish(Install(d.cfg, d.model, g, inQ, opts, 1))
+}
+
+// publish serves m unless it is nil (a refusal, or nothing to roll back).
+func (d *Device) publish(m *Model, err error) error {
+	if m != nil {
+		d.serve(m, 0)
 	}
-	d.serve(m, 0)
-	return nil
+	return err
 }
 
 // serve makes m the model the packet path runs, in m's arena for shard.
@@ -426,12 +429,12 @@ func inputWidth(g *mr.Graph) int {
 // read, so one graph can be pushed to many devices concurrently, and a
 // refused push leaves the served weights alone.
 func (d *Device) UpdateWeights(newGraph *mr.Graph) error {
-	m, err := d.model.WithWeights(newGraph)
-	if err != nil {
-		return err
-	}
-	d.serve(m, 0)
-	return nil
+	return d.publish(d.model.WithWeights(newGraph))
+}
+
+// RollbackWeights serves again what the last accepted push replaced.
+func (d *Device) RollbackWeights() {
+	d.publish(d.model.Rollback(), nil)
 }
 
 // fnv1aTuple hashes the 13-byte five-tuple encoding with FNV-1a, inline so

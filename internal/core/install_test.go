@@ -103,7 +103,8 @@ func TestInstallPlacesLikeCompile(t *testing.T) {
 // header and four arrays), the Model, and the publish event's detail string
 // and boxed graph name (an epoch below 256 boxes without allocating). The
 // push gate itself allocates nothing once its pooled workspace is warm. The
-// least of ten pushes, alternating two weight sets, is the steady cost.
+// least of ten pushes, alternating two weight sets, is the steady cost. A
+// rollback of a push allocates 2: the Model and its event's detail string.
 func TestPushGateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	var X []tensor.Vec
@@ -154,4 +155,16 @@ func TestPushGateAllocs(t *testing.T) {
 		t.Errorf("a warm WithWeights(8-64-32-1) makes %d allocations, budget %d", least, budget)
 	}
 	t.Logf("warm WithWeights(8-64-32-1): %d allocations", least)
+
+	least = math.MaxUint64
+	for i := range 10 {
+		push(i)
+		runtime.ReadMemStats(&before)
+		m = m.Rollback()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.Mallocs-before.Mallocs)
+	}
+	if least > 2 {
+		t.Errorf("a Rollback makes %d allocations, budget 2", least)
+	}
 }

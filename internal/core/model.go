@@ -17,13 +17,13 @@ import (
 // (planned, emitted and verified once, whatever the shard count, and holding
 // the install's one structural copy of the graph), one image of the weights,
 // an arena per shard for the tape to run in, and the placed design's timing.
-// Install and WithWeights are the only builders, and both run graphcheck
-// first: a Model exists only for a graph that verified against its grid.
-// Its owner — a Pipeline, or a bare Device — publishes it by pointer: an
-// install builds a whole new Model, a weight push one that shares everything
-// but the image, and a packet is served by whichever Model its batch was
-// handed, never by parts of two. The epoch counts publishes on one owner, 1
-// for its first install.
+// Install and WithWeights build from a graph, and both run graphcheck first
+// (Rollback reuses an image WithWeights built): a Model exists only for a
+// graph that verified against its grid. Its owner — a Pipeline, or a bare
+// Device — publishes it by pointer: an install builds a whole new Model, a
+// weight push or a rollback one that shares everything but the image, and a
+// packet is served by whichever Model its batch was handed, never by parts of
+// two. The epoch counts publishes on one owner, 1 for its first install.
 //
 // A Model keeps nothing of the graphs it was built from: Install clones the
 // structure it retains, images copy weights out, so callers may reuse or
@@ -32,6 +32,7 @@ type Model struct {
 	epoch  uint64
 	tape   *sched.Tape
 	image  *sched.Image
+	undo   *sched.Image // the image the push that built m replaced; nil after an install or a rollback
 	arenas []*sched.Arena
 	inQ    fixed.Quantizer
 	tracer *obs.Tracer
@@ -138,9 +139,22 @@ func (m *Model) WithWeights(g *mr.Graph) (*Model, error) {
 		return nil, err
 	}
 	next := *m
-	next.epoch, next.image = m.epoch+1, m.tape.NewImage(g)
+	next.epoch, next.image, next.undo = m.epoch+1, m.tape.NewImage(g), m.image
 	m.tracer.Emitf(0, "model.publish", "epoch=%d kind=push graph=%q", next.epoch, g.Name)
 	return &next, nil
+}
+
+// Rollback builds the model that serves again the image m's push replaced,
+// under the next epoch, with no gate and no image build: that image cleared
+// the gate when it was pushed. It returns nil when m was not built by a push.
+func (m *Model) Rollback() *Model {
+	if m == nil || m.undo == nil {
+		return nil
+	}
+	next := *m
+	next.epoch, next.image, next.undo = m.epoch+1, m.undo, nil
+	m.tracer.Emitf(0, "model.publish", "epoch=%d kind=rollback", next.epoch)
+	return &next
 }
 
 // Epoch is the model's publish count on its owner (0: nothing installed).

@@ -33,11 +33,11 @@
 // Fresh graphs. Each Lower call must return a freshly built graph that
 // shares no mutable state with the Deployable's own model. The data plane
 // copies the weights out during the push and keeps nothing of the graph, but
-// the controller keeps it as its record of the last push — what a rollback
-// or a late joiner's catch-up push re-sends — while the trainer is already
-// mutating its float state for the next round. Holding a reference into the
-// returned graph (or returning the same graph twice) would rewrite that
-// record.
+// the controller keeps it as its record of the last push — what a late
+// joiner's catch-up push re-sends (a rollback re-sends no graph) — while the
+// trainer is already mutating its float state for the next round. Holding a
+// reference into the returned graph (or returning the same graph twice)
+// would rewrite that record.
 //
 // Fit and Lower are serialised by the controller (they run under its retrain
 // lock); Score and ReferenceDecision may be called concurrently with

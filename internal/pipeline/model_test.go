@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -37,9 +38,10 @@ func constantScore(t *testing.T, g *mr.Graph, score int8) *mr.Graph {
 // TestBatchServesOneModel pins the publish contract under concurrent installs
 // and pushes: every packet of a batch — whichever shard it lands on — is
 // served by one published model, and a single packet by some published model.
-// The control plane alternates two weight sets whose scores differ on every
-// ML packet (with a full LoadModel of a third thrown in) while traffic runs;
-// a batch that straddled a publish would mix scores. One shard, which takes
+// The control plane alternates pushes of two weight sets whose scores differ
+// on every ML packet with rollbacks of them (and a full LoadModel of a third
+// thrown in) while traffic runs; a batch that straddled a publish would mix
+// scores. One shard, which takes
 // the batch unpartitioned, must load the published model once per batch as
 // four do.
 func TestBatchServesOneModel(t *testing.T) {
@@ -79,10 +81,12 @@ func batchServesOneModel(t *testing.T, shards int) {
 			switch {
 			case i%16 == 15:
 				err = p.LoadModel(gC, q.InputQ, compiler.Options{})
-			case i%2 == 0:
+			case i%4 == 0:
 				err = p.UpdateWeights(gB)
-			default:
+			case i%4 == 2:
 				err = p.UpdateWeights(gA)
+			default:
+				p.RollbackWeights()
 			}
 			if err != nil {
 				t.Errorf("publish %d: %v", i, err)
@@ -121,6 +125,95 @@ func batchServesOneModel(t *testing.T, shards int) {
 	}
 	if want := p.model.Load().Epoch(); want < 3 {
 		t.Errorf("only %d publishes raced the traffic", want)
+	}
+}
+
+// TestRollbackWeights pins what a rollback undoes: the last accepted push,
+// once, by republishing the image it replaced under a fresh epoch. After an
+// install, after a refused push with nothing accepted since, and after
+// another rollback there is nothing to undo, and the published model stays.
+func TestRollbackWeights(t *testing.T) {
+	q, g, _, _ := trainModel(t)
+	const scoreA, scoreB, scoreC = 100, -100, 50
+	gA, gB, gC := constantScore(t, g, scoreA), constantScore(t, g, scoreB), constantScore(t, g, scoreC)
+	cfg := core.DefaultConfig(6)
+	cfg.Obs, cfg.Tracer = obs.NewRegistry(), obs.NewTracer(64)
+	p, err := New(Config{Shards: 2, Device: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	ins, _ := makeBatch(t, 64, 16)
+	var ml core.PacketIn // a packet the model scores
+	served := func(step string, score int32, epoch uint64) {
+		t.Helper()
+		dec, err := p.Process(ml)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dec.MLScore != score || p.model.Load().Epoch() != epoch {
+			t.Errorf("%s: serves score %d at epoch %d, want %d at %d", step, dec.MLScore, p.model.Load().Epoch(), score, epoch)
+		}
+	}
+	noop := func(step string) {
+		t.Helper()
+		before := p.model.Load()
+		p.RollbackWeights()
+		if p.model.Load() != before {
+			t.Errorf("%s: a rollback with nothing to undo published epoch %d", step, p.model.Load().Epoch())
+		}
+	}
+
+	noop("before any install")
+	if err := p.LoadModel(gA, q.InputQ, compiler.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, in := range ins {
+		if dec, err := p.Process(in); err == nil && dec.MLScore == scoreA {
+			ml = in
+			break
+		}
+	}
+	served("install", scoreA, 1)
+	noop("after the install")
+	if err := p.UpdateWeights(gB); err != nil {
+		t.Fatal(err)
+	}
+	served("push B", scoreB, 2)
+	if err := p.UpdateWeights(benignGraph(t)); err == nil {
+		t.Fatal("an incompatible push was accepted")
+	}
+	p.RollbackWeights()
+	served("rollback after a refused push", scoreA, 3)
+	noop("second rollback")
+	served("second rollback", scoreA, 3)
+	for _, w := range []*mr.Graph{gC, gB} {
+		if err := p.UpdateWeights(w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p.RollbackWeights()
+	served("rollback of the second of two pushes", scoreC, 6)
+
+	var last uint64
+	var kinds []string
+	for _, e := range cfg.Tracer.Events() {
+		if e.Kind != "model.publish" {
+			continue
+		}
+		var epoch uint64
+		var kind string
+		if _, err := fmt.Sscanf(e.Detail, "epoch=%d kind=%s", &epoch, &kind); err != nil {
+			t.Fatalf("model.publish %q: %v", e.Detail, err)
+		}
+		if epoch <= last {
+			t.Errorf("model.publish epoch %d after %d: epochs must strictly increase", epoch, last)
+		}
+		last = epoch
+		kinds = append(kinds, kind)
+	}
+	if want := "install push rollback push push rollback"; strings.Join(kinds, " ") != want {
+		t.Errorf("journalled publishes %q, want %q", strings.Join(kinds, " "), want)
 	}
 }
 

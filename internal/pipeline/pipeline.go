@@ -204,12 +204,16 @@ func (p *Pipeline) shardOf(key uint32) *shard {
 func (p *Pipeline) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Options) error {
 	p.publishMu.Lock()
 	defer p.publishMu.Unlock()
-	m, err := core.Install(p.cfg, p.model.Load(), g, inQ, opts, len(p.shards))
-	if err != nil {
-		return err
+	return p.publish(core.Install(p.cfg, p.model.Load(), g, inQ, opts, len(p.shards)))
+}
+
+// publish serves m from the next batch on unless it is nil (a refusal, or
+// nothing to roll back). The caller holds publishMu.
+func (p *Pipeline) publish(m *core.Model, err error) error {
+	if m != nil {
+		p.model.Store(m)
 	}
-	p.model.Store(m)
-	return nil
+	return err
 }
 
 // UpdateWeights pushes new weights to every shard without re-placement or
@@ -225,12 +229,15 @@ func (p *Pipeline) LoadModel(g *mr.Graph, inQ fixed.Quantizer, opts compiler.Opt
 func (p *Pipeline) UpdateWeights(newGraph *mr.Graph) error {
 	p.publishMu.Lock()
 	defer p.publishMu.Unlock()
-	next, err := p.model.Load().WithWeights(newGraph)
-	if err != nil {
-		return err
-	}
-	p.model.Store(next)
-	return nil
+	return p.publish(p.model.Load().WithWeights(newGraph))
+}
+
+// RollbackWeights republishes the weights the last accepted push replaced
+// (core.Model.Rollback); with no push to undo it does nothing.
+func (p *Pipeline) RollbackWeights() {
+	p.publishMu.Lock()
+	defer p.publishMu.Unlock()
+	p.publish(p.model.Load().Rollback(), nil)
 }
 
 // ProcessBatch partitions ins across the shards by flow hash, processes

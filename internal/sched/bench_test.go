@@ -45,7 +45,9 @@ func wideGraph(b *testing.B) (g *mr.Graph, macs int) {
 	return g, macs
 }
 
-// BenchmarkEval times the compiled tape on one graph and input: compiled is
+// BenchmarkEval times the compiled tape on one graph, each batch slot staged
+// with its own seeded input as a real batch is (one vector copied into every
+// slot would hide a kernel whose cost depends on the data): compiled is
 // Program.Run, batch is Program.RunBatch amortised per packet, and the wide
 // cases report what a multiply-accumulate of the 8-64-32-1 model costs at
 // batch fills 1, 4, 8 and 16 — a partial sweep pays per-instruction set-up
@@ -53,20 +55,23 @@ func wideGraph(b *testing.B) (g *mr.Graph, macs int) {
 func BenchmarkEval(b *testing.B) {
 	g := benchGraph(b)
 	rng := rand.New(rand.NewSource(3))
-	codes := make([]int32, 8)
-	for i := range codes {
-		codes[i] = int32(int8(rng.Intn(256)))
+	codes := make([][]int32, sched.DefaultBatch)
+	for j := range codes {
+		codes[j] = make([]int32, 8)
+		for i := range codes[j] {
+			codes[j][i] = int32(int8(rng.Intn(256)))
+		}
 	}
 
-	// sweep times RunBatch(fill) per packet over slots filled with codes and
-	// returns how many packets it swept (b.N rounded up to whole sweeps).
+	// sweep times RunBatch(fill) per packet over slots j filled with codes[j]
+	// and returns how many packets it swept (b.N rounded up to whole sweeps).
 	sweep := func(b *testing.B, g *mr.Graph, fill int) (packets int) {
 		p, err := sched.Compile(g, cgra.DefaultGrid())
 		if err != nil {
 			b.Fatal(err)
 		}
 		for j := 0; j < fill; j++ {
-			copy(p.InAt(0, j), codes)
+			copy(p.InAt(0, j), codes[j])
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -82,7 +87,7 @@ func BenchmarkEval(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			copy(p.In(0), codes)
+			copy(p.In(0), codes[0])
 			p.Run()
 		}
 	})
