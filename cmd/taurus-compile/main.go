@@ -8,9 +8,9 @@
 // dead nodes — and the tape verifier (sched.Verify, the report of the gate
 // sched.Compile closes with), which translation-validates the compiled
 // instruction tape against the graph (semantic equivalence, weight aliasing,
-// row sums, arena and schedule bounds). The list schedule's depth and II
-// (internal/sched) follow. -json renders both reports as one JSON document
-// instead of text.
+// row sums, arena and schedule bounds). The list schedule (internal/sched)
+// follows: its depth, its II and its per-cycle issue bundles. -json renders
+// both reports as one JSON document instead of text.
 //
 // Usage:
 //
@@ -147,13 +147,7 @@ func runCheck(w io.Writer, g *mr.Graph, asJSON bool) error {
 		fmt.Fprintf(w, "tapecheck: skipped — graph does not schedule: %s\n", tapeErr)
 		return verdict
 	}
-	s := prog.Schedule()
-	fmt.Fprint(w, trep)
-	fmt.Fprintf(w, "\nscheduled (list schedule on %dx%d grid):\n", s.Spec.Rows, s.Spec.Cols)
-	fmt.Fprintf(w, "  depth:     %d cycles\n", s.Depth)
-	fmt.Fprintf(w, "  II:        %d\n", s.II)
-	fmt.Fprintf(w, "  bundles:   %d CU issues, peak width %d, occupancy %.0f%%\n",
-		s.CUIssues, s.MaxBundle, 100*s.Occupancy())
+	fmt.Fprintf(w, "%s\n\n%s\n", trep, prog.Schedule())
 	return verdict
 }
 

@@ -51,18 +51,22 @@ func TestCheckErr(t *testing.T) {
 	}
 }
 
-// TestRunCheckOutput: one depth and one II per model — the list schedule's —
-// in text mode, and the same verdict from the JSON document.
+// TestRunCheckOutput: one depth and one II per model — the list schedule's,
+// on the line that heads its bundle listing — in text mode, and the same
+// verdict from the JSON document.
 func TestRunCheckOutput(t *testing.T) {
 	var text, doc bytes.Buffer
 	if err := runCheck(&text, neuron(t, 3), false); err != nil {
 		t.Fatalf("-check: %v", err)
 	}
 	out := text.String()
-	for _, line := range []string{"  depth:", "  II:"} {
-		if n := strings.Count(out, line); n != 1 {
-			t.Errorf("%d %q lines, want 1:\n%s", n, line, out)
+	for _, word := range []string{"depth ", " II "} {
+		if n := strings.Count(out, word); n != 1 {
+			t.Errorf("%d mentions of %q, want 1:\n%s", n, word, out)
 		}
+	}
+	if !strings.Contains(out, "\nschedule: depth ") || !strings.Contains(out, "\n  t0: ") {
+		t.Errorf("no schedule listing:\n%s", out)
 	}
 	for _, gone := range []string{"estimate", "WARNING", "critical path"} {
 		if strings.Contains(out, gone) {

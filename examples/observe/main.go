@@ -1,11 +1,18 @@
-// Observability end to end: the closed control loop of the controlloop
-// example, instrumented. A sharded Pipeline serves concept-drifting traffic
-// while a synchronous Controller watches its decisions; when drift is
-// detected the example retrains in-line and then audits the trace journal
-// for the complete recovery chain — drift.detected, retrain.start,
-// retrain.fit, the data plane's model.publish of the push, push.done — with
-// monotonic timestamps from the retrain's start. It exits non-zero if the
-// chain is broken, which makes it a CI gate as well as a demo.
+// The closed control loop (Figure 1, §3.3.1), observed end to end: a
+// sharded Pipeline serves concept-drifting traffic while a Controller
+// samples its decisions, detects the drift, retrains the deployed model on
+// labelled telemetry and pushes requantised weights to every shard
+// out-of-band. Labels arrive one round stale with 5% noise — the control
+// plane trains on realistic telemetry, not oracle truth — and every round
+// prints the served F1. The controller drives any Deployable: this example
+// deploys the anomaly DNN, and `taurus-bench -exp drift -model svm|iot`
+// runs the same loop over the SVM and the KMeans IoT classifier. The loop
+// retrains synchronously (Observe + RetrainNow), so the run is
+// deterministic, and then audits the trace journal for the complete
+// recovery chain — drift.detected, retrain.start, retrain.fit, the data
+// plane's model.publish of the push, push.done — with monotonic timestamps
+// from the retrain's start. It exits non-zero if the chain is broken, which
+// makes it a CI gate as well as a demo.
 //
 // Every counter and histogram the run touches lives in the process-wide
 // registry (taurus.Metrics()); -metrics-addr serves it as Prometheus text
@@ -71,11 +78,18 @@ func run() error {
 		rounds    = 18
 	)
 
-	stream, err := taurus.NewDriftingStream(taurus.DefaultDriftConfig(), 1, flows)
+	// Concept-drifting workload: phase 0 is the calibrated KDD-like world,
+	// phase 1 has the benign flash-crowd and low-and-slow attacks. The
+	// label feed lags a round and carries 5% wrong labels.
+	stream, err := taurus.NewDriftingStream(taurus.DefaultDriftConfig(), 1, flows,
+		taurus.WithLabelDelay(1), taurus.WithLabelNoise(0.05))
 	if err != nil {
 		return err
 	}
 
+	// Deployment-time training through the Deployable lifecycle: Fit on
+	// pre-drift telemetry (~30 warm epochs), calibrate the input domain,
+	// Lower, install.
 	net := taurus.NewDNN([]int{6, 12, 6, 3, 1}, taurus.ReLU, taurus.Sigmoid,
 		rand.New(rand.NewSource(1)))
 	dep, err := taurus.NewDNNDeployable(net, taurus.DNNDeployableConfig{Epochs: 10, Seed: 1})
@@ -105,7 +119,8 @@ func run() error {
 
 	// Synchronous controller: Observe feeds the drift detector, and the loop
 	// retrains in-line the moment drift latches — deterministic, so the trace
-	// audit below always has a complete chain to find.
+	// audit below always has a complete chain to find. The controller owns
+	// the Deployable from here on and pins the pipeline's input quantiser.
 	ctrl, err := taurus.NewController(pl, dep, stream.Labelled,
 		taurus.WithRetrainRecords(3000))
 	if err != nil {
@@ -114,13 +129,21 @@ func run() error {
 
 	out := make([]taurus.Decision, batchSize)
 	for r := 0; r < rounds; r++ {
-		phase := float64(r-rounds/3+1) / float64(rounds/3)
-		stream.SetPhase(phase)
-		ins, _, _ := stream.NextBatch(batchSize)
+		// Drift ramps in over the middle third of the run.
+		stream.SetPhase(float64(r-rounds/3+1) / float64(rounds/3)) // SetPhase clamps into [0, 1]
+		ins, _, truth := stream.NextBatch(batchSize)
 		if _, err := pl.ProcessBatch(ins, out); err != nil {
 			return err
 		}
-		if ctrl.Observe(out) {
+		drift := ctrl.Observe(out)
+		var conf taurus.BinaryConfusion
+		for i := range out {
+			conf.Observe(out[i].Verdict != taurus.Forward, truth[i])
+		}
+		st := ctrl.Stats()
+		fmt.Printf("round %2d  phase %.2f  F1 %5.1f  flag-rate %.2f  drifts %d  retrains %d\n",
+			r, stream.Phase(), conf.F1(), st.LastFlagRate, st.Drifts, st.Retrains)
+		if drift {
 			fmt.Printf("round %2d  drift detected; retraining in-line\n", r)
 			if err := ctrl.RetrainNow(); err != nil {
 				return err

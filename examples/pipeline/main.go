@@ -45,8 +45,8 @@ func main() {
 	if err := pl.LoadModel(program, q.InputQ, taurus.CompileOptions{}); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("pipeline: %d shards, model II=%d, latency %.0f ns\n",
-		pl.NumShards(), pl.ModelII(), pl.ModelLatencyNs())
+	fmt.Printf("pipeline: %d shards, %.0f ns of shard time per ML packet, latency %.0f ns\n",
+		pl.NumShards(), pl.ServiceModel().MLServiceNs, pl.ModelLatencyNs())
 
 	// Pre-build a working set of flows; reuse the batch buffers across
 	// rounds — the steady-state hot path allocates nothing.

@@ -798,7 +798,3 @@ func (d *Device) Stats() Stats {
 // ModelLatencyNs returns the compiled model's pipeline latency (0 before
 // LoadModel).
 func (d *Device) ModelLatencyNs() float64 { return d.model.LatencyNs() }
-
-// ModelII returns the placed design's initiation interval from the CGRA
-// timing model.
-func (d *Device) ModelII() int { return d.model.II() }

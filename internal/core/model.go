@@ -38,10 +38,10 @@ type Model struct {
 	tracer *obs.Tracer
 	grid   cgra.GridSpec // Install verified against it; WithWeights verifies pushes on it
 
-	// The placed design's initiation interval and pipeline latency (CGRA
-	// timing model) and the tape's scheduled II.
-	ii, schedII int
-	latNs       float64
+	// The placed design's pipeline latency (CGRA timing model) and the
+	// tape's scheduled II.
+	latNs   float64
+	schedII int
 }
 
 // noModel is what the accessors of a nil *Model — nothing installed — read.
@@ -83,7 +83,7 @@ func Install(cfg Config, prev *Model, g *mr.Graph, inQ fixed.Quantizer, opts com
 	}
 	m := &Model{
 		epoch: prev.Epoch() + 1, inQ: inQ, tracer: cfg.tracer(), grid: opts.Grid,
-		ii: res.Stats.II, latNs: res.Stats.LatencyNs(),
+		latNs: res.Stats.LatencyNs(),
 	}
 	prog, err := sched.CompileUnverified(res.Graph, grid)
 	if err = m.admit(g.Name, prog, err); err != nil {
@@ -167,10 +167,6 @@ func (m *Model) InputQuantizer() fixed.Quantizer { return m.orNone().inQ }
 
 // LatencyNs returns the placed design's pipeline latency.
 func (m *Model) LatencyNs() float64 { return m.orNone().latNs }
-
-// II returns the placed design's initiation interval from the CGRA timing
-// model.
-func (m *Model) II() int { return m.orNone().ii }
 
 // ScheduledII returns the list schedule's measured initiation interval — the
 // II the service model charges per ML packet: Stats.ModelBusyNs,

@@ -379,10 +379,6 @@ func (p *Pipeline) InputQuantizer() fixed.Quantizer { return p.model.Load().Inpu
 // ModelLatencyNs returns the per-packet model latency (0 before LoadModel).
 func (p *Pipeline) ModelLatencyNs() float64 { return p.model.Load().LatencyNs() }
 
-// ModelII returns the placed design's initiation interval from the CGRA
-// timing model.
-func (p *Pipeline) ModelII() int { return p.model.Load().II() }
-
 // ServiceModel is the per-shard service-time model of the deployed design —
 // the hook the continuous-time queueing simulator (internal/netqueue) runs
 // on. It is the same occupancy model BatchStats.ModelNs folds per batch,

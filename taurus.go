@@ -72,9 +72,10 @@
 //     stall. MaxSustainableLoad binary-searches the drop-bounded capacity of
 //     a deployment under any arrival shape.
 //
-//   - The ML types (DNN, KMeans, LSTM) cover the paper's application suite
-//     with float training for the control plane and bit-exact 8-bit
-//     inference for the data plane.
+//   - The ML constructors (NewDNN, TrainKMeans, NewLSTM) cover the paper's
+//     application suite with float training for the control plane, and
+//     QuantizeDNN and the lowerings give bit-exact 8-bit inference for the
+//     data plane.
 //
 // Failures surface sentinel errors — ErrNoModel, ErrBadFeatureWidth,
 // ErrStructureMismatch, ErrBadConfig, ErrBadGraph, ErrGraphIncompatible,
@@ -161,27 +162,20 @@ func Compile(g *Graph, opts CompileOptions) (*Compiled, error) {
 }
 
 // Scheduled evaluation (internal/sched): the one executor, derived from and
-// checked against Graph.Eval, the reference semantics. PlanSchedule
+// checked against Graph.Eval, the reference semantics. CompileProgram
 // list-schedules a validated graph into VLIW-style issue bundles under the
-// grid's CU/MU capacity and reports the measured depth and initiation
-// interval — the only depth and II the static tools print; CompileProgram
-// additionally emits the fused, allocation-free instruction tape the device
-// hot path runs, with batch-vectorised RunBatch. Devices compile installed
-// models automatically — a model whose tape the scheduler or the translation
-// validator refuses fails LoadModel with that error and the previous model
-// keeps serving — so these entry points are for inspecting or benchmarking
-// a schedule directly.
-type (
-	// Schedule is a resource-constrained bundle schedule of one graph;
-	// String() renders the per-cycle bundles.
-	Schedule = sched.Schedule
-	// CompiledProgram is the executable instruction tape; Run/RunBatch are
-	// bit-exact with Graph.Eval and allocate nothing.
-	CompiledProgram = sched.Program
-)
+// grid's CU/MU capacity and emits the fused, allocation-free instruction
+// tape the device hot path runs, with batch-vectorised RunBatch; its
+// Schedule() reports the measured depth and initiation interval — the only
+// depth and II the static tools print (taurus-compile -check lists the
+// bundles). Devices compile installed models automatically — a model whose
+// tape the scheduler or the translation validator refuses fails LoadModel
+// with that error and the previous model keeps serving — so this entry
+// point is for inspecting or benchmarking a tape directly.
 
-// PlanSchedule list-schedules g on the grid.
-func PlanSchedule(g *Graph, spec GridSpec) (*Schedule, error) { return sched.Plan(g, spec) }
+// CompiledProgram is the executable instruction tape; Run/RunBatch are
+// bit-exact with Graph.Eval and allocate nothing.
+type CompiledProgram = sched.Program
 
 // CompileProgram plans g, emits its instruction tape and verifies the tape
 // against g; a tape that fails is an error wrapping ErrBadTape.
@@ -221,16 +215,11 @@ type (
 	PacketIn = core.PacketIn
 	// Decision is a per-packet outcome.
 	Decision = core.Decision
-	// Verdict is the postprocessing decision.
-	Verdict = core.Verdict
 )
 
-// Verdicts.
-const (
-	Forward = core.Forward
-	Flag    = core.Flag
-	Drop    = core.Drop
-)
+// Forward is the verdict of a packet the model passes; an anomalous packet
+// is flagged, or dropped under WithDropOnAnomaly.
+const Forward = core.Forward
 
 // Sentinel errors of the traffic plane, for errors.Is.
 var (
@@ -502,9 +491,8 @@ func MaxSustainableLoad(p *Pipeline, mk func(pps float64) (ArrivalProcess, error
 
 // Machine-learning models (§5.1.2) and quantisation (Table 3).
 type (
-	// DNN is a float feed-forward network (control-plane training).
-	DNN = ml.DNN
-	// QuantizedDNN is its 8-bit data-plane counterpart.
+	// QuantizedDNN is the 8-bit data-plane counterpart of a float DNN
+	// (QuantizeDNN).
 	QuantizedDNN = ml.QuantizedDNN
 	// KMeans is a nearest-centroid classifier.
 	KMeans = ml.KMeans
