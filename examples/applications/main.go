@@ -121,39 +121,76 @@ func (l *link) features(window, throughput, delay float64) taurus.Vec {
 	return taurus.Vec{float32(window / 20), float32(throughput / 20), float32(delay / 3), float32(l.capacity / 20)}
 }
 
+// act applies one of the 5 Indigo-style discrete cwnd actions (window x0.5,
+// -1, hold, +1, x1.5) and clamps the window to [1, 40].
+func act(window float64, action int) float64 {
+	switch action {
+	case 0:
+		window *= 0.5
+	case 1:
+		window--
+	case 3:
+		window++
+	case 4:
+		window *= 1.5
+	}
+	return min(max(window, 1), 40)
+}
+
+// oracle is a hand-written policy: decrease when delay is high, increase
+// when the link is under-utilised.
+func oracle(delay, util float64) int {
+	switch {
+	case delay > 1.5:
+		return 0
+	case delay > 0.5:
+		return 1
+	case util < 0.6:
+		return 4
+	case util < 0.9:
+		return 3
+	default:
+		return 2
+	}
+}
+
+// closedLoop runs steps steps of a fresh link drawn from seed, starting at
+// window 8, with decide picking each step's action from what the sender
+// saw. It returns the mean throughput, queueing delay and capacity.
+func closedLoop(seed int64, steps int, decide func(l *link, window, tp, d float64) int) (tp, delay, capacity float64) {
+	l := &link{capacity: 10, rng: rand.New(rand.NewSource(seed))}
+	window := 8.0
+	for t := 0; t < steps; t++ {
+		stepTP, d := l.step(window)
+		tp += stepTP
+		delay += d
+		capacity += l.capacity
+		window = act(window, decide(l, window, stepTP, d))
+	}
+	n := float64(steps)
+	return tp / n, delay / n, capacity / n
+}
+
 func indigo() {
 	rng := rand.New(rand.NewSource(5))
-	// 5 actions: window x0.5, -1, hold, +1, x1.5 (Indigo-style discrete
-	// cwnd actions).
 	lstm := taurus.NewLSTM(4, 32, 5, rng)
 
-	// Teach the LSTM a reasonable policy from a hand-written oracle
-	// (decrease when delay is high, increase when under-utilised). The
-	// paper trains Indigo offline too; the data plane only runs inference.
-	oracle := func(delay, util float64) int {
-		switch {
-		case delay > 1.5:
-			return 0
-		case delay > 0.5:
-			return 1
-		case util < 0.6:
-			return 4
-		case util < 0.9:
-			return 3
-		default:
-			return 2
-		}
-	}
+	// Teach the LSTM the oracle's policy along the oracle's own trajectory:
+	// each step applies the oracle's action, so the LSTM trains on the
+	// windows a closed loop visits. The paper trains Indigo offline too;
+	// the data plane only runs inference.
 	l := &link{capacity: 10, rng: rng}
+	window := 8.0
 	for epoch := 0; epoch < 2500; epoch++ {
 		var seq []taurus.Vec
-		var delay, util float64
+		var action int
 		for t := 0; t < 6; t++ {
-			tp, d := l.step(8)
-			seq = append(seq, l.features(8, tp, d))
-			delay, util = d, tp/l.capacity
+			tp, d := l.step(window)
+			seq = append(seq, l.features(window, tp, d))
+			action = oracle(d, tp/l.capacity)
+			window = act(window, action)
 		}
-		lstm.TrainLSTMSequence(seq, oracle(delay, util), 0.03)
+		lstm.TrainLSTMSequence(seq, action, 0.03)
 	}
 
 	// One LSTM step, lowered and compiled: the Table 5 Indigo row.
@@ -166,30 +203,17 @@ func indigo() {
 		ns, 10e6/float64(ns))
 
 	// Run the control loop with the float model (the data-plane step is the
-	// quantised mirror of the same weights).
-	l = &link{capacity: 10, rng: rng}
-	window := 8.0
+	// quantised mirror of the same weights), then the oracle on the same
+	// link.
+	const seed, steps = 6, 400
 	st := lstm.ZeroState()
-	var sumTP, sumDelay float64
-	const steps = 400
-	for t := 0; t < steps; t++ {
-		tp, d := l.step(window)
-		sumTP += tp
-		sumDelay += d
+	tp, delay, capacity := closedLoop(seed, steps, func(l *link, window, tp, d float64) int {
 		var probs taurus.Vec
 		probs, st = lstm.Step(l.features(window, tp, d), st)
-		switch slices.Index(probs, slices.Max(probs)) {
-		case 0:
-			window *= 0.5
-		case 1:
-			window--
-		case 3:
-			window++
-		case 4:
-			window *= 1.5
-		}
-		window = min(max(window, 1), 40)
-	}
-	fmt.Printf("closed loop over %d steps: mean throughput %.1f (capacity ~10), mean queueing delay %.2f\n",
-		steps, sumTP/steps, sumDelay/steps)
+		return slices.Index(probs, slices.Max(probs))
+	})
+	fmt.Printf("closed loop over %d steps (mean capacity %.1f): LSTM mean throughput %.1f, mean queueing delay %.2f\n",
+		steps, capacity, tp, delay)
+	tp, delay, _ = closedLoop(seed, steps, func(l *link, _, tp, d float64) int { return oracle(d, tp/l.capacity) })
+	fmt.Printf("the oracle it learned from, same link: mean throughput %.1f, mean queueing delay %.2f\n", tp, delay)
 }

@@ -95,18 +95,17 @@ func main() {
 			// Fault injection: crash the lowest-id live worker before the
 			// retrain, replace it afterwards. The coordinator re-executes
 			// whatever the dead worker was holding.
-			if coord := ctrl.DistFit(); coord != nil {
-				for _, w := range coord.Workers() {
-					if !w.Dead() {
-						coord.KillWorker(w.ID())
-						break
-					}
+			coord := ctrl.DistFit()
+			for _, w := range coord.Workers() {
+				if !w.Dead() {
+					coord.KillWorker(w.ID())
+					break
 				}
 			}
 			if err := ctrl.RetrainNow(); err != nil {
 				log.Fatal(err)
 			}
-			ctrl.DistFit().AddWorker()
+			coord.AddWorker()
 			st := ctrl.Stats()
 			line += fmt.Sprintf(" | retrain #%d on %d workers (reissued so far: %d)",
 				st.Retrains, st.LastRetrainWorkers, st.ReissuedTasks)

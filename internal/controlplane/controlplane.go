@@ -23,9 +23,10 @@
 //
 // There is one control loop, Fleet (fleet.go): one trainer, one shared
 // model, a drift detector per registered member, label pooling across the
-// drifted members and an atomic fan-out push, driven synchronously or by a
-// background worker. Whether it serves one switch or many is a deployment
-// count: Controller is a Fleet with exactly one member.
+// drifted members and an atomic fan-out push, driven by the caller: Observe
+// after each batch, RetrainNow when it reports drift. Whether it serves one
+// switch or many is a deployment count: Controller is a Fleet with exactly
+// one member.
 package controlplane
 
 import (
@@ -57,8 +58,8 @@ type Pusher interface {
 // LabelSource returns n freshly sampled labelled records reflecting the
 // current traffic distribution — the control plane's telemetry joined with
 // ground truth (in deployment: operator labels, honeypots, or delayed
-// feedback; in the testbed: the drifting generator). It must be safe for
-// concurrent use when the controller runs in the background.
+// feedback; in the testbed: the drifting generator). A retrain calls it from
+// whichever goroutine called RetrainNow, never concurrently with itself.
 type LabelSource func(n int) []dataset.Record
 
 // DriftStatistic selects how a completed observation window is compared
@@ -136,10 +137,9 @@ type Config struct {
 	// concurrently, and the partials merge in deterministic chunk-index
 	// order, so the pushed graph stays bit-identical to a single-process
 	// merge at the same chunk schedule even under worker loss. Requires the
-	// model to implement model.PartialFitter. The coordinator's workers are
-	// released by Close and respawned on the next retrain; the checkpoint
-	// store (defaulted once, at construction) survives that cycle, so an
-	// interrupted round resumes rather than restarts.
+	// model to implement model.PartialFitter. The coordinator is built with
+	// the controller and lives as long as it: Close releases its workers,
+	// and a retrain after Close fails with distfit.ErrClosed.
 	DistFit *distfit.Config
 	// OnPush, when set, is invoked after every successful weight push (once
 	// per fan-out, not per member). It is the hook that turns control-plane
@@ -260,8 +260,7 @@ type Stats struct {
 	// recent retrain (0 when Config.DistFit is unset).
 	LastRetrainWorkers int
 	// ReissuedTasks counts distfit map tasks re-executed after a missed
-	// deadline or worker loss, cumulative across this controller's
-	// coordinator lifetimes (0 when Config.DistFit is unset).
+	// deadline or worker loss (0 when Config.DistFit is unset).
 	ReissuedTasks int
 }
 
@@ -269,9 +268,9 @@ type Stats struct {
 var ctlOrdinal atomic.Int64
 
 // Controller is the closed-loop control plane over one data plane: a Fleet
-// with exactly one member. Detection, pooling, the retrain cycle, the push
-// and the background worker are the fleet's; the controller only drops the
-// member argument and folds the fleet's aggregates into Stats.
+// with exactly one member. Detection, pooling, the retrain cycle and the
+// push are the fleet's; the controller only drops the member argument and
+// folds the fleet's aggregates into Stats.
 type Controller struct {
 	f *Fleet
 }
@@ -302,15 +301,15 @@ func New(pusher Pusher, m model.Deployable, inQ fixed.Quantizer, source LabelSou
 	return &Controller{f: f}, nil
 }
 
-// DistFit returns the live distributed-fit coordinator; see Fleet.DistFit.
+// DistFit returns the distributed-fit coordinator; see Fleet.DistFit.
 func (c *Controller) DistFit() *distfit.Coordinator { return c.f.DistFit() }
 
 // Observe feeds a batch of data-plane decisions into the drift detector —
 // the sampled mirror of §3.3.1's decision telemetry. It samples one in
 // SampleEvery non-bypassed decisions; each full Window of samples is
 // compared against the reference profile. It returns true when this call
-// completed a window that newly crossed a drift threshold; in background
-// mode that also schedules a retrain. Safe for concurrent use.
+// completed a window that newly crossed a drift threshold; the caller
+// answers it with RetrainNow. Safe for concurrent use.
 func (c *Controller) Observe(decs []core.Decision) bool { return c.f.Observe(0, decs) }
 
 // RetrainNow synchronously runs one control-loop cycle — collect, Fit, Lower,
@@ -387,13 +386,8 @@ func scoresOf(m model.Deployable, recs []dataset.Record) []float64 {
 	return out
 }
 
-// Start launches the background retrain worker: it retrains whenever
-// Observe detects drift. Calling Start twice is a no-op.
-func (c *Controller) Start() { c.f.Start() }
-
-// Close stops the background worker (if started), waits for any retrain in
-// flight to finish, and releases the distfit worker pool when Config.DistFit
-// is set. The controller remains usable synchronously; see Fleet.Close.
+// Close releases the distfit worker pool when Config.DistFit is set and
+// returns once any retrain in flight has returned; see Fleet.Close.
 func (c *Controller) Close() { c.f.Close() }
 
 // Stats returns a snapshot of the controller's counters: the one member's

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"taurus/internal/compiler"
 	"taurus/internal/core"
@@ -148,54 +147,25 @@ func TestControllerClosesTheLoop(t *testing.T) {
 	}
 }
 
-// pushSignal returns a channel fed by Config.OnPush: one slot, filled without
-// blocking, so a test can wait for the next push under a select timeout
-// after draining an earlier one.
-func pushSignal(cfg *Config) <-chan struct{} {
-	pushed := make(chan struct{}, 1)
-	cfg.OnPush = func() {
-		select {
-		case pushed <- struct{}{}:
-		default:
-		}
-	}
-	return pushed
-}
-
-// drain empties a pushSignal channel.
-func drain(pushed <-chan struct{}) {
-	select {
-	case <-pushed:
-	default:
-	}
-}
-
 // drifted reports whether the controller's one member has drift detected
 // and not yet answered by a retrain.
 func drifted(c *Controller) bool { return c.f.Stats().Members[0].Drifted }
 
-// TestControllerBackgroundRetrainUnderTraffic exercises the deployment
-// shape under the race detector, in two phases. (a) Batches flow through
-// ProcessBatch on several goroutines while another keeps pushing weights
-// into the live shards with RetrainNow, the background worker running
-// beside them. (b) With a fresh reference built on stationary traffic, the
-// distribution shifts and traffic keeps flowing until the worker's own push
-// answers the drift.
-func TestControllerBackgroundRetrainUnderTraffic(t *testing.T) {
+// TestControllerRetrainUnderTraffic exercises the deployment shape under
+// the race detector: batches flow through ProcessBatch and Observe on
+// several goroutines while another keeps pushing weights into the live
+// shards with RetrainNow.
+func TestControllerRetrainUnderTraffic(t *testing.T) {
 	f := newLoopFixture(t, 4, 2)
 	cfg := DefaultConfig()
 	cfg.Window = 128
 	cfg.RefWindows = 1
 	cfg.RetrainRecords = 512
-	pushed := pushSignal(&cfg)
 	ctrl, err := New(f.pipe, f.dep, f.inQ, f.stream.Labelled, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl.Start()
-	ctrl.Start() // second Start must be a harmless no-op
 
-	// (a) Operator pushes under live traffic.
 	const workers, pushes = 3, 5
 	ins, _, _ := f.stream.NextBatch(512)
 	var wg sync.WaitGroup
@@ -224,55 +194,13 @@ func TestControllerBackgroundRetrainUnderTraffic(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-	if got := ctrl.Stats().Retrains; got < pushes {
-		t.Fatalf("retrains = %d after %d operator pushes under traffic", got, pushes)
-	}
-
-	// Quiesce: stop the worker (joining any retrain it has in flight), then
-	// one synchronous retrain re-arms every reference and drains any kick
-	// phase (a) left pending, so the next push can only be the worker's
-	// answer to the drift below.
-	ctrl.Close()
-	if err := ctrl.RetrainNow(); err != nil {
-		t.Fatal(err)
-	}
-	drain(pushed)
-	ctrl.Start() // a restart after Close
-
-	// (b) Reference on stationary traffic, then drift, answered by the worker.
-	before := ctrl.Stats()
-	for ctrl.Stats().Windows < before.Windows+cfg.RefWindows {
-		ins, out, _ := f.stream.NextBatch(512)
-		if _, err := f.pipe.ProcessBatch(ins, out); err != nil {
-			t.Fatal(err)
-		}
-		ctrl.Observe(out)
-	}
-	f.stream.SetPhase(1)
-	timeout := time.After(5 * time.Second)
-	for answered := false; !answered; {
-		select {
-		case <-pushed:
-			answered = true
-		case <-timeout:
-			t.Fatalf("background worker never answered the drift (stats %+v)", ctrl.Stats())
-		default:
-			ins, out, _ := f.stream.NextBatch(512)
-			if _, err := f.pipe.ProcessBatch(ins, out); err != nil {
-				t.Fatal(err)
-			}
-			ctrl.Observe(out)
-		}
-	}
 	ctrl.Close()
 	ctrl.Close() // idempotent
-	if err := ctrl.Err(); err != nil {
-		t.Fatalf("background retrain failed: %v", err)
+	if got := ctrl.Stats().Retrains; got != pushes {
+		t.Fatalf("retrains = %d after %d operator pushes under traffic", got, pushes)
 	}
-	st := ctrl.Stats()
-	if st.Drifts <= before.Drifts || st.Retrains <= before.Retrains {
-		t.Fatalf("worker push without a drift to answer: drifts %d -> %d, retrains %d -> %d",
-			before.Drifts, st.Drifts, before.Retrains, st.Retrains)
+	if err := ctrl.Err(); err != nil {
+		t.Fatalf("retrain under traffic failed: %v", err)
 	}
 
 	// The pipeline must still serve traffic after the controller is closed.
@@ -492,80 +420,6 @@ func TestControllerReferenceRearms(t *testing.T) {
 	after := ctrl.Stats().Drifts
 	if after > before+1 {
 		t.Errorf("detector kept firing on stationary recovered traffic: %d -> %d drifts", before, after)
-	}
-}
-
-// TestControllerStaleKickDrained pins the stale-kick bugfix and the restart
-// semantics: Observe fills the buffered kick channel even when the caller
-// answers drift synchronously with RetrainNow, so without the drain a later
-// Start() — including a restart after Close — would immediately fire a
-// spurious retrain for drift the push already resolved.
-func TestControllerStaleKickDrained(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	var pushed <-chan struct{}
-	ctrl := detectorController(t, DriftMeanShift, func(c *Config) { pushed = pushSignal(c) })
-
-	// Reference at mean 64, then a hard shift; Observe returns true and, as
-	// a side effect, buffers a kick.
-	for w := 0; w < 2; w++ {
-		ctrl.Observe(scoreDecisions(normalScores(rng, 256, 64, 4)))
-	}
-	fired := false
-	for w := 0; w < 4 && !fired; w++ {
-		fired = ctrl.Observe(scoreDecisions(normalScores(rng, 256, 160, 4)))
-	}
-	if !fired {
-		t.Fatal("drift never detected; test needs retuning")
-	}
-	if err := ctrl.RetrainNow(); err != nil {
-		t.Fatal(err)
-	}
-	if got := ctrl.Stats().Retrains; got != 1 {
-		t.Fatalf("retrains = %d, want 1", got)
-	}
-	drain(pushed)
-
-	// Starting the background worker now must not replay the answered kick:
-	// no push may land within the settling window.
-	waitSettled := func() {
-		select {
-		case <-pushed:
-		case <-time.After(200 * time.Millisecond):
-		}
-	}
-	ctrl.Start()
-	waitSettled()
-	if got := ctrl.Stats().Retrains; got != 1 {
-		t.Fatalf("stale kick fired a spurious retrain on Start (retrains = %d)", got)
-	}
-
-	// Close -> Start restart: still no spurious retrain, and the restarted
-	// worker must answer fresh drift.
-	ctrl.Close()
-	ctrl.Start()
-	waitSettled()
-	if got := ctrl.Stats().Retrains; got != 1 {
-		t.Fatalf("spurious retrain after restart (retrains = %d)", got)
-	}
-	// The retrain re-armed the reference; rebuild it post-push, then shift
-	// again — the restarted worker must answer this genuinely new drift.
-	for w := 0; w < 2; w++ {
-		ctrl.Observe(scoreDecisions(normalScores(rng, 256, 64, 4)))
-	}
-	fired = false
-	for w := 0; w < 8 && !fired; w++ {
-		fired = ctrl.Observe(scoreDecisions(normalScores(rng, 256, 16, 4)))
-	}
-	if !fired {
-		t.Fatal("fresh drift never detected; test needs retuning")
-	}
-	select {
-	case <-pushed:
-	case <-time.After(5 * time.Second):
-	}
-	ctrl.Close()
-	if got := ctrl.Stats().Retrains; got != 2 {
-		t.Fatalf("restarted worker did not answer fresh drift (retrains = %d)", got)
 	}
 }
 

@@ -1,6 +1,7 @@
 package controlplane
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -304,35 +305,77 @@ func TestFleetDistFitValidation(t *testing.T) {
 	}
 }
 
-// TestFleetDistFitCloseRespawns: Close releases the worker pool; the next
-// retrain respawns the coordinator and re-issue counts carry across
-// lifetimes.
-func TestFleetDistFitCloseRespawns(t *testing.T) {
-	fl, _, _, _ := distFleet(t, 1, distfit.Config{Workers: 2, ChunkSize: 256})
+// TestFleetDistFitCloseIsFinal: the coordinator lives as long as the fleet.
+// Close releases it for good: DistFit() keeps returning it, a later retrain
+// fails with distfit.ErrClosed and pushes nothing, the counters still read,
+// and a second Close is harmless.
+func TestFleetDistFitCloseIsFinal(t *testing.T) {
+	fl, pushers, _, _ := distFleet(t, 1, distfit.Config{Workers: 2, ChunkSize: 256})
 	if err := fl.RetrainNow(); err != nil {
 		t.Fatal(err)
 	}
-	first := fl.DistFit()
+	coord := fl.DistFit()
 	fl.Close()
-	if fl.DistFit() != nil {
-		t.Fatal("coordinator survives Close")
+	fl.Close() // idempotent
+	if fl.DistFit() != coord {
+		t.Fatal("DistFit() changed across Close")
 	}
-	if err := fl.RetrainNow(); err != nil {
-		t.Fatalf("retrain after Close: %v", err)
+	if err := fl.RetrainNow(); !errors.Is(err, distfit.ErrClosed) {
+		t.Fatalf("retrain after Close: %v, want distfit.ErrClosed", err)
 	}
-	second := fl.DistFit()
-	if second == nil || second == first {
-		t.Fatal("coordinator not respawned for the post-Close retrain")
+	if n := len(pushers[0].pushed()); n != 1 {
+		t.Fatalf("member saw %d pushes, want 1 (none after Close)", n)
 	}
-	if st := fl.Stats(); st.Retrains != 2 {
-		t.Fatalf("Retrains = %d, want 2", st.Retrains)
+	if st := fl.Stats(); st.Retrains != 1 || st.ReissuedTasks != coord.Stats().ReissuedTasks {
+		t.Fatalf("Stats after Close = %+v, want 1 retrain and the coordinator's re-issues", st)
 	}
+}
+
+// loadSignal is a checkpoint store that reports on loaded when Fit loads it,
+// which a distributed round does once it has opened.
+type loadSignal struct {
+	*distfit.MemStore
+	loaded chan struct{}
+}
+
+func (s loadSignal) Load() (distfit.Checkpoint, bool) {
+	select {
+	case s.loaded <- struct{}{}:
+	default:
+	}
+	return s.MemStore.Load()
+}
+
+// TestFleetCloseAbortsWedgedRetrain: with every worker killed a distributed
+// Fit blocks; Close aborts it instead of waiting on it. The retrain fails
+// with distfit.ErrClosed, nothing is pushed, and the failure is the fleet's
+// Err() by the time Close returns — Close waited for the retrain to return.
+func TestFleetCloseAbortsWedgedRetrain(t *testing.T) {
+	store := loadSignal{distfit.NewMemStore(), make(chan struct{}, 1)}
+	fl, pushers, _, _ := distFleet(t, 2, distfit.Config{Workers: 2, ChunkSize: 256, Store: store})
+	for _, w := range fl.DistFit().Workers() {
+		w.Kill()
+	}
+	errc := make(chan error, 1)
+	go func() { errc <- fl.RetrainNow() }()
+	<-store.loaded // the round is open and no worker will serve it
 	fl.Close()
+	if err := fl.Err(); !errors.Is(err, distfit.ErrClosed) {
+		t.Fatalf("Err() right after Close = %v, want distfit.ErrClosed", err)
+	}
+	if err := <-errc; !errors.Is(err, distfit.ErrClosed) {
+		t.Fatalf("wedged retrain returned %v, want distfit.ErrClosed", err)
+	}
+	for i, p := range pushers {
+		if n := len(p.pushed()); n != 0 {
+			t.Fatalf("member %d saw %d pushes from an aborted retrain", i, n)
+		}
+	}
 }
 
 // TestControllerDistFitLifecycle mirrors the fleet checks on the
-// single-switch Controller: validation, routed retrain, worker stats,
-// Close/respawn.
+// single-switch Controller: validation, routed retrain, worker stats, and a
+// Close that is final.
 func TestControllerDistFitLifecycle(t *testing.T) {
 	src := func(n int) []dataset.Record { return make([]dataset.Record, n) }
 	cfg := DefaultConfig()
@@ -376,15 +419,16 @@ func TestControllerDistFitLifecycle(t *testing.T) {
 	if st := ctrl.Stats(); st.LastRetrainWorkers != 2 {
 		t.Errorf("LastRetrainWorkers = %d, want 2", st.LastRetrainWorkers)
 	}
+	coord := ctrl.DistFit()
 	ctrl.Close()
-	if ctrl.DistFit() != nil {
-		t.Fatal("coordinator survives Close")
+	ctrl.Close() // idempotent
+	if ctrl.DistFit() != coord {
+		t.Fatal("DistFit() changed across Close")
 	}
-	if err := ctrl.RetrainNow(); err != nil {
-		t.Fatalf("retrain after Close: %v", err)
+	if err := ctrl.RetrainNow(); !errors.Is(err, distfit.ErrClosed) {
+		t.Fatalf("retrain after Close: %v, want distfit.ErrClosed", err)
 	}
-	if ctrl.DistFit() == nil {
-		t.Fatal("coordinator not respawned")
+	if st := ctrl.Stats(); st.Retrains != 1 || st.ReissuedTasks != coord.Stats().ReissuedTasks {
+		t.Fatalf("Stats after Close = %+v, want 1 retrain and the coordinator's re-issues", st)
 	}
-	ctrl.Close()
 }

@@ -37,20 +37,10 @@ var fleetOrdinal atomic.Int64
 // roll back to the weights they served before it, so the fleet never serves
 // traffic from a mix of models.
 //
-// The loop has two driving modes. Synchronous: the traffic driver calls
-// Observe after each batch and, when it returns true (drift), calls
-// RetrainNow — fully deterministic, used by the drift experiment. Background:
-// Start launches a worker goroutine that retrains whenever drift is observed
-// on any member while the callers keep pushing batches — the live deployment
-// shape, exercised under -race.
-//
-// The two modes meet at the kick channel: every drift detection fills a
-// one-slot buffer the background worker drains, so signals coalesce —
-// simultaneous drift on several members still triggers one retrain, which
-// answers all of them. Because Observe fills the buffer in both modes, a
-// completed retrain drains any kick still pending — it was answered by that
-// retrain, and leaving it buffered would fire a spurious retrain the moment
-// Start (or a Close → Start restart) brings a worker up.
+// The traffic driver calls Observe after each batch and, when it returns
+// true (drift), calls RetrainNow; an operator may call RetrainNow at any
+// time. One retrain answers every drifted member: it pools their labels and
+// re-arms every member's detector.
 //
 // Controller (controlplane.go) is this loop with exactly one member.
 type Fleet struct {
@@ -80,21 +70,10 @@ type Fleet struct {
 	trainMu sync.Mutex
 	model   model.Deployable
 
-	// Distributed fit (Config.DistFit). The coordinator's lifecycle runs
-	// under trainMu; the pointer itself is additionally guarded by mu so
-	// DistFit() can read it without blocking on a retrain. reissuedBase
-	// carries the re-issue count across coordinator respawns.
-	pf           model.PartialFitter
-	dfCfg        distfit.Config
-	coord        *distfit.Coordinator
-	lastWorkers  int
-	reissuedBase int
-
-	// Background mode.
-	runMu sync.Mutex
-	kick  chan struct{}
-	done  chan struct{}
-	wg    sync.WaitGroup
+	// coord is the distributed-fit coordinator (Config.DistFit; nil
+	// otherwise), built with the fleet and closed by Close.
+	coord       *distfit.Coordinator
+	lastWorkers int
 }
 
 // fleetMember is one registered switch: its data plane, its label feed and
@@ -153,8 +132,8 @@ type FleetStats struct {
 	// LastRetrainWorkers is how many distfit workers were live after the
 	// most recent retrain (0 when Config.DistFit is unset).
 	LastRetrainWorkers int
-	// ReissuedTasks counts distfit task re-executions across all
-	// coordinator lifetimes (0 when Config.DistFit is unset).
+	// ReissuedTasks counts distfit task re-executions (0 when
+	// Config.DistFit is unset).
 	ReissuedTasks int
 }
 
@@ -198,26 +177,18 @@ func newFleet(m model.Deployable, inQ fixed.Quantizer, cfg Config, labels []obs.
 		reg:       reg,
 		obsLabels: labels,
 		tracer:    tracer,
-		kick:      make(chan struct{}, 1),
 	}
 	if cfg.DistFit != nil {
 		pf, ok := m.(model.PartialFitter)
 		if !ok {
 			return nil, fmt.Errorf("controlplane: DistFit is set but model %q does not implement model.PartialFitter", m.Name())
 		}
-		f.pf = pf
-		f.dfCfg = *cfg.DistFit
-		if f.dfCfg.Tracer == nil {
+		dfCfg := *cfg.DistFit
+		if dfCfg.Tracer == nil {
 			// Distributed rounds journal beside the retrain spans that ran them.
-			f.dfCfg.Tracer = tracer
+			dfCfg.Tracer = tracer
 		}
-		if f.dfCfg.Store == nil {
-			// Pin the checkpoint store so it survives coordinator respawns
-			// across Close — the persistence that lets an interrupted
-			// round resume.
-			f.dfCfg.Store = distfit.NewMemStore()
-		}
-		coord, err := distfit.New(pf, f.dfCfg)
+		coord, err := distfit.New(pf, dfCfg)
 		if err != nil {
 			return nil, err
 		}
@@ -226,38 +197,10 @@ func newFleet(m model.Deployable, inQ fixed.Quantizer, cfg Config, labels []obs.
 	return f, nil
 }
 
-// DistFit returns the live distributed-fit coordinator, or nil when
-// Config.DistFit is unset or the coordinator is between lifetimes (after
-// Close, before the next retrain respawns it). The handle is how a fault
-// injector reaches the worker pool (KillWorker/AddWorker).
-func (f *Fleet) DistFit() *distfit.Coordinator {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.coord
-}
-
-// coordinator returns the coordinator to route this retrain through (nil =
-// plain in-process Fit), respawning it if Close tore it down. Runs under
-// trainMu.
-func (f *Fleet) coordinator() (*distfit.Coordinator, error) {
-	if f.pf == nil {
-		return nil, nil
-	}
-	f.mu.Lock()
-	coord := f.coord
-	f.mu.Unlock()
-	if coord != nil {
-		return coord, nil
-	}
-	coord, err := distfit.New(f.pf, f.dfCfg)
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	f.coord = coord
-	f.mu.Unlock()
-	return coord, nil
-}
+// DistFit returns the distributed-fit coordinator, or nil when
+// Config.DistFit is unset. The handle is how a fault injector reaches the
+// worker pool (KillWorker/AddWorker).
+func (f *Fleet) DistFit() *distfit.Coordinator { return f.coord }
 
 // Register adds one switch to the fleet: its data plane (anything accepting
 // weight pushes — a *pipeline.Pipeline or *core.Device) and its labelled
@@ -320,10 +263,10 @@ func (f *Fleet) Register(name string, p Pusher, src LabelSource) (int, error) {
 
 // Observe feeds a batch of member's data-plane decisions into that member's
 // drift detector. It returns true when this call completed a window that
-// newly crossed a drift threshold on that member; in background mode that
-// also kicks the shared retrain worker. Safe for concurrent use across
-// members. Panics on an unregistered member id — ids come from Register,
-// so a bad one is a programming error, not traffic.
+// newly crossed a drift threshold on that member; the caller answers it with
+// RetrainNow. Safe for concurrent use across members. Panics on an
+// unregistered member id — ids come from Register, so a bad one is a
+// programming error, not traffic.
 func (f *Fleet) Observe(member int, decs []core.Decision) bool {
 	f.mu.Lock()
 	if member < 0 || member >= len(f.members) {
@@ -339,10 +282,6 @@ func (f *Fleet) Observe(member int, decs []core.Decision) bool {
 	m.mu.Unlock()
 	if newDrift {
 		f.tracer.Emitf(0, "drift.detected", "member=%q flag_rate=%.3f mean_score=%.1f", m.name, flagRate, meanScore)
-		select {
-		case f.kick <- struct{}{}:
-		default: // a retrain is already pending; coalesce
-		}
 	}
 	return newDrift
 }
@@ -354,8 +293,8 @@ func (f *Fleet) Observe(member int, decs []core.Decision) bool {
 // atomically. When no member is drifted (an operator-initiated retrain),
 // every member contributes to the pool. On success every member's
 // detector is re-armed — the push changed every member's score distribution,
-// drifted or not — and any pending drift kick is drained. Concurrent calls
-// serialise.
+// drifted or not. Concurrent calls serialise. After Close, a fleet with
+// Config.DistFit fails every retrain with distfit.ErrClosed.
 func (f *Fleet) RetrainNow() error {
 	f.trainMu.Lock()
 	defer f.trainMu.Unlock()
@@ -366,11 +305,7 @@ func (f *Fleet) RetrainNow() error {
 	if err != nil {
 		return f.fail(span, err)
 	}
-	coord, err := f.coordinator()
-	if err != nil {
-		return f.fail(span, err)
-	}
-	n, err := fitOnFresh(f.model, pull, &f.cfg, coord)
+	n, err := fitOnFresh(f.model, pull, &f.cfg, f.coord)
 	if err != nil {
 		return f.fail(span, err)
 	}
@@ -407,19 +342,10 @@ func (f *Fleet) RetrainNow() error {
 	f.lastPool = n
 	f.lastGraph = g
 	f.lastErr = nil
-	if coord != nil {
-		f.lastWorkers = coord.Stats().LiveWorkers
+	if f.coord != nil {
+		f.lastWorkers = f.coord.Stats().LiveWorkers
 	}
 	f.mu.Unlock()
-	// Drain the stale kick: Observe fills the buffered channel even in
-	// synchronous mode, so without the drain a later Start() would
-	// immediately re-answer drift this push already resolved. New drift
-	// cannot be declared before the re-armed references complete, so a
-	// genuine kick cannot race into this window.
-	select {
-	case <-f.kick:
-	default:
-	}
 	return nil
 }
 
@@ -545,79 +471,19 @@ func (f *Fleet) fail(span int64, err error) error {
 	return err
 }
 
-// Start launches the background retrain worker: it retrains whenever any
-// member's Observe detects drift. Calling Start twice is a no-op.
-func (f *Fleet) Start() {
-	f.runMu.Lock()
-	defer f.runMu.Unlock()
-	if f.done != nil {
-		return
-	}
-	f.done = make(chan struct{})
-	f.wg.Add(1)
-	go f.run(f.done)
-}
-
-func (f *Fleet) run(done <-chan struct{}) {
-	defer f.wg.Done()
-	for {
-		select {
-		case <-done:
-			return
-		case <-f.kick:
-		}
-		// Errors are retained in Err(); the loop keeps serving future drift
-		// signals — one failed push must not end the control plane.
-		_ = f.RetrainNow()
-	}
-}
-
-// Close stops the background worker (if started), waits for any retrain in
-// flight to finish, and releases the distfit worker pool when
-// Config.DistFit is set. The fleet remains usable synchronously, and Start
-// may be called again; the next retrain respawns the coordinator, and its
-// checkpoint store carries across, so an interrupted distributed round
-// resumes rather than restarts.
+// Close releases the distfit worker pool when Config.DistFit is set and
+// returns once any retrain in flight has returned. Closing the coordinator
+// first aborts a distributed Fit wedged on lost workers, so Close cannot
+// hang behind one; that retrain, and every later one, fails with
+// distfit.ErrClosed. A fleet without DistFit holds nothing to release.
+// Closing twice is safe.
 func (f *Fleet) Close() {
-	// Signal the background worker first, then abort any in-flight
-	// distributed Fit (its ErrClosed unblocks a retrain stuck waiting on
-	// workers), then join the worker — this order cannot deadlock on a
-	// wedged round.
-	f.runMu.Lock()
-	done := f.done
-	f.done = nil
-	f.runMu.Unlock()
-	if done != nil {
-		close(done)
+	if f.coord != nil {
+		f.coord.Close()
 	}
-	f.mu.Lock()
-	coord := f.coord
-	f.mu.Unlock()
-	if coord != nil {
-		coord.Close()
-	}
-	if done != nil {
-		f.wg.Wait()
-	}
-	// Quiesce the retrain path and retire the coordinator — including one a
-	// racing synchronous retrain respawned after the abort above.
+	// The retrain in flight holds trainMu until it returns.
 	f.trainMu.Lock()
-	defer f.trainMu.Unlock()
-	f.mu.Lock()
-	cur := f.coord
-	f.coord = nil
-	f.mu.Unlock()
-	base := 0
-	if cur != nil {
-		cur.Close()
-		base += cur.Stats().ReissuedTasks
-	}
-	if coord != nil && coord != cur {
-		base += coord.Stats().ReissuedTasks
-	}
-	f.mu.Lock()
-	f.reissuedBase += base
-	f.mu.Unlock()
+	f.trainMu.Unlock()
 }
 
 // Stats returns a snapshot of the fleet's aggregate and per-member
@@ -629,12 +495,10 @@ func (f *Fleet) Stats() FleetStats {
 		Retrains:           int(f.retrainsC.Value()),
 		LastPoolSize:       f.lastPool,
 		LastRetrainWorkers: f.lastWorkers,
-		ReissuedTasks:      f.reissuedBase,
 	}
-	coord := f.coord
 	f.mu.Unlock()
-	if coord != nil {
-		st.ReissuedTasks += coord.Stats().ReissuedTasks
+	if f.coord != nil {
+		st.ReissuedTasks = f.coord.Stats().ReissuedTasks
 	}
 	for _, m := range members {
 		m.mu.Lock()

@@ -30,8 +30,7 @@ type Store interface {
 }
 
 // MemStore is the in-memory Store — checkpointing across coordinator
-// restarts within a process (the controlplane's Close/recreate cycle, the
-// fault-injection tests). A durable deployment would implement Store over
+// restarts within a process (the fault-injection tests). A durable deployment would implement Store over
 // disk; partials would then need a serialised form (see the ROADMAP
 // follow-up).
 type MemStore struct {

@@ -34,11 +34,11 @@
 //     shard via UpdateWeights — out-of-band, while batches keep flowing. The
 //     controller drives any Deployable: a DNN wrapped with NewDNNDeployable,
 //     an RBF SVM from NewSVMDeployable, a KMeans classifier from
-//     NewKMeansDeployable. Run it synchronously (Observe + RetrainNow) for
-//     deterministic experiments or in the background (Start/Close) for live
-//     serving; tune it with WithRetrainRecords, WithAdaptiveRetrain and
-//     WithDistFit. NewDriftingStream generates a matching concept-drifting
-//     workload, with WithLabelDelay and WithLabelNoise for label realism.
+//     NewKMeansDeployable. The caller drives it: Observe after each batch,
+//     RetrainNow when Observe reports drift, Close when done; tune it with
+//     WithRetrainRecords, WithAdaptiveRetrain and WithDistFit.
+//     NewDriftingStream generates a matching concept-drifting workload,
+//     with WithLabelDelay and WithLabelNoise for label realism.
 //
 //   - NewFleet scales the control plane out: one trainer driving N
 //     registered switches, each with its own drift detector and traffic
@@ -277,7 +277,7 @@ func NewPipeline(numFeatures int, opts ...Option) (*Pipeline, error) {
 // pushes over a running traffic plane, generic over the model family.
 type (
 	// Controller is the closed-loop control plane: drift detection,
-	// background retraining, out-of-band weight pushes.
+	// retraining, out-of-band weight pushes.
 	Controller = controlplane.Controller
 	// Fleet is one control plane driving N switches: a single trainer with
 	// a per-member drift detector, pooling labels from the drifted members
