@@ -8,8 +8,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The traffic-plane benchmarks double as the reproduction harness; -benchmem
-# also asserts the zero-allocation hot path (0 B/op on the batch plane).
+# The root benchmarks: per-packet and batch timings of the traffic plane
+# (-benchmem also asserts the zero-allocation hot path, 0 B/op on the batch
+# plane) and four ablations no table prints. The paper's tables and figures
+# are `taurus-bench -exp`'s.
 bench:
 	$(GO) test -run xxx -bench . -benchmem .
 

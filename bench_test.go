@@ -1,8 +1,9 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation,
-// plus ablations of the design choices called out in DESIGN.md. Each
-// benchmark reports the headline quantities via b.ReportMetric so
-// `go test -bench=. -benchmem` doubles as the reproduction harness
-// (cmd/taurus-bench prints the full formatted tables).
+// Timings of the per-packet and batch paths, plus four ablations of design
+// choices that no table prints (datapath precision, reduction tree, bypass,
+// LSTM packing), each reporting its quantities via b.ReportMetric. The
+// paper's tables and figures are reproduced by `taurus-bench -exp` alone and
+// checked by the tests of internal/experiments. With -benchmem the batch
+// timings also assert the zero-allocation hot path.
 package taurus
 
 import (
@@ -10,19 +11,15 @@ import (
 	"sync"
 	"testing"
 
-	"taurus/internal/accel"
 	"taurus/internal/cgra"
 	"taurus/internal/compiler"
 	"taurus/internal/core"
 	"taurus/internal/experiments"
 	"taurus/internal/fixed"
-	"taurus/internal/hwmodel"
 	"taurus/internal/lower"
-	"taurus/internal/netsim"
 	"taurus/internal/pipeline"
 	"taurus/internal/pisa"
 	"taurus/internal/trafficgen"
-	"taurus/internal/training"
 )
 
 var (
@@ -40,179 +37,6 @@ func sharedModels(b *testing.B) *experiments.Models {
 		b.Fatal(modelsErr)
 	}
 	return models
-}
-
-// BenchmarkTable2 regenerates the control-plane accelerator latencies.
-func BenchmarkTable2(b *testing.B) {
-	var rows []experiments.Table2Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.Table2()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].LatencyMs, "cpu-ms")
-	b.ReportMetric(rows[2].LatencyMs, "tpu-ms")
-}
-
-// BenchmarkTable3 regenerates the float-vs-fix8 IoT accuracy comparison.
-func BenchmarkTable3(b *testing.B) {
-	var rows []experiments.Table3Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.Table3(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[0].Float32, "float32-acc-pct")
-	b.ReportMetric(rows[0].Diff, "fix8-diff-pct")
-}
-
-// BenchmarkTable4 regenerates per-FU area/power by precision.
-func BenchmarkTable4(b *testing.B) {
-	var rows []experiments.Table4Row
-	for i := 0; i < b.N; i++ {
-		rows, _ = experiments.Table4()
-	}
-	b.ReportMetric(rows[0].AreaUM2, "fix8-um2")
-	b.ReportMetric(rows[2].AreaUM2, "fix32-um2")
-}
-
-// BenchmarkFigure9 sweeps CU configurations.
-func BenchmarkFigure9(b *testing.B) {
-	var pts []experiments.Figure9Point
-	for i := 0; i < b.N; i++ {
-		pts, _ = experiments.Figure9()
-	}
-	b.ReportMetric(float64(len(pts)), "configs")
-}
-
-// BenchmarkFigure10 compiles the activation suite across stage counts.
-func BenchmarkFigure10(b *testing.B) {
-	var pts []experiments.Figure10Point
-	for i := 0; i < b.N; i++ {
-		var err error
-		pts, _, err = experiments.Figure10()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(pts)), "points")
-}
-
-// BenchmarkTable5 compiles the four application models.
-func BenchmarkTable5(b *testing.B) {
-	m := sharedModels(b)
-	var rows []experiments.Table5Row
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.Table5(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(rows[2].LatencyNs), "dnn-ns")
-	b.ReportMetric(rows[2].AreaMM2, "dnn-mm2")
-	b.ReportMetric(rows[3].AreaMM2, "lstm-mm2")
-}
-
-// BenchmarkTable6 compiles the microbenchmark suite.
-func BenchmarkTable6(b *testing.B) {
-	var rows []experiments.Table6Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.Table6()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, r := range rows {
-		if r.Name == "InnerProduct" {
-			b.ReportMetric(float64(r.LatencyNs), "inner-product-ns")
-		}
-	}
-}
-
-// BenchmarkTable7 sweeps Conv1D unrolling.
-func BenchmarkTable7(b *testing.B) {
-	var rows []experiments.Table7Row
-	for i := 0; i < b.N; i++ {
-		var err error
-		rows, _, err = experiments.Table7()
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(rows[len(rows)-1].AreaMM2/rows[0].AreaMM2, "area-scaling-8x")
-}
-
-// BenchmarkTable8 runs the end-to-end baseline-vs-Taurus simulation.
-func BenchmarkTable8(b *testing.B) {
-	m := sharedModels(b)
-	var last netsim.Result
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := netsim.Run(m.DNN, 1e-3, 100_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		last = res
-	}
-	b.ReportMetric(last.TaurusF1, "taurus-f1")
-	b.ReportMetric(last.BaselineF1, "baseline-f1")
-	b.ReportMetric(last.TaurusDetectedPct, "taurus-det-pct")
-}
-
-// BenchmarkFigure13 runs one online-training convergence curve.
-func BenchmarkFigure13(b *testing.B) {
-	var final float64
-	for i := 0; i < b.N; i++ {
-		cfg := training.DefaultConfig(1e-3)
-		cfg.Updates = 30
-		pts, err := training.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		final = training.FinalF1(pts)
-	}
-	b.ReportMetric(final, "final-f1")
-}
-
-// BenchmarkFigure14 runs the small-batch/many-epoch configuration.
-func BenchmarkFigure14(b *testing.B) {
-	var final float64
-	for i := 0; i < b.N; i++ {
-		cfg := training.DefaultConfig(1e-2)
-		cfg.BatchSize = 64
-		cfg.Epochs = 10
-		cfg.Updates = 20
-		pts, err := training.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		final = training.FinalF1(pts)
-	}
-	b.ReportMetric(final, "final-f1")
-}
-
-// BenchmarkDriftControlLoop runs the full closed-control-loop drift
-// experiment: two pipelines serving drifting traffic, drift detection,
-// retrains and live weight pushes.
-func BenchmarkDriftControlLoop(b *testing.B) {
-	var frozen, loop float64
-	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.DriftTable(1, "dnn")
-		if err != nil {
-			b.Fatal(err)
-		}
-		last := rows[len(rows)-1]
-		frozen, loop = last.FrozenF1, last.LoopF1
-	}
-	b.ReportMetric(frozen, "frozen-f1")
-	b.ReportMetric(loop, "loop-f1")
 }
 
 // BenchmarkPerPacketInference measures the simulated data-plane inference
@@ -333,7 +157,7 @@ func BenchmarkDeviceProcessBatch(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Ablations (DESIGN.md).
+// Ablations.
 // ---------------------------------------------------------------------------
 
 // BenchmarkAblationPrecision compiles the DNN at fix8/fix16/fix32 and
@@ -353,28 +177,6 @@ func BenchmarkAblationPrecision(b *testing.B) {
 				area = res.AreaMM2()
 			}
 			b.ReportMetric(area, "mm2")
-		})
-	}
-}
-
-// BenchmarkAblationActivation compares the three sigmoid realisations
-// (Taylor, piecewise, LUT) in area and latency.
-func BenchmarkAblationActivation(b *testing.B) {
-	suite, err := lower.Microbenchmarks(16)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, name := range []string{"SigmoidExp", "SigmoidPW", "ActLUT"} {
-		b.Run(name, func(b *testing.B) {
-			var res *compiler.Result
-			for i := 0; i < b.N; i++ {
-				res, err = compiler.Compile(suite[name], compiler.Options{})
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(res.AreaMM2(), "mm2")
-			b.ReportMetric(float64(res.Stats.LatencyCycles), "latency-ns")
 		})
 	}
 }
@@ -469,30 +271,4 @@ func BenchmarkAblationPacking(b *testing.B) {
 			b.ReportMetric(res.AreaMM2(), "mm2")
 		})
 	}
-}
-
-// BenchmarkHWModelFullGrid reports the final ASIC's chip-level overheads.
-func BenchmarkHWModelFullGrid(b *testing.B) {
-	var areaPct, powerPct float64
-	for i := 0; i < b.N; i++ {
-		g := hwmodel.FullGrid()
-		areaPct = g.AreaOverheadPct()
-		powerPct = g.PowerOverheadPct()
-	}
-	b.ReportMetric(areaPct, "area-overhead-pct")
-	b.ReportMetric(powerPct, "power-overhead-pct")
-}
-
-// BenchmarkAccelVsTaurus reports the reaction-time gap (Table 2 vs Table 5).
-func BenchmarkAccelVsTaurus(b *testing.B) {
-	var ratio float64
-	for i := 0; i < b.N; i++ {
-		cpu := accel.Table2()[0]
-		lat, err := cpu.LatencyMs(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ratio = lat / accel.TaurusLatencyMs
-	}
-	b.ReportMetric(ratio, "speedup-x")
 }

@@ -68,12 +68,10 @@ func main() {
 		pipes[i] = pl
 	}
 
-	// The fleet owns the Deployable from here on. Adaptive retrain sizing:
-	// each retrain collects labelled records until the refit stops moving
-	// the model (or 8000 records), instead of a fixed budget.
-	fleet, err := taurus.NewFleet(dep, inQ,
-		taurus.WithRetrainRecords(3000),
-		taurus.WithAdaptiveRetrain(8000))
+	// The fleet owns the Deployable from here on. Each retrain draws 8000
+	// labelled records once, pooled across the drifted switches, and fits
+	// the shared model on them once.
+	fleet, err := taurus.NewFleet(dep, inQ, taurus.WithRetrainRecords(8000))
 	if err != nil {
 		log.Fatal(err)
 	}

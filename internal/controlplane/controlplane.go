@@ -10,9 +10,10 @@
 //
 // The controller is model-agnostic: it drives any model.Deployable — the
 // anomaly DNN, the RBF SVM, the KMeans IoT classifier — through the same
-// Fit → Lower → push cycle. Everything model-specific (training policy,
-// quantisation, graph shape) lives behind the Deployable contract; the
-// controller owns only the drift detection and the push.
+// retrain round: one draw of RetrainRecords labels, one Fit, one Lower, one
+// push. Everything model-specific (training policy, quantisation, graph
+// shape) lives behind the Deployable contract; the controller owns only the
+// drift detection and the push.
 //
 // The ownership split mirrors a MapReduce coordinator and its workers: the
 // controller is the single writer of the float model and the only caller of
@@ -106,31 +107,14 @@ type Config struct {
 	// drift (default 0.25 — the conventional "significant shift" point).
 	// DriftPSI only.
 	PSIThreshold float64
-	// KSThreshold is AdaptiveRetrain's calm criterion: the two-sample
-	// Kolmogorov–Smirnov distance between the model's scores on a fresh
-	// chunk before and after refitting on it, at or under which collection
-	// stops (default 0.15 — comfortably above the ~0.09 sampling noise of
-	// two 512-sample draws at the 5% level).
-	KSThreshold float64
 	// DriftPatience is how many consecutive out-of-threshold windows it
 	// takes to declare drift (default 2) — hysteresis against the sampling
 	// noise of a single window.
 	DriftPatience int
-	// RetrainRecords is how many labelled records each retrain collects
-	// (default 2048). With AdaptiveRetrain it is the collection chunk
-	// granularity instead (half of it per chunk).
+	// RetrainRecords is how many labelled records each retrain draws, in one
+	// draw pooled across the drifted members, before its one Fit (default
+	// 2048).
 	RetrainRecords int
-	// AdaptiveRetrain replaces the fixed RetrainRecords collection with
-	// adaptive sizing: each retrain pulls labelled records in chunks of
-	// RetrainRecords/2, refitting the model after every chunk, until one
-	// more chunk no longer moves the model's score distribution (two-sample
-	// KS between the pre- and post-refit scores on the fresh chunk at most
-	// KSThreshold) or RetrainMaxRecords is reached. Mild drift stops near
-	// the fixed size; a hard shift keeps collecting until the model calms.
-	AdaptiveRetrain bool
-	// RetrainMaxRecords caps the adaptive collection (default
-	// 4×RetrainRecords; ignored without AdaptiveRetrain).
-	RetrainMaxRecords int
 	// DistFit, when set, routes every retrain's Fit through a
 	// coordinator/worker distributed fit (internal/distfit): the collected
 	// records are chunked, the configured workers compute model partials
@@ -138,8 +122,7 @@ type Config struct {
 	// order, so the pushed graph stays bit-identical to a single-process
 	// merge at the same chunk schedule even under worker loss. Requires the
 	// model to implement model.PartialFitter. The coordinator is built with
-	// the controller and lives as long as it: Close releases its workers,
-	// and a retrain after Close fails with distfit.ErrClosed.
+	// the controller and lives as long as it: Close releases its workers.
 	DistFit *distfit.Config
 	// OnPush, when set, is invoked after every successful weight push (once
 	// per fan-out, not per member). It is the hook that turns control-plane
@@ -167,7 +150,6 @@ func DefaultConfig() Config {
 		FlagDelta:      0.10,
 		ScoreDelta:     16,
 		PSIThreshold:   0.25,
-		KSThreshold:    0.15,
 		DriftPatience:  2,
 		RetrainRecords: 2048,
 	}
@@ -189,7 +171,6 @@ func (c *Config) applyDefaults() error {
 		{"FlagDelta", c.FlagDelta},
 		{"ScoreDelta", c.ScoreDelta},
 		{"PSIThreshold", c.PSIThreshold},
-		{"KSThreshold", c.KSThreshold},
 	} {
 		if math.IsNaN(th.v) || math.IsInf(th.v, 1) {
 			return fmt.Errorf("controlplane: %s is %v; a drift threshold must be finite", th.name, th.v)
@@ -214,17 +195,11 @@ func (c *Config) applyDefaults() error {
 	if c.PSIThreshold <= 0 {
 		c.PSIThreshold = d.PSIThreshold
 	}
-	if c.KSThreshold <= 0 {
-		c.KSThreshold = d.KSThreshold
-	}
 	if c.DriftPatience <= 0 {
 		c.DriftPatience = d.DriftPatience
 	}
 	if c.RetrainRecords <= 0 {
 		c.RetrainRecords = d.RetrainRecords
-	}
-	if c.RetrainMaxRecords <= 0 {
-		c.RetrainMaxRecords = 4 * c.RetrainRecords
 	}
 	return nil
 }
@@ -253,8 +228,8 @@ type Stats struct {
 	// re-arm, like the reference profile it is measured against.
 	LastPSI float64
 	// LastRetrainRecords is how many labelled records the most recent
-	// retrain trained on — RetrainRecords for fixed sizing, the adaptive
-	// collection size otherwise.
+	// retrain trained on: RetrainRecords, or fewer when every label source
+	// under-delivered.
 	LastRetrainRecords int
 	// LastRetrainWorkers is how many live distfit workers served the most
 	// recent retrain (0 when Config.DistFit is unset).
@@ -312,82 +287,13 @@ func (c *Controller) DistFit() *distfit.Coordinator { return c.f.DistFit() }
 // answers it with RetrainNow. Safe for concurrent use.
 func (c *Controller) Observe(decs []core.Decision) bool { return c.f.Observe(0, decs) }
 
-// RetrainNow synchronously runs one control-loop cycle — collect, Fit, Lower,
-// push (the data plane gates it), re-arm; see Fleet.RetrainNow. Concurrent
-// calls serialise.
+// RetrainNow synchronously runs one control-loop cycle — draw labels, Fit,
+// Lower, push (the data plane gates it), re-arm; see Fleet.RetrainNow.
+// Concurrent calls serialise.
 func (c *Controller) RetrainNow() error { return c.f.RetrainNow() }
 
-// fitOnFresh collects labelled records from pull and (re)fits m on them —
-// through the distfit coordinator when one is given (Config.DistFit),
-// in-process otherwise. Without AdaptiveRetrain it is a single
-// RetrainRecords draw. With it, the collection grows chunk by chunk: after
-// each chunk the model is refit on everything collected so far, and the
-// two-sample KS distance between the model's scores on the newest chunk
-// before and after that refit measures how much the fresh data still moves
-// the model. Collection stops when the refit calms (KS at most KSThreshold)
-// or RetrainMaxRecords is reached — the control-plane-side proxy for
-// "collect until the detector's statistic falls back under threshold",
-// which can only be confirmed on the data plane after the push. Returns how
-// many records were trained on.
-func fitOnFresh(m model.Deployable, pull LabelSource, cfg *Config, coord *distfit.Coordinator) (int, error) {
-	fit := m.Fit
-	if coord != nil {
-		fit = coord.Fit
-	}
-	if !cfg.AdaptiveRetrain {
-		recs := pull(cfg.RetrainRecords)
-		if len(recs) == 0 {
-			return 0, fmt.Errorf("controlplane: label source returned no records")
-		}
-		return len(recs), fit(recs)
-	}
-
-	chunk := cfg.RetrainRecords / 2
-	if chunk < 1 {
-		chunk = 1
-	}
-	if chunk > cfg.RetrainMaxRecords {
-		chunk = cfg.RetrainMaxRecords // the cap binds even for the first chunk
-	}
-	recs := pull(chunk)
-	if len(recs) == 0 {
-		return 0, fmt.Errorf("controlplane: label source returned no records")
-	}
-	if err := fit(recs); err != nil {
-		return len(recs), err
-	}
-	for len(recs) < cfg.RetrainMaxRecords {
-		want := chunk
-		if rest := cfg.RetrainMaxRecords - len(recs); want > rest {
-			want = rest
-		}
-		next := pull(want)
-		if len(next) == 0 {
-			break // source exhausted; train on what arrived
-		}
-		before := scoresOf(m, next)
-		recs = append(recs, next...)
-		if err := fit(recs); err != nil {
-			return len(recs), err
-		}
-		if ksStat(before, scoresOf(m, next)) <= cfg.KSThreshold {
-			break // one more chunk no longer moves the model: calm
-		}
-	}
-	return len(recs), nil
-}
-
-// scoresOf evaluates the model's float-side score on every record.
-func scoresOf(m model.Deployable, recs []dataset.Record) []float64 {
-	out := make([]float64, len(recs))
-	for i := range recs {
-		out[i] = m.Score(recs[i].Features)
-	}
-	return out
-}
-
-// Close releases the distfit worker pool when Config.DistFit is set and
-// returns once any retrain in flight has returned; see Fleet.Close.
+// Close ends the controller's control loop: every later retrain fails with
+// distfit.ErrClosed; see Fleet.Close.
 func (c *Controller) Close() { c.f.Close() }
 
 // Stats returns a snapshot of the controller's counters: the one member's

@@ -459,116 +459,6 @@ func TestControllerStatsRearmedAfterRetrain(t *testing.T) {
 	}
 }
 
-// --- Adaptive retrain sizing ---
-
-// movingModel's score distribution shifts on every Fit — a model the fresh
-// chunks keep moving, so adaptive collection must run to its cap.
-type movingModel struct {
-	stubModel
-	fits int
-}
-
-func (m *movingModel) Fit([]dataset.Record) error { m.fits++; return nil }
-func (m *movingModel) Score(tensor.Vec) float64   { return float64(m.fits) }
-
-func TestAdaptiveRetrainSizing(t *testing.T) {
-	pulled := 0
-	pull := func(n int) []dataset.Record {
-		pulled += n
-		return make([]dataset.Record, n)
-	}
-	cfg := DefaultConfig()
-	cfg.AdaptiveRetrain = true
-	cfg.RetrainRecords = 100
-	cfg.RetrainMaxRecords = 400
-
-	// A model the data keeps moving: every refit shifts the scores by a full
-	// unit (KS = 1), so collection must stop only at the cap.
-	pulled = 0
-	n, err := fitOnFresh(&movingModel{}, pull, &cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != cfg.RetrainMaxRecords || pulled != cfg.RetrainMaxRecords {
-		t.Errorf("restless model: trained on %d (pulled %d), want the cap %d", n, pulled, cfg.RetrainMaxRecords)
-	}
-
-	// A calm model (scores never move): the first verification chunk already
-	// shows KS 0, so adaptive sizing stops at the fixed budget.
-	pulled = 0
-	n, err = fitOnFresh(stubModel{}, pull, &cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != cfg.RetrainRecords {
-		t.Errorf("calm model: trained on %d, want %d", n, cfg.RetrainRecords)
-	}
-
-	// An exhausted source ends collection without error.
-	budget := 120
-	dry := func(n int) []dataset.Record {
-		if n > budget {
-			n = budget
-		}
-		budget -= n
-		return make([]dataset.Record, n)
-	}
-	n, err = fitOnFresh(&movingModel{}, dry, &cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 120 {
-		t.Errorf("exhausted source: trained on %d, want 120", n)
-	}
-}
-
-// TestControllerAdaptiveRetrainRecovers drives the real loop with adaptive
-// sizing: the retrain must still recover accuracy, and LastRetrainRecords
-// must report an adaptive size within [RetrainRecords, RetrainMaxRecords].
-func TestControllerAdaptiveRetrainRecovers(t *testing.T) {
-	f := newLoopFixture(t, 2, 4)
-	cfg := DefaultConfig()
-	cfg.Window = 256
-	cfg.RefWindows = 2
-	cfg.RetrainRecords = 1000
-	cfg.AdaptiveRetrain = true
-	cfg.RetrainMaxRecords = 4000
-	ctrl, err := New(f.pipe, f.dep, f.inQ, f.stream.Labelled, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const batch = 1024
-	run := func(rounds int) (last float64) {
-		for r := 0; r < rounds; r++ {
-			ins, out, truth := f.stream.NextBatch(batch)
-			if _, err := f.pipe.ProcessBatch(ins, out); err != nil {
-				t.Fatal(err)
-			}
-			if ctrl.Observe(out) {
-				if err := ctrl.RetrainNow(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			last = f.f1(out, truth)
-		}
-		return last
-	}
-	preF1 := run(3)
-	f.stream.SetPhase(1)
-	run(4)
-	st := ctrl.Stats()
-	if st.Retrains == 0 {
-		t.Fatal("no adaptive retrain under drift")
-	}
-	if st.LastRetrainRecords < cfg.RetrainRecords || st.LastRetrainRecords > cfg.RetrainMaxRecords {
-		t.Errorf("LastRetrainRecords = %d, want within [%d, %d]",
-			st.LastRetrainRecords, cfg.RetrainRecords, cfg.RetrainMaxRecords)
-	}
-	if postF1 := run(3); postF1 < preF1-15 {
-		t.Errorf("adaptive loop did not recover: pre-drift F1 %.1f, post %.1f", preF1, postF1)
-	}
-}
-
 // --- PSI drift statistic ---
 
 // nopPusher absorbs weight pushes.

@@ -197,8 +197,9 @@ func TestFleetChurnDuringTraffic(t *testing.T) {
 	}
 }
 
-// distFleet builds a DNN-backed fleet with DistFit enabled.
-func distFleet(t *testing.T, members int, df distfit.Config) (*Fleet, []*recordPusher, model.Deployable, fixed.Quantizer) {
+// distFleet builds a DNN-backed fleet, with DistFit enabled when df is
+// non-nil.
+func distFleet(t *testing.T, members int, df *distfit.Config) (*Fleet, []*recordPusher, model.Deployable, fixed.Quantizer) {
 	t.Helper()
 	gen, err := dataset.NewAnomalyGenerator(dataset.AnomalyConfig{
 		NumFeatures: 6, AnomalyFraction: 0.4, Separation: 1.2,
@@ -218,7 +219,7 @@ func distFleet(t *testing.T, members int, df distfit.Config) (*Fleet, []*recordP
 	inQ := model.InputQuantizerFor(warm)
 	cfg := DefaultConfig()
 	cfg.RetrainRecords = 1024
-	cfg.DistFit = &df
+	cfg.DistFit = df
 	fl, err := NewFleet(dep, inQ, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -244,7 +245,7 @@ func distFleet(t *testing.T, members int, df distfit.Config) (*Fleet, []*recordP
 // the model's quantised reference decisions — push parity holds through
 // the distributed merge.
 func TestFleetDistFitRetrain(t *testing.T) {
-	fl, pushers, dep, inQ := distFleet(t, 3, distfit.Config{
+	fl, pushers, dep, inQ := distFleet(t, 3, &distfit.Config{
 		Workers: 4, ChunkSize: 256, TaskDeadline: 500 * time.Millisecond,
 	})
 	defer fl.Close()
@@ -310,7 +311,7 @@ func TestFleetDistFitValidation(t *testing.T) {
 // fails with distfit.ErrClosed and pushes nothing, the counters still read,
 // and a second Close is harmless.
 func TestFleetDistFitCloseIsFinal(t *testing.T) {
-	fl, pushers, _, _ := distFleet(t, 1, distfit.Config{Workers: 2, ChunkSize: 256})
+	fl, pushers, _, _ := distFleet(t, 1, &distfit.Config{Workers: 2, ChunkSize: 256})
 	if err := fl.RetrainNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -328,6 +329,53 @@ func TestFleetDistFitCloseIsFinal(t *testing.T) {
 	}
 	if st := fl.Stats(); st.Retrains != 1 || st.ReissuedTasks != coord.Stats().ReissuedTasks {
 		t.Fatalf("Stats after Close = %+v, want 1 retrain and the coordinator's re-issues", st)
+	}
+}
+
+// TestFleetCloseIsFinal: Close ends the loop with and without DistFit. A
+// retrain after Close fails with distfit.ErrClosed before it draws a label:
+// no label source is called and no member sees a push.
+func TestFleetCloseIsFinal(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		df   *distfit.Config
+	}{
+		{"in-process", nil},
+		{"distfit", &distfit.Config{Workers: 2, ChunkSize: 256}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fl, pushers, _, _ := distFleet(t, 1, tc.df)
+			gen, err := dataset.NewAnomalyGenerator(dataset.AnomalyConfig{
+				NumFeatures: 6, AnomalyFraction: 0.4, Separation: 1.2,
+			}, rand.New(rand.NewSource(63)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var calls atomic.Int32
+			probe := &recordPusher{}
+			if _, err := fl.Register("probe", probe, func(n int) []dataset.Record {
+				calls.Add(1)
+				return gen.Records(n)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			fl.Close()
+			fl.Close() // idempotent
+			if err := fl.RetrainNow(); !errors.Is(err, distfit.ErrClosed) {
+				t.Fatalf("retrain after Close: %v, want distfit.ErrClosed", err)
+			}
+			if n := calls.Load(); n != 0 {
+				t.Errorf("label source called %d times after Close, want 0", n)
+			}
+			for i, p := range append(pushers, probe) {
+				if n := len(p.pushed()); n != 0 {
+					t.Errorf("member %d saw %d pushes after Close, want 0", i, n)
+				}
+			}
+			if err := fl.Err(); !errors.Is(err, distfit.ErrClosed) {
+				t.Errorf("Err() = %v, want distfit.ErrClosed", err)
+			}
+		})
 	}
 }
 
@@ -352,7 +400,7 @@ func (s loadSignal) Load() (distfit.Checkpoint, bool) {
 // Err() by the time Close returns — Close waited for the retrain to return.
 func TestFleetCloseAbortsWedgedRetrain(t *testing.T) {
 	store := loadSignal{distfit.NewMemStore(), make(chan struct{}, 1)}
-	fl, pushers, _, _ := distFleet(t, 2, distfit.Config{Workers: 2, ChunkSize: 256, Store: store})
+	fl, pushers, _, _ := distFleet(t, 2, &distfit.Config{Workers: 2, ChunkSize: 256, Store: store})
 	for _, w := range fl.DistFit().Workers() {
 		w.Kill()
 	}

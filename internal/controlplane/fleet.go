@@ -69,6 +69,8 @@ type Fleet struct {
 	// only if it cannot interleave with an in-flight retrain.
 	trainMu sync.Mutex
 	model   model.Deployable
+	// closed is set when Close begins; a retrain that sees it draws nothing.
+	closed atomic.Bool
 
 	// coord is the distributed-fit coordinator (Config.DistFit; nil
 	// otherwise), built with the fleet and closed by Close.
@@ -286,31 +288,41 @@ func (f *Fleet) Observe(member int, decs []core.Decision) bool {
 	return newDrift
 }
 
-// RetrainNow synchronously runs one fleet control cycle: pool labelled
-// records from the drifted members — weighted by the traffic each sampled
-// since the last retrain — Fit the shared model, Lower once against the
-// pinned input domain, and push the one lowered graph to every member
-// atomically. When no member is drifted (an operator-initiated retrain),
-// every member contributes to the pool. On success every member's
-// detector is re-armed — the push changed every member's score distribution,
-// drifted or not. Concurrent calls serialise. After Close, a fleet with
-// Config.DistFit fails every retrain with distfit.ErrClosed.
+// RetrainNow synchronously runs one fleet control cycle: draw
+// RetrainRecords labelled records once, pooled from the drifted members and
+// weighted by the traffic each sampled since the last retrain, Fit the
+// shared model on them (through the distfit coordinator when Config.DistFit
+// is set), Lower once against the pinned input domain, and push the one
+// lowered graph to every member atomically. When no member is drifted (an
+// operator-initiated retrain), every member contributes to the pool. On
+// success every member's detector is re-armed — the push changed every
+// member's score distribution, drifted or not. Concurrent calls serialise.
+// Once Close has begun, every retrain fails with distfit.ErrClosed before it
+// draws a label.
 func (f *Fleet) RetrainNow() error {
 	f.trainMu.Lock()
 	defer f.trainMu.Unlock()
 
 	span := f.tracer.Begin()
 	f.tracer.Emitf(span, "retrain.start", "model=%q", f.model.Name())
-	pool, pull, contrib, err := f.pooledSource()
+	if f.closed.Load() {
+		return f.fail(span, fmt.Errorf("controlplane: retrain after Close: %w", distfit.ErrClosed))
+	}
+	pool, recs, contrib, err := f.pooledDraw(f.cfg.RetrainRecords)
 	if err != nil {
 		return f.fail(span, err)
 	}
-	n, err := fitOnFresh(f.model, pull, &f.cfg, f.coord)
-	if err != nil {
+	n := len(recs)
+	if n == 0 {
+		return f.fail(span, fmt.Errorf("controlplane: label source returned no records"))
+	}
+	fit := f.model.Fit
+	if f.coord != nil {
+		fit = f.coord.Fit
+	}
+	if err := fit(recs); err != nil {
 		return f.fail(span, err)
 	}
-	// Pooling is lazy — the pull closure draws from members as Fit consumes —
-	// so the pool's final shape is only known once the fit returns.
 	f.tracer.Emitf(span, "labels.pooled", "records=%d members=%d", n, len(pool))
 	f.tracer.Emitf(span, "retrain.fit", "records=%d", n)
 	g, err := f.model.Lower(f.inQ)
@@ -349,12 +361,12 @@ func (f *Fleet) RetrainNow() error {
 	return nil
 }
 
-// pooledSource snapshots the drifted members (all members when none are
-// drifted) and returns them with a label source that splits each request
-// across them in proportion to the traffic each sampled since the last
-// retrain, and the per-pool-member contribution counts the source fills in
-// as it is drawn from.
-func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
+// pooledDraw snapshots the drifted members (all members when none are
+// drifted) and draws n labelled records from them in one pass, splitting
+// the request in proportion to the traffic each sampled since the last
+// retrain. It returns the pool, the records and each pool member's
+// contribution.
+func (f *Fleet) pooledDraw(n int) ([]*fleetMember, []dataset.Record, []int, error) {
 	members := f.snapshot()
 	if len(members) == 0 {
 		return nil, nil, nil, fmt.Errorf("controlplane: fleet has no members")
@@ -385,51 +397,44 @@ func (f *Fleet) pooledSource() ([]*fleetMember, LabelSource, []int, error) {
 			total += all[i]
 		}
 	}
-	for i := range weights {
-		weights[i] /= total
-	}
 
 	contrib := make([]int, len(pool))
-	draw := func(i int, m *fleetMember, want int, recs []dataset.Record, remaining *int) []dataset.Record {
-		got := m.source(want)
+	recs := make([]dataset.Record, 0, n)
+	remaining := n
+	draw := func(i, want int) {
+		got := pool[i].source(want)
 		contrib[i] += len(got)
 		// Deduct what actually arrived: a member whose label source
 		// under-delivers leaves its shortfall for its siblings, so one dry
 		// source cannot silently shrink the shared pool.
-		*remaining -= len(got)
-		return append(recs, got...)
+		remaining -= len(got)
+		recs = append(recs, got...)
 	}
-	pull := func(n int) []dataset.Record {
-		recs := make([]dataset.Record, 0, n)
-		remaining := n
-		for i, m := range pool {
-			if remaining <= 0 {
-				break
-			}
-			want := remaining
-			if i < len(pool)-1 {
-				want = int(weights[i]*float64(n) + 0.5)
-				if want > remaining {
-					want = remaining
-				}
-			}
-			if want <= 0 {
-				continue
-			}
-			recs = draw(i, m, want, recs, &remaining)
+	for i := range pool {
+		if remaining <= 0 {
+			break
 		}
-		// Top-up pass: whatever share a dry member left short is
-		// re-requested from every member in turn, so the pool only comes up
-		// short when every source does.
-		for i, m := range pool {
-			if remaining <= 0 {
-				break
+		want := remaining
+		if i < len(pool)-1 {
+			want = int(weights[i]/total*float64(n) + 0.5)
+			if want > remaining {
+				want = remaining
 			}
-			recs = draw(i, m, remaining, recs, &remaining)
 		}
-		return recs
+		if want > 0 {
+			draw(i, want)
+		}
 	}
-	return pool, pull, contrib, nil
+	// Top-up pass: whatever share a dry member left short is re-requested
+	// from every member in turn, so the pool only comes up short when every
+	// source does.
+	for i := range pool {
+		if remaining <= 0 {
+			break
+		}
+		draw(i, remaining)
+	}
+	return pool, recs, contrib, nil
 }
 
 // push applies g to every member. A member's UpdateWeights gates the push
@@ -471,13 +476,14 @@ func (f *Fleet) fail(span int64, err error) error {
 	return err
 }
 
-// Close releases the distfit worker pool when Config.DistFit is set and
-// returns once any retrain in flight has returned. Closing the coordinator
-// first aborts a distributed Fit wedged on lost workers, so Close cannot
-// hang behind one; that retrain, and every later one, fails with
-// distfit.ErrClosed. A fleet without DistFit holds nothing to release.
-// Closing twice is safe.
+// Close ends the fleet's control loop: every retrain that has not begun
+// drawing labels fails with distfit.ErrClosed, with or without
+// Config.DistFit, and Close returns once the retrain in flight has returned.
+// It closes the distfit coordinator (when Config.DistFit is set) before it
+// waits, so a distributed Fit wedged on lost workers aborts with
+// distfit.ErrClosed instead of holding Close up. Closing twice is safe.
 func (f *Fleet) Close() {
+	f.closed.Store(true)
 	if f.coord != nil {
 		f.coord.Close()
 	}

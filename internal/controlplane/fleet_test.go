@@ -183,8 +183,6 @@ func TestFleetRefusesUndetectableDrift(t *testing.T) {
 		{"ScoreDelta", Config{ScoreDelta: inf}},
 		{"PSIThreshold", Config{PSIThreshold: nan}},
 		{"PSIThreshold", Config{PSIThreshold: inf}},
-		{"KSThreshold", Config{KSThreshold: nan}},
-		{"KSThreshold", Config{KSThreshold: inf}},
 		{"Statistic", Config{Statistic: DriftPSI + 1}},
 		{"Statistic", Config{Statistic: -1}},
 	} {
@@ -193,8 +191,8 @@ func TestFleetRefusesUndetectableDrift(t *testing.T) {
 		}
 	}
 	src := func(n int) []dataset.Record { return make([]dataset.Record, n) }
-	if _, err := New(nopPusher{}, stubModel{}, q, src, Config{KSThreshold: nan}); err == nil || !strings.Contains(err.Error(), "KSThreshold") {
-		t.Errorf("New(KSThreshold NaN): err = %v, want a refusal naming KSThreshold", err)
+	if _, err := New(nopPusher{}, stubModel{}, q, src, Config{PSIThreshold: nan}); err == nil || !strings.Contains(err.Error(), "PSIThreshold") {
+		t.Errorf("New(PSIThreshold NaN): err = %v, want a refusal naming PSIThreshold", err)
 	}
 	// Zero, negative and -Inf thresholds still select the defaults.
 	for _, cfg := range []Config{{}, {FlagDelta: -1}, {ScoreDelta: math.Inf(-1)}, {Statistic: DriftPSI}} {

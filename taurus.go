@@ -36,7 +36,7 @@
 //     an RBF SVM from NewSVMDeployable, a KMeans classifier from
 //     NewKMeansDeployable. The caller drives it: Observe after each batch,
 //     RetrainNow when Observe reports drift, Close when done; tune it with
-//     WithRetrainRecords, WithAdaptiveRetrain and WithDistFit.
+//     WithRetrainRecords and WithDistFit.
 //     NewDriftingStream generates a matching concept-drifting workload,
 //     with WithLabelDelay and WithLabelNoise for label realism.
 //
@@ -309,7 +309,8 @@ type (
 	DistFitConfig = distfit.Config
 )
 
-// ErrDistFitClosed is returned by a coordinator's Fit after Close.
+// ErrDistFitClosed is returned by a coordinator's Fit after Close, and by a
+// Controller's or Fleet's RetrainNow after its Close.
 var ErrDistFitClosed = distfit.ErrClosed
 
 // Deployable constructors: model lifecycles the Controller can retrain.
@@ -324,20 +325,6 @@ var (
 
 // ControllerOption configures NewController and NewFleet.
 type ControllerOption func(*controlplane.Config)
-
-// WithAdaptiveRetrain replaces the fixed RetrainRecords collection with
-// adaptive sizing: each retrain keeps collecting labelled records in chunks
-// of half RetrainRecords, refitting after every chunk, until one more chunk
-// no longer moves the model's score distribution (two-sample KS at most the
-// KS threshold) or maxRecords is reached (0 = 4× RetrainRecords). Mild
-// drift stops near the fixed budget; a hard shift keeps collecting until
-// the model calms.
-func WithAdaptiveRetrain(maxRecords int) ControllerOption {
-	return func(c *controlplane.Config) {
-		c.AdaptiveRetrain = true
-		c.RetrainMaxRecords = maxRecords
-	}
-}
 
 // WithDistFit routes every retrain's Fit through the coordinator/worker
 // distributed fit: collected records are chunked, cfg.Workers compute

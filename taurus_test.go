@@ -201,8 +201,8 @@ func TestDeployableControllerFacade(t *testing.T) {
 }
 
 // TestFleetFacade drives the multi-switch surface: one SVM Deployable
-// deployed to two pipelines, a Fleet with the PSI detector and adaptive
-// retrain sizing, and a pooled retrain pushed to every member with parity.
+// deployed to two pipelines, a Fleet with the PSI detector, and a pooled
+// retrain of RetrainRecords labels pushed to every member with parity.
 func TestFleetFacade(t *testing.T) {
 	cfg := DriftConfig{Base: AnomalyConfig{NumFeatures: 8, AnomalyFraction: 0.4, Separation: 1.2}}
 	streams, err := NewDriftingStreams(cfg, 9, 64, 2)
@@ -225,7 +225,6 @@ func TestFleetFacade(t *testing.T) {
 	fleet, err := NewFleet(dep, inQ,
 		func(c *controlplane.Config) { c.Statistic, c.PSIThreshold = controlplane.DriftPSI, 0.2 },
 		WithRetrainRecords(300),
-		WithAdaptiveRetrain(900),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +261,8 @@ func TestFleetFacade(t *testing.T) {
 	if len(st.Members) != 2 || st.Members[0].Sampled == 0 || st.Members[1].Sampled == 0 {
 		t.Errorf("member sampling missing: %+v", st.Members)
 	}
-	if st.LastPoolSize < 300 {
-		t.Errorf("pooled %d records, want at least the chunked minimum 300", st.LastPoolSize)
+	if st.LastPoolSize != 300 {
+		t.Errorf("pooled %d records, want RetrainRecords = 300", st.LastPoolSize)
 	}
 	// Parity on every member: data plane vs the shared model's reference.
 	for i, pl := range pipes {
