@@ -313,6 +313,7 @@ func (f *Fleet) RetrainNow() error {
 		return f.fail(span, err)
 	}
 	n := len(recs)
+	f.tracer.Emitf(span, "labels.pooled", "records=%d members=%d", n, len(pool))
 	if n == 0 {
 		return f.fail(span, fmt.Errorf("controlplane: label source returned no records"))
 	}
@@ -323,7 +324,6 @@ func (f *Fleet) RetrainNow() error {
 	if err := fit(recs); err != nil {
 		return f.fail(span, err)
 	}
-	f.tracer.Emitf(span, "labels.pooled", "records=%d members=%d", n, len(pool))
 	f.tracer.Emitf(span, "retrain.fit", "records=%d", n)
 	g, err := f.model.Lower(f.inQ)
 	if err != nil {

@@ -3,6 +3,7 @@ package controlplane
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -75,6 +76,32 @@ func gateConfig(tr *obs.Tracer) Config {
 }
 
 func labelSrc(n int) []dataset.Record { return make([]dataset.Record, n) }
+
+// failFitModel is a stubModel whose Fit always fails.
+type failFitModel struct{ stubModel }
+
+func (failFitModel) Fit([]dataset.Record) error { return errors.New("fit failed") }
+
+// TestFailedFitJournalsItsLabels: a round whose Fit fails still journals the
+// labels it drew, so its span reads retrain.start, labels.pooled,
+// retrain.fail.
+func TestFailedFitJournalsItsLabels(t *testing.T) {
+	tr := obs.NewTracer(64)
+	ctrl, err := New(nopPusher{}, failFitModel{}, fixed.NewQuantizer(1), labelSrc, gateConfig(tr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ctrl.RetrainNow(); err == nil {
+		t.Fatal("retrain with a failing Fit succeeded")
+	}
+	var kinds []string
+	for _, e := range tr.Events() {
+		kinds = append(kinds, e.Kind)
+	}
+	if want := []string{"retrain.start", "labels.pooled", "retrain.fail"}; !reflect.DeepEqual(kinds, want) {
+		t.Errorf("journal = %v, want %v", kinds, want)
+	}
+}
 
 // gateMember is a core.Device — a member whose UpdateWeights runs the real
 // push gate — journalling to its own tracer, so a test reads the epoch it

@@ -53,9 +53,12 @@ type driftSpec struct {
 	tune           func(cfg *controlplane.Config)
 }
 
+// driftFlows is the flow count of every drift stream. A stream batch draws
+// one record per flow, so a longer batch repeats records.
+const driftFlows = 256
+
 // driftSpecFor resolves a -model name (dnn, svm, iot).
 func driftSpecFor(name string) (*driftSpec, error) {
-	const flows = 256
 	switch name {
 	case "", "dnn":
 		return &driftSpec{
@@ -63,7 +66,7 @@ func driftSpecFor(name string) (*driftSpec, error) {
 			features: dataset.NumAnomalyFeatures, threshold: 64,
 			initRecords: 4000, initFits: 3, retrainRecords: 3000,
 			newStream: func(seed int64, opts ...trafficgen.StreamOption) (*trafficgen.DriftingStream, error) {
-				return trafficgen.NewDriftingStream(dataset.DefaultDriftConfig(), seed, flows, opts...)
+				return trafficgen.NewDriftingStream(dataset.DefaultDriftConfig(), seed, driftFlows, opts...)
 			},
 			newModel: func(seed int64) (model.Deployable, error) {
 				net := ml.NewDNN([]int{6, 12, 6, 3, 1}, ml.ReLU, ml.Sigmoid, rand.New(rand.NewSource(seed)))
@@ -83,7 +86,7 @@ func driftSpecFor(name string) (*driftSpec, error) {
 				cfg := dataset.DriftConfig{Base: dataset.AnomalyConfig{
 					NumFeatures: dataset.NumSVMFeatures, AnomalyFraction: 0.4, Separation: 1.2,
 				}, MeanShift: 1.6}
-				return trafficgen.NewDriftingStream(cfg, seed, flows, opts...)
+				return trafficgen.NewDriftingStream(cfg, seed, driftFlows, opts...)
 			},
 			newModel: func(seed int64) (model.Deployable, error) {
 				train := ml.DefaultSVMConfig()
@@ -107,7 +110,7 @@ func driftSpecFor(name string) (*driftSpec, error) {
 			initRecords: 2500, initFits: 1, retrainRecords: 2500,
 			multiclass: true,
 			newStream: func(seed int64, opts ...trafficgen.StreamOption) (*trafficgen.DriftingStream, error) {
-				return trafficgen.NewDriftingIoTStream(dataset.DefaultIoTDriftConfig(), seed, flows, opts...)
+				return trafficgen.NewDriftingIoTStream(dataset.DefaultIoTDriftConfig(), seed, driftFlows, opts...)
 			},
 			newModel: func(seed int64) (model.Deployable, error) {
 				return model.NewKMeans(model.KMeansConfig{K: 5, Seed: seed})

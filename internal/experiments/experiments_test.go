@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -31,19 +33,42 @@ func TestTable1Renders(t *testing.T) {
 }
 
 func TestTable2(t *testing.T) {
-	rows, text, err := Table2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows, text := Table2()
 	if len(rows) != 3 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	// Paper ordering: CPU < GPU < TPU unbatched.
+	if !strings.Contains(text, "Taurus") {
+		t.Error("rendering should include the Taurus comparison row")
+	}
+}
+
+// TestCPUWinsUnbatched pins the paper's ordering: CPU < GPU < TPU unbatched
+// (§2.1.2: setup overhead dominates, so the CPU is the fastest design).
+func TestCPUWinsUnbatched(t *testing.T) {
+	rows, _ := Table2()
 	if !(rows[0].LatencyMs < rows[1].LatencyMs && rows[1].LatencyMs < rows[2].LatencyMs) {
 		t.Errorf("ordering violated: %+v", rows)
 	}
-	if !strings.Contains(text, "Taurus") {
-		t.Error("rendering should include the Taurus comparison row")
+}
+
+func TestTable2Anchors(t *testing.T) {
+	want := map[string]float64{
+		"Broadwell Xeon": 0.67,
+		"Tesla T4 GPU":   1.15,
+		"Cloud TPU v2-8": 3.51,
+	}
+	rows, _ := Table2()
+	for _, r := range rows {
+		if math.Abs(r.LatencyMs-want[r.Name]) > 0.01 {
+			t.Errorf("%s unbatched latency = %v ms, want %v", r.Name, r.LatencyMs, want[r.Name])
+		}
+	}
+}
+
+func TestTaurusOrdersOfMagnitude(t *testing.T) {
+	rows, _ := Table2()
+	if ratio := rows[0].LatencyMs / taurusLatencyMs; ratio < 1000 {
+		t.Errorf("control plane should be >=3 orders slower, ratio %v", ratio)
 	}
 }
 
@@ -227,19 +252,130 @@ func TestTable8Small(t *testing.T) {
 	}
 }
 
+// curvesOf splits a convergence figure's rows into its curves, each of
+// which starts at Update 0.
+func curvesOf(rows []ConvergenceRow) [][]ConvergenceRow {
+	var curves [][]ConvergenceRow
+	for _, r := range rows {
+		if r.Update == 0 {
+			curves = append(curves, nil)
+		}
+		curves[len(curves)-1] = append(curves[len(curves)-1], r)
+	}
+	return curves
+}
+
+// updatesToF1 returns how many retrains curve took to serve at least
+// target F1, or -1 if it never does.
+func updatesToF1(curve []ConvergenceRow, target float64) int {
+	for _, r := range curve {
+		if r.F1 >= target {
+			return r.Update
+		}
+	}
+	return -1
+}
+
+var (
+	figOnce      sync.Once
+	fig13, fig14 [][]ConvergenceRow
+	figErr       error
+)
+
+// sharedFigures runs Figures 13 and 14 once for every test that reads them.
+func sharedFigures(t *testing.T) (c13, c14 [][]ConvergenceRow) {
+	t.Helper()
+	figOnce.Do(func() {
+		var rows13, rows14 []ConvergenceRow
+		if rows13, _, figErr = Figure13(); figErr != nil {
+			return
+		}
+		if rows14, _, figErr = Figure14(); figErr != nil {
+			return
+		}
+		fig13, fig14 = curvesOf(rows13), curvesOf(rows14)
+	})
+	if figErr != nil {
+		t.Fatal(figErr)
+	}
+	return fig13, fig14
+}
+
+// TestFigures13And14Small checks both figures' layout on the real control
+// loop: four curves each, the first fit on one batch and the last on the
+// full sliding window.
 func TestFigures13And14Small(t *testing.T) {
-	curves, _, err := Figure13()
-	if err != nil {
-		t.Fatal(err)
+	c13, c14 := sharedFigures(t)
+	if len(c13) != 4 || len(c14) != 4 {
+		t.Fatalf("curves = %d, %d; want 4 each", len(c13), len(c14))
 	}
-	if len(curves) != 4 {
-		t.Fatalf("curves = %d", len(curves))
+	for _, c := range append(c13, c14...) {
+		first, last := c[0], c[len(c)-1]
+		if first.Records != first.Batch || last.Records != trainWindow {
+			t.Errorf("sampling %g, %d/%d: fit on %d then %d records, want %d then the %d-record window",
+				first.Sampling, first.Epochs, first.Batch, first.Records, last.Records, first.Batch, trainWindow)
+		}
 	}
-	c14, _, err := Figure14()
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCurveShape: every curve's modelled time axis increases and the served
+// model converges past F1 60.
+func TestCurveShape(t *testing.T) {
+	c13, c14 := sharedFigures(t)
+	for _, c := range append(append([][]ConvergenceRow{}, c13...), c14...) {
+		last := c[len(c)-1]
+		name := fmt.Sprintf("sampling %g, %d/%d", last.Sampling, last.Epochs, last.Batch)
+		for i := 1; i < len(c); i++ {
+			if c[i].TimeS <= c[i-1].TimeS {
+				t.Fatalf("%s: time not increasing at update %d", name, i)
+			}
+		}
+		if last.F1 < 60 {
+			t.Errorf("%s: final F1 %.1f < 60", name, last.F1)
+		}
 	}
-	if len(c14) != 4 {
-		t.Fatalf("fig14 curves = %d", len(c14))
+}
+
+// TestHigherSamplingConvergesFaster pins Figure 13: t(F1>=60) strictly
+// decreases as the sampling rate rises.
+func TestHigherSamplingConvergesFaster(t *testing.T) {
+	c13, _ := sharedFigures(t)
+	prev := math.Inf(1)
+	for _, c := range c13 {
+		tt := timeToF1(c, 60)
+		if tt < 0 || tt >= prev {
+			t.Errorf("sampling %g: t(F1>=60) = %v, want reached and below %v", c[0].Sampling, tt, prev)
+		}
+		prev = tt
+	}
+}
+
+// TestMoreEpochsConvergeFaster pins Figure 14 (curves 1/64, 1/256, 10/64,
+// 10/256): at either batch size, 10 epochs per update reach F1 60 in fewer
+// updates than 1 epoch.
+func TestMoreEpochsConvergeFaster(t *testing.T) {
+	_, c14 := sharedFigures(t)
+	for i := 0; i < 2; i++ {
+		one, ten := updatesToF1(c14[i], 60), updatesToF1(c14[i+2], 60)
+		if ten < 0 || (one >= 0 && ten >= one) {
+			t.Errorf("batch %d: 10 epochs reach F1 60 after %d updates, 1 epoch after %d",
+				c14[i][0].Batch, ten, one)
+		}
+	}
+}
+
+func TestTimeToF1Helpers(t *testing.T) {
+	curve := []ConvergenceRow{{TimeS: 0, F1: 10}, {Update: 1, TimeS: 1, F1: 50}, {Update: 2, TimeS: 2, F1: 70}}
+	if got := timeToF1(curve, 50); got != 1 {
+		t.Errorf("timeToF1 = %v", got)
+	}
+	if got := timeToF1(curve, 99); got != -1 {
+		t.Errorf("unreachable target = %v", got)
+	}
+	if got := updatesToF1(curve, 70); got != 2 {
+		t.Errorf("updatesToF1 = %v", got)
+	}
+	if got := updatesToF1(curve, 99); got != -1 {
+		t.Errorf("unreachable target = %v", got)
 	}
 }
