@@ -98,7 +98,7 @@ func main() {
 			coord := ctrl.DistFit()
 			for _, w := range coord.Workers() {
 				if !w.Dead() {
-					coord.KillWorker(w.ID())
+					w.Kill()
 					break
 				}
 			}

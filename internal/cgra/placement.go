@@ -2,6 +2,7 @@ package cgra
 
 import (
 	"fmt"
+	"math/bits"
 
 	mr "taurus/internal/mapreduce"
 )
@@ -328,4 +329,30 @@ func (g *Group) effectivePos(fallback Coord) Coord {
 		return fallback
 	}
 	return g.Pos
+}
+
+// NodeSlots returns the pipeline issue slots one node occupies in a CU with
+// the given lane count — the cost the compiler's fusion budgets and
+// graphcheck's slot census both charge. A reduction's tree is per lane
+// chunk (the chunk count is the group's iterations); a wide rescale is the
+// FU's post-op output shifter, free when fused into a chain; wires and
+// storage occupy no CU slot.
+func NodeSlots(g *mr.Graph, n *mr.Node, lanes int) int {
+	switch n.Kind {
+	case mr.KMap, mr.KUnary, mr.KRequant, mr.KLUT:
+		return 1
+	case mr.KReduce:
+		return Log2Ceil(min(g.Node(n.Args[0]).Width, lanes))
+	default:
+		return 0
+	}
+}
+
+// Log2Ceil returns ceil(log2(n)), and 1 for n <= 1: the depth of a
+// reduction tree over n lanes, which takes at least one stage.
+func Log2Ceil(n int) int {
+	if n <= 1 {
+		return 1
+	}
+	return bits.Len(uint(n - 1))
 }

@@ -12,7 +12,6 @@ package compiler
 
 import (
 	"fmt"
-	"math/bits"
 
 	"taurus/internal/cgra"
 	"taurus/internal/hwmodel"
@@ -58,33 +57,6 @@ func fusible(k mr.Kind) bool {
 		return true
 	default:
 		return false
-	}
-}
-
-// log2Ceil returns ceil(log2(n)) for n >= 1.
-func log2Ceil(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return bits.Len(uint(n - 1))
-}
-
-// nodeSlots returns the pipeline issue slots one node occupies in a CU with
-// the given lane count.
-func nodeSlots(g *mr.Graph, n *mr.Node, lanes int) int {
-	switch n.Kind {
-	case mr.KReduce:
-		w := g.Node(n.Args[0]).Width
-		if w > lanes {
-			w = lanes // reduction tree is per chunk; chunk count handled by iterations
-		}
-		return log2Ceil(w)
-	case mr.KScale:
-		// A wide rescale is the FU's post-op output shifter: free when fused
-		// into a chain.
-		return 0
-	default:
-		return 1
 	}
 }
 
@@ -207,7 +179,7 @@ func fuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 	// of a stage for the tree (§5.1.3), plus a couple of trailing scalar
 	// ops (bias add, requant).
 	chainCap := spec.Stages
-	reduceCap := 2 + log2Ceil(spec.Lanes) + 2
+	reduceCap := 2 + cgra.Log2Ceil(spec.Lanes) + 2
 
 	for _, n := range g.Nodes {
 		if nodeGroup[n.ID] != -1 {
@@ -224,7 +196,7 @@ func fuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 		default: // compute chain head
 			gi, first := len(groups), len(members)
 			grp := newGroup(cgra.Group{Kind: cgra.GroupCU, Iterations: 1, Pack: 1}, n.ID)
-			slots := nodeSlots(g, n, spec.Lanes)
+			slots := cgra.NodeSlots(g, n, spec.Lanes)
 			hasReduce := n.Kind == mr.KReduce
 			maxWidth := chainWidth(g, n)
 
@@ -255,7 +227,7 @@ func fuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 				if !ok {
 					break
 				}
-				nextSlots := slots + nodeSlots(g, next, spec.Lanes)
+				nextSlots := slots + cgra.NodeSlots(g, next, spec.Lanes)
 				nextReduce := hasReduce || next.Kind == mr.KReduce
 				cap := chainCap
 				if nextReduce {
@@ -299,7 +271,7 @@ func mergeAdjacent(g *mr.Graph, spec cgra.GridSpec, groups []*cgra.Group, nodeGr
 		return false
 	}
 	chainCap := spec.Stages
-	reduceCap := 2 + log2Ceil(spec.Lanes) + 2
+	reduceCap := 2 + cgra.Log2Ceil(spec.Lanes) + 2
 
 	out := groups[:0] // merging only drops groups: compact in place
 	for _, grp := range groups {

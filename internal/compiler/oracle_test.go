@@ -103,7 +103,7 @@ func oracleFuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 	// of a stage for the tree (§5.1.3), plus a couple of trailing scalar
 	// ops (bias add, requant).
 	chainCap := spec.Stages
-	reduceCap := 2 + log2Ceil(spec.Lanes) + 2
+	reduceCap := 2 + cgra.Log2Ceil(spec.Lanes) + 2
 
 	inGroup := func(grp *cgra.Group, id mr.NodeID) bool {
 		for _, m := range grp.Nodes {
@@ -132,7 +132,7 @@ func oracleFuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 			groups = append(groups, grp)
 		default: // compute chain head
 			grp := &cgra.Group{Kind: cgra.GroupCU, Nodes: []mr.NodeID{n.ID}, Iterations: 1, Pack: 1}
-			slots := nodeSlots(g, n, spec.Lanes)
+			slots := cgra.NodeSlots(g, n, spec.Lanes)
 			hasReduce := n.Kind == mr.KReduce
 			maxWidth := chainWidth(g, n)
 			gi := len(groups)
@@ -176,7 +176,7 @@ func oracleFuse(g *mr.Graph, spec cgra.GridSpec) ([]*cgra.Group, []int) {
 				if !ok {
 					break
 				}
-				nextSlots := slots + nodeSlots(g, next, spec.Lanes)
+				nextSlots := slots + cgra.NodeSlots(g, next, spec.Lanes)
 				nextReduce := hasReduce || next.Kind == mr.KReduce
 				cap := chainCap
 				if nextReduce {
@@ -220,7 +220,7 @@ func oracleMergeAdjacent(g *mr.Graph, spec cgra.GridSpec, groups []*cgra.Group, 
 		return false
 	}
 	chainCap := spec.Stages
-	reduceCap := 2 + log2Ceil(spec.Lanes) + 2
+	reduceCap := 2 + cgra.Log2Ceil(spec.Lanes) + 2
 
 	var out []*cgra.Group
 	for _, grp := range groups {

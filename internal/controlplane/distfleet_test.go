@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"taurus/internal/fixed"
 	"taurus/internal/ml"
 	"taurus/internal/model"
+	"taurus/internal/obs"
 )
 
 // countingSource is a LabelSource that counts its invocations — the probe
@@ -253,9 +255,7 @@ func TestFleetDistFitRetrain(t *testing.T) {
 	if coord == nil {
 		t.Fatal("DistFit() = nil with Config.DistFit set")
 	}
-	if err := coord.KillWorker(0); err != nil {
-		t.Fatal(err)
-	}
+	coord.Workers()[0].Kill()
 	if err := fl.RetrainNow(); err != nil {
 		t.Fatal(err)
 	}
@@ -379,19 +379,14 @@ func TestFleetCloseIsFinal(t *testing.T) {
 	}
 }
 
-// loadSignal is a checkpoint store that reports on loaded when Fit loads it,
-// which a distributed round does once it has opened.
-type loadSignal struct {
-	*distfit.MemStore
-	loaded chan struct{}
-}
-
-func (s loadSignal) Load() (distfit.Checkpoint, bool) {
-	select {
-	case s.loaded <- struct{}{}:
-	default:
+// roundOpened reports whether tr has journalled a distfit.round event.
+func roundOpened(tr *obs.Tracer) bool {
+	for _, e := range tr.Events() {
+		if e.Kind == "distfit.round" {
+			return true
+		}
 	}
-	return s.MemStore.Load()
+	return false
 }
 
 // TestFleetCloseAbortsWedgedRetrain: with every worker killed a distributed
@@ -399,14 +394,18 @@ func (s loadSignal) Load() (distfit.Checkpoint, bool) {
 // with distfit.ErrClosed, nothing is pushed, and the failure is the fleet's
 // Err() by the time Close returns — Close waited for the retrain to return.
 func TestFleetCloseAbortsWedgedRetrain(t *testing.T) {
-	store := loadSignal{distfit.NewMemStore(), make(chan struct{}, 1)}
-	fl, pushers, _, _ := distFleet(t, 2, &distfit.Config{Workers: 2, ChunkSize: 256, Store: store})
+	tracer := obs.NewTracer(0)
+	fl, pushers, _, _ := distFleet(t, 2, &distfit.Config{Workers: 2, ChunkSize: 256, Tracer: tracer})
 	for _, w := range fl.DistFit().Workers() {
 		w.Kill()
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- fl.RetrainNow() }()
-	<-store.loaded // the round is open and no worker will serve it
+	// Once distfit.round is journalled the round is open, and no worker
+	// will serve it.
+	for !roundOpened(tracer) {
+		runtime.Gosched()
+	}
 	fl.Close()
 	if err := fl.Err(); !errors.Is(err, distfit.ErrClosed) {
 		t.Fatalf("Err() right after Close = %v, want distfit.ErrClosed", err)

@@ -201,7 +201,7 @@ func newFleet(m model.Deployable, inQ fixed.Quantizer, cfg Config, labels []obs.
 
 // DistFit returns the distributed-fit coordinator, or nil when
 // Config.DistFit is unset. The handle is how a fault injector reaches the
-// worker pool (KillWorker/AddWorker).
+// worker pool (Workers/AddWorker).
 func (f *Fleet) DistFit() *distfit.Coordinator { return f.coord }
 
 // Register adds one switch to the fleet: its data plane (anything accepting

@@ -152,7 +152,7 @@ func classModels(sep float64) [numClasses][8]featureModel {
 
 // attackMix is the relative frequency of attack families (DoS dominates real
 // KDD traffic; U2R is rare).
-var attackMix = []struct {
+var attackMix = [...]struct {
 	class Class
 	w     float64
 }{
@@ -163,7 +163,9 @@ var attackMix = []struct {
 type AnomalyGenerator struct {
 	cfg    AnomalyConfig
 	models [numClasses][8]featureModel
-	rng    *rand.Rand
+	// mix weighs the attack families, in attackMix's order.
+	mix [len(attackMix)]float64
+	rng *rand.Rand
 }
 
 // NewAnomalyGenerator validates cfg and builds a generator seeded by rng.
@@ -171,7 +173,11 @@ func NewAnomalyGenerator(cfg AnomalyConfig, rng *rand.Rand) (*AnomalyGenerator, 
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &AnomalyGenerator{cfg: cfg, models: classModels(cfg.Separation), rng: rng}, nil
+	g := &AnomalyGenerator{cfg: cfg, models: classModels(cfg.Separation), rng: rng}
+	for i, am := range attackMix {
+		g.mix[i] = am.w
+	}
+	return g, nil
 }
 
 // sampleClass draws a class according to the configured anomaly fraction and
@@ -182,10 +188,10 @@ func (g *AnomalyGenerator) sampleClass() Class {
 	}
 	r := g.rng.Float64()
 	var acc float64
-	for _, am := range attackMix {
-		acc += am.w
+	for i, w := range g.mix {
+		acc += w
 		if r < acc {
-			return am.class
+			return attackMix[i].class
 		}
 	}
 	return DoS

@@ -56,25 +56,20 @@ func driftedClassModels(sep, shift float64) [numClasses][8]featureModel {
 	return m
 }
 
-// driftedAttackMix is the phase-1 attack mix: volumetric DoS recedes while
-// the stealthier families grow.
-var driftedAttackMix = []struct {
-	class Class
-	w     float64
-}{
-	{DoS, 0.38}, {Probe, 0.30}, {R2L, 0.24}, {U2R, 0.08},
-}
+// driftedAttackMix is the phase-1 attack mix, in attackMix's order:
+// volumetric DoS recedes while the stealthier families grow.
+var driftedAttackMix = [len(attackMix)]float64{0.38, 0.30, 0.24, 0.08}
 
 // DriftingGenerator produces labelled KDD-like records whose distribution
 // interpolates between the base world (phase 0) and the drifted world
 // (phase 1). Phase is advanced explicitly by the traffic driver, so
-// experiments control drift speed deterministically.
+// experiments control drift speed deterministically. It draws through its
+// AnomalyGenerator, whose class models and attack mix SetPhase rewrites.
 type DriftingGenerator struct {
-	cfg     DriftConfig
+	AnomalyGenerator
 	base    [numClasses][8]featureModel
 	drifted [numClasses][8]featureModel
 	phase   float64
-	rng     *rand.Rand
 }
 
 // NewDriftingGenerator validates cfg and builds a generator seeded by rng,
@@ -92,15 +87,17 @@ func NewDriftingGenerator(cfg DriftConfig, rng *rand.Rand) (*DriftingGenerator, 
 	if cfg.MeanShift == 0 {
 		cfg.MeanShift = 1.0
 	}
-	return &DriftingGenerator{
-		cfg:     cfg,
-		base:    classModels(cfg.Base.Separation),
-		drifted: driftedClassModels(cfg.Base.Separation, cfg.MeanShift),
-		rng:     rng,
-	}, nil
+	g := &DriftingGenerator{
+		AnomalyGenerator: AnomalyGenerator{cfg: cfg.Base, rng: rng},
+		base:             classModels(cfg.Base.Separation),
+		drifted:          driftedClassModels(cfg.Base.Separation, cfg.MeanShift),
+	}
+	g.SetPhase(0)
+	return g, nil
 }
 
-// SetPhase moves the generator to phase p (clamped into [0, 1]).
+// SetPhase moves the generator to phase p (clamped into [0, 1]) and
+// interpolates the class models and the attack mix it draws from.
 func (g *DriftingGenerator) SetPhase(p float64) {
 	if p < 0 {
 		p = 0
@@ -109,54 +106,19 @@ func (g *DriftingGenerator) SetPhase(p float64) {
 		p = 1
 	}
 	g.phase = p
+	for c := range g.models {
+		for f := range g.models[c] {
+			b, d := g.base[c][f], g.drifted[c][f]
+			g.models[c][f] = featureModel{mu: (1-p)*b.mu + p*d.mu, sigma: (1-p)*b.sigma + p*d.sigma}
+		}
+	}
+	for i, am := range attackMix {
+		g.mix[i] = (1-p)*am.w + p*driftedAttackMix[i]
+	}
 }
 
 // Phase returns the current drift phase.
 func (g *DriftingGenerator) Phase() float64 { return g.phase }
-
-// sampleClass draws a class from the phase-interpolated attack mix.
-func (g *DriftingGenerator) sampleClass() Class {
-	if g.rng.Float64() >= g.cfg.Base.AnomalyFraction {
-		return Benign
-	}
-	r := g.rng.Float64()
-	var acc float64
-	for i, am := range attackMix {
-		w := (1-g.phase)*am.w + g.phase*driftedAttackMix[i].w
-		acc += w
-		if r < acc {
-			return am.class
-		}
-	}
-	return DoS
-}
-
-// Record draws one labelled record at the current phase.
-func (g *DriftingGenerator) Record() Record {
-	class := g.sampleClass()
-	feats := make(tensor.Vec, g.cfg.Base.NumFeatures)
-	for f := 0; f < g.cfg.Base.NumFeatures; f++ {
-		b, d := g.base[class][f], g.drifted[class][f]
-		mu := (1-g.phase)*b.mu + g.phase*d.mu
-		sigma := (1-g.phase)*b.sigma + g.phase*d.sigma
-		raw := math.Exp(mu + sigma*g.rng.NormFloat64())
-		v := math.Log1p(raw)
-		if v > 8 {
-			v = 8
-		}
-		feats[f] = float32(v)
-	}
-	return Record{Features: feats, Class: class}
-}
-
-// Records draws n labelled records at the current phase.
-func (g *DriftingGenerator) Records(n int) []Record {
-	out := make([]Record, n)
-	for i := range out {
-		out[i] = g.Record()
-	}
-	return out
-}
 
 // IoTDriftConfig parameterises the drifting variant of the IoT traffic-
 // classification workload: device categories keep emitting traffic, but the

@@ -1,6 +1,10 @@
 package dataset
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -182,4 +186,63 @@ func TestDriftingGeneratorPhaseZeroMatchesBase(t *testing.T) {
 			}
 		}
 	}
+}
+
+// recordsDigest is the sha256 of recs' classes and feature bits, in order.
+func recordsDigest(recs []Record) string {
+	h := sha256.New()
+	var b [4]byte
+	for _, r := range recs {
+		binary.LittleEndian.PutUint32(b[:], uint32(r.Class))
+		h.Write(b[:])
+		for _, f := range r.Features {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(f))
+			h.Write(b[:])
+		}
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))
+}
+
+// TestGeneratorsArePinned pins, bit for bit, the first records of the
+// benchmark's record source (AnomalyGenerator.Records at both of its feature
+// widths) and of a DriftingGenerator mid-drift. The benchmark draws its flow
+// set from these records, so a generator change that moves one bit moves
+// the benchmark's traffic.
+func TestGeneratorsArePinned(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		recs func() ([]Record, error)
+		want string
+	}{
+		{"anomaly-6", func() ([]Record, error) { return anomalyRecords(6) }, "1dc7ffe15e8cb73966c6ae784293b182efef35711e1944d39a409e95cc4c624d"},
+		{"anomaly-8", func() ([]Record, error) { return anomalyRecords(8) }, "0808f2dda9b940a8c43cb1e7b3cc279b1698bccfd8e749da4d7d1d4d680f18d9"},
+		{"drift-0.37", func() ([]Record, error) {
+			g, err := NewDriftingGenerator(DefaultDriftConfig(), rand.New(rand.NewSource(1)))
+			if err != nil {
+				return nil, err
+			}
+			g.SetPhase(0.37)
+			return append(g.Records(128), g.Record()), nil
+		}, "e5e13aa52c5007a3f25adcbf76e509ab05d8b1af3f6fb73f42895beca462f2de"},
+	} {
+		recs, err := tc.recs()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := recordsDigest(recs); got != tc.want {
+			t.Errorf("%s: records digest %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// anomalyRecords draws the first records of the benchmark's record source
+// at the given feature width.
+func anomalyRecords(numFeatures int) ([]Record, error) {
+	gen, err := NewAnomalyGenerator(AnomalyConfig{
+		NumFeatures: numFeatures, AnomalyFraction: 0.3, Separation: 0.5,
+	}, rand.New(rand.NewSource(1)))
+	if err != nil {
+		return nil, err
+	}
+	return append(gen.Records(128), gen.Record()), nil
 }

@@ -24,19 +24,11 @@
 // accepting tasks, and results it was still computing are discarded at the
 // coordinator, exactly as a crashed process's would be.
 //
-// Checkpointed rounds. Every accepted partial is checkpointed (Store)
-// under a fingerprint of the round's records, so a coordinator that dies
-// mid-round resumes from its merged-so-far state instead of re-running the
-// whole round: a new Coordinator given the same Store and the same record
-// pool re-executes only the missing chunks. The model is untouched until
-// the final Merge, so resumption is bit-identical to an uninterrupted run.
-//
-// Workers are in-process goroutines; they reach the coordinator only
-// through the two-call Transport interface (RequestTask/Report), so a
-// process boundary — workers in separate processes behind an RPC transport
-// — can slot in without touching coordinator logic. (That boundary would
-// also need Partial serialisation, which the in-process transport avoids;
-// see the ROADMAP follow-up.)
+// A round keeps nothing. Workers are in-process goroutines that call their
+// Coordinator directly, and the round's state lives only for its Fit. A
+// coordinator closed mid-round aborts it: Fit returns ErrClosed and no
+// partial survives — as in MapReduce, where a master failure aborts the
+// job and fault tolerance is the re-execution of tasks.
 package distfit
 
 import (
@@ -66,10 +58,6 @@ type Config struct {
 	// TaskDeadline is how long the coordinator waits for an issued task's
 	// result before re-issuing the chunk to another worker (default 2s).
 	TaskDeadline time.Duration
-	// Store checkpoints merged-so-far round state (default: a fresh
-	// in-memory store). Hand the same Store to a replacement coordinator to
-	// resume an interrupted round.
-	Store Store
 	// Tracer journals round lifecycle events — distfit.round at each Fit,
 	// distfit.reissue per re-executed task (default: the process-wide
 	// obs.DefaultTracer). The controlplane threads its own tracer through
@@ -88,32 +76,16 @@ func (c *Config) applyDefaults() {
 	if c.TaskDeadline <= 0 {
 		c.TaskDeadline = 2 * time.Second
 	}
-	if c.Store == nil {
-		c.Store = NewMemStore()
-	}
 	if c.Tracer == nil {
 		c.Tracer = obs.DefaultTracer()
 	}
 }
 
-// Task is one map task: a chunk of the round's labelled records.
-type Task struct {
-	Round int64
-	Chunk int
-	Recs  []dataset.Record
-}
-
-// Transport is the worker's two-call view of the coordinator. The
-// in-process Coordinator implements it directly; a process boundary would
-// implement it over RPC.
-type Transport interface {
-	// RequestTask blocks until a task is available, the transport shuts
-	// down, or cancel fires; ok is false in the latter two cases.
-	RequestTask(workerID int, cancel <-chan struct{}) (t Task, ok bool)
-	// Report delivers a completed task's partial (or the error PartialFit
-	// returned). Reports for already-completed chunks are discarded
-	// first-write-wins; reports from killed workers are discarded outright.
-	Report(workerID int, round int64, chunk int, p model.Partial, err error)
+// task is one map task: a chunk of the round's labelled records.
+type task struct {
+	round int64
+	chunk int
+	recs  []dataset.Record
 }
 
 // Stats is a snapshot of the coordinator's counters.
@@ -130,9 +102,6 @@ type Stats struct {
 	// DroppedReports counts reports discarded because the reporting worker
 	// had been killed — the crash-simulation path.
 	DroppedReports int
-	// ResumedChunks counts chunks restored from a checkpoint instead of
-	// re-executed.
-	ResumedChunks int
 }
 
 // pendingTask is one queue entry; stale entries (wrong round, chunk already
@@ -155,7 +124,6 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	round     int64
-	fp        uint64 // current round's record fingerprint
 	chunks    [][]dataset.Record
 	parts     []model.Partial
 	missing   int  // chunks not yet completed
@@ -209,7 +177,7 @@ func newCoordinator(m model.PartialFitter, cfg Config, now func() time.Time) (*C
 // replacement path, and how a test scales the pool mid-run.
 func (c *Coordinator) AddWorker() *Worker {
 	c.mu.Lock()
-	w := newWorker(len(c.workers), c, c.m)
+	w := &Worker{c: c, killCh: make(chan struct{})}
 	c.workers = append(c.workers, w)
 	c.mu.Unlock()
 	c.wg.Add(1)
@@ -220,31 +188,12 @@ func (c *Coordinator) AddWorker() *Worker {
 	return w
 }
 
-// KillWorker kills worker id: it stops accepting tasks, and any result it
-// was still computing is discarded on arrival. Its in-flight chunk is
-// recovered by the TaskDeadline re-issue.
-func (c *Coordinator) KillWorker(id int) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if id < 0 || id >= len(c.workers) {
-		return fmt.Errorf("distfit: worker %d out of range (have %d)", id, len(c.workers))
-	}
-	c.workers[id].Kill()
-	return nil
-}
-
-// Workers returns the worker handles, dead ones included (index == id).
+// Workers returns the worker handles, dead ones included, in the order
+// they were added — the fault injector kills one with Worker.Kill.
 func (c *Coordinator) Workers() []*Worker {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return append([]*Worker(nil), c.workers...)
-}
-
-// LiveWorkers reports how many workers are accepting tasks.
-func (c *Coordinator) LiveWorkers() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.liveLocked()
 }
 
 func (c *Coordinator) liveLocked() int {
@@ -268,13 +217,11 @@ func (c *Coordinator) Stats() Stats {
 
 // Fit runs one distributed round over recs: chunk by index, fan the chunks
 // out to the workers, collect partials (re-issuing tasks whose results miss
-// TaskDeadline), and merge them in chunk-index order. If the Store holds a
-// checkpoint for this exact record pool — the signature of a coordinator
-// that died mid-round — the checkpointed chunks are restored and only the
-// missing ones execute. Returns ErrClosed if the coordinator is (or
-// becomes) closed; the checkpoint then survives for a successor. At least
-// one live worker is required to make progress — with none, Fit blocks
-// until AddWorker or Close.
+// TaskDeadline), and merge them in chunk-index order. Returns ErrClosed if
+// the coordinator is (or becomes) closed, and the aborted round's partials
+// are never merged. At least one live worker is required to make progress
+// — with none, Fit blocks until AddWorker or Close. A round starts no
+// goroutine of its own: the overdue scan runs here, on a ticker.
 func (c *Coordinator) Fit(recs []dataset.Record) error {
 	c.fitMu.Lock()
 	defer c.fitMu.Unlock()
@@ -288,56 +235,40 @@ func (c *Coordinator) Fit(recs []dataset.Record) error {
 	}
 
 	chunks := chunkRecords(recs, c.cfg.ChunkSize)
-	fp := fingerprint(recs, c.cfg.ChunkSize)
-
 	c.mu.Lock()
 	c.round++
 	round := c.round
-	c.fp = fp
 	c.chunks = chunks
 	c.parts = make([]model.Partial, len(chunks))
 	c.missing = len(chunks)
 	c.abortErr = nil
 	c.issuedAt = make(map[int]time.Time)
-	if ck, ok := c.cfg.Store.Load(); ok && ck.Fingerprint == fp && len(ck.Partials) == len(chunks) {
-		for i, p := range ck.Partials {
-			if p != nil {
-				c.parts[i] = p
-				c.missing--
-				c.stats.ResumedChunks++
-			}
-		}
-	}
-	var todo []int
-	for i := range chunks {
-		if c.parts[i] == nil {
-			todo = append(todo, i)
-		}
-	}
 	done := make(chan struct{})
 	c.roundDone = done
-	c.roundOpen = c.missing > 0
-	resumed := len(chunks) - c.missing
-	c.maybeFinishLocked() // a fully checkpointed round completes immediately
+	c.roundOpen = true
 	c.mu.Unlock()
 
-	c.cfg.Tracer.Emitf(0, "distfit.round", "round=%d chunks=%d resumed=%d", round, len(chunks), resumed)
+	c.cfg.Tracer.Emitf(0, "distfit.round", "round=%d chunks=%d", round, len(chunks))
 
-	stop := make(chan struct{})
-	go c.monitor(round, stop)
-	defer close(stop)
-
-	for _, i := range todo {
+	tick := time.NewTicker(max(c.cfg.TaskDeadline/4, time.Millisecond))
+	defer tick.Stop()
+	for i := range chunks {
 		select {
 		case c.pending <- pendingTask{round, i}:
 		case <-c.closed:
 			return c.abort(done)
 		}
 	}
-	select {
-	case <-done:
-	case <-c.closed:
-		return c.abort(done)
+wait:
+	for {
+		select {
+		case <-done:
+			break wait
+		case <-c.closed:
+			return c.abort(done)
+		case <-tick.C:
+			c.reissueOverdue(round)
+		}
 	}
 
 	c.mu.Lock()
@@ -345,12 +276,11 @@ func (c *Coordinator) Fit(recs []dataset.Record) error {
 	parts := c.parts
 	c.mu.Unlock()
 	if err != nil {
-		return err // checkpoint retained: a successor (or retry) resumes
+		return err
 	}
 	if err := c.m.Merge(parts); err != nil {
 		return err
 	}
-	c.cfg.Store.Clear()
 	c.mu.Lock()
 	c.stats.Rounds++
 	c.mu.Unlock()
@@ -383,58 +313,44 @@ func (c *Coordinator) maybeFinishLocked() {
 	c.roundDone = nil
 }
 
-// monitor re-issues chunks whose results have missed TaskDeadline —
-// the fault-tolerance half of the map phase. It runs for one round.
-func (c *Coordinator) monitor(round int64, stop <-chan struct{}) {
-	period := c.cfg.TaskDeadline / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-c.closed:
-			return
-		case <-t.C:
-		}
-		var reissue []pendingTask
-		c.mu.Lock()
-		if c.round != round || !c.roundOpen {
-			c.mu.Unlock()
-			return
-		}
-		now := c.now()
-		for chunk, at := range c.issuedAt {
-			if c.parts[chunk] == nil && now.Sub(at) > c.cfg.TaskDeadline {
-				c.issuedAt[chunk] = now // back off until the re-issue is itself overdue
-				c.stats.ReissuedTasks++
-				c.cfg.Tracer.Emitf(0, "distfit.reissue", "round=%d chunk=%d", round, chunk)
-				reissue = append(reissue, pendingTask{round, chunk})
-			}
-		}
+// reissueOverdue re-issues the chunks whose results have missed
+// TaskDeadline — the fault-tolerance half of the map phase. Fit's ticker
+// runs it while the round is open.
+func (c *Coordinator) reissueOverdue(round int64) {
+	var reissue []pendingTask
+	c.mu.Lock()
+	if c.round != round || !c.roundOpen {
 		c.mu.Unlock()
-		for _, pt := range reissue {
-			select {
-			case c.pending <- pt:
-			default: // queue full; the next overdue scan retries
-			}
+		return
+	}
+	now := c.now()
+	for chunk, at := range c.issuedAt {
+		if c.parts[chunk] == nil && now.Sub(at) > c.cfg.TaskDeadline {
+			c.issuedAt[chunk] = now // back off until the re-issue is itself overdue
+			c.stats.ReissuedTasks++
+			c.cfg.Tracer.Emitf(0, "distfit.reissue", "round=%d chunk=%d", round, chunk)
+			reissue = append(reissue, pendingTask{round, chunk})
+		}
+	}
+	c.mu.Unlock()
+	for _, pt := range reissue {
+		select {
+		case c.pending <- pt:
+		default: // queue full; the next overdue scan retries
 		}
 	}
 }
 
-// RequestTask implements Transport for in-process workers: it blocks until
-// a live task is available, skipping queue entries made stale by round
-// turnover or first-write-wins completion.
-func (c *Coordinator) RequestTask(workerID int, cancel <-chan struct{}) (Task, bool) {
+// requestTask blocks until a live task is available, the coordinator
+// closes or cancel fires (ok is false in the latter two cases), skipping
+// queue entries made stale by round turnover or first-write-wins completion.
+func (c *Coordinator) requestTask(cancel <-chan struct{}) (t task, ok bool) {
 	for {
 		select {
 		case <-c.closed:
-			return Task{}, false
+			return task{}, false
 		case <-cancel:
-			return Task{}, false
+			return task{}, false
 		case pt := <-c.pending:
 			c.mu.Lock()
 			if pt.round != c.round || !c.roundOpen || c.parts[pt.chunk] != nil {
@@ -443,40 +359,38 @@ func (c *Coordinator) RequestTask(workerID int, cancel <-chan struct{}) (Task, b
 			}
 			c.issuedAt[pt.chunk] = c.now()
 			c.inflight++
-			t := Task{Round: pt.round, Chunk: pt.chunk, Recs: c.chunks[pt.chunk]}
+			t := task{round: pt.round, chunk: pt.chunk, recs: c.chunks[pt.chunk]}
 			c.mu.Unlock()
 			return t, true
 		}
 	}
 }
 
-// Report implements Transport: first write wins per chunk, killed workers'
-// results are dropped (the crash simulation), and every accepted partial is
-// checkpointed so a coordinator restart resumes the round.
-func (c *Coordinator) Report(workerID int, round int64, chunk int, p model.Partial, err error) {
+// report delivers w's completed task — its partial, or the error PartialFit
+// returned. First write wins per chunk, and killed workers' results are
+// dropped (the crash simulation).
+func (c *Coordinator) report(w *Worker, t task, p model.Partial, err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if round != c.round {
+	if t.round != c.round {
 		return // a round that no longer exists; nothing to account
 	}
 	c.inflight--
-	dead := workerID >= 0 && workerID < len(c.workers) && c.workers[workerID].Dead()
 	switch {
 	case !c.roundOpen:
 		// Round already finished or aborted; the report only mattered for
 		// the inflight count.
-	case dead:
+	case w.Dead():
 		c.stats.DroppedReports++
 	case err != nil:
 		c.abortErr = err
 		c.roundOpen = false
-	case c.parts[chunk] != nil:
+	case c.parts[t.chunk] != nil:
 		c.stats.DuplicateCompletions++
 	default:
-		c.parts[chunk] = p
+		c.parts[t.chunk] = p
 		c.missing--
-		delete(c.issuedAt, chunk)
-		c.cfg.Store.Save(Checkpoint{Fingerprint: c.fp, Partials: append([]model.Partial(nil), c.parts...)})
+		delete(c.issuedAt, t.chunk)
 		if c.missing == 0 {
 			c.roundOpen = false
 		}
@@ -485,9 +399,8 @@ func (c *Coordinator) Report(workerID int, round int64, chunk int, p model.Parti
 }
 
 // Close shuts the coordinator down: workers stop, an in-flight Fit returns
-// ErrClosed with its checkpoint intact (hand the same Store to a successor
-// to resume the round), and all worker goroutines are joined before Close
-// returns. Closing twice is safe.
+// ErrClosed, and all worker goroutines are joined before Close returns.
+// Closing twice is safe.
 func (c *Coordinator) Close() {
 	c.closeOnce.Do(func() {
 		close(c.closed)

@@ -2,7 +2,6 @@ package distfit
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -121,7 +120,7 @@ func eventually(t *testing.T, what string, cond func() bool) {
 }
 
 // fakeClock is a coordinator's clock under a test's control: it stands
-// still until advance moves it, so the monitor's scans find a task overdue
+// still until advance moves it, so Fit's overdue scans find a task overdue
 // only once the test has moved the clock past its deadline.
 type fakeClock struct {
 	mu sync.Mutex
@@ -134,7 +133,7 @@ func (k *fakeClock) now() time.Time {
 	return k.t
 }
 
-// advance moves the clock by d. The monitor's next scan re-issues the tasks
+// advance moves the clock by d. Fit's next overdue scan re-issues the tasks
 // overdue at the new time and restamps them, so while the clock stands
 // still again nothing is re-issued twice.
 func (k *fakeClock) advance(d time.Duration) {
@@ -152,6 +151,13 @@ func newFakeCoordinator(t *testing.T, f *fakeFitter, cfg Config) (*Coordinator, 
 		t.Fatal(err)
 	}
 	return c, clk
+}
+
+// accepted reports whether the current round holds chunk's partial.
+func (c *Coordinator) accepted(chunk int) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.parts[chunk] != nil
 }
 
 // newGate returns a channel a fake worker parks on and its release, which is
@@ -179,7 +185,7 @@ func TestRoundMergesInChunkOrder(t *testing.T) {
 	}
 	wantMerged(t, f, []int{0, 4, 8, 12, 16}, []int{4, 4, 4, 4, 2})
 	st := c.Stats()
-	if st.Rounds != 1 || st.ReissuedTasks != 0 || st.ResumedChunks != 0 || st.DuplicateCompletions != 0 {
+	if st.Rounds != 1 || st.ReissuedTasks != 0 || st.DuplicateCompletions != 0 {
 		t.Fatalf("stats = %+v, want one clean round", st)
 	}
 	for first, n := range map[int]int{0: 1, 4: 1, 8: 1, 12: 1, 16: 1} {
@@ -195,7 +201,6 @@ func TestRoundMergesInChunkOrder(t *testing.T) {
 func TestDeadlineReissueFirstWriteWins(t *testing.T) {
 	gateA, releaseA := newGate()
 	gateB, releaseB := newGate()
-	store := NewMemStore()
 	f := newFake(func(first, nth int) error {
 		switch {
 		case first == 0 && nth == 1:
@@ -205,7 +210,7 @@ func TestDeadlineReissueFirstWriteWins(t *testing.T) {
 		}
 		return nil
 	})
-	c, clk := newFakeCoordinator(t, f, Config{Workers: 4, ChunkSize: 4, TaskDeadline: 30 * time.Millisecond, Store: store})
+	c, clk := newFakeCoordinator(t, f, Config{Workers: 4, ChunkSize: 4, TaskDeadline: 30 * time.Millisecond})
 	defer c.Close()
 	defer releaseA()
 	defer releaseB()
@@ -214,15 +219,12 @@ func TestDeadlineReissueFirstWriteWins(t *testing.T) {
 	go func() { fitErr <- c.Fit(fakeRecs(8)) }()
 
 	// Both chunks are out when the clock passes the deadline, so both are
-	// re-issued. The re-issued chunk@0 completes at once (it appears in the
-	// checkpoint); then the straggler reports while chunk@4 still holds the
+	// re-issued. The re-issued chunk@0 completes at once (its partial is
+	// accepted); then the straggler reports while chunk@4 still holds the
 	// round open — the duplicate path.
 	eventually(t, "both chunks issued", func() bool { return f.calls(0) == 1 && f.calls(4) == 1 })
 	clk.advance(31 * time.Millisecond)
-	eventually(t, "re-executed chunk@0 accepted", func() bool {
-		ck, ok := store.Load()
-		return ok && len(ck.Partials) == 2 && ck.Partials[0] != nil
-	})
+	eventually(t, "re-executed chunk@0 accepted", func() bool { return c.accepted(0) })
 	releaseA()
 	eventually(t, "duplicate completion", func() bool { return c.Stats().DuplicateCompletions == 1 })
 	releaseB()
@@ -251,7 +253,6 @@ func TestDeadlineReissueFirstWriteWins(t *testing.T) {
 func TestKillWorkerDropsItsReport(t *testing.T) {
 	gateA, releaseA := newGate()
 	gateB, releaseB := newGate()
-	store := NewMemStore()
 	f := newFake(func(first, nth int) error {
 		switch {
 		case first == 0 && nth == 1:
@@ -261,7 +262,7 @@ func TestKillWorkerDropsItsReport(t *testing.T) {
 		}
 		return nil
 	})
-	c, clk := newFakeCoordinator(t, f, Config{Workers: 1, ChunkSize: 4, TaskDeadline: 30 * time.Millisecond, Store: store})
+	c, clk := newFakeCoordinator(t, f, Config{Workers: 1, ChunkSize: 4, TaskDeadline: 30 * time.Millisecond})
 	defer c.Close()
 	defer releaseA()
 	defer releaseB()
@@ -275,23 +276,17 @@ func TestKillWorkerDropsItsReport(t *testing.T) {
 	// only chunk@0 is re-issued. The two workers added next take one task
 	// each: chunk@4 (which parks) and the re-issue of chunk@0.
 	eventually(t, "worker to take chunk@0", func() bool { return f.calls(0) == 1 })
-	if err := c.KillWorker(0); err != nil {
-		t.Fatal(err)
-	}
+	c.Workers()[0].Kill()
 	clk.advance(31 * time.Millisecond)
 	c.AddWorker()
 	c.AddWorker()
-	if live := c.LiveWorkers(); live != 2 {
+	if live := c.Stats().LiveWorkers; live != 2 {
 		t.Fatalf("LiveWorkers = %d, want 2", live)
 	}
 
-	// Wait for the re-executed chunk@0's result to be accepted (it appears
-	// in the checkpoint), then release the dead worker's wedged call — its
-	// report must be dropped, not merged.
-	eventually(t, "re-executed chunk@0 accepted", func() bool {
-		ck, ok := store.Load()
-		return ok && len(ck.Partials) == 2 && ck.Partials[0] != nil
-	})
+	// Wait for the re-executed chunk@0's result to be accepted, then release
+	// the dead worker's wedged call — its report must be dropped, not merged.
+	eventually(t, "re-executed chunk@0 accepted", func() bool { return c.accepted(0) })
 	releaseA()
 	eventually(t, "dropped report", func() bool { return c.Stats().DroppedReports == 1 })
 	releaseB()
@@ -304,100 +299,6 @@ func TestKillWorkerDropsItsReport(t *testing.T) {
 	f.mu.Unlock()
 	if nth != 2 {
 		t.Fatalf("merged chunk@0 came from attempt %d, want 2 (the re-execution)", nth)
-	}
-}
-
-// TestCheckpointResume: a round aborted after accepting some partials
-// leaves them checkpointed; a successor coordinator on the same Store and
-// pool re-executes only the missing chunks, and the resumed chunks carry
-// the original partials bit-for-bit (here: the very same values).
-func TestCheckpointResume(t *testing.T) {
-	store := NewMemStore()
-	boom := errors.New("worker exploded")
-	f := newFake(func(first, nth int) error {
-		if first == 4 && nth == 1 {
-			// Fail chunk@4 only after chunk@0's partial is safely
-			// checkpointed, so the abort point is deterministic.
-			deadline := time.Now().Add(10 * time.Second)
-			for {
-				if ck, ok := store.Load(); ok && len(ck.Partials) == 2 && ck.Partials[0] != nil {
-					return boom
-				}
-				if time.Now().After(deadline) {
-					return fmt.Errorf("chunk@0 never checkpointed")
-				}
-				time.Sleep(time.Millisecond)
-			}
-		}
-		return nil
-	})
-	recs := fakeRecs(8)
-	c1, err := New(f, Config{Workers: 2, ChunkSize: 4, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c1.Fit(recs); !errors.Is(err, boom) {
-		t.Fatalf("Fit = %v, want the injected worker error", err)
-	}
-	c1.Close()
-	if f.merges != 0 {
-		t.Fatal("aborted round must not merge")
-	}
-
-	// Successor on the same Store: chunk@0 restores, only chunk@4 re-runs.
-	c2, err := New(f, Config{Workers: 2, ChunkSize: 4, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c2.Close()
-	if err := c2.Fit(recs); err != nil {
-		t.Fatal(err)
-	}
-	wantMerged(t, f, []int{0, 4}, []int{4, 4})
-	if got := c2.Stats().ResumedChunks; got != 1 {
-		t.Fatalf("ResumedChunks = %d, want 1", got)
-	}
-	if f.calls(0) != 1 {
-		t.Fatalf("chunk@0 executed %d times across both coordinators, want 1", f.calls(0))
-	}
-	f.mu.Lock()
-	nth := f.merged[0].(*fakePartial).nth
-	f.mu.Unlock()
-	if nth != 1 {
-		t.Fatalf("resumed chunk@0 is attempt %d, want the original", nth)
-	}
-	if _, ok := store.Load(); ok {
-		t.Fatal("checkpoint not cleared after the round completed")
-	}
-}
-
-// TestFullyCheckpointedRoundCompletes: a round whose every chunk is already
-// checkpointed merges immediately without executing a single task.
-func TestFullyCheckpointedRoundCompletes(t *testing.T) {
-	recs := fakeRecs(8)
-	store := NewMemStore()
-	store.Save(Checkpoint{
-		Fingerprint: fingerprint(recs, 4),
-		Partials: []model.Partial{
-			&fakePartial{first: 0, n: 4, nth: 1},
-			&fakePartial{first: 4, n: 4, nth: 1},
-		},
-	})
-	f := newFake(nil)
-	c, err := New(f, Config{Workers: 2, ChunkSize: 4, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	if err := c.Fit(recs); err != nil {
-		t.Fatal(err)
-	}
-	wantMerged(t, f, []int{0, 4}, []int{4, 4})
-	if got := c.Stats().ResumedChunks; got != 2 {
-		t.Fatalf("ResumedChunks = %d, want 2", got)
-	}
-	if f.calls(0) != 0 || f.calls(4) != 0 {
-		t.Fatal("fully checkpointed round executed tasks")
 	}
 }
 

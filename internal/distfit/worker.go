@@ -1,30 +1,16 @@
 package distfit
 
-import (
-	"sync"
+import "sync"
 
-	"taurus/internal/model"
-)
-
-// Worker is one map worker: it pulls tasks from its Transport, computes the
-// model partial for each chunk, and reports the result. In-process workers
-// run as goroutines over the Coordinator's own Transport; the same loop
-// would run in a separate process behind an RPC transport.
+// Worker is one map worker: it pulls tasks from its Coordinator, computes
+// the model partial for each chunk, and reports the result. Workers run as
+// goroutines of the coordinator's process.
 type Worker struct {
-	id int
-	tr Transport
-	m  model.PartialFitter
+	c *Coordinator
 
 	killCh   chan struct{}
 	killOnce sync.Once
 }
-
-func newWorker(id int, tr Transport, m model.PartialFitter) *Worker {
-	return &Worker{id: id, tr: tr, m: m, killCh: make(chan struct{})}
-}
-
-// ID returns the worker's id within its coordinator.
-func (w *Worker) ID() int { return w.id }
 
 // Kill marks the worker dead: it accepts no further tasks, and the
 // coordinator discards any result it was still computing — for the
@@ -45,19 +31,19 @@ func (w *Worker) Dead() bool {
 	}
 }
 
-// run is the worker loop: request, compute, report, until the transport
-// shuts down or the worker is killed. A goroutine cannot be pre-empted
+// run is the worker loop: request, compute, report, until the coordinator
+// closes or the worker is killed. A goroutine cannot be pre-empted
 // mid-compute, so a killed worker still reports its final result — the
 // coordinator discards it (and needs the report to know the model is no
 // longer being read).
 func (w *Worker) run() {
 	for {
-		t, ok := w.tr.RequestTask(w.id, w.killCh)
+		t, ok := w.c.requestTask(w.killCh)
 		if !ok {
 			return
 		}
-		p, err := w.m.PartialFit(t.Recs)
-		w.tr.Report(w.id, t.Round, t.Chunk, p, err)
+		p, err := w.c.m.PartialFit(t.recs)
+		w.c.report(w, t, p, err)
 		if w.Dead() {
 			return
 		}

@@ -149,7 +149,7 @@ func distFitDNN(seed int64, warm []dataset.Record) (*model.DNN, error) {
 func killFirstLive(c *distfit.Coordinator) {
 	for _, w := range c.Workers() {
 		if !w.Dead() {
-			c.KillWorker(w.ID())
+			w.Kill()
 			return
 		}
 	}
@@ -281,7 +281,7 @@ func DistFitTable(seed int64) (*DistFitResult, string, error) {
 		// the round.
 		killFirstLive(coord)
 		sf.arm(1)
-		live := coord.LiveWorkers()
+		live := coord.Stats().LiveWorkers
 		if err := coord.Fit(labels); err != nil {
 			return nil, "", err
 		}

@@ -54,7 +54,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/bits"
 	"strings"
 	"sync"
 
@@ -677,7 +676,7 @@ func (v *verifier) census() {
 		case mr.KLUT:
 			r.LUTCount++
 		}
-		r.CUSlots += nodeSlots(g, n, v.spec.Lanes)
+		r.CUSlots += cgra.NodeSlots(g, n, v.spec.Lanes)
 	}
 	capPerMU := hwmodel.MUBanks * hwmodel.MUEntries
 	bytesNeeded := r.WeightBytes + r.LUTCount*mr.LUTSize
@@ -698,22 +697,6 @@ func (v *verifier) census() {
 			Msg: fmt.Sprintf("compute oversubscribed: %d slots on %d (CUs will be shared; the list schedule's II says by how much)",
 				r.CUSlots, r.CUCapacity),
 		})
-	}
-}
-
-// nodeSlots mirrors the compiler's per-node pipeline-slot cost.
-func nodeSlots(g *mr.Graph, n *mr.Node, lanes int) int {
-	switch n.Kind {
-	case mr.KMap, mr.KUnary, mr.KRequant, mr.KLUT:
-		return 1
-	case mr.KReduce:
-		w := g.Node(n.Args[0]).Width
-		if w > lanes {
-			w = lanes
-		}
-		return log2Ceil(w)
-	default: // KScale fuses free; wires/storage occupy no CU slot
-		return 0
 	}
 }
 
@@ -827,11 +810,4 @@ func idsEqual(what string, a, b []mr.NodeID) error {
 		}
 	}
 	return nil
-}
-
-func log2Ceil(n int) int {
-	if n <= 1 {
-		return 1
-	}
-	return bits.Len(uint(n - 1))
 }

@@ -48,8 +48,9 @@
 //     the joiner up with the current graph. NewDriftingStreams builds the
 //     matching per-member workloads. When one goroutine's Fit becomes the
 //     scaling wall, WithDistFit shards the retrain coordinator/worker style
-//     (fixed chunk schedule, deadline re-issue, checkpointed rounds) while
-//     keeping the pushed graph bit-identical to the single-process merge.
+//     (fixed chunk schedule, deadline re-issue of a crashed worker's task)
+//     while keeping the pushed graph bit-identical to the single-process
+//     merge.
 //
 //   - Metrics and Tracer expose the observability layer (internal/obs):
 //     every device, pipeline, controller and fleet binds its counters and
@@ -304,8 +305,7 @@ type (
 	KMeansDeployableConfig = model.KMeansConfig
 
 	// DistFitConfig parameterises distributed retraining (WithDistFit):
-	// worker count, chunk size (the merge schedule), task deadline,
-	// checkpoint store.
+	// worker count, chunk size (the merge schedule), task deadline, tracer.
 	DistFitConfig = distfit.Config
 )
 
