@@ -87,7 +87,7 @@ func graphFromBytes(data []byte) *mr.Graph {
 
 // fuzzSeedDNN decodes to a miniature DNN neuron: input·weights summed, plus
 // a bias constant, through a ReLU — the dot+bias+activation shape the
-// compiled tape's opDotAdd fusion targets.
+// compiled tape takes as a 1-row matvec with a bias.
 var fuzzSeedDNN = []byte{
 	6,       // 7 nodes
 	0, 4, 0, // n0 input w4
@@ -168,17 +168,17 @@ var fuzzSeedHandOff = append(append([]byte{11}, // 12 nodes
 )
 
 // fuzzSeedDeadDot decodes to a dot product no declared output reads, beside a
-// ReLU one does. Flipped to a squared distance the dead lane saturates
-// ((x−3145776)² leaves int32) where the dot cannot — the one shape an interval
-// analysis of the tape would refuse and the equivalence analysis certifies,
-// rightly: no output can tell (TestTapeMutationSeeds pins it). Its weight is
-// one lane broadcast over the input, so no 1-row matvec takes the dot.
+// ReLU one does; the dot compiles to a 1-row matvec. Its row read as a squared
+// distance saturates ((x−3145776)² leaves int32) where the dot cannot — the
+// one shape an interval analysis of the tape would refuse and the equivalence
+// analysis certifies, rightly: no output can tell (TestTapeMutationSeeds pins
+// it).
 var fuzzSeedDeadDot = []byte{
 	4,       // 5 nodes
 	0, 4, 0, // n0 input w4
-	1, 1, 0, // n1 const w1: 3145776
-	8, 48, 0, 48, 0, 1,
-	2, 4, 2, 1, 2, 2, // n2 map mul (n0, n1), n1 broadcast
+	1, 4, 0, // n1 const row w4: 3145776 in every lane
+	8, 48, 0, 48, 0, 8, 48, 0, 48, 0, 8, 48, 0, 48, 0, 8, 48, 0, 48, 0, 4,
+	2, 4, 2, 1, 2, 2, // n2 map mul (n0, n1)
 	4, 1, 1, 3, 0, // n3 reduce add (n2): dead
 	3, 4, 1, 1, 0, // n4 relu (n0)
 	0, 4, // one output: n4
@@ -338,7 +338,8 @@ const mutationKinds = 15
 // mutateTape applies one hand-corruption class to instruction k of the tape:
 // swapped operands, shifted destination or source slots (a constant source
 // moves within the weight image, into a neighbouring node's lanes or past the
-// last), a flipped opcode, a narrowed lane width, a skewed bias/weight window,
+// last), a flipped opcode (on a matvec, its biases dropped or a row read as a
+// squared distance), a narrowed lane width, a skewed second source window,
 // on a matvec two rows exchanged, a row duplicated over its neighbour, or one
 // row or bias window moved a lane, a multiplier/table index naming the next
 // payload of the image (or none), two weight-owning nodes laid out over
@@ -377,10 +378,12 @@ func mutateTape(p *sched.Program, kind, k int) bool {
 			ins.Op = sched.OpNeg
 		case sched.OpSum:
 			ins.Op = sched.OpRedMax
-		case sched.OpDot:
-			ins.Op = sched.OpSqDist
-		case sched.OpDotAdd:
-			ins.Op = sched.OpDot // dropped bias
+		case sched.OpMatVec:
+			if len(ins.Rows) == 2*ins.W {
+				ins.Rows = ins.Rows[:ins.W] // dropped biases
+			} else {
+				ins.Op, ins.B = sched.OpSqDist, ins.Rows[0] // a row read as a squared distance
+			}
 		default:
 			ins.Dst++
 		}
@@ -390,9 +393,9 @@ func mutateTape(p *sched.Program, kind, k int) bool {
 		} else {
 			ins.A.Off++
 		}
-	case 5: // skewed third operand (bias / second source window)
-		if ins.C.W > 0 {
-			ins.C.Off++
+	case 5: // skewed second source window
+		if ins.B.W > 0 {
+			ins.B.Off++
 		} else {
 			ins.Dst++
 		}
@@ -566,21 +569,33 @@ func TestTapeMutationSeeds(t *testing.T) {
 		t.Fatal("no mutant was rejected: the mutation corpus is inert")
 	}
 
-	// The dead lane: a dot no declared output reads, flipped to a squared
-	// distance that saturates, must be among the mutants the loop above
-	// certified (and so diffed against Graph.Eval) — nothing observable changed.
-	p, err := sched.CompileUnverified(graphFromBytes(fuzzSeedDeadDot), cgra.DefaultGrid())
+	// The dead lane: a dot no declared output reads, its row read as a
+	// squared distance that saturates, must pass equivalence and bounds and
+	// still match Graph.Eval — nothing observable changed. The flip leaves
+	// the image one row sum more than the tape has matvec rows, so the
+	// row-sum audit, and only it, refuses the mutant.
+	g := graphFromBytes(fuzzSeedDeadDot)
+	refs, _ := evalRefs(g, fuzzSeedDeadDot)
+	p, err := sched.CompileUnverified(g, cgra.DefaultGrid())
 	if err != nil {
 		t.Fatal(err)
 	}
-	pc := slices.IndexFunc(p.Code(), func(ins sched.Instr) bool { return ins.Op == sched.OpDot })
+	pc := slices.IndexFunc(p.Code(), func(ins sched.Instr) bool { return ins.Op == sched.OpMatVec })
 	if pc < 0 {
-		t.Fatal("dead-dot seed compiles to no dot")
+		t.Fatal("dead-dot seed compiles to no matvec")
 	}
 	mutateTape(p, 3, pc)
-	if rep := sched.Verify(p); p.Code()[pc].Op != sched.OpSqDist || !rep.OK() {
-		t.Fatalf("dead dot flipped to %s is not certified:\n%s", p.Code()[pc].Op, rep)
+	if op := p.Code()[pc].Op; op != sched.OpSqDist {
+		t.Fatalf("dead dot flipped to %s, want sqdist", op)
 	}
+	rep := sched.Verify(p)
+	for _, fd := range rep.Findings {
+		if fd.Severity == graphcheck.SevError && fd.Check != sched.CheckSums {
+			t.Fatalf("dead dot read as a squared distance is refused by %s:\n%s", fd.Check, rep)
+		}
+	}
+	reimage(t, p, g)
+	diffProgram(t, g, p, fuzzSeedDeadDot, refs, "dead dot read as a squared distance: ")
 	for _, want := range []sched.Analysis{sched.CheckEquiv, sched.CheckBounds} {
 		if classes[want] == 0 {
 			t.Errorf("mutation corpus never fired the %s analysis (fired: %v)", want, classes)

@@ -24,57 +24,3 @@ func (ins *Instr) Mnemonic() string {
 	}
 	return s
 }
-
-// String names the opcode, mnemonic-style, for findings and reports.
-func (op Opcode) String() string {
-	switch op {
-	case OpNone:
-		return "none"
-	case OpAdd:
-		return "add"
-	case OpSub:
-		return "sub"
-	case OpMul:
-		return "mul"
-	case OpMin:
-		return "min"
-	case OpMax:
-		return "max"
-	case OpRelu:
-		return "relu"
-	case OpLeaky:
-		return "leaky"
-	case OpNeg:
-		return "neg"
-	case OpAbs:
-		return "abs"
-	case OpSum:
-		return "sum"
-	case OpRedMin:
-		return "redmin"
-	case OpRedMax:
-		return "redmax"
-	case OpArgMin:
-		return "argmin"
-	case OpArgMax:
-		return "argmax"
-	case OpRequant:
-		return "requant"
-	case OpScale:
-		return "scale"
-	case OpLUT:
-		return "lut"
-	case OpCopy:
-		return "copy"
-	case OpDot:
-		return "dot"
-	case OpDotAdd:
-		return "dotadd"
-	case OpSqDist:
-		return "sqdist"
-	case OpMatVec:
-		return "matvec"
-	default:
-		return "op?"
-	}
-}

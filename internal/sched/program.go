@@ -41,28 +41,79 @@ const (
 	OpScale
 	OpLUT
 	OpCopy
-	// OpDot fuses KMap(MMul) into its sole KReduce(RAdd) consumer: one pass
-	// computing sum(sat32(a[i]*b[i])) without materialising the products —
-	// the dominant pattern of every dense lowering (DotProduct).
-	OpDot
-	// OpDotAdd additionally folds the scalar bias add that follows every
-	// neuron's dot product: sat32(sat32(dot) + c).
-	OpDotAdd
 	// OpSqDist fuses KMap(MSub) -> KMap(MMul, d, d) -> KReduce(RAdd): the
 	// squared-distance chain of the KMeans lowering.
 	OpSqDist
-	// OpMatVec is a dense layer: W (bias-)dots of constant weight rows with
-	// one arena-backed input, written to W adjacent lanes — every argument of
-	// a concat when each is a sunk OpDot/OpDotAdd of that shape, which it
-	// replaces, or one such (bias-)dot no concat gathers (a 1-row layer).
-	// Lane r is sat32(sat32(sum(sat32(Rows[r][i]*a[i]))) + bias r), exactly
-	// what the W instructions it stands for compute (see matVec), then through
-	// the layer's epilogue when it carries one: the activation Act and the
+	// OpMatVec is the one fused dot: W (bias-)dots of constant weight rows
+	// with one arena-backed input at full width, written to W adjacent lanes.
+	// Every such (bias-)dot is a row of one: a concat whose every argument is
+	// one sunk into it, over one input, is a W-row OpMatVec that replaces
+	// them; any other is a 1-row OpMatVec, written to its own block or, sunk,
+	// to its lane of the concat. Lane r is
+	// sat32(sat32(sum(sat32(Rows[r][i]*a[i]))) + bias r), exactly what the
+	// graph's mul, sum and bias add compute (see matVec), then through the
+	// layer's epilogue when it carries one: the activation Act and the
 	// rescale or table Quant the layer fed, which it replaces too. The kernel
 	// applies the epilogue to each lane as it stores it, so a lane is written
 	// once, finished — packed, when the next layer is its only reader.
 	OpMatVec
 )
+
+// opClass groups opcodes by how RunBatch addresses their operands: which
+// operands are read, over how many lanes, and how many destination lanes
+// are written.
+type opClass uint8
+
+const (
+	classBad     opClass = iota // no instruction: OpNone, and every value past OpMatVec
+	classBinary                 // reads a[0:W], b[0:W] (or b[0] broadcast); writes W lanes
+	classUnary                  // an activation: reads a[0:W]; writes W lanes
+	classRescale                // classUnary through the multiplier or table at Slot
+	classCopy                   // classUnary, the lanes unchanged
+	classReduce                 // reads a[0:A.W]; writes lane 0
+	classDist                   // reads a[0:A.W], b likewise (or b[0] broadcast); writes lane 0
+	classMatVec                 // reads a[0:A.W] (packed or not), W constant rows (plus W constant biases) and W row sums; writes W lanes (packed or not)
+)
+
+// ops holds each opcode's facts as data: its mnemonic and its operand class.
+// The equivalence analysis names the expression an instruction builds by its
+// opcode (or its epilogue's), so the class is all it reads here. It has an
+// entry for every value of an Opcode: any past OpMatVec reads the zero entry,
+// classBad with no name.
+var ops = [1 << 8]struct {
+	name  string
+	class opClass
+}{
+	OpNone:    {"none", classBad},
+	OpAdd:     {"add", classBinary},
+	OpSub:     {"sub", classBinary},
+	OpMul:     {"mul", classBinary},
+	OpMin:     {"min", classBinary},
+	OpMax:     {"max", classBinary},
+	OpRelu:    {"relu", classUnary},
+	OpLeaky:   {"leaky", classUnary},
+	OpNeg:     {"neg", classUnary},
+	OpAbs:     {"abs", classUnary},
+	OpSum:     {"sum", classReduce},
+	OpRedMin:  {"redmin", classReduce},
+	OpRedMax:  {"redmax", classReduce},
+	OpArgMin:  {"argmin", classReduce},
+	OpArgMax:  {"argmax", classReduce},
+	OpRequant: {"requant", classRescale},
+	OpScale:   {"scale", classRescale},
+	OpLUT:     {"lut", classRescale},
+	OpCopy:    {"copy", classCopy},
+	OpSqDist:  {"sqdist", classDist},
+	OpMatVec:  {"matvec", classMatVec},
+}
+
+// String names the opcode, mnemonic-style, for findings and reports.
+func (op Opcode) String() string {
+	if name := ops[op].name; name != "" {
+		return name
+	}
+	return "op?"
+}
 
 // Operand locates one argument's lanes. A constant's lanes sit in the model's
 // weight image at Off..Off+W, the same for every packet — the weight rows and
@@ -106,7 +157,7 @@ type Instr struct {
 	Dst     int
 	DStride int
 	W       int
-	A, B, C Operand
+	A, B    Operand
 	Rows    []Operand
 	Slot    int
 
@@ -345,15 +396,15 @@ func issueOrder(s *Schedule) []mr.NodeID {
 	return order
 }
 
-// emit lays out the arena and linearises the schedule into the tape. Six
-// peephole passes cut the instruction count before emission: dot/sqdist
-// chains fuse into their reductions, a neuron's scalar bias add folds into
-// its dot product, values consumed only by a concat are produced directly
-// into the concat's window (copy elimination), a concat that gathers nothing
-// but the neurons of one dense layer — or one such neuron no concat gathers —
-// becomes a single OpMatVec, the activation and rescale or table that layer
-// alone feeds become its epilogue, and a layer that only the next layer reads
-// hands it its lanes packed.
+// emit lays out the arena and linearises the schedule into the tape. Five
+// peephole passes cut the instruction count before emission: sqdist chains
+// fuse into their reductions, every dot of a constant row with an input (and
+// the constant bias added to it) becomes a matvec row, values consumed only by
+// a concat are produced directly into the concat's window (copy elimination),
+// a concat that gathers nothing but the rows of one dense layer becomes a
+// single OpMatVec — every other row a 1-row one — with the activation and
+// rescale or table that layer alone feeds as its epilogue, and a layer that
+// only the next layer reads hands it its lanes packed.
 func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 	t := &Tape{g: g, sched: s, batch: DefaultBatch, layout: make([]int, len(g.Nodes))}
 
@@ -382,46 +433,59 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 			}
 		}
 	}
+	// constant reports whether a node's lanes sit in the weight image: a
+	// const, or a slice of one.
+	constant := func(id mr.NodeID) bool {
+		n := g.Node(id)
+		for n.Kind == mr.KSlice {
+			n = g.Node(n.Args[0])
+		}
+		return n.Kind == mr.KConst
+	}
+
+	// Dot fusion: KReduce(RAdd) of its sole KMap(MMul) is a squared distance
+	// when the product squares its sole KMap(MSub), and a row — input x times
+	// constant weights w, full width — when one factor is constant and the
+	// other is not; a scalar add of a row's sum and a constant folds in as
+	// the row's bias (sat32(sat32(sum) + bias), and int32 addition commutes
+	// bit-exactly). Any other dot — of two computed values, of two constants,
+	// of a broadcast lane — is left as its mul and its sum.
+	//
+	// sum[id] is the KReduce of the row node id holds — id itself, or the sum
+	// its bias is added to — and -1 for a node that is no row.
+	sum := make([]mr.NodeID, len(g.Nodes))
 	fused := make([]bool, len(g.Nodes))
-	for _, n := range g.Nodes {
-		if n.Kind != mr.KReduce || n.Reduce != mr.RAdd {
-			continue
+	// factors returns the two factors of the product KReduce r sums, the
+	// constant one (if either is) as w.
+	factors := func(r mr.NodeID) (x, w mr.NodeID) {
+		m := g.Node(g.Node(r).Args[0])
+		if x, w = m.Args[0], m.Args[1]; constant(x) {
+			x, w = w, x
 		}
-		m := g.Node(n.Args[0])
-		if m.Kind != mr.KMap || m.Map != mr.MMul || uses[m.ID] != 1 {
-			continue
-		}
-		fused[m.ID] = true
-		if m.Args[0] == m.Args[1] {
-			if d := g.Node(m.Args[0]); d.Kind == mr.KMap && d.Map == mr.MSub && uses[d.ID] == 2 {
-				fused[d.ID] = true
-			}
-		}
-	}
-	// Bias folding: MAdd(reduce, scalar) where the reduce is a
-	// single-consumer fused dot. The add is emitted as one OpDotAdd at the
-	// MAdd node; the reduce disappears (saturation order is preserved:
-	// sat32(sat32(sum) + bias), and int32 addition commutes bit-exactly).
-	biasDot := make([]mr.NodeID, len(g.Nodes)) // MAdd id -> dot-reduce id
-	for i := range biasDot {
-		biasDot[i] = -1
+		return x, w
 	}
 	for _, n := range g.Nodes {
-		if n.Kind != mr.KMap || n.Map != mr.MAdd || n.Width != 1 {
-			continue
-		}
-		for _, a := range n.Args {
-			r := g.Node(a)
-			if r.Kind != mr.KReduce || r.Reduce != mr.RAdd || uses[r.ID] != 1 {
+		sum[n.ID] = -1
+		switch {
+		case n.Kind == mr.KReduce && n.Reduce == mr.RAdd:
+			m := g.Node(n.Args[0])
+			if m.Kind != mr.KMap || m.Map != mr.MMul || uses[m.ID] != 1 {
 				continue
 			}
-			m := g.Node(r.Args[0])
-			if !fused[m.ID] || (m.Args[0] == m.Args[1] && fused[m.Args[0]]) {
-				continue // plain sum or sqdist chain: not a dot
+			if d := g.Node(m.Args[0]); m.Args[0] == m.Args[1] && d.Kind == mr.KMap && d.Map == mr.MSub && uses[d.ID] == 2 {
+				fused[m.ID], fused[d.ID] = true, true
+				continue
 			}
-			biasDot[n.ID] = r.ID
-			fused[r.ID] = true
-			break
+			if x, w := factors(n.ID); constant(w) && !constant(x) && g.Node(x).Width == g.Node(w).Width {
+				sum[n.ID], fused[m.ID] = n.ID, true
+			}
+		case n.Kind == mr.KMap && n.Map == mr.MAdd && n.Width == 1:
+			for k, r := range n.Args {
+				if sum[r] == r && uses[r] == 1 && constant(n.Args[1-k]) {
+					sum[n.ID], fused[r] = r, true
+					break
+				}
+			}
 		}
 	}
 
@@ -454,12 +518,13 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 		}
 	}
 
-	// Layer fusion: a concat whose every argument is a (bias-)dot sunk into
-	// it, each of one constant weight row with the same arena-backed input at
-	// full width (and constant biases on all rows or none), is one OpMatVec;
-	// so is one such (bias-)dot that no concat gathers, as a 1-row layer. A
-	// broadcast or constant input, rows over different windows (Conv1D) or a
-	// single non-dot argument leave the per-neuron instructions alone.
+	// Layer fusion: a concat whose every argument is a row sunk into it, each
+	// over the same input (and biased all or none), is one OpMatVec of as
+	// many rows. Every other row is a 1-row OpMatVec, issued at its own node:
+	// one no concat gathers, or one sunk into a concat that is no layer —
+	// rows over different windows (Conv1D), or beside a value that is no row.
+	// Nodes are visited last to first, so a concat is decided before the rows
+	// it gathers.
 	//
 	// The layer's epilogue rides on the same instruction: when the layer's
 	// only reader is a unary, and when that one's (or the layer's) only
@@ -467,47 +532,6 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 	// last node of that chain is and writes that node's window; the nodes
 	// before it are fused away and get no arena block. A second reader, or a
 	// declared output, ends the chain at the node that has it.
-	//
-	// constant reports whether a node's lanes sit in the weight image: a
-	// const, or a slice of one.
-	constant := func(id mr.NodeID) bool {
-		n := g.Node(id)
-		for n.Kind == mr.KSlice {
-			n = g.Node(n.Args[0])
-		}
-		return n.Kind == mr.KConst
-	}
-	// neuron decomposes a (bias-)dot of a constant row with an arena-backed
-	// input at full width into its input x, its row w and its constant bias
-	// (-1: none); ok is false for any other node.
-	neuron := func(id mr.NodeID) (x, w, bias mr.NodeID, ok bool) {
-		n := g.Node(id)
-		bias = -1
-		if r := biasDot[id]; r >= 0 {
-			if bias = n.Args[0]; bias == r {
-				bias = n.Args[1]
-			}
-			if !constant(bias) {
-				return -1, -1, -1, false
-			}
-			n = g.Node(r)
-		}
-		if n.Kind != mr.KReduce || n.Reduce != mr.RAdd {
-			return -1, -1, -1, false
-		}
-		m := g.Node(n.Args[0])
-		if !fused[m.ID] || (m.Args[0] == m.Args[1] && fused[m.Args[0]]) {
-			return -1, -1, -1, false // plain sum or sqdist chain: not a dot
-		}
-		w, x = m.Args[0], m.Args[1]
-		if !constant(w) {
-			w, x = x, w
-		}
-		if !constant(w) || constant(x) || g.Node(x).Width != g.Node(w).Width {
-			return -1, -1, -1, false
-		}
-		return x, w, bias, true
-	}
 	type layer struct {
 		input      mr.NodeID
 		w          int         // weight rows
@@ -516,36 +540,43 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 	}
 	layers := make(map[mr.NodeID]layer) // by the node the OpMatVec is issued at
 	var lone [1]mr.NodeID
-	for _, n := range g.Nodes {
-		neurons := n.Args
+	for i := len(g.Nodes) - 1; i >= 0; i-- {
+		n := g.Nodes[i]
+		gathered := n.Args
 		switch {
 		case n.Kind == mr.KConcat:
-		case sink[n.ID].target < 0 && !fused[n.ID]:
+		case sum[n.ID] >= 0 && !fused[n.ID]:
 			lone[0] = n.ID
-			neurons = lone[:]
+			gathered = lone[:]
 		default:
 			continue
 		}
-		rows, biases, input, ok := len(neurons), 0, mr.NodeID(-1), true
-		for r, a := range neurons {
-			x, _, bias, isNeuron := neuron(a)
-			if ok = isNeuron && (n.Kind != mr.KConcat || sink[a].target == n.ID) && (r == 0 || x == input); !ok {
+		rows, biases, input, ok := len(gathered), 0, mr.NodeID(-1), true
+		for r, a := range gathered {
+			if ok = sum[a] >= 0 && (n.Kind != mr.KConcat || sink[a].target == n.ID); !ok {
+				break
+			}
+			x, _ := factors(sum[a])
+			if ok = r == 0 || x == input; !ok {
 				break
 			}
 			input = x
-			if bias >= 0 {
+			if sum[a] != a {
 				biases++
 			}
 		}
 		if !ok || (biases != 0 && biases != rows) {
 			continue
 		}
-		ops := make([]mr.NodeID, rows+biases)
-		for r, a := range neurons {
-			_, w, bias, _ := neuron(a)
-			ops[r] = w
-			if bias >= 0 {
-				ops[rows+r] = bias
+		l, last := layer{input: input, w: rows, rows: make([]mr.NodeID, rows+biases)}, n.ID
+		for r, a := range gathered {
+			_, l.rows[r] = factors(sum[a])
+			if biases > 0 {
+				bias := g.Node(a).Args[0]
+				if bias == sum[a] {
+					bias = g.Node(a).Args[1]
+				}
+				l.rows[rows+r] = bias
 			}
 		}
 		if n.Kind == mr.KConcat {
@@ -553,7 +584,6 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 				fused[a] = true // the OpMatVec computes it
 			}
 		}
-		l, last := layer{input: input, w: rows, rows: ops}, n.ID
 		if u := consumer[last]; u >= 0 && g.Node(u).Kind == mr.KUnary {
 			l.act = unaryOps[g.Node(u).Unary]
 			fused[last], last = true, u
@@ -672,32 +702,20 @@ func emit(g *mr.Graph, s *Schedule) (*Tape, error) {
 		}
 		switch n.Kind {
 		case mr.KMap:
-			if r := biasDot[id]; r >= 0 {
-				m := g.Node(g.Node(r).Args[0])
-				bias := n.Args[0]
-				if bias == r {
-					bias = n.Args[1]
-				}
-				ins.Op = OpDotAdd
-				ins.A, ins.B, ins.C = resolve(m.Args[0]), resolve(m.Args[1]), resolve(bias)
-				break
-			}
 			ins.Op = [...]Opcode{OpAdd, OpSub, OpMul, OpMin, OpMax}[n.Map]
 			ins.A, ins.B = resolve(n.Args[0]), resolve(n.Args[1])
 		case mr.KUnary:
 			ins.Op, ins.A = unaryOps[n.Unary], resolve(n.Args[0])
 		case mr.KReduce:
-			m := g.Node(n.Args[0])
-			switch {
-			case n.Reduce == mr.RAdd && fused[m.ID] && m.Args[0] == m.Args[1] && fused[m.Args[0]]:
+			// Every row is a matvec's, so a fused argument left here is the
+			// product of a squared distance.
+			if m := g.Node(n.Args[0]); fused[m.ID] {
 				d := g.Node(m.Args[0])
 				ins.Op, ins.A, ins.B = OpSqDist, resolve(d.Args[0]), resolve(d.Args[1])
-			case n.Reduce == mr.RAdd && fused[m.ID]:
-				ins.Op, ins.A, ins.B = OpDot, resolve(m.Args[0]), resolve(m.Args[1])
-			default:
-				ins.Op = [...]Opcode{OpSum, OpRedMin, OpRedMax, OpArgMin, OpArgMax}[n.Reduce]
-				ins.A = resolve(n.Args[0])
+				break
 			}
+			ins.Op = [...]Opcode{OpSum, OpRedMin, OpRedMax, OpArgMin, OpArgMax}[n.Reduce]
+			ins.A = resolve(n.Args[0])
 		case mr.KConcat:
 			at := 0
 			for _, a := range n.Args {
@@ -889,16 +907,6 @@ func (p *Program) RunBatch(n int) {
 			for j := 0; j < n; j++ {
 				copy(out.slot(j, w), a.slot(j, aw))
 			}
-		case OpDot:
-			for j := 0; j < n; j++ {
-				out.lanes[j*out.step] = sat32(dotLanes(a.slot(j, aw), b.slot(j, bw)))
-			}
-		case OpDotAdd:
-			c := ins.C.resolve(img, vals)
-			for j := 0; j < n; j++ {
-				dot := sat32(dotLanes(a.slot(j, aw), b.slot(j, bw)))
-				out.lanes[j*out.step] = sat32(int64(dot) + int64(c.lanes[j*c.step]))
-			}
 		case OpSqDist:
 			for j := 0; j < n; j++ {
 				out.lanes[j*out.step] = sat32(sqDistLanes(a.slot(j, aw), b.slot(j, bw)))
@@ -928,7 +936,7 @@ func (p *Program) Fallbacks() int { return p.arena.fallbacks }
 // of its own lanes, and S*M <= MaxInt32 bounds every product and partial
 // sum, making every sat32 of the reference the identity and keeping the low
 // half from carrying into the high one. A (row, pair) that fails the guard
-// takes the per-product-saturating form of OpDot on the pair's unpacked
+// takes the reference's per-product-saturating form on the pair's unpacked
 // slots (dotPairLanes). Nothing is assumed about what the inputs hold, and S
 // is as new as the weights it was summed from, so a new image needs no
 // notification.
@@ -1057,10 +1065,10 @@ func (p *Arena) matVecCell(f *finisher, x []int64, n, r, q int, w []int32, s, b 
 	f.finishPair(n, r, q, int64(sat32(lo))+int64(sat32(hi))<<32, b)
 }
 
-// dotPairLanes is dotLanes of w with each slot of the packed pair x — the low
-// half lo = int32(X) and the high half (X-lo)>>32 of every lane — the exact
-// per-product-saturating dot of a cell that fails the packing guard; the
-// caller saturates the sums.
+// dotPairLanes is sum(sat32(w[i]*x[i])) for each slot of the packed pair x —
+// the low half lo = int32(X) and the high half (X-lo)>>32 of every lane — the
+// exact per-product-saturating dot of a cell that fails the packing guard;
+// the caller saturates the sums.
 func dotPairLanes(w []int32, x []int64) (lo, hi int64) {
 	x = x[:len(w)]
 	for i, wv := range w {
@@ -1517,23 +1525,6 @@ func lutLanes(out, a []int32, lut *mr.LUT) {
 	for i := range out {
 		out[i] = tableLane(&lut.Table, min(max(m.Apply(a[i]), -mr.LUTSize/2), mr.LUTSize/2-1))
 	}
-}
-
-// dotLanes is sum(sat32(a[i]*b[i])); the caller saturates the sum.
-func dotLanes(a, b []int32) int64 {
-	var s int64
-	if len(b) == 1 {
-		bv := int64(b[0])
-		for _, v := range a {
-			s += int64(sat32(int64(v) * bv))
-		}
-		return s
-	}
-	b = b[:len(a)]
-	for i, v := range a {
-		s += int64(sat32(int64(v) * int64(b[i])))
-	}
-	return s
 }
 
 // sqDistLanes is sum(sat32(d*d)) with d = sat32(a[i]-b[i]).

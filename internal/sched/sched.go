@@ -29,14 +29,14 @@
 //
 //  1. Semantic equivalence: every instruction's effect is re-derived
 //     symbolically, per output lane, as a hash-consed expression over the
-//     graph's inputs and weight slots — fused forms included (a dot is
-//     sum(sat32(a·b)), a dot+bias is sat32(sat32(dot)+c), a squared
-//     distance is sum(sat32(sat32(a−b)²)), a matvec is the dot+bias of each
-//     of its rows, lane by lane, wrapped in the activation and the rescale
-//     or table its epilogue names, stored in — or read from — a packed
-//     window's slot pair 0 when one layer hands the next its lanes packed,
-//     concat sinks write producer results straight into the
-//     concatenation's window). The expression at
+//     graph's inputs and weight slots, from its opcode's row of one table
+//     (ops: mnemonic, operand class) — fused forms
+//     included (a squared distance is sum(sat32(sat32(a−b)²)), a matvec is,
+//     lane by lane, sat32(sat32(sum(sat32(w·a)))+bias) of each of its rows,
+//     wrapped in the activation and the rescale or table its epilogue names,
+//     stored in — or read from — a packed window's slot pair 0 when one
+//     layer hands the next its lanes packed, concat sinks write producer
+//     results straight into the concatenation's window). The expression at
 //     each declared output cell must match, structurally and bit-exactly,
 //     the expression the graph defines for that output lane. A mismatch is
 //     reported at the instruction that produced the first diverging
@@ -85,6 +85,7 @@ package sched
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"taurus/internal/cgra"
@@ -132,28 +133,7 @@ type Schedule struct {
 }
 
 // log2Ceil returns ceil(log2(n)) for n >= 1.
-func log2Ceil(n int) int {
-	b := 0
-	for v := n - 1; v > 0; v >>= 1 {
-		b++
-	}
-	return b
-}
-
-// chainWidth is a node's lane demand (its argument's width for reductions).
-func chainWidth(g *mr.Graph, n *mr.Node) int {
-	switch n.Kind {
-	case mr.KInput, mr.KConst, mr.KConcat, mr.KSlice:
-		return 0
-	}
-	w := n.Width
-	if n.Kind == mr.KReduce {
-		if aw := g.Node(n.Args[0]).Width; aw > w {
-			w = aw
-		}
-	}
-	return w
-}
+func log2Ceil(n int) int { return bits.Len(uint(n - 1)) }
 
 // nodeCost returns a node's issue occupancy and pipeline latency on its
 // unit. issues is the number of consecutive cycles the node holds one unit
@@ -163,7 +143,7 @@ func chainWidth(g *mr.Graph, n *mr.Node) int {
 func nodeCost(g *mr.Graph, n *mr.Node, spec cgra.GridSpec) (issues, lat int, onMU bool) {
 	switch n.Kind {
 	case mr.KMap, mr.KUnary, mr.KRequant:
-		iters := (chainWidth(g, n) + spec.Lanes - 1) / spec.Lanes
+		iters := (n.Width + spec.Lanes - 1) / spec.Lanes
 		return iters, 1 + (iters - 1), false
 	case mr.KReduce:
 		w := g.Node(n.Args[0]).Width

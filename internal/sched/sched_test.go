@@ -2,6 +2,7 @@ package sched_test
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"taurus/internal/cgra"
@@ -183,7 +184,9 @@ func TestMicrobenchGraphs(t *testing.T) {
 
 // TestEdgeGraphs feeds hand-built graphs that exercise every opcode,
 // broadcast operands, slices and concats of constants, reduce tie-breaking
-// and saturation — with extreme int32 inputs, not just the int8 domain.
+// and saturation — with extreme int32 inputs, not just the int8 domain — and
+// the dots that are no matvec row. Each verifies clean and matches Graph.Eval
+// at every batch fill; the tapes of the dot shapes are pinned.
 func TestEdgeGraphs(t *testing.T) {
 	mult, err := fixed.NewMultiplier(0.37)
 	if err != nil {
@@ -263,6 +266,37 @@ func TestEdgeGraphs(t *testing.T) {
 			x := b.Input("x", 2)
 			b.Output(b.Const("k", []int32{11, -22, 33}), b.Reduce(mr.RAdd, x))
 		}),
+		build("dot-two-inputs", func(b *mr.Builder) {
+			x, y := b.Input("x", 8), b.Input("y", 8)
+			b.Output(b.Reduce(mr.RAdd, b.Map(mr.MMul, x, y)))
+		}),
+		build("dot-self-two-inputs", func(b *mr.Builder) {
+			x, y := b.Input("x", 8), b.Input("y", 8)
+			b.Output(b.Reduce(mr.RAdd, b.Map(mr.MMul, x, x)), y)
+		}),
+		build("dot-two-inputs-biased", func(b *mr.Builder) {
+			x, y := b.Input("x", 8), b.Input("y", 8)
+			b.Output(b.Map(mr.MAdd, b.Reduce(mr.RAdd, b.Map(mr.MMul, x, y)), b.Scalar("b", -7)))
+		}),
+		build("row-sum-read-twice", func(b *mr.Builder) {
+			// The sum has a second reader, so no bias folds into the row.
+			x := b.Input("x", 8)
+			s := b.DotProduct(b.Const("w", []int32{3, -1, 4, -1, 5, -9, 2, -6}), x)
+			b.Output(b.Map(mr.MAdd, s, b.Scalar("b", 5)), b.Unary(mr.UNeg, s))
+		}),
+	}
+	conv, err := lower.Conv1D(8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	graphs = append(graphs, conv)
+	tapes := map[string]string{
+		"dot-self":              "mul sum",
+		"dot-two-inputs":        "mul sum",
+		"dot-self-two-inputs":   "mul sum",
+		"dot-two-inputs-biased": "mul sum add",
+		"row-sum-read-twice":    "matvec add neg",
+		conv.Name:               strings.TrimSpace(strings.Repeat("matvec ", 8)),
 	}
 
 	rng := rand.New(rand.NewSource(17))
@@ -283,6 +317,21 @@ func TestEdgeGraphs(t *testing.T) {
 				draws = append(draws, ins)
 			}
 			diffTest(t, g, draws...)
+			p, err := sched.Compile(g, cgra.DefaultGrid())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := sched.Verify(p); len(rep.Findings) != 0 {
+				t.Fatalf("findings on a faithful tape:\n%s", rep)
+			}
+			if want, ok := tapes[g.Name]; ok {
+				if got := strings.Join(mnemonics(p), " "); got != want {
+					t.Errorf("tape is %q, want %q", got, want)
+				}
+			}
+			for fill := 1; fill <= p.MaxBatch(); fill++ {
+				sweepAgainstEval(t, g, p, rng, fill, "")
+			}
 		})
 	}
 }

@@ -61,7 +61,7 @@ func (c *checker) alias() {
 
 	for pc := range c.code {
 		ins := &c.code[pc]
-		for i, o := range [...]Operand{ins.A, ins.B, ins.C} {
+		for i, o := range [...]Operand{ins.A, ins.B} {
 			if node, fault := c.operandFault(o); fault != "" {
 				c.finding(pc, node, graphcheck.SevError, CheckAlias, "operand %c %s", 'a'+i, fault)
 			}
@@ -76,17 +76,13 @@ func (c *checker) alias() {
 				c.finding(pc, node, graphcheck.SevError, CheckAlias, "row operand %d %s", r, fault)
 			}
 		}
-		switch {
-		case ins.Op == OpRequant, ins.Op == OpScale, ins.Op == OpMatVec && (ins.Quant == OpRequant || ins.Quant == OpScale):
-			if !c.hasMult(ins) {
-				c.finding(pc, -1, graphcheck.SevError, CheckAlias,
-					"multiplier index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.mults))
+		if q, n, ok := c.payloadOf(ins); q != OpNone && !ok {
+			what := "multiplier"
+			if q == OpLUT {
+				what = "table"
 			}
-		case ins.Op == OpLUT, ins.Op == OpMatVec && ins.Quant == OpLUT:
-			if !c.hasLUT(ins) {
-				c.finding(pc, -1, graphcheck.SevError, CheckAlias,
-					"table index %d names none of the image's %d: no weight push would reach it", ins.Slot, len(c.img.luts))
-			}
+			c.finding(pc, -1, graphcheck.SevError, CheckAlias,
+				"%s index %d names none of the image's %d: no weight push would reach it", what, ins.Slot, n)
 		}
 	}
 
@@ -117,15 +113,23 @@ func (c *checker) alias() {
 	}
 }
 
-// hasMult and hasLUT report whether the Slot of a requant, a scale or a
-// rescaling matvec epilogue, or of a LUT instruction or a matvec epilogue
-// ending in a table, names a payload of the image.
-func (c *checker) hasMult(ins *Instr) bool {
-	return ins.Slot >= 0 && ins.Slot < len(c.img.mults)
-}
-
-func (c *checker) hasLUT(ins *Instr) bool {
-	return ins.Slot >= 0 && ins.Slot < len(c.img.luts)
+// payloadOf is the rescale ins applies through its Slot — its own requant,
+// scale or lut, or its matvec epilogue's; OpNone when it applies none — how
+// many payloads of that kind the image holds (tables for a lut, multipliers
+// otherwise), and whether Slot names one of them.
+func (c *checker) payloadOf(ins *Instr) (q Opcode, n int, ok bool) {
+	if q = ins.Op; q == OpMatVec {
+		q = ins.Quant
+	}
+	switch {
+	case ops[q].class != classRescale:
+		return OpNone, 0, false
+	case q == OpLUT:
+		n = len(c.img.luts)
+	default:
+		n = len(c.img.mults)
+	}
+	return q, n, ins.Slot >= 0 && ins.Slot < n
 }
 
 // operandFault checks that one constant-backed operand's window lies inside

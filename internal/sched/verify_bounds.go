@@ -5,41 +5,6 @@ import (
 	mr "taurus/internal/mapreduce"
 )
 
-// opClass groups opcodes by how RunBatch addresses their operands: which
-// operands are read, over how many lanes, and how many destination lanes
-// are written.
-type opClass int
-
-const (
-	classBinary opClass = iota // reads a[0:W], b[0:W] (or b[0] broadcast); writes W lanes
-	classUnary                 // reads a[0:W]; writes W lanes (unary, requant, scale, lut, copy)
-	classReduce                // reads a[0:A.W]; writes lane 0
-	classDot                   // reads a[0:A.W], b likewise (or broadcast); writes lane 0
-	classDotAdd                // classDot plus c[0]
-	classMatVec                // reads a[0:A.W] (packed or not), W constant rows (plus W constant biases) and W row sums; writes W lanes (packed or not)
-	classBad
-)
-
-func classOf(op Opcode) opClass {
-	switch op {
-	case OpAdd, OpSub, OpMul, OpMin, OpMax:
-		return classBinary
-	case OpRelu, OpLeaky, OpNeg, OpAbs,
-		OpRequant, OpScale, OpLUT, OpCopy:
-		return classUnary
-	case OpSum, OpRedMin, OpRedMax, OpArgMin, OpArgMax:
-		return classReduce
-	case OpDot, OpSqDist:
-		return classDot
-	case OpDotAdd:
-		return classDotAdd
-	case OpMatVec:
-		return classMatVec
-	default:
-		return classBad
-	}
-}
-
 // matVecBiased reports whether an OpMatVec's Rows holds a bias per row after
 // its W weight rows; ok is false when it holds neither W nor 2*W operands,
 // which no analysis can address.
@@ -94,7 +59,7 @@ func (c *checker) bounds() {
 
 	for pc := range c.code {
 		ins := &c.code[pc]
-		cls := classOf(ins.Op)
+		cls := ops[ins.Op].class
 		if cls == classBad {
 			c.finding(pc, -1, graphcheck.SevError, CheckBounds, "unknown opcode %d", int(ins.Op))
 			continue
@@ -103,7 +68,7 @@ func (c *checker) bounds() {
 			c.finding(pc, -1, graphcheck.SevError, CheckBounds, "instruction width %d", ins.W)
 			continue
 		}
-		if cls != classMatVec && (ins.Packed || ins.A.Packed || ins.B.Packed || ins.C.Packed) {
+		if cls != classMatVec && (ins.Packed || ins.A.Packed || ins.B.Packed) {
 			c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 				"a %v addresses packed lanes, which only a matvec reads or stores", ins.Op)
 			continue
@@ -122,12 +87,12 @@ func (c *checker) bounds() {
 				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"operand b is %d lanes, want 1 (broadcast) or %d", ins.B.W, ins.W)
 			}
-		case classUnary:
+		case classUnary, classRescale, classCopy:
 			if ins.A.W != ins.W {
 				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"operand a is %d lanes, instruction writes %d", ins.A.W, ins.W)
 			}
-		case classReduce, classDot, classDotAdd:
+		case classReduce, classDist:
 			if ins.W != 1 {
 				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"reduction writes %d lanes, want 1", ins.W)
@@ -136,13 +101,9 @@ func (c *checker) bounds() {
 				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"reduction over %d lanes", ins.A.W)
 			}
-			if cls != classReduce && ins.B.W != 1 && ins.B.W != ins.A.W {
+			if cls == classDist && ins.B.W != 1 && ins.B.W != ins.A.W {
 				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"operand b is %d lanes, want 1 (broadcast) or %d", ins.B.W, ins.A.W)
-			}
-			if cls == classDotAdd && ins.C.W < 1 {
-				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
-					"bias operand c is empty")
 			}
 		case classMatVec:
 			// The kernel reads A.W lanes of the input per slot and of every
@@ -163,15 +124,11 @@ func (c *checker) bounds() {
 			// activation it does not know would pass the lanes through
 			// untouched, a rescale it does not know would be taken for a
 			// scale.
-			switch ins.Act {
-			case OpNone, OpRelu, OpLeaky, OpNeg, OpAbs:
-			default:
+			if ins.Act != OpNone && ops[ins.Act].class != classUnary {
 				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"matvec epilogue activation is %v (opcode %d), want a unary or none", ins.Act, int(ins.Act))
 			}
-			switch ins.Quant {
-			case OpNone, OpRequant, OpScale, OpLUT:
-			default:
+			if ins.Quant != OpNone && ops[ins.Quant].class != classRescale {
 				c.finding(pc, -1, graphcheck.SevError, CheckBounds,
 					"matvec epilogue rescale is %v (opcode %d), want requant, scale, lut or none", ins.Quant, int(ins.Quant))
 			}
@@ -204,20 +161,13 @@ func (c *checker) bounds() {
 				bl = min(ins.W, ins.B.W)
 			}
 			c.checkRead(pc, ins.B, bl, &undefOnce, &skewOnce)
-		case classUnary:
+		case classUnary, classRescale, classCopy:
 			c.checkRead(pc, ins.A, min(ins.W, ins.A.W), &undefOnce, &skewOnce)
 		case classReduce:
 			c.checkRead(pc, ins.A, ins.A.W, &undefOnce, &skewOnce)
-		case classDot, classDotAdd:
+		case classDist:
 			c.checkRead(pc, ins.A, ins.A.W, &undefOnce, &skewOnce)
-			bl := 1
-			if ins.B.W != 1 {
-				bl = ins.B.W
-			}
-			c.checkRead(pc, ins.B, bl, &undefOnce, &skewOnce)
-			if cls == classDotAdd {
-				c.checkRead(pc, ins.C, 1, &undefOnce, &skewOnce)
-			}
+			c.checkRead(pc, ins.B, ins.B.W, &undefOnce, &skewOnce)
 		case classMatVec:
 			if ins.A.Packed {
 				c.checkPackedRead(pc, ins.A)
@@ -229,7 +179,7 @@ func (c *checker) bounds() {
 		// Writes: W lanes for element ops, lane 0 for reductions; a packed
 		// window's W lanes and bound per slot pair.
 		wl := ins.W
-		if cls == classReduce || cls == classDot || cls == classDotAdd {
+		if cls == classReduce || cls == classDist {
 			wl = 1
 		}
 		dst := Operand{Packed: ins.Packed, Off: ins.Dst, Stride: ins.DStride, W: ins.W}
@@ -389,8 +339,7 @@ func (c *checker) checkRead(pc int, o Operand, lanes int, undefOnce, skewOnce *b
 		if w0 >= 0 {
 			p := &c.code[w0]
 			pOff, pStride, pW = p.Dst, p.DStride, p.W
-			switch classOf(p.Op) {
-			case classReduce, classDot, classDotAdd:
+			if cls := ops[p.Op].class; cls == classReduce || cls == classDist {
 				pW = 1
 			}
 		} else {

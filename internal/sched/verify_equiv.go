@@ -14,56 +14,37 @@ import (
 // the graph derives, per node and per lane, the expression the semantics
 // define; a symbolic execution of the tape (slot 0 — bounds() proves the
 // other slots address the same producers) derives the expression each arena
-// cell holds, with fused instructions expanded into their documented
-// RunBatch meaning — a dot is sum(mul(aᵢ,bᵢ)), a dot+bias wraps that sum in
-// one more saturating add, a squared distance is sum(mul(d,d)) over
-// d = sub(aᵢ,bᵢ), a matvec is one dot(+bias) per weight row, lane by lane,
-// inside the unary and the requant/scale/table of its epilogue, stored in —
-// or read from — the lanes of slot pair 0 when packed, which are slot 0's.
-// Hash-consing makes equivalence a single integer compare per output lane,
-// and because the expressions are interned structurally the check is exact: no instruction-order or copy-elimination freedom is lost,
-// while only bit-exact-commutative operators (saturating add, mul, min, max)
-// are canonicalised by kid order. Weight leaves are keyed by layout slot (the
-// graph node whose slot of the image an offset lies in, via alias()), not by
-// value, so a program stays equivalent across weight pushes.
+// cell holds, each instruction by its opcode's entry in ops — an operator's
+// expression over its operands' lanes, a squared distance as sum(mul(d,d))
+// over d = sub(aᵢ,bᵢ), a matvec as the sum(mul(wᵢ,aᵢ)) of each weight row,
+// plus its bias, lane by lane, inside the unary and the requant/scale/table
+// of its epilogue, stored in — or read from — the lanes of slot pair 0 when
+// packed, which are slot 0's. The graph walk names its operators' kinds from
+// tables of its own, not from emit's. Hash-consing makes equivalence a single
+// integer compare per output lane, and because the expressions are interned
+// structurally the check is exact: no instruction-order or copy-elimination
+// freedom is lost, while only bit-exact-commutative operators (saturating
+// add, mul, min, max) are canonicalised by kid order. Weight leaves are keyed
+// by layout slot (the graph node whose slot of the image an offset lies in,
+// via alias()), not by value, so a program stays equivalent across weight
+// pushes.
 type exprID = int32
 
+// An expression's kind is the opcode whose rule builds it, its kids that
+// rule's operands — a reduction's in lane order, so a first-wins tie break is
+// positional — and a rescale's x the index of its multiplier or table in the
+// image. The leaves take the last three Opcode values, which name no opcode.
 const (
-	eUndef uint8 = iota
-	eInput       // x = input node, y = lane
-	eConst       // x = const node, y = lane within its storage
-	eAdd         // commutative
-	eSub
-	eMul // commutative
-	eMin // commutative
-	eMax // commutative
-	eRelu
-	eLeaky
-	eNeg
-	eAbs
-	eSum  // kids in lane order
-	eRMin // kids in lane order (first-wins tie break is positional)
-	eRMax
-	eArgMin
-	eArgMax
-	eRequant // x = payload slot (the multiplier's index in the image)
-	eScale
-	eLUT // x = payload slot (the table's index in the image)
+	eUndef Opcode = 1<<8 - 1 - iota
+	eInput        // x = input node, y = lane
+	eConst        // x = const node, y = lane within its storage
 )
-
-var exprName = [...]string{
-	eUndef: "undef", eInput: "in", eConst: "w",
-	eAdd: "add", eSub: "sub", eMul: "mul", eMin: "min", eMax: "max",
-	eRelu: "relu", eLeaky: "leaky", eNeg: "neg", eAbs: "abs",
-	eSum: "sum", eRMin: "redmin", eRMax: "redmax", eArgMin: "argmin", eArgMax: "argmax",
-	eRequant: "requant", eScale: "scale", eLUT: "lut",
-}
 
 // exprNode is one interned expression. pc is the tape instruction that first
 // created it, or -1 when the graph walk created it first — used to attribute
 // a divergence to the instruction that computed the wrong subexpression.
 type exprNode struct {
-	kind   uint8
+	kind   Opcode
 	x, y   int32
 	kidOff int32
 	kidLen int32
@@ -115,7 +96,7 @@ func (it *interner) reset(hint int) {
 // exactly once by the graph walk (the tape side resolves them through the
 // graph's lane arrays), and undef leaves are unique by design — so leaves
 // skip the hash table entirely.
-func (it *interner) fresh(kind uint8, x, y int32) exprID {
+func (it *interner) fresh(kind Opcode, x, y int32) exprID {
 	id := exprID(len(it.nodes))
 	it.nodes = append(it.nodes, exprNode{kind: kind, x: x, y: y, kidOff: int32(len(it.kids)), pc: it.pc})
 	return id
@@ -140,7 +121,7 @@ func fin(h uint32) uint32 {
 // word, fold in the rest, and take the top bits of one multiply (Fibonacci
 // hashing); any other key runs FNV-1a over its fields. binary, intern and
 // grow all come through here, so a key always probes from the same slot.
-func (it *interner) slot(kind uint8, x, y int32, kids []exprID) uint32 {
+func (it *interner) slot(kind Opcode, x, y int32, kids []exprID) uint32 {
 	if len(kids) == 2 {
 		return it.slot2(kind, x, y, kids[0], kids[1])
 	}
@@ -153,13 +134,13 @@ func (it *interner) slot(kind uint8, x, y int32, kids []exprID) uint32 {
 	return fin(h) & it.mask
 }
 
-func (it *interner) slot2(kind uint8, x, y int32, a, b exprID) uint32 {
+func (it *interner) slot2(kind Opcode, x, y int32, a, b exprID) uint32 {
 	key := uint64(uint32(a))<<32 | uint64(uint32(b))
 	key ^= uint64(kind)<<58 ^ uint64(uint32(x))<<16 ^ uint64(uint32(y))<<40
 	return uint32(key * 0x9e3779b97f4a7c15 >> it.shift)
 }
 
-func (it *interner) equal(id exprID, kind uint8, x, y int32, kids []exprID) bool {
+func (it *interner) equal(id exprID, kind Opcode, x, y int32, kids []exprID) bool {
 	n := &it.nodes[id]
 	if n.kind != kind || n.x != x || n.y != y || int(n.kidLen) != len(kids) {
 		return false
@@ -173,7 +154,7 @@ func (it *interner) equal(id exprID, kind uint8, x, y int32, kids []exprID) bool
 	return true
 }
 
-func (it *interner) intern(kind uint8, x, y int32, kids []exprID) exprID {
+func (it *interner) intern(kind Opcode, x, y int32, kids []exprID) exprID {
 	slot := it.slot(kind, x, y, kids)
 	for {
 		e := it.tab[slot]
@@ -220,8 +201,8 @@ func (it *interner) kidsOf(id exprID) []exprID {
 // Two-kid nodes are the bulk of the universe (every map lane, every fused dot
 // term), so the probe loop is specialised: same slot as the general path, no
 // kid-slice detour.
-func (it *interner) binary(kind uint8, a, b exprID) exprID {
-	if kind == eAdd || kind == eMul || kind == eMin || kind == eMax {
+func (it *interner) binary(kind Opcode, a, b exprID) exprID {
+	if kind == OpAdd || kind == OpMul || kind == OpMin || kind == OpMax {
 		if b < a {
 			a, b = b, a
 		}
@@ -294,11 +275,8 @@ func (it *interner) render(id exprID, depth int) string {
 	case eConst:
 		return fmt.Sprintf("w%d[%d]", n.x, n.y)
 	}
-	name := "expr?"
-	if int(n.kind) < len(exprName) {
-		name = exprName[n.kind]
-	}
-	if n.kind == eRequant || n.kind == eScale || n.kind == eLUT {
+	name := n.kind.String()
+	if ops[n.kind].class == classRescale {
 		name = fmt.Sprintf("%s#%d", name, n.x)
 	}
 	if depth <= 0 {
@@ -322,33 +300,12 @@ func (it *interner) render(id exprID, depth int) string {
 	}
 }
 
-// unaryExpr and rescaleExpr are the expression kinds of the opcodes an
-// activation or a rescale — an instruction's own, or a matvec epilogue's, which
-// may also be a table — may be, eUndef for any other.
-func unaryExpr(op Opcode) uint8 {
-	if op < OpRelu || op > OpAbs {
-		return eUndef
-	}
-	return [...]uint8{eRelu, eLeaky, eNeg, eAbs}[op-OpRelu]
-}
-
-func rescaleExpr(op Opcode) uint8 {
-	switch op {
-	case OpRequant:
-		return eRequant
-	case OpScale:
-		return eScale
-	case OpLUT:
-		return eLUT
-	}
-	return eUndef
-}
-
-// payloadSlot is a multiplier or table index as an expression key, or a
-// pc-unique sentinel when the index names no payload (alias() reported).
-func payloadSlot(slot int, ok bool, pc int) int32 {
-	if ok {
-		return int32(slot)
+// payloadSlot is the multiplier or table index of ins's rescale as an
+// expression key, or a pc-unique sentinel when the index names no payload
+// (alias() reported).
+func (c *checker) payloadSlot(ins *Instr, pc int) int32 {
+	if _, _, ok := c.payloadOf(ins); ok {
+		return int32(ins.Slot)
 	}
 	return int32(-1000 - pc)
 }
@@ -438,19 +395,19 @@ func (c *checker) equiv() {
 				lanes[l] = it.fresh(eConst, int32(n.ID), int32(l))
 			}
 		case mr.KMap:
-			kind := [...]uint8{mr.MAdd: eAdd, mr.MSub: eSub, mr.MMul: eMul, mr.MMin: eMin, mr.MMax: eMax}[n.Map]
+			kind := [...]Opcode{mr.MAdd: OpAdd, mr.MSub: OpSub, mr.MMul: OpMul, mr.MMin: OpMin, mr.MMax: OpMax}[n.Map]
 			a, b := arg(0), arg(1)
 			for l := range lanes {
 				lanes[l] = it.binary(kind, pick(a, l), pick(b, l))
 			}
 		case mr.KUnary:
-			kind := [...]uint8{mr.UReLU: eRelu, mr.ULeakyReLU: eLeaky, mr.UNeg: eNeg, mr.UAbs: eAbs}[n.Unary]
+			kind := [...]Opcode{mr.UReLU: OpRelu, mr.ULeakyReLU: OpLeaky, mr.UNeg: OpNeg, mr.UAbs: OpAbs}[n.Unary]
 			a := arg(0)
 			for l := range lanes {
 				lanes[l] = it.intern(kind, 0, 0, []exprID{pick(a, l)})
 			}
 		case mr.KReduce:
-			kind := [...]uint8{mr.RAdd: eSum, mr.RMin: eRMin, mr.RMax: eRMax, mr.RArgMin: eArgMin, mr.RArgMax: eArgMax}[n.Reduce]
+			kind := [...]Opcode{mr.RAdd: OpSum, mr.RMin: OpRedMin, mr.RMax: OpRedMax, mr.RArgMin: OpArgMin, mr.RArgMax: OpArgMax}[n.Reduce]
 			lanes[0] = it.intern(kind, 0, 0, arg(0))
 		case mr.KConcat:
 			scratch = scratch[:0]
@@ -469,19 +426,11 @@ func (c *checker) equiv() {
 			if len(a) == 1 && n.Width == 1 && n.Start > 0 {
 				lanes[0] = it.undefAt(-1, int(n.ID)*1024)
 			}
-		case mr.KRequant, mr.KScale:
-			kind := eRequant
-			if n.Kind == mr.KScale {
-				kind = eScale
-			}
+		case mr.KRequant, mr.KScale, mr.KLUT:
+			kind := [...]Opcode{mr.KRequant: OpRequant, mr.KScale: OpScale, mr.KLUT: OpLUT}[n.Kind]
 			a := arg(0)
 			for l := range lanes {
 				lanes[l] = it.intern(kind, int32(c.layout[i]), 0, []exprID{pick(a, l)})
-			}
-		case mr.KLUT:
-			a := arg(0)
-			for l := range lanes {
-				lanes[l] = it.intern(eLUT, int32(c.layout[i]), 0, []exprID{pick(a, l)})
 			}
 		}
 	}
@@ -532,7 +481,7 @@ func (c *checker) equiv() {
 	for pc := range c.code {
 		ins := &c.code[pc]
 		it.pc = int32(pc)
-		aW, bW, cW := wlanes(ins.A), wlanes(ins.B), wlanes(ins.C)
+		aW, bW := wlanes(ins.A), wlanes(ins.B)
 		read := func(o Operand, w []exprID, l int) exprID {
 			if o.Const {
 				if l < len(w) {
@@ -557,100 +506,74 @@ func (c *checker) equiv() {
 			}
 		}
 
-		switch ins.Op {
-		case OpAdd, OpSub, OpMul, OpMin, OpMax:
-			kind := [...]uint8{eAdd, eSub, eMul, eMin, eMax}[ins.Op-OpAdd]
+		op := ops[ins.Op]
+		switch op.class {
+		case classBinary:
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
-				write(l, it.binary(kind, read(ins.A, aW, l), bLane(l)))
+				write(l, it.binary(ins.Op, read(ins.A, aW, l), bLane(l)))
 			}
-		case OpRelu, OpLeaky, OpNeg, OpAbs:
-			kind := unaryExpr(ins.Op)
+		case classUnary, classRescale, classCopy:
+			var slot int32
+			if op.class == classRescale {
+				slot = c.payloadSlot(ins, pc)
+			}
 			w := min(ins.W, ins.A.W)
 			for l := 0; l < w; l++ {
-				write(l, it.intern(kind, 0, 0, []exprID{read(ins.A, aW, l)}))
+				e := read(ins.A, aW, l)
+				if op.class != classCopy {
+					e = it.intern(ins.Op, slot, 0, []exprID{e})
+				}
+				write(l, e)
 			}
-		case OpSum, OpRedMin, OpRedMax, OpArgMin, OpArgMax:
-			kind := [...]uint8{eSum, eRMin, eRMax, eArgMin, eArgMax}[ins.Op-OpSum]
+		case classReduce:
 			scratch = scratch[:0]
 			for l := 0; l < ins.A.W; l++ {
 				scratch = append(scratch, read(ins.A, aW, l))
 			}
-			write(0, it.intern(kind, 0, 0, scratch))
-		case OpRequant, OpScale:
-			kind := rescaleExpr(ins.Op)
-			slot := payloadSlot(ins.Slot, c.hasMult(ins), pc)
-			w := min(ins.W, ins.A.W)
-			for l := 0; l < w; l++ {
-				write(l, it.intern(kind, slot, 0, []exprID{read(ins.A, aW, l)}))
-			}
-		case OpLUT:
-			slot := payloadSlot(ins.Slot, c.hasLUT(ins), pc)
-			w := min(ins.W, ins.A.W)
-			for l := 0; l < w; l++ {
-				write(l, it.intern(eLUT, slot, 0, []exprID{read(ins.A, aW, l)}))
-			}
-		case OpCopy:
-			w := min(ins.W, ins.A.W)
-			for l := 0; l < w; l++ {
-				write(l, read(ins.A, aW, l))
-			}
-		case OpDot, OpDotAdd:
+			write(0, it.intern(ins.Op, 0, 0, scratch))
+		case classDist:
 			scratch = scratch[:0]
 			for l := 0; l < ins.A.W; l++ {
-				scratch = append(scratch, it.binary(eMul, read(ins.A, aW, l), bLane(l)))
+				d := it.binary(OpSub, read(ins.A, aW, l), bLane(l))
+				scratch = append(scratch, it.binary(OpMul, d, d))
 			}
-			e := it.intern(eSum, 0, 0, scratch)
-			if ins.Op == OpDotAdd {
-				e = it.binary(eAdd, e, read(ins.C, cW, 0))
-			}
-			write(0, e)
-		case OpMatVec:
-			// Row by row, the dot+bias an OpDotAdd would have been, then what
-			// the OpRelu and the OpRequant or OpLUT the epilogue stands for
-			// would have made of that lane. An epilogue opcode that is neither
-			// (bounds() reported it) leaves the lane undefined.
+			write(0, it.intern(OpSum, 0, 0, scratch))
+		case classMatVec:
+			// Row by row, the graph's mul, sum and bias add, then what the
+			// activation and the rescale or table the epilogue stands for
+			// would have made of that lane. An epilogue opcode of any other
+			// class (bounds() reported it) leaves the lane undefined.
 			biased, ok := matVecBiased(ins)
 			if !ok {
 				break // bounds() reported; the lanes stay undefined
 			}
-			act, rescale := unaryExpr(ins.Act), rescaleExpr(ins.Quant)
-			unknown := (ins.Act != OpNone && act == eUndef) || (ins.Quant != OpNone && rescale == eUndef)
-			hasPayload := c.hasMult(ins)
-			if ins.Quant == OpLUT {
-				hasPayload = c.hasLUT(ins)
-			}
-			slot := payloadSlot(ins.Slot, hasPayload, pc)
+			act, rescale := ops[ins.Act], ops[ins.Quant]
+			unknown := (ins.Act != OpNone && act.class != classUnary) || (ins.Quant != OpNone && rescale.class != classRescale)
+			slot := c.payloadSlot(ins, pc)
 			for r := 0; r < ins.W; r++ {
 				row := ins.Rows[r]
 				rowW := wlanes(row)
 				scratch = scratch[:0]
 				for l := 0; l < ins.A.W; l++ {
-					scratch = append(scratch, it.binary(eMul, read(row, rowW, l), read(ins.A, aW, l)))
+					scratch = append(scratch, it.binary(OpMul, read(row, rowW, l), read(ins.A, aW, l)))
 				}
-				e := it.intern(eSum, 0, 0, scratch)
+				e := it.intern(OpSum, 0, 0, scratch)
 				if biased {
 					bias := ins.Rows[ins.W+r]
-					e = it.binary(eAdd, e, read(bias, wlanes(bias), 0))
+					e = it.binary(OpAdd, e, read(bias, wlanes(bias), 0))
 				}
 				if ins.Act != OpNone {
-					e = it.intern(act, 0, 0, []exprID{e})
+					e = it.intern(ins.Act, 0, 0, []exprID{e})
 				}
 				if ins.Quant != OpNone {
-					e = it.intern(rescale, slot, 0, []exprID{e})
+					e = it.intern(ins.Quant, slot, 0, []exprID{e})
 				}
 				if unknown {
 					e = it.undefAt(pc, ins.Dst+r)
 				}
 				write(r, e)
 			}
-		case OpSqDist:
-			scratch = scratch[:0]
-			for l := 0; l < ins.A.W; l++ {
-				d := it.binary(eSub, read(ins.A, aW, l), bLane(l))
-				scratch = append(scratch, it.binary(eMul, d, d))
-			}
-			write(0, it.intern(eSum, 0, 0, scratch))
 		}
 	}
 	it.pc = -1

@@ -47,14 +47,15 @@ func mustMult(t testing.TB, f float64) fixed.Multiplier {
 }
 
 // zooGraph compiles to a tape exercising every instruction family the
-// verifier special-cases: a materialised add (multi-consumer), a sub, a
-// plain dot, a const-window dot (through a slice), a bias-folded dot+add
-// (both gathered with other values by a concat, so no layer takes them),
-// requant, scale, LUT, relu, a concat with one genuine copy, a dense layer
-// (three bias-dots gathered by a concat: one matvec) whose second row and
-// whose biases are windows of larger constants, a second layer of two rows
-// that carries its ReLU and requant as an epilogue and hands its lanes packed
-// to the third, an output neuron no concat gathers: a 1-row matvec whose
+// verifier special-cases: a materialised add (multi-consumer), a sub, a dot
+// of an input with itself (a mul and a sum), a const-window dot (through a
+// slice) and a bias-folded dot+add (both gathered with other values by a
+// concat, so each is a 1-row matvec written to its lane of it), requant,
+// scale, LUT, relu, a concat with one genuine copy, a dense layer (three
+// bias-dots gathered by a concat: one matvec) whose second row and whose
+// biases are windows of larger constants, a second layer of two rows that
+// carries its ReLU and requant as an epilogue and hands its lanes packed to
+// the third, an output neuron no concat gathers: a 1-row matvec whose
 // epilogue is a table.
 func zooGraph(t testing.TB) *mr.Graph {
 	mult := mustMult(t, 0.03)
@@ -72,11 +73,11 @@ func zooGraph(t testing.TB) *mr.Graph {
 		win := b.Slice(w, 4, 8)
 		sum := b.Map(mr.MAdd, x, win)                      // OpAdd, four consumers
 		diff := b.Map(mr.MSub, x, win)                     // OpSub
-		dotSelf := b.Reduce(mr.RAdd, b.Map(mr.MMul, x, x)) // OpDot (no bias consumer)
-		dotW := b.Reduce(mr.RAdd, b.Map(mr.MMul, x, win))  // OpDot with const-window B
+		dotSelf := b.Reduce(mr.RAdd, b.Map(mr.MMul, x, x)) // OpMul, OpSum
+		dotW := b.Reduce(mr.RAdd, b.Map(mr.MMul, x, win))  // 1-row OpMatVec, its row a const window
 		neuron := b.Map(mr.MAdd,
 			b.Reduce(mr.RAdd, b.Map(mr.MMul, x, b.Const("nw", []int32{1, 2, 3, 4, 5, 6, 7, 8}))),
-			b.Scalar("bias", 9)) // OpDotAdd
+			b.Scalar("bias", 9)) // 1-row OpMatVec with a bias
 		rows := []mr.Value{
 			b.Const("l0", []int32{1, -1, 2, -2, 3, -3, 4, -4}),
 			b.Slice(b.Const("l1", []int32{9, 8, 7, 6, 5, 4, 3, 2, 1, 0}), 1, 8),
@@ -110,14 +111,14 @@ func findPC(t *testing.T, p *sched.Program, op sched.Opcode) int {
 	return -1
 }
 
-// findLayer returns the zoo's first matvec that carries an epilogue — the
-// hidden layer, which hands its lanes packed to the output neuron — or the
-// one that does not.
+// findLayer returns the zoo's matvec of more than one row that carries an
+// epilogue — the hidden layer, which hands its lanes packed to the output
+// neuron — or the one that does not.
 func findLayer(t *testing.T, p *sched.Program, epilogue bool) *sched.Instr {
 	t.Helper()
 	for pc := range p.Code() {
 		ins := &p.Code()[pc]
-		if ins.Op == sched.OpMatVec && (ins.Act != sched.OpNone || ins.Quant != sched.OpNone) == epilogue {
+		if ins.Op == sched.OpMatVec && ins.W > 1 && (ins.Act != sched.OpNone || ins.Quant != sched.OpNone) == epilogue {
 			return ins
 		}
 	}
@@ -135,6 +136,19 @@ func findOutputNeuron(t *testing.T, p *sched.Program) *sched.Instr {
 		}
 	}
 	t.Fatal("tape has no matvec reading packed lanes through a table")
+	return nil
+}
+
+// findRow returns the zoo's 1-row matvec that a concat gathers: the
+// bias-folded dot with nw, or the dot with the const window.
+func findRow(t *testing.T, p *sched.Program, biased bool) *sched.Instr {
+	t.Helper()
+	for pc := range p.Code() {
+		if ins := &p.Code()[pc]; ins.Op == sched.OpMatVec && ins.W == 1 && !ins.A.Packed && (len(ins.Rows) == 2) == biased {
+			return ins
+		}
+	}
+	t.Fatalf("tape has no 1-row matvec with biased = %v", biased)
 	return nil
 }
 
@@ -165,10 +179,12 @@ func TestMutationKill(t *testing.T) {
 			p.Code()[findPC(t, p, sched.OpAdd)].Op = sched.OpSub
 		}},
 		{"fusion-dropped-bias", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
-			p.Code()[findPC(t, p, sched.OpDotAdd)].Op = sched.OpDot
+			ins := findRow(t, p, true)
+			ins.Rows = ins.Rows[:1]
 		}},
 		{"fusion-dot-to-sqdist", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
-			p.Code()[findPC(t, p, sched.OpDot)].Op = sched.OpSqDist
+			ins := findRow(t, p, false)
+			ins.Op, ins.B = sched.OpSqDist, ins.Rows[0]
 		}},
 		{"operand-swap-sub", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			ins := &p.Code()[findPC(t, p, sched.OpSub)]
@@ -178,14 +194,7 @@ func TestMutationKill(t *testing.T) {
 			// dotW reads const lanes w[4:12] through the slice; shift the
 			// window one lane left — still inside the const, so only the
 			// symbolic check can see it.
-			for pc := range p.Code() {
-				ins := &p.Code()[pc]
-				if ins.Op == sched.OpDot && ins.B.Const {
-					ins.B.Off--
-					return
-				}
-			}
-			t.Fatal("no const-window dot on the tape")
+			findRow(t, p, false).Rows[0].Off--
 		}},
 		{"operand-stride-skew", sched.CheckBounds, true, func(t *testing.T, p *sched.Program) {
 			p.Code()[findPC(t, p, sched.OpRelu)].A.Stride++
@@ -205,14 +214,7 @@ func TestMutationKill(t *testing.T) {
 		}},
 		{"alias-detached-weights", sched.CheckAlias, true, func(t *testing.T, p *sched.Program) {
 			// A window past the image's last lane: weights no push can set.
-			for pc := range p.Code() {
-				ins := &p.Code()[pc]
-				if ins.Op == sched.OpDot && ins.B.Const {
-					ins.B.Off = len(p.Image().Lanes())
-					return
-				}
-			}
-			t.Fatal("no const-window dot on the tape")
+			findRow(t, p, false).Rows[0].Off = len(p.Image().Lanes())
 		}},
 		{"alias-detached-multiplier", sched.CheckEquiv, true, func(t *testing.T, p *sched.Program) {
 			// The requant reads the scale node's multiplier: an index the
@@ -260,7 +262,7 @@ func TestMutationKill(t *testing.T) {
 			// nw is another 8-lane constant: in range, pushed like any other,
 			// and the wrong weights.
 			ins := findLayer(t, p, false)
-			ins.Rows[0].Off = p.Code()[findPC(t, p, sched.OpDotAdd)].B.Off
+			ins.Rows[0].Off = findRow(t, p, true).Rows[0].Off
 		}},
 		{"matvec-row-detached", sched.CheckAlias, true, func(t *testing.T, p *sched.Program) {
 			// Two const nodes laid out over the same lanes: an image build
