@@ -1,15 +1,17 @@
-// Package cgra simulates Taurus's MapReduce block (§4): a spatial SIMD
-// fabric of Compute Units (CUs — lanes x stages of fixed-point FUs with
-// pipeline registers) and Memory Units (MUs — banked SRAM holding weights
-// and activation tables) on a static, pipelined interconnect at 1 GHz.
+// Package cgra models Taurus's MapReduce block (§4): a spatial SIMD fabric
+// of Compute Units (CUs — lanes x stages of fixed-point FUs with pipeline
+// registers) and Memory Units (MUs — banked SRAM holding weights and
+// activation tables) on a static, pipelined interconnect at 1 GHz.
 //
-// The simulator consumes a MapReduce graph plus a Placement produced by
-// internal/compiler and executes it per packet, producing both the output
-// values (bit-exact with the graph's reference semantics) and timing
-// statistics: pipeline latency in cycles and the initiation interval (II)
-// that determines the fraction of line rate sustained (§4
+// It holds the grid specification (GridSpec), the Placement of a MapReduce
+// graph's nodes onto units that internal/compiler produces and
+// Placement.Validate checks against the graph, and the timing model of a
+// placed graph (Timing): pipeline latency in cycles and the initiation
+// interval (II) that determines the fraction of line rate sustained (§4
 // "Target-Independent Optimizations": unrolling trades area for a known
-// fraction of line rate).
+// fraction of line rate). It computes no packet values: the graph's
+// reference semantics are internal/mapreduce's, and the device runs the
+// compiled tape of internal/sched.
 package cgra
 
 import (

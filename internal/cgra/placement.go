@@ -167,7 +167,8 @@ func (p *Placement) Validate(g *mr.Graph) error {
 	return nil
 }
 
-// Stats reports the outcome of executing one packet.
+// Stats is the timing of one placed graph: a packet's latency through it,
+// the interval between packets and the units it occupies.
 type Stats struct {
 	// LatencyCycles is the pipeline latency from PHV entry to PHV exit.
 	LatencyCycles int

@@ -105,7 +105,8 @@ type Config struct {
 	// Grid is the MapReduce block configuration (DefaultGrid if zero).
 	Grid cgra.GridSpec
 	// FlowTableSize is the number of per-flow register slots for feature
-	// accumulation (power of two recommended).
+	// accumulation. Any positive size is exact: a flow hash is reduced
+	// modulo it by pisa.FastMod.
 	FlowTableSize int
 	// NumFeatures is the model's input width.
 	NumFeatures int
@@ -315,7 +316,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		cfg:       cfg,
 		parser:    parser,
 		phv:       pisa.NewPHV(layout),
-		flowValid: pisa.NewRegisterArray("flow_valid", cfg.FlowTableSize),
+		flowValid: pisa.NewRegisterArray(cfg.FlowTableSize),
 		bypassID:  layout.ID("meta.bypass"),
 		scoreID:   layout.ID("meta.score"),
 		verdictID: layout.ID("meta.verdict"),
@@ -323,8 +324,7 @@ func NewDevice(cfg Config) (*Device, error) {
 		mlIdx:     make([]int, 0, sched.DefaultBatch),
 	}
 	for i := 0; i < cfg.NumFeatures; i++ {
-		d.featureRegs = append(d.featureRegs,
-			pisa.NewRegisterArray(fmt.Sprintf("feat%d", i), cfg.FlowTableSize))
+		d.featureRegs = append(d.featureRegs, pisa.NewRegisterArray(cfg.FlowTableSize))
 	}
 
 	// Preprocessing MAT: non-IPv4/TCP traffic bypasses the MapReduce block
@@ -333,14 +333,10 @@ func NewDevice(cfg Config) (*Device, error) {
 		{Field: layout.ID("eth.type"), Kind: pisa.Exact},
 		{Field: layout.ID("ipv4.proto"), Kind: pisa.Exact},
 	}, 16)
-	d.preMAT.Default = &pisa.VLIWAction{Name: "set_bypass", Ops: []pisa.ActionOp{
-		{Op: pisa.OpSet, Dst: d.bypassID, Imm: 1, UseImm: true},
-	}}
+	d.preMAT.Default = &pisa.VLIWAction{Name: "set_bypass", Ops: []pisa.ActionOp{{Dst: d.bypassID, Imm: 1}}}
 	if err := d.preMAT.Insert(&pisa.Entry{
 		Values: []int32{0x0800, 6},
-		Action: &pisa.VLIWAction{Name: "ml_path", Ops: []pisa.ActionOp{
-			{Op: pisa.OpSet, Dst: d.bypassID, Imm: 0, UseImm: true},
-		}},
+		Action: &pisa.VLIWAction{Name: "ml_path", Ops: []pisa.ActionOp{{Dst: d.bypassID, Imm: 0}}},
 	}); err != nil {
 		return nil, err
 	}
@@ -357,18 +353,14 @@ func NewDevice(cfg Config) (*Device, error) {
 	// Negative (sign bit set) -> benign/forward.
 	if err := d.post.Insert(&pisa.Entry{
 		Values: []int32{-0x80000000}, Masks: []int32{-0x80000000}, Priority: 10,
-		Action: &pisa.VLIWAction{Name: "benign", Ops: []pisa.ActionOp{
-			{Op: pisa.OpSet, Dst: d.verdictID, Imm: int32(Forward), UseImm: true},
-		}},
+		Action: &pisa.VLIWAction{Name: "benign", Ops: []pisa.ActionOp{{Dst: d.verdictID, Imm: int32(Forward)}}},
 	}); err != nil {
 		return nil, err
 	}
 	// Non-negative -> anomalous.
 	if err := d.post.Insert(&pisa.Entry{
 		Values: []int32{0}, Masks: []int32{0}, Priority: 1,
-		Action: &pisa.VLIWAction{Name: "anomalous", Ops: []pisa.ActionOp{
-			{Op: pisa.OpSet, Dst: d.verdictID, Imm: anomalyVerdict, UseImm: true},
-		}},
+		Action: &pisa.VLIWAction{Name: "anomalous", Ops: []pisa.ActionOp{{Dst: d.verdictID, Imm: anomalyVerdict}}},
 	}); err != nil {
 		return nil, err
 	}

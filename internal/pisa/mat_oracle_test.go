@@ -7,27 +7,16 @@ import (
 	"testing"
 )
 
-// The oracle is the table the masked rows replaced, kept verbatim: entries
-// held by pointer and re-sorted by priority on every insert, a per-key switch
-// on match kind, and a scan of every entry for the longest prefix when a key
-// is LPM. Its action word is the old Apply, without the immediate-store fast
-// case. FuzzTable requires Table to report the same hit and leave the same
-// PHV bytes as the oracle on every table and PHV it tries.
+// The oracle is the table the masked rows replaced: entries held by pointer
+// and re-sorted by priority on every insert, and a per-key switch on match
+// kind. FuzzTable requires Table to report the same hit and leave the same
+// PHV as the oracle on every table and PHV it tries.
 
 type oracleTable struct {
 	Keys    []Key
 	Default *VLIWAction
 
 	entries []*Entry
-	lpm     bool
-}
-
-func newOracleTable(keys []Key) *oracleTable {
-	t := &oracleTable{Keys: keys}
-	for _, k := range keys {
-		t.lpm = t.lpm || k.Kind == LPM
-	}
-	return t
 }
 
 func (t *oracleTable) insert(e *Entry) {
@@ -39,19 +28,11 @@ func (t *oracleTable) insert(e *Entry) {
 
 func (t *oracleTable) Lookup(phv *PHV) bool {
 	var best *Entry
-	bestPrefix := -1
 	for _, e := range t.entries {
-		if !t.matches(e, phv) {
-			continue
+		if t.matches(e, phv) {
+			best = e
+			break // sorted by priority
 		}
-		if t.lpm {
-			if e.PrefixLen > bestPrefix {
-				best, bestPrefix = e, e.PrefixLen
-			}
-			continue
-		}
-		best = e
-		break // sorted by priority
 	}
 	if best == nil {
 		if t.Default != nil {
@@ -77,51 +58,14 @@ func (t *oracleTable) matches(e *Entry, phv *PHV) bool {
 			if v&e.Masks[i] != e.Values[i]&e.Masks[i] {
 				return false
 			}
-		case LPM:
-			if e.PrefixLen < 0 || e.PrefixLen > 32 {
-				return false
-			}
-			var mask int32
-			if e.PrefixLen > 0 {
-				mask = int32(int64(-1) << uint(32-e.PrefixLen))
-			}
-			if v&mask != e.Values[i]&mask {
-				return false
-			}
 		}
 	}
 	return true
 }
 
 func oracleApply(a *VLIWAction, phv *PHV) {
-	for i := range a.Ops {
-		op := &a.Ops[i]
-		src := op.Imm
-		if !op.UseImm {
-			src = phv.Get(op.Src)
-		}
-		cur := phv.Get(op.Dst)
-		switch op.Op {
-		case OpSet:
-			cur = src
-		case OpAdd:
-			cur += src
-		case OpSub:
-			cur -= src
-		case OpAnd:
-			cur &= src
-		case OpShiftRight:
-			cur >>= uint(src & 31)
-		case OpMin:
-			if src < cur {
-				cur = src
-			}
-		case OpMax:
-			if src > cur {
-				cur = src
-			}
-		}
-		phv.Set(op.Dst, cur)
+	for _, op := range a.Ops {
+		phv.Set(op.Dst, op.Imm)
 	}
 }
 
@@ -164,20 +108,14 @@ func (r *byteReader) action() *VLIWAction {
 	}
 	a := &VLIWAction{Ops: make([]ActionOp, n)}
 	for i := range a.Ops {
-		a.Ops[i] = ActionOp{
-			Op:     PrimOp(r.u8() % 7),
-			Dst:    FieldID(r.u8() % fuzzFields),
-			Src:    FieldID(r.u8() % fuzzFields),
-			Imm:    r.i32(),
-			UseImm: r.u8()&1 == 1,
-		}
+		a.Ops[i] = ActionOp{Dst: FieldID(r.u8() % fuzzFields), Imm: r.i32()}
 	}
 	return a
 }
 
 // decodeTableSpec: keys (1–3, each kind and field), an optional default,
-// 0–8 entries (priority 0–15 so ties are common, prefix length 0–32, values
-// and masks per key, masks present or not, an action or nil), then PHVs until
+// 0–8 entries (priority 0–15 so ties are common, values and masks per key,
+// masks present or not, an action or nil), then PHVs until
 // the bytes run out. A PHV's key fields may copy an entry's value with a few
 // low bits flipped, so lookups hit, miss by a little and tie.
 func decodeTableSpec(data []byte) tableSpec {
@@ -185,14 +123,14 @@ func decodeTableSpec(data []byte) tableSpec {
 	var s tableSpec
 	s.keys = make([]Key, 1+int(r.u8()%3))
 	for i := range s.keys {
-		s.keys[i] = Key{Kind: MatchKind(r.u8() % 3), Field: FieldID(r.u8() % fuzzFields)}
+		s.keys[i] = Key{Kind: MatchKind(r.u8() % 2), Field: FieldID(r.u8() % fuzzFields)}
 	}
 	if r.u8()&1 == 1 {
 		s.dflt = r.action()
 	}
 	s.entries = make([]*Entry, int(r.u8()%9))
 	for i := range s.entries {
-		e := &Entry{Priority: int(r.u8() & 15), PrefixLen: int(r.u8() % 33)}
+		e := &Entry{Priority: int(r.u8() & 15)}
 		withMasks := r.u8()&1 == 1
 		for range s.keys {
 			e.Values = append(e.Values, r.i32())
@@ -231,15 +169,8 @@ func (w *byteWriter) action(a *VLIWAction) {
 	}
 	w.u8(byte(len(a.Ops)))
 	for _, op := range a.Ops {
-		w.u8(byte(op.Op))
 		w.u8(byte(op.Dst))
-		w.u8(byte(op.Src))
 		w.i32(op.Imm)
-		if op.UseImm {
-			w.u8(1)
-		} else {
-			w.u8(0)
-		}
 	}
 }
 
@@ -261,7 +192,6 @@ func (s tableSpec) encode() []byte {
 	w.u8(byte(len(s.entries)))
 	for _, e := range s.entries {
 		w.u8(byte(e.Priority))
-		w.u8(byte(e.PrefixLen))
 		if e.Masks != nil {
 			w.u8(1)
 		} else {
@@ -295,7 +225,7 @@ func (s tableSpec) encode() []byte {
 // miss.
 func deviceTableSpecs() []tableSpec {
 	set := func(dst FieldID, v int32) *VLIWAction {
-		return &VLIWAction{Ops: []ActionOp{{Op: OpSet, Dst: dst, Imm: v, UseImm: true}}}
+		return &VLIWAction{Ops: []ActionOp{{Dst: dst, Imm: v}}}
 	}
 	const ethType, proto, bypass, score = 0, 1, 2, 3
 	const verdict = ethType // four fields are all the fuzz PHV has
@@ -317,30 +247,33 @@ func deviceTableSpecs() []tableSpec {
 }
 
 // FuzzTable builds one table two ways — compiled rows and the oracle — from
-// the same entries and looks up the same PHVs in both: the hit bit, every
-// field value and every valid bit must agree. An entry Insert refuses goes
-// into neither.
+// the same entries and looks up the same PHVs in both: the hit bit and every
+// field value must agree. An entry Insert refuses goes into neither.
 func FuzzTable(f *testing.F) {
 	for _, s := range deviceTableSpecs() {
 		f.Add(s.encode())
 	}
-	// And a routing table: 10.0.0.0/8 and 10.1.0.0/16, the /8 at higher
-	// priority, so only the prefix order picks the /16.
-	rib := tableSpec{
-		keys: []Key{{Field: 0, Kind: LPM}},
+	// And a table whose rows Insert must reorder: a wildcard and an exact
+	// row tied at priority 3, where only insertion order lets the wildcard
+	// shadow the exact row, then a priority-5 row inserted last that must
+	// match first.
+	set := func(v int32) *VLIWAction { return &VLIWAction{Ops: []ActionOp{{Dst: 1, Imm: v}}} }
+	ties := tableSpec{
+		keys: []Key{{Field: 0, Kind: Ternary}},
 		entries: []*Entry{
-			{Values: []int32{0x0a000000}, PrefixLen: 8, Priority: 5, Action: &VLIWAction{Ops: []ActionOp{{Op: OpSet, Dst: 1, Imm: 1, UseImm: true}}}},
-			{Values: []int32{0x0a010000}, PrefixLen: 16, Action: &VLIWAction{Ops: []ActionOp{{Op: OpAdd, Dst: 1, Src: 0}}}},
+			{Values: []int32{0}, Masks: []int32{0}, Priority: 3, Action: set(1)},
+			{Values: []int32{7}, Masks: []int32{-1}, Priority: 3, Action: set(3)},
+			{Values: []int32{8}, Masks: []int32{-1}, Priority: 5, Action: set(4)},
 		},
-		phvs: [][fuzzFields]int32{{0x0a010203}, {0x0a990203}, {0x0b000000}},
+		phvs: [][fuzzFields]int32{{7}, {8}, {9}},
 	}
-	f.Add(rib.encode())
+	f.Add(ties.encode())
 	layout := NewLayout("f0", "f1", "f2", "f3")
 	got, want := NewPHV(layout), NewPHV(layout)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s := decodeTableSpec(data)
 		tab := NewTable("fuzz", s.keys, 0)
-		oracle := newOracleTable(s.keys)
+		oracle := &oracleTable{Keys: s.keys}
 		tab.Default, oracle.Default = s.dflt, s.dflt
 		for _, e := range s.entries {
 			if tab.Insert(e) == nil {
@@ -351,19 +284,16 @@ func FuzzTable(f *testing.F) {
 			got.Reset()
 			want.Reset()
 			for id, x := range v {
-				if x != 0 { // zero fields stay invalid, to check valid bits too
-					got.Set(FieldID(id), x)
-					want.Set(FieldID(id), x)
-				}
+				got.Set(FieldID(id), x)
+				want.Set(FieldID(id), x)
 			}
 			hit, wantHit := tab.Lookup(got), oracle.Lookup(want)
 			if hit != wantHit {
 				t.Errorf("phv %v: hit %v, oracle %v", v, hit, wantHit)
 			}
 			for id := FieldID(0); id < fuzzFields; id++ {
-				if got.Get(id) != want.Get(id) || got.Valid(id) != want.Valid(id) {
-					t.Errorf("phv %v: field %d = %d (valid %v), oracle %d (valid %v)",
-						v, id, got.Get(id), got.Valid(id), want.Get(id), want.Valid(id))
+				if got.Get(id) != want.Get(id) {
+					t.Errorf("phv %v: field %d = %d, oracle %d", v, id, got.Get(id), want.Get(id))
 				}
 			}
 		}

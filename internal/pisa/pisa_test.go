@@ -2,9 +2,10 @@ package pisa
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -15,11 +16,8 @@ func stdLayout() *Layout {
 
 func TestLayout(t *testing.T) {
 	l := NewLayout("a", "b")
-	if l.Len() != 2 || l.ID("b") != 1 || l.Name(0) != "a" {
+	if l.Len() != 2 || l.ID("a") != 0 || l.ID("b") != 1 {
 		t.Error("layout basics broken")
-	}
-	if !l.Has("a") || l.Has("z") {
-		t.Error("Has broken")
 	}
 	defer func() {
 		if recover() == nil {
@@ -40,20 +38,18 @@ func TestLayoutDuplicatePanics(t *testing.T) {
 
 func TestPHV(t *testing.T) {
 	l := NewLayout("x", "y")
+	x, y := l.ID("x"), l.ID("y")
 	p := NewPHV(l)
-	if p.Valid(l.ID("x")) {
-		t.Error("fresh PHV should have no valid fields")
+	if p.Get(x) != 0 || p.Get(y) != 0 {
+		t.Error("fresh PHV should read zeros")
 	}
-	p.SetName("x", 42)
-	if p.GetName("x") != 42 || !p.Valid(l.ID("x")) {
+	p.Set(x, 42)
+	if p.Get(x) != 42 || p.Get(y) != 0 {
 		t.Error("Set/Get broken")
 	}
 	p.Reset()
-	if p.GetName("x") != 0 || p.Valid(l.ID("x")) {
+	if p.Get(x) != 0 {
 		t.Error("Reset broken")
-	}
-	if p.Layout() != l {
-		t.Error("Layout accessor broken")
 	}
 }
 
@@ -72,38 +68,55 @@ func TestStandardParserTCP(t *testing.T) {
 	if n != 54 {
 		t.Errorf("consumed %d bytes, want 54", n)
 	}
-	if phv.GetName("ipv4.src") != 0x0a000001 {
-		t.Errorf("src = %x", phv.GetName("ipv4.src"))
+	get := func(name string) int32 { return phv.Get(l.ID(name)) }
+	if get("ipv4.src") != 0x0a000001 {
+		t.Errorf("src = %x", get("ipv4.src"))
 	}
-	if phv.GetName("ipv4.dst") != 0x0a000002 {
-		t.Errorf("dst = %x", phv.GetName("ipv4.dst"))
+	if get("ipv4.dst") != 0x0a000002 {
+		t.Errorf("dst = %x", get("ipv4.dst"))
 	}
-	if phv.GetName("l4.sport") != 1234 || phv.GetName("l4.dport") != 443 {
-		t.Errorf("ports = %d/%d", phv.GetName("l4.sport"), phv.GetName("l4.dport"))
+	if get("l4.sport") != 1234 || get("l4.dport") != 443 {
+		t.Errorf("ports = %d/%d", get("l4.sport"), get("l4.dport"))
 	}
-	if phv.GetName("tcp.flags") != 0x02 {
-		t.Errorf("flags = %x", phv.GetName("tcp.flags"))
+	if get("tcp.flags") != 0x02 {
+		t.Errorf("flags = %x", get("tcp.flags"))
 	}
-	if phv.GetName("ipv4.len") != 50 {
-		t.Errorf("len = %d", phv.GetName("ipv4.len"))
+	if get("ipv4.len") != 50 {
+		t.Errorf("len = %d", get("ipv4.len"))
 	}
 }
 
+// TestParserShortPacket: a frame cut inside each header in turn reports that
+// header's error, whose text names the header and its length, after
+// consuming the headers before it — and reporting it does not allocate:
+// frame length is attacker-controlled.
 func TestParserShortPacket(t *testing.T) {
 	l := stdLayout()
 	parser, _ := StandardParser(l)
 	phv := NewPHV(l)
-	// Cut a TCP frame inside each header in turn: every truncation point
-	// reports the one sentinel, and none of them allocates — frame length is
-	// attacker-controlled.
-	full := BuildTCPPacket(1, 2, 3, 4, 0x10, 64)
-	for _, n := range []int{0, 10, 14, 30, 34, 50} {
-		frame := full[:n]
-		if _, err := parser.Parse(frame, phv); !errors.Is(err, ErrShortPacket) {
-			t.Errorf("frame cut to %d bytes: %v, want ErrShortPacket", n, err)
+	tcp := BuildTCPPacket(1, 2, 3, 4, 0x10, 64)
+	udp := BuildTCPPacket(1, 2, 3, 4, 0, 0)
+	udp[23] = 17
+	for _, tc := range []struct {
+		frame []byte
+		n     int
+		err   string
+	}{
+		{tcp[:0], 0, `pisa: packet too short for header "ethernet" (14 bytes)`},
+		{tcp[:13], 0, `pisa: packet too short for header "ethernet" (14 bytes)`},
+		{tcp[:14], 14, `pisa: packet too short for header "ipv4" (20 bytes)`},
+		{tcp[:33], 14, `pisa: packet too short for header "ipv4" (20 bytes)`},
+		{tcp[:34], 34, `pisa: packet too short for header "tcp" (20 bytes)`},
+		{tcp[:53], 34, `pisa: packet too short for header "tcp" (20 bytes)`},
+		{udp[:34], 34, `pisa: packet too short for header "udp" (8 bytes)`},
+		{udp[:41], 34, `pisa: packet too short for header "udp" (8 bytes)`},
+	} {
+		n, err := parser.Parse(tc.frame, phv)
+		if !errors.Is(err, ErrShortPacket) || err.Error() != tc.err || n != tc.n {
+			t.Errorf("frame cut to %d bytes: (%d, %v), want (%d, %s)", len(tc.frame), n, err, tc.n, tc.err)
 		}
-		if allocs := testing.AllocsPerRun(100, func() { _, _ = parser.Parse(frame, phv) }); allocs != 0 {
-			t.Errorf("frame cut to %d bytes: Parse allocates %.0f times, want 0", n, allocs)
+		if allocs := testing.AllocsPerRun(100, func() { _, _ = parser.Parse(tc.frame, phv) }); allocs != 0 {
+			t.Errorf("frame cut to %d bytes: Parse allocates %.0f times, want 0", len(tc.frame), allocs)
 		}
 	}
 }
@@ -111,9 +124,11 @@ func TestParserShortPacket(t *testing.T) {
 func TestParserNonIPAccepts(t *testing.T) {
 	l := stdLayout()
 	parser, _ := StandardParser(l)
-	pkt := make([]byte, 14)
+	pkt := BuildTCPPacket(1, 2, 3, 4, 0x10, 0)
 	pkt[12], pkt[13] = 0x08, 0x06 // ARP
 	phv := NewPHV(l)
+	src := l.ID("ipv4.src")
+	phv.Set(src, -1)
 	n, err := parser.Parse(pkt, phv)
 	if err != nil {
 		t.Fatal(err)
@@ -121,65 +136,28 @@ func TestParserNonIPAccepts(t *testing.T) {
 	if n != 14 {
 		t.Errorf("consumed %d", n)
 	}
-	if phv.Valid(l.ID("ipv4.src")) {
+	if phv.Get(src) != -1 {
 		t.Error("should not extract IPv4 from ARP")
 	}
 }
 
+// TestParserValidation: the parser is bound to a layout once, so a layout
+// that lacks a field it extracts is an error at StandardParser, not a panic
+// on the first packet.
 func TestParserValidation(t *testing.T) {
-	l := NewLayout("f")
-	if _, err := NewParser(l, "missing"); err == nil {
-		t.Error("missing start state should fail")
-	}
-	// Everything Parse would otherwise trip over per packet is an error here.
-	for what, bad := range map[string]*ParseState{
-		"field exceeding header": {Name: "s", HeaderLen: 2, Fields: []FieldSpec{{Name: "f", Offset: 1, WidthBits: 16}}},
-		"negative field offset":  {Name: "s", HeaderLen: 2, Fields: []FieldSpec{{Name: "f", Offset: -1, WidthBits: 8}}},
-		"odd field width":        {Name: "s", HeaderLen: 4, Fields: []FieldSpec{{Name: "f", Offset: 0, WidthBits: 24}}},
-		"unknown field":          {Name: "s", HeaderLen: 4, Fields: []FieldSpec{{Name: "zzz", Offset: 0, WidthBits: 8}}},
-		"unknown select field":   {Name: "s", HeaderLen: 4, SelectField: "zzz"},
-		"undefined next state":   {Name: "s", HeaderLen: 4, SelectField: "f", Transitions: map[int32]string{1: "nowhere"}},
-		"negative header length": {Name: "s", HeaderLen: -1},
-	} {
-		if _, err := NewParser(l, "s", bad); err == nil {
-			t.Errorf("%s should fail", what)
+	fields := StandardLayoutFields()
+	for i, missing := range fields {
+		rest := append(append([]string{}, fields[:i]...), fields[i+1:]...)
+		if _, err := StandardParser(NewLayout(rest...)); err == nil {
+			t.Errorf("layout without %q accepted", missing)
 		}
 	}
-	s := &ParseState{Name: "s", HeaderLen: 1}
-	if _, err := NewParser(l, "s", s, s); err == nil {
-		t.Error("duplicate state should fail")
-	}
 }
 
-func TestParserLoopDetected(t *testing.T) {
-	l := NewLayout("f")
-	s := &ParseState{
-		Name: "s", HeaderLen: 0,
-		SelectField: "f",
-		Transitions: map[int32]string{0: "s"},
-	}
-	p, err := NewParser(l, "s", s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	phv := NewPHV(l)
-	frame := make([]byte, 4)
-	if _, err := p.Parse(frame, phv); !errors.Is(err, ErrParseLoop) {
-		t.Errorf("loop: %v, want ErrParseLoop", err)
-	}
-	// The frame that spins the graph is attacker-controlled: reporting it
-	// must not allocate.
-	if allocs := testing.AllocsPerRun(100, func() { _, _ = p.Parse(frame, phv) }); allocs != 0 {
-		t.Errorf("loop detection allocates %.0f times, want 0", allocs)
-	}
-}
-
-// TestParsersDoNotShareState: a Parser keeps nothing of the ParseStates it
-// was compiled from, so two parsers built from one description — over layouts
-// that number the fields differently — each extract into their own layout,
-// and the description is left as the caller wrote it.
+// TestParsersDoNotShareState: two parsers over layouts that number the
+// fields differently each extract into their own layout, and each
+// truncation error names the header of the frame that raised it.
 func TestParsersDoNotShareState(t *testing.T) {
-	start, states := StandardParseGraph()
 	fields := StandardLayoutFields()
 	forward := NewLayout(fields...)
 	reversed := make([]string, len(fields))
@@ -187,18 +165,13 @@ func TestParsersDoNotShareState(t *testing.T) {
 		reversed[len(fields)-1-i] = f
 	}
 	backward := NewLayout(reversed...)
-
-	_, before := StandardParseGraph()
-	pf, err := NewParser(forward, start, states...)
+	pf, err := StandardParser(forward)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := NewParser(backward, start, states...)
+	pb, err := StandardParser(backward)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(states, before) {
-		t.Error("NewParser modified the caller's ParseStates")
 	}
 
 	pkt := BuildTCPPacket(0x0a000001, 0x0a000002, 1234, 443, 0x12, 0)
@@ -210,12 +183,12 @@ func TestParsersDoNotShareState(t *testing.T) {
 		if _, err := tc.p.Parse(pkt, phv); err != nil {
 			t.Fatal(err)
 		}
-		if phv.GetName("ipv4.src") != 0x0a000001 || phv.GetName("l4.dport") != 443 || phv.GetName("tcp.flags") != 0x12 {
-			t.Errorf("parser over layout starting %q extracted src %#x dport %d flags %#x",
-				tc.l.Name(0), phv.GetName("ipv4.src"), phv.GetName("l4.dport"), phv.GetName("tcp.flags"))
+		get := func(name string) int32 { return phv.Get(tc.l.ID(name)) }
+		if get("ipv4.src") != 0x0a000001 || get("l4.dport") != 443 || get("tcp.flags") != 0x12 {
+			t.Errorf("parser over layout with eth.type at %d extracted src %#x dport %d flags %#x",
+				tc.l.ID("eth.type"), get("ipv4.src"), get("l4.dport"), get("tcp.flags"))
 		}
 	}
-	// Truncation errors name the state of the parser that raised them.
 	_, errF := pf.Parse(pkt[:20], NewPHV(forward))
 	_, errB := pb.Parse(pkt[:40], NewPHV(backward))
 	if !errors.Is(errF, ErrShortPacket) || !strings.Contains(errF.Error(), "ipv4") {
@@ -226,49 +199,123 @@ func TestParsersDoNotShareState(t *testing.T) {
 	}
 }
 
-func TestVLIWAction(t *testing.T) {
-	l := NewLayout("a", "b")
-	p := NewPHV(l)
-	p.SetName("a", 10)
-	act := &VLIWAction{Ops: []ActionOp{
-		{Op: OpSet, Dst: l.ID("b"), Src: l.ID("a")},
-		{Op: OpAdd, Dst: l.ID("b"), Imm: 5, UseImm: true},
-		{Op: OpShiftRight, Dst: l.ID("b"), Imm: 1, UseImm: true},
-		{Op: OpMax, Dst: l.ID("b"), Imm: 3, UseImm: true},
-		{Op: OpMin, Dst: l.ID("b"), Imm: 6, UseImm: true},
-	}}
-	act.Apply(p)
-	// b = min(max((10+5)>>1, 3), 6) = 6.
-	if got := p.GetName("b"); got != 6 {
-		t.Errorf("b = %d, want 6", got)
+// walkHeader is one header of the standard parse graph as its description
+// reads: its length, the fields it extracts (offset and width in bytes), and
+// the field whose value picks the next header, if any.
+type walkHeader struct {
+	name        string
+	length      int
+	fields      []walkField
+	selectField string
+	next        map[int32]string
+}
+
+// walkField is a header field: its name, and its offset and width in bytes.
+type walkField struct {
+	name       string
+	off, width int
+}
+
+// walk parses data one header at a time by looking the headers and fields
+// up by name: the specification the straight-line Parse is held to.
+func walk(l *Layout, data []byte, phv *PHV) (int, error) {
+	graph := map[string]walkHeader{
+		"ethernet": {"ethernet", ethHeaderLen, []walkField{{"eth.type", 12, 2}}, "eth.type", map[int32]string{0x0800: "ipv4"}},
+		"ipv4": {"ipv4", ipv4HeaderLen, []walkField{{"ipv4.len", 2, 2}, {"ipv4.proto", 9, 1}, {"ipv4.src", 12, 4}, {"ipv4.dst", 16, 4}},
+			"ipv4.proto", map[int32]string{6: "tcp", 17: "udp"}},
+		"tcp": {"tcp", tcpHeaderLen, []walkField{{"l4.sport", 0, 2}, {"l4.dport", 2, 2}, {"tcp.flags", 13, 1}}, "", nil},
+		"udp": {"udp", udpHeaderLen, []walkField{{"l4.sport", 0, 2}, {"l4.dport", 2, 2}}, "", nil},
 	}
-	sub := &VLIWAction{Ops: []ActionOp{
-		{Op: OpSub, Dst: l.ID("b"), Imm: 2, UseImm: true},
-		{Op: OpAnd, Dst: l.ID("b"), Imm: 0x5, UseImm: true},
-	}}
-	sub.Apply(p)
-	if got := p.GetName("b"); got != 4 {
-		t.Errorf("b = %d, want 4", got)
+	off, cur := 0, "ethernet"
+	for {
+		h := graph[cur]
+		if off+h.length > len(data) {
+			return off, fmt.Errorf("%w for header %q (%d bytes)", ErrShortPacket, h.name, h.length)
+		}
+		for _, fd := range h.fields {
+			var v uint32
+			for _, b := range data[off+fd.off : off+fd.off+fd.width] {
+				v = v<<8 | uint32(b)
+			}
+			phv.Set(l.ID(fd.name), int32(v))
+		}
+		off += h.length
+		if h.selectField == "" {
+			return off, nil
+		}
+		next, ok := h.next[phv.Get(l.ID(h.selectField))]
+		if !ok {
+			return off, nil
+		}
+		cur = next
+	}
+}
+
+// TestStandardParserMatchesWalk: on every prefix of a TCP, a UDP, an ICMP and
+// an ARP frame, the straight-line parser fills the same PHV, consumes the
+// same bytes and reports the same error text as a by-name walk of the graph.
+func TestStandardParserMatchesWalk(t *testing.T) {
+	l := stdLayout()
+	p, err := StandardParser(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	withProto := func(proto byte, n int) []byte {
+		pkt := BuildTCPPacket(0x0a000001, 0x0a800001, 1234, 443, 0x10, 0)[:n]
+		pkt[23] = proto
+		return pkt
+	}
+	arp := make([]byte, 42)
+	arp[12], arp[13] = 0x08, 0x06
+	frames := [][]byte{BuildTCPPacket(0x0a000001, 0x0a800001, 1234, 443, 0x12, 8), withProto(17, 42), withProto(1, 42), arp}
+	got, want := NewPHV(l), NewPHV(l)
+	for _, frame := range frames {
+		for n := 0; n <= len(frame); n++ {
+			got.Reset()
+			want.Reset()
+			gotN, gotErr := p.Parse(frame[:n], got)
+			wantN, wantErr := walk(l, frame[:n], want)
+			if gotN != wantN || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("frame %x cut to %d: straight-line (%d, %v), walk (%d, %v)", frame[12:14], n, gotN, gotErr, wantN, wantErr)
+			}
+			if !slices.Equal(got.vals, want.vals) {
+				t.Errorf("frame %x cut to %d: PHV %v, walk %v", frame[12:14], n, got.vals, want.vals)
+			}
+		}
+	}
+}
+
+// TestVLIWAction: an action word stores its immediates in order, so a later
+// store to the same field wins, and it touches no other field.
+func TestVLIWAction(t *testing.T) {
+	l := NewLayout("a", "b", "c")
+	a, b, c := l.ID("a"), l.ID("b"), l.ID("c")
+	p := NewPHV(l)
+	p.Set(c, 10)
+	act := &VLIWAction{Ops: []ActionOp{{Dst: a, Imm: 1}, {Dst: b, Imm: -2}, {Dst: a, Imm: 3}}}
+	act.Apply(p)
+	if p.Get(a) != 3 || p.Get(b) != -2 || p.Get(c) != 10 {
+		t.Errorf("a, b, c = %d, %d, %d; want 3, -2, 10", p.Get(a), p.Get(b), p.Get(c))
 	}
 }
 
 func TestTableExactMatch(t *testing.T) {
 	l := NewLayout("port", "verdict")
 	tab := NewTable("acl", []Key{{Field: l.ID("port"), Kind: Exact}}, 8)
-	set1 := &VLIWAction{Ops: []ActionOp{{Op: OpSet, Dst: l.ID("verdict"), Imm: 1, UseImm: true}}}
+	set1 := &VLIWAction{Ops: []ActionOp{{Dst: l.ID("verdict"), Imm: 1}}}
 	if err := tab.Insert(&Entry{Values: []int32{443}, Action: set1}); err != nil {
 		t.Fatal(err)
 	}
-	tab.Default = &VLIWAction{Ops: []ActionOp{{Op: OpSet, Dst: l.ID("verdict"), Imm: 9, UseImm: true}}}
+	tab.Default = &VLIWAction{Ops: []ActionOp{{Dst: l.ID("verdict"), Imm: 9}}}
 	p := NewPHV(l)
-	p.SetName("port", 443)
-	if !tab.Lookup(p) || p.GetName("verdict") != 1 {
-		t.Errorf("hit path broken: verdict=%d", p.GetName("verdict"))
+	p.Set(l.ID("port"), 443)
+	if !tab.Lookup(p) || p.Get(l.ID("verdict")) != 1 {
+		t.Errorf("hit path broken: verdict=%d", p.Get(l.ID("verdict")))
 	}
 	p.Reset()
-	p.SetName("port", 80)
-	if tab.Lookup(p) || p.GetName("verdict") != 9 {
-		t.Errorf("default path broken: verdict=%d", p.GetName("verdict"))
+	p.Set(l.ID("port"), 80)
+	if tab.Lookup(p) || p.Get(l.ID("verdict")) != 9 {
+		t.Errorf("default path broken: verdict=%d", p.Get(l.ID("verdict")))
 	}
 	if len(tab.rows) != 1 {
 		t.Errorf("table holds %d rows, want 1", len(tab.rows))
@@ -278,8 +325,8 @@ func TestTableExactMatch(t *testing.T) {
 func TestTableTernaryPriority(t *testing.T) {
 	l := NewLayout("f", "out")
 	tab := NewTable("t", []Key{{Field: l.ID("f"), Kind: Ternary}}, 8)
-	lowAct := &VLIWAction{Ops: []ActionOp{{Op: OpSet, Dst: l.ID("out"), Imm: 1, UseImm: true}}}
-	hiAct := &VLIWAction{Ops: []ActionOp{{Op: OpSet, Dst: l.ID("out"), Imm: 2, UseImm: true}}}
+	lowAct := &VLIWAction{Ops: []ActionOp{{Dst: l.ID("out"), Imm: 1}}}
+	hiAct := &VLIWAction{Ops: []ActionOp{{Dst: l.ID("out"), Imm: 2}}}
 	// Low priority: match anything (mask 0).
 	if err := tab.Insert(&Entry{Values: []int32{0}, Masks: []int32{0}, Priority: 1, Action: lowAct}); err != nil {
 		t.Fatal(err)
@@ -289,41 +336,15 @@ func TestTableTernaryPriority(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewPHV(l)
-	p.SetName("f", 0xAB)
+	p.Set(l.ID("f"), 0xAB)
 	tab.Lookup(p)
-	if p.GetName("out") != 2 {
-		t.Errorf("priority broken: out=%d", p.GetName("out"))
+	if p.Get(l.ID("out")) != 2 {
+		t.Errorf("priority broken: out=%d", p.Get(l.ID("out")))
 	}
-	p.SetName("f", 0xCD)
+	p.Set(l.ID("f"), 0xCD)
 	tab.Lookup(p)
-	if p.GetName("out") != 1 {
-		t.Errorf("wildcard broken: out=%d", p.GetName("out"))
-	}
-}
-
-func TestTableLPM(t *testing.T) {
-	l := NewLayout("ip", "hop")
-	tab := NewTable("rib", []Key{{Field: l.ID("ip"), Kind: LPM}}, 8)
-	mk := func(hop int32) *VLIWAction {
-		return &VLIWAction{Ops: []ActionOp{{Op: OpSet, Dst: l.ID("hop"), Imm: hop, UseImm: true}}}
-	}
-	// 10.0.0.0/8 -> 1; 10.1.0.0/16 -> 2.
-	if err := tab.Insert(&Entry{Values: []int32{0x0a000000}, PrefixLen: 8, Action: mk(1)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Insert(&Entry{Values: []int32{0x0a010000}, PrefixLen: 16, Action: mk(2)}); err != nil {
-		t.Fatal(err)
-	}
-	p := NewPHV(l)
-	p.SetName("ip", 0x0a010203)
-	tab.Lookup(p)
-	if p.GetName("hop") != 2 {
-		t.Errorf("LPM picked hop %d, want 2 (longest prefix)", p.GetName("hop"))
-	}
-	p.SetName("ip", 0x0a990203)
-	tab.Lookup(p)
-	if p.GetName("hop") != 1 {
-		t.Errorf("LPM picked hop %d, want 1", p.GetName("hop"))
+	if p.Get(l.ID("out")) != 1 {
+		t.Errorf("wildcard broken: out=%d", p.Get(l.ID("out")))
 	}
 }
 
@@ -344,22 +365,11 @@ func TestTableCapacity(t *testing.T) {
 // TestTableInsertRejectsUnhonourable: an entry the table could never match as
 // written is an error at Insert, not a rule that silently never hits.
 func TestTableInsertRejectsUnhonourable(t *testing.T) {
-	l := NewLayout("a", "b", "out")
-	a, b := l.ID("a"), l.ID("b")
-	rib := NewTable("rib", []Key{{Field: a, Kind: LPM}}, 0)
-	for _, plen := range []int{-1, 33} {
-		if err := rib.Insert(&Entry{Values: []int32{0x0a000000}, PrefixLen: plen}); err == nil {
-			t.Errorf("LPM prefix length %d accepted", plen)
-		}
-	}
-	for _, plen := range []int{0, 32} {
-		if err := rib.Insert(&Entry{Values: []int32{0x0a000000}, PrefixLen: plen}); err != nil {
-			t.Errorf("LPM prefix length %d: %v", plen, err)
-		}
-	}
-	twoLPM := NewTable("two", []Key{{Field: a, Kind: LPM}, {Field: b, Kind: LPM}}, 0)
-	if err := twoLPM.Insert(&Entry{Values: []int32{1, 2}, PrefixLen: 8}); err == nil {
-		t.Error("entry for a table with two LPM keys accepted: both would share one PrefixLen")
+	l := NewLayout("a", "out")
+	a := l.ID("a")
+	tern := NewTable("t", []Key{{Field: a, Kind: Ternary}}, 0)
+	if err := tern.Insert(&Entry{Values: []int32{1}}); err == nil {
+		t.Error("ternary entry without masks accepted")
 	}
 	long := &VLIWAction{Name: "long", Ops: make([]ActionOp, MaxVLIWOps+1)}
 	exact := NewTable("acl", []Key{{Field: a, Kind: Exact}}, 0)
@@ -370,8 +380,8 @@ func TestTableInsertRejectsUnhonourable(t *testing.T) {
 	if err := exact.Insert(&Entry{Values: []int32{1}, Action: long}); err != nil {
 		t.Errorf("%d-op action: %v", len(long.Ops), err)
 	}
-	if len(rib.rows) != 2 || len(twoLPM.rows) != 0 || len(exact.rows) != 1 {
-		t.Errorf("rejected entries were installed: rows %d, %d, %d; want 2, 0, 1", len(rib.rows), len(twoLPM.rows), len(exact.rows))
+	if len(tern.rows) != 0 || len(exact.rows) != 1 {
+		t.Errorf("rejected entries were installed: rows %d, %d; want 0, 1", len(tern.rows), len(exact.rows))
 	}
 }
 
@@ -383,7 +393,7 @@ func TestTableCopiesEntry(t *testing.T) {
 	tab := NewTable("t", []Key{{Field: f, Kind: Ternary}}, 0)
 	e := &Entry{
 		Values: []int32{0xAB}, Masks: []int32{0xFF},
-		Action: &VLIWAction{Ops: []ActionOp{{Op: OpSet, Dst: out, Imm: 7, UseImm: true}}},
+		Action: &VLIWAction{Ops: []ActionOp{{Dst: out, Imm: 7}}},
 	}
 	if err := tab.Insert(e); err != nil {
 		t.Fatal(err)
@@ -424,43 +434,8 @@ func TestFastModMatchesRemainder(t *testing.T) {
 	}
 }
 
-// TestStandardParserMatchesWalk: on every prefix of a TCP, a UDP, an ICMP and
-// an ARP frame, the straight-line standard parser and the graph walk of the
-// same Parser consume the same bytes, fill the same PHV and return the very
-// same error value.
-func TestStandardParserMatchesWalk(t *testing.T) {
-	l := stdLayout()
-	p, err := StandardParser(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	withProto := func(proto byte, n int) []byte {
-		pkt := BuildTCPPacket(0x0a000001, 0x0a800001, 1234, 443, 0x10, 0)[:n]
-		pkt[23] = proto
-		return pkt
-	}
-	arp := make([]byte, 42)
-	arp[12], arp[13] = 0x08, 0x06
-	frames := [][]byte{BuildTCPPacket(0x0a000001, 0x0a800001, 1234, 443, 0x12, 8), withProto(17, 42), withProto(1, 42), arp}
-	got, want := NewPHV(l), NewPHV(l)
-	for _, frame := range frames {
-		for n := 0; n <= len(frame); n++ {
-			got.Reset()
-			want.Reset()
-			gotN, gotErr := p.Parse(frame[:n], got)
-			wantN, wantErr := p.walk(frame[:n], want)
-			if gotN != wantN || gotErr != wantErr {
-				t.Errorf("frame %x cut to %d: straight-line (%d, %v), walk (%d, %v)", frame[12:14], n, gotN, gotErr, wantN, wantErr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("frame %x cut to %d: PHV %v, walk %v", frame[12:14], n, got.vals, want.vals)
-			}
-		}
-	}
-}
-
 func TestRegisterArray(t *testing.T) {
-	r := NewRegisterArray("cnt", 4)
+	r := NewRegisterArray(4)
 	r.WriteSlot(r.Slot(1), 10)
 	if r.ReadSlot(r.Slot(1)) != 10 {
 		t.Error("WriteSlot/ReadSlot broken")
@@ -478,7 +453,7 @@ func TestRegisterArrayHighBitIndex(t *testing.T) {
 	// Hash indices use the full uint32 range. Indexing must reduce in
 	// uint32: converting to int first goes negative for idx >= 2^31 on
 	// 32-bit platforms and panics on the negative modulus.
-	r := NewRegisterArray("cnt", 3)
+	r := NewRegisterArray(3)
 	const idx = uint32(1)<<31 + 2 // 2147483650 % 3 == 1
 	slot := r.Slot(idx)
 	if slot != 1 {
@@ -490,7 +465,7 @@ func TestRegisterArrayHighBitIndex(t *testing.T) {
 	}
 	// A key reduced once addresses the same register on any other array of
 	// the same size.
-	other := NewRegisterArray("other", 3)
+	other := NewRegisterArray(3)
 	other.WriteSlot(slot, 4)
 	if got := other.ReadSlot(other.Slot(idx)); got != 4 {
 		t.Errorf("WriteSlot(Slot(idx)) then ReadSlot(Slot(idx)) = %d, want 4", got)
