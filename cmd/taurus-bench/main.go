@@ -38,7 +38,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run (all, table1..table8, fig9..fig14, mats, throughput, latency, drift, fleet, distfit, compile)")
+	exp := flag.String("exp", "all", "experiment to run (all, table1..table8, fig9, fig10, fig11, fig13, fig14, mats, throughput, latency, drift, fleet, distfit, compile)")
 	packets := flag.Int("packets", 400_000, "packets for the Table 8 simulation")
 	seed := flag.Int64("seed", 1, "training seed")
 	driftModel := flag.String("model", "dnn", "model family for the drift and fleet experiments (dnn, svm, iot)")

@@ -2,8 +2,9 @@
 // abstraction (§3.3): programs are nested Map and Reduce patterns over
 // fixed-width integer vectors, expressed as a static dataflow graph. The
 // builder mirrors the P4 MapReduce control block of Figure 4; the graph is
-// what internal/compiler places onto the CGRA grid and what internal/cgra
-// executes per packet.
+// what internal/compiler places onto the CGRA grid, what internal/cgra
+// places and times (its II and latency), and what the tape in
+// internal/sched runs per packet.
 //
 // Value semantics are integer (int32 carriers): vector lanes hold 8-bit
 // codes, reduce trees accumulate at 32 bits, and Requant/LUT nodes return

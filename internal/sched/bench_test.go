@@ -19,12 +19,12 @@ func benchGraph(b *testing.B) *mr.Graph {
 	return modelGraphs(b)["dnn"]
 }
 
-// wideGraph lowers an untrained 8-64-32-1 DNN, the benchmark's wide model:
-// 2592 multiply-accumulates per packet against the small model's 165, so
-// per-instruction set-up no longer hides what a multiply costs.
-func wideGraph(b *testing.B) (g *mr.Graph, macs int) {
+// wideGraph lowers an untrained DNN of the given layer sizes. The
+// benchmark's wide model is 8-64-32-1: 2592 multiply-accumulates per packet
+// against the small model's 165, so per-instruction set-up no longer hides
+// what a multiply costs.
+func wideGraph(b *testing.B, sizes ...int) (g *mr.Graph, macs int) {
 	rng := rand.New(rand.NewSource(5))
-	sizes := []int{8, 64, 32, 1}
 	X := make([]tensor.Vec, 64)
 	for i := range X {
 		X[i] = make(tensor.Vec, sizes[0])
@@ -51,27 +51,36 @@ func wideGraph(b *testing.B) (g *mr.Graph, macs int) {
 // Program.Run, batch is Program.RunBatch amortised per packet, and the wide
 // cases report what a multiply-accumulate of the 8-64-32-1 model costs at
 // batch fills 1, 4, 8 and 16 — a partial sweep pays per-instruction set-up
-// over fewer packets, and nothing else. All must report 0 allocs/op.
+// over fewer packets, and nothing else. Those run the dot kernels the CPU
+// selects; wide/fill1 and wide/fill16 also run with each kernel at every
+// width (dots=go, dots=avx2), and width/wN runs an N-N-N model (two layers
+// of input width N) on each, the sweep simdMinWidth is read from. All must
+// report 0 allocs/op.
 func BenchmarkEval(b *testing.B) {
 	g := benchGraph(b)
-	rng := rand.New(rand.NewSource(3))
-	codes := make([][]int32, sched.DefaultBatch)
-	for j := range codes {
-		codes[j] = make([]int32, 8)
-		for i := range codes[j] {
-			codes[j][i] = int32(int8(rng.Intn(256)))
+	// codes are DefaultBatch seeded inputs of width lanes.
+	codes := func(width int) [][]int32 {
+		rng := rand.New(rand.NewSource(3))
+		codes := make([][]int32, sched.DefaultBatch)
+		for j := range codes {
+			codes[j] = make([]int32, width)
+			for i := range codes[j] {
+				codes[j][i] = int32(int8(rng.Intn(256)))
+			}
 		}
+		return codes
 	}
+	in := codes(8)
 
-	// sweep times RunBatch(fill) per packet over slots j filled with codes[j]
+	// sweep times RunBatch(fill) per packet over slots j filled with in[j]
 	// and returns how many packets it swept (b.N rounded up to whole sweeps).
-	sweep := func(b *testing.B, g *mr.Graph, fill int) (packets int) {
+	sweep := func(b *testing.B, g *mr.Graph, fill int, in [][]int32) (packets int) {
 		p, err := sched.Compile(g, cgra.DefaultGrid())
 		if err != nil {
 			b.Fatal(err)
 		}
 		for j := 0; j < fill; j++ {
-			copy(p.InAt(0, j), codes[j])
+			copy(p.InAt(0, j), in[j])
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -80,6 +89,12 @@ func BenchmarkEval(b *testing.B) {
 		}
 		return packets
 	}
+	// perMAC is sweep reporting what one of the graph's macs
+	// multiply-accumulates costs.
+	perMAC := func(b *testing.B, g *mr.Graph, macs, fill int, in [][]int32) {
+		packets := sweep(b, g, fill, in)
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(packets*macs), "ns/MAC")
+	}
 	b.Run("compiled", func(b *testing.B) {
 		p, err := sched.Compile(g, cgra.DefaultGrid())
 		if err != nil {
@@ -87,17 +102,32 @@ func BenchmarkEval(b *testing.B) {
 		}
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			copy(p.In(0), codes[0])
+			copy(p.In(0), in[0])
 			p.Run()
 		}
 	})
-	b.Run("batch", func(b *testing.B) { sweep(b, g, sched.DefaultBatch) })
+	b.Run("batch", func(b *testing.B) { sweep(b, g, sched.DefaultBatch, in) })
 
-	wide, macs := wideGraph(b)
+	wide, macs := wideGraph(b, 8, 64, 32, 1)
 	for _, fill := range []int{1, 4, 8, sched.DefaultBatch} {
-		b.Run(fmt.Sprintf("wide/fill%d", fill), func(b *testing.B) {
-			packets := sweep(b, wide, fill)
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(packets*macs), "ns/MAC")
-		})
+		b.Run(fmt.Sprintf("wide/fill%d", fill), func(b *testing.B) { perMAC(b, wide, macs, fill, in) })
+	}
+	for _, fill := range []int{1, sched.DefaultBatch} {
+		for _, dots := range dotKernels {
+			b.Run(fmt.Sprintf("wide/fill%d/dots=%s", fill, dots.name), func(b *testing.B) {
+				selectDots(b, dots.avx2)
+				perMAC(b, wide, macs, fill, in)
+			})
+		}
+	}
+	for _, width := range []int{4, 8, 12, 16, 24, 32, 64} {
+		g, macs := wideGraph(b, width, width, width)
+		in := codes(width)
+		for _, dots := range dotKernels {
+			b.Run(fmt.Sprintf("width/w%d/dots=%s", width, dots.name), func(b *testing.B) {
+				selectDots(b, dots.avx2)
+				perMAC(b, g, macs, sched.DefaultBatch, in)
+			})
+		}
 	}
 }

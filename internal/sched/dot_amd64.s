@@ -1,0 +1,292 @@
+#include "textflag.h"
+
+// The packed dots on AVX2 lanes, four int64 lanes to a Y register. Each
+// returns, for every input, the int64 its Go loop in program.go returns: the
+// wrapping sum of X[i]*w[i].
+//
+// A packed lane splits as X = a + b<<32 with a = int32(X) in [-2^31, 2^31),
+// so X*w = a*w + (b*w)<<32 (mod 2^64), and only b mod 2^32 matters. VPMULDQ
+// multiplies the low signed dwords of two quadwords into an exact int64: a*w
+// is VPMULDQ of X itself, and b*w is VPMULDQ of SPLIT's B, the high dword of
+// X + 2^31 — which is (a + 2^31) + b<<32 with the low part in [0, 2^32), so
+// its high dword is b mod 2^32 (the raw high dword, plus one when a < 0).
+// Each row keeps its a-products (lo) and its b-products (hi) in lanes of
+// their own; the end folds them to lo + hi<<32 over the four lanes and
+// stores every result at once. The last len%4 products are the Go loop's
+// own IMULQ, added to the stored results.
+
+// HALF sets R to 2^31 in each quadword, the bias SPLIT adds.
+#define HALF(R, RX) \
+	MOVQ         $0x80000000, DX; \
+	VMOVQ        DX, RX; \
+	VPBROADCASTQ RX, R
+
+// SPLIT sets B's low dwords to the b of X's quadwords; H holds HALF.
+#define SPLIT(X, B, H) \
+	VPADDQ H, X, B; \
+	VPSRLQ $32, B, B
+
+// MAC adds the product of the low dwords of X and W to ACC; T is scratch.
+#define MAC(W, X, ACC, T) \
+	VPMULDQ W, X, T; \
+	VPADDQ  T, ACC, ACC
+
+// FOLD sets LO's lanes to LO + HI<<32.
+#define FOLD(LO, HI) \
+	VPSLLQ $32, HI, HI; \
+	VPADDQ HI, LO, LO
+
+// PAIR sets D's lanes to [A0+A1, B0+B1, A2+A3, B2+B3]; T is scratch.
+#define PAIR(A, B, D, T) \
+	VPUNPCKLQDQ B, A, D; \
+	VPUNPCKHQDQ B, A, T; \
+	VPADDQ      T, D, D
+
+// func packedDot2x2Asm(x0, x1 []int64, w0, w1 []int32) (a00, a01, a10, a11 int64)
+TEXT ·packedDot2x2Asm(SB), NOSPLIT, $0-128
+	MOVQ  x0_base+0(FP), SI
+	MOVQ  x0_len+8(FP), CX
+	MOVQ  x1_base+24(FP), DI
+	MOVQ  w0_base+48(FP), R8
+	MOVQ  w1_base+72(FP), R9
+	HALF(Y6, X6)
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	VPXOR Y12, Y12, Y12
+	VPXOR Y13, Y13, Y13
+	VPXOR Y14, Y14, Y14
+	VPXOR Y15, Y15, Y15
+	XORQ  AX, AX
+	MOVQ  CX, BX
+	ANDQ  $-4, BX
+	JZ    fold
+
+loop:
+	VMOVDQU   (SI)(AX*8), Y0
+	VMOVDQU   (DI)(AX*8), Y2
+	VPMOVSXDQ (R8)(AX*4), Y4
+	VPMOVSXDQ (R9)(AX*4), Y5
+	SPLIT(Y0, Y1, Y6)
+	SPLIT(Y2, Y3, Y6)
+	MAC(Y4, Y0, Y8, Y7)
+	MAC(Y4, Y1, Y9, Y7)
+	MAC(Y4, Y2, Y10, Y7)
+	MAC(Y4, Y3, Y11, Y7)
+	MAC(Y5, Y0, Y12, Y7)
+	MAC(Y5, Y1, Y13, Y7)
+	MAC(Y5, Y2, Y14, Y7)
+	MAC(Y5, Y3, Y15, Y7)
+	ADDQ      $4, AX
+	CMPQ      AX, BX
+	JB        loop
+
+fold:
+	FOLD(Y8, Y9)
+	FOLD(Y10, Y11)
+	FOLD(Y12, Y13)
+	FOLD(Y14, Y15)
+	PAIR(Y8, Y10, Y0, Y1)
+	PAIR(Y12, Y14, Y2, Y3)
+	VPERM2I128 $0x21, Y2, Y0, Y1
+	VPBLENDD   $0xf0, Y2, Y0, Y0
+	VPADDQ     Y1, Y0, Y0
+	VMOVDQU    Y0, a00+96(FP)
+	VZEROUPPER
+
+tail:
+	CMPQ    AX, CX
+	JAE     done
+	MOVLQSX (R8)(AX*4), DX
+	MOVQ    (SI)(AX*8), BX
+	IMULQ   DX, BX
+	ADDQ    BX, a00+96(FP)
+	MOVQ    (DI)(AX*8), BX
+	IMULQ   DX, BX
+	ADDQ    BX, a01+104(FP)
+	MOVLQSX (R9)(AX*4), DX
+	MOVQ    (SI)(AX*8), BX
+	IMULQ   DX, BX
+	ADDQ    BX, a10+112(FP)
+	MOVQ    (DI)(AX*8), BX
+	IMULQ   DX, BX
+	ADDQ    BX, a11+120(FP)
+	INCQ    AX
+	JMP     tail
+
+done:
+	RET
+
+// func packedDot1x2Asm(x0, x1 []int64, w []int32) (a0, a1 int64)
+TEXT ·packedDot1x2Asm(SB), NOSPLIT, $0-88
+	MOVQ  x0_base+0(FP), SI
+	MOVQ  x0_len+8(FP), CX
+	MOVQ  x1_base+24(FP), DI
+	MOVQ  w_base+48(FP), R8
+	HALF(Y6, X6)
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	XORQ  AX, AX
+	MOVQ  CX, BX
+	ANDQ  $-4, BX
+	JZ    fold
+
+loop:
+	VMOVDQU   (SI)(AX*8), Y0
+	VMOVDQU   (DI)(AX*8), Y2
+	VPMOVSXDQ (R8)(AX*4), Y4
+	SPLIT(Y0, Y1, Y6)
+	SPLIT(Y2, Y3, Y6)
+	MAC(Y4, Y0, Y8, Y7)
+	MAC(Y4, Y1, Y9, Y7)
+	MAC(Y4, Y2, Y10, Y7)
+	MAC(Y4, Y3, Y11, Y7)
+	ADDQ      $4, AX
+	CMPQ      AX, BX
+	JB        loop
+
+fold:
+	FOLD(Y8, Y9)
+	FOLD(Y10, Y11)
+	PAIR(Y8, Y10, Y0, Y1)
+	VEXTRACTI128 $1, Y0, X1
+	VPADDQ       X1, X0, X0
+	VMOVDQU      X0, a0+72(FP)
+	VZEROUPPER
+
+tail:
+	CMPQ    AX, CX
+	JAE     done
+	MOVLQSX (R8)(AX*4), DX
+	MOVQ    (SI)(AX*8), BX
+	IMULQ   DX, BX
+	ADDQ    BX, a0+72(FP)
+	MOVQ    (DI)(AX*8), BX
+	IMULQ   DX, BX
+	ADDQ    BX, a1+80(FP)
+	INCQ    AX
+	JMP     tail
+
+done:
+	RET
+
+// func packedDot2Asm(x []int64, w0, w1 []int32) (acc0, acc1 int64)
+TEXT ·packedDot2Asm(SB), NOSPLIT, $0-88
+	MOVQ  x_base+0(FP), SI
+	MOVQ  x_len+8(FP), CX
+	MOVQ  w0_base+24(FP), R8
+	MOVQ  w1_base+48(FP), R9
+	HALF(Y6, X6)
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	XORQ  AX, AX
+	MOVQ  CX, BX
+	ANDQ  $-4, BX
+	JZ    fold
+
+loop:
+	VMOVDQU   (SI)(AX*8), Y0
+	VPMOVSXDQ (R8)(AX*4), Y4
+	VPMOVSXDQ (R9)(AX*4), Y5
+	SPLIT(Y0, Y1, Y6)
+	MAC(Y4, Y0, Y8, Y7)
+	MAC(Y4, Y1, Y9, Y7)
+	MAC(Y5, Y0, Y10, Y7)
+	MAC(Y5, Y1, Y11, Y7)
+	ADDQ      $4, AX
+	CMPQ      AX, BX
+	JB        loop
+
+fold:
+	FOLD(Y8, Y9)
+	FOLD(Y10, Y11)
+	PAIR(Y8, Y10, Y0, Y1)
+	VEXTRACTI128 $1, Y0, X1
+	VPADDQ       X1, X0, X0
+	VMOVDQU      X0, acc0+72(FP)
+	VZEROUPPER
+
+tail:
+	CMPQ    AX, CX
+	JAE     done
+	MOVQ    (SI)(AX*8), DI
+	MOVLQSX (R8)(AX*4), BX
+	IMULQ   DI, BX
+	ADDQ    BX, acc0+72(FP)
+	MOVLQSX (R9)(AX*4), BX
+	IMULQ   DI, BX
+	ADDQ    BX, acc1+80(FP)
+	INCQ    AX
+	JMP     tail
+
+done:
+	RET
+
+// func packedDotAsm(x []int64, w []int32) (acc int64)
+TEXT ·packedDotAsm(SB), NOSPLIT, $0-56
+	MOVQ  x_base+0(FP), SI
+	MOVQ  x_len+8(FP), CX
+	MOVQ  w_base+24(FP), R8
+	HALF(Y6, X6)
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	XORQ  AX, AX
+	MOVQ  CX, BX
+	ANDQ  $-4, BX
+	JZ    fold
+
+loop:
+	VMOVDQU   (SI)(AX*8), Y0
+	VPMOVSXDQ (R8)(AX*4), Y4
+	SPLIT(Y0, Y1, Y6)
+	MAC(Y4, Y0, Y8, Y7)
+	MAC(Y4, Y1, Y9, Y7)
+	ADDQ      $4, AX
+	CMPQ      AX, BX
+	JB        loop
+
+fold:
+	FOLD(Y8, Y9)
+	VEXTRACTI128 $1, Y8, X0
+	VPADDQ       X0, X8, X0
+	VPSHUFD      $0x4e, X0, X1
+	VPADDQ       X1, X0, X0
+	VMOVQ        X0, R10
+	VZEROUPPER
+
+tail:
+	CMPQ    AX, CX
+	JAE     done
+	MOVLQSX (R8)(AX*4), BX
+	IMULQ   (SI)(AX*8), BX
+	ADDQ    BX, R10
+	INCQ    AX
+	JMP     tail
+
+done:
+	MOVQ R10, acc+48(FP)
+	RET
+
+// func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL sub+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL   $0, CX
+	XGETBV
+	MOVL   AX, eax+0(FP)
+	MOVL   DX, edx+4(FP)
+	RET

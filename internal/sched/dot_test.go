@@ -1,0 +1,116 @@
+package sched
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// dotWeights are the weights a draw picks from: the int32 extremes, the
+// values next to them, and small ones.
+var dotWeights = []int32{math.MinInt32, math.MinInt32 + 1, math.MaxInt32, math.MaxInt32 - 1, -1, 0, 1, 127, -128, 1 << 16}
+
+// dotLane draws a packed lane over the full int64 range: uniform bits, or
+// a pair of halves from the int32 extremes, so low halves of both signs
+// borrow from high halves that sit at their own extremes.
+func dotLane(rng *rand.Rand) int64 {
+	if rng.Intn(2) == 0 {
+		return int64(rng.Uint64())
+	}
+	lo := int64(dotWeights[rng.Intn(len(dotWeights))])
+	hi := int64(dotWeights[rng.Intn(len(dotWeights))])
+	return lo + hi<<32
+}
+
+func dotWeight(rng *rand.Rand) int32 {
+	if rng.Intn(2) == 0 {
+		return int32(rng.Uint32())
+	}
+	return dotWeights[rng.Intn(len(dotWeights))]
+}
+
+// checkPackedDots holds each AVX2 dot to its Go loop on the same operands,
+// all of x0's length.
+func checkPackedDots(t *testing.T, x0, x1 []int64, w0, w1 []int32) {
+	t.Helper()
+	check := func(kernel string, got, want []int64) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("width %d: %sAVX2 gives %v, the Go loop %v (x0 %v, x1 %v, w0 %v, w1 %v)",
+				len(x0), kernel, got, want, x0, x1, w0, w1)
+		}
+	}
+	a00, a01, a10, a11 := packedDot2x2AVX2(x0, x1, w0, w1)
+	b00, b01, b10, b11 := packedDot2x2(x0, x1, w0, w1)
+	check("packedDot2x2", []int64{a00, a01, a10, a11}, []int64{b00, b01, b10, b11})
+	a0, a1 := packedDot1x2AVX2(x0, x1, w0)
+	b0, b1 := packedDot1x2(x0, x1, w0)
+	check("packedDot1x2", []int64{a0, a1}, []int64{b0, b1})
+	a0, a1 = packedDot2AVX2(x0, w0, w1)
+	b0, b1 = packedDot2(x0, w0, w1)
+	check("packedDot2", []int64{a0, a1}, []int64{b0, b1})
+	check("packedDot", []int64{packedDotAVX2(x1, w1)}, []int64{packedDot(x1, w1)})
+}
+
+func skipWithoutAVX2(t testing.TB) {
+	if !haveAVX2 {
+		t.Skip("this CPU has no AVX2 (or its OS does not save YMM state): only the Go loops run here")
+	}
+}
+
+// TestPackedDotKernels: every AVX2 dot returns its Go loop's int64 at every
+// width from 0 to 70 — the four-lane body, each scalar tail and none — on
+// full-range lanes against int32 weight extremes, and on the lanes that
+// make every product wrap.
+func TestPackedDotKernels(t *testing.T) {
+	skipWithoutAVX2(t)
+	rng := rand.New(rand.NewSource(41))
+	for width := 0; width <= 70; width++ {
+		for range 200 {
+			x0, x1 := make([]int64, width), make([]int64, width)
+			w0, w1 := make([]int32, width), make([]int32, width)
+			for i := range width {
+				x0[i], x1[i] = dotLane(rng), dotLane(rng)
+				w0[i], w1[i] = dotWeight(rng), dotWeight(rng)
+			}
+			checkPackedDots(t, x0, x1, w0, w1)
+		}
+		x0, x1 := make([]int64, width), make([]int64, width)
+		w0, w1 := make([]int32, width), make([]int32, width)
+		for i := range width {
+			x0[i], x1[i] = math.MinInt64, math.MaxInt64
+			w0[i], w1[i] = math.MinInt32, math.MaxInt32
+		}
+		checkPackedDots(t, x0, x1, w0, w1)
+		checkPackedDots(t, x1, x0, w1, w0)
+	}
+}
+
+// FuzzPackedDot: the AVX2 dots against their Go loops on lanes and weights
+// read from the fuzzer's bytes, 8 bytes a lane and 4 a weight, two of each
+// per element.
+func FuzzPackedDot(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(make([]byte, 24*5))
+	edge := make([]byte, 24*19)
+	for i := range edge {
+		edge[i] = byte(0x80 ^ i*37)
+	}
+	f.Add(edge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		skipWithoutAVX2(t)
+		width := len(data) / 24
+		x0, x1 := make([]int64, width), make([]int64, width)
+		w0, w1 := make([]int32, width), make([]int32, width)
+		for i := range width {
+			e := data[i*24:]
+			x0[i] = int64(binary.LittleEndian.Uint64(e))
+			x1[i] = int64(binary.LittleEndian.Uint64(e[8:]))
+			w0[i] = int32(binary.LittleEndian.Uint32(e[16:]))
+			w1[i] = int32(binary.LittleEndian.Uint32(e[20:]))
+		}
+		checkPackedDots(t, x0, x1, w0, w1)
+	})
+}

@@ -128,6 +128,36 @@ func pushWeights(t *testing.T, g *mr.Graph, rng *rand.Rand) {
 	}
 }
 
+// dotKernels are the two packed dot kernels matVec can run at every width.
+var dotKernels = []struct {
+	name string
+	avx2 bool
+}{{"go", false}, {"avx2", true}}
+
+// selectDots makes the rest of tb run on one dot kernel at every input
+// width, and skips it on a CPU without AVX2 when that kernel is asked for.
+func selectDots(tb testing.TB, avx2 bool) {
+	restore, ok := sched.SelectDots(avx2)
+	if !ok {
+		tb.Skip("this CPU has no AVX2 (or its OS does not save YMM state): the Go loops are the only dots here")
+	}
+	tb.Cleanup(restore)
+}
+
+// eachDotKernel runs test with the dot kernels the CPU selects, then in a
+// subtest on each kernel at every input width — so a machine with AVX2
+// still tests the portable path, and a narrow graph still tests the
+// assembly.
+func eachDotKernel(t *testing.T, test func(*testing.T)) {
+	test(t)
+	for _, dots := range dotKernels {
+		t.Run("dots="+dots.name, func(t *testing.T) {
+			selectDots(t, dots.avx2)
+			test(t)
+		})
+	}
+}
+
 // TestKernelShapeMatrix drives every tape opcode through every shape its
 // kernel distinguishes: each argument constant or arena-backed, in either
 // argument position, the second argument full-width or a broadcast lane, at
@@ -135,7 +165,9 @@ func pushWeights(t *testing.T, g *mr.Graph, rng *rand.Rand) {
 // bit-exact with Graph.Eval, before and after a weight push between two
 // sweeps: a kernel may hoist where its operands lie out of the slot loop,
 // never which image they lie in.
-func TestKernelShapeMatrix(t *testing.T) {
+func TestKernelShapeMatrix(t *testing.T) { eachDotKernel(t, kernelShapeMatrix) }
+
+func kernelShapeMatrix(t *testing.T) {
 	mult, err := fixed.NewMultiplier(0.37)
 	if err != nil {
 		t.Fatal(err)

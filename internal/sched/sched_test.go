@@ -158,7 +158,9 @@ func flatten(X []tensor.Vec) []float32 {
 
 // TestModelsBitExact is the headline contract: the compiled tape matches
 // the reference semantics on every lowered model family.
-func TestModelsBitExact(t *testing.T) {
+func TestModelsBitExact(t *testing.T) { eachDotKernel(t, modelsBitExact) }
+
+func modelsBitExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for name, g := range modelGraphs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -169,7 +171,9 @@ func TestModelsBitExact(t *testing.T) {
 
 // TestMicrobenchGraphs covers the kernel zoo (inner products, convolutions,
 // activation chains, LUTs) from the lowering package's microbenchmarks.
-func TestMicrobenchGraphs(t *testing.T) {
+func TestMicrobenchGraphs(t *testing.T) { eachDotKernel(t, microbenchGraphs) }
+
+func microbenchGraphs(t *testing.T) {
 	graphs, err := lower.Microbenchmarks(16)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +191,9 @@ func TestMicrobenchGraphs(t *testing.T) {
 // and saturation — with extreme int32 inputs, not just the int8 domain — and
 // the dots that are no matvec row. Each verifies clean and matches Graph.Eval
 // at every batch fill; the tapes of the dot shapes are pinned.
-func TestEdgeGraphs(t *testing.T) {
+func TestEdgeGraphs(t *testing.T) { eachDotKernel(t, edgeGraphs) }
+
+func edgeGraphs(t *testing.T) {
 	mult, err := fixed.NewMultiplier(0.37)
 	if err != nil {
 		t.Fatal(err)
