@@ -53,9 +53,10 @@ func wideGraph(b *testing.B, sizes ...int) (g *mr.Graph, macs int) {
 // batch fills 1, 4, 8 and 16 — a partial sweep pays per-instruction set-up
 // over fewer packets, and nothing else. Those run the dot kernels the CPU
 // selects; wide/fill1 and wide/fill16 also run with each kernel at every
-// width (dots=go, dots=avx2), and width/wN runs an N-N-N model (two layers
-// of input width N) on each, the sweep simdMinWidth is read from. All must
-// report 0 allocs/op.
+// width (dots=go, dots=avx2), as dnn/fill16 does for the 6-12-6-3-1 model
+// (whose hidden layers' blocks the fused kernel takes on AVX2), and width/wN
+// runs an N-N-N model (two layers of input width N) on each, the sweep
+// simdMinWidth is read from. All must report 0 allocs/op.
 func BenchmarkEval(b *testing.B) {
 	g := benchGraph(b)
 	// codes are DefaultBatch seeded inputs of width lanes.
@@ -107,6 +108,12 @@ func BenchmarkEval(b *testing.B) {
 		}
 	})
 	b.Run("batch", func(b *testing.B) { sweep(b, g, sched.DefaultBatch, in) })
+	for _, dots := range dotKernels {
+		b.Run(fmt.Sprintf("dnn/fill%d/dots=%s", sched.DefaultBatch, dots.name), func(b *testing.B) {
+			selectDots(b, dots.avx2)
+			sweep(b, g, sched.DefaultBatch, in)
+		})
+	}
 
 	wide, macs := wideGraph(b, 8, 64, 32, 1)
 	for _, fill := range []int{1, 4, 8, sched.DefaultBatch} {

@@ -46,8 +46,19 @@ func packedDotAVX2(x []int64, w []int32) int64 {
 	return packedDotAsm(x, w[:len(x)])
 }
 
+// packedDot2x2Finish is packedDot2x2, then finishRow of rows r and r+1 for
+// pairs q and q+1, in one AVX2 kernel: for a finisher that matVec fuses
+// (a floor and a requant into packed lanes) and two full pairs, 2q+3 < n.
+func packedDot2x2Finish(f *finisher, n, r, q int, x0, x1 []int64, w0, w1 []int32, b0, b1 int64) {
+	k, j := len(x0), q*f.step+r
+	packedDot2x2FinishAsm(x0, x1[:k], w0[:k], w1[:k], f, int32(b0), int32(b1), (*[2]int64)(f.packed[j:]), (*[2]int64)(f.packed[j+f.step:]))
+}
+
 //go:noescape
 func packedDot2x2Asm(x0, x1 []int64, w0, w1 []int32) (a00, a01, a10, a11 int64)
+
+//go:noescape
+func packedDot2x2FinishAsm(x0, x1 []int64, w0, w1 []int32, f *finisher, b0, b1 int32, d0, d1 *[2]int64)
 
 //go:noescape
 func packedDot1x2Asm(x0, x1 []int64, w []int32) (a0, a1 int64)

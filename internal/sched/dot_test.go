@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"taurus/internal/fixed"
 )
 
 // dotWeights are the weights a draw picks from: the int32 extremes, the
@@ -112,5 +114,92 @@ func FuzzPackedDot(f *testing.F) {
 			w1[i] = int32(binary.LittleEndian.Uint32(e[20:]))
 		}
 		checkPackedDots(t, x0, x1, w0, w1)
+	})
+}
+
+// checkPackedDotFinish holds packedDot2x2Finish to its specification —
+// packedDot2x2, then finishRow of both rows — on a requant layer of two
+// rows handed over packed, as matVec resolves it (finishFor): floor 0 for a
+// ReLU, MinInt32 without, multiplier m, two full pairs in a sweep of four
+// slots. Both write every lane of the two pairs and their bounds.
+func checkPackedDotFinish(t *testing.T, x0, x1 []int64, w0, w1 []int32, b0, b1 int32, relu bool, m fixed.Multiplier) {
+	t.Helper()
+	ins := &Instr{Op: OpMatVec, W: 2, DStride: 3, Quant: OpRequant, Packed: true}
+	if relu {
+		ins.Act = OpRelu
+	}
+	var f finisher
+	f.finishFor(ins, &Image{mults: []fixed.Multiplier{m}}, &Arena{packed: make([]int64, 2*ins.DStride)}, 4)
+	want := f
+	want.packed = slices.Clone(f.packed)
+	packedDot2x2Finish(&f, 4, 0, 0, x0, x1, w0, w1, int64(b0), int64(b1))
+	a00, a01, a10, a11 := packedDot2x2(x0, x1, w0, w1)
+	want.finishRow(4, 0, 0, a00, a01, int64(b0))
+	want.finishRow(4, 1, 0, a10, a11, int64(b1))
+	if !slices.Equal(f.packed, want.packed) {
+		t.Fatalf("width %d, biases %d %d, relu %v, %+v: packedDot2x2Finish stores %#x, packedDot2x2 and finishRow %#x (x0 %v, x1 %v, w0 %v, w1 %v)",
+			len(x0), b0, b1, relu, m, f.packed, want.packed, x0, x1, w0, w1)
+	}
+}
+
+// TestPackedDotFinish: the fused AVX2 kernel stores what packedDot2x2 and
+// finishRow store, at every width from 0 to 70, on full-range lanes and
+// weights, biases from the int32 extremes, with and without a ReLU's floor,
+// for multipliers at every shift NewMultiplier makes (1 to 62) and at the
+// shifts of 63 and more that rescale everything to 0. Each of its steps —
+// the high half's carry, the saturating bias, the floor, the arithmetic
+// shift and the repack's borrow — dropped fails here.
+func TestPackedDotFinish(t *testing.T) {
+	skipWithoutAVX2(t)
+	rng := rand.New(rand.NewSource(43))
+	for width := 0; width <= 70; width++ {
+		for k := range 120 {
+			x0, x1 := make([]int64, width), make([]int64, width)
+			w0, w1 := make([]int32, width), make([]int32, width)
+			for i := range width {
+				x0[i], x1[i] = dotLane(rng), dotLane(rng)
+				w0[i], w1[i] = dotWeight(rng), dotWeight(rng)
+			}
+			m := fixed.Multiplier{M0: 1<<30 + rng.Int31n(1<<30), Shift: 1 + k%62}
+			if k%20 == 0 {
+				m.Shift = 63 + rng.Intn(8)
+			}
+			checkPackedDotFinish(t, x0, x1, w0, w1, dotWeight(rng), dotWeight(rng), k%2 == 0, m)
+		}
+	}
+}
+
+// FuzzPackedDotFinish: the fused kernel against packedDot2x2 and finishRow
+// on operands read from the fuzzer's bytes: the biases (4 bytes each), the
+// multiplier's M0 in [2^30, 2^31) (4 bytes) and Shift in [1, 70] (1 byte),
+// the floor (1 byte), then the lanes and weights as FuzzPackedDot reads them.
+func FuzzPackedDotFinish(f *testing.F) {
+	f.Add(make([]byte, 14))
+	f.Add(append([]byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0x80, 0xff, 0xff, 0xff, 0xff, 61, 1}, make([]byte, 24*6)...))
+	edge := make([]byte, 14+24*19)
+	for i := range edge {
+		edge[i] = byte(0x80 ^ i*37)
+	}
+	f.Add(edge)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		skipWithoutAVX2(t)
+		if len(data) < 14 {
+			return
+		}
+		b0, b1 := int32(binary.LittleEndian.Uint32(data)), int32(binary.LittleEndian.Uint32(data[4:]))
+		m := fixed.Multiplier{M0: int32(1<<30 | binary.LittleEndian.Uint32(data[8:])&(1<<30-1)), Shift: 1 + int(data[12])%70}
+		relu := data[13]&1 != 0
+		data = data[14:]
+		width := len(data) / 24
+		x0, x1 := make([]int64, width), make([]int64, width)
+		w0, w1 := make([]int32, width), make([]int32, width)
+		for i := range width {
+			e := data[i*24:]
+			x0[i] = int64(binary.LittleEndian.Uint64(e))
+			x1[i] = int64(binary.LittleEndian.Uint64(e[8:]))
+			w0[i] = int32(binary.LittleEndian.Uint32(e[16:]))
+			w1[i] = int32(binary.LittleEndian.Uint32(e[20:]))
+		}
+		checkPackedDotFinish(t, x0, x1, w0, w1, b0, b1, relu, m)
 	})
 }

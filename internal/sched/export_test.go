@@ -20,9 +20,9 @@ func SelectDots(avx2 bool) (restore func(), ok bool) {
 	if avx2 && !haveAVX2 {
 		return func() {}, false
 	}
-	simdWidth = math.MaxInt
+	simdWidth, fuseFinish = math.MaxInt, avx2
 	if avx2 {
 		simdWidth = 0
 	}
-	return func() { simdWidth = defaultSIMDWidth() }, true
+	return func() { simdWidth, fuseFinish = defaultSIMDWidth(), haveAVX2 }, true
 }

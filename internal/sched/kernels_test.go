@@ -566,27 +566,50 @@ func matVecCells(t *testing.T, rng *rand.Rand, emitted map[sched.Opcode]bool) {
 // weight push — so the packed stores of the odd last pair and the lone slot,
 // and the exact fallback unpacking a handed-over pair, all run. Every layer
 // but the last must hand over packed.
+//
+// Each layer's multiplier is drawn near 1/(width·wmax), wmax the largest
+// |weight| (127, or 1 for a ternary shape), so int8 codes rescale to
+// mid-range lanes rather than clamping to -128 or 127: a bias that wraps
+// instead of saturating (one shape draws its biases from edgeLanes), a
+// logical shift where an arithmetic one belongs, a lost floor and a packed
+// lane missing its low half's borrow (which the act-none requant layers
+// store) all change some output. A dot one off moves a lane only where its
+// rescale crosses a rounding edge, on about one lane in width·wmax: the
+// ternary shape's small multipliers make that one in a few.
 func matVecChains(t *testing.T, rng *rand.Rand) {
-	mult, err := fixed.NewMultiplier(0.37)
-	if err != nil {
-		t.Fatal(err)
+	layerMult := func(width int, wmax int32) fixed.Multiplier {
+		m, err := fixed.NewMultiplier((0.5 + rng.Float64()) / float64(width*int(wmax)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
 	}
-	chain := func(name string, widths []int, biased, lone bool, ep epilogue) *mr.Graph {
+	small := func() int32 { return int32(rng.Intn(512) - 256) }
+	edge := func() int32 { return edgeLanes[rng.Intn(len(edgeLanes))] }
+	chain := func(name string, widths []int, bias func() int32, wmax int32, lone bool, ep epilogue) *mr.Graph {
 		b := mr.NewBuilder(name)
 		x := b.Input("x", widths[0])
 		for l, rows := range widths[1:] {
 			neurons := make([]mr.Value, rows)
 			for r := range neurons {
-				neurons[r] = b.DotProduct(b.Const(fmt.Sprintf("w%d_%d", l, r), int8Lanes(rng, x.Width())), x)
-				if biased {
-					neurons[r] = b.Map(mr.MAdd, neurons[r], b.Scalar(fmt.Sprintf("b%d_%d", l, r), int32(rng.Intn(512)-256)))
+				w := int8Lanes(rng, x.Width())
+				if wmax == 1 {
+					for i := range w {
+						w[i] %= 2
+					}
+				}
+				neurons[r] = b.DotProduct(b.Const(fmt.Sprintf("w%d_%d", l, r), w), x)
+				if bias != nil {
+					neurons[r] = b.Map(mr.MAdd, neurons[r], b.Scalar(fmt.Sprintf("b%d_%d", l, r), bias()))
 				}
 			}
 			z := neurons[0]
 			if !lone || rows > 1 {
 				z = b.Concat(neurons...)
 			}
-			x = finish(b, z, ep)
+			layer := ep
+			layer.mult = layerMult(x.Width(), wmax)
+			x = finish(b, z, layer)
 		}
 		b.Output(x)
 		g, err := b.Build()
@@ -597,18 +620,23 @@ func matVecChains(t *testing.T, rng *rand.Rand) {
 	}
 	for _, act := range []sched.Opcode{sched.OpNone, sched.OpRelu, sched.OpLeaky, sched.OpNeg, sched.OpAbs} {
 		for _, quant := range []sched.Opcode{sched.OpNone, sched.OpRequant, sched.OpScale, sched.OpLUT} {
-			ep := epilogue{act: act, quant: quant, mult: mult}
+			ep := epilogue{act: act, quant: quant}
 			for _, shape := range []struct {
-				widths       []int
-				biased, lone bool
+				widths []int
+				bias   string
+				wmax   int32
+				lone   bool
 			}{
-				{[]int{7, 5, 2}, true, false},
-				{[]int{7, 4, 3, 1}, false, true},
-				{[]int{6, 1, 1}, true, true},
-				{[]int{5, 1, 3}, false, false},
+				{[]int{7, 5, 2}, "small", 127, false},
+				{[]int{8, 6, 4, 2}, "edge", 127, false},
+				{[]int{8, 6, 4, 2}, "small", 1, false},
+				{[]int{7, 4, 3, 1}, "none", 127, true},
+				{[]int{6, 1, 1}, "small", 127, true},
+				{[]int{5, 1, 3}, "none", 127, false},
 			} {
-				g := chain(fmt.Sprintf("chain/%v-%v/%v-bias-%v-lone-%v", act, quant, shape.widths, shape.biased, shape.lone),
-					shape.widths, shape.biased, shape.lone, ep)
+				bias := map[string]func() int32{"small": small, "edge": edge}[shape.bias]
+				g := chain(fmt.Sprintf("chain/%v-%v/%v-bias-%v-wmax-%d-lone-%v", act, quant, shape.widths, shape.bias, shape.wmax, shape.lone),
+					shape.widths, bias, shape.wmax, shape.lone, ep)
 				p, err := sched.Compile(g, cgra.DefaultGrid())
 				if err != nil {
 					t.Fatalf("Compile(%s): %v", g.Name, err)

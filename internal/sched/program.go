@@ -943,7 +943,12 @@ func (p *Program) Fallbacks() int { return p.arena.fallbacks }
 //
 // An input at least simdWidth lanes wide takes the packed dots on AVX2 lanes
 // (dot_amd64.s), which return what the Go loops return; the guard, the
-// finisher and the fallbacks are the same either way.
+// finisher and the fallbacks are the same either way. On a CPU with AVX2
+// (fuseFinish), a 2 x 2 block of two full pairs that clears the guard, in a
+// layer whose epilogue is a floor and a requant into packed lanes — every
+// hidden layer of a shipped DNN — is dotted and finished by one kernel at
+// any width, packedDot2x2Finish, which stores what packedDot2x2 and finishRow
+// store; every other block, and every CPU without AVX2, runs those two.
 //
 // hotpath: zero-alloc
 func (p *Arena) matVec(ins *Instr, img *Image, n int) {
@@ -951,6 +956,7 @@ func (p *Arena) matVec(ins *Instr, img *Image, n int) {
 	simd := width >= simdWidth
 	var f finisher
 	f.finishFor(ins, img, p, n)
+	fused := fuseFinish && f.packed != nil && f.table == nil && f.unary == OpNone && !f.trackBound
 	x, step := p.pack, width+1
 	if ins.A.Packed {
 		x, step = p.packed[ins.A.Off:], ins.A.Stride
@@ -976,6 +982,10 @@ func (p *Arena) matVec(ins *Instr, img *Image, n int) {
 			if max(s0, s1)*(x0[width]|x1[width]) > math.MaxInt32 {
 				p.matVecPair(&f, x0, n, r, q, w0, w1, s0, s1, b0, b1)
 				p.matVecPair(&f, x1, n, r, q+1, w0, w1, s0, s1, b0, b1)
+				continue
+			}
+			if fused && 2*q+3 < n {
+				packedDot2x2Finish(&f, n, r, q, x0[:width], x1[:width], w0, w1, b0, b1)
 				continue
 			}
 			var a00, a01, a10, a11 int64
@@ -1102,20 +1112,24 @@ func dotPairLanes(w []int32, x []int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// simdMinWidth is the narrowest OpMatVec input width whose packed dots run
-// on AVX2 lanes where the CPU has them. BenchmarkEval/width (two N-wide
-// layers at fill 16; ns/MAC, the least of five runs on a 2-core Xeon, Go
-// loops → AVX2): N=4 1.53 → 1.57, 8 0.79 → 0.80, 12 0.62 → 0.55, 16 0.52 →
-// 0.46, 24 0.40 → 0.32, 32 0.52 → 0.33, 64 0.27 → 0.21. Below 12 the
-// set-up of the lanes eats the gain; 12 gains a tenth, inside this host's
-// noise, so the 6-12-6-3-1 models keep the Go loops, and 16 is the first
-// width that gains clearly.
+// simdMinWidth is the narrowest OpMatVec input width whose unfused packed
+// dots — the blocks packedDot2x2Finish does not take — run on AVX2 lanes
+// where the CPU has them. Read before the fusion, from BenchmarkEval/width
+// (two N-wide layers at fill 16; ns/MAC, the least of five runs on a 2-core
+// Xeon, Go loops → AVX2): N=4 1.53 → 1.57, 8 0.79 → 0.80, 12 0.62 → 0.55,
+// 16 0.52 → 0.46, 24 0.40 → 0.32, 32 0.52 → 0.33, 64 0.27 → 0.21. Below 12
+// the set-up of the lanes eats the gain; 12 gains a tenth, inside this
+// host's noise, so 16 is the first width that gains clearly.
 const simdMinWidth = 16
 
 // simdWidth is the narrowest input width at which matVec runs the AVX2 dots:
 // simdMinWidth on a CPU with AVX2, and no width without. Only the tests move
 // it, to hold either kernel to Graph.Eval at every width.
 var simdWidth = defaultSIMDWidth()
+
+// fuseFinish is whether matVec runs packedDot2x2Finish on the blocks it
+// fuses: on a CPU with AVX2. Only the tests move it.
+var fuseFinish = haveAVX2
 
 func defaultSIMDWidth() int {
 	if haveAVX2 {
@@ -1196,6 +1210,9 @@ func packedDot2(x []int64, w0, w1 []int32) (acc0, acc1 int64) {
 // (v*m0 + half) >> sh clamped to [lo, hi] — the identity m0 = 1, sh = 0
 // without one, and m0 = 0 for a multiplier that shifts everything out
 // (scaleLanes clears those lanes) — and a table's index, looked up in table.
+// packedDot2x2Finish's assembly reads floor, lo, hi, m0, half and sh at
+// their go_asm.h offsets, as an int32, an int32, an int32, two int64s and a
+// 64-bit shift count.
 //
 // Finished lanes go to the arena's int32 lanes, slot j's lane r at
 // lanes[j*step+r], or — for a layer handed over packed — into the packed
@@ -1282,10 +1299,12 @@ func (f *finisher) finishPair(n, r, q int, acc, b int64) {
 
 // finishRow is finishPair of pairs q and q+1 (accumulators a0 and a1) in one
 // call, for one row of a 2 x 2 block: slots 2q..2q+2 are in the sweep, 2q+3
-// may not be. Each finished lane goes straight to memory: stored so, the
-// floor and the clamps of finishLane compile to conditional moves, where a
-// lane kept for a later store turned them into jumps that a ReLU's floor
-// mispredicts on half the lanes of real traffic.
+// may not be. It is the specification of packedDot2x2Finish's epilogue and
+// finishes every block that kernel does not. Each finished lane goes
+// straight to memory: stored so, the floor and the clamps of finishLane
+// compile to conditional moves, where a lane kept for a later store turned
+// them into jumps that a ReLU's floor mispredicts on half the lanes of real
+// traffic.
 //
 // hotpath: zero-alloc
 func (f *finisher) finishRow(n, r, q int, a0, a1, b int64) {
