@@ -51,27 +51,21 @@ func wideGraph(b *testing.B, sizes ...int) (g *mr.Graph, macs int) {
 // Program.Run, batch is Program.RunBatch amortised per packet, and the wide
 // cases report what a multiply-accumulate of the 8-64-32-1 model costs at
 // batch fills 1, 4, 8 and 16 — a partial sweep pays per-instruction set-up
-// over fewer packets, and nothing else. Those run the dot kernels the CPU
-// selects; wide/fill1 and wide/fill16 also run with each kernel at every
-// width (dots=go, dots=avx2), as dnn/fill16 does for the 6-12-6-3-1 model
-// (whose hidden layers' blocks the fused kernel takes on AVX2), and width/wN
-// runs an N-N-N model (two layers of input width N) on each, the sweep
-// simdMinWidth is read from. All must report 0 allocs/op.
+// over fewer packets, and nothing else. Those run the kernels the CPU
+// selects; dnn/fill16, wide/fill1 and wide/fill16 also run with dots=go, the
+// Go loops and the Go finisher on every block, against which the fused AVX2
+// kernel's gain on the hidden layers reads. All must report 0 allocs/op.
 func BenchmarkEval(b *testing.B) {
 	g := benchGraph(b)
-	// codes are DefaultBatch seeded inputs of width lanes.
-	codes := func(width int) [][]int32 {
-		rng := rand.New(rand.NewSource(3))
-		codes := make([][]int32, sched.DefaultBatch)
-		for j := range codes {
-			codes[j] = make([]int32, width)
-			for i := range codes[j] {
-				codes[j][i] = int32(int8(rng.Intn(256)))
-			}
+	// in are DefaultBatch seeded inputs of the models' 8 lanes.
+	rng := rand.New(rand.NewSource(3))
+	in := make([][]int32, sched.DefaultBatch)
+	for j := range in {
+		in[j] = make([]int32, 8)
+		for i := range in[j] {
+			in[j][i] = int32(int8(rng.Intn(256)))
 		}
-		return codes
 	}
-	in := codes(8)
 
 	// sweep times RunBatch(fill) per packet over slots j filled with in[j]
 	// and returns how many packets it swept (b.N rounded up to whole sweeps).
@@ -108,33 +102,19 @@ func BenchmarkEval(b *testing.B) {
 		}
 	})
 	b.Run("batch", func(b *testing.B) { sweep(b, g, sched.DefaultBatch, in) })
-	for _, dots := range dotKernels {
-		b.Run(fmt.Sprintf("dnn/fill%d/dots=%s", sched.DefaultBatch, dots.name), func(b *testing.B) {
-			selectDots(b, dots.avx2)
-			sweep(b, g, sched.DefaultBatch, in)
-		})
-	}
+	b.Run(fmt.Sprintf("dnn/fill%d/dots=go", sched.DefaultBatch), func(b *testing.B) {
+		selectDots(b, false)
+		sweep(b, g, sched.DefaultBatch, in)
+	})
 
 	wide, macs := wideGraph(b, 8, 64, 32, 1)
 	for _, fill := range []int{1, 4, 8, sched.DefaultBatch} {
 		b.Run(fmt.Sprintf("wide/fill%d", fill), func(b *testing.B) { perMAC(b, wide, macs, fill, in) })
 	}
 	for _, fill := range []int{1, sched.DefaultBatch} {
-		for _, dots := range dotKernels {
-			b.Run(fmt.Sprintf("wide/fill%d/dots=%s", fill, dots.name), func(b *testing.B) {
-				selectDots(b, dots.avx2)
-				perMAC(b, wide, macs, fill, in)
-			})
-		}
-	}
-	for _, width := range []int{4, 8, 12, 16, 24, 32, 64} {
-		g, macs := wideGraph(b, width, width, width)
-		in := codes(width)
-		for _, dots := range dotKernels {
-			b.Run(fmt.Sprintf("width/w%d/dots=%s", width, dots.name), func(b *testing.B) {
-				selectDots(b, dots.avx2)
-				perMAC(b, g, macs, sched.DefaultBatch, in)
-			})
-		}
+		b.Run(fmt.Sprintf("wide/fill%d/dots=go", fill), func(b *testing.B) {
+			selectDots(b, false)
+			perMAC(b, wide, macs, fill, in)
+		})
 	}
 }

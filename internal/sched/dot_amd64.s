@@ -1,10 +1,10 @@
 #include "go_asm.h"
 #include "textflag.h"
 
-// The packed dots on AVX2 lanes, four int64 lanes to a Y register. Each
-// returns, for every input, the int64 its Go loop in program.go returns: the
-// wrapping sum of X[i]*w[i]. packedDot2x2FinishAsm goes on from the 2 x 2
-// dots to finishRow's lanes, stored packed.
+// The fused 2 x 2 block on AVX2 lanes, four int64 lanes to a Y register:
+// packedDot2x2FinishAsm dots two packed slot pairs with two rows, as the Go
+// loop packedDot2x2 in program.go does, bit for bit, then runs finishRow's
+// epilogue on the four sums and stores the lanes packed.
 //
 // A packed lane splits as X = a + b<<32 with a = int32(X) in [-2^31, 2^31),
 // so X*w = a*w + (b*w)<<32 (mod 2^64), and only b mod 2^32 matters. VPMULDQ
@@ -13,17 +13,11 @@
 // X + 2^31 — which is (a + 2^31) + b<<32 with the low part in [0, 2^32), so
 // its high dword is b mod 2^32 (the raw high dword, plus one when a < 0).
 // Each row keeps its a-products (lo) and its b-products (hi) in lanes of
-// their own; the end folds them to lo + hi<<32 over the four lanes and
-// stores every result at once. The last len%4 products are the Go loop's
-// own IMULQ, added to the results.
+// their own; the end folds them to lo + hi<<32 over the four lanes. The last
+// len%4 products are the Go loop's own IMULQ, added to the sums.
 
-// HALF sets R to 2^31 in each quadword, the bias SPLIT adds.
-#define HALF(R, RX) \
-	MOVQ         $0x80000000, DX; \
-	VMOVQ        DX, RX; \
-	VPBROADCASTQ RX, R
-
-// SPLIT sets B's low dwords to the b of X's quadwords; H holds HALF.
+// SPLIT sets B's low dwords to the b of X's quadwords; H holds 2^31 in
+// each quadword.
 #define SPLIT(X, B, H) \
 	VPADDQ H, X, B; \
 	VPSRLQ $32, B, B
@@ -44,96 +38,6 @@
 	VPUNPCKHQDQ B, A, T; \
 	VPADDQ      T, D, D
 
-// DOT2X2 sets Y0 to the packed dots [a00, a01, a10, a11] of pairs x0 and x1
-// with rows w0 and w1, read from the first four arguments of the function it
-// is expanded in; the last len%4 products run in R10-R13 and join Y0 at the
-// end.
-#define DOT2X2 \
-	MOVQ  x0_base+0(FP), SI; \
-	MOVQ  x0_len+8(FP), CX; \
-	MOVQ  x1_base+24(FP), DI; \
-	MOVQ  w0_base+48(FP), R8; \
-	MOVQ  w1_base+72(FP), R9; \
-	HALF(Y6, X6); \
-	VPXOR Y8, Y8, Y8; \
-	VPXOR Y9, Y9, Y9; \
-	VPXOR Y10, Y10, Y10; \
-	VPXOR Y11, Y11, Y11; \
-	VPXOR Y12, Y12, Y12; \
-	VPXOR Y13, Y13, Y13; \
-	VPXOR Y14, Y14, Y14; \
-	VPXOR Y15, Y15, Y15; \
-	XORQ  AX, AX; \
-	MOVQ  CX, BX; \
-	ANDQ  $-4, BX; \
-	JZ    fold; \
-loop: \
-	VMOVDQU   (SI)(AX*8), Y0; \
-	VMOVDQU   (DI)(AX*8), Y2; \
-	VPMOVSXDQ (R8)(AX*4), Y4; \
-	VPMOVSXDQ (R9)(AX*4), Y5; \
-	SPLIT(Y0, Y1, Y6); \
-	SPLIT(Y2, Y3, Y6); \
-	MAC(Y4, Y0, Y8, Y7); \
-	MAC(Y4, Y1, Y9, Y7); \
-	MAC(Y4, Y2, Y10, Y7); \
-	MAC(Y4, Y3, Y11, Y7); \
-	MAC(Y5, Y0, Y12, Y7); \
-	MAC(Y5, Y1, Y13, Y7); \
-	MAC(Y5, Y2, Y14, Y7); \
-	MAC(Y5, Y3, Y15, Y7); \
-	ADDQ      $4, AX; \
-	CMPQ      AX, BX; \
-	JB        loop; \
-fold: \
-	FOLD(Y8, Y9); \
-	FOLD(Y10, Y11); \
-	FOLD(Y12, Y13); \
-	FOLD(Y14, Y15); \
-	PAIR(Y8, Y10, Y0, Y1); \
-	PAIR(Y12, Y14, Y2, Y3); \
-	VPERM2I128 $0x21, Y2, Y0, Y1; \
-	VPBLENDD   $0xf0, Y2, Y0, Y0; \
-	VPADDQ     Y1, Y0, Y0; \
-	CMPQ       AX, CX; \
-	JAE        dotted; \
-	XORQ       R10, R10; \
-	XORQ       R11, R11; \
-	XORQ       R12, R12; \
-	XORQ       R13, R13; \
-tail: \
-	MOVLQSX (R8)(AX*4), DX; \
-	MOVQ    (SI)(AX*8), BX; \
-	IMULQ   DX, BX; \
-	ADDQ    BX, R10; \
-	MOVQ    (DI)(AX*8), BX; \
-	IMULQ   DX, BX; \
-	ADDQ    BX, R11; \
-	MOVLQSX (R9)(AX*4), DX; \
-	MOVQ    (SI)(AX*8), BX; \
-	IMULQ   DX, BX; \
-	ADDQ    BX, R12; \
-	MOVQ    (DI)(AX*8), BX; \
-	IMULQ   DX, BX; \
-	ADDQ    BX, R13; \
-	INCQ    AX; \
-	CMPQ    AX, CX; \
-	JB      tail; \
-	VMOVQ       R10, X1; \
-	VPINSRQ     $1, R11, X1, X1; \
-	VMOVQ       R12, X2; \
-	VPINSRQ     $1, R13, X2, X2; \
-	VINSERTI128 $1, X2, Y1, Y1; \
-	VPADDQ      Y1, Y0, Y0; \
-dotted:
-
-// func packedDot2x2Asm(x0, x1 []int64, w0, w1 []int32) (a00, a01, a10, a11 int64)
-TEXT ·packedDot2x2Asm(SB), NOSPLIT, $0-128
-	DOT2X2
-	VMOVDQU Y0, a00+96(FP)
-	VZEROUPPER
-	RET
-
 // SRAQ shifts V's quadwords right arithmetically by the count in X: AVX2 has
 // no VPSRAQ, so the shift is logical between two flips by the sign mask, T
 // (Z holds zero).
@@ -145,11 +49,96 @@ TEXT ·packedDot2x2Asm(SB), NOSPLIT, $0-128
 
 // func packedDot2x2FinishAsm(x0, x1 []int64, w0, w1 []int32, f *finisher, b0, b1 int32, d0, d1 *[2]int64)
 //
-// DOT2X2, then finishRow of rows r and r+1 (biases b0, b1) for two full
-// pairs through f's floor, rescale and clamp, one dword a slot: d0 gets
+// The packed dots [a00, a01, a10, a11] of pairs x0 and x1 with rows w0 and
+// w1 into Y0, then finishRow of rows r and r+1 (biases b0, b1) for the two
+// full pairs through f's floor, rescale and clamp, one dword a slot: d0 gets
 // [row r, row r+1] of pair x0 packed, d1 those of pair x1.
 TEXT ·packedDot2x2FinishAsm(SB), NOSPLIT, $0-128
-	DOT2X2
+	MOVQ  x0_base+0(FP), SI
+	MOVQ  x0_len+8(FP), CX
+	MOVQ  x1_base+24(FP), DI
+	MOVQ  w0_base+48(FP), R8
+	MOVQ  w1_base+72(FP), R9
+
+	// Y6 holds 2^31 in each quadword, the bias SPLIT adds.
+	MOVQ         $0x80000000, DX
+	VMOVQ        DX, X6
+	VPBROADCASTQ X6, Y6
+	VPXOR Y8, Y8, Y8
+	VPXOR Y9, Y9, Y9
+	VPXOR Y10, Y10, Y10
+	VPXOR Y11, Y11, Y11
+	VPXOR Y12, Y12, Y12
+	VPXOR Y13, Y13, Y13
+	VPXOR Y14, Y14, Y14
+	VPXOR Y15, Y15, Y15
+	XORQ  AX, AX
+	MOVQ  CX, BX
+	ANDQ  $-4, BX
+	JZ    fold
+
+loop:
+	VMOVDQU   (SI)(AX*8), Y0
+	VMOVDQU   (DI)(AX*8), Y2
+	VPMOVSXDQ (R8)(AX*4), Y4
+	VPMOVSXDQ (R9)(AX*4), Y5
+	SPLIT(Y0, Y1, Y6)
+	SPLIT(Y2, Y3, Y6)
+	MAC(Y4, Y0, Y8, Y7)
+	MAC(Y4, Y1, Y9, Y7)
+	MAC(Y4, Y2, Y10, Y7)
+	MAC(Y4, Y3, Y11, Y7)
+	MAC(Y5, Y0, Y12, Y7)
+	MAC(Y5, Y1, Y13, Y7)
+	MAC(Y5, Y2, Y14, Y7)
+	MAC(Y5, Y3, Y15, Y7)
+	ADDQ      $4, AX
+	CMPQ      AX, BX
+	JB        loop
+
+fold:
+	FOLD(Y8, Y9)
+	FOLD(Y10, Y11)
+	FOLD(Y12, Y13)
+	FOLD(Y14, Y15)
+	PAIR(Y8, Y10, Y0, Y1)
+	PAIR(Y12, Y14, Y2, Y3)
+	VPERM2I128 $0x21, Y2, Y0, Y1
+	VPBLENDD   $0xf0, Y2, Y0, Y0
+	VPADDQ     Y1, Y0, Y0
+	CMPQ       AX, CX
+	JAE        dotted
+	XORQ       R10, R10
+	XORQ       R11, R11
+	XORQ       R12, R12
+	XORQ       R13, R13
+
+tail:
+	MOVLQSX (R8)(AX*4), DX
+	MOVQ    (SI)(AX*8), BX
+	IMULQ   DX, BX
+	ADDQ    BX, R10
+	MOVQ    (DI)(AX*8), BX
+	IMULQ   DX, BX
+	ADDQ    BX, R11
+	MOVLQSX (R9)(AX*4), DX
+	MOVQ    (SI)(AX*8), BX
+	IMULQ   DX, BX
+	ADDQ    BX, R12
+	MOVQ    (DI)(AX*8), BX
+	IMULQ   DX, BX
+	ADDQ    BX, R13
+	INCQ    AX
+	CMPQ    AX, CX
+	JB      tail
+	VMOVQ       R10, X1
+	VPINSRQ     $1, R11, X1, X1
+	VMOVQ       R12, X2
+	VPINSRQ     $1, R13, X2, X2
+	VINSERTI128 $1, X2, Y1, Y1
+	VPADDQ      Y1, Y0, Y0
+
+dotted:
 	MOVQ f+96(FP), DX
 	VPERMQ $0xd8, Y0, Y0
 
@@ -209,160 +198,6 @@ TEXT ·packedDot2x2FinishAsm(SB), NOSPLIT, $0-128
 	VMOVDQU      X0, (AX)
 	VEXTRACTI128 $1, Y0, (BX)
 	VZEROUPPER
-	RET
-
-// func packedDot1x2Asm(x0, x1 []int64, w []int32) (a0, a1 int64)
-TEXT ·packedDot1x2Asm(SB), NOSPLIT, $0-88
-	MOVQ  x0_base+0(FP), SI
-	MOVQ  x0_len+8(FP), CX
-	MOVQ  x1_base+24(FP), DI
-	MOVQ  w_base+48(FP), R8
-	HALF(Y6, X6)
-	VPXOR Y8, Y8, Y8
-	VPXOR Y9, Y9, Y9
-	VPXOR Y10, Y10, Y10
-	VPXOR Y11, Y11, Y11
-	XORQ  AX, AX
-	MOVQ  CX, BX
-	ANDQ  $-4, BX
-	JZ    fold
-
-loop:
-	VMOVDQU   (SI)(AX*8), Y0
-	VMOVDQU   (DI)(AX*8), Y2
-	VPMOVSXDQ (R8)(AX*4), Y4
-	SPLIT(Y0, Y1, Y6)
-	SPLIT(Y2, Y3, Y6)
-	MAC(Y4, Y0, Y8, Y7)
-	MAC(Y4, Y1, Y9, Y7)
-	MAC(Y4, Y2, Y10, Y7)
-	MAC(Y4, Y3, Y11, Y7)
-	ADDQ      $4, AX
-	CMPQ      AX, BX
-	JB        loop
-
-fold:
-	FOLD(Y8, Y9)
-	FOLD(Y10, Y11)
-	PAIR(Y8, Y10, Y0, Y1)
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ       X1, X0, X0
-	VMOVDQU      X0, a0+72(FP)
-	VZEROUPPER
-
-tail:
-	CMPQ    AX, CX
-	JAE     done
-	MOVLQSX (R8)(AX*4), DX
-	MOVQ    (SI)(AX*8), BX
-	IMULQ   DX, BX
-	ADDQ    BX, a0+72(FP)
-	MOVQ    (DI)(AX*8), BX
-	IMULQ   DX, BX
-	ADDQ    BX, a1+80(FP)
-	INCQ    AX
-	JMP     tail
-
-done:
-	RET
-
-// func packedDot2Asm(x []int64, w0, w1 []int32) (acc0, acc1 int64)
-TEXT ·packedDot2Asm(SB), NOSPLIT, $0-88
-	MOVQ  x_base+0(FP), SI
-	MOVQ  x_len+8(FP), CX
-	MOVQ  w0_base+24(FP), R8
-	MOVQ  w1_base+48(FP), R9
-	HALF(Y6, X6)
-	VPXOR Y8, Y8, Y8
-	VPXOR Y9, Y9, Y9
-	VPXOR Y10, Y10, Y10
-	VPXOR Y11, Y11, Y11
-	XORQ  AX, AX
-	MOVQ  CX, BX
-	ANDQ  $-4, BX
-	JZ    fold
-
-loop:
-	VMOVDQU   (SI)(AX*8), Y0
-	VPMOVSXDQ (R8)(AX*4), Y4
-	VPMOVSXDQ (R9)(AX*4), Y5
-	SPLIT(Y0, Y1, Y6)
-	MAC(Y4, Y0, Y8, Y7)
-	MAC(Y4, Y1, Y9, Y7)
-	MAC(Y5, Y0, Y10, Y7)
-	MAC(Y5, Y1, Y11, Y7)
-	ADDQ      $4, AX
-	CMPQ      AX, BX
-	JB        loop
-
-fold:
-	FOLD(Y8, Y9)
-	FOLD(Y10, Y11)
-	PAIR(Y8, Y10, Y0, Y1)
-	VEXTRACTI128 $1, Y0, X1
-	VPADDQ       X1, X0, X0
-	VMOVDQU      X0, acc0+72(FP)
-	VZEROUPPER
-
-tail:
-	CMPQ    AX, CX
-	JAE     done
-	MOVQ    (SI)(AX*8), DI
-	MOVLQSX (R8)(AX*4), BX
-	IMULQ   DI, BX
-	ADDQ    BX, acc0+72(FP)
-	MOVLQSX (R9)(AX*4), BX
-	IMULQ   DI, BX
-	ADDQ    BX, acc1+80(FP)
-	INCQ    AX
-	JMP     tail
-
-done:
-	RET
-
-// func packedDotAsm(x []int64, w []int32) (acc int64)
-TEXT ·packedDotAsm(SB), NOSPLIT, $0-56
-	MOVQ  x_base+0(FP), SI
-	MOVQ  x_len+8(FP), CX
-	MOVQ  w_base+24(FP), R8
-	HALF(Y6, X6)
-	VPXOR Y8, Y8, Y8
-	VPXOR Y9, Y9, Y9
-	XORQ  AX, AX
-	MOVQ  CX, BX
-	ANDQ  $-4, BX
-	JZ    fold
-
-loop:
-	VMOVDQU   (SI)(AX*8), Y0
-	VPMOVSXDQ (R8)(AX*4), Y4
-	SPLIT(Y0, Y1, Y6)
-	MAC(Y4, Y0, Y8, Y7)
-	MAC(Y4, Y1, Y9, Y7)
-	ADDQ      $4, AX
-	CMPQ      AX, BX
-	JB        loop
-
-fold:
-	FOLD(Y8, Y9)
-	VEXTRACTI128 $1, Y8, X0
-	VPADDQ       X0, X8, X0
-	VPSHUFD      $0x4e, X0, X1
-	VPADDQ       X1, X0, X0
-	VMOVQ        X0, R10
-	VZEROUPPER
-
-tail:
-	CMPQ    AX, CX
-	JAE     done
-	MOVLQSX (R8)(AX*4), BX
-	IMULQ   (SI)(AX*8), BX
-	ADDQ    BX, R10
-	INCQ    AX
-	JMP     tail
-
-done:
-	MOVQ R10, acc+48(FP)
 	RET
 
 // func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)

@@ -33,41 +33,43 @@ func dotWeight(rng *rand.Rand) int32 {
 	return dotWeights[rng.Intn(len(dotWeights))]
 }
 
-// checkPackedDots holds each AVX2 dot to its Go loop on the same operands,
-// all of x0's length.
+// wrapDot is a packed dot spelled in uint64, where Go's multiply and add
+// wrap by definition: the sum the int64 loops must give.
+func wrapDot(x []int64, w []int32) int64 {
+	var acc uint64
+	for i, xv := range x {
+		acc += uint64(xv) * uint64(int64(w[i]))
+	}
+	return int64(acc)
+}
+
+// checkPackedDots holds each Go dot loop — the kernels of every block
+// packedDot2x2Finish does not take — to wrapDot of each (pair, row) on the
+// same operands, all of x0's length.
 func checkPackedDots(t *testing.T, x0, x1 []int64, w0, w1 []int32) {
 	t.Helper()
 	check := func(kernel string, got, want []int64) {
 		t.Helper()
 		if !slices.Equal(got, want) {
-			t.Fatalf("width %d: %sAVX2 gives %v, the Go loop %v (x0 %v, x1 %v, w0 %v, w1 %v)",
+			t.Fatalf("width %d: %s gives %v, the wrapping sum %v (x0 %v, x1 %v, w0 %v, w1 %v)",
 				len(x0), kernel, got, want, x0, x1, w0, w1)
 		}
 	}
-	a00, a01, a10, a11 := packedDot2x2AVX2(x0, x1, w0, w1)
-	b00, b01, b10, b11 := packedDot2x2(x0, x1, w0, w1)
-	check("packedDot2x2", []int64{a00, a01, a10, a11}, []int64{b00, b01, b10, b11})
-	a0, a1 := packedDot1x2AVX2(x0, x1, w0)
-	b0, b1 := packedDot1x2(x0, x1, w0)
-	check("packedDot1x2", []int64{a0, a1}, []int64{b0, b1})
-	a0, a1 = packedDot2AVX2(x0, w0, w1)
-	b0, b1 = packedDot2(x0, w0, w1)
-	check("packedDot2", []int64{a0, a1}, []int64{b0, b1})
-	check("packedDot", []int64{packedDotAVX2(x1, w1)}, []int64{packedDot(x1, w1)})
+	d00, d01, d10, d11 := wrapDot(x0, w0), wrapDot(x1, w0), wrapDot(x0, w1), wrapDot(x1, w1)
+	a00, a01, a10, a11 := packedDot2x2(x0, x1, w0, w1)
+	check("packedDot2x2", []int64{a00, a01, a10, a11}, []int64{d00, d01, d10, d11})
+	a0, a1 := packedDot1x2(x0, x1, w0)
+	check("packedDot1x2", []int64{a0, a1}, []int64{d00, d01})
+	a0, a1 = packedDot2(x0, w0, w1)
+	check("packedDot2", []int64{a0, a1}, []int64{d00, d10})
+	check("packedDot", []int64{packedDot(x1, w1)}, []int64{d11})
 }
 
-func skipWithoutAVX2(t testing.TB) {
-	if !haveAVX2 {
-		t.Skip("this CPU has no AVX2 (or its OS does not save YMM state): only the Go loops run here")
-	}
-}
-
-// TestPackedDotKernels: every AVX2 dot returns its Go loop's int64 at every
-// width from 0 to 70 — the four-lane body, each scalar tail and none — on
-// full-range lanes against int32 weight extremes, and on the lanes that
-// make every product wrap.
+// TestPackedDotKernels: every Go dot loop returns the wrapping sum of its
+// (pair, row) products at every width from 0 to 70, on full-range lanes
+// against int32 weight extremes, and on the lanes that make every product
+// wrap.
 func TestPackedDotKernels(t *testing.T) {
-	skipWithoutAVX2(t)
 	rng := rand.New(rand.NewSource(41))
 	for width := 0; width <= 70; width++ {
 		for range 200 {
@@ -90,9 +92,9 @@ func TestPackedDotKernels(t *testing.T) {
 	}
 }
 
-// FuzzPackedDot: the AVX2 dots against their Go loops on lanes and weights
-// read from the fuzzer's bytes, 8 bytes a lane and 4 a weight, two of each
-// per element.
+// FuzzPackedDot: the Go dot loops against the wrapping sum on lanes and
+// weights read from the fuzzer's bytes, 8 bytes a lane and 4 a weight, two
+// of each per element.
 func FuzzPackedDot(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(make([]byte, 24*5))
@@ -102,19 +104,31 @@ func FuzzPackedDot(f *testing.F) {
 	}
 	f.Add(edge)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		skipWithoutAVX2(t)
-		width := len(data) / 24
-		x0, x1 := make([]int64, width), make([]int64, width)
-		w0, w1 := make([]int32, width), make([]int32, width)
-		for i := range width {
-			e := data[i*24:]
-			x0[i] = int64(binary.LittleEndian.Uint64(e))
-			x1[i] = int64(binary.LittleEndian.Uint64(e[8:]))
-			w0[i] = int32(binary.LittleEndian.Uint32(e[16:]))
-			w1[i] = int32(binary.LittleEndian.Uint32(e[20:]))
-		}
+		x0, x1, w0, w1 := dotOperands(data)
 		checkPackedDots(t, x0, x1, w0, w1)
 	})
+}
+
+// dotOperands reads two pairs' lanes and two rows' weights from data, 24
+// bytes an element: x0, x1 (8 bytes each), then w0, w1 (4 bytes each).
+func dotOperands(data []byte) (x0, x1 []int64, w0, w1 []int32) {
+	width := len(data) / 24
+	x0, x1 = make([]int64, width), make([]int64, width)
+	w0, w1 = make([]int32, width), make([]int32, width)
+	for i := range width {
+		e := data[i*24:]
+		x0[i] = int64(binary.LittleEndian.Uint64(e))
+		x1[i] = int64(binary.LittleEndian.Uint64(e[8:]))
+		w0[i] = int32(binary.LittleEndian.Uint32(e[16:]))
+		w1[i] = int32(binary.LittleEndian.Uint32(e[20:]))
+	}
+	return x0, x1, w0, w1
+}
+
+func skipWithoutAVX2(t testing.TB) {
+	if !haveAVX2 {
+		t.Skip("this CPU has no AVX2 (or its OS does not save YMM state): only the Go loops run here")
+	}
 }
 
 // checkPackedDotFinish holds packedDot2x2Finish to its specification —
@@ -146,7 +160,8 @@ func checkPackedDotFinish(t *testing.T, x0, x1 []int64, w0, w1 []int32, b0, b1 i
 // finishRow store, at every width from 0 to 70, on full-range lanes and
 // weights, biases from the int32 extremes, with and without a ReLU's floor,
 // for multipliers at every shift NewMultiplier makes (1 to 62) and at the
-// shifts of 63 and more that rescale everything to 0. Each of its steps —
+// shifts of 63 and more that rescale everything to 0, and on the lanes that
+// make every product wrap. Each of its steps —
 // the high half's carry, the saturating bias, the floor, the arithmetic
 // shift and the repack's borrow — dropped fails here.
 func TestPackedDotFinish(t *testing.T) {
@@ -166,6 +181,15 @@ func TestPackedDotFinish(t *testing.T) {
 			}
 			checkPackedDotFinish(t, x0, x1, w0, w1, dotWeight(rng), dotWeight(rng), k%2 == 0, m)
 		}
+		x0, x1 := make([]int64, width), make([]int64, width)
+		w0, w1 := make([]int32, width), make([]int32, width)
+		for i := range width {
+			x0[i], x1[i] = math.MinInt64, math.MaxInt64
+			w0[i], w1[i] = math.MinInt32, math.MaxInt32
+		}
+		m := fixed.Multiplier{M0: 1 << 30, Shift: 31}
+		checkPackedDotFinish(t, x0, x1, w0, w1, 0, 0, false, m)
+		checkPackedDotFinish(t, x1, x0, w1, w0, 0, 0, true, m)
 	}
 }
 
@@ -189,17 +213,7 @@ func FuzzPackedDotFinish(f *testing.F) {
 		b0, b1 := int32(binary.LittleEndian.Uint32(data)), int32(binary.LittleEndian.Uint32(data[4:]))
 		m := fixed.Multiplier{M0: int32(1<<30 | binary.LittleEndian.Uint32(data[8:])&(1<<30-1)), Shift: 1 + int(data[12])%70}
 		relu := data[13]&1 != 0
-		data = data[14:]
-		width := len(data) / 24
-		x0, x1 := make([]int64, width), make([]int64, width)
-		w0, w1 := make([]int32, width), make([]int32, width)
-		for i := range width {
-			e := data[i*24:]
-			x0[i] = int64(binary.LittleEndian.Uint64(e))
-			x1[i] = int64(binary.LittleEndian.Uint64(e[8:]))
-			w0[i] = int32(binary.LittleEndian.Uint32(e[16:]))
-			w1[i] = int32(binary.LittleEndian.Uint32(e[20:]))
-		}
+		x0, x1, w0, w1 := dotOperands(data[14:])
 		checkPackedDotFinish(t, x0, x1, w0, w1, b0, b1, relu, m)
 	})
 }

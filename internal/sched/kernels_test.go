@@ -128,14 +128,16 @@ func pushWeights(t *testing.T, g *mr.Graph, rng *rand.Rand) {
 	}
 }
 
-// dotKernels are the two packed dot kernels matVec can run at every width.
+// dotKernels are the two kernel selections matVec can run: the Go loops and
+// the Go finisher on every block (go), and the fused AVX2 kernel on the
+// blocks it takes (avx2), which is what a CPU with AVX2 selects itself.
 var dotKernels = []struct {
 	name string
 	avx2 bool
 }{{"go", false}, {"avx2", true}}
 
-// selectDots makes the rest of tb run on one dot kernel at every input
-// width, and skips it on a CPU without AVX2 when that kernel is asked for.
+// selectDots makes the rest of tb run on one kernel selection, and skips it
+// on a CPU without AVX2 when that selection is asked for.
 func selectDots(tb testing.TB, avx2 bool) {
 	restore, ok := sched.SelectDots(avx2)
 	if !ok {
@@ -144,10 +146,10 @@ func selectDots(tb testing.TB, avx2 bool) {
 	tb.Cleanup(restore)
 }
 
-// eachDotKernel runs test with the dot kernels the CPU selects, then in a
-// subtest on each kernel at every input width — so a machine with AVX2
-// still tests the portable path, and a narrow graph still tests the
-// assembly.
+// eachDotKernel runs test with the kernels the CPU selects, then in a
+// subtest on each selection — so a machine with AVX2 still tests the
+// portable path. On such a machine the avx2 subtest repeats the CPU's own
+// run, which costs under a second.
 func eachDotKernel(t *testing.T, test func(*testing.T)) {
 	test(t)
 	for _, dots := range dotKernels {

@@ -941,19 +941,16 @@ func (p *Program) Fallbacks() int { return p.arena.fallbacks }
 // is as new as the weights it was summed from, so a new image needs no
 // notification.
 //
-// An input at least simdWidth lanes wide takes the packed dots on AVX2 lanes
-// (dot_amd64.s), which return what the Go loops return; the guard, the
-// finisher and the fallbacks are the same either way. On a CPU with AVX2
-// (fuseFinish), a 2 x 2 block of two full pairs that clears the guard, in a
-// layer whose epilogue is a floor and a requant into packed lanes — every
-// hidden layer of a shipped DNN — is dotted and finished by one kernel at
-// any width, packedDot2x2Finish, which stores what packedDot2x2 and finishRow
-// store; every other block, and every CPU without AVX2, runs those two.
+// On a CPU with AVX2 (fuseFinish), a 2 x 2 block of two full pairs that
+// clears the guard, in a layer whose epilogue is a floor and a requant into
+// packed lanes — every hidden layer of a shipped DNN — is dotted and
+// finished by one kernel, packedDot2x2Finish (dot_amd64.s), which stores
+// what packedDot2x2 and finishRow store; every other block, and every CPU
+// without AVX2, runs the Go loops and the Go finisher.
 //
 // hotpath: zero-alloc
 func (p *Arena) matVec(ins *Instr, img *Image, n int) {
 	rows, width := ins.W, ins.A.W
-	simd := width >= simdWidth
 	var f finisher
 	f.finishFor(ins, img, p, n)
 	fused := fuseFinish && f.packed != nil && f.table == nil && f.unary == OpNone && !f.trackBound
@@ -988,12 +985,7 @@ func (p *Arena) matVec(ins *Instr, img *Image, n int) {
 				packedDot2x2Finish(&f, n, r, q, x0[:width], x1[:width], w0, w1, b0, b1)
 				continue
 			}
-			var a00, a01, a10, a11 int64
-			if simd {
-				a00, a01, a10, a11 = packedDot2x2AVX2(x0[:width], x1[:width], w0, w1)
-			} else {
-				a00, a01, a10, a11 = packedDot2x2(x0[:width], x1[:width], w0, w1)
-			}
+			a00, a01, a10, a11 := packedDot2x2(x0[:width], x1[:width], w0, w1)
 			f.finishRow(n, r, q, a00, a01, b0)
 			f.finishRow(n, r+1, q, a10, a11, b1)
 		}
@@ -1011,12 +1003,7 @@ func (p *Arena) matVec(ins *Instr, img *Image, n int) {
 				p.matVecCell(&f, x1, n, r, q+1, w, s, b)
 				continue
 			}
-			var a0, a1 int64
-			if simd {
-				a0, a1 = packedDot1x2AVX2(x0[:width], x1[:width], w)
-			} else {
-				a0, a1 = packedDot1x2(x0[:width], x1[:width], w)
-			}
+			a0, a1 := packedDot1x2(x0[:width], x1[:width], w)
 			f.finishRow(n, r, q, a0, a1, b)
 		}
 		if q < pairs {
@@ -1065,12 +1052,7 @@ func (p *Arena) matVecPair(f *finisher, x []int64, n, r, q int, w0, w1 []int32, 
 		p.matVecCell(f, x, n, r+1, q, w1, s1, b1)
 		return
 	}
-	var acc0, acc1 int64
-	if len(w0) >= simdWidth {
-		acc0, acc1 = packedDot2AVX2(x[:len(w0)], w0, w1)
-	} else {
-		acc0, acc1 = packedDot2(x[:len(w0)], w0, w1)
-	}
+	acc0, acc1 := packedDot2(x[:len(w0)], w0, w1)
 	f.finishPair(n, r, q, acc0, b0)
 	f.finishPair(n, r+1, q, acc1, b1)
 }
@@ -1083,13 +1065,7 @@ func (p *Arena) matVecPair(f *finisher, x []int64, n, r, q int, w0, w1 []int32, 
 func (p *Arena) matVecCell(f *finisher, x []int64, n, r, q int, w []int32, s, b int64) {
 	packed := x[:len(w)]
 	if s*x[len(w)] <= math.MaxInt32 {
-		var acc int64
-		if len(w) >= simdWidth {
-			acc = packedDotAVX2(packed, w)
-		} else {
-			acc = packedDot(packed, w)
-		}
-		f.finishPair(n, r, q, acc, b)
+		f.finishPair(n, r, q, packedDot(packed, w), b)
 		return
 	}
 	p.fallbacks++
@@ -1112,34 +1088,12 @@ func dotPairLanes(w []int32, x []int64) (lo, hi int64) {
 	return lo, hi
 }
 
-// simdMinWidth is the narrowest OpMatVec input width whose unfused packed
-// dots — the blocks packedDot2x2Finish does not take — run on AVX2 lanes
-// where the CPU has them. Read before the fusion, from BenchmarkEval/width
-// (two N-wide layers at fill 16; ns/MAC, the least of five runs on a 2-core
-// Xeon, Go loops → AVX2): N=4 1.53 → 1.57, 8 0.79 → 0.80, 12 0.62 → 0.55,
-// 16 0.52 → 0.46, 24 0.40 → 0.32, 32 0.52 → 0.33, 64 0.27 → 0.21. Below 12
-// the set-up of the lanes eats the gain; 12 gains a tenth, inside this
-// host's noise, so 16 is the first width that gains clearly.
-const simdMinWidth = 16
-
-// simdWidth is the narrowest input width at which matVec runs the AVX2 dots:
-// simdMinWidth on a CPU with AVX2, and no width without. Only the tests move
-// it, to hold either kernel to Graph.Eval at every width.
-var simdWidth = defaultSIMDWidth()
-
 // fuseFinish is whether matVec runs packedDot2x2Finish on the blocks it
 // fuses: on a CPU with AVX2. Only the tests move it.
 var fuseFinish = haveAVX2
 
-func defaultSIMDWidth() int {
-	if haveAVX2 {
-		return simdMinWidth
-	}
-	return math.MaxInt
-}
-
-// The packed dots below are the specification of their AVX2 forms (the
-// *AVX2 functions, dot_amd64.s) and the kernels everywhere they do not run:
+// The packed dots below are the kernels of every block packedDot2x2Finish
+// does not take, and packedDot2x2 is the specification of its dot loop:
 // each is the wrapping int64 sum of X[i]*w[i] per (pair, row).
 
 // packedDot is the packed dot of slot pair x with one row: a lone cell.
@@ -1155,8 +1109,8 @@ func packedDot(x []int64, w []int32) (acc int64) {
 // each of two rows; a01 is row 0 with the second pair. It stays out of line,
 // as packedDot2 does: inlined into matVec the accumulators spill to the stack.
 // Out of line it runs at about one IMULQ a cycle, the scalar ceiling, which
-// no Go loop lifts: an input of simdWidth lanes or more takes
-// packedDot2x2AVX2, four products an instruction.
+// no Go loop lifts; on AVX2 the blocks of a fused layer take
+// packedDot2x2Finish instead, four products an instruction.
 //
 //go:noinline
 func packedDot2x2(x0, x1 []int64, w0, w1 []int32) (a00, a01, a10, a11 int64) {
@@ -1189,8 +1143,7 @@ func packedDot1x2(x0, x1 []int64, w []int32) (a0, a1 int64) {
 
 // packedDot2 is the packed dot of x with each of two rows. It stays out of
 // line: inlined into matVec its accumulators spill to the stack, and the
-// 8-64-32-1 sweep runs a third slower. Past simdWidth lanes packedDot2AVX2
-// runs in its place.
+// 8-64-32-1 sweep runs a third slower.
 //
 //go:noinline
 func packedDot2(x []int64, w0, w1 []int32) (acc0, acc1 int64) {
